@@ -1,5 +1,5 @@
-//! Ablation: the swappable dense microkernels (`scalar` oracle, `blocked`
-//! `mul_add` tiles, `avx2` intrinsics under `--features simd`) compared on
+//! Ablation: the dense microkernels (`scalar` oracle, `blocked` `mul_add`
+//! tiles — the production kernel) compared on
 //! (a) the raw rank-k update that dominates the supernodal flop count and
 //! (b) an end-to-end ≥50k-DoF lattice factorization per kernel.
 //!

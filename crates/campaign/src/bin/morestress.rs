@@ -45,6 +45,9 @@ fn run(args: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
+        } else if arg.starts_with("--") {
+            eprintln!("unknown option `{arg}`\n{USAGE}");
+            return ExitCode::FAILURE;
         } else {
             spec_paths.push(arg.clone());
         }
@@ -66,13 +69,11 @@ fn run(args: &[String]) -> ExitCode {
     }
 
     // Run header: the effective runtime configuration, so logs record it.
-    let env_or = |key: &str| std::env::var(key).unwrap_or_else(|_| "unset".to_string());
     println!("morestress campaign run");
     println!(
-        "  workers: {} (MORESTRESS_THREADS={}, MORESTRESS_SHARDS={})",
+        "  workers: {} (MORESTRESS_THREADS={})",
         WorkPool::current().cap(),
-        env_or("MORESTRESS_THREADS"),
-        env_or("MORESTRESS_SHARDS"),
+        std::env::var("MORESTRESS_THREADS").unwrap_or_else(|_| "unset".to_string()),
     );
     for (path, spec) in spec_paths.iter().zip(&specs) {
         println!(

@@ -277,10 +277,9 @@ pub struct GlobalStats {
     /// used (1 for iterative backends, serial factorization, warm-cache
     /// hits prepared serially, and fully-constrained solves).
     pub factor_workers: usize,
-    /// Resolved dense-microkernel name (`"scalar"`, `"blocked"`, `"avx2"`)
-    /// behind the direct factorization, after runtime CPU-feature
-    /// dispatch; `None` for iterative backends, the scalar reference
-    /// factorization and fully-constrained solves.
+    /// Dense-microkernel name behind the direct factorization
+    /// (`"blocked"` — the one production kernel); `None` for iterative
+    /// backends and fully-constrained solves.
     pub kernel: Option<&'static str>,
     /// Interior shards of the sharded global solve (1 for monolithic
     /// backends and fully-constrained solves).

@@ -63,4 +63,4 @@ pub use interp::{lagrange_weights, InterpolationGrid};
 pub use local::{LocalStage, LocalStageOptions, LocalStageStats};
 pub use model::ReducedOrderModel;
 pub use reconstruct::sample_array_von_mises;
-pub use simulator::{MoreStressSimulator, SimulatorBuilder, SimulatorOptions};
+pub use simulator::{MoreStressSimulator, SimulatorBuilder};

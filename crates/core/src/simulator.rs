@@ -3,9 +3,7 @@
 use std::path::PathBuf;
 
 use morestress_fem::{MaterialSet, ScalarField2d};
-use morestress_linalg::{
-    DirectCholesky, FactorCache, FillOrdering, KernelChoice, Sharded, SolverBackend, VerifyPolicy,
-};
+use morestress_linalg::{DirectCholesky, FactorCache, Sharded, SolverBackend, VerifyPolicy};
 use morestress_mesh::{BlockKind, BlockLayout, BlockResolution, TsvGeometry};
 
 use crate::model::build_or_load_cached;
@@ -13,34 +11,6 @@ use crate::{
     sample_array_von_mises, GlobalBc, GlobalSolution, GlobalStage, InterpolationGrid,
     LocalStageOptions, ReducedOrderModel, RomError, RomSolver,
 };
-
-/// Options for [`MoreStressSimulator::build`].
-#[derive(Debug, Clone, Default)]
-pub struct SimulatorOptions {
-    /// Local-stage threading (paper: 16 threads).
-    pub local: LocalStageOptions,
-    /// Global solver (paper: GMRES).
-    pub solver: RomSolver,
-    /// Worker-slot cap for batched global solves; `None` uses the current
-    /// [`WorkPool`](morestress_linalg::WorkPool) cap. Like every `threads`
-    /// knob, this narrows the shared pool for these solves — it never
-    /// spawns threads of its own.
-    pub threads: Option<usize>,
-    /// When set, global solves run the sharded Schur-complement path
-    /// ([`RomSolver::Sharded`]) with this interior shard count, overriding
-    /// `solver`. The global stage passes the block-grid geometry of each
-    /// free DoF down as a partition hint, so by default the shard plan is
-    /// cut along block boundaries (geometry-aware balanced partitioning)
-    /// rather than searched on the reduced sparsity graph. `Some(1)` pins
-    /// the monolithic direct path through the same code route — useful for
-    /// A/B runs; `None` (the default) keeps `solver` as configured.
-    pub shards: Option<usize>,
-    /// Also build the dummy-block ROM (needed for sub-modeling layouts).
-    pub build_dummy: bool,
-    /// If set, ROMs are cached here (`<stem>-tsv.rom`, `<stem>-dummy.rom`)
-    /// and reloaded when geometry/resolution/grid match.
-    pub cache_stem: Option<PathBuf>,
-}
 
 /// End-to-end MORE-Stress simulator: builds the one-shot ROMs and answers
 /// array problems of arbitrary size, thermal load and location.
@@ -50,7 +20,6 @@ pub struct SimulatorOptions {
 pub struct MoreStressSimulator {
     rom_tsv: ReducedOrderModel,
     rom_dummy: Option<ReducedOrderModel>,
-    threads: Option<usize>,
     /// The one global-solve backend, built at construction from the
     /// resolved solver selection and hoisted into every stage — so
     /// backend-internal state (the `Sharded` shard cache and its retained
@@ -67,68 +36,42 @@ pub struct MoreStressSimulator {
     factor_cache: FactorCache,
 }
 
-/// Optional tuning of the direct-Cholesky family of backends, collected by
-/// [`SimulatorBuilder`]. Every field left `None` keeps the backend's own
-/// default, so an empty tuning resolves to the exact same backend (same
-/// bits, same cache fingerprints) as the untuned constructors.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct BackendTuning {
-    verify: Option<VerifyPolicy>,
-    ordering: Option<FillOrdering>,
-    kernel: Option<KernelChoice>,
-}
-
-impl BackendTuning {
-    fn apply(&self, mut config: DirectCholesky) -> DirectCholesky {
-        if let Some(ordering) = self.ordering {
-            config.ordering = ordering;
-        }
-        if let Some(kernel) = self.kernel {
-            config.supernodal.kernel = kernel;
-        }
-        if let Some(verify) = self.verify {
-            config.verify = verify;
-        }
-        config
-    }
-}
-
 /// Resolves the configured solver (with the optional shard-count
 /// override) into the one hoisted backend, keeping a second handle to the
-/// sharded backend for diagnostics. The tuning overrides apply to the
+/// sharded backend for diagnostics. `verify` applies to the
 /// direct-Cholesky family ([`RomSolver::DirectCholesky`] and
 /// [`RomSolver::Sharded`]); the iterative selections keep their own
-/// configuration.
+/// configuration. [`VerifyPolicy::Off`] is those backends' own default,
+/// so an untuned builder resolves to the exact same backend (same bits,
+/// same cache fingerprints) as [`RomSolver::backend`].
 fn resolve_backend(
     solver: RomSolver,
     shards: Option<usize>,
-    tuning: &BackendTuning,
+    verify: VerifyPolicy,
 ) -> (Box<dyn SolverBackend>, Option<Sharded>) {
     let resolved = match shards {
         Some(shards) => RomSolver::Sharded { shards },
         None => solver,
     };
+    let direct = DirectCholesky {
+        verify,
+        ..DirectCholesky::default()
+    };
     match resolved {
         RomSolver::Sharded { shards } => {
-            let mut backend =
-                Sharded::with_inner(shards.max(1), tuning.apply(DirectCholesky::default()));
-            if let Some(verify) = tuning.verify {
-                backend.verify = verify;
-            }
+            let mut backend = Sharded::with_inner(shards.max(1), direct);
+            backend.verify = verify;
             (Box::new(backend.clone()), Some(backend))
         }
-        RomSolver::DirectCholesky => (Box::new(tuning.apply(DirectCholesky::default())), None),
+        RomSolver::DirectCholesky => (Box::new(direct), None),
         other => (other.backend(), None),
     }
 }
 
-/// One coherent front door over the simulator stack's knob sprawl.
-///
-/// Before this builder, configuring a simulator meant assembling a
-/// [`SimulatorOptions`] (itself holding a [`LocalStageOptions`]), choosing
-/// a [`RomSolver`] variant, and — for verification, ordering or kernel
-/// tuning — constructing `morestress-linalg` backend structs by hand. The
-/// builder collapses all of it into one chain:
+/// The one construction surface of [`MoreStressSimulator`]: geometry,
+/// mesh resolution, interpolation, materials, solver selection, shard
+/// count, residual verification, dummy-block model and on-disk ROM cache
+/// in one chain:
 ///
 /// ```
 /// use morestress_core::MoreStressSimulator;
@@ -150,24 +93,25 @@ fn resolve_backend(
 /// Defaults (geometry aside, which is always explicit):
 /// [`BlockResolution::coarse`], `[3, 3, 3]` interpolation,
 /// [`MaterialSet::tsv_defaults`], the default [`RomSolver`] (GMRES, the
-/// paper's choice), no shard/thread overrides, no dummy-block model, no
-/// on-disk ROM cache. An untuned builder produces a simulator **bitwise
-/// identical** to the deprecated [`MoreStressSimulator::build`] path with
-/// default options (pinned by the `builder_equivalence` test suite).
+/// paper's choice), no shard override, [`VerifyPolicy::Off`], no
+/// dummy-block model, no on-disk ROM cache.
 ///
-/// The [`verify`](Self::verify), [`ordering`](Self::ordering) and
-/// [`kernel`](Self::kernel) overrides tune the direct-Cholesky backend
-/// family (plain [`RomSolver::DirectCholesky`] and the sharded route,
-/// including each shard's inner factorization); the iterative selections
-/// (`Gmres`, `Cg`, `Auto`) keep their own configuration and ignore them.
+/// The [`verify`](Self::verify) policy applies to the direct-Cholesky
+/// backend family (plain [`RomSolver::DirectCholesky`] and the sharded
+/// route, including each shard's inner factorization); the iterative
+/// selections (`Gmres`, `Cg`, `Auto`) keep their own configuration and
+/// ignore it.
 #[derive(Debug, Clone)]
 pub struct SimulatorBuilder {
     geom: TsvGeometry,
     res: BlockResolution,
     interp: InterpolationGrid,
     materials: MaterialSet,
-    opts: SimulatorOptions,
-    tuning: BackendTuning,
+    solver: RomSolver,
+    shards: Option<usize>,
+    verify: VerifyPolicy,
+    build_dummy: bool,
+    cache_stem: Option<PathBuf>,
     models: Option<(ReducedOrderModel, Option<ReducedOrderModel>)>,
 }
 
@@ -180,8 +124,11 @@ impl SimulatorBuilder {
             res: BlockResolution::coarse(),
             interp: InterpolationGrid::new([3, 3, 3]),
             materials: MaterialSet::tsv_defaults(),
-            opts: SimulatorOptions::default(),
-            tuning: BackendTuning::default(),
+            solver: RomSolver::default(),
+            shards: None,
+            verify: VerifyPolicy::Off,
+            build_dummy: false,
+            cache_stem: None,
             models: None,
         }
     }
@@ -222,30 +169,19 @@ impl SimulatorBuilder {
 
     /// Global-stage solver selection (default: the paper's GMRES).
     pub fn solver(mut self, solver: RomSolver) -> Self {
-        self.opts.solver = solver;
+        self.solver = solver;
         self
     }
 
-    /// Runs the global stage sharded with this interior shard count
-    /// (overrides [`solver`](Self::solver); see
-    /// [`SimulatorOptions::shards`]).
+    /// Runs the global stage on the sharded Schur-complement path
+    /// ([`RomSolver::Sharded`]) with this interior shard count, overriding
+    /// [`solver`](Self::solver). The global stage passes the block-grid
+    /// geometry of each free DoF down as a partition hint, so the shard
+    /// plan is cut along block boundaries rather than searched on the
+    /// reduced sparsity graph. `1` pins the monolithic direct path through
+    /// the same code route — useful for A/B runs.
     pub fn shards(mut self, shards: usize) -> Self {
-        self.opts.shards = Some(shards);
-        self
-    }
-
-    /// Worker-slot cap for batched global solves — a cap override on the
-    /// shared [`WorkPool`](morestress_linalg::WorkPool), never a spawn
-    /// count.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.opts.threads = Some(threads);
-        self
-    }
-
-    /// Worker-slot cap for the one-shot local stage's n+1 solves
-    /// (default: the current pool cap).
-    pub fn local_threads(mut self, threads: usize) -> Self {
-        self.opts.local = LocalStageOptions { threads };
+        self.shards = Some(shards);
         self
     }
 
@@ -253,44 +189,21 @@ impl SimulatorBuilder {
     /// backends; see the [type docs](SimulatorBuilder)). Verification
     /// never mutates solutions, so `Report` is bitwise-free telemetry.
     pub fn verify(mut self, policy: VerifyPolicy) -> Self {
-        self.tuning.verify = Some(policy);
-        self
-    }
-
-    /// Fill-reducing ordering override for the direct factorization
-    /// (default: [`FillOrdering::Auto`]).
-    pub fn ordering(mut self, ordering: FillOrdering) -> Self {
-        self.tuning.ordering = Some(ordering);
-        self
-    }
-
-    /// Dense-microkernel override for the direct factorization (default:
-    /// [`KernelChoice::Blocked`]). The resolved kernel is part of the
-    /// factor-cache fingerprint, so mixing kernels never aliases cached
-    /// factors.
-    pub fn kernel(mut self, kernel: KernelChoice) -> Self {
-        self.tuning.kernel = Some(kernel);
+        self.verify = policy;
         self
     }
 
     /// Also build the dummy-block ROM (needed for layouts with dummy
     /// blocks — sub-modeling pads, keep-out zones).
     pub fn build_dummy(mut self, build_dummy: bool) -> Self {
-        self.opts.build_dummy = build_dummy;
+        self.build_dummy = build_dummy;
         self
     }
 
     /// Caches built ROMs at `<stem>-tsv.rom` / `<stem>-dummy.rom` and
     /// reloads them when geometry/resolution/grid match.
     pub fn cache_stem(mut self, stem: impl Into<PathBuf>) -> Self {
-        self.opts.cache_stem = Some(stem.into());
-        self
-    }
-
-    /// Bulk-imports a legacy [`SimulatorOptions`] — the migration bridge
-    /// the deprecated constructors delegate through.
-    pub fn options(mut self, opts: &SimulatorOptions) -> Self {
-        self.opts = opts.clone();
+        self.cache_stem = Some(stem.into());
         self
     }
 
@@ -311,8 +224,9 @@ impl SimulatorBuilder {
                 (rom_tsv, rom_dummy)
             }
             None => {
+                let local = LocalStageOptions::default();
                 let cache = |suffix: &str| {
-                    self.opts.cache_stem.as_ref().map(|stem| {
+                    self.cache_stem.as_ref().map(|stem| {
                         let mut path = stem.clone();
                         let name = path
                             .file_name()
@@ -328,17 +242,17 @@ impl SimulatorBuilder {
                     self.interp,
                     &self.materials,
                     BlockKind::Tsv,
-                    &self.opts.local,
+                    &local,
                     cache("tsv").as_deref(),
                 )?;
-                let rom_dummy = if self.opts.build_dummy {
+                let rom_dummy = if self.build_dummy {
                     Some(build_or_load_cached(
                         &self.geom,
                         &self.res,
                         self.interp,
                         &self.materials,
                         BlockKind::Dummy,
-                        &self.opts.local,
+                        &local,
                         cache("dummy").as_deref(),
                     )?)
                 } else {
@@ -347,11 +261,10 @@ impl SimulatorBuilder {
                 (rom_tsv, rom_dummy)
             }
         };
-        let (backend, sharded) = resolve_backend(self.opts.solver, self.opts.shards, &self.tuning);
+        let (backend, sharded) = resolve_backend(self.solver, self.shards, self.verify);
         Ok(MoreStressSimulator {
             rom_tsv,
             rom_dummy,
-            threads: self.opts.threads,
             backend,
             sharded,
             factor_cache: FactorCache::new(),
@@ -361,55 +274,10 @@ impl SimulatorBuilder {
 
 impl MoreStressSimulator {
     /// Starts a [`SimulatorBuilder`] — the one front door over geometry,
-    /// resolution, interpolation, materials, solver, shards, threads,
-    /// verification and ordering/kernel tuning.
+    /// resolution, interpolation, materials, solver, shards and
+    /// verification.
     pub fn builder(geom: &TsvGeometry) -> SimulatorBuilder {
         SimulatorBuilder::new(geom)
-    }
-
-    /// Runs the one-shot local stage(s) for the given configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates local-stage failures.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use MoreStressSimulator::builder(..) — the one coherent front door over the \
-                solver/shards/threads/verify knobs"
-    )]
-    pub fn build(
-        geom: &TsvGeometry,
-        res: &BlockResolution,
-        interp: InterpolationGrid,
-        materials: &MaterialSet,
-        opts: &SimulatorOptions,
-    ) -> Result<Self, RomError> {
-        SimulatorBuilder::new(geom)
-            .resolution(*res)
-            .interpolation_grid(interp)
-            .materials(materials.clone())
-            .options(opts)
-            .build()
-    }
-
-    /// Wraps pre-built ROMs (e.g. loaded from disk).
-    ///
-    /// # Errors
-    ///
-    /// [`RomError::Mismatch`] if the two ROMs are incompatible.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use SimulatorBuilder::from_models(..), which accepts the same models plus every \
-                builder knob"
-    )]
-    pub fn from_models(
-        rom_tsv: ReducedOrderModel,
-        rom_dummy: Option<ReducedOrderModel>,
-        solver: RomSolver,
-    ) -> Result<Self, RomError> {
-        SimulatorBuilder::from_models(rom_tsv, rom_dummy)
-            .solver(solver)
-            .build()
     }
 
     /// The TSV-block reduced-order model.
@@ -440,9 +308,6 @@ impl MoreStressSimulator {
         let mut stage = GlobalStage::new(&self.rom_tsv)
             .with_backend(&*self.backend)
             .with_cache(&self.factor_cache);
-        if let Some(threads) = self.threads {
-            stage = stage.with_threads(threads);
-        }
         if let Some(dummy) = &self.rom_dummy {
             stage = stage.with_dummy(dummy)?;
         }

@@ -1,6 +1,6 @@
 //! Sharded-global-stage suite: the Schur-complement path must agree with
 //! the monolithic direct solve on the full pipeline, route through the
-//! factor cache, and honor the `SimulatorOptions::shards` knob.
+//! factor cache, and honor the `SimulatorBuilder::shards` knob.
 //!
 //! CI runs this suite across `MORESTRESS_THREADS ∈ {1, 8}` ×
 //! `MORESTRESS_SHARDS ∈ {1, 4}`: the thread axis exercises serial vs
@@ -135,7 +135,7 @@ fn env_shard_count_agrees_under_submodel_bcs() {
     }
 }
 
-/// `SimulatorOptions::shards` routes every solve through the sharded
+/// `SimulatorBuilder::shards` routes every solve through the sharded
 /// backend and still pays for exactly one preparation per lattice via the
 /// simulator's `FactorCache`.
 #[test]

@@ -20,8 +20,8 @@ use morestress_core::{
 };
 use morestress_fem::MaterialSet;
 use morestress_linalg::{
-    CholeskyKernel, CooMatrix, DirectCholesky, FactorCache, FillOrdering, KernelChoice, Sharded,
-    SolverBackend, SupernodalCholesky, SupernodalOptions, WorkPool,
+    CooMatrix, DirectCholesky, FactorCache, FillOrdering, KernelChoice, Sharded, SolverBackend,
+    SupernodalCholesky, SupernodalOptions, WorkPool,
 };
 use morestress_mesh::{BlockKind, BlockLayout, BlockResolution, TsvGeometry};
 
@@ -139,7 +139,7 @@ fn panel_multi_rhs_solves_are_pool_size_invariant() {
     // panel partitioning depends only on (batch size, panel width), never
     // on the worker count, and per column the blocked sweeps execute the
     // single-RHS operation sequence — so the batch must be bitwise
-    // identical at every pool cap, for both direct kernels and for batch
+    // identical at every pool cap, for both dense kernels and for batch
     // sizes that straddle panel boundaries.
     let n = 143; // deliberately not a multiple of any panel width
     let mut coo = CooMatrix::new(n, n);
@@ -164,11 +164,14 @@ fn panel_multi_rhs_solves_are_pool_size_invariant() {
                 .collect()
         })
         .collect();
-    for kernel in [CholeskyKernel::Supernodal, CholeskyKernel::Scalar] {
+    for &kernel in KernelChoice::available() {
         for panel_width in [1usize, 4, 8] {
             let backend = DirectCholesky {
-                kernel,
                 panel_width,
+                supernodal: SupernodalOptions {
+                    kernel,
+                    ..SupernodalOptions::default()
+                },
                 ..DirectCholesky::default()
             };
             let solve = |cap: usize| {
@@ -191,9 +194,8 @@ fn panel_multi_rhs_solves_are_pool_size_invariant() {
 #[test]
 fn supernodal_factor_is_pool_size_invariant_per_kernel() {
     // The per-kernel determinism contract of the microkernel layer: for
-    // *each* resolved kernel (scalar oracle, blocked mul_add tiles, and —
-    // under the `simd` feature on AVX2 hardware — the intrinsics kernel),
-    // the elimination-tree-parallel factorization must be bitwise
+    // *each* kernel (scalar oracle, blocked mul_add tiles), the
+    // elimination-tree-parallel factorization must be bitwise
     // identical to the serial sweep at every pool cap. Run at the default
     // chunk budget and at a tiny one that forces update-chunk tasks plus
     // their reduction-tree combines into the DAG.

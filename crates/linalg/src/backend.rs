@@ -3,7 +3,7 @@
 //! Every linear solve in the MORE-Stress workspace — the full-FEM reference
 //! driver, the ROM global stage, the coarse chiplet model — routes through
 //! the [`SolverBackend`] trait defined here instead of hand-wiring
-//! [`SparseCholesky`], [`solve_cg`](crate::solve_cg) or
+//! [`SupernodalCholesky`], [`solve_cg`](crate::solve_cg) or
 //! [`solve_gmres`](crate::solve_gmres) calls. The layer separates the two
 //! phases every sparse solver has:
 //!
@@ -33,8 +33,8 @@ use crate::schur::SchurSolver;
 use crate::{
     solve_cg, solve_gmres, CgOptions, CsrMatrix, DenseMatrix, FillOrdering, GmresOptions,
     IdentityPreconditioner, JacobiPreconditioner, LinalgError, MemoryFootprint, PartitionHint,
-    Preconditioner, ShardPlanStats, SparseCholesky, SsorPreconditioner, SupernodalCholesky,
-    SupernodalOptions, SupernodeStats, WorkPool,
+    Preconditioner, ShardPlanStats, SsorPreconditioner, SupernodalCholesky, SupernodalOptions,
+    SupernodeStats, WorkPool,
 };
 
 // ---------------------------------------------------------------------------
@@ -324,22 +324,19 @@ pub struct SolveReport {
     /// value is scheduling-dependent, so don't gate regressions on it.
     pub workers: usize,
     /// [`WorkPool`] worker slots the numeric *factorization* behind this
-    /// solve used (1 for serial factorization, the scalar kernel and the
-    /// iterative engines). Same scheduling-dependent-telemetry caveat as
+    /// solve used (1 for serial factorization and the iterative engines).
+    /// Same scheduling-dependent-telemetry caveat as
     /// [`workers`](SolveReport::workers).
     pub factor_workers: usize,
     /// Shape statistics of the supernodal factor behind this solve —
     /// supernode count, etree height, weighted critical path, subtree
-    /// balance; `None` for iterative engines and for the scalar reference
-    /// kernel.
+    /// balance; `None` for iterative engines.
     pub supernode_stats: Option<SupernodeStats>,
-    /// Resolved [`DenseKernel`](crate::DenseKernel) name (`"scalar"`,
-    /// `"blocked"`, `"avx2"`) behind the supernodal factorization this
-    /// solve ran on — after runtime CPU-feature dispatch, so it reports
-    /// what actually executed. `None` for the iterative engines and the
-    /// scalar up-looking reference factorization, which do not route
-    /// through the microkernel layer; for the sharded engine, the kernel
-    /// of the interior block factors.
+    /// [`DenseKernel`](crate::DenseKernel) name (`"blocked"`, or
+    /// `"scalar"` for the test oracle) behind the supernodal factorization
+    /// this solve ran on. `None` for the iterative engines, which do not
+    /// factor; for the sharded engine, the kernel of the interior block
+    /// factors.
     pub kernel: Option<&'static str>,
     /// Interior shards of the [`Sharded`](crate::Sharded) backend behind
     /// this solve (1 for every monolithic backend).
@@ -453,83 +450,10 @@ pub trait SolverBackend: fmt::Debug + Send + Sync {
     fn set_partition_hint(&self, _hint: Option<Arc<PartitionHint>>) {}
 }
 
-/// A prepared direct factorization: the supernodal blocked kernel (the
-/// default) or the scalar up-looking reference kernel.
-#[derive(Debug)]
-enum DirectFactor {
-    Scalar(SparseCholesky),
-    Supernodal(SupernodalCholesky),
-}
-
-impl DirectFactor {
-    fn solve(&self, b: &[f64]) -> Vec<f64> {
-        match self {
-            DirectFactor::Scalar(chol) => chol.solve(b),
-            DirectFactor::Supernodal(chol) => chol.solve(b),
-        }
-    }
-
-    /// In-place panel solve with caller scratch (see [`DirectFactor::
-    /// tmp_len`] for its required length).
-    fn solve_panel_with(&self, rhs: &mut [f64], nrhs: usize, tmp: &mut [f64]) {
-        match self {
-            DirectFactor::Scalar(chol) => chol.solve_panel_with(rhs, nrhs, tmp),
-            DirectFactor::Supernodal(chol) => chol.solve_panel_with(rhs, nrhs, tmp),
-        }
-    }
-
-    /// Scratch length the panel solve needs.
-    fn tmp_len(&self) -> usize {
-        match self {
-            DirectFactor::Scalar(chol) => chol.dim(),
-            DirectFactor::Supernodal(chol) => chol.scratch_len(),
-        }
-    }
-
-    fn factor_nnz(&self) -> usize {
-        match self {
-            DirectFactor::Scalar(chol) => chol.factor_nnz(),
-            DirectFactor::Supernodal(chol) => chol.factor_nnz(),
-        }
-    }
-
-    fn supernode_stats(&self) -> Option<SupernodeStats> {
-        match self {
-            DirectFactor::Scalar(_) => None,
-            DirectFactor::Supernodal(chol) => Some(chol.stats()),
-        }
-    }
-
-    /// Resolved microkernel name (`None` for the scalar up-looking
-    /// reference factorization, which predates the kernel layer).
-    fn kernel_name(&self) -> Option<&'static str> {
-        match self {
-            DirectFactor::Scalar(_) => None,
-            DirectFactor::Supernodal(chol) => Some(chol.kernel_name()),
-        }
-    }
-
-    /// Worker slots the numeric factorization used (1 for the scalar
-    /// kernel's serial up-looking sweep).
-    fn factor_workers(&self) -> usize {
-        match self {
-            DirectFactor::Scalar(_) => 1,
-            DirectFactor::Supernodal(chol) => chol.factor_workers(),
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        match self {
-            DirectFactor::Scalar(chol) => chol.heap_bytes(),
-            DirectFactor::Supernodal(chol) => chol.heap_bytes(),
-        }
-    }
-}
-
 enum Engine {
     /// Boxed: a supernodal factor is by far the largest variant, and
     /// `PreparedSolver`s travel through caches and `Arc`s by value.
-    Direct(Box<DirectFactor>),
+    Direct(Box<SupernodalCholesky>),
     /// The domain-decomposition engine of the [`Sharded`](crate::Sharded)
     /// backend: per-shard interior factors + a factored interface Schur
     /// complement. `Arc`-shared so the backend can retain the previous
@@ -891,17 +815,17 @@ impl PreparedSolver {
     }
 
     /// Supernode shape statistics of the direct factor (`None` for the
-    /// iterative engines and the scalar reference kernel).
+    /// iterative and sharded engines).
     pub fn supernode_stats(&self) -> Option<SupernodeStats> {
         match &self.engine {
-            Engine::Direct(factor) => factor.supernode_stats(),
+            Engine::Direct(factor) => Some(factor.stats()),
             _ => None,
         }
     }
 
-    /// Worker slots the one-time numeric factorization used (1 for the
-    /// scalar kernel, serial factorization and the iterative engines; the
-    /// peak over all block factorizations for the sharded engine).
+    /// Worker slots the one-time numeric factorization used (1 for serial
+    /// factorization and the iterative engines; the peak over all block
+    /// factorizations for the sharded engine).
     pub fn factor_workers(&self) -> usize {
         match &self.engine {
             Engine::Direct(factor) => factor.factor_workers(),
@@ -910,14 +834,12 @@ impl PreparedSolver {
         }
     }
 
-    /// Resolved dense-microkernel name (`"scalar"`, `"blocked"`, `"avx2"`)
-    /// behind the supernodal factorization — after runtime CPU-feature
-    /// dispatch. `None` for the iterative engines and the scalar
-    /// up-looking reference factorization; the interior-block kernel for
-    /// the sharded engine.
+    /// Dense-microkernel name (`"blocked"`, or `"scalar"` for the test
+    /// oracle) behind the supernodal factorization. `None` for the
+    /// iterative engines; the interior-block kernel for the sharded engine.
     pub fn kernel_name(&self) -> Option<&'static str> {
         match &self.engine {
-            Engine::Direct(factor) => factor.kernel_name(),
+            Engine::Direct(factor) => Some(factor.kernel_name()),
             Engine::Sharded(schur) => schur.kernel_name(),
             _ => None,
         }
@@ -1268,7 +1190,7 @@ impl PreparedSolver {
     /// panel scratch (see [`solve_many`](Self::solve_many)).
     fn solve_many_panels(
         &self,
-        factor: &DirectFactor,
+        factor: &SupernodalCholesky,
         rhs: &[Vec<f64>],
         threads: usize,
         t0: Instant,
@@ -1285,7 +1207,7 @@ impl PreparedSolver {
             .scope_chunks_with(
                 concurrency,
                 num_panels,
-                || (vec![0.0f64; n * width], vec![0.0f64; factor.tmp_len()]),
+                || (vec![0.0f64; n * width], vec![0.0f64; factor.scratch_len()]),
                 |(panel, tmp), p| {
                     let lo = p * width;
                     let hi = (lo + width).min(k);
@@ -1307,7 +1229,6 @@ impl PreparedSolver {
             .into_iter()
             .map(|slot| slot.into_inner().expect("panel slot poisoned"))
             .collect();
-        let stats = factor.supernode_stats();
         BatchSolution {
             xs,
             report: SolveReport {
@@ -1321,8 +1242,8 @@ impl PreparedSolver {
                 rhs_count: k,
                 workers,
                 factor_workers: factor.factor_workers(),
-                supernode_stats: stats,
-                kernel: factor.kernel_name(),
+                supernode_stats: Some(factor.stats()),
+                kernel: Some(factor.kernel_name()),
                 shards: 1,
                 interface_dofs: 0,
                 shard_factor_bytes: 0,
@@ -1358,27 +1279,12 @@ pub fn default_solve_threads() -> usize {
 // Backend implementations
 // ---------------------------------------------------------------------------
 
-/// Which factorization kernel [`DirectCholesky`] runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum CholeskyKernel {
-    /// The supernodal blocked kernel (`crate::supernodal`): dense column
-    /// panels, rank-k updates, blocked triangular sweeps. The default.
-    #[default]
-    Supernodal,
-    /// The scalar up-looking reference kernel (`crate::cholesky`). Kept
-    /// selectable as the differential-testing oracle and for operators too
-    /// small to amortize panel bookkeeping.
-    Scalar,
-}
-
-/// Direct sparse Cholesky backend: supernodal blocked kernel with
-/// structure-probed ([`FillOrdering::Auto`]) ordering and
-/// elimination-tree-parallel factorization by default; the scalar kernel,
-/// concrete orderings and the serial sweep stay selectable.
+/// Direct sparse Cholesky backend: the supernodal blocked factorization
+/// ([`SupernodalCholesky`]) under a structure-probed
+/// ([`FillOrdering::Auto`]) ordering, factored as an elimination-tree task
+/// DAG on the current [`WorkPool`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DirectCholesky {
-    /// Factorization kernel (default: supernodal).
-    pub kernel: CholeskyKernel,
     /// Fill-reducing ordering (default: [`FillOrdering::Auto`], which
     /// probes the operator and picks RCM for dense-row reduced operators
     /// and nested dissection for large sparse lattices).
@@ -1387,17 +1293,9 @@ pub struct DirectCholesky {
     /// [`PreparedSolver::solve_many`] path. Each worker solves whole
     /// panels with one blocked sweep; 1 degenerates to task-per-RHS.
     pub panel_width: usize,
-    /// Runs the supernodal numeric factorization as an elimination-tree
-    /// task DAG on the current [`WorkPool`] (default: `true`). The factor
-    /// is bitwise identical to the serial sweep at every pool cap, so this
-    /// is purely a wall-clock knob — which is also why it is *not* part of
-    /// the [`FactorCache`] fingerprint. Ignored by the scalar kernel. The
-    /// parallel path runs only when both this and
-    /// [`SupernodalOptions::parallel`] are `true` (either switch selects
-    /// the serial sweep).
-    pub parallel_factor: bool,
-    /// Supernode detection tuning (width cap, relaxed-amalgamation
-    /// budget). Ignored by the scalar kernel.
+    /// Supernode detection and factorization tuning (width cap,
+    /// relaxed-amalgamation budget, serial/parallel numeric phase, dense
+    /// kernel).
     pub supernodal: SupernodalOptions,
     /// Residual-verification policy for every solve through the prepared
     /// solver (default: [`VerifyPolicy::Off`]). Verification never mutates
@@ -1408,43 +1306,10 @@ pub struct DirectCholesky {
 impl Default for DirectCholesky {
     fn default() -> Self {
         Self {
-            kernel: CholeskyKernel::default(),
             ordering: FillOrdering::default(),
             panel_width: 8,
-            parallel_factor: true,
             supernodal: SupernodalOptions::default(),
             verify: VerifyPolicy::Off,
-        }
-    }
-}
-
-impl DirectCholesky {
-    /// The scalar up-looking kernel with RCM ordering — the differential
-    /// oracle configuration.
-    pub fn scalar() -> Self {
-        Self {
-            kernel: CholeskyKernel::Scalar,
-            ordering: FillOrdering::Rcm,
-            ..Self::default()
-        }
-    }
-
-    /// The supernodal kernel with nested-dissection ordering — the fastest
-    /// configuration for large structured lattices.
-    pub fn nested_dissection() -> Self {
-        Self {
-            ordering: FillOrdering::NestedDissection,
-            ..Self::default()
-        }
-    }
-
-    /// The supernodal kernel with the serial left-looking numeric sweep —
-    /// the parallel path's differential baseline (bitwise identical, just
-    /// slower).
-    pub fn serial_factor() -> Self {
-        Self {
-            parallel_factor: false,
-            ..Self::default()
         }
     }
 }
@@ -1458,27 +1323,11 @@ impl SolverBackend for DirectCholesky {
         let t0 = Instant::now();
         check_finite_matrix(&a)?;
         let perm = self.ordering.permutation(&a);
-        let factor = match self.kernel {
-            CholeskyKernel::Supernodal => {
-                // Honor both switches: the backend-level `parallel_factor`
-                // and a caller-narrowed `supernodal.parallel` each disable
-                // the DAG path.
-                let opts = SupernodalOptions {
-                    parallel: self.parallel_factor && self.supernodal.parallel,
-                    ..self.supernodal
-                };
-                DirectFactor::Supernodal(SupernodalCholesky::factor_with_permutation(
-                    &a, perm, &opts,
-                )?)
-            }
-            CholeskyKernel::Scalar => {
-                DirectFactor::Scalar(SparseCholesky::factor_with_permutation(&a, perm)?)
-            }
-        };
+        let factor = SupernodalCholesky::factor_with_permutation(&a, perm, &self.supernodal)?;
         let shared_bytes = factor.heap_bytes();
         // One panel scratch plus the solve scratch, per concurrent worker.
-        let workspace_bytes =
-            (self.panel_width.max(1) * a.nrows() + factor.tmp_len()) * std::mem::size_of::<f64>();
+        let workspace_bytes = (self.panel_width.max(1) * a.nrows() + factor.scratch_len())
+            * std::mem::size_of::<f64>();
         Ok(PreparedSolver {
             matrix: a,
             engine: Engine::Direct(Box::new(factor)),
@@ -1492,23 +1341,16 @@ impl SolverBackend for DirectCholesky {
     }
 
     fn config_fingerprint(&self) -> u64 {
-        let kernel = match self.kernel {
-            CholeskyKernel::Supernodal => 0u64,
-            CholeskyKernel::Scalar => 1,
-        };
         // The panel width and supernode tuning only shape *how* a solve
         // runs, not its factor-basis semantics — but they change the
-        // prepared object, so they stay in the cache key. `parallel_factor`
-        // is deliberately absent: serial and parallel factorization produce
-        // bitwise-identical factors, so the two configs can share one cache
-        // entry.
+        // prepared object, so they stay in the cache key.
+        // `supernodal.parallel` is deliberately absent: serial and parallel
+        // factorization produce bitwise-identical factors, so the two
+        // configs can share one cache entry.
         // The dense microkernel *is* part of the key: kernels differ in
         // rounding (fused vs separate multiply-add), so two kernel configs
         // produce different factor bits and must not share a cache entry.
-        // Fingerprinted by *resolved* kernel, so `Simd` on a non-AVX2 host
-        // shares the entry of the kernel it actually falls back to.
-        0x10 ^ kernel.rotate_left(8)
-            ^ self.ordering.fingerprint().rotate_left(12)
+        0x10 ^ self.ordering.fingerprint().rotate_left(12)
             ^ (self.panel_width as u64).rotate_left(24)
             ^ (self.supernodal.max_width as u64).rotate_left(40)
             ^ self.supernodal.relax.to_bits().rotate_left(48)

@@ -6,15 +6,14 @@
 //! column-compressed `L`. A reverse Cuthill–McKee ordering is applied first
 //! to limit fill on the structured-mesh operators this crate is used for.
 //!
-//! The paper's one-shot local stage relies on exactly this usage pattern:
-//! *"the time-consuming LU or Cholesky decomposition needs to be performed
-//! only once and the intermediate results can be reused for all of the local
-//! problems"* (§4.2). [`SparseCholesky::solve`] takes `&self`, so the n+1
-//! local right-hand sides can be solved from parallel threads sharing one
-//! factor.
+//! No solver backend runs this factorization: production solves go
+//! through [`SupernodalCholesky`](crate::SupernodalCholesky). It stays as
+//! the independent reference the differential tests and the ablation
+//! benches compare that factorization against, and its `etree`/`ereach`
+//! symbolic routines are shared with the supernodal analysis.
 
 use crate::ordering::{reverse_cuthill_mckee, Permutation};
-use crate::{CsrMatrix, LinalgError, MemoryFootprint};
+use crate::{CsrMatrix, LinalgError};
 
 const NONE: usize = usize::MAX;
 
@@ -179,109 +178,17 @@ impl SparseCholesky {
 
     /// Solves `A x = b` by two triangular solves.
     ///
-    /// Takes `&self`: many right-hand sides can be solved in parallel from a
-    /// shared factor, which is how the one-shot local stage processes its
-    /// n+1 local problems.
+    /// Takes `&self`, so many right-hand sides can be solved in parallel
+    /// from a shared factor.
     ///
     /// # Panics
     ///
     /// Panics if `b.len() != self.dim()`.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let mut x = vec![0.0; self.n];
-        let mut scratch = vec![0.0; self.n];
-        self.solve_with(b, &mut x, &mut scratch);
-        x
-    }
-
-    /// Allocation-free solve: `x = A⁻¹ b` with a caller-provided scratch
-    /// buffer (holds the solution in the permuted basis). Batched callers
-    /// reuse one scratch per worker instead of paying two `Vec` allocations
-    /// per solve, which is what [`SparseCholesky::solve`] used to do.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b`, `x` or `scratch` are not of length `self.dim()`.
-    pub fn solve_with(&self, b: &[f64], x: &mut [f64], scratch: &mut [f64]) {
         assert_eq!(b.len(), self.n, "cholesky solve: rhs length");
-        self.perm.apply_into(b, scratch);
-        self.solve_permuted_in_place(scratch);
-        self.perm.apply_inverse_into(scratch, x);
-    }
-
-    /// Solves `A X = B` for a whole panel of right-hand sides in place.
-    ///
-    /// `rhs` is an `n × nrhs` column-major matrix (each right-hand side is
-    /// one contiguous column); on return each column holds its solution.
-    /// The triangular sweeps are *blocked over the panel*: one pass over
-    /// the factor's columns serves every right-hand side, so the factor's
-    /// values and indices are read once per sweep instead of once per
-    /// right-hand side. Per column, the floating-point operation sequence
-    /// is identical to [`SparseCholesky::solve`] — panel solutions are
-    /// bitwise equal to looped single solves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhs.len() != self.dim() * nrhs`.
-    pub fn solve_panel(&self, rhs: &mut [f64], nrhs: usize) {
-        let mut scratch = vec![0.0; self.n];
-        self.solve_panel_with(rhs, nrhs, &mut scratch);
-    }
-
-    /// Allocation-free variant of [`SparseCholesky::solve_panel`] with a
-    /// caller-provided scratch of length `self.dim()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhs.len() != self.dim() * nrhs` or
-    /// `scratch.len() != self.dim()`.
-    pub fn solve_panel_with(&self, rhs: &mut [f64], nrhs: usize, scratch: &mut [f64]) {
-        let n = self.n;
-        assert_eq!(rhs.len(), n * nrhs, "cholesky panel solve: rhs size");
-        // Permute every column into the factor basis.
-        for r in 0..nrhs {
-            let col = &mut rhs[r * n..(r + 1) * n];
-            self.perm.apply_into(col, scratch);
-            col.copy_from_slice(scratch);
-        }
-        // Forward: L Y = B (column-oriented, all right-hand sides per
-        // factor column).
-        for j in 0..n {
-            let lo = self.col_ptr[j];
-            let hi = self.col_ptr[j + 1];
-            let diag = self.values[lo];
-            let idx = &self.row_idx[(lo + 1)..hi];
-            let val = &self.values[(lo + 1)..hi];
-            for r in 0..nrhs {
-                let x = &mut rhs[r * n..(r + 1) * n];
-                let yj = x[j] / diag;
-                x[j] = yj;
-                for (&i, &v) in idx.iter().zip(val) {
-                    x[i] -= v * yj;
-                }
-            }
-        }
-        // Backward: Lᵀ X = Y.
-        for j in (0..n).rev() {
-            let lo = self.col_ptr[j];
-            let hi = self.col_ptr[j + 1];
-            let diag = self.values[lo];
-            let idx = &self.row_idx[(lo + 1)..hi];
-            let val = &self.values[(lo + 1)..hi];
-            for r in 0..nrhs {
-                let x = &mut rhs[r * n..(r + 1) * n];
-                let mut s = x[j];
-                for (&i, &v) in idx.iter().zip(val) {
-                    s -= v * x[i];
-                }
-                x[j] = s / diag;
-            }
-        }
-        // Back to the natural basis.
-        for r in 0..nrhs {
-            let col = &mut rhs[r * n..(r + 1) * n];
-            self.perm.apply_inverse_into(col, scratch);
-            col.copy_from_slice(scratch);
-        }
+        let mut scratch = self.perm.apply(b);
+        self.solve_permuted_in_place(&mut scratch);
+        self.perm.apply_inverse(&scratch)
     }
 
     /// In-place solve in the *permuted* basis (both triangular sweeps).
@@ -307,12 +214,6 @@ impl SparseCholesky {
             }
             x[j] = s / self.values[lo];
         }
-    }
-}
-
-impl MemoryFootprint for SparseCholesky {
-    fn heap_bytes(&self) -> usize {
-        self.col_ptr.heap_bytes() + self.row_idx.heap_bytes() + self.values.heap_bytes()
     }
 }
 

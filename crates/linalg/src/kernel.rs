@@ -4,13 +4,15 @@
 //! dense diagonal-block Cholesky, the blocked triangular sweeps, the Schur
 //! clique condensation, and the Krylov dot/axpy primitives — funnels its
 //! floating-point work through the [`DenseKernel`] trait defined here.
-//! Three implementations are provided:
+//! Two implementations are provided:
 //!
 //! * [`ScalarKernel`] — the original plain slice loops, extracted verbatim
-//!   from `supernodal.rs`. This is the differential oracle: every other
-//!   kernel is pinned against it to ≤1e-12 by proptests.
-//! * [`BlockedKernel`] — register-tiled, k-unrolled loops written around
-//!   explicit [`f64::mul_add`] so LLVM autovectorizes them (the default).
+//!   from `supernodal.rs`. This is the differential oracle: the production
+//!   kernel is pinned against it to ≤1e-12 by proptests. No workload runs
+//!   it.
+//! * [`BlockedKernel`] — the one production kernel: register-tiled,
+//!   k-unrolled loops written around explicit [`f64::mul_add`] so LLVM
+//!   autovectorizes them.
 //!   On x86-64 the bodies are compiled twice — once generic, once under
 //!   `#[target_feature(enable = "fma")]` — and dispatched at runtime via
 //!   `is_x86_feature_detected!`, so `mul_add` lowers to a hardware fused
@@ -18,16 +20,12 @@
 //!   Because `mul_add` is *exactly rounded* regardless of how it is
 //!   lowered, both paths produce bitwise-identical results: the kernel's
 //!   output does not depend on the host CPU.
-//! * [`SimdKernel`] — hand-written `core::arch` x86-64 AVX2/FMA
-//!   intrinsics for the bandwidth-bound entry points, behind the optional
-//!   `simd` cargo feature, with a runtime `is_x86_feature_detected!`
-//!   dispatch that falls back to [`ScalarKernel`] on CPUs without AVX2.
 //!
 //! # Determinism contract
 //!
 //! Each kernel is individually deterministic: for a fixed kernel choice
 //! the same inputs always produce the same bits, on any thread schedule
-//! and (for `Scalar` and `Blocked`) on any host CPU. This is what lets
+//! and on any host CPU. This is what lets
 //! the parallel supernodal factorization stay bitwise pool-cap-invariant
 //! *per kernel*. Different kernels associate sums differently (and the
 //! fused multiply-add rounds differently from separate multiply/add), so
@@ -45,7 +43,7 @@
 /// for the exact contract.
 pub trait DenseKernel: Send + Sync {
     /// Stable identifier recorded in [`SolveReport`](crate::SolveReport)
-    /// and the bench artifacts (`"scalar"`, `"blocked"`, `"avx2"`).
+    /// and the bench artifacts (`"scalar"`, `"blocked"`).
     fn name(&self) -> &'static str;
 
     /// Dot product `x · y`. Slices must have equal length.
@@ -123,69 +121,38 @@ pub enum KernelChoice {
     /// default.
     #[default]
     Blocked,
-    /// `SimdKernel`: AVX2/FMA intrinsics when built with the `simd`
-    /// feature *and* the CPU supports them; resolves to
-    /// [`ScalarKernel`] otherwise (so the variant is always safe to
-    /// request).
-    Simd,
 }
 
 impl KernelChoice {
-    /// Resolves the choice to a kernel instance. [`KernelChoice::Simd`]
-    /// resolves at runtime: AVX2+FMA hardware (under the `simd` feature)
-    /// gets the intrinsics kernel, anything else the scalar fallback.
+    /// The kernel instance behind the choice.
     pub fn kernel(self) -> &'static dyn DenseKernel {
         match self {
             KernelChoice::Scalar => &ScalarKernel,
             KernelChoice::Blocked => &BlockedKernel,
-            KernelChoice::Simd => {
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-                if avx2_fma_detected() {
-                    return &SimdKernel;
-                }
-                &ScalarKernel
-            }
         }
     }
 
-    /// The name of the kernel this choice actually resolves to on this
-    /// host (`"scalar"`, `"blocked"`, or `"avx2"`).
+    /// The name of the kernel behind the choice (`"scalar"` or
+    /// `"blocked"`).
     pub fn resolved_name(self) -> &'static str {
         self.kernel().name()
     }
 
-    /// Fingerprint of the *resolved* kernel, folded into backend config
-    /// fingerprints: two choices that produce the same bits (e.g. `Simd`
-    /// falling back to scalar) share a fingerprint, and two that differ
-    /// numerically never do.
+    /// Fingerprint of the kernel, folded into backend config
+    /// fingerprints: the two kernels differ numerically, so they never
+    /// share a cache entry.
     pub fn fingerprint(self) -> u64 {
-        match self.resolved_name() {
-            "blocked" => 0xb10c_6ed0_4b8d_2f31,
-            "avx2" => 0x51bd_a5e6_0c47_9d13,
-            _ => 0x5ca1_a27b_e581_66f7,
+        match self {
+            KernelChoice::Blocked => 0xb10c_6ed0_4b8d_2f31,
+            KernelChoice::Scalar => 0x5ca1_a27b_e581_66f7,
         }
     }
 
-    /// Every choice that resolves to a *distinct* kernel on this host, in
-    /// oracle-first order — what the ablation bench and the invariance
-    /// tests iterate.
+    /// Every kernel, oracle first — what the ablation bench and the
+    /// invariance tests iterate.
     pub fn available() -> &'static [KernelChoice] {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if avx2_fma_detected() {
-            return &[
-                KernelChoice::Scalar,
-                KernelChoice::Blocked,
-                KernelChoice::Simd,
-            ];
-        }
         &[KernelChoice::Scalar, KernelChoice::Blocked]
     }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline]
-fn avx2_fma_detected() -> bool {
-    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
 }
 
 // ---------------------------------------------------------------------------
@@ -593,293 +560,6 @@ mod fma {
     ));
 }
 
-// ---------------------------------------------------------------------------
-// SimdKernel — AVX2/FMA intrinsics (optional `simd` feature).
-// ---------------------------------------------------------------------------
-
-/// Hand-vectorized AVX2/FMA kernel for the bandwidth-bound entry points
-/// (rank-k update, dot, axpy, below-block mat-vec); the short triangular
-/// loops delegate to [`BlockedKernel`], whose FMA path emits the same
-/// instructions there. Methods verify CPU support at runtime and fall
-/// back to [`ScalarKernel`] when AVX2/FMA is absent, so direct calls are
-/// sound on any x86-64 host; [`KernelChoice::Simd`] performs the same
-/// check once at resolution time.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimdKernel;
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-impl DenseKernel for SimdKernel {
-    fn name(&self) -> &'static str {
-        "avx2"
-    }
-
-    fn dot(&self, x: &[f64], y: &[f64]) -> f64 {
-        if avx2_fma_detected() {
-            // SAFETY: AVX2+FMA support was just verified at runtime.
-            unsafe { avx::dot(x, y) }
-        } else {
-            ScalarKernel.dot(x, y)
-        }
-    }
-
-    fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]) {
-        if avx2_fma_detected() {
-            // SAFETY: AVX2+FMA support was just verified at runtime.
-            unsafe { avx::axpy(alpha, x, y) }
-        } else {
-            ScalarKernel.axpy(alpha, x, y)
-        }
-    }
-
-    fn rank_update(
-        &self,
-        update: &mut [f64],
-        panel: &[f64],
-        m: usize,
-        lo: usize,
-        wj: usize,
-        wd: usize,
-    ) {
-        if avx2_fma_detected() {
-            // SAFETY: AVX2+FMA support was just verified at runtime.
-            unsafe { avx::rank_update(update, panel, m, lo, wj, wd) }
-        } else {
-            ScalarKernel.rank_update(update, panel, m, lo, wj, wd)
-        }
-    }
-
-    fn factor_panel(&self, panel: &mut [f64], m: usize, w: usize) -> Result<(), (usize, f64)> {
-        if avx2_fma_detected() {
-            BlockedKernel.factor_panel(panel, m, w)
-        } else {
-            ScalarKernel.factor_panel(panel, m, w)
-        }
-    }
-
-    fn solve_lower(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64]) {
-        if avx2_fma_detected() {
-            BlockedKernel.solve_lower(panel, m, w, x)
-        } else {
-            ScalarKernel.solve_lower(panel, m, w, x)
-        }
-    }
-
-    fn below_accumulate(&self, panel: &[f64], m: usize, w: usize, y: &[f64], acc: &mut [f64]) {
-        if avx2_fma_detected() {
-            // SAFETY: AVX2+FMA support was just verified at runtime.
-            unsafe { avx::below_accumulate(panel, m, w, y, acc) }
-        } else {
-            ScalarKernel.below_accumulate(panel, m, w, y, acc)
-        }
-    }
-
-    fn solve_lower_transpose(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64], xb: &[f64]) {
-        if avx2_fma_detected() {
-            BlockedKernel.solve_lower_transpose(panel, m, w, x, xb)
-        } else {
-            ScalarKernel.solve_lower_transpose(panel, m, w, x, xb)
-        }
-    }
-}
-
-/// The AVX2/FMA loop bodies. Every function requires the caller to have
-/// verified `avx2` and `fma` CPU support.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod avx {
-    use core::arch::x86_64::{
-        __m256d, _mm256_add_pd, _mm256_castpd256_pd128, _mm256_extractf128_pd, _mm256_fmadd_pd,
-        _mm256_loadu_pd, _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm_add_pd,
-        _mm_add_sd, _mm_cvtsd_f64, _mm_unpackhi_pd,
-    };
-
-    /// Horizontal sum of one 4-lane register (fixed lane order, so the
-    /// reduction stays deterministic).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn hsum(v: __m256d) -> f64 {
-        let lo = _mm256_castpd256_pd128(v);
-        let hi = _mm256_extractf128_pd(v, 1);
-        let s = _mm_add_pd(lo, hi);
-        _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)))
-    }
-
-    /// Two-register-accumulator dot product with a `mul_add` scalar tail.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn dot(x: &[f64], y: &[f64]) -> f64 {
-        let n = x.len().min(y.len());
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 8 <= n {
-            acc0 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(x.as_ptr().add(i)),
-                _mm256_loadu_pd(y.as_ptr().add(i)),
-                acc0,
-            );
-            acc1 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(x.as_ptr().add(i + 4)),
-                _mm256_loadu_pd(y.as_ptr().add(i + 4)),
-                acc1,
-            );
-            i += 8;
-        }
-        if i + 4 <= n {
-            acc0 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(x.as_ptr().add(i)),
-                _mm256_loadu_pd(y.as_ptr().add(i)),
-                acc0,
-            );
-            i += 4;
-        }
-        let mut sum = hsum(_mm256_add_pd(acc0, acc1));
-        while i < n {
-            sum = x[i].mul_add(y[i], sum);
-            i += 1;
-        }
-        sum
-    }
-
-    /// Packed `y ← y + alpha·x`.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-        let n = x.len().min(y.len());
-        let av = _mm256_set1_pd(alpha);
-        let mut i = 0;
-        while i + 4 <= n {
-            let yv = _mm256_fmadd_pd(
-                av,
-                _mm256_loadu_pd(x.as_ptr().add(i)),
-                _mm256_loadu_pd(y.as_ptr().add(i)),
-            );
-            _mm256_storeu_pd(y.as_mut_ptr().add(i), yv);
-            i += 4;
-        }
-        while i < n {
-            y[i] = alpha.mul_add(x[i], y[i]);
-            i += 1;
-        }
-    }
-
-    /// Rank-k update, two rank-1 terms per pass, 4 rows per register.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA; same slice contract as
-    /// [`DenseKernel::rank_update`](super::DenseKernel::rank_update).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn rank_update(
-        update: &mut [f64],
-        panel: &[f64],
-        m: usize,
-        lo: usize,
-        wj: usize,
-        wd: usize,
-    ) {
-        let mu = m - lo;
-        let mut k = 0;
-        while k + 2 <= wd {
-            let g0 = &panel[k * m + lo..k * m + m];
-            let g1 = &panel[(k + 1) * m + lo..(k + 1) * m + m];
-            for jj in 0..wj {
-                let c0 = _mm256_set1_pd(g0[jj]);
-                let c1 = _mm256_set1_pd(g1[jj]);
-                let dstcol = &mut update[jj * mu..(jj + 1) * mu];
-                let mut i = 0;
-                while i + 4 <= mu {
-                    let mut acc = _mm256_loadu_pd(dstcol.as_ptr().add(i));
-                    acc = _mm256_fmadd_pd(c0, _mm256_loadu_pd(g0.as_ptr().add(i)), acc);
-                    acc = _mm256_fmadd_pd(c1, _mm256_loadu_pd(g1.as_ptr().add(i)), acc);
-                    _mm256_storeu_pd(dstcol.as_mut_ptr().add(i), acc);
-                    i += 4;
-                }
-                while i < mu {
-                    dstcol[i] = g1[jj].mul_add(g1[i], g0[jj].mul_add(g0[i], dstcol[i]));
-                    i += 1;
-                }
-            }
-            k += 2;
-        }
-        if k < wd {
-            let g0 = &panel[k * m + lo..k * m + m];
-            for jj in 0..wj {
-                let c0 = _mm256_set1_pd(g0[jj]);
-                let dstcol = &mut update[jj * mu..(jj + 1) * mu];
-                let mut i = 0;
-                while i + 4 <= mu {
-                    let acc = _mm256_fmadd_pd(
-                        c0,
-                        _mm256_loadu_pd(g0.as_ptr().add(i)),
-                        _mm256_loadu_pd(dstcol.as_ptr().add(i)),
-                    );
-                    _mm256_storeu_pd(dstcol.as_mut_ptr().add(i), acc);
-                    i += 4;
-                }
-                while i < mu {
-                    dstcol[i] = g0[jj].mul_add(g0[i], dstcol[i]);
-                    i += 1;
-                }
-            }
-        }
-    }
-
-    /// Below-block mat-vec `acc = L₂₁ · y`, two columns per pass.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA; same slice contract as
-    /// [`DenseKernel::below_accumulate`](super::DenseKernel::below_accumulate).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn below_accumulate(
-        panel: &[f64],
-        m: usize,
-        w: usize,
-        y: &[f64],
-        acc: &mut [f64],
-    ) {
-        acc.iter_mut().for_each(|v| *v = 0.0);
-        let mb = acc.len();
-        let mut j = 0;
-        while j + 2 <= w {
-            let c0 = _mm256_set1_pd(y[j]);
-            let c1 = _mm256_set1_pd(y[j + 1]);
-            let l0 = &panel[j * m + w..(j + 1) * m];
-            let l1 = &panel[(j + 1) * m + w..(j + 2) * m];
-            let mut i = 0;
-            while i + 4 <= mb {
-                let mut av = _mm256_loadu_pd(acc.as_ptr().add(i));
-                av = _mm256_fmadd_pd(c0, _mm256_loadu_pd(l0.as_ptr().add(i)), av);
-                av = _mm256_fmadd_pd(c1, _mm256_loadu_pd(l1.as_ptr().add(i)), av);
-                _mm256_storeu_pd(acc.as_mut_ptr().add(i), av);
-                i += 4;
-            }
-            while i < mb {
-                acc[i] = y[j + 1].mul_add(l1[i], y[j].mul_add(l0[i], acc[i]));
-                i += 1;
-            }
-            j += 2;
-        }
-        if j < w {
-            let coef = y[j];
-            let col = &panel[j * m + w..(j + 1) * m];
-            for (a, &l) in acc.iter_mut().zip(col) {
-                *a = coef.mul_add(l, *a);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -925,15 +605,6 @@ mod tests {
             KernelChoice::Scalar.fingerprint(),
             KernelChoice::Blocked.fingerprint()
         );
-        // Simd either resolves to real AVX2 (own fingerprint) or falls
-        // back to scalar (shared fingerprint) — never to blocked's.
-        let simd = KernelChoice::Simd;
-        if simd.resolved_name() == "scalar" {
-            assert_eq!(simd.fingerprint(), KernelChoice::Scalar.fingerprint());
-        } else {
-            assert_ne!(simd.fingerprint(), KernelChoice::Scalar.fingerprint());
-            assert_ne!(simd.fingerprint(), KernelChoice::Blocked.fingerprint());
-        }
     }
 
     #[test]

@@ -8,18 +8,19 @@
 //! * [`CooMatrix`] / [`CsrMatrix`] — sparse matrix assembly and kernels
 //!   (SpMV, sub-matrix extraction, transpose).
 //! * [`SparseCholesky`] — the scalar up-looking sparse Cholesky
-//!   factorization with elimination-tree symbolic analysis; kept as the
-//!   differential-testing oracle behind the blocked kernel.
+//!   factorization with elimination-tree symbolic analysis. No backend
+//!   runs it: it is the independent reference the differential tests pin
+//!   [`SupernodalCholesky`] against, and the home of the `etree`/`ereach`
+//!   symbolic routines the supernodal analysis shares.
 //! * [`DenseKernel`] / [`KernelChoice`] — the swappable dense microkernel
 //!   layer (`kernel.rs`) every flop-bearing loop routes through: the
 //!   supernodal rank-k updates, panel Cholesky, triangular sweeps, the
-//!   Schur clique condensation and the Krylov dot/axpy primitives. Three
-//!   implementations: [`ScalarKernel`] (the original loops, the
-//!   differential oracle), [`BlockedKernel`] (unrolled `mul_add` tiles
-//!   with runtime FMA dispatch — the default), and an optional AVX2
-//!   intrinsics kernel behind the `simd` cargo feature.
+//!   Schur clique condensation and the Krylov dot/axpy primitives. Two
+//!   implementations: [`BlockedKernel`] (unrolled `mul_add` tiles with
+//!   runtime FMA dispatch — the one production kernel) and
+//!   [`ScalarKernel`] (the original loops, the differential oracle).
 //! * [`SupernodalCholesky`] — the supernodal blocked Cholesky the
-//!   `DirectCholesky` backend runs by default: dense column panels from
+//!   `DirectCholesky` backend runs: dense column panels from
 //!   relaxed supernode amalgamation, rank-k panel updates, and blocked
 //!   multi-RHS triangular sweeps (`solve_panel`), so the paper's
 //!   factor-once/solve-many economics (§4.2) run on dense contiguous
@@ -110,9 +111,9 @@ mod vecops;
 
 pub use backend::{
     default_solve_threads, matrix_fingerprint, Auto, BackendSolution, BatchSolution, Cg,
-    CholeskyKernel, DegradationStep, DegradationTrail, DirectCholesky, FactorCache, Gmres,
-    LinearOperator, PrecondSpec, PreparedSolver, Resilient, Rung, SolveReport, SolverBackend,
-    VerifyPolicy, MAX_DEGRADATION_STEPS,
+    DegradationStep, DegradationTrail, DirectCholesky, FactorCache, Gmres, LinearOperator,
+    PrecondSpec, PreparedSolver, Resilient, Rung, SolveReport, SolverBackend, VerifyPolicy,
+    MAX_DEGRADATION_STEPS,
 };
 pub use cholesky::SparseCholesky;
 pub use dense::{DenseLu, DenseMatrix};
@@ -122,8 +123,6 @@ pub use iterative::{
     refine, solve_cg, solve_gmres, CgOptions, GmresOptions, IdentityPreconditioner,
     IterativeSolution, JacobiPreconditioner, Preconditioner, RefineOptions, SsorPreconditioner,
 };
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub use kernel::SimdKernel;
 pub use kernel::{BlockedKernel, DenseKernel, KernelChoice, ScalarKernel};
 pub use memory::MemoryFootprint;
 pub use ordering::{

@@ -1,9 +1,10 @@
 //! Supernodal blocked sparse Cholesky factorization `A = L Lᵀ`, with an
 //! elimination-tree-parallel numeric phase.
 //!
-//! The scalar kernel in [`crate::cholesky`] touches one nonzero at a time:
-//! every floating-point operation pays an index load, and every right-hand
-//! side re-streams the whole factor. This module rebuilds the factorization
+//! A scalar up-looking factorization (the test reference in
+//! [`crate::cholesky`]) touches one nonzero at a time: every
+//! floating-point operation pays an index load, and every right-hand side
+//! re-streams the whole factor. This module builds the factorization
 //! around **supernodes** — runs of adjacent columns whose below-diagonal
 //! sparsity patterns coincide (exactly, or nearly, under *relaxed
 //! amalgamation*). Each supernode is stored as one dense column panel, so
@@ -22,9 +23,9 @@
 //! scalar scatter, and since PR 4 scheduled task-parallel over the
 //! elimination tree) and the per-right-hand-side triangular sweeps
 //! ([`SupernodalCholesky::solve_panel`] streams each panel once for a whole
-//! block of right-hand sides). The scalar kernel stays available as the
-//! reference oracle — `CholeskyKernel::Scalar` in the backend layer — and
-//! differential tests pin agreement between the two to ≤1e-12.
+//! block of right-hand sides). This is the only factorization the backend
+//! layer runs; [`SparseCholesky`](crate::SparseCholesky) survives as the
+//! independent reference the differential tests pin it against (≤1e-12).
 //!
 //! # Algorithm
 //!
@@ -169,7 +170,7 @@ pub struct SupernodeStats {
     pub max_width: usize,
     /// Stored factor entries including relaxation padding.
     pub stored_nnz: usize,
-    /// True factor nonzeros (what the scalar kernel would store).
+    /// True factor nonzeros (what a scalar factorization would store).
     pub true_nnz: usize,
     /// Height of the supernodal elimination tree: panels on the longest
     /// root-to-leaf chain, i.e. the unweighted depth of the task DAG.
@@ -190,8 +191,8 @@ pub struct SupernodeStats {
     /// Mean weight of the parallel units (see
     /// [`max_subtree_weight`](SupernodeStats::max_subtree_weight)).
     pub mean_subtree_weight: f64,
-    /// Resolved name of the [`DenseKernel`] that ran the numeric phase
-    /// (`"scalar"`, `"blocked"`, or `"avx2"`).
+    /// Name of the [`DenseKernel`] that ran the numeric phase
+    /// (`"blocked"`, or `"scalar"` for the test oracle).
     pub kernel: &'static str,
 }
 
@@ -890,7 +891,7 @@ impl SupernodalCholesky {
     /// default supernode relaxation.
     ///
     /// Only the lower triangle of `a` is read (the upper triangle is
-    /// assumed to mirror it), exactly like the scalar kernel.
+    /// assumed to mirror it), exactly like [`SparseCholesky`](crate::SparseCholesky).
     ///
     /// # Errors
     ///
@@ -1164,8 +1165,8 @@ impl SupernodalCholesky {
         self.factor_workers
     }
 
-    /// Resolved name of the microkernel the factorization and solve
-    /// sweeps run on (`"scalar"`, `"blocked"`, or `"avx2"`).
+    /// Name of the microkernel the factorization and solve sweeps run on
+    /// (`"blocked"`, or `"scalar"` for the test oracle).
     pub fn kernel_name(&self) -> &'static str {
         self.kernel.resolved_name()
     }

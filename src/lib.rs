@@ -31,18 +31,17 @@
 //! thread — it is a hard bound within any one call tree (nested stages
 //! share the pool), while each *concurrent* application thread calling in
 //! donates its own thread on top. Results are independent of the cap; the
-//! `threads` knobs on the options structs only narrow a call below it.
+//! `threads` parameters of the stage APIs only narrow a call below it.
 //!
 //! # Environment knobs
 //!
-//! Two environment variables tune the runtime without touching code; both
-//! are also printed in the `morestress campaign run` header so logs record
+//! One environment variable tunes the runtime without touching code; it
+//! is also printed in the `morestress campaign run` header so logs record
 //! the effective configuration:
 //!
 //! | Variable | Effect | Default |
 //! |---|---|---|
 //! | `MORESTRESS_THREADS` | Global [`WorkPool`](linalg::WorkPool) worker cap — the hard upper bound on resident workers for every parallel stage in the process. | `available_parallelism`, capped at 16 |
-//! | `MORESTRESS_SHARDS` | Shard count used by the test/CI matrices and honored by examples that read it; library code takes shard counts explicitly ([`SimulatorBuilder::shards`](rom::SimulatorBuilder::shards)). | unset (suites pick their own default) |
 //!
 //! Every solve is **bitwise identical across caps**: `MORESTRESS_THREADS`
 //! changes wall time, never results (pinned by the thread-invariance and
@@ -102,7 +101,6 @@ pub mod prelude {
     pub use morestress_core::{
         sample_array_von_mises, GlobalBc, GlobalSolution, InterpolationGrid, LocalStage,
         LocalStageOptions, MoreStressSimulator, ReducedOrderModel, RomSolver, SimulatorBuilder,
-        SimulatorOptions,
     };
     pub use morestress_fem::{
         normalized_mae, sample_von_mises, solve_thermal_stress, solve_thermal_stress_many,
@@ -110,8 +108,7 @@ pub mod prelude {
         PlaneGrid, ScalarField2d, StressSample,
     };
     pub use morestress_linalg::{
-        FactorCache, FillOrdering, KernelChoice, PreparedSolver, SolveReport, SolverBackend,
-        VerifyPolicy, WorkPool,
+        FactorCache, PreparedSolver, SolveReport, SolverBackend, VerifyPolicy, WorkPool,
     };
     pub use morestress_mesh::{
         array_mesh, unit_block_mesh, BlockKind, BlockLayout, BlockResolution, TsvGeometry,
