@@ -120,11 +120,12 @@ fn run(args: &[String]) -> ExitCode {
             }
         }
         println!(
-            "  {} solved, {} failed; factor cache {} hits / {} misses",
+            "  {} solved, {} failed; factor cache {} hits / {} misses; {} operators reused",
             report.solved(),
             report.failed(),
             report.cache_hits,
             report.cache_misses,
+            report.operators_reused(),
         );
     }
 

@@ -87,6 +87,10 @@ pub fn campaign_sections(reports: &[CampaignReport]) -> Vec<BenchSection> {
                     ));
                     entries.push(("shards_reused".to_string(), stats.shards_reused as f64));
                     entries.push(("shards_degraded".to_string(), stats.shards_degraded as f64));
+                    entries.push((
+                        "operator_reused".to_string(),
+                        f64::from(u8::from(stats.operator_reused)),
+                    ));
                 }
                 // The failure text lives in the human-readable CLI
                 // output; the numeric record only tallies the outcome.

@@ -113,6 +113,19 @@ impl CampaignReport {
     pub fn failed(&self) -> usize {
         self.jobs.len() - self.solved()
     }
+
+    /// Number of solved jobs that found their operator in the factor cache
+    /// by provenance and skipped global assembly
+    /// ([`GlobalStats::operator_reused`]) — with serial admission, jobs
+    /// minus distinct arrays.
+    pub fn operators_reused(&self) -> usize {
+        self.jobs
+            .iter()
+            .filter(
+                |j| matches!(&j.outcome, JobOutcome::Solved { stats, .. } if stats.operator_reused),
+            )
+            .count()
+    }
 }
 
 /// The concurrent campaign scheduler. See the [module docs](self).

@@ -133,6 +133,10 @@ fn same_model_campaigns_share_one_factor_cache() {
         assert_eq!(report.cache_misses, 2, "one miss per distinct lattice");
         assert_eq!(report.cache_hits, 6, "every other solve reuses a factor");
     }
+    // Each of those hits was found by provenance: the second campaign never
+    // assembles, because the aliases live in the shared cache.
+    assert_eq!(reports[0].operators_reused(), 2);
+    assert_eq!(reports[1].operators_reused(), 4);
 }
 
 #[test]

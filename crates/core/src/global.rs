@@ -254,9 +254,13 @@ impl GlobalLattice {
 /// Cost accounting of one global-stage solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GlobalStats {
-    /// Wall-clock time of assembly + constraint reduction + solve.
+    /// Wall-clock time of prelude + assembly and constraint reduction (when
+    /// the operator was not reused) + solve.
     pub wall_time: Duration,
-    /// Analytic peak heap estimate (bytes).
+    /// Analytic peak heap estimate (bytes). The unreduced and reduced
+    /// operators are counted only by the solve that assembled them: with
+    /// [`operator_reused`](Self::operator_reused) the figure is what this
+    /// solve allocated on top of the resident ROMs and cached solver.
     pub peak_bytes: usize,
     /// Global DoFs before constraints.
     pub total_dofs: usize,
@@ -320,6 +324,12 @@ pub struct GlobalStats {
     /// fraction, and whether the geometry-aware planner produced it.
     /// `None` for monolithic backends and fully-constrained solves.
     pub plan_stats: Option<morestress_linalg::ShardPlanStats>,
+    /// Whether the solve found its operator by provenance in the
+    /// [`FactorCache`] and skipped assembly and constraint reduction
+    /// altogether (see [`GlobalStage::solve_many`]). `false` for every
+    /// solve that assembled — including one whose assembled operator then
+    /// hit the cache by content — and for fully-constrained solves.
+    pub operator_reused: bool,
 }
 
 /// The solved global problem of one array.
@@ -387,7 +397,13 @@ impl<'a> GlobalStage<'a> {
 
     /// Registers a [`FactorCache`]: repeated solves over the same assembled
     /// operator (same layout, interpolation and boundary-condition kind)
-    /// reuse one prepared factorization / preconditioner.
+    /// reuse one prepared factorization / preconditioner — and, under
+    /// [`GlobalBc::ClampedTopBottom`], the operator itself: the stage tags
+    /// each entry with the provenance of the solve that built it, so a
+    /// repeated layout skips assembly as well (see
+    /// [`solve_many`](Self::solve_many)). The tags live in the cache, so
+    /// stages that come and go around one cache (the simulator builds one
+    /// per call) share them; stages around different ROMs never do.
     pub fn with_cache(mut self, cache: &'a FactorCache) -> Self {
         self.cache = Some(cache);
         self
@@ -455,10 +471,10 @@ impl<'a> GlobalStage<'a> {
         Ok(solutions.pop().expect("one load in, one solution out"))
     }
 
-    /// Assembles and solves the global problem for several thermal loads at
-    /// once: one assembly, one constraint reduction, one solver preparation
-    /// (reused from the [`FactorCache`] when registered), then a
-    /// task-parallel batched solve over all loads.
+    /// Solves the global problem for several thermal loads at once: one
+    /// layout prelude, one operator (assembled, or reused — see below), one
+    /// solver preparation (reused from the [`FactorCache`] when
+    /// registered), then a task-parallel batched solve over all loads.
     ///
     /// The assembled operator and the prescribed boundary data do not
     /// depend on `ΔT` (the load vector is linear in it), so the paper's
@@ -466,6 +482,29 @@ impl<'a> GlobalStage<'a> {
     /// triangular sweeps. Returns one [`GlobalSolution`] per entry of
     /// `delta_ts`, in order; the reported [`GlobalStats`] are the batch
     /// aggregate (shared wall time, summed iterations).
+    ///
+    /// A solve runs in three parts:
+    ///
+    /// 1. **Layout prelude** (cheap, always): lattice, per-block DoF maps,
+    ///    constraint set, unit load, and the partition hint — handed to the
+    ///    backend *before* any cache lookup, because a sharded backend's
+    ///    configuration fingerprint folds the hint in (and a healing
+    ///    re-prepare must plan under the right geometry).
+    /// 2. **Operator**: sparsity pattern, element scatter and constraint
+    ///    reduction — the expensive part — run only when the registered
+    ///    cache holds no entry tagged with this solve's *provenance*
+    ///    (interpolation counts, layout shape and block kinds, BC kind, ROM
+    ///    identities; see [`FactorCache`]). On a provenance hit the reduced
+    ///    operator is the cached solver's own `Arc`, the lifting term is
+    ///    zero (only the homogeneous [`GlobalBc::ClampedTopBottom`] carries
+    ///    a provenance — a [`GlobalBc::SubmodelBoundary`] closure cannot be
+    ///    compared and its lifting needs `A_fb`, so it always assembles),
+    ///    and [`GlobalStats::operator_reused`] is set. On a miss the
+    ///    assembled operator goes through the cache's content-addressed
+    ///    lookup as before — two layouts that assemble to one operator
+    ///    still share one factor — and the entry is tagged.
+    /// 3. **Solve and expand**, identical on both routes: the results are
+    ///    bit for bit those of a from-scratch solve.
     ///
     /// # Errors
     ///
@@ -488,23 +527,243 @@ impl<'a> GlobalStage<'a> {
         let lattice = GlobalLattice::new(layout, interp.counts(), extents);
         let ndof = lattice.num_dofs();
 
-        // --- Node adjacency → DoF sparsity pattern ------------------------
+        // --- Layout prelude ------------------------------------------------
+        let blocks = self.block_maps(&lattice, layout);
+        // Unit (ΔT = 1) load: the thermal load is linear in ΔT, so every
+        // requested load is a scalar multiple of this vector.
+        let mut b_unit = vec![0.0; ndof];
+        for block in &blocks {
+            let b_elem = block.rom.element_load();
+            for (r, &gr) in block.dofs.iter().enumerate() {
+                b_unit[gr] += b_elem[r];
+            }
+        }
+        // Boundary conditions (lifting, Eq. 13).
+        let mut bcs = DirichletBcs::new();
+        match bc {
+            GlobalBc::ClampedTopBottom => {
+                for id in 0..lattice.num_nodes() {
+                    if lattice.is_top_or_bottom(id) {
+                        bcs.set_node(id, [0.0; 3]);
+                    }
+                }
+            }
+            GlobalBc::SubmodelBoundary(coarse) => {
+                for id in 0..lattice.num_nodes() {
+                    if lattice.is_outer_boundary(id) {
+                        bcs.set_node(id, coarse(lattice.position(id)));
+                    }
+                }
+            }
+        }
+        let mut stats = GlobalStats {
+            wall_time: Duration::ZERO,
+            peak_bytes: b_unit.heap_bytes(),
+            total_dofs: ndof,
+            free_dofs: 0,
+            nnz: 0,
+            iterations: 0,
+            backend: "none",
+            workers: 1,
+            factor_workers: 1,
+            kernel: None,
+            shards: 1,
+            interface_dofs: 0,
+            shard_factor_bytes: 0,
+            shards_refactored: 0,
+            shards_reused: 0,
+            shards_degraded: 0,
+            verified_residual: None,
+            degradation: DegradationTrail::new(),
+            plan_stats: None,
+            operator_reused: false,
+        };
+        // A fully-constrained problem (e.g. a single block under sub-model
+        // boundary conditions) has no free DoFs: the nodal solution is just
+        // the prescribed data, identically for every thermal load.
+        if bcs.len() == ndof {
+            let mut nodal = vec![0.0; ndof];
+            for (dof, v) in bcs.iter() {
+                nodal[dof] = v;
+            }
+            stats.wall_time = start.elapsed();
+            return Ok(delta_ts
+                .iter()
+                .map(|_| GlobalSolution {
+                    lattice: lattice.clone(),
+                    nodal: nodal.clone(),
+                    stats,
+                })
+                .collect());
+        }
+        let backend: &dyn SolverBackend = match self.external_backend {
+            Some(external) => external,
+            None => &*self.backend,
+        };
+        // Geometry hint for the sharded backend's partitioner: each free DoF
+        // maps to the inclusive block-grid footprint of its lattice node, so
+        // the planner can cut the reduced operator along block boundaries
+        // instead of searching the (dense) reduced sparsity graph. Backends
+        // that cannot use it ignore it.
+        let grid = [layout.nx(), layout.ny()];
+        let spans = bcs
+            .free_dofs(ndof)
+            .into_iter()
+            .map(|dof| {
+                let [cx, cy, _] = lattice.coords[dof / 3];
+                let sx = interp.block_span(0, cx, grid[0]);
+                let sy = interp.block_span(1, cy, grid[1]);
+                [sx[0], sx[1], sy[0], sy[1]]
+            })
+            .collect();
+        backend.set_partition_hint(Some(Arc::new(PartitionHint::new(grid, spans))));
+
+        // --- Operator: reused by provenance, else assembled -----------------
+        let tagged_cache = self.cache.zip(self.provenance(layout, bc, &blocks));
+        let reused = tagged_cache
+            .as_ref()
+            .and_then(|(cache, provenance)| cache.operator_of(backend, provenance));
+        stats.operator_reused = reused.is_some();
+        let reduced = match reused {
+            Some(a_ff) => ReducedSystem::with_operator(a_ff, ndof, &bcs),
+            None => {
+                // Reduce once with a zero load: `reduced.rhs` is then exactly
+                // the load-independent lifting term `−A_fb u_b`. The
+                // unreduced operator and the zero vector die with this arm,
+                // before the factorization allocates.
+                let a_global = self.assemble_operator(&lattice, &blocks);
+                let reduced = ReducedSystem::new(&a_global, &vec![0.0; ndof], &bcs)?;
+                stats.peak_bytes += a_global.heap_bytes() + reduced.a_ff.heap_bytes();
+                reduced
+            }
+        };
+        drop(blocks);
+        let rhs_set = reduced.rhs_for_scaled_loads(&b_unit, delta_ts);
+
+        // --- Solve through the unified backend layer -----------------------
+        let batch = match self.cache {
+            // The cache-backed path self-heals: a cached factor that fails
+            // its solve (or needs more ladder recovery than its own
+            // preparation did) is invalidated, re-prepared from scratch and
+            // retried once, with the rebuild recorded as a `Rung::Rebuilt`
+            // step in the report's degradation trail.
+            Some(cache) => {
+                cache
+                    .solve_many_healing(backend, &reduced.a_ff, &rhs_set, self.threads)?
+                    .0
+            }
+            None => backend
+                .prepare(Arc::clone(&reduced.a_ff))?
+                .solve_many(&rhs_set, self.threads)?,
+        };
+        if !stats.operator_reused {
+            if let Some((cache, provenance)) = &tagged_cache {
+                cache.tag(backend, &reduced.a_ff, provenance);
+            }
+        }
+
+        let stats = GlobalStats {
+            wall_time: start.elapsed(),
+            peak_bytes: stats.peak_bytes
+                + rhs_set
+                    .iter()
+                    .map(MemoryFootprint::heap_bytes)
+                    .sum::<usize>()
+                + self.rom_tsv.heap_bytes()
+                + self.rom_dummy.map_or(0, MemoryFootprint::heap_bytes)
+                + batch.report.solver_bytes,
+            free_dofs: reduced.num_free(),
+            nnz: reduced.a_ff.nnz(),
+            iterations: batch.report.iterations.unwrap_or(0),
+            backend: batch.report.backend,
+            workers: batch.report.workers,
+            factor_workers: batch.report.factor_workers,
+            kernel: batch.report.kernel,
+            shards: batch.report.shards,
+            interface_dofs: batch.report.interface_dofs,
+            shard_factor_bytes: batch.report.shard_factor_bytes,
+            shards_refactored: batch.report.shards_refactored,
+            shards_reused: batch.report.shards_reused,
+            shards_degraded: batch.report.shards_degraded,
+            verified_residual: batch.report.verified_residual,
+            degradation: batch.report.degradation,
+            plan_stats: batch.report.plan_stats,
+            ..stats
+        };
+        Ok(batch
+            .xs
+            .into_iter()
+            .map(|x| GlobalSolution {
+                lattice: lattice.clone(),
+                nodal: reduced.expand(&x),
+                stats,
+            })
+            .collect())
+    }
+
+    /// The per-block maps of `layout` on `lattice`, in assembly order
+    /// (row-major over the block grid).
+    fn block_maps(&self, lattice: &GlobalLattice, layout: &BlockLayout) -> Vec<BlockMap<'a>> {
+        (0..layout.ny())
+            .flat_map(|bj| (0..layout.nx()).map(move |bi| (bi, bj)))
+            .map(|(bi, bj)| {
+                let nodes = lattice.block_nodes(bi, bj);
+                BlockMap {
+                    rom: match layout.kind(bi, bj) {
+                        BlockKind::Tsv => self.rom_tsv,
+                        BlockKind::Dummy => self.rom_dummy.expect("checked by solve_many"),
+                    },
+                    dofs: nodes
+                        .iter()
+                        .flat_map(|&m| [3 * m, 3 * m + 1, 3 * m + 2])
+                        .collect(),
+                    nodes,
+                }
+            })
+            .collect()
+    }
+
+    /// The exact words that determine the reduced operator of a solve
+    /// through this stage — its [`FactorCache`] provenance: interpolation
+    /// counts, BC kind, layout shape, and the identity of every block's ROM
+    /// in assembly order (process-unique ids, never a hash — which also
+    /// says which blocks are dummies). `None` for a
+    /// [`GlobalBc::SubmodelBoundary`]: closures cannot be compared.
+    fn provenance(
+        &self,
+        layout: &BlockLayout,
+        bc: &GlobalBc,
+        blocks: &[BlockMap<'_>],
+    ) -> Option<Vec<u64>> {
+        let bc_kind = match bc {
+            GlobalBc::ClampedTopBottom => 0,
+            GlobalBc::SubmodelBoundary(_) => return None,
+        };
+        let [nx, ny, nz] = self.rom_tsv.interpolation().counts();
+        let header = [nx, ny, nz, bc_kind, layout.nx(), layout.ny()];
+        Some(
+            header
+                .into_iter()
+                .map(|word| word as u64)
+                .chain(blocks.iter().map(|block| block.rom.id))
+                .collect(),
+        )
+    }
+
+    /// Assembles the unreduced global operator: node adjacency → DoF
+    /// sparsity pattern, then the standard scatter over abstract elements.
+    fn assemble_operator(&self, lattice: &GlobalLattice, blocks: &[BlockMap<'_>]) -> CsrMatrix {
+        let ndof = lattice.num_dofs();
         let num_nodes = lattice.num_nodes();
         let mut node_adj: Vec<Vec<usize>> = vec![Vec::new(); num_nodes];
         // Per node: the (block index, node position within the block's
         // canonical node list) pairs that contribute to it — the transposed
         // incidence the row-parallel scatter below consumes.
         let mut node_contrib: Vec<Vec<(u32, u32)>> = vec![Vec::new(); num_nodes];
-        let mut block_nodes_cache: Vec<Vec<usize>> = Vec::with_capacity(layout.nx() * layout.ny());
-        for bj in 0..layout.ny() {
-            for bi in 0..layout.nx() {
-                let b = block_nodes_cache.len();
-                let nodes = lattice.block_nodes(bi, bj);
-                for (ln, &a) in nodes.iter().enumerate() {
-                    node_adj[a].extend_from_slice(&nodes);
-                    node_contrib[a].push((b as u32, ln as u32));
-                }
-                block_nodes_cache.push(nodes);
+        for (b, block) in blocks.iter().enumerate() {
+            for (ln, &a) in block.nodes.iter().enumerate() {
+                node_adj[a].extend_from_slice(&block.nodes);
+                node_contrib[a].push((b as u32, ln as u32));
             }
         }
         for list in &mut node_adj {
@@ -529,236 +788,72 @@ impl<'a> GlobalStage<'a> {
         let nnz = col_idx.len();
         let mut a_global =
             CsrMatrix::from_raw_trusted(ndof, ndof, row_ptr.clone(), col_idx, vec![0.0; nnz]);
-        // Unit (ΔT = 1) load: the thermal load is linear in ΔT, so every
-        // requested load is a scalar multiple of this vector.
-        let mut b_unit = vec![0.0; ndof];
 
-        // --- Standard assembly over abstract elements ----------------------
         // Element → global DoF scatter, node-parallel on the shared pool:
         // every node owns its three (contiguous) matrix rows, so tasks
         // write disjoint value ranges, and contributions are accumulated
         // in block order per row — bitwise identical at every pool cap.
-        let block_dofs: Vec<Vec<usize>> = block_nodes_cache
-            .iter()
-            .map(|nodes| {
-                nodes
-                    .iter()
-                    .flat_map(|&m| [3 * m, 3 * m + 1, 3 * m + 2])
-                    .collect()
-            })
-            .collect();
-        let block_rom: Vec<&ReducedOrderModel> = (0..layout.ny())
-            .flat_map(|bj| (0..layout.nx()).map(move |bi| (bi, bj)))
-            .map(|(bi, bj)| match layout.kind(bi, bj) {
-                BlockKind::Tsv => self.rom_tsv,
-                BlockKind::Dummy => self.rom_dummy.expect("checked above"),
-            })
-            .collect();
-        {
-            // Split the value array into one contiguous slice per node
-            // (its three rows), so tasks can write lock-free-by-ownership
-            // behind cheap uncontended mutexes.
-            let mut node_rows: Vec<Mutex<&mut [f64]>> = Vec::with_capacity(num_nodes);
-            let mut rest = a_global.values_mut();
-            for m in 0..num_nodes {
-                let len = row_ptr[3 * m + 3] - row_ptr[3 * m];
-                let (head, tail) = rest.split_at_mut(len);
-                node_rows.push(Mutex::new(head));
-                rest = tail;
-            }
-            let pool = morestress_linalg::WorkPool::current();
-            pool.scope_chunks_with(
-                self.threads,
-                num_nodes,
-                || vec![usize::MAX; ndof],
-                |slot_of_col, m| {
-                    let neighbors = &node_adj[m];
-                    // Column offsets within one DoF row of this node.
-                    for (slot, &nb) in neighbors.iter().enumerate() {
-                        slot_of_col[3 * nb] = 3 * slot;
-                        slot_of_col[3 * nb + 1] = 3 * slot + 1;
-                        slot_of_col[3 * nb + 2] = 3 * slot + 2;
-                    }
-                    let row_len = 3 * neighbors.len();
-                    let mut vals = node_rows[m].lock().expect("node row slice poisoned");
-                    for &(b, ln) in &node_contrib[m] {
-                        let rom = block_rom[b as usize];
-                        let a_elem = rom.element_stiffness();
-                        let dofs = &block_dofs[b as usize];
-                        for comp in 0..3 {
-                            let erow = a_elem.row(3 * ln as usize + comp);
-                            let dst = &mut vals[comp * row_len..(comp + 1) * row_len];
-                            for (c, &gc) in dofs.iter().enumerate() {
-                                let v = erow[c];
-                                if v != 0.0 {
-                                    dst[slot_of_col[gc]] += v;
-                                }
+        //
+        // Split the value array into one contiguous slice per node (its
+        // three rows), so tasks can write lock-free-by-ownership behind
+        // cheap uncontended mutexes.
+        let mut node_rows: Vec<Mutex<&mut [f64]>> = Vec::with_capacity(num_nodes);
+        let mut rest = a_global.values_mut();
+        for m in 0..num_nodes {
+            let len = row_ptr[3 * m + 3] - row_ptr[3 * m];
+            let (head, tail) = rest.split_at_mut(len);
+            node_rows.push(Mutex::new(head));
+            rest = tail;
+        }
+        let pool = morestress_linalg::WorkPool::current();
+        pool.scope_chunks_with(
+            self.threads,
+            num_nodes,
+            || vec![usize::MAX; ndof],
+            |slot_of_col, m| {
+                let neighbors = &node_adj[m];
+                // Column offsets within one DoF row of this node.
+                for (slot, &nb) in neighbors.iter().enumerate() {
+                    slot_of_col[3 * nb] = 3 * slot;
+                    slot_of_col[3 * nb + 1] = 3 * slot + 1;
+                    slot_of_col[3 * nb + 2] = 3 * slot + 2;
+                }
+                let row_len = 3 * neighbors.len();
+                let mut vals = node_rows[m].lock().expect("node row slice poisoned");
+                for &(b, ln) in &node_contrib[m] {
+                    let block = &blocks[b as usize];
+                    let a_elem = block.rom.element_stiffness();
+                    for comp in 0..3 {
+                        let erow = a_elem.row(3 * ln as usize + comp);
+                        let dst = &mut vals[comp * row_len..(comp + 1) * row_len];
+                        for (c, &gc) in block.dofs.iter().enumerate() {
+                            let v = erow[c];
+                            if v != 0.0 {
+                                dst[slot_of_col[gc]] += v;
                             }
                         }
                     }
-                    drop(vals);
-                    for &nb in neighbors {
-                        slot_of_col[3 * nb] = usize::MAX;
-                        slot_of_col[3 * nb + 1] = usize::MAX;
-                        slot_of_col[3 * nb + 2] = usize::MAX;
-                    }
-                },
-            );
-        }
-        drop(node_adj);
-        drop(node_contrib);
-        // The unit load is a cheap serial scatter-add.
-        for (b, dofs) in block_dofs.iter().enumerate() {
-            let b_elem = block_rom[b].element_load();
-            for (r, &gr) in dofs.iter().enumerate() {
-                b_unit[gr] += b_elem[r];
-            }
-        }
-
-        // --- Boundary conditions (lifting, Eq. 13) -------------------------
-        let mut bcs = DirichletBcs::new();
-        match bc {
-            GlobalBc::ClampedTopBottom => {
-                for id in 0..lattice.num_nodes() {
-                    if lattice.is_top_or_bottom(id) {
-                        bcs.set_node(id, [0.0; 3]);
-                    }
                 }
-            }
-            GlobalBc::SubmodelBoundary(coarse) => {
-                for id in 0..lattice.num_nodes() {
-                    if lattice.is_outer_boundary(id) {
-                        bcs.set_node(id, coarse(lattice.position(id)));
-                    }
+                drop(vals);
+                for &nb in neighbors {
+                    slot_of_col[3 * nb] = usize::MAX;
+                    slot_of_col[3 * nb + 1] = usize::MAX;
+                    slot_of_col[3 * nb + 2] = usize::MAX;
                 }
-            }
-        }
-        // A fully-constrained problem (e.g. a single block under sub-model
-        // boundary conditions) has no free DoFs: the nodal solution is just
-        // the prescribed data, identically for every thermal load.
-        if bcs.len() == ndof {
-            let mut nodal = vec![0.0; ndof];
-            for (dof, v) in bcs.iter() {
-                nodal[dof] = v;
-            }
-            let stats = GlobalStats {
-                wall_time: start.elapsed(),
-                peak_bytes: a_global.heap_bytes() + b_unit.heap_bytes(),
-                total_dofs: ndof,
-                free_dofs: 0,
-                nnz: 0,
-                iterations: 0,
-                backend: "none",
-                workers: 1,
-                factor_workers: 1,
-                kernel: None,
-                shards: 1,
-                interface_dofs: 0,
-                shard_factor_bytes: 0,
-                shards_refactored: 0,
-                shards_reused: 0,
-                shards_degraded: 0,
-                verified_residual: None,
-                degradation: DegradationTrail::new(),
-                plan_stats: None,
-            };
-            return Ok(delta_ts
-                .iter()
-                .map(|_| GlobalSolution {
-                    lattice: lattice.clone(),
-                    nodal: nodal.clone(),
-                    stats,
-                })
-                .collect());
-        }
-
-        // Reduce once with a zero load: `reduced.rhs` is then exactly the
-        // load-independent lifting term `−A_fb u_b`, and every requested
-        // load is a scalar multiple of the unit load.
-        let zero = vec![0.0; ndof];
-        let reduced = ReducedSystem::new(&a_global, &zero, &bcs)?;
-        let rhs_set = reduced.rhs_for_scaled_loads(&b_unit, delta_ts);
-
-        let mut peak_bytes = a_global.heap_bytes()
-            + b_unit.heap_bytes()
-            + reduced.a_ff.heap_bytes()
-            + rhs_set
-                .iter()
-                .map(MemoryFootprint::heap_bytes)
-                .sum::<usize>()
-            + self.rom_tsv.heap_bytes()
-            + self.rom_dummy.map_or(0, MemoryFootprint::heap_bytes);
-
-        // --- Solve through the unified backend layer -----------------------
-        let backend: &dyn SolverBackend = match self.external_backend {
-            Some(external) => external,
-            None => &*self.backend,
-        };
-        // Geometry hint for the sharded backend's partitioner: each free DoF
-        // maps to the inclusive block-grid footprint of its lattice node, so
-        // the planner can cut the reduced operator along block boundaries
-        // instead of searching the (dense) reduced sparsity graph. Backends
-        // that cannot use it ignore it.
-        let grid = [layout.nx(), layout.ny()];
-        let spans = reduced
-            .free_dofs
-            .iter()
-            .map(|&dof| {
-                let [cx, cy, _] = lattice.coords[dof / 3];
-                let sx = interp.block_span(0, cx, grid[0]);
-                let sy = interp.block_span(1, cy, grid[1]);
-                [sx[0], sx[1], sy[0], sy[1]]
-            })
-            .collect();
-        backend.set_partition_hint(Some(Arc::new(PartitionHint::new(grid, spans))));
-        let batch = match self.cache {
-            // The cache-backed path self-heals: a cached factor that fails
-            // its solve (or needs more ladder recovery than its own
-            // preparation did) is invalidated, re-prepared from scratch and
-            // retried once, with the rebuild recorded as a `Rung::Rebuilt`
-            // step in the report's degradation trail.
-            Some(cache) => {
-                cache
-                    .solve_many_healing(backend, &reduced.a_ff, &rhs_set, self.threads)?
-                    .0
-            }
-            None => backend
-                .prepare(Arc::clone(&reduced.a_ff))?
-                .solve_many(&rhs_set, self.threads)?,
-        };
-        peak_bytes += batch.report.solver_bytes;
-
-        let stats = GlobalStats {
-            wall_time: start.elapsed(),
-            peak_bytes,
-            total_dofs: ndof,
-            free_dofs: reduced.num_free(),
-            nnz: reduced.a_ff.nnz(),
-            iterations: batch.report.iterations.unwrap_or(0),
-            backend: batch.report.backend,
-            workers: batch.report.workers,
-            factor_workers: batch.report.factor_workers,
-            kernel: batch.report.kernel,
-            shards: batch.report.shards,
-            interface_dofs: batch.report.interface_dofs,
-            shard_factor_bytes: batch.report.shard_factor_bytes,
-            shards_refactored: batch.report.shards_refactored,
-            shards_reused: batch.report.shards_reused,
-            shards_degraded: batch.report.shards_degraded,
-            verified_residual: batch.report.verified_residual,
-            degradation: batch.report.degradation,
-            plan_stats: batch.report.plan_stats,
-        };
-        Ok(batch
-            .xs
-            .into_iter()
-            .map(|x| GlobalSolution {
-                lattice: lattice.clone(),
-                nodal: reduced.expand(&x),
-                stats,
-            })
-            .collect())
+            },
+        );
+        drop(node_rows);
+        a_global
     }
+}
+
+/// One block of a layout as the assembly sees it: its ROM, its active
+/// lattice nodes in canonical element order, and the global DoFs of those
+/// nodes (`3·node + component`).
+struct BlockMap<'r> {
+    rom: &'r ReducedOrderModel,
+    nodes: Vec<usize>,
+    dofs: Vec<usize>,
 }
 
 #[cfg(test)]

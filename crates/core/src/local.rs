@@ -299,6 +299,7 @@ impl LocalStage {
         };
 
         Ok(ReducedOrderModel {
+            id: crate::model::mint_rom_id(),
             geom: self.geom,
             res: self.res,
             kind: self.kind,

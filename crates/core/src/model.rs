@@ -2,6 +2,7 @@
 
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use morestress_fem::MaterialSet;
 use morestress_linalg::{DenseMatrix, MemoryFootprint};
@@ -19,6 +20,13 @@ use crate::{InterpolationGrid, RomError};
 /// thermal load, and location.
 #[derive(Debug, Clone)]
 pub struct ReducedOrderModel {
+    /// Process-unique identity, minted when the model is built or loaded
+    /// and kept by clones (a clone is the same content). Nothing mutates a
+    /// model's element matrices after construction, so equal ids mean equal
+    /// `a_elem`/`b_elem` bit for bit — the collision-free "which ROM" word
+    /// of the global stage's [`FactorCache`](morestress_linalg::FactorCache)
+    /// provenance.
+    pub(crate) id: u64,
     pub(crate) geom: TsvGeometry,
     pub(crate) res: BlockResolution,
     pub(crate) kind: BlockKind,
@@ -285,6 +293,7 @@ impl ReducedOrderModel {
             DenseMatrix::from_vec(n_basis, n_basis, read_f64_vec(&mut r, n_basis * n_basis)?);
         let b_elem = read_f64_vec(&mut r, n_basis)?;
         Ok(Self {
+            id: mint_rom_id(),
             geom,
             res,
             kind,
@@ -327,6 +336,14 @@ impl MemoryFootprint for ReducedOrderModel {
             + self.a_elem.heap_bytes()
             + self.b_elem.heap_bytes()
     }
+}
+
+/// The next unused [`ReducedOrderModel`] identity. Ids start at 1 (0 reads
+/// "no model") and only need to differ, so the counter publishes nothing
+/// else.
+pub(crate) fn mint_rom_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 const MAGIC: &[u8; 8] = b"MORESTR\x01";

@@ -77,6 +77,15 @@ impl DirichletBcs {
     pub fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
         self.values.iter().map(|(&d, &v)| (d, v))
     }
+
+    /// The unconstrained DoFs of an `ndof`-DoF system, ascending — the
+    /// free-index → full-index map of its reduction.
+    pub fn free_dofs(&self, ndof: usize) -> Vec<usize> {
+        let mut fixed = self.values.keys().peekable();
+        (0..ndof)
+            .filter(|dof| fixed.next_if_eq(&dof).is_none())
+            .collect()
+    }
 }
 
 /// A symmetric reduction of `A u = b` to the free DoFs.
@@ -109,7 +118,7 @@ impl ReducedSystem {
             assert!(dof < ndof, "constrained dof {dof} out of range");
             is_fixed[dof] = true;
         }
-        let free_dofs: Vec<usize> = (0..ndof).filter(|&d| !is_fixed[d]).collect();
+        let free_dofs = bcs.free_dofs(ndof);
         if free_dofs.is_empty() {
             return Err(FemError::FullyConstrained);
         }
@@ -140,6 +149,35 @@ impl ReducedSystem {
             bcs: bcs.clone(),
             ndof,
         })
+    }
+
+    /// The reduction of a **zero-load** system under **homogeneous**
+    /// constraints (every prescribed value zero) whose reduced operator is
+    /// already at hand — e.g. held by a cached factorization. The lifting
+    /// term `−A_fb u_b` vanishes with `u_b`, so neither the unreduced
+    /// operator nor `A_fb` is needed: `rhs` is exactly the `+0.0` vector
+    /// [`new`](Self::new) computes for such constraints, and
+    /// [`rhs_for_scaled_loads`](Self::rhs_for_scaled_loads) /
+    /// [`expand`](Self::expand) return the same bits either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a prescribed value is nonzero, or if `a_ff` is not the
+    /// size of the free set.
+    pub fn with_operator(a_ff: Arc<CsrMatrix>, ndof: usize, bcs: &DirichletBcs) -> Self {
+        assert!(
+            bcs.iter().all(|(_, v)| v == 0.0),
+            "a nonzero prescribed value needs A_fb for its lifting term"
+        );
+        let free_dofs = bcs.free_dofs(ndof);
+        assert_eq!(a_ff.nrows(), free_dofs.len(), "operator vs free set");
+        Self {
+            a_ff,
+            rhs: vec![0.0; free_dofs.len()],
+            free_dofs,
+            bcs: bcs.clone(),
+            ndof,
+        }
     }
 
     /// Number of free DoFs.

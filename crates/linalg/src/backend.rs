@@ -1735,6 +1735,17 @@ struct CacheKey {
 struct CacheEntry {
     key: CacheKey,
     solver: Arc<PreparedSolver>,
+    /// The provenance the operator was last [tagged](FactorCache::tag)
+    /// with, if any. It lives and dies with the entry.
+    alias: Option<Box<[u64]>>,
+}
+
+/// Moves entry `pos` to the front of the LRU list and returns its solver.
+fn promote(entries: &mut Vec<CacheEntry>, pos: usize) -> Arc<PreparedSolver> {
+    let entry = entries.remove(pos);
+    let solver = Arc::clone(&entry.solver);
+    entries.insert(0, entry);
+    solver
 }
 
 /// Content-addressed memo of [`PreparedSolver`]s.
@@ -1744,6 +1755,21 @@ struct CacheEntry {
 /// layouts/loads over the same lattice reuses one symbolic + numeric
 /// factorization instead of re-factoring per call. A small LRU list (default
 /// capacity 4) keeps alternating layouts from thrashing a single slot.
+///
+/// **Provenance aliases.** Finding an entry by content costs its caller
+/// the operator: it must be assembled, hashed and compared before the
+/// cache can say "already factored". A caller that knows *what determines*
+/// its operator can [`tag`](Self::tag) the entry with those words (an
+/// exact `[u64]` key — for the global stage: interpolation counts, layout
+/// shape and block kinds, boundary-condition kind, ROM identities) and ask
+/// [`operator_of`](Self::operator_of) first next time: a match returns the
+/// cached solver's own operator `Arc`, and a lookup with that `Arc` is
+/// answered by pointer identity — no assembly, no fingerprint, no compare.
+/// An alias is matched word for word under the backend's configuration
+/// fingerprint, is held by its entry (no second table, no extra capacity),
+/// and goes wherever the entry goes: evicted, [invalidated](Self::invalidate)
+/// and [injected-over](Self::inject) entries take theirs with them, a
+/// [healed](Self::solve_many_healing) entry hands its alias to the rebuild.
 #[derive(Debug)]
 pub struct FactorCache {
     capacity: usize,
@@ -1829,8 +1855,21 @@ impl FactorCache {
         backend: &dyn SolverBackend,
         a: &Arc<CsrMatrix>,
     ) -> Result<(Arc<PreparedSolver>, bool), LinalgError> {
+        let backend_config = backend.config_fingerprint();
+        // An operator handed back by `operator_of` is the cached solver's
+        // own allocation: identity proves equality, so the warm path pays
+        // neither the O(nnz) fingerprint nor the O(nnz) compare.
+        {
+            let mut entries = self.entries.lock().expect("factor cache poisoned");
+            if let Some(pos) = entries.iter().position(|e| {
+                e.key.backend_config == backend_config && Arc::ptr_eq(e.solver.matrix(), a)
+            }) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok((promote(&mut entries, pos), true));
+            }
+        }
         let key = CacheKey {
-            backend_config: backend.config_fingerprint(),
+            backend_config,
             nrows: a.nrows(),
             ncols: a.ncols(),
             nnz: a.nnz(),
@@ -1861,10 +1900,7 @@ impl FactorCache {
                             && backend.accepts_cached(&e.solver, a)
                     })
                 })?;
-            let entry = entries.remove(pos);
-            let solver = Arc::clone(&entry.solver);
-            entries.insert(0, entry); // LRU: move to front
-            Some(solver)
+            Some(promote(entries, pos))
         };
         {
             let mut entries = self.entries.lock().expect("factor cache poisoned");
@@ -1887,6 +1923,7 @@ impl FactorCache {
             CacheEntry {
                 key,
                 solver: Arc::clone(&solver),
+                alias: None,
             },
         );
         entries.truncate(self.capacity);
@@ -1906,7 +1943,10 @@ impl FactorCache {
     /// [`Rung::Rebuilt`] step in the returned report's degradation trail,
     /// and the boolean flag reports whether it happened. A fresh prepare
     /// that fails is never retried (nothing stale to heal) and, as always,
-    /// never enters the cache.
+    /// never enters the cache. The rebuilt entry inherits the provenance
+    /// alias of the one it replaces (same operator, same configuration),
+    /// so a heal reached through [`operator_of`](Self::operator_of) leaves
+    /// the warm path warm.
     pub fn solve_many_healing(
         &self,
         backend: &dyn SolverBackend,
@@ -1929,6 +1969,13 @@ impl FactorCache {
             return first.map(|batch| (batch, false));
         };
         // Suspect cached entry: drop it, rebuild once, retry the batch.
+        let alias = {
+            let entries = self.entries.lock().expect("factor cache poisoned");
+            entries
+                .iter()
+                .find(|e| Arc::ptr_eq(&e.solver, &solver))
+                .and_then(|e| e.alias.clone())
+        };
         self.invalidate(a);
         let rebuilt = Arc::new(backend.prepare(Arc::clone(a))?);
         let mut batch = rebuilt.solve_many(rhs, threads)?;
@@ -1954,6 +2001,7 @@ impl FactorCache {
             CacheEntry {
                 key,
                 solver: rebuilt,
+                alias,
             },
         );
         entries.truncate(self.capacity);
@@ -1981,8 +2029,64 @@ impl FactorCache {
         };
         let mut entries = self.entries.lock().expect("factor cache poisoned");
         entries.retain(|e| e.key != key);
-        entries.insert(0, CacheEntry { key, solver });
+        entries.insert(
+            0,
+            CacheEntry {
+                key,
+                solver,
+                alias: None,
+            },
+        );
         entries.truncate(self.capacity);
+    }
+
+    /// The operator of the entry [tagged](Self::tag) with exactly
+    /// `provenance` under `backend`'s configuration, if one is cached.
+    ///
+    /// The returned `Arc` is the cached solver's own
+    /// ([`PreparedSolver::matrix`]) — nothing is copied — and handing it
+    /// to [`prepare`](Self::prepare) /
+    /// [`solve_many_healing`](Self::solve_many_healing) is a hit by pointer
+    /// identity. The probe itself counts nothing and leaves the LRU order
+    /// alone: the lookup that follows does both.
+    pub fn operator_of(
+        &self,
+        backend: &dyn SolverBackend,
+        provenance: &[u64],
+    ) -> Option<Arc<CsrMatrix>> {
+        let backend_config = backend.config_fingerprint();
+        let entries = self.entries.lock().expect("factor cache poisoned");
+        entries
+            .iter()
+            .find(|e| {
+                e.key.backend_config == backend_config && e.alias.as_deref() == Some(provenance)
+            })
+            .map(|e| Arc::clone(e.solver.matrix()))
+    }
+
+    /// Records `provenance` as the alias of the entry that serves
+    /// `(backend, a)`; a no-op when no such entry is cached (any more).
+    ///
+    /// The caller vouches that `provenance` *determines* `a` — equal words
+    /// must mean an equal operator — which is why the words should name
+    /// identities that cannot collide (process-unique ids, exact counts),
+    /// never hashes. An entry holds one alias, the latest: two provenances
+    /// that assemble to one operator share its factor, and the one tagged
+    /// last skips assembly. The entry is found by pointer identity when it
+    /// was prepared from this very `a` (the usual case: tag right after a
+    /// miss), by exact comparison otherwise.
+    pub fn tag(&self, backend: &dyn SolverBackend, a: &Arc<CsrMatrix>, provenance: &[u64]) {
+        let backend_config = backend.config_fingerprint();
+        let mut entries = self.entries.lock().expect("factor cache poisoned");
+        // The entry just served `a`, so it sits at the front of the list
+        // and the identity test usually settles it before any value is read.
+        let entry = entries.iter_mut().find(|e| {
+            e.key.backend_config == backend_config
+                && (Arc::ptr_eq(e.solver.matrix(), a) || e.solver.matrix().as_ref() == a.as_ref())
+        });
+        if let Some(entry) = entry {
+            entry.alias = Some(provenance.into());
+        }
     }
 
     /// Looks up the cached prepared solver for `(backend, a)` without
@@ -2006,11 +2110,8 @@ impl FactorCache {
         let pos = entries
             .iter()
             .position(|e| e.key == key && e.solver.matrix().as_ref() == a.as_ref())?;
-        let entry = entries.remove(pos);
-        let solver = Arc::clone(&entry.solver);
-        entries.insert(0, entry);
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(solver)
+        Some(promote(&mut entries, pos))
     }
 
     /// Drops every cached solver prepared for an operator value-identical

@@ -40,7 +40,9 @@
 //!   [`PreparedSolver::solve_many`].
 //! * [`FactorCache`] — content-addressed memo of prepared solvers, so
 //!   repeated solves over the same operator (many thermal loads on one
-//!   lattice) pay for one factorization.
+//!   lattice) pay for one factorization; entries can be tagged with an
+//!   exact provenance key, so a caller that knows what determines its
+//!   operator finds it without assembling it again.
 //! * [`ShardPlan`] / [`Sharded`] — domain-decomposition sharding of the
 //!   operator: a K-way interior/interface partition built from the
 //!   nested-dissection separator machinery, and a Schur-complement backend

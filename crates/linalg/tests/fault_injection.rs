@@ -328,6 +328,123 @@ fn evicted_cache_entry_reprepares_transparently() {
     }
 }
 
+/// A corrupted factor reached *through a provenance hit* — the caller
+/// never assembled an operator, it holds the cached solver's own — heals
+/// like any other: detected, rebuilt once (`Rung::Rebuilt`), and the
+/// retried batch is bitwise the clean one. The rebuilt entry inherits the
+/// alias, so the next provenance lookup still skips assembly.
+#[test]
+fn corrupted_factor_behind_a_provenance_hit_self_heals() {
+    let a = Arc::new(lattice(10, 8));
+    let backend = Resilient::default();
+    let rhs = rhs_set(a.nrows(), 3);
+    let clean = backend
+        .prepare(Arc::clone(&a))
+        .expect("clean prepare")
+        .solve_many(&rhs, 2)
+        .expect("clean solve");
+    let provenance = [10u64, 8, 0xA11A5];
+
+    let cache = FactorCache::new();
+    cache
+        .solve_many_healing(&backend, &a, &rhs, 2)
+        .expect("cold solve");
+    cache.tag(&backend, &a, &provenance);
+    FaultPlan::new(23)
+        .corrupt_cache(&cache, &backend, &a)
+        .expect("planting the corrupted factor");
+    assert!(
+        cache.operator_of(&backend, &provenance).is_none(),
+        "injecting over an entry drops its alias with it"
+    );
+    cache.tag(&backend, &a, &provenance);
+
+    // The warm route: ask by provenance, solve on what comes back.
+    let operator = cache
+        .operator_of(&backend, &provenance)
+        .expect("tagged entry");
+    assert!(
+        Arc::ptr_eq(&operator, &a),
+        "the cached solver's own operator"
+    );
+    let (hits, misses) = (cache.hits(), cache.misses());
+    let (batch, healed) = cache
+        .solve_many_healing(&backend, &operator, &rhs, 2)
+        .expect("healing solve");
+    assert!(healed, "the corrupted entry must be detected and rebuilt");
+    assert_eq!(
+        (cache.hits(), cache.misses()),
+        (hits + 1, misses + 1),
+        "one identity hit on the bad factor, one rebuild"
+    );
+    assert_eq!(
+        batch.report.degradation.steps().next().map(|s| s.rung),
+        Some(Rung::Rebuilt)
+    );
+    for (x, y) in clean.xs.iter().zip(&batch.xs) {
+        for (p, q) in x.iter().zip(y) {
+            assert_eq!(
+                p.to_bits(),
+                q.to_bits(),
+                "healed batch must be the clean one"
+            );
+        }
+    }
+
+    // Re-tagged by the heal: still one entry, still found, now clean.
+    assert_eq!(cache.len(), 1);
+    let operator = cache
+        .operator_of(&backend, &provenance)
+        .expect("the rebuilt entry inherits the alias");
+    let (again, healed_again) = cache
+        .solve_many_healing(&backend, &operator, &rhs, 2)
+        .expect("clean warm solve");
+    assert!(!healed_again);
+    assert!(again.report.degradation.is_empty());
+    assert_eq!(again.xs, clean.xs);
+}
+
+/// An alias never outlives its entry, and never answers for another
+/// configuration: LRU truncation and `invalidate` take it along, and a
+/// backend with a different fingerprint does not see it.
+#[test]
+fn provenance_alias_leaves_with_its_entry() {
+    let backend = DirectCholesky::default();
+    let (a, b) = (Arc::new(lattice(7, 6)), Arc::new(lattice(6, 7)));
+    let cache = FactorCache::with_capacity(1);
+
+    cache.prepare(&backend, &a).expect("prepare a");
+    cache.tag(&backend, &a, &[1, 2, 3]);
+    assert!(cache.operator_of(&backend, &[1, 2, 3]).is_some());
+    assert!(
+        cache.operator_of(&backend, &[1, 2]).is_none(),
+        "word for word"
+    );
+    assert!(
+        cache
+            .operator_of(&Resilient::default(), &[1, 2, 3])
+            .is_none(),
+        "another configuration must prepare its own"
+    );
+
+    cache.prepare(&backend, &b).expect("prepare b evicts a");
+    assert!(cache.operator_of(&backend, &[1, 2, 3]).is_none(), "evicted");
+    cache.tag(&backend, &a, &[1, 2, 3]);
+    assert!(
+        cache.operator_of(&backend, &[1, 2, 3]).is_none(),
+        "tagging an operator that is not cached is a no-op"
+    );
+
+    // Found by content when the caller's `Arc` is not the cached one.
+    cache.tag(&backend, &Arc::new(lattice(6, 7)), &[4]);
+    let cached = cache
+        .operator_of(&backend, &[4])
+        .expect("tagged by content");
+    assert!(Arc::ptr_eq(&cached, &b));
+    assert_eq!(cache.invalidate(&b), 1);
+    assert!(cache.operator_of(&backend, &[4]).is_none(), "invalidated");
+}
+
 /// The no-fault path is bitwise invariant: the resilient wrapping (and
 /// the `Auto` policy routing through it) returns exactly the plain direct
 /// backend's bits, at every pool cap — serial, minimal, saturated,

@@ -223,3 +223,45 @@ fn dummy_padding_moves_boundary_error_away_from_the_core() {
         "padding + ROM ({err_far}) should beat un-padded coarse clamping ({err_near})"
     );
 }
+
+#[test]
+fn submodel_closures_on_one_layout_never_share_a_lifting_term() {
+    // A sub-model boundary closure cannot be compared, and its lifting term
+    // `−A_fb u_b` needs the unreduced operator: such solves carry no
+    // provenance alias and keep assembling, even on a simulator whose cache
+    // already holds their (identical) reduced operator. Two closures with
+    // different prescribed values must each get their own answer.
+    let geom = TsvGeometry::paper_defaults(15.0);
+    let build = || {
+        MoreStressSimulator::builder(&geom)
+            .solver(RomSolver::DirectCholesky)
+            .build_dummy(true)
+            .build()
+            .expect("simulator")
+    };
+    let layout = BlockLayout::uniform(2, 2, BlockKind::Tsv).padded(1);
+    let stretch = GlobalBc::SubmodelBoundary(Arc::new(|p| [1e-3 * p[0], 0.0, 0.0]));
+    let shear = GlobalBc::SubmodelBoundary(Arc::new(|p| [0.0, 2e-3 * p[2], -1e-3 * p[1]]));
+
+    let sim = build();
+    let mut solved = Vec::new();
+    for bc in [&stretch, &shear, &stretch] {
+        let sol = sim.solve_array(&layout, -250.0, bc).expect("rom solve");
+        assert!(!sol.stats.operator_reused, "closure BCs always assemble");
+        solved.push(sol);
+    }
+    // One operator, found by content after assembly: one factorization.
+    assert_eq!(sim.factor_cache().misses(), 1);
+    assert_eq!(sim.factor_cache().hits(), 2);
+    assert_ne!(
+        solved[0].nodal_displacement(),
+        solved[1].nodal_displacement(),
+        "different boundary data, different fields"
+    );
+    for (sol, bc) in solved.iter().zip([&stretch, &shear, &stretch]) {
+        let fresh = build()
+            .solve_array(&layout, -250.0, bc)
+            .expect("fresh solve");
+        assert_eq!(sol.nodal_displacement(), fresh.nodal_displacement());
+    }
+}
