@@ -131,7 +131,6 @@ impl CampaignReport {
 /// The concurrent campaign scheduler. See the [module docs](self).
 #[derive(Debug, Clone, Default)]
 pub struct CampaignRunner {
-    max_in_flight: usize,
     admission: AdmissionOrder,
 }
 
@@ -146,17 +145,10 @@ struct Job {
 }
 
 impl CampaignRunner {
-    /// A runner with unbounded admission (the pool cap is the only
-    /// limit) and round-robin fairness.
+    /// A runner with round-robin fairness. At most [`WorkPool`]-cap jobs
+    /// are in flight at once.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Bounds how many jobs may be in flight at once (clamped to the
-    /// [`WorkPool`] cap; 0 = up to the cap).
-    pub fn max_in_flight(mut self, jobs: usize) -> Self {
-        self.max_in_flight = jobs;
-        self
     }
 
     /// Sets the admission order across campaigns.
@@ -231,12 +223,7 @@ impl CampaignRunner {
         };
 
         let pool = WorkPool::current();
-        let bound = if self.max_in_flight == 0 {
-            pool.cap()
-        } else {
-            self.max_in_flight
-        };
-        let workers = bound.min(total.max(1));
+        let workers = pool.cap().min(total.max(1));
 
         let next = AtomicUsize::new(0);
         let results: Mutex<Vec<Option<JobReport>>> = Mutex::new(vec![None; total]);

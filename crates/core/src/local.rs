@@ -18,8 +18,7 @@
 //! the builder measures it and stores the worst violation in
 //! [`LocalStageStats::galerkin_orthogonality`].
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use morestress_fem::{assemble_system, MaterialSet};
@@ -178,27 +177,22 @@ impl LocalStage {
 
         // Stage 1 (parallel): lifted right-hand sides `−A_fb L e_t`, one
         // reused boundary buffer per worker.
-        let mut rhs_set: Vec<Vec<f64>> = vec![Vec::new(); num_tasks];
-        {
-            let slots: Vec<Mutex<&mut Vec<f64>>> = rhs_set.iter_mut().map(Mutex::new).collect();
-            pool.scope_chunks_with(
-                threads,
-                num_tasks,
-                || vec![0.0; boundary_dofs.len()],
-                |u_bc, task| {
-                    let rhs = if task < n {
-                        boundary_data(task, u_bc);
-                        let mut rhs = a_fb.spmv(u_bc);
-                        rhs.iter_mut().for_each(|v| *v = -*v);
-                        rhs
-                    } else {
-                        // Thermal task: ΔT = 1, zero boundary displacement.
-                        b_free.clone()
-                    };
-                    **slots[task].lock().expect("rhs slot poisoned") = rhs;
-                },
-            );
-        }
+        let (rhs_set, _) = pool.scope_collect_with(
+            threads,
+            num_tasks,
+            || vec![0.0; boundary_dofs.len()],
+            |u_bc, task| {
+                if task < n {
+                    boundary_data(task, u_bc);
+                    let mut rhs = a_fb.spmv(u_bc);
+                    rhs.iter_mut().for_each(|v| *v = -*v);
+                    rhs
+                } else {
+                    // Thermal task: ΔT = 1, zero boundary displacement.
+                    b_free.clone()
+                }
+            },
+        );
 
         // Stage 2: the paper's key reuse, now panel-blocked — every worker
         // sweeps the shared factor once per panel of right-hand sides.
@@ -206,29 +200,25 @@ impl LocalStage {
         drop(rhs_set);
 
         // Stage 3 (parallel): expand to full-mesh vectors.
-        let mut solutions: Vec<Vec<f64>> = vec![Vec::new(); num_tasks];
-        {
-            let slots: Vec<Mutex<&mut Vec<f64>>> = solutions.iter_mut().map(Mutex::new).collect();
-            pool.scope_chunks_with(
-                threads,
-                num_tasks,
-                || vec![0.0; boundary_dofs.len()],
-                |u_bc, task| {
-                    let alpha = &batch.xs[task];
-                    let mut full = vec![0.0; ndof];
-                    for (i, &d) in free_dofs.iter().enumerate() {
-                        full[d] = alpha[i];
+        let (mut solutions, _) = pool.scope_collect_with(
+            threads,
+            num_tasks,
+            || vec![0.0; boundary_dofs.len()],
+            |u_bc, task| {
+                let alpha = &batch.xs[task];
+                let mut full = vec![0.0; ndof];
+                for (i, &d) in free_dofs.iter().enumerate() {
+                    full[d] = alpha[i];
+                }
+                if task < n {
+                    boundary_data(task, u_bc);
+                    for (i, &d) in boundary_dofs.iter().enumerate() {
+                        full[d] = u_bc[i];
                     }
-                    if task < n {
-                        boundary_data(task, u_bc);
-                        for (i, &d) in boundary_dofs.iter().enumerate() {
-                            full[d] = u_bc[i];
-                        }
-                    }
-                    **slots[task].lock().expect("solution slot poisoned") = full;
-                },
-            );
-        }
+                }
+                full
+            },
+        );
         let basis_thermal = solutions.pop().expect("thermal slot exists");
         let basis = solutions;
 
@@ -236,35 +226,27 @@ impl LocalStage {
         let mut a_elem = DenseMatrix::zeros(n, n);
         let mut b_elem = vec![0.0; n];
         let mut worst_tfi = 0.0f64;
-        {
-            let next = AtomicUsize::new(0);
-            let columns: Vec<Mutex<(Vec<f64>, f64, f64)>> =
-                (0..n).map(|_| Mutex::new((Vec::new(), 0.0, 0.0))).collect();
-            pool.scope_workers(threads, |_| {
-                let mut af = vec![0.0; ndof];
-                loop {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    if j >= n {
-                        return;
-                    }
-                    stiffness.spmv_into(&basis[j], &mut af);
-                    let col: Vec<f64> = basis
-                        .iter()
-                        .map(|fi| morestress_linalg::dot(fi, &af))
-                        .collect();
-                    let tfi = morestress_linalg::dot(&basis_thermal, &af);
-                    let bj = morestress_linalg::dot(&basis[j], &system.thermal_load);
-                    *columns[j].lock().expect("column slot poisoned") = (col, tfi, bj);
-                }
-            });
-            for (j, slot) in columns.into_iter().enumerate() {
-                let (col, tfi, bj) = slot.into_inner().expect("column slot poisoned");
-                for i in 0..n {
-                    a_elem[(i, j)] = col[i];
-                }
-                worst_tfi = worst_tfi.max(tfi.abs());
-                b_elem[j] = bj;
+        let (columns, _) = pool.scope_collect_with(
+            threads,
+            n,
+            || vec![0.0; ndof],
+            |af, j| {
+                stiffness.spmv_into(&basis[j], af);
+                let col: Vec<f64> = basis
+                    .iter()
+                    .map(|fi| morestress_linalg::dot(fi, af))
+                    .collect();
+                let tfi = morestress_linalg::dot(&basis_thermal, af);
+                let bj = morestress_linalg::dot(&basis[j], &system.thermal_load);
+                (col, tfi, bj)
+            },
+        );
+        for (j, (col, tfi, bj)) in columns.into_iter().enumerate() {
+            for i in 0..n {
+                a_elem[(i, j)] = col[i];
             }
+            worst_tfi = worst_tfi.max(tfi.abs());
+            b_elem[j] = bj;
         }
         // Exact symmetry for the downstream SPD solvers.
         for i in 0..n {

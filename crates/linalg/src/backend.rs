@@ -20,6 +20,18 @@
 //! by matrix fingerprint, turning the paper's Table 1/2 workloads — one
 //! lattice, many thermal loads — into one factorization plus k cheap solves.
 //!
+//! There is one solve route. [`PreparedSolver::solve_many`] validates the
+//! right-hand sides, runs the engine's batch (four engines: direct panels,
+//! sharded Schur, CG, GMRES), rejects non-finite solutions, applies the
+//! [`VerifyPolicy`] through one verifier and assembles the [`SolveReport`]
+//! in one place, from the per-solve numbers the engine returned plus what
+//! the prepared state says about itself; [`PreparedSolver::solve`] is a
+//! one-column batch. Resilience is not an engine: [`Resilient`] prepares
+//! the direct engine — around the factor of `A`, or of `A + δ·I` — and
+//! attaches the degradation ladder (verify → refine on the same factor →
+//! lazily built GMRES) as a policy, with residuals always taken against
+//! the original operator.
+//!
 //! Every solve returns a [`SolveReport`] carrying iterations, residual,
 //! setup/solve wall time and an analytic memory estimate, so cost accounting
 //! is uniform across backends and layers.
@@ -467,10 +479,6 @@ enum Engine {
         precond: Box<dyn Preconditioner + Send + Sync>,
         opts: GmresOptions,
     },
-    /// The degradation-ladder engine of the [`Resilient`] backend: a direct
-    /// factor (possibly of a diagonally-shifted operator) plus the
-    /// refinement and lazily-built GMRES rungs below it.
-    Resilient(ResilientEngine),
 }
 
 impl Engine {
@@ -480,142 +488,31 @@ impl Engine {
             Engine::Sharded(_) => "sharded",
             Engine::Cg { .. } => "cg",
             Engine::Gmres { .. } => "gmres",
-            Engine::Resilient(_) => "resilient",
         }
     }
 }
 
-/// Runtime state of the [`Resilient`] ladder: the direct rung and the
-/// machinery to fall below it per solve.
-pub(crate) struct ResilientEngine {
-    /// The prepared direct rung — a factor of `A` itself (`shift == 0`) or
-    /// of the regularized `A + shift·I`.
-    direct: Arc<PreparedSolver>,
-    /// Diagonal shift of the factored operator (0 for a clean factor).
-    shift: f64,
-    /// Enforced relative-residual tolerance of the ladder.
+/// Sweeps the ladder's refinement rung may spend on one right-hand side.
+const MAX_REFINE_SWEEPS: usize = 8;
+/// First diagonal shift of the regularization rung, relative to the largest
+/// absolute diagonal entry.
+const SHIFT_REL: f64 = 1e-8;
+/// Multiplicative escalation between regularized re-factor attempts.
+const SHIFT_GROWTH: f64 = 1e4;
+/// Regularized re-factor attempts before preparation falls to GMRES.
+const SHIFT_ATTEMPTS: usize = 3;
+
+/// The resilience policy of a [`Resilient`]-prepared solver: its
+/// [`Engine::Direct`] factor — of the operator itself, or of the
+/// regularized `A + δ·I` — is the first rung, and every solve is verified
+/// against the *original* operator at `tol`, falling to refinement on the
+/// same factor and then to GMRES.
+struct Ladder {
+    /// Enforced relative-residual tolerance (and the iterative rungs'
+    /// target).
     tol: f64,
-    /// Refinement budget of the refinement rung.
-    refine: crate::RefineOptions,
-    /// Options of the GMRES bottom rung.
-    gmres_opts: GmresOptions,
     /// The GMRES rung, built on first use (most solves never reach it).
     gmres: Mutex<Option<Arc<PreparedSolver>>>,
-}
-
-impl ResilientEngine {
-    /// Walks the solve-time rungs for one right-hand side: direct solve →
-    /// verified residual → iterative refinement reusing the factor → GMRES.
-    fn solve(&self, a: &Arc<CsrMatrix>, b: &[f64]) -> EngineResult {
-        let mut trail = DegradationTrail::new();
-        let mut x = match self.direct.solve(b) {
-            Ok(sol) => sol.x,
-            // A non-finite direct solution (severely ill-conditioned
-            // factor) cannot be refined — fall straight to GMRES.
-            Err(err) => return self.gmres_rung(a, b, err, 0, &mut trail),
-        };
-        let rr = a.residual(&x, b);
-        if rr <= self.tol {
-            return Ok(EngineSolve {
-                x,
-                iterations: None,
-                residual: None,
-                verified: Some(rr),
-                trail,
-            });
-        }
-        // Refinement rung: reuse the (possibly shifted) factor to solve the
-        // correction equation. Stall detection keeps the best iterate.
-        trail.push(DegradationStep {
-            rung: Rung::Refined,
-            error: LinalgError::DidNotConverge {
-                iterations: 0,
-                residual: rr,
-                restarts: 0,
-            },
-        });
-        let factor = &self.direct;
-        let (sweeps, refined) = crate::refine(
-            a.as_ref(),
-            b,
-            &mut x,
-            |r| match factor.solve(r) {
-                Ok(sol) => sol.x,
-                // A non-finite correction stalls the sweep, which rolls
-                // back to the best iterate and stops.
-                Err(_) => vec![f64::NAN; r.len()],
-            },
-            crate::RefineOptions {
-                tol: self.tol,
-                ..self.refine
-            },
-        );
-        if refined <= self.tol {
-            return Ok(EngineSolve {
-                x,
-                iterations: Some(sweeps),
-                residual: Some(refined),
-                verified: Some(refined),
-                trail,
-            });
-        }
-        self.gmres_rung(
-            a,
-            b,
-            LinalgError::DidNotConverge {
-                iterations: sweeps,
-                residual: refined,
-                restarts: 0,
-            },
-            sweeps,
-            &mut trail,
-        )
-    }
-
-    /// The bottom rung: GMRES on the original operator action, prepared
-    /// lazily and shared across right-hand sides.
-    fn gmres_rung(
-        &self,
-        a: &Arc<CsrMatrix>,
-        b: &[f64],
-        cause: LinalgError,
-        sweeps: usize,
-        trail: &mut DegradationTrail,
-    ) -> EngineResult {
-        trail.push(DegradationStep {
-            rung: Rung::Gmres,
-            error: cause,
-        });
-        let gmres = {
-            let mut slot = self.gmres.lock().expect("gmres rung poisoned");
-            match &*slot {
-                Some(prepared) => Arc::clone(prepared),
-                None => {
-                    let prepared = Arc::new(
-                        Gmres {
-                            opts: GmresOptions {
-                                tol: self.tol,
-                                ..self.gmres_opts
-                            },
-                            precond: PrecondSpec::Jacobi,
-                        }
-                        .prepare(Arc::clone(a))?,
-                    );
-                    *slot = Some(Arc::clone(&prepared));
-                    prepared
-                }
-            }
-        };
-        let sol = gmres.solve(b)?;
-        let rr = a.residual(&sol.x, b);
-        Ok(EngineSolve {
-            x: sol.x,
-            iterations: sol.report.iterations.map(|it| it + sweeps),
-            residual: sol.report.residual,
-            verified: Some(rr),
-            trail: *trail,
-        })
-    }
 }
 
 /// The reusable product of [`SolverBackend::prepare`]: a factorization or a
@@ -639,18 +536,22 @@ pub struct PreparedSolver {
     /// it to task-per-RHS; ignored by the iterative engines).
     panel_width: usize,
     /// Residual-verification policy every solve through this solver runs
-    /// under (the resilient engine self-verifies and ignores this).
+    /// under (a ladder verifies itself at its own tolerance first; the
+    /// policy then applies to the residual it measured).
     verify: VerifyPolicy,
     /// Degradation steps recorded while *preparing* this solver (regularized
     /// re-factor, prepare-time GMRES fallback) — the prefix of every
     /// [`SolveReport::degradation`] trail it emits.
     prep_trail: DegradationTrail,
+    /// The resilience policy over the direct engine; `None` for every
+    /// solver not prepared by [`Resilient`].
+    ladder: Option<Ladder>,
 }
 
 impl fmt::Debug for PreparedSolver {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PreparedSolver")
-            .field("backend", &self.engine.label())
+            .field("backend", &self.backend())
             .field("dim", &self.dim())
             .field("setup_time", &self.setup_time)
             .field("solver_bytes", &self.solver_bytes())
@@ -658,21 +559,88 @@ impl fmt::Debug for PreparedSolver {
     }
 }
 
-/// One engine solve: the solution plus its accounting.
-struct EngineSolve {
+/// What one engine batch hands back: exactly the part of a [`SolveReport`]
+/// that differs per solve. Everything else is read off the prepared state
+/// by [`PreparedSolver::report`].
+#[derive(Default)]
+struct EngineBatch {
+    /// Solutions, in right-hand-side order.
+    xs: Vec<Vec<f64>>,
+    /// Iterations, summed over the batch (`None` for direct solves).
+    iterations: Option<usize>,
+    /// The engine's own residual estimate, worst over the batch.
+    residual: Option<f64>,
+    /// Worst true relative residual, when the engine verified itself (the
+    /// ladder always does).
+    verified: Option<f64>,
+    /// Deepest solve-time degradation trail (empty without a ladder).
+    trail: DegradationTrail,
+    /// Worker slots that solved at least one right-hand side.
+    workers: usize,
+    /// Per-solve workspaces held at once: one per worker, except for the
+    /// sharded engine, whose staging vectors are held per right-hand side
+    /// across the interface stage.
+    workspaces: usize,
+}
+
+/// One right-hand side through a per-RHS engine (the Krylov solvers, the
+/// ladder's lower rungs), before [`PreparedSolver::per_rhs_batch`] folds
+/// the batch together.
+#[derive(Default)]
+struct RhsSolve {
     x: Vec<f64>,
     iterations: Option<usize>,
     residual: Option<f64>,
-    /// True relative residual, when the engine verified it itself (the
-    /// resilient ladder always does).
     verified: Option<f64>,
-    /// Solve-time degradation steps (empty for every non-resilient engine).
     trail: DegradationTrail,
 }
 
-type EngineResult = Result<EngineSolve, LinalgError>;
+impl From<crate::IterativeSolution> for RhsSolve {
+    fn from(sol: crate::IterativeSolution) -> Self {
+        Self {
+            x: sol.x,
+            iterations: Some(sol.iterations),
+            residual: Some(sol.residual),
+            ..Self::default()
+        }
+    }
+}
+
+/// The worse of two relative residuals. A NaN counts as ∞: `f64::max` would
+/// silently drop it, and a residual that could not be computed must never
+/// pass for a small one.
+fn worse(a: f64, b: f64) -> f64 {
+    if a.is_nan() || b.is_nan() {
+        f64::INFINITY
+    } else {
+        a.max(b)
+    }
+}
 
 impl PreparedSolver {
+    /// A solver around `engine` with the defaults most backends want: one
+    /// right-hand side per panel, verification off, no preparation trail,
+    /// no ladder.
+    fn new(
+        matrix: Arc<CsrMatrix>,
+        engine: Engine,
+        setup_time: Duration,
+        shared_bytes: usize,
+        workspace_bytes: usize,
+    ) -> Self {
+        Self {
+            matrix,
+            engine,
+            setup_time,
+            shared_bytes,
+            workspace_bytes,
+            panel_width: 1,
+            verify: VerifyPolicy::Off,
+            prep_trail: DegradationTrail::new(),
+            ladder: None,
+        }
+    }
+
     /// Wraps an assembled [`SchurSolver`] — the constructor
     /// `Sharded::prepare` uses.
     pub(crate) fn from_sharded(
@@ -687,14 +655,15 @@ impl PreparedSolver {
         // first contained shard's ladder trail as its own.
         let prep_trail = schur.degradation_trail();
         Self {
-            matrix,
-            engine: Engine::Sharded(schur),
-            setup_time,
-            shared_bytes,
-            workspace_bytes,
-            panel_width: 1,
             verify,
             prep_trail,
+            ..Self::new(
+                matrix,
+                Engine::Sharded(schur),
+                setup_time,
+                shared_bytes,
+                workspace_bytes,
+            )
         }
     }
 
@@ -729,7 +698,10 @@ impl PreparedSolver {
 
     /// Name of the backend that prepared this solver.
     pub fn backend(&self) -> &'static str {
-        self.engine.label()
+        match self.ladder {
+            Some(_) => "resilient",
+            None => self.engine.label(),
+        }
     }
 
     /// Dimension of the prepared operator.
@@ -854,65 +826,6 @@ impl PreparedSolver {
         }
     }
 
-    fn solve_one(&self, b: &[f64]) -> EngineResult {
-        let clean = |(x, iterations, residual)| EngineSolve {
-            x,
-            iterations,
-            residual,
-            verified: None,
-            trail: DegradationTrail::new(),
-        };
-        match &self.engine {
-            Engine::Direct(factor) => Ok(clean((factor.solve(b), None, None))),
-            Engine::Sharded(schur) => {
-                let (mut xs, iterations, residual, _workers) =
-                    schur.solve_many(std::slice::from_ref(&b.to_vec()), 1)?;
-                Ok(clean((
-                    xs.pop().expect("one right-hand side in, one solution out"),
-                    iterations,
-                    residual,
-                )))
-            }
-            Engine::Cg { precond, opts } => {
-                let sol = solve_cg(&*self.matrix, b, &**precond, *opts)?;
-                Ok(clean((sol.x, Some(sol.iterations), Some(sol.residual))))
-            }
-            Engine::Gmres { precond, opts } => {
-                let sol = solve_gmres(&*self.matrix, b, &**precond, *opts)?;
-                Ok(clean((sol.x, Some(sol.iterations), Some(sol.residual))))
-            }
-            Engine::Resilient(res) => res.solve(&self.matrix, b),
-        }
-    }
-
-    /// Runs the [`VerifyPolicy`] over one solved right-hand side. The
-    /// resilient engine verifies itself (`already`), so only the policy
-    /// bookkeeping applies there.
-    fn verify_one(
-        &self,
-        b: &[f64],
-        x: &[f64],
-        iterations: Option<usize>,
-        already: Option<f64>,
-    ) -> Result<Option<f64>, LinalgError> {
-        let rr = match (already, self.verify) {
-            (Some(rr), _) => rr,
-            (None, VerifyPolicy::Off) => return Ok(None),
-            (None, _) => self.matrix.residual(x, b),
-        };
-        if let VerifyPolicy::Enforce { tol } = self.verify {
-            // NaN residuals must fail enforcement too.
-            if rr.is_nan() || rr > tol {
-                return Err(LinalgError::DidNotConverge {
-                    iterations: iterations.unwrap_or(0),
-                    residual: rr,
-                    restarts: 0,
-                });
-            }
-        }
-        Ok(Some(rr))
-    }
-
     /// Merges the preparation trail with the deepest solve-time trail.
     fn full_trail(&self, solve_trail: DegradationTrail) -> DegradationTrail {
         let mut trail = self.prep_trail;
@@ -922,7 +835,10 @@ impl PreparedSolver {
         trail
     }
 
-    /// Solves `A x = b` for one right-hand side.
+    /// Solves `A x = b` for one right-hand side: a one-column
+    /// [`solve_many`](Self::solve_many), so a single solve and a batch of
+    /// one share every check, every bit of the solution and every field of
+    /// the report.
     ///
     /// # Errors
     ///
@@ -931,50 +847,13 @@ impl PreparedSolver {
     /// [`LinalgError::NonFinite`] for a NaN/Inf in `b` or the solution;
     /// [`LinalgError::DimensionMismatch`] if `b.len() != self.dim()`.
     pub fn solve(&self, b: &[f64]) -> Result<BackendSolution, LinalgError> {
-        if b.len() != self.dim() {
-            return Err(LinalgError::DimensionMismatch {
-                context: "prepared solve",
-                expected: self.dim(),
-                found: b.len(),
-            });
-        }
-        check_finite(b, "rhs")?;
-        let t0 = Instant::now();
-        let EngineSolve {
-            x,
-            iterations,
-            residual,
-            verified,
-            trail,
-        } = self.solve_one(b)?;
-        check_finite(&x, "solution")?;
-        let verified_residual = self.verify_one(b, &x, iterations, verified)?;
-        let (shards, interface_dofs, shard_factor_bytes) = self.shard_info();
-        let (shards_refactored, shards_reused) = self.reuse_info();
+        let mut batch = self.solve_many(std::slice::from_ref(&b.to_vec()), 1)?;
         Ok(BackendSolution {
-            x,
-            report: SolveReport {
-                backend: self.engine.label(),
-                setup_time: self.setup_time,
-                solve_time: t0.elapsed(),
-                iterations,
-                residual,
-                solver_bytes: self.solver_bytes(),
-                rhs_count: 1,
-                workers: 1,
-                factor_workers: self.factor_workers(),
-                supernode_stats: self.supernode_stats(),
-                kernel: self.kernel_name(),
-                shards,
-                interface_dofs,
-                shard_factor_bytes,
-                shards_refactored,
-                shards_reused,
-                verified_residual,
-                degradation: self.full_trail(trail),
-                shards_degraded: self.shards_degraded(),
-                plan_stats: self.plan_stats(),
-            },
+            x: batch
+                .xs
+                .pop()
+                .expect("one right-hand side in, one solution out"),
+            report: batch.report,
         })
     }
 
@@ -982,24 +861,33 @@ impl PreparedSolver {
     /// [`WorkPool`], using up to `threads` worker slots (the cap override
     /// clamps to the pool's own cap), all sharing this one prepared factor.
     ///
-    /// The direct engines take the **panel path**: the batch is cut into
+    /// This is the only solve route: validate the right-hand sides, run
+    /// the engine's batch, reject non-finite solutions, apply the
+    /// [`VerifyPolicy`], assemble the [`SolveReport`].
+    ///
+    /// The direct engine takes the **panel path**: the batch is cut into
     /// panels of [`DirectCholesky::panel_width`] right-hand sides, each
     /// worker claims whole panels (with one reused panel scratch per
     /// worker), and a single blocked triangular sweep serves every column
     /// of a panel — the factor is streamed once per panel instead of once
     /// per right-hand side. Panel partitioning depends only on the batch
     /// size, never on the worker count, and per column the operation order
-    /// equals the single-RHS solve, so batched results are bitwise
-    /// identical to looped solves at every pool cap. Iterative engines keep
-    /// the task-per-RHS distribution.
+    /// is that of a one-column batch, so results are bitwise identical to
+    /// looped solves at every pool cap. A [`Resilient`]-prepared solver
+    /// runs the same panels, then checks every column's true residual and
+    /// walks the ladder's lower rungs only where one misses. Iterative
+    /// engines distribute one task per right-hand side.
     ///
     /// This is the batched path the paper's Table 1/2 workloads want: one
     /// factorization (or preconditioner build) serving every thermal load.
     ///
     /// # Errors
     ///
-    /// The first *solver* failure is propagated; dimension mismatches are
-    /// reported before any work starts.
+    /// [`LinalgError::DimensionMismatch`] and [`LinalgError::NonFinite`]
+    /// for a bad right-hand side, before any work starts; the first solver
+    /// failure in right-hand-side order; [`LinalgError::NonFinite`] for a
+    /// NaN/Inf in a solution; [`LinalgError::DidNotConverge`] when the
+    /// worst true residual fails [`VerifyPolicy::Enforce`].
     pub fn solve_many(
         &self,
         rhs: &[Vec<f64>],
@@ -1008,7 +896,7 @@ impl PreparedSolver {
         for b in rhs {
             if b.len() != self.dim() {
                 return Err(LinalgError::DimensionMismatch {
-                    context: "prepared batched solve",
+                    context: "prepared solve",
                     expected: self.dim(),
                     found: b.len(),
                 });
@@ -1016,168 +904,92 @@ impl PreparedSolver {
             check_finite(b, "rhs")?;
         }
         let t0 = Instant::now();
-        if let Engine::Direct(factor) = &self.engine {
-            let mut batch = self.solve_many_panels(factor, rhs, threads, t0);
-            for x in &batch.xs {
-                check_finite(x, "solution")?;
+        let batch = match (&self.engine, &self.ladder) {
+            (Engine::Direct(factor), None) => self.direct_batch(factor, rhs, threads),
+            (Engine::Direct(factor), Some(ladder)) => {
+                self.ladder_batch(ladder, factor, rhs, threads)?
             }
-            batch.report.verified_residual = self.verify_batch(rhs, &batch.xs)?;
-            return Ok(batch);
-        }
-        if let Engine::Sharded(schur) = &self.engine {
-            let (xs, iterations, residual, workers) = schur.solve_many(rhs, threads)?;
-            for x in &xs {
-                check_finite(x, "solution")?;
-            }
-            let verified_residual = self.verify_batch(rhs, &xs)?;
-            return Ok(BatchSolution {
-                report: SolveReport {
-                    backend: self.engine.label(),
-                    setup_time: self.setup_time,
-                    solve_time: t0.elapsed(),
+            (Engine::Sharded(schur), _) => {
+                let (xs, iterations, residual, workers) = schur.solve_many(rhs, threads)?;
+                EngineBatch {
+                    xs,
                     iterations,
                     residual,
-                    // The sharded staging vectors (gathered right-hand
-                    // sides, pre-solves, interface reductions) are held per
-                    // right-hand side across the interface stage, so the
-                    // workspace scales with the batch, not the workers.
-                    solver_bytes: self.shared_bytes + rhs.len().max(1) * self.workspace_bytes,
-                    rhs_count: xs.len(),
                     workers,
-                    factor_workers: schur.factor_workers(),
-                    supernode_stats: None,
-                    kernel: schur.kernel_name(),
-                    shards: schur.num_shards(),
-                    interface_dofs: schur.interface_dofs(),
-                    shard_factor_bytes: schur.shard_factor_bytes(),
-                    shards_refactored: schur.shards_refactored(),
-                    shards_reused: schur.shards_reused(),
-                    verified_residual,
-                    degradation: self.prep_trail,
-                    shards_degraded: schur.shards_degraded(),
-                    plan_stats: Some(schur.plan_stats()),
-                },
-                xs,
-            });
-        }
-        if let Engine::Resilient(res) = &self.engine {
-            // Clean fast path (unshifted factor only): the whole batch
-            // through the inner factor's panel-blocked solve — bitwise
-            // identical to the plain direct backend — then one verification
-            // sweep. Any tolerance miss, or a broken panel solve, sends the
-            // batch down the task-per-RHS ladder path below instead.
-            if res.shift == 0.0 {
-                if let Ok(mut batch) = res.direct.solve_many(rhs, threads) {
-                    let worst = rhs
-                        .iter()
-                        .zip(&batch.xs)
-                        .map(|(b, x)| self.matrix.residual(x, b))
-                        .fold(0.0f64, f64::max);
-                    if worst <= res.tol {
-                        batch.report.backend = self.engine.label();
-                        batch.report.setup_time = self.setup_time;
-                        batch.report.verified_residual = Some(worst);
-                        batch.report.degradation = self.prep_trail;
-                        return Ok(batch);
-                    }
+                    workspaces: rhs.len().max(1),
+                    ..EngineBatch::default()
                 }
             }
-        }
-        let pool = WorkPool::current();
-        let concurrency = threads.max(1).min(rhs.len().max(1)).min(pool.cap());
-        let mut workers = 1;
-        let results: Vec<EngineResult> = if concurrency == 1 {
-            // No point paying queue traffic + per-slot locks for a serial
-            // batch (the common single-RHS case routed through here).
-            rhs.iter().map(|b| self.solve_one(b)).collect()
-        } else {
-            let slots: Vec<Mutex<Option<EngineResult>>> =
-                rhs.iter().map(|_| Mutex::new(None)).collect();
-            workers = pool.scope_chunks(concurrency, rhs.len(), |i| {
-                let result = self.solve_one(&rhs[i]);
-                *slots[i].lock().expect("solve slot poisoned") = Some(result);
-            });
-            slots
-                .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .expect("solve slot poisoned")
-                        .expect("every slot visited")
-                })
-                .collect()
+            (Engine::Cg { precond, opts }, _) => self.per_rhs_batch(rhs.len(), threads, |i| {
+                solve_cg(&*self.matrix, &rhs[i], &**precond, *opts).map(RhsSolve::from)
+            })?,
+            (Engine::Gmres { precond, opts }, _) => {
+                self.per_rhs_batch(rhs.len(), threads, |i| {
+                    solve_gmres(&*self.matrix, &rhs[i], &**precond, *opts).map(RhsSolve::from)
+                })?
+            }
         };
-
-        let mut xs = Vec::with_capacity(rhs.len());
-        let mut iterations: Option<usize> = None;
-        let mut residual: Option<f64> = None;
-        let mut verified_worst: Option<f64> = None;
-        let mut deepest = DegradationTrail::new();
-        for (i, result) in results.into_iter().enumerate() {
-            let es = result?;
-            check_finite(&es.x, "solution")?;
-            if let Some(rr) = self.verify_one(&rhs[i], &es.x, es.iterations, es.verified)? {
-                verified_worst = Some(verified_worst.map_or(rr, |worst: f64| worst.max(rr)));
-            }
-            if es.trail.len() > deepest.len() {
-                deepest = es.trail;
-            }
-            if let Some(it) = es.iterations {
-                iterations = Some(iterations.unwrap_or(0) + it);
-            }
-            if let Some(res) = es.residual {
-                residual = Some(residual.map_or(res, |worst: f64| worst.max(res)));
-            }
-            xs.push(es.x);
+        for x in &batch.xs {
+            check_finite(x, "solution")?;
         }
+        let verified_residual = self.verify(rhs, &batch)?;
         Ok(BatchSolution {
-            xs,
-            report: SolveReport {
-                backend: self.engine.label(),
-                setup_time: self.setup_time,
-                solve_time: t0.elapsed(),
-                iterations,
-                residual,
-                // Each concurrent worker holds its own iteration workspace.
-                solver_bytes: self.shared_bytes + workers * self.workspace_bytes,
-                rhs_count: rhs.len(),
-                workers,
-                factor_workers: self.factor_workers(),
-                supernode_stats: None,
-                kernel: None,
-                shards: 1,
-                interface_dofs: 0,
-                shard_factor_bytes: 0,
-                shards_refactored: 0,
-                shards_reused: 0,
-                verified_residual: verified_worst,
-                degradation: self.full_trail(deepest),
-                shards_degraded: 0,
-                plan_stats: None,
-            },
+            report: self.report(&batch, t0.elapsed(), verified_residual),
+            xs: batch.xs,
         })
     }
 
-    /// Runs the [`VerifyPolicy`] over a solved batch, recording the worst
-    /// relative residual.
-    fn verify_batch(&self, rhs: &[Vec<f64>], xs: &[Vec<f64>]) -> Result<Option<f64>, LinalgError> {
-        if matches!(self.verify, VerifyPolicy::Off) {
-            return Ok(None);
+    /// The one report: the per-solve numbers of `batch` plus everything
+    /// the prepared state says about itself.
+    fn report(
+        &self,
+        batch: &EngineBatch,
+        solve_time: Duration,
+        verified_residual: Option<f64>,
+    ) -> SolveReport {
+        let (shards, interface_dofs, shard_factor_bytes) = self.shard_info();
+        let (shards_refactored, shards_reused) = self.reuse_info();
+        SolveReport {
+            backend: self.backend(),
+            setup_time: self.setup_time,
+            solve_time,
+            iterations: batch.iterations,
+            residual: batch.residual,
+            solver_bytes: self.shared_bytes + batch.workspaces * self.workspace_bytes,
+            rhs_count: batch.xs.len(),
+            workers: batch.workers,
+            factor_workers: self.factor_workers(),
+            supernode_stats: self.supernode_stats(),
+            kernel: self.kernel_name(),
+            shards,
+            interface_dofs,
+            shard_factor_bytes,
+            shards_refactored,
+            shards_reused,
+            verified_residual,
+            degradation: self.full_trail(batch.trail),
+            shards_degraded: self.shards_degraded(),
+            plan_stats: self.plan_stats(),
         }
-        let mut worst: f64 = 0.0;
-        for (b, x) in rhs.iter().zip(xs) {
-            let rr = self.matrix.residual(x, b);
-            // `f64::max` would silently drop a NaN residual; pin it to ∞ so
-            // it survives the fold and fails enforcement.
-            worst = if rr.is_nan() {
-                f64::INFINITY
-            } else {
-                worst.max(rr)
-            };
-        }
+    }
+
+    /// The one verifier: the worst true relative residual of a solved
+    /// batch under the [`VerifyPolicy`] — measured here against the
+    /// original operator unless the engine already did (the ladder).
+    /// A residual that is NaN counts as ∞ ([`worse`]), so it fails
+    /// `Enforce` on every engine.
+    fn verify(&self, rhs: &[Vec<f64>], batch: &EngineBatch) -> Result<Option<f64>, LinalgError> {
+        let worst = match (batch.verified, self.verify) {
+            (Some(worst), _) => worst,
+            (None, VerifyPolicy::Off) => return Ok(None),
+            (None, _) => rhs.iter().zip(&batch.xs).fold(0.0, |worst, (b, x)| {
+                worse(worst, self.matrix.residual(x, b))
+            }),
+        };
         if let VerifyPolicy::Enforce { tol } = self.verify {
             if worst > tol {
                 return Err(LinalgError::DidNotConverge {
-                    iterations: 0,
+                    iterations: batch.iterations.unwrap_or(0),
                     residual: worst,
                     restarts: 0,
                 });
@@ -1186,76 +998,210 @@ impl PreparedSolver {
         Ok(Some(worst))
     }
 
-    /// The batched direct path: pool-distributed panels with per-worker
+    /// The direct engine's batch: pool-distributed panels with per-worker
     /// panel scratch (see [`solve_many`](Self::solve_many)).
-    fn solve_many_panels(
+    fn direct_batch(
         &self,
         factor: &SupernodalCholesky,
         rhs: &[Vec<f64>],
         threads: usize,
-        t0: Instant,
-    ) -> BatchSolution {
+    ) -> EngineBatch {
         let n = self.dim();
         let k = rhs.len();
         let width = self.panel_width.max(1);
         let num_panels = k.div_ceil(width);
-        let pool = WorkPool::current();
-        let concurrency = threads.max(1).min(num_panels.max(1)).min(pool.cap());
-
-        let slots: Vec<Mutex<Vec<f64>>> = rhs.iter().map(|_| Mutex::new(Vec::new())).collect();
-        let workers = pool
-            .scope_chunks_with(
-                concurrency,
-                num_panels,
-                || (vec![0.0f64; n * width], vec![0.0f64; factor.scratch_len()]),
-                |(panel, tmp), p| {
-                    let lo = p * width;
-                    let hi = (lo + width).min(k);
-                    let nrhs = hi - lo;
-                    let panel = &mut panel[..n * nrhs];
-                    for (c, b) in rhs[lo..hi].iter().enumerate() {
-                        panel[c * n..(c + 1) * n].copy_from_slice(b);
-                    }
-                    factor.solve_panel_with(panel, nrhs, tmp);
-                    for (c, i) in (lo..hi).enumerate() {
-                        *slots[i].lock().expect("panel slot poisoned") =
-                            panel[c * n..(c + 1) * n].to_vec();
-                    }
-                },
-            )
-            .max(1);
-
-        let xs: Vec<Vec<f64>> = slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("panel slot poisoned"))
-            .collect();
-        BatchSolution {
-            xs,
-            report: SolveReport {
-                backend: self.engine.label(),
-                setup_time: self.setup_time,
-                solve_time: t0.elapsed(),
-                iterations: None,
-                residual: None,
-                // Each concurrent worker holds one panel scratch.
-                solver_bytes: self.shared_bytes + workers * self.workspace_bytes,
-                rhs_count: k,
-                workers,
-                factor_workers: factor.factor_workers(),
-                supernode_stats: Some(factor.stats()),
-                kernel: Some(factor.kernel_name()),
-                shards: 1,
-                interface_dofs: 0,
-                shard_factor_bytes: 0,
-                shards_refactored: 0,
-                shards_reused: 0,
-                // Filled by the `solve_many` wrapper after the panels land.
-                verified_residual: None,
-                degradation: self.prep_trail,
-                shards_degraded: 0,
-                plan_stats: None,
+        let (panels, workers) = WorkPool::current().scope_collect_with(
+            threads,
+            num_panels,
+            || (vec![0.0f64; n * width], vec![0.0f64; factor.scratch_len()]),
+            |(panel, tmp), p| {
+                let lo = p * width;
+                let hi = (lo + width).min(k);
+                let nrhs = hi - lo;
+                let panel = &mut panel[..n * nrhs];
+                for (c, b) in rhs[lo..hi].iter().enumerate() {
+                    panel[c * n..(c + 1) * n].copy_from_slice(b);
+                }
+                factor.solve_panel_with(panel, nrhs, tmp);
+                (0..nrhs)
+                    .map(|c| panel[c * n..(c + 1) * n].to_vec())
+                    .collect::<Vec<_>>()
             },
+        );
+        let workers = workers.max(1);
+        EngineBatch {
+            xs: panels.into_iter().flatten().collect(),
+            workers,
+            workspaces: workers,
+            ..EngineBatch::default()
         }
+    }
+
+    /// The batch of every engine that solves one right-hand side at a
+    /// time: `solve_rhs(i)` fanned out over the pool, folded in
+    /// right-hand-side order — summed iterations, worst residuals, deepest
+    /// trail, first error.
+    fn per_rhs_batch(
+        &self,
+        count: usize,
+        threads: usize,
+        solve_rhs: impl Fn(usize) -> Result<RhsSolve, LinalgError> + Sync,
+    ) -> Result<EngineBatch, LinalgError> {
+        let (solved, workers) = WorkPool::current().scope_collect(threads, count, solve_rhs);
+        let workers = workers.max(1);
+        let mut batch = EngineBatch {
+            xs: Vec::with_capacity(count),
+            workers,
+            workspaces: workers,
+            ..EngineBatch::default()
+        };
+        for one in solved {
+            let one = one?;
+            if let Some(it) = one.iterations {
+                batch.iterations = Some(batch.iterations.unwrap_or(0) + it);
+            }
+            if let Some(res) = one.residual {
+                batch.residual = Some(worse(batch.residual.unwrap_or(0.0), res));
+            }
+            if let Some(rr) = one.verified {
+                batch.verified = Some(worse(batch.verified.unwrap_or(0.0), rr));
+            }
+            if one.trail.len() > batch.trail.len() {
+                batch.trail = one.trail;
+            }
+            batch.xs.push(one.x);
+        }
+        Ok(batch)
+    }
+
+    /// The ladder's batch. The direct rung is `direct_batch` itself — so a
+    /// clean solve is the plain direct backend's, bit for bit and field
+    /// for field — followed by one verification sweep against the original
+    /// operator. Only when a column misses `tol` (or came back non-finite)
+    /// does every column walk the lower rungs from its direct solution.
+    fn ladder_batch(
+        &self,
+        ladder: &Ladder,
+        factor: &SupernodalCholesky,
+        rhs: &[Vec<f64>],
+        threads: usize,
+    ) -> Result<EngineBatch, LinalgError> {
+        let mut batch = self.direct_batch(factor, rhs, threads);
+        let checked: Vec<Result<f64, LinalgError>> = rhs
+            .iter()
+            .zip(&batch.xs)
+            .map(|(b, x)| check_finite(x, "solution").map(|()| self.matrix.residual(x, b)))
+            .collect();
+        if checked
+            .iter()
+            .all(|rr| matches!(rr, Ok(rr) if *rr <= ladder.tol))
+        {
+            batch.verified = Some(checked.iter().flatten().fold(0.0, |w, &rr| worse(w, rr)));
+            return Ok(batch);
+        }
+        self.per_rhs_batch(rhs.len(), threads, |i| {
+            let direct = checked[i].map(|rr| (batch.xs[i].clone(), rr));
+            self.lower_rungs(ladder, factor, &rhs[i], direct)
+        })
+    }
+
+    /// Walks one right-hand side down from its direct solution `(x,
+    /// residual)`: accept it at `tol`, else iterative refinement reusing
+    /// the (possibly shifted) factor, else GMRES.
+    fn lower_rungs(
+        &self,
+        ladder: &Ladder,
+        factor: &SupernodalCholesky,
+        b: &[f64],
+        direct: Result<(Vec<f64>, f64), LinalgError>,
+    ) -> Result<RhsSolve, LinalgError> {
+        let mut trail = DegradationTrail::new();
+        let (mut x, rr) = match direct {
+            Ok(direct) => direct,
+            // A non-finite direct solution (severely ill-conditioned
+            // factor) cannot be refined — fall straight to GMRES.
+            Err(err) => return self.gmres_rung(ladder, b, err, 0, trail),
+        };
+        if rr <= ladder.tol {
+            return Ok(RhsSolve {
+                x,
+                verified: Some(rr),
+                ..RhsSolve::default()
+            });
+        }
+        // Refinement rung: solve the correction equation on the same
+        // factor. Stall detection keeps the best iterate, and a non-finite
+        // correction stalls the sweep.
+        trail.push(DegradationStep {
+            rung: Rung::Refined,
+            error: LinalgError::DidNotConverge {
+                iterations: 0,
+                residual: rr,
+                restarts: 0,
+            },
+        });
+        let (sweeps, refined) = crate::refine(
+            self.matrix.as_ref(),
+            b,
+            &mut x,
+            |r| factor.solve(r),
+            crate::RefineOptions {
+                tol: ladder.tol,
+                max_sweeps: MAX_REFINE_SWEEPS,
+            },
+        );
+        if refined <= ladder.tol {
+            return Ok(RhsSolve {
+                x,
+                iterations: Some(sweeps),
+                residual: Some(refined),
+                verified: Some(refined),
+                trail,
+            });
+        }
+        let stalled = LinalgError::DidNotConverge {
+            iterations: sweeps,
+            residual: refined,
+            restarts: 0,
+        };
+        self.gmres_rung(ladder, b, stalled, sweeps, trail)
+    }
+
+    /// The bottom rung: GMRES on the original operator action, prepared
+    /// lazily and shared across right-hand sides.
+    fn gmres_rung(
+        &self,
+        ladder: &Ladder,
+        b: &[f64],
+        cause: LinalgError,
+        sweeps: usize,
+        mut trail: DegradationTrail,
+    ) -> Result<RhsSolve, LinalgError> {
+        trail.push(DegradationStep {
+            rung: Rung::Gmres,
+            error: cause,
+        });
+        let gmres = {
+            let mut slot = ladder.gmres.lock().expect("gmres rung poisoned");
+            match &*slot {
+                Some(prepared) => Arc::clone(prepared),
+                None => {
+                    let prepared =
+                        Arc::new(Gmres::with_tol(ladder.tol).prepare(Arc::clone(&self.matrix))?);
+                    *slot = Some(Arc::clone(&prepared));
+                    prepared
+                }
+            }
+        };
+        let sol = gmres.solve(b)?;
+        let rr = self.matrix.residual(&sol.x, b);
+        Ok(RhsSolve {
+            x: sol.x,
+            iterations: sol.report.iterations.map(|it| it + sweeps),
+            residual: sol.report.residual,
+            verified: Some(rr),
+            trail,
+        })
     }
 }
 
@@ -1314,6 +1260,38 @@ impl Default for DirectCholesky {
     }
 }
 
+impl DirectCholesky {
+    /// Orders and factors `a`, and wraps the factor as a prepared direct
+    /// solver whose setup clock started at `t0` — shared by this backend's
+    /// `prepare` and the [`Resilient`] ladder, which factors `shifted`
+    /// (`A + δ·I`) in place of `a` on its regularization rung.
+    fn prepare_factor(
+        &self,
+        a: Arc<CsrMatrix>,
+        shifted: Option<&CsrMatrix>,
+        t0: Instant,
+    ) -> Result<PreparedSolver, LinalgError> {
+        let factored = shifted.unwrap_or(&a);
+        let perm = self.ordering.permutation(factored);
+        let factor = SupernodalCholesky::factor_with_permutation(factored, perm, &self.supernodal)?;
+        let shared_bytes = factor.heap_bytes();
+        // One panel scratch plus the solve scratch, per concurrent worker.
+        let workspace_bytes = (self.panel_width.max(1) * a.nrows() + factor.scratch_len())
+            * std::mem::size_of::<f64>();
+        Ok(PreparedSolver {
+            panel_width: self.panel_width.max(1),
+            verify: self.verify,
+            ..PreparedSolver::new(
+                a,
+                Engine::Direct(Box::new(factor)),
+                t0.elapsed(),
+                shared_bytes,
+                workspace_bytes,
+            )
+        })
+    }
+}
+
 impl SolverBackend for DirectCholesky {
     fn name(&self) -> &'static str {
         "cholesky"
@@ -1322,22 +1300,7 @@ impl SolverBackend for DirectCholesky {
     fn prepare(&self, a: Arc<CsrMatrix>) -> Result<PreparedSolver, LinalgError> {
         let t0 = Instant::now();
         check_finite_matrix(&a)?;
-        let perm = self.ordering.permutation(&a);
-        let factor = SupernodalCholesky::factor_with_permutation(&a, perm, &self.supernodal)?;
-        let shared_bytes = factor.heap_bytes();
-        // One panel scratch plus the solve scratch, per concurrent worker.
-        let workspace_bytes = (self.panel_width.max(1) * a.nrows() + factor.scratch_len())
-            * std::mem::size_of::<f64>();
-        Ok(PreparedSolver {
-            matrix: a,
-            engine: Engine::Direct(Box::new(factor)),
-            setup_time: t0.elapsed(),
-            shared_bytes,
-            workspace_bytes,
-            panel_width: self.panel_width.max(1),
-            verify: self.verify,
-            prep_trail: DegradationTrail::new(),
-        })
+        self.prepare_factor(a, None, t0)
     }
 
     fn config_fingerprint(&self) -> u64 {
@@ -1399,20 +1362,17 @@ impl SolverBackend for Cg {
         check_finite_matrix(&a)?;
         let n = a.nrows();
         let (precond, precond_bytes) = self.precond.build(&a);
-        Ok(PreparedSolver {
-            matrix: a,
-            engine: Engine::Cg {
+        Ok(PreparedSolver::new(
+            a,
+            Engine::Cg {
                 precond,
                 opts: self.opts,
             },
-            setup_time: t0.elapsed(),
-            shared_bytes: precond_bytes,
+            t0.elapsed(),
+            precond_bytes,
             // The 5 CG work vectors, per concurrent solve.
-            workspace_bytes: 5 * n * std::mem::size_of::<f64>(),
-            panel_width: 1,
-            verify: VerifyPolicy::Off,
-            prep_trail: DegradationTrail::new(),
-        })
+            5 * n * std::mem::size_of::<f64>(),
+        ))
     }
 
     fn config_fingerprint(&self) -> u64 {
@@ -1461,20 +1421,17 @@ impl SolverBackend for Gmres {
         check_finite_matrix(&a)?;
         let n = a.nrows();
         let (precond, precond_bytes) = self.precond.build(&a);
-        Ok(PreparedSolver {
-            matrix: a,
-            engine: Engine::Gmres {
+        Ok(PreparedSolver::new(
+            a,
+            Engine::Gmres {
                 precond,
                 opts: self.opts,
             },
-            setup_time: t0.elapsed(),
-            shared_bytes: precond_bytes,
+            t0.elapsed(),
+            precond_bytes,
             // `restart + 1` Krylov vectors, per concurrent solve.
-            workspace_bytes: (self.opts.restart + 1) * n * std::mem::size_of::<f64>(),
-            panel_width: 1,
-            verify: VerifyPolicy::Off,
-            prep_trail: DegradationTrail::new(),
-        })
+            (self.opts.restart + 1) * n * std::mem::size_of::<f64>(),
+        ))
     }
 
     fn config_fingerprint(&self) -> u64 {
@@ -1489,17 +1446,24 @@ impl SolverBackend for Gmres {
 /// residuals, iterative refinement, diagonal-shift regularization and a
 /// GMRES bottom rung.
 ///
-/// The ladder escalates in order and records every transition as a
-/// [`DegradationStep`] in [`SolveReport::degradation`]:
+/// The prepared solver *is* a direct solver — the same engine, panels and
+/// report as [`DirectCholesky`]'s — carrying the ladder as a policy, so on
+/// a clean operator its solutions are bitwise the plain direct backend's by
+/// construction. The ladder escalates in order and records every
+/// transition as a [`DegradationStep`] in [`SolveReport::degradation`]:
 ///
-/// 1. **direct factor** of the operator ([`DirectCholesky`] — the clean
-///    path, bitwise identical to the plain direct backend);
+/// 1. **direct factor** of the operator (the clean path);
 /// 2. **iterative refinement** reusing that factor when the verified
 ///    residual misses `tol`;
 /// 3. **diagonal-shift regularized re-factor** (`A + δ·I`, escalating δ)
 ///    when factorization rejects the operator as not positive definite —
-///    its solves refine against the *original* operator;
+///    the prepared solver then holds (and reports the kernel and supernode
+///    statistics of) the shifted factor, and its solves are verified and
+///    refined against the *original* operator;
 /// 4. **GMRES** on the raw operator action.
+///
+/// The refinement budget and the shift schedule are fixed constants of the
+/// ladder; `inner` and `tol` are its whole configuration.
 ///
 /// A solve through this backend either meets `tol`, succeeds with the
 /// degradation recorded, or returns a typed [`LinalgError`] — it never
@@ -1511,27 +1475,11 @@ pub struct Resilient {
     /// Relative-residual tolerance the ladder enforces (and the iterative
     /// rungs target).
     pub tol: f64,
-    /// Refinement sweeps budget of the refinement rung.
-    pub max_refine_sweeps: usize,
-    /// Initial diagonal shift of the regularization rung, relative to the
-    /// largest absolute diagonal entry.
-    pub shift_rel: f64,
-    /// Multiplicative escalation between shift attempts.
-    pub shift_growth: f64,
-    /// Regularized re-factor attempts before falling to GMRES.
-    pub shift_attempts: usize,
 }
 
 impl Default for Resilient {
     fn default() -> Self {
-        Self {
-            inner: DirectCholesky::default(),
-            tol: 1e-8,
-            max_refine_sweeps: 8,
-            shift_rel: 1e-8,
-            shift_growth: 1e4,
-            shift_attempts: 3,
-        }
+        Self::with_tol(1e-8)
     }
 }
 
@@ -1539,9 +1487,39 @@ impl Resilient {
     /// The ladder at enforcement tolerance `tol`.
     pub fn with_tol(tol: f64) -> Self {
         Self {
+            inner: DirectCholesky::default(),
             tol,
-            ..Self::default()
         }
+    }
+
+    /// The regularization rung: factors `A + δ·I` with escalating δ until
+    /// one attempt is positive definite. A
+    /// [`LinalgError::NotPositiveDefinite`] back means every attempt broke
+    /// down (it is the last breakdown, or `breakdown` itself); any other
+    /// error is not the ladder's to absorb.
+    fn regularized(
+        &self,
+        a: &Arc<CsrMatrix>,
+        t0: Instant,
+        mut breakdown: LinalgError,
+    ) -> Result<PreparedSolver, LinalgError> {
+        let max_diag = a
+            .diagonal()
+            .iter()
+            .fold(0.0f64, |m, d| m.max(d.abs()))
+            .max(1.0);
+        let mut shift = SHIFT_REL * max_diag;
+        for _ in 0..SHIFT_ATTEMPTS {
+            let shifted = shifted_copy(a, shift);
+            match self.inner.prepare_factor(Arc::clone(a), Some(&shifted), t0) {
+                Err(e @ LinalgError::NotPositiveDefinite { .. }) => {
+                    breakdown = e;
+                    shift *= SHIFT_GROWTH;
+                }
+                settled => return settled,
+            }
+        }
+        Err(breakdown)
     }
 }
 
@@ -1571,93 +1549,47 @@ impl SolverBackend for Resilient {
     fn prepare(&self, a: Arc<CsrMatrix>) -> Result<PreparedSolver, LinalgError> {
         let t0 = Instant::now();
         check_finite_matrix(&a)?;
-        let inner = DirectCholesky {
-            verify: VerifyPolicy::Off,
-            ..self.inner
-        };
         let mut trail = DegradationTrail::new();
-        let direct = match inner.prepare(Arc::clone(&a)) {
-            Ok(prepared) => Some((Arc::new(prepared), 0.0)),
+        let mut prepared = match self.inner.prepare_factor(Arc::clone(&a), None, t0) {
+            Ok(prepared) => prepared,
             Err(err @ LinalgError::NotPositiveDefinite { .. }) => {
-                // Regularization rung: re-factor A + δ·I with escalating δ.
                 trail.push(DegradationStep {
                     rung: Rung::Regularized,
                     error: err,
                 });
-                let max_diag = a
-                    .diagonal()
-                    .iter()
-                    .fold(0.0f64, |m, d| m.max(d.abs()))
-                    .max(1.0);
-                let mut shift = self.shift_rel.max(f64::MIN_POSITIVE) * max_diag;
-                let mut last_err = err;
-                let mut found = None;
-                for _ in 0..self.shift_attempts {
-                    match inner.prepare(Arc::new(shifted_copy(&a, shift))) {
-                        Ok(prepared) => {
-                            found = Some((Arc::new(prepared), shift));
-                            break;
-                        }
-                        Err(e @ LinalgError::NotPositiveDefinite { .. }) => {
-                            last_err = e;
-                            shift *= self.shift_growth;
-                        }
-                        Err(other) => return Err(other),
+                match self.regularized(&a, t0, err) {
+                    Ok(prepared) => prepared,
+                    Err(breakdown @ LinalgError::NotPositiveDefinite { .. }) => {
+                        // Bottom rung at prepare time: hand back a plain
+                        // GMRES solver carrying the full trail, so the
+                        // Cholesky failure that forced it stays on record.
+                        trail.push(DegradationStep {
+                            rung: Rung::Gmres,
+                            error: breakdown,
+                        });
+                        let mut prepared = Gmres::with_tol(self.tol).prepare(a)?;
+                        prepared.prep_trail = trail;
+                        prepared.setup_time = t0.elapsed();
+                        return Ok(prepared);
                     }
+                    Err(other) => return Err(other),
                 }
-                if found.is_none() {
-                    // Bottom rung at prepare time: hand back a GMRES solver
-                    // carrying the full trail (the old `Auto` fallback
-                    // discarded the Cholesky failure; the trail keeps it).
-                    trail.push(DegradationStep {
-                        rung: Rung::Gmres,
-                        error: last_err,
-                    });
-                    let mut prepared = Gmres::with_tol(self.tol).prepare(a)?;
-                    prepared.prep_trail = trail;
-                    prepared.setup_time = t0.elapsed();
-                    return Ok(prepared);
-                }
-                found
             }
             Err(other) => return Err(other),
         };
-        let (direct, shift) = direct.expect("direct rung resolved above");
-        let shared_bytes = direct.solver_bytes();
-        // Refinement workspace: residual + correction vectors.
-        let workspace_bytes = 2 * a.nrows() * std::mem::size_of::<f64>();
-        Ok(PreparedSolver {
-            matrix: a,
-            engine: Engine::Resilient(ResilientEngine {
-                direct,
-                shift,
-                tol: self.tol,
-                refine: crate::RefineOptions {
-                    tol: self.tol,
-                    max_sweeps: self.max_refine_sweeps,
-                },
-                gmres_opts: GmresOptions {
-                    tol: self.tol,
-                    ..GmresOptions::default()
-                },
-                gmres: Mutex::new(None),
-            }),
-            setup_time: t0.elapsed(),
-            shared_bytes,
-            workspace_bytes,
-            panel_width: self.inner.panel_width.max(1),
-            verify: VerifyPolicy::Off, // the ladder self-verifies at `tol`
-            prep_trail: trail,
-        })
+        prepared.ladder = Some(Ladder {
+            tol: self.tol,
+            gmres: Mutex::new(None),
+        });
+        // The ladder verifies every solve itself, at `tol`.
+        prepared.verify = VerifyPolicy::Off;
+        prepared.prep_trail = trail;
+        prepared.setup_time = t0.elapsed();
+        Ok(prepared)
     }
 
     fn config_fingerprint(&self) -> u64 {
-        0x60 ^ self.inner.config_fingerprint().rotate_left(2)
-            ^ self.tol.to_bits().rotate_left(16)
-            ^ (self.max_refine_sweeps as u64).rotate_left(32)
-            ^ self.shift_rel.to_bits().rotate_left(40)
-            ^ self.shift_growth.to_bits().rotate_left(48)
-            ^ (self.shift_attempts as u64).rotate_left(56)
+        0x60 ^ self.inner.config_fingerprint().rotate_left(2) ^ self.tol.to_bits().rotate_left(16)
     }
 }
 
@@ -1731,6 +1663,19 @@ struct CacheKey {
     matrix_fingerprint: u64,
 }
 
+impl CacheKey {
+    /// The content address of `a` prepared under `backend`'s configuration.
+    fn of(backend: &dyn SolverBackend, a: &CsrMatrix) -> Self {
+        Self {
+            backend_config: backend.config_fingerprint(),
+            nrows: a.nrows(),
+            ncols: a.ncols(),
+            nnz: a.nnz(),
+            matrix_fingerprint: matrix_fingerprint(a),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct CacheEntry {
     key: CacheKey,
@@ -1746,6 +1691,13 @@ fn promote(entries: &mut Vec<CacheEntry>, pos: usize) -> Arc<PreparedSolver> {
     let solver = Arc::clone(&entry.solver);
     entries.insert(0, entry);
     solver
+}
+
+/// Inserts `entry` as the most recently used and drops whatever falls off
+/// the LRU tail (alias included).
+fn insert_front(entries: &mut Vec<CacheEntry>, capacity: usize, entry: CacheEntry) {
+    entries.insert(0, entry);
+    entries.truncate(capacity);
 }
 
 /// Content-addressed memo of [`PreparedSolver`]s.
@@ -1868,13 +1820,7 @@ impl FactorCache {
                 return Ok((promote(&mut entries, pos), true));
             }
         }
-        let key = CacheKey {
-            backend_config,
-            nrows: a.nrows(),
-            ncols: a.ncols(),
-            nnz: a.nnz(),
-            matrix_fingerprint: matrix_fingerprint(a),
-        };
+        let key = CacheKey::of(backend, a);
         // A key match is only trusted after an exact comparison with the
         // cached operator: the O(nnz) check costs no more than the hash we
         // already computed and closes the fingerprint-collision hole.
@@ -1918,15 +1864,12 @@ impl FactorCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((existing, true));
         }
-        entries.insert(
-            0,
-            CacheEntry {
-                key,
-                solver: Arc::clone(&solver),
-                alias: None,
-            },
-        );
-        entries.truncate(self.capacity);
+        let entry = CacheEntry {
+            key,
+            solver: Arc::clone(&solver),
+            alias: None,
+        };
+        insert_front(&mut entries, self.capacity, entry);
         self.misses.fetch_add(1, Ordering::Relaxed);
         Ok((solver, false))
     }
@@ -1988,23 +1931,13 @@ impl FactorCache {
             trail.push(*step);
         }
         batch.report.degradation = trail;
-        let mut entries = self.entries.lock().expect("factor cache poisoned");
-        let key = CacheKey {
-            backend_config: backend.config_fingerprint(),
-            nrows: a.nrows(),
-            ncols: a.ncols(),
-            nnz: a.nnz(),
-            matrix_fingerprint: matrix_fingerprint(a),
+        let entry = CacheEntry {
+            key: CacheKey::of(backend, a),
+            solver: rebuilt,
+            alias,
         };
-        entries.insert(
-            0,
-            CacheEntry {
-                key,
-                solver: rebuilt,
-                alias,
-            },
-        );
-        entries.truncate(self.capacity);
+        let mut entries = self.entries.lock().expect("factor cache poisoned");
+        insert_front(&mut entries, self.capacity, entry);
         self.misses.fetch_add(1, Ordering::Relaxed);
         Ok((batch, true))
     }
@@ -2020,24 +1953,15 @@ impl FactorCache {
         a: &Arc<CsrMatrix>,
         solver: Arc<PreparedSolver>,
     ) {
-        let key = CacheKey {
-            backend_config: backend.config_fingerprint(),
-            nrows: a.nrows(),
-            ncols: a.ncols(),
-            nnz: a.nnz(),
-            matrix_fingerprint: matrix_fingerprint(a),
+        let key = CacheKey::of(backend, a);
+        let entry = CacheEntry {
+            key,
+            solver,
+            alias: None,
         };
         let mut entries = self.entries.lock().expect("factor cache poisoned");
         entries.retain(|e| e.key != key);
-        entries.insert(
-            0,
-            CacheEntry {
-                key,
-                solver,
-                alias: None,
-            },
-        );
-        entries.truncate(self.capacity);
+        insert_front(&mut entries, self.capacity, entry);
     }
 
     /// The operator of the entry [tagged](Self::tag) with exactly
@@ -2099,13 +2023,7 @@ impl FactorCache {
         backend: &dyn SolverBackend,
         a: &Arc<CsrMatrix>,
     ) -> Option<Arc<PreparedSolver>> {
-        let key = CacheKey {
-            backend_config: backend.config_fingerprint(),
-            nrows: a.nrows(),
-            ncols: a.ncols(),
-            nnz: a.nnz(),
-            matrix_fingerprint: matrix_fingerprint(a),
-        };
+        let key = CacheKey::of(backend, a);
         let mut entries = self.entries.lock().expect("factor cache poisoned");
         let pos = entries
             .iter()
@@ -2164,18 +2082,22 @@ mod tests {
     use super::*;
     use crate::CooMatrix;
 
-    fn spd(n: usize) -> Arc<CsrMatrix> {
+    fn tridiagonal(n: usize, diag: f64, off: f64) -> Arc<CsrMatrix> {
         let mut coo = CooMatrix::new(n, n);
         for i in 0..n {
-            coo.push(i, i, 4.0);
+            coo.push(i, i, diag);
             if i > 0 {
-                coo.push(i, i - 1, -1.0);
+                coo.push(i, i - 1, off);
             }
             if i + 1 < n {
-                coo.push(i, i + 1, -1.0);
+                coo.push(i, i + 1, off);
             }
         }
         Arc::new(coo.to_csr())
+    }
+
+    fn spd(n: usize) -> Arc<CsrMatrix> {
+        tridiagonal(n, 4.0, -1.0)
     }
 
     fn rhs(n: usize) -> Vec<f64> {
@@ -2250,6 +2172,134 @@ mod tests {
         assert!(batch.report.residual.unwrap() <= 1e-11);
         for (b, x) in loads.iter().zip(&batch.xs) {
             assert!(a.residual(x, b) < 1e-9);
+        }
+    }
+
+    /// Every engine, by the backend that prepares it — the table the
+    /// one-route tests below run over (`Auto` with both arms).
+    fn every_backend() -> Vec<Box<dyn SolverBackend>> {
+        vec![
+            Box::new(DirectCholesky::default()),
+            Box::new(Resilient::default()),
+            Box::new(Auto::default()),
+            Box::new(Auto {
+                direct_limit: 8, // force the iterative arm
+                tol: 1e-10,
+            }),
+            Box::new(crate::Sharded::new(4)),
+            Box::new(Cg::with_tol(1e-10)),
+            Box::new(Gmres::with_tol(1e-10)),
+        ]
+    }
+
+    #[test]
+    fn single_and_batched_reports_agree() {
+        // 576 rows: large enough that `Sharded::new(4)` really splits.
+        let a = Arc::new(crate::test_operators::laplacian_2d(24, 24));
+        let b = rhs(a.nrows());
+        for backend in every_backend() {
+            let name = backend.name();
+            let prepared = backend.prepare(Arc::clone(&a)).unwrap();
+            let single = prepared.solve(&b).unwrap();
+            let batch = prepared.solve_many(std::slice::from_ref(&b), 1).unwrap();
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+            assert_eq!(bits(&single.x), bits(&batch.xs[0]), "{name}: solution");
+            let report = SolveReport {
+                solve_time: batch.report.solve_time,
+                ..single.report
+            };
+            assert_eq!(report, batch.report, "{name}: report");
+            // And the report says what the solver's accessors say.
+            assert_eq!(report.kernel, prepared.kernel_name(), "{name}");
+            assert_eq!(report.supernode_stats, prepared.supernode_stats(), "{name}");
+        }
+    }
+
+    #[test]
+    fn unmeasurable_residual_fails_enforcement_on_every_engine() {
+        // Finite operators whose action overflows on any |x| > 1, so the
+        // true residual of a perfectly good solution comes out NaN (∞ − ∞
+        // within a row) against the first and ∞ against the second.
+        let n = 40;
+        let a = spd(n);
+        let nan_op = tridiagonal(n, f64::MAX, -f64::MAX);
+        let inf_op = tridiagonal(n, f64::MAX, 0.0);
+        let x_true: Vec<f64> = (0..n).map(|i| 2.0 + (i % 2) as f64).collect();
+        let b = a.spmv(&x_true);
+        assert!(nan_op.residual(&x_true, &b).is_nan());
+        assert_eq!(inf_op.residual(&x_true, &b), f64::INFINITY);
+
+        for wild in [nan_op, inf_op] {
+            for backend in every_backend() {
+                let name = backend.name();
+                // A healthy solver bound to an operator its solutions
+                // cannot be checked against.
+                let rebound = |verify| {
+                    backend
+                        .prepare(Arc::clone(&a))
+                        .unwrap()
+                        .rebind_matrix(Arc::clone(&wild))
+                        .with_verify(verify)
+                };
+                let enforced = rebound(VerifyPolicy::Enforce { tol: 1e-6 });
+                assert!(enforced.solve(&b).is_err(), "{name}: single solve");
+                let batch = vec![b.clone(); 3];
+                assert!(enforced.solve_many(&batch, 2).is_err(), "{name}: batch");
+                // The factor-driven engines solve without touching the
+                // operator, so only the verifier can object: `Enforce`
+                // fails on the residual itself, and `Report` shows it
+                // pinned to ∞ rather than folded away by a `max`.
+                if matches!(name, "cholesky" | "sharded") {
+                    assert!(
+                        matches!(
+                            enforced.solve_many(&batch, 2),
+                            Err(LinalgError::DidNotConverge { residual, .. })
+                                if residual == f64::INFINITY
+                        ),
+                        "{name}"
+                    );
+                    let reported = rebound(VerifyPolicy::Report).solve_many(&batch, 2);
+                    assert_eq!(
+                        reported.unwrap().report.verified_residual,
+                        Some(f64::INFINITY),
+                        "{name}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn regularized_ladder_reports_the_factor_it_holds() {
+        // A zeroed pivot defeats Cholesky; the ladder factors `A + δ·I`
+        // instead. Its reports must describe that factor — not go blank
+        // because the operator and the factor differ.
+        let clean = crate::test_operators::laplacian_2d(5, 5);
+        let mut broken = clean.clone();
+        crate::FaultPlan::new(23).break_pivot(&mut broken);
+        let a = Arc::new(broken);
+        let prepared = Resilient::default().prepare(Arc::clone(&a)).unwrap();
+        assert_eq!(
+            prepared.backend(),
+            "resilient",
+            "a shifted factor, not GMRES"
+        );
+        assert_eq!(
+            prepared.prep_degradation().last().map(|s| s.rung),
+            Some(Rung::Regularized)
+        );
+        // Supernode shape is a function of the pattern, which the shift
+        // leaves alone: the clean lattice's direct factor has the same.
+        let reference = DirectCholesky::default().prepare(Arc::new(clean)).unwrap();
+        assert!(reference.supernode_stats().is_some());
+        let b = rhs(a.nrows());
+        let single = prepared.solve(&b).unwrap().report;
+        let batch = prepared.solve_many(&[b.clone(), b], 2).unwrap().report;
+        for report in [single, batch] {
+            assert_eq!(report.kernel, reference.kernel_name());
+            assert_eq!(report.supernode_stats, reference.supernode_stats());
+            assert_eq!(report.factor_workers, prepared.factor_workers());
+            assert!(report.verified_residual.unwrap() <= 1e-8);
         }
     }
 

@@ -22,6 +22,8 @@
 //! * [`WorkPool::scope_chunks`] / [`WorkPool::scope_workers`] — the scoped
 //!   execution primitives. Both block until every started task finished, so
 //!   task closures may borrow from the caller's stack.
+//!   [`WorkPool::scope_collect`] is `scope_chunks` for tasks that return a
+//!   value: the results come back in index order.
 //! * [`WorkPool::scope_dag`] — dependency-counted task-graph execution for
 //!   stages whose tasks are *not* independent (the elimination-tree-parallel
 //!   supernodal factorization): a task becomes ready when all of its
@@ -457,6 +459,51 @@ impl WorkPool {
         active.load(Ordering::Relaxed).max(1)
     }
 
+    /// [`scope_chunks_with`](Self::scope_chunks_with) for tasks that
+    /// *return* something: runs `task(state, i)` once per index and hands
+    /// back the results **in index order**, whatever order the slots claimed
+    /// them in, plus the worker-slot count of `scope_chunks`. This is the
+    /// one ordered fan-out/fan-in of the workspace — per-right-hand-side
+    /// solves, per-panel sweeps, per-shard stages, the local stage's column
+    /// builds — so a fallible task set reduced front to back reports the
+    /// first error in index order regardless of scheduling.
+    ///
+    /// Each result is written once to its own slot (an uncontended lock);
+    /// a panicking task propagates as in
+    /// [`scope_workers`](Self::scope_workers), and no result is returned.
+    pub fn scope_collect_with<S, T: Send>(
+        &self,
+        workers: usize,
+        num_tasks: usize,
+        init: impl Fn() -> S + Sync,
+        task: impl Fn(&mut S, usize) -> T + Sync,
+    ) -> (Vec<T>, usize) {
+        let slots: Vec<Mutex<Option<T>>> = (0..num_tasks).map(|_| Mutex::new(None)).collect();
+        let used = self.scope_chunks_with(workers, num_tasks, init, |state, i| {
+            *slots[i].lock().expect("collect slot poisoned") = Some(task(state, i));
+        });
+        let results = slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("collect slot poisoned")
+                    .expect("every index ran")
+            })
+            .collect();
+        (results, used)
+    }
+
+    /// [`scope_collect_with`](Self::scope_collect_with) without per-worker
+    /// state.
+    pub fn scope_collect<T: Send>(
+        &self,
+        workers: usize,
+        num_tasks: usize,
+        task: impl Fn(usize) -> T + Sync,
+    ) -> (Vec<T>, usize) {
+        self.scope_collect_with(workers, num_tasks, || (), |(), i| task(i))
+    }
+
     /// Runs `task(i)` exactly once for every node of `dag`, never starting a
     /// node before all of its prerequisites finished, on up to `workers`
     /// worker slots (clamped to the pool cap and the node count). Returns
@@ -815,6 +862,45 @@ mod tests {
         assert!(Arc::ptr_eq(&inside.inner, &pool.inner));
         let outside = WorkPool::current();
         assert!(Arc::ptr_eq(&outside.inner, &WorkPool::global().inner));
+    }
+
+    #[test]
+    fn collect_returns_results_in_index_order_and_propagates_panics() {
+        for cap in [1usize, 2, 8] {
+            let pool = WorkPool::new(cap);
+            // Per-worker state threads through; results land by index, not
+            // by claim order.
+            let (squares, used) = pool.scope_collect_with(
+                cap,
+                97,
+                || 0usize,
+                |claimed, i| {
+                    *claimed += 1;
+                    (i * i, *claimed)
+                },
+            );
+            assert!((1..=cap).contains(&used), "cap {cap}: used {used}");
+            assert_eq!(squares.len(), 97);
+            for (i, &(sq, claimed)) in squares.iter().enumerate() {
+                assert_eq!(sq, i * i, "cap {cap}: slot {i}");
+                assert!(claimed >= 1);
+            }
+            let (none, used) = pool.scope_collect(cap, 0, |i| i);
+            assert_eq!((none, used), (Vec::new(), 0), "cap {cap}: empty task set");
+
+            let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.scope_collect(cap, 20, |i| {
+                    if i == 7 {
+                        panic!("task 7 exploded");
+                    }
+                    i
+                })
+            }));
+            let payload = result.expect_err("the panic must reach the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"task 7 exploded"));
+            // The pool survives and still collects in order.
+            assert_eq!(pool.scope_collect(cap, 3, |i| i).0, vec![0, 1, 2]);
+        }
     }
 
     #[test]

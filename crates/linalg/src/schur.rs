@@ -23,6 +23,14 @@
 //!    [`PreparedSolver::solve_many`] panel sweep, so the factor-once /
 //!    solve-many economics survive sharding end to end.
 //!
+//! Preparation is one function, `SchurSolver::assemble`: extract every
+//! block, factor and condense the *dirty* shards, rebuild the interface.
+//! Given the backend's retained previous preparation (same configuration,
+//! hint and pattern, so the same plan), a shard whose blocks are unchanged
+//! reuses its factor and clique; a first prepare is the case where every
+//! shard is dirty. One code path is why a re-prepare after a value-only
+//! perturbation is bitwise a from-scratch one.
+//!
 //! The payoff is capacity and parallelism: no single factorization ever
 //! spans the whole operator (peak factor memory is the largest *shard*
 //! factor plus the small interface factor), and the `K` expensive numeric
@@ -63,7 +71,7 @@ pub struct Sharded {
     /// matrix fingerprint — shared across clones of this backend.
     cache: Arc<FactorCache>,
     /// The most recent preparation, retained (shared across clones) as the
-    /// base of the incremental route: a later `prepare` over an operator
+    /// base of the next one: a later `prepare` over an operator
     /// with the *same pattern* reuses every clean shard's factor and
     /// stored clique and re-factors only what changed. Holding it keeps
     /// one full prepared state alive beyond its `PreparedSolver` — the
@@ -81,9 +89,9 @@ pub struct Sharded {
     hint: Arc<Mutex<Option<Arc<PartitionHint>>>>,
 }
 
-/// The retained base of the incremental route: the previous operator and
+/// The retained base of the next preparation: the previous operator and
 /// its prepared Schur state, tagged with the configuration it was prepared
-/// under (a config change must force the from-scratch route).
+/// under (after a config change nothing of it may be reused).
 #[derive(Debug, Clone)]
 struct PrevPrepared {
     matrix: Arc<CsrMatrix>,
@@ -168,33 +176,36 @@ impl SolverBackend for Sharded {
         // NonFinite error carries the *global* nnz index rather than a
         // block-local one.
         crate::backend::check_finite_matrix(&a)?;
-        // Take the incremental route when the retained previous
-        // preparation matches this one's configuration *and* pattern: the
-        // plan is a pure function of (pattern, shard count, hint), so it —
-        // and with it every elimination order — carries over unchanged,
-        // which is what makes per-shard reuse bitwise safe. Any mismatch
-        // (different config, different pattern, different hint, first
-        // call) falls through to the from-scratch route.
+        // The retained previous preparation is the base of this one when
+        // it matches in configuration *and* pattern: the plan is a pure
+        // function of (pattern, shard count, hint), so it — and with it
+        // every elimination order — carries over unchanged, which is what
+        // makes per-shard reuse bitwise safe. Any mismatch (different
+        // config, different pattern, different hint, first call) plans
+        // afresh and prepares every shard.
         let hint = self.effective_hint();
         let prev = self
             .prev
             .lock()
             .expect("sharded prev state poisoned")
-            .clone();
-        let schur = match prev {
-            Some(p)
-                if p.shards_requested == self.shards
+            .clone()
+            .filter(|p| {
+                p.shards_requested == self.shards
                     && p.inner_fingerprint == self.inner.config_fingerprint()
                     && hint_matches(&p.hint, &hint)
-                    && p.matrix.same_pattern(&a) =>
-            {
-                SchurSolver::assemble_incremental(&p.schur, &a, &self.inner, &self.cache)?
-            }
-            _ => {
-                let plan = ShardPlan::build_hinted(&a, self.shards, hint.as_deref());
-                SchurSolver::assemble(&a, plan, &self.inner, &self.cache)?
-            }
+                    && p.matrix.same_pattern(&a)
+            });
+        let plan = match &prev {
+            Some(p) => p.schur.plan.clone(),
+            None => ShardPlan::build_hinted(&a, self.shards, hint.as_deref()),
         };
+        let schur = SchurSolver::assemble(
+            prev.as_ref().map(|p| p.schur.as_ref()),
+            &a,
+            plan,
+            &self.inner,
+            &self.cache,
+        )?;
         let schur = Arc::new(schur);
         *self.prev.lock().expect("sharded prev state poisoned") = Some(PrevPrepared {
             matrix: Arc::clone(&a),
@@ -298,23 +309,21 @@ pub(crate) struct SchurSolver {
     /// prepared under — consulted by `Sharded::accepts_cached` before
     /// trusting a plan comparison across cache entries.
     inner_fingerprint: u64,
-    /// Shards whose factor + clique this preparation computed (all of them
-    /// on the from-scratch route, the dirty set on the incremental route).
+    /// Shards whose factor + clique this preparation computed: the dirty
+    /// set — all of them when there was no previous preparation.
     shards_refactored: usize,
     /// Shards reused intact from the previous preparation.
     shards_reused: usize,
     /// Whether the interface system itself needed the ladder.
     interface_degraded: bool,
     /// Precomputed interface scatter maps (`None` for an empty interface),
-    /// carried forward by the incremental route so interface-only
+    /// carried forward from one preparation to the next so interface-only
     /// perturbations skip the pattern-union rebuild.
     iface_assembly: Option<Arc<InterfaceAssembly>>,
 }
 
 /// Per-shard extraction of one operator under a plan: the interface
-/// scatter map, every interior block and both coupling blocks. One helper
-/// shared by the from-scratch and incremental routes, so both see
-/// identical blocks by construction.
+/// scatter map, every interior block and both coupling blocks.
 struct Extraction {
     iface_map: Vec<Option<usize>>,
     interiors: Vec<Arc<CsrMatrix>>,
@@ -370,8 +379,8 @@ fn extract_blocks(a: &CsrMatrix, plan: &ShardPlan) -> Extraction {
 ///
 /// The maps are pure *pattern* data: they depend only on the operator's
 /// sparsity and the plan (each shard's coupled-column set is the non-empty
-/// rows of its `A_sk`). The incremental route's precondition is exactly an
-/// unchanged pattern, so it reuses the previous preparation's maps as-is.
+/// rows of its `A_sk`), so a re-preparation over an unchanged pattern reuses
+/// the previous preparation's maps as-is.
 #[derive(Debug)]
 struct InterfaceAssembly {
     /// CSR row pointers of `S`.
@@ -481,10 +490,8 @@ impl MemoryFootprint for InterfaceAssembly {
 /// the fresh `A_ss` and every block's stored clique, accumulated serially
 /// in shard order through [`InterfaceAssembly`]'s precomputed scatter maps
 /// (`A_ss` entries first, then each shard's clique — a fixed order, so `S`
-/// is identical at every pool cap *and* between the from-scratch and
-/// incremental routes). `reuse` is the previous preparation's maps, valid
-/// exactly when the operator pattern is unchanged — the incremental
-/// route's precondition.
+/// is identical at every pool cap). `reuse` is the previous preparation's
+/// maps, valid exactly when the operator pattern is unchanged.
 fn condense_interface(
     a: &CsrMatrix,
     plan: &ShardPlan,
@@ -523,82 +530,28 @@ type ShardPrep = (Arc<PreparedSolver>, Vec<usize>, Vec<f64>, bool);
 pub(crate) type ShardedBatch = (Vec<Vec<f64>>, Option<usize>, Option<f64>, usize);
 
 impl SchurSolver {
-    /// Extracts, factors and condenses every block of `plan` over `a`.
+    /// Extracts every block of `plan` over `a`, factors and condenses the
+    /// *dirty* shards, and rebuilds and factors the interface system.
+    ///
+    /// `prev` is a previous preparation under the same plan over an
+    /// operator with the same pattern (the caller checks both; the plan is
+    /// a pure function of pattern, shard count and hint). Every shard whose
+    /// three blocks are unchanged since `prev` is *clean*: it reuses its
+    /// factor and stored clique. Without a previous preparation every
+    /// shard is dirty, there are no scatter maps to reuse and nothing to
+    /// evict — a fresh prepare is the all-dirty case of the same code, so
+    /// the two agree bit for bit by construction: plan, elimination orders,
+    /// kernels and the serial shard-order accumulation of `S` are shared,
+    /// and a clean shard's stored factor and clique were computed from
+    /// bit-identical inputs by the code a fresh prepare runs. The interface
+    /// system is always rebuilt from the fresh `A_ss` plus all cliques.
     fn assemble(
+        prev: Option<&SchurSolver>,
         a: &Arc<CsrMatrix>,
         plan: ShardPlan,
         inner: &DirectCholesky,
         cache: &FactorCache,
     ) -> Result<Self, LinalgError> {
-        let n_s = plan.interface().len();
-        let num_shards = plan.num_shards();
-        let Extraction {
-            iface_map,
-            interiors,
-            couplings,
-        } = extract_blocks(a, &plan);
-
-        // Factor every interior and condense its Schur contribution, one
-        // task per shard on the shared pool. Like the monolithic parallel
-        // factorization, preparation runs at the pool cap (`prepare` has no
-        // threads override). Each task is internally deterministic (the
-        // factor is bitwise cap-invariant, the panel solves are too), so
-        // only the serial accumulation order below matters for
-        // reproducibility.
-        let (prepped, _) = per_shard(WorkPool::current().cap(), num_shards, |k| {
-            shard_prep_task(inner, cache, &interiors[k], &couplings[k], n_s)
-        })?;
-        let mut blocks: Vec<ShardBlock> = Vec::with_capacity(num_shards);
-        for (k, ((solver, cols, clique, degraded), (a_ks, a_sk))) in
-            prepped.into_iter().zip(couplings).enumerate()
-        {
-            let fingerprint = block_fingerprint(&interiors[k], &a_ks, &a_sk);
-            blocks.push(ShardBlock {
-                solver,
-                a_ks,
-                a_sk,
-                cols: cols.into(),
-                clique: clique.into(),
-                fingerprint,
-                degraded,
-            });
-        }
-
-        let (interface_solver, interface_degraded, iface_assembly) =
-            condense_interface(a, &plan, &iface_map, &blocks, inner, cache, None)?;
-
-        Ok(Self {
-            plan,
-            blocks,
-            interface_solver,
-            inner_fingerprint: inner.config_fingerprint(),
-            shards_refactored: num_shards,
-            shards_reused: 0,
-            interface_degraded,
-            iface_assembly,
-        })
-    }
-
-    /// Re-assembles over a value-perturbed operator with the same pattern
-    /// as `prev`'s: the plan carries over (it is a pure function of
-    /// pattern and shard count), every *clean* shard reuses its factor and
-    /// stored clique, only the *dirty* shards are re-factored and
-    /// re-condensed, and the interface system is always rebuilt from the
-    /// fresh `A_ss` plus all cliques and refactored.
-    ///
-    /// The result is bitwise identical to a from-scratch [`assemble`]
-    /// (`Self::assemble`) over the same operator: the plan, elimination
-    /// orders, kernels and the serial shard-order accumulation of `S` are
-    /// all unchanged, and a clean shard's stored factor and clique were
-    /// computed from bit-identical inputs by the same deterministic code a
-    /// fresh prepare would run.
-    fn assemble_incremental(
-        prev: &SchurSolver,
-        a: &Arc<CsrMatrix>,
-        inner: &DirectCholesky,
-        cache: &FactorCache,
-    ) -> Result<Self, LinalgError> {
-        let plan = prev.plan.clone();
         let n_s = plan.interface().len();
         let num_shards = plan.num_shards();
         let Extraction {
@@ -616,19 +569,27 @@ impl SchurSolver {
             .collect();
         let dirty: Vec<usize> = (0..num_shards)
             .filter(|&k| {
-                let p = &prev.blocks[k];
-                fingerprints[k] != p.fingerprint
-                    || interiors[k].as_ref() != p.solver.matrix().as_ref()
-                    || couplings[k].0 != p.a_ks
-                    || couplings[k].1 != p.a_sk
+                prev.is_none_or(|prev| {
+                    let p = &prev.blocks[k];
+                    fingerprints[k] != p.fingerprint
+                        || interiors[k].as_ref() != p.solver.matrix().as_ref()
+                        || couplings[k].0 != p.a_ks
+                        || couplings[k].1 != p.a_sk
+                })
             })
             .collect();
 
-        // Re-factor + re-condense only the dirty shards, fanned out like
-        // the full route (run *before* any invalidation: a shard dirtied
-        // only through its couplings still hits the cache on its unchanged
-        // interior).
-        let (reprepped, _) = per_shard(WorkPool::current().cap(), dirty.len(), |i| {
+        // Factor every dirty interior and condense its Schur contribution,
+        // one task per shard on the shared pool. Like the monolithic
+        // parallel factorization, preparation runs at the pool cap
+        // (`prepare` has no threads override). Each task is internally
+        // deterministic (the factor is bitwise cap-invariant, the panel
+        // solves are too), so only the serial accumulation order below
+        // matters for reproducibility. This runs *before* any
+        // invalidation: a shard dirtied only through its couplings still
+        // hits the cache on its unchanged interior.
+        let pool = WorkPool::current();
+        let (prepped, _) = pool.scope_collect(pool.cap(), dirty.len(), |i| {
             shard_prep_task(
                 inner,
                 cache,
@@ -636,16 +597,15 @@ impl SchurSolver {
                 &couplings[dirty[i]],
                 n_s,
             )
-        })?;
+        });
 
         let mut blocks: Vec<ShardBlock> = Vec::with_capacity(num_shards);
-        let mut repreps = reprepped.into_iter();
+        let mut prepped = prepped.into_iter();
         let mut next_dirty = dirty.iter().copied().peekable();
         for (k, (a_ks, a_sk)) in couplings.into_iter().enumerate() {
-            if next_dirty.peek() == Some(&k) {
-                next_dirty.next();
+            if next_dirty.next_if_eq(&k).is_some() {
                 let (solver, cols, clique, degraded) =
-                    repreps.next().expect("one preparation per dirty shard");
+                    prepped.next().expect("one preparation per dirty shard")?;
                 blocks.push(ShardBlock {
                     solver,
                     a_ks,
@@ -656,7 +616,9 @@ impl SchurSolver {
                     degraded,
                 });
             } else {
-                let p = &prev.blocks[k];
+                let p = &prev
+                    .expect("a clean shard has a previous preparation")
+                    .blocks[k];
                 blocks.push(ShardBlock {
                     solver: Arc::clone(&p.solver),
                     a_ks,
@@ -669,9 +631,8 @@ impl SchurSolver {
             }
         }
 
-        // The scatter maps are pure pattern data and the pattern is
-        // unchanged (this route's precondition), so the previous maps
-        // apply verbatim.
+        // The scatter maps are pure pattern data, so a previous
+        // preparation's (same pattern, by `prev`'s contract) apply verbatim.
         let (interface_solver, interface_degraded, iface_assembly) = condense_interface(
             a,
             &plan,
@@ -679,21 +640,23 @@ impl SchurSolver {
             &blocks,
             inner,
             cache,
-            prev.iface_assembly.clone(),
+            prev.and_then(|p| p.iface_assembly.clone()),
         )?;
 
         // Evict the superseded entries — the old factors of interiors that
         // actually changed, and the old interface system — so stale blocks
         // never crowd live ones out of the shard cache.
-        for (block, prev_block) in blocks.iter().zip(&prev.blocks) {
-            let old = prev_block.solver.matrix();
-            if block.solver.matrix().as_ref() != old.as_ref() {
-                cache.invalidate(old);
+        if let Some(prev) = prev {
+            for (block, prev_block) in blocks.iter().zip(&prev.blocks) {
+                let old = prev_block.solver.matrix();
+                if block.solver.matrix().as_ref() != old.as_ref() {
+                    cache.invalidate(old);
+                }
             }
-        }
-        if let (Some(old), Some(new)) = (&prev.interface_solver, &interface_solver) {
-            if old.matrix().as_ref() != new.matrix().as_ref() {
-                cache.invalidate(old.matrix());
+            if let (Some(old), Some(new)) = (&prev.interface_solver, &interface_solver) {
+                if old.matrix().as_ref() != new.matrix().as_ref() {
+                    cache.invalidate(old.matrix());
+                }
             }
         }
 
@@ -701,7 +664,7 @@ impl SchurSolver {
             plan,
             blocks,
             interface_solver,
-            inner_fingerprint: prev.inner_fingerprint,
+            inner_fingerprint: inner.config_fingerprint(),
             shards_refactored: dirty.len(),
             shards_reused: num_shards - dirty.len(),
             interface_degraded,
@@ -893,19 +856,21 @@ impl SchurSolver {
         // shard (the gathered b_k is kept for reuse as the
         // back-substitution right-hand side). `threads` caps both the
         // shard fan-out and each inner panel sweep.
-        let (stage1, used1) = per_shard(threads, self.blocks.len(), |k| {
+        let pool = WorkPool::current();
+        let (stage1, used1) = pool.scope_collect(threads, self.blocks.len(), |k| {
             let rows = self.plan.shard_rows(k);
             let b_k: Vec<Vec<f64>> = rhs
                 .iter()
                 .map(|b| rows.iter().map(|&r| b[r]).collect())
                 .collect();
             let batch = self.blocks[k].solver.solve_many(&b_k, threads)?;
-            Ok((b_k, batch))
-        })?;
+            Ok::<_, LinalgError>((b_k, batch))
+        });
         fanout = fanout.max(used1);
         let mut gathered: Vec<Vec<Vec<f64>>> = Vec::with_capacity(self.blocks.len());
         let mut pre: Vec<Vec<Vec<f64>>> = Vec::with_capacity(self.blocks.len());
-        for (b_k, batch) in stage1 {
+        for shard in stage1 {
+            let (b_k, batch) = shard?;
             merge(&batch.report);
             gathered.push(b_k);
             pre.push(batch.xs);
@@ -953,7 +918,7 @@ impl SchurSolver {
         // Stage 4: interior back-substitution x_k = A_kk⁻¹ (b_k − A_ks x_s),
         // again one task per shard.
         let gathered: Vec<Mutex<Vec<Vec<f64>>>> = gathered.into_iter().map(Mutex::new).collect();
-        let (stage4, used4) = per_shard(threads, self.blocks.len(), |k| {
+        let (stage4, used4) = pool.scope_collect(threads, self.blocks.len(), |k| {
             let block = &self.blocks[k];
             let mut b_k = std::mem::take(&mut *gathered[k].lock().expect("gathered slot poisoned"));
             let mut tmp_k = vec![0.0; self.plan.shard_rows(k).len()];
@@ -964,9 +929,10 @@ impl SchurSolver {
                 }
             }
             block.solver.solve_many(&b_k, threads)
-        })?;
+        });
         fanout = fanout.max(used4);
         for (k, batch) in stage4.into_iter().enumerate() {
+            let batch = batch?;
             let rows = self.plan.shard_rows(k);
             merge(&batch.report);
             for (x, z) in xs.iter_mut().zip(&batch.xs) {
@@ -978,36 +944,6 @@ impl SchurSolver {
 
         Ok((xs, iterations, residual, workers.max(fanout)))
     }
-}
-
-/// Runs `f(k)` once per shard index on the shared pool with up to
-/// `threads` worker slots (the usual cap override — clamped to the pool
-/// cap; within one call tree the pool cap stays the hard bound when tasks
-/// nest further scopes). Returns the results in shard order plus the
-/// number of slots that ran — the fan-out/fan-in shape every per-shard
-/// stage (preparation, pre-solve, back-substitution) uses. Each task must
-/// be internally deterministic; fan-in order is fixed, so the first error
-/// (in shard order) wins regardless of scheduling.
-fn per_shard<T: Send>(
-    threads: usize,
-    count: usize,
-    f: impl Fn(usize) -> Result<T, LinalgError> + Sync,
-) -> Result<(Vec<T>, usize), LinalgError> {
-    let pool = WorkPool::current();
-    let slots: Vec<Mutex<Option<Result<T, LinalgError>>>> =
-        (0..count).map(|_| Mutex::new(None)).collect();
-    let used = pool.scope_chunks(threads.max(1), count, |k| {
-        *slots[k].lock().expect("shard slot poisoned") = Some(f(k));
-    });
-    let results = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("shard slot poisoned")
-                .expect("every shard visited")
-        })
-        .collect::<Result<Vec<T>, LinalgError>>()?;
-    Ok((results, used.max(1)))
 }
 
 /// One shard's preparation: factor the interior through the cache, solve
@@ -1213,6 +1149,10 @@ mod tests {
         let first = backend.prepare(Arc::clone(&a)).unwrap();
         let k = first.schur().expect("sharded engine").num_shards();
         assert!(k >= 2, "operator must split");
+        // A first prepare is the all-dirty case of the one assembly route.
+        let fresh = first.solve_many(&rhs, 4).unwrap().report;
+        assert_eq!(fresh.shards, k);
+        assert_eq!((fresh.shards_refactored, fresh.shards_reused), (k, 0));
         // Perturb one interior diagonal entry (stays SPD): only the owning
         // shard's block changes.
         let row = first.schur().unwrap().plan().shard_rows(0)[0];

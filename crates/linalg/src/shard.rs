@@ -84,6 +84,9 @@ pub struct PartitionHint {
     grid: [usize; 2],
     /// Per-row inclusive block-coordinate span `[bx_lo, bx_hi, by_lo, by_hi]`.
     spans: Vec<[usize; 4]>,
+    /// FNV-1a over grid and spans, hashed once at construction (the fields
+    /// are private and never change afterwards).
+    fingerprint: u64,
 }
 
 impl PartitionHint {
@@ -104,7 +107,26 @@ impl PartitionHint {
                 "partition hint: row {row} span {s:?} outside grid {grid:?}"
             );
         }
-        Self { grid, spans }
+        let mut fingerprint: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |v: usize| {
+            for byte in (v as u64).to_le_bytes() {
+                fingerprint ^= u64::from(byte);
+                fingerprint = fingerprint.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        eat(grid[0]);
+        eat(grid[1]);
+        eat(spans.len());
+        for s in &spans {
+            for &v in s {
+                eat(v);
+            }
+        }
+        Self {
+            grid,
+            spans,
+            fingerprint,
+        }
     }
 
     /// Number of operator rows the hint describes. A hint is only usable
@@ -120,24 +142,10 @@ impl PartitionHint {
 
     /// Content fingerprint (FNV-1a over grid and spans), folded into the
     /// sharded backend's configuration fingerprint so cached factors keyed
-    /// under one hint are never served under another.
+    /// under one hint are never served under another. Hashed once in
+    /// [`new`](Self::new): the backend asks on every cache call.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: usize| {
-            for byte in (v as u64).to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(self.grid[0]);
-        eat(self.grid[1]);
-        eat(self.spans.len());
-        for s in &self.spans {
-            for &v in s {
-                eat(v);
-            }
-        }
-        h
+        self.fingerprint
     }
 }
 
