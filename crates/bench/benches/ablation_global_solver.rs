@@ -103,9 +103,10 @@ fn bench_batched_loads(c: &mut Criterion) {
         );
         // The same workload point goes into both records: BENCH_PR3.json
         // is the original measurement of this sweep, BENCH_PR4.json tracks
-        // how the elimination-tree-parallel factorization (and the
-        // `FillOrdering::Auto` probe, which picks RCM on this dense-row
-        // reduced operator) moved the cold point.
+        // how the elimination-tree-parallel factorization (and what
+        // `FillOrdering::Auto` resolves to on this reduced operator —
+        // geometric dissection, from the hint the stage attaches) moved
+        // the cold point.
         let shared = [
             ("loads", loads.len() as f64),
             ("array", array as f64),

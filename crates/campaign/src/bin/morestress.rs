@@ -102,14 +102,23 @@ fn run(args: &[String]) -> ExitCode {
                     peak_displacement,
                     stats,
                     ..
-                } => println!(
-                    "  array {} dT={:>8.1}  peak vm {:>9.2} MPa  peak |u| {:>8.4} um  {:>7.1} ms",
-                    job.array_index,
-                    job.load,
-                    peak_von_mises,
-                    peak_displacement,
-                    stats.wall_time.as_secs_f64() * 1e3,
-                ),
+                } => {
+                    // Which factor served the job: a band where a
+                    // dissection was expected shows here, not in a profile.
+                    let factor = match (stats.ordering, stats.factor_nnz) {
+                        (Some(ordering), Some(nnz)) => format!("  {ordering} factor, {nnz} nnz"),
+                        (None, Some(nnz)) => format!("  sharded factor, {nnz} nnz"),
+                        (_, None) => String::new(),
+                    };
+                    println!(
+                        "  array {} dT={:>8.1}  peak vm {:>9.2} MPa  peak |u| {:>8.4} um  {:>7.1} ms{factor}",
+                        job.array_index,
+                        job.load,
+                        peak_von_mises,
+                        peak_displacement,
+                        stats.wall_time.as_secs_f64() * 1e3,
+                    )
+                }
                 JobOutcome::Failed { error } => {
                     any_failed = true;
                     println!(

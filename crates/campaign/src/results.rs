@@ -80,6 +80,11 @@ pub fn campaign_sections(reports: &[CampaignReport]) -> Vec<BenchSection> {
                     entries.push(("total_dofs".to_string(), stats.total_dofs as f64));
                     entries.push(("free_dofs".to_string(), stats.free_dofs as f64));
                     entries.push(("iterations".to_string(), stats.iterations as f64));
+                    // 0 for the iterative backends, which hold no factor.
+                    entries.push((
+                        "factor_nnz".to_string(),
+                        stats.factor_nnz.unwrap_or(0) as f64,
+                    ));
                     entries.push(("shards".to_string(), stats.shards as f64));
                     entries.push((
                         "shards_refactored".to_string(),

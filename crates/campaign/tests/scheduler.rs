@@ -112,6 +112,67 @@ fn results_are_identical_across_pool_caps_and_admission_orders() {
     }
 }
 
+/// Two arrays of different sizes share one simulator and its hoisted
+/// 4-shard backend. Each operator carries its own partition hint, so no
+/// job can plan under the hint a concurrent job on the other array last
+/// handed the backend (a foreign hint has the wrong length, and the
+/// planner would fall back to the graph route — other shards, other bits,
+/// by scheduling): every job plans geometrically, and the run is the
+/// serial one bit for bit at every pool cap and admission order.
+#[test]
+fn sharded_arrays_of_one_simulator_each_plan_from_their_own_hint() {
+    let mut spec = base_spec("sharded");
+    spec.solver.shards = 4;
+    spec.loads = vec![-250.0, 85.0, 40.0];
+    let array = |tsv_num_x, tsv_num_y| ArraySpec {
+        tsv_num_x,
+        tsv_num_y,
+        dummy_tsv_num_x: 0,
+        dummy_tsv_num_y: 0,
+    };
+    spec.arrays = vec![array(4, 4), array(6, 3)];
+    let specs = [spec];
+
+    let run = |cap: usize, order: AdmissionOrder| {
+        let reports = WorkPool::new(cap).install(|| {
+            CampaignRunner::new()
+                .admission(order)
+                .run(&specs)
+                .expect("campaign runs")
+        });
+        for job in &reports[0].jobs {
+            let JobOutcome::Solved { stats, .. } = &job.outcome else {
+                panic!("cap {cap}, {order:?}: array {} failed", job.array_index);
+            };
+            assert!(
+                stats.plan_stats.is_some_and(|plan| plan.geometric),
+                "cap {cap}, {order:?}: array {} load {} fell back to the graph planner",
+                job.array_index,
+                job.load_index
+            );
+        }
+        deterministic_core(&reports)
+    };
+
+    let core = run(1, AdmissionOrder::Sequential);
+    assert_eq!(core.len(), 6);
+    assert!(
+        core.iter().all(|job| job.4[6] >= 2),
+        "every job really shards"
+    );
+    for (cap, order) in [
+        (1, AdmissionOrder::RoundRobin),
+        (8, AdmissionOrder::Sequential),
+        (8, AdmissionOrder::RoundRobin),
+    ] {
+        assert_eq!(
+            run(cap, order),
+            core,
+            "cap {cap}, {order:?} must reproduce the serial run bitwise"
+        );
+    }
+}
+
 #[test]
 fn same_model_campaigns_share_one_factor_cache() {
     let first = base_spec("first");

@@ -285,6 +285,16 @@ pub struct GlobalStats {
     /// (`"blocked"` — the one production kernel); `None` for iterative
     /// backends and fully-constrained solves.
     pub kernel: Option<&'static str>,
+    /// The fill ordering the direct factorization resolved to
+    /// (`"geometric"` for every operator this stage reduces — it attaches
+    /// the block-grid hint; `"rcm"`/`"nd"` are the hint-less fallbacks).
+    /// `None` for iterative and sharded backends and fully-constrained
+    /// solves.
+    pub ordering: Option<&'static str>,
+    /// Stored entries of the direct factor behind this solve (summed over
+    /// all blocks when sharded); `None` for iterative backends and
+    /// fully-constrained solves.
+    pub factor_nnz: Option<usize>,
     /// Interior shards of the sharded global solve (1 for monolithic
     /// backends and fully-constrained solves).
     pub shards: usize,
@@ -486,10 +496,12 @@ impl<'a> GlobalStage<'a> {
     /// A solve runs in three parts:
     ///
     /// 1. **Layout prelude** (cheap, always): lattice, per-block DoF maps,
-    ///    constraint set, unit load, and the partition hint — handed to the
-    ///    backend *before* any cache lookup, because a sharded backend's
-    ///    configuration fingerprint folds the hint in (and a healing
-    ///    re-prepare must plan under the right geometry).
+    ///    constraint set, unit load, and the partition hint (the block-grid
+    ///    footprint of every free DoF), which the stage attaches to the
+    ///    operator it reduces — the direct solvers order by it, the sharded
+    ///    backend plans from it — and also hands to the backend *before* any
+    ///    cache lookup, because a sharded backend's configuration
+    ///    fingerprint folds its hint slot in.
     /// 2. **Operator**: sparsity pattern, element scatter and constraint
     ///    reduction — the expensive part — run only when the registered
     ///    cache holds no entry tagged with this solve's *provenance*
@@ -567,6 +579,8 @@ impl<'a> GlobalStage<'a> {
             workers: 1,
             factor_workers: 1,
             kernel: None,
+            ordering: None,
+            factor_nnz: None,
             shards: 1,
             interface_dofs: 0,
             shard_factor_bytes: 0,
@@ -600,11 +614,12 @@ impl<'a> GlobalStage<'a> {
             Some(external) => external,
             None => &*self.backend,
         };
-        // Geometry hint for the sharded backend's partitioner: each free DoF
-        // maps to the inclusive block-grid footprint of its lattice node, so
-        // the planner can cut the reduced operator along block boundaries
-        // instead of searching the (dense) reduced sparsity graph. Backends
-        // that cannot use it ignore it.
+        // Geometry hint: each free DoF maps to the inclusive block-grid
+        // footprint of its lattice node, so the direct solvers can dissect
+        // (and the sharded backend cut) the reduced operator along block
+        // boundaries instead of searching its dense sparsity graph. It
+        // travels on the operator (attached below, where `a_ff` is reduced);
+        // the backend slot is set as well for backends that record it.
         let grid = [layout.nx(), layout.ny()];
         let spans = bcs
             .free_dofs(ndof)
@@ -616,7 +631,8 @@ impl<'a> GlobalStage<'a> {
                 [sx[0], sx[1], sy[0], sy[1]]
             })
             .collect();
-        backend.set_partition_hint(Some(Arc::new(PartitionHint::new(grid, spans))));
+        let hint = Arc::new(PartitionHint::new(grid, spans));
+        backend.set_partition_hint(Some(Arc::clone(&hint)));
 
         // --- Operator: reused by provenance, else assembled -----------------
         let tagged_cache = self.cache.zip(self.provenance(layout, bc, &blocks));
@@ -632,7 +648,9 @@ impl<'a> GlobalStage<'a> {
                 // unreduced operator and the zero vector die with this arm,
                 // before the factorization allocates.
                 let a_global = self.assemble_operator(&lattice, &blocks);
-                let reduced = ReducedSystem::new(&a_global, &vec![0.0; ndof], &bcs)?;
+                let mut reduced = ReducedSystem::new(&a_global, &vec![0.0; ndof], &bcs)?;
+                reduced.a_ff =
+                    Arc::new(Arc::unwrap_or_clone(reduced.a_ff).with_partition_hint(hint));
                 stats.peak_bytes += a_global.heap_bytes() + reduced.a_ff.heap_bytes();
                 reduced
             }
@@ -679,6 +697,8 @@ impl<'a> GlobalStage<'a> {
             workers: batch.report.workers,
             factor_workers: batch.report.factor_workers,
             kernel: batch.report.kernel,
+            ordering: batch.report.ordering,
+            factor_nnz: batch.report.factor_nnz,
             shards: batch.report.shards,
             interface_dofs: batch.report.interface_dofs,
             shard_factor_bytes: batch.report.shard_factor_bytes,

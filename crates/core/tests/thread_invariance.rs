@@ -268,41 +268,52 @@ fn cold_factorization_pipeline_is_pool_size_invariant() {
     // through assembly → parallel factor → batched panel solve. The factor
     // is bitwise identical to the serial sweep at every cap, so the nodal
     // solutions must be too.
+    //
+    // The stage hints every operator it reduces, so the factor is ordered
+    // by geometric dissection — a bushy elimination tree, which is what
+    // sends the numeric phase down the task DAG at caps > 1 (a banded
+    // order's chain would fall back to the serial sweep). The 7×5 array is
+    // there for that: several levels of cuts, odd and uneven.
     let rom = WorkPool::new(REFERENCE_CAP).install(|| build_rom(BlockKind::Tsv));
-    let layout = BlockLayout::uniform(3, 3, BlockKind::Tsv);
     let loads = [-250.0, -120.0, 75.0, 10.0, 300.0];
-    let solve = |cap: usize| {
-        WorkPool::new(cap).install(|| {
-            let cache = FactorCache::new();
-            let batch = GlobalStage::new(&rom)
-                .with_solver(RomSolver::DirectCholesky)
-                .with_cache(&cache)
-                .with_threads(64)
-                .solve_many(&layout, &loads, &GlobalBc::ClampedTopBottom)
-                .expect("cold batched solve");
-            assert_eq!(cache.misses(), 1, "cold run must factor exactly once");
-            batch
-        })
-    };
-    let reference = solve(REFERENCE_CAP);
-    assert_eq!(
-        reference[0].stats.factor_workers, 1,
-        "cap-1 pool must factor serially"
-    );
-    for cap in CAPS {
-        let batch = solve(cap);
-        assert!(
-            batch[0].stats.factor_workers <= cap,
-            "{} factor workers exceed pool cap {cap}",
-            batch[0].stats.factor_workers
+    for (nx, ny) in [(3, 3), (7, 5)] {
+        let layout = BlockLayout::uniform(nx, ny, BlockKind::Tsv);
+        let solve = |cap: usize| {
+            WorkPool::new(cap).install(|| {
+                let cache = FactorCache::new();
+                let batch = GlobalStage::new(&rom)
+                    .with_solver(RomSolver::DirectCholesky)
+                    .with_cache(&cache)
+                    .with_threads(64)
+                    .solve_many(&layout, &loads, &GlobalBc::ClampedTopBottom)
+                    .expect("cold batched solve");
+                assert_eq!(cache.misses(), 1, "cold run must factor exactly once");
+                batch
+            })
+        };
+        let reference = solve(REFERENCE_CAP);
+        assert_eq!(
+            reference[0].stats.factor_workers, 1,
+            "cap-1 pool must factor serially"
         );
-        for (r, c) in reference.iter().zip(&batch) {
-            assert_bitwise(
-                "cold-path nodal displacement",
-                cap,
-                r.nodal_displacement(),
-                c.nodal_displacement(),
+        assert_eq!(reference[0].stats.ordering, Some("geometric"));
+        for cap in CAPS {
+            let batch = solve(cap);
+            assert!(
+                batch[0].stats.factor_workers <= cap,
+                "{} factor workers exceed pool cap {cap}",
+                batch[0].stats.factor_workers
             );
+            assert_eq!(batch[0].stats.ordering, Some("geometric"));
+            assert_eq!(batch[0].stats.factor_nnz, reference[0].stats.factor_nnz);
+            for (r, c) in reference.iter().zip(&batch) {
+                assert_bitwise(
+                    &format!("{nx}x{ny} cold-path nodal displacement"),
+                    cap,
+                    r.nodal_displacement(),
+                    c.nodal_displacement(),
+                );
+            }
         }
     }
 }

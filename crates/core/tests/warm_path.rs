@@ -151,6 +151,51 @@ fn repeated_loads_reuse_the_operator_and_match_fresh_solves() {
     }
 }
 
+/// The three routes to one factor — cold (assemble + prepare), alias-warm
+/// (operator found by provenance) and content-warm (a rebuilt ROM is a new
+/// provenance that assembles the same operator, hint included, and hits by
+/// content) — give the same bits, and each reports the ordering the factor
+/// was built under: geometric, from the hint the stage attached.
+#[test]
+fn cold_alias_warm_and_content_warm_solves_share_one_geometric_factor() {
+    let (rom, _) = roms();
+    let rebuilt = build_rom(BlockKind::Tsv, &MaterialSet::tsv_defaults());
+    let cache = FactorCache::new();
+    let layout = BlockLayout::uniform(5, 4, BlockKind::Tsv);
+    let solve = |rom| {
+        GlobalStage::new(rom)
+            .with_solver(RomSolver::DirectCholesky)
+            .with_cache(&cache)
+            .solve(&layout, -250.0, &BC)
+            .expect("solve")
+    };
+
+    let cold = solve(rom);
+    assert!(!cold.stats.operator_reused);
+    assert_eq!((cache.misses(), cache.hits()), (1, 0));
+    let alias_warm = solve(rom);
+    assert!(alias_warm.stats.operator_reused);
+    assert_eq!((cache.misses(), cache.hits()), (1, 1));
+    let content_warm = solve(&rebuilt);
+    assert!(
+        !content_warm.stats.operator_reused,
+        "a new ROM identity assembles"
+    );
+    assert_eq!(
+        (cache.misses(), cache.hits()),
+        (1, 2),
+        "and finds the factor by content"
+    );
+
+    assert!(cold.stats.factor_nnz.is_some_and(|nnz| nnz > 0));
+    for (label, warm) in [("alias-warm", &alias_warm), ("content-warm", &content_warm)] {
+        assert_eq!(warm.stats.ordering, Some("geometric"), "{label}");
+        assert_eq!(warm.stats.factor_nnz, cold.stats.factor_nnz, "{label}");
+        assert_bitwise(label, cold.nodal_displacement(), warm.nodal_displacement());
+    }
+    assert_eq!(cold.stats.ordering, Some("geometric"));
+}
+
 /// The batched door takes the same route: a warm 3-load batch reuses the
 /// operator and returns the bits of three cold single solves.
 #[test]

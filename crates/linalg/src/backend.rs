@@ -344,6 +344,15 @@ pub struct SolveReport {
     /// supernode count, etree height, weighted critical path, subtree
     /// balance; `None` for iterative engines.
     pub supernode_stats: Option<SupernodeStats>,
+    /// The resolved fill ordering of the direct factor behind this solve
+    /// ([`SupernodeStats::ordering`]: `"geometric"`, `"rcm"`, `"nd"`,
+    /// `"natural"`). `None` for the iterative engines and for the sharded
+    /// engine, whose blocks each resolve their own.
+    pub ordering: Option<&'static str>,
+    /// Stored entries of the direct factor behind this solve
+    /// ([`PreparedSolver::factor_nnz`]; summed over all blocks for the
+    /// sharded engine). `None` for the iterative engines.
+    pub factor_nnz: Option<usize>,
     /// [`DenseKernel`](crate::DenseKernel) name (`"blocked"`, or
     /// `"scalar"` for the test oracle) behind the supernodal factorization
     /// this solve ran on. `None` for the iterative engines, which do not
@@ -453,12 +462,14 @@ pub trait SolverBackend: fmt::Debug + Send + Sync {
     }
 
     /// Supplies (or clears) the geometry [`PartitionHint`] the next
-    /// [`prepare`](SolverBackend::prepare) should partition under.
+    /// [`prepare`](SolverBackend::prepare) of a *hint-less* operator should
+    /// partition under. An operator that carries its own
+    /// ([`CsrMatrix::with_partition_hint`]) is planned — and ordered — from
+    /// that one, which unlike this slot cannot be overwritten by a
+    /// concurrent job between the call and the prepare.
     ///
-    /// Only the [`Sharded`](crate::Sharded) backend acts on it — the
-    /// default is a no-op, so callers that know the operator's block-grid
-    /// provenance (the ROM global stage) can hand it to whatever backend
-    /// they were configured with without downcasting.
+    /// Only the [`Sharded`](crate::Sharded) backend acts on it; the
+    /// default is a no-op.
     fn set_partition_hint(&self, _hint: Option<Arc<PartitionHint>>) {}
 }
 
@@ -949,6 +960,7 @@ impl PreparedSolver {
     ) -> SolveReport {
         let (shards, interface_dofs, shard_factor_bytes) = self.shard_info();
         let (shards_refactored, shards_reused) = self.reuse_info();
+        let supernode_stats = self.supernode_stats();
         SolveReport {
             backend: self.backend(),
             setup_time: self.setup_time,
@@ -959,7 +971,9 @@ impl PreparedSolver {
             rhs_count: batch.xs.len(),
             workers: batch.workers,
             factor_workers: self.factor_workers(),
-            supernode_stats: self.supernode_stats(),
+            supernode_stats,
+            ordering: supernode_stats.map(|stats| stats.ordering),
+            factor_nnz: self.factor_nnz(),
             kernel: self.kernel_name(),
             shards,
             interface_dofs,
@@ -1226,14 +1240,14 @@ pub fn default_solve_threads() -> usize {
 // ---------------------------------------------------------------------------
 
 /// Direct sparse Cholesky backend: the supernodal blocked factorization
-/// ([`SupernodalCholesky`]) under a structure-probed
-/// ([`FillOrdering::Auto`]) ordering, factored as an elimination-tree task
-/// DAG on the current [`WorkPool`].
+/// ([`SupernodalCholesky`]) under a per-operator ([`FillOrdering::Auto`])
+/// ordering, factored as an elimination-tree task DAG on the current
+/// [`WorkPool`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DirectCholesky {
     /// Fill-reducing ordering (default: [`FillOrdering::Auto`], which
-    /// probes the operator and picks RCM for dense-row reduced operators
-    /// and nested dissection for large sparse lattices).
+    /// dissects along the block grid when the operator carries a
+    /// [`PartitionHint`] and probes the sparsity otherwise).
     pub ordering: FillOrdering,
     /// Right-hand sides per panel of the batched
     /// [`PreparedSolver::solve_many`] path. Each worker solves whole
@@ -1272,8 +1286,7 @@ impl DirectCholesky {
         t0: Instant,
     ) -> Result<PreparedSolver, LinalgError> {
         let factored = shifted.unwrap_or(&a);
-        let perm = self.ordering.permutation(factored);
-        let factor = SupernodalCholesky::factor_with_permutation(factored, perm, &self.supernodal)?;
+        let factor = SupernodalCholesky::factor_ordered(factored, self.ordering, &self.supernodal)?;
         let shared_bytes = factor.heap_bytes();
         // One panel scratch plus the solve scratch, per concurrent worker.
         let workspace_bytes = (self.panel_width.max(1) * a.nrows() + factor.scratch_len())
@@ -1525,8 +1538,10 @@ impl Resilient {
 
 /// A value-copy of `a` with `shift` added to every diagonal entry
 /// (inserting diagonal entries absent from the pattern, so regularization
-/// never hits an off-pattern panic). Shared with the fault-injection
-/// machinery, which uses large shifts to build deliberately-wrong factors.
+/// never hits an off-pattern panic) — still the same rows, so it keeps
+/// `a`'s partition hint and the regularized factor is ordered like the
+/// clean one. Shared with the fault-injection machinery, which uses large
+/// shifts to build deliberately-wrong factors.
 pub(crate) fn shifted_copy(a: &CsrMatrix, shift: f64) -> CsrMatrix {
     let mut coo = crate::CooMatrix::new(a.nrows(), a.ncols());
     for i in 0..a.nrows() {
@@ -1538,7 +1553,11 @@ pub(crate) fn shifted_copy(a: &CsrMatrix, shift: f64) -> CsrMatrix {
     for i in 0..a.nrows().min(a.ncols()) {
         coo.push(i, i, shift);
     }
-    coo.to_csr()
+    let shifted = coo.to_csr();
+    match a.partition_hint() {
+        Some(hint) => shifted.with_partition_hint(Arc::clone(hint)),
+        None => shifted,
+    }
 }
 
 impl SolverBackend for Resilient {
@@ -1736,8 +1755,9 @@ impl Default for FactorCache {
     }
 }
 
-/// FNV-1a-style hash over the CSR arrays (structure and values), mixed one
-/// 64-bit word at a time. Word-wise mixing is ~8× cheaper than the
+/// FNV-1a-style hash over the CSR arrays (structure and values) and the
+/// operator's partition hint, if it carries one, mixed one 64-bit word at a
+/// time. Word-wise mixing is ~8× cheaper than the
 /// byte-wise variant on the multi-million-entry operators the global stage
 /// assembles per call, and any lost avalanche quality is covered by the
 /// exact matrix comparison every cache hit performs anyway.
@@ -1762,6 +1782,11 @@ pub fn matrix_fingerprint(a: &CsrMatrix) -> u64 {
     }
     for &v in a.values() {
         mix(v.to_bits());
+    }
+    // A hinted operator is ordered — and therefore rounded — by its hint:
+    // equal arrays under different hints are different operators.
+    if let Some(hint) = a.partition_hint() {
+        mix(hint.fingerprint());
     }
     h
 }
@@ -2212,6 +2237,12 @@ mod tests {
             // And the report says what the solver's accessors say.
             assert_eq!(report.kernel, prepared.kernel_name(), "{name}");
             assert_eq!(report.supernode_stats, prepared.supernode_stats(), "{name}");
+            assert_eq!(report.factor_nnz, prepared.factor_nnz(), "{name}");
+            assert_eq!(
+                report.ordering,
+                prepared.supernode_stats().map(|stats| stats.ordering),
+                "{name}"
+            );
         }
     }
 
@@ -2301,6 +2332,27 @@ mod tests {
             assert_eq!(report.factor_workers, prepared.factor_workers());
             assert!(report.verified_residual.unwrap() <= 1e-8);
         }
+    }
+
+    #[test]
+    fn regularized_rung_keeps_the_partition_hint() {
+        // `A + δ·I` has A's rows, so it is dissected like A: the shifted
+        // factor is ordered by the hint the operator carries.
+        let (a, hint) = crate::test_operators::hinted_grid(4, 4, 3);
+        let mut broken = a.with_partition_hint(Arc::new(hint));
+        crate::FaultPlan::new(23).break_pivot(&mut broken);
+        let shifted = shifted_copy(&broken, 1.0);
+        assert_eq!(shifted.partition_hint(), broken.partition_hint());
+        let prepared = Resilient::default().prepare(Arc::new(broken)).unwrap();
+        assert_eq!(
+            prepared.prep_degradation().last().map(|s| s.rung),
+            Some(Rung::Regularized)
+        );
+        let b = rhs(prepared.dim());
+        assert_eq!(
+            prepared.solve(&b).unwrap().report.ordering,
+            Some("geometric")
+        );
     }
 
     fn indefinite_2x2() -> Arc<CsrMatrix> {

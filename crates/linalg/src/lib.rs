@@ -27,8 +27,9 @@
 //!   kernels. The numeric factorization runs as an elimination-tree task
 //!   DAG on the [`WorkPool`] ([`WorkPool::scope_dag`]), bitwise identical
 //!   to the serial sweep at every pool cap. Orderings: RCM, separator
-//!   based nested dissection, or [`FillOrdering::Auto`] (structure-probed
-//!   per operator, the default).
+//!   based nested dissection, geometric dissection of the block grid an
+//!   operator's [`PartitionHint`] describes, or [`FillOrdering::Auto`]
+//!   (the default: geometric when hinted, structure-probed otherwise).
 //! * [`solve_cg`] / [`solve_gmres`] — preconditioned iterative solvers used
 //!   by the global stage (the paper solves the global system with GMRES).
 //! * [`MemoryFootprint`] — analytic heap accounting used to report the memory
@@ -128,7 +129,8 @@ pub use iterative::{
 pub use kernel::{BlockedKernel, DenseKernel, KernelChoice, ScalarKernel};
 pub use memory::MemoryFootprint;
 pub use ordering::{
-    bandwidth, nested_dissection, reverse_cuthill_mckee, FillOrdering, Permutation, StructureProbe,
+    bandwidth, geometric_dissection, nested_dissection, reverse_cuthill_mckee, FillOrdering,
+    Permutation, StructureProbe,
 };
 pub use pool::{TaskDag, WorkPool};
 pub use schur::Sharded;
@@ -141,7 +143,7 @@ pub use vecops::{axpy, dot, norm2, norm_inf, scale, sub};
 /// same 5-point lattice).
 #[cfg(test)]
 pub(crate) mod test_operators {
-    use crate::{CooMatrix, CsrMatrix};
+    use crate::{CooMatrix, CsrMatrix, PartitionHint};
 
     /// A 2-D 5-point Laplacian with a +0.1-shifted diagonal (SPD also with
     /// Neumann-ish edges): `nx · ny` DoFs.
@@ -169,5 +171,44 @@ pub(crate) mod test_operators {
             }
         }
         coo.to_csr()
+    }
+
+    /// A `(bx·m+1) × (by·m+1)` point grid with 5-point-stencil coupling,
+    /// and the block spans of a `bx × by` block grid of `m×m`-cell blocks.
+    /// Neighboring points always share a block, so the hint is consistent
+    /// with the sparsity — the shape of the reduced global operator with
+    /// one DoF per surface node. The hint is returned beside the operator,
+    /// not attached to it.
+    pub(crate) fn hinted_grid(bx: usize, by: usize, m: usize) -> (CsrMatrix, PartitionHint) {
+        let (nx, ny) = (bx * m + 1, by * m + 1);
+        let idx = |x: usize, y: usize| y * nx + x;
+        let span1 = |c: usize, blocks: usize| -> [usize; 2] {
+            if c.is_multiple_of(m) {
+                let plane = c / m;
+                [plane.saturating_sub(1), plane.min(blocks - 1)]
+            } else {
+                [c / m, c / m]
+            }
+        };
+        let mut coo = CooMatrix::new(nx * ny, nx * ny);
+        let mut spans = Vec::with_capacity(nx * ny);
+        for y in 0..ny {
+            for x in 0..nx {
+                let v = idx(x, y);
+                coo.push(v, v, 4.0);
+                if x + 1 < nx {
+                    coo.push(v, idx(x + 1, y), -1.0);
+                    coo.push(idx(x + 1, y), v, -1.0);
+                }
+                if y + 1 < ny {
+                    coo.push(v, idx(x, y + 1), -1.0);
+                    coo.push(idx(x, y + 1), v, -1.0);
+                }
+                let sx = span1(x, bx);
+                let sy = span1(y, by);
+                spans.push([sx[0], sx[1], sy[0], sy[1]]);
+            }
+        }
+        (coo.to_csr(), PartitionHint::new([bx, by], spans))
     }
 }

@@ -2,9 +2,12 @@
 //!
 //! The local-stage operator `A_ff` comes from a structured 3-D mesh; reverse
 //! Cuthill–McKee (RCM) reduces its bandwidth, and therefore the fill of the
-//! factor, substantially (see `benches/ablation_ordering.rs`).
+//! factor, substantially (see `benches/ablation_ordering.rs`). The global
+//! stage's reduced operators arrive with the block-grid footprint of every
+//! row (a [`PartitionHint`]) and are dissected along that grid instead
+//! ([`geometric_dissection`]).
 
-use crate::CsrMatrix;
+use crate::{CsrMatrix, PartitionHint};
 
 /// A permutation of `0..n`, stored as `perm[new] = old`.
 ///
@@ -122,18 +125,26 @@ impl Permutation {
 /// Declarative fill-reducing ordering choice for the direct solvers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FillOrdering {
-    /// Picks [`Rcm`](FillOrdering::Rcm) or
-    /// [`NestedDissection`](FillOrdering::NestedDissection) per operator
-    /// from a cheap [`StructureProbe`] (mean row density + sampled
-    /// bandwidth), so dense-row reduced operators (the global stage) and
-    /// large sparse lattices both get the right ordering without the
-    /// caller choosing. The default since PR 4.
+    /// Picks the ordering per operator, so the caller never chooses:
+    /// [`Geometric`](FillOrdering::Geometric) whenever the operator carries
+    /// a usable [`PartitionHint`] (every reduced global operator of a block
+    /// array does); otherwise a cheap [`StructureProbe`] (mean row density +
+    /// sampled bandwidth) picks
+    /// [`NestedDissection`](FillOrdering::NestedDissection) for large sparse
+    /// lattices and [`Rcm`](FillOrdering::Rcm) for the rest. The default.
     #[default]
     Auto,
-    /// Reverse Cuthill–McKee: minimizes bandwidth, the right choice for
-    /// band-structured operators and for the global stage's reduced
-    /// operators, whose ~300-entry rows make nested dissection's
-    /// separators enormous.
+    /// Nested dissection of the *block grid* the operator's
+    /// [`PartitionHint`] describes ([`geometric_dissection`]): no graph
+    /// search, O(n log n), and on the global stage's reduced operators far
+    /// less fill than the band the probe would pick (24×24 blocks: 10.8 M
+    /// factor entries under RCM, 4.4 M here). An operator
+    /// without a usable hint (none attached, or one of the wrong length)
+    /// resolves like [`Auto`](FillOrdering::Auto) without one.
+    Geometric,
+    /// Reverse Cuthill–McKee: minimizes bandwidth — the right choice for
+    /// band-structured operators, and the probe's pick for everything it
+    /// does not hand to nested dissection.
     Rcm,
     /// Separator-based nested dissection: recursively orders two halves of
     /// the graph before a small separator, which asymptotically beats
@@ -145,13 +156,27 @@ pub enum FillOrdering {
     Natural,
 }
 
+/// The hint [`FillOrdering::Geometric`] can order `a` by: attached, and
+/// describing exactly `a`'s rows. That is the whole admission check — the
+/// dissection is a valid permutation for any spans, so a hint that
+/// misdescribes the sparsity can cost fill, never correctness.
+fn usable_hint(a: &CsrMatrix) -> Option<&PartitionHint> {
+    a.partition_hint()
+        .map(|hint| &**hint)
+        .filter(|hint| hint.num_rows() == a.nrows())
+}
+
 impl FillOrdering {
-    /// Resolves [`Auto`](FillOrdering::Auto) to a concrete ordering for
-    /// `a` via [`StructureProbe`]; concrete orderings return themselves.
+    /// Resolves [`Auto`](FillOrdering::Auto) (and a
+    /// [`Geometric`](FillOrdering::Geometric) request on an operator with no
+    /// usable hint) to a concrete ordering for `a`; the other orderings
+    /// return themselves.
     pub fn resolve(&self, a: &CsrMatrix) -> FillOrdering {
         match self {
-            FillOrdering::Auto => {
-                if StructureProbe::of(a).prefers_nested_dissection() {
+            FillOrdering::Auto | FillOrdering::Geometric => {
+                if usable_hint(a).is_some() {
+                    FillOrdering::Geometric
+                } else if StructureProbe::of(a).prefers_nested_dissection() {
                     FillOrdering::NestedDissection
                 } else {
                     FillOrdering::Rcm
@@ -164,10 +189,25 @@ impl FillOrdering {
     /// Computes the permutation of this ordering for `a`.
     pub fn permutation(&self, a: &CsrMatrix) -> Permutation {
         match self.resolve(a) {
+            FillOrdering::Geometric => {
+                geometric_dissection(usable_hint(a).expect("resolve() found a usable hint"))
+            }
             FillOrdering::Rcm => reverse_cuthill_mckee(a),
             FillOrdering::NestedDissection => nested_dissection(a),
             FillOrdering::Natural => Permutation::identity(a.nrows()),
             FillOrdering::Auto => unreachable!("resolve() returns a concrete ordering"),
+        }
+    }
+
+    /// Short stable name for reports (`"geometric"`, `"rcm"`, `"nd"`,
+    /// `"natural"`; `"auto"` only before [`resolve`](Self::resolve)).
+    pub fn name(&self) -> &'static str {
+        match self {
+            FillOrdering::Auto => "auto",
+            FillOrdering::Geometric => "geometric",
+            FillOrdering::Rcm => "rcm",
+            FillOrdering::NestedDissection => "nd",
+            FillOrdering::Natural => "natural",
         }
     }
 
@@ -178,6 +218,7 @@ impl FillOrdering {
             FillOrdering::NestedDissection => 1,
             FillOrdering::Natural => 2,
             FillOrdering::Auto => 3,
+            FillOrdering::Geometric => 4,
         }
     }
 }
@@ -187,10 +228,13 @@ impl FillOrdering {
 /// fill (the factorization is cheap either way).
 const ND_MIN_DOFS: usize = 4096;
 
-/// Densest rows (mean stored entries per row) [`FillOrdering::Auto`] still
-/// hands to nested dissection. The global stage's reduced operators carry
-/// ~300-entry rows: every BFS level is huge, so ND's "small separator"
-/// premise collapses and RCM's banded fill is far cheaper.
+/// Densest rows (mean stored entries per row) the hint-less probe still
+/// hands to nested dissection: with denser rows every BFS level is large
+/// and the level-structure separators of [`nested_dissection`] stop being
+/// small next to the pieces they split. A conservative cut for operators
+/// of unknown provenance, not a verdict on dissection — the dense-row
+/// reduced operators of the global stage arrive with a hint and dissect
+/// geometrically instead.
 const ND_MAX_MEAN_ROW_NNZ: f64 = 16.0;
 
 /// How many rows [`StructureProbe::of`] samples for the bandwidth
@@ -198,8 +242,10 @@ const ND_MAX_MEAN_ROW_NNZ: f64 = 16.0;
 const PROBE_ROWS: usize = 64;
 
 /// Cheap structural fingerprint of a sparse operator, driving
-/// [`FillOrdering::Auto`]. Cost: O(nnz of ~64 sampled rows) — vanishing
-/// next to either ordering, let alone the factorization.
+/// [`FillOrdering::Auto`] for operators that carry no [`PartitionHint`]
+/// (the local stage's `A_ff`, shard interiors, test lattices). Cost:
+/// O(nnz of ~64 sampled rows) — vanishing next to either ordering, let
+/// alone the factorization.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StructureProbe {
     /// Matrix dimension.
@@ -236,10 +282,11 @@ impl StructureProbe {
         }
     }
 
-    /// The [`FillOrdering::Auto`] decision: nested dissection for large
-    /// sparse operators with genuinely multi-dimensional coupling
-    /// (bandwidth ≳ √n — a 2-D/3-D lattice signature; a naturally narrow
-    /// band is already optimal for RCM), RCM otherwise.
+    /// The hint-less [`FillOrdering::Auto`] fallback: graph nested
+    /// dissection for large sparse operators with genuinely
+    /// multi-dimensional coupling (bandwidth ≳ √n — a 2-D/3-D lattice
+    /// signature; a naturally narrow band is already optimal for RCM), RCM
+    /// otherwise.
     pub fn prefers_nested_dissection(&self) -> bool {
         self.n >= ND_MIN_DOFS
             && self.mean_row_nnz <= ND_MAX_MEAN_ROW_NNZ
@@ -602,14 +649,33 @@ pub(crate) fn bisect_weighted_grid(
 /// Recursion step of [`bisect_weighted_grid`] over one inclusive rectangle.
 fn bisect_rect(weights: &[u64], nbx: usize, rect: [usize; 4], k: usize, out: &mut Vec<[usize; 4]>) {
     let [x0, x1, y0, y1] = rect;
-    let (w, h) = (x1 - x0 + 1, y1 - y0 + 1);
-    let k = k.min(w * h);
+    let k = k.min((x1 - x0 + 1) * (y1 - y0 + 1));
     if k <= 1 {
         out.push(rect);
         return;
     }
     let k1 = k / 2;
-    // Longer side first; a side of one block cannot be cut.
+    let (low, high) = cut_rect(weights, nbx, rect, k1, k);
+    bisect_rect(weights, nbx, low, k1, out);
+    bisect_rect(weights, nbx, high, k - k1, out);
+}
+
+/// The one cut rule of the block grid, shared by the shard planner
+/// ([`bisect_weighted_grid`]) and the fill ordering
+/// ([`geometric_dissection`]): splits an inclusive rectangle of at least
+/// two blocks along its longer side (ties prefer x; a side of one block
+/// cannot be cut) at the line that brings the lower part's weight closest
+/// to `k1 / k` of the total (ties prefer the smaller index).
+fn cut_rect(
+    weights: &[u64],
+    nbx: usize,
+    rect: [usize; 4],
+    k1: usize,
+    k: usize,
+) -> ([usize; 4], [usize; 4]) {
+    let [x0, x1, y0, y1] = rect;
+    let (w, h) = (x1 - x0 + 1, y1 - y0 + 1);
+    debug_assert!(w * h >= 2, "a single block cannot be cut");
     let along_x = if h == 1 {
         true
     } else if w == 1 {
@@ -638,13 +704,81 @@ fn bisect_rect(weights: &[u64], nbx: usize, rect: [usize; 4], k: usize, out: &mu
         }
     }
     let cut = best.1;
-    let (low, high) = if along_x {
+    if along_x {
         ([x0, x0 + cut, y0, y1], [x0 + cut + 1, x1, y0, y1])
     } else {
         ([x0, x1, y0, y0 + cut], [x0, x1, y0 + cut + 1, y1])
+    }
+}
+
+/// Computes the nested-dissection ordering of the block grid `hint`
+/// describes: the grid is bisected recursively, by the shard planner's own
+/// cut rule and down to single blocks; at every cut the rows whose block
+/// span lies inside one half are ordered first (each half recursively) and
+/// the rows straddling the cut — the separator — last.
+///
+/// Two rows of a block array's operator couple only when their spans share
+/// a block, so rows on opposite sides of a cut never do and every separator
+/// decouples what was ordered before it — the premise of nested dissection,
+/// here for the price of comparing spans: O(n log n), no graph search,
+/// deterministic. The top cuts are those of
+/// [`ShardPlan::build_hinted`](crate::ShardPlan::build_hinted) for a
+/// power-of-two shard count.
+///
+/// The result is a permutation of `0..hint.num_rows()` whatever the spans
+/// say: every row is emitted exactly once, by the first cut it straddles or
+/// the single block it ends up in.
+pub fn geometric_dissection(hint: &PartitionHint) -> Permutation {
+    let [nbx, nby] = hint.grid();
+    let weights = hint.block_weights();
+    let mut order = Vec::with_capacity(hint.num_rows());
+    dissect_rect(
+        hint.spans(),
+        &weights,
+        nbx,
+        [0, nbx - 1, 0, nby - 1],
+        (0..hint.num_rows()).collect(),
+        &mut order,
+    );
+    Permutation::new(order).expect("geometric dissection produced a valid permutation")
+}
+
+/// Recursion step of [`geometric_dissection`]: orders `rows`, whose spans
+/// all lie inside `rect`.
+fn dissect_rect(
+    spans: &[[usize; 4]],
+    weights: &[u64],
+    nbx: usize,
+    rect: [usize; 4],
+    rows: Vec<usize>,
+    order: &mut Vec<usize>,
+) {
+    let [x0, x1, y0, y1] = rect;
+    if rows.is_empty() {
+        return;
+    }
+    if x0 == x1 && y0 == y1 {
+        order.extend_from_slice(&rows);
+        return;
+    }
+    let (low, high) = cut_rect(weights, nbx, rect, 1, 2);
+    let inside = |row: usize, [rx0, rx1, ry0, ry1]: [usize; 4]| {
+        let [xl, xh, yl, yh] = spans[row];
+        rx0 <= xl && xh <= rx1 && ry0 <= yl && yh <= ry1
     };
-    bisect_rect(weights, nbx, low, k1, out);
-    bisect_rect(weights, nbx, high, k - k1, out);
+    let (mut low_rows, mut high_rows, mut separator) = (Vec::new(), Vec::new(), Vec::new());
+    for row in rows {
+        if inside(row, low) {
+            low_rows.push(row);
+        } else if inside(row, high) {
+            high_rows.push(row);
+        } else {
+            separator.push(row);
+        }
+    }
+    dissect_rect(spans, weights, nbx, low, low_rows, order);
+    dissect_rect(spans, weights, nbx, high, high_rows, order);
+    order.extend_from_slice(&separator);
 }
 
 /// BFS order of a (connected) piece, rooted at a pseudo-peripheral vertex
@@ -903,11 +1037,12 @@ mod tests {
         assert_eq!(bandwidth(&b), 1);
     }
 
-    use crate::test_operators::laplacian_2d as lattice;
+    use crate::test_operators::{hinted_grid, laplacian_2d as lattice};
+    use crate::{SupernodalCholesky, SupernodalOptions};
+    use std::sync::Arc;
 
-    /// A banded operator with dense rows, the shape of the global stage's
-    /// Galerkin-reduced operators (every row couples to every interpolation
-    /// DoF of the neighboring blocks — hundreds of entries).
+    /// A banded operator with dense rows and no hint: every row couples to
+    /// dozens of neighbors, so BFS level separators are large.
     fn dense_row_band(n: usize, halfwidth: usize) -> CsrMatrix {
         let mut coo = CooMatrix::new(n, n);
         for i in 0..n {
@@ -940,8 +1075,8 @@ mod tests {
 
     #[test]
     fn auto_probe_picks_rcm_for_dense_row_operators() {
-        // Well above the size floor, but rows are far too dense for useful
-        // separators — the global-stage reduced-operator shape.
+        // Well above the size floor, but without a hint the probe has only
+        // the graph to go by, and rows this dense make poor BFS separators.
         let a = dense_row_band(4500, 12);
         let probe = StructureProbe::of(&a);
         assert!(probe.mean_row_nnz > ND_MAX_MEAN_ROW_NNZ, "{probe:?}");
@@ -964,6 +1099,103 @@ mod tests {
             let p = FillOrdering::Auto.permutation(&a);
             assert_eq!(p.as_slice(), resolved.permutation(&a).as_slice());
         }
+    }
+
+    /// The [`hinted_grid`] operator carrying its hint.
+    fn hinted(bx: usize, by: usize, m: usize) -> CsrMatrix {
+        let (a, hint) = hinted_grid(bx, by, m);
+        a.with_partition_hint(Arc::new(hint))
+    }
+
+    fn factor_nnz(a: &CsrMatrix, ordering: FillOrdering) -> usize {
+        SupernodalCholesky::factor_ordered(a, ordering, &SupernodalOptions::default())
+            .expect("SPD lattice")
+            .factor_nnz()
+    }
+
+    #[test]
+    fn auto_dissects_hinted_operators_geometrically() {
+        // Odd, even, 1×N, N×1 and single-block grids, all far below the
+        // probe's size floor: a usable hint is the only admission check.
+        for (bx, by, m) in [(5, 3, 3), (4, 4, 2), (1, 7, 3), (6, 1, 2), (1, 1, 4)] {
+            let a = hinted(bx, by, m);
+            assert_eq!(FillOrdering::Auto.resolve(&a), FillOrdering::Geometric);
+            // `Permutation::new` inside validated it; same order every time,
+            // and the explicit request is the same ordering.
+            let p = FillOrdering::Auto.permutation(&a);
+            assert_eq!(p.len(), a.nrows());
+            assert_eq!(p, FillOrdering::Auto.permutation(&a));
+            assert_eq!(p, FillOrdering::Geometric.permutation(&a));
+            // Explicit graph orderings ignore the hint.
+            assert_eq!(FillOrdering::Rcm.resolve(&a), FillOrdering::Rcm);
+        }
+    }
+
+    #[test]
+    fn geometric_dissection_orders_the_top_separator_last() {
+        // 4×4 blocks of 4×4 cells: 17×17 points. The first cut is the shard
+        // planner's (x between blocks 1 and 2), so the 17 points on the
+        // line x = 8 straddle it and close the order.
+        let (_, hint) = hinted_grid(4, 4, 4);
+        let p = geometric_dissection(&hint);
+        let mut tail: Vec<usize> = p.as_slice()[17 * 17 - 17..].to_vec();
+        tail.sort_unstable();
+        let line: Vec<usize> = (0..17).map(|y| y * 17 + 8).collect();
+        assert_eq!(tail, line);
+    }
+
+    #[test]
+    fn geometric_fills_no_more_than_rcm_on_block_lattices() {
+        for (bx, by, m) in [(6, 6, 3), (6, 6, 4), (8, 6, 4), (7, 9, 2)] {
+            let a = hinted(bx, by, m);
+            let (geo, rcm) = (
+                factor_nnz(&a, FillOrdering::Auto),
+                factor_nnz(&a, FillOrdering::Rcm),
+            );
+            assert!(geo <= rcm, "{bx}x{by} m={m}: geometric {geo} vs RCM {rcm}");
+        }
+    }
+
+    #[test]
+    fn a_hint_of_the_wrong_length_is_ignored() {
+        let (a, hint) = hinted_grid(6, 6, 3);
+        let short = PartitionHint::new(hint.grid(), vec![[0, 0, 0, 0]; 7]);
+        let bad = a.clone().with_partition_hint(Arc::new(short));
+        for ordering in [FillOrdering::Auto, FillOrdering::Geometric] {
+            assert_eq!(ordering.resolve(&bad), FillOrdering::Auto.resolve(&a));
+            assert_eq!(
+                ordering.permutation(&bad),
+                FillOrdering::Auto.permutation(&a)
+            );
+        }
+    }
+
+    #[test]
+    fn a_scrambled_hint_costs_fill_not_correctness() {
+        // Random valid spans that say nothing true about the sparsity.
+        let (a, hint) = hinted_grid(6, 6, 3);
+        let [bx, by] = hint.grid();
+        let mut plan = crate::FaultPlan::new(0x5CA7);
+        let mut next = |bound: usize| plan.pick(bound);
+        let spans = (0..a.nrows())
+            .map(|_| {
+                let (x0, y0) = (next(bx), next(by));
+                [x0, x0 + next(bx - x0), y0, y0 + next(by - y0)]
+            })
+            .collect();
+        let scrambled = a.with_partition_hint(Arc::new(PartitionHint::new([bx, by], spans)));
+        let chol = SupernodalCholesky::factor_ordered(
+            &scrambled,
+            FillOrdering::Auto,
+            &SupernodalOptions::default(),
+        )
+        .expect("SPD lattice");
+        assert_eq!(chol.stats().ordering, "geometric");
+        let b: Vec<f64> = (0..scrambled.nrows())
+            .map(|i| (i % 7) as f64 - 3.0)
+            .collect();
+        let x = chol.solve(&b);
+        assert!(scrambled.residual(&x, &b) <= 1e-10);
     }
 
     #[test]

@@ -79,13 +79,15 @@ pub struct Sharded {
     /// optimization loops.
     prev: Arc<Mutex<Option<PrevPrepared>>>,
     /// Whether `prepare` may take the geometric planner route when a
-    /// [`PartitionHint`] has been supplied (`true` by default);
+    /// [`PartitionHint`] is available (`true` by default);
     /// [`Sharded::without_hint`] turns it off for planner A/B comparisons.
     use_hint: bool,
-    /// The caller-supplied geometry hint for the *next* preparation, shared
-    /// across clones (interior mutability because
+    /// The geometry hint for the next preparation of an operator that
+    /// carries none of its own ([`CsrMatrix::partition_hint`] wins whenever
+    /// present — a shared slot cannot say which of two concurrent jobs it
+    /// describes). Shared across clones; interior mutability because
     /// [`SolverBackend::set_partition_hint`] takes `&self`, like the other
-    /// backend hooks).
+    /// backend hooks.
     hint: Arc<Mutex<Option<Arc<PartitionHint>>>>,
 }
 
@@ -105,8 +107,9 @@ struct PrevPrepared {
     hint: Option<Arc<PartitionHint>>,
 }
 
-/// Whether the retained preparation's hint and the currently-set hint
-/// describe the same geometry (pointer fast path, content compare after).
+/// Whether the retained preparation's hint and the one this preparation
+/// plans under describe the same geometry (pointer fast path, content
+/// compare after).
 fn hint_matches(prev: &Option<Arc<PartitionHint>>, now: &Option<Arc<PartitionHint>>) -> bool {
     match (prev, now) {
         (None, None) => true,
@@ -147,9 +150,9 @@ impl Sharded {
         self
     }
 
-    /// The hint the next preparation will plan under (`None` when unset or
-    /// when the geometric route is disabled).
-    fn effective_hint(&self) -> Option<Arc<PartitionHint>> {
+    /// The hint in the shared slot (`None` when unset or when the
+    /// geometric route is disabled).
+    fn slot_hint(&self) -> Option<Arc<PartitionHint>> {
         if !self.use_hint {
             return None;
         }
@@ -157,6 +160,16 @@ impl Sharded {
             .lock()
             .expect("sharded hint state poisoned")
             .clone()
+    }
+
+    /// The hint a preparation of `a` plans under: the operator's own when
+    /// it carries one, the shared slot's otherwise (`None` when the
+    /// geometric route is disabled).
+    fn hint_for(&self, a: &CsrMatrix) -> Option<Arc<PartitionHint>> {
+        a.partition_hint()
+            .filter(|_| self.use_hint)
+            .cloned()
+            .or_else(|| self.slot_hint())
     }
 
     /// The internal per-shard factor cache (hit/miss counters included).
@@ -183,7 +196,7 @@ impl SolverBackend for Sharded {
         // makes per-shard reuse bitwise safe. Any mismatch (different
         // config, different pattern, different hint, first call) plans
         // afresh and prepares every shard.
-        let hint = self.effective_hint();
+        let hint = self.hint_for(&a);
         let prev = self
             .prev
             .lock()
@@ -226,8 +239,10 @@ impl SolverBackend for Sharded {
         // The shard count and the partition hint change the elimination
         // order and therefore the bits of the result, so both must split
         // cache entries; the internal cache identity must not (clones
-        // share semantics).
-        let hint = self.effective_hint().map_or(0, |h| h.fingerprint());
+        // share semantics). Only the slot's hint is visible here — an
+        // operator's own hint splits entries through its matrix
+        // fingerprint and the exact compare instead.
+        let hint = self.slot_hint().map_or(0, |h| h.fingerprint());
         0x50 ^ (self.shards as u64).rotate_left(32)
             ^ self.inner.config_fingerprint().rotate_left(4)
             ^ self.verify.fingerprint().rotate_left(44)
@@ -251,8 +266,7 @@ impl SolverBackend for Sharded {
         };
         prepared.verify_policy() == self.verify
             && schur.inner_fingerprint() == self.inner.config_fingerprint()
-            && *schur.plan()
-                == ShardPlan::build_hinted(a, self.shards, self.effective_hint().as_deref())
+            && *schur.plan() == ShardPlan::build_hinted(a, self.shards, self.hint_for(a).as_deref())
     }
 }
 
@@ -332,7 +346,7 @@ struct Extraction {
 
 /// Serial extraction pass over all shards (each `extract` is internally
 /// pool-parallel and bitwise deterministic).
-fn extract_blocks(a: &CsrMatrix, plan: &ShardPlan) -> Extraction {
+fn extract_blocks(a: &Arc<CsrMatrix>, plan: &ShardPlan) -> Extraction {
     let n = a.nrows();
     let interface = plan.interface();
     let n_s = interface.len();
@@ -351,7 +365,14 @@ fn extract_blocks(a: &CsrMatrix, plan: &ShardPlan) -> Extraction {
         for (local, &row) in rows.iter().enumerate() {
             own_map[row] = Some(local);
         }
-        interiors.push(Arc::new(a.extract(rows, &own_map, rows.len())));
+        // The one shard of a trivial plan *is* the operator: share it, hint
+        // and all, so a one-shard solve stays the monolithic one bit for
+        // bit whatever the inner backend orders by.
+        interiors.push(if rows.len() == n {
+            Arc::clone(a)
+        } else {
+            Arc::new(a.extract(rows, &own_map, rows.len()))
+        });
         couplings.push((
             a.extract(rows, &iface_map, n_s),
             a.extract(interface, &own_map, rows.len()),
@@ -1030,7 +1051,7 @@ fn prepare_contained(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_operators::laplacian_2d;
+    use crate::test_operators::{hinted_grid, laplacian_2d};
     use crate::CooMatrix;
 
     fn loads(n: usize, count: usize) -> Vec<Vec<f64>> {
@@ -1315,43 +1336,6 @@ mod tests {
         assert_eq!(cache.misses(), 2);
     }
 
-    /// A `(bx·m+1) × (by·m+1)` point grid with 5-point coupling plus the
-    /// block spans of a `bx × by` grid of `m×m`-cell blocks — the shape of
-    /// the reduced global operator, with a hint the geometric planner can
-    /// act on (mirrors the helper in `shard::tests`).
-    fn hinted_grid(bx: usize, by: usize, m: usize) -> (CsrMatrix, PartitionHint) {
-        let (nx, ny) = (bx * m + 1, by * m + 1);
-        let idx = |x: usize, y: usize| y * nx + x;
-        let span1 = |c: usize, blocks: usize| -> [usize; 2] {
-            if c.is_multiple_of(m) {
-                let plane = c / m;
-                [plane.saturating_sub(1), plane.min(blocks - 1)]
-            } else {
-                [c / m, c / m]
-            }
-        };
-        let mut coo = CooMatrix::new(nx * ny, nx * ny);
-        let mut spans = Vec::with_capacity(nx * ny);
-        for y in 0..ny {
-            for x in 0..nx {
-                let v = idx(x, y);
-                coo.push(v, v, 4.0);
-                if x + 1 < nx {
-                    coo.push(v, idx(x + 1, y), -1.0);
-                    coo.push(idx(x + 1, y), v, -1.0);
-                }
-                if y + 1 < ny {
-                    coo.push(v, idx(x, y + 1), -1.0);
-                    coo.push(idx(x, y + 1), v, -1.0);
-                }
-                let sx = span1(x, bx);
-                let sy = span1(y, by);
-                spans.push([sx[0], sx[1], sy[0], sy[1]]);
-            }
-        }
-        (coo.to_csr(), PartitionHint::new([bx, by], spans))
-    }
-
     #[test]
     fn hinted_prepare_takes_the_geometric_route_and_matches() {
         let (a, hint) = hinted_grid(4, 4, 4);
@@ -1437,6 +1421,32 @@ mod tests {
         assert!(!schur.plan_stats().geometric);
         assert_eq!(schur.shards_refactored(), schur.num_shards());
         assert_eq!(schur.shards_reused(), 0);
+    }
+
+    #[test]
+    fn an_operators_own_hint_wins_over_the_slot() {
+        // Two jobs on different arrays share one hoisted backend: whatever
+        // the other job last parked in the slot, an operator that carries
+        // its hint is planned — and keyed — by its own.
+        let (a, hint) = hinted_grid(4, 4, 4);
+        let (_, foreign) = hinted_grid(5, 3, 4);
+        let a = Arc::new(a.with_partition_hint(Arc::new(hint)));
+        let rhs = loads(a.nrows(), 2);
+        let backend = Sharded::new(4);
+        backend.set_partition_hint(Some(Arc::new(foreign)));
+        let prepared = backend.prepare(Arc::clone(&a)).unwrap();
+        assert!(prepared.plan_stats().unwrap().geometric);
+        // Same plan, same bits as with no interference at all.
+        let quiet = Sharded::new(4).prepare(Arc::clone(&a)).unwrap();
+        assert_eq!(
+            prepared.solve_many(&rhs, 1).unwrap().xs,
+            quiet.solve_many(&rhs, 1).unwrap().xs
+        );
+        // A cached solver for `a` is accepted back under any slot content.
+        assert!(backend.accepts_cached(&quiet, &a));
+        // The planner A/B lever still overrides both sources.
+        let graph = Sharded::new(4).without_hint().prepare(a).unwrap();
+        assert!(!graph.plan_stats().unwrap().geometric);
     }
 
     #[test]

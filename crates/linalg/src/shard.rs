@@ -69,7 +69,10 @@ const MIN_SPLIT: usize = 32;
 const BALANCE_BOUND: f64 = 2.0;
 
 /// Block-grid provenance of every row of an operator, used by
-/// [`ShardPlan::build_hinted`] to partition geometrically.
+/// [`ShardPlan::build_hinted`] to partition geometrically and by
+/// [`FillOrdering::Geometric`](crate::FillOrdering) to order the direct
+/// factor. It travels on the operator it describes
+/// ([`CsrMatrix::with_partition_hint`]).
 ///
 /// The reduced global operator of a block array couples two DoFs only when
 /// they touch a common block, so each row can be tagged with the inclusive
@@ -138,6 +141,24 @@ impl PartitionHint {
     /// Block-grid dimensions `[nbx, nby]`.
     pub fn grid(&self) -> [usize; 2] {
         self.grid
+    }
+
+    /// Per-row inclusive block-coordinate spans
+    /// `[bx_lo, bx_hi, by_lo, by_hi]`.
+    pub(crate) fn spans(&self) -> &[[usize; 4]] {
+        &self.spans
+    }
+
+    /// Rows per block of the grid (row-major, `nbx · nby` entries), each row
+    /// counted at the lower-left block of its span — the weights the grid
+    /// bisection balances, so cuts follow row counts, not block counts.
+    pub(crate) fn block_weights(&self) -> Vec<u64> {
+        let [nbx, nby] = self.grid;
+        let mut weights = vec![0u64; nbx * nby];
+        for s in &self.spans {
+            weights[s[2] * nbx + s[0]] += 1;
+        }
+        weights
     }
 
     /// Content fingerprint (FNV-1a over grid and spans), folded into the
@@ -283,12 +304,7 @@ impl ShardPlan {
         if max_k < 2 {
             return None;
         }
-        // Block weights = rows anchored at the span's lower-left block, so
-        // the grid bisection balances actual row counts, not block counts.
-        let mut weights = vec![0u64; nbx * nby];
-        for s in &hint.spans {
-            weights[s[2] * nbx + s[0]] += 1;
-        }
+        let weights = hint.block_weights();
         for k in (2..=max_k).rev() {
             let rects = bisect_weighted_grid(&weights, nbx, nby, k);
             if rects.len() != k {
@@ -662,7 +678,7 @@ fn split_components(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_operators::laplacian_2d;
+    use crate::test_operators::{hinted_grid, laplacian_2d};
     use crate::CooMatrix;
 
     fn check_invariants(a: &CsrMatrix, plan: &ShardPlan) {
@@ -705,44 +721,6 @@ mod tests {
                 stats.min_shard_rows
             );
         }
-    }
-
-    /// A `(bx·m+1) × (by·m+1)` point grid with 5-point-stencil coupling,
-    /// tagged with the block spans of a `bx × by` block grid of `m×m`-cell
-    /// blocks. Neighboring points always share a block, so the hint is
-    /// consistent with the sparsity — the shape of the reduced global
-    /// operator with one DoF per surface node.
-    fn hinted_grid(bx: usize, by: usize, m: usize) -> (CsrMatrix, PartitionHint) {
-        let (nx, ny) = (bx * m + 1, by * m + 1);
-        let idx = |x: usize, y: usize| y * nx + x;
-        let span1 = |c: usize, blocks: usize| -> [usize; 2] {
-            if c.is_multiple_of(m) {
-                let plane = c / m;
-                [plane.saturating_sub(1), plane.min(blocks - 1)]
-            } else {
-                [c / m, c / m]
-            }
-        };
-        let mut coo = CooMatrix::new(nx * ny, nx * ny);
-        let mut spans = Vec::with_capacity(nx * ny);
-        for y in 0..ny {
-            for x in 0..nx {
-                let v = idx(x, y);
-                coo.push(v, v, 4.0);
-                if x + 1 < nx {
-                    coo.push(v, idx(x + 1, y), -1.0);
-                    coo.push(idx(x + 1, y), v, -1.0);
-                }
-                if y + 1 < ny {
-                    coo.push(v, idx(x, y + 1), -1.0);
-                    coo.push(idx(x, y + 1), v, -1.0);
-                }
-                let sx = span1(x, bx);
-                let sy = span1(y, by);
-                spans.push([sx[0], sx[1], sy[0], sy[1]]);
-            }
-        }
-        (coo.to_csr(), PartitionHint::new([bx, by], spans))
     }
 
     #[test]

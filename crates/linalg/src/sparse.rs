@@ -1,6 +1,8 @@
 //! Sparse matrices: COO assembly format and CSR compute format.
 
-use crate::MemoryFootprint;
+use std::sync::Arc;
+
+use crate::{MemoryFootprint, PartitionHint};
 
 /// Coordinate-format (triplet) sparse matrix used during assembly.
 ///
@@ -143,6 +145,7 @@ impl CooMatrix {
             row_ptr: out_ptr,
             col_idx: out_col,
             values: out_val,
+            hint: None,
         }
     }
 }
@@ -156,6 +159,12 @@ impl MemoryFootprint for CooMatrix {
 /// Compressed sparse row matrix: the compute format for all FEM operators.
 ///
 /// Column indices are sorted and unique within each row.
+///
+/// An operator may carry the block-grid provenance of its rows (a
+/// [`PartitionHint`], see [`with_partition_hint`](Self::with_partition_hint)).
+/// The hint is part of the operator's identity: `==` and
+/// [`matrix_fingerprint`](crate::matrix_fingerprint) cover it, because the
+/// direct solvers order — and therefore round — differently under it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     nrows: usize,
@@ -163,6 +172,10 @@ pub struct CsrMatrix {
     row_ptr: Vec<usize>,
     col_idx: Vec<usize>,
     values: Vec<f64>,
+    /// Kept by `clone`; every derived matrix (`extract`, `transposed`,
+    /// `permuted_symmetric`) starts without one, since its rows are no
+    /// longer the rows the hint describes.
+    hint: Option<Arc<PartitionHint>>,
 }
 
 impl CsrMatrix {
@@ -198,6 +211,7 @@ impl CsrMatrix {
             row_ptr,
             col_idx,
             values,
+            hint: None,
         }
     }
 
@@ -225,6 +239,7 @@ impl CsrMatrix {
             row_ptr,
             col_idx,
             values,
+            hint: None,
         }
     }
 
@@ -236,6 +251,7 @@ impl CsrMatrix {
             row_ptr: (0..=n).collect(),
             col_idx: (0..n).collect(),
             values: vec![1.0; n],
+            hint: None,
         }
     }
 
@@ -279,6 +295,24 @@ impl CsrMatrix {
     #[inline]
     pub fn values_mut(&mut self) -> &mut [f64] {
         &mut self.values
+    }
+
+    /// This operator carrying `hint` as the block-grid provenance of its
+    /// rows. Whoever assembles an operator from a block array knows the
+    /// footprint of every row; attaching it here is how that knowledge
+    /// reaches the solvers — [`FillOrdering::Auto`](crate::FillOrdering)
+    /// dissects along the block grid and [`Sharded`](crate::Sharded) plans
+    /// its shards from it. The hint is advisory for both: one of the wrong
+    /// length, or one that misdescribes the sparsity, costs fill or a
+    /// fallback, never correctness.
+    pub fn with_partition_hint(mut self, hint: Arc<PartitionHint>) -> Self {
+        self.hint = Some(hint);
+        self
+    }
+
+    /// The block-grid provenance this operator carries, if any.
+    pub fn partition_hint(&self) -> Option<&Arc<PartitionHint>> {
+        self.hint.as_ref()
     }
 
     /// Whether `other` has the same dimensions and sparsity pattern
@@ -399,6 +433,7 @@ impl CsrMatrix {
             row_ptr,
             col_idx,
             values,
+            hint: None,
         }
     }
 
@@ -483,6 +518,7 @@ impl CsrMatrix {
             row_ptr,
             col_idx,
             values,
+            hint: None,
         }
     }
 
@@ -520,6 +556,7 @@ impl CsrMatrix {
                 row_ptr,
                 col_idx,
                 values,
+                hint: None,
             }
         }
     }
@@ -557,6 +594,7 @@ impl CsrMatrix {
             row_ptr,
             col_idx,
             values,
+            hint: None,
         }
     }
 

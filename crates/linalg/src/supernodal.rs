@@ -194,6 +194,12 @@ pub struct SupernodeStats {
     /// Name of the [`DenseKernel`] that ran the numeric phase
     /// (`"blocked"`, or `"scalar"` for the test oracle).
     pub kernel: &'static str,
+    /// The *resolved* fill ordering behind the factor
+    /// ([`FillOrdering::name`]: `"geometric"`, `"rcm"`, `"nd"` or
+    /// `"natural"` — never `"auto"`), or `"supplied"` for a factor built
+    /// from a caller's own permutation
+    /// ([`SupernodalCholesky::factor_with_permutation`]).
+    pub ordering: &'static str,
 }
 
 /// The symbolic analysis of one factorization: supernode partition, row
@@ -884,6 +890,8 @@ pub struct SupernodalCholesky {
     /// The microkernel the numeric phase ran on; the solve sweeps reuse
     /// it so factor and solve share one choice.
     kernel: KernelChoice,
+    /// See [`SupernodeStats::ordering`].
+    ordering: &'static str,
 }
 
 impl SupernodalCholesky {
@@ -898,11 +906,25 @@ impl SupernodalCholesky {
     /// [`LinalgError::NotPositiveDefinite`] if a non-positive pivot
     /// appears; [`LinalgError::DimensionMismatch`] if `a` is not square.
     pub fn factor(a: &CsrMatrix) -> Result<Self, LinalgError> {
-        Self::factor_with_permutation(
-            a,
-            FillOrdering::Rcm.permutation(a),
-            &SupernodalOptions::default(),
-        )
+        Self::factor_ordered(a, FillOrdering::Rcm, &SupernodalOptions::default())
+    }
+
+    /// Factors under `ordering`, resolved for `a` first — so the factor's
+    /// [`stats`](Self::stats) name the ordering that actually ran, not the
+    /// request ([`FillOrdering::Auto`] never appears there).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`SupernodalCholesky::factor`].
+    pub fn factor_ordered(
+        a: &CsrMatrix,
+        ordering: FillOrdering,
+        opts: &SupernodalOptions,
+    ) -> Result<Self, LinalgError> {
+        let resolved = ordering.resolve(a);
+        let mut factor = Self::factor_with_permutation(a, resolved.permutation(a), opts)?;
+        factor.ordering = resolved.name();
+        Ok(factor)
     }
 
     /// Factors with a caller-supplied fill-reducing permutation and
@@ -947,6 +969,7 @@ impl SupernodalCholesky {
                 mean_subtree_weight: 0.0,
                 factor_workers: 1,
                 kernel: opts.kernel,
+                ordering: "supplied",
             });
         }
         let ap = a.permuted_symmetric(&perm);
@@ -972,6 +995,7 @@ impl SupernodalCholesky {
             mean_subtree_weight: sym.metrics.mean_parallel_subtree,
             factor_workers,
             kernel: opts.kernel,
+            ordering: "supplied",
         })
     }
 
@@ -1184,6 +1208,7 @@ impl SupernodalCholesky {
             max_subtree_weight: self.max_subtree_weight as usize,
             mean_subtree_weight: self.mean_subtree_weight,
             kernel: self.kernel_name(),
+            ordering: self.ordering,
         }
     }
 
