@@ -231,23 +231,21 @@ impl GlobalLattice {
     ///
     /// [`InterpolationGrid::surface_nodes`]: crate::InterpolationGrid::surface_nodes
     pub fn block_nodes(&self, bi: usize, bj: usize) -> Vec<usize> {
+        self.block_node_ids(bi, bj).collect()
+    }
+
+    /// [`block_nodes`](Self::block_nodes) without the `Vec`.
+    fn block_node_ids(&self, bi: usize, bj: usize) -> impl Iterator<Item = usize> + '_ {
         let [nx, ny, nz] = self.interp_counts;
-        let mut out = Vec::new();
-        for k in 0..nz {
-            for j in 0..ny {
-                for i in 0..nx {
-                    let surface =
-                        i == 0 || i == nx - 1 || j == 0 || j == ny - 1 || k == 0 || k == nz - 1;
-                    if surface {
-                        let id = self
-                            .node_at(bi * (nx - 1) + i, bj * (ny - 1) + j, k)
-                            .expect("block surface nodes are always active");
-                        out.push(id);
-                    }
-                }
-            }
-        }
-        out
+        (0..nz)
+            .flat_map(move |k| (0..ny).flat_map(move |j| (0..nx).map(move |i| (i, j, k))))
+            .filter(move |&(i, j, k)| {
+                i == 0 || i == nx - 1 || j == 0 || j == ny - 1 || k == 0 || k == nz - 1
+            })
+            .map(move |(i, j, k)| {
+                self.node_at(bi * (nx - 1) + i, bj * (ny - 1) + j, k)
+                    .expect("block surface nodes are always active")
+            })
     }
 }
 
@@ -366,12 +364,18 @@ impl GlobalSolution {
     /// The element-DoF vector of block `(bi, bj)` in canonical order, ready
     /// for [`ReducedOrderModel::reconstruct_displacement`].
     pub fn element_dofs(&self, bi: usize, bj: usize) -> Vec<f64> {
-        let nodes = self.lattice.block_nodes(bi, bj);
-        let mut out = Vec::with_capacity(3 * nodes.len());
-        for node in nodes {
+        let mut out = Vec::new();
+        self.element_dofs_into(bi, bj, &mut out);
+        out
+    }
+
+    /// [`element_dofs`](Self::element_dofs) into a reused buffer (cleared
+    /// first).
+    pub(crate) fn element_dofs_into(&self, bi: usize, bj: usize, out: &mut Vec<f64>) {
+        out.clear();
+        for node in self.lattice.block_node_ids(bi, bj) {
             out.extend_from_slice(&self.nodal[3 * node..3 * node + 3]);
         }
-        out
     }
 }
 

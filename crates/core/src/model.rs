@@ -1,6 +1,6 @@
 //! The reduced-order model of one unit block, and its on-disk format.
 
-use std::io::{Read, Write};
+use std::io::{Read, Seek, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -124,30 +124,6 @@ impl ReducedOrderModel {
         u
     }
 
-    /// Like [`ReducedOrderModel::reconstruct_displacement`], but only fills
-    /// the DoFs of the listed nodes (all other entries stay zero). Used to
-    /// sample the mid-plane without reconstructing entire blocks.
-    pub(crate) fn reconstruct_displacement_at_nodes(
-        &self,
-        element_dofs: &[f64],
-        delta_t: f64,
-        nodes: &[usize],
-    ) -> Vec<f64> {
-        assert_eq!(element_dofs.len(), self.num_dofs(), "element DoF count");
-        let mut u = vec![0.0; self.basis_thermal.len()];
-        for &node in nodes {
-            for c in 0..3 {
-                let d = 3 * node + c;
-                let mut v = delta_t * self.basis_thermal[d];
-                for (ui, fi) in element_dofs.iter().zip(&self.basis) {
-                    v += ui * fi[d];
-                }
-                u[d] = v;
-            }
-        }
-        u
-    }
-
     /// Serializes the model to a file.
     ///
     /// The format is a small explicit binary codec (magic + version + shape
@@ -211,6 +187,7 @@ impl ReducedOrderModel {
     /// file is malformed, of a wrong version, or internally inconsistent.
     pub fn load(path: &Path) -> Result<Self, RomError> {
         let file = std::fs::File::open(path)?;
+        let file_len = file.metadata()?.len();
         let mut r = std::io::BufReader::new(file);
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
@@ -229,12 +206,20 @@ impl ReducedOrderModel {
             liner: read_f64(&mut r)?,
             pitch: read_f64(&mut r)?,
         };
+        let lengths = [geom.diameter, geom.height, geom.liner, geom.pitch];
+        if lengths.iter().any(|l| !PLAUSIBLE_LENGTH_UM.contains(l)) {
+            return Err(RomError::Format("implausible TSV dimensions".into()));
+        }
         geom.validate().map_err(RomError::Format)?;
         let res = BlockResolution {
             band_cells: read_usize(&mut r)?,
             outer_cells: read_usize(&mut r)?,
             z_cells: read_usize(&mut r)?,
         };
+        let cells = [res.band_cells, res.outer_cells, res.z_cells];
+        if cells.iter().any(|c| !(1..=MAX_CELLS).contains(c)) {
+            return Err(RomError::Format("implausible block resolution".into()));
+        }
         let kind = if read_u64(&mut r)? != 0 {
             BlockKind::Tsv
         } else {
@@ -261,7 +246,11 @@ impl ReducedOrderModel {
             let youngs = read_f64(&mut r)?;
             let poisson = read_f64(&mut r)?;
             let cte = read_f64(&mut r)?;
-            if youngs <= 0.0 || !(-1.0..0.5).contains(&poisson) {
+            let plausible = youngs > 0.0
+                && youngs.is_finite()
+                && (-1.0..0.5).contains(&poisson)
+                && cte.is_finite();
+            if !plausible {
                 return Err(RomError::Format("implausible material constants".into()));
             }
             materials.insert(
@@ -275,6 +264,25 @@ impl ReducedOrderModel {
             return Err(RomError::Format(format!(
                 "basis count {n_basis} does not match interpolation grid ({})",
                 interp.num_dofs()
+            )));
+        }
+        // The fine mesh is a full lattice (no voids), so its DoF count and
+        // with it the length of the file follow from the header alone: check
+        // both before anything is sized from them. The bounds above keep the
+        // products far inside u64.
+        let lattice = res.lateral_cells() as u64 + 1;
+        let mesh_dofs = 3 * lattice * lattice * (res.z_cells as u64 + 1);
+        if ndof as u64 != mesh_dofs {
+            return Err(RomError::Format(format!(
+                "stored fine DoF count {ndof} does not match the block resolution ({mesh_dofs})"
+            )));
+        }
+        let n = n_basis as u64;
+        let header_len = r.stream_position()?;
+        let expected_len = header_len + 8 * ((n + 1) * mesh_dofs + n * n + n);
+        if file_len != expected_len {
+            return Err(RomError::Format(format!(
+                "file holds {file_len} bytes where its header implies {expected_len}"
             )));
         }
         let mesh = unit_block_mesh(&geom, &res, kind == BlockKind::Tsv);
@@ -348,6 +356,14 @@ pub(crate) fn mint_rom_id() -> u64 {
 
 const MAGIC: &[u8; 8] = b"MORESTR\x01";
 const FORMAT_VERSION: u64 = 1;
+/// Largest per-axis cell count [`ReducedOrderModel::load`] accepts (the
+/// `fine` preset has 30 lateral cells).
+const MAX_CELLS: usize = 1 << 12;
+/// Lengths (µm) [`ReducedOrderModel::load`] accepts: 1 nm … 1 m, which also
+/// rejects NaN, infinities and bit patterns that read as denormals.
+const PLAUSIBLE_LENGTH_UM: std::ops::RangeInclusive<f64> = 1e-3..=1e6;
+/// Staging-buffer size of the bulk `.rom` reads and writes.
+const IO_CHUNK_BYTES: usize = 1 << 20;
 
 fn write_u64<W: Write>(w: &mut W, v: u64) -> std::io::Result<()> {
     w.write_all(&v.to_le_bytes())
@@ -357,9 +373,16 @@ fn write_f64<W: Write>(w: &mut W, v: f64) -> std::io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
 
+/// Writes `v` little-endian through a staging buffer of at most
+/// [`IO_CHUNK_BYTES`], one `write_all` per chunk.
 fn write_f64_slice<W: Write>(w: &mut W, v: &[f64]) -> std::io::Result<()> {
-    for &x in v {
-        write_f64(w, x)?;
+    let mut staging = Vec::with_capacity(IO_CHUNK_BYTES.min(8 * v.len()));
+    for chunk in v.chunks(IO_CHUNK_BYTES / 8) {
+        staging.clear();
+        for x in chunk {
+            staging.extend_from_slice(&x.to_le_bytes());
+        }
+        w.write_all(&staging)?;
     }
     Ok(())
 }
@@ -381,12 +404,21 @@ fn read_f64<R: Read>(r: &mut R) -> std::io::Result<f64> {
     Ok(f64::from_le_bytes(buf))
 }
 
+/// Reads `len` little-endian values through a staging buffer of at most
+/// [`IO_CHUNK_BYTES`], one `read_exact` per chunk. Callers size `len` only
+/// after [`ReducedOrderModel::load`] matched the header against the file
+/// length, so a hostile count never reaches the allocator.
 fn read_f64_vec<R: Read>(r: &mut R, len: usize) -> Result<Vec<f64>, RomError> {
-    let mut out = vec![0.0; len];
-    let mut buf = [0u8; 8];
-    for slot in &mut out {
-        r.read_exact(&mut buf)?;
-        *slot = f64::from_le_bytes(buf);
+    let mut out = Vec::with_capacity(len);
+    let mut staging = vec![0u8; IO_CHUNK_BYTES.min(8 * len)];
+    while out.len() < len {
+        let bytes = &mut staging[..8 * (len - out.len()).min(IO_CHUNK_BYTES / 8)];
+        r.read_exact(bytes)?;
+        out.extend(
+            bytes
+                .chunks_exact(8)
+                .map(|b| f64::from_le_bytes(b.try_into().expect("chunks of 8 bytes"))),
+        );
     }
     Ok(out)
 }

@@ -4,21 +4,161 @@
 //! combination of Eq. 15; stress follows from the constitutive law exactly
 //! as in the full-FEM reference. The paper evaluates every method on the
 //! gridded von Mises stress of the z = h/2 cut plane — this module samples
-//! that field for a whole array, reconstructing only the mesh slab that the
-//! cut plane touches. Blocks are reconstructed in parallel on the shared
-//! [`WorkPool`]; each block writes its own disjoint tile, so the sampled
-//! field is identical for every pool size.
+//! that field for a whole array.
+//!
+//! # The sampling plan
+//!
+//! Stress at a fixed local point of a block is linear in the block's reduced
+//! DoFs `U` and the thermal load: `σ = D·B·u_e − ΔT·D·ε_th` with
+//! `u_e` the 24 nodal displacements of the element holding the point and
+//! `u = ΔT·f_T + Σ_i U_i f_i` (Eq. 15). All blocks of one ROM kind share
+//! their `g × g` local points (`g` = `samples_per_block`), so every call
+//! first builds one **plan per ROM kind present in the layout**, in two
+//! factors:
+//!
+//! * per local point, the element's `D·B` (6 × 24), its thermal stress
+//!   `D·ε_th` (6) and the 24 rows of `T` its nodes own — or "void", which
+//!   samples as `NaN`;
+//! * the **touched-row basis** `T ∈ ℝ^{3·n_touched × (n+1)}`: the rows of
+//!   the `n` basis functions (thermal basis as the last column) at the fine
+//!   DoFs of only those elements' nodes, gathered into one contiguous
+//!   row-major array. `n_touched ≤ min(8g², nodes of the cut plane's slab)`.
+//!
+//! A block's tile is then `u_t = T·[U; ΔT]` (row dots on the production
+//! [`DenseKernel`]) followed, per point, by the 6 × 24 product and the von
+//! Mises formula. Blocks are sampled in parallel on the shared [`WorkPool`];
+//! each returns its own tile and the tiles are stitched in block order, so
+//! the field is bitwise identical for every pool size.
+//!
+//! **Cost model** (`n` basis functions, `blocks` unit blocks): building a
+//! plan is ≈ `3·n_touched·n` copies plus `g²` element set-ups (locate,
+//! `Hex8`, `B`, `D·B`); applying it is ≈ `blocks·(3·n_touched·n + 144·g²)`
+//! flops. Building is therefore ≈ `1/blocks` of applying, which is why the
+//! plan is **not cached**: it lives for one call, holds at most the slab's
+//! basis rows (≈ 3 MB on the `medium` mesh at `n = 168`) plus 1.4 kB per
+//! point, and adds no state to [`ReducedOrderModel`].
+//!
+//! The two factors are **not collapsed** into the dense map
+//! `S = D·B·T ∈ ℝ^{6g² × n}`: `S` costs `24·6·n` flops per point to form
+//! and `6g²·n` per block to apply, so it loses wherever blocks are few or
+//! points share nodes (on the `medium` mesh from `g ≈ 19`: a prototype on
+//! 4×4 blocks at `g = 20` took 11.6 ms against 5.3 ms factored) and would
+//! need 81 MB per kind at the upstream tool's `g = 100`; the factored plan
+//! never does more flops than a per-block slab reconstruction.
+//!
+//! The local points are the samples of block `(0, 0)`; every block reuses
+//! them, so a point that lies exactly on a mesh line (the block centre, hit
+//! by every odd `g`) resolves to the same element in every block.
 
-use std::sync::Mutex;
-
-use morestress_fem::{stress_at, PlaneGrid, ScalarField2d};
-use morestress_linalg::WorkPool;
+use morestress_fem::{Hex8, PlaneGrid, ScalarField2d, StressSample};
+use morestress_linalg::{DenseKernel, KernelChoice, WorkPool};
 use morestress_mesh::{BlockKind, BlockLayout};
 
 use crate::{GlobalSolution, ReducedOrderModel, RomError};
 
-/// One block's sampled tile, parked in its slot until stitching.
-type TileSlot = Mutex<Option<Result<Vec<f64>, RomError>>>;
+/// What one non-void local sample point contributes to a block's tile.
+struct PointMap {
+    /// `D·B` of the containing element at the point.
+    db: [[f64; 24]; 6],
+    /// `D·ε_th` of the element's material (stress of a unit ΔT).
+    thermal: [f64; 6],
+    /// The rows of [`SamplingPlan::touched`] holding the element's 24 DoFs.
+    rows: [usize; 24],
+}
+
+/// The per-call linear sampling plan of one ROM kind (see the module docs).
+struct SamplingPlan {
+    /// The `g × g` local points, row-major over `(jj, ii)`; `None` is a void
+    /// cell.
+    points: Vec<Option<PointMap>>,
+    /// The touched-row basis `T`, row-major with `cols` entries per row.
+    touched: Vec<f64>,
+    /// `n_basis + 1`: the thermal basis is the last column.
+    cols: usize,
+}
+
+impl SamplingPlan {
+    /// Locates the `g × g` samples of block `(0, 0)` on `grid` in the ROM's
+    /// mesh and gathers the basis rows their elements touch.
+    fn build(rom: &ReducedOrderModel, grid: &PlaneGrid, g: usize) -> Result<Self, RomError> {
+        let mesh = rom.mesh();
+        const UNTOUCHED: usize = usize::MAX;
+        let mut slot_of_node = vec![UNTOUCHED; mesh.num_nodes()];
+        let mut touched_nodes = Vec::new();
+        let mut points = Vec::with_capacity(g * g);
+        for jj in 0..g {
+            for ii in 0..g {
+                let Some((e, xi)) = mesh.locate(grid.point(ii, jj)) else {
+                    points.push(None);
+                    continue;
+                };
+                let material = rom.materials().get(mesh.material(e))?;
+                let b = Hex8::from_corners(&mesh.elem_corners(e)).b_matrix(xi);
+                let d = material.d_matrix();
+                let eps_th = material.thermal_strain_unit();
+                let mut db = [[0.0; 24]; 6];
+                let mut thermal = [0.0; 6];
+                for i in 0..6 {
+                    for j in 0..6 {
+                        thermal[i] += d[i][j] * eps_th[j];
+                        for k in 0..24 {
+                            db[i][k] += d[i][j] * b[j][k];
+                        }
+                    }
+                }
+                let mut rows = [0; 24];
+                for (a, &node) in mesh.elems()[e].iter().enumerate() {
+                    if slot_of_node[node] == UNTOUCHED {
+                        slot_of_node[node] = touched_nodes.len();
+                        touched_nodes.push(node);
+                    }
+                    for c in 0..3 {
+                        rows[3 * a + c] = 3 * slot_of_node[node] + c;
+                    }
+                }
+                points.push(Some(PointMap { db, thermal, rows }));
+            }
+        }
+        let cols = rom.num_dofs() + 1;
+        let mut touched = Vec::with_capacity(3 * touched_nodes.len() * cols);
+        for &node in &touched_nodes {
+            for dof in 3 * node..3 * node + 3 {
+                touched.extend(rom.basis.iter().map(|f| f[dof]));
+                touched.push(rom.basis_thermal[dof]);
+            }
+        }
+        Ok(Self {
+            points,
+            touched,
+            cols,
+        })
+    }
+
+    /// The von Mises tile of one block from `coeffs = [U_block; ΔT]`, with
+    /// `u` as the reused buffer of the touched displacements.
+    fn sample_tile(&self, kernel: &dyn DenseKernel, coeffs: &[f64], u: &mut Vec<f64>) -> Vec<f64> {
+        let delta_t = coeffs[self.cols - 1];
+        u.clear();
+        u.extend(
+            self.touched
+                .chunks_exact(self.cols)
+                .map(|row| kernel.dot(row, coeffs)),
+        );
+        self.points
+            .iter()
+            .map(|point| {
+                let Some(point) = point else {
+                    return f64::NAN;
+                };
+                let sigma = std::array::from_fn(|i| {
+                    let dbu: f64 = (0..24).map(|k| point.db[i][k] * u[point.rows[k]]).sum();
+                    dbu - delta_t * point.thermal[i]
+                });
+                StressSample::from_tensor(sigma).von_mises
+            })
+            .collect()
+    }
+}
 
 /// Samples the von Mises stress of a solved array on the mid-height cut
 /// plane, with `samples_per_block × samples_per_block` points per unit block
@@ -46,76 +186,53 @@ pub fn sample_array_von_mises(
             "layout contains dummy blocks but no dummy ROM was supplied".into(),
         ));
     }
+    let g = samples_per_block;
     let geom = rom_tsv.geometry();
     let p = geom.pitch;
-    let z_mid = 0.5 * geom.height;
     let grid = PlaneGrid::new(
         [0.0, 0.0],
         [p * layout.nx() as f64, p * layout.ny() as f64],
-        z_mid,
-        samples_per_block * layout.nx(),
-        samples_per_block * layout.ny(),
+        0.5 * geom.height,
+        g * layout.nx(),
+        g * layout.ny(),
     );
-    let mut values = vec![f64::NAN; grid.num_points()];
 
-    // Nodes of the mesh slab containing the cut plane (the two lattice
-    // planes bounding the cell that `locate` resolves to).
-    let slab_nodes: Vec<usize> = {
-        let mesh = rom_tsv.mesh();
-        let (_, _, zg) = mesh.grids();
-        let ck = zg.locate(z_mid);
-        let mut nodes = mesh.plane_nodes(2, ck);
-        nodes.extend(mesh.plane_nodes(2, ck + 1));
-        nodes
+    let plan_for = |rom: Option<&ReducedOrderModel>, kind| match rom {
+        Some(rom) if layout.count(kind) > 0 => SamplingPlan::build(rom, &grid, g).map(Some),
+        _ => Ok(None),
     };
+    let plan_tsv = plan_for(Some(rom_tsv), BlockKind::Tsv)?;
+    let plan_dummy = plan_for(rom_dummy, BlockKind::Dummy)?;
 
-    // One task per block: reconstruct the block's slab displacement and
-    // sample its g×g tile into a private buffer. Tiles are stitched into
-    // the field afterwards, so the result is bitwise independent of how the
-    // pool schedules blocks.
-    let g = samples_per_block;
+    // One task per block, each returning its own g×g tile; tiles are
+    // stitched in block order afterwards, so the result is bitwise
+    // independent of how the pool schedules blocks.
+    let kernel = KernelChoice::default().kernel();
     let pool = WorkPool::current();
-    let num_blocks = layout.nx() * layout.ny();
-    let tiles: Vec<TileSlot> = (0..num_blocks).map(|_| Mutex::new(None)).collect();
-    pool.scope_chunks(pool.cap(), num_blocks, |block| {
-        let bi = block % layout.nx();
-        let bj = block / layout.nx();
-        let rom = match layout.kind(bi, bj) {
-            BlockKind::Tsv => rom_tsv,
-            BlockKind::Dummy => rom_dummy.expect("checked above"),
-        };
-        let sample_tile = || -> Result<Vec<f64>, RomError> {
-            let dofs = solution.element_dofs(bi, bj);
-            let u = rom.reconstruct_displacement_at_nodes(&dofs, delta_t, &slab_nodes);
-            let mesh = rom.mesh();
-            let mats = rom.materials();
-            let mut tile = vec![f64::NAN; g * g];
-            for jj in 0..g {
-                for ii in 0..g {
-                    let gi = bi * g + ii;
-                    let gj = bj * g + jj;
-                    let pt = grid.point(gi, gj);
-                    let local = [pt[0] - bi as f64 * p, pt[1] - bj as f64 * p, pt[2]];
-                    let sample = stress_at(mesh, mats, &u, delta_t, local)?;
-                    tile[jj * g + ii] = sample.map_or(f64::NAN, |s| s.von_mises);
-                }
-            }
-            Ok(tile)
-        };
-        *tiles[block].lock().expect("tile slot poisoned") = Some(sample_tile());
-    });
-    for (block, slot) in tiles.into_iter().enumerate() {
-        let bi = block % layout.nx();
-        let bj = block / layout.nx();
-        let tile = slot
-            .into_inner()
-            .expect("tile slot poisoned")
-            .expect("every block sampled")?;
-        for jj in 0..g {
-            let gj = bj * g + jj;
-            let row = &tile[jj * g..(jj + 1) * g];
-            values[gj * grid.samples[0] + bi * g..gj * grid.samples[0] + bi * g + g]
-                .copy_from_slice(row);
+    let (tiles, _) = pool.scope_collect_with(
+        pool.cap(),
+        layout.nx() * layout.ny(),
+        || (Vec::new(), Vec::new()),
+        |(coeffs, u), block| {
+            let (bi, bj) = (block % layout.nx(), block / layout.nx());
+            let plan = match layout.kind(bi, bj) {
+                BlockKind::Tsv => &plan_tsv,
+                BlockKind::Dummy => &plan_dummy,
+            };
+            let plan = plan.as_ref().expect("a plan exists for every kind present");
+            solution.element_dofs_into(bi, bj, coeffs);
+            coeffs.push(delta_t);
+            plan.sample_tile(kernel, coeffs, u)
+        },
+    );
+
+    let width = grid.samples[0];
+    let mut values = vec![f64::NAN; grid.num_points()];
+    for (block, tile) in tiles.iter().enumerate() {
+        let (bi, bj) = (block % layout.nx(), block / layout.nx());
+        for (jj, row) in tile.chunks_exact(g).enumerate() {
+            let start = (bj * g + jj) * width + bi * g;
+            values[start..start + g].copy_from_slice(row);
         }
     }
     Ok(ScalarField2d { grid, values })
@@ -125,21 +242,80 @@ pub fn sample_array_von_mises(
 mod tests {
     use super::*;
     use crate::{GlobalBc, GlobalStage, InterpolationGrid, LocalStage, LocalStageOptions};
-    use morestress_fem::MaterialSet;
-    use morestress_mesh::{BlockResolution, TsvGeometry};
+    use morestress_fem::{FemError, MaterialSet};
+    use morestress_mesh::{BlockResolution, HexMesh, TsvGeometry, MAT_SI};
 
-    #[test]
-    fn sampled_field_covers_all_blocks_and_is_positive_near_vias() {
-        let geom = TsvGeometry::paper_defaults(15.0);
-        let rom = LocalStage::new(
-            &geom,
+    fn coarse_rom(kind: BlockKind) -> ReducedOrderModel {
+        LocalStage::new(
+            &TsvGeometry::paper_defaults(15.0),
             &BlockResolution::coarse(),
             InterpolationGrid::new([3, 3, 3]),
             &MaterialSet::tsv_defaults(),
-            BlockKind::Tsv,
+            kind,
         )
         .build(&LocalStageOptions { threads: 4 })
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn void_cells_sample_as_nan_and_leave_their_neighbours_alone() {
+        let rom = coarse_rom(BlockKind::Dummy);
+        let layout = BlockLayout::uniform(2, 1, BlockKind::Tsv);
+        let sol = GlobalStage::new(&rom)
+            .solve(&layout, -250.0, &GlobalBc::ClampedTopBottom)
+            .unwrap();
+        let g = 4;
+        let solid = sample_array_von_mises(&rom, None, &layout, &sol, -250.0, g).unwrap();
+        // The same block with the cell under local sample (1, 2) left void.
+        // One missing cell orphans no node but shifts the first-touch node
+        // numbering, so the basis rows move with their nodes.
+        let hole = solid.grid.point(1, 2);
+        let (xs, ys, zs) = rom.mesh().grids();
+        let cell_of = |p: [f64; 3]| [xs.locate(p[0]), ys.locate(p[1]), zs.locate(p[2])];
+        let mut holed = rom.clone();
+        holed.mesh = HexMesh::from_grids(xs.clone(), ys.clone(), zs.clone(), |centroid| {
+            (cell_of(centroid) != cell_of(hole)).then_some(MAT_SI)
+        });
+        assert_eq!(holed.mesh.num_nodes(), rom.mesh().num_nodes());
+        let renumber = |f: &Vec<f64>| -> Vec<f64> {
+            (0..holed.mesh.num_nodes())
+                .flat_map(|node| {
+                    let [i, j, k] = holed.mesh.node_lattice(node);
+                    let old = rom.mesh().lattice_node(i, j, k).expect("full lattice");
+                    f[3 * old..3 * old + 3].iter().copied()
+                })
+                .collect()
+        };
+        holed.basis = rom.basis.iter().map(renumber).collect();
+        holed.basis_thermal = renumber(&rom.basis_thermal);
+        let field = sample_array_von_mises(&holed, None, &layout, &sol, -250.0, g).unwrap();
+        for (at, (a, b)) in field.values.iter().zip(&solid.values).enumerate() {
+            let (i, j) = (at % (2 * g), at / (2 * g));
+            if (i % g, j) == (1, 2) {
+                assert!(a.is_nan(), "sample ({i},{j}) lies in the void cell");
+            } else {
+                assert_eq!(a.to_bits(), b.to_bits(), "sample ({i},{j})");
+            }
+        }
+    }
+
+    #[test]
+    fn unregistered_material_is_a_typed_error() {
+        let mut rom = coarse_rom(BlockKind::Tsv);
+        let layout = BlockLayout::uniform(1, 1, BlockKind::Tsv);
+        let sol = GlobalStage::new(&rom)
+            .solve(&layout, -250.0, &GlobalBc::ClampedTopBottom)
+            .unwrap();
+        rom.materials = MaterialSet::new();
+        match sample_array_von_mises(&rom, None, &layout, &sol, -250.0, 3) {
+            Err(RomError::Fem(FemError::UnknownMaterial { .. })) => {}
+            other => panic!("expected UnknownMaterial, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sampled_field_covers_all_blocks_and_is_positive_near_vias() {
+        let rom = coarse_rom(BlockKind::Tsv);
         let layout = BlockLayout::uniform(2, 2, BlockKind::Tsv);
         let sol = GlobalStage::new(&rom)
             .solve(&layout, -250.0, &GlobalBc::ClampedTopBottom)

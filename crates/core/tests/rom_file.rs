@@ -1,0 +1,201 @@
+//! Hostile `.rom` files: whatever the bytes, [`ReducedOrderModel::load`]
+//! answers with a typed error — no panic, no allocation sized from an
+//! unchecked header word (which would abort the process and take this test
+//! binary with it) — and a cached build over such a file rebuilds it.
+//!
+//! File layout (little-endian 8-byte words): magic, version, 4 geometry
+//! lengths, 3 cell counts, kind, 3 interpolation counts, material count,
+//! 4 words per material, basis count, fine DoF count — then the basis
+//! functions, the thermal basis, `A_elem` and `b_elem`.
+
+use std::path::{Path, PathBuf};
+
+use morestress_core::{
+    InterpolationGrid, LocalStage, LocalStageOptions, MoreStressSimulator, ReducedOrderModel,
+    RomError,
+};
+use morestress_fem::MaterialSet;
+use morestress_mesh::{BlockKind, BlockResolution, TsvGeometry};
+
+const Z_CELLS_OFFSET: usize = 64;
+const KIND_OFFSET: usize = 72;
+const MATERIAL_COUNT_OFFSET: usize = 104;
+const HOSTILE_WORDS: [u64; 3] = [0, u64::MAX, 1 << 40];
+
+/// A per-test file under the temp dir (tests run concurrently).
+fn temp_path(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("morestress-rom-file-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir.join(name)
+}
+
+/// The bytes of a small valid `.rom`.
+fn valid_rom_bytes() -> Vec<u8> {
+    let rom = LocalStage::new(
+        &TsvGeometry::paper_defaults(15.0),
+        &BlockResolution::coarse(),
+        InterpolationGrid::new([2, 2, 2]),
+        &MaterialSet::tsv_defaults(),
+        BlockKind::Tsv,
+    )
+    .build(&LocalStageOptions::default())
+    .expect("local stage builds");
+    let path = temp_path("valid.rom");
+    rom.save(&path).expect("save");
+    let bytes = std::fs::read(&path).expect("read back");
+    let _ = std::fs::remove_file(&path);
+    bytes
+}
+
+fn word_at(bytes: &[u8], offset: usize) -> u64 {
+    u64::from_le_bytes(bytes[offset..offset + 8].try_into().expect("8 bytes"))
+}
+
+fn with_word(bytes: &[u8], offset: usize, word: u64) -> Vec<u8> {
+    let mut patched = bytes.to_vec();
+    patched[offset..offset + 8].copy_from_slice(&word.to_le_bytes());
+    patched
+}
+
+/// Offset of the basis-count word; the header ends 16 bytes later.
+fn basis_count_offset(bytes: &[u8]) -> usize {
+    MATERIAL_COUNT_OFFSET + 8 + 32 * word_at(bytes, MATERIAL_COUNT_OFFSET) as usize
+}
+
+/// Writes `bytes` to `path` and loads it, failing the test on a panic.
+fn load_bytes(path: &Path, bytes: &[u8]) -> Result<ReducedOrderModel, RomError> {
+    std::fs::write(path, bytes).expect("write");
+    std::panic::catch_unwind(|| ReducedOrderModel::load(path))
+        .unwrap_or_else(|_| panic!("load panicked on {}", path.display()))
+}
+
+fn assert_rejected(label: &str, result: Result<ReducedOrderModel, RomError>) {
+    match result {
+        Err(RomError::Format(_) | RomError::Io(_)) => {}
+        Err(other) => panic!("{label}: expected Format or Io, got {other:?}"),
+        Ok(_) => panic!("{label}: a hostile file loaded"),
+    }
+}
+
+#[test]
+fn save_load_save_is_byte_identical() {
+    let bytes = valid_rom_bytes();
+    let path = temp_path("resave.rom");
+    let rom = load_bytes(&path, &bytes).expect("a valid file loads");
+    rom.save(&path).expect("save");
+    assert_eq!(std::fs::read(&path).expect("read"), bytes);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn truncation_at_every_section_boundary_is_rejected() {
+    let bytes = valid_rom_bytes();
+    let path = temp_path("truncated.rom");
+    let counts = basis_count_offset(&bytes);
+    let header = counts + 16;
+    let n = word_at(&bytes, counts) as usize;
+    let ndof = word_at(&bytes, counts + 8) as usize;
+    let mut cuts = vec![0, 8, 16, 48, 72, 80, 104, 112, counts, counts + 8, header];
+    cuts.extend([
+        header + 8 * ndof,           // after the first basis function
+        header + 8 * n * ndof,       // after the basis
+        header + 8 * (n + 1) * ndof, // after the thermal basis
+        bytes.len() - 8 * n,         // after A_elem
+        bytes.len() - 8,             // one value short
+        bytes.len() - 1,             // one byte short
+    ]);
+    for cut in cuts {
+        assert!(cut < bytes.len());
+        assert_rejected(
+            &format!("cut at {cut} of {}", bytes.len()),
+            load_bytes(&path, &bytes[..cut]),
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn hostile_header_words_are_rejected() {
+    let bytes = valid_rom_bytes();
+    let path = temp_path("hostile.rom");
+    let counts = basis_count_offset(&bytes);
+    // Version, geometry, cell counts, interpolation counts, material count,
+    // basis count, fine DoF count: no value here is a valid file.
+    let strict = (8..KIND_OFFSET)
+        .chain(KIND_OFFSET + 8..MATERIAL_COUNT_OFFSET + 8)
+        .chain(counts..counts + 16)
+        .step_by(8);
+    for offset in strict {
+        for word in HOSTILE_WORDS {
+            assert_rejected(
+                &format!("word at {offset} = {word:#x}"),
+                load_bytes(&path, &with_word(&bytes, offset, word)),
+            );
+        }
+    }
+    // The kind word and the material table cannot be cross-checked against
+    // anything (kind 0 is a dummy block, id 0 is copper, ν = 0 and α = 0 are
+    // materials): some patterns are valid files. They must still not panic,
+    // and what they reject must be typed.
+    for offset in std::iter::once(KIND_OFFSET).chain((MATERIAL_COUNT_OFFSET + 8..counts).step_by(8))
+    {
+        for word in HOSTILE_WORDS {
+            if let Err(e) = load_bytes(&path, &with_word(&bytes, offset, word)) {
+                assert_rejected(&format!("word at {offset} = {word:#x}"), Err(e));
+            }
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn flipped_magic_and_trailing_garbage_are_rejected() {
+    let bytes = valid_rom_bytes();
+    let path = temp_path("garbage.rom");
+    for byte in 0..8 {
+        let mut flipped = bytes.clone();
+        flipped[byte] ^= 0x01;
+        assert_rejected(&format!("magic byte {byte}"), load_bytes(&path, &flipped));
+    }
+    assert_rejected("version 2", load_bytes(&path, &with_word(&bytes, 8, 2)));
+    for extra in [1, 8, 4096] {
+        let mut longer = bytes.clone();
+        longer.extend(std::iter::repeat_n(0xa5, extra));
+        assert_rejected(
+            &format!("{extra} trailing bytes"),
+            load_bytes(&path, &longer),
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn cached_build_over_a_hostile_file_rebuilds_and_overwrites_it() {
+    let stem = temp_path("cache");
+    let rom_path = temp_path("cache-tsv.rom");
+    let build = || {
+        MoreStressSimulator::builder(&TsvGeometry::paper_defaults(15.0))
+            .interpolation([2, 2, 2])
+            .cache_stem(stem.clone())
+            .build()
+            .expect("the simulator builds whatever the cache file holds")
+    };
+    build();
+    let good = std::fs::read(&rom_path).expect("the build left a cache file");
+    let hostile = [
+        with_word(&good, Z_CELLS_OFFSET, 1 << 40),
+        with_word(&good, Z_CELLS_OFFSET, 0),
+        good[..good.len() / 2].to_vec(),
+        b"MORESTR\x01".to_vec(),
+    ];
+    for bytes in hostile {
+        assert_rejected("the hostile cache file", load_bytes(&rom_path, &bytes));
+        build();
+        assert_eq!(
+            std::fs::read(&rom_path).expect("cache file"),
+            good,
+            "the rebuild overwrites the hostile file with the model's own bytes"
+        );
+    }
+    let _ = std::fs::remove_file(&rom_path);
+}

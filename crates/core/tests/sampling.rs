@@ -1,0 +1,225 @@
+//! The mid-plane sampling plan against the route it replaced, plus the
+//! physical invariants the sampled field must keep.
+//!
+//! The oracle here is the pre-plan implementation, kept test-only: per block
+//! the full Eq. 15 displacement (`reconstruct_displacement`), per point
+//! `stress_at` — element location, `B`, `D` and the thermal strain re-derived
+//! every time. The plan (`core/src/reconstruct.rs`) must reproduce it to
+//! rounding on every layout shape, sample density and boundary condition.
+
+use std::sync::{Arc, OnceLock};
+
+use morestress_core::{
+    sample_array_von_mises, GlobalBc, GlobalSolution, GlobalStage, InterpolationGrid, LocalStage,
+    LocalStageOptions, ReducedOrderModel, RomError,
+};
+use morestress_fem::{stress_at, MaterialSet, PlaneGrid, ScalarField2d};
+use morestress_mesh::{BlockKind, BlockLayout, BlockResolution, TsvGeometry};
+
+const DELTA_T: f64 = -250.0;
+
+/// The coarse TSV and dummy ROMs every test shares.
+fn roms() -> &'static (ReducedOrderModel, ReducedOrderModel) {
+    static ROMS: OnceLock<(ReducedOrderModel, ReducedOrderModel)> = OnceLock::new();
+    ROMS.get_or_init(|| {
+        let build = |kind| {
+            LocalStage::new(
+                &TsvGeometry::paper_defaults(15.0),
+                &BlockResolution::coarse(),
+                InterpolationGrid::new([3, 3, 3]),
+                &MaterialSet::tsv_defaults(),
+                kind,
+            )
+            .build(&LocalStageOptions::default())
+            .expect("local stage builds")
+        };
+        (build(BlockKind::Tsv), build(BlockKind::Dummy))
+    })
+}
+
+fn solve(layout: &BlockLayout, delta_t: f64, bc: &GlobalBc) -> GlobalSolution {
+    let (tsv, dummy) = roms();
+    GlobalStage::new(tsv)
+        .with_dummy(dummy)
+        .expect("compatible ROMs")
+        .solve(layout, delta_t, bc)
+        .expect("global solve")
+}
+
+fn sample(
+    layout: &BlockLayout,
+    solution: &GlobalSolution,
+    delta_t: f64,
+    g: usize,
+) -> ScalarField2d {
+    let (tsv, dummy) = roms();
+    sample_array_von_mises(tsv, Some(dummy), layout, solution, delta_t, g).expect("sampling")
+}
+
+/// The parent commit's sampling route, local points included: each block
+/// derives them from its own global samples (`point − block origin`), where
+/// the plan reuses block (0, 0)'s — an ulp of the coordinate apart.
+fn oracle(
+    layout: &BlockLayout,
+    solution: &GlobalSolution,
+    delta_t: f64,
+    g: usize,
+) -> ScalarField2d {
+    let (tsv, dummy) = roms();
+    let geom = tsv.geometry();
+    let p = geom.pitch;
+    let grid = PlaneGrid::new(
+        [0.0, 0.0],
+        [p * layout.nx() as f64, p * layout.ny() as f64],
+        0.5 * geom.height,
+        g * layout.nx(),
+        g * layout.ny(),
+    );
+    let mut values = vec![f64::NAN; grid.num_points()];
+    for bj in 0..layout.ny() {
+        for bi in 0..layout.nx() {
+            let rom = match layout.kind(bi, bj) {
+                BlockKind::Tsv => tsv,
+                BlockKind::Dummy => dummy,
+            };
+            let u = rom.reconstruct_displacement(&solution.element_dofs(bi, bj), delta_t);
+            for jj in 0..g {
+                for ii in 0..g {
+                    let (gi, gj) = (bi * g + ii, bj * g + jj);
+                    let pt = grid.point(gi, gj);
+                    let local = [pt[0] - bi as f64 * p, pt[1] - bj as f64 * p, pt[2]];
+                    let s = stress_at(rom.mesh(), rom.materials(), &u, delta_t, local)
+                        .expect("registered materials");
+                    values[gj * grid.samples[0] + gi] = s.map_or(f64::NAN, |s| s.von_mises);
+                }
+            }
+        }
+    }
+    ScalarField2d { grid, values }
+}
+
+/// `a` and `b` agree to `tol` of `b`'s peak, with `NaN`s in the same places.
+fn assert_fields_agree(label: &str, a: &ScalarField2d, b: &ScalarField2d, tol: f64) {
+    assert_eq!(a.grid, b.grid, "{label}: grids");
+    let peak = b.max();
+    assert!(peak > 0.0, "{label}: the reference field is not trivial");
+    for (i, (x, y)) in a.values.iter().zip(&b.values).enumerate() {
+        assert_eq!(x.is_nan(), y.is_nan(), "{label}: NaN position {i}");
+        assert!(
+            x.is_nan() || (x - y).abs() <= tol * peak,
+            "{label}: sample {i}: {x} vs {y} (peak {peak})"
+        );
+    }
+}
+
+/// A TSV array, a hybrid array with a dummy ring, and a TSV array with an
+/// interior dummy patch (mirror-symmetric in x and y).
+fn layouts() -> Vec<(&'static str, BlockLayout)> {
+    let mut patched = BlockLayout::uniform(4, 3, BlockKind::Tsv);
+    patched.set_kind(1, 1, BlockKind::Dummy);
+    patched.set_kind(2, 1, BlockKind::Dummy);
+    vec![
+        ("tsv 3x2", BlockLayout::uniform(3, 2, BlockKind::Tsv)),
+        (
+            "2x2 + dummy ring",
+            BlockLayout::uniform(2, 2, BlockKind::Tsv).padded(1),
+        ),
+        ("4x3 with a dummy patch", patched),
+    ]
+}
+
+#[test]
+fn plan_matches_the_per_point_oracle() {
+    let submodel = GlobalBc::SubmodelBoundary(Arc::new(|p: [f64; 3]| {
+        [1e-4 * p[0], -2e-4 * p[1], 5e-5 * (p[2] - 25.0)]
+    }));
+    for (name, layout) in layouts() {
+        for (bc_name, bc) in [
+            ("clamped", &GlobalBc::ClampedTopBottom),
+            ("submodel", &submodel),
+        ] {
+            let solution = solve(&layout, DELTA_T, bc);
+            for g in [1, 4, 7, 20] {
+                let label = format!("{name}, {bc_name}, g = {g}");
+                let field = sample(&layout, &solution, DELTA_T, g);
+                assert_eq!(field.values.len(), g * g * layout.nx() * layout.ny());
+                assert!(field.values.iter().all(|v| v.is_finite()), "{label}");
+                let reference = oracle(&layout, &solution, DELTA_T, g);
+                assert_fields_agree(&label, &field, &reference, 1e-10);
+            }
+        }
+    }
+}
+
+#[test]
+fn missing_dummy_rom_is_a_mismatch() {
+    let (tsv, _) = roms();
+    let layout = BlockLayout::uniform(2, 2, BlockKind::Tsv).padded(1);
+    let solution = solve(&layout, DELTA_T, &GlobalBc::ClampedTopBottom);
+    match sample_array_von_mises(tsv, None, &layout, &solution, DELTA_T, 4) {
+        Err(RomError::Mismatch(_)) => {}
+        other => panic!("expected Mismatch, got {other:?}"),
+    }
+}
+
+#[test]
+fn zero_load_gives_an_exactly_zero_field() {
+    for (name, layout) in layouts() {
+        let solution = solve(&layout, 0.0, &GlobalBc::ClampedTopBottom);
+        let field = sample(&layout, &solution, 0.0, 5);
+        assert!(
+            field.values.iter().all(|&v| v == 0.0),
+            "{name}: ΔT = 0 must sample to exactly 0.0"
+        );
+    }
+}
+
+#[test]
+fn field_scales_with_the_magnitude_of_the_load() {
+    for (name, layout) in layouts() {
+        let base = sample(
+            &layout,
+            &solve(&layout, DELTA_T, &GlobalBc::ClampedTopBottom),
+            DELTA_T,
+            4,
+        );
+        for alpha in [2.0, -0.37, 1.7] {
+            let scaled = sample(
+                &layout,
+                &solve(&layout, alpha * DELTA_T, &GlobalBc::ClampedTopBottom),
+                alpha * DELTA_T,
+                4,
+            );
+            let expected = ScalarField2d {
+                grid: base.grid,
+                values: base.values.iter().map(|v| alpha.abs() * v).collect(),
+            };
+            assert_fields_agree(&format!("{name}, α = {alpha}"), &scaled, &expected, 1e-12);
+        }
+    }
+}
+
+#[test]
+fn mirror_symmetric_layout_gives_a_mirror_symmetric_field() {
+    // Even g: no sample sits on a mesh line, where `locate` breaks ties
+    // towards the upper cell.
+    let g = 4;
+    for (name, layout) in layouts() {
+        let solution = solve(&layout, DELTA_T, &GlobalBc::ClampedTopBottom);
+        let field = sample(&layout, &solution, DELTA_T, g);
+        let [w, h] = field.grid.samples;
+        let mirrored = |flip_x: bool, flip_y: bool| ScalarField2d {
+            grid: field.grid,
+            values: (0..w * h)
+                .map(|at| {
+                    let (i, j) = (at % w, at / w);
+                    let i = if flip_x { w - 1 - i } else { i };
+                    let j = if flip_y { h - 1 - j } else { j };
+                    field.values[j * w + i]
+                })
+                .collect(),
+        };
+        assert_fields_agree(&format!("{name}, x"), &mirrored(true, false), &field, 1e-9);
+        assert_fields_agree(&format!("{name}, y"), &mirrored(false, true), &field, 1e-9);
+    }
+}
