@@ -8,15 +8,9 @@
 //! (`hardware_threads`, `git_commit`) present in every section. Exits
 //! non-zero — failing the CI job — on any violation.
 //!
-//! The no-args scan validates the committed full-run artifacts only —
-//! `*.quick.json` redirects (written under `MORESTRESS_BENCH_QUICK=1`) are
-//! excluded, because a stale quick file from an older sweep would fail the
-//! scan for reasons unrelated to the change under test. To validate a
-//! quick sweep's output, name the files it just produced:
-//!
 //! ```text
-//! cargo run -p morestress-bench --bin check_bench_json            # committed artifacts
-//! cargo run -p morestress-bench --bin check_bench_json BENCH_PR7.quick.json
+//! cargo run -p morestress-bench --bin check_bench_json            # BENCH_PR8.json
+//! cargo run -p morestress-bench --bin check_bench_json campaign_results.json
 //! ```
 
 use morestress_bench::{bench_json_path_for, check_bench_sections, parse_bench_json};
@@ -32,16 +26,7 @@ fn main() {
             .filter(|path| {
                 path.file_name()
                     .and_then(|n| n.to_str())
-                    // Skip `.quick.json` redirects: quick-mode runs only
-                    // re-emit the sections they exercised, so a stale
-                    // leftover from an older sweep would fail the scan for
-                    // reasons unrelated to the current change. CI names
-                    // the quick files it just produced explicitly.
-                    .is_some_and(|n| {
-                        n.starts_with("BENCH_")
-                            && n.ends_with(".json")
-                            && !n.ends_with(".quick.json")
-                    })
+                    .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
             })
             .collect();
         found.sort();

@@ -1,6 +1,6 @@
 //! Shared harness for regenerating the MORE-Stress paper's experiments.
 //!
-//! The `repro` binary and the Criterion benches both drive the scenario
+//! The `repro` binary drives the scenario
 //! runners in this crate. Every experiment (Table 1, Table 2, Table 3 /
 //! Fig. 6) has a runner that produces the same rows/series the paper
 //! reports: wall time, peak memory and normalized MAE for the full-FEM
@@ -421,8 +421,7 @@ pub fn fmt_bytes(bytes: usize) -> String {
 }
 
 /// A 2-D 5-point lattice with mildly jittered diagonal (`nx · ny` DoFs) —
-/// the shared ≥50k-DoF test operator of the solver ablation benches
-/// (`ablation_supernodal`, `ablation_parallel_factor`).
+/// the test operator of the `ablation_resilience` emitter.
 pub fn jittered_lattice(nx: usize, ny: usize) -> morestress_linalg::CsrMatrix {
     let n = nx * ny;
     let id = |i: usize, j: usize| j * nx + i;
@@ -449,15 +448,8 @@ pub fn jittered_lattice(nx: usize, ny: usize) -> morestress_linalg::CsrMatrix {
     coo.to_csr()
 }
 
-/// Median of a set of timing samples, in milliseconds (sorts in place).
-pub fn median_ms(samples: &mut [Duration]) -> f64 {
-    samples.sort_unstable();
-    samples[samples.len() / 2].as_secs_f64() * 1e3
-}
-
 /// Times `f` three times and returns the median in milliseconds together
-/// with the last result — the quick measured-comparison harness the
-/// solver ablation benches share.
+/// with the last result.
 pub fn time3<R>(mut f: impl FnMut() -> R) -> (f64, R) {
     let mut out = None;
     let mut samples = Vec::with_capacity(3);
@@ -466,7 +458,11 @@ pub fn time3<R>(mut f: impl FnMut() -> R) -> (f64, R) {
         out = Some(f());
         samples.push(t0.elapsed());
     }
-    (median_ms(&mut samples), out.expect("ran at least once"))
+    samples.sort_unstable();
+    (
+        samples[1].as_secs_f64() * 1e3,
+        out.expect("ran at least once"),
+    )
 }
 
 /// Formats an optional error as a percentage.
@@ -487,61 +483,16 @@ pub fn peak_rss_bytes() -> Option<usize> {
     None
 }
 
-/// True when `MORESTRESS_BENCH_QUICK` is set (non-empty and not `"0"`):
-/// the ablation benches shrink to tiny problem sizes so CI's `bench-smoke`
-/// job can *run* every emitter end to end — exercising the measurement and
-/// JSON-recording logic, not just compiling it — in seconds.
-pub fn quick_mode() -> bool {
-    std::env::var("MORESTRESS_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// Picks `full` for a real benchmark run, `quick` under
-/// [`quick_mode`] — the one-liner the ablation benches size their
-/// problems with.
-pub fn quick_or<T>(full: T, quick: T) -> T {
-    if quick_mode() {
-        quick
-    } else {
-        full
-    }
-}
-
 /// Path of a machine-readable benchmark record at the workspace root
-/// (`BENCH_PR3.json`, `BENCH_PR4.json`, …).
+/// (`BENCH_PR8.json`).
 pub fn bench_json_path_for(file: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join(file)
 }
 
-/// Path of the machine-readable benchmark record the PR-3 acceptance
-/// criteria read (`BENCH_PR3.json` at the workspace root).
-pub fn bench_json_path() -> std::path::PathBuf {
-    bench_json_path_for("BENCH_PR3.json")
-}
-
 /// One bench-record section: a name plus its key → number entries.
 pub type BenchSection = (String, Vec<(String, f64)>);
-
-/// Merges one section of benchmark numbers into `BENCH_PR3.json` — see
-/// [`record_bench_json_in`].
-pub fn record_bench_json(section: &str, entries: &[(&str, f64)]) {
-    record_bench_json_in("BENCH_PR3.json", section, entries);
-}
-
-/// Merges one section of benchmark numbers into the named record file at
-/// the workspace root. Borrowed-key convenience over
-/// [`record_bench_entries`].
-pub fn record_bench_json_in(file: &str, section: &str, entries: &[(&str, f64)]) {
-    record_bench_entries(
-        file,
-        section,
-        entries
-            .iter()
-            .map(|(k, v)| ((*k).to_string(), *v))
-            .collect(),
-    );
-}
 
 /// `hardware_threads` of this machine, as recorded in every bench section.
 pub fn hardware_threads() -> f64 {
@@ -565,46 +516,36 @@ pub fn git_commit_number() -> f64 {
 }
 
 /// Merges one section of benchmark numbers into the named record file at
-/// the workspace root — the single output path every bench emitter routes
-/// through (the per-bench borrow/format dance used to be duplicated across
-/// `ablation_global_solver` and `ablation_parallel_factor`).
+/// the workspace root.
 ///
 /// The file is a flat two-level JSON object `{section: {key: number}}`;
-/// each bench overwrites its own section and leaves the others in place,
-/// so `ablation_parallel_factor` and `ablation_global_solver` can both
-/// contribute to one record. Every written section is uniformly stamped
-/// with [`hardware_threads`] and [`git_commit_number`] (caller-provided
-/// values for those keys are replaced), which is what the
-/// `check_bench_json` CI gate verifies. The stored format is exactly what
-/// [`parse_bench_json`] reads back — no external JSON dependency.
+/// the section is overwritten and any others are left in place. Every
+/// written section is stamped with [`hardware_threads`] and
+/// [`git_commit_number`] (caller-provided values for those keys are
+/// replaced), which is what the `check_bench_json` CI gate verifies. The
+/// stored format is exactly what [`parse_bench_json`] reads back — no
+/// external JSON dependency.
 ///
-/// Under [`quick_mode`] the record is redirected to `<stem>.quick.json`
-/// (git-ignored): quick runs exist to prove the emitters work, and their
-/// tiny-workload numbers must never clobber the committed measurements.
-/// The `check_bench_json` no-args scan skips quick files (a stale
-/// leftover must not fail an unrelated run); CI validates the quick files
-/// its sweep just produced by naming them explicitly.
-pub fn record_bench_entries(file: &str, section: &str, entries: Vec<(String, f64)>) {
-    let file = if quick_mode() {
-        file.replace(".json", ".quick.json")
-    } else {
-        file.to_string()
-    };
-    let path = bench_json_path_for(&file);
+/// # Errors
+///
+/// Returns the I/O error when the record cannot be written.
+pub fn record_bench_entries(
+    file: &str,
+    section: &str,
+    mut entries: Vec<(String, f64)>,
+) -> std::io::Result<()> {
+    let path = bench_json_path_for(file);
     let mut sections: Vec<BenchSection> = std::fs::read_to_string(&path)
         .ok()
         .and_then(|text| parse_bench_json(&text))
         .unwrap_or_default();
     sections.retain(|(name, _)| name != section);
-    let mut entries = entries;
     entries.retain(|(k, _)| k != "hardware_threads" && k != "git_commit");
     entries.push(("hardware_threads".to_string(), hardware_threads()));
     entries.push(("git_commit".to_string(), git_commit_number()));
     sections.push((section.to_string(), entries));
     sections.sort_by(|a, b| a.0.cmp(&b.0));
-    if let Err(e) = std::fs::write(&path, format_bench_sections(&sections)) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
+    std::fs::write(&path, format_bench_sections(&sections))
 }
 
 /// Serializes sections into the two-level `{section: {key: number}}` text
@@ -627,7 +568,7 @@ pub fn format_bench_sections(sections: &[BenchSection]) -> String {
 }
 
 /// Parses the two-level `{section: {key: number}}` format written by
-/// [`record_bench_json`]. Returns `None` on any shape surprise (the writer
+/// [`record_bench_entries`]. Returns `None` on any shape surprise (the writer
 /// then starts a fresh file).
 pub fn parse_bench_json(text: &str) -> Option<Vec<BenchSection>> {
     let mut sections = Vec::new();

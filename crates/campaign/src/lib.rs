@@ -17,8 +17,8 @@
 //!   model, per-job panic/fault containment, and deterministic
 //!   campaign-canonical result ordering regardless of completion order.
 //! * [`results`] — the stable numeric results schema: the same
-//!   two-level `{section: {key: number}}` JSON as the bench artifacts,
-//!   accepted by the `check_bench_json` CI gate.
+//!   two-level `{section: {key: number}}` JSON as the bench record
+//!   (`BENCH_PR8.json`), accepted by the `check_bench_json` CI gate.
 //! * the `morestress` CLI binary — `morestress campaign run <spec.yml>`.
 //!
 //! ```

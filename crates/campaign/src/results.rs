@@ -1,6 +1,6 @@
 //! The stable results schema: campaign reports rendered as the same
-//! two-level `{section: {key: number}}` JSON the benchmark artifacts
-//! use, validated by the `check_bench_json` CI gate.
+//! two-level `{section: {key: number}}` JSON the bench record
+//! (`BENCH_PR8.json`) uses, validated by the `check_bench_json` CI gate.
 //!
 //! Layout: one summary section per campaign (job/solved/failed tallies
 //! and the shared-cache counters) plus one section per job. Sections are
@@ -114,7 +114,7 @@ pub fn campaign_sections(reports: &[CampaignReport]) -> Vec<BenchSection> {
 }
 
 /// Writes the reports as a schema-valid bench-record JSON file at `path`
-/// (exactly where given — no workspace-root or quick-mode redirection).
+/// (exactly where given, not at the workspace root).
 ///
 /// # Errors
 ///

@@ -308,15 +308,33 @@ impl<'n> MapView<'n> {
     fn check_keys(&self, known: &[&str]) -> Result<(), SpecError> {
         for (key, node) in self.entries {
             if !known.contains(&key.as_str()) {
+                let kind = match UPSTREAM_NESTED.iter().find(|(nested, _)| nested == key) {
+                    Some((_, flat)) => SpecErrorKind::BadValue(format!(
+                        "`{key}` is the upstream config.yml's nested form; this build reads \
+                         the flat keys {flat} (see examples/campaign.yml)"
+                    )),
+                    None => SpecErrorKind::UnknownKey(key.clone()),
+                };
                 return Err(SpecError {
                     line: node.line,
-                    kind: SpecErrorKind::UnknownKey(key.clone()),
+                    kind,
                 });
             }
         }
         Ok(())
     }
 }
+
+/// Keys the upstream `config.yml` nests per axis (`tsv_num: {x, y}`), with
+/// the flat keys this build reads in their place.
+const UPSTREAM_NESTED: [(&str, &str); 3] = [
+    ("tsv_num", "`tsv_num_x` / `tsv_num_y`"),
+    ("dummy_tsv_num", "`dummy_tsv_num_x` / `dummy_tsv_num_y`"),
+    (
+        "interp_num",
+        "`interp_num_x` / `interp_num_y` / `interp_num_z`",
+    ),
+];
 
 fn scalar<'n>(node: &'n Node, what: &'static str) -> Result<&'n str, SpecError> {
     match &node.value {

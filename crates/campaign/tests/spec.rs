@@ -128,6 +128,42 @@ fn unknown_keys_are_rejected_with_line() {
 }
 
 #[test]
+fn upstream_nested_keys_name_the_flat_ones() {
+    // The upstream config.yml nests axes (`tsv_num: {x, y}`); each such
+    // key is refused with the flat keys to use instead, at the line its
+    // nested block starts on (where every block-valued key is reported).
+    let array = "  - tsv_num_x: 2\n    tsv_num_y: 2\n";
+    let cases = [
+        (
+            MINIMAL.replace(array, "  - tsv_num:\n      x: 2\n      y: 2\n"),
+            11,
+            "`tsv_num_x` / `tsv_num_y`",
+        ),
+        (
+            format!("{MINIMAL}    dummy_tsv_num:\n      x: 1\n      y: 1\n"),
+            13,
+            "`dummy_tsv_num_x` / `dummy_tsv_num_y`",
+        ),
+        (
+            format!("{MINIMAL}solver:\n  interp_num:\n    x: 4\n    y: 4\n    z: 4\n"),
+            14,
+            "`interp_num_x` / `interp_num_y` / `interp_num_z`",
+        ),
+    ];
+    for (text, line, flat) in cases {
+        let err = CampaignSpec::parse(&text).unwrap_err();
+        assert_eq!(err.line, line, "{err}");
+        let SpecErrorKind::BadValue(msg) = &err.kind else {
+            panic!("expected a pointed BadValue, got {err}");
+        };
+        assert!(
+            msg.contains(flat) && msg.contains("examples/campaign.yml"),
+            "{err}"
+        );
+    }
+}
+
+#[test]
 fn non_finite_numbers_are_rejected_with_line() {
     // `nan` and overflow-to-infinity literals both parse as f64 — and
     // both must be refused with the line they sit on.

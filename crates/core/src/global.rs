@@ -55,7 +55,7 @@ pub enum RomSolver {
         tol: f64,
     },
     /// Jacobi-preconditioned CG (valid because the Galerkin projection of
-    /// the SPD elasticity operator is SPD; compared in the ablation bench).
+    /// the SPD elasticity operator is SPD).
     Cg {
         /// Relative residual tolerance.
         tol: f64,

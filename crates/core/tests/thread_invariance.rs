@@ -331,38 +331,23 @@ fn sharded_global_solve_is_pool_size_invariant() {
     let rom = WorkPool::new(REFERENCE_CAP).install(|| build_rom(BlockKind::Tsv));
     let layout = BlockLayout::uniform(5, 5, BlockKind::Tsv);
     let loads = [-250.0, -120.0, 75.0, 10.0];
-    let solve = |cap: usize| {
+    // Both planners: the geometric route the pipeline takes by default
+    // (the stage hints every operator) and the graph fallback behind
+    // `Sharded::without_hint`.
+    let solve = |cap: usize, hinted: bool| {
         WorkPool::new(cap).install(|| {
             let cache = FactorCache::new();
-            GlobalStage::new(&rom)
-                .with_solver(RomSolver::Sharded { shards: SHARDS })
-                .with_cache(&cache)
-                .with_threads(64)
-                .solve_many(&layout, &loads, &GlobalBc::ClampedTopBottom)
-                .expect("sharded batched solve")
+            let graph = Sharded::new(SHARDS).without_hint();
+            let stage = GlobalStage::new(&rom).with_cache(&cache).with_threads(64);
+            if hinted {
+                stage.with_solver(RomSolver::Sharded { shards: SHARDS })
+            } else {
+                stage.with_backend(&graph)
+            }
+            .solve_many(&layout, &loads, &GlobalBc::ClampedTopBottom)
+            .expect("sharded batched solve")
         })
     };
-    let reference = solve(REFERENCE_CAP);
-    assert!(
-        reference[0].stats.shards >= 2,
-        "5×5 reduced operator must actually shard"
-    );
-    assert!(reference[0].stats.interface_dofs > 0);
-    for cap in CAPS {
-        let batch = solve(cap);
-        assert_eq!(
-            batch[0].stats.shards, reference[0].stats.shards,
-            "the shard plan must not depend on the pool cap"
-        );
-        for (r, c) in reference.iter().zip(&batch) {
-            assert_bitwise(
-                "sharded nodal displacement",
-                cap,
-                r.nodal_displacement(),
-                c.nodal_displacement(),
-            );
-        }
-    }
     // Monolithic cross-check on the same full pipeline.
     let mono = WorkPool::new(REFERENCE_CAP).install(|| {
         GlobalStage::new(&rom)
@@ -370,17 +355,46 @@ fn sharded_global_solve_is_pool_size_invariant() {
             .solve_many(&layout, &loads, &GlobalBc::ClampedTopBottom)
             .expect("monolithic batched solve")
     });
-    for (m, s) in mono.iter().zip(&reference) {
-        let scale = m
-            .nodal_displacement()
-            .iter()
-            .fold(0.0f64, |acc, v| acc.max(v.abs()))
-            .max(1e-30);
-        for (a, b) in m.nodal_displacement().iter().zip(s.nodal_displacement()) {
-            assert!(
-                (a - b).abs() <= 1e-8 * scale,
-                "sharded vs monolithic beyond 1e-8 relative: {a} vs {b}"
+    for hinted in [true, false] {
+        let reference = solve(REFERENCE_CAP, hinted);
+        let stats = reference[0].stats;
+        assert!(
+            stats.shards >= 2,
+            "5×5 reduced operator must actually shard"
+        );
+        assert!(stats.interface_dofs > 0);
+        assert_eq!(
+            stats.plan_stats.expect("sharded plan stats").geometric,
+            hinted,
+            "the planner route must follow the hint switch"
+        );
+        for cap in CAPS {
+            let batch = solve(cap, hinted);
+            assert_eq!(
+                batch[0].stats.shards, stats.shards,
+                "the shard plan must not depend on the pool cap"
             );
+            for (r, c) in reference.iter().zip(&batch) {
+                assert_bitwise(
+                    "sharded nodal displacement",
+                    cap,
+                    r.nodal_displacement(),
+                    c.nodal_displacement(),
+                );
+            }
+        }
+        for (m, s) in mono.iter().zip(&reference) {
+            let scale = m
+                .nodal_displacement()
+                .iter()
+                .fold(0.0f64, |acc, v| acc.max(v.abs()))
+                .max(1e-30);
+            for (a, b) in m.nodal_displacement().iter().zip(s.nodal_displacement()) {
+                assert!(
+                    (a - b).abs() <= 1e-8 * scale,
+                    "sharded vs monolithic beyond 1e-8 relative: {a} vs {b}"
+                );
+            }
         }
     }
 }

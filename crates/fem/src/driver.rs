@@ -20,8 +20,9 @@ use crate::{assemble_system, DirichletBcs, FemError, MaterialSet, ReducedSystem}
 /// Which linear solver the driver uses on the reduced system.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LinearSolver {
-    /// Sparse Cholesky with RCM ordering (exact; memory-hungry on large
-    /// meshes — which is precisely the cost the paper measures for FEM).
+    /// The supernodal Cholesky factor under `FillOrdering::Auto` (exact;
+    /// memory-hungry on large meshes — which is precisely the cost the
+    /// paper measures for FEM).
     DirectCholesky,
     /// Conjugate gradients with SSOR preconditioning.
     Cg {

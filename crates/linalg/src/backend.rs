@@ -740,7 +740,7 @@ impl PreparedSolver {
 
     /// Stored nonzeros of the direct factor (`None` for iterative
     /// engines; summed over all blocks for the sharded engine) — the fill
-    /// measure the ordering ablation reports.
+    /// measure [`SolveReport::factor_nnz`] carries.
     pub fn factor_nnz(&self) -> Option<usize> {
         match &self.engine {
             Engine::Direct(factor) => Some(factor.factor_nnz()),

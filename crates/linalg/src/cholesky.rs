@@ -8,9 +8,9 @@
 //!
 //! No solver backend runs this factorization: production solves go
 //! through [`SupernodalCholesky`](crate::SupernodalCholesky). It stays as
-//! the independent reference the differential tests and the ablation
-//! benches compare that factorization against, and its `etree`/`ereach`
-//! symbolic routines are shared with the supernodal analysis.
+//! the independent reference the differential tests compare that
+//! factorization against, and its `etree`/`ereach` symbolic routines are
+//! shared with the supernodal analysis.
 
 use crate::ordering::{reverse_cuthill_mckee, Permutation};
 use crate::{CsrMatrix, LinalgError};
@@ -62,8 +62,8 @@ impl SparseCholesky {
         Self::factor_with_permutation(a, perm)
     }
 
-    /// Factors with the natural (identity) ordering. Exposed for the
-    /// ordering ablation benchmark.
+    /// Factors with the natural (identity) ordering: the unpermuted
+    /// reference the tests compare the RCM-ordered factor against.
     ///
     /// # Errors
     ///
@@ -170,8 +170,7 @@ impl SparseCholesky {
         self.n
     }
 
-    /// Number of stored entries in the factor `L` (a fill measure; see the
-    /// ordering ablation).
+    /// Number of stored entries in the factor `L` (a fill measure).
     pub fn factor_nnz(&self) -> usize {
         self.values.len()
     }

@@ -43,7 +43,7 @@
 /// for the exact contract.
 pub trait DenseKernel: Send + Sync {
     /// Stable identifier recorded in [`SolveReport`](crate::SolveReport)
-    /// and the bench artifacts (`"scalar"`, `"blocked"`).
+    /// (`"scalar"`, `"blocked"`).
     fn name(&self) -> &'static str;
 
     /// Dot product `x · y`. Slices must have equal length.
@@ -148,8 +148,8 @@ impl KernelChoice {
         }
     }
 
-    /// Every kernel, oracle first — what the ablation bench and the
-    /// invariance tests iterate.
+    /// Every kernel, oracle first — what the differential and invariance
+    /// tests iterate.
     pub fn available() -> &'static [KernelChoice] {
         &[KernelChoice::Scalar, KernelChoice::Blocked]
     }

@@ -129,8 +129,8 @@ pub use iterative::{
 pub use kernel::{BlockedKernel, DenseKernel, KernelChoice, ScalarKernel};
 pub use memory::MemoryFootprint;
 pub use ordering::{
-    bandwidth, geometric_dissection, nested_dissection, reverse_cuthill_mckee, FillOrdering,
-    Permutation, StructureProbe,
+    geometric_dissection, nested_dissection, reverse_cuthill_mckee, FillOrdering, Permutation,
+    StructureProbe,
 };
 pub use pool::{TaskDag, WorkPool};
 pub use schur::Sharded;

@@ -2,7 +2,8 @@
 //!
 //! The local-stage operator `A_ff` comes from a structured 3-D mesh; reverse
 //! Cuthill–McKee (RCM) reduces its bandwidth, and therefore the fill of the
-//! factor, substantially (see `benches/ablation_ordering.rs`). The global
+//! factor, substantially (pinned by `cholesky.rs`'s
+//! `rcm_reduces_fill_on_scrambled_grid`). The global
 //! stage's reduced operators arrive with the block-grid footprint of every
 //! row (a [`PartitionHint`]) and are dissected along that grid instead
 //! ([`geometric_dissection`]).
@@ -149,10 +150,11 @@ pub enum FillOrdering {
     /// Separator-based nested dissection: recursively orders two halves of
     /// the graph before a small separator, which asymptotically beats
     /// banded orderings on large structured lattices (50k-DoF lattice:
-    /// 4.6× less factor fill than RCM, see `BENCH_PR3.json`) and produces
+    /// 4.6× less factor fill than RCM, see CHANGES.md, PR 3) and produces
     /// big trailing supernodes for the blocked factorization.
     NestedDissection,
-    /// The natural (identity) ordering; exposed for ablations.
+    /// The natural (identity) ordering: the unpermuted baseline the
+    /// factorization tests compare the fill-reducing orderings against.
     Natural,
 }
 
@@ -425,32 +427,18 @@ pub fn nested_dissection(a: &CsrMatrix) -> Permutation {
     }
     let mut stack: Vec<Work> = Vec::new();
 
-    // Split the full graph into connected components first, then dissect
-    // each component independently.
-    {
-        let mut seen = vec![false; n];
-        for seed in 0..n {
-            if seen[seed] {
-                continue;
-            }
-            let mut comp = Vec::new();
-            queue.clear();
-            queue.push_back(seed);
-            seen[seed] = true;
-            while let Some(v) = queue.pop_front() {
-                comp.push(v);
-                for &w in a.row(v).0 {
-                    if w != v && !seen[w] {
-                        seen[w] = true;
-                        queue.push_back(w);
-                    }
-                }
-            }
-            stack.push(Work::Piece(comp));
-        }
-        // Components were pushed in discovery order; popping reverses them,
-        // which is fine — any component order is valid.
-    }
+    // Connected components of the full graph are the initial pieces. They
+    // pop in reverse discovery order, which is fine — any component order
+    // is valid.
+    let everything: Vec<usize> = (0..n).collect();
+    split_components(
+        a,
+        &everything,
+        &mut stamp,
+        &mut generation,
+        &mut queue,
+        |comp| stack.push(Work::Piece(comp)),
+    );
 
     // BFS over a piece from `start`, stamping levels; returns the number of
     // levels and the vertex count per level.
@@ -490,40 +478,13 @@ pub fn nested_dissection(a: &CsrMatrix) -> Permutation {
             order.extend_from_slice(&local);
             continue;
         };
-        // Halves may be internally disconnected; the recursion handles each
-        // piece's components through the component split below.
+        // Removing the separator can fragment a half: each connected
+        // component becomes a piece of its own.
         stack.push(Work::Emit(sep));
         for half in [below, above] {
-            // Split a half into its connected components (removal of the
-            // separator can fragment it).
-            generation += 1;
-            let gen = generation;
-            for &v in &half {
-                level[v] = 0;
-                stamp[v] = gen;
-            }
-            let in_half = gen;
-            generation += 1;
-            let done = generation;
-            for &v in &half {
-                if stamp[v] != in_half {
-                    continue; // already claimed by an earlier component
-                }
-                let mut comp = Vec::new();
-                queue.clear();
-                queue.push_back(v);
-                stamp[v] = done;
-                while let Some(u) = queue.pop_front() {
-                    comp.push(u);
-                    for &w in a.row(u).0 {
-                        if w != u && stamp[w] == in_half {
-                            stamp[w] = done;
-                            queue.push_back(w);
-                        }
-                    }
-                }
-                stack.push(Work::Piece(comp));
-            }
+            split_components(a, &half, &mut stamp, &mut generation, &mut queue, |comp| {
+                stack.push(Work::Piece(comp))
+            });
         }
     }
 
@@ -618,6 +579,49 @@ pub(crate) fn split_piece(
         }
     }
     Some(PieceSplit { below, sep, above })
+}
+
+/// Invokes `emit` once per connected component of `half` (a vertex subset
+/// whose adjacency is restricted to itself), in ascending order of each
+/// component's first member in `half`. Same scratch contract as
+/// [`split_piece`].
+pub(crate) fn split_components(
+    a: &CsrMatrix,
+    half: &[usize],
+    stamp: &mut [u32],
+    generation: &mut u32,
+    queue: &mut std::collections::VecDeque<usize>,
+    mut emit: impl FnMut(Vec<usize>),
+) {
+    if half.is_empty() {
+        return;
+    }
+    *generation += 1;
+    let in_half = *generation;
+    for &v in half {
+        stamp[v] = in_half;
+    }
+    *generation += 1;
+    let claimed = *generation;
+    for &v in half {
+        if stamp[v] != in_half {
+            continue;
+        }
+        let mut comp = Vec::new();
+        queue.clear();
+        queue.push_back(v);
+        stamp[v] = claimed;
+        while let Some(u) = queue.pop_front() {
+            comp.push(u);
+            for &w in a.row(u).0 {
+                if w != u && stamp[w] == in_half {
+                    stamp[w] = claimed;
+                    queue.push_back(w);
+                }
+            }
+        }
+        emit(comp);
+    }
 }
 
 /// Recursively bisects the `nbx × nby` weight grid into up to `k`
@@ -934,23 +938,22 @@ pub(crate) fn tree_metrics(parent: &[usize], weight: &[u64]) -> TreeMetrics {
     }
 }
 
-/// Half-bandwidth of a square sparse matrix: `max |i - j|` over stored
-/// entries. Used to quantify what RCM buys us (see the ordering ablation
-/// benchmark).
-pub fn bandwidth(a: &CsrMatrix) -> usize {
-    let mut b = 0usize;
-    for i in 0..a.nrows() {
-        for &j in a.row(i).0 {
-            b = b.max(i.abs_diff(j));
-        }
-    }
-    b
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::CooMatrix;
+
+    /// Half-bandwidth of a square sparse matrix: `max |i - j|` over stored
+    /// entries.
+    fn bandwidth(a: &CsrMatrix) -> usize {
+        let mut b = 0usize;
+        for i in 0..a.nrows() {
+            for &j in a.row(i).0 {
+                b = b.max(i.abs_diff(j));
+            }
+        }
+        b
+    }
 
     #[test]
     fn weighted_grid_bisection_covers_and_balances() {
@@ -1196,6 +1199,37 @@ mod tests {
             .collect();
         let x = chol.solve(&b);
         assert!(scrambled.residual(&x, &b) <= 1e-10);
+    }
+
+    /// The graph dissection's permutations are pinned by value: the local
+    /// stage factors under them, so a moved entry moves every `.rom` byte
+    /// and campaign checksum downstream. One connected lattice, and two
+    /// lattices side by side (the component split at the top and after
+    /// every separator).
+    #[test]
+    fn nested_dissection_permutations_are_pinned() {
+        let fnv = |p: &Permutation| {
+            p.as_slice().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &v| {
+                (h ^ v as u64).wrapping_mul(0x0100_0000_01b3)
+            })
+        };
+        assert_eq!(
+            fnv(&nested_dissection(&lattice(80, 80))),
+            7974041921718564309
+        );
+
+        let (left, right) = (lattice(40, 30), lattice(25, 60));
+        let n = left.nrows() + right.nrows();
+        let mut coo = CooMatrix::new(n, n);
+        for (a, offset) in [(&left, 0), (&right, left.nrows())] {
+            for i in 0..a.nrows() {
+                let (cols, vals) = a.row(i);
+                for (&j, &v) in cols.iter().zip(vals) {
+                    coo.push(offset + i, offset + j, v);
+                }
+            }
+        }
+        assert_eq!(fnv(&nested_dissection(&coo.to_csr())), 5284182924329465849);
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub struct Sharded {
     prev: Arc<Mutex<Option<PrevPrepared>>>,
     /// Whether `prepare` may take the geometric planner route when a
     /// [`PartitionHint`] is available (`true` by default);
-    /// [`Sharded::without_hint`] turns it off for planner A/B comparisons.
+    /// [`Sharded::without_hint`] turns it off.
     use_hint: bool,
     /// The geometry hint for the next preparation of an operator that
     /// carries none of its own ([`CsrMatrix::partition_hint`] wins whenever
@@ -142,9 +142,8 @@ impl Sharded {
 
     /// Disables the geometric (hint-driven) planner route: `prepare`
     /// always partitions from the sparsity graph, ignoring any supplied
-    /// [`PartitionHint`]. This is the planner A/B lever — the
-    /// `ablation_shard_balance` bench drives both planners through the
-    /// otherwise-identical pipeline with it.
+    /// [`PartitionHint`]. Pins the graph fallback for the suites that
+    /// test it.
     pub fn without_hint(mut self) -> Self {
         self.use_hint = false;
         self

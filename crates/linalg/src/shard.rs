@@ -49,7 +49,7 @@
 
 use std::collections::VecDeque;
 
-use crate::ordering::{bisect_weighted_grid, split_piece, PieceSplit};
+use crate::ordering::{bisect_weighted_grid, split_components, split_piece, PieceSplit};
 use crate::{CsrMatrix, MemoryFootprint};
 
 /// Owner tag for interface rows in [`ShardPlan::owner`].
@@ -631,47 +631,6 @@ impl MemoryFootprint for ShardPlan {
             .sum::<usize>()
             + self.interface.heap_bytes()
             + self.owner.heap_bytes()
-    }
-}
-
-/// Invokes `emit` once per connected component of `half` (a vertex subset
-/// whose adjacency is restricted to itself).
-fn split_components(
-    a: &CsrMatrix,
-    half: &[usize],
-    stamp: &mut [u32],
-    generation: &mut u32,
-    queue: &mut VecDeque<usize>,
-    mut emit: impl FnMut(Vec<usize>),
-) {
-    if half.is_empty() {
-        return;
-    }
-    *generation += 1;
-    let in_half = *generation;
-    for &v in half {
-        stamp[v] = in_half;
-    }
-    *generation += 1;
-    let claimed = *generation;
-    for &v in half {
-        if stamp[v] != in_half {
-            continue;
-        }
-        let mut comp = Vec::new();
-        queue.clear();
-        queue.push_back(v);
-        stamp[v] = claimed;
-        while let Some(u) = queue.pop_front() {
-            comp.push(u);
-            for &w in a.row(u).0 {
-                if w != u && stamp[w] == in_half {
-                    stamp[w] = claimed;
-                    queue.push_back(w);
-                }
-            }
-        }
-        emit(comp);
     }
 }
 

@@ -161,7 +161,7 @@ impl Default for SupernodalOptions {
 }
 
 /// Shape statistics of a supernodal factor (reported through
-/// [`SolveReport`](crate::SolveReport) and the ablation benches).
+/// [`SolveReport`](crate::SolveReport)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupernodeStats {
     /// Number of supernodes (column panels).
