@@ -5,14 +5,20 @@
 //! components of its surface interpolation nodes. A TSV array is an abstract
 //! "mesh" of such elements sharing nodes on common faces; the global
 //! stiffness and load are assembled by the standard FEM procedure and the
-//! resulting small sparse system is solved with GMRES (the paper's choice)
-//! or CG.
+//! resulting small sparse system is solved with GMRES (the paper's choice),
+//! CG or a direct factorization.
+//!
+//! The system is assembled *reduced*: the boundary conditions fix whole
+//! nodes (under [`GlobalBc::ClampedTopBottom`] more than half of every
+//! block's), so each element scatters its free×free sub-block straight into
+//! `A_ff` and its free×fixed sub-block, times the prescribed data, into the
+//! lifting term. The unreduced global operator is never formed.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use morestress_fem::{DirichletBcs, ReducedSystem};
+use morestress_fem::{DirichletBcs, FemError, ReducedSystem};
 use morestress_linalg::{
     CgOptions, CsrMatrix, DegradationTrail, FactorCache, MemoryFootprint, PartitionHint,
     PrecondSpec, SolverBackend,
@@ -255,8 +261,12 @@ pub struct GlobalStats {
     /// Wall-clock time of prelude + assembly and constraint reduction (when
     /// the operator was not reused) + solve.
     pub wall_time: Duration,
-    /// Analytic peak heap estimate (bytes). The unreduced and reduced
-    /// operators are counted only by the solve that assembled them: with
+    /// Analytic peak heap estimate (bytes): unit load, right-hand sides,
+    /// the resident ROMs and the prepared solver, plus — only for the solve
+    /// that assembled — what the cold arm held at once: the reduced
+    /// operator `A_ff` and the assembly scratch beside it (free-node
+    /// adjacency and contribution lists, node numbering, prescribed
+    /// values). There is no unreduced operator to count. With
     /// [`operator_reused`](Self::operator_reused) the figure is what this
     /// solve allocated on top of the resident ROMs and cached solver.
     pub peak_bytes: usize,
@@ -499,26 +509,32 @@ impl<'a> GlobalStage<'a> {
     ///
     /// A solve runs in three parts:
     ///
-    /// 1. **Layout prelude** (cheap, always): lattice, per-block DoF maps,
-    ///    constraint set, unit load, and the partition hint (the block-grid
-    ///    footprint of every free DoF), which the stage attaches to the
-    ///    operator it reduces — the direct solvers order by it, the sharded
-    ///    backend plans from it — and also hands to the backend *before* any
-    ///    cache lookup, because a sharded backend's configuration
-    ///    fingerprint folds its hint slot in.
-    /// 2. **Operator**: sparsity pattern, element scatter and constraint
-    ///    reduction — the expensive part — run only when the registered
-    ///    cache holds no entry tagged with this solve's *provenance*
-    ///    (interpolation counts, layout shape and block kinds, BC kind, ROM
-    ///    identities; see [`FactorCache`]). On a provenance hit the reduced
+    /// 1. **Layout prelude** (cheap, always): lattice, per-block node maps,
+    ///    unit load, constraint set, the free set derived from it (once —
+    ///    hint, assembly and reduction all index by it), and the partition
+    ///    hint (the block-grid footprint of every free DoF), which the stage
+    ///    attaches to the operator it assembles — the direct solvers order
+    ///    by it, the sharded backend plans from it — and also hands to the
+    ///    backend *before* any cache lookup, because a sharded backend's
+    ///    configuration fingerprint folds its hint slot in.
+    /// 2. **Operator**: runs only when the registered cache holds no entry
+    ///    tagged with this solve's *provenance* (interpolation counts,
+    ///    layout shape and block kinds, BC kind, ROM identities; see
+    ///    [`FactorCache`]). The stage then assembles the *reduced* system in
+    ///    one pass: free nodes are numbered, their adjacency gives `A_ff`'s
+    ///    CSR pattern, and every element scatters `K_e[free, free]` into
+    ///    `A_ff` and `−K_e[free, fixed]·u_b` into the lifting term — the
+    ///    same route for both boundary-condition kinds; clamped data merely
+    ///    makes the lifting term exactly `+0.0`. No unreduced operator and
+    ///    no extraction step exist. On a provenance hit the reduced
     ///    operator is the cached solver's own `Arc`, the lifting term is
     ///    zero (only the homogeneous [`GlobalBc::ClampedTopBottom`] carries
     ///    a provenance — a [`GlobalBc::SubmodelBoundary`] closure cannot be
-    ///    compared and its lifting needs `A_fb`, so it always assembles),
-    ///    and [`GlobalStats::operator_reused`] is set. On a miss the
-    ///    assembled operator goes through the cache's content-addressed
-    ///    lookup as before — two layouts that assemble to one operator
-    ///    still share one factor — and the entry is tagged.
+    ///    compared and its lifting needs the elements, so it always
+    ///    assembles), and [`GlobalStats::operator_reused`] is set. On a miss
+    ///    the assembled operator goes through the cache's content-addressed
+    ///    lookup — two layouts that assemble to one operator still share
+    ///    one factor — and the entry is tagged.
     /// 3. **Solve and expand**, identical on both routes: the results are
     ///    bit for bit those of a from-scratch solve.
     ///
@@ -532,49 +548,12 @@ impl<'a> GlobalStage<'a> {
         bc: &GlobalBc,
     ) -> Result<Vec<GlobalSolution>, RomError> {
         let start = Instant::now();
-        if layout.count(BlockKind::Dummy) > 0 && self.rom_dummy.is_none() {
-            return Err(RomError::Mismatch(
-                "layout contains dummy blocks but no dummy ROM is registered".into(),
-            ));
-        }
-        let interp = self.rom_tsv.interpolation();
-        let geom = self.rom_tsv.geometry();
-        let extents = [geom.pitch, geom.pitch, geom.height];
-        let lattice = GlobalLattice::new(layout, interp.counts(), extents);
+        let (prelude, free) = self.prelude(layout, bc)?;
+        let lattice = &prelude.lattice;
         let ndof = lattice.num_dofs();
-
-        // --- Layout prelude ------------------------------------------------
-        let blocks = self.block_maps(&lattice, layout);
-        // Unit (ΔT = 1) load: the thermal load is linear in ΔT, so every
-        // requested load is a scalar multiple of this vector.
-        let mut b_unit = vec![0.0; ndof];
-        for block in &blocks {
-            let b_elem = block.rom.element_load();
-            for (r, &gr) in block.dofs.iter().enumerate() {
-                b_unit[gr] += b_elem[r];
-            }
-        }
-        // Boundary conditions (lifting, Eq. 13).
-        let mut bcs = DirichletBcs::new();
-        match bc {
-            GlobalBc::ClampedTopBottom => {
-                for id in 0..lattice.num_nodes() {
-                    if lattice.is_top_or_bottom(id) {
-                        bcs.set_node(id, [0.0; 3]);
-                    }
-                }
-            }
-            GlobalBc::SubmodelBoundary(coarse) => {
-                for id in 0..lattice.num_nodes() {
-                    if lattice.is_outer_boundary(id) {
-                        bcs.set_node(id, coarse(lattice.position(id)));
-                    }
-                }
-            }
-        }
         let mut stats = GlobalStats {
             wall_time: Duration::ZERO,
-            peak_bytes: b_unit.heap_bytes(),
+            peak_bytes: prelude.b_unit.heap_bytes(),
             total_dofs: ndof,
             free_dofs: 0,
             nnz: 0,
@@ -599,9 +578,9 @@ impl<'a> GlobalStage<'a> {
         // A fully-constrained problem (e.g. a single block under sub-model
         // boundary conditions) has no free DoFs: the nodal solution is just
         // the prescribed data, identically for every thermal load.
-        if bcs.len() == ndof {
+        if free.dofs.is_empty() {
             let mut nodal = vec![0.0; ndof];
-            for (dof, v) in bcs.iter() {
+            for (dof, v) in free.bcs.iter() {
                 nodal[dof] = v;
             }
             stats.wall_time = start.elapsed();
@@ -618,49 +597,28 @@ impl<'a> GlobalStage<'a> {
             Some(external) => external,
             None => &*self.backend,
         };
-        // Geometry hint: each free DoF maps to the inclusive block-grid
-        // footprint of its lattice node, so the direct solvers can dissect
-        // (and the sharded backend cut) the reduced operator along block
-        // boundaries instead of searching its dense sparsity graph. It
-        // travels on the operator (attached below, where `a_ff` is reduced);
-        // the backend slot is set as well for backends that record it.
-        let grid = [layout.nx(), layout.ny()];
-        let spans = bcs
-            .free_dofs(ndof)
-            .into_iter()
-            .map(|dof| {
-                let [cx, cy, _] = lattice.coords[dof / 3];
-                let sx = interp.block_span(0, cx, grid[0]);
-                let sy = interp.block_span(1, cy, grid[1]);
-                [sx[0], sx[1], sy[0], sy[1]]
-            })
-            .collect();
-        let hint = Arc::new(PartitionHint::new(grid, spans));
-        backend.set_partition_hint(Some(Arc::clone(&hint)));
+        // The hint travels on the operator (`assemble_reduced` attaches
+        // it); the backend slot is set as well for backends that record it.
+        backend.set_partition_hint(Some(Arc::clone(&prelude.hint)));
 
         // --- Operator: reused by provenance, else assembled -----------------
-        let tagged_cache = self.cache.zip(self.provenance(layout, bc, &blocks));
+        let tagged_cache = self.cache.zip(self.provenance(layout, bc, &prelude.blocks));
         let reused = tagged_cache
             .as_ref()
             .and_then(|(cache, provenance)| cache.operator_of(backend, provenance));
         stats.operator_reused = reused.is_some();
         let reduced = match reused {
-            Some(a_ff) => ReducedSystem::with_operator(a_ff, ndof, &bcs),
+            Some(a_ff) => ReducedSystem::with_operator(a_ff, free.dofs, ndof, free.bcs),
             None => {
-                // Reduce once with a zero load: `reduced.rhs` is then exactly
-                // the load-independent lifting term `−A_fb u_b`. The
-                // unreduced operator and the zero vector die with this arm,
-                // before the factorization allocates.
-                let a_global = self.assemble_operator(&lattice, &blocks);
-                let mut reduced = ReducedSystem::new(&a_global, &vec![0.0; ndof], &bcs)?;
-                reduced.a_ff =
-                    Arc::new(Arc::unwrap_or_clone(reduced.a_ff).with_partition_hint(hint));
-                stats.peak_bytes += a_global.heap_bytes() + reduced.a_ff.heap_bytes();
+                // The assembly scratch dies inside the call, before the
+                // factorization allocates.
+                let (reduced, scratch_bytes) = self.assemble_reduced(&prelude, free);
+                stats.peak_bytes += reduced.a_ff.heap_bytes() + scratch_bytes;
                 reduced
             }
         };
-        drop(blocks);
-        let rhs_set = reduced.rhs_for_scaled_loads(&b_unit, delta_ts);
+        drop(prelude.blocks);
+        let rhs_set = reduced.rhs_for_scaled_loads(&prelude.b_unit, delta_ts);
 
         // --- Solve through the unified backend layer -----------------------
         let batch = match self.cache {
@@ -725,26 +683,119 @@ impl<'a> GlobalStage<'a> {
             .collect())
     }
 
-    /// The per-block maps of `layout` on `lattice`, in assembly order
-    /// (row-major over the block grid).
-    fn block_maps(&self, lattice: &GlobalLattice, layout: &BlockLayout) -> Vec<BlockMap<'a>> {
-        (0..layout.ny())
+    /// Test seam, not supported API: the reduced system a cold
+    /// [`solve_many`](Self::solve_many) assembles for `layout` under `bc` —
+    /// `A_ff` carrying its partition hint, the lifting term `−A_fb u_b` as
+    /// `rhs`, the free-DoF map — without consulting the cache and without
+    /// solving. The same two calls as the cold arm, so the assembly and
+    /// memory tests see exactly what production builds.
+    ///
+    /// # Errors
+    ///
+    /// [`RomError::Mismatch`] as [`solve`](Self::solve);
+    /// [`FemError::FullyConstrained`] if `bc` leaves no DoF free.
+    #[doc(hidden)]
+    pub fn assemble(&self, layout: &BlockLayout, bc: &GlobalBc) -> Result<ReducedSystem, RomError> {
+        let (prelude, free) = self.prelude(layout, bc)?;
+        if free.dofs.is_empty() {
+            return Err(FemError::FullyConstrained.into());
+        }
+        Ok(self.assemble_reduced(&prelude, free).0)
+    }
+
+    /// Part 1 of [`solve_many`](Self::solve_many): everything a solve needs
+    /// from the layout before it knows whether it must assemble — what it
+    /// borrows to the end, and the constraint side its reduced system
+    /// consumes.
+    fn prelude(
+        &self,
+        layout: &BlockLayout,
+        bc: &GlobalBc,
+    ) -> Result<(Prelude<'a>, FreeSet), RomError> {
+        if layout.count(BlockKind::Dummy) > 0 && self.rom_dummy.is_none() {
+            return Err(RomError::Mismatch(
+                "layout contains dummy blocks but no dummy ROM is registered".into(),
+            ));
+        }
+        let interp = self.rom_tsv.interpolation();
+        let geom = self.rom_tsv.geometry();
+        let extents = [geom.pitch, geom.pitch, geom.height];
+        let lattice = GlobalLattice::new(layout, interp.counts(), extents);
+        let ndof = lattice.num_dofs();
+        // Per-block maps in assembly order (row-major over the block grid).
+        let blocks: Vec<BlockMap<'a>> = (0..layout.ny())
             .flat_map(|bj| (0..layout.nx()).map(move |bi| (bi, bj)))
-            .map(|(bi, bj)| {
-                let nodes = lattice.block_nodes(bi, bj);
-                BlockMap {
-                    rom: match layout.kind(bi, bj) {
-                        BlockKind::Tsv => self.rom_tsv,
-                        BlockKind::Dummy => self.rom_dummy.expect("checked by solve_many"),
-                    },
-                    dofs: nodes
-                        .iter()
-                        .flat_map(|&m| [3 * m, 3 * m + 1, 3 * m + 2])
-                        .collect(),
-                    nodes,
-                }
+            .map(|(bi, bj)| BlockMap {
+                rom: match layout.kind(bi, bj) {
+                    BlockKind::Tsv => self.rom_tsv,
+                    BlockKind::Dummy => self.rom_dummy.expect("checked above"),
+                },
+                nodes: lattice.block_nodes(bi, bj),
             })
-            .collect()
+            .collect();
+        // Unit (ΔT = 1) load: the thermal load is linear in ΔT, so every
+        // requested load is a scalar multiple of this vector.
+        let mut b_unit = vec![0.0; ndof];
+        for block in &blocks {
+            let b_elem = block.rom.element_load();
+            for (&m, b_node) in block.nodes.iter().zip(b_elem.chunks_exact(3)) {
+                for (c, &v) in b_node.iter().enumerate() {
+                    b_unit[3 * m + c] += v;
+                }
+            }
+        }
+        // Boundary conditions (lifting, Eq. 13). A node is fixed or free as
+        // a whole — the constraint set and the free set are built side by
+        // side, node by node, so that holds by construction — and the free
+        // set is derived once: the hint is indexed by it, the assembly
+        // numbers its rows by it, the reduction maps back through it.
+        let mut bcs = DirichletBcs::new();
+        let mut free_nodes = Vec::new();
+        for id in 0..lattice.num_nodes() {
+            let fixed = match bc {
+                GlobalBc::ClampedTopBottom => lattice.is_top_or_bottom(id).then_some([0.0; 3]),
+                GlobalBc::SubmodelBoundary(coarse) => lattice
+                    .is_outer_boundary(id)
+                    .then(|| coarse(lattice.position(id))),
+            };
+            match fixed {
+                Some(displacement) => bcs.set_node(id, displacement),
+                None => free_nodes.push(id),
+            }
+        }
+        let free: Vec<usize> = free_nodes
+            .iter()
+            .flat_map(|&m| [3 * m, 3 * m + 1, 3 * m + 2])
+            .collect();
+        debug_assert_eq!(free, bcs.free_dofs(ndof));
+        // Geometry hint: each free DoF maps to the inclusive block-grid
+        // footprint of its lattice node, so the direct solvers can dissect
+        // (and the sharded backend cut) the reduced operator along block
+        // boundaries instead of searching its dense sparsity graph.
+        let grid = [layout.nx(), layout.ny()];
+        let spans = free
+            .iter()
+            .map(|&dof| {
+                let [cx, cy, _] = lattice.coords[dof / 3];
+                let sx = interp.block_span(0, cx, grid[0]);
+                let sy = interp.block_span(1, cy, grid[1]);
+                [sx[0], sx[1], sy[0], sy[1]]
+            })
+            .collect();
+        let hint = Arc::new(PartitionHint::new(grid, spans));
+        Ok((
+            Prelude {
+                lattice,
+                blocks,
+                b_unit,
+                hint,
+            },
+            FreeSet {
+                bcs,
+                nodes: free_nodes,
+                dofs: free,
+            },
+        ))
     }
 
     /// The exact words that determine the reduced operator of a solve
@@ -774,20 +825,65 @@ impl<'a> GlobalStage<'a> {
         )
     }
 
-    /// Assembles the unreduced global operator: node adjacency → DoF
-    /// sparsity pattern, then the standard scatter over abstract elements.
-    fn assemble_operator(&self, lattice: &GlobalLattice, blocks: &[BlockMap<'_>]) -> CsrMatrix {
+    /// The cold arm of [`solve_many`](Self::solve_many): assembles the
+    /// reduced operator `A_ff` and the lifting term `−A_fb u_b` of a
+    /// zero-load system directly — free-node adjacency →
+    /// CSR pattern, then one scatter of every abstract element's free×free
+    /// sub-block into `A_ff` and of its free×fixed sub-block, times the
+    /// prescribed data, into the lifting term. The unreduced operator (under
+    /// [`GlobalBc::ClampedTopBottom`] more than five times the size of the
+    /// `A_ff` it contains) is never formed, and every stored value is the
+    /// sum, in block order, that assembling it and extracting `A_ff` would
+    /// have produced — bit for bit, explicit zeros included.
+    ///
+    /// Returns the reduced system (`A_ff` carrying the prelude's hint, the
+    /// lifting term as `rhs`) and the heap bytes of the scratch that lived
+    /// beside it meanwhile.
+    fn assemble_reduced(&self, prelude: &Prelude<'_>, free: FreeSet) -> (ReducedSystem, usize) {
+        let Prelude {
+            lattice,
+            blocks,
+            hint,
+            ..
+        } = prelude;
+        let FreeSet {
+            bcs,
+            nodes: free_nodes,
+            dofs: free,
+        } = free;
         let ndof = lattice.num_dofs();
-        let num_nodes = lattice.num_nodes();
-        let mut node_adj: Vec<Vec<usize>> = vec![Vec::new(); num_nodes];
-        // Per node: the (block index, node position within the block's
+        // Free nodes, numbered in node order: free DoF `3·f + c` is
+        // component `c` of free node `f`.
+        let num_free_nodes = free_nodes.len();
+        let mut free_node = vec![INACTIVE; lattice.num_nodes()];
+        for (f, &m) in free_nodes.iter().enumerate() {
+            free_node[m] = f;
+        }
+        let mut prescribed = vec![0.0; ndof];
+        for (dof, v) in bcs.iter() {
+            prescribed[dof] = v;
+        }
+        let mut node_adj: Vec<Vec<usize>> = vec![Vec::new(); num_free_nodes];
+        // Per free node: the (block index, node position within the block's
         // canonical node list) pairs that contribute to it — the transposed
         // incidence the row-parallel scatter below consumes.
-        let mut node_contrib: Vec<Vec<(u32, u32)>> = vec![Vec::new(); num_nodes];
+        let mut node_contrib: Vec<Vec<(u32, u32)>> = vec![Vec::new(); num_free_nodes];
+        let mut block_free = Vec::new();
         for (b, block) in blocks.iter().enumerate() {
-            for (ln, &a) in block.nodes.iter().enumerate() {
-                node_adj[a].extend_from_slice(&block.nodes);
-                node_contrib[a].push((b as u32, ln as u32));
+            block_free.clear();
+            block_free.extend(
+                block
+                    .nodes
+                    .iter()
+                    .map(|&m| free_node[m])
+                    .filter(|&f| f != INACTIVE),
+            );
+            for (ln, &m) in block.nodes.iter().enumerate() {
+                let f = free_node[m];
+                if f != INACTIVE {
+                    node_adj[f].extend_from_slice(&block_free);
+                    node_contrib[f].push((b as u32, ln as u32));
+                }
             }
         }
         for list in &mut node_adj {
@@ -797,87 +893,128 @@ impl<'a> GlobalStage<'a> {
         // The three DoF rows of a node share one column structure, so the
         // CSR arrays are emitted directly (sorted by construction — no
         // per-entry validation or intermediate Vec<Vec> needed).
-        let mut row_ptr = Vec::with_capacity(ndof + 1);
+        let nnz: usize = node_adj.iter().map(|l| 9 * l.len()).sum();
+        let mut row_ptr = Vec::with_capacity(free.len() + 1);
         row_ptr.push(0usize);
-        let nnz_upper: usize = node_adj.iter().map(|l| 9 * l.len()).sum();
-        let mut col_idx = Vec::with_capacity(nnz_upper);
+        let mut col_idx = Vec::with_capacity(nnz);
         for neighbors in &node_adj {
             for _ in 0..3 {
-                for &m in neighbors {
-                    col_idx.extend_from_slice(&[3 * m, 3 * m + 1, 3 * m + 2]);
+                for &nb in neighbors {
+                    col_idx.extend_from_slice(&[3 * nb, 3 * nb + 1, 3 * nb + 2]);
                 }
                 row_ptr.push(col_idx.len());
             }
         }
-        let nnz = col_idx.len();
-        let mut a_global =
-            CsrMatrix::from_raw_trusted(ndof, ndof, row_ptr.clone(), col_idx, vec![0.0; nnz]);
+        let mut values = vec![0.0; nnz];
+        let mut lifting = vec![0.0; free.len()];
 
-        // Element → global DoF scatter, node-parallel on the shared pool:
-        // every node owns its three (contiguous) matrix rows, so tasks
-        // write disjoint value ranges, and contributions are accumulated
-        // in block order per row — bitwise identical at every pool cap.
+        // Element → free DoF scatter, node-parallel on the shared pool:
+        // every free node owns its three (contiguous) matrix rows and
+        // lifting entries, so tasks write disjoint ranges, and contributions
+        // are accumulated in block order per row — bitwise identical at
+        // every pool cap.
         //
-        // Split the value array into one contiguous slice per node (its
-        // three rows), so tasks can write lock-free-by-ownership behind
-        // cheap uncontended mutexes.
-        let mut node_rows: Vec<Mutex<&mut [f64]>> = Vec::with_capacity(num_nodes);
-        let mut rest = a_global.values_mut();
-        for m in 0..num_nodes {
-            let len = row_ptr[3 * m + 3] - row_ptr[3 * m];
-            let (head, tail) = rest.split_at_mut(len);
-            node_rows.push(Mutex::new(head));
-            rest = tail;
+        // Split both arrays into one slice per node, so tasks can write
+        // lock-free-by-ownership behind cheap uncontended mutexes.
+        let mut node_rows: Vec<Mutex<(&mut [f64], &mut [f64])>> =
+            Vec::with_capacity(num_free_nodes);
+        let (mut vals_rest, mut lift_rest) = (values.as_mut_slice(), lifting.as_mut_slice());
+        for neighbors in &node_adj {
+            let (vals, vals_tail) = vals_rest.split_at_mut(9 * neighbors.len());
+            let (lift, lift_tail) = lift_rest.split_at_mut(3);
+            node_rows.push(Mutex::new((vals, lift)));
+            (vals_rest, lift_rest) = (vals_tail, lift_tail);
         }
         let pool = morestress_linalg::WorkPool::current();
         pool.scope_chunks_with(
             self.threads,
-            num_nodes,
-            || vec![usize::MAX; ndof],
-            |slot_of_col, m| {
-                let neighbors = &node_adj[m];
-                // Column offsets within one DoF row of this node.
+            num_free_nodes,
+            || vec![usize::MAX; num_free_nodes],
+            |slot_of_node, f| {
+                let neighbors = &node_adj[f];
+                // Column offset of each neighbor within one DoF row of `f`.
                 for (slot, &nb) in neighbors.iter().enumerate() {
-                    slot_of_col[3 * nb] = 3 * slot;
-                    slot_of_col[3 * nb + 1] = 3 * slot + 1;
-                    slot_of_col[3 * nb + 2] = 3 * slot + 2;
+                    slot_of_node[nb] = 3 * slot;
                 }
                 let row_len = 3 * neighbors.len();
-                let mut vals = node_rows[m].lock().expect("node row slice poisoned");
-                for &(b, ln) in &node_contrib[m] {
+                let mut rows = node_rows[f].lock().expect("node row slice poisoned");
+                let (vals, lift) = &mut *rows;
+                for &(b, ln) in &node_contrib[f] {
                     let block = &blocks[b as usize];
                     let a_elem = block.rom.element_stiffness();
                     for comp in 0..3 {
                         let erow = a_elem.row(3 * ln as usize + comp);
                         let dst = &mut vals[comp * row_len..(comp + 1) * row_len];
-                        for (c, &gc) in block.dofs.iter().enumerate() {
-                            let v = erow[c];
-                            if v != 0.0 {
-                                dst[slot_of_col[gc]] += v;
+                        for (&m, e_node) in block.nodes.iter().zip(erow.chunks_exact(3)) {
+                            match free_node[m] {
+                                INACTIVE => {
+                                    for (c, &v) in e_node.iter().enumerate() {
+                                        lift[comp] -= v * prescribed[3 * m + c];
+                                    }
+                                }
+                                nb => {
+                                    let slot = slot_of_node[nb];
+                                    for (c, &v) in e_node.iter().enumerate() {
+                                        if v != 0.0 {
+                                            dst[slot + c] += v;
+                                        }
+                                    }
+                                }
                             }
                         }
                     }
                 }
-                drop(vals);
+                drop(rows);
                 for &nb in neighbors {
-                    slot_of_col[3 * nb] = usize::MAX;
-                    slot_of_col[3 * nb + 1] = usize::MAX;
-                    slot_of_col[3 * nb + 2] = usize::MAX;
+                    slot_of_node[nb] = usize::MAX;
                 }
             },
         );
         drop(node_rows);
-        a_global
+        let scratch_bytes = free_nodes.heap_bytes()
+            + free_node.heap_bytes()
+            + prescribed.heap_bytes()
+            + nested_heap_bytes(&node_adj)
+            + nested_heap_bytes(&node_contrib);
+        let a_ff = CsrMatrix::from_raw_trusted(free.len(), free.len(), row_ptr, col_idx, values)
+            .with_partition_hint(Arc::clone(hint));
+        let reduced = ReducedSystem::from_parts(Arc::new(a_ff), lifting, free, ndof, bcs);
+        (reduced, scratch_bytes)
     }
 }
 
-/// One block of a layout as the assembly sees it: its ROM, its active
-/// lattice nodes in canonical element order, and the global DoFs of those
-/// nodes (`3·node + component`).
+/// Heap bytes of a list of lists: the outer slots plus every inner buffer.
+fn nested_heap_bytes<T>(lists: &Vec<Vec<T>>) -> usize {
+    lists.heap_bytes() + lists.iter().map(Vec::heap_bytes).sum::<usize>()
+}
+
+/// What the layout prelude of a solve produces and the solve borrows to
+/// its end.
+struct Prelude<'r> {
+    lattice: GlobalLattice,
+    blocks: Vec<BlockMap<'r>>,
+    /// The ΔT = 1 load on all DoFs.
+    b_unit: Vec<f64>,
+    /// Block-grid footprint of every free DoF.
+    hint: Arc<PartitionHint>,
+}
+
+/// The constraint side of a prelude, consumed by whichever arm builds the
+/// solve's [`ReducedSystem`]. A node is fixed or free as a whole.
+struct FreeSet {
+    bcs: DirichletBcs,
+    /// The unconstrained lattice nodes, ascending.
+    nodes: Vec<usize>,
+    /// Their DoFs (`3·m + c` per node `m`), hence ascending too.
+    dofs: Vec<usize>,
+}
+
+/// One block of a layout as the assembly sees it: its ROM and its active
+/// lattice nodes in canonical element order (element DoF `3·ln + c` is
+/// component `c` of `nodes[ln]`).
 struct BlockMap<'r> {
     rom: &'r ReducedOrderModel,
     nodes: Vec<usize>,
-    dofs: Vec<usize>,
 }
 
 #[cfg(test)]

@@ -113,10 +113,14 @@ impl ReducedSystem {
     pub fn new(a: &CsrMatrix, b: &[f64], bcs: &DirichletBcs) -> Result<Self, FemError> {
         let ndof = a.nrows();
         assert_eq!(b.len(), ndof, "rhs length must match the operator");
+        // Dense copies of the constraint set: the lifting loop below reads
+        // one per stored entry.
         let mut is_fixed = vec![false; ndof];
-        for (dof, _) in bcs.iter() {
+        let mut prescribed = vec![0.0; ndof];
+        for (dof, value) in bcs.iter() {
             assert!(dof < ndof, "constrained dof {dof} out of range");
             is_fixed[dof] = true;
+            prescribed[dof] = value;
         }
         let free_dofs = bcs.free_dofs(ndof);
         if free_dofs.is_empty() {
@@ -136,48 +140,73 @@ impl ReducedSystem {
             let mut s = b[row];
             for (&c, &v) in cols.iter().zip(vals) {
                 if is_fixed[c] {
-                    s -= v * bcs.value(c).expect("fixed dof has a value");
+                    s -= v * prescribed[c];
                 }
             }
             rhs.push(s);
         }
+        Ok(Self::from_parts(a_ff, rhs, free_dofs, ndof, bcs.clone()))
+    }
 
-        Ok(Self {
+    /// The reduction whose parts are already at hand: the reduced operator
+    /// `a_ff`, the right-hand side `rhs` on the free DoFs (for a zero load:
+    /// the lifting term `−A_fb u_b`), and the ascending free-index →
+    /// full-index map `free_dofs` of the `ndof`-DoF system constrained by
+    /// `bcs`. This is how a caller that assembles `A_ff` directly — or takes
+    /// it from a cached factorization — gets
+    /// [`rhs_for_scaled_loads`](Self::rhs_for_scaled_loads) and
+    /// [`expand`](Self::expand) without ever forming the unreduced operator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a_ff`, `rhs` and `free_dofs` disagree in size, or if
+    /// `free_dofs` and `bcs` do not partition the `ndof` DoFs by count.
+    pub fn from_parts(
+        a_ff: Arc<CsrMatrix>,
+        rhs: Vec<f64>,
+        free_dofs: Vec<usize>,
+        ndof: usize,
+        bcs: DirichletBcs,
+    ) -> Self {
+        assert_eq!(a_ff.nrows(), free_dofs.len(), "operator vs free set");
+        assert_eq!(rhs.len(), free_dofs.len(), "rhs vs free set");
+        assert_eq!(
+            free_dofs.len() + bcs.len(),
+            ndof,
+            "free and constrained DoFs must partition the system"
+        );
+        Self {
             a_ff,
             rhs,
             free_dofs,
-            bcs: bcs.clone(),
+            bcs,
             ndof,
-        })
+        }
     }
 
-    /// The reduction of a **zero-load** system under **homogeneous**
-    /// constraints (every prescribed value zero) whose reduced operator is
-    /// already at hand — e.g. held by a cached factorization. The lifting
-    /// term `−A_fb u_b` vanishes with `u_b`, so neither the unreduced
-    /// operator nor `A_fb` is needed: `rhs` is exactly the `+0.0` vector
-    /// [`new`](Self::new) computes for such constraints, and
+    /// [`from_parts`](Self::from_parts) for a **zero-load** system under
+    /// **homogeneous** constraints (every prescribed value zero): the
+    /// lifting term `−A_fb u_b` vanishes with `u_b`, so `rhs` is exactly the
+    /// `+0.0` vector [`new`](Self::new) computes for such constraints, and
     /// [`rhs_for_scaled_loads`](Self::rhs_for_scaled_loads) /
     /// [`expand`](Self::expand) return the same bits either way.
     ///
     /// # Panics
     ///
-    /// Panics if a prescribed value is nonzero, or if `a_ff` is not the
-    /// size of the free set.
-    pub fn with_operator(a_ff: Arc<CsrMatrix>, ndof: usize, bcs: &DirichletBcs) -> Self {
+    /// Panics if a prescribed value is nonzero, and as
+    /// [`from_parts`](Self::from_parts) does.
+    pub fn with_operator(
+        a_ff: Arc<CsrMatrix>,
+        free_dofs: Vec<usize>,
+        ndof: usize,
+        bcs: DirichletBcs,
+    ) -> Self {
         assert!(
             bcs.iter().all(|(_, v)| v == 0.0),
             "a nonzero prescribed value needs A_fb for its lifting term"
         );
-        let free_dofs = bcs.free_dofs(ndof);
-        assert_eq!(a_ff.nrows(), free_dofs.len(), "operator vs free set");
-        Self {
-            a_ff,
-            rhs: vec![0.0; free_dofs.len()],
-            free_dofs,
-            bcs: bcs.clone(),
-            ndof,
-        }
+        let rhs = vec![0.0; free_dofs.len()];
+        Self::from_parts(a_ff, rhs, free_dofs, ndof, bcs)
     }
 
     /// Number of free DoFs.
@@ -302,6 +331,54 @@ mod tests {
         for (p, q) in full.iter().zip(&lifted) {
             assert!((p - q).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn lifting_keeps_the_bits_of_the_per_entry_lookup() {
+        // The lifting term read from the constraint map entry by entry —
+        // the formula `new` used before it kept a dense prescribed-value
+        // vector. Rows 1 and 3 each see two fixed columns.
+        let a = spring_chain(9);
+        let b: Vec<f64> = (0..9).map(|i| 0.1 * i as f64 - 0.3).collect();
+        let mut bcs = DirichletBcs::new();
+        for (dof, value) in [(0, 0.7), (2, -1.3), (4, 1e-3), (8, 2.5)] {
+            bcs.set_dof(dof, value);
+        }
+        let red = ReducedSystem::new(&a, &b, &bcs).unwrap();
+        assert_eq!(red.free_dofs, [1, 3, 5, 6, 7]);
+        for (&row, got) in red.free_dofs.iter().zip(&red.rhs) {
+            let (cols, vals) = a.row(row);
+            let mut expect = b[row];
+            for (&c, &v) in cols.iter().zip(vals) {
+                if let Some(u) = bcs.value(c) {
+                    expect -= v * u;
+                }
+            }
+            assert_eq!(got.to_bits(), expect.to_bits(), "row {row}");
+        }
+    }
+
+    #[test]
+    fn with_operator_is_new_under_homogeneous_constraints() {
+        let a = spring_chain(6);
+        let mut bcs = DirichletBcs::new();
+        bcs.set_dof(0, 0.0);
+        bcs.set_dof(5, 0.0);
+        let red = ReducedSystem::new(&a, &[0.0; 6], &bcs).unwrap();
+        let warm =
+            ReducedSystem::with_operator(Arc::clone(&red.a_ff), red.free_dofs.clone(), 6, bcs);
+        assert_eq!(warm.free_dofs, red.free_dofs);
+        assert!(warm
+            .rhs
+            .iter()
+            .zip(&red.rhs)
+            .all(|(w, r)| w.to_bits() == r.to_bits() && w.to_bits() == 0));
+        let unit = [1.0, -2.0, 3.0, -4.0, 5.0, -6.0];
+        assert_eq!(
+            warm.rhs_for_scaled_loads(&unit, &[-250.0, 0.0]),
+            red.rhs_for_scaled_loads(&unit, &[-250.0, 0.0])
+        );
+        assert_eq!(warm.expand(&[1.0; 4]), red.expand(&[1.0; 4]));
     }
 
     #[test]
