@@ -7,7 +7,9 @@
 //!
 //! Subcommands: `table1`, `table2`, `table3`, `fig6`, `all`.
 //! Scales: `small` (default, laptop minutes) or `paper` (closer to the
-//! paper's sizes; the full-FEM reference stays capped — see EXPERIMENTS.md).
+//! paper's sizes). The full-FEM reference stays capped at `Scale::fem_limit`
+//! blocks per side (6 at `small`, 10 at `paper`); larger rows print `-` for
+//! the error columns.
 
 use morestress_bench::{
     fmt_bytes, fmt_err, one_shot, peak_rss_bytes, table1_row, table2_row, table2_setup,

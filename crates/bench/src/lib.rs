@@ -10,8 +10,10 @@
 //! Absolute numbers differ from the paper (our substrate is a from-scratch
 //! Rust FEM on laptop-scale meshes, not ANSYS on a 330 GB server), but the
 //! *shape* — who wins, by what rough factor, how errors trend with array
-//! size, pitch and interpolation order — is the reproduction target; see
-//! `EXPERIMENTS.md`.
+//! size, pitch and interpolation order — is the reproduction target. The
+//! full-FEM reference is capped by [`Scale::fem_limit`] (6×6 at
+//! [`Scale::small`], 10×10 at [`Scale::paper`]); above the cap the error
+//! columns print `-`.
 
 #![warn(missing_docs)]
 

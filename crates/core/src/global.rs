@@ -81,11 +81,14 @@ pub enum RomSolver {
     /// independently (and concurrently) by the direct Cholesky backend.
     /// This bounds the peak factor memory by the largest *shard* factor
     /// instead of the whole array's, which is what lets array size keep
-    /// growing past one factorization's memory. `shards <= 1` degenerates
-    /// to [`RomSolver::DirectCholesky`].
+    /// growing past one factorization's memory. The shards are cut along
+    /// block boundaries from the block-grid hint the stage attaches to the
+    /// reduced operator. `shards <= 1` degenerates to
+    /// [`RomSolver::DirectCholesky`].
     Sharded {
-        /// Interior shard count (the plan may produce fewer on operators
-        /// too small to separate).
+        /// Interior shard count (the plan may produce fewer: never more
+        /// than the array has blocks, and one on operators too small to
+        /// cut).
         shards: usize,
     },
 }
@@ -597,8 +600,8 @@ impl<'a> GlobalStage<'a> {
             Some(external) => external,
             None => &*self.backend,
         };
-        // The hint travels on the operator (`assemble_reduced` attaches
-        // it); the backend slot is set as well for backends that record it.
+        // Solvers read the hint the operator carries (`assemble_reduced`
+        // attaches it); this call only lets a delegating backend record it.
         backend.set_partition_hint(Some(Arc::clone(&prelude.hint)));
 
         // --- Operator: reused by provenance, else assembled -----------------

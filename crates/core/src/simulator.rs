@@ -175,11 +175,12 @@ impl SimulatorBuilder {
 
     /// Runs the global stage on the sharded Schur-complement path
     /// ([`RomSolver::Sharded`]) with this interior shard count, overriding
-    /// [`solver`](Self::solver). The global stage passes the block-grid
-    /// geometry of each free DoF down as a partition hint, so the shard
-    /// plan is cut along block boundaries rather than searched on the
-    /// reduced sparsity graph. `1` pins the monolithic direct path through
-    /// the same code route — useful for A/B runs.
+    /// [`solver`](Self::solver). The global stage attaches the block-grid
+    /// geometry of each free DoF to the reduced operator as a partition
+    /// hint, and the shard plan is cut along those block boundaries: any
+    /// count is accepted, and the plan never exceeds the block count. `1`
+    /// pins the monolithic direct path through the same code route —
+    /// useful for A/B runs.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
         self

@@ -214,11 +214,11 @@ fn pattern_change_takes_the_full_route() {
     }
 }
 
-/// PR 9: the incremental route composes with the geometry-aware default
-/// planner — a perturbed re-solve keeps the geometric plan (the hint is a
-/// pure function of the lattice shape, and a value-only swap leaves it
-/// unchanged), reuses clean shards, and is still bitwise the from-scratch
-/// answer under the same plan.
+/// PR 9: the incremental route composes with the block-grid planner — a
+/// perturbed re-solve keeps the plan (the hint is a pure function of the
+/// lattice shape, and a value-only swap leaves it unchanged), reuses clean
+/// shards, and is still bitwise the from-scratch answer under the same
+/// plan.
 #[test]
 fn incremental_route_keeps_the_geometric_plan() {
     let shards = env_shards();
@@ -231,10 +231,7 @@ fn incremental_route_keeps_the_geometric_plan() {
         .expect("cold sharded solve");
     let cold_plan = cold[0].stats.plan_stats.expect("plan stats surfaced");
     if shards >= 2 {
-        assert!(
-            cold_plan.geometric,
-            "the pipeline's default sharded route must be the geometric planner"
-        );
+        assert!(cold_plan.shards >= 2, "the 6×6 array must shard");
     }
 
     let mut perturbed = base.clone();
@@ -247,11 +244,9 @@ fn incremental_route_keeps_the_geometric_plan() {
         .plan_stats
         .expect("plan stats surfaced");
     assert_eq!(
-        incr_plan.geometric, cold_plan.geometric,
-        "a value-only swap must not change the planning route"
+        incr_plan, cold_plan,
+        "a value-only swap must not change the plan"
     );
-    assert_eq!(incr_plan.shards, cold_plan.shards);
-    assert_eq!(incr_plan.interface_dofs, cold_plan.interface_dofs);
     let scratch = scratch_solve(&sim, shards, &perturbed, &loads, &bc);
     for (inc, full) in incremental.iter().zip(&scratch) {
         assert_bitwise(

@@ -17,7 +17,7 @@ use morestress_core::{
     ReducedOrderModel, RomSolver,
 };
 use morestress_fem::MaterialSet;
-use morestress_linalg::{ShardPlan, Sharded};
+use morestress_linalg::ShardPlan;
 use morestress_mesh::{BlockKind, BlockLayout, BlockResolution, TsvGeometry};
 
 /// Shard count under test: `MORESTRESS_SHARDS` when set (the CI matrix
@@ -30,10 +30,14 @@ fn env_shards() -> usize {
 }
 
 fn build_rom(kind: BlockKind) -> ReducedOrderModel {
+    build_rom_at(kind, [3, 3, 3])
+}
+
+fn build_rom_at(kind: BlockKind, interp: [usize; 3]) -> ReducedOrderModel {
     LocalStage::new(
         &TsvGeometry::paper_defaults(15.0),
         &BlockResolution::coarse(),
-        InterpolationGrid::new([3, 3, 3]),
+        InterpolationGrid::new(interp),
         &MaterialSet::tsv_defaults(),
         kind,
     )
@@ -169,11 +173,11 @@ fn simulator_shards_knob_routes_and_caches() {
     }
 }
 
-/// PR 9 acceptance: the default route through the pipeline is the
-/// geometry-aware planner. On the 6×6 reduced operator at K = 4 it must
-/// produce four non-singleton interior shards, keep the work balance
-/// within the 2× bound, and cut an interface no larger than the graph
-/// planner's 339-DoF record — all surfaced on `GlobalStats::plan_stats`.
+/// PR 9 acceptance: the pipeline shards along the block grid. On the 6×6
+/// reduced operator at K = 4 the planner must produce four non-singleton
+/// interior shards, keep the work balance within the 2× bound, and cut an
+/// interface no larger than the retired graph planner's 339-DoF record —
+/// all surfaced on `GlobalStats::plan_stats`.
 #[test]
 fn geometric_planner_is_the_default_route_on_6x6() {
     let rom = build_rom(BlockKind::Tsv);
@@ -189,10 +193,6 @@ fn geometric_planner_is_the_default_route_on_6x6() {
         .expect("sharded solve");
     let stats = batch[0].stats;
     let plan = stats.plan_stats.expect("sharded solves report plan stats");
-    assert!(
-        plan.geometric,
-        "6×6 with a hint must take the geometric route"
-    );
     assert_eq!(plan.shards, 4, "K = 4 quadrant decomposition");
     assert!(
         plan.min_shard_rows >= ShardPlan::MIN_SHARD_ROWS,
@@ -206,7 +206,7 @@ fn geometric_planner_is_the_default_route_on_6x6() {
     );
     assert!(
         plan.interface_dofs <= 339,
-        "geometric interface ({} DoFs) must not exceed the graph planner's 339",
+        "interface ({} DoFs) must not exceed the retired graph planner's 339",
         plan.interface_dofs
     );
     assert_eq!(plan.interface_dofs, stats.interface_dofs);
@@ -220,72 +220,33 @@ fn geometric_planner_is_the_default_route_on_6x6() {
     }
 }
 
-/// Regression for the graph-planner singleton defect: with the hint
-/// disabled (`Sharded::without_hint`), the fallback planner must never
-/// emit a shard below the minimum-rows floor on the 3×3 and 6×6 reduced
-/// operators — it merges sub-floor fragments instead.
+/// A plan of one shard through the sharded route produces the monolithic
+/// bits: the single-block plan factors the whole operator with the same
+/// inner backend and the same panel sweeps. Two ways to get there: asking
+/// for one shard, and a 1×1 array, whose one-block grid has no cut.
 #[test]
-fn graph_fallback_never_emits_singleton_shards() {
-    let rom = build_rom(BlockKind::Tsv);
-    for n in [3usize, 6] {
+fn one_shard_request_is_bitwise_monolithic() {
+    for (interp, n, shards) in [([3, 3, 3], 3, 1), ([4, 4, 4], 1, 4)] {
+        let rom = build_rom_at(BlockKind::Tsv, interp);
         let layout = BlockLayout::uniform(n, n, BlockKind::Tsv);
-        let loads = [-250.0];
-        let reference = GlobalStage::new(&rom)
+        let loads = [-250.0, 40.0];
+        let mono = GlobalStage::new(&rom)
             .with_solver(RomSolver::DirectCholesky)
             .solve_many(&layout, &loads, &GlobalBc::ClampedTopBottom)
             .expect("monolithic solve");
-        let backend = Sharded::new(4).without_hint();
-        let batch = GlobalStage::new(&rom)
-            .with_backend(&backend)
+        let sharded = GlobalStage::new(&rom)
+            .with_solver(RomSolver::Sharded { shards })
             .solve_many(&layout, &loads, &GlobalBc::ClampedTopBottom)
-            .expect("graph-planner solve");
-        let stats = batch[0].stats;
-        let plan = stats.plan_stats.expect("sharded solves report plan stats");
-        assert!(
-            !plan.geometric,
-            "{n}×{n}: without_hint must pin the graph planner"
-        );
-        if plan.shards >= 2 {
-            assert!(
-                plan.min_shard_rows >= ShardPlan::MIN_SHARD_ROWS,
-                "{n}×{n}: graph plan emitted a {}-row shard below the floor",
-                plan.min_shard_rows
+            .expect("one-shard solve");
+        assert_eq!(sharded[0].stats.backend, "sharded");
+        assert_eq!(sharded[0].stats.shards, 1, "{n}×{n}, {shards} requested");
+        assert_eq!(sharded[0].stats.interface_dofs, 0);
+        for (m, s) in mono.iter().zip(&sharded) {
+            assert_eq!(
+                m.nodal_displacement(),
+                s.nodal_displacement(),
+                "{n}×{n}: one-shard solve must equal the monolithic bits"
             );
         }
-        for (r, c) in reference.iter().zip(&batch) {
-            assert_rel_close(
-                &format!("{n}×{n} graph-plan nodal displacement"),
-                1e-8,
-                r.nodal_displacement(),
-                c.nodal_displacement(),
-            );
-        }
-    }
-}
-
-/// `shards = 1` through the sharded route produces the monolithic bits:
-/// the single-block plan factors the whole operator with the same inner
-/// backend and the same panel sweeps.
-#[test]
-fn one_shard_request_is_bitwise_monolithic() {
-    let rom = build_rom(BlockKind::Tsv);
-    let layout = BlockLayout::uniform(3, 3, BlockKind::Tsv);
-    let loads = [-250.0, 40.0];
-    let mono = GlobalStage::new(&rom)
-        .with_solver(RomSolver::DirectCholesky)
-        .solve_many(&layout, &loads, &GlobalBc::ClampedTopBottom)
-        .expect("monolithic solve");
-    let sharded = GlobalStage::new(&rom)
-        .with_solver(RomSolver::Sharded { shards: 1 })
-        .solve_many(&layout, &loads, &GlobalBc::ClampedTopBottom)
-        .expect("one-shard solve");
-    assert_eq!(sharded[0].stats.shards, 1);
-    assert_eq!(sharded[0].stats.interface_dofs, 0);
-    for (m, s) in mono.iter().zip(&sharded) {
-        assert_eq!(
-            m.nodal_displacement(),
-            s.nodal_displacement(),
-            "one-shard solve must equal the monolithic bits"
-        );
     }
 }

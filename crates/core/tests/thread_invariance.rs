@@ -331,21 +331,15 @@ fn sharded_global_solve_is_pool_size_invariant() {
     let rom = WorkPool::new(REFERENCE_CAP).install(|| build_rom(BlockKind::Tsv));
     let layout = BlockLayout::uniform(5, 5, BlockKind::Tsv);
     let loads = [-250.0, -120.0, 75.0, 10.0];
-    // Both planners: the geometric route the pipeline takes by default
-    // (the stage hints every operator) and the graph fallback behind
-    // `Sharded::without_hint`.
-    let solve = |cap: usize, hinted: bool| {
+    let solve = |cap: usize| {
         WorkPool::new(cap).install(|| {
             let cache = FactorCache::new();
-            let graph = Sharded::new(SHARDS).without_hint();
-            let stage = GlobalStage::new(&rom).with_cache(&cache).with_threads(64);
-            if hinted {
-                stage.with_solver(RomSolver::Sharded { shards: SHARDS })
-            } else {
-                stage.with_backend(&graph)
-            }
-            .solve_many(&layout, &loads, &GlobalBc::ClampedTopBottom)
-            .expect("sharded batched solve")
+            GlobalStage::new(&rom)
+                .with_cache(&cache)
+                .with_threads(64)
+                .with_solver(RomSolver::Sharded { shards: SHARDS })
+                .solve_many(&layout, &loads, &GlobalBc::ClampedTopBottom)
+                .expect("sharded batched solve")
         })
     };
     // Monolithic cross-check on the same full pipeline.
@@ -355,46 +349,39 @@ fn sharded_global_solve_is_pool_size_invariant() {
             .solve_many(&layout, &loads, &GlobalBc::ClampedTopBottom)
             .expect("monolithic batched solve")
     });
-    for hinted in [true, false] {
-        let reference = solve(REFERENCE_CAP, hinted);
-        let stats = reference[0].stats;
-        assert!(
-            stats.shards >= 2,
-            "5×5 reduced operator must actually shard"
-        );
-        assert!(stats.interface_dofs > 0);
+    let reference = solve(REFERENCE_CAP);
+    let stats = reference[0].stats;
+    assert!(
+        stats.shards >= 2,
+        "5×5 reduced operator must actually shard"
+    );
+    assert!(stats.interface_dofs > 0);
+    for cap in CAPS {
+        let batch = solve(cap);
         assert_eq!(
-            stats.plan_stats.expect("sharded plan stats").geometric,
-            hinted,
-            "the planner route must follow the hint switch"
+            batch[0].stats.shards, stats.shards,
+            "the shard plan must not depend on the pool cap"
         );
-        for cap in CAPS {
-            let batch = solve(cap, hinted);
-            assert_eq!(
-                batch[0].stats.shards, stats.shards,
-                "the shard plan must not depend on the pool cap"
+        for (r, c) in reference.iter().zip(&batch) {
+            assert_bitwise(
+                "sharded nodal displacement",
+                cap,
+                r.nodal_displacement(),
+                c.nodal_displacement(),
             );
-            for (r, c) in reference.iter().zip(&batch) {
-                assert_bitwise(
-                    "sharded nodal displacement",
-                    cap,
-                    r.nodal_displacement(),
-                    c.nodal_displacement(),
-                );
-            }
         }
-        for (m, s) in mono.iter().zip(&reference) {
-            let scale = m
-                .nodal_displacement()
-                .iter()
-                .fold(0.0f64, |acc, v| acc.max(v.abs()))
-                .max(1e-30);
-            for (a, b) in m.nodal_displacement().iter().zip(s.nodal_displacement()) {
-                assert!(
-                    (a - b).abs() <= 1e-8 * scale,
-                    "sharded vs monolithic beyond 1e-8 relative: {a} vs {b}"
-                );
-            }
+    }
+    for (m, s) in mono.iter().zip(&reference) {
+        let scale = m
+            .nodal_displacement()
+            .iter()
+            .fold(0.0f64, |acc, v| acc.max(v.abs()))
+            .max(1e-30);
+        for (a, b) in m.nodal_displacement().iter().zip(s.nodal_displacement()) {
+            assert!(
+                (a - b).abs() <= 1e-8 * scale,
+                "sharded vs monolithic beyond 1e-8 relative: {a} vs {b}"
+            );
         }
     }
 }

@@ -461,15 +461,11 @@ pub trait SolverBackend: fmt::Debug + Send + Sync {
         false
     }
 
-    /// Supplies (or clears) the geometry [`PartitionHint`] the next
-    /// [`prepare`](SolverBackend::prepare) of a *hint-less* operator should
-    /// partition under. An operator that carries its own
-    /// ([`CsrMatrix::with_partition_hint`]) is planned — and ordered — from
-    /// that one, which unlike this slot cannot be overwritten by a
-    /// concurrent job between the call and the prepare.
-    ///
-    /// Only the [`Sharded`](crate::Sharded) backend acts on it; the
-    /// default is a no-op.
+    /// Receives the [`PartitionHint`] of the operator the global stage is
+    /// about to solve, so that a delegating backend can record it (the
+    /// benchmark's tracing shim does). No backend in this crate acts on it
+    /// — solvers read the hint the operator carries
+    /// ([`CsrMatrix::partition_hint`]) — and the default is a no-op.
     fn set_partition_hint(&self, _hint: Option<Arc<PartitionHint>>) {}
 }
 
@@ -2219,13 +2215,18 @@ mod tests {
 
     #[test]
     fn single_and_batched_reports_agree() {
-        // 576 rows: large enough that `Sharded::new(4)` really splits.
-        let a = Arc::new(crate::test_operators::laplacian_2d(24, 24));
+        // 625 rows on a hinted 4×4 block grid: `Sharded::new(4)` really
+        // splits.
+        let (a, hint) = crate::test_operators::hinted_grid(4, 4, 6);
+        let a = Arc::new(a.with_partition_hint(Arc::new(hint)));
         let b = rhs(a.nrows());
         for backend in every_backend() {
             let name = backend.name();
             let prepared = backend.prepare(Arc::clone(&a)).unwrap();
             let single = prepared.solve(&b).unwrap();
+            if name == "sharded" {
+                assert!(single.report.shards >= 2, "{name}: must split");
+            }
             let batch = prepared.solve_many(std::slice::from_ref(&b), 1).unwrap();
             let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
             assert_eq!(bits(&single.x), bits(&batch.xs[0]), "{name}: solution");

@@ -157,7 +157,7 @@ fn diag_index(a: &CsrMatrix, row: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_operators::laplacian_2d;
+    use crate::test_operators::{hinted_grid, laplacian_2d};
     use crate::DirectCholesky;
 
     #[test]
@@ -190,8 +190,9 @@ mod tests {
 
     #[test]
     fn corrupt_shard_targets_one_interior_block() {
-        let a = laplacian_2d(8, 8);
-        let plan = ShardPlan::build(&a, 4);
+        let (a, hint) = hinted_grid(4, 4, 2);
+        let plan = ShardPlan::build_hinted(&a, 4, Some(&hint));
+        assert_eq!(plan.num_shards(), 4);
         let mut faulty = a.clone();
         let shard = FaultPlan::new(3).corrupt_shard(&mut faulty, &plan);
         assert!(shard < plan.num_shards());

@@ -45,8 +45,8 @@
 //!   exact provenance key, so a caller that knows what determines its
 //!   operator finds it without assembling it again.
 //! * [`ShardPlan`] / [`Sharded`] — domain-decomposition sharding of the
-//!   operator: a K-way interior/interface partition built from the
-//!   nested-dissection separator machinery, and a Schur-complement backend
+//!   operator: a K-way interior/interface partition cut from the block grid
+//!   of the operator's [`PartitionHint`], and a Schur-complement backend
 //!   that factors every interior block independently (concurrently, each
 //!   cached under its own fingerprint) and couples them through one small
 //!   factored interface system — so no single factorization ever spans the

@@ -494,19 +494,18 @@ pub fn nested_dissection(a: &CsrMatrix) -> Permutation {
 /// One BFS level-structure bisection of a connected piece: the vertices
 /// strictly below the separator level, the separator itself, and the
 /// vertices above it.
-pub(crate) struct PieceSplit {
+struct PieceSplit {
     /// Vertices on levels below the separator level.
-    pub below: Vec<usize>,
+    below: Vec<usize>,
     /// The vertex separator (one whole BFS level): removing it disconnects
     /// `below` from `above`.
-    pub sep: Vec<usize>,
+    sep: Vec<usize>,
     /// Vertices on levels above the separator level.
-    pub above: Vec<usize>,
+    above: Vec<usize>,
 }
 
-/// Splits a connected `piece` by the BFS level-structure separator both
-/// [`nested_dissection`] and the shard planner
-/// ([`ShardPlan`](crate::ShardPlan)) use: levels are grown from a
+/// Splits a connected `piece` by the BFS level-structure separator
+/// [`nested_dissection`] recurses on: levels are grown from a
 /// pseudo-peripheral vertex, and the smallest level near the size-weighted
 /// middle becomes the separator (never an end level, which would leave one
 /// side empty). Returns `None` when the piece has fewer than three levels —
@@ -515,7 +514,7 @@ pub(crate) struct PieceSplit {
 /// `stamp`/`level`/`generation`/`queue` are the caller's generation-stamped
 /// BFS scratch (full matrix dimension), so repeated splits never pay a
 /// clear pass.
-pub(crate) fn split_piece(
+fn split_piece(
     a: &CsrMatrix,
     piece: &[usize],
     stamp: &mut [u32],
@@ -585,7 +584,7 @@ pub(crate) fn split_piece(
 /// whose adjacency is restricted to itself), in ascending order of each
 /// component's first member in `half`. Same scratch contract as
 /// [`split_piece`].
-pub(crate) fn split_components(
+fn split_components(
     a: &CsrMatrix,
     half: &[usize],
     stamp: &mut [u32],
@@ -626,7 +625,7 @@ pub(crate) fn split_components(
 
 /// Recursively bisects the `nbx × nby` weight grid into up to `k`
 /// axis-aligned rectangles `[x0, x1, y0, y1]` (inclusive bounds) of
-/// near-proportional total weight, for the geometric shard planner
+/// near-proportional total weight, for the shard planner
 /// ([`ShardPlan::build_hinted`](crate::ShardPlan::build_hinted)).
 ///
 /// Fully deterministic: each region splits along its longer side (ties

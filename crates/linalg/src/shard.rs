@@ -20,52 +20,37 @@
 //! [`schur`](crate::Sharded): each `A_kk` factors independently (and
 //! concurrently), and only the small interface system couples them.
 //!
-//! Two routes build a plan:
+//! The plan is cut from the operator's block-grid geometry, a
+//! [`PartitionHint`]: the reduced global operator of a block array couples
+//! two DoFs only when they touch a common block, so
+//! [`ShardPlan::build_hinted`] bisects the *block grid* recursively into
+//! `K` weight-balanced rectangles. Rows whose block span lies inside one
+//! rectangle are interior to that shard; rows spanning a cut are the
+//! interface. The hint is advisory: the plan is validated against the
+//! actual sparsity, and an operator without a usable hint — none, one of
+//! the wrong length, one the sparsity contradicts, or a grid too small to
+//! cut — is planned as a single shard, which degenerates the sharded solve
+//! to the monolithic one.
 //!
-//! * **Geometric** ([`ShardPlan::build_hinted`] with a [`PartitionHint`]):
-//!   when the caller knows each row's block-grid provenance — the reduced
-//!   global operator of a block array couples two DoFs only when they touch
-//!   a common block — the planner bisects the *block grid* recursively into
-//!   `K` weight-balanced rectangles. Rows whose block span lies inside one
-//!   rectangle are interior to that shard; rows spanning a cut are the
-//!   interface. This sidesteps the BFS planner's degeneracy on these dense
-//!   block-coupled operators (singleton shards behind one fixed separator)
-//!   and yields near-perfectly balanced shards by construction. The hint is
-//!   advisory: the plan is validated against the actual sparsity, and any
-//!   contradiction (or a hint of the wrong length) falls back to the graph
-//!   route.
-//! * **Graph** (the fallback, and [`ShardPlan::build`] without a hint): the
-//!   nested-dissection separator machinery of
-//!   [`ordering`](crate::nested_dissection) repeatedly bisects the largest
-//!   remaining piece with a BFS level-structure separator until the
-//!   requested count is reached *and* the largest piece is within 2× of the
-//!   mean, collects separators into the interface, and merges the smallest
-//!   pieces until at most `K` shards remain — never emitting a multi-shard
-//!   plan with a shard below [`ShardPlan::MIN_SHARD_ROWS`] rows.
-//!
-//! Both constructions are fully deterministic (no scheduling, no
-//! randomness), so a plan — and everything the sharded solver derives from
-//! it — is identical across runs and pool caps.
+//! Planning is fully deterministic (no scheduling, no randomness), so a
+//! plan — and everything the sharded solver derives from it — is identical
+//! across runs and pool caps.
 
-use std::collections::VecDeque;
-
-use crate::ordering::{bisect_weighted_grid, split_components, split_piece, PieceSplit};
+use crate::ordering::bisect_weighted_grid;
 use crate::{CsrMatrix, MemoryFootprint};
 
 /// Owner tag for interface rows in [`ShardPlan::owner`].
 const INTERFACE: usize = usize::MAX;
 
-/// Pieces smaller than this are never bisected further: a separator would
-/// cost more interface DoFs than the split saves.
-const MIN_SPLIT: usize = 32;
+/// Operators with fewer rows than this are never split: the interface
+/// would cost more than the shards save.
+const MIN_SPLIT_ROWS: usize = 64;
 
 /// Multi-shard plans keep `max(work) / mean(work) ≤ BALANCE_BOUND`, where
 /// work is the interior-degree-squared factor proxy of
-/// [`ShardPlanStats::max_shard_work`]. The graph route re-bisects the
-/// largest piece until the *row* proxy meets it or splitting provably
-/// fails; the geometric route rejects region counts that violate it (a
-/// 2-way split satisfies it identically, so the geometric search always
-/// terminates).
+/// [`ShardPlanStats::max_shard_work`]: the planner rejects region counts
+/// that violate it (a 2-way split satisfies it identically, so the search
+/// always terminates).
 const BALANCE_BOUND: f64 = 2.0;
 
 /// Block-grid provenance of every row of an operator, used by
@@ -162,9 +147,10 @@ impl PartitionHint {
     }
 
     /// Content fingerprint (FNV-1a over grid and spans), folded into the
-    /// sharded backend's configuration fingerprint so cached factors keyed
-    /// under one hint are never served under another. Hashed once in
-    /// [`new`](Self::new): the backend asks on every cache call.
+    /// [`matrix_fingerprint`](crate::matrix_fingerprint) of an operator
+    /// carrying the hint, so cached factors keyed under one hint are never
+    /// served under another. Hashed once in [`new`](Self::new): every cache
+    /// call asks.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -182,8 +168,8 @@ impl MemoryFootprint for PartitionHint {
 /// Work is estimated per shard as `Σ_rows (interior degree)²` — the flop
 /// proxy for factoring that shard's diagonal block — so `balance_ratio`
 /// close to 1 means the concurrent shard factorization divides evenly
-/// across workers, and `balance_ratio ≤ 2` is the bound both planner
-/// routes enforce for multi-shard plans.
+/// across workers, and `balance_ratio ≤ 2` is the bound the planner
+/// enforces for multi-shard plans.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardPlanStats {
     /// Number of interior shards in the plan.
@@ -202,13 +188,11 @@ pub struct ShardPlanStats {
     pub mean_shard_work: f64,
     /// `max_shard_work / mean_shard_work` (1 when there is no work).
     pub balance_ratio: f64,
-    /// Whether the geometric (hint-driven) route produced the plan.
-    pub geometric: bool,
 }
 
 /// A K-way interior/interface partition of a square operator's index set.
 ///
-/// Built by [`ShardPlan::build`] / [`ShardPlan::build_hinted`]; consumed by
+/// Built by [`ShardPlan::build_hinted`]; consumed by
 /// the [`Sharded`](crate::Sharded) backend. Row indices within each shard
 /// and within the interface are sorted ascending, and shards are ordered by
 /// their smallest row index, so the plan (and every extraction order
@@ -242,37 +226,22 @@ impl Eq for ShardPlan {}
 
 impl ShardPlan {
     /// Multi-shard plans never carry an interior shard smaller than this:
-    /// pieces below the floor are merged into a neighbor slot instead of
-    /// being emitted as (near-)singleton shards whose factor is all
-    /// overhead.
-    pub const MIN_SHARD_ROWS: usize = MIN_SPLIT / 4;
-
-    /// Partitions the adjacency graph of `a` (square) into up to `shards`
-    /// interior blocks plus a separating interface, using the graph route
-    /// only. Equivalent to [`ShardPlan::build_hinted`] with no hint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is not square.
-    pub fn build(a: &CsrMatrix, shards: usize) -> Self {
-        Self::build_hinted(a, shards, None)
-    }
+    /// a region count whose cut would leave one is rejected, since a
+    /// (near-)singleton shard's factor is all overhead.
+    pub const MIN_SHARD_ROWS: usize = 8;
 
     /// Partitions `a` into up to `shards` interior blocks plus a separating
-    /// interface, preferring the geometric route when `hint` describes the
-    /// operator.
+    /// interface by recursive weighted bisection of `hint`'s block grid.
     ///
-    /// The plan delivers *at most* `shards` shards: pieces too small or
-    /// too dense to admit a BFS separator are not bisected, so tiny or
-    /// (near-)complete operators may yield fewer — in the limit one shard
-    /// and an empty interface, which degenerates the sharded solve to the
-    /// monolithic one. Requests of `shards <= 1` short-circuit to that
-    /// single-shard plan.
-    ///
-    /// The hint is advisory: a hint whose `num_rows` mismatches the
-    /// operator, whose grid is too small to cut, or whose implied
-    /// decoupling the actual sparsity contradicts is ignored and the graph
-    /// route runs instead — the result is always a valid plan.
+    /// The plan delivers *at most* `shards` shards — never more than the
+    /// grid has blocks, and fewer when a finer cut would break the rows
+    /// floor or the balance bound. Whenever no cut qualifies — `shards <= 1`,
+    /// an operator below 64 rows, no hint, a hint whose `num_rows`
+    /// mismatches the operator, a one-block grid, or a hint whose implied
+    /// decoupling the actual sparsity contradicts — the result is the
+    /// single-shard plan (everything interior, empty interface), which
+    /// degenerates the sharded solve to the monolithic one: a wrong hint
+    /// costs the sharding, never correctness.
     ///
     /// # Panics
     ///
@@ -280,23 +249,18 @@ impl ShardPlan {
     pub fn build_hinted(a: &CsrMatrix, shards: usize, hint: Option<&PartitionHint>) -> Self {
         assert_eq!(a.nrows(), a.ncols(), "shard plan: matrix must be square");
         let n = a.nrows();
-        if shards <= 1 || n < 2 * MIN_SPLIT {
+        if shards <= 1 || n < MIN_SPLIT_ROWS {
             return Self::single(a);
         }
-        if let Some(hint) = hint {
-            if hint.num_rows() == n {
-                if let Some(plan) = Self::build_geometric(a, shards, hint) {
-                    return plan;
-                }
-            }
-        }
-        Self::build_graph(a, shards)
+        hint.filter(|hint| hint.num_rows() == n)
+            .and_then(|hint| Self::build_geometric(a, shards, hint))
+            .unwrap_or_else(|| Self::single(a))
     }
 
-    /// Geometric route: recursive weighted bisection of the hint's block
-    /// grid. Returns `None` when no region count in `2..=shards` passes the
-    /// rows floor, the sparsity validation, and the balance bound — the
-    /// caller then falls back to the graph route.
+    /// Recursive weighted bisection of the hint's block grid. Returns
+    /// `None` when no region count in `2..=shards` passes the rows floor,
+    /// the sparsity validation, and the balance bound — the caller then
+    /// plans one shard.
     fn build_geometric(a: &CsrMatrix, shards: usize, hint: &PartitionHint) -> Option<Self> {
         let n = a.nrows();
         let [nbx, nby] = hint.grid;
@@ -357,6 +321,8 @@ impl ShardPlan {
             if mean > 0.0 && max / mean > BALANCE_BOUND {
                 continue;
             }
+            // Canonical form: members ascending (pushed in row order),
+            // shards ordered by their smallest row.
             let mut pieces: Vec<Vec<usize>> = vec![Vec::new(); k];
             let mut interface = Vec::new();
             for (row, &o) in owner.iter().enumerate() {
@@ -366,173 +332,31 @@ impl ShardPlan {
                     pieces[o].push(row);
                 }
             }
-            return Some(Self::from_partition(a, pieces, interface, true));
+            pieces.sort_unstable_by_key(|p| p[0]);
+            return Some(Self::from_pieces(a, pieces, interface));
         }
         None
     }
 
-    /// Graph route: BFS level-structure bisection of the largest piece
-    /// until the count and the balance bound hold, then a floor-respecting
-    /// merge of the smallest pieces.
-    fn build_graph(a: &CsrMatrix, shards: usize) -> Self {
-        let n = a.nrows();
-        // Generation-stamped BFS scratch, shared by the component splits
-        // and the separator bisections.
-        let mut stamp = vec![0u32; n];
-        let mut level = vec![0u32; n];
-        let mut generation = 0u32;
-        let mut queue = VecDeque::new();
-
-        // Connected components of the full graph are the initial pieces.
-        let mut pieces: Vec<Vec<usize>> = Vec::new();
-        let everything: Vec<usize> = (0..n).collect();
-        split_components(
-            a,
-            &everything,
-            &mut stamp,
-            &mut generation,
-            &mut queue,
-            |comp| pieces.push(comp),
-        );
-
-        // Bisect the largest splittable piece until `shards` pieces exist
-        // AND the largest remaining piece is within the balance bound of
-        // the mean (row-count proxy: `largest · shards ≤ 2 · interior`).
-        // Pieces that refuse to split (too small / no separator) move to
-        // `done` so the loop never retries them.
-        let mut interface: Vec<usize> = Vec::new();
-        let mut done: Vec<Vec<usize>> = Vec::new();
-        while !pieces.is_empty() {
-            let largest = (0..pieces.len())
-                .max_by_key(|&i| (pieces[i].len(), std::cmp::Reverse(pieces[i][0])))
-                .expect("non-empty piece list");
-            let interior: usize = pieces.iter().chain(done.iter()).map(Vec::len).sum();
-            let need_more = pieces.len() + done.len() < shards;
-            let oversized =
-                (pieces[largest].len() * shards) as f64 > interior as f64 * BALANCE_BOUND;
-            if !need_more && !oversized {
-                break;
-            }
-            let piece = pieces.swap_remove(largest);
-            let split = if piece.len() < MIN_SPLIT {
-                None
-            } else {
-                split_piece(
-                    a,
-                    &piece,
-                    &mut stamp,
-                    &mut level,
-                    &mut generation,
-                    &mut queue,
-                )
-            };
-            let Some(PieceSplit { below, sep, above }) = split else {
-                done.push(piece);
-                continue;
-            };
-            interface.extend_from_slice(&sep);
-            // Removing the separator can fragment a half: each connected
-            // component becomes its own piece (the merge pass below
-            // re-coarsens if that overshoots the requested count).
-            for half in [below, above] {
-                split_components(a, &half, &mut stamp, &mut generation, &mut queue, |comp| {
-                    if !comp.is_empty() {
-                        pieces.push(comp)
-                    }
-                });
-            }
-        }
-        pieces.extend(done);
-        pieces.retain(|p| !p.is_empty());
-        if pieces.is_empty() {
-            return Self::single(a);
-        }
-
-        // Merge the two smallest pieces (ties broken by smallest member,
-        // so the pairing is deterministic) until at most `shards` remain
-        // AND no piece is below the rows floor — a min-heap keyed by
-        // `(len, min member)`, O(P log P) overall. Merging is safe because
-        // distinct pieces are never adjacent (every separator went to the
-        // interface in full), so a merged piece is still
-        // interior-decoupled from every other shard.
-        if pieces.len() > 1 {
-            use std::cmp::Reverse;
-            let mut heap: std::collections::BinaryHeap<Reverse<(usize, usize, usize)>> = pieces
-                .iter()
-                .enumerate()
-                .map(|(slot, p)| Reverse((p.len(), *p.iter().min().expect("non-empty"), slot)))
-                .collect();
-            let mut slots: Vec<Vec<usize>> = std::mem::take(&mut pieces);
-            while heap.len() > 1 {
-                let &Reverse((smallest, _, _)) = heap.peek().expect("heap non-empty");
-                if heap.len() <= shards && smallest >= Self::MIN_SHARD_ROWS {
-                    break;
-                }
-                let Reverse((len_a, first_a, slot_a)) = heap.pop().expect("len > 1");
-                let Reverse((len_b, first_b, slot_b)) = heap.pop().expect("len > 1");
-                let absorbed = std::mem::take(&mut slots[slot_b]);
-                slots[slot_a].extend_from_slice(&absorbed);
-                heap.push(Reverse((len_a + len_b, first_a.min(first_b), slot_a)));
-            }
-            pieces = slots.into_iter().filter(|p| !p.is_empty()).collect();
-        }
-        Self::from_partition(a, pieces, interface, false)
+    /// The trivial one-shard plan (everything interior, empty interface).
+    fn single(a: &CsrMatrix) -> Self {
+        Self::from_pieces(a, vec![(0..a.nrows()).collect()], Vec::new())
     }
 
-    /// Canonicalizes a raw interior/interface partition (sorted members,
-    /// shards ordered by smallest row), rebuilds the owner map, checks the
-    /// structural invariants, and computes the plan stats.
-    fn from_partition(
-        a: &CsrMatrix,
-        mut pieces: Vec<Vec<usize>>,
-        mut interface: Vec<usize>,
-        geometric: bool,
-    ) -> Self {
-        let n = a.nrows();
-        for piece in &mut pieces {
-            piece.sort_unstable();
-        }
-        pieces.sort_unstable_by_key(|p| p[0]);
-        interface.sort_unstable();
-        let mut owner = vec![INTERFACE; n];
+    /// Assembles a plan from canonical shards (sorted members, ordered by
+    /// smallest row) and the sorted interface: rebuilds the owner map in
+    /// that numbering and computes the plan stats.
+    fn from_pieces(a: &CsrMatrix, pieces: Vec<Vec<usize>>, interface: Vec<usize>) -> Self {
+        let mut owner = vec![INTERFACE; a.nrows()];
         for (k, piece) in pieces.iter().enumerate() {
             for &v in piece {
                 owner[v] = k;
             }
         }
-        debug_assert!(
-            {
-                let assigned = pieces.iter().map(Vec::len).sum::<usize>() + interface.len();
-                assigned == n
-            },
-            "shard plan must cover every row exactly once"
-        );
-        debug_assert!(
-            (0..n).all(|v| {
-                a.row(v).0.iter().all(|&w| {
-                    owner[v] == owner[w] || owner[v] == INTERFACE || owner[w] == INTERFACE
-                })
-            }),
-            "no edge may couple two different shards directly"
-        );
-        let stats = compute_stats(a, &pieces, interface.len(), &owner, geometric);
+        let stats = compute_stats(a, &pieces, interface.len(), &owner);
         Self {
             shards: pieces,
             interface,
-            owner,
-            stats,
-        }
-    }
-
-    /// The trivial one-shard plan (everything interior, empty interface).
-    fn single(a: &CsrMatrix) -> Self {
-        let n = a.nrows();
-        let pieces = vec![(0..n).collect::<Vec<usize>>()];
-        let owner = vec![0; n];
-        let stats = compute_stats(a, &pieces, 0, &owner, false);
-        Self {
-            shards: pieces,
-            interface: Vec::new(),
             owner,
             stats,
         }
@@ -567,7 +391,7 @@ impl ShardPlan {
         }
     }
 
-    /// Quality accounting of this plan (balance, interface share, route).
+    /// Quality accounting of this plan (balance, interface share).
     pub fn stats(&self) -> ShardPlanStats {
         self.stats
     }
@@ -594,7 +418,6 @@ fn compute_stats(
     shards: &[Vec<usize>],
     interface_dofs: usize,
     owner: &[usize],
-    geometric: bool,
 ) -> ShardPlanStats {
     let n = owner.len();
     let k = shards.len().max(1);
@@ -619,7 +442,6 @@ fn compute_stats(
         max_shard_work,
         mean_shard_work,
         balance_ratio,
-        geometric,
     }
 }
 
@@ -637,7 +459,7 @@ impl MemoryFootprint for ShardPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_operators::{hinted_grid, laplacian_2d};
+    use crate::test_operators::hinted_grid;
     use crate::CooMatrix;
 
     fn check_invariants(a: &CsrMatrix, plan: &ShardPlan) {
@@ -684,13 +506,13 @@ mod tests {
 
     #[test]
     fn plan_partitions_a_lattice() {
-        let a = laplacian_2d(24, 24);
+        let (a, hint) = hinted_grid(6, 6, 4);
         for k in [2usize, 3, 4, 7] {
-            let plan = ShardPlan::build(&a, k);
+            let plan = ShardPlan::build_hinted(&a, k, Some(&hint));
             assert!(plan.num_shards() >= 2, "lattice must split for k={k}");
             assert!(plan.num_shards() <= k);
             assert!(!plan.interface().is_empty());
-            assert!(!plan.stats().geometric);
+            assert!(plan.stats().balance_ratio <= BALANCE_BOUND);
             check_invariants(&a, &plan);
         }
     }
@@ -701,7 +523,6 @@ mod tests {
         let plan = ShardPlan::build_hinted(&a, 4, Some(&hint));
         check_invariants(&a, &plan);
         let stats = plan.stats();
-        assert!(stats.geometric, "hinted grid must take the geometric route");
         assert_eq!(stats.shards, 4);
         // 17×17 points, quadrant cut along x=8 and y=8: the two seam lines
         // (33 points) are the interface, each quadrant holds 8×8 interiors.
@@ -718,25 +539,25 @@ mod tests {
         let p1 = ShardPlan::build_hinted(&a, 4, Some(&hint));
         let p2 = ShardPlan::build_hinted(&a, 4, Some(&hint));
         assert_eq!(p1, p2);
-        assert_eq!(p1.stats().geometric, p2.stats().geometric);
+        assert_eq!(p1.stats(), p2.stats());
     }
 
     #[test]
-    fn mismatched_hint_length_falls_back_to_graph() {
+    fn mismatched_hint_length_plans_one_shard() {
         let (a, hint) = hinted_grid(4, 4, 4);
         let short = PartitionHint::new(hint.grid(), vec![[0, 0, 0, 0]; 7]);
-        let hinted = ShardPlan::build_hinted(&a, 4, Some(&short));
-        let graph = ShardPlan::build(&a, 4);
-        assert_eq!(hinted, graph, "bad-length hint must be ignored");
-        assert!(!hinted.stats().geometric);
-        check_invariants(&a, &hinted);
+        let plan = ShardPlan::build_hinted(&a, 4, Some(&short));
+        assert_eq!(plan, ShardPlan::build_hinted(&a, 4, None));
+        assert_eq!(plan.num_shards(), 1, "bad-length hint must be ignored");
+        assert!(plan.interface().is_empty());
+        check_invariants(&a, &plan);
     }
 
     #[test]
-    fn contradicted_hint_falls_back_to_graph() {
+    fn contradicted_hint_plans_one_shard() {
         // Add one long-range edge between opposite corners: the hint now
         // misdescribes the operator (the corners' spans are disjoint), so
-        // the geometric plan must be rejected by the sparsity validation.
+        // the grid cut must be rejected by the sparsity validation.
         let (a, hint) = hinted_grid(4, 4, 4);
         let n = a.nrows();
         let mut coo = CooMatrix::new(n, n);
@@ -750,15 +571,16 @@ mod tests {
         coo.push(n - 1, 0, -0.5);
         let a = coo.to_csr();
         let plan = ShardPlan::build_hinted(&a, 4, Some(&hint));
-        assert!(!plan.stats().geometric, "contradicted hint must be dropped");
+        assert_eq!(plan.num_shards(), 1, "contradicted hint must be dropped");
+        assert!(plan.interface().is_empty());
         check_invariants(&a, &plan);
     }
 
     #[test]
     fn single_shard_requests_are_trivial() {
-        let a = laplacian_2d(10, 10);
+        let (a, hint) = hinted_grid(4, 4, 4);
         for k in [0usize, 1] {
-            let plan = ShardPlan::build(&a, k);
+            let plan = ShardPlan::build_hinted(&a, k, Some(&hint));
             assert_eq!(plan.num_shards(), 1);
             assert!(plan.interface().is_empty());
             assert_eq!(plan.stats().interface_dofs, 0);
@@ -769,8 +591,9 @@ mod tests {
 
     #[test]
     fn tiny_operators_stay_monolithic() {
-        let a = laplacian_2d(4, 4);
-        let plan = ShardPlan::build(&a, 4);
+        // 7×7 = 49 rows on a 2×2 grid: cuttable, but below the size floor.
+        let (a, hint) = hinted_grid(2, 2, 3);
+        let plan = ShardPlan::build_hinted(&a, 4, Some(&hint));
         assert_eq!(plan.num_shards(), 1);
         assert!(plan.interface().is_empty());
         check_invariants(&a, &plan);
@@ -778,7 +601,8 @@ mod tests {
 
     #[test]
     fn disconnected_components_shard_without_interface() {
-        // Two disjoint chains: a 2-shard plan needs no separator at all.
+        // Two disjoint chains, one per block of a 2×1 grid: a 2-shard plan
+        // needs no separator at all.
         let n = 80;
         let mut coo = CooMatrix::new(n, n);
         for half in 0..2 {
@@ -792,77 +616,30 @@ mod tests {
             }
         }
         let a = coo.to_csr();
-        let plan = ShardPlan::build(&a, 2);
+        let block = |v: usize| v / (n / 2);
+        let hint = PartitionHint::new([2, 1], (0..n).map(|v| [block(v), block(v), 0, 0]).collect());
+        let plan = ShardPlan::build_hinted(&a, 2, Some(&hint));
         assert_eq!(plan.num_shards(), 2);
         assert!(plan.interface().is_empty());
         check_invariants(&a, &plan);
     }
 
     #[test]
-    fn merge_pass_respects_the_requested_count() {
-        // A star of 5 chains around one hub: splitting fragments into many
-        // components; the plan must re-merge down to the request.
-        let arms = 5usize;
-        let len = 40usize;
-        let n = 1 + arms * len;
-        let mut coo = CooMatrix::new(n, n);
-        coo.push(0, 0, 2.0);
-        for arm in 0..arms {
-            let base = 1 + arm * len;
-            for i in 0..len {
-                coo.push(base + i, base + i, 2.0);
-                let prev = if i == 0 { 0 } else { base + i - 1 };
-                coo.push(base + i, prev, -1.0);
-                coo.push(prev, base + i, -1.0);
-            }
-        }
-        let a = coo.to_csr();
-        for k in [2usize, 3] {
-            let plan = ShardPlan::build(&a, k);
-            assert!(plan.num_shards() <= k);
-            check_invariants(&a, &plan);
-        }
-    }
-
-    #[test]
-    fn graph_route_merges_sub_floor_fragments() {
-        // A broom: a long handle whose end vertex fans out into many
-        // single-vertex bristles. Separator splits strand the bristles as
-        // tiny components; the floor-respecting merge must coalesce them
-        // instead of emitting singleton shards.
-        let handle = 120usize;
-        let bristles = 30usize;
-        let n = handle + bristles;
-        let mut coo = CooMatrix::new(n, n);
-        for i in 0..handle {
-            coo.push(i, i, 2.0);
-            if i + 1 < handle {
-                coo.push(i, i + 1, -1.0);
-                coo.push(i + 1, i, -1.0);
-            }
-        }
-        for b in 0..bristles {
-            let v = handle + b;
-            coo.push(v, v, 2.0);
-            coo.push(v, handle - 1, -1.0);
-            coo.push(handle - 1, v, -1.0);
-        }
-        let a = coo.to_csr();
-        for k in [2usize, 4] {
-            let plan = ShardPlan::build(&a, k);
-            check_invariants(&a, &plan);
-        }
-    }
-
-    #[test]
     fn plans_are_deterministic() {
-        let a = laplacian_2d(30, 20);
-        let p1 = ShardPlan::build(&a, 4);
-        let p2 = ShardPlan::build(&a, 4);
-        assert_eq!(p1.num_shards(), p2.num_shards());
-        assert_eq!(p1.interface(), p2.interface());
-        for k in 0..p1.num_shards() {
-            assert_eq!(p1.shard_rows(k), p2.shard_rows(k));
+        // Every request, with and without a hint: the same plan twice, and
+        // a hint-less operator is always one shard.
+        let (a, hint) = hinted_grid(5, 3, 4);
+        for k in 0..=8usize {
+            for hint in [Some(&hint), None] {
+                let p1 = ShardPlan::build_hinted(&a, k, hint);
+                let p2 = ShardPlan::build_hinted(&a, k, hint);
+                assert_eq!(p1, p2);
+                assert_eq!(p1.stats(), p2.stats());
+                if hint.is_none() {
+                    assert_eq!(p1.num_shards(), 1, "hint-less plan for k={k}");
+                }
+                check_invariants(&a, &p1);
+            }
         }
     }
 }

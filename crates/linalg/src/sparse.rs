@@ -302,9 +302,10 @@ impl CsrMatrix {
     /// footprint of every row; attaching it here is how that knowledge
     /// reaches the solvers — [`FillOrdering::Auto`](crate::FillOrdering)
     /// dissects along the block grid and [`Sharded`](crate::Sharded) plans
-    /// its shards from it. The hint is advisory for both: one of the wrong
-    /// length, or one that misdescribes the sparsity, costs fill or a
-    /// fallback, never correctness.
+    /// its shards from it — the only geometry either reads. The hint is
+    /// advisory for both: one of the wrong length, or one that misdescribes
+    /// the sparsity, costs fill or the sharding (a one-shard plan), never
+    /// correctness.
     pub fn with_partition_hint(mut self, hint: Arc<PartitionHint>) -> Self {
         self.hint = Some(hint);
         self

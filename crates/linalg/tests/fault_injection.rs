@@ -21,8 +21,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use morestress_linalg::{
-    Auto, CooMatrix, CsrMatrix, DirectCholesky, FactorCache, FaultPlan, LinalgError, Resilient,
-    Rung, ShardPlan, Sharded, SolverBackend, VerifyPolicy, WorkPool,
+    Auto, CooMatrix, CsrMatrix, DirectCholesky, FactorCache, FaultPlan, LinalgError, PartitionHint,
+    Resilient, Rung, ShardPlan, Sharded, SolverBackend, VerifyPolicy, WorkPool,
 };
 
 /// Shard count under test: `MORESTRESS_SHARDS` when set (the CI matrix
@@ -59,6 +59,27 @@ fn lattice(nx: usize, ny: usize) -> CsrMatrix {
         }
     }
     coo.to_csr()
+}
+
+/// [`lattice`] carrying the hint of a block grid of `m`-cell blocks
+/// (`nx - 1` and `ny - 1` multiples of `m`; points on a block face span
+/// both blocks) — the shape the sharded backend plans from.
+fn hinted_lattice(nx: usize, ny: usize, m: usize) -> CsrMatrix {
+    let (bx, by) = ((nx - 1) / m, (ny - 1) / m);
+    let span = |c: usize, blocks: usize| -> [usize; 2] {
+        if c.is_multiple_of(m) {
+            [(c / m).saturating_sub(1), (c / m).min(blocks - 1)]
+        } else {
+            [c / m, c / m]
+        }
+    };
+    let spans = (0..nx * ny)
+        .map(|v| {
+            let (x, y) = (span(v % nx, bx), span(v / nx, by));
+            [x[0], x[1], y[0], y[1]]
+        })
+        .collect();
+    lattice(nx, ny).with_partition_hint(Arc::new(PartitionHint::new([bx, by], spans)))
 }
 
 fn rhs_set(n: usize, count: usize) -> Vec<Vec<f64>> {
@@ -211,8 +232,12 @@ fn corrupted_shard_is_contained_per_shard() {
     let pool = WorkPool::new(4);
     pool.install(|| {
         let shards = env_shards();
-        let clean = lattice(12, 10);
-        let plan = ShardPlan::build(&clean, shards);
+        let clean = hinted_lattice(13, 9, 4);
+        let plan = ShardPlan::build_hinted(&clean, shards, clean.partition_hint().map(Arc::as_ref));
+        assert!(
+            shards <= 1 || plan.num_shards() >= 2,
+            "the lattice must shard"
+        );
         let mut faulty = clean.clone();
         let victim = FaultPlan::new(5).corrupt_shard(&mut faulty, &plan);
         assert!(victim < plan.num_shards());

@@ -676,29 +676,20 @@ proptest! {
     /// determinism contract.
     #[test]
     fn incremental_reprepare_is_bitwise_for_random_perturbations(
-        nx in 9usize..13,
-        ny in 8usize..11,
+        bx in 2usize..5,
+        by in 2usize..4,
+        m in 4usize..6,
         shards in 2usize..5,
         picks in prop::collection::vec((0usize..1000, 0.1f64..3.0), 1..6)) {
-        let n = nx * ny;
-        let id = |i: usize, j: usize| j * nx + i;
-        let mut coo = CooMatrix::new(n, n);
-        for j in 0..ny {
-            for i in 0..nx {
-                let me = id(i, j);
-                coo.push(me, me, 4.1);
-                if i > 0 { coo.push(me, id(i - 1, j), -1.0); }
-                if i + 1 < nx { coo.push(me, id(i + 1, j), -1.0); }
-                if j > 0 { coo.push(me, id(i, j - 1), -1.0); }
-                if j + 1 < ny { coo.push(me, id(i, j + 1), -1.0); }
-            }
-        }
-        let a = Arc::new(coo.to_csr());
+        let (a, hint) = hinted_lattice(bx, by, m);
+        let n = a.nrows();
+        let plan = ShardPlan::build_hinted(&a, shards, Some(&hint));
+        prop_assert!(plan.num_shards() >= 2, "a {}x{} grid must shard", bx, by);
+        let a = Arc::new(a.with_partition_hint(Arc::new(hint)));
         let backend = Sharded::new(shards);
         backend.prepare(Arc::clone(&a)).expect("SPD lattice");
 
         // Diagonal bumps keep the operator SPD and the pattern unchanged.
-        let plan = ShardPlan::build(&a, shards);
         let mut perturbed = (*a).clone();
         let mut owners = std::collections::HashSet::new();
         for &(seed, amount) in &picks {
@@ -728,11 +719,12 @@ proptest! {
         }
     }
 
-    /// PR-9 planner invariants on random block-grid lattices, both routes:
-    /// plans are deterministic, interior shards are never coupled to each
-    /// other (every off-diagonal entry stays within a shard or touches the
-    /// interface), any plan that splits respects the minimum-rows floor,
-    /// and the geometric route honors the 2× work-balance bound.
+    /// PR-9 planner invariants on random block-grid lattices: plans are
+    /// deterministic, interior shards are never coupled to each other
+    /// (every off-diagonal entry stays within a shard or touches the
+    /// interface), and a plan that splits respects the minimum-rows floor
+    /// and the 2× work-balance bound. Every lattice of at least 64 rows
+    /// splits.
     #[test]
     fn shard_planner_invariants_on_hinted_lattices(
         bx in 2usize..5,
@@ -742,43 +734,35 @@ proptest! {
     {
         let (a, hint) = hinted_lattice(bx, by, m);
         let n = a.nrows();
-        let geo = ShardPlan::build_hinted(&a, shards, Some(&hint));
-        let graph = ShardPlan::build(&a, shards);
-        // Determinism, per route.
-        prop_assert!(geo == ShardPlan::build_hinted(&a, shards, Some(&hint)),
-            "geometric plans must be deterministic");
-        prop_assert!(graph == ShardPlan::build(&a, shards),
-            "graph plans must be deterministic");
-        for (route, plan) in [("geometric", &geo), ("graph", &graph)] {
-            let stats = plan.stats();
-            // No inter-shard edges: off-diagonal entries either stay inside
-            // one shard or touch the interface.
-            for row in 0..n {
-                let Some(k) = plan.owner(row) else { continue };
-                let (cols, _) = a.row(row);
-                for &col in cols {
-                    if let Some(k2) = plan.owner(col) {
-                        prop_assert_eq!(k, k2,
-                            "{} plan couples shard {} to shard {}", route, k, k2);
-                    }
+        let plan = ShardPlan::build_hinted(&a, shards, Some(&hint));
+        prop_assert!(plan == ShardPlan::build_hinted(&a, shards, Some(&hint)),
+            "plans must be deterministic");
+        // No inter-shard edges: off-diagonal entries either stay inside one
+        // shard or touch the interface.
+        for row in 0..n {
+            let Some(k) = plan.owner(row) else { continue };
+            let (cols, _) = a.row(row);
+            for &col in cols {
+                if let Some(k2) = plan.owner(col) {
+                    prop_assert_eq!(k, k2, "plan couples shard {} to shard {}", k, k2);
                 }
             }
-            // Any plan that actually splits respects the rows floor.
-            if plan.num_shards() >= 2 {
-                prop_assert!(stats.min_shard_rows >= ShardPlan::MIN_SHARD_ROWS,
-                    "{} plan emitted a {}-row shard", route, stats.min_shard_rows);
-            }
         }
-        // The geometric route only accepts balanced region counts.
-        if geo.stats().geometric {
-            prop_assert!(geo.stats().balance_ratio <= 2.0 + 1e-12,
-                "geometric balance {} exceeds the 2x bound", geo.stats().balance_ratio);
+        let stats = plan.stats();
+        if n >= 64 {
+            prop_assert!(plan.num_shards() >= 2, "{} rows must split", n);
+        }
+        if plan.num_shards() >= 2 {
+            prop_assert!(stats.min_shard_rows >= ShardPlan::MIN_SHARD_ROWS,
+                "plan emitted a {}-row shard", stats.min_shard_rows);
+            prop_assert!(stats.balance_ratio <= 2.0 + 1e-12,
+                "balance {} exceeds the 2x bound", stats.balance_ratio);
         }
     }
 
     /// A hint whose span table does not cover the operator (a length
-    /// mismatch) is ignored gracefully: the plan falls back to the graph
-    /// route and equals the unhinted plan exactly.
+    /// mismatch) is ignored gracefully: the plan is the one-shard plan of
+    /// an operator without a hint.
     #[test]
     fn mismatched_hints_are_ignored_gracefully(
         bx in 2usize..5,
@@ -793,10 +777,10 @@ proptest! {
             .collect();
         let bad = PartitionHint::new([bx, by], truncated);
         let hinted = ShardPlan::build_hinted(&a, shards, Some(&bad));
-        let unhinted = ShardPlan::build(&a, shards);
-        prop_assert!(hinted == unhinted,
-            "a mismatched hint must fall back to the graph planner");
-        prop_assert!(!hinted.stats().geometric);
+        prop_assert!(hinted == ShardPlan::build_hinted(&a, shards, None),
+            "a mismatched hint must be ignored");
+        prop_assert_eq!(hinted.num_shards(), 1);
+        prop_assert!(hinted.interface().is_empty());
     }
 
     /// The geometric ordering is one more elimination order of the same
