@@ -26,17 +26,13 @@ fn main() {
         match a.as_str() {
             "table1" | "table2" | "table3" | "fig6" | "all" => which = a.clone(),
             "--scale" => {
-                let name = it.next().map(String::as_str).unwrap_or("small");
-                scale = Scale::from_name(name).unwrap_or_else(|| {
-                    eprintln!("unknown scale '{name}' (use small|paper)");
-                    std::process::exit(2);
-                });
+                let Some(name) = it.next() else {
+                    usage_error("--scale needs a value");
+                };
+                scale = Scale::from_name(name)
+                    .unwrap_or_else(|| usage_error(&format!("unknown scale '{name}'")));
             }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                eprintln!("usage: repro [table1|table2|table3|fig6|all] [--scale small|paper]");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument '{other}'")),
         }
     }
 
@@ -58,6 +54,14 @@ fn main() {
     if let Some(rss) = peak_rss_bytes() {
         println!("\n[process peak RSS: {}]", fmt_bytes(rss));
     }
+}
+
+/// Reports a bad command line with the usage line and exits with status 2,
+/// before any compute.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!("usage: repro [table1|table2|table3|fig6|all] [--scale small|paper]");
+    std::process::exit(2);
 }
 
 fn print_rows(rows: &[Row]) {

@@ -30,7 +30,7 @@ use crate::yaml::{self, Node, Value, YamlError, YamlErrorKind};
 pub struct MaterialSpec {
     /// Config name: `Si`, `Cu`, `SiO2` or `organic`.
     pub name: String,
-    /// Young's modulus (MPa).
+    /// Young's modulus (MPa), in `(0, 1e7]`.
     pub young_modulus: f64,
     /// Poisson's ratio, in `(-1, 0.5)`.
     pub poisson_ratio: f64,
@@ -308,10 +308,10 @@ impl<'n> MapView<'n> {
     fn check_keys(&self, known: &[&str]) -> Result<(), SpecError> {
         for (key, node) in self.entries {
             if !known.contains(&key.as_str()) {
-                let kind = match UPSTREAM_NESTED.iter().find(|(nested, _)| nested == key) {
-                    Some((_, flat)) => SpecErrorKind::BadValue(format!(
-                        "`{key}` is the upstream config.yml's nested form; this build reads \
-                         the flat keys {flat} (see examples/campaign.yml)"
+                let kind = match UPSTREAM_KEYS.iter().find(|(upstream, _)| upstream == key) {
+                    Some((_, ours)) => SpecErrorKind::BadValue(format!(
+                        "`{key}` is the upstream config.yml's key; this build reads {ours} \
+                         instead (see examples/campaign.yml)"
                     )),
                     None => SpecErrorKind::UnknownKey(key.clone()),
                 };
@@ -325,16 +325,27 @@ impl<'n> MapView<'n> {
     }
 }
 
-/// Keys the upstream `config.yml` nests per axis (`tsv_num: {x, y}`), with
-/// the flat keys this build reads in their place.
-const UPSTREAM_NESTED: [(&str, &str); 3] = [
-    ("tsv_num", "`tsv_num_x` / `tsv_num_y`"),
-    ("dummy_tsv_num", "`dummy_tsv_num_x` / `dummy_tsv_num_y`"),
+/// Keys of the upstream `config.yml` this build spells differently, with
+/// what it reads in their place: the per-axis nested keys
+/// (`tsv_num: {x, y}`) and the singular material list and load.
+const UPSTREAM_KEYS: [(&str, &str); 5] = [
+    ("tsv_num", "the flat keys `tsv_num_x` / `tsv_num_y`"),
+    (
+        "dummy_tsv_num",
+        "the flat keys `dummy_tsv_num_x` / `dummy_tsv_num_y`",
+    ),
     (
         "interp_num",
-        "`interp_num_x` / `interp_num_y` / `interp_num_z`",
+        "the flat keys `interp_num_x` / `interp_num_y` / `interp_num_z`",
     ),
+    ("material", "`materials:` (moduli in MPa, not Pa)"),
+    ("temperature", "`loads:`, a list of thermal loads ΔT in °C"),
 ];
+
+/// Stiffest Young's modulus (MPa) a material may have: diamond is about
+/// 1.2e6 MPa, so a value above this is in the wrong unit — most likely the
+/// upstream config's Pa.
+const MAX_YOUNG_MODULUS_MPA: f64 = 1e7;
 
 fn scalar<'n>(node: &'n Node, what: &'static str) -> Result<&'n str, SpecError> {
     match &node.value {
@@ -638,7 +649,8 @@ fn parse_material(node: &Node) -> Result<MaterialSpec, SpecError> {
             )),
         });
     }
-    let young_modulus = number(map.require("young_modulus")?)?;
+    let young_node = map.require("young_modulus")?;
+    let young_modulus = number(young_node)?;
     let poisson_ratio = number(map.require("poisson_ratio")?)?;
     let thermal_expansion_coefficient = number(map.require("thermal_expansion_coefficient")?)?;
     if young_modulus <= 0.0 {
@@ -646,6 +658,15 @@ fn parse_material(node: &Node) -> Result<MaterialSpec, SpecError> {
             line: node.line,
             kind: SpecErrorKind::BadValue(format!(
                 "young_modulus must be positive, got {young_modulus}"
+            )),
+        });
+    }
+    if young_modulus > MAX_YOUNG_MODULUS_MPA {
+        return Err(SpecError {
+            line: young_node.line,
+            kind: SpecErrorKind::BadValue(format!(
+                "young_modulus {young_modulus} is above {MAX_YOUNG_MODULUS_MPA:e} MPa: moduli \
+                 are in MPa here, not Pa (130e9 Pa is 130000 MPa)"
             )),
         });
     }

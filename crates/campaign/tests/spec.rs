@@ -129,9 +129,11 @@ fn unknown_keys_are_rejected_with_line() {
 
 #[test]
 fn upstream_nested_keys_name_the_flat_ones() {
-    // The upstream config.yml nests axes (`tsv_num: {x, y}`); each such
-    // key is refused with the flat keys to use instead, at the line its
-    // nested block starts on (where every block-valued key is reported).
+    // The upstream config.yml nests axes (`tsv_num: {x, y}`) and spells
+    // the material list and the load in the singular; each such key is
+    // refused with the keys to use instead, at the line its block starts
+    // on (where every block-valued key is reported). The last two rows
+    // are the upstream config's own lines.
     let array = "  - tsv_num_x: 2\n    tsv_num_y: 2\n";
     let cases = [
         (
@@ -149,18 +151,63 @@ fn upstream_nested_keys_name_the_flat_ones() {
             14,
             "`interp_num_x` / `interp_num_y` / `interp_num_z`",
         ),
+        (
+            format!(
+                "{MINIMAL}material: # material properties\n  -\n    name: \"Si\"\n    \
+                 young_modulus: 130.0e+9\n    poisson_ratio: 0.28\n    \
+                 thermal_expansion_coefficient: 2.3e-6\n"
+            ),
+            13,
+            "`materials:`",
+        ),
+        (
+            format!("{MINIMAL}temperature: 100.0 # thermal load\n"),
+            12,
+            "`loads:`",
+        ),
     ];
-    for (text, line, flat) in cases {
+    for (text, line, ours) in cases {
         let err = CampaignSpec::parse(&text).unwrap_err();
         assert_eq!(err.line, line, "{err}");
         let SpecErrorKind::BadValue(msg) = &err.kind else {
             panic!("expected a pointed BadValue, got {err}");
         };
         assert!(
-            msg.contains(flat) && msg.contains("examples/campaign.yml"),
+            msg.contains(ours) && msg.contains("examples/campaign.yml"),
             "{err}"
         );
     }
+}
+
+#[test]
+fn moduli_in_pa_are_rejected_with_a_units_hint() {
+    // The upstream config's moduli are in Pa; read as MPa they would give
+    // stresses 10⁶× too large. Each row is one of its literal lines.
+    for young in [
+        "young_modulus: 130.0e+9",
+        "young_modulus: 110.0e+9",
+        "young_modulus: 71.0e+9",
+    ] {
+        let text = format!(
+            "{MINIMAL}materials:\n  - name: Si\n    {young}\n    poisson_ratio: 0.28\n    \
+             thermal_expansion_coefficient: 2.3e-6\n"
+        );
+        let err = CampaignSpec::parse(&text).unwrap_err();
+        assert_eq!(err.line, 14, "{young}: {err}");
+        let SpecErrorKind::BadValue(msg) = &err.kind else {
+            panic!("expected a units BadValue, got {err}");
+        };
+        assert!(msg.contains("MPa") && msg.contains("not Pa"), "{err}");
+    }
+    // The same stiffness in MPa parses.
+    let text = format!(
+        "{MINIMAL}materials:\n  - name: Si\n    young_modulus: 130000\n    \
+         poisson_ratio: 0.28\n    thermal_expansion_coefficient: 2.3e-6\n"
+    );
+    assert_eq!(
+        CampaignSpec::parse(&text).expect("MPa modulus").materials[0].young_modulus,
+        130000.0
+    );
 }
 
 #[test]

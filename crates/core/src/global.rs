@@ -298,7 +298,7 @@ pub struct GlobalStats {
     pub kernel: Option<&'static str>,
     /// The fill ordering the direct factorization resolved to
     /// (`"geometric"` for every operator this stage reduces — it attaches
-    /// the block-grid hint; `"rcm"`/`"nd"` are the hint-less fallbacks).
+    /// the block-grid hint; `"rcm"` is the hint-less fallback).
     /// `None` for iterative and sharded backends and fully-constrained
     /// solves.
     pub ordering: Option<&'static str>,

@@ -20,8 +20,8 @@ use morestress_core::{
 };
 use morestress_fem::MaterialSet;
 use morestress_linalg::{
-    CooMatrix, DirectCholesky, FactorCache, FillOrdering, KernelChoice, Sharded, SolverBackend,
-    SupernodalCholesky, SupernodalOptions, WorkPool,
+    CooMatrix, DirectCholesky, FactorCache, FillOrdering, KernelChoice, PartitionHint, Sharded,
+    SolverBackend, SupernodalCholesky, SupernodalOptions, WorkPool,
 };
 use morestress_mesh::{BlockKind, BlockLayout, BlockResolution, TsvGeometry};
 
@@ -199,11 +199,23 @@ fn supernodal_factor_is_pool_size_invariant_per_kernel() {
     // identical to the serial sweep at every pool cap. Run at the default
     // chunk budget and at a tiny one that forces update-chunk tasks plus
     // their reduction-tree combines into the DAG.
-    let nx = 17;
-    let ny = 13;
+    //
+    // A 25×25-point lattice over 4×4 blocks of 6×6 cells, carrying the
+    // block footprint of every point, so `Geometric` dissects it into a
+    // bushy elimination tree.
+    let (bx, by, m) = (4, 4, 6);
+    let (nx, ny) = (bx * m + 1, by * m + 1);
     let n = nx * ny;
     let id = |i: usize, j: usize| j * nx + i;
+    let span = |c: usize, blocks: usize| {
+        if c.is_multiple_of(m) {
+            [(c / m).saturating_sub(1), (c / m).min(blocks - 1)]
+        } else {
+            [c / m, c / m]
+        }
+    };
     let mut coo = CooMatrix::new(n, n);
+    let mut spans = Vec::with_capacity(n);
     for j in 0..ny {
         for i in 0..nx {
             let me = id(i, j);
@@ -220,11 +232,14 @@ fn supernodal_factor_is_pool_size_invariant_per_kernel() {
             if j + 1 < ny {
                 coo.push(me, id(i, j + 1), -1.0);
             }
+            let ([x0, x1], [y0, y1]) = (span(i, bx), span(j, by));
+            spans.push([x0, x1, y0, y1]);
         }
     }
-    let a = coo.to_csr();
+    let hint = PartitionHint::new([bx, by], spans);
+    let a = coo.to_csr().with_partition_hint(std::sync::Arc::new(hint));
     let b: Vec<f64> = (0..n).map(|i| ((i * 5) % 11) as f64 - 5.0).collect();
-    let perm = FillOrdering::NestedDissection.permutation(&a);
+    let perm = FillOrdering::Geometric.permutation(&a);
     for &kernel in KernelChoice::available() {
         for chunk_work in [SupernodalOptions::default().chunk_work, 512] {
             let opts = SupernodalOptions {
@@ -240,6 +255,8 @@ fn supernodal_factor_is_pool_size_invariant_per_kernel() {
             };
             let reference = factor(REFERENCE_CAP);
             assert_eq!(reference.kernel_name(), kernel.resolved_name());
+            let stats = reference.stats();
+            assert!(stats.critical_path * 2 <= stats.total_work, "{stats:?}");
             let x_ref = reference.solve(&b);
             for cap in CAPS {
                 let parallel = factor(cap);

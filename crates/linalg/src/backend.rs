@@ -345,9 +345,9 @@ pub struct SolveReport {
     /// balance; `None` for iterative engines.
     pub supernode_stats: Option<SupernodeStats>,
     /// The resolved fill ordering of the direct factor behind this solve
-    /// ([`SupernodeStats::ordering`]: `"geometric"`, `"rcm"`, `"nd"`,
-    /// `"natural"`). `None` for the iterative engines and for the sharded
-    /// engine, whose blocks each resolve their own.
+    /// ([`SupernodeStats::ordering`]: `"geometric"` or `"rcm"`). `None` for
+    /// the iterative engines and for the sharded engine, whose blocks each
+    /// resolve their own.
     pub ordering: Option<&'static str>,
     /// Stored entries of the direct factor behind this solve
     /// ([`PreparedSolver::factor_nnz`]; summed over all blocks for the
@@ -1236,15 +1236,12 @@ pub fn default_solve_threads() -> usize {
 // ---------------------------------------------------------------------------
 
 /// Direct sparse Cholesky backend: the supernodal blocked factorization
-/// ([`SupernodalCholesky`]) under a per-operator ([`FillOrdering::Auto`])
-/// ordering, factored as an elimination-tree task DAG on the current
-/// [`WorkPool`].
+/// ([`SupernodalCholesky`]) under the per-operator [`FillOrdering::Auto`]
+/// ordering (geometric dissection along the block grid when the operator
+/// carries a [`PartitionHint`], RCM otherwise), factored as an
+/// elimination-tree task DAG on the current [`WorkPool`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DirectCholesky {
-    /// Fill-reducing ordering (default: [`FillOrdering::Auto`], which
-    /// dissects along the block grid when the operator carries a
-    /// [`PartitionHint`] and probes the sparsity otherwise).
-    pub ordering: FillOrdering,
     /// Right-hand sides per panel of the batched
     /// [`PreparedSolver::solve_many`] path. Each worker solves whole
     /// panels with one blocked sweep; 1 degenerates to task-per-RHS.
@@ -1262,7 +1259,6 @@ pub struct DirectCholesky {
 impl Default for DirectCholesky {
     fn default() -> Self {
         Self {
-            ordering: FillOrdering::default(),
             panel_width: 8,
             supernodal: SupernodalOptions::default(),
             verify: VerifyPolicy::Off,
@@ -1282,7 +1278,8 @@ impl DirectCholesky {
         t0: Instant,
     ) -> Result<PreparedSolver, LinalgError> {
         let factored = shifted.unwrap_or(&a);
-        let factor = SupernodalCholesky::factor_ordered(factored, self.ordering, &self.supernodal)?;
+        let factor =
+            SupernodalCholesky::factor_ordered(factored, FillOrdering::Auto, &self.supernodal)?;
         let shared_bytes = factor.heap_bytes();
         // One panel scratch plus the solve scratch, per concurrent worker.
         let workspace_bytes = (self.panel_width.max(1) * a.nrows() + factor.scratch_len())
@@ -1322,8 +1319,7 @@ impl SolverBackend for DirectCholesky {
         // The dense microkernel *is* part of the key: kernels differ in
         // rounding (fused vs separate multiply-add), so two kernel configs
         // produce different factor bits and must not share a cache entry.
-        0x10 ^ self.ordering.fingerprint().rotate_left(12)
-            ^ (self.panel_width as u64).rotate_left(24)
+        0x10 ^ (self.panel_width as u64).rotate_left(24)
             ^ (self.supernodal.max_width as u64).rotate_left(40)
             ^ self.supernodal.relax.to_bits().rotate_left(48)
             ^ (self.supernodal.small_width as u64).rotate_left(56)

@@ -26,10 +26,10 @@
 //!   factor-once/solve-many economics (§4.2) run on dense contiguous
 //!   kernels. The numeric factorization runs as an elimination-tree task
 //!   DAG on the [`WorkPool`] ([`WorkPool::scope_dag`]), bitwise identical
-//!   to the serial sweep at every pool cap. Orderings: RCM, separator
-//!   based nested dissection, geometric dissection of the block grid an
-//!   operator's [`PartitionHint`] describes, or [`FillOrdering::Auto`]
-//!   (the default: geometric when hinted, structure-probed otherwise).
+//!   to the serial sweep at every pool cap. Orderings: geometric
+//!   dissection of the block grid an operator's [`PartitionHint`]
+//!   describes, or RCM; [`FillOrdering::Auto`] (the default) picks the
+//!   first when the operator is hinted and the second otherwise.
 //! * [`solve_cg`] / [`solve_gmres`] — preconditioned iterative solvers used
 //!   by the global stage (the paper solves the global system with GMRES).
 //! * [`MemoryFootprint`] — analytic heap accounting used to report the memory
@@ -128,10 +128,7 @@ pub use iterative::{
 };
 pub use kernel::{BlockedKernel, DenseKernel, KernelChoice, ScalarKernel};
 pub use memory::MemoryFootprint;
-pub use ordering::{
-    geometric_dissection, nested_dissection, reverse_cuthill_mckee, FillOrdering, Permutation,
-    StructureProbe,
-};
+pub use ordering::{geometric_dissection, reverse_cuthill_mckee, FillOrdering, Permutation};
 pub use pool::{TaskDag, WorkPool};
 pub use schur::Sharded;
 pub use shard::{PartitionHint, ShardPlan, ShardPlanStats};
@@ -210,5 +207,12 @@ pub(crate) mod test_operators {
             }
         }
         (coo.to_csr(), PartitionHint::new([bx, by], spans))
+    }
+
+    /// The [`hinted_grid`] operator carrying its hint: what `Auto` and
+    /// `Geometric` dissect along the block grid.
+    pub(crate) fn hinted_lattice(bx: usize, by: usize, m: usize) -> CsrMatrix {
+        let (a, hint) = hinted_grid(bx, by, m);
+        a.with_partition_hint(std::sync::Arc::new(hint))
     }
 }

@@ -1,12 +1,14 @@
 //! Fill-reducing orderings for the sparse Cholesky factorization.
 //!
-//! The local-stage operator `A_ff` comes from a structured 3-D mesh; reverse
-//! Cuthill–McKee (RCM) reduces its bandwidth, and therefore the fill of the
-//! factor, substantially (pinned by `cholesky.rs`'s
-//! `rcm_reduces_fill_on_scrambled_grid`). The global
-//! stage's reduced operators arrive with the block-grid footprint of every
-//! row (a [`PartitionHint`]) and are dissected along that grid instead
-//! ([`geometric_dissection`]).
+//! One rule orders every operator the product factors
+//! ([`FillOrdering::Auto`]). The global stage's reduced operators arrive
+//! with the block-grid footprint of every row (a [`PartitionHint`]) and are
+//! dissected along that grid ([`geometric_dissection`]). Every other
+//! operator — the local stage's `A_ff`, shard interiors, the Schur
+//! interface — is ordered by reverse Cuthill–McKee
+//! ([`reverse_cuthill_mckee`]), which reduces the bandwidth of a structured
+//! mesh operator, and therefore the fill of its factor, substantially
+//! (pinned by `cholesky.rs`'s `rcm_reduces_fill_on_scrambled_grid`).
 
 use crate::{CsrMatrix, PartitionHint};
 
@@ -129,30 +131,21 @@ pub enum FillOrdering {
     /// Picks the ordering per operator, so the caller never chooses:
     /// [`Geometric`](FillOrdering::Geometric) whenever the operator carries
     /// a usable [`PartitionHint`] (every reduced global operator of a block
-    /// array does); otherwise a cheap [`StructureProbe`] (mean row density +
-    /// sampled bandwidth) picks
-    /// [`NestedDissection`](FillOrdering::NestedDissection) for large sparse
-    /// lattices and [`Rcm`](FillOrdering::Rcm) for the rest. The default.
+    /// array does), [`Rcm`](FillOrdering::Rcm) otherwise. The default.
     #[default]
     Auto,
     /// Nested dissection of the *block grid* the operator's
     /// [`PartitionHint`] describes ([`geometric_dissection`]): no graph
     /// search, O(n log n), and on the global stage's reduced operators far
-    /// less fill than the band the probe would pick (24×24 blocks: 10.8 M
-    /// factor entries under RCM, 4.4 M here). An operator
-    /// without a usable hint (none attached, or one of the wrong length)
-    /// resolves like [`Auto`](FillOrdering::Auto) without one.
+    /// less fill than a band (24×24 blocks: 10.8 M factor entries under
+    /// RCM, 4.4 M here). An operator without a usable hint (none attached,
+    /// or one of the wrong length) resolves to [`Rcm`](FillOrdering::Rcm).
     Geometric,
-    /// Reverse Cuthill–McKee: minimizes bandwidth — the right choice for
-    /// band-structured operators, and the probe's pick for everything it
-    /// does not hand to nested dissection.
+    /// Reverse Cuthill–McKee ([`reverse_cuthill_mckee`]): minimizes
+    /// bandwidth. What [`Auto`](FillOrdering::Auto) resolves to for every
+    /// operator without a usable hint — the local stage's `A_ff`, shard
+    /// interiors, the Schur interface, the full-FEM reference.
     Rcm,
-    /// Separator-based nested dissection: recursively orders two halves of
-    /// the graph before a small separator, which asymptotically beats
-    /// banded orderings on large structured lattices (50k-DoF lattice:
-    /// 4.6× less factor fill than RCM, see CHANGES.md, PR 3) and produces
-    /// big trailing supernodes for the blocked factorization.
-    NestedDissection,
     /// The natural (identity) ordering: the unpermuted baseline the
     /// factorization tests compare the fill-reducing orderings against.
     Natural,
@@ -169,17 +162,15 @@ fn usable_hint(a: &CsrMatrix) -> Option<&PartitionHint> {
 }
 
 impl FillOrdering {
-    /// Resolves [`Auto`](FillOrdering::Auto) (and a
-    /// [`Geometric`](FillOrdering::Geometric) request on an operator with no
-    /// usable hint) to a concrete ordering for `a`; the other orderings
-    /// return themselves.
+    /// Resolves [`Auto`](FillOrdering::Auto) and
+    /// [`Geometric`](FillOrdering::Geometric) to `Geometric` when `a`
+    /// carries a usable hint and to [`Rcm`](FillOrdering::Rcm) otherwise;
+    /// the other orderings return themselves.
     pub fn resolve(&self, a: &CsrMatrix) -> FillOrdering {
         match self {
             FillOrdering::Auto | FillOrdering::Geometric => {
                 if usable_hint(a).is_some() {
                     FillOrdering::Geometric
-                } else if StructureProbe::of(a).prefers_nested_dissection() {
-                    FillOrdering::NestedDissection
                 } else {
                     FillOrdering::Rcm
                 }
@@ -195,107 +186,20 @@ impl FillOrdering {
                 geometric_dissection(usable_hint(a).expect("resolve() found a usable hint"))
             }
             FillOrdering::Rcm => reverse_cuthill_mckee(a),
-            FillOrdering::NestedDissection => nested_dissection(a),
             FillOrdering::Natural => Permutation::identity(a.nrows()),
             FillOrdering::Auto => unreachable!("resolve() returns a concrete ordering"),
         }
     }
 
-    /// Short stable name for reports (`"geometric"`, `"rcm"`, `"nd"`,
-    /// `"natural"`; `"auto"` only before [`resolve`](Self::resolve)).
+    /// Short stable name for reports (`"geometric"`, `"rcm"`, `"natural"`;
+    /// `"auto"` only before [`resolve`](Self::resolve)).
     pub fn name(&self) -> &'static str {
         match self {
             FillOrdering::Auto => "auto",
             FillOrdering::Geometric => "geometric",
             FillOrdering::Rcm => "rcm",
-            FillOrdering::NestedDissection => "nd",
             FillOrdering::Natural => "natural",
         }
-    }
-
-    /// Stable tag mixed into solver-cache fingerprints.
-    pub fn fingerprint(&self) -> u64 {
-        match self {
-            FillOrdering::Rcm => 0,
-            FillOrdering::NestedDissection => 1,
-            FillOrdering::Natural => 2,
-            FillOrdering::Auto => 3,
-            FillOrdering::Geometric => 4,
-        }
-    }
-}
-
-/// Smallest operator [`FillOrdering::Auto`] hands to nested dissection:
-/// below this, RCM's lower ordering cost wins even when ND would reduce
-/// fill (the factorization is cheap either way).
-const ND_MIN_DOFS: usize = 4096;
-
-/// Densest rows (mean stored entries per row) the hint-less probe still
-/// hands to nested dissection: with denser rows every BFS level is large
-/// and the level-structure separators of [`nested_dissection`] stop being
-/// small next to the pieces they split. A conservative cut for operators
-/// of unknown provenance, not a verdict on dissection — the dense-row
-/// reduced operators of the global stage arrive with a hint and dissect
-/// geometrically instead.
-const ND_MAX_MEAN_ROW_NNZ: f64 = 16.0;
-
-/// How many rows [`StructureProbe::of`] samples for the bandwidth
-/// estimate.
-const PROBE_ROWS: usize = 64;
-
-/// Cheap structural fingerprint of a sparse operator, driving
-/// [`FillOrdering::Auto`] for operators that carry no [`PartitionHint`]
-/// (the local stage's `A_ff`, shard interiors, test lattices). Cost:
-/// O(nnz of ~64 sampled rows) — vanishing next to either ordering, let
-/// alone the factorization.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StructureProbe {
-    /// Matrix dimension.
-    pub n: usize,
-    /// Exact mean stored entries per row (`nnz / n`).
-    pub mean_row_nnz: f64,
-    /// Max `|i − j|` over the sampled rows — a lower bound on the true
-    /// bandwidth, which is all the decision rule needs.
-    pub bandwidth_estimate: usize,
-}
-
-impl StructureProbe {
-    /// Probes `a` (square, as used by the orderings).
-    pub fn of(a: &CsrMatrix) -> Self {
-        let n = a.nrows();
-        let mean_row_nnz = if n == 0 {
-            0.0
-        } else {
-            a.nnz() as f64 / n as f64
-        };
-        let stride = (n / PROBE_ROWS).max(1);
-        let mut bandwidth_estimate = 0usize;
-        let mut i = 0;
-        while i < n {
-            for &j in a.row(i).0 {
-                bandwidth_estimate = bandwidth_estimate.max(i.abs_diff(j));
-            }
-            i += stride;
-        }
-        Self {
-            n,
-            mean_row_nnz,
-            bandwidth_estimate,
-        }
-    }
-
-    /// The hint-less [`FillOrdering::Auto`] fallback: graph nested
-    /// dissection for large sparse operators with genuinely
-    /// multi-dimensional coupling (bandwidth ≳ √n — a 2-D/3-D lattice
-    /// signature; a naturally narrow band is already optimal for RCM), RCM
-    /// otherwise.
-    pub fn prefers_nested_dissection(&self) -> bool {
-        self.n >= ND_MIN_DOFS
-            && self.mean_row_nnz <= ND_MAX_MEAN_ROW_NNZ
-            && self
-                .bandwidth_estimate
-                .saturating_mul(self.bandwidth_estimate)
-                >= self.n
     }
 }
 
@@ -381,246 +285,6 @@ pub fn reverse_cuthill_mckee(a: &CsrMatrix) -> Permutation {
     }
     order.reverse();
     Permutation::new(order).expect("RCM produced a valid permutation")
-}
-
-/// Pieces smaller than this are ordered directly (RCM-style BFS) instead
-/// of being dissected further.
-const ND_LEAF: usize = 48;
-
-/// Computes a separator-based nested-dissection ordering of a square sparse
-/// matrix treated as an undirected graph.
-///
-/// Each piece is split by a BFS level structure rooted at a
-/// pseudo-peripheral vertex: the level whose removal best balances the two
-/// halves (smallest level near the size-weighted middle) becomes the vertex
-/// separator. Both halves are ordered recursively, then the separator is
-/// appended — so every separator is eliminated *after* the subgraphs it
-/// decouples, which bounds fill to interactions within pieces plus their
-/// separator borders. On structured lattices this asymptotically beats the
-/// banded RCM ordering and, as a bonus for the supernodal factorization,
-/// concentrates fill into large dense trailing supernodes.
-///
-/// # Panics
-///
-/// Panics if the matrix is not square.
-pub fn nested_dissection(a: &CsrMatrix) -> Permutation {
-    assert_eq!(
-        a.nrows(),
-        a.ncols(),
-        "nested dissection: matrix must be square"
-    );
-    let n = a.nrows();
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    // `level[v]` doubles as the visited marker of the current BFS
-    // (generation-stamped so pieces never need a clear pass).
-    let mut level = vec![0u32; n];
-    let mut stamp = vec![0u32; n];
-    let mut generation = 0u32;
-    let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-
-    // Work stack of pieces still to order. `emit_after` holds a separator to
-    // append once the two halves above it on the stack are done; pieces are
-    // Vec<usize> vertex lists.
-    enum Work {
-        Piece(Vec<usize>),
-        Emit(Vec<usize>),
-    }
-    let mut stack: Vec<Work> = Vec::new();
-
-    // Connected components of the full graph are the initial pieces. They
-    // pop in reverse discovery order, which is fine — any component order
-    // is valid.
-    let everything: Vec<usize> = (0..n).collect();
-    split_components(
-        a,
-        &everything,
-        &mut stamp,
-        &mut generation,
-        &mut queue,
-        |comp| stack.push(Work::Piece(comp)),
-    );
-
-    // BFS over a piece from `start`, stamping levels; returns the number of
-    // levels and the vertex count per level.
-    while let Some(work) = stack.pop() {
-        let piece = match work {
-            Work::Emit(sep) => {
-                order.extend_from_slice(&sep);
-                continue;
-            }
-            Work::Piece(piece) => piece,
-        };
-        let split = if piece.len() <= ND_LEAF {
-            None
-        } else {
-            split_piece(
-                a,
-                &piece,
-                &mut stamp,
-                &mut level,
-                &mut generation,
-                &mut queue,
-            )
-        };
-        let Some(PieceSplit { below, sep, above }) = split else {
-            // Leaf (small, or no useful separator): BFS order from a
-            // pseudo-peripheral vertex, reversed — a cheap RCM-flavored
-            // band ordering, good enough at this size.
-            let mut local = bfs_order(
-                a,
-                &piece,
-                &mut stamp,
-                &mut level,
-                &mut generation,
-                &mut queue,
-            );
-            local.reverse();
-            order.extend_from_slice(&local);
-            continue;
-        };
-        // Removing the separator can fragment a half: each connected
-        // component becomes a piece of its own.
-        stack.push(Work::Emit(sep));
-        for half in [below, above] {
-            split_components(a, &half, &mut stamp, &mut generation, &mut queue, |comp| {
-                stack.push(Work::Piece(comp))
-            });
-        }
-    }
-
-    Permutation::new(order).expect("nested dissection produced a valid permutation")
-}
-
-/// One BFS level-structure bisection of a connected piece: the vertices
-/// strictly below the separator level, the separator itself, and the
-/// vertices above it.
-struct PieceSplit {
-    /// Vertices on levels below the separator level.
-    below: Vec<usize>,
-    /// The vertex separator (one whole BFS level): removing it disconnects
-    /// `below` from `above`.
-    sep: Vec<usize>,
-    /// Vertices on levels above the separator level.
-    above: Vec<usize>,
-}
-
-/// Splits a connected `piece` by the BFS level-structure separator
-/// [`nested_dissection`] recurses on: levels are grown from a
-/// pseudo-peripheral vertex, and the smallest level near the size-weighted
-/// middle becomes the separator (never an end level, which would leave one
-/// side empty). Returns `None` when the piece has fewer than three levels —
-/// a (near-)complete subgraph with no useful separator.
-///
-/// `stamp`/`level`/`generation`/`queue` are the caller's generation-stamped
-/// BFS scratch (full matrix dimension), so repeated splits never pay a
-/// clear pass.
-fn split_piece(
-    a: &CsrMatrix,
-    piece: &[usize],
-    stamp: &mut [u32],
-    level: &mut [u32],
-    generation: &mut u32,
-    queue: &mut std::collections::VecDeque<usize>,
-) -> Option<PieceSplit> {
-    // Level structure from a pseudo-peripheral vertex of the piece.
-    let root = pseudo_peripheral(a, piece, stamp, level, generation, queue);
-    *generation += 1;
-    let member = *generation;
-    for &v in piece {
-        stamp[v] = member;
-    }
-    *generation += 1;
-    let gen = *generation;
-    queue.clear();
-    stamp[root] = gen;
-    level[root] = 0;
-    queue.push_back(root);
-    let mut level_counts: Vec<usize> = vec![0];
-    let mut reached = 0usize;
-    while let Some(v) = queue.pop_front() {
-        reached += 1;
-        let d = level[v];
-        if d as usize >= level_counts.len() {
-            level_counts.push(0);
-        }
-        level_counts[d as usize] += 1;
-        for &w in a.row(v).0 {
-            if w != v && stamp[w] == member {
-                stamp[w] = gen;
-                level[w] = d + 1;
-                queue.push_back(w);
-            }
-        }
-    }
-    debug_assert_eq!(reached, piece.len(), "piece must be connected");
-    let num_levels = level_counts.len();
-    if num_levels < 3 {
-        return None;
-    }
-
-    // Pick the separator level: the smallest level among the middle half of
-    // the level structure.
-    let lo = (num_levels / 4).max(1);
-    let hi = (3 * num_levels / 4).min(num_levels - 2).max(lo);
-    let sep_level = (lo..=hi)
-        .min_by_key(|&l| level_counts[l])
-        .expect("non-empty middle range");
-    let sep_level = sep_level as u32;
-
-    let mut below = Vec::new();
-    let mut above = Vec::new();
-    let mut sep = Vec::new();
-    for &v in piece {
-        match level[v].cmp(&sep_level) {
-            std::cmp::Ordering::Less => below.push(v),
-            std::cmp::Ordering::Equal => sep.push(v),
-            std::cmp::Ordering::Greater => above.push(v),
-        }
-    }
-    Some(PieceSplit { below, sep, above })
-}
-
-/// Invokes `emit` once per connected component of `half` (a vertex subset
-/// whose adjacency is restricted to itself), in ascending order of each
-/// component's first member in `half`. Same scratch contract as
-/// [`split_piece`].
-fn split_components(
-    a: &CsrMatrix,
-    half: &[usize],
-    stamp: &mut [u32],
-    generation: &mut u32,
-    queue: &mut std::collections::VecDeque<usize>,
-    mut emit: impl FnMut(Vec<usize>),
-) {
-    if half.is_empty() {
-        return;
-    }
-    *generation += 1;
-    let in_half = *generation;
-    for &v in half {
-        stamp[v] = in_half;
-    }
-    *generation += 1;
-    let claimed = *generation;
-    for &v in half {
-        if stamp[v] != in_half {
-            continue;
-        }
-        let mut comp = Vec::new();
-        queue.clear();
-        queue.push_back(v);
-        stamp[v] = claimed;
-        while let Some(u) = queue.pop_front() {
-            comp.push(u);
-            for &w in a.row(u).0 {
-                if w != u && stamp[w] == in_half {
-                    stamp[w] = claimed;
-                    queue.push_back(w);
-                }
-            }
-        }
-        emit(comp);
-    }
 }
 
 /// Recursively bisects the `nbx × nby` weight grid into up to `k`
@@ -782,93 +446,6 @@ fn dissect_rect(
     dissect_rect(spans, weights, nbx, low, low_rows, order);
     dissect_rect(spans, weights, nbx, high, high_rows, order);
     order.extend_from_slice(&separator);
-}
-
-/// BFS order of a (connected) piece, rooted at a pseudo-peripheral vertex
-/// so the reversed order approximates a local RCM band reduction.
-fn bfs_order(
-    a: &CsrMatrix,
-    piece: &[usize],
-    stamp: &mut [u32],
-    level: &mut [u32],
-    generation: &mut u32,
-    queue: &mut std::collections::VecDeque<usize>,
-) -> Vec<usize> {
-    if piece.is_empty() {
-        return Vec::new();
-    }
-    let start = pseudo_peripheral(a, piece, stamp, level, generation, queue);
-    // Membership stamp for the piece.
-    *generation += 1;
-    let member = *generation;
-    for &v in piece {
-        stamp[v] = member;
-    }
-    *generation += 1;
-    let gen = *generation;
-    let mut out = Vec::with_capacity(piece.len());
-    queue.clear();
-    queue.push_back(start);
-    stamp[start] = gen;
-    while let Some(v) = queue.pop_front() {
-        out.push(v);
-        for &w in a.row(v).0 {
-            if w != v && stamp[w] == member {
-                stamp[w] = gen;
-                queue.push_back(w);
-            }
-        }
-    }
-    // The piece is connected by construction of the callers.
-    debug_assert_eq!(out.len(), piece.len(), "bfs_order piece must be connected");
-    out
-}
-
-/// Pseudo-peripheral vertex of a connected piece: the endpoint of two BFS
-/// sweeps (the classic Gibbs–Poole–Stockmeyer heuristic).
-fn pseudo_peripheral(
-    a: &CsrMatrix,
-    piece: &[usize],
-    stamp: &mut [u32],
-    level: &mut [u32],
-    generation: &mut u32,
-    queue: &mut std::collections::VecDeque<usize>,
-) -> usize {
-    let mut start = piece[0];
-    for _ in 0..2 {
-        *generation += 1;
-        let member = *generation;
-        for &v in piece {
-            stamp[v] = member;
-        }
-        *generation += 1;
-        let gen = *generation;
-        queue.clear();
-        queue.push_back(start);
-        stamp[start] = gen;
-        level[start] = 0;
-        let mut far = start;
-        let mut far_level = 0u32;
-        let mut far_degree = usize::MAX;
-        while let Some(v) = queue.pop_front() {
-            let d = level[v];
-            let deg = a.row(v).0.len();
-            if d > far_level || (d == far_level && deg < far_degree) {
-                far = v;
-                far_level = d;
-                far_degree = deg;
-            }
-            for &w in a.row(v).0 {
-                if w != v && stamp[w] == member {
-                    stamp[w] = gen;
-                    level[w] = d + 1;
-                    queue.push_back(w);
-                }
-            }
-        }
-        start = far;
-    }
-    start
 }
 
 /// Shape metrics of a weighted forest, used by the supernodal task
@@ -1039,12 +616,12 @@ mod tests {
         assert_eq!(bandwidth(&b), 1);
     }
 
-    use crate::test_operators::{hinted_grid, laplacian_2d as lattice};
+    use crate::test_operators::{hinted_grid, hinted_lattice, laplacian_2d as lattice};
     use crate::{SupernodalCholesky, SupernodalOptions};
     use std::sync::Arc;
 
     /// A banded operator with dense rows and no hint: every row couples to
-    /// dozens of neighbors, so BFS level separators are large.
+    /// dozens of neighbors, like the product's hint-less operators.
     fn dense_row_band(n: usize, halfwidth: usize) -> CsrMatrix {
         let mut coo = CooMatrix::new(n, n);
         for i in 0..n {
@@ -1063,34 +640,15 @@ mod tests {
     }
 
     #[test]
-    fn auto_probe_picks_nd_for_large_sparse_lattices() {
-        let a = lattice(80, 80); // 6400 DoFs, ~5 entries/row, bandwidth 80
-        let probe = StructureProbe::of(&a);
-        assert!(probe.mean_row_nnz < 6.0, "5-point stencil: {probe:?}");
-        assert!(probe.bandwidth_estimate >= 80, "{probe:?}");
-        assert!(probe.prefers_nested_dissection(), "{probe:?}");
-        assert_eq!(
-            FillOrdering::Auto.resolve(&a),
-            FillOrdering::NestedDissection
-        );
-    }
-
-    #[test]
-    fn auto_probe_picks_rcm_for_dense_row_operators() {
-        // Well above the size floor, but without a hint the probe has only
-        // the graph to go by, and rows this dense make poor BFS separators.
-        let a = dense_row_band(4500, 12);
-        let probe = StructureProbe::of(&a);
-        assert!(probe.mean_row_nnz > ND_MAX_MEAN_ROW_NNZ, "{probe:?}");
-        assert!(!probe.prefers_nested_dissection(), "{probe:?}");
-        assert_eq!(FillOrdering::Auto.resolve(&a), FillOrdering::Rcm);
-    }
-
-    #[test]
-    fn auto_probe_picks_rcm_for_small_operators() {
-        let a = lattice(20, 20); // sparse, but ordering cost dominates
-        assert!(!StructureProbe::of(&a).prefers_nested_dissection());
-        assert_eq!(FillOrdering::Auto.resolve(&a), FillOrdering::Rcm);
+    fn hintless_operators_resolve_to_rcm() {
+        // Large and sparse, large and dense-rowed, small: without a hint
+        // neither size nor density matters, and a `Geometric` request
+        // falls back the same way.
+        for a in [lattice(80, 80), dense_row_band(4500, 12), lattice(20, 20)] {
+            for ordering in [FillOrdering::Auto, FillOrdering::Geometric] {
+                assert_eq!(ordering.resolve(&a), FillOrdering::Rcm, "n = {}", a.nrows());
+            }
+        }
     }
 
     #[test]
@@ -1103,12 +661,6 @@ mod tests {
         }
     }
 
-    /// The [`hinted_grid`] operator carrying its hint.
-    fn hinted(bx: usize, by: usize, m: usize) -> CsrMatrix {
-        let (a, hint) = hinted_grid(bx, by, m);
-        a.with_partition_hint(Arc::new(hint))
-    }
-
     fn factor_nnz(a: &CsrMatrix, ordering: FillOrdering) -> usize {
         SupernodalCholesky::factor_ordered(a, ordering, &SupernodalOptions::default())
             .expect("SPD lattice")
@@ -1117,10 +669,10 @@ mod tests {
 
     #[test]
     fn auto_dissects_hinted_operators_geometrically() {
-        // Odd, even, 1×N, N×1 and single-block grids, all far below the
-        // probe's size floor: a usable hint is the only admission check.
+        // Odd, even, 1×N, N×1 and single-block grids, all small: a usable
+        // hint is the only admission check.
         for (bx, by, m) in [(5, 3, 3), (4, 4, 2), (1, 7, 3), (6, 1, 2), (1, 1, 4)] {
-            let a = hinted(bx, by, m);
+            let a = hinted_lattice(bx, by, m);
             assert_eq!(FillOrdering::Auto.resolve(&a), FillOrdering::Geometric);
             // `Permutation::new` inside validated it; same order every time,
             // and the explicit request is the same ordering.
@@ -1149,7 +701,7 @@ mod tests {
     #[test]
     fn geometric_fills_no_more_than_rcm_on_block_lattices() {
         for (bx, by, m) in [(6, 6, 3), (6, 6, 4), (8, 6, 4), (7, 9, 2)] {
-            let a = hinted(bx, by, m);
+            let a = hinted_lattice(bx, by, m);
             let (geo, rcm) = (
                 factor_nnz(&a, FillOrdering::Auto),
                 factor_nnz(&a, FillOrdering::Rcm),
@@ -1198,37 +750,6 @@ mod tests {
             .collect();
         let x = chol.solve(&b);
         assert!(scrambled.residual(&x, &b) <= 1e-10);
-    }
-
-    /// The graph dissection's permutations are pinned by value: the local
-    /// stage factors under them, so a moved entry moves every `.rom` byte
-    /// and campaign checksum downstream. One connected lattice, and two
-    /// lattices side by side (the component split at the top and after
-    /// every separator).
-    #[test]
-    fn nested_dissection_permutations_are_pinned() {
-        let fnv = |p: &Permutation| {
-            p.as_slice().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &v| {
-                (h ^ v as u64).wrapping_mul(0x0100_0000_01b3)
-            })
-        };
-        assert_eq!(
-            fnv(&nested_dissection(&lattice(80, 80))),
-            7974041921718564309
-        );
-
-        let (left, right) = (lattice(40, 30), lattice(25, 60));
-        let n = left.nrows() + right.nrows();
-        let mut coo = CooMatrix::new(n, n);
-        for (a, offset) in [(&left, 0), (&right, left.nrows())] {
-            for i in 0..a.nrows() {
-                let (cols, vals) = a.row(i);
-                for (&j, &v) in cols.iter().zip(vals) {
-                    coo.push(offset + i, offset + j, v);
-                }
-            }
-        }
-        assert_eq!(fnv(&nested_dissection(&coo.to_csr())), 5284182924329465849);
     }
 
     #[test]

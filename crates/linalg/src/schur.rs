@@ -996,7 +996,7 @@ fn prepare_contained(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_operators::{hinted_grid, laplacian_2d};
+    use crate::test_operators::{hinted_grid, hinted_lattice, laplacian_2d};
     use crate::{CooMatrix, PartitionHint};
 
     fn loads(n: usize, count: usize) -> Vec<Vec<f64>> {
@@ -1012,8 +1012,7 @@ mod tests {
     /// A `bx × by` grid of `m`-cell blocks carrying its hint — the shape
     /// `Sharded` plans from.
     fn hinted(bx: usize, by: usize, m: usize) -> Arc<CsrMatrix> {
-        let (a, hint) = hinted_grid(bx, by, m);
-        Arc::new(a.with_partition_hint(Arc::new(hint)))
+        Arc::new(hinted_lattice(bx, by, m))
     }
 
     #[test]

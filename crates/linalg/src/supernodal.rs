@@ -54,7 +54,7 @@
 //!      descendant updates of a heavy panel, accumulating its slice into a
 //!      private panel-shaped buffer. Without these, a left-looking
 //!      schedule serializes *all* update flops into a separator on the
-//!      separator's own task — on a 2-D nested-dissection lattice that
+//!      separator's own task — on a geometric-dissection lattice that
 //!      chains ~70% of total work onto the root path, capping tree
 //!      parallelism at ~1.4×; with them the bulk of the update work rides
 //!      independent tasks and the critical path collapses to the dense
@@ -195,8 +195,8 @@ pub struct SupernodeStats {
     /// (`"blocked"`, or `"scalar"` for the test oracle).
     pub kernel: &'static str,
     /// The *resolved* fill ordering behind the factor
-    /// ([`FillOrdering::name`]: `"geometric"`, `"rcm"`, `"nd"` or
-    /// `"natural"` — never `"auto"`), or `"supplied"` for a factor built
+    /// ([`FillOrdering::name`]: `"geometric"`, `"rcm"` or `"natural"` —
+    /// never `"auto"`), or `"supplied"` for a factor built
     /// from a caller's own permutation
     /// ([`SupernodalCholesky::factor_with_permutation`]).
     pub ordering: &'static str,
@@ -1346,7 +1346,7 @@ impl MemoryFootprint for SupernodalCholesky {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_operators::laplacian_2d;
+    use crate::test_operators::{hinted_lattice, laplacian_2d};
     use crate::{CooMatrix, SparseCholesky};
 
     #[test]
@@ -1417,12 +1417,13 @@ mod tests {
         // Every kernel must reproduce the scalar oracle's solution to
         // ≤1e-12 (they associate sums differently, so bitwise equality is
         // *not* expected — that's why the kernel is in the cache
-        // fingerprint).
-        let a = laplacian_2d(13, 9);
+        // fingerprint). The dissected lattice gives a bushy elimination
+        // tree, so the DAG and its chunk tasks run.
+        let a = hinted_lattice(4, 4, 6);
         let n = a.nrows();
         let b: Vec<f64> = (0..n).map(|i| ((i * 17) % 23) as f64 - 11.0).collect();
-        let perm = FillOrdering::NestedDissection.permutation(&a);
-        let reference = SupernodalCholesky::factor_with_permutation(
+        let perm = FillOrdering::Geometric.permutation(&a);
+        let oracle = SupernodalCholesky::factor_with_permutation(
             &a,
             perm.clone(),
             &SupernodalOptions {
@@ -1430,8 +1431,10 @@ mod tests {
                 ..SupernodalOptions::default()
             },
         )
-        .unwrap()
-        .solve(&b);
+        .unwrap();
+        let stats = oracle.stats();
+        assert!(stats.critical_path * 2 <= stats.total_work, "{stats:?}");
+        let reference = oracle.solve(&b);
         let scale = reference.iter().fold(1.0f64, |m, v| m.max(v.abs()));
         for &kernel in KernelChoice::available() {
             let chol = SupernodalCholesky::factor_with_permutation(
@@ -1533,14 +1536,14 @@ mod tests {
     }
 
     #[test]
-    fn nested_dissection_and_all_orderings_agree() {
-        let a = laplacian_2d(12, 12);
+    fn all_orderings_agree() {
+        let a = hinted_lattice(3, 4, 7);
         let n = a.nrows();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.23).cos()).collect();
         let reference = SparseCholesky::factor(&a).unwrap().solve(&b);
         for ordering in [
             FillOrdering::Rcm,
-            FillOrdering::NestedDissection,
+            FillOrdering::Geometric,
             FillOrdering::Natural,
             FillOrdering::Auto,
         ] {
@@ -1550,6 +1553,10 @@ mod tests {
                 &SupernodalOptions::default(),
             )
             .unwrap();
+            if ordering == FillOrdering::Geometric {
+                let stats = chol.stats();
+                assert!(stats.critical_path * 2 <= stats.total_work, "{stats:?}");
+            }
             let x = chol.solve(&b);
             let scale = reference.iter().fold(0.0f64, |m, v| m.max(v.abs()));
             for (p, q) in reference.iter().zip(&x) {

@@ -8,11 +8,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use morestress_linalg::{
-    nested_dissection, reverse_cuthill_mckee, solve_cg, solve_gmres, Auto, CgOptions, CooMatrix,
-    CsrMatrix, DenseKernel, DenseMatrix, DirectCholesky, FactorCache, FaultPlan, FillOrdering,
-    GmresOptions, JacobiPreconditioner, KernelChoice, LinalgError, PartitionHint, Permutation,
-    ScalarKernel, ShardPlan, Sharded, SolverBackend, SparseCholesky, SupernodalCholesky,
-    SupernodalOptions, TaskDag, WorkPool,
+    reverse_cuthill_mckee, solve_cg, solve_gmres, Auto, CgOptions, CooMatrix, CsrMatrix,
+    DenseKernel, DenseMatrix, DirectCholesky, FactorCache, FaultPlan, FillOrdering, GmresOptions,
+    JacobiPreconditioner, KernelChoice, LinalgError, PartitionHint, Permutation, ScalarKernel,
+    ShardPlan, Sharded, SolverBackend, SparseCholesky, SupernodalCholesky, SupernodalOptions,
+    TaskDag, WorkPool,
 };
 use proptest::prelude::*;
 
@@ -310,7 +310,7 @@ proptest! {
                                         relax in 0.0f64..0.8) {
         let reference = SparseCholesky::factor(&a).expect("SPD").solve(&b);
         let scale = reference.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-        for ordering in [FillOrdering::Rcm, FillOrdering::NestedDissection, FillOrdering::Natural] {
+        for ordering in [FillOrdering::Rcm, FillOrdering::Natural] {
             let chol = SupernodalCholesky::factor_with_permutation(
                 &a,
                 ordering.permutation(&a),
@@ -493,8 +493,8 @@ proptest! {
 
     /// The elimination-tree-parallel numeric factorization is bitwise
     /// identical to the serial left-looking sweep on random SPD operators,
-    /// at every pool cap (serial, minimal, saturated, oversubscribed) and
-    /// across orderings — the PR-4 determinism contract.
+    /// at every pool cap (serial, minimal, saturated, oversubscribed) — the
+    /// determinism contract of the parallel factorization.
     #[test]
     fn parallel_factor_is_bitwise_equal_to_serial(a in spd_strategy(14),
                                                   b in prop::collection::vec(-4.0f64..4.0, 14),
@@ -503,70 +503,62 @@ proptest! {
                                                   // this size, covering both DAG task kinds.
                                                   chunk_exp in 4usize..19) {
         let chunk_work = 1u64 << chunk_exp;
-        for ordering in [FillOrdering::Rcm, FillOrdering::NestedDissection] {
-            let perm = ordering.permutation(&a);
-            let opts = SupernodalOptions { max_width, chunk_work, ..Default::default() };
-            let serial = SupernodalCholesky::factor_with_permutation(
-                &a,
-                perm.clone(),
-                &SupernodalOptions { parallel: false, ..opts },
-            ).expect("SPD");
-            prop_assert_eq!(serial.factor_workers(), 1);
-            let x_serial = serial.solve(&b);
-            for cap in [1usize, 2, 8, 33] {
-                let parallel = WorkPool::new(cap).install(|| {
-                    SupernodalCholesky::factor_with_permutation(&a, perm.clone(), &opts)
-                        .expect("SPD")
-                });
-                prop_assert!(parallel.factor_workers() <= cap);
-                prop_assert_eq!(serial.factor_values().len(), parallel.factor_values().len());
-                for (i, (p, q)) in serial
-                    .factor_values()
-                    .iter()
-                    .zip(parallel.factor_values())
-                    .enumerate()
-                {
-                    prop_assert_eq!(p.to_bits(), q.to_bits(),
-                        "{:?} panel entry {} differs at cap {}", ordering, i, cap);
-                }
-                let x_parallel = parallel.solve(&b);
-                for (p, q) in x_serial.iter().zip(&x_parallel) {
-                    prop_assert_eq!(p.to_bits(), q.to_bits());
-                }
+        let perm = FillOrdering::Rcm.permutation(&a);
+        let opts = SupernodalOptions { max_width, chunk_work, ..Default::default() };
+        let serial = SupernodalCholesky::factor_with_permutation(
+            &a,
+            perm.clone(),
+            &SupernodalOptions { parallel: false, ..opts },
+        ).expect("SPD");
+        prop_assert_eq!(serial.factor_workers(), 1);
+        let x_serial = serial.solve(&b);
+        for cap in [1usize, 2, 8, 33] {
+            let parallel = WorkPool::new(cap).install(|| {
+                SupernodalCholesky::factor_with_permutation(&a, perm.clone(), &opts)
+                    .expect("SPD")
+            });
+            prop_assert!(parallel.factor_workers() <= cap);
+            prop_assert_eq!(serial.factor_values().len(), parallel.factor_values().len());
+            for (i, (p, q)) in serial
+                .factor_values()
+                .iter()
+                .zip(parallel.factor_values())
+                .enumerate()
+            {
+                prop_assert_eq!(p.to_bits(), q.to_bits(),
+                    "panel entry {} differs at cap {}", i, cap);
+            }
+            let x_parallel = parallel.solve(&b);
+            for (p, q) in x_serial.iter().zip(&x_parallel) {
+                prop_assert_eq!(p.to_bits(), q.to_bits());
             }
         }
     }
 
-    /// Same bitwise parallel-vs-serial contract on structured lattice
-    /// operators (the shape the MORE-Stress stages actually factor), where
-    /// the supernodal etree has real branching.
+    /// Same bitwise parallel-vs-serial contract on hinted block lattices
+    /// (the shape the global stage factors) with jittered diagonals, under
+    /// the geometric dissection, whose elimination tree has real branching.
     #[test]
-    fn parallel_factor_matches_serial_on_lattices(nx in 3usize..10,
-                                                  ny in 3usize..8,
+    fn parallel_factor_matches_serial_on_lattices(bx in 3usize..5,
+                                                  by in 3usize..5,
+                                                  m in 7usize..9,
                                                   jitter in prop::collection::vec(0.0f64..1.0, 16),
                                                   chunk_exp in 4usize..19) {
         let chunk_work = 1u64 << chunk_exp;
-        let n = nx * ny;
-        let id = |i: usize, j: usize| j * nx + i;
-        let mut coo = CooMatrix::new(n, n);
-        for j in 0..ny {
-            for i in 0..nx {
-                let me = id(i, j);
-                coo.push(me, me, 4.1 + jitter[me % jitter.len()]);
-                if i > 0 { coo.push(me, id(i - 1, j), -1.0); }
-                if i + 1 < nx { coo.push(me, id(i + 1, j), -1.0); }
-                if j > 0 { coo.push(me, id(i, j - 1), -1.0); }
-                if j + 1 < ny { coo.push(me, id(i, j + 1), -1.0); }
-            }
+        let (mut a, hint) = hinted_lattice(bx, by, m);
+        for i in 0..a.nrows() {
+            a.add_at(i, i, 0.1 + jitter[i % jitter.len()]);
         }
-        let a = coo.to_csr();
-        let perm = FillOrdering::NestedDissection.permutation(&a);
+        let a = a.with_partition_hint(Arc::new(hint));
+        let perm = FillOrdering::Geometric.permutation(&a);
         let opts = SupernodalOptions { chunk_work, ..Default::default() };
         let serial = SupernodalCholesky::factor_with_permutation(
             &a,
             perm.clone(),
             &SupernodalOptions { parallel: false, ..opts },
         ).expect("SPD");
+        let stats = serial.stats();
+        prop_assert!(stats.critical_path * 2 <= stats.total_work, "{:?}", stats);
         for cap in [1usize, 2, 8, 33] {
             let parallel = WorkPool::new(cap).install(|| {
                 SupernodalCholesky::factor_with_permutation(&a, perm.clone(), &opts)
@@ -613,16 +605,6 @@ proptest! {
                 );
             }
         }
-    }
-
-    /// Nested dissection always emits a valid permutation, also on
-    /// disconnected and near-dense graphs.
-    #[test]
-    fn nested_dissection_permutation_is_valid(a in spd_strategy(14)) {
-        let p = nested_dissection(&a);
-        prop_assert_eq!(p.len(), 14);
-        let q = Permutation::new(p.as_slice().to_vec());
-        prop_assert!(q.is_some(), "perm vector must be a permutation");
     }
 
     /// Pool scheduling: whatever the cap / worker-request / task-count mix,
