@@ -639,16 +639,31 @@ mod tests {
         coo.to_csr()
     }
 
-    #[test]
-    fn hintless_operators_resolve_to_rcm() {
-        // Large and sparse, large and dense-rowed, small: without a hint
-        // neither size nor density matters, and a `Geometric` request
-        // falls back the same way.
-        for a in [lattice(80, 80), dense_row_band(4500, 12), lattice(20, 20)] {
-            for ordering in [FillOrdering::Auto, FillOrdering::Geometric] {
-                assert_eq!(ordering.resolve(&a), FillOrdering::Rcm, "n = {}", a.nrows());
-            }
+    /// `Auto` and a `Geometric` request both resolve `a` to `expected`.
+    fn assert_resolves_to(a: &CsrMatrix, expected: FillOrdering) {
+        for ordering in [FillOrdering::Auto, FillOrdering::Geometric] {
+            assert_eq!(ordering.resolve(a), expected, "n = {}", a.nrows());
         }
+    }
+
+    #[test]
+    fn auto_probe_picks_nd_for_large_sparse_lattices() {
+        // A 6561-DoF 5-point lattice: dissected along its block grid when it
+        // carries the grid's hint, banded by RCM when the same kind of
+        // lattice (6400 DoFs) arrives bare — the hint is the only probe.
+        assert_resolves_to(&hinted_lattice(8, 8, 10), FillOrdering::Geometric);
+        assert_resolves_to(&lattice(80, 80), FillOrdering::Rcm);
+    }
+
+    #[test]
+    fn auto_probe_picks_rcm_for_dense_row_operators() {
+        // Large, with ~25 entries per row, and no hint.
+        assert_resolves_to(&dense_row_band(4500, 12), FillOrdering::Rcm);
+    }
+
+    #[test]
+    fn auto_probe_picks_rcm_for_small_operators() {
+        assert_resolves_to(&lattice(20, 20), FillOrdering::Rcm);
     }
 
     #[test]
