@@ -5,7 +5,8 @@
 //! to keep these to ≤1e-9 relative — and "bit for bit" has to keep
 //! `CHECKSUMS`, the jobs' FNV-1a checksums over every displacement and
 //! sampled stress value (equal at every pool cap). A PR that means to move
-//! bits updates them and says so in CHANGES.md.
+//! bits updates them and says so in CHANGES.md; a failing run lists every
+//! moved checksum and prints the `CHECKSUMS` block that re-records them.
 
 use morestress_campaign::{CampaignRunner, CampaignSpec, JobOutcome};
 
@@ -20,14 +21,15 @@ const GOLDEN: [(usize, usize, f64, f64); 6] = [
     (1, 2, 150.27983230911696, 0.012360507951065573),
 ];
 
-/// The jobs' checksums, in the same order (recorded at PR 19, `b09ef80`).
+/// The jobs' checksums, in the same order (re-recorded when the local
+/// stage's `A_ff` began to be dissected along the unit block's cell grid).
 const CHECKSUMS: [u64; 6] = [
-    0x6a08cb76739c2f06,
-    0xf8b9fcc2cfa0c738,
-    0x83b711372b60c85b,
-    0x052b3d9cd10a072e,
-    0xd97ff1b89cbdb85c,
-    0xb45e92a68fc59989,
+    0x143a5d7fa1cc1ccd,
+    0xc50f6157c6497601,
+    0xa7f07e15363350cc,
+    0xe60e483165aa8255,
+    0xbac49a20a4b2fe9d,
+    0xf16f2fd1e893c844,
 ];
 
 #[test]
@@ -43,10 +45,8 @@ fn example_campaign_reproduces_the_recorded_peaks() {
     assert_eq!(report.jobs.len(), GOLDEN.len());
 
     let close = |got: f64, want: f64| (got - want).abs() <= 1e-9 * want.abs();
-    let golden = GOLDEN.iter().zip(&CHECKSUMS);
-    for (job, (&(array, load, von_mises, displacement), &recorded)) in
-        report.jobs.iter().zip(golden)
-    {
+    let mut checksums = Vec::with_capacity(GOLDEN.len());
+    for (job, &(array, load, von_mises, displacement)) in report.jobs.iter().zip(&GOLDEN) {
         assert_eq!((job.array_index, job.load_index), (array, load));
         let JobOutcome::Solved {
             peak_von_mises,
@@ -66,10 +66,6 @@ fn example_campaign_reproduces_the_recorded_peaks() {
             close(*peak_displacement, displacement),
             "array {array} load {load}: peak |u| {peak_displacement} vs recorded {displacement}"
         );
-        assert_eq!(
-            *checksum, recorded,
-            "array {array} load {load}: checksum {checksum:#018x} vs recorded {recorded:#018x}"
-        );
         // The spec asks for `verify: report`, so every job carries its
         // true residual.
         let residual = stats
@@ -79,5 +75,30 @@ fn example_campaign_reproduces_the_recorded_peaks() {
             residual <= tolerance,
             "array {array} load {load}: residual {residual} above {tolerance}"
         );
+        checksums.push(*checksum);
     }
+
+    // Every job is checked before anything fails, so one run reports every
+    // moved checksum and the block that re-records them.
+    let mismatches: Vec<String> = GOLDEN
+        .iter()
+        .zip(CHECKSUMS.iter().zip(&checksums))
+        .filter(|(_, (recorded, got))| recorded != got)
+        .map(|(&(array, load, ..), (recorded, got))| {
+            format!("  array {array} load {load}: {got:#018x} vs recorded {recorded:#018x}")
+        })
+        .collect();
+    assert!(
+        mismatches.is_empty(),
+        "{} of {} checksums moved:\n{}\n\nIf the bits moved on purpose, replace `CHECKSUMS` \
+         with the block below and say so in CHANGES.md:\n\n\
+         const CHECKSUMS: [u64; 6] = [\n{}];\n",
+        mismatches.len(),
+        checksums.len(),
+        mismatches.join("\n"),
+        checksums
+            .iter()
+            .map(|c| format!("    {c:#018x},\n"))
+            .collect::<String>()
+    );
 }

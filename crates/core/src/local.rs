@@ -5,13 +5,21 @@
 //!
 //! 1. mesh the unit block with a fine grid and assemble `A_local`, `b_local`;
 //! 2. split DoFs into free (interior) and boundary (surface) sets (Eq. 12);
-//! 3. factor `A_ff` once with sparse Cholesky;
+//! 3. factor `A_ff` once with sparse Cholesky. `A_ff` carries the unit
+//!    block's lateral cell grid as its [`PartitionHint`] (each free DoF
+//!    spans the 2×2 cells its node touches), so the fill ordering is the
+//!    geometric dissection of that grid: vertical node planes are the
+//!    separators and every z-column of nodes is a dense leaf;
 //! 4. for every surface interpolation-node DoF `i`, solve the lifted system
 //!    `A_ff α_f = −A_fb L e_i` (Eq. 14) — and once more with the thermal
 //!    load and zero boundary data — reusing the single factorization, in
 //!    parallel across threads;
 //! 5. Galerkin-project: `A_elem = Fᵀ A_local F`, `b_elem = Fᵀ b_local`
-//!    (Eqs. 18–19).
+//!    (Eqs. 18–19), in panels of four columns of `F`: one pass over
+//!    `A_local` forms the four products `A_local f_j`, one pass over the
+//!    basis dots every `f_i` (and `f_T`) with all four — bit for bit the
+//!    one-column [`spmv_into`](morestress_linalg::CsrMatrix::spmv_into) and
+//!    [`dot`] forms, in parallel across panels.
 //!
 //! The identity `a(f_T, f_i) = 0` (the interior residual of each `f_i`
 //! vanishes and `f_T` vanishes on the boundary) is what makes Eq. 19 exact;
@@ -22,8 +30,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use morestress_fem::{assemble_system, MaterialSet};
-use morestress_linalg::{DenseMatrix, DirectCholesky, MemoryFootprint, SolverBackend, WorkPool};
-use morestress_mesh::{unit_block_mesh, BlockKind, BlockResolution, TsvGeometry};
+use morestress_linalg::{
+    dot, dot_panel, DenseMatrix, DirectCholesky, MemoryFootprint, PartitionHint, SolverBackend,
+    WorkPool,
+};
+use morestress_mesh::{unit_block_mesh, BlockKind, BlockResolution, HexMesh, TsvGeometry};
 
 use crate::{InterpolationGrid, ReducedOrderModel, RomError};
 
@@ -51,17 +62,30 @@ impl Default for LocalStageOptions {
     }
 }
 
-/// Cost accounting of one local-stage build.
+/// Cost accounting of one local-stage build. A model loaded from a `.rom`
+/// file ran no local stage: its stats are zero and its `ordering` empty.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LocalStageStats {
     /// Wall-clock time of the whole local stage.
     pub build_time: Duration,
+    /// Wall-clock time of the one factorization of `A_ff` (ordering
+    /// included).
+    pub factor_time: Duration,
+    /// Wall-clock time of the n+1 batched triangular sweeps on that
+    /// factor (right-hand sides and full-mesh expansion excluded).
+    pub solve_time: Duration,
+    /// Wall-clock time of the Galerkin projection (Eqs. 18–19).
+    pub projection_time: Duration,
     /// Fine-mesh DoFs of the unit block.
     pub fine_dofs: usize,
     /// Number of local basis functions `n` (Eq. 16).
     pub num_basis: usize,
     /// Stored nonzeros of the Cholesky factor of `A_ff`.
     pub factor_nnz: usize,
+    /// The fill ordering `A_ff` was factored under, as the solve report
+    /// names it: `"geometric"` (the cell-grid dissection of the module
+    /// docs' step 3).
+    pub ordering: &'static str,
     /// Analytic peak heap estimate (bytes).
     pub peak_bytes: usize,
     /// Worst `|a(f_T, f_i)|`, normalized by `‖A_elem‖_max` — should be at
@@ -120,14 +144,17 @@ impl LocalStage {
         for &b in &boundary_nodes {
             is_boundary_node[b] = true;
         }
-        let free_dofs: Vec<usize> = (0..mesh.num_nodes())
+        let free_nodes: Vec<usize> = (0..mesh.num_nodes())
             .filter(|&n| !is_boundary_node[n])
-            .flat_map(|n| [3 * n, 3 * n + 1, 3 * n + 2])
             .collect();
-        let boundary_dofs: Vec<usize> = boundary_nodes
-            .iter()
-            .flat_map(|&n| [3 * n, 3 * n + 1, 3 * n + 2])
-            .collect();
+        let node_dofs = |nodes: &[usize]| -> Vec<usize> {
+            nodes
+                .iter()
+                .flat_map(|&n| [3 * n, 3 * n + 1, 3 * n + 2])
+                .collect()
+        };
+        let free_dofs = node_dofs(&free_nodes);
+        let boundary_dofs = node_dofs(&boundary_nodes);
 
         let mut free_col_map = vec![None; ndof];
         for (new, &old) in free_dofs.iter().enumerate() {
@@ -137,7 +164,11 @@ impl LocalStage {
         for (new, &old) in boundary_dofs.iter().enumerate() {
             boundary_col_map[old] = Some(new);
         }
-        let a_ff = Arc::new(stiffness.extract(&free_dofs, &free_col_map, free_dofs.len()));
+        let a_ff = Arc::new(
+            stiffness
+                .extract(&free_dofs, &free_col_map, free_dofs.len())
+                .with_partition_hint(Arc::new(cell_grid_hint(&mesh, &free_nodes))),
+        );
         let a_fb = stiffness.extract(&free_dofs, &boundary_col_map, boundary_dofs.len());
 
         // --- Interpolation operator L (Eq. 14) ----------------------------
@@ -153,7 +184,9 @@ impl LocalStage {
         }
 
         // --- Factor once (the paper's key reuse) --------------------------
+        let factor_start = Instant::now();
         let chol = DirectCholesky::default().prepare(Arc::clone(&a_ff))?;
+        let factor_time = factor_start.elapsed();
 
         // --- n+1 local solves: build all right-hand sides, then one ------
         // --- panel-batched multi-RHS solve on the shared factor ----------
@@ -196,7 +229,9 @@ impl LocalStage {
 
         // Stage 2: the paper's key reuse, now panel-blocked — every worker
         // sweeps the shared factor once per panel of right-hand sides.
+        let solve_start = Instant::now();
         let batch = chol.solve_many(&rhs_set, threads)?;
+        let solve_time = solve_start.elapsed();
         drop(rhs_set);
 
         // Stage 3 (parallel): expand to full-mesh vectors.
@@ -219,35 +254,50 @@ impl LocalStage {
                 full
             },
         );
+        let ordering = batch
+            .report
+            .ordering
+            .expect("the direct backend reports its ordering");
+        drop(batch);
         let basis_thermal = solutions.pop().expect("thermal slot exists");
         let basis = solutions;
 
-        // --- Galerkin projection (Eqs. 18–19) ------------------------------
-        let mut a_elem = DenseMatrix::zeros(n, n);
-        let mut b_elem = vec![0.0; n];
-        let mut worst_tfi = 0.0f64;
-        let (columns, _) = pool.scope_collect_with(
+        // --- Galerkin projection (Eqs. 18–19), four columns per task -----
+        // A task interleaves basis columns 4p..4p+4 into one panel, forms
+        // their products with A_local in one pass over its CSR, then
+        // streams the basis once for all four columns of A_elem and of
+        // a(f_T, ·). The tail panel repeats the last column; the repeats
+        // are computed and dropped.
+        let projection_start = Instant::now();
+        let num_panels = n.div_ceil(4);
+        let (panels, _) = pool.scope_collect_with(
             threads,
-            n,
-            || vec![0.0; ndof],
-            |af, j| {
-                stiffness.spmv_into(&basis[j], af);
-                let col: Vec<f64> = basis
-                    .iter()
-                    .map(|fi| morestress_linalg::dot(fi, af))
-                    .collect();
-                let tfi = morestress_linalg::dot(&basis_thermal, af);
-                let bj = morestress_linalg::dot(&basis[j], &system.thermal_load);
-                (col, tfi, bj)
+            num_panels,
+            || (vec![[0.0; 4]; ndof], vec![[0.0; 4]; ndof]),
+            |(f, af), p| {
+                let cols: [usize; 4] = std::array::from_fn(|k| (4 * p + k).min(n - 1));
+                for (r, fr) in f.iter_mut().enumerate() {
+                    *fr = cols.map(|j| basis[j][r]);
+                }
+                stiffness.spmv_panel_into(f, af);
+                let rows: Vec<[f64; 4]> = basis.iter().map(|fi| dot_panel(fi, af)).collect();
+                (rows, dot_panel(&basis_thermal, af))
             },
         );
-        for (j, (col, tfi, bj)) in columns.into_iter().enumerate() {
-            for i in 0..n {
-                a_elem[(i, j)] = col[i];
+        let mut a_elem = DenseMatrix::zeros(n, n);
+        let mut worst_tfi = 0.0f64;
+        for (p, (rows, tfi)) in panels.into_iter().enumerate() {
+            for k in 0..(n - 4 * p).min(4) {
+                for (i, row) in rows.iter().enumerate() {
+                    a_elem[(i, 4 * p + k)] = row[k];
+                }
+                worst_tfi = worst_tfi.max(tfi[k].abs());
             }
-            worst_tfi = worst_tfi.max(tfi.abs());
-            b_elem[j] = bj;
         }
+        let b_elem: Vec<f64> = basis
+            .iter()
+            .map(|fj| dot(fj, &system.thermal_load))
+            .collect();
         // Exact symmetry for the downstream SPD solvers.
         for i in 0..n {
             for j in (i + 1)..n {
@@ -256,6 +306,7 @@ impl LocalStage {
                 a_elem[(j, i)] = avg;
             }
         }
+        let projection_time = projection_start.elapsed();
         let a_max = a_elem
             .as_slice()
             .iter()
@@ -263,19 +314,27 @@ impl LocalStage {
             .max(f64::MIN_POSITIVE);
 
         let basis_bytes: usize = basis.iter().map(MemoryFootprint::heap_bytes).sum();
+        // Two interleaved panels (columns and products) per projection
+        // worker.
+        let panel_bytes = threads.min(num_panels) * 2 * ndof * std::mem::size_of::<[f64; 4]>();
         let peak_bytes = stiffness.heap_bytes()
             + a_ff.heap_bytes()
             + a_fb.heap_bytes()
             + chol.solver_bytes()
             + weights.heap_bytes()
             + basis_bytes
-            + basis_thermal.heap_bytes();
+            + basis_thermal.heap_bytes()
+            + panel_bytes;
 
         let stats = LocalStageStats {
             build_time: start.elapsed(),
+            factor_time,
+            solve_time,
+            projection_time,
             fine_dofs: ndof,
             num_basis: n,
             factor_nnz: chol.factor_nnz().expect("direct backend has a factor"),
+            ordering,
             peak_bytes,
             galerkin_orthogonality: worst_tfi / a_max,
         };
@@ -297,9 +356,27 @@ impl LocalStage {
     }
 }
 
+/// The unit block's lateral cell grid as the [`PartitionHint`] of `A_ff`
+/// over the DoFs of `free_nodes`: a free node at lattice position
+/// `(i, j, ·)` touches the cells `[i−1, i] × [j−1, j]`, and two DoFs couple
+/// only through a shared cell — what the geometric dissection needs.
+fn cell_grid_hint(mesh: &HexMesh, free_nodes: &[usize]) -> PartitionHint {
+    let (npx, npy, _) = mesh.lattice_dims();
+    let spans = free_nodes
+        .iter()
+        .flat_map(|&node| {
+            // Free nodes are interior, so 1 ≤ i ≤ npx − 2 (likewise j).
+            let [i, j, _] = mesh.node_lattice(node);
+            [[i - 1, i, j - 1, j]; 3]
+        })
+        .collect();
+    PartitionHint::new([npx - 1, npy - 1], spans)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use morestress_linalg::{FillOrdering, SupernodalCholesky, SupernodalOptions};
 
     fn build_small(kind: BlockKind, counts: [usize; 3]) -> ReducedOrderModel {
         let geom = TsvGeometry::paper_defaults(15.0);
@@ -385,6 +462,55 @@ mod tests {
         let peak = |v: &[f64]| v.iter().fold(0.0f64, |m, x| m.max(x.abs()));
         assert!(peak(tsv.thermal_basis()) > peak(dummy.thermal_basis()));
         tsv.check_compatible(&dummy).expect("same grids");
+    }
+
+    #[test]
+    fn unit_block_factor_is_dissected_along_its_cell_grid() {
+        // A hint that misses `A_ff` (say, of the wrong length) falls back to
+        // RCM without a word: the reported ordering and the fill against an
+        // RCM factor of the same operator both catch it.
+        let materials = MaterialSet::tsv_defaults();
+        for res in [BlockResolution::coarse(), BlockResolution::medium()] {
+            let rom = LocalStage::new(
+                &TsvGeometry::paper_defaults(15.0),
+                &res,
+                InterpolationGrid::new([2, 2, 2]),
+                &materials,
+                BlockKind::Tsv,
+            )
+            .build(&LocalStageOptions::default())
+            .expect("local stage builds");
+            let stats = rom.local_stats;
+            assert_eq!(stats.ordering, "geometric", "{res:?}");
+
+            let mesh = rom.mesh();
+            let stiffness = assemble_system(mesh, &materials).unwrap().stiffness;
+            let mut free = vec![true; mesh.num_nodes()];
+            for node in mesh.boundary_box_nodes() {
+                free[node] = false;
+            }
+            let free_dofs: Vec<usize> = (0..mesh.num_nodes())
+                .filter(|&node| free[node])
+                .flat_map(|node| [3 * node, 3 * node + 1, 3 * node + 2])
+                .collect();
+            let mut col_map = vec![None; stiffness.ncols()];
+            for (new, &old) in free_dofs.iter().enumerate() {
+                col_map[old] = Some(new);
+            }
+            let a_ff = stiffness.extract(&free_dofs, &col_map, free_dofs.len());
+            let rcm = SupernodalCholesky::factor_ordered(
+                &a_ff,
+                FillOrdering::Rcm,
+                &SupernodalOptions::default(),
+            )
+            .expect("A_ff is SPD")
+            .factor_nnz();
+            assert!(
+                stats.factor_nnz < rcm,
+                "{res:?}: geometric factor {} vs RCM {rcm}",
+                stats.factor_nnz
+            );
+        }
     }
 
     #[test]

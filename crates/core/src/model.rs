@@ -15,9 +15,9 @@ use crate::{InterpolationGrid, RomError};
 /// paper): the local basis functions, the Galerkin-projected element
 /// stiffness `A_elem` and element load `b_elem`.
 ///
-/// Built once per `(geometry, resolution, interpolation grid, block kind)`
-/// by [`LocalStage`](crate::LocalStage); reused for arrays of any size,
-/// thermal load, and location.
+/// Built once per `(geometry, resolution, interpolation grid, materials,
+/// block kind)` by [`LocalStage`](crate::LocalStage); reused for arrays of
+/// any size, thermal load, and location.
 #[derive(Debug, Clone)]
 pub struct ReducedOrderModel {
     /// Process-unique identity, minted when the model is built or loaded
@@ -425,6 +425,10 @@ fn read_f64_vec<R: Read>(r: &mut R, len: usize) -> Result<Vec<f64>, RomError> {
 
 /// Builds (or loads from `cache_path`, if present and valid) a ROM.
 ///
+/// A cached file is reused only if it was built for exactly these inputs —
+/// geometry, resolution, interpolation grid, block kind and materials;
+/// otherwise the ROM is rebuilt and the file overwritten.
+///
 /// # Errors
 ///
 /// Propagates build errors; cache read failures fall back to a fresh build.
@@ -443,6 +447,7 @@ pub fn build_or_load_cached(
                 && rom.resolution() == res
                 && rom.interpolation() == interp
                 && rom.kind() == kind
+                && rom.materials() == materials
             {
                 return Ok(rom);
             }

@@ -202,7 +202,9 @@ impl SimulatorBuilder {
     }
 
     /// Caches built ROMs at `<stem>-tsv.rom` / `<stem>-dummy.rom` and
-    /// reloads them when geometry/resolution/grid match.
+    /// reloads a file only when its geometry, resolution, interpolation
+    /// grid and materials all match the builder's; any other file at the
+    /// stem is rebuilt over.
     pub fn cache_stem(mut self, stem: impl Into<PathBuf>) -> Self {
         self.cache_stem = Some(stem.into());
         self

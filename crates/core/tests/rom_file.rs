@@ -1,7 +1,8 @@
 //! Hostile `.rom` files: whatever the bytes, [`ReducedOrderModel::load`]
 //! answers with a typed error — no panic, no allocation sized from an
 //! unchecked header word (which would abort the process and take this test
-//! binary with it) — and a cached build over such a file rebuilds it.
+//! binary with it) — and a cached build over such a file rebuilds it, as it
+//! does over a valid file built for other materials.
 //!
 //! File layout (little-endian 8-byte words): magic, version, 4 geometry
 //! lengths, 3 cell counts, kind, 3 interpolation counts, material count,
@@ -14,8 +15,8 @@ use morestress_core::{
     InterpolationGrid, LocalStage, LocalStageOptions, MoreStressSimulator, ReducedOrderModel,
     RomError,
 };
-use morestress_fem::MaterialSet;
-use morestress_mesh::{BlockKind, BlockResolution, TsvGeometry};
+use morestress_fem::{Material, MaterialSet};
+use morestress_mesh::{BlockKind, BlockResolution, TsvGeometry, MAT_CU};
 
 const Z_CELLS_OFFSET: usize = 64;
 const KIND_OFFSET: usize = 72;
@@ -197,5 +198,60 @@ fn cached_build_over_a_hostile_file_rebuilds_and_overwrites_it() {
             "the rebuild overwrites the hostile file with the model's own bytes"
         );
     }
+    let _ = std::fs::remove_file(&rom_path);
+}
+
+#[test]
+fn cached_build_with_other_materials_rebuilds_and_overwrites_it() {
+    let geom = TsvGeometry::paper_defaults(15.0);
+    let stem = temp_path("materials");
+    let rom_path = temp_path("materials-tsv.rom");
+    let build = |materials: &MaterialSet| {
+        MoreStressSimulator::builder(&geom)
+            .interpolation([2, 2, 2])
+            .materials(materials.clone())
+            .cache_stem(stem.clone())
+            .build()
+            .expect("the simulator builds")
+    };
+    let defaults = MaterialSet::tsv_defaults();
+    build(&defaults);
+    let stale = std::fs::read(&rom_path).expect("the build left a cache file");
+
+    let mut stiffer = defaults.clone();
+    let cu = *stiffer.get(MAT_CU).expect("copper is registered");
+    stiffer.insert(
+        MAT_CU,
+        Material {
+            youngs: 2.0 * cu.youngs,
+            ..cu
+        },
+    );
+    let sim = build(&stiffer);
+    let uncached = LocalStage::new(
+        &geom,
+        &BlockResolution::coarse(),
+        InterpolationGrid::new([2, 2, 2]),
+        &stiffer,
+        BlockKind::Tsv,
+    )
+    .build(&LocalStageOptions::default())
+    .expect("local stage builds");
+    let bits = |rom: &ReducedOrderModel| -> Vec<u64> {
+        let a_elem = rom.element_stiffness().as_slice();
+        a_elem.iter().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(
+        bits(sim.tsv_model()),
+        bits(&uncached),
+        "a cache file of other materials must not be reused"
+    );
+    assert_ne!(
+        std::fs::read(&rom_path).expect("cache file"),
+        stale,
+        "the rebuild overwrites the stale file"
+    );
+    let reloaded = ReducedOrderModel::load(&rom_path).expect("the new file loads");
+    assert_eq!(reloaded.materials(), &stiffer);
     let _ = std::fs::remove_file(&rom_path);
 }

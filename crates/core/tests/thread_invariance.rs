@@ -92,6 +92,14 @@ fn local_stage_is_pool_size_invariant() {
             reference.thermal_basis(),
             rom.thermal_basis(),
         );
+        for i in 0..reference.num_dofs() {
+            assert_bitwise(
+                &format!("basis function {i}"),
+                cap,
+                reference.basis_function(i),
+                rom.basis_function(i),
+            );
+        }
     }
 }
 

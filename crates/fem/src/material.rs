@@ -118,7 +118,7 @@ impl Material {
 /// let mats = MaterialSet::tsv_defaults();
 /// assert!(mats.get(MAT_CU).is_ok());
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MaterialSet {
     entries: Vec<(MaterialId, Material)>,
 }

@@ -339,6 +339,15 @@ impl DenseKernel for BlockedKernel {
     }
 }
 
+impl BlockedKernel {
+    /// [`DenseKernel::dot`] of `x` against four vectors in one pass over
+    /// `x` (`ys[i][k]` is entry `i` of vector `k`), bit for bit four `dot`
+    /// calls. Slices must have equal length.
+    pub(crate) fn dot_panel(&self, x: &[f64], ys: &[[f64; 4]]) -> [f64; 4] {
+        blocked_dispatch!(dot_panel(x, ys))
+    }
+}
+
 /// The blocked loop bodies, written once and compiled under two feature
 /// sets (generic here, FMA-enabled in [`fma`]). Everything is
 /// `#[inline(always)]` so the `target_feature` wrappers specialize the
@@ -363,6 +372,31 @@ mod body {
             tail = x[i].mul_add(y[i], tail);
         }
         ((s0 + s1) + (s2 + s3)) + tail
+    }
+
+    /// [`dot`] of `x` against four vectors at once, `ys[i][k]` being entry
+    /// `i` of vector `k`: one pass over `x`, each vector on `dot`'s own
+    /// four lanes and reduction tree, so result `k` is bit for bit
+    /// `dot(x, y_k)`.
+    #[inline(always)]
+    pub(super) fn dot_panel(x: &[f64], ys: &[[f64; 4]]) -> [f64; 4] {
+        let quads = x.len() / 4;
+        // s[lane][k]: lane `lane` of `dot`'s accumulator for vector `k`.
+        let mut s = [[0.0f64; 4]; 4];
+        for (xq, yq) in x.chunks_exact(4).zip(ys.chunks_exact(4)) {
+            for lane in 0..4 {
+                for k in 0..4 {
+                    s[lane][k] = xq[lane].mul_add(yq[lane][k], s[lane][k]);
+                }
+            }
+        }
+        let mut tail = [0.0f64; 4];
+        for (xi, yi) in x[4 * quads..].iter().zip(&ys[4 * quads..]) {
+            for k in 0..4 {
+                tail[k] = xi.mul_add(yi[k], tail[k]);
+            }
+        }
+        std::array::from_fn(|k| ((s[0][k] + s[1][k]) + (s[2][k] + s[3][k])) + tail[k])
     }
 
     #[inline(always)]
@@ -533,6 +567,7 @@ mod fma {
     }
 
     fma_variant!(dot(x: &[f64], y: &[f64]) -> f64);
+    fma_variant!(dot_panel(x: &[f64], ys: &[[f64; 4]]) -> [f64; 4]);
     fma_variant!(axpy(alpha: f64, x: &[f64], y: &mut [f64]));
     fma_variant!(rank_update(
         update: &mut [f64],

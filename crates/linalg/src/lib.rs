@@ -134,7 +134,7 @@ pub use schur::Sharded;
 pub use shard::{PartitionHint, ShardPlan, ShardPlanStats};
 pub use sparse::{CooMatrix, CsrMatrix};
 pub use supernodal::{SupernodalCholesky, SupernodalOptions, SupernodeStats};
-pub use vecops::{axpy, dot, norm2, norm_inf, scale, sub};
+pub use vecops::{axpy, dot, dot_panel, norm2, norm_inf, scale, sub};
 
 /// Shared unit-test operators (the direct-solver modules all exercise the
 /// same 5-point lattice).

@@ -1,14 +1,16 @@
 //! Fill-reducing orderings for the sparse Cholesky factorization.
 //!
 //! One rule orders every operator the product factors
-//! ([`FillOrdering::Auto`]). The global stage's reduced operators arrive
-//! with the block-grid footprint of every row (a [`PartitionHint`]) and are
-//! dissected along that grid ([`geometric_dissection`]). Every other
-//! operator — the local stage's `A_ff`, shard interiors, the Schur
-//! interface — is ordered by reverse Cuthill–McKee
-//! ([`reverse_cuthill_mckee`]), which reduces the bandwidth of a structured
-//! mesh operator, and therefore the fill of its factor, substantially
-//! (pinned by `cholesky.rs`'s `rcm_reduces_fill_on_scrambled_grid`).
+//! ([`FillOrdering::Auto`]). An operator that arrives with the grid
+//! footprint of every row (a [`PartitionHint`]) is dissected along that
+//! grid ([`geometric_dissection`]): the global stage's reduced operators
+//! over their block grid, and the local stage's `A_ff` over the unit
+//! block's lateral cell grid. Every other operator — shard interiors, the
+//! Schur interface, the full-FEM and chiplet references — is ordered by
+//! reverse Cuthill–McKee ([`reverse_cuthill_mckee`]), which reduces the
+//! bandwidth of a structured mesh operator, and therefore the fill of its
+//! factor, substantially (pinned by `cholesky.rs`'s
+//! `rcm_reduces_fill_on_scrambled_grid`).
 
 use crate::{CsrMatrix, PartitionHint};
 
@@ -131,20 +133,22 @@ pub enum FillOrdering {
     /// Picks the ordering per operator, so the caller never chooses:
     /// [`Geometric`](FillOrdering::Geometric) whenever the operator carries
     /// a usable [`PartitionHint`] (every reduced global operator of a block
-    /// array does), [`Rcm`](FillOrdering::Rcm) otherwise. The default.
+    /// array does, and so does the local stage's `A_ff`),
+    /// [`Rcm`](FillOrdering::Rcm) otherwise. The default.
     #[default]
     Auto,
     /// Nested dissection of the *block grid* the operator's
     /// [`PartitionHint`] describes ([`geometric_dissection`]): no graph
-    /// search, O(n log n), and on the global stage's reduced operators far
-    /// less fill than a band (24×24 blocks: 10.8 M factor entries under
-    /// RCM, 4.4 M here). An operator without a usable hint (none attached,
-    /// or one of the wrong length) resolves to [`Rcm`](FillOrdering::Rcm).
+    /// search, O(n log n), and far less fill than a band — 24×24 blocks of
+    /// the global stage: 10.8 M factor entries under RCM, 4.4 M here; the
+    /// `medium` unit block's `A_ff` over its 18×18 cells: 2.86 M → 1.62 M.
+    /// An operator without a usable hint (none attached, or one of the
+    /// wrong length) resolves to [`Rcm`](FillOrdering::Rcm).
     Geometric,
     /// Reverse Cuthill–McKee ([`reverse_cuthill_mckee`]): minimizes
     /// bandwidth. What [`Auto`](FillOrdering::Auto) resolves to for every
-    /// operator without a usable hint — the local stage's `A_ff`, shard
-    /// interiors, the Schur interface, the full-FEM reference.
+    /// operator without a usable hint — shard interiors, the Schur
+    /// interface, the full-FEM and chiplet references.
     Rcm,
     /// The natural (identity) ordering: the unpermuted baseline the
     /// factorization tests compare the fill-reducing orderings against.

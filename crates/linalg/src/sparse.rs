@@ -368,15 +368,40 @@ impl CsrMatrix {
         assert_eq!(x.len(), self.ncols, "spmv: x length");
         assert_eq!(y.len(), self.nrows, "spmv: y length");
         // Zipped slices per row: the index/value loads carry no bounds
-        // checks, so the accumulation vectorizes (the gather on `x` is the
-        // only indirect access left).
+        // checks (the gather on `x` is the only indirect access left). Each
+        // row sums its products front to back from `-0.0`, the neutral
+        // element of IEEE addition — the order `spmv_panel_into` repeats.
         for (yi, w) in y.iter_mut().zip(self.row_ptr.windows(2)) {
             let (lo, hi) = (w[0], w[1]);
             *yi = self.col_idx[lo..hi]
                 .iter()
                 .zip(&self.values[lo..hi])
-                .map(|(&c, &v)| v * x[c])
-                .sum();
+                .fold(-0.0, |acc, (&c, &v)| acc + v * x[c]);
+        }
+    }
+
+    /// [`spmv_into`](Self::spmv_into) of four vectors in one pass over the
+    /// matrix: `x[c][k]` is entry `c` of input `k`, and `y[r][k]` receives
+    /// entry `r` of `A x_k`. Every row accumulates each column in
+    /// `spmv_into`'s order, so output `k` is bit for bit `spmv_into` of
+    /// input `k`; the four independent sums are what the panel buys.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != ncols` or `y.len() != nrows`.
+    pub fn spmv_panel_into(&self, x: &[[f64; 4]], y: &mut [[f64; 4]]) {
+        assert_eq!(x.len(), self.ncols, "spmv: x length");
+        assert_eq!(y.len(), self.nrows, "spmv: y length");
+        for (yi, w) in y.iter_mut().zip(self.row_ptr.windows(2)) {
+            let (lo, hi) = (w[0], w[1]);
+            let mut acc = [-0.0f64; 4];
+            for (&c, &v) in self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]) {
+                let xc = &x[c];
+                for k in 0..4 {
+                    acc[k] += v * xc[k];
+                }
+            }
+            *yi = acc;
         }
     }
 

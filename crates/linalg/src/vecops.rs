@@ -1,6 +1,7 @@
 //! Basic dense vector kernels shared by the solvers.
 //!
-//! The contraction primitives (`dot`, `axpy`, and `norm2` through `dot`)
+//! The contraction primitives (`dot`, its four-vector form `dot_panel`,
+//! `axpy`, and `norm2` through `dot`)
 //! delegate to [`BlockedKernel`] — the unrolled `mul_add` microkernels with
 //! runtime FMA dispatch from `kernel.rs` — so CG/GMRES inherit the same
 //! tuned loops the supernodal factorization runs on. `BlockedKernel` is
@@ -20,6 +21,19 @@ use crate::kernel::{BlockedKernel, DenseKernel};
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
     BlockedKernel.dot(x, y)
+}
+
+/// [`dot`] of `x` against four vectors in one pass over `x`: `ys[i][k]` is
+/// entry `i` of vector `k`, and result `k` is bit for bit `dot(x, y_k)` —
+/// the column-panel form the Galerkin projection streams its basis through.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths.
+#[inline]
+pub fn dot_panel(x: &[f64], ys: &[[f64; 4]]) -> [f64; 4] {
+    assert_eq!(x.len(), ys.len(), "dot: length mismatch");
+    BlockedKernel.dot_panel(x, ys)
 }
 
 /// Euclidean norm `‖x‖₂`.

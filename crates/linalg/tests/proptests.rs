@@ -8,11 +8,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use morestress_linalg::{
-    reverse_cuthill_mckee, solve_cg, solve_gmres, Auto, CgOptions, CooMatrix, CsrMatrix,
-    DenseKernel, DenseMatrix, DirectCholesky, FactorCache, FaultPlan, FillOrdering, GmresOptions,
-    JacobiPreconditioner, KernelChoice, LinalgError, PartitionHint, Permutation, ScalarKernel,
-    ShardPlan, Sharded, SolverBackend, SparseCholesky, SupernodalCholesky, SupernodalOptions,
-    TaskDag, WorkPool,
+    dot, dot_panel, reverse_cuthill_mckee, solve_cg, solve_gmres, Auto, CgOptions, CooMatrix,
+    CsrMatrix, DenseKernel, DenseMatrix, DirectCholesky, FactorCache, FaultPlan, FillOrdering,
+    GmresOptions, JacobiPreconditioner, KernelChoice, LinalgError, PartitionHint, Permutation,
+    ScalarKernel, ShardPlan, Sharded, SolverBackend, SparseCholesky, SupernodalCholesky,
+    SupernodalOptions, TaskDag, WorkPool,
 };
 use proptest::prelude::*;
 
@@ -129,6 +129,59 @@ proptest! {
         let ay = a.spmv(&y);
         for i in 0..10 {
             prop_assert!((lhs[i] - ax[i] - ay[i]).abs() < 1e-9);
+        }
+    }
+
+    /// The four-column SpMV is bit for bit four `spmv_into` calls, on
+    /// operators of `4q + r` rows (`r ≠ 0`) with empty rows and signed
+    /// zeros in play.
+    #[test]
+    fn panel_spmv_is_bitwise_four_spmvs(
+        (n, trips, xs) in (0usize..10, 1usize..4).prop_flat_map(|(q, r)| {
+            let n = 4 * q + r;
+            (Just(n),
+             prop::collection::vec((0..n, 0..n, -10.0f64..10.0), 0..4 * n),
+             prop::collection::vec(-5.0f64..5.0, 4 * n))
+        })) {
+        let mut coo = CooMatrix::new(n, n);
+        for (i, j, v) in trips {
+            coo.push(i, j, v);
+        }
+        let a = coo.to_csr();
+        // Column k is xs[k·n..(k+1)·n], every fifth entry a negative zero.
+        let column = |k: usize| -> Vec<f64> {
+            (0..n).map(|i| if i % 5 == 0 { -0.0 } else { xs[k * n + i] }).collect()
+        };
+        let panel: Vec<[f64; 4]> = (0..n)
+            .map(|i| std::array::from_fn(|k| column(k)[i]))
+            .collect();
+        let mut products = vec![[f64::NAN; 4]; n];
+        a.spmv_panel_into(&panel, &mut products);
+        for k in 0..4 {
+            let single = a.spmv(&column(k));
+            for i in 0..n {
+                prop_assert_eq!(products[i][k].to_bits(), single[i].to_bits(),
+                    "row {} column {}", i, k);
+            }
+        }
+    }
+
+    /// The four-vector dot is bit for bit four `dot` calls at lengths
+    /// `4q + r` (`r ≠ 0`), so the lane tail is always exercised.
+    #[test]
+    fn panel_dot_is_bitwise_four_dots(
+        (n, vals) in (0usize..40, 1usize..4).prop_flat_map(|(q, r)| {
+            let n = 4 * q + r;
+            (Just(n), prop::collection::vec(-5.0f64..5.0, 5 * n))
+        })) {
+        let x = &vals[..n];
+        let ys: Vec<[f64; 4]> = (0..n)
+            .map(|i| std::array::from_fn(|k| vals[(k + 1) * n + i]))
+            .collect();
+        let panel = dot_panel(x, &ys);
+        for k in 0..4 {
+            let y_k = &vals[(k + 1) * n..(k + 2) * n];
+            prop_assert_eq!(panel[k].to_bits(), dot(x, y_k).to_bits(), "vector {}", k);
         }
     }
 
