@@ -32,6 +32,94 @@ const CHECKSUMS: [u64; 6] = [
     0xf16f2fd1e893c844,
 ];
 
+/// `examples/campaign.yml` with `from` replaced by `to` (the line must be
+/// there, so a reworded example cannot silently test the default leg).
+fn example_with(from: &str, to: &str) -> CampaignSpec {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/campaign.yml");
+    let text = std::fs::read_to_string(path).expect("examples/campaign.yml reads");
+    assert!(text.contains(from), "examples/campaign.yml has no `{from}`");
+    CampaignSpec::parse(&text.replace(from, to)).expect("substituted spec parses")
+}
+
+/// One campaign-level differential over every global-solver backend: the
+/// example spec under the sharded backend at K = 1 and K = 4 and under
+/// GMRES and CG must reproduce `GOLDEN`, the direct backend's peaks. The
+/// direct family agrees to ≤ 1e-8 relative (static condensation is exact;
+/// only rounding differs). The iterative legs stop at a relative residual
+/// of the spec's `tolerance`; the peaks may then move by that residual
+/// times the operator's condition number, so they are held to
+/// `1e3 · tolerance` (1e-7 at the example's 1e-10; both Krylov legs land
+/// near 8e-12).
+#[test]
+fn every_backend_reproduces_the_recorded_peaks() {
+    // (leg, spec, shards every job must report, iterative?)
+    let legs = [
+        (
+            "shards: 1",
+            example_with("  shards: 0 ", "  shards: 1 "),
+            1,
+            false,
+        ),
+        (
+            "shards: 4",
+            example_with("  shards: 0 ", "  shards: 4 "),
+            4,
+            false,
+        ),
+        (
+            "gmres",
+            example_with("global_solver: direct", "global_solver: gmres"),
+            1,
+            true,
+        ),
+        (
+            "cg",
+            example_with("global_solver: direct", "global_solver: cg"),
+            1,
+            true,
+        ),
+    ];
+    for (leg, spec, shards, iterative) in legs {
+        let bound = if iterative {
+            1e3 * spec.solver.tolerance
+        } else {
+            1e-8
+        };
+        let reports = CampaignRunner::new().run(&[spec]).expect("model builds");
+        let [report] = &reports[..] else {
+            panic!("{leg}: one campaign in, {} reports out", reports.len());
+        };
+        assert_eq!(report.jobs.len(), GOLDEN.len(), "{leg}");
+        for (job, &(array, load, von_mises, displacement)) in report.jobs.iter().zip(&GOLDEN) {
+            assert_eq!((job.array_index, job.load_index), (array, load), "{leg}");
+            let JobOutcome::Solved {
+                peak_von_mises,
+                peak_displacement,
+                stats,
+                ..
+            } = &job.outcome
+            else {
+                panic!("{leg}: array {array} load {load} failed: {:?}", job.outcome);
+            };
+            assert_eq!(
+                stats.shards, shards,
+                "{leg}: array {array} must solve on {shards} shard(s)"
+            );
+            for (what, got, want) in [
+                ("peak von Mises", *peak_von_mises, von_mises),
+                ("peak |u|", *peak_displacement, displacement),
+            ] {
+                let rel = (got - want).abs() / want.abs();
+                assert!(
+                    rel <= bound,
+                    "{leg}: array {array} load {load}: {what} {got} vs recorded {want} \
+                     ({rel:.2e} > {bound:.0e})"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn example_campaign_reproduces_the_recorded_peaks() {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/campaign.yml");

@@ -104,8 +104,8 @@ impl RomSolver {
     /// global-stage solve routes through the returned backend.
     ///
     /// Each call constructs a *fresh* backend — for [`RomSolver::Sharded`]
-    /// that means a fresh internal shard cache and no retained previous
-    /// preparation, so callers that solve repeatedly must construct once
+    /// that means no retained previous preparation, so callers that solve
+    /// repeatedly must construct once
     /// and reuse (the [`GlobalStage`] builds its backend at construction,
     /// and [`MoreStressSimulator`](crate::MoreStressSimulator) hoists one
     /// backend across all its stages via [`GlobalStage::with_backend`])
@@ -399,8 +399,8 @@ pub struct GlobalStage<'a> {
     rom_dummy: Option<&'a ReducedOrderModel>,
     /// Backend built once from the [`RomSolver`] selection and reused by
     /// every solve through this stage, so backend-internal state (the
-    /// `Sharded` shard cache and retained previous preparation) survives
-    /// across repeated prepares.
+    /// `Sharded` backend's retained previous preparation) survives across
+    /// repeated prepares.
     backend: Box<dyn SolverBackend>,
     /// Caller-owned backend overriding `backend` when set — how the
     /// simulator shares one backend across all the stages it builds.
@@ -471,9 +471,9 @@ impl<'a> GlobalStage<'a> {
 
     /// Routes every solve through a caller-owned backend instead of one
     /// constructed from the [`RomSolver`] selection — so prepared state
-    /// living *inside* the backend (the `Sharded` shard cache, and the
-    /// retained previous preparation behind the incremental
-    /// re-factorization) survives beyond this stage's lifetime.
+    /// living *inside* the backend (the `Sharded` backend's retained
+    /// previous preparation behind the incremental re-factorization)
+    /// survives beyond this stage's lifetime.
     /// [`MoreStressSimulator`](crate::MoreStressSimulator) hoists its one
     /// backend through here.
     pub fn with_backend(mut self, backend: &'a dyn SolverBackend) -> Self {

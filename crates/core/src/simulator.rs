@@ -22,13 +22,13 @@ pub struct MoreStressSimulator {
     rom_dummy: Option<ReducedOrderModel>,
     /// The one global-solve backend, built at construction from the
     /// resolved solver selection and hoisted into every stage — so
-    /// backend-internal state (the `Sharded` shard cache and its retained
-    /// previous preparation) persists across simulator calls instead of
-    /// being discarded per solve.
+    /// backend-internal state (the `Sharded` backend's retained previous
+    /// preparation) persists across simulator calls instead of being
+    /// discarded per solve.
     backend: Box<dyn SolverBackend>,
     /// A clone of the hoisted backend when the resolved solver is sharded
-    /// (clones share the shard cache and previous-preparation state),
-    /// kept for counter inspection.
+    /// (clones share the previous-preparation state), kept for
+    /// inspection.
     sharded: Option<Sharded>,
     /// Memo of prepared global-stage factorizations: solving the same
     /// lattice again (any thermal load) reuses the factor instead of
@@ -300,9 +300,8 @@ impl MoreStressSimulator {
     }
 
     /// The hoisted sharded backend, when the resolved solver is
-    /// [`RomSolver::Sharded`] — a clone sharing the internal shard cache
-    /// (hit/miss counters) and the retained previous preparation, for
-    /// tests and diagnostics.
+    /// [`RomSolver::Sharded`] — a clone sharing the retained previous
+    /// preparation, for tests and diagnostics.
     pub fn sharded_backend(&self) -> Option<&Sharded> {
         self.sharded.as_ref()
     }

@@ -108,10 +108,10 @@ fn single_block_swap_is_bitwise_and_reuses_shards() {
     }
 }
 
-/// Satellite-1 regression: the simulator's backend is built once and
-/// hoisted into every stage, so a re-preparation of an already-seen
-/// operator hits the backend's internal shard cache instead of paying for
-/// a fresh `Sharded` (fresh, empty cache) per call.
+/// The simulator's backend is built once and hoisted into every stage, so
+/// a re-preparation of an already-seen operator reuses every shard of the
+/// backend's retained previous preparation instead of paying for a fresh
+/// `Sharded` (nothing retained) per call.
 #[test]
 fn hoisted_backend_reuses_shard_factors_across_prepares() {
     let shards = env_shards();
@@ -121,9 +121,7 @@ fn hoisted_backend_reuses_shard_factors_across_prepares() {
     let first = sim
         .solve_array_many(&layout, &[-250.0], &bc)
         .expect("cold solve");
-    let backend = sim.sharded_backend().expect("sharded solver resolved");
-    let misses = backend.shard_cache().misses();
-    assert!(misses >= 1, "cold prepare must populate the shard cache");
+    assert!(sim.sharded_backend().is_some(), "sharded solver resolved");
 
     // Drop the outer memo so the second solve genuinely re-prepares
     // through the backend — with a per-call backend this re-factored
@@ -132,11 +130,6 @@ fn hoisted_backend_reuses_shard_factors_across_prepares() {
     let second = sim
         .solve_array_many(&layout, &[-250.0], &bc)
         .expect("re-prepared solve");
-    assert_eq!(
-        backend.shard_cache().misses(),
-        misses,
-        "re-preparing the same operator must hit the hoisted shard cache"
-    );
     assert_eq!(second[0].stats.shards_refactored, 0, "nothing changed");
     assert_eq!(second[0].stats.shards_reused, first[0].stats.shards);
     for (a, b) in first.iter().zip(&second) {

@@ -1280,11 +1280,48 @@ impl DirectCholesky {
         let factored = shifted.unwrap_or(&a);
         let factor =
             SupernodalCholesky::factor_ordered(factored, FillOrdering::Auto, &self.supernodal)?;
+        Ok(self.wrap_factor(a, factor, t0))
+    }
+
+    /// Factors `a` bordered by extra trailing rows: `bordered` is `a` in its
+    /// leading rows and columns, followed by border rows. The leading block
+    /// is ordered like a plain prepare of `a` would order it, the border
+    /// stays last, and one partial factorization
+    /// ([`SupernodalCholesky::factor_bordered`]) yields both the prepared
+    /// solver of `a` and the dense Schur complement of the border — how a
+    /// [`Sharded`](crate::Sharded) shard gets its interior factor and its
+    /// interface clique at once.
+    pub(crate) fn prepare_bordered(
+        &self,
+        a: Arc<CsrMatrix>,
+        bordered: &CsrMatrix,
+    ) -> Result<(PreparedSolver, Vec<f64>), LinalgError> {
+        let t0 = Instant::now();
+        let ordering = FillOrdering::Auto.resolve(&a);
+        let (factor, border) = SupernodalCholesky::factor_bordered(
+            bordered,
+            ordering.permutation(&a),
+            &self.supernodal,
+        )?;
+        Ok((
+            self.wrap_factor(a, factor.named(ordering.name()), t0),
+            border,
+        ))
+    }
+
+    /// Wraps a factor of `a` as a prepared direct solver whose setup clock
+    /// started at `t0`.
+    fn wrap_factor(
+        &self,
+        a: Arc<CsrMatrix>,
+        factor: SupernodalCholesky,
+        t0: Instant,
+    ) -> PreparedSolver {
         let shared_bytes = factor.heap_bytes();
         // One panel scratch plus the solve scratch, per concurrent worker.
         let workspace_bytes = (self.panel_width.max(1) * a.nrows() + factor.scratch_len())
             * std::mem::size_of::<f64>();
-        Ok(PreparedSolver {
+        PreparedSolver {
             panel_width: self.panel_width.max(1),
             verify: self.verify,
             ..PreparedSolver::new(
@@ -1294,7 +1331,7 @@ impl DirectCholesky {
                 shared_bytes,
                 workspace_bytes,
             )
-        })
+        }
     }
 }
 

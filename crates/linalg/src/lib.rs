@@ -15,7 +15,8 @@
 //! * [`DenseKernel`] / [`KernelChoice`] — the swappable dense microkernel
 //!   layer (`kernel.rs`) every flop-bearing loop routes through: the
 //!   supernodal rank-k updates, panel Cholesky, triangular sweeps, the
-//!   Schur clique condensation and the Krylov dot/axpy primitives. Two
+//!   contained shards' per-column clique condensation and the Krylov
+//!   dot/axpy primitives. Two
 //!   implementations: [`BlockedKernel`] (unrolled `mul_add` tiles with
 //!   runtime FMA dispatch — the one production kernel) and
 //!   [`ScalarKernel`] (the original loops, the differential oracle).
@@ -48,7 +49,8 @@
 //!   operator: a K-way interior/interface partition cut from the block grid
 //!   of the operator's [`PartitionHint`], and a Schur-complement backend
 //!   that factors every interior block independently (concurrently, each
-//!   cached under its own fingerprint) and couples them through one small
+//!   bordered by its interface DoFs so one partial factorization also
+//!   yields its Schur contribution) and couples them through one small
 //!   factored interface system — so no single factorization ever spans the
 //!   whole operator.
 //! * [`WorkPool`] — the shared worker-pool runtime behind every parallel

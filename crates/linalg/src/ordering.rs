@@ -4,12 +4,13 @@
 //! ([`FillOrdering::Auto`]). An operator that arrives with the grid
 //! footprint of every row (a [`PartitionHint`]) is dissected along that
 //! grid ([`geometric_dissection`]): the global stage's reduced operators
-//! over their block grid, and the local stage's `A_ff` over the unit
-//! block's lateral cell grid. Every other operator — shard interiors, the
-//! Schur interface, the full-FEM and chiplet references — is ordered by
-//! reverse Cuthill–McKee ([`reverse_cuthill_mckee`]), which reduces the
-//! bandwidth of a structured mesh operator, and therefore the fill of its
-//! factor, substantially (pinned by `cholesky.rs`'s
+//! over their block grid, the interiors of the sharded backend over the
+//! blocks each shard owns, and the local stage's `A_ff` over the unit
+//! block's lateral cell grid. Every other operator — the Schur interface,
+//! the full-FEM and chiplet references — is ordered by reverse
+//! Cuthill–McKee ([`reverse_cuthill_mckee`]), which reduces the bandwidth
+//! of a structured mesh operator, and therefore the fill of its factor,
+//! substantially (pinned by `cholesky.rs`'s
 //! `rcm_reduces_fill_on_scrambled_grid`).
 
 use crate::{CsrMatrix, PartitionHint};
@@ -133,8 +134,8 @@ pub enum FillOrdering {
     /// Picks the ordering per operator, so the caller never chooses:
     /// [`Geometric`](FillOrdering::Geometric) whenever the operator carries
     /// a usable [`PartitionHint`] (every reduced global operator of a block
-    /// array does, and so does the local stage's `A_ff`),
-    /// [`Rcm`](FillOrdering::Rcm) otherwise. The default.
+    /// array does, every shard interior cut from one, and the local stage's
+    /// `A_ff`), [`Rcm`](FillOrdering::Rcm) otherwise. The default.
     #[default]
     Auto,
     /// Nested dissection of the *block grid* the operator's
@@ -147,8 +148,8 @@ pub enum FillOrdering {
     Geometric,
     /// Reverse Cuthill–McKee ([`reverse_cuthill_mckee`]): minimizes
     /// bandwidth. What [`Auto`](FillOrdering::Auto) resolves to for every
-    /// operator without a usable hint — shard interiors, the Schur
-    /// interface, the full-FEM and chiplet references.
+    /// operator without a usable hint — the Schur interface, the full-FEM
+    /// and chiplet references.
     Rcm,
     /// The natural (identity) ordering: the unpermuted baseline the
     /// factorization tests compare the fill-reducing orderings against.

@@ -4,18 +4,22 @@
 //! `K` interior blocks bordered by one interface set (no stored entry
 //! couples two interiors directly), then solves by static condensation:
 //!
-//! 1. **Interior factors.** Every diagonal block `A_kk` is prepared
-//!    independently through the *inner* backend (the same
-//!    [`SolverBackend`] machinery every monolithic solve uses), with the
-//!    shard preparations running concurrently on the shared
-//!    [`WorkPool`](crate::WorkPool) and each factor memoized in a
-//!    [`FactorCache`] under its own matrix fingerprint.
+//! 1. **Interior factors and cliques, from one factorization.** Every
+//!    shard factors its diagonal block `A_kk` *bordered* by the interface
+//!    DoFs it couples: one partial supernodal factorization
+//!    ([`SupernodalCholesky::factor_bordered`](crate::SupernodalCholesky::factor_bordered))
+//!    eliminates the interior — ordered like the inner backend orders any
+//!    operator, geometrically along the shard's own blocks, since every
+//!    interior carries its part of the operator's
+//!    [`PartitionHint`](crate::PartitionHint) — and leaves the border
+//!    accumulated. The leading factor becomes the shard's interior solver;
+//!    the negated border block is its dense clique `A_sk A_kk⁻¹ A_ks` over
+//!    the interface DoFs it touches. The shard preparations run
+//!    concurrently on the shared [`WorkPool`](crate::WorkPool).
 //! 2. **Schur assembly.** The interface operator
-//!    `S = A_ss − Σ_k A_sk A_kk⁻¹ A_ks` is assembled from per-shard
-//!    contributions: each shard batch-solves its coupling columns
-//!    (`A_kk⁻¹ A_ks`, one panel multi-RHS sweep) and condenses them into a
-//!    dense clique over the interface DoFs it touches. Contributions are
-//!    accumulated in shard order, so `S` is identical at every pool cap.
+//!    `S = A_ss − Σ_k A_sk A_kk⁻¹ A_ks` is assembled from the per-shard
+//!    cliques, accumulated in shard order, so `S` is identical at every
+//!    pool cap.
 //! 3. **Interface-then-interiors solve.** A batch of right-hand sides is
 //!    reduced (`r_s = b_s − Σ_k A_sk A_kk⁻¹ b_k`), the interface system is
 //!    solved once for the whole batch, and each interior is recovered with
@@ -29,7 +33,13 @@
 //! hint and pattern, so the same plan), a shard whose blocks are unchanged
 //! reuses its factor and clique; a first prepare is the case where every
 //! shard is dirty. One code path is why a re-prepare after a value-only
-//! perturbation is bitwise a from-scratch one.
+//! perturbation is bitwise a from-scratch one. The retained preparation is
+//! the only reuse: there is no per-shard factor cache.
+//!
+//! A shard whose interior is not positive definite is contained: it falls
+//! down the [`Resilient`] ladder alone and condenses its clique by
+//! per-column solves through the ladder's solver, while every other shard
+//! keeps its clean factor.
 //!
 //! The payoff is capacity and parallelism: no single factorization ever
 //! spans the whole operator (peak factor memory is the largest *shard*
@@ -45,8 +55,8 @@ use std::time::Instant;
 
 use crate::backend::matrix_fingerprint;
 use crate::{
-    CsrMatrix, DegradationTrail, DirectCholesky, FactorCache, LinalgError, MemoryFootprint,
-    PreparedSolver, Resilient, ShardPlan, ShardPlanStats, SolverBackend, VerifyPolicy, WorkPool,
+    CsrMatrix, DegradationTrail, DirectCholesky, LinalgError, MemoryFootprint, PreparedSolver,
+    Resilient, ShardPlan, ShardPlanStats, SolverBackend, VerifyPolicy, WorkPool,
 };
 
 /// Domain-decomposition backend: `K` interior shards factored through an
@@ -57,9 +67,10 @@ use crate::{
 /// geometry `prepare` reads. An operator without a usable hint is planned
 /// as one shard, i.e. solved monolithically through `inner`.
 ///
-/// The struct is cheap declarative configuration like every other backend;
-/// cloning shares the internal per-shard [`FactorCache`], so repeated
-/// preparations through clones of one `Sharded` reuse shard factors.
+/// The struct is cheap declarative configuration like every other backend.
+/// Clones share only the retained previous preparation, so a re-prepare
+/// through any clone of one `Sharded` reuses the shards that did not
+/// change; no factor is cached beyond that.
 #[derive(Debug, Clone)]
 pub struct Sharded {
     /// Requested interior shard count. The plan may produce fewer — never
@@ -71,9 +82,6 @@ pub struct Sharded {
     /// Verification policy of the assembled solver's full-system solves
     /// (interior blocks verify through their own ladder when contained).
     pub verify: VerifyPolicy,
-    /// Memo of per-shard (and interface) factors, keyed by each block's own
-    /// matrix fingerprint — shared across clones of this backend.
-    cache: Arc<FactorCache>,
     /// The most recent preparation, retained (shared across clones) as the
     /// base of the next one: a later `prepare` over an operator
     /// with the *same pattern* reuses every clean shard's factor and
@@ -109,13 +117,6 @@ impl Sharded {
             shards,
             inner,
             verify: VerifyPolicy::Off,
-            // Room for every shard factor plus the interface factor (and a
-            // little slack), so one prepare never evicts its own blocks.
-            // Saturating: any count is a valid request (the plan caps it at
-            // the block count).
-            cache: Arc::new(FactorCache::with_capacity(
-                shards.max(1).saturating_mul(2).saturating_add(2),
-            )),
             prev: Arc::new(Mutex::new(None)),
         }
     }
@@ -124,11 +125,6 @@ impl Sharded {
     /// carries.
     fn plan(&self, a: &CsrMatrix) -> ShardPlan {
         ShardPlan::build_hinted(a, self.shards, a.partition_hint().map(Arc::as_ref))
-    }
-
-    /// The internal per-shard factor cache (hit/miss counters included).
-    pub fn shard_cache(&self) -> &FactorCache {
-        &self.cache
     }
 }
 
@@ -170,7 +166,6 @@ impl SolverBackend for Sharded {
             &a,
             plan,
             &self.inner,
-            &self.cache,
         )?;
         let schur = Arc::new(schur);
         *self.prev.lock().expect("sharded prev state poisoned") = Some(PrevPrepared {
@@ -189,8 +184,8 @@ impl SolverBackend for Sharded {
 
     fn config_fingerprint(&self) -> u64 {
         // The shard count changes the elimination order and therefore the
-        // bits of the result, so it must split cache entries; the internal
-        // cache identity must not (clones share semantics). The hint needs
+        // bits of the result, so it must split cache entries; the retained
+        // preparation must not (clones share semantics). The hint needs
         // no term: it is part of the operator, so it splits entries through
         // the matrix fingerprint and the exact compare.
         0x50 ^ (self.shards as u64).rotate_left(32)
@@ -231,15 +226,15 @@ struct ShardBlock {
     /// preparations.
     cols: Arc<[usize]>,
     /// Stored dense clique `A_sk A_kk⁻¹ A_ks` over `cols` (row-major,
-    /// `cols.len()²` entries): the shard's Schur contribution, kept so an
-    /// incremental re-preparation can re-accumulate `S` in shard order
-    /// without re-condensing clean shards.
+    /// `cols.len()²` entries, symmetric): the shard's Schur contribution,
+    /// kept so an incremental re-preparation can re-accumulate `S` in shard
+    /// order without re-condensing clean shards.
     clique: Arc<[f64]>,
     /// Content fingerprint over `(A_kk, A_ks, A_sk)` — the fast reject of
     /// the per-block dirty detection (equal fingerprints are confirmed by
     /// exact comparison before anything is reused).
     fingerprint: u64,
-    /// Whether this interior's direct factorization broke down and the
+    /// Whether this interior's bordered factorization broke down and the
     /// block was contained by falling down the resilience ladder
     /// (regularized re-factor or GMRES) instead of aborting the prepare.
     degraded: bool,
@@ -296,6 +291,10 @@ fn extract_blocks(a: &Arc<CsrMatrix>, plan: &ShardPlan) -> Extraction {
     let interface = plan.interface();
     let n_s = interface.len();
     let num_shards = plan.num_shards();
+    let hint = a
+        .partition_hint()
+        .filter(|hint| hint.num_rows() == n)
+        .map(Arc::as_ref);
 
     let mut iface_map: Vec<Option<usize>> = vec![None; n];
     for (p, &row) in interface.iter().enumerate() {
@@ -312,11 +311,17 @@ fn extract_blocks(a: &Arc<CsrMatrix>, plan: &ShardPlan) -> Extraction {
         }
         // The one shard of a trivial plan *is* the operator: share it, hint
         // and all, so a one-shard solve stays the monolithic one bit for
-        // bit whatever the inner backend orders by.
+        // bit whatever the inner backend orders by. Every other interior
+        // carries the operator's hint restricted to its own blocks, so it
+        // is dissected along them.
         interiors.push(if rows.len() == n {
             Arc::clone(a)
         } else {
-            Arc::new(a.extract(rows, &own_map, rows.len()))
+            let interior = a.extract(rows, &own_map, rows.len());
+            Arc::new(match hint {
+                Some(hint) => interior.with_partition_hint(Arc::new(hint.restricted(rows))),
+                None => interior,
+            })
         });
         couplings.push((
             a.extract(rows, &iface_map, n_s),
@@ -464,7 +469,6 @@ fn condense_interface(
     iface_map: &[Option<usize>],
     blocks: &[ShardBlock],
     inner: &DirectCholesky,
-    cache: &FactorCache,
     reuse: Option<Arc<InterfaceAssembly>>,
 ) -> Result<CondensedInterface, LinalgError> {
     let interface = plan.interface();
@@ -475,7 +479,7 @@ fn condense_interface(
     let a_ss = a.extract(interface, iface_map, n_s);
     let assembly = reuse.unwrap_or_else(|| Arc::new(InterfaceAssembly::build(&a_ss, blocks)));
     let s = Arc::new(assembly.assemble(&a_ss, blocks));
-    let (solver, degraded) = prepare_contained(inner, cache, &s)?;
+    let (solver, degraded) = prepare_contained(inner, &s)?;
     Ok((Some(solver), degraded, Some(assembly)))
 }
 
@@ -504,19 +508,18 @@ impl SchurSolver {
     /// a pure function of pattern, shard count and hint). Every shard whose
     /// three blocks are unchanged since `prev` is *clean*: it reuses its
     /// factor and stored clique. Without a previous preparation every
-    /// shard is dirty, there are no scatter maps to reuse and nothing to
-    /// evict — a fresh prepare is the all-dirty case of the same code, so
-    /// the two agree bit for bit by construction: plan, elimination orders,
-    /// kernels and the serial shard-order accumulation of `S` are shared,
-    /// and a clean shard's stored factor and clique were computed from
-    /// bit-identical inputs by the code a fresh prepare runs. The interface
-    /// system is always rebuilt from the fresh `A_ss` plus all cliques.
+    /// shard is dirty and there are no scatter maps to reuse — a fresh
+    /// prepare is the all-dirty case of the same code, so the two agree bit
+    /// for bit by construction: plan, elimination orders, kernels and the
+    /// serial shard-order accumulation of `S` are shared, and a clean
+    /// shard's stored factor and clique were computed from bit-identical
+    /// inputs by the code a fresh prepare runs. The interface system is
+    /// always rebuilt from the fresh `A_ss` plus all cliques.
     fn assemble(
         prev: Option<&SchurSolver>,
         a: &Arc<CsrMatrix>,
         plan: ShardPlan,
         inner: &DirectCholesky,
-        cache: &FactorCache,
     ) -> Result<Self, LinalgError> {
         let n_s = plan.interface().len();
         let num_shards = plan.num_shards();
@@ -549,20 +552,12 @@ impl SchurSolver {
         // one task per shard on the shared pool. Like the monolithic
         // parallel factorization, preparation runs at the pool cap
         // (`prepare` has no threads override). Each task is internally
-        // deterministic (the factor is bitwise cap-invariant, the panel
-        // solves are too), so only the serial accumulation order below
-        // matters for reproducibility. This runs *before* any
-        // invalidation: a shard dirtied only through its couplings still
-        // hits the cache on its unchanged interior.
+        // deterministic (the bordered factor is bitwise cap-invariant), so
+        // only the serial accumulation order below matters for
+        // reproducibility.
         let pool = WorkPool::current();
         let (prepped, _) = pool.scope_collect(pool.cap(), dirty.len(), |i| {
-            shard_prep_task(
-                inner,
-                cache,
-                &interiors[dirty[i]],
-                &couplings[dirty[i]],
-                n_s,
-            )
+            shard_prep_task(inner, &interiors[dirty[i]], &couplings[dirty[i]], n_s)
         });
 
         let mut blocks: Vec<ShardBlock> = Vec::with_capacity(num_shards);
@@ -605,26 +600,8 @@ impl SchurSolver {
             &iface_map,
             &blocks,
             inner,
-            cache,
             prev.and_then(|p| p.iface_assembly.clone()),
         )?;
-
-        // Evict the superseded entries — the old factors of interiors that
-        // actually changed, and the old interface system — so stale blocks
-        // never crowd live ones out of the shard cache.
-        if let Some(prev) = prev {
-            for (block, prev_block) in blocks.iter().zip(&prev.blocks) {
-                let old = prev_block.solver.matrix();
-                if block.solver.matrix().as_ref() != old.as_ref() {
-                    cache.invalidate(old);
-                }
-            }
-            if let (Some(old), Some(new)) = (&prev.interface_solver, &interface_solver) {
-                if old.matrix().as_ref() != new.matrix().as_ref() {
-                    cache.invalidate(old.matrix());
-                }
-            }
-        }
 
         Ok(Self {
             plan,
@@ -912,27 +889,100 @@ impl SchurSolver {
     }
 }
 
-/// One shard's preparation: factor the interior through the cache, solve
-/// the coupling columns in one panel sweep, and condense the dense clique
-/// `A_sk A_kk⁻¹ A_ks` over the interface DoFs this shard touches.
+/// One shard's preparation: the interior factor and the dense clique
+/// `A_sk A_kk⁻¹ A_ks` over the interface DoFs this shard touches, both from
+/// one partial factorization of the interior bordered by those DoFs. A
+/// shard coupling no interface DoF is just its interior, prepared plainly.
+/// A breakdown is contained: the interior falls down the ladder and its
+/// clique is condensed column by column through the ladder's solver.
 fn shard_prep_task(
     inner: &DirectCholesky,
-    cache: &FactorCache,
     interior: &Arc<CsrMatrix>,
     coupling: &(CsrMatrix, CsrMatrix),
     n_s: usize,
 ) -> Result<ShardPrep, LinalgError> {
     let (a_ks, a_sk) = coupling;
-    let n_k = interior.nrows();
-    let (solver, degraded) = prepare_contained(inner, cache, interior)?;
-
     // Interface DoFs this shard couples: exactly the non-empty rows of
     // `A_sk` (equivalently, by symmetry, the non-empty columns of `A_ks`).
     let cols: Vec<usize> = (0..n_s).filter(|&i| !a_sk.row(i).0.is_empty()).collect();
     if cols.is_empty() {
+        let (solver, degraded) = prepare_contained(inner, interior)?;
         return Ok((solver, cols, Vec::new(), degraded));
     }
-    let mut pos = vec![usize::MAX; n_s];
+    let bordered = bordered_operator(interior, a_ks, a_sk, &cols);
+    match inner.prepare_bordered(Arc::clone(interior), &bordered) {
+        Ok((solver, mut clique)) => {
+            // The border block is −A_sk A_kk⁻¹ A_ks: the bordered operator
+            // stores no interface–interface entries.
+            for v in &mut clique {
+                *v = -*v;
+            }
+            Ok((Arc::new(solver), cols, clique, false))
+        }
+        Err(LinalgError::NotPositiveDefinite { .. }) => {
+            drop(bordered);
+            let solver = Arc::new(ladder(inner).prepare(Arc::clone(interior))?);
+            let clique = condense_columns(&solver, inner, a_ks, a_sk, &cols)?;
+            Ok((solver, cols, clique, true))
+        }
+        Err(other) => Err(other),
+    }
+}
+
+/// The interior `A_kk` bordered by the `w = cols.len()` interface DoFs it
+/// couples, `[A_kk  A_ks[:, cols]; A_sk[cols, :]  0]`, written straight into
+/// sorted CSR: each interior row is its `A_kk` row followed by its `A_ks`
+/// row with column `c` moved to `n_k + pos(c)` (`cols` is ascending, so the
+/// shift keeps the row sorted); each border row is one coupled row of
+/// `A_sk`, whose columns are all interior.
+fn bordered_operator(
+    interior: &CsrMatrix,
+    a_ks: &CsrMatrix,
+    a_sk: &CsrMatrix,
+    cols: &[usize],
+) -> CsrMatrix {
+    let n_k = interior.nrows();
+    let n = n_k + cols.len();
+    let mut pos = vec![usize::MAX; a_ks.ncols()];
+    for (q, &c) in cols.iter().enumerate() {
+        pos[c] = n_k + q;
+    }
+    let nnz = interior.nnz() + a_ks.nnz() + a_sk.nnz();
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    let mut col_idx = Vec::with_capacity(nnz);
+    let mut values = Vec::with_capacity(nnz);
+    row_ptr.push(0);
+    for r in 0..n_k {
+        let (c_kk, v_kk) = interior.row(r);
+        col_idx.extend_from_slice(c_kk);
+        values.extend_from_slice(v_kk);
+        let (c_ks, v_ks) = a_ks.row(r);
+        col_idx.extend(c_ks.iter().map(|&c| pos[c]));
+        values.extend_from_slice(v_ks);
+        row_ptr.push(col_idx.len());
+    }
+    for &i in cols {
+        let (c_sk, v_sk) = a_sk.row(i);
+        col_idx.extend_from_slice(c_sk);
+        values.extend_from_slice(v_sk);
+        row_ptr.push(col_idx.len());
+    }
+    CsrMatrix::from_raw_trusted(n, n, row_ptr, col_idx, values)
+}
+
+/// The clique `A_sk A_kk⁻¹ A_ks` over `cols` (row-major), condensed column
+/// by column through `solver` — the containment arm, for a shard whose
+/// bordered factorization broke down and whose interior is solved by the
+/// ladder instead.
+fn condense_columns(
+    solver: &PreparedSolver,
+    inner: &DirectCholesky,
+    a_ks: &CsrMatrix,
+    a_sk: &CsrMatrix,
+    cols: &[usize],
+) -> Result<Vec<f64>, LinalgError> {
+    let n_k = a_ks.nrows();
+    let mut pos = vec![usize::MAX; a_ks.ncols()];
     for (q, &j) in cols.iter().enumerate() {
         pos[j] = q;
     }
@@ -945,13 +995,11 @@ fn shard_prep_task(
             cols_rhs[pos[c]][r] = v;
         }
     }
-    // E = A_kk⁻¹ A_ks[:, cols] in one batched panel sweep.
+    // E = A_kk⁻¹ A_ks[:, cols] in one batched sweep.
     let e = solver.solve_many(&cols_rhs, WorkPool::current().cap())?;
     // Dense clique C[p][q] = (A_sk E)[cols[p], q], each entry a sparse·dense
     // dot: gather the coupled entries of e_q into a contiguous scratch and
-    // hand the contraction to the configured dense microkernel — the same
-    // kernel that factored the interior, so the condensation inherits its
-    // rounding (and the fingerprint split already accounts for it).
+    // hand the contraction to the configured dense microkernel.
     let kern = inner.supernodal.kernel.kernel();
     let w = cols.len();
     let mut clique = vec![0.0f64; w * w];
@@ -966,28 +1014,33 @@ fn shard_prep_task(
             clique[p * w + q] = kern.dot(vals, &eg);
         }
     }
-    Ok((solver, cols, clique, degraded))
+    Ok(clique)
 }
 
-/// Prepares one block through the cache, containing a factorization
-/// breakdown: a [`LinalgError::NotPositiveDefinite`] interior (or interface
-/// system) falls down the resilience ladder — regularized re-factor, then
-/// GMRES — instead of aborting the whole sharded prepare, so clean blocks
-/// keep their direct factors. Any other error (a poisoned block, a
-/// dimension bug) still aborts: the ladder cannot recover those.
+/// The resilience ladder over `inner`: what a block whose direct
+/// factorization broke down is prepared with.
+fn ladder(inner: &DirectCholesky) -> Resilient {
+    Resilient {
+        inner: *inner,
+        ..Resilient::default()
+    }
+}
+
+/// Prepares one block, containing a factorization breakdown: a
+/// [`LinalgError::NotPositiveDefinite`] block (the interface system, or an
+/// interior that couples no interface DoF) falls down the resilience
+/// ladder — regularized re-factor, then GMRES — instead of aborting the
+/// whole sharded prepare, so clean blocks keep their direct factors. Any
+/// other error (a poisoned block, a dimension bug) still aborts: the ladder
+/// cannot recover those.
 fn prepare_contained(
     inner: &DirectCholesky,
-    cache: &FactorCache,
     block: &Arc<CsrMatrix>,
 ) -> Result<(Arc<PreparedSolver>, bool), LinalgError> {
-    match cache.prepare(inner, block) {
-        Ok(solver) => Ok((solver, false)),
+    match inner.prepare(Arc::clone(block)) {
+        Ok(solver) => Ok((Arc::new(solver), false)),
         Err(LinalgError::NotPositiveDefinite { .. }) => {
-            let ladder = Resilient {
-                inner: *inner,
-                ..Resilient::default()
-            };
-            Ok((cache.prepare(&ladder, block)?, true))
+            Ok((Arc::new(ladder(inner).prepare(Arc::clone(block))?), true))
         }
         Err(other) => Err(other),
     }
@@ -997,7 +1050,7 @@ fn prepare_contained(
 mod tests {
     use super::*;
     use crate::test_operators::{hinted_grid, hinted_lattice, laplacian_2d};
-    use crate::{CooMatrix, PartitionHint};
+    use crate::{CooMatrix, FactorCache, PartitionHint};
 
     fn loads(n: usize, count: usize) -> Vec<Vec<f64>> {
         (0..count)
@@ -1089,21 +1142,37 @@ mod tests {
     }
 
     #[test]
-    fn shard_cache_reuses_interior_factors() {
-        let a = hinted(5, 5, 5);
-        let backend = Sharded::new(3);
-        let first = backend.prepare(Arc::clone(&a)).unwrap();
-        assert!(first.schur().expect("sharded engine").num_shards() >= 2);
-        let misses = backend.shard_cache().misses();
-        assert!(misses >= 3, "each block prepared once, got {misses}");
-        let second = backend.prepare(Arc::clone(&a)).unwrap();
-        assert_eq!(
-            backend.shard_cache().misses(),
-            misses,
-            "re-preparing the same operator must hit the shard cache"
-        );
-        let b: Vec<f64> = (0..a.nrows()).map(|i| (i % 5) as f64).collect();
-        assert_eq!(first.solve(&b).unwrap().x, second.solve(&b).unwrap().x);
+    fn hinted_interiors_dissect_and_condense_inside_their_factor() {
+        // Every interior of a hinted multi-shard plan carries its own part
+        // of the hint, so it is dissected geometrically, and the clique its
+        // bordered factorization leaves behind is the one per-column
+        // condensation through a separate factor of the interior computes.
+        let a = hinted(5, 4, 6);
+        let prepared = Sharded::new(4).prepare(Arc::clone(&a)).unwrap();
+        let schur = prepared.schur().expect("sharded engine");
+        assert_eq!(schur.num_shards(), 4);
+        let inner = DirectCholesky::default();
+        for (k, block) in schur.blocks.iter().enumerate() {
+            let interior = block.solver.matrix();
+            let stats = block.solver.supernode_stats().expect("direct interior");
+            assert_eq!(stats.ordering, "geometric", "shard {k}");
+            assert!(!block.degraded);
+            assert!(!block.cols.is_empty(), "shard {k} couples the interface");
+            let separate = inner.prepare(Arc::clone(interior)).unwrap();
+            let reference =
+                condense_columns(&separate, &inner, &block.a_ks, &block.a_sk, &block.cols).unwrap();
+            let scale = reference.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            assert!(scale > 0.0);
+            for (p, q) in reference.iter().zip(block.clique.iter()) {
+                assert!((p - q).abs() <= 1e-12 * scale, "shard {k}: {p} vs {q}");
+            }
+            // The leading factor solves the interior on its own.
+            let b: Vec<f64> = (0..interior.nrows())
+                .map(|i| (i % 7) as f64 - 3.0)
+                .collect();
+            let x = block.solver.solve(&b).unwrap().x;
+            assert!(interior.residual(&x, &b) <= 1e-12);
+        }
     }
 
     /// Bitwise-identity oracle of the incremental tests: the perturbed
@@ -1318,8 +1387,8 @@ mod tests {
 
     #[test]
     fn huge_shard_counts_cap_at_the_block_count() {
-        // Any count is a valid request: `usize::MAX` must neither overflow
-        // the shard-cache sizing nor plan differently from the block count.
+        // Any count is a valid request: `usize::MAX` must not plan
+        // differently from the block count.
         let a = hinted(3, 2, 6);
         let rhs = loads(a.nrows(), 2);
         let capped = Sharded::new(3 * 2).prepare(Arc::clone(&a)).unwrap();

@@ -134,6 +134,40 @@ impl PartitionHint {
         &self.spans
     }
 
+    /// The hint of the sub-operator made of `rows` (in that order), such as
+    /// one shard's interior: their spans, shifted to the origin of the
+    /// smallest block rectangle holding them all, over that rectangle's
+    /// grid. A shard's rows lie inside its region of the plan, so the
+    /// rectangle is that region (or inside it), and
+    /// [`FillOrdering::Auto`](crate::FillOrdering) dissects the interior
+    /// along the blocks it owns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is empty or names a row the hint does not describe.
+    pub(crate) fn restricted(&self, rows: &[usize]) -> PartitionHint {
+        let mut bbox = [usize::MAX, 0, usize::MAX, 0];
+        for &row in rows {
+            let [xl, xh, yl, yh] = self.spans[row];
+            bbox = [
+                bbox[0].min(xl),
+                bbox[1].max(xh),
+                bbox[2].min(yl),
+                bbox[3].max(yh),
+            ];
+        }
+        let [x0, x1, y0, y1] = bbox;
+        assert!(x0 <= x1, "partition hint: restriction to no rows");
+        let spans = rows
+            .iter()
+            .map(|&row| {
+                let [xl, xh, yl, yh] = self.spans[row];
+                [xl - x0, xh - x0, yl - y0, yh - y0]
+            })
+            .collect();
+        PartitionHint::new([x1 - x0 + 1, y1 - y0 + 1], spans)
+    }
+
     /// Rows per block of the grid (row-major, `nbx · nby` entries), each row
     /// counted at the lower-left block of its span — the weights the grid
     /// bisection balances, so cuts follow row counts, not block counts.
@@ -622,6 +656,22 @@ mod tests {
         assert_eq!(plan.num_shards(), 2);
         assert!(plan.interface().is_empty());
         check_invariants(&a, &plan);
+    }
+
+    #[test]
+    fn restricted_hint_covers_one_shard_from_its_own_origin() {
+        // 17×17 points on 4×4 blocks, quadrant plan: the upper-right shard
+        // owns blocks x, y ∈ {2, 3}, and its hint is a 2×2 grid from there.
+        let (a, hint) = hinted_grid(4, 4, 4);
+        let plan = ShardPlan::build_hinted(&a, 4, Some(&hint));
+        let rows = plan.shard_rows(3);
+        let sub = hint.restricted(rows);
+        assert_eq!(sub.grid(), [2, 2]);
+        assert_eq!(sub.num_rows(), rows.len());
+        for (local, &row) in rows.iter().enumerate() {
+            let [xl, xh, yl, yh] = hint.spans()[row];
+            assert_eq!(sub.spans()[local], [xl - 2, xh - 2, yl - 2, yh - 2]);
+        }
     }
 
     #[test]

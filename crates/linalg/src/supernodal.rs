@@ -74,6 +74,24 @@
 //!    operation order identical to the single-RHS path, so panel solves are
 //!    bitwise equal to looped solves.
 //!
+//! # The border
+//!
+//! [`SupernodalCholesky::factor_bordered`] stops the elimination early: the
+//! trailing `n − n_elim` permuted columns are a *border*. The symbolic
+//! phase starts a new supernode at `n_elim`, so every panel is either
+//! eliminated or border, and never queues a border panel as a descendant;
+//! the numeric phase assembles and updates border panels like any other
+//! but skips their in-panel Cholesky. Border panels therefore receive the
+//! updates of every eliminated panel and nothing else — they end as the
+//! Schur complement `A_bb − A_bi A_ii⁻¹ A_ib`, read out as a dense block —
+//! and the border rows, a suffix of every eliminated panel's row list, are
+//! cut from the leading factor afterwards. The task DAG is the full
+//! factorization's with the border panels as leaves, so the determinism
+//! contract below covers it unchanged, and a full factorization is the
+//! case `n_elim = n`. The sharded backend condenses each shard this way:
+//! its interior is the leading block, the interface DoFs it couples the
+//! border.
+//!
 //! # Determinism contract
 //!
 //! The parallel factorization is **bitwise identical** to the serial sweep
@@ -207,6 +225,13 @@ pub struct SupernodeStats {
 /// the serial and parallel numeric paths.
 struct Symbolic {
     n: usize,
+    /// Permuted columns `0..n_elim` are eliminated; the trailing border
+    /// `n_elim..n` is only accumulated (`n_elim == n` for a full factor).
+    n_elim: usize,
+    /// Supernodes `0..elim_sn` cover the eliminated columns; the rest are
+    /// border panels, which receive updates but are never factored and
+    /// never update anything themselves.
+    elim_sn: usize,
     /// Supernode `s` covers permuted columns `sn_ptr[s]..sn_ptr[s+1]`.
     sn_ptr: Vec<usize>,
     /// Row lists: supernode `s` owns `rows[row_ptr[s]..row_ptr[s+1]]`,
@@ -217,6 +242,8 @@ struct Symbolic {
     /// Dense panel layout: supernode `s` owns
     /// `values[val_ptr[s]..val_ptr[s+1]]`.
     val_ptr: Vec<usize>,
+    /// True nonzeros and widest panel of the *leading* factor (eliminated
+    /// columns, border rows excluded).
     true_nnz: usize,
     max_width: usize,
     /// Update schedule in CSR form: factoring supernode `s` applies the
@@ -278,16 +305,21 @@ impl Symbolic {
         self.sn_ptr.len() - 1
     }
 
-    /// Runs the full symbolic phase on the permuted operator. The
-    /// elimination tree is computed once, up front, and reused by the
-    /// column-count sweep, the amalgamation test, the row-structure sweep,
-    /// and the supernodal task schedule.
-    fn analyze(ap: &CsrMatrix, opts: &SupernodalOptions) -> Self {
+    /// Runs the full symbolic phase on the permuted operator, whose first
+    /// `n_elim` columns are to be eliminated and the rest accumulated as a
+    /// border. The elimination tree is computed once, up front, and reused
+    /// by the column-count sweep, the amalgamation test, the row-structure
+    /// sweep, and the supernodal task schedule.
+    fn analyze(ap: &CsrMatrix, n_elim: usize, opts: &SupernodalOptions) -> Self {
         let n = ap.nrows();
+        debug_assert!(n_elim <= n);
 
         // --- Column counts of L via the etree row sweep -------------------
+        // Rows k < n_elim reach only eliminated columns, so their entries
+        // (plus the diagonals) are exactly the leading factor's.
         let parent = etree(ap);
         let mut counts = vec![1usize; n]; // diagonal entries
+        let mut true_nnz = n_elim;
         {
             let mut w = vec![NONE; n];
             let mut stack = vec![0usize; n];
@@ -296,9 +328,11 @@ impl Symbolic {
                 for &i in &stack[top..n] {
                     counts[i] += 1;
                 }
+                if k < n_elim {
+                    true_nnz += n - top;
+                }
             }
         }
-        let true_nnz: usize = counts.iter().sum();
 
         // --- Supernode detection with relaxed amalgamation ----------------
         // Greedy left-to-right: extend the current supernode [c0..j) with
@@ -306,7 +340,8 @@ impl Symbolic {
         // row structure is {c0..j} ∪ pattern(j) \ {j}) and the padding
         // stays within budget. For a supernode [c0..c) the row structure
         // is {c0..c-1} ∪ (pattern(c-1) \ {c-1}), so the panel height is
-        // (c - c0) + counts[c-1] - 1 in closed form.
+        // (c - c0) + counts[c-1] - 1 in closed form. A supernode never
+        // straddles `n_elim`: the border starts a panel of its own.
         let max_width_cap = opts.max_width.max(1);
         let mut sn_ptr: Vec<usize> = vec![0];
         if n > 0 {
@@ -315,7 +350,7 @@ impl Symbolic {
             for j in 1..n {
                 let w = j - c0;
                 let mut accept = false;
-                if parent[j - 1] == j && w < max_width_cap {
+                if parent[j - 1] == j && w < max_width_cap && j != n_elim {
                     if counts[j - 1] == counts[j] + 1 {
                         // Fundamental: identical below-diagonal patterns,
                         // zero padding added.
@@ -344,13 +379,14 @@ impl Symbolic {
             sn_ptr.push(n);
         }
         let num_sn = sn_ptr.len() - 1;
+        let elim_sn = sn_ptr.partition_point(|&c| c < n_elim);
         let mut col_to_sn = vec![0usize; n];
         for s in 0..num_sn {
             for c in sn_ptr[s]..sn_ptr[s + 1] {
                 col_to_sn[c] = s;
             }
         }
-        let max_width = (0..num_sn)
+        let max_width = (0..elim_sn)
             .map(|s| sn_ptr[s + 1] - sn_ptr[s])
             .max()
             .unwrap_or(0);
@@ -440,7 +476,9 @@ impl Symbolic {
                 upd_ptr[s + 1] = upd.len();
                 let w = sn_ptr[s + 1] - sn_ptr[s];
                 let m = row_ptr[s + 1] - row_ptr[s];
-                if m > w {
+                // A border panel is never factored, so it updates nothing:
+                // border panels receive from eliminated panels only.
+                if m > w && s < elim_sn {
                     cursor[s] = w;
                     pending[col_to_sn[rows[row_ptr[s] + w]]].push(s);
                 }
@@ -518,10 +556,12 @@ impl Symbolic {
             cmb_ptr[s + 1] = cmb_dst.len();
             let nchunks = (chk_ptr[s + 1] - chk_ptr[s]) as u64;
             // Assembly + streamed updates + one element-wise root-chunk
-            // subtraction + dense in-panel Cholesky (the per-chunk folds
-            // are combine tasks with their own weights).
+            // subtraction + dense in-panel Cholesky, which border panels
+            // skip (the per-chunk folds are combine tasks with their own
+            // weights).
             let root_apply = if nchunks > 0 { (w * m) as u64 } else { 0 };
-            panel_weight[s] = ((w * m) as u64 + streamed + root_apply + (w * w * m) as u64).max(1);
+            let factor = if s < elim_sn { (w * w * m) as u64 } else { 0 };
+            panel_weight[s] = ((w * m) as u64 + streamed + root_apply + factor).max(1);
         }
 
         // --- Schedule span: longest weighted path through the task DAG ----
@@ -585,6 +625,8 @@ impl Symbolic {
 
         Self {
             n,
+            n_elim,
+            elim_sn,
             sn_ptr,
             row_ptr,
             rows,
@@ -607,6 +649,64 @@ impl Symbolic {
             total_work,
             metrics,
         }
+    }
+
+    /// Reads the accumulated border out of the border panels: a dense
+    /// `w × w` row-major block (`w = n − n_elim`), both triangles, from
+    /// each panel's lower triangle.
+    fn border_block(&self, values: &[f64]) -> Vec<f64> {
+        let w = self.n - self.n_elim;
+        let mut border = vec![0.0f64; w * w];
+        for s in self.elim_sn..self.num_sn() {
+            let rows_s = &self.rows[self.row_ptr[s]..self.row_ptr[s + 1]];
+            let m = rows_s.len();
+            let panel = &values[self.val_ptr[s]..self.val_ptr[s + 1]];
+            for (lc, c) in (self.sn_ptr[s]..self.sn_ptr[s + 1]).enumerate() {
+                let j = c - self.n_elim;
+                // Rows from the diagonal down (the diagonal block's rows
+                // come first, so `rows_s[lc] == c`).
+                for (&r, &v) in rows_s[lc..].iter().zip(&panel[lc * m + lc..(lc + 1) * m]) {
+                    let i = r - self.n_elim;
+                    border[i * w + j] = v;
+                    border[j * w + i] = v;
+                }
+            }
+        }
+        border
+    }
+
+    /// Cuts the factor storage down to the leading factor, in place: the
+    /// border panels go, and every eliminated panel drops its border rows —
+    /// a suffix of its row list, so each column keeps a prefix. Panels only
+    /// move toward the front, so one forward pass compacts without a second
+    /// buffer; the storage is then trimmed to exact capacity.
+    fn drop_border(&mut self, values: &mut Vec<f64>) {
+        let (mut rows_len, mut vals_len) = (0usize, 0usize);
+        for s in 0..self.elim_sn {
+            let (r0, r1) = (self.row_ptr[s], self.row_ptr[s + 1]);
+            let (m, v0) = (r1 - r0, self.val_ptr[s]);
+            let w = self.sn_ptr[s + 1] - self.sn_ptr[s];
+            let keep = self.rows[r0..r1].partition_point(|&r| r < self.n_elim);
+            self.row_ptr[s] = rows_len;
+            self.val_ptr[s] = vals_len;
+            self.rows.copy_within(r0..r0 + keep, rows_len);
+            for lc in 0..w {
+                let src = v0 + lc * m;
+                values.copy_within(src..src + keep, vals_len + lc * keep);
+            }
+            rows_len += keep;
+            vals_len += w * keep;
+        }
+        self.row_ptr[self.elim_sn] = rows_len;
+        self.val_ptr[self.elim_sn] = vals_len;
+        for ptr in [&mut self.sn_ptr, &mut self.row_ptr, &mut self.val_ptr] {
+            ptr.truncate(self.elim_sn + 1);
+            ptr.shrink_to_fit();
+        }
+        self.rows.truncate(rows_len);
+        self.rows.shrink_to_fit();
+        values.truncate(vals_len);
+        values.shrink_to_fit();
     }
 }
 
@@ -769,9 +869,9 @@ unsafe fn run_combine_task(sym: &Symbolic, kern: &dyn DenseKernel, acc: *mut f64
     kern.axpy(1.0, src, dst);
 }
 
-/// Assembles, updates and factors panel `s` in place — the task body
-/// shared verbatim by the serial sweep and the DAG, which is what makes
-/// the two paths bitwise identical.
+/// Assembles, updates and factors panel `s` in place (a border panel is
+/// left unfactored) — the task body shared verbatim by the serial sweep
+/// and the DAG, which is what makes the two paths bitwise identical.
 ///
 /// On a non-positive pivot, returns `Err((row, pivot))` in permuted
 /// coordinates.
@@ -836,7 +936,12 @@ unsafe fn run_panel_task(
         kern.axpy(-1.0, accbuf, panel);
     }
 
-    // Dense in-panel column Cholesky (left-looking within the panel).
+    // Dense in-panel column Cholesky (left-looking within the panel). A
+    // border panel stays as accumulated: its lower triangle is the Schur
+    // complement of the eliminated block.
+    if s >= sym.elim_sn {
+        return Ok(());
+    }
     kern.factor_panel(panel, m, w)
         .map_err(|(j, pivot)| (c0 + j, pivot))
 }
@@ -922,13 +1027,19 @@ impl SupernodalCholesky {
         opts: &SupernodalOptions,
     ) -> Result<Self, LinalgError> {
         let resolved = ordering.resolve(a);
-        let mut factor = Self::factor_with_permutation(a, resolved.permutation(a), opts)?;
-        factor.ordering = resolved.name();
-        Ok(factor)
+        Ok(Self::factor_with_permutation(a, resolved.permutation(a), opts)?.named(resolved.name()))
+    }
+
+    /// This factor reporting `ordering` as the ordering behind it (see
+    /// [`SupernodeStats::ordering`]).
+    pub(crate) fn named(mut self, ordering: &'static str) -> Self {
+        self.ordering = ordering;
+        self
     }
 
     /// Factors with a caller-supplied fill-reducing permutation and
-    /// supernode options.
+    /// supernode options: the [`factor_bordered`](Self::factor_bordered)
+    /// case with an empty border.
     ///
     /// With [`SupernodalOptions::parallel`] set (the default) the numeric
     /// phase runs as an elimination-tree task DAG on the current
@@ -938,11 +1049,55 @@ impl SupernodalCholesky {
     /// # Errors
     ///
     /// Same as [`SupernodalCholesky::factor`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is square and `perm.len() != a.nrows()`.
     pub fn factor_with_permutation(
         a: &CsrMatrix,
         perm: Permutation,
         opts: &SupernodalOptions,
     ) -> Result<Self, LinalgError> {
+        assert!(
+            a.nrows() != a.ncols() || perm.len() == a.nrows(),
+            "supernodal Cholesky: permutation length"
+        );
+        Self::factor_bordered(a, perm, opts).map(|(factor, _)| factor)
+    }
+
+    /// Partial factorization of a *bordered* operator: eliminates the
+    /// leading `n_elim = lead.len()` rows and columns of `a` (ordered by
+    /// `lead`) and leaves the trailing border `n_elim..n` accumulated but
+    /// not factored.
+    ///
+    /// With `a = [A_ii A_ib; A_bi A_bb]` (leading block `i`, border `b`)
+    /// this returns
+    ///
+    /// * the Cholesky factor of `A_ii` — a solver of dimension `n_elim`
+    ///   under permutation `lead`, stored at exact capacity;
+    /// * the Schur complement `A_bb − A_bi A_ii⁻¹ A_ib` as a dense
+    ///   `(n − n_elim)²` row-major block with both triangles filled, border
+    ///   rows in their natural order. When `a` stores no border–border
+    ///   entries this is `−A_bi A_ii⁻¹ A_ib`: the condensation of the border
+    ///   comes out of the same sweep that factors the leading block.
+    ///
+    /// The border is never pivoted: `A_bb` and the Schur complement may be
+    /// indefinite (or zero); only `A_ii` must be positive definite. The
+    /// numeric phase is the full factorization's task DAG with the border
+    /// panels as leaves, so the results are bitwise identical at every pool
+    /// cap, and `n_elim = n` is exactly
+    /// [`factor_with_permutation`](Self::factor_with_permutation).
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::NotPositiveDefinite`] if a pivot of the leading block
+    /// is non-positive; [`LinalgError::DimensionMismatch`] if `a` is not
+    /// square or `lead` is longer than `a`.
+    pub fn factor_bordered(
+        a: &CsrMatrix,
+        lead: Permutation,
+        opts: &SupernodalOptions,
+    ) -> Result<(Self, Vec<f64>), LinalgError> {
         if a.nrows() != a.ncols() {
             return Err(LinalgError::DimensionMismatch {
                 context: "supernodal Cholesky (matrix must be square)",
@@ -951,36 +1106,34 @@ impl SupernodalCholesky {
             });
         }
         let n = a.nrows();
-        if n == 0 {
-            return Ok(Self {
-                n,
-                perm,
-                sn_ptr: vec![0],
-                row_ptr: vec![0],
-                rows: Vec::new(),
-                val_ptr: vec![0],
-                values: Vec::new(),
-                true_nnz: 0,
-                max_width: 0,
-                etree_height: 0,
-                critical_path: 0,
-                total_work: 0,
-                max_subtree_weight: 0,
-                mean_subtree_weight: 0.0,
-                factor_workers: 1,
-                kernel: opts.kernel,
-                ordering: "supplied",
+        let n_elim = lead.len();
+        if n_elim > n {
+            return Err(LinalgError::DimensionMismatch {
+                context: "bordered supernodal Cholesky (leading block larger than the matrix)",
+                expected: n,
+                found: n_elim,
             });
         }
-        let ap = a.permuted_symmetric(&perm);
-        let sym = Symbolic::analyze(&ap, opts);
+        // The border keeps its natural order behind the leading block.
+        let bordered = (n_elim < n).then(|| {
+            Permutation::new(lead.as_slice().iter().copied().chain(n_elim..n).collect())
+                .expect("a permutation of the leading block extends to the whole operator")
+        });
+        let ap = a.permuted_symmetric(bordered.as_ref().unwrap_or(&lead));
+        drop(bordered);
+        let mut sym = Symbolic::analyze(&ap, n_elim, opts);
         let mut values = vec![0.0f64; sym.val_ptr[sym.num_sn()]];
         let factor_workers =
             Self::factor_numeric(&sym, &ap, &mut values, opts.parallel, opts.kernel.kernel())?;
+        drop(ap);
+        let border = sym.border_block(&values);
+        if n_elim < n {
+            sym.drop_border(&mut values);
+        }
 
-        Ok(Self {
-            n,
-            perm,
+        let factor = Self {
+            n: n_elim,
+            perm: lead,
             sn_ptr: sym.sn_ptr,
             row_ptr: sym.row_ptr,
             rows: sym.rows,
@@ -996,7 +1149,8 @@ impl SupernodalCholesky {
             factor_workers,
             kernel: opts.kernel,
             ordering: "supplied",
-        })
+        };
+        Ok((factor, border))
     }
 
     /// The numeric phase: runs every update-chunk and panel task exactly
@@ -1346,7 +1500,8 @@ impl MemoryFootprint for SupernodalCholesky {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_operators::{hinted_lattice, laplacian_2d};
+    use crate::ordering::geometric_dissection;
+    use crate::test_operators::{hinted_grid, hinted_lattice, laplacian_2d};
     use crate::{CooMatrix, SparseCholesky};
 
     #[test]
@@ -1363,13 +1518,68 @@ mod tests {
         assert!(a.residual(&x_super, &b) < 1e-12);
     }
 
+    /// `a` without the entries among its trailing rows and columns
+    /// `n_elim..`: the bordered operator `[A_ii A_ib; A_bi 0]`.
+    fn zero_border(a: &CsrMatrix, n_elim: usize) -> CsrMatrix {
+        let n = a.nrows();
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..n {
+            let (cols, vals) = a.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                if i < n_elim || j < n_elim {
+                    coo.push(i, j, v);
+                }
+            }
+        }
+        coo.to_csr()
+    }
+
+    /// The leading block `A_ii` of `a` (rows and columns `0..n_elim`).
+    fn leading_block(a: &CsrMatrix, n_elim: usize) -> CsrMatrix {
+        let map: Vec<Option<usize>> = (0..a.nrows()).map(|i| (i < n_elim).then_some(i)).collect();
+        a.extract(&(0..n_elim).collect::<Vec<_>>(), &map, n_elim)
+    }
+
+    /// The scalar oracle of the border block, `−A_bi A_ii⁻¹ A_ib` row-major:
+    /// one `SparseCholesky` solve per border column.
+    fn scalar_condensation(a: &CsrMatrix, n_elim: usize) -> Vec<f64> {
+        let w = a.nrows() - n_elim;
+        let chol = SparseCholesky::factor(&leading_block(a, n_elim)).unwrap();
+        let mut s = vec![0.0; w * w];
+        for j in 0..w {
+            let col: Vec<f64> = (0..n_elim).map(|i| a.get(i, n_elim + j)).collect();
+            let x = chol.solve(&col);
+            for i in 0..w {
+                let (cols, vals) = a.row(n_elim + i);
+                let dot: f64 = cols
+                    .iter()
+                    .zip(vals)
+                    .filter(|(&c, _)| c < n_elim)
+                    .map(|(&c, &v)| v * x[c])
+                    .sum();
+                s[i * w + j] = -dot;
+            }
+        }
+        s
+    }
+
+    /// The bordered 17×11 Laplacian of the bitwise tests: its top line of
+    /// points is the border, the rest ordered by RCM.
+    fn bordered_laplacian() -> (CsrMatrix, Permutation) {
+        let a = zero_border(&laplacian_2d(17, 11), 17 * 10);
+        let lead = FillOrdering::Rcm.permutation(&leading_block(&a, 17 * 10));
+        (a, lead)
+    }
+
     #[test]
     fn parallel_factor_is_bitwise_equal_to_serial() {
         let a = laplacian_2d(17, 11);
         let perm = FillOrdering::Rcm.permutation(&a);
+        let (bordered, lead) = bordered_laplacian();
         // A tiny chunk budget forces real update-chunk tasks (and their
         // combine trees) even at this size, so all three task kinds of
-        // the DAG are exercised — for every kernel this host resolves.
+        // the DAG are exercised — for every kernel this host resolves, on
+        // the full and on the bordered factorization.
         for &kernel in KernelChoice::available() {
             for chunk_work in [SupernodalOptions::default().chunk_work, 64] {
                 let opts = SupernodalOptions {
@@ -1377,38 +1587,128 @@ mod tests {
                     kernel,
                     ..SupernodalOptions::default()
                 };
-                let serial = SupernodalCholesky::factor_with_permutation(
-                    &a,
-                    perm.clone(),
-                    &SupernodalOptions {
-                        parallel: false,
-                        ..opts
-                    },
-                )
-                .unwrap();
+                let serial_opts = SupernodalOptions {
+                    parallel: false,
+                    ..opts
+                };
+                let serial =
+                    SupernodalCholesky::factor_with_permutation(&a, perm.clone(), &serial_opts)
+                        .unwrap();
                 assert_eq!(serial.factor_workers(), 1);
+                let (serial_lead, serial_border) =
+                    SupernodalCholesky::factor_bordered(&bordered, lead.clone(), &serial_opts)
+                        .unwrap();
                 for cap in [1usize, 2, 8] {
-                    let parallel = WorkPool::new(cap).install(|| {
-                        SupernodalCholesky::factor_with_permutation(&a, perm.clone(), &opts)
-                            .unwrap()
-                    });
+                    let (parallel, (parallel_lead, parallel_border)) =
+                        WorkPool::new(cap).install(|| {
+                            (
+                                SupernodalCholesky::factor_with_permutation(
+                                    &a,
+                                    perm.clone(),
+                                    &opts,
+                                )
+                                .unwrap(),
+                                SupernodalCholesky::factor_bordered(&bordered, lead.clone(), &opts)
+                                    .unwrap(),
+                            )
+                        });
                     assert!(parallel.factor_workers() <= cap.max(1));
-                    assert_eq!(serial.factor_values().len(), parallel.factor_values().len());
-                    for (i, (p, q)) in serial
-                        .factor_values()
-                        .iter()
-                        .zip(parallel.factor_values())
-                        .enumerate()
-                    {
-                        assert_eq!(
-                            p.to_bits(),
-                            q.to_bits(),
-                            "panel entry {i} at cap {cap} (chunk_work {chunk_work}, kernel {})",
-                            kernel.resolved_name()
-                        );
+                    let what = format!(
+                        "cap {cap} (chunk_work {chunk_work}, kernel {})",
+                        kernel.resolved_name()
+                    );
+                    for (serial, parallel) in [
+                        (serial.factor_values(), parallel.factor_values()),
+                        (serial_lead.factor_values(), parallel_lead.factor_values()),
+                        (&serial_border[..], &parallel_border[..]),
+                    ] {
+                        assert_eq!(serial.len(), parallel.len());
+                        for (i, (p, q)) in serial.iter().zip(parallel).enumerate() {
+                            assert_eq!(p.to_bits(), q.to_bits(), "entry {i} at {what}");
+                        }
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn bordered_factor_condenses_the_border() {
+        // A hinted lattice whose top line of points is the border, with no
+        // border–border entries; the leading block is dissected along the
+        // blocks below it.
+        let (a, hint) = hinted_grid(4, 3, 5);
+        let (n, w) = (a.nrows(), 4 * 5 + 1);
+        let n_elim = n - w;
+        let bordered = zero_border(&a, n_elim);
+        let lead = geometric_dissection(&hint.restricted(&(0..n_elim).collect::<Vec<_>>()));
+        for opts in [
+            SupernodalOptions::default(),
+            SupernodalOptions {
+                max_width: 3,
+                chunk_work: 64,
+                ..SupernodalOptions::default()
+            },
+        ] {
+            let (factor, border) =
+                SupernodalCholesky::factor_bordered(&bordered, lead.clone(), &opts).unwrap();
+            assert_eq!(factor.dim(), n_elim);
+            let reference = scalar_condensation(&bordered, n_elim);
+            assert_eq!(border.len(), reference.len());
+            let scale = reference.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            assert!(scale > 0.0);
+            for (p, q) in reference.iter().zip(&border) {
+                assert!((p - q).abs() <= 1e-12 * scale, "{p} vs {q}");
+            }
+            // The leading factor solves A_ii on its own, from storage that
+            // holds no border row and no slack.
+            let a_ii = leading_block(&a, n_elim);
+            let b: Vec<f64> = (0..n_elim).map(|i| (i % 9) as f64 - 4.0).collect();
+            assert!(a_ii.residual(&factor.solve(&b), &b) <= 1e-12);
+            assert!(factor.rows.iter().all(|&r| r < n_elim));
+            assert_eq!(factor.values.capacity(), factor.values.len());
+            assert_eq!(factor.rows.capacity(), factor.rows.len());
+            let stats = factor.stats();
+            assert!(stats.true_nnz <= stats.stored_nnz);
+            // Same fill as factoring A_ii alone under the same ordering.
+            let alone =
+                SupernodalCholesky::factor_with_permutation(&a_ii, lead.clone(), &opts).unwrap();
+            assert_eq!(stats.true_nnz, alone.stats().true_nnz);
+        }
+    }
+
+    #[test]
+    fn bordered_factor_never_pivots_the_border() {
+        // [A_ii A_ib; A_bi 0] with an SPD A_ii is indefinite as a whole:
+        // the full factorization must reject it, the bordered one must
+        // eliminate A_ii and hand back −A_bi A_ii⁻¹ A_ib = −15/11.
+        let mut coo = CooMatrix::new(3, 3);
+        for (i, j, v) in [
+            (0, 0, 4.0),
+            (0, 1, 1.0),
+            (1, 1, 3.0),
+            (0, 2, 1.0),
+            (1, 2, 2.0),
+        ] {
+            coo.push(i, j, v);
+            if i != j {
+                coo.push(j, i, v);
+            }
+        }
+        let a = coo.to_csr();
+        for parallel in [false, true] {
+            let opts = SupernodalOptions {
+                parallel,
+                ..SupernodalOptions::default()
+            };
+            assert!(matches!(
+                SupernodalCholesky::factor_with_permutation(&a, Permutation::identity(3), &opts),
+                Err(LinalgError::NotPositiveDefinite { .. })
+            ));
+            let (factor, border) =
+                SupernodalCholesky::factor_bordered(&a, Permutation::identity(2), &opts).unwrap();
+            assert_eq!(factor.dim(), 2);
+            assert!((border[0] + 15.0 / 11.0).abs() <= 1e-15, "{border:?}");
         }
     }
 

@@ -8,11 +8,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use morestress_linalg::{
-    dot, dot_panel, reverse_cuthill_mckee, solve_cg, solve_gmres, Auto, CgOptions, CooMatrix,
-    CsrMatrix, DenseKernel, DenseMatrix, DirectCholesky, FactorCache, FaultPlan, FillOrdering,
-    GmresOptions, JacobiPreconditioner, KernelChoice, LinalgError, PartitionHint, Permutation,
-    ScalarKernel, ShardPlan, Sharded, SolverBackend, SparseCholesky, SupernodalCholesky,
-    SupernodalOptions, TaskDag, WorkPool,
+    dot, dot_panel, geometric_dissection, reverse_cuthill_mckee, solve_cg, solve_gmres, Auto,
+    CgOptions, CooMatrix, CsrMatrix, DenseKernel, DenseMatrix, DirectCholesky, FactorCache,
+    FaultPlan, FillOrdering, GmresOptions, JacobiPreconditioner, KernelChoice, LinalgError,
+    PartitionHint, Permutation, ScalarKernel, ShardPlan, Sharded, SolverBackend, SparseCholesky,
+    SupernodalCholesky, SupernodalOptions, TaskDag, WorkPool,
 };
 use proptest::prelude::*;
 
@@ -54,16 +54,7 @@ fn spd_strategy(n: usize) -> impl Strategy<Value = CsrMatrix> {
 fn hinted_lattice(bx: usize, by: usize, m: usize) -> (CsrMatrix, PartitionHint) {
     let (nx, ny) = (bx * m + 1, by * m + 1);
     let idx = |x: usize, y: usize| y * nx + x;
-    let span1 = |c: usize, blocks: usize| -> [usize; 2] {
-        if c.is_multiple_of(m) {
-            let plane = c / m;
-            [plane.saturating_sub(1), plane.min(blocks - 1)]
-        } else {
-            [c / m, c / m]
-        }
-    };
     let mut coo = CooMatrix::new(nx * ny, nx * ny);
-    let mut spans = Vec::with_capacity(nx * ny);
     for y in 0..ny {
         for x in 0..nx {
             let v = idx(x, y);
@@ -76,12 +67,84 @@ fn hinted_lattice(bx: usize, by: usize, m: usize) -> (CsrMatrix, PartitionHint) 
                 coo.push(v, idx(x, y + 1), -1.0);
                 coo.push(idx(x, y + 1), v, -1.0);
             }
-            let sx = span1(x, bx);
-            let sy = span1(y, by);
+        }
+    }
+    (
+        coo.to_csr(),
+        PartitionHint::new([bx, by], lattice_spans(bx, by, m)),
+    )
+}
+
+/// The block span of every point of [`hinted_lattice`], in point order.
+fn lattice_spans(bx: usize, by: usize, m: usize) -> Vec<[usize; 4]> {
+    let (nx, ny) = (bx * m + 1, by * m + 1);
+    let span1 = |c: usize, blocks: usize| -> [usize; 2] {
+        if c.is_multiple_of(m) {
+            let plane = c / m;
+            [plane.saturating_sub(1), plane.min(blocks - 1)]
+        } else {
+            [c / m, c / m]
+        }
+    };
+    let mut spans = Vec::with_capacity(nx * ny);
+    for y in 0..ny {
+        for x in 0..nx {
+            let (sx, sy) = (span1(x, bx), span1(y, by));
             spans.push([sx[0], sx[1], sy[0], sy[1]]);
         }
     }
-    (coo.to_csr(), PartitionHint::new([bx, by], spans))
+    spans
+}
+
+/// `a` without the entries among its trailing rows and columns
+/// `n_elim..`: the bordered operator `[A_ii A_ib; A_bi 0]`.
+fn zero_border(a: &CsrMatrix, n_elim: usize) -> CsrMatrix {
+    let n = a.nrows();
+    let mut coo = CooMatrix::new(n, n);
+    for i in 0..n {
+        let (cols, vals) = a.row(i);
+        for (&j, &v) in cols.iter().zip(vals) {
+            if i < n_elim || j < n_elim {
+                coo.push(i, j, v);
+            }
+        }
+    }
+    coo.to_csr()
+}
+
+/// The leading block `A_ii` of `a` (rows and columns `0..n_elim`).
+fn leading_block(a: &CsrMatrix, n_elim: usize) -> CsrMatrix {
+    let map: Vec<Option<usize>> = (0..a.nrows()).map(|i| (i < n_elim).then_some(i)).collect();
+    a.extract(&(0..n_elim).collect::<Vec<_>>(), &map, n_elim)
+}
+
+/// Checks one bordered factorization of `bordered` against the scalar
+/// oracle: the border block is `−A_bi A_ii⁻¹ A_ib` (one `SparseCholesky`
+/// solve per border column) and the leading factor solves `A_ii`, both to
+/// ≤1e-12 relative.
+fn check_bordered(bordered: &CsrMatrix, factor: &SupernodalCholesky, border: &[f64]) {
+    let n_elim = factor.dim();
+    let w = bordered.nrows() - n_elim;
+    let a_ii = leading_block(bordered, n_elim);
+    let chol = SparseCholesky::factor(&a_ii).expect("SPD leading block");
+    let mut reference = vec![0.0; w * w];
+    for j in 0..w {
+        let col: Vec<f64> = (0..n_elim).map(|i| bordered.get(i, n_elim + j)).collect();
+        let x = chol.solve(&col);
+        for i in 0..w {
+            let (cols, vals) = bordered.row(n_elim + i);
+            let dot: f64 = cols.iter().zip(vals).map(|(&c, &v)| v * x[c]).sum();
+            reference[i * w + j] = -dot;
+        }
+    }
+    prop_assert_eq!(border.len(), w * w);
+    let scale = reference.iter().fold(1e-300f64, |m, v| m.max(v.abs()));
+    for (p, q) in reference.iter().zip(border) {
+        prop_assert!((p - q).abs() <= 1e-12 * scale, "border {} vs {}", p, q);
+    }
+    let b: Vec<f64> = (0..n_elim).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
+    let residual = a_ii.residual(&factor.solve(&b), &b);
+    prop_assert!(residual <= 1e-12, "leading residual {}", residual);
 }
 
 proptest! {
@@ -618,6 +681,72 @@ proptest! {
                     .expect("SPD")
             });
             for (p, q) in serial.factor_values().iter().zip(parallel.factor_values()) {
+                prop_assert_eq!(p.to_bits(), q.to_bits(), "cap {}", cap);
+            }
+        }
+    }
+
+    /// The bordered partial factorization's contract on random SPD
+    /// operators whose trailing `w` rows are a border with no
+    /// border–border entries (indefinite as a whole): the border block is
+    /// the scalar oracle's condensation and the leading factor solves
+    /// `A_ii`, whatever the supernode shape and chunking.
+    #[test]
+    fn bordered_factor_matches_the_scalar_condensation(a in spd_strategy(14),
+                                                       w in 1usize..7,
+                                                       max_width in 1usize..6,
+                                                       chunk_exp in 4usize..19) {
+        let n_elim = a.nrows() - w;
+        let bordered = zero_border(&a, n_elim);
+        let lead = FillOrdering::Rcm.permutation(&leading_block(&a, n_elim));
+        let opts = SupernodalOptions {
+            max_width,
+            chunk_work: 1u64 << chunk_exp,
+            ..Default::default()
+        };
+        let (factor, border) =
+            SupernodalCholesky::factor_bordered(&bordered, lead, &opts).expect("SPD leading block");
+        check_bordered(&bordered, &factor, &border);
+    }
+
+    /// Same contract on hinted lattices bordered by their top line of
+    /// points, the leading block dissected along its blocks; the bordered
+    /// factorization is bitwise identical at every pool cap.
+    #[test]
+    fn bordered_lattice_matches_the_scalar_condensation(bx in 2usize..5,
+                                                        by in 2usize..4,
+                                                        m in 3usize..6,
+                                                        jitter in prop::collection::vec(0.0f64..1.0, 16),
+                                                        chunk_exp in 4usize..19) {
+        let (mut a, _) = hinted_lattice(bx, by, m);
+        for i in 0..a.nrows() {
+            a.add_at(i, i, jitter[i % jitter.len()]);
+        }
+        let n_elim = a.nrows() - (bx * m + 1);
+        let bordered = zero_border(&a, n_elim);
+        let mut spans = lattice_spans(bx, by, m);
+        spans.truncate(n_elim);
+        let lead = geometric_dissection(&PartitionHint::new([bx, by], spans));
+        let opts = SupernodalOptions { chunk_work: 1u64 << chunk_exp, ..Default::default() };
+        let (factor, border) = SupernodalCholesky::factor_bordered(
+            &bordered,
+            lead.clone(),
+            &SupernodalOptions { parallel: false, ..opts },
+        )
+        .expect("SPD leading block");
+        check_bordered(&bordered, &factor, &border);
+        for cap in [1usize, 2, 8] {
+            let (parallel, parallel_border) = WorkPool::new(cap).install(|| {
+                SupernodalCholesky::factor_bordered(&bordered, lead.clone(), &opts)
+                    .expect("SPD leading block")
+            });
+            prop_assert_eq!(factor.factor_values().len(), parallel.factor_values().len());
+            for (p, q) in factor
+                .factor_values()
+                .iter()
+                .chain(&border)
+                .zip(parallel.factor_values().iter().chain(&parallel_border))
+            {
                 prop_assert_eq!(p.to_bits(), q.to_bits(), "cap {}", cap);
             }
         }

@@ -3,11 +3,13 @@
 //! block patch to dummy silicon and re-solves with
 //! [`MoreStressSimulator::resolve_perturbed`]. A swap is value-only (the
 //! lattice pattern depends only on the array shape), so the hoisted
-//! sharded backend re-factors just the shards the patch touches, reuses
-//! every other shard's factor and stored clique, and rebuilds only the
-//! small interface system — the per-move economics a placement or
-//! optimization loop actually pays. The incremental answer is bitwise
-//! identical to a from-scratch solve of the same layout.
+//! sharded backend re-factors just the shards the patch touches — each in
+//! one bordered partial factorization that yields its interior factor and
+//! its interface clique together — reuses every other shard's factor and
+//! stored clique, and rebuilds only the small interface system: the
+//! per-move economics a placement or optimization loop actually pays. The
+//! incremental answer is bitwise identical to a from-scratch solve of the
+//! same layout.
 //!
 //! Run with:
 //! ```sh
