@@ -109,7 +109,12 @@ pub enum VerifyChoice {
 /// verification.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverSpec {
-    /// Interpolation nodes per axis (the accuracy knob, Table 3).
+    /// Interpolation nodes per block edge, one count per axis `[x, y, z]`
+    /// (the accuracy knob, Table 3): the number of equispaced Lagrange
+    /// nodes along that edge, both corners included, so at least 2. Only
+    /// the nodes on the block surface carry DoFs; the paper's Eq. 16
+    /// counts them as `n = 3·[nx·ny·nz − (nx−2)(ny−2)(nz−2)]`, so
+    /// `[4, 4, 4]` — the paper's setting — gives `n = 168`.
     pub interp_num: [usize; 3],
     /// Unit-block mesh resolution (`coarse` | `medium` | `fine`).
     pub resolution: ResolutionChoice,

@@ -17,11 +17,17 @@
 //!
 //! `#` starts a comment anywhere; tabs in indentation are rejected
 //! ([`YamlErrorKind::Tab`]); inconsistent indentation is rejected with the
-//! offending line ([`YamlErrorKind::BadIndent`]). Every node carries the
-//! 1-based line it started on, so spec-level validation can point at the
-//! source.
+//! offending line ([`YamlErrorKind::BadIndent`]); so is nesting deeper than
+//! [`MAX_DEPTH`] blocks ([`YamlErrorKind::TooDeep`]), which bounds the
+//! parser's recursion whatever the input. Every node carries the 1-based
+//! line it started on, so spec-level validation can point at the source.
 
 use std::fmt;
+
+/// Deepest block nesting a document may use. The campaign schema nests
+/// three levels (`tsv_array:` → item → key), so this leaves ample room
+/// while keeping the recursive descent a few dozen frames deep.
+pub const MAX_DEPTH: usize = 32;
 
 /// A parsed node: the 1-based source line it starts on plus its value.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,6 +73,9 @@ pub enum YamlErrorKind {
     DuplicateKey(String),
     /// A map entry and a sequence item mixed at one nesting level.
     MixedBlock,
+    /// A block nested deeper than [`MAX_DEPTH`] levels; the line is the
+    /// first one past the limit.
+    TooDeep,
 }
 
 impl fmt::Display for YamlError {
@@ -89,6 +98,11 @@ impl fmt::Display for YamlError {
             YamlErrorKind::MixedBlock => write!(
                 f,
                 "line {}: map entries and sequence items mixed in one block",
+                self.line
+            ),
+            YamlErrorKind::TooDeep => write!(
+                f,
+                "line {}: blocks nested deeper than {MAX_DEPTH} levels",
                 self.line
             ),
         }
@@ -132,6 +146,8 @@ fn scan_lines(text: &str) -> Result<Vec<Line>, YamlError> {
 }
 
 /// Parses a document into its root node (a map for every campaign spec).
+/// A document with no significant line is an empty map on line 0, the
+/// whole-document line: it has no token to point at.
 ///
 /// # Errors
 ///
@@ -140,13 +156,13 @@ pub fn parse(text: &str) -> Result<Node, YamlError> {
     let lines = scan_lines(text)?;
     if lines.is_empty() {
         return Ok(Node {
-            line: 1,
+            line: 0,
             value: Value::Map(Vec::new()),
         });
     }
     let root_indent = lines[0].indent;
     let mut cursor = 0;
-    let node = parse_block(&lines, &mut cursor, root_indent)?;
+    let node = parse_block(&lines, &mut cursor, root_indent, 0)?;
     if cursor < lines.len() {
         // Only reachable via an indent shallower than the document root.
         return Err(YamlError {
@@ -158,10 +174,21 @@ pub fn parse(text: &str) -> Result<Node, YamlError> {
 }
 
 /// Parses the block starting at `lines[*cursor]`, whose items all sit at
-/// exactly `indent` columns. Leaves `*cursor` on the first line outside
-/// the block.
-fn parse_block(lines: &[Line], cursor: &mut usize, indent: usize) -> Result<Node, YamlError> {
+/// exactly `indent` columns and which is nested `depth` blocks below the
+/// root. Leaves `*cursor` on the first line outside the block.
+fn parse_block(
+    lines: &[Line],
+    cursor: &mut usize,
+    indent: usize,
+    depth: usize,
+) -> Result<Node, YamlError> {
     let start_line = lines[*cursor].number;
+    if depth > MAX_DEPTH {
+        return Err(YamlError {
+            line: start_line,
+            kind: YamlErrorKind::TooDeep,
+        });
+    }
     let is_seq = lines[*cursor].content == "-" || lines[*cursor].content.starts_with("- ");
     let mut map: Vec<(String, Node)> = Vec::new();
     let mut seq: Vec<Node> = Vec::new();
@@ -185,9 +212,9 @@ fn parse_block(lines: &[Line], cursor: &mut usize, indent: usize) -> Result<Node
             });
         }
         if is_seq {
-            seq.push(parse_seq_item(lines, cursor, indent)?);
+            seq.push(parse_seq_item(lines, cursor, indent, depth)?);
         } else {
-            let (key, node) = parse_map_entry(lines, cursor, indent)?;
+            let (key, node) = parse_map_entry(lines, cursor, indent, depth)?;
             if map.iter().any(|(k, _)| *k == key) {
                 return Err(YamlError {
                     line: node.line,
@@ -208,11 +235,13 @@ fn parse_block(lines: &[Line], cursor: &mut usize, indent: usize) -> Result<Node
     })
 }
 
-/// Parses one `key: value` / `key:` entry (consuming any nested block).
+/// Parses one `key: value` / `key:` entry of a map nested `depth` blocks
+/// deep (consuming any nested block).
 fn parse_map_entry(
     lines: &[Line],
     cursor: &mut usize,
     indent: usize,
+    depth: usize,
 ) -> Result<(String, Node), YamlError> {
     let line = &lines[*cursor];
     let Some((key, rest)) = split_key(&line.content) else {
@@ -235,7 +264,7 @@ fn parse_map_entry(
     // `key:` — the value is the following deeper block (or an empty map).
     if *cursor < lines.len() && lines[*cursor].indent > indent {
         let child_indent = lines[*cursor].indent;
-        let node = parse_block(lines, cursor, child_indent)?;
+        let node = parse_block(lines, cursor, child_indent, depth + 1)?;
         Ok((key, node))
     } else {
         Ok((
@@ -248,10 +277,16 @@ fn parse_map_entry(
     }
 }
 
-/// Parses one sequence item: `- scalar`, a bare `-` followed by a deeper
-/// block, or the compact `- key: value` map form whose further entries
-/// continue two columns in (aligned under the inline key).
-fn parse_seq_item(lines: &[Line], cursor: &mut usize, indent: usize) -> Result<Node, YamlError> {
+/// Parses one item of a sequence nested `depth` blocks deep: `- scalar`, a
+/// bare `-` followed by a deeper block, or the compact `- key: value` map
+/// form (one block deeper) whose further entries continue two columns in
+/// (aligned under the inline key).
+fn parse_seq_item(
+    lines: &[Line],
+    cursor: &mut usize,
+    indent: usize,
+    depth: usize,
+) -> Result<Node, YamlError> {
     let line = &lines[*cursor];
     let number = line.number;
     let inline = line.content[1..].trim_start().to_string();
@@ -260,7 +295,7 @@ fn parse_seq_item(lines: &[Line], cursor: &mut usize, indent: usize) -> Result<N
         *cursor += 1;
         if *cursor < lines.len() && lines[*cursor].indent > indent {
             let child_indent = lines[*cursor].indent;
-            return parse_block(lines, cursor, child_indent);
+            return parse_block(lines, cursor, child_indent, depth + 1);
         }
         return Err(YamlError {
             line: number,
@@ -271,12 +306,16 @@ fn parse_seq_item(lines: &[Line], cursor: &mut usize, indent: usize) -> Result<N
         // Compact map item: the inline entry plus continuation lines
         // indented to the inline key's column.
         let item_indent = indent + 2;
+        let item_depth = depth + 1;
         let mut map: Vec<(String, Node)> = Vec::new();
         if rest.is_empty() {
             *cursor += 1;
             if *cursor < lines.len() && lines[*cursor].indent > item_indent {
                 let child_indent = lines[*cursor].indent;
-                map.push((key, parse_block(lines, cursor, child_indent)?));
+                map.push((
+                    key,
+                    parse_block(lines, cursor, child_indent, item_depth + 1)?,
+                ));
             } else {
                 map.push((
                     key,
@@ -297,7 +336,7 @@ fn parse_seq_item(lines: &[Line], cursor: &mut usize, indent: usize) -> Result<N
             *cursor += 1;
         }
         while *cursor < lines.len() && lines[*cursor].indent == item_indent {
-            let (key, node) = parse_map_entry(lines, cursor, item_indent)?;
+            let (key, node) = parse_map_entry(lines, cursor, item_indent, item_depth)?;
             if map.iter().any(|(k, _)| *k == key) {
                 return Err(YamlError {
                     line: node.line,
@@ -431,5 +470,42 @@ arrays:
         ));
         let mixed = "a: 1\n- b\n";
         assert_eq!(parse(mixed).unwrap_err().kind, YamlErrorKind::MixedBlock);
+    }
+
+    /// `levels` maps, each nested one block (two columns) below the last.
+    fn nested_maps(levels: usize) -> String {
+        (0..levels)
+            .map(|level| format!("{:width$}k:\n", "", width = 2 * level))
+            .collect()
+    }
+
+    #[test]
+    fn nesting_is_bounded_and_the_first_line_past_it_is_named() {
+        // The root block is depth 0, so `MAX_DEPTH + 1` keys open exactly
+        // `MAX_DEPTH` nested blocks.
+        assert!(parse(&nested_maps(MAX_DEPTH + 1)).is_ok());
+        assert_eq!(
+            parse(&nested_maps(MAX_DEPTH + 2)).unwrap_err(),
+            YamlError {
+                line: MAX_DEPTH + 2,
+                kind: YamlErrorKind::TooDeep
+            }
+        );
+        // Sequences count too: bare `-` items and compact map items.
+        let dashes: String = (0..2 * MAX_DEPTH)
+            .map(|level| format!("{:width$}-\n", "", width = 2 * level))
+            .collect();
+        assert_eq!(parse(&dashes).unwrap_err().kind, YamlErrorKind::TooDeep);
+        let compact: String = (0..2 * MAX_DEPTH)
+            .map(|level| format!("{:width$}- k:\n", "", width = 4 * level))
+            .collect();
+        assert_eq!(parse(&compact).unwrap_err().kind, YamlErrorKind::TooDeep);
+    }
+
+    #[test]
+    fn a_2000_level_document_is_an_error_not_a_stack_overflow() {
+        let err = parse(&nested_maps(2000)).unwrap_err();
+        assert_eq!(err.kind, YamlErrorKind::TooDeep);
+        assert_eq!(err.line, MAX_DEPTH + 2);
     }
 }

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use morestress_fem::{
-    solve_thermal_stress_many, stress_at, DirichletBcs, FemError, LinearSolver, MaterialSet,
+    solve_thermal_stress, stress_at, DirichletBcs, FemError, LinearSolver, MaterialSet,
     StressSample,
 };
 use morestress_mesh::{Grid1d, HexMesh, MAT_ORGANIC, MAT_SI};
@@ -155,76 +155,6 @@ impl ChipletModel {
         materials: &MaterialSet,
         delta_t: f64,
     ) -> Result<Self, FemError> {
-        Self::solve_with(geometry, resolution, materials, delta_t, LinearSolver::Auto)
-    }
-
-    /// Like [`ChipletModel::solve`], with an explicit solver selection
-    /// (routed through the unified `morestress-linalg` backend layer).
-    ///
-    /// # Errors
-    ///
-    /// Propagates FEM failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry is invalid.
-    pub fn solve_with(
-        geometry: &ChipletGeometry,
-        resolution: &ChipletResolution,
-        materials: &MaterialSet,
-        delta_t: f64,
-        solver: LinearSolver,
-    ) -> Result<Self, FemError> {
-        let mut models =
-            Self::solve_many_with(geometry, resolution, materials, &[delta_t], solver)?;
-        Ok(models.pop().expect("one load in, one model out"))
-    }
-
-    /// Solves the coarse chiplet for several thermal loads at once: the
-    /// mesh is built and the stiffness factored once, then all loads are
-    /// solved through the batched multi-RHS backend path on the shared
-    /// `morestress_linalg::WorkPool` (wrap the call in `WorkPool::install`
-    /// to bound its parallelism). Returns one model per entry of
-    /// `delta_ts`, in order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates FEM failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry is invalid.
-    pub fn solve_many(
-        geometry: &ChipletGeometry,
-        resolution: &ChipletResolution,
-        materials: &MaterialSet,
-        delta_ts: &[f64],
-    ) -> Result<Vec<Self>, FemError> {
-        Self::solve_many_with(
-            geometry,
-            resolution,
-            materials,
-            delta_ts,
-            LinearSolver::Auto,
-        )
-    }
-
-    /// [`ChipletModel::solve_many`] with an explicit solver selection.
-    ///
-    /// # Errors
-    ///
-    /// Propagates FEM failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry is invalid.
-    pub fn solve_many_with(
-        geometry: &ChipletGeometry,
-        resolution: &ChipletResolution,
-        materials: &MaterialSet,
-        delta_ts: &[f64],
-        solver: LinearSolver,
-    ) -> Result<Vec<Self>, FemError> {
         geometry.validate().expect("invalid chiplet geometry");
         let start = Instant::now();
         let g = *geometry;
@@ -312,22 +242,15 @@ impl ChipletModel {
         bcs.set_dof(3 * b + 2, 0.0); // u_z = 0
         bcs.set_dof(3 * c + 2, 0.0); // u_z = 0
 
-        let solutions = solve_thermal_stress_many(&mesh, materials, delta_ts, &bcs, solver)?;
-        // Split the batch wall time evenly so per-model costs stay summable.
-        let solve_time = start.elapsed() / solutions.len().max(1) as u32;
-        let mesh = Arc::new(mesh);
-        Ok(solutions
-            .into_iter()
-            .zip(delta_ts)
-            .map(|(sol, &delta_t)| Self {
-                geometry: g,
-                materials: materials.clone(),
-                mesh: Arc::clone(&mesh),
-                displacement: sol.displacement,
-                delta_t,
-                solve_time,
-            })
-            .collect())
+        let solution = solve_thermal_stress(&mesh, materials, delta_t, &bcs, LinearSolver::Auto)?;
+        Ok(Self {
+            geometry: g,
+            materials: materials.clone(),
+            mesh: Arc::new(mesh),
+            displacement: solution.displacement,
+            delta_t,
+            solve_time: start.elapsed(),
+        })
     }
 
     /// The chiplet geometry.

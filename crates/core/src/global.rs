@@ -15,13 +15,13 @@
 //! lifting term. The unreduced global operator is never formed.
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, LazyLock, Mutex};
 use std::time::{Duration, Instant};
 
 use morestress_fem::{DirichletBcs, FemError, ReducedSystem};
 use morestress_linalg::{
-    CgOptions, CsrMatrix, DegradationTrail, FactorCache, MemoryFootprint, PartitionHint,
-    PrecondSpec, SolverBackend,
+    Auto, Cg, CgOptions, CsrMatrix, DegradationTrail, DirectCholesky, FactorCache, Gmres,
+    MemoryFootprint, PartitionHint, PrecondSpec, Sharded, SolverBackend, VerifyPolicy, WorkPool,
 };
 use morestress_mesh::{BlockKind, BlockLayout};
 
@@ -100,37 +100,55 @@ impl Default for RomSolver {
 }
 
 impl RomSolver {
-    /// Maps this selection to a `morestress-linalg` solver backend; every
-    /// global-stage solve routes through the returned backend.
+    /// Maps this selection to a `morestress-linalg` solver backend — the one
+    /// such mapping; every global-stage solve routes through a backend it
+    /// returned.
+    ///
+    /// `verify` applies to the direct-Cholesky family
+    /// ([`RomSolver::DirectCholesky`] and [`RomSolver::Sharded`], including
+    /// each shard's inner factorization); the iterative selections keep
+    /// their own configuration and ignore it. [`VerifyPolicy::Off`] is
+    /// those backends' own default.
     ///
     /// Each call constructs a *fresh* backend — for [`RomSolver::Sharded`]
     /// that means no retained previous preparation, so callers that solve
-    /// repeatedly must construct once
-    /// and reuse (the [`GlobalStage`] builds its backend at construction,
-    /// and [`MoreStressSimulator`](crate::MoreStressSimulator) hoists one
-    /// backend across all its stages via [`GlobalStage::with_backend`])
-    /// rather than calling this per solve.
-    pub fn backend(&self) -> Box<dyn SolverBackend> {
-        match *self {
-            RomSolver::Gmres { tol } => Box::new(morestress_linalg::Gmres::with_tol(tol)),
-            RomSolver::Cg { tol } => Box::new(morestress_linalg::Cg {
+    /// repeatedly construct once and lend it to every stage through
+    /// [`GlobalStage::with_backend`], as
+    /// [`MoreStressSimulator`](crate::MoreStressSimulator) does.
+    pub fn backend(self, verify: VerifyPolicy) -> Box<dyn SolverBackend> {
+        let direct = DirectCholesky {
+            verify,
+            ..DirectCholesky::default()
+        };
+        match self {
+            RomSolver::Gmres { tol } => Box::new(Gmres::with_tol(tol)),
+            RomSolver::Cg { tol } => Box::new(Cg {
                 opts: CgOptions {
                     tol,
                     max_iter: 50_000,
                 },
                 precond: PrecondSpec::Jacobi,
             }),
-            RomSolver::DirectCholesky => Box::new(morestress_linalg::DirectCholesky::default()),
-            RomSolver::Auto => Box::new(morestress_linalg::Auto {
+            RomSolver::DirectCholesky => Box::new(direct),
+            RomSolver::Auto => Box::new(Auto {
                 direct_limit: 20_000,
                 tol: 1e-9,
             }),
             RomSolver::Sharded { shards } => {
-                Box::new(morestress_linalg::Sharded::new(shards.max(1)))
+                let mut sharded = Sharded::with_inner(shards.max(1), direct);
+                sharded.verify = verify;
+                Box::new(sharded)
             }
         }
     }
 }
+
+/// The backend of a [`GlobalStage`] built without
+/// [`with_backend`](GlobalStage::with_backend): the paper's GMRES of
+/// [`RomSolver::default`]. It holds no state, so one instance serves every
+/// such stage.
+static DEFAULT_BACKEND: LazyLock<Box<dyn SolverBackend>> =
+    LazyLock::new(|| RomSolver::default().backend(VerifyPolicy::Off));
 
 /// The lattice of global interpolation nodes of an array.
 ///
@@ -397,28 +415,23 @@ impl GlobalSolution {
 pub struct GlobalStage<'a> {
     rom_tsv: &'a ReducedOrderModel,
     rom_dummy: Option<&'a ReducedOrderModel>,
-    /// Backend built once from the [`RomSolver`] selection and reused by
-    /// every solve through this stage, so backend-internal state (the
-    /// `Sharded` backend's retained previous preparation) survives across
-    /// repeated prepares.
-    backend: Box<dyn SolverBackend>,
-    /// Caller-owned backend overriding `backend` when set — how the
-    /// simulator shares one backend across all the stages it builds.
-    external_backend: Option<&'a dyn SolverBackend>,
+    /// The backend every solve through this stage routes through. It is
+    /// borrowed, so state living inside it (the `Sharded` backend's
+    /// retained previous preparation) outlives the stage.
+    backend: &'a dyn SolverBackend,
     cache: Option<&'a FactorCache>,
-    threads: usize,
 }
 
 impl<'a> GlobalStage<'a> {
-    /// Creates a global stage using one ROM for TSV blocks.
+    /// Creates a global stage using one ROM for TSV blocks, solving with
+    /// the paper's GMRES ([`RomSolver::default`]) until
+    /// [`with_backend`](Self::with_backend) lends it another backend.
     pub fn new(rom_tsv: &'a ReducedOrderModel) -> Self {
         Self {
             rom_tsv,
             rom_dummy: None,
-            backend: RomSolver::default().backend(),
-            external_backend: None,
+            backend: &**DEFAULT_BACKEND,
             cache: None,
-            threads: morestress_linalg::default_solve_threads(),
         }
     }
 
@@ -436,18 +449,6 @@ impl<'a> GlobalStage<'a> {
         self
     }
 
-    /// Sets the worker-slot cap for the batched
-    /// [`solve_many`](Self::solve_many) path.
-    ///
-    /// This overrides the default (the current
-    /// [`WorkPool`](morestress_linalg::WorkPool) cap) downwards; the solve
-    /// runs on the shared pool either way, so the override can narrow a
-    /// call but never adds threads beyond the pool cap.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// Registers the dummy-block ROM (required for layouts containing
     /// [`BlockKind::Dummy`]).
     ///
@@ -461,23 +462,15 @@ impl<'a> GlobalStage<'a> {
         Ok(self)
     }
 
-    /// Selects the global solver (default: the paper's GMRES). The backend
-    /// is constructed here, once, and reused by every solve through this
-    /// stage.
-    pub fn with_solver(mut self, solver: RomSolver) -> Self {
-        self.backend = solver.backend();
-        self
-    }
-
-    /// Routes every solve through a caller-owned backend instead of one
-    /// constructed from the [`RomSolver`] selection — so prepared state
-    /// living *inside* the backend (the `Sharded` backend's retained
+    /// Routes every solve through a caller-owned backend (build one with
+    /// [`RomSolver::backend`]) instead of the default GMRES — so prepared
+    /// state living *inside* the backend (the `Sharded` backend's retained
     /// previous preparation behind the incremental re-factorization)
     /// survives beyond this stage's lifetime.
-    /// [`MoreStressSimulator`](crate::MoreStressSimulator) hoists its one
+    /// [`MoreStressSimulator`](crate::MoreStressSimulator) lends its one
     /// backend through here.
     pub fn with_backend(mut self, backend: &'a dyn SolverBackend) -> Self {
-        self.external_backend = Some(backend);
+        self.backend = backend;
         self
     }
 
@@ -517,9 +510,7 @@ impl<'a> GlobalStage<'a> {
     ///    hint, assembly and reduction all index by it), and the partition
     ///    hint (the block-grid footprint of every free DoF), which the stage
     ///    attaches to the operator it assembles — the direct solvers order
-    ///    by it, the sharded backend plans from it — and also hands to the
-    ///    backend *before* any cache lookup, because a sharded backend's
-    ///    configuration fingerprint folds its hint slot in.
+    ///    by it, the sharded backend plans from it.
     /// 2. **Operator**: runs only when the registered cache holds no entry
     ///    tagged with this solve's *provenance* (interpolation counts,
     ///    layout shape and block kinds, BC kind, ROM identities; see
@@ -540,6 +531,10 @@ impl<'a> GlobalStage<'a> {
     ///    one factor — and the entry is tagged.
     /// 3. **Solve and expand**, identical on both routes: the results are
     ///    bit for bit those of a from-scratch solve.
+    ///
+    /// Assembly and the batched solve run on the current
+    /// [`WorkPool`] at its cap; [`WorkPool::install`] is the one way to
+    /// narrow them.
     ///
     /// # Errors
     ///
@@ -596,10 +591,8 @@ impl<'a> GlobalStage<'a> {
                 })
                 .collect());
         }
-        let backend: &dyn SolverBackend = match self.external_backend {
-            Some(external) => external,
-            None => &*self.backend,
-        };
+        let backend = self.backend;
+        let threads = WorkPool::current().cap();
         // Solvers read the hint the operator carries (`assemble_reduced`
         // attaches it); this call only lets a delegating backend record it.
         backend.set_partition_hint(Some(Arc::clone(&prelude.hint)));
@@ -632,12 +625,12 @@ impl<'a> GlobalStage<'a> {
             // step in the report's degradation trail.
             Some(cache) => {
                 cache
-                    .solve_many_healing(backend, &reduced.a_ff, &rhs_set, self.threads)?
+                    .solve_many_healing(backend, &reduced.a_ff, &rhs_set, threads)?
                     .0
             }
             None => backend
                 .prepare(Arc::clone(&reduced.a_ff))?
-                .solve_many(&rhs_set, self.threads)?,
+                .solve_many(&rhs_set, threads)?,
         };
         if !stats.operator_reused {
             if let Some((cache, provenance)) = &tagged_cache {
@@ -928,9 +921,9 @@ impl<'a> GlobalStage<'a> {
             node_rows.push(Mutex::new((vals, lift)));
             (vals_rest, lift_rest) = (vals_tail, lift_tail);
         }
-        let pool = morestress_linalg::WorkPool::current();
+        let pool = WorkPool::current();
         pool.scope_chunks_with(
-            self.threads,
+            pool.cap(),
             num_free_nodes,
             || vec![usize::MAX; num_free_nodes],
             |slot_of_node, f| {
@@ -1130,14 +1123,15 @@ mod tests {
     fn gmres_and_cg_agree() {
         let rom = rom(BlockKind::Tsv);
         let layout = BlockLayout::uniform(2, 1, BlockKind::Tsv);
-        let a = GlobalStage::new(&rom)
-            .with_solver(RomSolver::Gmres { tol: 1e-11 })
-            .solve(&layout, -250.0, &GlobalBc::ClampedTopBottom)
-            .unwrap();
-        let b = GlobalStage::new(&rom)
-            .with_solver(RomSolver::Cg { tol: 1e-11 })
-            .solve(&layout, -250.0, &GlobalBc::ClampedTopBottom)
-            .unwrap();
+        let solve = |solver: RomSolver| {
+            let backend = solver.backend(VerifyPolicy::Off);
+            GlobalStage::new(&rom)
+                .with_backend(&*backend)
+                .solve(&layout, -250.0, &GlobalBc::ClampedTopBottom)
+                .unwrap()
+        };
+        let a = solve(RomSolver::Gmres { tol: 1e-11 });
+        let b = solve(RomSolver::Cg { tol: 1e-11 });
         let peak = a
             .nodal_displacement()
             .iter()

@@ -3,7 +3,7 @@
 use std::path::PathBuf;
 
 use morestress_fem::{MaterialSet, ScalarField2d};
-use morestress_linalg::{DirectCholesky, FactorCache, Sharded, SolverBackend, VerifyPolicy};
+use morestress_linalg::{FactorCache, SolverBackend, VerifyPolicy};
 use morestress_mesh::{BlockKind, BlockLayout, BlockResolution, TsvGeometry};
 
 use crate::model::build_or_load_cached;
@@ -21,51 +21,15 @@ pub struct MoreStressSimulator {
     rom_tsv: ReducedOrderModel,
     rom_dummy: Option<ReducedOrderModel>,
     /// The one global-solve backend, built at construction from the
-    /// resolved solver selection and hoisted into every stage — so
+    /// resolved solver selection and lent to every stage — so
     /// backend-internal state (the `Sharded` backend's retained previous
     /// preparation) persists across simulator calls instead of being
     /// discarded per solve.
     backend: Box<dyn SolverBackend>,
-    /// A clone of the hoisted backend when the resolved solver is sharded
-    /// (clones share the previous-preparation state), kept for
-    /// inspection.
-    sharded: Option<Sharded>,
     /// Memo of prepared global-stage factorizations: solving the same
     /// lattice again (any thermal load) reuses the factor instead of
     /// re-preparing it.
     factor_cache: FactorCache,
-}
-
-/// Resolves the configured solver (with the optional shard-count
-/// override) into the one hoisted backend, keeping a second handle to the
-/// sharded backend for diagnostics. `verify` applies to the
-/// direct-Cholesky family ([`RomSolver::DirectCholesky`] and
-/// [`RomSolver::Sharded`]); the iterative selections keep their own
-/// configuration. [`VerifyPolicy::Off`] is those backends' own default,
-/// so an untuned builder resolves to the exact same backend (same bits,
-/// same cache fingerprints) as [`RomSolver::backend`].
-fn resolve_backend(
-    solver: RomSolver,
-    shards: Option<usize>,
-    verify: VerifyPolicy,
-) -> (Box<dyn SolverBackend>, Option<Sharded>) {
-    let resolved = match shards {
-        Some(shards) => RomSolver::Sharded { shards },
-        None => solver,
-    };
-    let direct = DirectCholesky {
-        verify,
-        ..DirectCholesky::default()
-    };
-    match resolved {
-        RomSolver::Sharded { shards } => {
-            let mut backend = Sharded::with_inner(shards.max(1), direct);
-            backend.verify = verify;
-            (Box::new(backend.clone()), Some(backend))
-        }
-        RomSolver::DirectCholesky => (Box::new(direct), None),
-        other => (other.backend(), None),
-    }
 }
 
 /// The one construction surface of [`MoreStressSimulator`]: geometry,
@@ -264,12 +228,14 @@ impl SimulatorBuilder {
                 (rom_tsv, rom_dummy)
             }
         };
-        let (backend, sharded) = resolve_backend(self.solver, self.shards, self.verify);
+        let solver = match self.shards {
+            Some(shards) => RomSolver::Sharded { shards },
+            None => self.solver,
+        };
         Ok(MoreStressSimulator {
             rom_tsv,
             rom_dummy,
-            backend,
-            sharded,
+            backend: solver.backend(self.verify),
             factor_cache: FactorCache::new(),
         })
     }
@@ -297,13 +263,6 @@ impl MoreStressSimulator {
     /// simulator (hit/miss counters included, for tests and diagnostics).
     pub fn factor_cache(&self) -> &FactorCache {
         &self.factor_cache
-    }
-
-    /// The hoisted sharded backend, when the resolved solver is
-    /// [`RomSolver::Sharded`] — a clone sharing the retained previous
-    /// preparation, for tests and diagnostics.
-    pub fn sharded_backend(&self) -> Option<&Sharded> {
-        self.sharded.as_ref()
     }
 
     fn stage(&self) -> Result<GlobalStage<'_>, RomError> {
@@ -354,16 +313,18 @@ impl MoreStressSimulator {
     /// mutate a few blocks per move (pitch sweeps, keep-out zones,
     /// TSV ↔ dummy swaps).
     ///
-    /// Routes through the same stage as [`solve_array`](Self::solve_array);
-    /// the savings come from the hoisted sharded backend. When the
-    /// perturbed layout assembles to an operator with the same sparsity
-    /// pattern as the previous solve — any layout of the same shape does,
-    /// since the pattern depends only on the lattice while swapping a
-    /// block between [`BlockKind::Tsv`] and [`BlockKind::Dummy`] changes
-    /// values only — the backend re-factors just the shards whose blocks
-    /// changed, reuses every clean shard's factor and stored clique, and
-    /// rebuilds only the small interface system. The result is **bitwise
-    /// identical** to a from-scratch solve of the perturbed layout;
+    /// This is the same route as [`solve_array`](Self::solve_array), under
+    /// the name such loops read best; for many loads at once call
+    /// [`solve_array_many`](Self::solve_array_many). The savings come from
+    /// the simulator's one sharded backend, which every stage borrows.
+    /// When the perturbed layout assembles to an operator with the same
+    /// sparsity pattern as the previous solve — any layout of the same
+    /// shape does, since the pattern depends only on the lattice while
+    /// swapping a block between [`BlockKind::Tsv`] and [`BlockKind::Dummy`]
+    /// changes values only — the backend re-factors just the shards whose
+    /// blocks changed, reuses every clean shard's factor and stored
+    /// clique, and rebuilds only the small interface system. The result is
+    /// **bitwise identical** to a from-scratch solve of the perturbed layout;
     /// [`GlobalStats::shards_refactored`](crate::GlobalStats) /
     /// [`shards_reused`](crate::GlobalStats::shards_reused) report the
     /// split. With a monolithic solver the call is simply a fresh solve.
@@ -377,24 +338,7 @@ impl MoreStressSimulator {
         delta_t: f64,
         bc: &GlobalBc,
     ) -> Result<GlobalSolution, RomError> {
-        let mut solutions = self.resolve_perturbed_many(layout, &[delta_t], bc)?;
-        Ok(solutions.pop().expect("one load in, one solution out"))
-    }
-
-    /// [`resolve_perturbed`](Self::resolve_perturbed) for many thermal
-    /// loads at once: one incremental re-preparation serving the whole
-    /// batch, like [`solve_array_many`](Self::solve_array_many).
-    ///
-    /// # Errors
-    ///
-    /// See [`GlobalStage::solve_many`].
-    pub fn resolve_perturbed_many(
-        &self,
-        layout: &BlockLayout,
-        delta_ts: &[f64],
-        bc: &GlobalBc,
-    ) -> Result<Vec<GlobalSolution>, RomError> {
-        self.stage()?.solve_many(layout, delta_ts, bc)
+        self.solve_array(layout, delta_t, bc)
     }
 
     /// Samples the mid-plane von Mises field of a solved array

@@ -12,6 +12,7 @@
 //! pools.
 
 use morestress_core::{GlobalBc, GlobalStage, MoreStressSimulator, RomSolver};
+use morestress_linalg::VerifyPolicy;
 use morestress_mesh::{BlockKind, BlockLayout, TsvGeometry};
 
 /// Shard count under test: `MORESTRESS_SHARDS` when set (the CI matrix
@@ -23,8 +24,8 @@ fn env_shards() -> usize {
         .unwrap_or(4)
 }
 
-/// A simulator with both ROMs built (swaps need the dummy model) and the
-/// sharded backend hoisted.
+/// A simulator with both ROMs built (swaps need the dummy model) and one
+/// sharded backend lent to every stage.
 fn build_sim(shards: usize) -> MoreStressSimulator {
     MoreStressSimulator::builder(&TsvGeometry::paper_defaults(15.0))
         .shards(shards)
@@ -33,8 +34,8 @@ fn build_sim(shards: usize) -> MoreStressSimulator {
         .expect("simulator builds")
 }
 
-/// From-scratch sharded reference over the same ROMs: a fresh
-/// `GlobalStage` builds a fresh backend, so nothing carries over.
+/// From-scratch sharded reference over the same ROMs: a fresh backend
+/// behind a fresh `GlobalStage`, so nothing carries over.
 fn scratch_solve(
     sim: &MoreStressSimulator,
     shards: usize,
@@ -42,10 +43,11 @@ fn scratch_solve(
     loads: &[f64],
     bc: &GlobalBc,
 ) -> Vec<morestress_core::GlobalSolution> {
+    let backend = RomSolver::Sharded { shards }.backend(VerifyPolicy::Off);
     GlobalStage::new(sim.tsv_model())
         .with_dummy(sim.dummy_model().expect("dummy ROM built"))
         .expect("compatible ROMs")
-        .with_solver(RomSolver::Sharded { shards })
+        .with_backend(&*backend)
         .solve_many(layout, loads, bc)
         .expect("from-scratch sharded solve")
 }
@@ -82,7 +84,7 @@ fn single_block_swap_is_bitwise_and_reuses_shards() {
     let mut perturbed = base.clone();
     perturbed.set_kind(0, 0, BlockKind::Dummy);
     let incremental = sim
-        .resolve_perturbed_many(&perturbed, &loads, &bc)
+        .solve_array_many(&perturbed, &loads, &bc)
         .expect("incremental re-solve");
     let stats = incremental[0].stats;
     assert_eq!(
@@ -108,7 +110,7 @@ fn single_block_swap_is_bitwise_and_reuses_shards() {
     }
 }
 
-/// The simulator's backend is built once and hoisted into every stage, so
+/// The simulator's backend is built once and lent to every stage, so
 /// a re-preparation of an already-seen operator reuses every shard of the
 /// backend's retained previous preparation instead of paying for a fresh
 /// `Sharded` (nothing retained) per call.
@@ -121,7 +123,10 @@ fn hoisted_backend_reuses_shard_factors_across_prepares() {
     let first = sim
         .solve_array_many(&layout, &[-250.0], &bc)
         .expect("cold solve");
-    assert!(sim.sharded_backend().is_some(), "sharded solver resolved");
+    assert_eq!(first[0].stats.backend, "sharded", "sharded solver resolved");
+    if shards >= 2 {
+        assert!(first[0].stats.shards >= 2, "the 5×5 array must shard");
+    }
 
     // Drop the outer memo so the second solve genuinely re-prepares
     // through the backend — with a per-call backend this re-factored
@@ -158,7 +163,7 @@ fn all_blocks_swapped_refactors_everything() {
 
     let perturbed = BlockLayout::uniform(5, 5, BlockKind::Dummy);
     let incremental = sim
-        .resolve_perturbed_many(&perturbed, &loads, &bc)
+        .solve_array_many(&perturbed, &loads, &bc)
         .expect("all-swapped re-solve");
     assert_eq!(
         incremental[0].stats.shards_refactored, k,
@@ -189,7 +194,7 @@ fn pattern_change_takes_the_full_route() {
 
     let reshaped = BlockLayout::uniform(5, 5, BlockKind::Tsv);
     let solved = sim
-        .resolve_perturbed_many(&reshaped, &loads, &bc)
+        .solve_array_many(&reshaped, &loads, &bc)
         .expect("reshaped solve");
     let stats = solved[0].stats;
     assert_eq!(
@@ -230,7 +235,7 @@ fn incremental_route_keeps_the_geometric_plan() {
     let mut perturbed = base.clone();
     perturbed.set_kind(5, 5, BlockKind::Dummy);
     let incremental = sim
-        .resolve_perturbed_many(&perturbed, &loads, &bc)
+        .solve_array_many(&perturbed, &loads, &bc)
         .expect("incremental re-solve");
     let incr_plan = incremental[0]
         .stats
@@ -250,8 +255,8 @@ fn incremental_route_keeps_the_geometric_plan() {
     }
 }
 
-/// `resolve_perturbed` (single-load convenience) agrees with the batched
-/// variant and with `solve_array` on a fresh simulator.
+/// `resolve_perturbed` (the single-load placement-loop door) agrees with
+/// the batched `solve_array_many` it shares a route with.
 #[test]
 fn resolve_perturbed_single_load_matches_batched() {
     let shards = env_shards();
@@ -265,7 +270,7 @@ fn resolve_perturbed_single_load_matches_batched() {
         .resolve_perturbed(&perturbed, -250.0, &bc)
         .expect("single-load re-solve");
     let batched = sim
-        .resolve_perturbed_many(&perturbed, &[-250.0], &bc)
+        .solve_array_many(&perturbed, &[-250.0], &bc)
         .expect("batched re-solve");
     assert_bitwise(
         "single vs batched",

@@ -14,10 +14,10 @@
 
 use morestress_core::{
     GlobalBc, GlobalStage, InterpolationGrid, LocalStage, LocalStageOptions, MoreStressSimulator,
-    ReducedOrderModel, RomSolver,
+    ReducedOrderModel,
 };
 use morestress_fem::MaterialSet;
-use morestress_linalg::ShardPlan;
+use morestress_linalg::{DirectCholesky, ShardPlan, Sharded};
 use morestress_mesh::{BlockKind, BlockLayout, BlockResolution, TsvGeometry};
 
 /// Shard count under test: `MORESTRESS_SHARDS` when set (the CI matrix
@@ -68,7 +68,7 @@ fn sharded_pipeline_matches_monolithic_on_6x6_array() {
     let layout = BlockLayout::uniform(6, 6, BlockKind::Tsv);
     let loads = [-250.0, -120.0, 60.0];
     let reference = GlobalStage::new(&rom)
-        .with_solver(RomSolver::DirectCholesky)
+        .with_backend(&DirectCholesky::default())
         .solve_many(&layout, &loads, &GlobalBc::ClampedTopBottom)
         .expect("monolithic solve");
 
@@ -79,7 +79,7 @@ fn sharded_pipeline_matches_monolithic_on_6x6_array() {
     }
     for shards in counts {
         let batch = GlobalStage::new(&rom)
-            .with_solver(RomSolver::Sharded { shards })
+            .with_backend(&Sharded::new(shards))
             .solve_many(&layout, &loads, &GlobalBc::ClampedTopBottom)
             .expect("sharded solve");
         let stats = batch[0].stats;
@@ -120,13 +120,13 @@ fn env_shard_count_agrees_under_submodel_bcs() {
     let reference = GlobalStage::new(&tsv)
         .with_dummy(&dummy)
         .expect("compatible ROMs")
-        .with_solver(RomSolver::DirectCholesky)
+        .with_backend(&DirectCholesky::default())
         .solve_many(&layout, &[-250.0, 75.0], &bc)
         .expect("monolithic solve");
     let batch = GlobalStage::new(&tsv)
         .with_dummy(&dummy)
         .expect("compatible ROMs")
-        .with_solver(RomSolver::Sharded { shards })
+        .with_backend(&Sharded::new(shards))
         .solve_many(&layout, &[-250.0, 75.0], &bc)
         .expect("sharded solve");
     for (r, c) in reference.iter().zip(&batch) {
@@ -184,11 +184,11 @@ fn geometric_planner_is_the_default_route_on_6x6() {
     let layout = BlockLayout::uniform(6, 6, BlockKind::Tsv);
     let loads = [-250.0, 75.0];
     let reference = GlobalStage::new(&rom)
-        .with_solver(RomSolver::DirectCholesky)
+        .with_backend(&DirectCholesky::default())
         .solve_many(&layout, &loads, &GlobalBc::ClampedTopBottom)
         .expect("monolithic solve");
     let batch = GlobalStage::new(&rom)
-        .with_solver(RomSolver::Sharded { shards: 4 })
+        .with_backend(&Sharded::new(4))
         .solve_many(&layout, &loads, &GlobalBc::ClampedTopBottom)
         .expect("sharded solve");
     let stats = batch[0].stats;
@@ -231,11 +231,11 @@ fn one_shard_request_is_bitwise_monolithic() {
         let layout = BlockLayout::uniform(n, n, BlockKind::Tsv);
         let loads = [-250.0, 40.0];
         let mono = GlobalStage::new(&rom)
-            .with_solver(RomSolver::DirectCholesky)
+            .with_backend(&DirectCholesky::default())
             .solve_many(&layout, &loads, &GlobalBc::ClampedTopBottom)
             .expect("monolithic solve");
         let sharded = GlobalStage::new(&rom)
-            .with_solver(RomSolver::Sharded { shards })
+            .with_backend(&Sharded::new(shards))
             .solve_many(&layout, &loads, &GlobalBc::ClampedTopBottom)
             .expect("one-shard solve");
         assert_eq!(sharded[0].stats.backend, "sharded");

@@ -21,7 +21,7 @@ use morestress_core::{
 use morestress_fem::MaterialSet;
 use morestress_linalg::{
     CooMatrix, DirectCholesky, FactorCache, FillOrdering, KernelChoice, PartitionHint, Sharded,
-    SolverBackend, SupernodalCholesky, SupernodalOptions, WorkPool,
+    SolverBackend, SupernodalCholesky, SupernodalOptions, VerifyPolicy, WorkPool,
 };
 use morestress_mesh::{BlockKind, BlockLayout, BlockResolution, TsvGeometry};
 
@@ -111,11 +111,11 @@ fn batched_global_solve_is_pool_size_invariant() {
     // Both a direct and an iterative backend: each right-hand side is an
     // independent task, so both must be schedule-independent.
     for solver in [RomSolver::DirectCholesky, RomSolver::Gmres { tol: 1e-10 }] {
+        let backend = solver.backend(VerifyPolicy::Off);
         let solve = |cap: usize| {
             WorkPool::new(cap).install(|| {
                 GlobalStage::new(&rom)
-                    .with_solver(solver)
-                    .with_threads(64)
+                    .with_backend(&*backend)
                     .solve_many(&layout, &loads, &GlobalBc::ClampedTopBottom)
                     .expect("batched solve")
             })
@@ -307,9 +307,8 @@ fn cold_factorization_pipeline_is_pool_size_invariant() {
             WorkPool::new(cap).install(|| {
                 let cache = FactorCache::new();
                 let batch = GlobalStage::new(&rom)
-                    .with_solver(RomSolver::DirectCholesky)
+                    .with_backend(&DirectCholesky::default())
                     .with_cache(&cache)
-                    .with_threads(64)
                     .solve_many(&layout, &loads, &GlobalBc::ClampedTopBottom)
                     .expect("cold batched solve");
                 assert_eq!(cache.misses(), 1, "cold run must factor exactly once");
@@ -358,11 +357,11 @@ fn sharded_global_solve_is_pool_size_invariant() {
     let loads = [-250.0, -120.0, 75.0, 10.0];
     let solve = |cap: usize| {
         WorkPool::new(cap).install(|| {
+            let backend = Sharded::new(SHARDS);
             let cache = FactorCache::new();
             GlobalStage::new(&rom)
                 .with_cache(&cache)
-                .with_threads(64)
-                .with_solver(RomSolver::Sharded { shards: SHARDS })
+                .with_backend(&backend)
                 .solve_many(&layout, &loads, &GlobalBc::ClampedTopBottom)
                 .expect("sharded batched solve")
         })
@@ -370,7 +369,7 @@ fn sharded_global_solve_is_pool_size_invariant() {
     // Monolithic cross-check on the same full pipeline.
     let mono = WorkPool::new(REFERENCE_CAP).install(|| {
         GlobalStage::new(&rom)
-            .with_solver(RomSolver::DirectCholesky)
+            .with_backend(&DirectCholesky::default())
             .solve_many(&layout, &loads, &GlobalBc::ClampedTopBottom)
             .expect("monolithic batched solve")
     });
@@ -415,7 +414,7 @@ fn sharded_global_solve_is_pool_size_invariant() {
 fn incremental_reprepare_is_pool_size_invariant() {
     // The PR-7 incremental route: solve a layout, swap one block
     // (value-only — the pattern depends only on the lattice shape), and
-    // re-solve through the *same* hoisted backend so the dirty-shard
+    // re-solve through the *same* lent backend so the dirty-shard
     // re-factorization path runs. Dirty detection is structural, the
     // dirty-shard fan-out writes disjoint slots, and the interface
     // accumulation is serial in shard order — so both the base solve and
@@ -437,8 +436,7 @@ fn incremental_reprepare_is_pool_size_invariant() {
                 .with_dummy(&dummy)
                 .expect("compatible ROMs")
                 .with_backend(&backend)
-                .with_cache(&cache)
-                .with_threads(64);
+                .with_cache(&cache);
             let cold = stage
                 .solve_many(&base, &loads, &GlobalBc::ClampedTopBottom)
                 .expect("cold sharded solve");

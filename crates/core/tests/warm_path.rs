@@ -14,7 +14,7 @@ use morestress_core::{
     MoreStressSimulator, ReducedOrderModel, RomSolver, SimulatorBuilder,
 };
 use morestress_fem::{Material, MaterialSet};
-use morestress_linalg::FactorCache;
+use morestress_linalg::{DirectCholesky, FactorCache};
 use morestress_mesh::{BlockKind, BlockLayout, BlockResolution, TsvGeometry, MAT_SI};
 
 const BC: GlobalBc = GlobalBc::ClampedTopBottom;
@@ -162,9 +162,10 @@ fn cold_alias_warm_and_content_warm_solves_share_one_geometric_factor() {
     let rebuilt = build_rom(BlockKind::Tsv, &MaterialSet::tsv_defaults());
     let cache = FactorCache::new();
     let layout = BlockLayout::uniform(5, 4, BlockKind::Tsv);
+    let backend = DirectCholesky::default();
     let solve = |rom| {
         GlobalStage::new(rom)
-            .with_solver(RomSolver::DirectCholesky)
+            .with_backend(&backend)
             .with_cache(&cache)
             .solve(&layout, -250.0, &BC)
             .expect("solve")
@@ -299,16 +300,17 @@ fn shared_cache_never_crosses_between_different_roms() {
     let rom_a_clone = rom_a.clone();
 
     let cache = FactorCache::new();
+    let backend = DirectCholesky::default();
     let stage = |rom| {
         GlobalStage::new(rom)
-            .with_solver(RomSolver::DirectCholesky)
+            .with_backend(&backend)
             .with_cache(&cache)
     };
     let layout = BlockLayout::uniform(4, 3, BlockKind::Tsv);
     let solve = |rom, load| stage(rom).solve(&layout, load, &BC).expect("solve");
     let uncached = |rom, load| {
         GlobalStage::new(rom)
-            .with_solver(RomSolver::DirectCholesky)
+            .with_backend(&backend)
             .solve(&layout, load, &BC)
             .expect("uncached solve")
     };

@@ -43,96 +43,11 @@ use std::time::{Duration, Instant};
 
 use crate::schur::SchurSolver;
 use crate::{
-    solve_cg, solve_gmres, CgOptions, CsrMatrix, DenseMatrix, FillOrdering, GmresOptions,
+    solve_cg, solve_gmres, CgOptions, CsrMatrix, FillOrdering, GmresOptions,
     IdentityPreconditioner, JacobiPreconditioner, LinalgError, MemoryFootprint, PartitionHint,
     Preconditioner, ShardPlanStats, SsorPreconditioner, SupernodalCholesky, SupernodalOptions,
     SupernodeStats, WorkPool,
 };
-
-// ---------------------------------------------------------------------------
-// LinearOperator
-// ---------------------------------------------------------------------------
-
-/// A matrix-free linear operator `y = A x`.
-///
-/// The iterative solvers ([`solve_cg`], [`solve_gmres`]) are generic over
-/// this trait, so they work on any operator that can apply itself — a stored
-/// [`CsrMatrix`], a dense reduced operator, or a composite that never
-/// materializes its entries.
-pub trait LinearOperator {
-    /// Number of rows of the operator.
-    fn nrows(&self) -> usize;
-
-    /// Number of columns of the operator.
-    fn ncols(&self) -> usize;
-
-    /// Computes `y = A x` into `y` (`y.len() == nrows`, `x.len() == ncols`).
-    fn apply_into(&self, x: &[f64], y: &mut [f64]);
-
-    /// Computes `A x` into a fresh vector.
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.nrows()];
-        self.apply_into(x, &mut y);
-        y
-    }
-
-    /// Relative residual `‖b − A x‖₂ / ‖b‖₂` (absolute if `‖b‖₂ = 0`).
-    fn rel_residual(&self, x: &[f64], b: &[f64]) -> f64 {
-        let ax = self.apply(x);
-        let r = b
-            .iter()
-            .zip(&ax)
-            .map(|(bi, axi)| (bi - axi) * (bi - axi))
-            .sum::<f64>()
-            .sqrt();
-        let nb = crate::norm2(b);
-        if nb > 0.0 {
-            r / nb
-        } else {
-            r
-        }
-    }
-}
-
-impl LinearOperator for CsrMatrix {
-    fn nrows(&self) -> usize {
-        CsrMatrix::nrows(self)
-    }
-
-    fn ncols(&self) -> usize {
-        CsrMatrix::ncols(self)
-    }
-
-    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        self.spmv_into(x, y);
-    }
-
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        self.spmv(x)
-    }
-
-    fn rel_residual(&self, x: &[f64], b: &[f64]) -> f64 {
-        self.residual(x, b)
-    }
-}
-
-impl LinearOperator for DenseMatrix {
-    fn nrows(&self) -> usize {
-        self.rows()
-    }
-
-    fn ncols(&self) -> usize {
-        self.cols()
-    }
-
-    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        y.copy_from_slice(&self.matvec(x));
-    }
-
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        self.matvec(x)
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Preconditioner selection
@@ -447,16 +362,12 @@ pub trait SolverBackend: fmt::Debug + Send + Sync {
     fn config_fingerprint(&self) -> u64;
 
     /// Whether a cached solver prepared under a *different* configuration
-    /// fingerprint is still interchangeable with what `prepare(a)` would
-    /// produce for this configuration.
+    /// is interchangeable with what `prepare(a)` would produce.
     ///
-    /// [`FactorCache::prepare`] consults this after an exact-key miss, for
-    /// entries whose cached operator is value-identical to `a`: returning
-    /// `true` dedupes configurations that are spelled differently but
-    /// degenerate to the same prepared object (e.g. two requested shard
-    /// counts whose [`ShardPlan`](crate::ShardPlan)s collapse to the same
-    /// partition on a small operator). The default is conservative:
-    /// configurations never share entries.
+    /// Nothing in the workspace calls it: a [`FactorCache`] finds an entry
+    /// by backend configuration and operator and nothing else, and no
+    /// backend here overrides the default `false`. It stays declared only
+    /// because the benchmark's delegating backend forwards it.
     fn accepts_cached(&self, _prepared: &PreparedSolver, _a: &CsrMatrix) -> bool {
         false
     }
@@ -928,11 +839,11 @@ impl PreparedSolver {
                 }
             }
             (Engine::Cg { precond, opts }, _) => self.per_rhs_batch(rhs.len(), threads, |i| {
-                solve_cg(&*self.matrix, &rhs[i], &**precond, *opts).map(RhsSolve::from)
+                solve_cg(&self.matrix, &rhs[i], &**precond, *opts).map(RhsSolve::from)
             })?,
             (Engine::Gmres { precond, opts }, _) => {
                 self.per_rhs_batch(rhs.len(), threads, |i| {
-                    solve_gmres(&*self.matrix, &rhs[i], &**precond, *opts).map(RhsSolve::from)
+                    solve_gmres(&self.matrix, &rhs[i], &**precond, *opts).map(RhsSolve::from)
                 })?
             }
         };
@@ -1877,29 +1788,13 @@ impl FactorCache {
         let key = CacheKey::of(backend, a);
         // A key match is only trusted after an exact comparison with the
         // cached operator: the O(nnz) check costs no more than the hash we
-        // already computed and closes the fingerprint-collision hole.
-        //
-        // On an exact-key miss, entries holding the *same operator* under a
-        // different configuration fingerprint get a second chance through
-        // `SolverBackend::accepts_cached` — the dedupe for configurations
-        // that are spelled differently but prepare identically (e.g. shard
-        // counts that degenerate to one plan). Such a hit is served in
-        // place; no alias entry is inserted.
+        // already computed and closes the fingerprint-collision hole. The
+        // key is the whole rule: an entry prepared under another
+        // configuration is never served.
         let lookup = |entries: &mut Vec<CacheEntry>| -> Option<Arc<PreparedSolver>> {
             let pos = entries
                 .iter()
-                .position(|e| e.key == key && e.solver.matrix().as_ref() == a.as_ref())
-                .or_else(|| {
-                    entries.iter().position(|e| {
-                        e.key.backend_config != key.backend_config
-                            && e.key.nrows == key.nrows
-                            && e.key.ncols == key.ncols
-                            && e.key.nnz == key.nnz
-                            && e.key.matrix_fingerprint == key.matrix_fingerprint
-                            && e.solver.matrix().as_ref() == a.as_ref()
-                            && backend.accepts_cached(&e.solver, a)
-                    })
-                })?;
+                .position(|e| e.key == key && e.solver.matrix().as_ref() == a.as_ref())?;
             Some(promote(entries, pos))
         };
         {
@@ -2067,30 +1962,12 @@ impl FactorCache {
         }
     }
 
-    /// Looks up the cached prepared solver for `(backend, a)` without
-    /// preparing anything on a miss — the block-level probe the sharded
-    /// incremental path and diagnostics use. A successful lookup counts as
-    /// a hit and refreshes the entry's LRU position; a miss counts nothing
-    /// (the miss counter tracks preparations performed).
-    pub fn get(
-        &self,
-        backend: &dyn SolverBackend,
-        a: &Arc<CsrMatrix>,
-    ) -> Option<Arc<PreparedSolver>> {
-        let key = CacheKey::of(backend, a);
-        let mut entries = self.entries.lock().expect("factor cache poisoned");
-        let pos = entries
-            .iter()
-            .position(|e| e.key == key && e.solver.matrix().as_ref() == a.as_ref())?;
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(promote(&mut entries, pos))
-    }
-
     /// Drops every cached solver prepared for an operator value-identical
     /// to `a` (any backend configuration), returning how many entries were
-    /// removed. The sharded incremental path calls this on the superseded
-    /// interior blocks and interface system of a perturbed prepare, so
-    /// stale factors never crowd live ones out of the LRU list.
+    /// removed. Two callers: the stale-entry self-heal of
+    /// [`solve_many_healing`](Self::solve_many_healing), and the
+    /// fault-injection harness's
+    /// [`FaultPlan::evict_cache`](crate::FaultPlan::evict_cache).
     pub fn invalidate(&self, a: &CsrMatrix) -> usize {
         let fp = matrix_fingerprint(a);
         let mut entries = self.entries.lock().expect("factor cache poisoned");
@@ -2635,12 +2512,5 @@ mod tests {
         assert_eq!(cache.misses(), 4);
         cache.clear();
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn dense_matrix_is_a_linear_operator() {
-        let m = DenseMatrix::from_rows(&[&[2.0, 0.0], &[1.0, 3.0]]);
-        assert_eq!(LinearOperator::apply(&m, &[1.0, 1.0]), vec![2.0, 4.0]);
-        assert!(m.rel_residual(&[1.0, 1.0], &[2.0, 4.0]) < 1e-15);
     }
 }

@@ -8,7 +8,7 @@
 //! and the benchmark's `iterative.{gmres,cg}_{ms,iters}` metrics compare
 //! them on the same operator.
 
-use crate::{axpy, dot, norm2, CsrMatrix, LinalgError, LinearOperator};
+use crate::{axpy, dot, norm2, CsrMatrix, LinalgError};
 
 /// Application of a preconditioner `z ≈ A⁻¹ r`.
 ///
@@ -188,14 +188,13 @@ impl Default for CgOptions {
 /// # Ok(())
 /// # }
 /// ```
-pub fn solve_cg<A, P>(
-    a: &A,
+pub fn solve_cg<P>(
+    a: &CsrMatrix,
     b: &[f64],
     precond: &P,
     opts: CgOptions,
 ) -> Result<IterativeSolution, LinalgError>
 where
-    A: LinearOperator + ?Sized,
     P: Preconditioner + ?Sized,
 {
     let n = a.nrows();
@@ -225,7 +224,7 @@ where
     // iterate x = 0 has ‖b − Ax‖/‖b‖ = 1.
     let mut last_rn = 1.0;
     for it in 0..opts.max_iter {
-        a.apply_into(&p, &mut ap);
+        a.spmv_into(&p, &mut ap);
         let alpha = rz / dot(&p, &ap);
         if !alpha.is_finite() {
             // Breakdown: pᵀAp ≤ 0 (indefinite operator) or a poisoned
@@ -300,14 +299,13 @@ impl Default for GmresOptions {
 ///
 /// [`LinalgError::DidNotConverge`] if the tolerance is not met within the
 /// restart budget; [`LinalgError::DimensionMismatch`] on shape errors.
-pub fn solve_gmres<A, P>(
-    a: &A,
+pub fn solve_gmres<P>(
+    a: &CsrMatrix,
     b: &[f64],
     precond: &P,
     opts: GmresOptions,
 ) -> Result<IterativeSolution, LinalgError>
 where
-    A: LinearOperator + ?Sized,
     P: Preconditioner + ?Sized,
 {
     let n = a.nrows();
@@ -339,7 +337,7 @@ where
 
     for _cycle in 0..opts.max_restarts {
         // r = M⁻¹ (b - A x)
-        let ax = a.apply(&x);
+        let ax = a.spmv(&x);
         let raw: Vec<f64> = b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect();
         let mut r = vec![0.0; n];
         precond.apply(&raw, &mut r);
@@ -353,7 +351,7 @@ where
             });
         }
         if beta / nmb <= opts.tol {
-            let rn = a.rel_residual(&x, b);
+            let rn = a.residual(&x, b);
             return Ok(IterativeSolution {
                 x,
                 iterations: total_iters,
@@ -376,7 +374,7 @@ where
         for j in 0..m {
             total_iters += 1;
             // w = M⁻¹ A v_j
-            a.apply_into(&v[j], &mut scratch);
+            a.spmv_into(&v[j], &mut scratch);
             let mut w = vec![0.0; n];
             precond.apply(&scratch, &mut w);
             // Modified Gram–Schmidt.
@@ -429,7 +427,7 @@ where
             axpy(*yj, &v[j], &mut x);
         }
         if converged {
-            let rn = a.rel_residual(&x, b);
+            let rn = a.residual(&x, b);
             return Ok(IterativeSolution {
                 x,
                 iterations: total_iters,
@@ -437,7 +435,7 @@ where
             });
         }
     }
-    let rn = a.rel_residual(&x, b);
+    let rn = a.residual(&x, b);
     Err(LinalgError::DidNotConverge {
         iterations: total_iters,
         residual: rn,
@@ -472,29 +470,28 @@ impl Default for RefineOptions {
 /// the residual is rolled back and the loop stops (stall detection), so the
 /// caller can fall to the next rung of the degradation ladder with the best
 /// iterate found so far still in `x`.
-pub fn refine<A, F>(
-    a: &A,
+pub fn refine<F>(
+    a: &CsrMatrix,
     b: &[f64],
     x: &mut [f64],
     correct: F,
     opts: RefineOptions,
 ) -> (usize, f64)
 where
-    A: LinearOperator + ?Sized,
     F: Fn(&[f64]) -> Vec<f64>,
 {
-    let mut best = a.rel_residual(x, b);
+    let mut best = a.residual(x, b);
     let mut sweeps = 0usize;
     let mut prev = vec![0.0; x.len()];
     while sweeps < opts.max_sweeps && best > opts.tol && best.is_finite() {
-        let ax = a.apply(x);
+        let ax = a.spmv(x);
         let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect();
         let dx = correct(&r);
         prev.copy_from_slice(x);
         for (xi, di) in x.iter_mut().zip(&dx) {
             *xi += di;
         }
-        let rn = a.rel_residual(x, b);
+        let rn = a.residual(x, b);
         if rn.is_nan() || rn >= best {
             // Stalled or regressed (a NaN residual counts): keep the best
             // iterate seen.

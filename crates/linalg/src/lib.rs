@@ -66,11 +66,11 @@
 //! environment variable, else `available_parallelism` clamped to 16), or an
 //! explicitly-capped pool within a [`WorkPool::install`] scope. The
 //! `threads` knobs across the workspace (`solve_many`'s `threads`
-//! parameter, `LocalStageOptions::threads`, `GlobalStage::with_threads`)
-//! are *cap overrides*: they can narrow a call below the pool cap but never
-//! widen it, and they no longer spawn anything themselves. Nested stages
-//! share the one pool, so within one call tree live threads never exceed
-//! the cap however stages compose (independent application threads calling
+//! parameter, `LocalStageOptions::threads`) are *cap overrides*: they can
+//! narrow a call below the pool cap but never widen it, and they never
+//! spawn anything themselves; the global stage has no knob and runs at the
+//! installed cap. Nested stages share the one pool, so within one call
+//! tree live threads never exceed the cap however stages compose (independent application threads calling
 //! in concurrently each add their own caller slot on top of the resident
 //! workers — see the [`WorkPool`] module docs); [`SolveReport::workers`]
 //! records the worker count a solve actually used.
@@ -116,8 +116,8 @@ mod vecops;
 
 pub use backend::{
     default_solve_threads, matrix_fingerprint, Auto, BackendSolution, BatchSolution, Cg,
-    DegradationStep, DegradationTrail, DirectCholesky, FactorCache, Gmres, LinearOperator,
-    PrecondSpec, PreparedSolver, Resilient, Rung, SolveReport, SolverBackend, VerifyPolicy,
+    DegradationStep, DegradationTrail, DirectCholesky, FactorCache, Gmres, PrecondSpec,
+    PreparedSolver, Resilient, Rung, SolveReport, SolverBackend, VerifyPolicy,
     MAX_DEGRADATION_STEPS,
 };
 pub use cholesky::SparseCholesky;

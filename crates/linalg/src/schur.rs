@@ -192,22 +192,6 @@ impl SolverBackend for Sharded {
             ^ self.inner.config_fingerprint().rotate_left(4)
             ^ self.verify.fingerprint().rotate_left(44)
     }
-
-    fn accepts_cached(&self, prepared: &PreparedSolver, a: &CsrMatrix) -> bool {
-        // Different requested shard counts key different cache entries, but
-        // they can degenerate to the *same* canonical plan — operators too
-        // small to cut or without a usable hint, or counts beyond what the
-        // block grid can cut — in which case the prepared solvers are
-        // interchangeable bit for bit. Trust an exact plan comparison
-        // (plans are canonical), mirroring the exact matrix comparison that
-        // guards fingerprint hits.
-        let Some(schur) = prepared.schur() else {
-            return false;
-        };
-        prepared.verify_policy() == self.verify
-            && schur.inner_fingerprint() == self.inner.config_fingerprint()
-            && *schur.plan() == self.plan(a)
-    }
 }
 
 /// One interior shard: its prepared factor, both coupling blocks, and the
@@ -259,10 +243,6 @@ pub(crate) struct SchurSolver {
     /// Prepared factor of the Schur complement; `None` when the interface
     /// is empty (single shard, or fully disconnected shards).
     interface_solver: Option<Arc<PreparedSolver>>,
-    /// Configuration fingerprint of the inner backend the blocks were
-    /// prepared under — consulted by `Sharded::accepts_cached` before
-    /// trusting a plan comparison across cache entries.
-    inner_fingerprint: u64,
     /// Shards whose factor + clique this preparation computed: the dirty
     /// set — all of them when there was no previous preparation.
     shards_refactored: usize,
@@ -607,7 +587,6 @@ impl SchurSolver {
             plan,
             blocks,
             interface_solver,
-            inner_fingerprint: inner.config_fingerprint(),
             shards_refactored: dirty.len(),
             shards_reused: num_shards - dirty.len(),
             interface_degraded,
@@ -630,21 +609,10 @@ impl SchurSolver {
         self.plan.interface().len()
     }
 
-    /// The canonical partition this solver was prepared under.
-    pub(crate) fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
     /// Quality accounting of the prepared plan (balance, interface share)
     /// — surfaced on `SolveReport::plan_stats`.
     pub(crate) fn plan_stats(&self) -> ShardPlanStats {
         self.plan.stats()
-    }
-
-    /// Inner-backend configuration fingerprint the blocks were prepared
-    /// under.
-    pub(crate) fn inner_fingerprint(&self) -> u64 {
-        self.inner_fingerprint
     }
 
     /// Shards whose factor + clique this preparation computed.
@@ -1202,7 +1170,7 @@ mod tests {
         assert_eq!((fresh.shards_refactored, fresh.shards_reused), (k, 0));
         // Perturb one interior diagonal entry (stays SPD): only the owning
         // shard's block changes.
-        let row = first.schur().unwrap().plan().shard_rows(0)[0];
+        let row = first.schur().unwrap().plan.shard_rows(0)[0];
         let mut b = (*a).clone();
         b.add_at(row, row, 1.0);
         let b = Arc::new(b);
@@ -1228,7 +1196,7 @@ mod tests {
         // Perturb an interface *diagonal* entry: no interior or coupling
         // block changes, so every shard is clean — but S must still be
         // re-assembled from the fresh A_ss, never silently reused.
-        let row = schur.plan().interface()[0];
+        let row = schur.plan.interface()[0];
         let mut b = (*a).clone();
         b.add_at(row, row, 2.0);
         let b = Arc::new(b);
@@ -1252,7 +1220,7 @@ mod tests {
         let schur = first.schur().expect("sharded engine");
         let k = schur.num_shards();
         assert!(k >= 2);
-        let plan = schur.plan();
+        let plan = &schur.plan;
         // Find a stored interface↔interior entry: it lives in the coupling
         // blocks (A_ks/A_sk) of exactly one shard.
         let (s_row, i_col, owner) = plan
@@ -1311,7 +1279,7 @@ mod tests {
         // One new entry pair inside shard 0 (two rows of one block, so the
         // hint still holds and the plan is unchanged): a different pattern,
         // so no incremental reuse — everything refactored.
-        let rows = schur.plan().shard_rows(0);
+        let rows = schur.plan.shard_rows(0);
         let (r, c) = (rows[0], rows[2]);
         assert!(!a.row(r).0.contains(&c), "the pair must be new");
         let mut coo = CooMatrix::new(a.nrows(), a.ncols());
@@ -1357,26 +1325,30 @@ mod tests {
     fn degenerate_plans_share_one_cache_entry() {
         // Every requested shard count collapses to the same single-shard
         // plan on an operator below the 64-row floor (7×7) and on one
-        // without a hint (28×28), so differently-keyed cache entries are
-        // interchangeable and the second backend must *hit*.
+        // without a hint (28×28). The cache keys by configuration and
+        // operator and nothing else, so the two counts prepare one entry
+        // each — and the two entries solve bit for bit alike.
         for a in [laplacian_2d(7, 7), laplacian_2d(28, 28)] {
             let a = Arc::new(a);
+            let rhs = loads(a.nrows(), 2);
             let cache = FactorCache::new();
             let four = Sharded::new(4);
             let eight = Sharded::new(8);
             assert_ne!(four.config_fingerprint(), eight.config_fingerprint());
-            cache.prepare(&four, &a).unwrap();
-            assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 1, 1));
-            cache.prepare(&eight, &a).unwrap();
+            let by_four = cache.prepare(&four, &a).unwrap();
+            let by_eight = cache.prepare(&eight, &a).unwrap();
+            assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 2, 2));
+            assert_eq!(by_four.shards(), 1);
+            assert_eq!(by_eight.shards(), 1);
             assert_eq!(
-                (cache.hits(), cache.misses(), cache.len()),
-                (1, 1, 1),
-                "degenerate plans are identical — the lookup must dedupe"
+                by_four.solve_many(&rhs, 1).unwrap().xs,
+                by_eight.solve_many(&rhs, 1).unwrap().xs,
+                "degenerate plans are identical, so are their solutions"
             );
         }
 
         // Counter-case: on an operator that genuinely splits, K=2 and K=4
-        // produce different plans, so no cross-config sharing.
+        // produce different plans, and two entries.
         let big = hinted(4, 4, 6);
         let cache = FactorCache::new();
         cache.prepare(&Sharded::new(2), &big).unwrap();
@@ -1393,9 +1365,9 @@ mod tests {
         let rhs = loads(a.nrows(), 2);
         let capped = Sharded::new(3 * 2).prepare(Arc::clone(&a)).unwrap();
         let huge = Sharded::new(usize::MAX).prepare(Arc::clone(&a)).unwrap();
-        let plan = capped.schur().expect("sharded engine").plan();
+        let plan = &capped.schur().expect("sharded engine").plan;
         assert!(plan.num_shards() >= 2);
-        assert_eq!(huge.schur().expect("sharded engine").plan(), plan);
+        assert_eq!(&huge.schur().expect("sharded engine").plan, plan);
         assert_eq!(
             huge.solve_many(&rhs, 2).unwrap().xs,
             capped.solve_many(&rhs, 2).unwrap().xs
@@ -1444,13 +1416,13 @@ mod tests {
         let k = schur.num_shards();
         assert!(k >= 2);
         // Perturb one interior diagonal: incremental route, one dirty shard.
-        let row = schur.plan().shard_rows(0)[0];
+        let row = schur.plan.shard_rows(0)[0];
         let mut b = (*a).clone();
         b.add_at(row, row, 1.0);
         let b = Arc::new(b);
         let second = backend.prepare(Arc::clone(&b)).unwrap();
         let schur2 = second.schur().unwrap();
-        assert_eq!(schur2.plan(), schur.plan(), "plan carries over");
+        assert_eq!(schur2.plan, schur.plan, "plan carries over");
         assert_eq!(schur2.shards_refactored(), 1);
         assert_eq!(schur2.shards_reused(), k - 1);
         // Bitwise oracle: a fresh backend, from scratch.
@@ -1502,14 +1474,13 @@ mod tests {
         let prepared = backend.prepare(Arc::clone(&a)).unwrap();
         let reference = quiet.prepare(Arc::clone(&a)).unwrap();
         assert_eq!(
-            prepared.schur().unwrap().plan(),
-            reference.schur().unwrap().plan()
+            prepared.schur().unwrap().plan,
+            reference.schur().unwrap().plan
         );
         assert_eq!(
             prepared.solve_many(&rhs, 1).unwrap().xs,
             reference.solve_many(&rhs, 1).unwrap().xs
         );
-        assert!(backend.accepts_cached(&reference, &a));
         // Nor does a hint that would fit a hint-less operator make it shard.
         backend.set_partition_hint(Some(hint));
         let unhinted = backend.prepare(Arc::new(plain)).unwrap();
