@@ -9,8 +9,9 @@
 //! No solver backend runs this factorization: production solves go
 //! through [`SupernodalCholesky`](crate::SupernodalCholesky). It stays as
 //! the independent reference the differential tests compare that
-//! factorization against, and its `etree`/`ereach` symbolic routines are
-//! shared with the supernodal analysis.
+//! factorization against, so it keeps a symbolic route of its own — a
+//! permuted copy, `etree` and per-row `ereach` — that shares nothing with
+//! the supernodal analysis.
 
 use crate::ordering::{reverse_cuthill_mckee, Permutation};
 use crate::{CsrMatrix, LinalgError};
@@ -218,10 +219,7 @@ impl SparseCholesky {
 
 /// Elimination tree of the pattern of a symmetric matrix (lower triangle of
 /// each row is read). `parent[i] == NONE` marks a root.
-///
-/// Shared with the supernodal factorization (`crate::supernodal`), whose
-/// symbolic analysis runs the same etree + `ereach` machinery.
-pub(crate) fn etree(a: &CsrMatrix) -> Vec<usize> {
+fn etree(a: &CsrMatrix) -> Vec<usize> {
     let n = a.nrows();
     let mut parent = vec![NONE; n];
     let mut ancestor = vec![NONE; n];
@@ -248,7 +246,7 @@ pub(crate) fn etree(a: &CsrMatrix) -> Vec<usize> {
 /// Computes the pattern of row `k` of `L`: the nodes reachable from the
 /// below-diagonal entries of row `k` of `A` through the elimination tree.
 /// On return, `stack[top..n]` holds the pattern in topological order.
-pub(crate) fn ereach(
+fn ereach(
     a: &CsrMatrix,
     k: usize,
     parent: &[usize],

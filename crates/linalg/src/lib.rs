@@ -10,8 +10,9 @@
 //! * [`SparseCholesky`] — the scalar up-looking sparse Cholesky
 //!   factorization with elimination-tree symbolic analysis. No backend
 //!   runs it: it is the independent reference the differential tests pin
-//!   [`SupernodalCholesky`] against, and the home of the `etree`/`ereach`
-//!   symbolic routines the supernodal analysis shares.
+//!   [`SupernodalCholesky`] against, with a symbolic route (permuted copy,
+//!   `etree`, per-row `ereach`) that shares nothing with the supernodal
+//!   analysis.
 //! * [`DenseKernel`] / [`KernelChoice`] — the swappable dense microkernel
 //!   layer (`kernel.rs`) every flop-bearing loop routes through: the
 //!   supernodal rank-k updates, panel Cholesky, triangular sweeps, the
@@ -135,6 +136,8 @@ pub use pool::{TaskDag, WorkPool};
 pub use schur::Sharded;
 pub use shard::{PartitionHint, ShardPlan, ShardPlanStats};
 pub use sparse::{CooMatrix, CsrMatrix};
+#[doc(hidden)]
+pub use supernodal::SymbolicParts;
 pub use supernodal::{SupernodalCholesky, SupernodalOptions, SupernodeStats};
 pub use vecops::{axpy, dot, dot_panel, norm2, norm_inf, scale, sub};
 

@@ -29,22 +29,33 @@
 //!
 //! # Algorithm
 //!
-//! 1. **Symbolic** ([`Symbolic::analyze`], shared by both numeric paths):
-//!    the elimination tree is computed **once** and reused everywhere — the
-//!    `ereach` column-count sweep, the amalgamation test, the supernodal
-//!    etree, and the task schedule. Columns are grouped greedily
-//!    left-to-right: column `j` joins the supernode ending at `j-1` when
-//!    `parent[j-1] == j` and either the patterns match exactly (a
-//!    *fundamental* supernode) or the padding introduced by storing the
-//!    union pattern stays under the relaxation budget. The phase also
-//!    precomputes the **update schedule**: for every supernode, the exact
-//!    ordered list of descendant contributions the serial left-looking
-//!    sweep would apply (see *Determinism* below), plus subtree weights of
-//!    the supernodal etree for schedule balance.
+//! 1. **Symbolic** ([`Symbolic::analyze`], shared by both numeric paths).
+//!    The permuted operator `P·A·Pᵀ` is never materialised: one pass over
+//!    `A`, reading row `perm[k]` through the inverse permutation, yields
+//!    the elimination tree and the strict-lower column pattern (CSC) of
+//!    `P·A·Pᵀ`. Nothing then walks `L` entry by entry. The column counts
+//!    of `L` come from the etree postorder, first descendants and
+//!    skeleton leaves over path-compressed ancestors (Gilbert–Ng–Peyton,
+//!    as CSparse's `cs_counts`), near-linear in `nnz(A)`. Columns are
+//!    grouped greedily left-to-right: column `j` joins the supernode
+//!    ending at `j-1` when `parent[j-1] == j` and either the patterns
+//!    match exactly (a *fundamental* supernode) or the padding introduced
+//!    by storing the union pattern stays under the relaxation budget.
+//!    Each supernode `[c0, c1)` then gets its row list directly: its
+//!    diagonal columns, then the sorted union of its own columns'
+//!    strict-lower entries `≥ c1` and its child supernodes' row tails
+//!    `≥ c1` — by etree inclusion, exactly the pattern of its last
+//!    column. The pattern arrays are dropped before any panel exists. The
+//!    phase also precomputes the **update schedule**: for every
+//!    supernode, the exact ordered list of descendant contributions the
+//!    serial left-looking sweep would apply (see *Determinism* below),
+//!    plus subtree weights of the supernodal etree for schedule balance.
 //! 2. **Numeric**: two task kinds cover the work.
 //!
-//!    * A **panel task** per supernode: assemble the panel from `A`;
-//!      if the panel's whole descendant-update load fits the work budget,
+//!    * A **panel task** per supernode: assemble the panel from `A`
+//!      (column `c` from row `perm[c]`, the entries at or below the
+//!      diagonal after renaming; each slot is written once); if the
+//!      panel's whole descendant-update load fits the work budget,
 //!      stream the updates `C = G·G₁ᵀ` (contiguous axpy loops scattered
 //!      through precomputed relative indices) directly into the panel,
 //!      otherwise subtract the finished update chunks (below)
@@ -52,13 +63,15 @@
 //!      by a dense blocked column Cholesky.
 //!    * An **update-chunk task** per work-bounded slice of the remaining
 //!      descendant updates of a heavy panel, accumulating its slice into a
-//!      private panel-shaped buffer. Without these, a left-looking
-//!      schedule serializes *all* update flops into a separator on the
-//!      separator's own task — on a geometric-dissection lattice that
-//!      chains ~70% of total work onto the root path, capping tree
-//!      parallelism at ~1.4×; with them the bulk of the update work rides
-//!      independent tasks and the critical path collapses to the dense
-//!      panel chain.
+//!      private panel-shaped buffer. A panel's buffers are allocated by
+//!      the first of its chunk tasks to run and freed by its panel task,
+//!      so the serial sweep holds one panel's at a time. Without these, a
+//!      left-looking schedule serializes *all* update flops into a
+//!      separator on the separator's own task — on a geometric-dissection
+//!      lattice that chains ~70% of total work onto the root path, capping
+//!      tree parallelism at ~1.4×; with them the bulk of the update work
+//!      rides independent tasks and the critical path collapses to the
+//!      dense panel chain.
 //!
 //!    The serial path runs the tasks left-to-right (each panel's chunks,
 //!    then the panel); the parallel path runs the *same task bodies* as a
@@ -77,15 +90,21 @@
 //! # The border
 //!
 //! [`SupernodalCholesky::factor_bordered`] stops the elimination early: the
-//! trailing `n − n_elim` permuted columns are a *border*. The symbolic
-//! phase starts a new supernode at `n_elim`, so every panel is either
-//! eliminated or border, and never queues a border panel as a descendant;
-//! the numeric phase assembles and updates border panels like any other
-//! but skips their in-panel Cholesky. Border panels therefore receive the
-//! updates of every eliminated panel and nothing else — they end as the
-//! Schur complement `A_bb − A_bi A_ii⁻¹ A_ib`, read out as a dense block —
-//! and the border rows, a suffix of every eliminated panel's row list, are
-//! cut from the leading factor afterwards. The task DAG is the full
+//! trailing `n − n_elim` permuted columns are a *border*, kept in their
+//! natural order behind the leading block (the permutation read through is
+//! `lead` followed by `n_elim..n`). The symbolic phase analyses the whole
+//! bordered pattern, so border panels get their rows like any other; it
+//! starts a new supernode at `n_elim`, so every panel is either
+//! eliminated or border, and never queues a border panel as a descendant.
+//! The factor's true nonzero count is the leading block's alone: the
+//! column-count pass sums the row-subtree sizes of the rows before
+//! `n_elim` only. The numeric phase assembles and updates border panels
+//! like any other but skips their in-panel Cholesky. Border panels
+//! therefore receive the updates of every eliminated panel and nothing
+//! else — they end as the Schur complement `A_bb − A_bi A_ii⁻¹ A_ib`, read
+//! out as a dense block — and the border rows, a suffix of every
+//! eliminated panel's row list, are cut from the leading factor
+//! afterwards. The task DAG is the full
 //! factorization's with the border panels as leaves, so the determinism
 //! contract below covers it unchanged, and a full factorization is the
 //! case `n_elim = n`. The sharded backend condenses each shard this way:
@@ -116,10 +135,10 @@
 //! error path still deterministically reports the smallest failing pivot
 //! row among the tasks that ran.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use crate::cholesky::{ereach, etree};
 use crate::kernel::{DenseKernel, KernelChoice};
 use crate::ordering::{tree_metrics, FillOrdering, Permutation, TreeMetrics};
 use crate::pool::TaskDag;
@@ -259,14 +278,12 @@ struct Symbolic {
     /// Update-chunk tasks, grouped per panel: panel `s` owns chunks
     /// `chk_ptr[s]..chk_ptr[s+1]`; chunk `t` covers updates
     /// `upd[chunk_lo[t]..chunk_hi[t]]` of panel `chunk_panel[t]` and
-    /// accumulates into `acc[acc_ptr[t]..acc_ptr[t] + w·m]`.
+    /// accumulates into slice `t − chk_ptr[s]` (each `w·m` long) of its
+    /// panel's accumulator buffer (see [`AccSlot`]).
     chk_ptr: Vec<usize>,
     chunk_lo: Vec<usize>,
     chunk_hi: Vec<usize>,
     chunk_panel: Vec<usize>,
-    acc_ptr: Vec<usize>,
-    /// Total accumulator storage (f64 entries) the chunk tasks need.
-    acc_len: usize,
     /// Chunk-accumulator reduction trees, grouped per panel: panel `s`
     /// owns combines `cmb_ptr[s]..cmb_ptr[s+1]`; combine `u` folds
     /// accumulator `cmb_src[u]` into `cmb_dst[u]` element-wise (both are
@@ -305,128 +322,52 @@ impl Symbolic {
         self.sn_ptr.len() - 1
     }
 
-    /// Runs the full symbolic phase on the permuted operator, whose first
-    /// `n_elim` columns are to be eliminated and the rest accumulated as a
-    /// border. The elimination tree is computed once, up front, and reused
-    /// by the column-count sweep, the amalgamation test, the row-structure
-    /// sweep, and the supernodal task schedule.
-    fn analyze(ap: &CsrMatrix, n_elim: usize, opts: &SupernodalOptions) -> Self {
-        let n = ap.nrows();
-        debug_assert!(n_elim <= n);
+    /// Where chunk `t` accumulates: the length of its panel's buffer (all
+    /// of the panel's chunks), the offset of its own slice in it, and the
+    /// slice length `w·m`.
+    fn acc_slice(&self, t: usize) -> (usize, usize, usize) {
+        let s = self.chunk_panel[t];
+        let wm = (self.sn_ptr[s + 1] - self.sn_ptr[s]) * (self.row_ptr[s + 1] - self.row_ptr[s]);
+        let root = self.chk_ptr[s];
+        ((self.chk_ptr[s + 1] - root) * wm, (t - root) * wm, wm)
+    }
 
-        // --- Column counts of L via the etree row sweep -------------------
-        // Rows k < n_elim reach only eliminated columns, so their entries
-        // (plus the diagonals) are exactly the leading factor's.
-        let parent = etree(ap);
-        let mut counts = vec![1usize; n]; // diagonal entries
-        let mut true_nnz = n_elim;
-        {
-            let mut w = vec![NONE; n];
-            let mut stack = vec![0usize; n];
-            for k in 0..n {
-                let top = ereach(ap, k, &parent, &mut w, &mut stack);
-                for &i in &stack[top..n] {
-                    counts[i] += 1;
-                }
-                if k < n_elim {
-                    true_nnz += n - top;
-                }
-            }
-        }
+    /// Runs the full symbolic phase on `P·A·Pᵀ`, read through `pa`, whose
+    /// first `n_elim` columns are to be eliminated and the rest accumulated
+    /// as a border: the elimination tree and strict-lower pattern in one
+    /// pass over `A`, column counts, supernodes, row lists, then the panel
+    /// layout and task schedule ([`Symbolic::from_rows`]). The pattern is
+    /// dropped before this returns.
+    fn analyze(pa: Permuted<'_>, n_elim: usize, opts: &SupernodalOptions) -> Self {
+        debug_assert!(n_elim <= pa.n());
+        let (col_ptr, col_rows, parent) = lower_pattern(pa);
+        let (counts, true_nnz) = column_counts(&col_ptr, &col_rows, &parent, n_elim);
+        let sn_ptr = supernode_partition(&parent, &counts, n_elim, opts);
+        let (row_ptr, rows) = row_lists(&sn_ptr, &counts, &parent, &col_ptr, &col_rows);
+        drop((col_ptr, col_rows, parent, counts));
+        Self::from_rows(n_elim, sn_ptr, row_ptr, rows, true_nnz, opts)
+    }
 
-        // --- Supernode detection with relaxed amalgamation ----------------
-        // Greedy left-to-right: extend the current supernode [c0..j) with
-        // column j iff the etree links j-1 → j (which guarantees the merged
-        // row structure is {c0..j} ∪ pattern(j) \ {j}) and the padding
-        // stays within budget. For a supernode [c0..c) the row structure
-        // is {c0..c-1} ∪ (pattern(c-1) \ {c-1}), so the panel height is
-        // (c - c0) + counts[c-1] - 1 in closed form. A supernode never
-        // straddles `n_elim`: the border starts a panel of its own.
-        let max_width_cap = opts.max_width.max(1);
-        let mut sn_ptr: Vec<usize> = vec![0];
-        if n > 0 {
-            let mut c0 = 0usize;
-            let mut true_in_sn = counts[0];
-            for j in 1..n {
-                let w = j - c0;
-                let mut accept = false;
-                if parent[j - 1] == j && w < max_width_cap && j != n_elim {
-                    if counts[j - 1] == counts[j] + 1 {
-                        // Fundamental: identical below-diagonal patterns,
-                        // zero padding added.
-                        accept = true;
-                    } else {
-                        // Relaxed: accept while padding stays in budget.
-                        let m = (w + 1) + counts[j] - 1;
-                        let stored = (w + 1) * m - w * (w + 1) / 2;
-                        let true_new = true_in_sn + counts[j];
-                        let budget = if w < opts.small_width {
-                            2.0 * opts.relax
-                        } else {
-                            opts.relax
-                        };
-                        accept = (stored - true_new) as f64 <= budget * true_new as f64;
-                    }
-                }
-                if accept {
-                    true_in_sn += counts[j];
-                } else {
-                    sn_ptr.push(j);
-                    c0 = j;
-                    true_in_sn = counts[j];
-                }
-            }
-            sn_ptr.push(n);
-        }
+    /// The second half of the symbolic phase, from a supernode partition
+    /// and its row lists (each sorted, diagonal block first): panel layout,
+    /// supernodal etree, update schedule, chunk partition and schedule
+    /// metrics. `true_nnz` is the leading factor's true nonzero count.
+    fn from_rows(
+        n_elim: usize,
+        sn_ptr: Vec<usize>,
+        row_ptr: Vec<usize>,
+        rows: Vec<usize>,
+        true_nnz: usize,
+        opts: &SupernodalOptions,
+    ) -> Self {
+        let n = *sn_ptr.last().expect("sn_ptr starts at 0");
         let num_sn = sn_ptr.len() - 1;
         let elim_sn = sn_ptr.partition_point(|&c| c < n_elim);
-        let mut col_to_sn = vec![0usize; n];
-        for s in 0..num_sn {
-            for c in sn_ptr[s]..sn_ptr[s + 1] {
-                col_to_sn[c] = s;
-            }
-        }
+        let col_to_sn = column_owners(&sn_ptr);
         let max_width = (0..elim_sn)
             .map(|s| sn_ptr[s + 1] - sn_ptr[s])
             .max()
             .unwrap_or(0);
-
-        // --- Row lists: diagonal block plus pattern of the last column ----
-        // pattern(last col) \ {last col} is collected with a second ereach
-        // sweep over the same etree: row k of L has an entry in column i
-        // iff i ∈ ereach(k).
-        let mut row_ptr = vec![0usize; num_sn + 1];
-        for s in 0..num_sn {
-            let last = sn_ptr[s + 1] - 1;
-            let w = sn_ptr[s + 1] - sn_ptr[s];
-            row_ptr[s + 1] = row_ptr[s] + w + counts[last] - 1;
-        }
-        let mut rows = vec![0usize; row_ptr[num_sn]];
-        {
-            // Diagonal block rows first.
-            for s in 0..num_sn {
-                for (i, c) in (sn_ptr[s]..sn_ptr[s + 1]).enumerate() {
-                    rows[row_ptr[s] + i] = c;
-                }
-            }
-            // Below rows in ascending order (k increases monotonically).
-            let mut next: Vec<usize> = (0..num_sn)
-                .map(|s| row_ptr[s] + (sn_ptr[s + 1] - sn_ptr[s]))
-                .collect();
-            let mut w = vec![NONE; n];
-            let mut stack = vec![0usize; n];
-            for k in 0..n {
-                let top = ereach(ap, k, &parent, &mut w, &mut stack);
-                for &i in &stack[top..n] {
-                    let s = col_to_sn[i];
-                    if i == sn_ptr[s + 1] - 1 {
-                        rows[next[s]] = k;
-                        next[s] += 1;
-                    }
-                }
-            }
-            debug_assert!((0..num_sn).all(|s| next[s] == row_ptr[s + 1]));
-        }
 
         // --- Panel storage layout -----------------------------------------
         let mut val_ptr = vec![0usize; num_sn + 1];
@@ -497,13 +438,11 @@ impl Symbolic {
         let mut chunk_lo: Vec<usize> = Vec::new();
         let mut chunk_hi: Vec<usize> = Vec::new();
         let mut chunk_panel: Vec<usize> = Vec::new();
-        let mut acc_ptr: Vec<usize> = Vec::new();
         let mut chunk_weight: Vec<u64> = Vec::new();
         let mut cmb_ptr = vec![0usize; num_sn + 1];
         let mut cmb_dst: Vec<usize> = Vec::new();
         let mut cmb_src: Vec<usize> = Vec::new();
         let mut panel_weight = vec![0u64; num_sn];
-        let mut acc_len = 0usize;
         // Structure-only adaptive budget: at least the configured floor,
         // and at most ~CHUNK_COUNT_TARGET chunks across the whole
         // factorization.
@@ -533,8 +472,6 @@ impl Symbolic {
                 chunk_lo.push(lo);
                 chunk_hi.push(i);
                 chunk_panel.push(s);
-                acc_ptr.push(acc_len);
-                acc_len += w * m;
                 chunk_weight.push(work.max(1));
             }
             chk_ptr[s + 1] = chunk_lo.len();
@@ -640,8 +577,6 @@ impl Symbolic {
             chunk_lo,
             chunk_hi,
             chunk_panel,
-            acc_ptr,
-            acc_len,
             cmb_ptr,
             cmb_dst,
             cmb_src,
@@ -710,6 +645,336 @@ impl Symbolic {
     }
 }
 
+/// The operator `P·A·Pᵀ` the factorization reads, never materialised: its
+/// row `k` is row `perm[k]` of `a`, column `c` renamed `inv[c]`. Entries of
+/// a row come in `a`'s column order, which is not ascending after
+/// renaming; nothing that reads it depends on entry order.
+#[derive(Clone, Copy)]
+struct Permuted<'a> {
+    a: &'a CsrMatrix,
+    perm: &'a [usize],
+    inv: &'a [usize],
+}
+
+impl Permuted<'_> {
+    fn n(&self) -> usize {
+        self.perm.len()
+    }
+
+    /// The columns of row `k`.
+    fn cols(&self, k: usize) -> impl Iterator<Item = usize> + '_ {
+        self.a.row(self.perm[k]).0.iter().map(|&c| self.inv[c])
+    }
+
+    /// The (column, value) entries of row `k`.
+    fn row(&self, k: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let (cols, vals) = self.a.row(self.perm[k]);
+        cols.iter().map(|&c| self.inv[c]).zip(vals.iter().copied())
+    }
+}
+
+/// The whole-operator permutation of a bordered factorization of an
+/// `n`-row operator, as `(perm, inv)`: `lead`, then the border `n_elim..n`
+/// in its natural order. Borrowed from `lead` when there is no border.
+fn bordered_permutation(lead: &Permutation, n: usize) -> (Cow<'_, [usize]>, Cow<'_, [usize]>) {
+    let n_elim = lead.len();
+    if n_elim == n {
+        return (lead.as_slice().into(), lead.inverse_slice().into());
+    }
+    let extend = |head: &[usize]| -> Vec<usize> { head.iter().copied().chain(n_elim..n).collect() };
+    (
+        extend(lead.as_slice()).into(),
+        extend(lead.inverse_slice()).into(),
+    )
+}
+
+/// The strict-lower column pattern of `P·A·Pᵀ` and its elimination tree,
+/// in one pass over the rows of `A` after a counting pass: column `j` of
+/// the pattern, `col_rows[col_ptr[j]..col_ptr[j+1]]`, holds every row
+/// `k > j` whose strict lower part has an entry in column `j`, ascending
+/// (rows are visited in order). The etree is unique, so the order of the
+/// entries within a row does not matter to it either. Returns
+/// `(col_ptr, col_rows, parent)`, `parent[j] == NONE` marking a root.
+fn lower_pattern(pa: Permuted<'_>) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
+    let n = pa.n();
+    let mut col_ptr = vec![0usize; n + 1];
+    for k in 0..n {
+        for j in pa.cols(k).filter(|&j| j < k) {
+            col_ptr[j + 1] += 1;
+        }
+    }
+    for j in 0..n {
+        col_ptr[j + 1] += col_ptr[j];
+    }
+    let mut col_rows = vec![0usize; col_ptr[n]];
+    let mut next = col_ptr[..n].to_vec();
+    let mut parent = vec![NONE; n];
+    // Liu's algorithm: `ancestor` path-compresses each visited path up to
+    // the current row.
+    let mut ancestor = vec![NONE; n];
+    for k in 0..n {
+        for j in pa.cols(k).filter(|&j| j < k) {
+            col_rows[next[j]] = k;
+            next[j] += 1;
+            let mut i = j;
+            while i != NONE && i < k {
+                let up = ancestor[i];
+                ancestor[i] = k;
+                if up == NONE {
+                    parent[i] = k;
+                    break;
+                }
+                i = up;
+            }
+        }
+    }
+    (col_ptr, col_rows, parent)
+}
+
+/// A postorder of the forest `parent`: every subtree is contiguous and
+/// ends at its root.
+fn postorder(parent: &[usize]) -> Vec<usize> {
+    let n = parent.len();
+    let mut head = vec![NONE; n];
+    let mut next = vec![NONE; n];
+    for j in (0..n).rev() {
+        if parent[j] != NONE {
+            next[j] = head[parent[j]];
+            head[parent[j]] = j;
+        }
+    }
+    let mut post = Vec::with_capacity(n);
+    let mut stack = Vec::new();
+    for root in (0..n).filter(|&j| parent[j] == NONE) {
+        stack.push(root);
+        while let Some(&p) = stack.last() {
+            let child = head[p];
+            if child == NONE {
+                stack.pop();
+                post.push(p);
+            } else {
+                head[p] = next[child];
+                stack.push(child);
+            }
+        }
+    }
+    post
+}
+
+/// Column counts of `L` (diagonal included) from the strict-lower pattern
+/// and the etree, by Gilbert–Ng–Peyton (the algorithm of CSparse's
+/// `cs_counts`): row `i` of `L` is the subtree of the etree spanned by
+/// its pattern entries up to `i`; walking the columns in postorder, an
+/// entry `(i, j)` is a *leaf* of that row subtree iff `j`'s first
+/// descendant lies past every earlier leaf's, and each leaf adds one to
+/// its column's count and takes one back at the least common ancestor
+/// with the previous leaf (found over path-compressed ancestor sets).
+/// Summing the differences up the tree yields the counts. The same walk
+/// sizes every row subtree (`level[j] − level[lca]` new nodes per leaf),
+/// which gives the leading factor's true nonzero count: `n_elim` diagonals
+/// plus the row subtrees of the rows before `n_elim`. Returns
+/// `(counts, true_nnz)`.
+fn column_counts(
+    col_ptr: &[usize],
+    col_rows: &[usize],
+    parent: &[usize],
+    n_elim: usize,
+) -> (Vec<usize>, usize) {
+    let n = parent.len();
+    let post = postorder(parent);
+    // `first[j]`: postorder index of j's first descendant. Leaves start
+    // their count at 1 (the diagonal).
+    let mut first = vec![NONE; n];
+    let mut delta = vec![0isize; n];
+    for (k, &j) in post.iter().enumerate() {
+        delta[j] = isize::from(first[j] == NONE);
+        let mut i = j;
+        while i != NONE && first[i] == NONE {
+            first[i] = k;
+            i = parent[i];
+        }
+    }
+    let mut level = vec![0usize; n];
+    for j in (0..n).rev() {
+        if parent[j] != NONE {
+            level[j] = level[parent[j]] + 1;
+        }
+    }
+    // Per row subtree: one past the largest `first` of its leaves so far
+    // (0: no leaf yet), and its previous leaf.
+    let mut max_first = vec![0usize; n];
+    let mut prev_leaf = vec![NONE; n];
+    let mut ancestor: Vec<usize> = (0..n).collect();
+    let mut true_nnz = n_elim;
+    for &j in &post {
+        if parent[j] != NONE {
+            delta[parent[j]] -= 1;
+        }
+        for &i in &col_rows[col_ptr[j]..col_ptr[j + 1]] {
+            if first[j] < max_first[i] {
+                continue; // j sits under an earlier leaf of row i
+            }
+            max_first[i] = first[j] + 1;
+            delta[j] += 1;
+            let prev = std::mem::replace(&mut prev_leaf[i], j);
+            let top = if prev == NONE {
+                i
+            } else {
+                let mut q = prev;
+                while ancestor[q] != q {
+                    q = ancestor[q];
+                }
+                let mut s = prev;
+                while s != q {
+                    s = std::mem::replace(&mut ancestor[s], q);
+                }
+                delta[q] -= 1;
+                q
+            };
+            if i < n_elim {
+                true_nnz += level[j] - level[top];
+            }
+        }
+        if parent[j] != NONE {
+            ancestor[j] = parent[j];
+        }
+    }
+    for j in 0..n {
+        if parent[j] != NONE {
+            delta[parent[j]] += delta[j];
+        }
+    }
+    let counts = delta
+        .into_iter()
+        .map(|d| usize::try_from(d).expect("column counts are positive"))
+        .collect();
+    (counts, true_nnz)
+}
+
+/// Supernode detection with relaxed amalgamation. Greedy left-to-right:
+/// extend the current supernode `[c0..j)` with column `j` iff the etree
+/// links `j-1 → j` (which guarantees the merged row structure is
+/// `{c0..j} ∪ pattern(j) \ {j}`) and the padding stays within budget. For
+/// a supernode `[c0..c)` the row structure is `{c0..c-1} ∪ (pattern(c-1) \
+/// {c-1})`, so the panel height is `(c - c0) + counts[c-1] - 1` in closed
+/// form. A supernode never straddles `n_elim`: the border starts a panel
+/// of its own. Returns `sn_ptr`.
+fn supernode_partition(
+    parent: &[usize],
+    counts: &[usize],
+    n_elim: usize,
+    opts: &SupernodalOptions,
+) -> Vec<usize> {
+    let n = parent.len();
+    let max_width_cap = opts.max_width.max(1);
+    let mut sn_ptr: Vec<usize> = vec![0];
+    if n == 0 {
+        return sn_ptr;
+    }
+    let mut c0 = 0usize;
+    let mut true_in_sn = counts[0];
+    for j in 1..n {
+        let w = j - c0;
+        let mut accept = false;
+        if parent[j - 1] == j && w < max_width_cap && j != n_elim {
+            if counts[j - 1] == counts[j] + 1 {
+                // Fundamental: identical below-diagonal patterns, zero
+                // padding added.
+                accept = true;
+            } else {
+                // Relaxed: accept while padding stays in budget.
+                let m = (w + 1) + counts[j] - 1;
+                let stored = (w + 1) * m - w * (w + 1) / 2;
+                let true_new = true_in_sn + counts[j];
+                let budget = if w < opts.small_width {
+                    2.0 * opts.relax
+                } else {
+                    opts.relax
+                };
+                accept = (stored - true_new) as f64 <= budget * true_new as f64;
+            }
+        }
+        if accept {
+            true_in_sn += counts[j];
+        } else {
+            sn_ptr.push(j);
+            c0 = j;
+            true_in_sn = counts[j];
+        }
+    }
+    sn_ptr.push(n);
+    sn_ptr
+}
+
+/// The supernode owning each column.
+fn column_owners(sn_ptr: &[usize]) -> Vec<usize> {
+    let mut col_to_sn = vec![0usize; *sn_ptr.last().expect("sn_ptr starts at 0")];
+    for (s, cols) in sn_ptr.windows(2).enumerate() {
+        col_to_sn[cols[0]..cols[1]].fill(s);
+    }
+    col_to_sn
+}
+
+/// Row lists per supernode: `[c0, c1)` gets its diagonal columns, then the
+/// sorted union of its own columns' strict-lower entries `≥ c1` and the
+/// row tails `≥ c1` of its child supernodes (those whose last column's
+/// etree parent lies in `[c0, c1)`). By etree inclusion that union is the
+/// pattern of column `c1 − 1` of `L` below the block, whose length
+/// `counts[c1−1] − 1` sizes the list up front. Children precede their
+/// parent, so one ascending pass finds every child's list complete.
+/// Returns `(row_ptr, rows)`.
+fn row_lists(
+    sn_ptr: &[usize],
+    counts: &[usize],
+    parent: &[usize],
+    col_ptr: &[usize],
+    col_rows: &[usize],
+) -> (Vec<usize>, Vec<usize>) {
+    let num_sn = sn_ptr.len() - 1;
+    let col_to_sn = column_owners(sn_ptr);
+    let mut row_ptr = vec![0usize; num_sn + 1];
+    for s in 0..num_sn {
+        let w = sn_ptr[s + 1] - sn_ptr[s];
+        row_ptr[s + 1] = row_ptr[s] + w + counts[sn_ptr[s + 1] - 1] - 1;
+    }
+    // Children of each supernode as linked lists.
+    let mut child_head = vec![NONE; num_sn];
+    let mut child_next = vec![NONE; num_sn];
+    for t in 0..num_sn {
+        let p = parent[sn_ptr[t + 1] - 1];
+        if p != NONE {
+            let s = col_to_sn[p];
+            child_next[t] = child_head[s];
+            child_head[s] = t;
+        }
+    }
+    let mut rows = vec![0usize; row_ptr[num_sn]];
+    let mut mark = vec![NONE; parent.len()];
+    for s in 0..num_sn {
+        let (c0, c1) = (sn_ptr[s], sn_ptr[s + 1]);
+        let (done, rest) = rows.split_at_mut(row_ptr[s]);
+        let list = &mut rest[..row_ptr[s + 1] - row_ptr[s]];
+        for (slot, c) in list.iter_mut().zip(c0..c1) {
+            *slot = c;
+        }
+        let own = (c0..c1).flat_map(|j| &col_rows[col_ptr[j]..col_ptr[j + 1]]);
+        let linked = |t: usize| (t != NONE).then_some(t);
+        let children = std::iter::successors(linked(child_head[s]), |&t| linked(child_next[t]))
+            .flat_map(|t| &done[row_ptr[t] + sn_ptr[t + 1] - sn_ptr[t]..row_ptr[t + 1]]);
+        let mut len = c1 - c0;
+        for &r in own.chain(children) {
+            if r >= c1 && mark[r] != s {
+                mark[r] = s;
+                list[len] = r;
+                len += 1;
+            }
+        }
+        debug_assert_eq!(len, list.len(), "supernode {s}: row count");
+        list[c1 - c0..].sort_unstable();
+    }
+    (row_ptr, rows)
+}
+
 /// Per-worker dense scratch of the numeric phase, reused across supernode
 /// tasks.
 struct PanelScratch {
@@ -728,19 +993,70 @@ impl PanelScratch {
     }
 }
 
-/// Panel and accumulator storage shared across factorization tasks. Tasks
-/// write disjoint ranges (a panel task its `val_ptr` slice, a chunk task
-/// its `acc_ptr` slice) and read only ranges of completed predecessors, so
-/// the aliasing is benign; see [`run_panel_task`] / [`run_chunk_task`].
+/// Panel storage shared across factorization tasks. Panel tasks write
+/// disjoint `val_ptr` ranges and every task reads only panels of completed
+/// predecessors, so the aliasing is benign; see [`run_panel_task`] /
+/// [`run_chunk_task`].
 struct SharedStorage {
     values: *mut f64,
-    acc: *mut f64,
 }
 
-// SAFETY: the raw pointers are only dereferenced inside the task bodies
+// SAFETY: the raw pointer is only dereferenced inside the task bodies
 // under the scope_dag discipline documented there.
 unsafe impl Send for SharedStorage {}
 unsafe impl Sync for SharedStorage {}
+
+/// Zeroed accumulator storage of one panel's chunks, owned through a raw
+/// pointer: its chunk tasks write disjoint slices of it concurrently, so
+/// no reference to the whole buffer is formed once it exists.
+struct AccBuf {
+    ptr: *mut f64,
+    len: usize,
+}
+
+impl AccBuf {
+    fn zeroed(len: usize) -> Self {
+        let buf = vec![0.0f64; len].into_boxed_slice();
+        Self {
+            len: buf.len(),
+            ptr: Box::into_raw(buf).cast::<f64>(),
+        }
+    }
+}
+
+impl Drop for AccBuf {
+    fn drop(&mut self) {
+        // SAFETY: `ptr` and `len` came from `Box::into_raw` of a boxed
+        // slice of exactly this length, and are released only here.
+        drop(unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(self.ptr, self.len)) });
+    }
+}
+
+// SAFETY: `AccBuf` uniquely owns its allocation; the task contracts
+// govern every access through `ptr`.
+unsafe impl Send for AccBuf {}
+
+/// One panel's chunk accumulators (one `w·m` slice per chunk): allocated
+/// by the first of the panel's chunk tasks to run and freed by the panel
+/// task once it has subtracted them, so the serial sweep holds one panel's
+/// accumulators at a time. Allocation and release happen under the slot's
+/// lock; the task DAG orders every chunk and combine of a panel before the
+/// panel task, so release never races a writer.
+#[derive(Default)]
+struct AccSlot(Mutex<Option<AccBuf>>);
+
+impl AccSlot {
+    /// Start of the panel's buffer of `len` entries, allocated on first use.
+    fn base(&self, len: usize) -> *mut f64 {
+        let mut buf = self.0.lock().expect("accumulator slot poisoned");
+        buf.get_or_insert_with(|| AccBuf::zeroed(len)).ptr
+    }
+
+    /// Hands the buffer to the panel task, which frees it on drop.
+    fn take(&self) -> Option<AccBuf> {
+        self.0.lock().expect("accumulator slot poisoned").take()
+    }
+}
 
 /// Computes one descendant contribution `C = G·G₁ᵀ` and scatters it into
 /// `dst` — the panel itself (subtracting, the streamed path) or a chunk
@@ -814,7 +1130,8 @@ unsafe fn apply_update(
 ///
 /// # Safety
 ///
-/// `values`/`acc` must point at the full panel/accumulator storage; the
+/// `values` must point at the full panel storage and `accs` hold one slot
+/// per chunk (a panel's buffer lives in its first chunk's slot); the
 /// caller must guarantee exclusive access to accumulator slice `t` and
 /// that every descendant read by the chunk is fully factored with its
 /// writes visible (serial: ascending task order; parallel:
@@ -823,22 +1140,25 @@ unsafe fn run_chunk_task(
     sym: &Symbolic,
     kern: &dyn DenseKernel,
     values: *const f64,
-    acc: *mut f64,
+    accs: &[AccSlot],
     t: usize,
     scratch: &mut PanelScratch,
 ) {
     let s = sym.chunk_panel[t];
     let c0 = sym.sn_ptr[s];
     let c1 = sym.sn_ptr[s + 1];
-    let w = c1 - c0;
     let rows_s = &sym.rows[sym.row_ptr[s]..sym.row_ptr[s + 1]];
     let m = rows_s.len();
     for (i, &r) in rows_s.iter().enumerate() {
         scratch.relmap[r] = i;
     }
-    // SAFETY: exclusive access to accumulator `t` per the contract; it was
-    // zero-initialized at allocation and is written by exactly this task.
-    let accbuf = unsafe { std::slice::from_raw_parts_mut(acc.add(sym.acc_ptr[t]), w * m) };
+    let (len, offset, wm) = sym.acc_slice(t);
+    let base = accs[sym.chk_ptr[s]].base(len);
+    // SAFETY: exclusive access to accumulator `t` per the contract; the
+    // panel's buffer was zero-initialized at allocation, stays allocated
+    // until the panel task (which runs after this one), and this slice is
+    // written by exactly this task.
+    let accbuf = unsafe { std::slice::from_raw_parts_mut(base.add(offset), wm) };
     for &(d, p) in &sym.upd[sym.chunk_lo[t]..sym.chunk_hi[t]] {
         // SAFETY: propagated contract.
         unsafe { apply_update(sym, kern, values, d, p, c0, c1, m, accbuf, scratch, false) };
@@ -853,19 +1173,20 @@ unsafe fn run_chunk_task(
 ///
 /// # Safety
 ///
-/// `acc` must point at the full accumulator storage; the caller must
-/// guarantee exclusive access to both accumulators of combine `u` and
+/// `accs` holds one slot per chunk, as for [`run_chunk_task`]; the caller
+/// must guarantee exclusive access to both accumulators of combine `u` and
 /// that their previous writers (the chunk tasks, and any earlier combines
 /// of the same tree) have run with their writes visible to this thread.
-unsafe fn run_combine_task(sym: &Symbolic, kern: &dyn DenseKernel, acc: *mut f64, u: usize) {
-    let s = sym.chunk_panel[sym.cmb_dst[u]];
-    let w = sym.sn_ptr[s + 1] - sym.sn_ptr[s];
-    let m = sym.row_ptr[s + 1] - sym.row_ptr[s];
-    // SAFETY: distinct chunks own disjoint `acc_ptr` slices, and the
-    // contract grants exclusive access to both sides of this combine.
-    let dst =
-        unsafe { std::slice::from_raw_parts_mut(acc.add(sym.acc_ptr[sym.cmb_dst[u]]), w * m) };
-    let src = unsafe { std::slice::from_raw_parts(acc.add(sym.acc_ptr[sym.cmb_src[u]]), w * m) };
+unsafe fn run_combine_task(sym: &Symbolic, kern: &dyn DenseKernel, accs: &[AccSlot], u: usize) {
+    let (dst_t, src_t) = (sym.cmb_dst[u], sym.cmb_src[u]);
+    let (len, dst_off, wm) = sym.acc_slice(dst_t);
+    let (_, src_off, _) = sym.acc_slice(src_t);
+    let base = accs[sym.chk_ptr[sym.chunk_panel[dst_t]]].base(len);
+    // SAFETY: distinct chunks own disjoint slices of their panel's buffer,
+    // which the panel task frees only after this combine; the contract
+    // grants exclusive access to both sides of this combine.
+    let dst = unsafe { std::slice::from_raw_parts_mut(base.add(dst_off), wm) };
+    let src = unsafe { std::slice::from_raw_parts(base.add(src_off), wm) };
     kern.axpy(1.0, src, dst);
 }
 
@@ -878,21 +1199,21 @@ unsafe fn run_combine_task(sym: &Symbolic, kern: &dyn DenseKernel, acc: *mut f64
 ///
 /// # Safety
 ///
-/// `values`/`acc` must point at the full panel/accumulator storage laid
-/// out by `sym`, and the caller must guarantee (a) exclusive access to
-/// panel `s` for the duration of the call, (b) that every streamed
-/// descendant in `sym.upd[upd_ptr[s]..stream_hi[s]]` is fully factored and
-/// (c) that every chunk and combine of `s` has run, all with their writes
-/// visible to this thread. The serial sweep satisfies this by running
-/// tasks one at a time in schedule order; the parallel path by
-/// [`WorkPool::scope_dag`]'s dependency edges and its mutex-backed
+/// `values` must point at the full panel storage laid out by `sym` and
+/// `accs` hold one slot per chunk, and the caller must guarantee (a)
+/// exclusive access to panel `s` for the duration of the call, (b) that
+/// every streamed descendant in `sym.upd[upd_ptr[s]..stream_hi[s]]` is
+/// fully factored and (c) that every chunk and combine of `s` has run, all
+/// with their writes visible to this thread. The serial sweep satisfies
+/// this by running tasks one at a time in schedule order; the parallel
+/// path by [`WorkPool::scope_dag`]'s dependency edges and its mutex-backed
 /// happens-before edge.
 unsafe fn run_panel_task(
     sym: &Symbolic,
     kern: &dyn DenseKernel,
-    ap: &CsrMatrix,
+    pa: Permuted<'_>,
     values: *mut f64,
-    acc: *const f64,
+    accs: &[AccSlot],
     s: usize,
     scratch: &mut PanelScratch,
 ) -> Result<(), (usize, f64)> {
@@ -908,12 +1229,11 @@ unsafe fn run_panel_task(
         scratch.relmap[r] = i;
     }
 
-    // Scatter A's columns (read row c of the permuted matrix: by symmetry
-    // its tail ≥ c is column c of the lower triangle).
+    // Scatter A's columns: row c of P·A·Pᵀ (row perm[c] of A, renamed),
+    // whose entries at or past the diagonal are, by symmetry, column c of
+    // the lower triangle. Each slot is written once.
     for (lc, c) in (c0..c1).enumerate() {
-        let (cols, vals) = ap.row(c);
-        let start = cols.partition_point(|&j| j < c);
-        for (&j, &v) in cols[start..].iter().zip(&vals[start..]) {
+        for (j, v) in pa.row(c).filter(|&(j, _)| j >= c) {
             panel[lc * m + scratch.relmap[j]] = v;
         }
     }
@@ -925,14 +1245,17 @@ unsafe fn run_panel_task(
     }
 
     // The chunk accumulators were folded into the first chunk by the
-    // panel's combine tree; subtract that root once. (`-1.0 · acc` is
-    // exact under every kernel, like the combine folds.)
+    // panel's combine tree; subtract that root once, then free the
+    // panel's buffer. (`-1.0 · acc` is exact under every kernel, like the
+    // combine folds.)
     if sym.chk_ptr[s + 1] > sym.chk_ptr[s] {
-        let root = sym.chk_ptr[s];
+        let acc = accs[sym.chk_ptr[s]]
+            .take()
+            .expect("a panel's chunk tasks allocate its accumulators");
         // SAFETY: every chunk and combine of `s` has run (function
-        // contract), so the root accumulator is final and read-only here;
-        // its slice is disjoint from every panel.
-        let accbuf = unsafe { std::slice::from_raw_parts(acc.add(sym.acc_ptr[root]), w * m) };
+        // contract), so the root accumulator — the buffer's first `w·m`
+        // entries — is final, and this task now owns the buffer.
+        let accbuf = unsafe { std::slice::from_raw_parts(acc.ptr, w * m) };
         kern.axpy(-1.0, accbuf, panel);
     }
 
@@ -1114,18 +1437,17 @@ impl SupernodalCholesky {
                 found: n_elim,
             });
         }
-        // The border keeps its natural order behind the leading block.
-        let bordered = (n_elim < n).then(|| {
-            Permutation::new(lead.as_slice().iter().copied().chain(n_elim..n).collect())
-                .expect("a permutation of the leading block extends to the whole operator")
-        });
-        let ap = a.permuted_symmetric(bordered.as_ref().unwrap_or(&lead));
-        drop(bordered);
-        let mut sym = Symbolic::analyze(&ap, n_elim, opts);
+        let (perm, inv) = bordered_permutation(&lead, n);
+        let pa = Permuted {
+            a,
+            perm: &perm,
+            inv: &inv,
+        };
+        let mut sym = Symbolic::analyze(pa, n_elim, opts);
         let mut values = vec![0.0f64; sym.val_ptr[sym.num_sn()]];
         let factor_workers =
-            Self::factor_numeric(&sym, &ap, &mut values, opts.parallel, opts.kernel.kernel())?;
-        drop(ap);
+            Self::factor_numeric(&sym, pa, &mut values, opts.parallel, opts.kernel.kernel())?;
+        drop((perm, inv));
         let border = sym.border_block(&values);
         if n_elim < n {
             sym.drop_border(&mut values);
@@ -1158,7 +1480,7 @@ impl SupernodalCholesky {
     /// the worker slots used.
     fn factor_numeric(
         sym: &Symbolic,
-        ap: &CsrMatrix,
+        pa: Permuted<'_>,
         values: &mut [f64],
         parallel: bool,
         kern: &dyn DenseKernel,
@@ -1166,9 +1488,10 @@ impl SupernodalCholesky {
         let num_sn = sym.num_sn();
         let num_chunks = sym.chunk_panel.len();
         let num_combines = sym.cmb_dst.len();
-        // Chunk accumulators: zero-initialized, one panel-shaped slice per
-        // update-chunk task.
-        let mut acc = vec![0.0f64; sym.acc_len];
+        // Chunk accumulators, one slot per panel that has chunks (indexed
+        // by its first chunk); each fills on first use and empties when
+        // its panel has subtracted it.
+        let accs: Vec<AccSlot> = (0..num_chunks).map(|_| AccSlot::default()).collect();
         let pool = WorkPool::current();
         // A schedule with (almost) no work off the critical path cannot
         // win — RCM/banded orderings produce pure-chain etrees
@@ -1185,28 +1508,13 @@ impl SupernodalCholesky {
                 // its output slice.
                 unsafe {
                     for t in sym.chk_ptr[s]..sym.chk_ptr[s + 1] {
-                        run_chunk_task(
-                            sym,
-                            kern,
-                            values.as_ptr(),
-                            acc.as_mut_ptr(),
-                            t,
-                            &mut scratch,
-                        );
+                        run_chunk_task(sym, kern, values.as_ptr(), &accs, t, &mut scratch);
                     }
                     for u in sym.cmb_ptr[s]..sym.cmb_ptr[s + 1] {
-                        run_combine_task(sym, kern, acc.as_mut_ptr(), u);
+                        run_combine_task(sym, kern, &accs, u);
                     }
-                    run_panel_task(
-                        sym,
-                        kern,
-                        ap,
-                        values.as_mut_ptr(),
-                        acc.as_ptr(),
-                        s,
-                        &mut scratch,
-                    )
-                    .map_err(|(row, pivot)| LinalgError::NotPositiveDefinite { row, pivot })?;
+                    run_panel_task(sym, kern, pa, values.as_mut_ptr(), &accs, s, &mut scratch)
+                        .map_err(|(row, pivot)| LinalgError::NotPositiveDefinite { row, pivot })?;
                 }
             }
             return Ok(1);
@@ -1252,8 +1560,8 @@ impl SupernodalCholesky {
 
         let shared = SharedStorage {
             values: values.as_mut_ptr(),
-            acc: acc.as_mut_ptr(),
         };
+        let accs = &accs;
         // Capture the `Sync` wrapper, not its raw-pointer fields (edition
         // 2021 closures capture disjoint fields).
         let shared = &shared;
@@ -1275,7 +1583,7 @@ impl SupernodalCholesky {
                     // happens-before edge; no other live task touches
                     // either slice.
                     unsafe {
-                        run_combine_task(sym, kern, shared.acc, node - num_sn - num_chunks);
+                        run_combine_task(sym, kern, accs, node - num_sn - num_chunks);
                     }
                     return;
                 }
@@ -1284,23 +1592,16 @@ impl SupernodalCholesky {
                     // reads before it, with a happens-before edge; the
                     // accumulator slice is written by exactly this task.
                     unsafe {
-                        run_chunk_task(
-                            sym,
-                            kern,
-                            shared.values,
-                            shared.acc,
-                            node - num_sn,
-                            scratch,
-                        );
+                        run_chunk_task(sym, kern, shared.values, accs, node - num_sn, scratch);
                     }
                     return;
                 }
                 // SAFETY: scope_dag ordered the streamed descendants and
                 // the combine-tree root of `node` before it, with a
                 // happens-before edge; tasks write disjoint panel ranges.
-                if let Err((row, pivot)) = unsafe {
-                    run_panel_task(sym, kern, ap, shared.values, shared.acc, node, scratch)
-                } {
+                if let Err((row, pivot)) =
+                    unsafe { run_panel_task(sym, kern, pa, shared.values, accs, node, scratch) }
+                {
                     failed.store(true, Ordering::Release);
                     let mut slot = first_error.lock().expect("factor error slot poisoned");
                     // Deterministic report: keep the smallest failing row.
@@ -1483,6 +1784,84 @@ impl SupernodalCholesky {
             let col = &mut rhs[r * n..(r + 1) * n];
             self.perm.apply_inverse_into(col, permbuf);
             col.copy_from_slice(permbuf);
+        }
+    }
+}
+
+/// The symbolic analysis of one bordered factorization, field by field:
+/// what the symbolic-oracle property test compares against an independent
+/// analysis. Not a supported API.
+#[doc(hidden)]
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SymbolicParts {
+    /// Supernode `s` covers permuted columns `sn_ptr[s]..sn_ptr[s+1]`.
+    pub sn_ptr: Vec<usize>,
+    /// Supernode `s` owns rows `rows[row_ptr[s]..row_ptr[s+1]]`.
+    pub row_ptr: Vec<usize>,
+    /// Sorted row lists, diagonal block first.
+    pub rows: Vec<usize>,
+    /// True nonzeros of the leading factor.
+    pub true_nnz: usize,
+    /// Update schedule: panel `s` applies `upd[upd_ptr[s]..upd_ptr[s+1]]`.
+    pub upd_ptr: Vec<usize>,
+    /// (descendant, row cursor) pairs in serial-sweep order.
+    pub upd: Vec<(usize, usize)>,
+    /// End of each panel's streamed prefix of `upd`.
+    pub stream_hi: Vec<usize>,
+    /// Panel `s` owns chunks `chk_ptr[s]..chk_ptr[s+1]`.
+    pub chk_ptr: Vec<usize>,
+    /// Chunk `t` covers `upd[chunk_lo[t]..chunk_hi[t]]`.
+    pub chunk_lo: Vec<usize>,
+    /// See `chunk_lo`.
+    pub chunk_hi: Vec<usize>,
+}
+
+impl SymbolicParts {
+    /// The analysis [`SupernodalCholesky::factor_bordered`] runs on `a`
+    /// under `lead`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not square or `lead` is longer than `a`.
+    pub fn analyze(a: &CsrMatrix, lead: &Permutation, opts: &SupernodalOptions) -> Self {
+        assert!(a.nrows() == a.ncols() && lead.len() <= a.nrows());
+        let (perm, inv) = bordered_permutation(lead, a.nrows());
+        let pa = Permuted {
+            a,
+            perm: &perm,
+            inv: &inv,
+        };
+        Self::of(&Symbolic::analyze(pa, lead.len(), opts))
+    }
+
+    /// The layout and schedule the analysis derives from a given
+    /// supernode partition and row lists (each sorted, diagonal block
+    /// first) of a factorization eliminating `n_elim` columns.
+    pub fn from_rows(
+        n_elim: usize,
+        sn_ptr: Vec<usize>,
+        row_ptr: Vec<usize>,
+        rows: Vec<usize>,
+        true_nnz: usize,
+        opts: &SupernodalOptions,
+    ) -> Self {
+        Self::of(&Symbolic::from_rows(
+            n_elim, sn_ptr, row_ptr, rows, true_nnz, opts,
+        ))
+    }
+
+    fn of(sym: &Symbolic) -> Self {
+        Self {
+            sn_ptr: sym.sn_ptr.clone(),
+            row_ptr: sym.row_ptr.clone(),
+            rows: sym.rows.clone(),
+            true_nnz: sym.true_nnz,
+            upd_ptr: sym.upd_ptr.clone(),
+            upd: sym.upd.clone(),
+            stream_hi: sym.stream_hi.clone(),
+            chk_ptr: sym.chk_ptr.clone(),
+            chunk_lo: sym.chunk_lo.clone(),
+            chunk_hi: sym.chunk_hi.clone(),
         }
     }
 }

@@ -12,7 +12,7 @@ use morestress_linalg::{
     CgOptions, CooMatrix, CsrMatrix, DenseKernel, DenseMatrix, DirectCholesky, FactorCache,
     FaultPlan, FillOrdering, GmresOptions, JacobiPreconditioner, KernelChoice, LinalgError,
     PartitionHint, Permutation, ScalarKernel, ShardPlan, Sharded, SolverBackend, SparseCholesky,
-    SupernodalCholesky, SupernodalOptions, TaskDag, WorkPool,
+    SupernodalCholesky, SupernodalOptions, SymbolicParts, TaskDag, WorkPool,
 };
 use proptest::prelude::*;
 
@@ -145,6 +145,192 @@ fn check_bordered(bordered: &CsrMatrix, factor: &SupernodalCholesky, border: &[f
     let b: Vec<f64> = (0..n_elim).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
     let residual = a_ii.residual(&factor.solve(&b), &b);
     prop_assert!(residual <= 1e-12, "leading residual {}", residual);
+}
+
+/// A sparse SPD operator on `n` rows: the symmetric couplings `edges`
+/// (indices taken mod `n`, self-loops dropped) over a strictly dominant
+/// diagonal.
+fn sparse_spd(n: usize, edges: &[(usize, usize, f64)]) -> CsrMatrix {
+    let mut coo = CooMatrix::new(n, n);
+    let mut diag = vec![1.0f64; n];
+    for &(i, j, v) in edges {
+        let (i, j) = (i % n, j % n);
+        if i != j {
+            coo.push(i, j, v);
+            coo.push(j, i, v);
+            diag[i] += v.abs();
+            diag[j] += v.abs();
+        }
+    }
+    for (i, d) in diag.into_iter().enumerate() {
+        coo.push(i, i, d);
+    }
+    coo.to_csr()
+}
+
+/// A permutation of `0..n` driven by `seed` (a walk of swaps).
+fn seeded_permutation(n: usize, seed: &[usize]) -> Permutation {
+    let mut p: Vec<usize> = (0..n).collect();
+    for i in 0..n {
+        p.swap(i, seed[i % seed.len()].wrapping_mul(i + 1) % n);
+    }
+    Permutation::new(p).expect("swaps keep a permutation")
+}
+
+/// `a` under the whole-operator permutation of a bordered factorization:
+/// `lead`, then the border rows in their natural order.
+fn bordered_copy(a: &CsrMatrix, lead: &Permutation) -> CsrMatrix {
+    let n = a.nrows();
+    let full = lead
+        .as_slice()
+        .iter()
+        .copied()
+        .chain(lead.len()..n)
+        .collect();
+    a.permuted_symmetric(&Permutation::new(full).expect("the border extends the lead"))
+}
+
+const NONE: usize = usize::MAX;
+
+/// Elimination tree of the strict lower part of `ap`'s rows (Liu's
+/// algorithm with path compression).
+fn oracle_etree(ap: &CsrMatrix) -> Vec<usize> {
+    let n = ap.nrows();
+    let mut parent = vec![NONE; n];
+    let mut ancestor = vec![NONE; n];
+    for k in 0..n {
+        for &j in ap.row(k).0.iter().take_while(|&&j| j < k) {
+            let mut i = j;
+            while i != NONE && i < k {
+                let up = ancestor[i];
+                ancestor[i] = k;
+                if up == NONE {
+                    parent[i] = k;
+                    break;
+                }
+                i = up;
+            }
+        }
+    }
+    parent
+}
+
+/// The pattern of row `k` of `L` below the diagonal: every node the
+/// strict-lower entries of row `k` of `ap` reach up the etree.
+fn oracle_ereach(ap: &CsrMatrix, k: usize, parent: &[usize], mark: &mut [usize]) -> Vec<usize> {
+    let mut reach = Vec::new();
+    mark[k] = k;
+    for &j in ap.row(k).0.iter().take_while(|&&j| j < k) {
+        let mut i = j;
+        while i != NONE && mark[i] != k {
+            mark[i] = k;
+            reach.push(i);
+            i = parent[i];
+        }
+    }
+    reach
+}
+
+/// The symbolic analysis as the supernodal factorization used to run it:
+/// on a permuted copy of `a`, with column counts and row lists from two
+/// `ereach` sweeps over every row of `L`. The amalgamation rule is the
+/// product's; everything after the row lists is computed by the product
+/// from these row lists ([`SymbolicParts::from_rows`]).
+fn oracle_symbolic(a: &CsrMatrix, lead: &Permutation, opts: &SupernodalOptions) -> SymbolicParts {
+    let ap = bordered_copy(a, lead);
+    let (n, n_elim) = (ap.nrows(), lead.len());
+    let parent = oracle_etree(&ap);
+    let mut counts = vec![1usize; n];
+    let mut true_nnz = n_elim;
+    let mut mark = vec![NONE; n];
+    for k in 0..n {
+        let reach = oracle_ereach(&ap, k, &parent, &mut mark);
+        for &i in &reach {
+            counts[i] += 1;
+        }
+        if k < n_elim {
+            true_nnz += reach.len();
+        }
+    }
+    let mut sn_ptr = vec![0usize];
+    if n > 0 {
+        let (mut c0, mut true_in_sn) = (0usize, counts[0]);
+        for j in 1..n {
+            let w = j - c0;
+            let mut accept = false;
+            if parent[j - 1] == j && w < opts.max_width.max(1) && j != n_elim {
+                if counts[j - 1] == counts[j] + 1 {
+                    accept = true;
+                } else {
+                    let m = (w + 1) + counts[j] - 1;
+                    let stored = (w + 1) * m - w * (w + 1) / 2;
+                    let true_new = true_in_sn + counts[j];
+                    let budget = if w < opts.small_width {
+                        2.0 * opts.relax
+                    } else {
+                        opts.relax
+                    };
+                    accept = (stored - true_new) as f64 <= budget * true_new as f64;
+                }
+            }
+            if accept {
+                true_in_sn += counts[j];
+            } else {
+                sn_ptr.push(j);
+                c0 = j;
+                true_in_sn = counts[j];
+            }
+        }
+        sn_ptr.push(n);
+    }
+    let num_sn = sn_ptr.len() - 1;
+    let mut last_of = vec![NONE; n];
+    let mut row_ptr = vec![0usize; num_sn + 1];
+    let mut rows = Vec::new();
+    for s in 0..num_sn {
+        last_of[sn_ptr[s + 1] - 1] = s;
+        row_ptr[s + 1] = row_ptr[s] + sn_ptr[s + 1] - sn_ptr[s] + counts[sn_ptr[s + 1] - 1] - 1;
+    }
+    let mut below: Vec<Vec<usize>> = vec![Vec::new(); num_sn];
+    mark.fill(NONE);
+    for k in 0..n {
+        for i in oracle_ereach(&ap, k, &parent, &mut mark) {
+            if last_of[i] != NONE {
+                below[last_of[i]].push(k);
+            }
+        }
+    }
+    for s in 0..num_sn {
+        rows.extend(sn_ptr[s]..sn_ptr[s + 1]);
+        rows.extend(&below[s]);
+    }
+    assert_eq!(rows.len(), row_ptr[num_sn], "oracle row lists");
+    SymbolicParts::from_rows(n_elim, sn_ptr, row_ptr, rows, true_nnz, opts)
+}
+
+/// The production analysis equals the `ereach` oracle field by field, and
+/// the factor read through the permutation is bitwise the factor of the
+/// permuted copy — leading panels and border block alike.
+fn check_symbolic_oracle(a: &CsrMatrix, lead: &Permutation, opts: &SupernodalOptions) {
+    prop_assert_eq!(
+        SymbolicParts::analyze(a, lead, opts),
+        oracle_symbolic(a, lead, opts)
+    );
+    let (factor, border) =
+        SupernodalCholesky::factor_bordered(a, lead.clone(), opts).expect("SPD leading block");
+    let (copy_factor, copy_border) = SupernodalCholesky::factor_bordered(
+        &bordered_copy(a, lead),
+        Permutation::identity(lead.len()),
+        opts,
+    )
+    .expect("SPD leading block");
+    prop_assert_eq!(factor.stats().true_nnz, copy_factor.stats().true_nnz);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    prop_assert_eq!(
+        bits(factor.factor_values()),
+        bits(copy_factor.factor_values())
+    );
+    prop_assert_eq!(bits(&border), bits(&copy_border));
 }
 
 proptest! {
@@ -1056,6 +1242,61 @@ proptest! {
         prop_assert_eq!(cache.hits() + cache.misses(), calls);
         prop_assert!(cache.misses() >= 1);
         prop_assert_eq!(cache.len(), 1, "racing preparations must deduplicate");
+    }
+
+    /// The symbolic analysis read through the permutation (one pattern
+    /// pass, Gilbert–Ng–Peyton counts, row lists per supernode) equals the
+    /// `ereach` oracle on the permuted copy — supernodes, row lists,
+    /// `true_nnz`, update schedule and chunk partition — on random sparse
+    /// SPD patterns under random orderings, with and without a border, at
+    /// relaxation 0 and the default; and the factor is bitwise the copy's.
+    #[test]
+    fn symbolic_analysis_matches_the_ereach_oracle(
+        n in 1usize..40,
+        edges in prop::collection::vec((0usize..40, 0usize..40, -1.0f64..1.0), 0..120),
+        seed in prop::collection::vec(0usize..1000, 1..40),
+        border in 0usize..2,
+        cut in 0usize..1000,
+        relaxed in 0usize..2,
+        max_width in 1usize..40,
+        chunk_exp in 4usize..19,
+    ) {
+        let a = sparse_spd(n, &edges);
+        let n_elim = if border == 0 { n } else { cut % n };
+        let opts = SupernodalOptions {
+            max_width,
+            relax: if relaxed == 0 { 0.0 } else { SupernodalOptions::default().relax },
+            chunk_work: 1u64 << chunk_exp,
+            ..Default::default()
+        };
+        check_symbolic_oracle(&a, &seeded_permutation(n_elim, &seed), &opts);
+    }
+
+    /// The same oracle on hinted lattices under the geometric dissection,
+    /// whose elimination trees branch: full factorizations and leading
+    /// blocks bordered by a random number of trailing points.
+    #[test]
+    fn symbolic_analysis_matches_the_ereach_oracle_on_lattices(
+        bx in 2usize..5,
+        by in 2usize..4,
+        m in 2usize..6,
+        border in 0usize..2,
+        cut in 0usize..1000,
+        relaxed in 0usize..2,
+        chunk_exp in 4usize..19,
+    ) {
+        let (a, _) = hinted_lattice(bx, by, m);
+        let n = a.nrows();
+        let n_elim = if border == 0 { n } else { n - 1 - cut % (n / 2) };
+        let mut spans = lattice_spans(bx, by, m);
+        spans.truncate(n_elim);
+        let lead = geometric_dissection(&PartitionHint::new([bx, by], spans));
+        let opts = SupernodalOptions {
+            relax: if relaxed == 0 { 0.0 } else { SupernodalOptions::default().relax },
+            chunk_work: 1u64 << chunk_exp,
+            ..Default::default()
+        };
+        check_symbolic_oracle(&a, &lead, &opts);
     }
 }
 
