@@ -136,6 +136,15 @@ fn run(args: &[String]) -> ExitCode {
             report.cache_misses,
             report.operators_reused(),
         );
+        let local = &report.local_stage;
+        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+        println!(
+            "  local stage {:.1} ms: factor {:.1} ms, sweeps {:.1} ms, projection {:.1} ms",
+            ms(local.build),
+            ms(local.factor),
+            ms(local.sweeps),
+            ms(local.projection),
+        );
     }
 
     if let Err(e) = results::write_results_json(&out, &reports) {

@@ -49,7 +49,9 @@ pub mod runner;
 pub mod spec;
 pub mod yaml;
 
-pub use runner::{AdmissionOrder, CampaignReport, CampaignRunner, JobOutcome, JobReport};
+pub use runner::{
+    AdmissionOrder, CampaignReport, CampaignRunner, JobOutcome, JobReport, LocalStageCost,
+};
 pub use spec::{
     ArraySpec, CampaignSpec, MaterialSpec, ResolutionChoice, SolverChoice, SolverSpec, SpecError,
     SpecErrorKind, VerifyChoice,

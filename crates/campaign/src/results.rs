@@ -2,8 +2,9 @@
 //! two-level `{section: {key: number}}` JSON the bench record
 //! (`BENCH_PR8.json`) uses, validated by the `check_bench_json` CI gate.
 //!
-//! Layout: one summary section per campaign (job/solved/failed tallies
-//! and the shared-cache counters) plus one section per job. Sections are
+//! Layout: one summary section per campaign (job/solved/failed tallies,
+//! the shared-cache counters and where the local stage spent its time)
+//! plus one section per job. Sections are
 //! prefixed with the campaign's input index so two campaigns with the
 //! same name cannot collide, and every section carries the uniform
 //! `hardware_threads`/`git_commit` stamps the gate requires.
@@ -49,12 +50,18 @@ pub fn campaign_sections(reports: &[CampaignReport]) -> Vec<BenchSection> {
     let mut sections = Vec::new();
     for (ci, report) in reports.iter().enumerate() {
         let name = sanitize(&report.name);
+        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+        let local = &report.local_stage;
         let summary = vec![
             ("jobs".to_string(), report.jobs.len() as f64),
             ("solved".to_string(), report.solved() as f64),
             ("failed".to_string(), report.failed() as f64),
             ("cache_hits".to_string(), report.cache_hits as f64),
             ("cache_misses".to_string(), report.cache_misses as f64),
+            ("local_build_ms".to_string(), ms(local.build)),
+            ("local_factor_ms".to_string(), ms(local.factor)),
+            ("local_sweeps_ms".to_string(), ms(local.sweeps)),
+            ("local_projection_ms".to_string(), ms(local.projection)),
         ];
         sections.push((format!("campaign{ci}_{name}"), stamp(summary)));
 

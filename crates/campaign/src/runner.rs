@@ -20,6 +20,7 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
 use morestress_core::{GlobalBc, GlobalStats, MoreStressSimulator, RomError};
 use morestress_linalg::WorkPool;
@@ -101,6 +102,42 @@ pub struct CampaignReport {
     /// Misses on the shared cache after the run (= distinct operators
     /// factored, when admission is serial).
     pub cache_misses: usize,
+    /// Where the one-shot local stage of this campaign's simulator group
+    /// spent its time (shared, like the cache counters, by campaigns with
+    /// equal model keys).
+    pub local_stage: LocalStageCost,
+}
+
+/// The one-shot local-stage time of a simulator, summed over the block
+/// models it built. A model loaded from a `.rom` file ran no local stage
+/// and adds nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct LocalStageCost {
+    /// Whole local-stage builds.
+    pub build: Duration,
+    /// The factorizations of `A_ff`.
+    pub factor: Duration,
+    /// The n+1 triangular sweeps on those factors.
+    pub sweeps: Duration,
+    /// The Galerkin projections.
+    pub projection: Duration,
+}
+
+impl LocalStageCost {
+    /// Sums the local-stage stats of `sim`'s TSV and dummy models.
+    pub fn of(sim: &MoreStressSimulator) -> Self {
+        std::iter::once(sim.tsv_model())
+            .chain(sim.dummy_model())
+            .fold(Self::default(), |cost, rom| {
+                let stats = &rom.local_stats;
+                Self {
+                    build: cost.build + stats.build_time,
+                    factor: cost.factor + stats.factor_time,
+                    sweeps: cost.sweeps + stats.solve_time,
+                    projection: cost.projection + stats.projection_time,
+                }
+            })
+    }
 }
 
 impl CampaignReport {
@@ -243,12 +280,14 @@ impl CampaignRunner {
                 .iter()
                 .map(|_| slots.next().flatten().expect("every slot filled"))
                 .collect();
-            let cache = groups[group_of[ci]].1.factor_cache();
+            let sim = &groups[group_of[ci]].1;
+            let cache = sim.factor_cache();
             reports.push(CampaignReport {
                 name: spec.name.clone(),
                 jobs,
                 cache_hits: cache.hits(),
                 cache_misses: cache.misses(),
+                local_stage: LocalStageCost::of(sim),
             });
         }
         Ok(reports)

@@ -2,9 +2,13 @@
 //! admission order, shared factor caches across same-model campaigns,
 //! and per-job fault containment (typed failures and panics alike).
 
+use std::time::Duration;
+
 use morestress_campaign::{
-    AdmissionOrder, ArraySpec, CampaignReport, CampaignRunner, CampaignSpec, JobOutcome, SolverSpec,
+    AdmissionOrder, ArraySpec, CampaignReport, CampaignRunner, CampaignSpec, JobOutcome,
+    LocalStageCost, SolverSpec,
 };
+use morestress_core::MoreStressSimulator;
 use morestress_linalg::{FaultPlan, WorkPool};
 use morestress_mesh::TsvGeometry;
 
@@ -198,6 +202,34 @@ fn same_model_campaigns_share_one_factor_cache() {
     // assembles, because the aliases live in the shared cache.
     assert_eq!(reports[0].operators_reused(), 2);
     assert_eq!(reports[1].operators_reused(), 4);
+}
+
+#[test]
+fn local_stage_cost_splits_a_build_and_is_zero_for_a_loaded_model() {
+    let stem = std::env::temp_dir().join(format!("morestress-local-cost-{}", std::process::id()));
+    let build = || {
+        MoreStressSimulator::builder(&TsvGeometry::paper_defaults(15.0))
+            .interpolation([2, 2, 2])
+            .cache_stem(stem.clone())
+            .build()
+            .expect("the simulator builds")
+    };
+    let built = LocalStageCost::of(&build());
+    assert!(built.sweeps > Duration::ZERO, "{built:?}");
+    assert!(
+        built.factor + built.sweeps + built.projection <= built.build,
+        "{built:?}"
+    );
+    // The second build loads the `.rom` the first one saved.
+    assert_eq!(LocalStageCost::of(&build()), LocalStageCost::default());
+    for kind in ["tsv", "dummy"] {
+        let _ = std::fs::remove_file(format!("{}-{kind}.rom", stem.display()));
+    }
+
+    let reports = CampaignRunner::new()
+        .run(&[base_spec("timed")])
+        .expect("models build");
+    assert!(reports[0].local_stage.sweeps > Duration::ZERO);
 }
 
 #[test]

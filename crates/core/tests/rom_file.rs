@@ -78,6 +78,40 @@ fn assert_rejected(label: &str, result: Result<ReducedOrderModel, RomError>) {
     }
 }
 
+/// FNV-1a (64-bit) over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn paper_interpolation_rom_bytes_are_pinned() {
+    // The paper's (4,4,4) grid solves 168 basis columns plus the thermal
+    // one: 21 full 8-column blocks of the triangular sweep and a 1-wide
+    // tail. The saved bytes carry every basis function and `A_elem`, so
+    // any bit the local stage moves changes the hash.
+    for (kind, name, expected) in [
+        (BlockKind::Tsv, "tsv", 0xc07d_7546_455b_db43),
+        (BlockKind::Dummy, "dummy", 0x394d_6f2f_a386_6400),
+    ] {
+        let rom = LocalStage::new(
+            &TsvGeometry::paper_defaults(15.0),
+            &BlockResolution::coarse(),
+            InterpolationGrid::new([4, 4, 4]),
+            &MaterialSet::tsv_defaults(),
+            kind,
+        )
+        .build(&LocalStageOptions::default())
+        .expect("local stage builds");
+        let path = temp_path(&format!("pinned-{name}.rom"));
+        rom.save(&path).expect("save");
+        let bytes = std::fs::read(&path).expect("read back");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(fnv1a(&bytes), expected, "{name}: {:#018x}", fnv1a(&bytes));
+    }
+}
+
 #[test]
 fn save_load_save_is_byte_identical() {
     let bytes = valid_rom_bytes();

@@ -785,13 +785,15 @@ impl PreparedSolver {
     ///
     /// The direct engine takes the **panel path**: the batch is cut into
     /// panels of [`DirectCholesky::panel_width`] right-hand sides, each
-    /// worker claims whole panels (with one reused panel scratch per
-    /// worker), and a single blocked triangular sweep serves every column
-    /// of a panel — the factor is streamed once per panel instead of once
-    /// per right-hand side. Panel partitioning depends only on the batch
-    /// size, never on the worker count, and per column the operation order
-    /// is that of a one-column batch, so results are bitwise identical to
-    /// looped solves at every pool cap. A [`Resilient`]-prepared solver
+    /// worker claims whole panels (with one reused panel and sweep scratch
+    /// per worker), and [`SupernodalCholesky::solve_panel_with`] sweeps
+    /// each panel in interleaved blocks of up to 8 columns — every load of
+    /// the factor serves a whole block, so the factor is streamed once per
+    /// block instead of once per right-hand side. Panel partitioning
+    /// depends only on the batch size, never on the worker count, and per
+    /// column the operation chain is that of a one-column batch, so
+    /// results are bitwise identical to looped solves at every pool cap
+    /// and every panel width. A [`Resilient`]-prepared solver
     /// runs the same panels, then checks every column's true residual and
     /// walks the ladder's lower rungs only where one misses. Iterative
     /// engines distribute one task per right-hand side.
@@ -929,12 +931,19 @@ impl PreparedSolver {
     ) -> EngineBatch {
         let n = self.dim();
         let k = rhs.len();
-        let width = self.panel_width.max(1);
+        // A batch narrower than a panel is one panel, with scratch sized
+        // to the batch rather than to the panel width.
+        let width = self.panel_width.max(1).min(k.max(1));
         let num_panels = k.div_ceil(width);
         let (panels, workers) = WorkPool::current().scope_collect_with(
             threads,
             num_panels,
-            || (vec![0.0f64; n * width], vec![0.0f64; factor.scratch_len()]),
+            || {
+                (
+                    vec![0.0f64; n * width],
+                    vec![0.0f64; factor.scratch_len(width)],
+                )
+            },
             |(panel, tmp), p| {
                 let lo = p * width;
                 let hi = (lo + width).min(k);
@@ -1229,11 +1238,13 @@ impl DirectCholesky {
         t0: Instant,
     ) -> PreparedSolver {
         let shared_bytes = factor.heap_bytes();
-        // One panel scratch plus the solve scratch, per concurrent worker.
-        let workspace_bytes = (self.panel_width.max(1) * a.nrows() + factor.scratch_len())
+        // One panel plus the sweep's interleaved and gather blocks, per
+        // concurrent worker.
+        let panel_width = self.panel_width.max(1);
+        let workspace_bytes = (panel_width * a.nrows() + factor.scratch_len(panel_width))
             * std::mem::size_of::<f64>();
         PreparedSolver {
-            panel_width: self.panel_width.max(1),
+            panel_width,
             verify: self.verify,
             ..PreparedSolver::new(
                 a,

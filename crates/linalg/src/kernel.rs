@@ -88,22 +88,46 @@ pub trait DenseKernel: Send + Sync {
     fn factor_panel(&self, panel: &mut [f64], m: usize, w: usize) -> Result<(), (usize, f64)>;
 
     /// Forward substitution on the dense `w × w` lower-triangular
-    /// diagonal block of a panel of height `m`: solves `L₁₁ y = x` in
-    /// place, where `x` is the `w`-entry slice of the right-hand side
-    /// owned by this supernode.
-    fn solve_lower(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64]);
+    /// diagonal block of a panel of height `m`, for `nrhs ≤ 8` right-hand
+    /// sides at once: solves `L₁₁ Y = X` in place. `x` is the supernode's
+    /// `w × nrhs` slice of an *interleaved* block — row `j` holds its
+    /// `nrhs` entries side by side at `x[j·nrhs..(j+1)·nrhs]` — so every
+    /// load of `L₁₁` serves the whole block. Each column runs exactly the
+    /// one-column operation chain, so its bits never depend on `nrhs` or
+    /// on its neighbours.
+    fn solve_lower(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64], nrhs: usize);
 
-    /// Below-diagonal mat-vec of the forward sweep: overwrites `acc`
-    /// (length `m - w`) with `L₂₁ · y`, where `y` is the `w`-entry
+    /// Below-diagonal product of the forward sweep for an interleaved
+    /// block of `nrhs ≤ 8` columns: overwrites `acc` (`(m - w) × nrhs`,
+    /// interleaved like `y`) with `L₂₁ · Y`, where `Y` is the `w × nrhs`
     /// diagonal-block solution and `L₂₁` the rows `w..m` of the panel.
-    /// The caller scatters `acc` into the global right-hand side.
-    fn below_accumulate(&self, panel: &[f64], m: usize, w: usize, y: &[f64], acc: &mut [f64]);
+    /// The caller scatters `acc` into the block's rows, one `nrhs`-wide
+    /// run per row. Per column the chain is the one-column product's.
+    fn below_accumulate(
+        &self,
+        panel: &[f64],
+        m: usize,
+        w: usize,
+        y: &[f64],
+        acc: &mut [f64],
+        nrhs: usize,
+    );
 
-    /// Backward substitution on the panel: solves `L₁₁ᵀ x = x − L₂₁ᵀ xb`
-    /// in place, where `x` is the `w`-entry diagonal-block slice and `xb`
-    /// (length `m - w`) the already-solved entries gathered from the rows
-    /// below the block.
-    fn solve_lower_transpose(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64], xb: &[f64]);
+    /// Backward substitution on the panel for an interleaved block of
+    /// `nrhs ≤ 8` columns: solves `L₁₁ᵀ X = X − L₂₁ᵀ X_b` in place, where
+    /// `x` is the `w × nrhs` diagonal-block slice and `xb` (`(m - w) ×
+    /// nrhs`, interleaved the same way) the already-solved entries
+    /// gathered from the rows below the block. Per column the chain is
+    /// the one-column solve's.
+    fn solve_lower_transpose(
+        &self,
+        panel: &[f64],
+        m: usize,
+        w: usize,
+        x: &mut [f64],
+        xb: &[f64],
+        nrhs: usize,
+    );
 }
 
 /// Which [`DenseKernel`] the factorization and solve sweeps run on.
@@ -231,41 +255,64 @@ impl DenseKernel for ScalarKernel {
         Ok(())
     }
 
-    fn solve_lower(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64]) {
+    fn solve_lower(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64], nrhs: usize) {
         for j in 0..w {
             let col = &panel[j * m..(j + 1) * m];
-            let yj = x[j] / col[j];
-            x[j] = yj;
-            for i in (j + 1)..w {
-                x[i] -= col[i] * yj;
+            for c in 0..nrhs {
+                let yj = x[j * nrhs + c] / col[j];
+                x[j * nrhs + c] = yj;
+                for i in (j + 1)..w {
+                    x[i * nrhs + c] -= col[i] * yj;
+                }
             }
         }
     }
 
-    fn below_accumulate(&self, panel: &[f64], m: usize, w: usize, y: &[f64], acc: &mut [f64]) {
+    fn below_accumulate(
+        &self,
+        panel: &[f64],
+        m: usize,
+        w: usize,
+        y: &[f64],
+        acc: &mut [f64],
+        nrhs: usize,
+    ) {
         acc.iter_mut().for_each(|v| *v = 0.0);
-        for (j, &coef) in y.iter().enumerate().take(w) {
-            if coef == 0.0 {
-                continue;
-            }
+        for j in 0..w {
             let col = &panel[j * m + w..(j + 1) * m];
-            for (a, &l) in acc.iter_mut().zip(col) {
-                *a += l * coef;
+            for c in 0..nrhs {
+                let coef = y[j * nrhs + c];
+                if coef == 0.0 {
+                    continue;
+                }
+                for (i, &l) in col.iter().enumerate() {
+                    acc[i * nrhs + c] += l * coef;
+                }
             }
         }
     }
 
-    fn solve_lower_transpose(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64], xb: &[f64]) {
+    fn solve_lower_transpose(
+        &self,
+        panel: &[f64],
+        m: usize,
+        w: usize,
+        x: &mut [f64],
+        xb: &[f64],
+        nrhs: usize,
+    ) {
         for j in (0..w).rev() {
             let col = &panel[j * m..(j + 1) * m];
-            let mut acc = x[j];
-            for (&l, &xi) in col[w..].iter().zip(xb.iter()) {
-                acc -= l * xi;
+            for c in 0..nrhs {
+                let mut acc = x[j * nrhs + c];
+                for (i, &l) in col[w..].iter().enumerate() {
+                    acc -= l * xb[i * nrhs + c];
+                }
+                for i in (j + 1)..w {
+                    acc -= col[i] * x[i * nrhs + c];
+                }
+                x[j * nrhs + c] = acc / col[j];
             }
-            for i in (j + 1)..w {
-                acc -= col[i] * x[i];
-            }
-            x[j] = acc / col[j];
         }
     }
 }
@@ -326,16 +373,32 @@ impl DenseKernel for BlockedKernel {
         blocked_dispatch!(factor_panel(panel, m, w))
     }
 
-    fn solve_lower(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64]) {
-        blocked_dispatch!(solve_lower(panel, m, w, x))
+    fn solve_lower(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64], nrhs: usize) {
+        blocked_dispatch!(solve_lower(panel, m, w, x, nrhs))
     }
 
-    fn below_accumulate(&self, panel: &[f64], m: usize, w: usize, y: &[f64], acc: &mut [f64]) {
-        blocked_dispatch!(below_accumulate(panel, m, w, y, acc))
+    fn below_accumulate(
+        &self,
+        panel: &[f64],
+        m: usize,
+        w: usize,
+        y: &[f64],
+        acc: &mut [f64],
+        nrhs: usize,
+    ) {
+        blocked_dispatch!(below_accumulate(panel, m, w, y, acc, nrhs))
     }
 
-    fn solve_lower_transpose(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64], xb: &[f64]) {
-        blocked_dispatch!(solve_lower_transpose(panel, m, w, x, xb))
+    fn solve_lower_transpose(
+        &self,
+        panel: &[f64],
+        m: usize,
+        w: usize,
+        x: &mut [f64],
+        xb: &[f64],
+        nrhs: usize,
+    ) {
+        blocked_dispatch!(solve_lower_transpose(panel, m, w, x, xb, nrhs))
     }
 }
 
@@ -374,29 +437,34 @@ mod body {
         ((s0 + s1) + (s2 + s3)) + tail
     }
 
-    /// [`dot`] of `x` against four vectors at once, `ys[i][k]` being entry
-    /// `i` of vector `k`: one pass over `x`, each vector on `dot`'s own
-    /// four lanes and reduction tree, so result `k` is bit for bit
+    /// [`dot`] of `x` against `NB` vectors at once, `ys[i][k]` being
+    /// entry `i` of vector `k`: one pass over `x`, each vector on `dot`'s
+    /// own four lanes and reduction tree, so result `k` is bit for bit
     /// `dot(x, y_k)`.
     #[inline(always)]
-    pub(super) fn dot_panel(x: &[f64], ys: &[[f64; 4]]) -> [f64; 4] {
+    pub(super) fn dot_block<const NB: usize>(x: &[f64], ys: &[[f64; NB]]) -> [f64; NB] {
         let quads = x.len() / 4;
         // s[lane][k]: lane `lane` of `dot`'s accumulator for vector `k`.
-        let mut s = [[0.0f64; 4]; 4];
+        let mut s = [[0.0f64; NB]; 4];
         for (xq, yq) in x.chunks_exact(4).zip(ys.chunks_exact(4)) {
             for lane in 0..4 {
-                for k in 0..4 {
+                for k in 0..NB {
                     s[lane][k] = xq[lane].mul_add(yq[lane][k], s[lane][k]);
                 }
             }
         }
-        let mut tail = [0.0f64; 4];
+        let mut tail = [0.0f64; NB];
         for (xi, yi) in x[4 * quads..].iter().zip(&ys[4 * quads..]) {
-            for k in 0..4 {
+            for k in 0..NB {
                 tail[k] = xi.mul_add(yi[k], tail[k]);
             }
         }
         std::array::from_fn(|k| ((s[0][k] + s[1][k]) + (s[2][k] + s[3][k])) + tail[k])
+    }
+
+    #[inline(always)]
+    pub(super) fn dot_panel(x: &[f64], ys: &[[f64; 4]]) -> [f64; 4] {
+        dot_block(x, ys)
     }
 
     #[inline(always)]
@@ -486,33 +554,86 @@ mod body {
         Ok(())
     }
 
+    /// Calls `$body::<NB>` for the sweep block width `$nrhs` (1..=8), so
+    /// every width gets its own fully unrolled instance.
+    macro_rules! by_width {
+        ($nrhs:expr, $body:ident ( $($arg:expr),* )) => {
+            match $nrhs {
+                1 => $body::<1>($($arg),*),
+                2 => $body::<2>($($arg),*),
+                3 => $body::<3>($($arg),*),
+                4 => $body::<4>($($arg),*),
+                5 => $body::<5>($($arg),*),
+                6 => $body::<6>($($arg),*),
+                7 => $body::<7>($($arg),*),
+                8 => $body::<8>($($arg),*),
+                nrhs => panic!("a sweep block holds 1 to 8 columns, not {nrhs}"),
+            }
+        };
+    }
+
     #[inline(always)]
-    pub(super) fn solve_lower(panel: &[f64], m: usize, w: usize, x: &mut [f64]) {
+    pub(super) fn solve_lower(panel: &[f64], m: usize, w: usize, x: &mut [f64], nrhs: usize) {
+        by_width!(nrhs, solve_lower_block(panel, m, w, x))
+    }
+
+    #[inline(always)]
+    fn solve_lower_block<const NB: usize>(panel: &[f64], m: usize, w: usize, x: &mut [f64]) {
+        let x = &mut x.as_chunks_mut::<NB>().0[..w];
         for j in 0..w {
             let col = &panel[j * m..(j + 1) * m];
-            let yj = x[j] / col[j];
-            x[j] = yj;
-            for i in (j + 1)..w {
-                x[i] = (-yj).mul_add(col[i], x[i]);
+            let (head, tail) = x.split_at_mut(j + 1);
+            let yj = head[j].map(|v| v / col[j]);
+            head[j] = yj;
+            for (xi, &l) in tail.iter_mut().zip(&col[j + 1..w]) {
+                for c in 0..NB {
+                    xi[c] = (-yj[c]).mul_add(l, xi[c]);
+                }
             }
         }
     }
 
     #[inline(always)]
-    pub(super) fn below_accumulate(panel: &[f64], m: usize, w: usize, y: &[f64], acc: &mut [f64]) {
-        acc.iter_mut().for_each(|v| *v = 0.0);
+    pub(super) fn below_accumulate(
+        panel: &[f64],
+        m: usize,
+        w: usize,
+        y: &[f64],
+        acc: &mut [f64],
+        nrhs: usize,
+    ) {
+        by_width!(nrhs, below_accumulate_block(panel, m, w, y, acc))
+    }
+
+    #[inline(always)]
+    fn below_accumulate_block<const NB: usize>(
+        panel: &[f64],
+        m: usize,
+        w: usize,
+        y: &[f64],
+        acc: &mut [f64],
+    ) {
+        let y = &y.as_chunks::<NB>().0[..w];
+        let acc = &mut acc.as_chunks_mut::<NB>().0[..m - w];
+        acc.iter_mut().for_each(|a| *a = [0.0; NB]);
         let mut j = 0;
+        // Four panel columns per pass, one load of each entry for the
+        // whole block: every column chains the same four fused
+        // multiply-adds as the one-column product.
         while j + 4 <= w {
             let (c0, c1, c2, c3) = (y[j], y[j + 1], y[j + 2], y[j + 3]);
             let l0 = &panel[j * m + w..(j + 1) * m];
             let l1 = &panel[(j + 1) * m + w..(j + 2) * m];
             let l2 = &panel[(j + 2) * m + w..(j + 3) * m];
             let l3 = &panel[(j + 3) * m + w..(j + 4) * m];
-            for i in 0..acc.len() {
-                acc[i] = c3.mul_add(
-                    l3[i],
-                    c2.mul_add(l2[i], c1.mul_add(l1[i], c0.mul_add(l0[i], acc[i]))),
-                );
+            for (i, a) in acc.iter_mut().enumerate() {
+                let (v0, v1, v2, v3) = (l0[i], l1[i], l2[i], l3[i]);
+                for c in 0..NB {
+                    a[c] = c3[c].mul_add(
+                        v3,
+                        c2[c].mul_add(v2, c1[c].mul_add(v1, c0[c].mul_add(v0, a[c]))),
+                    );
+                }
             }
             j += 4;
         }
@@ -520,7 +641,9 @@ mod body {
             let coef = y[j];
             let col = &panel[j * m + w..(j + 1) * m];
             for (a, &l) in acc.iter_mut().zip(col) {
-                *a = coef.mul_add(l, *a);
+                for c in 0..NB {
+                    a[c] = coef[c].mul_add(l, a[c]);
+                }
             }
             j += 1;
         }
@@ -533,14 +656,31 @@ mod body {
         w: usize,
         x: &mut [f64],
         xb: &[f64],
+        nrhs: usize,
     ) {
+        by_width!(nrhs, solve_lower_transpose_block(panel, m, w, x, xb))
+    }
+
+    #[inline(always)]
+    fn solve_lower_transpose_block<const NB: usize>(
+        panel: &[f64],
+        m: usize,
+        w: usize,
+        x: &mut [f64],
+        xb: &[f64],
+    ) {
+        let x = &mut x.as_chunks_mut::<NB>().0[..w];
+        let xb = &xb.as_chunks::<NB>().0[..m - w];
         for j in (0..w).rev() {
             let col = &panel[j * m..(j + 1) * m];
-            let mut acc = x[j] - dot(&col[w..], xb);
-            for i in (j + 1)..w {
-                acc = (-col[i]).mul_add(x[i], acc);
+            let below = dot_block(&col[w..], xb);
+            let mut acc: [f64; NB] = std::array::from_fn(|c| x[j][c] - below[c]);
+            for (xi, &l) in x[j + 1..].iter().zip(&col[j + 1..w]) {
+                for c in 0..NB {
+                    acc[c] = (-l).mul_add(xi[c], acc[c]);
+                }
             }
-            x[j] = acc / col[j];
+            x[j] = acc.map(|v| v / col[j]);
         }
     }
 }
@@ -578,20 +718,28 @@ mod fma {
         wd: usize
     ));
     fma_variant!(factor_panel(panel: &mut [f64], m: usize, w: usize) -> Result<(), (usize, f64)>);
-    fma_variant!(solve_lower(panel: &[f64], m: usize, w: usize, x: &mut [f64]));
+    fma_variant!(solve_lower(
+        panel: &[f64],
+        m: usize,
+        w: usize,
+        x: &mut [f64],
+        nrhs: usize
+    ));
     fma_variant!(below_accumulate(
         panel: &[f64],
         m: usize,
         w: usize,
         y: &[f64],
-        acc: &mut [f64]
+        acc: &mut [f64],
+        nrhs: usize
     ));
     fma_variant!(solve_lower_transpose(
         panel: &[f64],
         m: usize,
         w: usize,
         x: &mut [f64],
-        xb: &[f64]
+        xb: &[f64],
+        nrhs: usize
     ));
 }
 
@@ -726,7 +874,6 @@ mod tests {
                     base[j * m + i] = v;
                 }
             }
-            let rhs = test_panel(m, 1, 97);
             let mut oracle = base.clone();
             ScalarKernel
                 .factor_panel(&mut oracle, m, w)
@@ -742,34 +889,34 @@ mod tests {
                         m as f64,
                     );
                 }
-                // Forward, below mat-vec, and backward on the same factor
-                // (use the oracle factor so only the sweep differs).
-                let mut xo = rhs[..w].to_vec();
-                let mut xk = xo.clone();
-                ScalarKernel.solve_lower(&oracle, m, w, &mut xo);
-                kern.solve_lower(&oracle, m, w, &mut xk);
-                for (a, b) in xo.iter().zip(&xk) {
-                    assert_close(&format!("solve_lower ({})", kern.name()), *b, *a, 1.0);
-                }
-                let mut ao = vec![0.0; m - w];
-                let mut ak = vec![1.0; m - w]; // must be overwritten
-                ScalarKernel.below_accumulate(&oracle, m, w, &xo, &mut ao);
-                kern.below_accumulate(&oracle, m, w, &xo, &mut ak);
-                for (a, b) in ao.iter().zip(&ak) {
-                    assert_close(&format!("below_accumulate ({})", kern.name()), *b, *a, 1.0);
-                }
-                let xb = vec![0.25; m - w];
-                let mut bo = xo.clone();
-                let mut bk = xo.clone();
-                ScalarKernel.solve_lower_transpose(&oracle, m, w, &mut bo, &xb);
-                kern.solve_lower_transpose(&oracle, m, w, &mut bk, &xb);
-                for (a, b) in bo.iter().zip(&bk) {
-                    assert_close(
-                        &format!("solve_lower_transpose ({})", kern.name()),
-                        *b,
-                        *a,
-                        1.0,
-                    );
+                // Forward, below product, and backward on the same factor
+                // (use the oracle factor so only the sweep differs), for
+                // interleaved blocks of one, three and eight columns.
+                for nrhs in [1usize, 3, 8] {
+                    let label =
+                        |step: &str| format!("{step} m{m} w{w} nrhs{nrhs} ({})", kern.name());
+                    let mut xo = test_panel(w, nrhs, 97);
+                    let mut xk = xo.clone();
+                    ScalarKernel.solve_lower(&oracle, m, w, &mut xo, nrhs);
+                    kern.solve_lower(&oracle, m, w, &mut xk, nrhs);
+                    for (a, b) in xo.iter().zip(&xk) {
+                        assert_close(&label("solve_lower"), *b, *a, 1.0);
+                    }
+                    let mut ao = vec![0.0; (m - w) * nrhs];
+                    let mut ak = vec![1.0; (m - w) * nrhs]; // must be overwritten
+                    ScalarKernel.below_accumulate(&oracle, m, w, &xo, &mut ao, nrhs);
+                    kern.below_accumulate(&oracle, m, w, &xo, &mut ak, nrhs);
+                    for (a, b) in ao.iter().zip(&ak) {
+                        assert_close(&label("below_accumulate"), *b, *a, 1.0);
+                    }
+                    let xb = vec![0.25; (m - w) * nrhs];
+                    let mut bo = xo.clone();
+                    let mut bk = xo.clone();
+                    ScalarKernel.solve_lower_transpose(&oracle, m, w, &mut bo, &xb, nrhs);
+                    kern.solve_lower_transpose(&oracle, m, w, &mut bk, &xb, nrhs);
+                    for (a, b) in bo.iter().zip(&bk) {
+                        assert_close(&label("solve_lower_transpose"), *b, *a, 1.0);
+                    }
                 }
             }
         }

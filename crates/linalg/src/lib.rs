@@ -23,8 +23,8 @@
 //!   [`ScalarKernel`] (the original loops, the differential oracle).
 //! * [`SupernodalCholesky`] — the supernodal blocked Cholesky the
 //!   `DirectCholesky` backend runs: dense column panels from
-//!   relaxed supernode amalgamation, rank-k panel updates, and blocked
-//!   multi-RHS triangular sweeps (`solve_panel`), so the paper's
+//!   relaxed supernode amalgamation, rank-k panel updates, and
+//!   interleaved multi-RHS triangular sweeps (`solve_panel`), so the paper's
 //!   factor-once/solve-many economics (§4.2) run on dense contiguous
 //!   kernels. The numeric factorization runs as an elimination-tree task
 //!   DAG on the [`WorkPool`] ([`WorkPool::scope_dag`]), bitwise identical
@@ -137,7 +137,7 @@ pub use schur::Sharded;
 pub use shard::{PartitionHint, ShardPlan, ShardPlanStats};
 pub use sparse::{CooMatrix, CsrMatrix};
 #[doc(hidden)]
-pub use supernodal::SymbolicParts;
+pub use supernodal::{PanelLayout, SymbolicParts};
 pub use supernodal::{SupernodalCholesky, SupernodalOptions, SupernodeStats};
 pub use vecops::{axpy, dot, dot_panel, norm2, norm_inf, scale, sub};
 

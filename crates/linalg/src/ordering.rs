@@ -87,8 +87,8 @@ impl Permutation {
     }
 
     /// Applies the permutation into a caller-provided buffer:
-    /// `out[new] = x[perm[new]]`. Allocation-free — this is the hot-path
-    /// variant the triangular-solve kernels use with reused scratch.
+    /// `out[new] = x[perm[new]]`. Allocation-free counterpart of
+    /// [`Permutation::apply`].
     ///
     /// # Panics
     ///

@@ -80,12 +80,18 @@
 //!    reads are factored, a panel when its chunks and streamed-prefix
 //!    descendants finished. Ready tasks are claimed heaviest-subtree
 //!    first, and every worker reuses one dense scratch across its tasks.
-//! 3. **Solve**: forward/backward substitution walks supernodes; per
-//!    supernode the diagonal block is a dense triangular solve and the
-//!    below-diagonal block a dense mat-vec into a contiguous gather/scatter
-//!    buffer. [`SupernodalCholesky::solve_panel`] keeps the per-column
-//!    operation order identical to the single-RHS path, so panel solves are
-//!    bitwise equal to looped solves.
+//! 3. **Solve**: [`SupernodalCholesky::solve_panel`] sweeps right-hand
+//!    sides in blocks of up to 8 columns. A block is permuted into an
+//!    *interleaved* scratch — row `i` holds its entries for every column
+//!    of the block side by side — and forward/backward substitution walk
+//!    the supernodes once for the whole block: per supernode the diagonal
+//!    block is a dense triangular solve and the below-diagonal block a
+//!    dense product into an interleaved gather block, so every load of
+//!    `L` serves all columns and each gathered or scattered row is one
+//!    contiguous run. The block is scattered back through the inverse
+//!    permutation. A single solve is the one-column block. Per column the
+//!    floating-point chain is the one-column sweep's, so panel solves are
+//!    bitwise equal to looped solves at every panel width.
 //!
 //! # The border
 //!
@@ -1322,6 +1328,12 @@ pub struct SupernodalCholesky {
     ordering: &'static str,
 }
 
+/// Right-hand sides one triangular sweep carries at once: the interleaved
+/// block of [`SupernodalCholesky::solve_panel_with`]. Eight columns keep
+/// the per-row coefficients of the blocked kernel's four-column chain in
+/// registers; wider panels are swept eight columns at a time.
+const SWEEP_BLOCK: usize = 8;
+
 impl SupernodalCholesky {
     /// Factors a symmetric positive definite matrix with RCM ordering and
     /// default supernode relaxation.
@@ -1637,6 +1649,19 @@ impl SupernodalCholesky {
         &self.values
     }
 
+    /// The layout of [`factor_values`](Self::factor_values): what the
+    /// sweep-oracle property test walks. Not a supported API.
+    #[doc(hidden)]
+    pub fn panel_layout(&self) -> PanelLayout<'_> {
+        PanelLayout {
+            perm: &self.perm,
+            sn_ptr: &self.sn_ptr,
+            row_ptr: &self.row_ptr,
+            rows: &self.rows,
+            val_ptr: &self.val_ptr,
+        }
+    }
+
     /// Worker slots the numeric factorization actually used (1 for the
     /// serial sweep or a cap-1 pool). Scheduling-dependent telemetry, like
     /// [`SolveReport::workers`](crate::SolveReport::workers).
@@ -1667,19 +1692,23 @@ impl SupernodalCholesky {
         }
     }
 
-    /// Length of the scratch slice [`solve_panel_with`] needs: one
-    /// permutation buffer plus one gather buffer for the tallest panel.
+    /// Length of the scratch slice [`solve_panel_with`] needs for
+    /// `nrhs` right-hand sides: one interleaved block of the whole vector
+    /// plus one gather block for the tallest below-diagonal part of a
+    /// panel, each as wide as the widest sweep block (`nrhs`, at most 8
+    /// columns).
     ///
     /// [`solve_panel_with`]: SupernodalCholesky::solve_panel_with
-    pub fn scratch_len(&self) -> usize {
-        let tallest = (0..self.sn_ptr.len() - 1)
-            .map(|s| self.row_ptr[s + 1] - self.row_ptr[s])
+    pub fn scratch_len(&self, nrhs: usize) -> usize {
+        let tallest_below = (0..self.sn_ptr.len() - 1)
+            .map(|s| self.row_ptr[s + 1] - self.row_ptr[s] - (self.sn_ptr[s + 1] - self.sn_ptr[s]))
             .max()
             .unwrap_or(0);
-        self.n + tallest
+        (self.n + tallest_below) * nrhs.min(SWEEP_BLOCK)
     }
 
-    /// Solves `A x = b` by two blocked triangular sweeps.
+    /// Solves `A x = b` by two blocked triangular sweeps: the one-column
+    /// case of [`solve_panel`](SupernodalCholesky::solve_panel).
     ///
     /// # Panics
     ///
@@ -1692,22 +1721,27 @@ impl SupernodalCholesky {
 
     /// Solves `A X = B` for a whole panel of right-hand sides in place.
     ///
-    /// `rhs` is an `n × nrhs` column-major matrix. One pass over the
-    /// supernode panels serves every column; per column the operation
-    /// order is identical to [`SupernodalCholesky::solve`], so panel
-    /// solutions are bitwise equal to looped single solves.
+    /// `rhs` is an `n × nrhs` column-major matrix. The columns are swept
+    /// in blocks of up to 8: each block is permuted into an interleaved
+    /// scratch (row `i` holds the block's entries side by side), both
+    /// triangular sweeps walk the supernodes once for the whole block —
+    /// every load of `L` serves every column of it — and the block is
+    /// scattered back through the inverse permutation. Per column the
+    /// operation chain is that of a one-column sweep, so panel solutions
+    /// are bitwise equal to looped [`solve`](SupernodalCholesky::solve)s,
+    /// whatever the panel width.
     ///
     /// # Panics
     ///
     /// Panics if `rhs.len() != self.dim() * nrhs`.
     pub fn solve_panel(&self, rhs: &mut [f64], nrhs: usize) {
-        let mut scratch = vec![0.0; self.scratch_len()];
+        let mut scratch = vec![0.0; self.scratch_len(nrhs)];
         self.solve_panel_with(rhs, nrhs, &mut scratch);
     }
 
     /// Allocation-free variant of [`SupernodalCholesky::solve_panel`] with
     /// a caller-provided scratch of at least
-    /// [`scratch_len`](SupernodalCholesky::scratch_len) entries.
+    /// [`scratch_len(nrhs)`](SupernodalCholesky::scratch_len) entries.
     ///
     /// # Panics
     ///
@@ -1717,75 +1751,97 @@ impl SupernodalCholesky {
         let n = self.n;
         assert_eq!(rhs.len(), n * nrhs, "supernodal panel solve: rhs size");
         assert!(
-            scratch.len() >= self.scratch_len(),
+            scratch.len() >= self.scratch_len(nrhs),
             "supernodal panel solve: scratch too short"
         );
         if n == 0 {
             return;
         }
-        let (permbuf, gather) = scratch.split_at_mut(n);
-        let num_sn = self.sn_ptr.len() - 1;
-        let kern = self.kernel.kernel();
-
-        // Into the factor basis.
-        for r in 0..nrhs {
-            let col = &mut rhs[r * n..(r + 1) * n];
-            self.perm.apply_into(col, permbuf);
-            col.copy_from_slice(permbuf);
-        }
-
-        // Forward: L Y = B.
-        for s in 0..num_sn {
-            let c0 = self.sn_ptr[s];
-            let w = self.sn_ptr[s + 1] - c0;
-            let rows_s = &self.rows[self.row_ptr[s]..self.row_ptr[s + 1]];
-            let m = rows_s.len();
-            let panel = &self.values[self.val_ptr[s]..self.val_ptr[s + 1]];
-            let below = &rows_s[w..];
-            for r in 0..nrhs {
-                let x = &mut rhs[r * n..(r + 1) * n];
-                // Dense lower-triangular solve on the diagonal block.
-                kern.solve_lower(panel, m, w, &mut x[c0..c0 + w]);
-                if below.is_empty() {
-                    continue;
-                }
-                // Below block: accumulate L₂₁ y into a contiguous buffer,
-                // then scatter.
-                let acc = &mut gather[..m - w];
-                kern.below_accumulate(panel, m, w, &x[c0..c0 + w], acc);
-                for (i, &row) in below.iter().enumerate() {
-                    x[row] -= acc[i];
+        let perm = self.perm.as_slice();
+        for block in rhs.chunks_mut(n * SWEEP_BLOCK) {
+            let nb = block.len() / n;
+            let (x, gather) = scratch.split_at_mut(n * nb);
+            // Into the factor basis, interleaved: x[k·nb + c] = B[perm[k], c].
+            for (xk, &old) in x.chunks_exact_mut(nb).zip(perm) {
+                for (c, v) in xk.iter_mut().enumerate() {
+                    *v = block[c * n + old];
                 }
             }
-        }
-
-        // Backward: Lᵀ X = Y.
-        for s in (0..num_sn).rev() {
-            let c0 = self.sn_ptr[s];
-            let w = self.sn_ptr[s + 1] - c0;
-            let rows_s = &self.rows[self.row_ptr[s]..self.row_ptr[s + 1]];
-            let m = rows_s.len();
-            let panel = &self.values[self.val_ptr[s]..self.val_ptr[s + 1]];
-            let below = &rows_s[w..];
-            for r in 0..nrhs {
-                let x = &mut rhs[r * n..(r + 1) * n];
-                // Gather the below entries once, contract them against
-                // L₂₁ᵀ and finish with the dense transposed diag solve.
-                let xb = &mut gather[..m - w];
-                for (i, &row) in below.iter().enumerate() {
-                    xb[i] = x[row];
+            self.sweep(x, nb, gather);
+            // Back to the natural basis: B[perm[k], c] = x[k·nb + c].
+            for (xk, &old) in x.chunks_exact(nb).zip(perm) {
+                for (c, &v) in xk.iter().enumerate() {
+                    block[c * n + old] = v;
                 }
-                kern.solve_lower_transpose(panel, m, w, &mut x[c0..c0 + w], xb);
             }
-        }
-
-        // Back to the natural basis.
-        for r in 0..nrhs {
-            let col = &mut rhs[r * n..(r + 1) * n];
-            self.perm.apply_inverse_into(col, permbuf);
-            col.copy_from_slice(permbuf);
         }
     }
+
+    /// Forward `L Y = B`, then backward `Lᵀ X = Y`, in place on an
+    /// interleaved block `x` of `nb ≤ 8` columns in the factor basis;
+    /// `gather` holds the below-diagonal rows of one panel for all `nb`
+    /// columns.
+    fn sweep(&self, x: &mut [f64], nb: usize, gather: &mut [f64]) {
+        let num_sn = self.sn_ptr.len() - 1;
+        let kern = self.kernel.kernel();
+        let panel_of = |s: usize| {
+            let c0 = self.sn_ptr[s];
+            let w = self.sn_ptr[s + 1] - c0;
+            let rows_s = &self.rows[self.row_ptr[s]..self.row_ptr[s + 1]];
+            let panel = &self.values[self.val_ptr[s]..self.val_ptr[s + 1]];
+            (c0, w, rows_s.len(), &rows_s[w..], panel)
+        };
+
+        for s in 0..num_sn {
+            let (c0, w, m, below, panel) = panel_of(s);
+            let (head, rest) = x.split_at_mut((c0 + w) * nb);
+            let diag = &mut head[c0 * nb..];
+            // Dense lower-triangular solve on the diagonal block.
+            kern.solve_lower(panel, m, w, diag, nb);
+            if below.is_empty() {
+                continue;
+            }
+            // Below block: accumulate L₂₁ Y into the gather block, then
+            // scatter one nb-wide run per row (every row lies past the
+            // diagonal block).
+            let acc = &mut gather[..below.len() * nb];
+            kern.below_accumulate(panel, m, w, diag, acc, nb);
+            for (&row, a) in below.iter().zip(acc.chunks_exact(nb)) {
+                let dst = &mut rest[(row - c0 - w) * nb..][..nb];
+                for (d, &v) in dst.iter_mut().zip(a) {
+                    *d -= v;
+                }
+            }
+        }
+
+        for s in (0..num_sn).rev() {
+            let (c0, w, m, below, panel) = panel_of(s);
+            // Gather the below rows once, contract them against L₂₁ᵀ and
+            // finish with the dense transposed diagonal solve.
+            let xb = &mut gather[..below.len() * nb];
+            for (&row, g) in below.iter().zip(xb.chunks_exact_mut(nb)) {
+                g.copy_from_slice(&x[row * nb..(row + 1) * nb]);
+            }
+            kern.solve_lower_transpose(panel, m, w, &mut x[c0 * nb..(c0 + w) * nb], xb, nb);
+        }
+    }
+}
+
+/// How a factor's panels are laid out, borrowed from the factor: what the
+/// sweep-oracle property test walks. Not a supported API.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct PanelLayout<'a> {
+    /// The fill permutation, `perm[new] = old`.
+    pub perm: &'a Permutation,
+    /// Supernode `s` covers permuted columns `sn_ptr[s]..sn_ptr[s+1]`.
+    pub sn_ptr: &'a [usize],
+    /// Supernode `s` owns rows `rows[row_ptr[s]..row_ptr[s+1]]`.
+    pub row_ptr: &'a [usize],
+    /// Sorted row lists, diagonal block first.
+    pub rows: &'a [usize],
+    /// Panel `s` is `values[val_ptr[s]..val_ptr[s+1]]`, column-major.
+    pub val_ptr: &'a [usize],
 }
 
 /// The symbolic analysis of one bordered factorization, field by field:
@@ -2192,24 +2248,27 @@ mod tests {
         let a = laplacian_2d(8, 8);
         let n = a.nrows();
         let chol = SupernodalCholesky::factor(&a).unwrap();
-        let nrhs = 5;
-        let mut panel = vec![0.0; n * nrhs];
-        for r in 0..nrhs {
-            for i in 0..n {
-                panel[r * n + i] = ((i * 7 + r * 3) % 13) as f64 - 6.0;
+        // Widths below, at and across the 8-column sweep block, with tails
+        // of every width.
+        for nrhs in 1..=17 {
+            let mut panel = vec![0.0; n * nrhs];
+            for r in 0..nrhs {
+                for i in 0..n {
+                    panel[r * n + i] = ((i * 7 + r * 3) % 13) as f64 - 6.0;
+                }
             }
-        }
-        let singles: Vec<Vec<f64>> = (0..nrhs)
-            .map(|r| chol.solve(&panel[r * n..(r + 1) * n]))
-            .collect();
-        chol.solve_panel(&mut panel, nrhs);
-        for r in 0..nrhs {
-            for i in 0..n {
-                assert_eq!(
-                    panel[r * n + i].to_bits(),
-                    singles[r][i].to_bits(),
-                    "rhs {r} entry {i}"
-                );
+            let singles: Vec<Vec<f64>> = (0..nrhs)
+                .map(|r| chol.solve(&panel[r * n..(r + 1) * n]))
+                .collect();
+            chol.solve_panel(&mut panel, nrhs);
+            for r in 0..nrhs {
+                for i in 0..n {
+                    assert_eq!(
+                        panel[r * n + i].to_bits(),
+                        singles[r][i].to_bits(),
+                        "nrhs {nrhs}: rhs {r} entry {i}"
+                    );
+                }
             }
         }
     }

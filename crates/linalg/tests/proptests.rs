@@ -333,6 +333,258 @@ fn check_symbolic_oracle(a: &CsrMatrix, lead: &Permutation, opts: &SupernodalOpt
     prop_assert_eq!(bits(&border), bits(&copy_border));
 }
 
+/// The one-column bodies of the three sweep methods of [`DenseKernel`] as
+/// they were before the sweep carried interleaved blocks, kept verbatim:
+/// the oracle [`looped_panel_solve`] runs them one column at a time.
+trait ColumnSweep {
+    fn solve_lower(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64]);
+    fn below_accumulate(&self, panel: &[f64], m: usize, w: usize, y: &[f64], acc: &mut [f64]);
+    fn solve_lower_transpose(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64], xb: &[f64]);
+}
+
+/// [`ScalarKernel`]'s one-column bodies.
+struct ScalarColumns;
+
+impl ColumnSweep for ScalarColumns {
+    fn solve_lower(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64]) {
+        for j in 0..w {
+            let col = &panel[j * m..(j + 1) * m];
+            let yj = x[j] / col[j];
+            x[j] = yj;
+            for i in (j + 1)..w {
+                x[i] -= col[i] * yj;
+            }
+        }
+    }
+
+    fn below_accumulate(&self, panel: &[f64], m: usize, w: usize, y: &[f64], acc: &mut [f64]) {
+        acc.iter_mut().for_each(|v| *v = 0.0);
+        for (j, &coef) in y.iter().enumerate().take(w) {
+            if coef == 0.0 {
+                continue;
+            }
+            let col = &panel[j * m + w..(j + 1) * m];
+            for (a, &l) in acc.iter_mut().zip(col) {
+                *a += l * coef;
+            }
+        }
+    }
+
+    fn solve_lower_transpose(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64], xb: &[f64]) {
+        for j in (0..w).rev() {
+            let col = &panel[j * m..(j + 1) * m];
+            let mut acc = x[j];
+            for (&l, &xi) in col[w..].iter().zip(xb.iter()) {
+                acc -= l * xi;
+            }
+            for i in (j + 1)..w {
+                acc -= col[i] * x[i];
+            }
+            x[j] = acc / col[j];
+        }
+    }
+}
+
+/// [`BlockedKernel`](morestress_linalg::BlockedKernel)'s one-column
+/// bodies (its FMA dispatch only changes how `mul_add` is lowered, never
+/// the bits).
+struct BlockedColumns;
+
+/// The blocked kernel's four-lane dot, verbatim.
+fn blocked_dot(x: &[f64], y: &[f64]) -> f64 {
+    let n = x.len();
+    let quads = n / 4;
+    let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0, 0.0, 0.0);
+    for q in 0..quads {
+        let b = 4 * q;
+        s0 = x[b].mul_add(y[b], s0);
+        s1 = x[b + 1].mul_add(y[b + 1], s1);
+        s2 = x[b + 2].mul_add(y[b + 2], s2);
+        s3 = x[b + 3].mul_add(y[b + 3], s3);
+    }
+    let mut tail = 0.0f64;
+    for i in 4 * quads..n {
+        tail = x[i].mul_add(y[i], tail);
+    }
+    ((s0 + s1) + (s2 + s3)) + tail
+}
+
+impl ColumnSweep for BlockedColumns {
+    fn solve_lower(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64]) {
+        for j in 0..w {
+            let col = &panel[j * m..(j + 1) * m];
+            let yj = x[j] / col[j];
+            x[j] = yj;
+            for i in (j + 1)..w {
+                x[i] = (-yj).mul_add(col[i], x[i]);
+            }
+        }
+    }
+
+    fn below_accumulate(&self, panel: &[f64], m: usize, w: usize, y: &[f64], acc: &mut [f64]) {
+        acc.iter_mut().for_each(|v| *v = 0.0);
+        let mut j = 0;
+        while j + 4 <= w {
+            let (c0, c1, c2, c3) = (y[j], y[j + 1], y[j + 2], y[j + 3]);
+            let l0 = &panel[j * m + w..(j + 1) * m];
+            let l1 = &panel[(j + 1) * m + w..(j + 2) * m];
+            let l2 = &panel[(j + 2) * m + w..(j + 3) * m];
+            let l3 = &panel[(j + 3) * m + w..(j + 4) * m];
+            for i in 0..acc.len() {
+                acc[i] = c3.mul_add(
+                    l3[i],
+                    c2.mul_add(l2[i], c1.mul_add(l1[i], c0.mul_add(l0[i], acc[i]))),
+                );
+            }
+            j += 4;
+        }
+        while j < w {
+            let coef = y[j];
+            let col = &panel[j * m + w..(j + 1) * m];
+            for (a, &l) in acc.iter_mut().zip(col) {
+                *a = coef.mul_add(l, *a);
+            }
+            j += 1;
+        }
+    }
+
+    fn solve_lower_transpose(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64], xb: &[f64]) {
+        for j in (0..w).rev() {
+            let col = &panel[j * m..(j + 1) * m];
+            let mut acc = x[j] - blocked_dot(&col[w..], xb);
+            for i in (j + 1)..w {
+                acc = (-col[i]).mul_add(x[i], acc);
+            }
+            x[j] = acc / col[j];
+        }
+    }
+}
+
+/// The one-column bodies of `kernel`.
+fn column_sweep(kernel: KernelChoice) -> &'static dyn ColumnSweep {
+    match kernel {
+        KernelChoice::Scalar => &ScalarColumns,
+        KernelChoice::Blocked => &BlockedColumns,
+    }
+}
+
+/// `SupernodalCholesky::solve_panel_with` as it was before the sweep
+/// carried interleaved blocks, verbatim but for reading the factor through
+/// its [`PanelLayout`](morestress_linalg::PanelLayout): per supernode, one
+/// column at a time.
+fn looped_panel_solve(
+    factor: &SupernodalCholesky,
+    kern: &dyn ColumnSweep,
+    rhs: &mut [f64],
+    nrhs: usize,
+) {
+    let n = factor.dim();
+    assert_eq!(rhs.len(), n * nrhs, "supernodal panel solve: rhs size");
+    if n == 0 {
+        return;
+    }
+    let layout = factor.panel_layout();
+    let values = factor.factor_values();
+    let tallest = (0..layout.sn_ptr.len() - 1)
+        .map(|s| layout.row_ptr[s + 1] - layout.row_ptr[s])
+        .max()
+        .unwrap_or(0);
+    let mut scratch = vec![0.0; n + tallest];
+    let (permbuf, gather) = scratch.split_at_mut(n);
+    let num_sn = layout.sn_ptr.len() - 1;
+
+    // Into the factor basis.
+    for r in 0..nrhs {
+        let col = &mut rhs[r * n..(r + 1) * n];
+        layout.perm.apply_into(col, permbuf);
+        col.copy_from_slice(permbuf);
+    }
+
+    // Forward: L Y = B.
+    for s in 0..num_sn {
+        let c0 = layout.sn_ptr[s];
+        let w = layout.sn_ptr[s + 1] - c0;
+        let rows_s = &layout.rows[layout.row_ptr[s]..layout.row_ptr[s + 1]];
+        let m = rows_s.len();
+        let panel = &values[layout.val_ptr[s]..layout.val_ptr[s + 1]];
+        let below = &rows_s[w..];
+        for r in 0..nrhs {
+            let x = &mut rhs[r * n..(r + 1) * n];
+            // Dense lower-triangular solve on the diagonal block.
+            kern.solve_lower(panel, m, w, &mut x[c0..c0 + w]);
+            if below.is_empty() {
+                continue;
+            }
+            // Below block: accumulate L₂₁ y into a contiguous buffer,
+            // then scatter.
+            let acc = &mut gather[..m - w];
+            kern.below_accumulate(panel, m, w, &x[c0..c0 + w], acc);
+            for (i, &row) in below.iter().enumerate() {
+                x[row] -= acc[i];
+            }
+        }
+    }
+
+    // Backward: Lᵀ X = Y.
+    for s in (0..num_sn).rev() {
+        let c0 = layout.sn_ptr[s];
+        let w = layout.sn_ptr[s + 1] - c0;
+        let rows_s = &layout.rows[layout.row_ptr[s]..layout.row_ptr[s + 1]];
+        let m = rows_s.len();
+        let panel = &values[layout.val_ptr[s]..layout.val_ptr[s + 1]];
+        let below = &rows_s[w..];
+        for r in 0..nrhs {
+            let x = &mut rhs[r * n..(r + 1) * n];
+            // Gather the below entries once, contract them against
+            // L₂₁ᵀ and finish with the dense transposed diag solve.
+            let xb = &mut gather[..m - w];
+            for (i, &row) in below.iter().enumerate() {
+                xb[i] = x[row];
+            }
+            kern.solve_lower_transpose(panel, m, w, &mut x[c0..c0 + w], xb);
+        }
+    }
+
+    // Back to the natural basis.
+    for r in 0..nrhs {
+        let col = &mut rhs[r * n..(r + 1) * n];
+        layout.perm.apply_inverse_into(col, permbuf);
+        col.copy_from_slice(permbuf);
+    }
+}
+
+/// The block sweep of `factor` (factored under `kernel`) equals the
+/// one-column oracle bit for bit, column by column, on the first `nrhs`
+/// columns drawn from `values`.
+fn check_sweep_oracle(
+    factor: &SupernodalCholesky,
+    kernel: KernelChoice,
+    values: &[f64],
+    nrhs: usize,
+) {
+    let n = factor.dim();
+    let rhs: Vec<f64> = (0..n * nrhs)
+        .map(|k| values[k % values.len()] * (1 + k / values.len()) as f64)
+        .collect();
+    let mut expected = rhs.clone();
+    looped_panel_solve(factor, column_sweep(kernel), &mut expected, nrhs);
+    let mut panel = rhs;
+    factor.solve_panel(&mut panel, nrhs);
+    for c in 0..nrhs {
+        for i in 0..n {
+            prop_assert_eq!(
+                panel[c * n + i].to_bits(),
+                expected[c * n + i].to_bits(),
+                "{:?} nrhs {}: column {} entry {}",
+                kernel,
+                nrhs,
+                c,
+                i
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -664,7 +916,7 @@ proptest! {
     #[test]
     fn kernels_match_scalar_on_random_panels(m_extra in 0usize..9,
                                              g in prop::collection::vec(-1.0f64..1.0, 41 * 41),
-                                             rhs in prop::collection::vec(-2.0f64..2.0, 41)) {
+                                             rhs in prop::collection::vec(-2.0f64..2.0, 41 * 8)) {
         for w in [1usize, 5, 32] {
             let m = w + m_extra;
             // SPD diagonal block via G·Gᵀ + (m+1)·I, column-major panel of
@@ -693,26 +945,29 @@ proptest! {
                         "factor w{} ({}): {} vs {}", w, kern.name(), a, b);
                 }
                 // Triangular sweeps on the shared oracle factor, so only
-                // the kernel under test differs.
-                let mut xo = rhs[..w].to_vec();
-                let mut xk = xo.clone();
-                ScalarKernel.solve_lower(&oracle, m, w, &mut xo);
-                kern.solve_lower(&oracle, m, w, &mut xk);
-                let mut ao = vec![0.0; m - w];
-                let mut ak = vec![1.0; m - w]; // must be overwritten
-                ScalarKernel.below_accumulate(&oracle, m, w, &xo, &mut ao);
-                kern.below_accumulate(&oracle, m, w, &xo, &mut ak);
-                let xb = &rhs[..m - w];
-                let mut bo = xo.clone();
-                let mut bk = xo.clone();
-                ScalarKernel.solve_lower_transpose(&oracle, m, w, &mut bo, xb);
-                kern.solve_lower_transpose(&oracle, m, w, &mut bk, xb);
-                for (pair, label) in [(xo.iter().zip(&xk), "solve_lower"),
-                                      (ao.iter().zip(&ak), "below_accumulate"),
-                                      (bo.iter().zip(&bk), "solve_lower_transpose")] {
-                    for (a, b) in pair {
-                        prop_assert!((a - b).abs() <= 1e-12 * a.abs().max(1.0),
-                            "{} w{} ({}): {} vs {}", label, w, kern.name(), a, b);
+                // the kernel under test differs, over interleaved blocks
+                // of one, three and eight columns.
+                for nrhs in [1usize, 3, 8] {
+                    let mut xo = rhs[..w * nrhs].to_vec();
+                    let mut xk = xo.clone();
+                    ScalarKernel.solve_lower(&oracle, m, w, &mut xo, nrhs);
+                    kern.solve_lower(&oracle, m, w, &mut xk, nrhs);
+                    let mut ao = vec![0.0; (m - w) * nrhs];
+                    let mut ak = vec![1.0; (m - w) * nrhs]; // must be overwritten
+                    ScalarKernel.below_accumulate(&oracle, m, w, &xo, &mut ao, nrhs);
+                    kern.below_accumulate(&oracle, m, w, &xo, &mut ak, nrhs);
+                    let xb = &rhs[..(m - w) * nrhs];
+                    let mut bo = xo.clone();
+                    let mut bk = xo.clone();
+                    ScalarKernel.solve_lower_transpose(&oracle, m, w, &mut bo, xb, nrhs);
+                    kern.solve_lower_transpose(&oracle, m, w, &mut bk, xb, nrhs);
+                    for (pair, label) in [(xo.iter().zip(&xk), "solve_lower"),
+                                          (ao.iter().zip(&ak), "below_accumulate"),
+                                          (bo.iter().zip(&bk), "solve_lower_transpose")] {
+                        for (a, b) in pair {
+                            prop_assert!((a - b).abs() <= 1e-12 * a.abs().max(1.0),
+                                "{} w{} nrhs{} ({}): {} vs {}", label, w, nrhs, kern.name(), a, b);
+                        }
                     }
                 }
             }
@@ -751,11 +1006,11 @@ proptest! {
     }
 
     /// Panel sweeps are bitwise equal to looped single solves, for any
-    /// panel shape.
+    /// panel shape: one or more 8-column blocks and a tail of any width.
     #[test]
     fn panel_solves_are_bitwise_equal_to_looped(a in spd_strategy(10),
                                                 bs in prop::collection::vec(
-                                                    prop::collection::vec(-3.0f64..3.0, 10), 1..7)) {
+                                                    prop::collection::vec(-3.0f64..3.0, 10), 1..18)) {
         let n = 10;
         let nrhs = bs.len();
         let blocked = SupernodalCholesky::factor(&a).expect("SPD");
@@ -769,13 +1024,67 @@ proptest! {
         }
     }
 
+    /// The interleaved block sweep is bitwise the one-column oracle on
+    /// random SPD operators, full and bordered, under both kernels, for
+    /// every panel width from 1 to 20: whole 8-column blocks and tails of
+    /// every width.
+    #[test]
+    fn block_sweep_matches_the_column_oracle(a in spd_strategy(14),
+                                             border in 0usize..5,
+                                             max_width in 1usize..6,
+                                             nrhs in 1usize..21,
+                                             values in prop::collection::vec(-3.0f64..3.0, 37)) {
+        let n_elim = a.nrows() - border;
+        for &kernel in KernelChoice::available() {
+            let opts = SupernodalOptions { max_width, kernel, ..Default::default() };
+            let factor = if border == 0 {
+                SupernodalCholesky::factor_with_permutation(
+                    &a,
+                    FillOrdering::Rcm.permutation(&a),
+                    &opts,
+                ).expect("SPD")
+            } else {
+                let lead = FillOrdering::Rcm.permutation(&leading_block(&a, n_elim));
+                SupernodalCholesky::factor_bordered(&zero_border(&a, n_elim), lead, &opts)
+                    .expect("SPD leading block").0
+            };
+            check_sweep_oracle(&factor, kernel, &values, nrhs);
+        }
+    }
+
+    /// The same on hinted lattices dissected along their blocks — wide
+    /// dense separator panels — full and bordered by their top line.
+    #[test]
+    fn block_sweep_matches_the_column_oracle_on_lattices(bx in 2usize..5,
+                                                         by in 2usize..4,
+                                                         m in 3usize..6,
+                                                         bordered in 0usize..2,
+                                                         nrhs in 1usize..21,
+                                                         values in prop::collection::vec(-3.0f64..3.0, 29)) {
+        let (a, _) = hinted_lattice(bx, by, m);
+        let n_elim = if bordered == 1 { a.nrows() - (bx * m + 1) } else { a.nrows() };
+        let mut spans = lattice_spans(bx, by, m);
+        spans.truncate(n_elim);
+        let lead = geometric_dissection(&PartitionHint::new([bx, by], spans));
+        for &kernel in KernelChoice::available() {
+            let opts = SupernodalOptions { kernel, ..Default::default() };
+            let factor = if bordered == 1 {
+                SupernodalCholesky::factor_bordered(&zero_border(&a, n_elim), lead.clone(), &opts)
+                    .expect("SPD leading block").0
+            } else {
+                SupernodalCholesky::factor_with_permutation(&a, lead.clone(), &opts).expect("SPD")
+            };
+            check_sweep_oracle(&factor, kernel, &values, nrhs);
+        }
+    }
+
     /// The pool-distributed panel path of `solve_many` is bitwise equal to
     /// per-RHS solves for every kernel × panel-width × thread mix.
     #[test]
     fn panel_batched_backend_matches_individual(a in spd_strategy(9),
                                                 bs in prop::collection::vec(
-                                                    prop::collection::vec(-2.0f64..2.0, 9), 1..9),
-                                                panel_width in 1usize..5,
+                                                    prop::collection::vec(-2.0f64..2.0, 9), 1..21),
+                                                panel_width in 1usize..18,
                                                 threads in 1usize..6) {
         let a = Arc::new(a);
         for &kernel in KernelChoice::available() {
