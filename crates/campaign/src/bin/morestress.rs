@@ -100,6 +100,7 @@ fn run(args: &[String]) -> ExitCode {
                 JobOutcome::Solved {
                     peak_von_mises,
                     peak_displacement,
+                    sample_ms,
                     stats,
                     ..
                 } => {
@@ -111,12 +112,13 @@ fn run(args: &[String]) -> ExitCode {
                         (_, None) => String::new(),
                     };
                     println!(
-                        "  array {} dT={:>8.1}  peak vm {:>9.2} MPa  peak |u| {:>8.4} um  {:>7.1} ms{factor}",
+                        "  array {} dT={:>8.1}  peak vm {:>9.2} MPa  peak |u| {:>8.4} um  {:>7.1} ms + {:>6.1} ms sampling{factor}",
                         job.array_index,
                         job.load,
                         peak_von_mises,
                         peak_displacement,
                         stats.wall_time.as_secs_f64() * 1e3,
+                        sample_ms,
                     )
                 }
                 JobOutcome::Failed { error } => {

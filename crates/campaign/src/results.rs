@@ -76,6 +76,7 @@ pub fn campaign_sections(reports: &[CampaignReport]) -> Vec<BenchSection> {
                     checksum,
                     peak_displacement,
                     peak_von_mises,
+                    sample_ms,
                     stats,
                 } => {
                     entries.push(("solved".to_string(), 1.0));
@@ -84,6 +85,7 @@ pub fn campaign_sections(reports: &[CampaignReport]) -> Vec<BenchSection> {
                     entries.push(("peak_displacement".to_string(), *peak_displacement));
                     entries.push(("peak_von_mises".to_string(), *peak_von_mises));
                     entries.push(("wall_ms".to_string(), stats.wall_time.as_secs_f64() * 1e3));
+                    entries.push(("sample_ms".to_string(), *sample_ms));
                     entries.push(("total_dofs".to_string(), stats.total_dofs as f64));
                     entries.push(("free_dofs".to_string(), stats.free_dofs as f64));
                     entries.push(("iterations".to_string(), stats.iterations as f64));

@@ -20,7 +20,7 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use morestress_core::{GlobalBc, GlobalStats, MoreStressSimulator, RomError};
 use morestress_linalg::WorkPool;
@@ -51,6 +51,10 @@ pub enum JobOutcome {
         peak_displacement: f64,
         /// Peak midplane von Mises stress (MPa).
         peak_von_mises: f64,
+        /// Wall time of sampling the midplane field (ms) — the half of a
+        /// warm job that `stats.wall_time`, the global stage alone, leaves
+        /// out.
+        sample_ms: f64,
         /// Cost accounting of the global-stage solve (boxed: it is an
         /// order of magnitude larger than the `Failed` variant).
         stats: Box<GlobalStats>,
@@ -332,7 +336,9 @@ fn solve_job(
 ) -> Result<JobOutcome, RomError> {
     let layout = spec.arrays[job.array].layout();
     let solution = sim.solve_array(&layout, load, &GlobalBc::ClampedTopBottom)?;
+    let sampling = Instant::now();
     let field = sim.sample_midplane(&layout, &solution, load, 4)?;
+    let sample_ms = sampling.elapsed().as_secs_f64() * 1e3;
     let mut checksum = Fnv1a::new();
     let mut peak_displacement = 0.0f64;
     for &u in solution.nodal_displacement() {
@@ -346,6 +352,7 @@ fn solve_job(
         checksum: checksum.finish(),
         peak_displacement,
         peak_von_mises: field.max(),
+        sample_ms,
         stats: Box::new(solution.stats),
     })
 }

@@ -38,7 +38,7 @@ fn base_spec(name: &str) -> CampaignSpec {
 
 /// The scheduling-independent projection of a run: everything except
 /// wall times and cache tallies must be identical across pool caps and
-/// admission orders.
+/// admission orders. Every solved job must have timed its sampling.
 fn deterministic_core(reports: &[CampaignReport]) -> Vec<(String, usize, usize, u64, Vec<u64>)> {
     reports
         .iter()
@@ -49,16 +49,20 @@ fn deterministic_core(reports: &[CampaignReport]) -> Vec<(String, usize, usize, 
                     checksum,
                     peak_displacement,
                     peak_von_mises,
+                    sample_ms,
                     stats,
-                } => vec![
-                    1,
-                    *checksum,
-                    peak_displacement.to_bits(),
-                    peak_von_mises.to_bits(),
-                    stats.total_dofs as u64,
-                    stats.free_dofs as u64,
-                    stats.shards as u64,
-                ],
+                } => {
+                    assert!(*sample_ms > 0.0, "a solved job records its sampling time");
+                    vec![
+                        1,
+                        *checksum,
+                        peak_displacement.to_bits(),
+                        peak_von_mises.to_bits(),
+                        stats.total_dofs as u64,
+                        stats.free_dofs as u64,
+                        stats.shards as u64,
+                    ]
+                }
                 JobOutcome::Failed { error } => {
                     vec![0, error.len() as u64]
                 }

@@ -24,11 +24,18 @@
 //!   DoFs of only those elements' nodes, gathered into one contiguous
 //!   row-major array. `n_touched ≤ min(8g², nodes of the cut plane's slab)`.
 //!
-//! A block's tile is then `u_t = T·[U; ΔT]` (row dots on the production
-//! [`DenseKernel`]) followed, per point, by the 6 × 24 product and the von
-//! Mises formula. Blocks are sampled in parallel on the shared [`WorkPool`];
-//! each returns its own tile and the tiles are stitched in block order, so
-//! the field is bitwise identical for every pool size.
+//! The plan is applied to **groups** of blocks: each kind's blocks, in
+//! block order, are cut into groups of up to eight (`GROUP`, a constant; a
+//! kind with one block is a group of one). A group interleaves its blocks'
+//! `[U; ΔT]` into rows of eight (a short group pads with zeros and drops
+//! the padding) and streams `T` through them once: one 8-wide block dot
+//! ([`dot_panel`](morestress_linalg::dot_panel)) per row of `T` gives the
+//! touched displacements `u_t` of every block of the group. Column `b` of
+//! that dot is bit for bit `dot(row, [U_b; ΔT])`, so a block samples to the
+//! same bits in any group. Per block, each point then takes the 6 × 24
+//! product and the von Mises formula. Groups are the tasks on the shared
+//! [`WorkPool`]; each returns its blocks' tiles, which are stitched in block
+//! order, so the field is bitwise identical for every pool size.
 //!
 //! **Cost model** (`n` basis functions, `blocks` unit blocks): building a
 //! plan is ≈ `3·n_touched·n` copies plus `g²` element set-ups (locate,
@@ -38,23 +45,48 @@
 //! basis rows (≈ 3 MB on the `medium` mesh at `n = 168`) plus 1.4 kB per
 //! point, and adds no state to [`ReducedOrderModel`].
 //!
+//! Grouping changes no flop count; it changes what bounds the `T` product.
+//! One block's row dot is a single chain of four accumulators over a
+//! 169-entry row, so a per-block sweep waits on fused multiply-add
+//! *latency*, not on bandwidth: `T` (≈ 0.5 MB per kind at `g = 4`) sits in
+//! L2, yet the per-block sweep ran at ≈ 2 GFMA/s. The 8-wide dot keeps 32
+//! independent chains in flight and loads each entry of `T` once per group
+//! instead of once per block. Median `sample_midplane` wall time of two
+//! processes per side, per-block → grouped (`medium` mesh, [4,4,4], one
+//! worker, 2-vCPU x86-64 guest with FMA; the field bits are identical):
+//!
+//! | layout                                      | per-block    | grouped      |
+//! |---------------------------------------------|--------------|--------------|
+//! | 24×24 blocks (400 TSV + 176 dummy), `g = 4` | 17.3–17.6 ms | 5.6–5.7 ms   |
+//! | 16×16 TSV blocks, `g = 4`                   | 7.4–8.2 ms   | 2.4 ms       |
+//! | 4×4 TSV blocks, `g = 20`                    | 4.6–5.3 ms   | 2.3 ms       |
+//! | 4×4 TSV blocks, `g = 100`                   | 33–37 ms     | 30–36 ms     |
+//!
+//! At the upstream tool's `g = 100` on few blocks, building the plan
+//! dominates and grouping leaves it as it was.
+//!
 //! The two factors are **not collapsed** into the dense map
 //! `S = D·B·T ∈ ℝ^{6g² × n}`: `S` costs `24·6·n` flops per point to form
 //! and `6g²·n` per block to apply, so it loses wherever blocks are few or
 //! points share nodes (on the `medium` mesh from `g ≈ 19`: a prototype on
-//! 4×4 blocks at `g = 20` took 11.6 ms against 5.3 ms factored) and would
-//! need 81 MB per kind at the upstream tool's `g = 100`; the factored plan
-//! never does more flops than a per-block slab reconstruction.
+//! 4×4 blocks at `g = 20` took 11.6 ms against 5.3 ms factored, both
+//! measured against the per-block sampler, before grouping) and would need
+//! 81 MB per kind at the upstream tool's `g = 100`; the factored plan never
+//! does more flops than a per-block slab reconstruction.
 //!
 //! The local points are the samples of block `(0, 0)`; every block reuses
 //! them, so a point that lies exactly on a mesh line (the block centre, hit
 //! by every odd `g`) resolves to the same element in every block.
 
 use morestress_fem::{Hex8, PlaneGrid, ScalarField2d, StressSample};
-use morestress_linalg::{DenseKernel, KernelChoice, WorkPool};
+use morestress_linalg::{dot_panel, WorkPool};
 use morestress_mesh::{BlockKind, BlockLayout};
 
 use crate::{GlobalSolution, ReducedOrderModel, RomError};
+
+/// Same-kind blocks sampled per pass over the touched-row basis: the width
+/// of the block dot every row of `T` is streamed through.
+const GROUP: usize = 8;
 
 /// What one non-void local sample point contributes to a block's tile.
 struct PointMap {
@@ -134,35 +166,45 @@ impl SamplingPlan {
         })
     }
 
-    /// The von Mises tile of one block from `coeffs = [U_block; ΔT]`, with
-    /// `u` as the reused buffer of the touched displacements.
-    fn sample_tile(&self, kernel: &dyn DenseKernel, coeffs: &[f64], u: &mut Vec<f64>) -> Vec<f64> {
-        let delta_t = coeffs[self.cols - 1];
+    /// The von Mises tiles of a group of `blocks ≤ GROUP` blocks, one
+    /// after the other in group order. Row `r` of `coeffs` holds entry `r`
+    /// of `[U_b; ΔT]` for every block `b` of the group side by side (the
+    /// lanes past `blocks` are padding); `u` is the reused buffer of the
+    /// touched displacements, interleaved the same way.
+    fn sample_group(
+        &self,
+        coeffs: &[[f64; GROUP]],
+        blocks: usize,
+        delta_t: f64,
+        u: &mut Vec<[f64; GROUP]>,
+    ) -> Vec<f64> {
         u.clear();
         u.extend(
             self.touched
                 .chunks_exact(self.cols)
-                .map(|row| kernel.dot(row, coeffs)),
+                .map(|row| dot_panel(row, coeffs)),
         );
-        self.points
-            .iter()
-            .map(|point| {
+        let mut tiles = Vec::with_capacity(blocks * self.points.len());
+        for b in 0..blocks {
+            tiles.extend(self.points.iter().map(|point| {
                 let Some(point) = point else {
                     return f64::NAN;
                 };
                 let sigma = std::array::from_fn(|i| {
-                    let dbu: f64 = (0..24).map(|k| point.db[i][k] * u[point.rows[k]]).sum();
+                    let dbu: f64 = (0..24).map(|k| point.db[i][k] * u[point.rows[k]][b]).sum();
                     dbu - delta_t * point.thermal[i]
                 });
                 StressSample::from_tensor(sigma).von_mises
-            })
-            .collect()
+            }));
+        }
+        tiles
     }
 }
 
 /// Samples the von Mises stress of a solved array on the mid-height cut
 /// plane, with `samples_per_block × samples_per_block` points per unit block
-/// (the paper uses 100×100), block-parallel on the current [`WorkPool`].
+/// (the paper uses 100×100), parallel over groups of same-kind blocks on
+/// the current [`WorkPool`].
 ///
 /// # Errors
 ///
@@ -197,42 +239,58 @@ pub fn sample_array_von_mises(
         g * layout.ny(),
     );
 
-    let plan_for = |rom: Option<&ReducedOrderModel>, kind| match rom {
-        Some(rom) if layout.count(kind) > 0 => SamplingPlan::build(rom, &grid, g).map(Some),
-        _ => Ok(None),
-    };
-    let plan_tsv = plan_for(Some(rom_tsv), BlockKind::Tsv)?;
-    let plan_dummy = plan_for(rom_dummy, BlockKind::Dummy)?;
+    // Each kind present gets its plan, and its blocks, in block order, are
+    // cut into groups of up to GROUP: one task per group. Each task returns
+    // its blocks' g×g tiles, stitched in place afterwards, so the result is
+    // bitwise independent of how the pool schedules groups.
+    let nx = layout.nx();
+    let mut plans = Vec::new();
+    for (kind, rom) in [
+        (BlockKind::Tsv, Some(rom_tsv)),
+        (BlockKind::Dummy, rom_dummy),
+    ] {
+        let members: Vec<usize> = (0..nx * layout.ny())
+            .filter(|&block| layout.kind(block % nx, block / nx) == kind)
+            .collect();
+        if let (Some(rom), false) = (rom, members.is_empty()) {
+            plans.push((SamplingPlan::build(rom, &grid, g)?, members));
+        }
+    }
+    let groups: Vec<(&SamplingPlan, &[usize])> = plans
+        .iter()
+        .flat_map(|(plan, members)| members.chunks(GROUP).map(move |group| (plan, group)))
+        .collect();
 
-    // One task per block, each returning its own g×g tile; tiles are
-    // stitched in block order afterwards, so the result is bitwise
-    // independent of how the pool schedules blocks.
-    let kernel = KernelChoice::default().kernel();
     let pool = WorkPool::current();
     let (tiles, _) = pool.scope_collect_with(
         pool.cap(),
-        layout.nx() * layout.ny(),
-        || (Vec::new(), Vec::new()),
-        |(coeffs, u), block| {
-            let (bi, bj) = (block % layout.nx(), block / layout.nx());
-            let plan = match layout.kind(bi, bj) {
-                BlockKind::Tsv => &plan_tsv,
-                BlockKind::Dummy => &plan_dummy,
-            };
-            let plan = plan.as_ref().expect("a plan exists for every kind present");
-            solution.element_dofs_into(bi, bj, coeffs);
-            coeffs.push(delta_t);
-            plan.sample_tile(kernel, coeffs, u)
+        groups.len(),
+        || (Vec::new(), Vec::new(), Vec::new()),
+        |(dofs, coeffs, u), group| {
+            let (plan, members) = groups[group];
+            coeffs.clear();
+            coeffs.resize(plan.cols, [0.0; GROUP]);
+            for (b, &block) in members.iter().enumerate() {
+                solution.element_dofs_into(block % nx, block / nx, dofs);
+                dofs.push(delta_t);
+                debug_assert_eq!(dofs.len(), plan.cols, "one coefficient per basis column");
+                for (row, &v) in coeffs.iter_mut().zip(dofs.iter()) {
+                    row[b] = v;
+                }
+            }
+            plan.sample_group(coeffs, members.len(), delta_t, u)
         },
     );
 
     let width = grid.samples[0];
     let mut values = vec![f64::NAN; grid.num_points()];
-    for (block, tile) in tiles.iter().enumerate() {
-        let (bi, bj) = (block % layout.nx(), block / layout.nx());
-        for (jj, row) in tile.chunks_exact(g).enumerate() {
-            let start = (bj * g + jj) * width + bi * g;
-            values[start..start + g].copy_from_slice(row);
+    for ((_, members), tiles) in groups.iter().zip(&tiles) {
+        for (&block, tile) in members.iter().zip(tiles.chunks_exact(g * g)) {
+            let (bi, bj) = (block % nx, block / nx);
+            for (jj, row) in tile.chunks_exact(g).enumerate() {
+                let start = (bj * g + jj) * width + bi * g;
+                values[start..start + g].copy_from_slice(row);
+            }
         }
     }
     Ok(ScalarField2d { grid, values })

@@ -151,6 +151,88 @@ fn plan_matches_the_per_point_oracle() {
     }
 }
 
+/// FNV-1a (64-bit) over the little-endian bits of every sample.
+fn field_hash(field: &ScalarField2d) -> u64 {
+    field
+        .values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// FNV-1a of the sampled field bits ([`field_hash`]) for g = 1, 4, 7, 20,
+/// recorded on the per-block sampler: per layout of
+/// [`sampled_field_bits_are_pinned`], the clamped then the submodel row.
+#[rustfmt::skip]
+const FIELD_HASHES: [[[u64; 4]; 2]; 4] = [
+    // 1x1: clamped, submodel.
+    [
+        [0x3d8791ef0e5d44d4, 0x00982fef4cfccf65, 0xebe7ac7477b840d7, 0xc0a5b78fe0388f95],
+        [0x85fc48c28517d4fe, 0x0ce9cfdc8b829325, 0x49f6c3ab1f83dee0, 0x2b4478e820221204],
+    ],
+    // 3x3 with one dummy: clamped, submodel.
+    [
+        [0xa678810f673bb960, 0x15eb315dacdd9899, 0xa1fadf9c6374db31, 0xce55b3c7f17fa5ca],
+        [0xc9c3bdc2d1d3fdff, 0x38341c68a96615fc, 0x773a65adc2fb0b42, 0x931319cc50e3659f],
+    ],
+    // 3x3 + dummy ring: clamped, submodel.
+    [
+        [0x8bfa126593aba698, 0x89a2a5c1cb17533e, 0x3bad1db69555e7fd, 0x09e85d16af86d1ce],
+        [0xe21f420e657fc359, 0x3bff22e4fd19e960, 0x6b9bd6a8de54c342, 0x0522ddd07d867c28],
+    ],
+    // 4x3 with a dummy patch: clamped, submodel.
+    [
+        [0xb0c59357cfb26a24, 0xc6f7eb03aa8cb355, 0x871431b2e62f6a44, 0xa3d256c3ba55fad5],
+        [0x3de65e24314de051, 0x3a223dd67be76d51, 0x32d34d7cdfd893f3, 0x9c6dca9e964032c6],
+    ],
+];
+
+#[test]
+fn sampled_field_bits_are_pinned() {
+    // Per-kind block counts 1; 8 + 1; 9 + 16; 10 + 2: a lone block, a full
+    // group of eight, full groups with a short tail, and short groups of
+    // both kinds. Each row holds the hashes for g = 1, 4, 7, 20.
+    let mut one_dummy = BlockLayout::uniform(3, 3, BlockKind::Tsv);
+    one_dummy.set_kind(1, 1, BlockKind::Dummy);
+    let mut patched = BlockLayout::uniform(4, 3, BlockKind::Tsv);
+    patched.set_kind(1, 1, BlockKind::Dummy);
+    patched.set_kind(2, 1, BlockKind::Dummy);
+    let layouts = [
+        ("1x1", BlockLayout::uniform(1, 1, BlockKind::Tsv)),
+        ("3x3 with one dummy", one_dummy),
+        (
+            "3x3 + dummy ring",
+            BlockLayout::uniform(3, 3, BlockKind::Tsv).padded(1),
+        ),
+        ("4x3 with a dummy patch", patched),
+    ];
+    let submodel = GlobalBc::SubmodelBoundary(Arc::new(|p: [f64; 3]| {
+        [1e-4 * p[0], -2e-4 * p[1], 5e-5 * (p[2] - 25.0)]
+    }));
+    let bcs = [
+        ("clamped", &GlobalBc::ClampedTopBottom),
+        ("submodel", &submodel),
+    ];
+    let mut mismatches = Vec::new();
+    for ((name, layout), expected) in layouts.iter().zip(&FIELD_HASHES) {
+        for ((bc_name, bc), expected) in bcs.iter().zip(expected) {
+            let solution = solve(layout, DELTA_T, bc);
+            let hashes = [1, 4, 7, 20].map(|g| field_hash(&sample(layout, &solution, DELTA_T, g)));
+            if hashes != *expected {
+                let hashes = hashes.map(|h| format!("{h:#018x}")).join(", ");
+                mismatches.push(format!("{name}, {bc_name}: [{hashes}]"));
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "field bits moved:\n{}",
+        mismatches.join("\n")
+    );
+}
+
 #[test]
 fn missing_dummy_rom_is_a_mismatch() {
     let (tsv, _) = roms();

@@ -403,11 +403,11 @@ impl DenseKernel for BlockedKernel {
 }
 
 impl BlockedKernel {
-    /// [`DenseKernel::dot`] of `x` against four vectors in one pass over
-    /// `x` (`ys[i][k]` is entry `i` of vector `k`), bit for bit four `dot`
+    /// [`DenseKernel::dot`] of `x` against `NB` vectors in one pass over
+    /// `x` (`ys[i][k]` is entry `i` of vector `k`), bit for bit `NB` `dot`
     /// calls. Slices must have equal length.
-    pub(crate) fn dot_panel(&self, x: &[f64], ys: &[[f64; 4]]) -> [f64; 4] {
-        blocked_dispatch!(dot_panel(x, ys))
+    pub(crate) fn dot_panel<const NB: usize>(&self, x: &[f64], ys: &[[f64; NB]]) -> [f64; NB] {
+        blocked_dispatch!(dot_block(x, ys))
     }
 }
 
@@ -440,7 +440,9 @@ mod body {
     /// [`dot`] of `x` against `NB` vectors at once, `ys[i][k]` being
     /// entry `i` of vector `k`: one pass over `x`, each vector on `dot`'s
     /// own four lanes and reduction tree, so result `k` is bit for bit
-    /// `dot(x, y_k)`.
+    /// `dot(x, y_k)`. The `4 × NB` accumulators are independent chains, so
+    /// a wide block keeps the FMA pipes full where a single `dot` waits on
+    /// the latency of its four.
     #[inline(always)]
     pub(super) fn dot_block<const NB: usize>(x: &[f64], ys: &[[f64; NB]]) -> [f64; NB] {
         let quads = x.len() / 4;
@@ -460,11 +462,6 @@ mod body {
             }
         }
         std::array::from_fn(|k| ((s[0][k] + s[1][k]) + (s[2][k] + s[3][k])) + tail[k])
-    }
-
-    #[inline(always)]
-    pub(super) fn dot_panel(x: &[f64], ys: &[[f64; 4]]) -> [f64; 4] {
-        dot_block(x, ys)
     }
 
     #[inline(always)]
@@ -695,19 +692,22 @@ mod fma {
 
     /// Re-exports one body under the FMA feature set.
     macro_rules! fma_variant {
-        ($name:ident ( $($arg:ident : $ty:ty),* ) $(-> $ret:ty)?) => {
+        (
+            $name:ident $(<const $n:ident: usize>)? ( $($arg:ident : $ty:ty),* )
+            $(-> $ret:ty)?
+        ) => {
             /// # Safety
             ///
             /// The caller must have verified FMA support at runtime.
             #[target_feature(enable = "fma")]
-            pub(super) unsafe fn $name($($arg: $ty),*) $(-> $ret)? {
+            pub(super) unsafe fn $name$(<const $n: usize>)?($($arg: $ty),*) $(-> $ret)? {
                 body::$name($($arg),*)
             }
         };
     }
 
     fma_variant!(dot(x: &[f64], y: &[f64]) -> f64);
-    fma_variant!(dot_panel(x: &[f64], ys: &[[f64; 4]]) -> [f64; 4]);
+    fma_variant!(dot_block<const NB: usize>(x: &[f64], ys: &[[f64; NB]]) -> [f64; NB]);
     fma_variant!(axpy(alpha: f64, x: &[f64], y: &mut [f64]));
     fma_variant!(rank_update(
         update: &mut [f64],

@@ -1,6 +1,6 @@
 //! Basic dense vector kernels shared by the solvers.
 //!
-//! The contraction primitives (`dot`, its four-vector form `dot_panel`,
+//! The contraction primitives (`dot`, its `NB`-vector form `dot_panel`,
 //! `axpy`, and `norm2` through `dot`)
 //! delegate to [`BlockedKernel`] — the unrolled `mul_add` microkernels with
 //! runtime FMA dispatch from `kernel.rs` — so CG/GMRES inherit the same
@@ -23,15 +23,17 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     BlockedKernel.dot(x, y)
 }
 
-/// [`dot`] of `x` against four vectors in one pass over `x`: `ys[i][k]` is
+/// [`dot`] of `x` against `NB` vectors in one pass over `x`: `ys[i][k]` is
 /// entry `i` of vector `k`, and result `k` is bit for bit `dot(x, y_k)` —
-/// the column-panel form the Galerkin projection streams its basis through.
+/// the column-panel form the Galerkin projection streams its basis through
+/// at `NB = 4`, and the mid-plane sampler its touched-row basis at
+/// `NB = 8`.
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
 #[inline]
-pub fn dot_panel(x: &[f64], ys: &[[f64; 4]]) -> [f64; 4] {
+pub fn dot_panel<const NB: usize>(x: &[f64], ys: &[[f64; NB]]) -> [f64; NB] {
     assert_eq!(x.len(), ys.len(), "dot: length mismatch");
     BlockedKernel.dot_panel(x, ys)
 }

@@ -585,6 +585,27 @@ fn check_sweep_oracle(
     }
 }
 
+/// Column `k` of the `NB`-wide block dot of `x` against the vectors
+/// `y_k = ys[k·n..(k+1)·n]` is bit for bit `dot(x, y_k)`.
+fn assert_panel_dot_is_bitwise_dots<const NB: usize>(x: &[f64], ys: &[f64]) {
+    let n = x.len();
+    let panel: Vec<[f64; NB]> = (0..n)
+        .map(|i| std::array::from_fn(|k| ys[k * n + i]))
+        .collect();
+    let block = dot_panel(x, &panel);
+    for k in 0..NB {
+        let y_k = &ys[k * n..(k + 1) * n];
+        prop_assert_eq!(
+            block[k].to_bits(),
+            dot(x, y_k).to_bits(),
+            "width {}, length {}, column {}",
+            NB,
+            n,
+            k
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -667,23 +688,25 @@ proptest! {
         }
     }
 
-    /// The four-vector dot is bit for bit four `dot` calls at lengths
-    /// `4q + r` (`r ≠ 0`), so the lane tail is always exercised.
+    /// At every width 1..=8 and length 0..=400, column `k` of the block dot
+    /// is bit for bit `dot(x, y_k)`; one case in four takes length 169, the
+    /// mid-plane sampler's row (168 basis functions and the thermal one).
     #[test]
-    fn panel_dot_is_bitwise_four_dots(
-        (n, vals) in (0usize..40, 1usize..4).prop_flat_map(|(q, r)| {
-            let n = 4 * q + r;
-            (Just(n), prop::collection::vec(-5.0f64..5.0, 5 * n))
+    fn panel_dot_is_bitwise_dots_at_every_width(
+        (n, vals) in (0usize..401, 0usize..4).prop_flat_map(|(n, pick)| {
+            let n = if pick == 0 { 169 } else { n };
+            (Just(n), prop::collection::vec(-5.0f64..5.0, 9 * n))
         })) {
         let x = &vals[..n];
-        let ys: Vec<[f64; 4]> = (0..n)
-            .map(|i| std::array::from_fn(|k| vals[(k + 1) * n + i]))
-            .collect();
-        let panel = dot_panel(x, &ys);
-        for k in 0..4 {
-            let y_k = &vals[(k + 1) * n..(k + 2) * n];
-            prop_assert_eq!(panel[k].to_bits(), dot(x, y_k).to_bits(), "vector {}", k);
-        }
+        let ys = &vals[n..];
+        assert_panel_dot_is_bitwise_dots::<1>(x, ys);
+        assert_panel_dot_is_bitwise_dots::<2>(x, ys);
+        assert_panel_dot_is_bitwise_dots::<3>(x, ys);
+        assert_panel_dot_is_bitwise_dots::<4>(x, ys);
+        assert_panel_dot_is_bitwise_dots::<5>(x, ys);
+        assert_panel_dot_is_bitwise_dots::<6>(x, ys);
+        assert_panel_dot_is_bitwise_dots::<7>(x, ys);
+        assert_panel_dot_is_bitwise_dots::<8>(x, ys);
     }
 
     /// Sparse Cholesky solves random SPD systems to tight residuals.
