@@ -21,6 +21,42 @@
 //!   lowered, both paths produce bitwise-identical results: the kernel's
 //!   output does not depend on the host CPU.
 //!
+//! # The rank-k update tile
+//!
+//! The supernodal factorization spends most of its flops in
+//! [`DenseKernel::scatter_update`], one call per (descendant, panel) pair.
+//! [`BlockedKernel`] runs it, and [`DenseKernel::rank_update`], on one
+//! register tile written once over a four-operation vector trait (splat,
+//! load, store, fused multiply-add) and instantiated per instruction-set
+//! level ([`Isa`]), the widest the host runs, picked at runtime:
+//!
+//! | level             | tile `MR × NR` | accumulators    | row tails          |
+//! |-------------------|----------------|-----------------|--------------------|
+//! | [`Isa::Avx512`]   | 16 × 6         | 12 × 8-lane zmm | masked load, store |
+//! | [`Isa::Avx2`]     | 8 × 4          | 8 × 4-lane ymm  | masked load, store |
+//! | [`Isa::Portable`] | 8 × 4          | 8 × `[f64; 4]`  | copy               |
+//!
+//! The tile holds an `MR × NR` block of `Gᵀ·G` in registers across all
+//! `wd` descendant columns and then adds (or subtracts) it straight into
+//! the target panel through the relative row map, lower triangle only: a
+//! run of consecutive target rows is one vector load, fused multiply-add
+//! by `±1` and store, anything else an element-wise `d ± a`. There is no
+//! update buffer and no second pass over it.
+//!
+//! **Why the level cannot change a bit.** Every element's operation
+//! sequence is fixed by the source, not by the level: the sum starts at
+//! `+0.0`, adds `fma(g_k[j], g_k[i], ·)` for `k` ascending, and meets the
+//! target in one exactly rounded `d ± sum` (a fused multiply-add by `±1`
+//! rounds like the plain add or subtract). Vector fused multiply-add
+//! rounds exactly like [`f64::mul_add`], lanes never mix, and tile shape
+//! only decides which elements share a register. So `scatter_update` is
+//! bit for bit the unfused form it replaced — a zeroed buffer, the
+//! four-term streamed `mul_add` chain, then the scatter — at every level;
+//! the proptests run each level the host has against that form, kept
+//! verbatim as the oracle. (`rank_update` into a buffer that is not zero
+//! adds the finished sum once, where the streamed chain started from the
+//! buffer; from zero the two agree.)
+//!
 //! # Determinism contract
 //!
 //! Each kernel is individually deterministic: for a fixed kernel choice
@@ -40,7 +76,10 @@
 /// All panels are column-major with leading dimension = panel height, the
 /// layout `supernodal.rs` stores. Implementations must be deterministic
 /// (fixed inputs → fixed bits); see the module-level docs in `kernel.rs`
-/// for the exact contract.
+/// for the exact contract. [`BlockedKernel`] runs the rank-k update on a
+/// register tile whose shape follows the host's vector width (16 × 6
+/// under AVX-512, 8 × 4 under AVX2 or portable code); the module docs say
+/// why its bits cannot depend on that shape.
 pub trait DenseKernel: Send + Sync {
     /// Stable identifier recorded in [`SolveReport`](crate::SolveReport)
     /// (`"scalar"`, `"blocked"`).
@@ -61,10 +100,10 @@ pub trait DenseKernel: Send + Sync {
     /// update[j·mu + i] += Σ_{k<wd} g_k[j] · g_k[i]    (j < wj, i < mu)
     /// ```
     ///
-    /// i.e. `update += Gᵀ·G` restricted to its first `wj` columns. The
-    /// caller zeroes (or owns) `update`, which must hold `wj·mu` entries;
-    /// the caller also scatters the result through its relative-index
-    /// maps, so the kernel only ever touches contiguous slices.
+    /// i.e. `update += Gᵀ·G` restricted to its first `wj` columns.
+    /// `update` must hold `wj·mu` entries. This is the contiguous form of
+    /// [`scatter_update`](Self::scatter_update), which the factorization
+    /// calls.
     fn rank_update(
         &self,
         update: &mut [f64],
@@ -74,6 +113,56 @@ pub trait DenseKernel: Send + Sync {
         wj: usize,
         wd: usize,
     );
+
+    /// One descendant's contribution to a panel, computed and scattered
+    /// in one pass: with `g_k`, `mu` and the sums of
+    /// [`rank_update`](Self::rank_update), adds
+    ///
+    /// ```text
+    /// dst[relrows[j]·ldd + relrows[i]] ∓= Σ_{k<wd} g_k[j] · g_k[i]    (j < wj, j ≤ i < mu)
+    /// ```
+    ///
+    /// (subtracting when `subtract`), i.e. the lower triangle of
+    /// `Gᵀ·G`'s first `wj` columns lands in the `ldd`-high column-major
+    /// panel `dst` through the relative row map `relrows` (`mu` entries,
+    /// each `< ldd`), whose first `wj` entries also name the target
+    /// columns. Each sum runs from `+0.0` in ascending `k` before it meets
+    /// `dst`. The provided body is the unfused form — a zeroed buffer,
+    /// [`rank_update`](Self::rank_update), then the scatter — which
+    /// [`ScalarKernel`] keeps as the oracle.
+    #[allow(clippy::too_many_arguments)] // the update's source and target
+    fn scatter_update(
+        &self,
+        dst: &mut [f64],
+        ldd: usize,
+        relrows: &[usize],
+        panel: &[f64],
+        m: usize,
+        lo: usize,
+        wj: usize,
+        wd: usize,
+        subtract: bool,
+    ) {
+        let mu = m - lo;
+        let mut update = vec![0.0; mu * wj];
+        self.rank_update(&mut update, panel, m, lo, wj, wd);
+        for jj in 0..wj {
+            let lc = relrows[jj];
+            let dstcol = &mut dst[lc * ldd..(lc + 1) * ldd];
+            let src = &update[jj * mu..(jj + 1) * mu];
+            // Skip rows above the target column (upper triangle of the
+            // symmetric update block).
+            if subtract {
+                for i in jj..mu {
+                    dstcol[relrows[i]] -= src[i];
+                }
+            } else {
+                for i in jj..mu {
+                    dstcol[relrows[i]] += src[i];
+                }
+            }
+        }
+    }
 
     /// Dense left-looking Cholesky of the leading `w × w` block of a
     /// `w`-column panel of height `m`, updating the below-diagonal rows in
@@ -141,8 +230,8 @@ pub enum KernelChoice {
     /// [`ScalarKernel`]: the original loops, kept as the differential
     /// oracle.
     Scalar,
-    /// [`BlockedKernel`]: unrolled `mul_add` tiles, autovectorized — the
-    /// default.
+    /// [`BlockedKernel`]: an explicit vector tile for the rank-k update,
+    /// unrolled `mul_add` loops elsewhere — the default.
     #[default]
     Blocked,
 }
@@ -321,18 +410,21 @@ impl DenseKernel for ScalarKernel {
 // BlockedKernel — unrolled mul_add tiles, FMA-dispatched.
 // ---------------------------------------------------------------------------
 
-/// Register-tiled kernel: the loops are unrolled over the rank dimension
-/// (4 descendant columns per pass) and written around [`f64::mul_add`] so
-/// LLVM turns the inner row loops into packed FMA streams. See the
-/// module-level docs in `kernel.rs` for the FMA runtime-dispatch scheme
-/// and why the result bits are host-independent.
+/// Register-tiled kernel: the rank-k update runs on an explicit vector
+/// tile per instruction-set level ([`Isa`]), and the other loops are
+/// unrolled and written around [`f64::mul_add`] so LLVM turns them into
+/// packed FMA streams. See the module-level docs in `kernel.rs` for the
+/// tile, the runtime dispatch, and why the result bits are
+/// host-independent.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BlockedKernel;
 
-/// Generates the `BlockedKernel` trait methods: each one dispatches to
-/// the `fma::` re-export of the shared body when the CPU supports fused
-/// multiply-add (so `mul_add` compiles to a single instruction), and to
-/// the generic body (libm `fma`, same bits) otherwise.
+/// Generates the `BlockedKernel` trait methods other than the rank-k
+/// update (which dispatches on [`Isa`]): each one
+/// dispatches to the `fma::` re-export of the shared body when the CPU
+/// supports fused multiply-add (so `mul_add` compiles to a single
+/// instruction), and to the generic body (libm `fma`, same bits)
+/// otherwise.
 macro_rules! blocked_dispatch {
     ($body:ident ( $($arg:expr),* )) => {{
         #[cfg(target_arch = "x86_64")]
@@ -366,7 +458,33 @@ impl DenseKernel for BlockedKernel {
         wj: usize,
         wd: usize,
     ) {
-        blocked_dispatch!(rank_update(update, panel, m, lo, wj, wd))
+        self.rank_update_at(Isa::detected(), update, panel, m, lo, wj, wd);
+    }
+
+    fn scatter_update(
+        &self,
+        dst: &mut [f64],
+        ldd: usize,
+        relrows: &[usize],
+        panel: &[f64],
+        m: usize,
+        lo: usize,
+        wj: usize,
+        wd: usize,
+        subtract: bool,
+    ) {
+        self.scatter_update_at(
+            Isa::detected(),
+            dst,
+            ldd,
+            relrows,
+            panel,
+            m,
+            lo,
+            wj,
+            wd,
+            subtract,
+        );
     }
 
     fn factor_panel(&self, panel: &mut [f64], m: usize, w: usize) -> Result<(), (usize, f64)> {
@@ -408,6 +526,79 @@ impl BlockedKernel {
     /// calls. Slices must have equal length.
     pub(crate) fn dot_panel<const NB: usize>(&self, x: &[f64], ys: &[[f64; NB]]) -> [f64; NB] {
         blocked_dispatch!(dot_block(x, ys))
+    }
+
+    /// [`DenseKernel::rank_update`] on the tile of level `isa` rather than
+    /// the detected one. The bits are the same at every level; this exists
+    /// so tests can run each level the host has.
+    ///
+    /// # Panics
+    ///
+    /// If this host cannot run `isa`, or the slices are shorter than the
+    /// shape needs.
+    #[allow(clippy::too_many_arguments)] // the trait method's arguments plus the level
+    pub fn rank_update_at(
+        &self,
+        isa: Isa,
+        update: &mut [f64],
+        panel: &[f64],
+        m: usize,
+        lo: usize,
+        wj: usize,
+        wd: usize,
+    ) {
+        tile::run(
+            isa,
+            update,
+            tile::Update {
+                // `lo > m` fails the call's bounds check.
+                ldd: m.saturating_sub(lo),
+                relrows: None,
+                panel,
+                m,
+                lo,
+                wj,
+                wd,
+                sign: 1.0,
+            },
+        );
+    }
+
+    /// [`DenseKernel::scatter_update`] on the tile of level `isa` rather
+    /// than the detected one, like [`rank_update_at`](Self::rank_update_at).
+    ///
+    /// # Panics
+    ///
+    /// If this host cannot run `isa`, or an index or slice falls outside
+    /// the shape (see [`DenseKernel::scatter_update`]).
+    #[allow(clippy::too_many_arguments)] // the trait method's arguments plus the level
+    pub fn scatter_update_at(
+        &self,
+        isa: Isa,
+        dst: &mut [f64],
+        ldd: usize,
+        relrows: &[usize],
+        panel: &[f64],
+        m: usize,
+        lo: usize,
+        wj: usize,
+        wd: usize,
+        subtract: bool,
+    ) {
+        tile::run(
+            isa,
+            dst,
+            tile::Update {
+                ldd,
+                relrows: Some(relrows),
+                panel,
+                m,
+                lo,
+                wj,
+                wd,
+                sign: if subtract { -1.0 } else { 1.0 },
+            },
+        );
     }
 }
 
@@ -468,49 +659,6 @@ mod body {
     pub(super) fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
         for (yi, &xi) in y.iter_mut().zip(x) {
             *yi = alpha.mul_add(xi, *yi);
-        }
-    }
-
-    #[inline(always)]
-    pub(super) fn rank_update(
-        update: &mut [f64],
-        panel: &[f64],
-        m: usize,
-        lo: usize,
-        wj: usize,
-        wd: usize,
-    ) {
-        let mu = m - lo;
-        let mut k = 0;
-        // Four rank-1 terms per pass: each destination element chains four
-        // fused multiply-adds while independent rows fill the FMA pipes.
-        while k + 4 <= wd {
-            let g0 = &panel[k * m + lo..k * m + m];
-            let g1 = &panel[(k + 1) * m + lo..(k + 1) * m + m];
-            let g2 = &panel[(k + 2) * m + lo..(k + 2) * m + m];
-            let g3 = &panel[(k + 3) * m + lo..(k + 3) * m + m];
-            for jj in 0..wj {
-                let (c0, c1, c2, c3) = (g0[jj], g1[jj], g2[jj], g3[jj]);
-                let dstcol = &mut update[jj * mu..(jj + 1) * mu];
-                for i in 0..mu {
-                    dstcol[i] = c3.mul_add(
-                        g3[i],
-                        c2.mul_add(g2[i], c1.mul_add(g1[i], c0.mul_add(g0[i], dstcol[i]))),
-                    );
-                }
-            }
-            k += 4;
-        }
-        while k < wd {
-            let g0 = &panel[k * m + lo..k * m + m];
-            for jj in 0..wj {
-                let c0 = g0[jj];
-                let dstcol = &mut update[jj * mu..(jj + 1) * mu];
-                for (di, &gi) in dstcol.iter_mut().zip(g0) {
-                    *di = c0.mul_add(gi, *di);
-                }
-            }
-            k += 1;
         }
     }
 
@@ -709,14 +857,6 @@ mod fma {
     fma_variant!(dot(x: &[f64], y: &[f64]) -> f64);
     fma_variant!(dot_block<const NB: usize>(x: &[f64], ys: &[[f64; NB]]) -> [f64; NB]);
     fma_variant!(axpy(alpha: f64, x: &[f64], y: &mut [f64]));
-    fma_variant!(rank_update(
-        update: &mut [f64],
-        panel: &[f64],
-        m: usize,
-        lo: usize,
-        wj: usize,
-        wd: usize
-    ));
     fma_variant!(factor_panel(panel: &mut [f64], m: usize, w: usize) -> Result<(), (usize, f64)>);
     fma_variant!(solve_lower(
         panel: &[f64],
@@ -741,6 +881,534 @@ mod fma {
         xb: &[f64],
         nrhs: usize
     ));
+}
+
+/// The instruction-set level the register-tiled rank-k update of
+/// [`BlockedKernel`] runs at.
+///
+/// Every level runs the one tile source in `kernel.rs`, and the result
+/// bits do not depend on the level (see the module docs): it is a speed
+/// dispatch to the widest level the host runs, made once per call. It is
+/// public so tests can run every level the host has against the oracle
+/// ([`Isa::available`], [`BlockedKernel::scatter_update_at`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Isa {
+    /// AVX-512F: a 16 × 6 tile in twelve 8-lane registers, masked row
+    /// tails.
+    Avx512,
+    /// AVX2 with FMA: an 8 × 4 tile in eight 4-lane registers.
+    Avx2,
+    /// Portable Rust, `f64::mul_add` on four-element arrays: an 8 × 4
+    /// tile.
+    Portable,
+}
+
+impl Isa {
+    /// The widest level this host runs: the one dispatch point of the
+    /// update tile.
+    fn detected() -> Isa {
+        [Isa::Avx512, Isa::Avx2]
+            .into_iter()
+            .find(|isa| isa.runs_here())
+            .unwrap_or(Isa::Portable)
+    }
+
+    /// Every level this host runs, widest first; [`Isa::Portable`] is
+    /// always last.
+    pub fn available() -> Vec<Isa> {
+        [Isa::Avx512, Isa::Avx2, Isa::Portable]
+            .into_iter()
+            .filter(|isa| isa.runs_here())
+            .collect()
+    }
+
+    /// Whether this host's CPU has the instructions of the level.
+    fn runs_here(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => {
+                std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("fma")
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            Isa::Avx512 | Isa::Avx2 => false,
+            Isa::Portable => true,
+        }
+    }
+}
+
+/// The register-tiled rank-k update behind [`DenseKernel::rank_update`]
+/// and [`DenseKernel::scatter_update`] of [`BlockedKernel`]: written once,
+/// generic over the vector width through [`Lanes`](tile::Lanes), and
+/// instantiated per [`Isa`].
+///
+/// An `MR × NR` tile of `Gᵀ·G` (`MR` = two vectors of rows, `NR`
+/// columns) lives in `2·NR` vector registers across all `wd` descendant
+/// columns: per `k`, two row vectors of `g_k` are loaded and each of the
+/// `NR` coefficients `g_k[j]` is broadcast into a fused multiply-add, so
+/// every element runs `acc ← fma(g_k[j], g_k[i], acc)` from `+0.0` in
+/// ascending `k`. The epilogue then adds `±acc` straight into the
+/// destination: a vector load, fused multiply-add by `±1` (exact) and
+/// store where the target rows are consecutive, an element-wise scatter
+/// elsewhere. Row tiles run outermost, so one tile's rows of every `g_k`
+/// stay in L1 across the column tiles.
+mod tile {
+    use super::Isa;
+
+    /// The four vector operations the tile is written in. `N ≤ 8`.
+    pub(super) trait Lanes: Copy {
+        /// Lanes per vector.
+        const N: usize;
+
+        /// Every lane `x`.
+        ///
+        /// # Safety
+        ///
+        /// The host must run the level this type implements.
+        unsafe fn splat(x: f64) -> Self;
+
+        /// Lanes `0..n` from `p..p + n` (`n ≤ N`); the rest zero. Reads
+        /// nothing when `n = 0`.
+        ///
+        /// # Safety
+        ///
+        /// As for [`splat`](Self::splat), and `p..p + n` must be readable.
+        unsafe fn load(p: *const f64, n: usize) -> Self;
+
+        /// Stores lanes `0..n` to `p..p + n` (`n ≤ N`).
+        ///
+        /// # Safety
+        ///
+        /// As for [`splat`](Self::splat), and `p..p + n` must be writable.
+        unsafe fn store(self, p: *mut f64, n: usize);
+
+        /// `a·b + c` per lane, rounded once (exactly [`f64::mul_add`]).
+        ///
+        /// # Safety
+        ///
+        /// As for [`splat`](Self::splat).
+        unsafe fn fma(a: Self, b: Self, c: Self) -> Self;
+    }
+
+    /// One rank-k update: the descendant block it reads and how its
+    /// product lands in the target, column-major storage of leading
+    /// dimension `ldd`.
+    pub(super) struct Update<'a> {
+        pub(super) ldd: usize,
+        /// `Some(relrows)`: the lower triangle lands at
+        /// `dst[relrows[j]·ldd + relrows[i]]`
+        /// ([`DenseKernel::scatter_update`](super::DenseKernel::scatter_update));
+        /// `None`: the whole `mu × wj` rectangle at `dst[j·ldd + i]`
+        /// ([`DenseKernel::rank_update`](super::DenseKernel::rank_update)).
+        pub(super) relrows: Option<&'a [usize]>,
+        pub(super) panel: &'a [f64],
+        pub(super) m: usize,
+        pub(super) lo: usize,
+        pub(super) wj: usize,
+        pub(super) wd: usize,
+        /// `+1.0` to add the product, `-1.0` to subtract it.
+        pub(super) sign: f64,
+    }
+
+    impl Update<'_> {
+        /// Asserts every bound the tile's unchecked loads and stores rely
+        /// on, once per call: the panel holds `wd·m` entries, `wj ≤ mu`,
+        /// every target row is `< ldd`, and every target column fits in
+        /// a target of `dst_len` entries.
+        fn check(&self, dst_len: usize) {
+            assert!(
+                self.lo <= self.m && self.wj <= self.m - self.lo,
+                "rank update: {} columns from row {} of a {}-row panel",
+                self.wj,
+                self.lo,
+                self.m
+            );
+            let mu = self.m - self.lo;
+            assert!(
+                self.wd
+                    .checked_mul(self.m)
+                    .is_some_and(|len| len <= self.panel.len()),
+                "rank update: {} columns of height {} in a panel of {}",
+                self.wd,
+                self.m,
+                self.panel.len()
+            );
+            let col_fits = |c: usize| {
+                c.checked_mul(self.ldd)
+                    .and_then(|off| off.checked_add(self.ldd))
+                    .is_some_and(|end| end <= dst_len)
+            };
+            match self.relrows {
+                Some(relrows) => {
+                    assert_eq!(relrows.len(), mu, "rank update: one relative row per row");
+                    assert!(
+                        relrows.iter().all(|&r| r < self.ldd),
+                        "rank update: a relative row past the target height {}",
+                        self.ldd
+                    );
+                    assert!(
+                        relrows[..self.wj].iter().all(|&c| col_fits(c)),
+                        "rank update: a target column past the end of the panel"
+                    );
+                }
+                None => {
+                    assert!(
+                        mu <= self.ldd,
+                        "rank update: {mu} rows in columns of {}",
+                        self.ldd
+                    );
+                    assert!(
+                        self.wj == 0 || col_fits(self.wj - 1),
+                        "rank update: {} columns of {} in a buffer of {dst_len}",
+                        self.wj,
+                        self.ldd,
+                    );
+                }
+            }
+        }
+    }
+
+    /// Runs `u` into `dst` on the tile of level `isa`.
+    ///
+    /// # Panics
+    ///
+    /// If the host cannot run `isa`, or `u` fails its bounds checks.
+    pub(super) fn run(isa: Isa, dst: &mut [f64], u: Update<'_>) {
+        assert!(isa.runs_here(), "this host cannot run the {isa:?} tile");
+        u.check(dst.len());
+        let dst = dst.as_mut_ptr();
+        match isa {
+            // SAFETY (all arms): the level runs here and `u` passed its
+            // bounds checks against `dst`, just asserted.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { x86::run_avx512(dst, &u) },
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { x86::run_avx2(dst, &u) },
+            #[cfg(not(target_arch = "x86_64"))]
+            Isa::Avx512 | Isa::Avx2 => unreachable!("not an x86-64 host"),
+            Isa::Portable => unsafe { tiles::<Portable, 4>(dst, &u) },
+        }
+    }
+
+    /// Calls `$tile::<V, NC>` for the column count `$nc` (1 ..= `$nr`,
+    /// at most 6), so every count keeps its accumulators in registers;
+    /// counts above `$nr` are never instantiated.
+    macro_rules! by_cols {
+        ($nr:expr, $nc:expr, $tile:ident::<$v:ty>( $($arg:expr),* )) => {
+            match $nc {
+                1 => $tile::<$v, 1>($($arg),*),
+                2 => $tile::<$v, 2>($($arg),*),
+                3 => $tile::<$v, 3>($($arg),*),
+                4 => $tile::<$v, 4>($($arg),*),
+                5 if $nr >= 5 => $tile::<$v, 5>($($arg),*),
+                6 if $nr >= 6 => $tile::<$v, 6>($($arg),*),
+                nc => unreachable!("a tile holds 1 to {} columns, not {nc}", $nr),
+            }
+        };
+    }
+
+    /// The whole update in `(2·N) × NR` tiles: row tiles outermost, and
+    /// under a scatter only the column tiles that reach the lower
+    /// triangle.
+    ///
+    /// # Safety
+    ///
+    /// The host must run `V`'s level and `u` must have passed
+    /// [`Update::check`] against the target `dst` points at, which
+    /// nothing else accesses during the call.
+    #[inline(always)]
+    pub(super) unsafe fn tiles<V: Lanes, const NR: usize>(dst: *mut f64, u: &Update<'_>) {
+        let mu = u.m - u.lo;
+        let mr = 2 * V::N;
+        let mut i0 = 0;
+        while i0 < mu {
+            let nr = mr.min(mu - i0);
+            let mut j0 = 0;
+            // Under a scatter, a column tile whose first column lies below
+            // every row of this row tile stores nothing.
+            while j0 < u.wj && (u.relrows.is_none() || j0 < i0 + nr) {
+                let nc = NR.min(u.wj - j0);
+                // SAFETY: `i0 + nr ≤ mu` and `j0 + nc ≤ wj`, inside the
+                // bounds `check` asserted (propagated contract). A full
+                // tile passes its row count as a constant, so its loads
+                // and stores compile without masks or tail copies.
+                unsafe {
+                    if nr == mr {
+                        by_cols!(NR, nc, tile::<V>(dst, u, i0, j0, mr));
+                    } else {
+                        by_cols!(NR, nc, tile::<V>(dst, u, i0, j0, nr));
+                    }
+                }
+                j0 += NR;
+            }
+            i0 += mr;
+        }
+    }
+
+    /// One `nr × NC` tile at rows `i0..`, columns `j0..` (`nr ≤ 2·N`):
+    /// the `wd`-term chains in registers, then the epilogue into `dst`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`tiles`], with `i0 + nr ≤ mu` and `j0 + NC ≤ wj`.
+    #[inline(always)]
+    unsafe fn tile<V: Lanes, const NC: usize>(
+        dst: *mut f64,
+        u: &Update<'_>,
+        i0: usize,
+        j0: usize,
+        nr: usize,
+    ) {
+        let n = V::N;
+        let rows = [nr.min(n), nr.saturating_sub(n)];
+        // SAFETY: every read below is `panel[k·m + lo + r]` with `k < wd`
+        // and `r < mu`, which `check` bounds by `wd·m ≤ panel.len()`;
+        // the second half-vector reads nothing when it has no rows.
+        let acc = unsafe {
+            let g = u.panel.as_ptr();
+            let mut acc = [[V::splat(0.0); 2]; NC];
+            for k in 0..u.wd {
+                let col = g.add(k * u.m + u.lo);
+                let a0 = V::load(col.add(i0), rows[0]);
+                let a1 = V::load(col.wrapping_add(i0 + n), rows[1]);
+                for (c, acc) in acc.iter_mut().enumerate() {
+                    let b = V::splat(*col.add(j0 + c));
+                    acc[0] = V::fma(b, a0, acc[0]);
+                    acc[1] = V::fma(b, a1, acc[1]);
+                }
+            }
+            acc
+        };
+        // SAFETY: the `splat`s need only the level (contract).
+        let sign = unsafe { V::splat(u.sign) };
+        let Some(relrows) = u.relrows else {
+            // The whole rectangle, contiguously: a masked vector per half.
+            for (c, acc) in acc.iter().enumerate() {
+                for (h, (&acc, &nh)) in acc.iter().zip(&rows).enumerate() {
+                    // SAFETY: column `j0 + c < wj` and rows
+                    // `i0 + h·n .. + nh ≤ mu ≤ ldd`, inside `dst` by
+                    // `check`; `n = 0` touches nothing.
+                    unsafe {
+                        let p = dst.wrapping_add((j0 + c) * u.ldd + i0 + h * n);
+                        V::fma(acc, sign, V::load(p, nh)).store(p, nh);
+                    }
+                }
+            }
+            return;
+        };
+        // A half whose full `N` rows land on consecutive target rows is
+        // one vector load, fused multiply-add and store.
+        let run = [0, 1].map(|h| {
+            let first = i0 + h * n;
+            rows[h] == n && (1..n).all(|l| relrows[first + l] == relrows[first] + l)
+        });
+        for (c, acc) in acc.iter().enumerate() {
+            let jj = j0 + c;
+            // SAFETY: `relrows[jj]·ldd + ldd ≤ dst.len()` by `check`.
+            let col = unsafe { dst.add(relrows[jj] * u.ldd) };
+            for (h, (&acc, &nh)) in acc.iter().zip(&rows).enumerate() {
+                let first = i0 + h * n;
+                if run[h] && first >= jj {
+                    // SAFETY: rows `relrows[first] .. + n` are the run's,
+                    // all `< ldd` by `check`.
+                    unsafe {
+                        let p = col.add(relrows[first]);
+                        V::fma(acc, sign, V::load(p, n)).store(p, n);
+                    }
+                } else {
+                    // Element-wise, lower triangle only: `d ± a` rounds
+                    // like the vector path's `fma(a, ±1, d)`.
+                    let mut spill = [0.0f64; 8];
+                    // SAFETY: `N ≤ 8` lanes into `spill`.
+                    unsafe { acc.store(spill.as_mut_ptr(), n) };
+                    for l in jj.saturating_sub(first)..nh {
+                        // SAFETY: `relrows[first + l] < ldd` by `check`.
+                        unsafe { *col.add(relrows[first + l]) += u.sign * spill[l] };
+                    }
+                }
+            }
+        }
+    }
+
+    /// The portable level: four lanes in an array, [`f64::mul_add`] per
+    /// lane.
+    #[derive(Clone, Copy)]
+    struct Portable([f64; 4]);
+
+    impl Lanes for Portable {
+        const N: usize = 4;
+
+        #[inline(always)]
+        unsafe fn splat(x: f64) -> Self {
+            Portable([x; 4])
+        }
+
+        #[inline(always)]
+        unsafe fn load(p: *const f64, n: usize) -> Self {
+            let mut v = [0.0; 4];
+            // SAFETY: `p..p + n` is readable (contract), `n ≤ 4`.
+            unsafe { std::ptr::copy_nonoverlapping(p, v.as_mut_ptr(), n) };
+            Portable(v)
+        }
+
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f64, n: usize) {
+            // SAFETY: `p..p + n` is writable (contract), `n ≤ 4`.
+            unsafe { std::ptr::copy_nonoverlapping(self.0.as_ptr(), p, n) };
+        }
+
+        #[inline(always)]
+        unsafe fn fma(a: Self, b: Self, c: Self) -> Self {
+            Portable(std::array::from_fn(|l| a.0[l].mul_add(b.0[l], c.0[l])))
+        }
+    }
+
+    /// The x86-64 levels: their lane types and `target_feature` entry
+    /// points.
+    #[cfg(target_arch = "x86_64")]
+    mod x86 {
+        use super::{tiles, Lanes, Update};
+        use std::arch::x86_64::*;
+
+        /// Eight lanes of AVX-512F; partial vectors use masked loads and
+        /// stores, which touch no memory outside their mask.
+        #[derive(Clone, Copy)]
+        pub(super) struct Avx512(__m512d);
+
+        /// Lanes `0..n` of an AVX-512 mask.
+        #[inline(always)]
+        fn mask(n: usize) -> __mmask8 {
+            ((1u32 << n) - 1) as __mmask8
+        }
+
+        impl Lanes for Avx512 {
+            const N: usize = 8;
+
+            #[inline(always)]
+            unsafe fn splat(x: f64) -> Self {
+                // SAFETY: the host has AVX-512F (contract).
+                Avx512(unsafe { _mm512_set1_pd(x) })
+            }
+
+            #[inline(always)]
+            unsafe fn load(p: *const f64, n: usize) -> Self {
+                // SAFETY: AVX-512F is available and `p..p + n` readable
+                // (contract); a masked load reads only its lanes.
+                Avx512(unsafe {
+                    if n == 8 {
+                        _mm512_loadu_pd(p)
+                    } else {
+                        _mm512_maskz_loadu_pd(mask(n), p)
+                    }
+                })
+            }
+
+            #[inline(always)]
+            unsafe fn store(self, p: *mut f64, n: usize) {
+                // SAFETY: AVX-512F is available and `p..p + n` writable
+                // (contract); a masked store writes only its lanes.
+                unsafe {
+                    if n == 8 {
+                        _mm512_storeu_pd(p, self.0)
+                    } else {
+                        _mm512_mask_storeu_pd(p, mask(n), self.0)
+                    }
+                }
+            }
+
+            #[inline(always)]
+            unsafe fn fma(a: Self, b: Self, c: Self) -> Self {
+                // SAFETY: the host has AVX-512F (contract).
+                Avx512(unsafe { _mm512_fmadd_pd(a.0, b.0, c.0) })
+            }
+        }
+
+        /// Four lanes of AVX2 with FMA; partial vectors use masked loads
+        /// and stores, which touch no memory outside their mask.
+        #[derive(Clone, Copy)]
+        pub(super) struct Avx2(__m256d);
+
+        /// Lanes `0..n` of an AVX2 lane mask (each lane's sign bit).
+        ///
+        /// # Safety
+        ///
+        /// The host must have AVX2.
+        #[inline(always)]
+        unsafe fn lane_mask(n: usize) -> __m256i {
+            // SAFETY: the host has AVX2 (contract).
+            unsafe {
+                _mm256_cmpgt_epi64(_mm256_set1_epi64x(n as i64), _mm256_setr_epi64x(0, 1, 2, 3))
+            }
+        }
+
+        impl Lanes for Avx2 {
+            const N: usize = 4;
+
+            #[inline(always)]
+            unsafe fn splat(x: f64) -> Self {
+                // SAFETY: the host has AVX2 (contract).
+                Avx2(unsafe { _mm256_set1_pd(x) })
+            }
+
+            #[inline(always)]
+            unsafe fn load(p: *const f64, n: usize) -> Self {
+                // SAFETY: AVX2 is available and `p..p + n` readable
+                // (contract); a masked load reads only its lanes.
+                Avx2(unsafe {
+                    if n == 4 {
+                        _mm256_loadu_pd(p)
+                    } else {
+                        _mm256_maskload_pd(p, lane_mask(n))
+                    }
+                })
+            }
+
+            #[inline(always)]
+            unsafe fn store(self, p: *mut f64, n: usize) {
+                // SAFETY: AVX2 is available and `p..p + n` writable
+                // (contract); a masked store writes only its lanes.
+                unsafe {
+                    if n == 4 {
+                        _mm256_storeu_pd(p, self.0)
+                    } else {
+                        _mm256_maskstore_pd(p, lane_mask(n), self.0)
+                    }
+                }
+            }
+
+            #[inline(always)]
+            unsafe fn fma(a: Self, b: Self, c: Self) -> Self {
+                // SAFETY: the host has FMA (contract).
+                Avx2(unsafe { _mm256_fmadd_pd(a.0, b.0, c.0) })
+            }
+        }
+
+        /// The 16 × 6 AVX-512 tile.
+        ///
+        /// # Safety
+        ///
+        /// The host must have AVX-512F and `u` must have passed its
+        /// bounds checks.
+        #[target_feature(enable = "avx512f")]
+        pub(super) unsafe fn run_avx512(dst: *mut f64, u: &Update<'_>) {
+            // SAFETY: propagated contract.
+            unsafe { tiles::<Avx512, 6>(dst, u) }
+        }
+
+        /// The 8 × 4 AVX2 tile.
+        ///
+        /// # Safety
+        ///
+        /// The host must have AVX2 and FMA and `u` must have passed its
+        /// bounds checks.
+        #[target_feature(enable = "avx2,fma")]
+        pub(super) unsafe fn run_avx2(dst: *mut f64, u: &Update<'_>) {
+            // SAFETY: propagated contract.
+            unsafe { tiles::<Avx2, 4>(dst, u) }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -129,7 +129,7 @@ pub use iterative::{
     refine, solve_cg, solve_gmres, CgOptions, GmresOptions, IdentityPreconditioner,
     IterativeSolution, JacobiPreconditioner, Preconditioner, RefineOptions, SsorPreconditioner,
 };
-pub use kernel::{BlockedKernel, DenseKernel, KernelChoice, ScalarKernel};
+pub use kernel::{BlockedKernel, DenseKernel, Isa, KernelChoice, ScalarKernel};
 pub use memory::MemoryFootprint;
 pub use ordering::{geometric_dissection, reverse_cuthill_mckee, FillOrdering, Permutation};
 pub use pool::{TaskDag, WorkPool};

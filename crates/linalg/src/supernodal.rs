@@ -981,12 +981,11 @@ fn row_lists(
     (row_ptr, rows)
 }
 
-/// Per-worker dense scratch of the numeric phase, reused across supernode
+/// Per-worker index scratch of the numeric phase, reused across supernode
 /// tasks.
 struct PanelScratch {
     relmap: Vec<usize>,
     relrows: Vec<usize>,
-    update: Vec<f64>,
 }
 
 impl PanelScratch {
@@ -994,7 +993,6 @@ impl PanelScratch {
         Self {
             relmap: vec![0usize; n],
             relrows: Vec::new(),
-            update: Vec::new(),
         }
     }
 }
@@ -1067,8 +1065,10 @@ impl AccSlot {
 /// Computes one descendant contribution `C = G·G₁ᵀ` and scatters it into
 /// `dst` — the panel itself (subtracting, the streamed path) or a chunk
 /// accumulator (adding; the panel task later subtracts the whole
-/// accumulator). `scratch.relmap` must already map this panel's rows to
-/// local indices.
+/// accumulator) — in one [`DenseKernel::scatter_update`]. `scratch.relmap`
+/// must already map this panel's rows to local indices; a row list opens
+/// with the panel's own columns, so the relative rows of the update's
+/// first `wj` rows are also its target columns.
 ///
 /// # Safety
 ///
@@ -1082,53 +1082,25 @@ unsafe fn apply_update(
     values: *const f64,
     d: usize,
     p: usize,
-    c0: usize,
     c1: usize,
     m: usize,
     dst: &mut [f64],
     scratch: &mut PanelScratch,
     subtract: bool,
 ) {
-    let PanelScratch {
-        relmap,
-        relrows,
-        update,
-    } = scratch;
+    let PanelScratch { relmap, relrows } = scratch;
     let rows_d = &sym.rows[sym.row_ptr[d]..sym.row_ptr[d + 1]];
     let wd = sym.sn_ptr[d + 1] - sym.sn_ptr[d];
     let md = rows_d.len();
-    let p2 = p + rows_d[p..].partition_point(|&r| r < c1);
-    let wj = p2 - p;
-    let mu = md - p;
+    let wj = rows_d[p..].partition_point(|&r| r < c1);
     debug_assert!(wj >= 1);
     // SAFETY: `d` is fully factored (function contract) and read-only here.
     let panel_d = unsafe { std::slice::from_raw_parts(values.add(sym.val_ptr[d]), wd * md) };
 
-    // Accumulated as wd rank-1 updates over contiguous columns.
-    update.clear();
-    update.resize(mu * wj, 0.0);
-    kern.rank_update(update, panel_d, md, p, wj, wd);
-
-    // Scatter through relative indices (the rows of a descendant's tail
-    // are a subset of this panel's rows).
+    // The rows of a descendant's tail are a subset of this panel's rows.
     relrows.clear();
     relrows.extend(rows_d[p..].iter().map(|&r| relmap[r]));
-    for jj in 0..wj {
-        let lc = rows_d[p + jj] - c0;
-        let dstcol = &mut dst[lc * m..(lc + 1) * m];
-        let src = &update[jj * mu..(jj + 1) * mu];
-        // Skip rows above the target column (upper triangle of the
-        // symmetric update block).
-        if subtract {
-            for i in jj..mu {
-                dstcol[relrows[i]] -= src[i];
-            }
-        } else {
-            for i in jj..mu {
-                dstcol[relrows[i]] += src[i];
-            }
-        }
-    }
+    kern.scatter_update(dst, m, relrows, panel_d, md, p, wj, wd, subtract);
 }
 
 /// Accumulates update-chunk `t` into its private panel-shaped buffer — the
@@ -1151,7 +1123,6 @@ unsafe fn run_chunk_task(
     scratch: &mut PanelScratch,
 ) {
     let s = sym.chunk_panel[t];
-    let c0 = sym.sn_ptr[s];
     let c1 = sym.sn_ptr[s + 1];
     let rows_s = &sym.rows[sym.row_ptr[s]..sym.row_ptr[s + 1]];
     let m = rows_s.len();
@@ -1167,7 +1138,7 @@ unsafe fn run_chunk_task(
     let accbuf = unsafe { std::slice::from_raw_parts_mut(base.add(offset), wm) };
     for &(d, p) in &sym.upd[sym.chunk_lo[t]..sym.chunk_hi[t]] {
         // SAFETY: propagated contract.
-        unsafe { apply_update(sym, kern, values, d, p, c0, c1, m, accbuf, scratch, false) };
+        unsafe { apply_update(sym, kern, values, d, p, c1, m, accbuf, scratch, false) };
     }
 }
 
@@ -1247,7 +1218,7 @@ unsafe fn run_panel_task(
     // Streamed descendant updates, in the precomputed serial-sweep order.
     for &(d, p) in &sym.upd[sym.upd_ptr[s]..sym.stream_hi[s]] {
         // SAFETY: propagated contract (streamed descendants are factored).
-        unsafe { apply_update(sym, kern, values, d, p, c0, c1, m, panel, scratch, true) };
+        unsafe { apply_update(sym, kern, values, d, p, c1, m, panel, scratch, true) };
     }
 
     // The chunk accumulators were folded into the first chunk by the

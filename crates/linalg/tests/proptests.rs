@@ -9,10 +9,10 @@ use std::sync::{Arc, Mutex};
 
 use morestress_linalg::{
     dot, dot_panel, geometric_dissection, reverse_cuthill_mckee, solve_cg, solve_gmres, Auto,
-    CgOptions, CooMatrix, CsrMatrix, DenseKernel, DenseMatrix, DirectCholesky, FactorCache,
-    FaultPlan, FillOrdering, GmresOptions, JacobiPreconditioner, KernelChoice, LinalgError,
-    PartitionHint, Permutation, ScalarKernel, ShardPlan, Sharded, SolverBackend, SparseCholesky,
-    SupernodalCholesky, SupernodalOptions, SymbolicParts, TaskDag, WorkPool,
+    BlockedKernel, CgOptions, CooMatrix, CsrMatrix, DenseKernel, DenseMatrix, DirectCholesky,
+    FactorCache, FaultPlan, FillOrdering, GmresOptions, Isa, JacobiPreconditioner, KernelChoice,
+    LinalgError, PartitionHint, Permutation, ScalarKernel, ShardPlan, Sharded, SolverBackend,
+    SparseCholesky, SupernodalCholesky, SupernodalOptions, SymbolicParts, TaskDag, WorkPool,
 };
 use proptest::prelude::*;
 
@@ -325,7 +325,6 @@ fn check_symbolic_oracle(a: &CsrMatrix, lead: &Permutation, opts: &SupernodalOpt
     )
     .expect("SPD leading block");
     prop_assert_eq!(factor.stats().true_nnz, copy_factor.stats().true_nnz);
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     prop_assert_eq!(
         bits(factor.factor_values()),
         bits(copy_factor.factor_values())
@@ -997,6 +996,22 @@ proptest! {
         }
     }
 
+    /// The register-tiled update is bit for bit the streamed oracle's on
+    /// random shapes, row spacings and values, at every tile level the host
+    /// has (see [`tiled_update_is_bitwise_the_streamed_oracle`] for the
+    /// exhaustive residue sweep).
+    #[test]
+    fn tiled_update_matches_the_streamed_oracle_on_random_shapes(mu in 1usize..50,
+                                                                 wj in 1usize..14,
+                                                                 wd_pick in 0usize..14,
+                                                                 lo in 1usize..6,
+                                                                 gaps in 0usize..3,
+                                                                 seed in 0u64..1_000_000) {
+        let wd = if wd_pick < 10 { wd_pick } else { 64 + 3 * (wd_pick - 10) };
+        let gaps = [RowGaps::Contiguous, RowGaps::Mixed, RowGaps::Scattered][gaps];
+        check_tile_update(mu, lo, wj.min(mu), wd, gaps, seed);
+    }
+
     /// The same ≤1e-12 kernel-vs-oracle contract end to end: a supernodal
     /// factorization + solve under each available kernel stays within
     /// tolerance of the `ScalarKernel` configuration on random SPD
@@ -1659,4 +1674,290 @@ proptest! {
         pool.scope_chunks(cap, 8, |_| { after.fetch_add(1, Ordering::Relaxed); });
         prop_assert_eq!(after.load(Ordering::Relaxed), 8);
     }
+}
+
+/// `BlockedKernel::rank_update`'s body as it was before the update was
+/// register-tiled, kept verbatim: four rank-1 terms per pass over the
+/// whole update column, which is reloaded and stored every pass.
+fn streamed_rank_update(
+    update: &mut [f64],
+    panel: &[f64],
+    m: usize,
+    lo: usize,
+    wj: usize,
+    wd: usize,
+) {
+    let mu = m - lo;
+    let mut k = 0;
+    // Four rank-1 terms per pass: each destination element chains four
+    // fused multiply-adds while independent rows fill the FMA pipes.
+    while k + 4 <= wd {
+        let g0 = &panel[k * m + lo..k * m + m];
+        let g1 = &panel[(k + 1) * m + lo..(k + 1) * m + m];
+        let g2 = &panel[(k + 2) * m + lo..(k + 2) * m + m];
+        let g3 = &panel[(k + 3) * m + lo..(k + 3) * m + m];
+        for jj in 0..wj {
+            let (c0, c1, c2, c3) = (g0[jj], g1[jj], g2[jj], g3[jj]);
+            let dstcol = &mut update[jj * mu..(jj + 1) * mu];
+            for i in 0..mu {
+                dstcol[i] = c3.mul_add(
+                    g3[i],
+                    c2.mul_add(g2[i], c1.mul_add(g1[i], c0.mul_add(g0[i], dstcol[i]))),
+                );
+            }
+        }
+        k += 4;
+    }
+    while k < wd {
+        let g0 = &panel[k * m + lo..k * m + m];
+        for jj in 0..wj {
+            let c0 = g0[jj];
+            let dstcol = &mut update[jj * mu..(jj + 1) * mu];
+            for (di, &gi) in dstcol.iter_mut().zip(g0) {
+                *di = c0.mul_add(gi, *di);
+            }
+        }
+        k += 1;
+    }
+}
+
+/// `apply_update` as it was before the fused tile, kept verbatim but for
+/// naming the target column by `relrows[jj]` (a row list opens with the
+/// panel's own columns, so that is `rows_d[p + jj] − c0`): a zeroed
+/// update buffer, [`streamed_rank_update`], then the scatter loop.
+#[allow(clippy::too_many_arguments)]
+fn streamed_scatter_update(
+    dst: &mut [f64],
+    ldd: usize,
+    relrows: &[usize],
+    panel: &[f64],
+    m: usize,
+    lo: usize,
+    wj: usize,
+    wd: usize,
+    subtract: bool,
+) {
+    let mu = m - lo;
+    let mut update = vec![0.0; mu * wj];
+    streamed_rank_update(&mut update, panel, m, lo, wj, wd);
+    for jj in 0..wj {
+        let lc = relrows[jj];
+        let dstcol = &mut dst[lc * ldd..(lc + 1) * ldd];
+        let src = &update[jj * mu..(jj + 1) * mu];
+        // Skip rows above the target column (upper triangle of the
+        // symmetric update block).
+        if subtract {
+            for i in jj..mu {
+                dstcol[relrows[i]] -= src[i];
+            }
+        } else {
+            for i in jj..mu {
+                dstcol[relrows[i]] += src[i];
+            }
+        }
+    }
+}
+
+/// The bits of every entry of `values`.
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Deterministic values in `[-1, 1)` from `seed`, every seventh an exact
+/// zero (so signed-zero products take part).
+fn seeded_values(len: usize, seed: u64) -> Vec<f64> {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).max(1);
+    (0..len)
+        .map(|i| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            if i % 7 == 3 {
+                0.0
+            } else {
+                (state % 2000) as f64 / 1000.0 - 1.0
+            }
+        })
+        .collect()
+}
+
+/// How the relative rows of an update case are spaced.
+#[derive(Debug, Clone, Copy)]
+enum RowGaps {
+    /// Every row next to the last: one run.
+    Contiguous,
+    /// Gaps of 0, 0, 1 or 2 rows at random: runs of mixed lengths.
+    Mixed,
+    /// A gap of 1 or 2 rows after every row: no run at all.
+    Scattered,
+}
+
+/// Checks one fused-update shape at every tile level the host has against
+/// the streamed oracle, bit for bit: [`DenseKernel::scatter_update`] into a
+/// random panel through relative rows spaced by `gaps`, with both signs,
+/// and [`DenseKernel::rank_update`] into a random buffer (the contiguous
+/// epilogue, which adds the `+0.0`-started sums).
+fn check_tile_update(mu: usize, lo: usize, wj: usize, wd: usize, gaps: RowGaps, seed: u64) {
+    let m = mu + lo;
+    let panel = seeded_values(wd * m, seed);
+    let mut next = 2 + (seed % 3) as usize;
+    let relrows: Vec<usize> = (0..mu)
+        .map(|i| {
+            let here = next;
+            let mix = (seed as usize ^ i.wrapping_mul(0x9e37)) % 4;
+            next += 1 + match gaps {
+                RowGaps::Contiguous => 0,
+                RowGaps::Mixed => mix.saturating_sub(1),
+                RowGaps::Scattered => 1 + mix % 2,
+            };
+            here
+        })
+        .collect();
+    let ldd = next + (seed % 2) as usize;
+    let ncols = relrows[wj.max(1) - 1] + 2;
+    let base = seeded_values(ncols * ldd, seed ^ 0x5eed);
+    let init = seeded_values(wj * mu, seed ^ 0xb0b);
+    let mut sums = vec![0.0; wj * mu];
+    streamed_rank_update(&mut sums, &panel, m, lo, wj, wd);
+    let expect_rank: Vec<f64> = init.iter().zip(&sums).map(|(a, s)| a + s).collect();
+    for subtract in [false, true] {
+        let mut expect = base.clone();
+        streamed_scatter_update(&mut expect, ldd, &relrows, &panel, m, lo, wj, wd, subtract);
+        let mut trait_path = base.clone();
+        BlockedKernel.scatter_update(
+            &mut trait_path,
+            ldd,
+            &relrows,
+            &panel,
+            m,
+            lo,
+            wj,
+            wd,
+            subtract,
+        );
+        assert_eq!(
+            bits(&trait_path),
+            bits(&expect),
+            "dispatched scatter, mu {mu} wj {wj} wd {wd}"
+        );
+        for isa in Isa::available() {
+            let label =
+                format!("{isa:?}: mu {mu} lo {lo} wj {wj} wd {wd} {gaps:?} subtract {subtract}");
+            let mut got = base.clone();
+            BlockedKernel.scatter_update_at(
+                isa, &mut got, ldd, &relrows, &panel, m, lo, wj, wd, subtract,
+            );
+            assert_eq!(bits(&got), bits(&expect), "scatter, {label}");
+            let mut got = init.clone();
+            BlockedKernel.rank_update_at(isa, &mut got, &panel, m, lo, wj, wd);
+            assert_eq!(bits(&got), bits(&expect_rank), "rank update, {label}");
+        }
+    }
+}
+
+/// The register-tiled update is bit for bit the streamed oracle's at every
+/// tile level the host has, over every row residue mod 16 and mod 8 and
+/// every column residue mod 6 and mod 4, at `wd` of 0 to 9 and 64 and
+/// beyond, with relative rows in one run, in mixed runs and in none.
+#[test]
+fn tiled_update_is_bitwise_the_streamed_oracle() {
+    println!("update tile levels run: {:?}", Isa::available());
+    let all_gaps = [RowGaps::Contiguous, RowGaps::Mixed, RowGaps::Scattered];
+    let mut seed = 1u64;
+    for mu in 1..=33 {
+        for wj in 1..=mu.min(13) {
+            for gaps in all_gaps {
+                seed += 1;
+                check_tile_update(mu, 3, wj, 3, gaps, seed);
+            }
+        }
+    }
+    for (mu, wj) in [(17, 7), (33, 13), (40, 6), (9, 9)] {
+        for wd in (0..=9).chain([64, 67]) {
+            for (lo, gaps) in [
+                (0, RowGaps::Mixed),
+                (5, RowGaps::Contiguous),
+                (1, RowGaps::Scattered),
+            ] {
+                seed += 1;
+                check_tile_update(mu, lo, wj, wd, gaps, seed);
+            }
+        }
+    }
+}
+
+/// FNV-1a (64-bit) over the little-endian bits of `values`.
+fn bits_hash(values: &[f64]) -> u64 {
+    values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// [`hinted_lattice`] with a deterministic jitter on the diagonal (so no
+/// two pivots share their bits), carrying its hint.
+fn jittered_hinted_lattice(bx: usize, by: usize, m: usize) -> (CsrMatrix, PartitionHint) {
+    let (mut a, hint) = hinted_lattice(bx, by, m);
+    for i in 0..a.nrows() {
+        a.add_at(i, i, ((i * 37) % 101) as f64 / 101.0);
+    }
+    (a, hint)
+}
+
+/// FNV-1a ([`bits_hash`]) of the factor bits of the lattices of
+/// [`factor_bits_are_pinned`], recorded before the dense update kernel was
+/// register-tiled: per shape, `factor_values()` of the monolithic factor,
+/// then `factor_values()` and the border block of the bordered factor.
+#[rustfmt::skip]
+const FACTOR_HASHES: [[u64; 3]; 3] = [
+    // 4x4 blocks, m = 12.
+    [0xddbb9bc473911619, 0xa1d8f7ee55afde40, 0xd56c6a8b6cddf7af],
+    // 6x5 blocks, m = 8.
+    [0x88a8a78e6964c0a7, 0x9c2351cc6aeb1303, 0xa0bb5f1aa7d0838e],
+    // 3x7 blocks, m = 10.
+    [0xd8284c9636b2275b, 0x2e4d0feaaeb1c581, 0x445043455e495f3c],
+];
+
+/// The supernodal factor's bits on hinted lattices do not move: the
+/// monolithic factor under `Auto` (the geometric dissection) and the
+/// factor bordered by the top line of points, at pool caps 1 and 8.
+#[test]
+fn factor_bits_are_pinned() {
+    let shapes = [(4usize, 4usize, 12usize), (6, 5, 8), (3, 7, 10)];
+    let mut mismatches = Vec::new();
+    for (&(bx, by, m), expected) in shapes.iter().zip(&FACTOR_HASHES) {
+        let (a, hint) = jittered_hinted_lattice(bx, by, m);
+        let n_elim = a.nrows() - (bx * m + 1);
+        let bordered = zero_border(&a, n_elim);
+        let mut spans = lattice_spans(bx, by, m);
+        spans.truncate(n_elim);
+        let lead = geometric_dissection(&PartitionHint::new([bx, by], spans));
+        let a = a.with_partition_hint(Arc::new(hint));
+        let opts = SupernodalOptions::default();
+        for cap in [1usize, 8] {
+            let hashes = WorkPool::new(cap).install(|| {
+                let mono = SupernodalCholesky::factor_ordered(&a, FillOrdering::Auto, &opts)
+                    .expect("SPD lattice");
+                let (lead_factor, border) =
+                    SupernodalCholesky::factor_bordered(&bordered, lead.clone(), &opts)
+                        .expect("SPD leading block");
+                [
+                    bits_hash(mono.factor_values()),
+                    bits_hash(lead_factor.factor_values()),
+                    bits_hash(&border),
+                ]
+            });
+            if hashes != *expected {
+                let hashes = hashes.map(|h| format!("{h:#018x}")).join(", ");
+                mismatches.push(format!("{bx}x{by} m{m} cap {cap}: [{hashes}]"));
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "factor bits moved:\n{}",
+        mismatches.join("\n")
+    );
 }
