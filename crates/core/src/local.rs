@@ -20,11 +20,15 @@
 //!    full mesh and freed, so the batch and the basis are never both live
 //!    in full;
 //! 5. Galerkin-project: `A_elem = Fᵀ A_local F`, `b_elem = Fᵀ b_local`
-//!    (Eqs. 18–19), in panels of four columns of `F`: one pass over
-//!    `A_local` forms the four products `A_local f_j`, one pass over the
-//!    basis dots every `f_i` (and `f_T`) with all four — bit for bit the
-//!    one-column [`spmv_into`](morestress_linalg::CsrMatrix::spmv_into) and
-//!    [`dot`] forms, in parallel across panels.
+//!    (Eqs. 18–19), in panels of 16 columns of `F`, in parallel across
+//!    panels (11 tasks at `interp_num: 4`): one pass over `A_local`
+//!    ([`spmv_panel_into`](morestress_linalg::CsrMatrix::spmv_panel_into))
+//!    forms the 16 products `A_local f_j`, and one register-tiled Gram
+//!    block ([`gram_panel`]) dots every `f_i` (and `f_T`) with all 16,
+//!    each panel row loaded once for several basis functions — bit for
+//!    bit the one-column
+//!    [`spmv_into`](morestress_linalg::CsrMatrix::spmv_into) and [`dot`]
+//!    forms.
 //!
 //! The identity `a(f_T, f_i) = 0` (the interior residual of each `f_i`
 //! vanishes and `f_T` vanishes on the boundary) is what makes Eq. 19 exact;
@@ -36,12 +40,16 @@ use std::time::{Duration, Instant};
 
 use morestress_fem::{assemble_system, MaterialSet};
 use morestress_linalg::{
-    dot, dot_panel, DenseMatrix, DirectCholesky, MemoryFootprint, PartitionHint, SolverBackend,
+    dot, gram_panel, DenseMatrix, DirectCholesky, MemoryFootprint, PartitionHint, SolverBackend,
     WorkPool,
 };
 use morestress_mesh::{unit_block_mesh, BlockKind, BlockResolution, HexMesh, TsvGeometry};
 
 use crate::{InterpolationGrid, ReducedOrderModel, RomError};
+
+/// Basis columns per Galerkin-projection task: one 16-wide panel SpMV and
+/// one Gram block over the whole basis each.
+const PANEL: usize = 16;
 
 /// Options controlling the local-stage build.
 #[derive(Debug, Clone, Copy)]
@@ -271,34 +279,41 @@ impl LocalStage {
         let basis_thermal = solutions.pop().expect("thermal slot exists");
         let basis = solutions;
 
-        // --- Galerkin projection (Eqs. 18–19), four columns per task -----
-        // A task interleaves basis columns 4p..4p+4 into one panel, forms
-        // their products with A_local in one pass over its CSR, then
-        // streams the basis once for all four columns of A_elem and of
-        // a(f_T, ·). The tail panel repeats the last column; the repeats
-        // are computed and dropped.
+        // --- Galerkin projection (Eqs. 18–19), 16 columns per task -------
+        // A task interleaves basis columns 16p..16p+16 into one panel,
+        // forms their products with A_local in one pass over its CSR, then
+        // dots the whole basis and f_T with all 16 in one Gram block. The
+        // tail panel repeats the last column; the repeats are computed and
+        // dropped.
         let projection_start = Instant::now();
-        let num_panels = n.div_ceil(4);
+        let num_panels = n.div_ceil(PANEL);
+        let xs: Vec<&[f64]> = basis
+            .iter()
+            .chain([&basis_thermal])
+            .map(Vec::as_slice)
+            .collect();
         let (panels, _) = pool.scope_collect_with(
             threads,
             num_panels,
-            || (vec![[0.0; 4]; ndof], vec![[0.0; 4]; ndof]),
+            || (vec![[0.0; PANEL]; ndof], vec![[0.0; PANEL]; ndof]),
             |(f, af), p| {
-                let cols: [usize; 4] = std::array::from_fn(|k| (4 * p + k).min(n - 1));
+                let cols: [usize; PANEL] = std::array::from_fn(|k| (PANEL * p + k).min(n - 1));
                 for (r, fr) in f.iter_mut().enumerate() {
                     *fr = cols.map(|j| basis[j][r]);
                 }
                 stiffness.spmv_panel_into(f, af);
-                let rows: Vec<[f64; 4]> = basis.iter().map(|fi| dot_panel(fi, af)).collect();
-                (rows, dot_panel(&basis_thermal, af))
+                let mut rows = vec![[0.0; PANEL]; n + 1];
+                gram_panel(&xs, af, &mut rows);
+                rows
             },
         );
         let mut a_elem = DenseMatrix::zeros(n, n);
         let mut worst_tfi = 0.0f64;
-        for (p, (rows, tfi)) in panels.into_iter().enumerate() {
-            for k in 0..(n - 4 * p).min(4) {
+        for (p, rows) in panels.into_iter().enumerate() {
+            let (tfi, rows) = rows.split_last().expect("f_T's row exists");
+            for k in 0..(n - PANEL * p).min(PANEL) {
                 for (i, row) in rows.iter().enumerate() {
-                    a_elem[(i, 4 * p + k)] = row[k];
+                    a_elem[(i, PANEL * p + k)] = row[k];
                 }
                 worst_tfi = worst_tfi.max(tfi[k].abs());
             }
@@ -323,9 +338,12 @@ impl LocalStage {
             .max(f64::MIN_POSITIVE);
 
         let basis_bytes: usize = basis.iter().map(MemoryFootprint::heap_bytes).sum();
-        // Two interleaved panels (columns and products) per projection
-        // worker.
-        let panel_bytes = threads.min(num_panels) * 2 * ndof * std::mem::size_of::<[f64; 4]>();
+        // Two interleaved panels (columns and products) and the Gram
+        // block's parked lane sums per projection worker, and every
+        // panel's Gram block until A_elem is assembled.
+        let panel_bytes = (threads.min(num_panels) * (2 * ndof + 4 * (n + 1))
+            + num_panels * (n + 1))
+            * std::mem::size_of::<[f64; PANEL]>();
         let peak_bytes = stiffness.heap_bytes()
             + a_ff.heap_bytes()
             + a_fb.heap_bytes()

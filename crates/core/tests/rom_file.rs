@@ -85,30 +85,55 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
+/// FNV-1a of the saved `.rom` of a `coarse` block of `kind` on the
+/// interpolation grid `counts`.
+fn rom_hash(kind: BlockKind, counts: [usize; 3]) -> u64 {
+    let rom = LocalStage::new(
+        &TsvGeometry::paper_defaults(15.0),
+        &BlockResolution::coarse(),
+        InterpolationGrid::new(counts),
+        &MaterialSet::tsv_defaults(),
+        kind,
+    )
+    .build(&LocalStageOptions::default())
+    .expect("local stage builds");
+    let path = temp_path(&format!("pinned-{kind:?}-{counts:?}.rom"));
+    rom.save(&path).expect("save");
+    let bytes = std::fs::read(&path).expect("read back");
+    let _ = std::fs::remove_file(&path);
+    fnv1a(&bytes)
+}
+
 #[test]
 fn paper_interpolation_rom_bytes_are_pinned() {
     // The paper's (4,4,4) grid solves 168 basis columns plus the thermal
     // one: 21 full 8-column blocks of the triangular sweep and a 1-wide
     // tail. The saved bytes carry every basis function and `A_elem`, so
     // any bit the local stage moves changes the hash.
-    for (kind, name, expected) in [
-        (BlockKind::Tsv, "tsv", 0xc07d_7546_455b_db43),
-        (BlockKind::Dummy, "dummy", 0x394d_6f2f_a386_6400),
+    for (kind, expected) in [
+        (BlockKind::Tsv, 0xc07d_7546_455b_db43),
+        (BlockKind::Dummy, 0x394d_6f2f_a386_6400),
     ] {
-        let rom = LocalStage::new(
-            &TsvGeometry::paper_defaults(15.0),
-            &BlockResolution::coarse(),
-            InterpolationGrid::new([4, 4, 4]),
-            &MaterialSet::tsv_defaults(),
-            kind,
-        )
-        .build(&LocalStageOptions::default())
-        .expect("local stage builds");
-        let path = temp_path(&format!("pinned-{name}.rom"));
-        rom.save(&path).expect("save");
-        let bytes = std::fs::read(&path).expect("read back");
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(fnv1a(&bytes), expected, "{name}: {:#018x}", fnv1a(&bytes));
+        let hash = rom_hash(kind, [4, 4, 4]);
+        assert_eq!(hash, expected, "{kind:?}: {hash:#018x}");
+    }
+}
+
+#[test]
+fn other_interpolation_grids_rom_bytes_are_pinned() {
+    // n = 24, 78, 294 and 162 basis columns: the Galerkin projection's
+    // 16-column panels end in tails of 8, 14, 6 and 2 columns, and the
+    // sweep's 8-column blocks in tails of 1, 7, 7 and 3.
+    for (counts, tsv, dummy) in [
+        ([2, 2, 2], 0xac8f_44f8_9fcb_49d9, 0x66cd_1423_9fad_6adf),
+        ([3, 3, 3], 0xea95_05b4_7755_9930, 0xa962_81ae_cf80_2f22),
+        ([5, 5, 5], 0x21e0_dd1c_319b_21f4, 0x0c13_63ef_307f_0133),
+        ([3, 4, 5], 0xa02f_d033_3baf_710a, 0x2ed5_656b_4fcf_657f),
+    ] {
+        for (kind, expected) in [(BlockKind::Tsv, tsv), (BlockKind::Dummy, dummy)] {
+            let hash = rom_hash(kind, counts);
+            assert_eq!(hash, expected, "{kind:?} {counts:?}: {hash:#018x}");
+        }
     }
 }
 

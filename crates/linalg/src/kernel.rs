@@ -57,6 +57,41 @@
 //! adds the finished sum once, where the streamed chain started from the
 //! buffer; from zero the two agree.)
 //!
+//! # The Gram tile
+//!
+//! [`gram_panel`](crate::gram_panel) dots many vectors `xs[i]` against
+//! every column `y_k` of a `W`-wide interleaved panel — the Galerkin
+//! projection's `Fᵀ (A_local F)`, 16 columns at a time. Like
+//! [`dot_panel`](crate::dot_panel) it is a free function pinned to
+//! [`BlockedKernel`], not a [`DenseKernel`] method, and it runs on a
+//! second register tile over the same vector trait, per [`Isa`] level:
+//!
+//! | level             | tile `rows × columns` | lane sums         |
+//! |-------------------|-----------------------|-------------------|
+//! | [`Isa::Avx512`]   | 3 × 16                | 24 × 8-lane zmm   |
+//! | [`Isa::Avx2`]     | 3 × 4                 | 12 × 4-lane ymm   |
+//! | [`Isa::Portable`] | 3 × 4                 | 12 × `[f64; 4]`   |
+//!
+//! Each entry holds [`DenseKernel::dot`]'s four lane sums, so one load of
+//! a panel row's columns serves every row of the tile through a broadcast
+//! fused multiply-add. (On the projection's Gram blocks at `medium`, two
+//! rows of sixteen columns ran ≈ 15–25 % slower under AVX-512, and one
+//! row of eight columns ≈ 15 % slower under AVX2; two rows of eight
+//! would need all sixteen ymm registers for sums.) The length runs in
+//! k-blocks of [`BlockedKernel::GRAM_K_BLOCK`] entries so the panel's
+//! chunk stays in L1 while every row tile passes over it; the lane sums
+//! are parked in a `rows × 4 × W` scratch between blocks.
+//!
+//! **Why no bit can move.** Entry `(i, k)` runs `dot`'s own operation
+//! sequence: entry `r < 4⌊n/4⌋` lands in lane `r mod 4` through
+//! `fma(x_r, y_r, s)` from `+0.0` in ascending `r`, the rest in a tail
+//! chain from `+0.0`, and the result is `((s0 + s1) + (s2 + s3)) + tail`.
+//! A k-block bound is a multiple of four, so a block never splits a quad
+//! and a lane never changes; parking a sum in memory is an exact store and
+//! reload; vector lanes never mix. So `out[i][k]` is bit for bit
+//! `dot(xs[i], y_k)` at every level and tile shape — the proptests run
+//! each level the host has against `dot`.
+//!
 //! # Determinism contract
 //!
 //! Each kernel is individually deterministic: for a fixed kernel choice
@@ -528,6 +563,29 @@ impl BlockedKernel {
         blocked_dispatch!(dot_block(x, ys))
     }
 
+    /// Entries per k-block of the Gram tile behind
+    /// [`gram_panel`](crate::gram_panel): a multiple of four, so a block
+    /// never splits one of [`DenseKernel::dot`]'s quads.
+    pub const GRAM_K_BLOCK: usize = gram::K_BLOCK;
+
+    /// [`gram_panel`](crate::gram_panel) on the tile of level `isa` rather
+    /// than the detected one. The bits are the same at every level; this
+    /// exists so tests can run each level the host has.
+    ///
+    /// # Panics
+    ///
+    /// If this host cannot run `isa`, `out` and `xs` differ in length, or a
+    /// vector's length is not the panel's.
+    pub fn gram_panel_at<const W: usize>(
+        &self,
+        isa: Isa,
+        xs: &[&[f64]],
+        ys: &[[f64; W]],
+        out: &mut [[f64; W]],
+    ) {
+        gram::run(isa, xs, ys, out);
+    }
+
     /// [`DenseKernel::rank_update`] on the tile of level `isa` rather than
     /// the detected one. The bits are the same at every level; this exists
     /// so tests can run each level the host has.
@@ -883,30 +941,35 @@ mod fma {
     ));
 }
 
-/// The instruction-set level the register-tiled rank-k update of
-/// [`BlockedKernel`] runs at.
+/// The instruction-set level the register tiles of [`BlockedKernel`] (the
+/// rank-k update and the Gram block of [`gram_panel`](crate::gram_panel))
+/// and the panel SpMV
+/// ([`CsrMatrix::spmv_panel_into`](crate::CsrMatrix::spmv_panel_into))
+/// run at.
 ///
-/// Every level runs the one tile source in `kernel.rs`, and the result
+/// Every level runs the one source of each in this crate, and the result
 /// bits do not depend on the level (see the module docs): it is a speed
 /// dispatch to the widest level the host runs, made once per call. It is
 /// public so tests can run every level the host has against the oracle
-/// ([`Isa::available`], [`BlockedKernel::scatter_update_at`]).
+/// ([`Isa::available`], [`BlockedKernel::scatter_update_at`],
+/// [`BlockedKernel::gram_panel_at`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Isa {
-    /// AVX-512F: a 16 × 6 tile in twelve 8-lane registers, masked row
-    /// tails.
+    /// AVX-512F: a 16 × 6 update tile in twelve 8-lane registers,
+    /// masked row tails; a 3 × 16 Gram tile in twenty-four.
     Avx512,
-    /// AVX2 with FMA: an 8 × 4 tile in eight 4-lane registers.
+    /// AVX2 with FMA: an 8 × 4 update tile in eight 4-lane registers; a
+    /// 3 × 4 Gram tile in twelve.
     Avx2,
     /// Portable Rust, `f64::mul_add` on four-element arrays: an 8 × 4
-    /// tile.
+    /// update tile and a 3 × 4 Gram tile.
     Portable,
 }
 
 impl Isa {
     /// The widest level this host runs: the one dispatch point of the
-    /// update tile.
-    fn detected() -> Isa {
+    /// register tiles.
+    pub(crate) fn detected() -> Isa {
         [Isa::Avx512, Isa::Avx2]
             .into_iter()
             .find(|isa| isa.runs_here())
@@ -941,7 +1004,7 @@ impl Isa {
 
 /// The register-tiled rank-k update behind [`DenseKernel::rank_update`]
 /// and [`DenseKernel::scatter_update`] of [`BlockedKernel`]: written once,
-/// generic over the vector width through [`Lanes`](tile::Lanes), and
+/// generic over the vector width through [`Lanes`](lanes::Lanes), and
 /// instantiated per [`Isa`].
 ///
 /// An `MR × NR` tile of `Gᵀ·G` (`MR` = two vectors of rows, `NR`
@@ -955,42 +1018,8 @@ impl Isa {
 /// elsewhere. Row tiles run outermost, so one tile's rows of every `g_k`
 /// stay in L1 across the column tiles.
 mod tile {
+    use super::lanes::{Lanes, Portable};
     use super::Isa;
-
-    /// The four vector operations the tile is written in. `N ≤ 8`.
-    pub(super) trait Lanes: Copy {
-        /// Lanes per vector.
-        const N: usize;
-
-        /// Every lane `x`.
-        ///
-        /// # Safety
-        ///
-        /// The host must run the level this type implements.
-        unsafe fn splat(x: f64) -> Self;
-
-        /// Lanes `0..n` from `p..p + n` (`n ≤ N`); the rest zero. Reads
-        /// nothing when `n = 0`.
-        ///
-        /// # Safety
-        ///
-        /// As for [`splat`](Self::splat), and `p..p + n` must be readable.
-        unsafe fn load(p: *const f64, n: usize) -> Self;
-
-        /// Stores lanes `0..n` to `p..p + n` (`n ≤ N`).
-        ///
-        /// # Safety
-        ///
-        /// As for [`splat`](Self::splat), and `p..p + n` must be writable.
-        unsafe fn store(self, p: *mut f64, n: usize);
-
-        /// `a·b + c` per lane, rounded once (exactly [`f64::mul_add`]).
-        ///
-        /// # Safety
-        ///
-        /// As for [`splat`](Self::splat).
-        unsafe fn fma(a: Self, b: Self, c: Self) -> Self;
-    }
 
     /// One rank-k update: the descendant block it reads and how its
     /// product lands in the target, column-major storage of leading
@@ -1232,10 +1261,80 @@ mod tile {
         }
     }
 
+    /// The `target_feature` entry points of the x86-64 levels.
+    #[cfg(target_arch = "x86_64")]
+    mod x86 {
+        use super::super::lanes::x86::{Avx2, Avx512};
+        use super::{tiles, Update};
+
+        /// The 16 × 6 AVX-512 tile.
+        ///
+        /// # Safety
+        ///
+        /// The host must have AVX-512F and `u` must have passed its
+        /// bounds checks.
+        #[target_feature(enable = "avx512f")]
+        pub(super) unsafe fn run_avx512(dst: *mut f64, u: &Update<'_>) {
+            // SAFETY: propagated contract.
+            unsafe { tiles::<Avx512, 6>(dst, u) }
+        }
+
+        /// The 8 × 4 AVX2 tile.
+        ///
+        /// # Safety
+        ///
+        /// The host must have AVX2 and FMA and `u` must have passed its
+        /// bounds checks.
+        #[target_feature(enable = "avx2,fma")]
+        pub(super) unsafe fn run_avx2(dst: *mut f64, u: &Update<'_>) {
+            // SAFETY: propagated contract.
+            unsafe { tiles::<Avx2, 4>(dst, u) }
+        }
+    }
+}
+
+/// The vector operations the register tiles ([`tile`], [`gram`]) are
+/// written in, and one lane type per [`Isa`] level.
+mod lanes {
+    /// The four vector operations the tiles are written in. `N ≤ 8`.
+    pub(super) trait Lanes: Copy {
+        /// Lanes per vector.
+        const N: usize;
+
+        /// Every lane `x`.
+        ///
+        /// # Safety
+        ///
+        /// The host must run the level this type implements.
+        unsafe fn splat(x: f64) -> Self;
+
+        /// Lanes `0..n` from `p..p + n` (`n ≤ N`); the rest zero. Reads
+        /// nothing when `n = 0`.
+        ///
+        /// # Safety
+        ///
+        /// As for [`splat`](Self::splat), and `p..p + n` must be readable.
+        unsafe fn load(p: *const f64, n: usize) -> Self;
+
+        /// Stores lanes `0..n` to `p..p + n` (`n ≤ N`).
+        ///
+        /// # Safety
+        ///
+        /// As for [`splat`](Self::splat), and `p..p + n` must be writable.
+        unsafe fn store(self, p: *mut f64, n: usize);
+
+        /// `a·b + c` per lane, rounded once (exactly [`f64::mul_add`]).
+        ///
+        /// # Safety
+        ///
+        /// As for [`splat`](Self::splat).
+        unsafe fn fma(a: Self, b: Self, c: Self) -> Self;
+    }
+
     /// The portable level: four lanes in an array, [`f64::mul_add`] per
     /// lane.
     #[derive(Clone, Copy)]
-    struct Portable([f64; 4]);
+    pub(super) struct Portable([f64; 4]);
 
     impl Lanes for Portable {
         const N: usize = 4;
@@ -1265,17 +1364,16 @@ mod tile {
         }
     }
 
-    /// The x86-64 levels: their lane types and `target_feature` entry
-    /// points.
+    /// The x86-64 lane types.
     #[cfg(target_arch = "x86_64")]
-    mod x86 {
-        use super::{tiles, Lanes, Update};
+    pub(super) mod x86 {
+        use super::Lanes;
         use std::arch::x86_64::*;
 
         /// Eight lanes of AVX-512F; partial vectors use masked loads and
         /// stores, which touch no memory outside their mask.
         #[derive(Clone, Copy)]
-        pub(super) struct Avx512(__m512d);
+        pub(in crate::kernel) struct Avx512(__m512d);
 
         /// Lanes `0..n` of an AVX-512 mask.
         #[inline(always)]
@@ -1328,7 +1426,7 @@ mod tile {
         /// Four lanes of AVX2 with FMA; partial vectors use masked loads
         /// and stores, which touch no memory outside their mask.
         #[derive(Clone, Copy)]
-        pub(super) struct Avx2(__m256d);
+        pub(in crate::kernel) struct Avx2(__m256d);
 
         /// Lanes `0..n` of an AVX2 lane mask (each lane's sign bit).
         ///
@@ -1384,29 +1482,241 @@ mod tile {
                 Avx2(unsafe { _mm256_fmadd_pd(a.0, b.0, c.0) })
             }
         }
+    }
+}
 
-        /// The 16 × 6 AVX-512 tile.
+/// The register-tiled Gram kernel behind [`gram_panel`](crate::gram_panel):
+/// `out[i][k] = dot(xs[i], y_k)` for the `W` interleaved columns `y_k` of a
+/// panel, written once over [`Lanes`](lanes::Lanes) and instantiated per
+/// [`Isa`].
+///
+/// [`dot`](crate::dot) sums entry `r` of its vectors into lane `r mod 4`,
+/// one fused multiply-add chain per lane from `+0.0`, then adds the scalar
+/// tail past the last whole quad and closes the tree
+/// `((s0 + s1) + (s2 + s3)) + tail`. The tile keeps exactly those chains:
+/// a tile of `ROWS` vectors `xs[i]` and `C = NV·N` panel columns holds the
+/// four lane sums of each of its entries in `4·ROWS·NV` vector registers,
+/// and per panel row one load of its `C` columns serves every vector of
+/// the tile through a broadcast fused multiply-add. The quads run in
+/// k-blocks of `K_BLOCK` entries, a multiple of four, so a block never
+/// splits a quad and the panel's chunk stays in L1 while every row tile
+/// passes over it. Between blocks the lane sums are parked in a
+/// `rows × 4 × W` scratch; storing and reloading an `f64` is exact.
+mod gram {
+    use super::lanes::{Lanes, Portable};
+    use super::Isa;
+
+    /// Entries per k-block: a multiple of four, and 32 KiB of a 16-column
+    /// panel.
+    pub(super) const K_BLOCK: usize = 256;
+
+    /// Vectors `xs[i]` per tile at every level: three rows of sums (twice
+    /// the columns of one row under AVX-512, three times under AVX2) ran
+    /// faster than the two-row and one-row tiles they were measured
+    /// against.
+    const ROWS: usize = 3;
+
+    /// The four lane sums of one output row, `[lane][column]`.
+    type LaneSums<const W: usize> = [[f64; W]; 4];
+
+    /// `out[i][k] = dot(xs[i], y_k)` on the tile of level `isa`.
+    ///
+    /// # Panics
+    ///
+    /// If the host cannot run `isa`, `out` and `xs` differ in length, or a
+    /// vector's length is not the panel's.
+    pub(super) fn run<const W: usize>(
+        isa: Isa,
+        xs: &[&[f64]],
+        ys: &[[f64; W]],
+        out: &mut [[f64; W]],
+    ) {
+        assert!(isa.runs_here(), "this host cannot run the {isa:?} tile");
+        assert_eq!(out.len(), xs.len(), "gram panel: one output row per vector");
+        assert!(
+            xs.iter().all(|x| x.len() == ys.len()),
+            "gram panel: length mismatch"
+        );
+        match isa {
+            // SAFETY (all arms): the level runs here and the shapes were
+            // just asserted.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { x86::gram_avx512(xs, ys, out) },
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { x86::gram_avx2(xs, ys, out) },
+            #[cfg(not(target_arch = "x86_64"))]
+            Isa::Avx512 | Isa::Avx2 => unreachable!("not an x86-64 host"),
+            Isa::Portable => unsafe { panel::<Portable, 1, W>(xs, ys, out) },
+        }
+    }
+
+    /// Calls `$tile::<V, rows, NV, W>` for the row count `$nr` (1 ..=
+    /// [`ROWS`]), so every count keeps its sums in registers.
+    macro_rules! by_rows {
+        ($nr:expr, $tile:ident::<$v:ty, $nv:ident, $w:ident>( $($arg:expr),* )) => {
+            match $nr {
+                1 => $tile::<$v, 1, $nv, $w>($($arg),*),
+                2 => $tile::<$v, 2, $nv, $w>($($arg),*),
+                3 => $tile::<$v, 3, $nv, $w>($($arg),*),
+                nr => unreachable!("a tile holds 1 to {ROWS} rows, not {nr}"),
+            }
+        };
+    }
+
+    /// The whole product on `ROWS × (NV·N)` tiles, k-blocks outermost, then
+    /// the tails and `dot`'s reduction tree.
+    ///
+    /// # Safety
+    ///
+    /// The host must run `V`'s level, and every `xs[i]` must hold
+    /// `ys.len()` entries; `out` must hold `xs.len()` rows.
+    #[inline(always)]
+    pub(super) unsafe fn panel<V: Lanes, const NV: usize, const W: usize>(
+        xs: &[&[f64]],
+        ys: &[[f64; W]],
+        out: &mut [[f64; W]],
+    ) {
+        let quads = ys.len() / 4 * 4;
+        let mut sums: Vec<LaneSums<W>> = vec![[[0.0; W]; 4]; xs.len()];
+        let cw = NV * V::N;
+        for k0 in (0..quads).step_by(K_BLOCK) {
+            let k1 = (k0 + K_BLOCK).min(quads);
+            for c0 in (0..W).step_by(cw) {
+                let nc = cw.min(W - c0);
+                for i0 in (0..xs.len()).step_by(ROWS) {
+                    let nr = ROWS.min(xs.len() - i0);
+                    let sums = &mut sums[i0..i0 + nr];
+                    // SAFETY: rows `i0..i0 + nr`, columns `c0..c0 + nc ≤ W`
+                    // and entries `k0..k1 ≤ quads ≤ ys.len()` are in bounds
+                    // (propagated contract). A full-width tile passes its
+                    // column count as a constant, so its loads and stores
+                    // compile without masks.
+                    unsafe {
+                        if nc == cw {
+                            by_rows!(nr, tile::<V, NV, W>(&xs[i0..], ys, sums, c0, cw, k0, k1));
+                        } else {
+                            by_rows!(nr, tile::<V, NV, W>(&xs[i0..], ys, sums, c0, nc, k0, k1));
+                        }
+                    }
+                }
+            }
+        }
+        for ((o, s), x) in out.iter_mut().zip(&sums).zip(xs) {
+            let mut tail = [0.0f64; W];
+            for (xr, yr) in x[quads..].iter().zip(&ys[quads..]) {
+                for k in 0..W {
+                    tail[k] = xr.mul_add(yr[k], tail[k]);
+                }
+            }
+            for k in 0..W {
+                o[k] = ((s[0][k] + s[1][k]) + (s[2][k] + s[3][k])) + tail[k];
+            }
+        }
+    }
+
+    /// One tile of `R` vectors from `xs[0]` and `nc ≤ NV·N` columns from
+    /// `c0` over the quads of `k0..k1`: the lane sums come out of `sums`,
+    /// take the block's fused multiply-adds in registers, and go back.
+    ///
+    /// # Safety
+    ///
+    /// As for [`panel`], with `R ≤ xs.len()`, `R ≤ sums.len()`,
+    /// `c0 + nc ≤ W`, `k1 ≤ ys.len()` and `k1 - k0` a multiple of four.
+    #[inline(always)]
+    unsafe fn tile<V: Lanes, const R: usize, const NV: usize, const W: usize>(
+        xs: &[&[f64]],
+        ys: &[[f64; W]],
+        sums: &mut [LaneSums<W>],
+        c0: usize,
+        nc: usize,
+        k0: usize,
+        k1: usize,
+    ) {
+        let n = V::N;
+        let mut cols = [0; NV];
+        for (v, c) in cols.iter_mut().enumerate() {
+            *c = nc.saturating_sub(v * n).min(n);
+        }
+        let mut x = [std::ptr::null::<f64>(); R];
+        for (x, xs) in x.iter_mut().zip(xs) {
+            *x = xs.as_ptr();
+        }
+        let y = ys.as_ptr().cast::<f64>();
+        // SAFETY: the sums and panel rows are read and written at columns
+        // `c0 + v·n ..` for `cols[v]` lanes, all `< c0 + nc ≤ W`, and a
+        // vector with no columns touches nothing; the vectors are read at
+        // entries `< k1 ≤ ys.len()`, their length (contract).
+        unsafe {
+            let mut acc = [[[V::splat(0.0); NV]; 4]; R];
+            for (acc, s) in acc.iter_mut().zip(sums.iter()) {
+                for (acc, s) in acc.iter_mut().zip(s) {
+                    for (v, acc) in acc.iter_mut().enumerate() {
+                        *acc = V::load(s.as_ptr().wrapping_add(c0 + v * n), cols[v]);
+                    }
+                }
+            }
+            for q in 0..(k1 - k0) / 4 {
+                let k = k0 + 4 * q;
+                for lane in 0..4 {
+                    let row = y.add((k + lane) * W).wrapping_add(c0);
+                    let mut yv = [V::splat(0.0); NV];
+                    for (v, yv) in yv.iter_mut().enumerate() {
+                        *yv = V::load(row.wrapping_add(v * n), cols[v]);
+                    }
+                    for (acc, &x) in acc.iter_mut().zip(&x) {
+                        let b = V::splat(*x.add(k + lane));
+                        for (acc, &yv) in acc[lane].iter_mut().zip(&yv) {
+                            *acc = V::fma(b, yv, *acc);
+                        }
+                    }
+                }
+            }
+            for (acc, s) in acc.iter().zip(sums.iter_mut()) {
+                for (acc, s) in acc.iter().zip(s) {
+                    for (v, acc) in acc.iter().enumerate() {
+                        acc.store(s.as_mut_ptr().wrapping_add(c0 + v * n), cols[v]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The `target_feature` entry points of the x86-64 levels.
+    #[cfg(target_arch = "x86_64")]
+    mod x86 {
+        use super::super::lanes::x86::{Avx2, Avx512};
+        use super::panel;
+
+        /// The 3 × 16 AVX-512 shape: twenty-four 8-lane sums.
         ///
         /// # Safety
         ///
-        /// The host must have AVX-512F and `u` must have passed its
-        /// bounds checks.
+        /// The host must have AVX-512F and the shapes must be as
+        /// [`panel`] requires.
         #[target_feature(enable = "avx512f")]
-        pub(super) unsafe fn run_avx512(dst: *mut f64, u: &Update<'_>) {
+        pub(super) unsafe fn gram_avx512<const W: usize>(
+            xs: &[&[f64]],
+            ys: &[[f64; W]],
+            out: &mut [[f64; W]],
+        ) {
             // SAFETY: propagated contract.
-            unsafe { tiles::<Avx512, 6>(dst, u) }
+            unsafe { panel::<Avx512, 2, W>(xs, ys, out) }
         }
 
-        /// The 8 × 4 AVX2 tile.
+        /// The 3 × 4 AVX2 shape: twelve 4-lane sums.
         ///
         /// # Safety
         ///
-        /// The host must have AVX2 and FMA and `u` must have passed its
-        /// bounds checks.
+        /// The host must have AVX2 and FMA and the shapes must be as
+        /// [`panel`] requires.
         #[target_feature(enable = "avx2,fma")]
-        pub(super) unsafe fn run_avx2(dst: *mut f64, u: &Update<'_>) {
+        pub(super) unsafe fn gram_avx2<const W: usize>(
+            xs: &[&[f64]],
+            ys: &[[f64; W]],
+            out: &mut [[f64; W]],
+        ) {
             // SAFETY: propagated contract.
-            unsafe { tiles::<Avx2, 4>(dst, u) }
+            unsafe { panel::<Avx2, 1, W>(xs, ys, out) }
         }
     }
 }

@@ -139,7 +139,7 @@ pub use sparse::{CooMatrix, CsrMatrix};
 #[doc(hidden)]
 pub use supernodal::{PanelLayout, SymbolicParts};
 pub use supernodal::{SupernodalCholesky, SupernodalOptions, SupernodeStats};
-pub use vecops::{axpy, dot, dot_panel, norm2, norm_inf, scale, sub};
+pub use vecops::{axpy, dot, dot_panel, gram_panel, norm2, norm_inf, scale, sub};
 
 /// Shared unit-test operators (the direct-solver modules all exercise the
 /// same 5-point lattice).

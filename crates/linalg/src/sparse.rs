@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use crate::kernel::Isa;
 use crate::{MemoryFootprint, PartitionHint};
 
 /// Coordinate-format (triplet) sparse matrix used during assembly.
@@ -380,28 +381,30 @@ impl CsrMatrix {
         }
     }
 
-    /// [`spmv_into`](Self::spmv_into) of four vectors in one pass over the
+    /// [`spmv_into`](Self::spmv_into) of `W` vectors in one pass over the
     /// matrix: `x[c][k]` is entry `c` of input `k`, and `y[r][k]` receives
-    /// entry `r` of `A x_k`. Every row accumulates each column in
-    /// `spmv_into`'s order, so output `k` is bit for bit `spmv_into` of
-    /// input `k`; the four independent sums are what the panel buys.
+    /// entry `r` of `A x_k`. Every column runs `spmv_into`'s own sum — from
+    /// `-0.0`, `acc += v·x` in CSR order, a rounded product then a rounded
+    /// add, never a fused one — so output `k` is bit for bit `spmv_into` of
+    /// input `k` at every width. The `W` independent sums are what the
+    /// panel buys: a row's add-latency chain is paid once per `W` columns.
+    /// The loop is compiled at the host's widest [`Isa`] level, which only
+    /// decides how many of the `W` sums share a vector register.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != ncols` or `y.len() != nrows`.
-    pub fn spmv_panel_into(&self, x: &[[f64; 4]], y: &mut [[f64; 4]]) {
+    pub fn spmv_panel_into<const W: usize>(&self, x: &[[f64; W]], y: &mut [[f64; W]]) {
         assert_eq!(x.len(), self.ncols, "spmv: x length");
         assert_eq!(y.len(), self.nrows, "spmv: y length");
-        for (yi, w) in y.iter_mut().zip(self.row_ptr.windows(2)) {
-            let (lo, hi) = (w[0], w[1]);
-            let mut acc = [-0.0f64; 4];
-            for (&c, &v) in self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]) {
-                let xc = &x[c];
-                for k in 0..4 {
-                    acc[k] += v * xc[k];
-                }
-            }
-            *yi = acc;
+        match Isa::detected() {
+            // SAFETY (both arms): `detected` returns only a level the host
+            // runs.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { panel_spmv::avx512(self, x, y) },
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { panel_spmv::avx2(self, x, y) },
+            _ => panel_spmv::rows(self, x, y),
         }
     }
 
@@ -669,6 +672,52 @@ impl CsrMatrix {
     pub fn diagonal(&self) -> Vec<f64> {
         assert_eq!(self.nrows, self.ncols, "diagonal: matrix must be square");
         (0..self.nrows).map(|i| self.get(i, i)).collect()
+    }
+}
+
+/// The body of [`CsrMatrix::spmv_panel_into`], written once and compiled
+/// per [`Isa`] level: the `target_feature` entry points only widen the
+/// vectors LLVM packs the `W` independent sums into.
+mod panel_spmv {
+    use super::CsrMatrix;
+
+    /// Every row: `W` sums from `-0.0`, one rounded product and add per
+    /// stored entry in CSR order.
+    #[inline(always)]
+    pub(super) fn rows<const W: usize>(a: &CsrMatrix, x: &[[f64; W]], y: &mut [[f64; W]]) {
+        for (yi, w) in y.iter_mut().zip(a.row_ptr.windows(2)) {
+            let (lo, hi) = (w[0], w[1]);
+            let mut acc = [-0.0f64; W];
+            for (&c, &v) in a.col_idx[lo..hi].iter().zip(&a.values[lo..hi]) {
+                let xc = &x[c];
+                for k in 0..W {
+                    acc[k] += v * xc[k];
+                }
+            }
+            *yi = acc;
+        }
+    }
+
+    /// [`rows`] under AVX-512F.
+    ///
+    /// # Safety
+    ///
+    /// The host must have AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn avx512<const W: usize>(a: &CsrMatrix, x: &[[f64; W]], y: &mut [[f64; W]]) {
+        rows(a, x, y);
+    }
+
+    /// [`rows`] under AVX2.
+    ///
+    /// # Safety
+    ///
+    /// The host must have AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn avx2<const W: usize>(a: &CsrMatrix, x: &[[f64; W]], y: &mut [[f64; W]]) {
+        rows(a, x, y);
     }
 }
 

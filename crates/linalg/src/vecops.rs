@@ -1,7 +1,8 @@
 //! Basic dense vector kernels shared by the solvers.
 //!
 //! The contraction primitives (`dot`, its `NB`-vector form `dot_panel`,
-//! `axpy`, and `norm2` through `dot`)
+//! its many-against-many form `gram_panel`, `axpy`, and `norm2` through
+//! `dot`)
 //! delegate to [`BlockedKernel`] — the unrolled `mul_add` microkernels with
 //! runtime FMA dispatch from `kernel.rs` — so CG/GMRES inherit the same
 //! tuned loops the supernodal factorization runs on. `BlockedKernel` is
@@ -10,7 +11,7 @@
 //! helpers stay plain slice loops: they are memory-bound and the compiler
 //! already vectorizes them at `opt-level >= 2`.
 
-use crate::kernel::{BlockedKernel, DenseKernel};
+use crate::kernel::{BlockedKernel, DenseKernel, Isa};
 
 /// Dot product `x · y`.
 ///
@@ -25,9 +26,8 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 
 /// [`dot`] of `x` against `NB` vectors in one pass over `x`: `ys[i][k]` is
 /// entry `i` of vector `k`, and result `k` is bit for bit `dot(x, y_k)` —
-/// the column-panel form the Galerkin projection streams its basis through
-/// at `NB = 4`, and the mid-plane sampler its touched-row basis at
-/// `NB = 8`.
+/// the column-panel form the mid-plane sampler streams its touched-row
+/// basis through at `NB = 8`.
 ///
 /// # Panics
 ///
@@ -36,6 +36,28 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 pub fn dot_panel<const NB: usize>(x: &[f64], ys: &[[f64; NB]]) -> [f64; NB] {
     assert_eq!(x.len(), ys.len(), "dot: length mismatch");
     BlockedKernel.dot_panel(x, ys)
+}
+
+/// [`dot`] of every vector `xs[i]` against every column of a `W`-wide
+/// panel: `ys[r][k]` is entry `r` of column `k`, and `out[i][k]` is bit for
+/// bit `dot(xs[i], y_k)` — the Gram block the Galerkin projection forms,
+/// 16 columns of `A_local F` against the whole basis per call.
+///
+/// It runs on a register tile per instruction-set level ([`Isa`]) that
+/// keeps `dot`'s four lane chains, its tail and its reduction tree for
+/// every entry; one load of a panel row serves several vectors, and the
+/// length runs in k-blocks of [`BlockedKernel::GRAM_K_BLOCK`] entries so
+/// the panel's chunk stays in L1 (the `kernel.rs` module docs, "The Gram
+/// tile"). Allocates the `xs.len() × 4 × W` lane sums it parks between
+/// blocks.
+///
+/// # Panics
+///
+/// Panics if `out` and `xs` differ in length, or a vector's length is not
+/// the panel's.
+#[inline]
+pub fn gram_panel<const W: usize>(xs: &[&[f64]], ys: &[[f64; W]], out: &mut [[f64; W]]) {
+    BlockedKernel.gram_panel_at(Isa::detected(), xs, ys, out);
 }
 
 /// Euclidean norm `‖x‖₂`.

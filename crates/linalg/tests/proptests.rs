@@ -8,8 +8,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use morestress_linalg::{
-    dot, dot_panel, geometric_dissection, reverse_cuthill_mckee, solve_cg, solve_gmres, Auto,
-    BlockedKernel, CgOptions, CooMatrix, CsrMatrix, DenseKernel, DenseMatrix, DirectCholesky,
+    dot, dot_panel, geometric_dissection, gram_panel, reverse_cuthill_mckee, solve_cg, solve_gmres,
+    Auto, BlockedKernel, CgOptions, CooMatrix, CsrMatrix, DenseKernel, DenseMatrix, DirectCholesky,
     FactorCache, FaultPlan, FillOrdering, GmresOptions, Isa, JacobiPreconditioner, KernelChoice,
     LinalgError, PartitionHint, Permutation, ScalarKernel, ShardPlan, Sharded, SolverBackend,
     SparseCholesky, SupernodalCholesky, SupernodalOptions, SymbolicParts, TaskDag, WorkPool,
@@ -605,6 +605,116 @@ fn assert_panel_dot_is_bitwise_dots<const NB: usize>(x: &[f64], ys: &[f64]) {
     }
 }
 
+/// Column `k` of the `W`-wide panel SpMV of `a` is bit for bit `spmv` of
+/// the column `xs[k·n..(k+1)·n]` with every fifth entry a negative zero.
+fn assert_panel_spmv_is_bitwise_spmvs<const W: usize>(a: &CsrMatrix, xs: &[f64]) {
+    let n = a.ncols();
+    let column = |k: usize| -> Vec<f64> {
+        (0..n)
+            .map(|i| if i % 5 == 0 { -0.0 } else { xs[k * n + i] })
+            .collect()
+    };
+    let columns: Vec<Vec<f64>> = (0..W).map(column).collect();
+    let panel: Vec<[f64; W]> = (0..n)
+        .map(|i| std::array::from_fn(|k| columns[k][i]))
+        .collect();
+    let mut products = vec![[f64::NAN; W]; a.nrows()];
+    a.spmv_panel_into(&panel, &mut products);
+    for (k, column) in columns.iter().enumerate() {
+        let single = a.spmv(column);
+        for (i, single) in single.iter().enumerate() {
+            prop_assert_eq!(
+                products[i][k].to_bits(),
+                single.to_bits(),
+                "width {}, row {}, column {}",
+                W,
+                i,
+                k
+            );
+        }
+    }
+}
+
+/// Every entry of the `W`-wide Gram block of `rows ≤ 9` vectors of length
+/// `n` (drawn from `vals`, at least `25·n` long) against a panel (drawn
+/// after them) is bit for bit
+/// `dot(xs[i], y_k)`, at every level the host has and through the
+/// dispatched call. Row `2` (when there is one) is all negative zeros, and
+/// so are panel rows `r ≡ 3 (mod 7)`.
+fn assert_gram_is_bitwise_dots<const W: usize>(rows: usize, n: usize, vals: &[f64]) {
+    let xs: Vec<Vec<f64>> = (0..rows)
+        .map(|i| {
+            if i == 2 {
+                vec![-0.0; n]
+            } else {
+                vals[i * n..(i + 1) * n].to_vec()
+            }
+        })
+        .collect();
+    let xs: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
+    let base = rows * n;
+    let ys: Vec<[f64; W]> = (0..n)
+        .map(|r| {
+            std::array::from_fn(|k| {
+                if r % 7 == 3 {
+                    -0.0
+                } else {
+                    vals[base + r * W + k]
+                }
+            })
+        })
+        .collect();
+    let expect: Vec<[u64; W]> = xs
+        .iter()
+        .map(|x| {
+            std::array::from_fn(|k| {
+                let y_k: Vec<f64> = ys.iter().map(|y| y[k]).collect();
+                dot(x, &y_k).to_bits()
+            })
+        })
+        .collect();
+    let got_bits =
+        |out: &[[f64; W]]| -> Vec<[u64; W]> { out.iter().map(|o| o.map(f64::to_bits)).collect() };
+    let mut out = vec![[f64::NAN; W]; rows];
+    gram_panel(&xs, &ys, &mut out);
+    assert_eq!(
+        got_bits(&out),
+        expect,
+        "dispatched: width {W}, rows {rows}, length {n}"
+    );
+    for isa in Isa::available() {
+        let mut out = vec![[f64::NAN; W]; rows];
+        BlockedKernel.gram_panel_at(isa, &xs, &ys, &mut out);
+        assert_eq!(
+            got_bits(&out),
+            expect,
+            "{isa:?}: width {W}, rows {rows}, length {n}"
+        );
+    }
+}
+
+/// The Gram block is bit for bit one `dot` per entry at every level the
+/// host has: at widths 1, 4, 8 and 16, over row counts 1 to 9 (every
+/// residue of the tiles' row counts), lengths 0 to 9 (every residue mod
+/// 4, and no whole quad at all) and lengths at one and two k-block bounds
+/// ± 1 and ± 4.
+#[test]
+fn gram_panel_is_bitwise_dots_at_every_level() {
+    println!("Gram tile levels run: {:?}", Isa::available());
+    let kb = BlockedKernel::GRAM_K_BLOCK;
+    assert_eq!(kb % 4, 0, "a k-block splits no quad");
+    let lengths = (0..=9).chain([kb - 4, kb - 1, kb, kb + 1, kb + 4, 2 * kb - 1, 2 * kb + 3]);
+    for (seed, n) in lengths.enumerate() {
+        let vals = seeded_values(25 * n, seed as u64 + 1);
+        for rows in 1..=9 {
+            assert_gram_is_bitwise_dots::<1>(rows, n, &vals);
+            assert_gram_is_bitwise_dots::<4>(rows, n, &vals);
+            assert_gram_is_bitwise_dots::<8>(rows, n, &vals);
+            assert_gram_is_bitwise_dots::<16>(rows, n, &vals);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -653,38 +763,40 @@ proptest! {
         }
     }
 
-    /// The four-column SpMV is bit for bit four `spmv_into` calls, on
-    /// operators of `4q + r` rows (`r ≠ 0`) with empty rows and signed
-    /// zeros in play.
+    /// The panel SpMV is bit for bit one `spmv_into` call per column at
+    /// widths 1, 4, 8 and 16, on operators of `4q + r` rows (`r ≠ 0`) with
+    /// empty rows and signed zeros in play.
     #[test]
-    fn panel_spmv_is_bitwise_four_spmvs(
+    fn panel_spmv_is_bitwise_spmvs_at_every_width(
         (n, trips, xs) in (0usize..10, 1usize..4).prop_flat_map(|(q, r)| {
             let n = 4 * q + r;
             (Just(n),
              prop::collection::vec((0..n, 0..n, -10.0f64..10.0), 0..4 * n),
-             prop::collection::vec(-5.0f64..5.0, 4 * n))
+             prop::collection::vec(-5.0f64..5.0, 16 * n))
         })) {
         let mut coo = CooMatrix::new(n, n);
         for (i, j, v) in trips {
             coo.push(i, j, v);
         }
         let a = coo.to_csr();
-        // Column k is xs[k·n..(k+1)·n], every fifth entry a negative zero.
-        let column = |k: usize| -> Vec<f64> {
-            (0..n).map(|i| if i % 5 == 0 { -0.0 } else { xs[k * n + i] }).collect()
-        };
-        let panel: Vec<[f64; 4]> = (0..n)
-            .map(|i| std::array::from_fn(|k| column(k)[i]))
-            .collect();
-        let mut products = vec![[f64::NAN; 4]; n];
-        a.spmv_panel_into(&panel, &mut products);
-        for k in 0..4 {
-            let single = a.spmv(&column(k));
-            for i in 0..n {
-                prop_assert_eq!(products[i][k].to_bits(), single[i].to_bits(),
-                    "row {} column {}", i, k);
-            }
-        }
+        assert_panel_spmv_is_bitwise_spmvs::<1>(&a, &xs);
+        assert_panel_spmv_is_bitwise_spmvs::<4>(&a, &xs);
+        assert_panel_spmv_is_bitwise_spmvs::<8>(&a, &xs);
+        assert_panel_spmv_is_bitwise_spmvs::<16>(&a, &xs);
+    }
+
+    /// On random values, row counts 1 to 9 and lengths 0 to 600 (across
+    /// two k-block bounds), every entry of the Gram block is bit for bit
+    /// one `dot`, at every level the host has, at widths 1, 4, 8 and 16.
+    #[test]
+    fn gram_panel_is_bitwise_dots_on_random_panels(
+        (rows, n, vals) in (1usize..10, 0usize..601).prop_flat_map(|(rows, n)| {
+            (Just(rows), Just(n), prop::collection::vec(-5.0f64..5.0, 25 * n))
+        })) {
+        assert_gram_is_bitwise_dots::<1>(rows, n, &vals);
+        assert_gram_is_bitwise_dots::<4>(rows, n, &vals);
+        assert_gram_is_bitwise_dots::<8>(rows, n, &vals);
+        assert_gram_is_bitwise_dots::<16>(rows, n, &vals);
     }
 
     /// At every width 1..=8 and length 0..=400, column `k` of the block dot
