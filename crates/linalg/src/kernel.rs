@@ -12,14 +12,36 @@
 //!   it.
 //! * [`BlockedKernel`] — the one production kernel: register-tiled,
 //!   k-unrolled loops written around explicit [`f64::mul_add`] so LLVM
-//!   autovectorizes them.
-//!   On x86-64 the bodies are compiled twice — once generic, once under
-//!   `#[target_feature(enable = "fma")]` — and dispatched at runtime via
-//!   `is_x86_feature_detected!`, so `mul_add` lowers to a hardware fused
-//!   multiply-add instead of a libm call wherever the CPU supports it.
-//!   Because `mul_add` is *exactly rounded* regardless of how it is
-//!   lowered, both paths produce bitwise-identical results: the kernel's
-//!   output does not depend on the host CPU.
+//!   autovectorizes them, compiled per instruction-set level (below).
+//!
+//! # The instruction-set ladder
+//!
+//! Every SIMD loop of this crate is one `#[inline(always)]` body behind a
+//! job type, and runs at the level `Isa::detected()` picks once per call,
+//! the widest the host runs: `Isa::run` enters the job through that
+//! level's one `#[target_feature]` entry point, where the body compiles
+//! with the level's instructions and, for the register tiles, its lane
+//! type. The level × loop family × target features:
+//!
+//! | level             | register tiles (update, Gram)  | panel SpMV | unrolled `mul_add` loops |
+//! |-------------------|--------------------------------|------------|--------------------------|
+//! | [`Isa::Avx512`]   | `avx512f`, 8-lane `zmm`        | `avx512f`  | `avx2,fma` (256-bit)     |
+//! | [`Isa::Avx2`]     | `avx2,fma`, 4-lane `ymm`       | `avx2,fma` | `avx2,fma`               |
+//! | [`Isa::Portable`] | none, `[f64; 4]` and `mul_add` | none       | none (libm `fma`)        |
+//!
+//! The unrolled loops (`dot`, [`dot_panel`](crate::dot_panel), `axpy`,
+//! `factor_panel` and the three sweeps) keep 256-bit code on an AVX-512
+//! host: compiled under `avx512f` they made the local stage's build no
+//! faster (`model_build` `setup_s` 0.282 → 0.298 s, then 0.277 → 0.286 s,
+//! on a 2-vCPU AVX-512 guest), so their width is a property of the loops,
+//! not of the host. A host with FMA but no AVX2 runs the portable level.
+//!
+//! **Why the level cannot change a bit.** Every level runs one source:
+//! [`f64::mul_add`] is exactly rounded however it is lowered, a vector
+//! fused multiply-add rounds exactly like it, Rust never fuses a separate
+//! multiply and add, and vector lanes never mix. So the output does not
+//! depend on the host CPU; the unit tests run every loop at every level
+//! the host has against [`Isa::Portable`], bit for bit.
 //!
 //! # The rank-k update tile
 //!
@@ -103,6 +125,9 @@
 //! **changing the kernel changes the result bits** — the kernel choice is
 //! therefore part of the [`FactorCache`](crate::FactorCache) config
 //! fingerprint, and cross-kernel agreement is pinned only to ≤1e-12.
+
+pub(crate) use lanes::Lanes;
+use lanes::Portable;
 
 /// Dense panel microkernel: the flop-bearing inner loops of the
 /// supernodal factorization and triangular sweeps, plus the dot/axpy
@@ -449,27 +474,10 @@ impl DenseKernel for ScalarKernel {
 /// tile per instruction-set level ([`Isa`]), and the other loops are
 /// unrolled and written around [`f64::mul_add`] so LLVM turns them into
 /// packed FMA streams. See the module-level docs in `kernel.rs` for the
-/// tile, the runtime dispatch, and why the result bits are
+/// tile, the instruction-set ladder, and why the result bits are
 /// host-independent.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BlockedKernel;
-
-/// Generates the `BlockedKernel` trait methods other than the rank-k
-/// update (which dispatches on [`Isa`]): each one
-/// dispatches to the `fma::` re-export of the shared body when the CPU
-/// supports fused multiply-add (so `mul_add` compiles to a single
-/// instruction), and to the generic body (libm `fma`, same bits)
-/// otherwise.
-macro_rules! blocked_dispatch {
-    ($body:ident ( $($arg:expr),* )) => {{
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("fma") {
-            // SAFETY: FMA support was just verified at runtime.
-            return unsafe { fma::$body($($arg),*) };
-        }
-        body::$body($($arg),*)
-    }};
-}
 
 impl DenseKernel for BlockedKernel {
     fn name(&self) -> &'static str {
@@ -477,11 +485,11 @@ impl DenseKernel for BlockedKernel {
     }
 
     fn dot(&self, x: &[f64], y: &[f64]) -> f64 {
-        blocked_dispatch!(dot(x, y))
+        Isa::detected().run(Dot(x, y))
     }
 
     fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]) {
-        blocked_dispatch!(axpy(alpha, x, y))
+        Isa::detected().run(Axpy(alpha, x, y))
     }
 
     fn rank_update(
@@ -523,11 +531,11 @@ impl DenseKernel for BlockedKernel {
     }
 
     fn factor_panel(&self, panel: &mut [f64], m: usize, w: usize) -> Result<(), (usize, f64)> {
-        blocked_dispatch!(factor_panel(panel, m, w))
+        Isa::detected().run(FactorPanel(panel, m, w))
     }
 
     fn solve_lower(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64], nrhs: usize) {
-        blocked_dispatch!(solve_lower(panel, m, w, x, nrhs))
+        Isa::detected().run(SolveLower(panel, m, w, x, nrhs))
     }
 
     fn below_accumulate(
@@ -539,7 +547,7 @@ impl DenseKernel for BlockedKernel {
         acc: &mut [f64],
         nrhs: usize,
     ) {
-        blocked_dispatch!(below_accumulate(panel, m, w, y, acc, nrhs))
+        Isa::detected().run(BelowAccumulate(panel, m, w, y, acc, nrhs))
     }
 
     fn solve_lower_transpose(
@@ -551,7 +559,7 @@ impl DenseKernel for BlockedKernel {
         xb: &[f64],
         nrhs: usize,
     ) {
-        blocked_dispatch!(solve_lower_transpose(panel, m, w, x, xb, nrhs))
+        Isa::detected().run(SolveLowerTranspose(panel, m, w, x, xb, nrhs))
     }
 }
 
@@ -560,7 +568,7 @@ impl BlockedKernel {
     /// `x` (`ys[i][k]` is entry `i` of vector `k`), bit for bit `NB` `dot`
     /// calls. Slices must have equal length.
     pub(crate) fn dot_panel<const NB: usize>(&self, x: &[f64], ys: &[[f64; NB]]) -> [f64; NB] {
-        blocked_dispatch!(dot_block(x, ys))
+        Isa::detected().run(DotBlock(x, ys))
     }
 
     /// Entries per k-block of the Gram tile behind
@@ -583,7 +591,7 @@ impl BlockedKernel {
         ys: &[[f64; W]],
         out: &mut [[f64; W]],
     ) {
-        gram::run(isa, xs, ys, out);
+        isa.run(gram::Gram { xs, ys, out });
     }
 
     /// [`DenseKernel::rank_update`] on the tile of level `isa` rather than
@@ -605,21 +613,18 @@ impl BlockedKernel {
         wj: usize,
         wd: usize,
     ) {
-        tile::run(
-            isa,
-            update,
-            tile::Update {
-                // `lo > m` fails the call's bounds check.
-                ldd: m.saturating_sub(lo),
-                relrows: None,
-                panel,
-                m,
-                lo,
-                wj,
-                wd,
-                sign: 1.0,
-            },
-        );
+        isa.run(tile::Update {
+            dst: update,
+            // `lo > m` fails the call's bounds check.
+            ldd: m.saturating_sub(lo),
+            relrows: None,
+            panel,
+            m,
+            lo,
+            wj,
+            wd,
+            sign: 1.0,
+        });
     }
 
     /// [`DenseKernel::scatter_update`] on the tile of level `isa` rather
@@ -643,57 +648,85 @@ impl BlockedKernel {
         wd: usize,
         subtract: bool,
     ) {
-        tile::run(
-            isa,
+        isa.run(tile::Update {
             dst,
-            tile::Update {
-                ldd,
-                relrows: Some(relrows),
-                panel,
-                m,
-                lo,
-                wj,
-                wd,
-                sign: if subtract { -1.0 } else { 1.0 },
-            },
-        );
+            ldd,
+            relrows: Some(relrows),
+            panel,
+            m,
+            lo,
+            wj,
+            wd,
+            sign: if subtract { -1.0 } else { 1.0 },
+        });
     }
 }
 
-/// The blocked loop bodies, written once and compiled under two feature
-/// sets (generic here, FMA-enabled in [`fma`]). Everything is
-/// `#[inline(always)]` so the `target_feature` wrappers specialize the
-/// whole body, not just a call.
+// The unrolled loops as jobs of the ladder, each holding its arguments in
+// the order of the trait method it serves; their bodies are in `body`.
+struct Dot<'a>(&'a [f64], &'a [f64]);
+struct DotBlock<'a, const NB: usize>(&'a [f64], &'a [[f64; NB]]);
+struct Axpy<'a>(f64, &'a [f64], &'a mut [f64]);
+struct FactorPanel<'a>(&'a mut [f64], usize, usize);
+struct SolveLower<'a>(&'a [f64], usize, usize, &'a mut [f64], usize);
+struct BelowAccumulate<'a>(&'a [f64], usize, usize, &'a [f64], &'a mut [f64], usize);
+struct SolveLowerTranspose<'a>(&'a [f64], usize, usize, &'a mut [f64], &'a [f64], usize);
+
+/// The unrolled loop bodies, written once and compiled at every level of
+/// the ladder. Everything is `#[inline(always)]` so the `target_feature`
+/// entry points specialize the whole body, not just a call. None of them
+/// reads its lane type: they are plain `mul_add` loops LLVM vectorizes.
 mod body {
-    /// Four-lane accumulator dot; the fixed reduction tree keeps the
-    /// result schedule-independent.
-    #[inline(always)]
-    pub(super) fn dot(x: &[f64], y: &[f64]) -> f64 {
-        let n = x.len();
-        let quads = n / 4;
-        let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0, 0.0, 0.0);
-        for q in 0..quads {
-            let b = 4 * q;
-            s0 = x[b].mul_add(y[b], s0);
-            s1 = x[b + 1].mul_add(y[b + 1], s1);
-            s2 = x[b + 2].mul_add(y[b + 2], s2);
-            s3 = x[b + 3].mul_add(y[b + 3], s3);
+    use super::{
+        Axpy, BelowAccumulate, Dot, DotBlock, FactorPanel, Lanes, SimdLoop, SolveLower,
+        SolveLowerTranspose,
+    };
+
+    impl SimdLoop for Dot<'_> {
+        type Output = f64;
+        const ZMM: bool = false;
+
+        /// Four-lane accumulator dot; the fixed reduction tree keeps the
+        /// result schedule-independent.
+        #[inline(always)]
+        unsafe fn run<V: Lanes>(self) -> f64 {
+            let Dot(x, y) = self;
+            let n = x.len();
+            let quads = n / 4;
+            let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0, 0.0, 0.0);
+            for q in 0..quads {
+                let b = 4 * q;
+                s0 = x[b].mul_add(y[b], s0);
+                s1 = x[b + 1].mul_add(y[b + 1], s1);
+                s2 = x[b + 2].mul_add(y[b + 2], s2);
+                s3 = x[b + 3].mul_add(y[b + 3], s3);
+            }
+            let mut tail = 0.0f64;
+            for i in 4 * quads..n {
+                tail = x[i].mul_add(y[i], tail);
+            }
+            ((s0 + s1) + (s2 + s3)) + tail
         }
-        let mut tail = 0.0f64;
-        for i in 4 * quads..n {
-            tail = x[i].mul_add(y[i], tail);
-        }
-        ((s0 + s1) + (s2 + s3)) + tail
     }
 
-    /// [`dot`] of `x` against `NB` vectors at once, `ys[i][k]` being
+    impl<const NB: usize> SimdLoop for DotBlock<'_, NB> {
+        type Output = [f64; NB];
+        const ZMM: bool = false;
+
+        #[inline(always)]
+        unsafe fn run<V: Lanes>(self) -> [f64; NB] {
+            dot_block(self.0, self.1)
+        }
+    }
+
+    /// [`Dot`] of `x` against `NB` vectors at once, `ys[i][k]` being
     /// entry `i` of vector `k`: one pass over `x`, each vector on `dot`'s
     /// own four lanes and reduction tree, so result `k` is bit for bit
     /// `dot(x, y_k)`. The `4 × NB` accumulators are independent chains, so
     /// a wide block keeps the FMA pipes full where a single `dot` waits on
     /// the latency of its four.
     #[inline(always)]
-    pub(super) fn dot_block<const NB: usize>(x: &[f64], ys: &[[f64; NB]]) -> [f64; NB] {
+    fn dot_block<const NB: usize>(x: &[f64], ys: &[[f64; NB]]) -> [f64; NB] {
         let quads = x.len() / 4;
         // s[lane][k]: lane `lane` of `dot`'s accumulator for vector `k`.
         let mut s = [[0.0f64; NB]; 4];
@@ -713,48 +746,60 @@ mod body {
         std::array::from_fn(|k| ((s[0][k] + s[1][k]) + (s[2][k] + s[3][k])) + tail[k])
     }
 
-    #[inline(always)]
-    pub(super) fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-        for (yi, &xi) in y.iter_mut().zip(x) {
-            *yi = alpha.mul_add(xi, *yi);
+    impl SimdLoop for Axpy<'_> {
+        type Output = ();
+        const ZMM: bool = false;
+
+        #[inline(always)]
+        unsafe fn run<V: Lanes>(self) {
+            let Axpy(alpha, x, y) = self;
+            for (yi, &xi) in y.iter_mut().zip(x) {
+                *yi = alpha.mul_add(xi, *yi);
+            }
         }
     }
 
-    #[inline(always)]
-    pub(super) fn factor_panel(panel: &mut [f64], m: usize, w: usize) -> Result<(), (usize, f64)> {
-        for j in 0..w {
-            let (head, tail) = panel.split_at_mut(j * m);
-            let colj = &mut tail[..m];
-            // Two prior columns per pass over the update tail.
-            let mut k = 0;
-            while k + 2 <= j {
-                let ck0 = &head[k * m..(k + 1) * m];
-                let ck1 = &head[(k + 1) * m..(k + 2) * m];
-                let (c0, c1) = (ck0[j], ck1[j]);
-                for i in j..m {
-                    colj[i] = (-c1).mul_add(ck1[i], (-c0).mul_add(ck0[i], colj[i]));
+    impl SimdLoop for FactorPanel<'_> {
+        type Output = Result<(), (usize, f64)>;
+        const ZMM: bool = false;
+
+        #[inline(always)]
+        unsafe fn run<V: Lanes>(self) -> Result<(), (usize, f64)> {
+            let FactorPanel(panel, m, w) = self;
+            for j in 0..w {
+                let (head, tail) = panel.split_at_mut(j * m);
+                let colj = &mut tail[..m];
+                // Two prior columns per pass over the update tail.
+                let mut k = 0;
+                while k + 2 <= j {
+                    let ck0 = &head[k * m..(k + 1) * m];
+                    let ck1 = &head[(k + 1) * m..(k + 2) * m];
+                    let (c0, c1) = (ck0[j], ck1[j]);
+                    for i in j..m {
+                        colj[i] = (-c1).mul_add(ck1[i], (-c0).mul_add(ck0[i], colj[i]));
+                    }
+                    k += 2;
                 }
-                k += 2;
-            }
-            if k < j {
-                let ck = &head[k * m..(k + 1) * m];
-                let c = ck[j];
-                for i in j..m {
-                    colj[i] = (-c).mul_add(ck[i], colj[i]);
+                if k < j {
+                    let ck = &head[k * m..(k + 1) * m];
+                    let c = ck[j];
+                    for i in j..m {
+                        colj[i] = (-c).mul_add(ck[i], colj[i]);
+                    }
+                }
+                let d = colj[j];
+                if d <= 0.0 || !d.is_finite() {
+                    return Err((j, d));
+                }
+                let piv = d.sqrt();
+                colj[j] = piv;
+                let inv = 1.0 / piv;
+                for x in &mut colj[j + 1..] {
+                    *x *= inv;
                 }
             }
-            let d = colj[j];
-            if d <= 0.0 || !d.is_finite() {
-                return Err((j, d));
-            }
-            let piv = d.sqrt();
-            colj[j] = piv;
-            let inv = 1.0 / piv;
-            for x in &mut colj[j + 1..] {
-                *x *= inv;
-            }
+            Ok(())
         }
-        Ok(())
     }
 
     /// Calls `$body::<NB>` for the sweep block width `$nrhs` (1..=8), so
@@ -775,9 +820,15 @@ mod body {
         };
     }
 
-    #[inline(always)]
-    pub(super) fn solve_lower(panel: &[f64], m: usize, w: usize, x: &mut [f64], nrhs: usize) {
-        by_width!(nrhs, solve_lower_block(panel, m, w, x))
+    impl SimdLoop for SolveLower<'_> {
+        type Output = ();
+        const ZMM: bool = false;
+
+        #[inline(always)]
+        unsafe fn run<V: Lanes>(self) {
+            let SolveLower(panel, m, w, x, nrhs) = self;
+            by_width!(nrhs, solve_lower_block(panel, m, w, x))
+        }
     }
 
     #[inline(always)]
@@ -796,16 +847,15 @@ mod body {
         }
     }
 
-    #[inline(always)]
-    pub(super) fn below_accumulate(
-        panel: &[f64],
-        m: usize,
-        w: usize,
-        y: &[f64],
-        acc: &mut [f64],
-        nrhs: usize,
-    ) {
-        by_width!(nrhs, below_accumulate_block(panel, m, w, y, acc))
+    impl SimdLoop for BelowAccumulate<'_> {
+        type Output = ();
+        const ZMM: bool = false;
+
+        #[inline(always)]
+        unsafe fn run<V: Lanes>(self) {
+            let BelowAccumulate(panel, m, w, y, acc, nrhs) = self;
+            by_width!(nrhs, below_accumulate_block(panel, m, w, y, acc))
+        }
     }
 
     #[inline(always)]
@@ -852,16 +902,15 @@ mod body {
         }
     }
 
-    #[inline(always)]
-    pub(super) fn solve_lower_transpose(
-        panel: &[f64],
-        m: usize,
-        w: usize,
-        x: &mut [f64],
-        xb: &[f64],
-        nrhs: usize,
-    ) {
-        by_width!(nrhs, solve_lower_transpose_block(panel, m, w, x, xb))
+    impl SimdLoop for SolveLowerTranspose<'_> {
+        type Output = ();
+        const ZMM: bool = false;
+
+        #[inline(always)]
+        unsafe fn run<V: Lanes>(self) {
+            let SolveLowerTranspose(panel, m, w, x, xb, nrhs) = self;
+            by_width!(nrhs, solve_lower_transpose_block(panel, m, w, x, xb))
+        }
     }
 
     #[inline(always)]
@@ -888,78 +937,25 @@ mod body {
     }
 }
 
-/// `#[target_feature(enable = "fma")]` instantiations of the [`body`]
-/// loops: identical source, compiled with hardware fused multiply-add so
-/// `mul_add` never falls back to libm. Bitwise-identical output (fused
-/// multiply-add is exactly rounded either way); purely a speed dispatch.
-#[cfg(target_arch = "x86_64")]
-mod fma {
-    use super::body;
-
-    /// Re-exports one body under the FMA feature set.
-    macro_rules! fma_variant {
-        (
-            $name:ident $(<const $n:ident: usize>)? ( $($arg:ident : $ty:ty),* )
-            $(-> $ret:ty)?
-        ) => {
-            /// # Safety
-            ///
-            /// The caller must have verified FMA support at runtime.
-            #[target_feature(enable = "fma")]
-            pub(super) unsafe fn $name$(<const $n: usize>)?($($arg: $ty),*) $(-> $ret)? {
-                body::$name($($arg),*)
-            }
-        };
-    }
-
-    fma_variant!(dot(x: &[f64], y: &[f64]) -> f64);
-    fma_variant!(dot_block<const NB: usize>(x: &[f64], ys: &[[f64; NB]]) -> [f64; NB]);
-    fma_variant!(axpy(alpha: f64, x: &[f64], y: &mut [f64]));
-    fma_variant!(factor_panel(panel: &mut [f64], m: usize, w: usize) -> Result<(), (usize, f64)>);
-    fma_variant!(solve_lower(
-        panel: &[f64],
-        m: usize,
-        w: usize,
-        x: &mut [f64],
-        nrhs: usize
-    ));
-    fma_variant!(below_accumulate(
-        panel: &[f64],
-        m: usize,
-        w: usize,
-        y: &[f64],
-        acc: &mut [f64],
-        nrhs: usize
-    ));
-    fma_variant!(solve_lower_transpose(
-        panel: &[f64],
-        m: usize,
-        w: usize,
-        x: &mut [f64],
-        xb: &[f64],
-        nrhs: usize
-    ));
-}
-
-/// The instruction-set level the register tiles of [`BlockedKernel`] (the
-/// rank-k update and the Gram block of [`gram_panel`](crate::gram_panel))
-/// and the panel SpMV
-/// ([`CsrMatrix::spmv_panel_into`](crate::CsrMatrix::spmv_panel_into))
-/// run at.
+/// The instruction-set level a SIMD loop of this crate runs at: a rung of
+/// the ladder whose table in the `kernel.rs` module docs gives each
+/// level's target features per loop family.
 ///
-/// Every level runs the one source of each in this crate, and the result
-/// bits do not depend on the level (see the module docs): it is a speed
-/// dispatch to the widest level the host runs, made once per call. It is
-/// public so tests can run every level the host has against the oracle
+/// The level is chosen in one place, the widest the host runs, once per
+/// call. Every level runs the one source of each loop, and the result bits
+/// do not depend on the level (see the module docs). It is public so tests
+/// can run every level the host has against the oracle
 /// ([`Isa::available`], [`BlockedKernel::scatter_update_at`],
 /// [`BlockedKernel::gram_panel_at`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Isa {
-    /// AVX-512F: a 16 × 6 update tile in twelve 8-lane registers,
-    /// masked row tails; a 3 × 16 Gram tile in twenty-four.
+    /// AVX-512F, with the AVX2 and FMA every such CPU has: a 16 × 6
+    /// update tile in twelve 8-lane registers, masked row tails; a 3 × 16
+    /// Gram tile in twenty-four; the panel SpMV on 8-lane vectors. The
+    /// unrolled loops run the AVX2 level's 256-bit code.
     Avx512,
     /// AVX2 with FMA: an 8 × 4 update tile in eight 4-lane registers; a
-    /// 3 × 4 Gram tile in twelve.
+    /// 3 × 4 Gram tile in twelve; every other loop on 4-lane vectors.
     Avx2,
     /// Portable Rust, `f64::mul_add` on four-element arrays: an 8 × 4
     /// update tile and a 3 × 4 Gram tile.
@@ -967,8 +963,8 @@ pub enum Isa {
 }
 
 impl Isa {
-    /// The widest level this host runs: the one dispatch point of the
-    /// register tiles.
+    /// The widest level this host runs: the one place a loop's level is
+    /// chosen.
     pub(crate) fn detected() -> Isa {
         [Isa::Avx512, Isa::Avx2]
             .into_iter()
@@ -985,11 +981,12 @@ impl Isa {
             .collect()
     }
 
-    /// Whether this host's CPU has the instructions of the level.
+    /// Whether this host's CPU has the instructions of the level, and so
+    /// of every level below it.
     fn runs_here(self) -> bool {
         match self {
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            Isa::Avx512 => std::arch::is_x86_feature_detected!("avx512f") && Isa::Avx2.runs_here(),
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2 => {
                 std::arch::is_x86_feature_detected!("avx2")
@@ -1000,6 +997,71 @@ impl Isa {
             Isa::Portable => true,
         }
     }
+
+    /// Runs `job` at this level: through the level's `target_feature`
+    /// entry point, on its lane type.
+    ///
+    /// # Panics
+    ///
+    /// If this host cannot run the level.
+    pub(crate) fn run<L: SimdLoop>(self, job: L) -> L::Output {
+        assert!(self.runs_here(), "this host cannot run the {self:?} level");
+        match self {
+            // SAFETY (all arms): the host runs the level, just asserted,
+            // and with it every level below (`runs_here`).
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 if L::ZMM => unsafe { avx512(job) },
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 | Isa::Avx2 => unsafe { avx2(job) },
+            #[cfg(not(target_arch = "x86_64"))]
+            Isa::Avx512 | Isa::Avx2 => unreachable!("not an x86-64 host"),
+            Isa::Portable => unsafe { job.run::<Portable>() },
+        }
+    }
+}
+
+/// A SIMD loop of this crate as a job of the ladder: its arguments, and
+/// its body written once over the lane type of the level it runs at.
+pub(crate) trait SimdLoop {
+    /// What the loop returns.
+    type Output;
+
+    /// Whether the loop runs 512-bit vectors at [`Isa::Avx512`]. The
+    /// unrolled `mul_add` loops do not: they take the AVX2 entry point
+    /// there (the module docs say why).
+    const ZMM: bool;
+
+    /// The body on `V`'s lanes, inlined into the entry point of `V`'s
+    /// level.
+    ///
+    /// # Safety
+    ///
+    /// The host must run `V`'s level.
+    unsafe fn run<V: Lanes>(self) -> Self::Output;
+}
+
+/// The AVX-512 entry point: `job` compiled under `avx512f`, on 8 lanes.
+///
+/// # Safety
+///
+/// The host must have AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn avx512<L: SimdLoop>(job: L) -> L::Output {
+    // SAFETY: the host has AVX-512F (contract).
+    unsafe { job.run::<lanes::x86::Avx512>() }
+}
+
+/// The AVX2 entry point: `job` compiled under `avx2,fma`, on 4 lanes.
+///
+/// # Safety
+///
+/// The host must have AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn avx2<L: SimdLoop>(job: L) -> L::Output {
+    // SAFETY: the host has AVX2 and FMA (contract).
+    unsafe { job.run::<lanes::x86::Avx2>() }
 }
 
 /// The register-tiled rank-k update behind [`DenseKernel::rank_update`]
@@ -1018,13 +1080,13 @@ impl Isa {
 /// elsewhere. Row tiles run outermost, so one tile's rows of every `g_k`
 /// stay in L1 across the column tiles.
 mod tile {
-    use super::lanes::{Lanes, Portable};
-    use super::Isa;
+    use super::{Lanes, SimdLoop};
 
     /// One rank-k update: the descendant block it reads and how its
-    /// product lands in the target, column-major storage of leading
+    /// product lands in the target `dst`, column-major storage of leading
     /// dimension `ldd`.
     pub(super) struct Update<'a> {
+        pub(super) dst: &'a mut [f64],
         pub(super) ldd: usize,
         /// `Some(relrows)`: the lower triangle lands at
         /// `dst[relrows[j]·ldd + relrows[i]]`
@@ -1045,8 +1107,9 @@ mod tile {
         /// Asserts every bound the tile's unchecked loads and stores rely
         /// on, once per call: the panel holds `wd·m` entries, `wj ≤ mu`,
         /// every target row is `< ldd`, and every target column fits in
-        /// a target of `dst_len` entries.
-        fn check(&self, dst_len: usize) {
+        /// `dst`.
+        fn check(&self) {
+            let dst_len = self.dst.len();
             assert!(
                 self.lo <= self.m && self.wj <= self.m - self.lo,
                 "rank update: {} columns from row {} of a {}-row panel",
@@ -1099,41 +1162,36 @@ mod tile {
         }
     }
 
-    /// Runs `u` into `dst` on the tile of level `isa`.
-    ///
-    /// # Panics
-    ///
-    /// If the host cannot run `isa`, or `u` fails its bounds checks.
-    pub(super) fn run(isa: Isa, dst: &mut [f64], u: Update<'_>) {
-        assert!(isa.runs_here(), "this host cannot run the {isa:?} tile");
-        u.check(dst.len());
-        let dst = dst.as_mut_ptr();
-        match isa {
-            // SAFETY (all arms): the level runs here and `u` passed its
-            // bounds checks against `dst`, just asserted.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => unsafe { x86::run_avx512(dst, &u) },
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe { x86::run_avx2(dst, &u) },
-            #[cfg(not(target_arch = "x86_64"))]
-            Isa::Avx512 | Isa::Avx2 => unreachable!("not an x86-64 host"),
-            Isa::Portable => unsafe { tiles::<Portable, 4>(dst, &u) },
+    impl SimdLoop for Update<'_> {
+        type Output = ();
+        const ZMM: bool = true;
+
+        /// # Panics
+        ///
+        /// If the update fails its bounds checks.
+        #[inline(always)]
+        unsafe fn run<V: Lanes>(self) {
+            self.check();
+            let dst = self.dst.as_mut_ptr();
+            // SAFETY: the host runs `V`'s level (contract), and the update
+            // passed its bounds checks against `dst`, just asserted.
+            unsafe { tiles::<V>(dst, &self) }
         }
     }
 
-    /// Calls `$tile::<V, NC>` for the column count `$nc` (1 ..= `$nr`,
+    /// Calls `$tile::<V, NC>` for the column count `$nc` (1 ..= `V::NR`,
     /// at most 6), so every count keeps its accumulators in registers;
-    /// counts above `$nr` are never instantiated.
+    /// counts above `V::NR` are never instantiated.
     macro_rules! by_cols {
-        ($nr:expr, $nc:expr, $tile:ident::<$v:ty>( $($arg:expr),* )) => {
+        ($nc:expr, $tile:ident::<$v:ty>( $($arg:expr),* )) => {
             match $nc {
                 1 => $tile::<$v, 1>($($arg),*),
                 2 => $tile::<$v, 2>($($arg),*),
                 3 => $tile::<$v, 3>($($arg),*),
                 4 => $tile::<$v, 4>($($arg),*),
-                5 if $nr >= 5 => $tile::<$v, 5>($($arg),*),
-                6 if $nr >= 6 => $tile::<$v, 6>($($arg),*),
-                nc => unreachable!("a tile holds 1 to {} columns, not {nc}", $nr),
+                5 if <$v>::NR >= 5 => $tile::<$v, 5>($($arg),*),
+                6 if <$v>::NR >= 6 => $tile::<$v, 6>($($arg),*),
+                nc => unreachable!("a tile holds 1 to {} columns, not {nc}", <$v>::NR),
             }
         };
     }
@@ -1148,7 +1206,7 @@ mod tile {
     /// [`Update::check`] against the target `dst` points at, which
     /// nothing else accesses during the call.
     #[inline(always)]
-    pub(super) unsafe fn tiles<V: Lanes, const NR: usize>(dst: *mut f64, u: &Update<'_>) {
+    unsafe fn tiles<V: Lanes>(dst: *mut f64, u: &Update<'_>) {
         let mu = u.m - u.lo;
         let mr = 2 * V::N;
         let mut i0 = 0;
@@ -1158,19 +1216,19 @@ mod tile {
             // Under a scatter, a column tile whose first column lies below
             // every row of this row tile stores nothing.
             while j0 < u.wj && (u.relrows.is_none() || j0 < i0 + nr) {
-                let nc = NR.min(u.wj - j0);
+                let nc = V::NR.min(u.wj - j0);
                 // SAFETY: `i0 + nr ≤ mu` and `j0 + nc ≤ wj`, inside the
                 // bounds `check` asserted (propagated contract). A full
                 // tile passes its row count as a constant, so its loads
                 // and stores compile without masks or tail copies.
                 unsafe {
                     if nr == mr {
-                        by_cols!(NR, nc, tile::<V>(dst, u, i0, j0, mr));
+                        by_cols!(nc, tile::<V>(dst, u, i0, j0, mr));
                     } else {
-                        by_cols!(NR, nc, tile::<V>(dst, u, i0, j0, nr));
+                        by_cols!(nc, tile::<V>(dst, u, i0, j0, nr));
                     }
                 }
-                j0 += NR;
+                j0 += V::NR;
             }
             i0 += mr;
         }
@@ -1260,46 +1318,25 @@ mod tile {
             }
         }
     }
-
-    /// The `target_feature` entry points of the x86-64 levels.
-    #[cfg(target_arch = "x86_64")]
-    mod x86 {
-        use super::super::lanes::x86::{Avx2, Avx512};
-        use super::{tiles, Update};
-
-        /// The 16 × 6 AVX-512 tile.
-        ///
-        /// # Safety
-        ///
-        /// The host must have AVX-512F and `u` must have passed its
-        /// bounds checks.
-        #[target_feature(enable = "avx512f")]
-        pub(super) unsafe fn run_avx512(dst: *mut f64, u: &Update<'_>) {
-            // SAFETY: propagated contract.
-            unsafe { tiles::<Avx512, 6>(dst, u) }
-        }
-
-        /// The 8 × 4 AVX2 tile.
-        ///
-        /// # Safety
-        ///
-        /// The host must have AVX2 and FMA and `u` must have passed its
-        /// bounds checks.
-        #[target_feature(enable = "avx2,fma")]
-        pub(super) unsafe fn run_avx2(dst: *mut f64, u: &Update<'_>) {
-            // SAFETY: propagated contract.
-            unsafe { tiles::<Avx2, 4>(dst, u) }
-        }
-    }
 }
 
 /// The vector operations the register tiles ([`tile`], [`gram`]) are
-/// written in, and one lane type per [`Isa`] level.
+/// written in, and one lane type per [`Isa`] level, which also fixes the
+/// level's tile shapes.
 mod lanes {
-    /// The four vector operations the tiles are written in. `N ≤ 8`.
-    pub(super) trait Lanes: Copy {
+    /// The four vector operations the tiles are written in, and the tile
+    /// shapes of the level. `N ≤ 8`.
+    pub(crate) trait Lanes: Copy {
         /// Lanes per vector.
         const N: usize;
+
+        /// Columns of the `2·N × NR` update tile: 6 under AVX-512, 4
+        /// elsewhere. At most 6.
+        const NR: usize;
+
+        /// Vectors of columns per row of the Gram tile: 2 under AVX-512
+        /// (3 × 16), 1 elsewhere (3 × 4). 1 or 2.
+        const NV: usize;
 
         /// Every lane `x`.
         ///
@@ -1338,6 +1375,8 @@ mod lanes {
 
     impl Lanes for Portable {
         const N: usize = 4;
+        const NR: usize = 4;
+        const NV: usize = 1;
 
         #[inline(always)]
         unsafe fn splat(x: f64) -> Self {
@@ -1383,6 +1422,8 @@ mod lanes {
 
         impl Lanes for Avx512 {
             const N: usize = 8;
+            const NR: usize = 6;
+            const NV: usize = 2;
 
             #[inline(always)]
             unsafe fn splat(x: f64) -> Self {
@@ -1443,6 +1484,8 @@ mod lanes {
 
         impl Lanes for Avx2 {
             const N: usize = 4;
+            const NR: usize = 4;
+            const NV: usize = 1;
 
             #[inline(always)]
             unsafe fn splat(x: f64) -> Self {
@@ -1503,8 +1546,7 @@ mod lanes {
 /// passes over it. Between blocks the lane sums are parked in a
 /// `rows × 4 × W` scratch; storing and reloading an `f64` is exact.
 mod gram {
-    use super::lanes::{Lanes, Portable};
-    use super::Isa;
+    use super::{Lanes, SimdLoop};
 
     /// Entries per k-block: a multiple of four, and 32 KiB of a 16-column
     /// panel.
@@ -1519,34 +1561,39 @@ mod gram {
     /// The four lane sums of one output row, `[lane][column]`.
     type LaneSums<const W: usize> = [[f64; W]; 4];
 
-    /// `out[i][k] = dot(xs[i], y_k)` on the tile of level `isa`.
-    ///
-    /// # Panics
-    ///
-    /// If the host cannot run `isa`, `out` and `xs` differ in length, or a
-    /// vector's length is not the panel's.
-    pub(super) fn run<const W: usize>(
-        isa: Isa,
-        xs: &[&[f64]],
-        ys: &[[f64; W]],
-        out: &mut [[f64; W]],
-    ) {
-        assert!(isa.runs_here(), "this host cannot run the {isa:?} tile");
-        assert_eq!(out.len(), xs.len(), "gram panel: one output row per vector");
-        assert!(
-            xs.iter().all(|x| x.len() == ys.len()),
-            "gram panel: length mismatch"
-        );
-        match isa {
-            // SAFETY (all arms): the level runs here and the shapes were
-            // just asserted.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => unsafe { x86::gram_avx512(xs, ys, out) },
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe { x86::gram_avx2(xs, ys, out) },
-            #[cfg(not(target_arch = "x86_64"))]
-            Isa::Avx512 | Isa::Avx2 => unreachable!("not an x86-64 host"),
-            Isa::Portable => unsafe { panel::<Portable, 1, W>(xs, ys, out) },
+    /// `out[i][k] = dot(xs[i], y_k)` for every vector `xs[i]` and column
+    /// `y_k` of the panel `ys`.
+    pub(super) struct Gram<'a, const W: usize> {
+        pub(super) xs: &'a [&'a [f64]],
+        pub(super) ys: &'a [[f64; W]],
+        pub(super) out: &'a mut [[f64; W]],
+    }
+
+    impl<const W: usize> SimdLoop for Gram<'_, W> {
+        type Output = ();
+        const ZMM: bool = true;
+
+        /// # Panics
+        ///
+        /// If `out` and `xs` differ in length, or a vector's length is not
+        /// the panel's.
+        #[inline(always)]
+        unsafe fn run<V: Lanes>(self) {
+            let Gram { xs, ys, out } = self;
+            assert_eq!(out.len(), xs.len(), "gram panel: one output row per vector");
+            assert!(
+                xs.iter().all(|x| x.len() == ys.len()),
+                "gram panel: length mismatch"
+            );
+            // SAFETY: the host runs `V`'s level (contract) and the shapes
+            // were just asserted.
+            unsafe {
+                match V::NV {
+                    1 => panel::<V, 1, W>(xs, ys, out),
+                    2 => panel::<V, 2, W>(xs, ys, out),
+                    nv => unreachable!("a Gram tile row holds 1 or 2 vectors, not {nv}"),
+                }
+            }
         }
     }
 
@@ -1571,7 +1618,7 @@ mod gram {
     /// The host must run `V`'s level, and every `xs[i]` must hold
     /// `ys.len()` entries; `out` must hold `xs.len()` rows.
     #[inline(always)]
-    pub(super) unsafe fn panel<V: Lanes, const NV: usize, const W: usize>(
+    unsafe fn panel<V: Lanes, const NV: usize, const W: usize>(
         xs: &[&[f64]],
         ys: &[[f64; W]],
         out: &mut [[f64; W]],
@@ -1678,45 +1725,6 @@ mod gram {
                     }
                 }
             }
-        }
-    }
-
-    /// The `target_feature` entry points of the x86-64 levels.
-    #[cfg(target_arch = "x86_64")]
-    mod x86 {
-        use super::super::lanes::x86::{Avx2, Avx512};
-        use super::panel;
-
-        /// The 3 × 16 AVX-512 shape: twenty-four 8-lane sums.
-        ///
-        /// # Safety
-        ///
-        /// The host must have AVX-512F and the shapes must be as
-        /// [`panel`] requires.
-        #[target_feature(enable = "avx512f")]
-        pub(super) unsafe fn gram_avx512<const W: usize>(
-            xs: &[&[f64]],
-            ys: &[[f64; W]],
-            out: &mut [[f64; W]],
-        ) {
-            // SAFETY: propagated contract.
-            unsafe { panel::<Avx512, 2, W>(xs, ys, out) }
-        }
-
-        /// The 3 × 4 AVX2 shape: twelve 4-lane sums.
-        ///
-        /// # Safety
-        ///
-        /// The host must have AVX2 and FMA and the shapes must be as
-        /// [`panel`] requires.
-        #[target_feature(enable = "avx2,fma")]
-        pub(super) unsafe fn gram_avx2<const W: usize>(
-            xs: &[&[f64]],
-            ys: &[[f64; W]],
-            out: &mut [[f64; W]],
-        ) {
-            // SAFETY: propagated contract.
-            unsafe { panel::<Avx2, 1, W>(xs, ys, out) }
         }
     }
 }
@@ -1834,24 +1842,29 @@ mod tests {
         }
     }
 
+    /// The first `w` columns of the SPD-ish `G·Gᵀ + (m+1)·I`, height `m`.
+    fn spd_panel(m: usize, w: usize) -> Vec<f64> {
+        let g = test_panel(m, m, (m + w) as u64);
+        let mut base = vec![0.0f64; w * m];
+        for j in 0..w {
+            for i in 0..m {
+                let mut v = 0.0;
+                for k in 0..m {
+                    v += g[k * m + i] * g[k * m + j];
+                }
+                if i == j {
+                    v += (m + 1) as f64;
+                }
+                base[j * m + i] = v;
+            }
+        }
+        base
+    }
+
     #[test]
     fn factor_and_solves_agree_across_kernels() {
         for (m, w) in [(1usize, 1usize), (6, 3), (13, 5), (40, 32)] {
-            // SPD-ish panel: G·Gᵀ + (m+1)·I on the diagonal block.
-            let g = test_panel(m, m, (m + w) as u64);
-            let mut base = vec![0.0f64; w * m];
-            for j in 0..w {
-                for i in 0..m {
-                    let mut v = 0.0;
-                    for k in 0..m {
-                        v += g[k * m + i] * g[k * m + j];
-                    }
-                    if i == j {
-                        v += (m + 1) as f64;
-                    }
-                    base[j * m + i] = v;
-                }
-            }
+            let base = spd_panel(m, w);
             let mut oracle = base.clone();
             ScalarKernel
                 .factor_panel(&mut oracle, m, w)
@@ -1898,6 +1911,146 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Asserts that `f` returns the same bits at every level this host runs
+    /// as at [`Isa::Portable`].
+    fn same_bits_at_every_level(label: &str, f: impl Fn(Isa) -> Vec<f64>) {
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let want = bits(f(Isa::Portable));
+        for isa in Isa::available() {
+            assert_eq!(bits(f(isa)), want, "{label} at {isa:?}");
+        }
+    }
+
+    /// `dot_block::<NB>` at every level.
+    fn dot_block_at_every_level<const NB: usize>(x: &[f64]) {
+        let flat = test_panel(NB, x.len() + 1, 5);
+        let ys = &flat.as_chunks::<NB>().0[..x.len()];
+        same_bits_at_every_level(&format!("dot_block::<{NB}> len {}", x.len()), |isa| {
+            isa.run(DotBlock(x, ys)).to_vec()
+        });
+    }
+
+    /// The Gram tile at width `W` at every level, over seven vectors (two
+    /// full tiles of three and one short one) of `n` entries.
+    fn gram_at_every_level<const W: usize>(n: usize) {
+        let flat = test_panel(W, n + 1, 7);
+        let ys = &flat.as_chunks::<W>().0[..n];
+        let data = test_panel(n + 1, 7, 9);
+        let xs: Vec<&[f64]> = data.chunks_exact(n + 1).map(|x| &x[..n]).collect();
+        same_bits_at_every_level(&format!("gram W {W} n {n}"), |isa| {
+            let mut out = vec![[0.0; W]; xs.len()];
+            BlockedKernel.gram_panel_at(isa, &xs, ys, &mut out);
+            out.concat()
+        });
+    }
+
+    /// The panel SpMV at width `W` at every level.
+    fn spmv_panel_at_every_level<const W: usize>(a: &crate::CsrMatrix) {
+        let flat = test_panel(W, a.ncols(), 13);
+        let x = flat.as_chunks::<W>().0;
+        same_bits_at_every_level(&format!("spmv_panel W {W}"), |isa| {
+            let mut y = vec![[0.0; W]; a.nrows()];
+            isa.run(crate::sparse::PanelSpmv(a, x, &mut y));
+            y.concat()
+        });
+    }
+
+    /// Every loop the ladder dispatches, at every level this host runs,
+    /// against the portable level bit for bit — the unrolled loops'
+    /// compile without hardware FMA included.
+    #[test]
+    fn every_loop_is_bitwise_portable_at_every_level() {
+        for len in [0usize, 1, 3, 4, 7, 8, 31, 64, 129] {
+            let x = test_panel(len + 1, 1, 11)[..len].to_vec();
+            let y = test_panel(len + 1, 1, 23)[..len].to_vec();
+            same_bits_at_every_level(&format!("dot len {len}"), |isa| vec![isa.run(Dot(&x, &y))]);
+            same_bits_at_every_level(&format!("axpy len {len}"), |isa| {
+                let mut z = y.clone();
+                isa.run(Axpy(0.37, &x, &mut z));
+                z
+            });
+            dot_block_at_every_level::<1>(&x);
+            dot_block_at_every_level::<2>(&x);
+            dot_block_at_every_level::<3>(&x);
+            dot_block_at_every_level::<4>(&x);
+            dot_block_at_every_level::<5>(&x);
+            dot_block_at_every_level::<6>(&x);
+            dot_block_at_every_level::<7>(&x);
+            dot_block_at_every_level::<8>(&x);
+        }
+
+        for (m, w) in [(1usize, 1usize), (6, 3), (13, 5), (40, 32), (45, 9)] {
+            let base = spd_panel(m, w);
+            same_bits_at_every_level(&format!("factor_panel m{m} w{w}"), |isa| {
+                let mut panel = base.clone();
+                isa.run(FactorPanel(&mut panel, m, w)).expect("SPD panel");
+                panel
+            });
+            let mut factor = base.clone();
+            BlockedKernel
+                .factor_panel(&mut factor, m, w)
+                .expect("SPD panel");
+            let factor = &factor;
+            for nrhs in 1..=8 {
+                let label = |step: &str| format!("{step} m{m} w{w} nrhs{nrhs}");
+                let rhs = test_panel(w, nrhs, 97);
+                let xb = test_panel(m - w + 1, nrhs, 3)[..(m - w) * nrhs].to_vec();
+                same_bits_at_every_level(&label("solve_lower"), |isa| {
+                    let mut x = rhs.clone();
+                    isa.run(SolveLower(factor, m, w, &mut x, nrhs));
+                    x
+                });
+                same_bits_at_every_level(&label("below_accumulate"), |isa| {
+                    let mut acc = vec![1.0; (m - w) * nrhs];
+                    isa.run(BelowAccumulate(factor, m, w, &rhs, &mut acc, nrhs));
+                    acc
+                });
+                same_bits_at_every_level(&label("solve_lower_transpose"), |isa| {
+                    let mut x = rhs.clone();
+                    isa.run(SolveLowerTranspose(factor, m, w, &mut x, &xb, nrhs));
+                    x
+                });
+            }
+        }
+
+        for (m, lo, wj, wd) in [
+            (1usize, 0usize, 1usize, 1usize),
+            (9, 2, 3, 3),
+            (23, 6, 7, 6),
+            (40, 8, 17, 32),
+            (50, 3, 20, 9),
+        ] {
+            let panel = test_panel(m, wd, (m * 31 + wd) as u64);
+            let mu = m - lo;
+            // Runs of five consecutive target rows, then a gap.
+            let relrows: Vec<usize> = (0..mu).map(|i| i + i / 5).collect();
+            let ldd = mu + mu / 5;
+            same_bits_at_every_level(&format!("rank_update m{m} wj{wj} wd{wd}"), |isa| {
+                let mut update = vec![0.1; wj * mu];
+                BlockedKernel.rank_update_at(isa, &mut update, &panel, m, lo, wj, wd);
+                update
+            });
+            same_bits_at_every_level(&format!("scatter_update m{m} wj{wj} wd{wd}"), |isa| {
+                let mut dst = test_panel(ldd, ldd, 17);
+                BlockedKernel
+                    .scatter_update_at(isa, &mut dst, ldd, &relrows, &panel, m, lo, wj, wd, true);
+                dst
+            });
+        }
+
+        for n in [0usize, 3, 301, 700] {
+            gram_at_every_level::<1>(n);
+            gram_at_every_level::<5>(n);
+            gram_at_every_level::<16>(n);
+        }
+
+        let a = crate::test_operators::laplacian_2d(7, 9);
+        spmv_panel_at_every_level::<1>(&a);
+        spmv_panel_at_every_level::<4>(&a);
+        spmv_panel_at_every_level::<8>(&a);
+        spmv_panel_at_every_level::<16>(&a);
     }
 
     #[test]

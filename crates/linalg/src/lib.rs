@@ -18,9 +18,12 @@
 //!   supernodal rank-k updates, panel Cholesky, triangular sweeps, the
 //!   contained shards' per-column clique condensation and the Krylov
 //!   dot/axpy primitives. Two
-//!   implementations: [`BlockedKernel`] (unrolled `mul_add` tiles with
-//!   runtime FMA dispatch — the one production kernel) and
-//!   [`ScalarKernel`] (the original loops, the differential oracle).
+//!   implementations: [`BlockedKernel`] (register tiles and unrolled
+//!   `mul_add` loops — the one production kernel) and [`ScalarKernel`]
+//!   (the original loops, the differential oracle). Every SIMD loop of
+//!   the crate, the panel SpMV included, runs at the widest
+//!   instruction-set level the host has ([`Isa`]), chosen in one place
+//!   and bit for bit the same at every level.
 //! * [`SupernodalCholesky`] — the supernodal blocked Cholesky the
 //!   `DirectCholesky` backend runs: dense column panels from
 //!   relaxed supernode amalgamation, rank-k panel updates, and
@@ -139,7 +142,7 @@ pub use sparse::{CooMatrix, CsrMatrix};
 #[doc(hidden)]
 pub use supernodal::{PanelLayout, SymbolicParts};
 pub use supernodal::{SupernodalCholesky, SupernodalOptions, SupernodeStats};
-pub use vecops::{axpy, dot, dot_panel, gram_panel, norm2, norm_inf, scale, sub};
+pub use vecops::{axpy, dot, dot_panel, gram_panel, norm2, scale, sub};
 
 /// Shared unit-test operators (the direct-solver modules all exercise the
 /// same 5-point lattice).

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::kernel::Isa;
+use crate::kernel::{Isa, Lanes, SimdLoop};
 use crate::{MemoryFootprint, PartitionHint};
 
 /// Coordinate-format (triplet) sparse matrix used during assembly.
@@ -388,7 +388,7 @@ impl CsrMatrix {
     /// add, never a fused one — so output `k` is bit for bit `spmv_into` of
     /// input `k` at every width. The `W` independent sums are what the
     /// panel buys: a row's add-latency chain is paid once per `W` columns.
-    /// The loop is compiled at the host's widest [`Isa`] level, which only
+    /// The loop runs at the host's widest [`Isa`] level, which only
     /// decides how many of the `W` sums share a vector register.
     ///
     /// # Panics
@@ -397,15 +397,7 @@ impl CsrMatrix {
     pub fn spmv_panel_into<const W: usize>(&self, x: &[[f64; W]], y: &mut [[f64; W]]) {
         assert_eq!(x.len(), self.ncols, "spmv: x length");
         assert_eq!(y.len(), self.nrows, "spmv: y length");
-        match Isa::detected() {
-            // SAFETY (both arms): `detected` returns only a level the host
-            // runs.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => unsafe { panel_spmv::avx512(self, x, y) },
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe { panel_spmv::avx2(self, x, y) },
-            _ => panel_spmv::rows(self, x, y),
-        }
+        Isa::detected().run(PanelSpmv(self, x, y));
     }
 
     /// Sparse matrix–vector product returning a fresh vector.
@@ -675,16 +667,24 @@ impl CsrMatrix {
     }
 }
 
-/// The body of [`CsrMatrix::spmv_panel_into`], written once and compiled
-/// per [`Isa`] level: the `target_feature` entry points only widen the
-/// vectors LLVM packs the `W` independent sums into.
-mod panel_spmv {
-    use super::CsrMatrix;
+/// [`CsrMatrix::spmv_panel_into`]'s `(a, x, y)` as a job of the
+/// instruction-set ladder: the level only widens the vectors LLVM packs
+/// the `W` independent sums into.
+pub(crate) struct PanelSpmv<'a, const W: usize>(
+    pub(crate) &'a CsrMatrix,
+    pub(crate) &'a [[f64; W]],
+    pub(crate) &'a mut [[f64; W]],
+);
+
+impl<const W: usize> SimdLoop for PanelSpmv<'_, W> {
+    type Output = ();
+    const ZMM: bool = true;
 
     /// Every row: `W` sums from `-0.0`, one rounded product and add per
     /// stored entry in CSR order.
     #[inline(always)]
-    pub(super) fn rows<const W: usize>(a: &CsrMatrix, x: &[[f64; W]], y: &mut [[f64; W]]) {
+    unsafe fn run<V: Lanes>(self) {
+        let PanelSpmv(a, x, y) = self;
         for (yi, w) in y.iter_mut().zip(a.row_ptr.windows(2)) {
             let (lo, hi) = (w[0], w[1]);
             let mut acc = [-0.0f64; W];
@@ -696,28 +696,6 @@ mod panel_spmv {
             }
             *yi = acc;
         }
-    }
-
-    /// [`rows`] under AVX-512F.
-    ///
-    /// # Safety
-    ///
-    /// The host must have AVX-512F.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn avx512<const W: usize>(a: &CsrMatrix, x: &[[f64; W]], y: &mut [[f64; W]]) {
-        rows(a, x, y);
-    }
-
-    /// [`rows`] under AVX2.
-    ///
-    /// # Safety
-    ///
-    /// The host must have AVX2.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn avx2<const W: usize>(a: &CsrMatrix, x: &[[f64; W]], y: &mut [[f64; W]]) {
-        rows(a, x, y);
     }
 }
 

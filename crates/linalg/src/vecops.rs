@@ -2,10 +2,10 @@
 //!
 //! The contraction primitives (`dot`, its `NB`-vector form `dot_panel`,
 //! its many-against-many form `gram_panel`, `axpy`, and `norm2` through
-//! `dot`)
-//! delegate to [`BlockedKernel`] — the unrolled `mul_add` microkernels with
-//! runtime FMA dispatch from `kernel.rs` — so CG/GMRES inherit the same
-//! tuned loops the supernodal factorization runs on. `BlockedKernel` is
+//! `dot`) delegate to [`BlockedKernel`] — the unrolled `mul_add`
+//! microkernels and the Gram tile of `kernel.rs`, run at the widest
+//! instruction-set level ([`Isa`]) the host has — so CG/GMRES inherit the
+//! same tuned loops the supernodal factorization runs on. `BlockedKernel` is
 //! pinned here (rather than following `KernelChoice`) so free-function
 //! results never depend on a per-solver configuration. The element-wise
 //! helpers stay plain slice loops: they are memory-bound and the compiler
@@ -66,12 +66,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
 }
 
-/// Max norm `‖x‖∞`.
-#[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-}
-
 /// `y ← y + alpha * x`.
 ///
 /// # Panics
@@ -111,7 +105,6 @@ mod tests {
         let x = [3.0, 4.0];
         assert_eq!(dot(&x, &x), 25.0);
         assert_eq!(norm2(&x), 5.0);
-        assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
     }
 
     #[test]
