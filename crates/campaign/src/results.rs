@@ -105,6 +105,11 @@ pub fn campaign_sections(reports: &[CampaignReport]) -> Vec<BenchSection> {
                         "operator_reused".to_string(),
                         f64::from(u8::from(stats.operator_reused)),
                     ));
+                    // Only verified solves carry one: `verify` on the
+                    // direct family, or `auto`'s own check.
+                    if let Some(residual) = stats.verified_residual.filter(|r| r.is_finite()) {
+                        entries.push(("verified_residual".to_string(), residual));
+                    }
                 }
                 // The failure text lives in the human-readable CLI
                 // output; the numeric record only tallies the outcome.

@@ -16,9 +16,9 @@
 use std::fmt;
 use std::path::Path;
 
-use morestress_core::{RomSolver, SimulatorBuilder};
+use morestress_core::SimulatorBuilder;
 use morestress_fem::{Material, MaterialSet};
-use morestress_linalg::VerifyPolicy;
+use morestress_linalg::{LinearSolver, VerifyPolicy};
 use morestress_mesh::{
     BlockKind, BlockLayout, BlockResolution, TsvGeometry, MAT_CU, MAT_LINER, MAT_ORGANIC, MAT_SI,
 };
@@ -79,17 +79,22 @@ impl ArraySpec {
     }
 }
 
-/// The global-stage solver selection of the reference config's `solver`
-/// block.
+/// The global-stage solver name of the reference config's `solver`
+/// block (`global_solver:`). [`SolverSpec::rom_solver`] maps each name to
+/// a [`LinearSolver`], whose `backend` is the one mapping to a solver
+/// backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverChoice {
-    /// Sparse supernodal Cholesky.
+    /// Sparse supernodal Cholesky ([`LinearSolver::DirectCholesky`]).
     Direct,
-    /// GMRES (the paper's default iterative choice).
+    /// Jacobi-preconditioned GMRES at the spec's `tolerance` (the paper's
+    /// default iterative choice).
     Gmres,
-    /// Conjugate gradients.
+    /// Jacobi-preconditioned conjugate gradients at the spec's
+    /// `tolerance`.
     Cg,
-    /// Size-based automatic selection.
+    /// [`LinearSolver::Auto`]: direct up to 120 000 free rows, SSOR-CG
+    /// above, verified at its own 1e-9 whatever the spec's `verify`.
     Auto,
 }
 
@@ -107,6 +112,10 @@ pub enum VerifyChoice {
 
 /// The solver block: interpolation grid, backend selection, shards,
 /// verification.
+///
+/// `verify` applies to `direct` and sharded solves. `auto` verifies
+/// itself at 1e-9, and `gmres` and `cg` ignore it: their `tolerance` is
+/// their stopping rule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverSpec {
     /// Interpolation nodes per block edge, one count per axis `[x, y, z]`
@@ -164,18 +173,18 @@ impl Default for SolverSpec {
 }
 
 impl SolverSpec {
-    /// The [`RomSolver`] this block selects (shards win over the backend
-    /// name, matching [`SimulatorBuilder::shards`] semantics).
-    pub fn rom_solver(&self) -> RomSolver {
+    /// The [`LinearSolver`] this block's `global_solver` names. A nonzero
+    /// `shards` wins over it ([`SimulatorBuilder::shards`] semantics).
+    pub fn rom_solver(&self) -> LinearSolver {
         match self.global_solver {
-            SolverChoice::Direct => RomSolver::DirectCholesky,
-            SolverChoice::Gmres => RomSolver::Gmres {
+            SolverChoice::Direct => LinearSolver::DirectCholesky,
+            SolverChoice::Gmres => LinearSolver::Gmres {
                 tol: self.tolerance,
             },
-            SolverChoice::Cg => RomSolver::Cg {
+            SolverChoice::Cg => LinearSolver::Cg {
                 tol: self.tolerance,
             },
-            SolverChoice::Auto => RomSolver::Auto,
+            SolverChoice::Auto => LinearSolver::Auto,
         }
     }
 

@@ -8,7 +8,7 @@
 //! bits updates them and says so in CHANGES.md; a failing run lists every
 //! moved checksum and prints the `CHECKSUMS` block that re-records them.
 
-use morestress_campaign::{CampaignRunner, CampaignSpec, JobOutcome};
+use morestress_campaign::{results, CampaignReport, CampaignRunner, CampaignSpec, JobOutcome};
 
 /// `(array, load, peak von Mises [MPa], peak |u| [µm])` per job, in the
 /// runner's canonical order.
@@ -39,6 +39,14 @@ fn example_with(from: &str, to: &str) -> CampaignSpec {
     let text = std::fs::read_to_string(path).expect("examples/campaign.yml reads");
     assert!(text.contains(from), "examples/campaign.yml has no `{from}`");
     CampaignSpec::parse(&text.replace(from, to)).expect("substituted spec parses")
+}
+
+/// How many sections of the results JSON carry a `verified_residual`.
+fn sections_with_a_residual(reports: &[CampaignReport]) -> usize {
+    results::campaign_sections(reports)
+        .iter()
+        .filter(|(_, entries)| entries.iter().any(|(key, _)| key == "verified_residual"))
+        .count()
 }
 
 /// One campaign-level differential over every global-solver backend: the
@@ -89,6 +97,13 @@ fn every_backend_reproduces_the_recorded_peaks() {
         let [report] = &reports[..] else {
             panic!("{leg}: one campaign in, {} reports out", reports.len());
         };
+        // The example asks for `verify: report`, which the direct family
+        // honours and the Krylov legs ignore: the results JSON shows which.
+        assert_eq!(
+            sections_with_a_residual(&reports),
+            if iterative { 0 } else { GOLDEN.len() },
+            "{leg}: job sections with a verified residual"
+        );
         assert_eq!(report.jobs.len(), GOLDEN.len(), "{leg}");
         for (job, &(array, load, von_mises, displacement)) in report.jobs.iter().zip(&GOLDEN) {
             assert_eq!((job.array_index, job.load_index), (array, load), "{leg}");
@@ -165,6 +180,7 @@ fn example_campaign_reproduces_the_recorded_peaks() {
         );
         checksums.push(*checksum);
     }
+    assert_eq!(sections_with_a_residual(&reports), GOLDEN.len());
 
     // Every job is checked before anything fails, so one run reports every
     // moved checksum and the block that re-records them.

@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 
 use morestress_fem::{DirichletBcs, FemError, ReducedSystem};
 use morestress_linalg::{
-    Auto, Cg, CgOptions, CsrMatrix, DegradationTrail, DirectCholesky, FactorCache, Gmres,
-    MemoryFootprint, PartitionHint, PrecondSpec, Sharded, SolverBackend, VerifyPolicy, WorkPool,
+    CsrMatrix, DegradationTrail, FactorCache, LinearSolver, MemoryFootprint, PartitionHint,
+    SolverBackend, VerifyPolicy, WorkPool,
 };
 use morestress_mesh::{BlockKind, BlockLayout};
 
@@ -49,106 +49,12 @@ impl fmt::Debug for GlobalBc {
     }
 }
 
-/// Which solver the global stage uses.
-///
-/// Every variant maps onto the unified [`SolverBackend`] layer of
-/// `morestress-linalg` via [`RomSolver::backend`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RomSolver {
-    /// Jacobi-preconditioned restarted GMRES (the paper's prescription).
-    Gmres {
-        /// Relative residual tolerance.
-        tol: f64,
-    },
-    /// Jacobi-preconditioned CG (valid because the Galerkin projection of
-    /// the SPD elasticity operator is SPD).
-    Cg {
-        /// Relative residual tolerance.
-        tol: f64,
-    },
-    /// Direct sparse Cholesky. The paper prefers iterative solvers here
-    /// because *its* global stage solves each system once — but with the
-    /// batched [`GlobalStage::solve_many`] path and the
-    /// [`FactorCache`], one factorization serves every thermal
-    /// load, which flips the economics in favor of the direct solver.
-    DirectCholesky,
-    /// Direct Cholesky for small reduced systems, preconditioned CG above
-    /// the threshold.
-    Auto,
-    /// Domain-decomposition sharding: the reduced global operator is
-    /// partitioned into `shards` interior blocks coupled by a
-    /// Schur-complement interface system, each block factored
-    /// independently (and concurrently) by the direct Cholesky backend.
-    /// This bounds the peak factor memory by the largest *shard* factor
-    /// instead of the whole array's, which is what lets array size keep
-    /// growing past one factorization's memory. The shards are cut along
-    /// block boundaries from the block-grid hint the stage attaches to the
-    /// reduced operator. `shards <= 1` degenerates to
-    /// [`RomSolver::DirectCholesky`].
-    Sharded {
-        /// Interior shard count (the plan may produce fewer: never more
-        /// than the array has blocks, and one on operators too small to
-        /// cut).
-        shards: usize,
-    },
-}
-
-impl Default for RomSolver {
-    fn default() -> Self {
-        RomSolver::Gmres { tol: 1e-9 }
-    }
-}
-
-impl RomSolver {
-    /// Maps this selection to a `morestress-linalg` solver backend — the one
-    /// such mapping; every global-stage solve routes through a backend it
-    /// returned.
-    ///
-    /// `verify` applies to the direct-Cholesky family
-    /// ([`RomSolver::DirectCholesky`] and [`RomSolver::Sharded`], including
-    /// each shard's inner factorization); the iterative selections keep
-    /// their own configuration and ignore it. [`VerifyPolicy::Off`] is
-    /// those backends' own default.
-    ///
-    /// Each call constructs a *fresh* backend — for [`RomSolver::Sharded`]
-    /// that means no retained previous preparation, so callers that solve
-    /// repeatedly construct once and lend it to every stage through
-    /// [`GlobalStage::with_backend`], as
-    /// [`MoreStressSimulator`](crate::MoreStressSimulator) does.
-    pub fn backend(self, verify: VerifyPolicy) -> Box<dyn SolverBackend> {
-        let direct = DirectCholesky {
-            verify,
-            ..DirectCholesky::default()
-        };
-        match self {
-            RomSolver::Gmres { tol } => Box::new(Gmres::with_tol(tol)),
-            RomSolver::Cg { tol } => Box::new(Cg {
-                opts: CgOptions {
-                    tol,
-                    max_iter: 50_000,
-                },
-                precond: PrecondSpec::Jacobi,
-            }),
-            RomSolver::DirectCholesky => Box::new(direct),
-            RomSolver::Auto => Box::new(Auto {
-                direct_limit: 20_000,
-                tol: 1e-9,
-            }),
-            RomSolver::Sharded { shards } => {
-                let mut sharded = Sharded::with_inner(shards.max(1), direct);
-                sharded.verify = verify;
-                Box::new(sharded)
-            }
-        }
-    }
-}
-
 /// The backend of a [`GlobalStage`] built without
 /// [`with_backend`](GlobalStage::with_backend): the paper's GMRES of
-/// [`RomSolver::default`]. It holds no state, so one instance serves every
-/// such stage.
+/// [`LinearSolver::default`]. It holds no state, so one instance serves
+/// every such stage.
 static DEFAULT_BACKEND: LazyLock<Box<dyn SolverBackend>> =
-    LazyLock::new(|| RomSolver::default().backend(VerifyPolicy::Off));
+    LazyLock::new(|| LinearSolver::default().backend(VerifyPolicy::Off));
 
 /// The lattice of global interpolation nodes of an array.
 ///
@@ -424,7 +330,7 @@ pub struct GlobalStage<'a> {
 
 impl<'a> GlobalStage<'a> {
     /// Creates a global stage using one ROM for TSV blocks, solving with
-    /// the paper's GMRES ([`RomSolver::default`]) until
+    /// the paper's GMRES ([`LinearSolver::default`]) until
     /// [`with_backend`](Self::with_backend) lends it another backend.
     pub fn new(rom_tsv: &'a ReducedOrderModel) -> Self {
         Self {
@@ -463,7 +369,7 @@ impl<'a> GlobalStage<'a> {
     }
 
     /// Routes every solve through a caller-owned backend (build one with
-    /// [`RomSolver::backend`]) instead of the default GMRES — so prepared
+    /// [`LinearSolver::backend`]) instead of the default GMRES — so prepared
     /// state living *inside* the backend (the `Sharded` backend's retained
     /// previous preparation behind the incremental re-factorization)
     /// survives beyond this stage's lifetime.
@@ -1123,15 +1029,15 @@ mod tests {
     fn gmres_and_cg_agree() {
         let rom = rom(BlockKind::Tsv);
         let layout = BlockLayout::uniform(2, 1, BlockKind::Tsv);
-        let solve = |solver: RomSolver| {
+        let solve = |solver: LinearSolver| {
             let backend = solver.backend(VerifyPolicy::Off);
             GlobalStage::new(&rom)
                 .with_backend(&*backend)
                 .solve(&layout, -250.0, &GlobalBc::ClampedTopBottom)
                 .unwrap()
         };
-        let a = solve(RomSolver::Gmres { tol: 1e-11 });
-        let b = solve(RomSolver::Cg { tol: 1e-11 });
+        let a = solve(LinearSolver::Gmres { tol: 1e-11 });
+        let b = solve(LinearSolver::Cg { tol: 1e-11 });
         let peak = a
             .nodal_displacement()
             .iter()

@@ -16,8 +16,11 @@
 //!   (Eqs. 18–19), stored in a [`ReducedOrderModel`].
 //! * **Global stage** ([`GlobalStage`]) — the array becomes an abstract
 //!   mesh of such elements sharing surface nodes; standard assembly
-//!   produces a small sparse system solved by GMRES (the paper's choice) or
-//!   CG. Displacement and stress anywhere are reconstructed from the basis.
+//!   produces a small sparse system solved by GMRES (the paper's choice),
+//!   CG or a direct factor — named by `morestress-linalg`'s one
+//!   [`LinearSolver`](morestress_linalg::LinearSolver) selection, the same
+//!   one the full-FEM driver takes. Displacement and stress anywhere are
+//!   reconstructed from the basis.
 //!
 //! The only approximation is the Lagrange interpolation of the block
 //! boundary displacement, so the error decays rapidly as `(nx, ny, nz)`
@@ -58,7 +61,7 @@ mod reconstruct;
 mod simulator;
 
 pub use error::RomError;
-pub use global::{GlobalBc, GlobalLattice, GlobalSolution, GlobalStage, GlobalStats, RomSolver};
+pub use global::{GlobalBc, GlobalLattice, GlobalSolution, GlobalStage, GlobalStats};
 pub use interp::{lagrange_weights, InterpolationGrid};
 pub use local::{LocalStage, LocalStageOptions, LocalStageStats};
 pub use model::ReducedOrderModel;

@@ -3,13 +3,13 @@
 use std::path::PathBuf;
 
 use morestress_fem::{MaterialSet, ScalarField2d};
-use morestress_linalg::{FactorCache, SolverBackend, VerifyPolicy};
+use morestress_linalg::{FactorCache, LinearSolver, SolverBackend, VerifyPolicy};
 use morestress_mesh::{BlockKind, BlockLayout, BlockResolution, TsvGeometry};
 
 use crate::model::build_or_load_cached;
 use crate::{
     sample_array_von_mises, GlobalBc, GlobalSolution, GlobalStage, InterpolationGrid,
-    LocalStageOptions, ReducedOrderModel, RomError, RomSolver,
+    LocalStageOptions, ReducedOrderModel, RomError,
 };
 
 /// End-to-end MORE-Stress simulator: builds the one-shot ROMs and answers
@@ -56,22 +56,22 @@ pub struct MoreStressSimulator {
 ///
 /// Defaults (geometry aside, which is always explicit):
 /// [`BlockResolution::coarse`], `[3, 3, 3]` interpolation,
-/// [`MaterialSet::tsv_defaults`], the default [`RomSolver`] (GMRES, the
+/// [`MaterialSet::tsv_defaults`], the default [`LinearSolver`] (GMRES, the
 /// paper's choice), no shard override, [`VerifyPolicy::Off`], no
 /// dummy-block model, no on-disk ROM cache.
 ///
 /// The [`verify`](Self::verify) policy applies to the direct-Cholesky
-/// backend family (plain [`RomSolver::DirectCholesky`] and the sharded
-/// route, including each shard's inner factorization); the iterative
-/// selections (`Gmres`, `Cg`, `Auto`) keep their own configuration and
-/// ignore it.
+/// backend family (plain [`LinearSolver::DirectCholesky`] and the sharded
+/// route, including each shard's inner factorization); `Auto` verifies
+/// itself at its own tolerance, and `Gmres` and `Cg` ignore it (see
+/// [`LinearSolver::backend`]).
 #[derive(Debug, Clone)]
 pub struct SimulatorBuilder {
     geom: TsvGeometry,
     res: BlockResolution,
     interp: InterpolationGrid,
     materials: MaterialSet,
-    solver: RomSolver,
+    solver: LinearSolver,
     shards: Option<usize>,
     verify: VerifyPolicy,
     build_dummy: bool,
@@ -88,7 +88,7 @@ impl SimulatorBuilder {
             res: BlockResolution::coarse(),
             interp: InterpolationGrid::new([3, 3, 3]),
             materials: MaterialSet::tsv_defaults(),
-            solver: RomSolver::default(),
+            solver: LinearSolver::default(),
             shards: None,
             verify: VerifyPolicy::Off,
             build_dummy: false,
@@ -119,12 +119,6 @@ impl SimulatorBuilder {
         self
     }
 
-    /// Interpolation grid, when one is already at hand.
-    pub fn interpolation_grid(mut self, interp: InterpolationGrid) -> Self {
-        self.interp = interp;
-        self
-    }
-
     /// Material registry (default: [`MaterialSet::tsv_defaults`]).
     pub fn materials(mut self, materials: MaterialSet) -> Self {
         self.materials = materials;
@@ -132,13 +126,13 @@ impl SimulatorBuilder {
     }
 
     /// Global-stage solver selection (default: the paper's GMRES).
-    pub fn solver(mut self, solver: RomSolver) -> Self {
+    pub fn solver(mut self, solver: LinearSolver) -> Self {
         self.solver = solver;
         self
     }
 
     /// Runs the global stage on the sharded Schur-complement path
-    /// ([`RomSolver::Sharded`]) with this interior shard count, overriding
+    /// ([`LinearSolver::Sharded`]) with this interior shard count, overriding
     /// [`solver`](Self::solver). The global stage attaches the block-grid
     /// geometry of each free DoF to the reduced operator as a partition
     /// hint, and the shard plan is cut along those block boundaries: any
@@ -229,7 +223,7 @@ impl SimulatorBuilder {
             }
         };
         let solver = match self.shards {
-            Some(shards) => RomSolver::Sharded { shards },
+            Some(shards) => LinearSolver::Sharded { shards },
             None => self.solver,
         };
         Ok(MoreStressSimulator {

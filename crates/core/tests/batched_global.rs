@@ -2,10 +2,11 @@
 //! serving many thermal loads through `solve_many`, with results matching
 //! individual solves, and cross-backend agreement on the reduced system.
 
-use morestress_core::{GlobalBc, MoreStressSimulator, RomSolver};
+use morestress_core::{GlobalBc, MoreStressSimulator};
+use morestress_linalg::LinearSolver;
 use morestress_mesh::{BlockKind, BlockLayout, TsvGeometry};
 
-fn build_sim(solver: RomSolver) -> MoreStressSimulator {
+fn build_sim(solver: LinearSolver) -> MoreStressSimulator {
     MoreStressSimulator::builder(&TsvGeometry::paper_defaults(15.0))
         .solver(solver)
         .build()
@@ -20,7 +21,7 @@ fn max_abs(v: &[f64]) -> f64 {
 /// one cached factorization via `solve_many`, matching individual solves.
 #[test]
 fn one_cached_factorization_serves_many_loads() {
-    let sim = build_sim(RomSolver::DirectCholesky);
+    let sim = build_sim(LinearSolver::DirectCholesky);
     let layout = BlockLayout::uniform(3, 3, BlockKind::Tsv);
     let bc = GlobalBc::ClampedTopBottom;
     let loads = [-250.0, -100.0, 40.0, 300.0, -25.0];
@@ -64,7 +65,7 @@ fn one_cached_factorization_serves_many_loads() {
 /// in ΔT — a physical invariant the batched rhs construction must honor.
 #[test]
 fn batched_solutions_scale_linearly_in_delta_t() {
-    let sim = build_sim(RomSolver::DirectCholesky);
+    let sim = build_sim(LinearSolver::DirectCholesky);
     let layout = BlockLayout::uniform(2, 2, BlockKind::Tsv);
     let batch = sim
         .solve_array_many(&layout, &[-100.0, -200.0], &GlobalBc::ClampedTopBottom)
@@ -89,10 +90,10 @@ fn all_rom_solvers_agree_on_the_reduced_system() {
     let layout = BlockLayout::uniform(2, 2, BlockKind::Tsv);
     let bc = GlobalBc::ClampedTopBottom;
     let solvers = [
-        RomSolver::DirectCholesky,
-        RomSolver::Gmres { tol: 1e-11 },
-        RomSolver::Cg { tol: 1e-11 },
-        RomSolver::Auto,
+        LinearSolver::DirectCholesky,
+        LinearSolver::Gmres { tol: 1e-11 },
+        LinearSolver::Cg { tol: 1e-11 },
+        LinearSolver::Auto,
     ];
     let reference = build_sim(solvers[0])
         .solve_array(&layout, -250.0, &bc)
@@ -121,7 +122,7 @@ fn all_rom_solvers_agree_on_the_reduced_system() {
 #[test]
 fn batched_submodel_solves_match_looped_solves() {
     use std::sync::Arc;
-    let sim = build_sim(RomSolver::Gmres { tol: 1e-11 });
+    let sim = build_sim(LinearSolver::Gmres { tol: 1e-11 });
     let layout = BlockLayout::uniform(2, 1, BlockKind::Tsv);
     // A nonzero, position-dependent boundary closure (independent of ΔT).
     let bc = GlobalBc::SubmodelBoundary(Arc::new(|p: [f64; 3]| {

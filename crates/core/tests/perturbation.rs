@@ -11,8 +11,8 @@
 //! plan) and a real decomposition; the thread axis serial vs saturated
 //! pools.
 
-use morestress_core::{GlobalBc, GlobalStage, MoreStressSimulator, RomSolver};
-use morestress_linalg::VerifyPolicy;
+use morestress_core::{GlobalBc, GlobalStage, MoreStressSimulator};
+use morestress_linalg::{LinearSolver, VerifyPolicy};
 use morestress_mesh::{BlockKind, BlockLayout, TsvGeometry};
 
 /// Shard count under test: `MORESTRESS_SHARDS` when set (the CI matrix
@@ -43,7 +43,7 @@ fn scratch_solve(
     loads: &[f64],
     bc: &GlobalBc,
 ) -> Vec<morestress_core::GlobalSolution> {
-    let backend = RomSolver::Sharded { shards }.backend(VerifyPolicy::Off);
+    let backend = LinearSolver::Sharded { shards }.backend(VerifyPolicy::Off);
     GlobalStage::new(sim.tsv_model())
         .with_dummy(sim.dummy_model().expect("dummy ROM built"))
         .expect("compatible ROMs")

@@ -16,12 +16,13 @@
 
 use morestress_core::{
     sample_array_von_mises, GlobalBc, GlobalStage, InterpolationGrid, LocalStage,
-    LocalStageOptions, MoreStressSimulator, ReducedOrderModel, RomSolver,
+    LocalStageOptions, MoreStressSimulator, ReducedOrderModel,
 };
 use morestress_fem::MaterialSet;
 use morestress_linalg::{
-    CooMatrix, DirectCholesky, FactorCache, FillOrdering, KernelChoice, PartitionHint, Sharded,
-    SolverBackend, SupernodalCholesky, SupernodalOptions, VerifyPolicy, WorkPool,
+    CooMatrix, DirectCholesky, FactorCache, FillOrdering, KernelChoice, LinearSolver,
+    PartitionHint, Sharded, SolverBackend, SupernodalCholesky, SupernodalOptions, VerifyPolicy,
+    WorkPool,
 };
 use morestress_mesh::{BlockKind, BlockLayout, BlockResolution, TsvGeometry};
 
@@ -110,7 +111,10 @@ fn batched_global_solve_is_pool_size_invariant() {
     let loads = [-250.0, -100.0, 40.0, 300.0, -25.0, 10.0, -60.0];
     // Both a direct and an iterative backend: each right-hand side is an
     // independent task, so both must be schedule-independent.
-    for solver in [RomSolver::DirectCholesky, RomSolver::Gmres { tol: 1e-10 }] {
+    for solver in [
+        LinearSolver::DirectCholesky,
+        LinearSolver::Gmres { tol: 1e-10 },
+    ] {
         let backend = solver.backend(VerifyPolicy::Off);
         let solve = |cap: usize| {
             WorkPool::new(cap).install(|| {
@@ -504,7 +508,7 @@ fn full_pipeline_is_pool_size_invariant() {
     let run = |cap: usize| {
         WorkPool::new(cap).install(|| {
             let sim = MoreStressSimulator::builder(&TsvGeometry::paper_defaults(15.0))
-                .solver(RomSolver::DirectCholesky)
+                .solver(LinearSolver::DirectCholesky)
                 .build_dummy(true)
                 .build()
                 .expect("simulator builds");

@@ -11,10 +11,10 @@ use std::sync::OnceLock;
 
 use morestress_core::{
     GlobalBc, GlobalSolution, GlobalStage, InterpolationGrid, LocalStage, LocalStageOptions,
-    MoreStressSimulator, ReducedOrderModel, RomSolver, SimulatorBuilder,
+    MoreStressSimulator, ReducedOrderModel, SimulatorBuilder,
 };
 use morestress_fem::{Material, MaterialSet};
-use morestress_linalg::{DirectCholesky, FactorCache};
+use morestress_linalg::{DirectCholesky, FactorCache, LinearSolver};
 use morestress_mesh::{BlockKind, BlockLayout, BlockResolution, TsvGeometry, MAT_SI};
 
 const BC: GlobalBc = GlobalBc::ClampedTopBottom;
@@ -58,7 +58,7 @@ fn simulator(configure: fn(SimulatorBuilder) -> SimulatorBuilder) -> MoreStressS
 }
 
 fn direct(builder: SimulatorBuilder) -> SimulatorBuilder {
-    builder.solver(RomSolver::DirectCholesky)
+    builder.solver(LinearSolver::DirectCholesky)
 }
 
 fn sharded(builder: SimulatorBuilder) -> SimulatorBuilder {

@@ -1,8 +1,8 @@
 //! The end-to-end full-FEM driver — the reproduction's "ANSYS substitute".
 //!
 //! Assembles the thermoelastic system on a mesh, applies Dirichlet
-//! constraints by symmetric elimination, and solves through the unified
-//! [`SolverBackend`] layer of `morestress-linalg` — directly (sparse
+//! constraints by symmetric elimination, and solves through the backend
+//! of the workspace's one [`LinearSolver`] selection — directly (sparse
 //! Cholesky) or iteratively (CG/GMRES — the paper also runs ANSYS with its
 //! iterative solver for the large models). Wall time, iteration counts and
 //! an analytic peak memory estimate are reported for the cost columns of
@@ -12,55 +12,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use morestress_linalg::{CgOptions, MemoryFootprint, PrecondSpec, SolverBackend};
+use morestress_linalg::{LinearSolver, MemoryFootprint, VerifyPolicy};
 use morestress_mesh::HexMesh;
 
 use crate::{assemble_system, DirichletBcs, FemError, MaterialSet, ReducedSystem};
-
-/// Which linear solver the driver uses on the reduced system.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LinearSolver {
-    /// The supernodal Cholesky factor under `FillOrdering::Auto` (exact;
-    /// memory-hungry on large meshes — which is precisely the cost the
-    /// paper measures for FEM).
-    DirectCholesky,
-    /// Conjugate gradients with SSOR preconditioning.
-    Cg {
-        /// Relative residual tolerance.
-        tol: f64,
-    },
-    /// Restarted GMRES with Jacobi preconditioning.
-    Gmres {
-        /// Relative residual tolerance.
-        tol: f64,
-    },
-    /// Direct Cholesky below the DoF threshold, CG above it. This mirrors
-    /// common practice (and the paper's ANSYS setup, which switches to the
-    /// iterative solver for large models).
-    Auto,
-}
-
-impl LinearSolver {
-    /// Maps this selection to a `morestress-linalg` solver backend; every
-    /// solve in this crate routes through the returned backend.
-    pub fn backend(&self) -> Box<dyn SolverBackend> {
-        match *self {
-            LinearSolver::DirectCholesky => Box::new(morestress_linalg::DirectCholesky::default()),
-            LinearSolver::Cg { tol } => Box::new(morestress_linalg::Cg {
-                opts: CgOptions {
-                    tol,
-                    max_iter: 20_000,
-                },
-                precond: PrecondSpec::Ssor { omega: 1.2 },
-            }),
-            LinearSolver::Gmres { tol } => Box::new(morestress_linalg::Gmres::with_tol(tol)),
-            LinearSolver::Auto => Box::new(morestress_linalg::Auto {
-                direct_limit: AUTO_DIRECT_LIMIT,
-                tol: 1e-9,
-            }),
-        }
-    }
-}
 
 /// Cost accounting of one solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,9 +48,6 @@ pub struct FemSolution {
     /// Cost accounting.
     pub stats: SolveStats,
 }
-
-/// DoF threshold below which [`LinearSolver::Auto`] picks the direct solver.
-const AUTO_DIRECT_LIMIT: usize = 120_000;
 
 /// Solves the thermoelastic problem `−∇·σ(u) = 0` with thermal load `ΔT`
 /// and the given Dirichlet constraints (Eq. 1 of the paper) on a mesh.
@@ -164,7 +116,9 @@ pub fn solve_thermal_stress_many(
             .sum::<usize>();
 
     let n_free = reduced.num_free();
-    let prepared = solver.backend().prepare(Arc::clone(&reduced.a_ff))?;
+    let prepared = solver
+        .backend(VerifyPolicy::Off)
+        .prepare(Arc::clone(&reduced.a_ff))?;
     // `default_solve_threads` is the current pool's cap; the batch runs on
     // the shared pool's resident workers, so this composes safely with any
     // parallel caller (no thread multiplication).

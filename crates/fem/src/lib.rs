@@ -5,6 +5,9 @@
 //! isotropic thermoelastic constitutive law, small-strain kinematics) with
 //! trilinear Hex8 elements, 2×2×2 Gauss quadrature, symmetric Dirichlet
 //! elimination and direct (sparse Cholesky) or iterative (CG/GMRES) solves.
+//! The solver is named by `morestress-linalg`'s [`LinearSolver`],
+//! re-exported here — the one selection every stage of the workspace
+//! shares.
 //!
 //! It plays two roles:
 //!
@@ -46,19 +49,16 @@ mod bc;
 mod driver;
 mod element;
 mod error;
-mod export;
 mod material;
 mod stress;
 
 pub use assemble::{assemble_system, AssembledSystem};
 pub use bc::{DirichletBcs, ReducedSystem};
-pub use driver::{
-    solve_thermal_stress, solve_thermal_stress_many, FemSolution, LinearSolver, SolveStats,
-};
+pub use driver::{solve_thermal_stress, solve_thermal_stress_many, FemSolution, SolveStats};
 pub use element::{element_stiffness, element_thermal_load, Hex8, GAUSS_2X2X2};
 pub use error::FemError;
-pub use export::{write_field_csv, write_vtk, ExportError};
 pub use material::{Material, MaterialSet};
+pub use morestress_linalg::LinearSolver;
 pub use stress::{
     normalized_mae, sample_von_mises, stress_at, PlaneGrid, ScalarField2d, StressSample,
 };

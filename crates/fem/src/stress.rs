@@ -20,45 +20,6 @@ pub struct StressSample {
 }
 
 impl StressSample {
-    /// Principal stresses `(σ1 ≥ σ2 ≥ σ3)`, computed as the eigenvalues of
-    /// the 3×3 stress tensor via the trigonometric (Cardano) solution for
-    /// symmetric matrices. Crack-initiation analyses use the maximum
-    /// principal stress where the paper's comparisons use von Mises.
-    pub fn principal(&self) -> [f64; 3] {
-        let [sxx, syy, szz, txy, tyz, tzx] = self.tensor;
-        let i1 = sxx + syy + szz;
-        let q = i1 / 3.0;
-        let p2 = (sxx - q).powi(2)
-            + (syy - q).powi(2)
-            + (szz - q).powi(2)
-            + 2.0 * (txy * txy + tyz * tyz + tzx * tzx);
-        let p = (p2 / 6.0).sqrt();
-        if p < 1e-300 {
-            return [q, q, q]; // hydrostatic state
-        }
-        // r = det((A - q I) / p) / 2, clamped into [-1, 1].
-        let b = [
-            (sxx - q) / p,
-            txy / p,
-            tzx / p,
-            txy / p,
-            (syy - q) / p,
-            tyz / p,
-            tzx / p,
-            tyz / p,
-            (szz - q) / p,
-        ];
-        let det = b[0] * (b[4] * b[8] - b[5] * b[7]) - b[1] * (b[3] * b[8] - b[5] * b[6])
-            + b[2] * (b[3] * b[7] - b[4] * b[6]);
-        let r = (det / 2.0).clamp(-1.0, 1.0);
-        // φ ∈ [0, π/3], which already orders s1 ≥ s2 ≥ s3.
-        let phi = r.acos() / 3.0;
-        let s1 = q + 2.0 * p * phi.cos();
-        let s3 = q + 2.0 * p * (phi + 2.0 * std::f64::consts::PI / 3.0).cos();
-        let s2 = i1 - s1 - s3;
-        [s1, s2, s3]
-    }
-
     /// Builds a sample from a Voigt tensor, computing the von Mises stress.
     pub fn from_tensor(tensor: [f64; 6]) -> Self {
         let [sxx, syy, szz, txy, tyz, tzx] = tensor;
@@ -383,49 +344,5 @@ mod tests {
         assert!((f1.mean_abs_diff(&f2) - 1.0).abs() < 1e-12);
         let nmae = normalized_mae(&f2, &f1);
         assert!(nmae.is_finite());
-    }
-}
-
-#[cfg(test)]
-mod principal_tests {
-    use super::*;
-
-    #[test]
-    fn principal_of_diagonal_tensor_is_sorted_diagonal() {
-        let s = StressSample::from_tensor([30.0, -10.0, 5.0, 0.0, 0.0, 0.0]);
-        let p = s.principal();
-        assert!((p[0] - 30.0).abs() < 1e-9);
-        assert!((p[1] - 5.0).abs() < 1e-9);
-        assert!((p[2] + 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn principal_of_pure_shear() {
-        // Pure shear txy = t: principal stresses are (t, 0, -t).
-        let s = StressSample::from_tensor([0.0, 0.0, 0.0, 7.0, 0.0, 0.0]);
-        let p = s.principal();
-        assert!((p[0] - 7.0).abs() < 1e-9);
-        assert!(p[1].abs() < 1e-9);
-        assert!((p[2] + 7.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn principal_invariants_preserved() {
-        let t = [12.0, -3.0, 8.0, 4.0, -2.0, 1.0];
-        let s = StressSample::from_tensor(t);
-        let p = s.principal();
-        assert!(p[0] >= p[1] && p[1] >= p[2], "ordering {p:?}");
-        // Trace invariant.
-        assert!((p[0] + p[1] + p[2] - (t[0] + t[1] + t[2])).abs() < 1e-9);
-        // Von Mises from principal values must match the Voigt formula.
-        let vm_p =
-            (0.5 * ((p[0] - p[1]).powi(2) + (p[1] - p[2]).powi(2) + (p[2] - p[0]).powi(2))).sqrt();
-        assert!((vm_p - s.von_mises).abs() < 1e-9);
-    }
-
-    #[test]
-    fn hydrostatic_state_returns_triple_eigenvalue() {
-        let s = StressSample::from_tensor([-4.0, -4.0, -4.0, 0.0, 0.0, 0.0]);
-        assert_eq!(s.principal(), [-4.0, -4.0, -4.0]);
     }
 }

@@ -43,10 +43,9 @@ use std::time::{Duration, Instant};
 
 use crate::schur::SchurSolver;
 use crate::{
-    solve_cg, solve_gmres, CgOptions, CsrMatrix, FillOrdering, GmresOptions,
-    IdentityPreconditioner, JacobiPreconditioner, LinalgError, MemoryFootprint, PartitionHint,
-    Preconditioner, ShardPlanStats, SsorPreconditioner, SupernodalCholesky, SupernodalOptions,
-    SupernodeStats, WorkPool,
+    solve_cg, solve_gmres, CgOptions, CsrMatrix, FillOrdering, GmresOptions, JacobiPreconditioner,
+    LinalgError, MemoryFootprint, PartitionHint, Preconditioner, ShardPlanStats, Sharded,
+    SsorPreconditioner, SupernodalCholesky, SupernodalOptions, SupernodeStats, WorkPool,
 };
 
 // ---------------------------------------------------------------------------
@@ -56,8 +55,6 @@ use crate::{
 /// Declarative preconditioner choice for the iterative backends.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PrecondSpec {
-    /// No preconditioning.
-    Identity,
     /// Diagonal (Jacobi) scaling.
     Jacobi,
     /// Symmetric successive over-relaxation with relaxation factor `omega`.
@@ -73,7 +70,6 @@ impl PrecondSpec {
     pub fn build(&self, a: &CsrMatrix) -> (Box<dyn Preconditioner + Send + Sync>, usize) {
         let n = a.nrows();
         match *self {
-            PrecondSpec::Identity => (Box::new(IdentityPreconditioner), 0),
             PrecondSpec::Jacobi => (
                 Box::new(JacobiPreconditioner::new(a)),
                 n * std::mem::size_of::<f64>(),
@@ -88,7 +84,6 @@ impl PrecondSpec {
 
     fn fingerprint(&self) -> u64 {
         match *self {
-            PrecondSpec::Identity => 1,
             PrecondSpec::Jacobi => 2,
             PrecondSpec::Ssor { omega } => 3 ^ omega.to_bits().rotate_left(8),
         }
@@ -1569,6 +1564,8 @@ impl SolverBackend for Resilient {
 /// This mirrors common practice (and the paper's ANSYS setup, which
 /// switches to the iterative solver for large models) while staying robust:
 /// every SPD operator ends up with a converging backend.
+/// [`LinearSolver::Auto`] selects [`Auto::default`], the workspace's one
+/// threshold: direct up to 120 000 rows, verified at 1e-9.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Auto {
     /// Largest dimension still handed to the direct solver.
@@ -1617,6 +1614,99 @@ impl SolverBackend for Auto {
 
     fn config_fingerprint(&self) -> u64 {
         0x40 ^ self.tol.to_bits() ^ (self.direct_limit as u64).rotate_left(20)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Solver selection
+// ---------------------------------------------------------------------------
+
+/// Which solver a stage uses — the one selection of the workspace: the
+/// full-FEM driver, the ROM global stage and the campaign spec's
+/// `global_solver` all name their solver with it, and
+/// [`LinearSolver::backend`] is the one place a selection becomes a
+/// [`SolverBackend`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum LinearSolver {
+    /// The supernodal Cholesky factor under [`FillOrdering::Auto`]: exact,
+    /// and memory-hungry on large operators — which is precisely the cost
+    /// the paper measures for full FEM. The paper prefers iterative
+    /// solvers for its global stage because it solves each system once;
+    /// with batched solves and the [`FactorCache`], one factorization
+    /// serves every thermal load, which flips the economics in favor of
+    /// the direct solver.
+    DirectCholesky,
+    /// Jacobi-preconditioned CG (the operators solved here are SPD).
+    Cg {
+        /// Relative residual tolerance.
+        tol: f64,
+    },
+    /// Jacobi-preconditioned restarted GMRES (the paper's prescription for
+    /// its global stage).
+    Gmres {
+        /// Relative residual tolerance.
+        tol: f64,
+    },
+    /// [`Auto::default`]: direct Cholesky up to its `direct_limit` rows,
+    /// SSOR-CG above — the paper's ANSYS setup, which switches to the
+    /// iterative solver for large models.
+    Auto,
+    /// Domain-decomposition sharding ([`Sharded`]): `shards` interior
+    /// blocks, each factored by the direct Cholesky backend and coupled by
+    /// a Schur-complement interface system, cut along the block grid of
+    /// the operator's [`PartitionHint`]. The peak factor memory is the
+    /// largest shard's, not the whole operator's. `shards <= 1` is one
+    /// monolithic direct factor through the same route.
+    Sharded {
+        /// Interior shard count (the plan may produce fewer: never more
+        /// than the grid has blocks, and one on operators too small to
+        /// cut).
+        shards: usize,
+    },
+}
+
+impl Default for LinearSolver {
+    /// GMRES at 1e-9, the paper's choice.
+    fn default() -> Self {
+        LinearSolver::Gmres { tol: 1e-9 }
+    }
+}
+
+impl LinearSolver {
+    /// Maps this selection to its backend.
+    ///
+    /// `verify` applies to the direct-Cholesky family
+    /// ([`LinearSolver::DirectCholesky`] and [`LinearSolver::Sharded`],
+    /// including each shard's inner factorization). `Auto` verifies itself
+    /// at its own tolerance, and `Cg` and `Gmres` ignore it.
+    /// [`VerifyPolicy::Off`] is those backends' own default.
+    ///
+    /// Each call constructs a *fresh* backend — for
+    /// [`LinearSolver::Sharded`] that means no retained previous
+    /// preparation, so a caller that prepares repeatedly constructs once
+    /// and keeps the backend.
+    pub fn backend(self, verify: VerifyPolicy) -> Box<dyn SolverBackend> {
+        let direct = DirectCholesky {
+            verify,
+            ..DirectCholesky::default()
+        };
+        match self {
+            LinearSolver::DirectCholesky => Box::new(direct),
+            LinearSolver::Cg { tol } => Box::new(Cg {
+                opts: CgOptions {
+                    tol,
+                    max_iter: 50_000,
+                },
+                precond: PrecondSpec::Jacobi,
+            }),
+            LinearSolver::Gmres { tol } => Box::new(Gmres::with_tol(tol)),
+            LinearSolver::Auto => Box::new(Auto::default()),
+            LinearSolver::Sharded { shards } => {
+                let mut sharded = Sharded::with_inner(shards.max(1), direct);
+                sharded.verify = verify;
+                Box::new(sharded)
+            }
+        }
     }
 }
 
@@ -2083,6 +2173,58 @@ mod tests {
             }
             assert_eq!(sol.report.rhs_count, 1);
             assert!(sol.report.solver_bytes > 0);
+        }
+    }
+
+    /// The one mapping, pinned: every selection builds exactly the
+    /// backend configuration its callers used to build by hand, so cache
+    /// fingerprints (and with them the factors) cannot move.
+    #[test]
+    fn linear_solver_maps_to_the_pinned_configurations() {
+        assert_eq!(LinearSolver::default(), LinearSolver::Gmres { tol: 1e-9 });
+        for verify in [
+            VerifyPolicy::Off,
+            VerifyPolicy::Report,
+            VerifyPolicy::Enforce { tol: 1e-10 },
+        ] {
+            let direct = DirectCholesky {
+                verify,
+                ..DirectCholesky::default()
+            };
+            let sharded = |shards| {
+                let mut sharded = Sharded::with_inner(shards, direct);
+                sharded.verify = verify;
+                sharded
+            };
+            let cases: Vec<(LinearSolver, Box<dyn SolverBackend>)> = vec![
+                (LinearSolver::DirectCholesky, Box::new(direct)),
+                (
+                    LinearSolver::Gmres { tol: 1e-7 },
+                    Box::new(Gmres::with_tol(1e-7)),
+                ),
+                (
+                    LinearSolver::Cg { tol: 1e-7 },
+                    Box::new(Cg {
+                        opts: CgOptions {
+                            tol: 1e-7,
+                            max_iter: 50_000,
+                        },
+                        precond: PrecondSpec::Jacobi,
+                    }),
+                ),
+                (LinearSolver::Auto, Box::new(Auto::default())),
+                (LinearSolver::Sharded { shards: 4 }, Box::new(sharded(4))),
+                (LinearSolver::Sharded { shards: 0 }, Box::new(sharded(1))),
+            ];
+            for (selection, expected) in cases {
+                let got = selection.backend(verify);
+                assert_eq!(got.name(), expected.name(), "{selection:?}");
+                assert_eq!(
+                    got.config_fingerprint(),
+                    expected.config_fingerprint(),
+                    "{selection:?} under {verify:?}"
+                );
+            }
         }
     }
 

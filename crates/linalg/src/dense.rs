@@ -39,15 +39,6 @@ impl DenseMatrix {
         }
     }
 
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Builds a matrix from row slices.
     ///
     /// # Panics
@@ -126,39 +117,6 @@ impl DenseMatrix {
             y[i] = crate::dot(self.row(i), x);
         }
         y
-    }
-
-    /// Matrix-matrix product `A B`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != b.rows()`.
-    pub fn matmul(&self, b: &DenseMatrix) -> DenseMatrix {
-        assert_eq!(self.cols, b.rows, "matmul: dimension mismatch");
-        let mut c = DenseMatrix::zeros(self.rows, b.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self[(i, k)];
-                if aik == 0.0 {
-                    continue;
-                }
-                // Row-major matmul is a sequence of row axpys — hand them
-                // to the blocked microkernel.
-                BlockedKernel.axpy(aik, b.row(k), c.row_mut(i));
-            }
-        }
-        c
-    }
-
-    /// Transposed copy.
-    pub fn transposed(&self) -> DenseMatrix {
-        let mut t = DenseMatrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
     }
 
     /// Maximum absolute asymmetry `max |A_ij - A_ji|` (for square matrices).
@@ -301,7 +259,10 @@ mod tests {
 
     #[test]
     fn identity_roundtrip() {
-        let a = DenseMatrix::identity(4);
+        let mut a = DenseMatrix::zeros(4, 4);
+        for i in 0..4 {
+            a[(i, i)] = 1.0;
+        }
         let lu = a.lu().unwrap();
         let b = [1.0, -2.0, 3.5, 0.0];
         assert_eq!(lu.solve(&b).unwrap(), b.to_vec());
@@ -332,17 +293,8 @@ mod tests {
     }
 
     #[test]
-    fn matmul_against_hand_computed() {
-        let a = DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = DenseMatrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = a.matmul(&b);
-        assert_eq!(c, DenseMatrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
-    }
-
-    #[test]
     fn transpose_and_asymmetry() {
         let a = DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert_eq!(a.transposed()[(0, 1)], 3.0);
         assert_eq!(a.asymmetry(), 1.0);
         let s = DenseMatrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
         assert_eq!(s.asymmetry(), 0.0);

@@ -44,6 +44,12 @@
 //!   (factor or build a preconditioner), then solve any number of
 //!   right-hand sides, batched task-parallel via
 //!   [`PreparedSolver::solve_many`].
+//! * [`LinearSolver`] — the one solver selection of the workspace
+//!   (direct, CG, GMRES, `Auto`, sharded), shared by the full-FEM driver,
+//!   the ROM global stage and the campaign spec;
+//!   [`LinearSolver::backend`] is the one mapping from a selection to a
+//!   backend, and [`Auto::default`] holds the one direct/iterative
+//!   threshold.
 //! * [`FactorCache`] — content-addressed memo of prepared solvers, so
 //!   repeated solves over the same operator (many thermal loads on one
 //!   lattice) pay for one factorization; entries can be tagged with an
@@ -120,8 +126,8 @@ mod vecops;
 
 pub use backend::{
     default_solve_threads, matrix_fingerprint, Auto, BackendSolution, BatchSolution, Cg,
-    DegradationStep, DegradationTrail, DirectCholesky, FactorCache, Gmres, PrecondSpec,
-    PreparedSolver, Resilient, Rung, SolveReport, SolverBackend, VerifyPolicy,
+    DegradationStep, DegradationTrail, DirectCholesky, FactorCache, Gmres, LinearSolver,
+    PrecondSpec, PreparedSolver, Resilient, Rung, SolveReport, SolverBackend, VerifyPolicy,
     MAX_DEGRADATION_STEPS,
 };
 pub use cholesky::SparseCholesky;

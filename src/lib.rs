@@ -10,13 +10,14 @@
 //! | [`rom`] | `morestress-core` | the MORE-Stress algorithm: one-shot local stage, global stage with batched multi-load solves (`solve_array_many`), sub-modeling, reconstruction |
 //! | [`fem`] | `morestress-fem` | the full-FEM reference solver ("ANSYS substitute"), materials, stress recovery, batched `solve_thermal_stress_many` |
 //! | [`mesh`] | `morestress-mesh` | graded structured hex meshes of unit blocks, arrays and chiplet stacks |
-//! | [`linalg`] | `morestress-linalg` | CSR, sparse Cholesky, CG, GMRES, RCM ordering, the unified `SolverBackend` layer with `FactorCache` and multi-RHS `solve_many`, and the shared `WorkPool` runtime every parallel stage runs on |
+//! | [`linalg`] | `morestress-linalg` | CSR, sparse Cholesky, CG, GMRES, RCM ordering, the unified `SolverBackend` layer with `FactorCache` and multi-RHS `solve_many`, the one `LinearSolver` selection every stage maps to a backend, and the shared `WorkPool` runtime every parallel stage runs on |
 //! | [`superpos`] | `morestress-superpos` | the linear-superposition baseline |
 //! | [`chiplet`] | `morestress-chiplet` | the coarse package model driving sub-modeling |
 //! | [`campaign`] | `morestress-campaign` | the campaign front door: YAML scenario specs, the concurrent `CampaignRunner` job scheduler, JSON results, and the `morestress` CLI |
 //!
 //! Every linear solve in the workspace — reference FEM, ROM global stage,
-//! chiplet coarse model — routes through `linalg`'s `SolverBackend` trait:
+//! chiplet coarse model — names its solver with `linalg`'s one
+//! `LinearSolver` selection and routes through the `SolverBackend` trait:
 //! backends are *prepared* once per operator (factorization or
 //! preconditioner build) and then solve any number of right-hand sides,
 //! task-parallel for batches. A `FactorCache` memoizes prepared backends by
@@ -101,12 +102,12 @@ pub mod prelude {
     };
     pub use morestress_core::{
         sample_array_von_mises, GlobalBc, GlobalSolution, InterpolationGrid, LocalStage,
-        LocalStageOptions, MoreStressSimulator, ReducedOrderModel, RomSolver, SimulatorBuilder,
+        LocalStageOptions, MoreStressSimulator, ReducedOrderModel, SimulatorBuilder,
     };
     pub use morestress_fem::{
         normalized_mae, sample_von_mises, solve_thermal_stress, solve_thermal_stress_many,
-        stress_at, write_field_csv, write_vtk, DirichletBcs, LinearSolver, Material, MaterialSet,
-        PlaneGrid, ScalarField2d, StressSample,
+        stress_at, DirichletBcs, LinearSolver, Material, MaterialSet, PlaneGrid, ScalarField2d,
+        StressSample,
     };
     pub use morestress_linalg::{
         FactorCache, PreparedSolver, SolveReport, SolverBackend, VerifyPolicy, WorkPool,

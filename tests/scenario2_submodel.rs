@@ -234,7 +234,7 @@ fn submodel_closures_on_one_layout_never_share_a_lifting_term() {
     let geom = TsvGeometry::paper_defaults(15.0);
     let build = || {
         MoreStressSimulator::builder(&geom)
-            .solver(RomSolver::DirectCholesky)
+            .solver(LinearSolver::DirectCholesky)
             .build_dummy(true)
             .build()
             .expect("simulator")
