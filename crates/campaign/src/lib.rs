@@ -49,9 +49,7 @@ pub mod runner;
 pub mod spec;
 pub mod yaml;
 
-pub use runner::{
-    AdmissionOrder, CampaignReport, CampaignRunner, JobOutcome, JobReport, LocalStageCost,
-};
+pub use runner::{CampaignReport, CampaignRunner, JobOutcome, JobReport, LocalStageCost};
 pub use spec::{
     ArraySpec, CampaignSpec, MaterialSpec, ResolutionChoice, SolverChoice, SolverSpec, SpecError,
     SpecErrorKind, VerifyChoice,

@@ -27,18 +27,6 @@ use morestress_linalg::WorkPool;
 
 use crate::spec::CampaignSpec;
 
-/// The order jobs are fed to the pool when several campaigns are
-/// admitted together.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionOrder {
-    /// FIFO with fairness: one job from each campaign in turn, so a
-    /// large campaign cannot starve a small one (the default).
-    #[default]
-    RoundRobin,
-    /// Strict FIFO: all of campaign 0, then all of campaign 1, …
-    Sequential,
-}
-
 /// How one job ended.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobOutcome {
@@ -99,12 +87,12 @@ pub struct CampaignReport {
     pub jobs: Vec<JobReport>,
     /// Hits on the shared [`FactorCache`](morestress_linalg::FactorCache)
     /// of this campaign's simulator group after the run. Campaigns with
-    /// equal model keys share the counter; under concurrent admission the
+    /// equal model keys share the counter; at pool caps above 1 the
     /// tally may exceed the single-threaded value, never undercount
     /// sharing.
     pub cache_hits: usize,
     /// Misses on the shared cache after the run (= distinct operators
-    /// factored, when admission is serial).
+    /// factored, at pool cap 1).
     pub cache_misses: usize,
     /// Where the one-shot local stage of this campaign's simulator group
     /// spent its time (shared, like the cache counters, by campaigns with
@@ -157,8 +145,8 @@ impl CampaignReport {
 
     /// Number of solved jobs that found their operator in the factor cache
     /// by provenance and skipped global assembly
-    /// ([`GlobalStats::operator_reused`]) — with serial admission, jobs
-    /// minus distinct arrays.
+    /// ([`GlobalStats::operator_reused`]) — at pool cap 1, jobs minus
+    /// distinct arrays.
     pub fn operators_reused(&self) -> usize {
         self.jobs
             .iter()
@@ -171,9 +159,7 @@ impl CampaignReport {
 
 /// The concurrent campaign scheduler. See the [module docs](self).
 #[derive(Debug, Clone, Default)]
-pub struct CampaignRunner {
-    admission: AdmissionOrder,
-}
+pub struct CampaignRunner;
 
 /// One admitted job, resolved to indices.
 #[derive(Clone, Copy)]
@@ -189,13 +175,7 @@ impl CampaignRunner {
     /// A runner with round-robin fairness. At most [`WorkPool`]-cap jobs
     /// are in flight at once.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the admission order across campaigns.
-    pub fn admission(mut self, order: AdmissionOrder) -> Self {
-        self.admission = order;
-        self
+        Self
     }
 
     /// Runs every campaign to completion and returns one report per
@@ -246,22 +226,18 @@ impl CampaignRunner {
         }
         let total = slot;
 
-        // Admission queue: the order jobs are *offered* to workers.
-        let queue: Vec<Job> = match self.admission {
-            AdmissionOrder::Sequential => per_campaign.iter().flatten().copied().collect(),
-            AdmissionOrder::RoundRobin => {
-                let rounds = per_campaign.iter().map(Vec::len).max().unwrap_or(0);
-                let mut q = Vec::with_capacity(total);
-                for round in 0..rounds {
-                    for jobs in &per_campaign {
-                        if let Some(job) = jobs.get(round) {
-                            q.push(*job);
-                        }
-                    }
+        // Admission queue, the order jobs are *offered* to workers: round
+        // robin, one job from each campaign in turn, so a large campaign
+        // cannot starve a small one.
+        let rounds = per_campaign.iter().map(Vec::len).max().unwrap_or(0);
+        let mut queue: Vec<Job> = Vec::with_capacity(total);
+        for round in 0..rounds {
+            for jobs in &per_campaign {
+                if let Some(job) = jobs.get(round) {
+                    queue.push(*job);
                 }
-                q
             }
-        };
+        }
 
         let pool = WorkPool::current();
         let workers = pool.cap().min(total.max(1));

@@ -1,12 +1,11 @@
-//! Scheduler contract: deterministic results regardless of pool cap and
-//! admission order, shared factor caches across same-model campaigns,
+//! Scheduler contract: deterministic results regardless of pool cap,
+//! shared factor caches across same-model campaigns,
 //! and per-job fault containment (typed failures and panics alike).
 
 use std::time::Duration;
 
 use morestress_campaign::{
-    AdmissionOrder, ArraySpec, CampaignReport, CampaignRunner, CampaignSpec, JobOutcome,
-    LocalStageCost, SolverSpec,
+    ArraySpec, CampaignReport, CampaignRunner, CampaignSpec, JobOutcome, LocalStageCost, SolverSpec,
 };
 use morestress_core::MoreStressSimulator;
 use morestress_linalg::{FaultPlan, WorkPool};
@@ -37,8 +36,8 @@ fn base_spec(name: &str) -> CampaignSpec {
 }
 
 /// The scheduling-independent projection of a run: everything except
-/// wall times and cache tallies must be identical across pool caps and
-/// admission orders. Every solved job must have timed its sampling.
+/// wall times and cache tallies must be identical across pool caps. Every
+/// solved job must have timed its sampling.
 fn deterministic_core(reports: &[CampaignReport]) -> Vec<(String, usize, usize, u64, Vec<u64>)> {
     reports
         .iter()
@@ -79,7 +78,7 @@ fn deterministic_core(reports: &[CampaignReport]) -> Vec<(String, usize, usize, 
 }
 
 #[test]
-fn results_are_identical_across_pool_caps_and_admission_orders() {
+fn results_are_identical_across_pool_caps() {
     let specs = [base_spec("alpha"), {
         let mut spec = base_spec("beta");
         spec.loads = vec![-100.0, 42.0, 7.5];
@@ -87,16 +86,11 @@ fn results_are_identical_across_pool_caps_and_admission_orders() {
         spec
     }];
 
-    let run = |cap: usize, order: AdmissionOrder| {
-        WorkPool::new(cap).install(|| {
-            CampaignRunner::new()
-                .admission(order)
-                .run(&specs)
-                .expect("campaigns run")
-        })
+    let run = |cap: usize| {
+        WorkPool::new(cap).install(|| CampaignRunner::new().run(&specs).expect("campaigns run"))
     };
 
-    let baseline = run(1, AdmissionOrder::Sequential);
+    let baseline = run(1);
     assert_eq!(baseline.len(), 2);
     assert_eq!(baseline[0].solved() + baseline[1].solved(), 7);
     let core = deterministic_core(&baseline);
@@ -106,16 +100,12 @@ fn results_are_identical_across_pool_caps_and_admission_orders() {
         .windows(2)
         .all(|w| w[0].0 < w[1].0 || (w[0].1, w[0].2) < (w[1].1, w[1].2)));
 
-    for (cap, order) in [
-        (2, AdmissionOrder::RoundRobin),
-        (8, AdmissionOrder::RoundRobin),
-        (8, AdmissionOrder::Sequential),
-    ] {
-        let reports = run(cap, order);
+    for cap in [2, 8] {
+        let reports = run(cap);
         assert_eq!(
             deterministic_core(&reports),
             core,
-            "cap {cap}, {order:?} must reproduce the serial run bitwise"
+            "cap {cap} must reproduce the serial run bitwise"
         );
     }
 }
@@ -125,8 +115,7 @@ fn results_are_identical_across_pool_caps_and_admission_orders() {
 /// backend plans from nothing else, so no job can plan under the hint a
 /// concurrent job on the other array last handed it (a foreign hint has
 /// the wrong length — one shard, other bits, by scheduling): every job
-/// shards, and the run is the serial one bit for bit at every pool cap and
-/// admission order.
+/// shards, and the run is the serial one bit for bit at every pool cap.
 #[test]
 fn sharded_arrays_of_one_simulator_each_plan_from_their_own_hint() {
     let mut spec = base_spec("sharded");
@@ -141,20 +130,16 @@ fn sharded_arrays_of_one_simulator_each_plan_from_their_own_hint() {
     spec.arrays = vec![array(4, 4), array(6, 3)];
     let specs = [spec];
 
-    let run = |cap: usize, order: AdmissionOrder| {
-        let reports = WorkPool::new(cap).install(|| {
-            CampaignRunner::new()
-                .admission(order)
-                .run(&specs)
-                .expect("campaign runs")
-        });
+    let run = |cap: usize| {
+        let reports = WorkPool::new(cap)
+            .install(|| CampaignRunner::new().run(&specs).expect("campaign runs"));
         for job in &reports[0].jobs {
             let JobOutcome::Solved { stats, .. } = &job.outcome else {
-                panic!("cap {cap}, {order:?}: array {} failed", job.array_index);
+                panic!("cap {cap}: array {} failed", job.array_index);
             };
             assert!(
                 stats.plan_stats.is_some_and(|plan| plan.shards >= 2),
-                "cap {cap}, {order:?}: array {} load {} was planned as one shard",
+                "cap {cap}: array {} load {} was planned as one shard",
                 job.array_index,
                 job.load_index
             );
@@ -162,23 +147,13 @@ fn sharded_arrays_of_one_simulator_each_plan_from_their_own_hint() {
         deterministic_core(&reports)
     };
 
-    let core = run(1, AdmissionOrder::Sequential);
+    let core = run(1);
     assert_eq!(core.len(), 6);
     assert!(
         core.iter().all(|job| job.4[6] >= 2),
         "every job really shards"
     );
-    for (cap, order) in [
-        (1, AdmissionOrder::RoundRobin),
-        (8, AdmissionOrder::Sequential),
-        (8, AdmissionOrder::RoundRobin),
-    ] {
-        assert_eq!(
-            run(cap, order),
-            core,
-            "cap {cap}, {order:?} must reproduce the serial run bitwise"
-        );
-    }
+    assert_eq!(run(8), core, "cap 8 must reproduce the serial run bitwise");
 }
 
 #[test]
@@ -187,12 +162,11 @@ fn same_model_campaigns_share_one_factor_cache() {
     let mut second = base_spec("second");
     second.loads = vec![-150.0, 60.0]; // different loads, same model + lattices
 
-    // Serial admission makes the cache tallies exact: the two campaigns
-    // cover 2 distinct lattices x 4 solves each = 2 misses, 6 hits —
-    // *across* campaigns, provable only if they share one cache.
+    // A cap-1 pool makes the cache tallies exact: the two campaigns, taken
+    // round robin, cover 2 distinct lattices x 4 solves each = 2 misses,
+    // 6 hits — *across* campaigns, provable only if they share one cache.
     let reports = WorkPool::new(1).install(|| {
         CampaignRunner::new()
-            .admission(AdmissionOrder::Sequential)
             .run(&[first, second])
             .expect("campaigns run")
     });

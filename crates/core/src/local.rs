@@ -66,9 +66,9 @@ pub struct LocalStageOptions {
 impl Default for LocalStageOptions {
     fn default() -> Self {
         // Derived from the shared pool (not an independent
-        // `available_parallelism` read) so that this default and
-        // `default_solve_threads()` can never disagree and compound into
-        // cap² threads when stages nest.
+        // `available_parallelism` read) so that this default and every
+        // other stage's cap can never disagree and compound into cap²
+        // threads when stages nest.
         Self {
             threads: WorkPool::current().cap(),
         }
@@ -404,6 +404,7 @@ fn cell_grid_hint(mesh: &HexMesh, free_nodes: &[usize]) -> PartitionHint {
 mod tests {
     use super::*;
     use morestress_linalg::{FillOrdering, SupernodalCholesky, SupernodalOptions};
+    use morestress_oracle::dense_asymmetry;
 
     fn build_small(kind: BlockKind, counts: [usize; 3]) -> ReducedOrderModel {
         let geom = TsvGeometry::paper_defaults(15.0);
@@ -424,7 +425,7 @@ mod tests {
         let rom = build_small(BlockKind::Tsv, [3, 3, 3]);
         let a = rom.element_stiffness();
         assert_eq!(a.rows(), 78);
-        assert_eq!(a.asymmetry(), 0.0, "symmetrized exactly");
+        assert_eq!(dense_asymmetry(a), 0.0, "symmetrized exactly");
         for i in 0..a.rows() {
             assert!(a[(i, i)] > 0.0, "diagonal {i} must be positive");
         }

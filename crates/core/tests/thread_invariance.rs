@@ -148,12 +148,12 @@ fn batched_global_solve_is_pool_size_invariant() {
 #[test]
 fn panel_multi_rhs_solves_are_pool_size_invariant() {
     // The pool-distributed panel path of `PreparedSolver::solve_many`:
-    // panel partitioning depends only on (batch size, panel width), never
-    // on the worker count, and per column the blocked sweeps execute the
+    // panel partitioning depends only on the batch size, never on the
+    // worker count, and per column the blocked sweeps execute the
     // single-RHS operation sequence — so the batch must be bitwise
     // identical at every pool cap, for both dense kernels and for batch
     // sizes that straddle panel boundaries.
-    let n = 143; // deliberately not a multiple of any panel width
+    let n = 143; // deliberately not a multiple of the panel width
     let mut coo = CooMatrix::new(n, n);
     for i in 0..n {
         coo.push(i, i, 4.0 + ((i * 7) % 5) as f64 * 0.25);
@@ -177,27 +177,24 @@ fn panel_multi_rhs_solves_are_pool_size_invariant() {
         })
         .collect();
     for &kernel in KernelChoice::available() {
-        for panel_width in [1usize, 4, 8] {
-            let backend = DirectCholesky {
-                panel_width,
-                supernodal: SupernodalOptions {
-                    kernel,
-                    ..SupernodalOptions::default()
-                },
-                ..DirectCholesky::default()
-            };
-            let solve = |cap: usize| {
-                WorkPool::new(cap).install(|| {
-                    let prepared = backend.prepare(std::sync::Arc::clone(&a)).expect("SPD");
-                    prepared.solve_many(&loads, 64).expect("batched solve").xs
-                })
-            };
-            let reference = solve(REFERENCE_CAP);
-            for cap in CAPS {
-                let xs = solve(cap);
-                for (r, c) in reference.iter().zip(&xs) {
-                    assert_bitwise(&format!("{kernel:?} panel_width={panel_width}"), cap, r, c);
-                }
+        let backend = DirectCholesky {
+            supernodal: SupernodalOptions {
+                kernel,
+                ..SupernodalOptions::default()
+            },
+            ..DirectCholesky::default()
+        };
+        let solve = |cap: usize| {
+            WorkPool::new(cap).install(|| {
+                let prepared = backend.prepare(std::sync::Arc::clone(&a)).expect("SPD");
+                prepared.solve_many(&loads, 64).expect("batched solve").xs
+            })
+        };
+        let reference = solve(REFERENCE_CAP);
+        for cap in CAPS {
+            let xs = solve(cap);
+            for (r, c) in reference.iter().zip(&xs) {
+                assert_bitwise(&format!("{kernel:?}"), cap, r, c);
             }
         }
     }

@@ -7,14 +7,13 @@
 //! to limit fill on the structured-mesh operators this crate is used for.
 //!
 //! No solver backend runs this factorization: production solves go
-//! through [`SupernodalCholesky`](crate::SupernodalCholesky). It stays as
-//! the independent reference the differential tests compare that
+//! through [`SupernodalCholesky`](morestress_linalg::SupernodalCholesky).
+//! It is the independent reference the differential tests compare that
 //! factorization against, so it keeps a symbolic route of its own — a
 //! permuted copy, `etree` and per-row `ereach` — that shares nothing with
 //! the supernodal analysis.
 
-use crate::ordering::{reverse_cuthill_mckee, Permutation};
-use crate::{CsrMatrix, LinalgError};
+use morestress_linalg::{reverse_cuthill_mckee, CsrMatrix, LinalgError, Permutation};
 
 const NONE: usize = usize::MAX;
 
@@ -23,7 +22,8 @@ const NONE: usize = usize::MAX;
 /// # Example
 ///
 /// ```
-/// use morestress_linalg::{CooMatrix, SparseCholesky};
+/// use morestress_linalg::CooMatrix;
+/// use morestress_oracle::SparseCholesky;
 ///
 /// # fn main() -> Result<(), morestress_linalg::LinalgError> {
 /// let mut coo = CooMatrix::new(2, 2);
@@ -52,7 +52,7 @@ impl SparseCholesky {
     ///
     /// Only the lower triangle of `a` is read (the upper triangle is assumed
     /// to mirror it); symmetry is the caller's responsibility and is cheap to
-    /// check with [`CsrMatrix::asymmetry`].
+    /// check with [`asymmetry`](crate::asymmetry).
     ///
     /// # Errors
     ///
@@ -61,16 +61,6 @@ impl SparseCholesky {
     pub fn factor(a: &CsrMatrix) -> Result<Self, LinalgError> {
         let perm = reverse_cuthill_mckee(a);
         Self::factor_with_permutation(a, perm)
-    }
-
-    /// Factors with the natural (identity) ordering: the unpermuted
-    /// reference the tests compare the RCM-ordered factor against.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SparseCholesky::factor`].
-    pub fn factor_natural(a: &CsrMatrix) -> Result<Self, LinalgError> {
-        Self::factor_with_permutation(a, Permutation::identity(a.nrows()))
     }
 
     /// Factors with a caller-supplied fill-reducing permutation.
@@ -294,8 +284,34 @@ fn ereach(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_operators::laplacian_2d;
-    use crate::CooMatrix;
+    use morestress_linalg::{CooMatrix, WorkPool};
+
+    /// A 2-D 5-point Laplacian with a +0.1-shifted diagonal: `nx · ny` DoFs.
+    fn laplacian_2d(nx: usize, ny: usize) -> CsrMatrix {
+        let n = nx * ny;
+        let id = |i: usize, j: usize| j * nx + i;
+        let mut coo = CooMatrix::new(n, n);
+        for j in 0..ny {
+            for i in 0..nx {
+                let me = id(i, j);
+                coo.push(me, me, 4.1);
+                let mut link = |other: usize| coo.push(me, other, -1.0);
+                if i > 0 {
+                    link(id(i - 1, j));
+                }
+                if i + 1 < nx {
+                    link(id(i + 1, j));
+                }
+                if j > 0 {
+                    link(id(i, j - 1));
+                }
+                if j + 1 < ny {
+                    link(id(i, j + 1));
+                }
+            }
+        }
+        coo.to_csr()
+    }
 
     #[test]
     fn factor_and_solve_laplacian() {
@@ -315,7 +331,9 @@ mod tests {
         let a = laplacian_2d(6, 6);
         let b: Vec<f64> = (0..36).map(|i| (i % 7) as f64 - 3.0).collect();
         let x1 = SparseCholesky::factor(&a).unwrap().solve(&b);
-        let x2 = SparseCholesky::factor_natural(&a).unwrap().solve(&b);
+        let x2 = SparseCholesky::factor_with_permutation(&a, Permutation::identity(36))
+            .unwrap()
+            .solve(&b);
         for (p, q) in x1.iter().zip(&x2) {
             assert!((p - q).abs() < 1e-10);
         }
@@ -336,9 +354,10 @@ mod tests {
         let p = Permutation::new(scramble).unwrap();
         let scrambled = a.permuted_symmetric(&p);
         let fill_rcm = SparseCholesky::factor(&scrambled).unwrap().factor_nnz();
-        let fill_nat = SparseCholesky::factor_natural(&scrambled)
-            .unwrap()
-            .factor_nnz();
+        let fill_nat =
+            SparseCholesky::factor_with_permutation(&scrambled, Permutation::identity(n))
+                .unwrap()
+                .factor_nnz();
         assert!(
             fill_rcm < fill_nat,
             "RCM fill {fill_rcm} should beat natural fill {fill_nat} on a scrambled grid"
@@ -396,7 +415,7 @@ mod tests {
         // very thing this regression test exists to exercise.
         let arrived = AtomicUsize::new(0);
         let next = AtomicUsize::new(0);
-        crate::WorkPool::new(4).scope_workers(4, |_| {
+        WorkPool::new(4).scope_workers(4, |_| {
             arrived.fetch_add(1, Ordering::SeqCst);
             let t0 = std::time::Instant::now();
             while arrived.load(Ordering::SeqCst) < 2 && t0.elapsed().as_millis() < 200 {

@@ -262,6 +262,7 @@ impl ReducedSystem {
 mod tests {
     use super::*;
     use morestress_linalg::CooMatrix;
+    use morestress_oracle::{DenseLu, SparseCholesky};
 
     /// 1-D bar of unit springs: A = tridiag(-1, 2, -1), fixed ends.
     fn spring_chain(n: usize) -> CsrMatrix {
@@ -288,7 +289,7 @@ mod tests {
         bcs.set_dof(4, 1.0);
         let red = ReducedSystem::new(&a, &b, &bcs).unwrap();
         assert_eq!(red.num_free(), 3);
-        let chol = morestress_linalg::SparseCholesky::factor(&red.a_ff).unwrap();
+        let chol = SparseCholesky::factor(&red.a_ff).unwrap();
         let x = chol.solve(&red.rhs);
         let full = red.expand(&x);
         for (i, expect) in [0.0, 0.25, 0.5, 0.75, 1.0].iter().enumerate() {
@@ -305,9 +306,7 @@ mod tests {
         let mut bcs = DirichletBcs::new();
         bcs.set_dof(1, 0.5);
         let red = ReducedSystem::new(&a, &b, &bcs).unwrap();
-        let x = morestress_linalg::SparseCholesky::factor(&red.a_ff)
-            .unwrap()
-            .solve(&red.rhs);
+        let x = SparseCholesky::factor(&red.a_ff).unwrap().solve(&red.rhs);
         let full = red.expand(&x);
 
         // Lifted (non-symmetric) formulation solved densely.
@@ -327,7 +326,7 @@ mod tests {
             &rows.iter().map(Vec::as_slice).collect::<Vec<_>>(),
         );
         let rhs: Vec<f64> = (0..4).map(|i| bcs.value(i).unwrap_or(b[i])).collect();
-        let lifted = dense.lu().unwrap().solve(&rhs).unwrap();
+        let lifted = DenseLu::factor(&dense).unwrap().solve(&rhs).unwrap();
         for (p, q) in full.iter().zip(&lifted) {
             assert!((p - q).abs() < 1e-12);
         }

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use morestress_linalg::{LinearSolver, MemoryFootprint, VerifyPolicy};
+use morestress_linalg::{LinearSolver, MemoryFootprint, VerifyPolicy, WorkPool};
 use morestress_mesh::HexMesh;
 
 use crate::{assemble_system, DirichletBcs, FemError, MaterialSet, ReducedSystem};
@@ -75,7 +75,7 @@ pub fn solve_thermal_stress(
 /// one assembly, one constraint reduction, one solver preparation
 /// (factorization or preconditioner build), then a batched solve over all
 /// loads via the backend's multi-RHS path, running on the shared
-/// [`WorkPool`](morestress_linalg::WorkPool) (cap it globally with
+/// [`WorkPool`] (cap it globally with
 /// `MORESTRESS_THREADS` or locally with `WorkPool::install`). With the
 /// default direct backend the batch is solved in *panels*: workers claim
 /// whole panels of right-hand sides and sweep the supernodal factor once
@@ -119,10 +119,10 @@ pub fn solve_thermal_stress_many(
     let prepared = solver
         .backend(VerifyPolicy::Off)
         .prepare(Arc::clone(&reduced.a_ff))?;
-    // `default_solve_threads` is the current pool's cap; the batch runs on
-    // the shared pool's resident workers, so this composes safely with any
-    // parallel caller (no thread multiplication).
-    let batch = prepared.solve_many(&rhs_set, morestress_linalg::default_solve_threads())?;
+    // The batch runs at the current pool's cap on its resident workers, so
+    // this composes safely with any parallel caller (no thread
+    // multiplication).
+    let batch = prepared.solve_many(&rhs_set, WorkPool::current().cap())?;
     peak += batch.report.solver_bytes;
 
     // All k expanded solutions are resident at once — the batch aggregate

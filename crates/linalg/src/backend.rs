@@ -428,6 +428,11 @@ struct Ladder {
     gmres: Mutex<Option<Arc<PreparedSolver>>>,
 }
 
+/// Right-hand sides per worker task of the batched direct path: each
+/// worker sweeps whole panels of this many columns, one interleaved block
+/// of [`SupernodalCholesky::solve_panel_with`] each.
+const PANEL_WIDTH: usize = 8;
+
 /// The reusable product of [`SolverBackend::prepare`]: a factorization or a
 /// built preconditioner, ready to solve many right-hand sides.
 ///
@@ -445,9 +450,6 @@ pub struct PreparedSolver {
     /// scratch for the direct engines) — allocated once per *concurrent*
     /// worker in the batched path.
     workspace_bytes: usize,
-    /// Right-hand sides per panel of the batched direct path (1 collapses
-    /// it to task-per-RHS; ignored by the iterative engines).
-    panel_width: usize,
     /// Residual-verification policy every solve through this solver runs
     /// under (a ladder verifies itself at its own tolerance first; the
     /// policy then applies to the residual it measured).
@@ -547,7 +549,6 @@ impl PreparedSolver {
             setup_time,
             shared_bytes,
             workspace_bytes,
-            panel_width: 1,
             verify: VerifyPolicy::Off,
             prep_trail: DegradationTrail::new(),
             ladder: None,
@@ -779,7 +780,7 @@ impl PreparedSolver {
     /// [`VerifyPolicy`], assemble the [`SolveReport`].
     ///
     /// The direct engine takes the **panel path**: the batch is cut into
-    /// panels of [`DirectCholesky::panel_width`] right-hand sides, each
+    /// panels of 8 right-hand sides (`PANEL_WIDTH`), each
     /// worker claims whole panels (with one reused panel and sweep scratch
     /// per worker), and [`SupernodalCholesky::solve_panel_with`] sweeps
     /// each panel in interleaved blocks of up to 8 columns — every load of
@@ -788,7 +789,7 @@ impl PreparedSolver {
     /// depends only on the batch size, never on the worker count, and per
     /// column the operation chain is that of a one-column batch, so
     /// results are bitwise identical to looped solves at every pool cap
-    /// and every panel width. A [`Resilient`]-prepared solver
+    /// and every batch size. A [`Resilient`]-prepared solver
     /// runs the same panels, then checks every column's true residual and
     /// walks the ladder's lower rungs only where one misses. Iterative
     /// engines distribute one task per right-hand side.
@@ -928,7 +929,7 @@ impl PreparedSolver {
         let k = rhs.len();
         // A batch narrower than a panel is one panel, with scratch sized
         // to the batch rather than to the panel width.
-        let width = self.panel_width.max(1).min(k.max(1));
+        let width = PANEL_WIDTH.min(k.max(1));
         let num_panels = k.div_ceil(width);
         let (panels, workers) = WorkPool::current().scope_collect_with(
             threads,
@@ -1130,22 +1131,6 @@ impl PreparedSolver {
     }
 }
 
-/// Default worker cap for batched solves: the cap of the current
-/// [`WorkPool`].
-///
-/// Before the pool existed this read `available_parallelism` on its own,
-/// independently of [`LocalStageOptions::default`]-style call sites doing
-/// the same — so nested stages could each spawn a full complement of
-/// threads (cap² in the worst case). Deriving every default from the one
-/// shared pool (and executing on it) removes that failure mode: requests
-/// are clamped to the pool cap, and the pool never runs more than `cap`
-/// threads total, however deeply stages nest.
-///
-/// [`LocalStageOptions::default`]: https://docs.rs/morestress-core
-pub fn default_solve_threads() -> usize {
-    WorkPool::current().cap()
-}
-
 // ---------------------------------------------------------------------------
 // Backend implementations
 // ---------------------------------------------------------------------------
@@ -1157,13 +1142,8 @@ pub fn default_solve_threads() -> usize {
 /// elimination-tree task DAG on the current [`WorkPool`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DirectCholesky {
-    /// Right-hand sides per panel of the batched
-    /// [`PreparedSolver::solve_many`] path. Each worker solves whole
-    /// panels with one blocked sweep; 1 degenerates to task-per-RHS.
-    pub panel_width: usize,
     /// Supernode detection and factorization tuning (width cap,
-    /// relaxed-amalgamation budget, serial/parallel numeric phase, dense
-    /// kernel).
+    /// relaxed-amalgamation budget, update-chunk budget, dense kernel).
     pub supernodal: SupernodalOptions,
     /// Residual-verification policy for every solve through the prepared
     /// solver (default: [`VerifyPolicy::Off`]). Verification never mutates
@@ -1174,7 +1154,6 @@ pub struct DirectCholesky {
 impl Default for DirectCholesky {
     fn default() -> Self {
         Self {
-            panel_width: 8,
             supernodal: SupernodalOptions::default(),
             verify: VerifyPolicy::Off,
         }
@@ -1235,11 +1214,9 @@ impl DirectCholesky {
         let shared_bytes = factor.heap_bytes();
         // One panel plus the sweep's interleaved and gather blocks, per
         // concurrent worker.
-        let panel_width = self.panel_width.max(1);
-        let workspace_bytes = (panel_width * a.nrows() + factor.scratch_len(panel_width))
+        let workspace_bytes = (PANEL_WIDTH * a.nrows() + factor.scratch_len(PANEL_WIDTH))
             * std::mem::size_of::<f64>();
         PreparedSolver {
-            panel_width,
             verify: self.verify,
             ..PreparedSolver::new(
                 a,
@@ -1264,17 +1241,12 @@ impl SolverBackend for DirectCholesky {
     }
 
     fn config_fingerprint(&self) -> u64 {
-        // The panel width and supernode tuning only shape *how* a solve
-        // runs, not its factor-basis semantics — but they change the
-        // prepared object, so they stay in the cache key.
-        // `supernodal.parallel` is deliberately absent: serial and parallel
-        // factorization produce bitwise-identical factors, so the two
-        // configs can share one cache entry.
+        // The supernode tuning shapes how the factor is grouped (and so its
+        // low-order bits), so it stays in the cache key.
         // The dense microkernel *is* part of the key: kernels differ in
         // rounding (fused vs separate multiply-add), so two kernel configs
         // produce different factor bits and must not share a cache entry.
-        0x10 ^ (self.panel_width as u64).rotate_left(24)
-            ^ (self.supernodal.max_width as u64).rotate_left(40)
+        0x10 ^ (self.supernodal.max_width as u64).rotate_left(40)
             ^ self.supernodal.relax.to_bits().rotate_left(48)
             ^ (self.supernodal.small_width as u64).rotate_left(56)
             ^ self.supernodal.chunk_work.rotate_left(16)

@@ -4,8 +4,7 @@
 //! operators (n×n with n ≈ 24…456, Eq. 16 of the paper) and the interpolation
 //! matrix `L`. Row-major storage.
 
-use crate::kernel::{BlockedKernel, DenseKernel};
-use crate::{LinalgError, MemoryFootprint};
+use crate::MemoryFootprint;
 
 /// A dense row-major `rows × cols` matrix of `f64`.
 ///
@@ -14,13 +13,10 @@ use crate::{LinalgError, MemoryFootprint};
 /// ```
 /// use morestress_linalg::DenseMatrix;
 ///
-/// # fn main() -> Result<(), morestress_linalg::LinalgError> {
-/// let a = DenseMatrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
-/// let lu = a.lu()?;
-/// let x = lu.solve(&[3.0, 5.0])?;
-/// assert!((x[0] - 0.8).abs() < 1e-12 && (x[1] - 1.4).abs() < 1e-12);
-/// # Ok(())
-/// # }
+/// let mut a = DenseMatrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
+/// a[(1, 0)] += 1.0;
+/// assert_eq!(a.row(1), &[2.0, 3.0]);
+/// assert_eq!(a.matvec(&[1.0, 1.0]), vec![3.0, 5.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DenseMatrix {
@@ -118,79 +114,6 @@ impl DenseMatrix {
         }
         y
     }
-
-    /// Maximum absolute asymmetry `max |A_ij - A_ji|` (for square matrices).
-    ///
-    /// Used by tests to assert that Galerkin-projected element matrices stay
-    /// symmetric.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square.
-    pub fn asymmetry(&self) -> f64 {
-        assert_eq!(self.rows, self.cols, "asymmetry: matrix must be square");
-        let mut worst = 0.0_f64;
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                worst = worst.max((self[(i, j)] - self[(j, i)]).abs());
-            }
-        }
-        worst
-    }
-
-    /// LU factorization with partial pivoting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Singular`] if a zero pivot is encountered and
-    /// [`LinalgError::DimensionMismatch`] if the matrix is not square.
-    pub fn lu(&self) -> Result<DenseLu, LinalgError> {
-        if self.rows != self.cols {
-            return Err(LinalgError::DimensionMismatch {
-                context: "dense LU (matrix must be square)",
-                expected: self.rows,
-                found: self.cols,
-            });
-        }
-        let n = self.rows;
-        let mut lu = self.clone();
-        let mut piv: Vec<usize> = (0..n).collect();
-        for k in 0..n {
-            // Partial pivoting: find the largest entry in column k at/below row k.
-            let mut p = k;
-            let mut best = lu[(k, k)].abs();
-            for i in (k + 1)..n {
-                let v = lu[(i, k)].abs();
-                if v > best {
-                    best = v;
-                    p = i;
-                }
-            }
-            if best == 0.0 {
-                return Err(LinalgError::Singular { row: k });
-            }
-            if p != k {
-                piv.swap(k, p);
-                for j in 0..n {
-                    let tmp = lu[(k, j)];
-                    lu[(k, j)] = lu[(p, j)];
-                    lu[(p, j)] = tmp;
-                }
-            }
-            let pivot = lu[(k, k)];
-            for i in (k + 1)..n {
-                let m = lu[(i, k)] / pivot;
-                lu[(i, k)] = m;
-                if m != 0.0 {
-                    let (top, bottom) = lu.data.split_at_mut(i * n);
-                    let krow = &top[k * n..k * n + n];
-                    let irow = &mut bottom[..n];
-                    BlockedKernel.axpy(-m, &krow[(k + 1)..], &mut irow[(k + 1)..]);
-                }
-            }
-        }
-        Ok(DenseLu { lu, piv })
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for DenseMatrix {
@@ -211,98 +134,5 @@ impl std::ops::IndexMut<(usize, usize)> for DenseMatrix {
 impl MemoryFootprint for DenseMatrix {
     fn heap_bytes(&self) -> usize {
         self.data.capacity() * std::mem::size_of::<f64>()
-    }
-}
-
-/// LU factorization (with partial pivoting) of a square [`DenseMatrix`].
-///
-/// See [`DenseMatrix::lu`] for an example.
-#[derive(Debug, Clone)]
-pub struct DenseLu {
-    lu: DenseMatrix,
-    piv: Vec<usize>,
-}
-
-impl DenseLu {
-    /// Solves `A x = b` using the stored factorization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `b` has the wrong length.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        let n = self.lu.rows();
-        if b.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                context: "dense LU solve",
-                expected: n,
-                found: b.len(),
-            });
-        }
-        // Apply the row permutation, then forward/backward substitution —
-        // each inner contraction one blocked-kernel dot over the stored row.
-        let mut x: Vec<f64> = self.piv.iter().map(|&p| b[p]).collect();
-        for i in 1..n {
-            let s = BlockedKernel.dot(&self.lu.row(i)[..i], &x[..i]);
-            x[i] -= s;
-        }
-        for i in (0..n).rev() {
-            let s = x[i] - BlockedKernel.dot(&self.lu.row(i)[(i + 1)..], &x[(i + 1)..]);
-            x[i] = s / self.lu[(i, i)];
-        }
-        Ok(x)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn identity_roundtrip() {
-        let mut a = DenseMatrix::zeros(4, 4);
-        for i in 0..4 {
-            a[(i, i)] = 1.0;
-        }
-        let lu = a.lu().unwrap();
-        let b = [1.0, -2.0, 3.5, 0.0];
-        assert_eq!(lu.solve(&b).unwrap(), b.to_vec());
-    }
-
-    #[test]
-    fn solve_small_system() {
-        let a = DenseMatrix::from_rows(&[&[4.0, -2.0, 1.0], &[-2.0, 4.0, -2.0], &[1.0, -2.0, 4.0]]);
-        let x_true = [1.0, 2.0, 3.0];
-        let b = a.matvec(&x_true);
-        let x = a.lu().unwrap().solve(&b).unwrap();
-        for (xi, ti) in x.iter().zip(&x_true) {
-            assert!((xi - ti).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn pivoting_handles_zero_diagonal() {
-        let a = DenseMatrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let x = a.lu().unwrap().solve(&[2.0, 3.0]).unwrap();
-        assert_eq!(x, vec![3.0, 2.0]);
-    }
-
-    #[test]
-    fn singular_is_detected() {
-        let a = DenseMatrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert!(matches!(a.lu(), Err(LinalgError::Singular { .. })));
-    }
-
-    #[test]
-    fn transpose_and_asymmetry() {
-        let a = DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert_eq!(a.asymmetry(), 1.0);
-        let s = DenseMatrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert_eq!(s.asymmetry(), 0.0);
-    }
-
-    #[test]
-    fn non_square_lu_rejected() {
-        let a = DenseMatrix::zeros(2, 3);
-        assert!(matches!(a.lu(), Err(LinalgError::DimensionMismatch { .. })));
     }
 }

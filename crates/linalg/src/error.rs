@@ -11,8 +11,7 @@
 //! |-------------------------|---------------------------------------------------------|------------------------------------------------------------------------|
 //! | `DimensionMismatch`     | shape checks in every solve/prepare entry point          | never recovered — a caller bug, returned immediately                    |
 //! | `NonFinite`             | operator/RHS/solution scans in `prepare` and `solve`     | never recovered — poisoned input data, returned immediately             |
-//! | `NotPositiveDefinite`   | scalar + supernodal Cholesky pivots (per shard in Schur) | diagonal-shift regularized re-factor, then GMRES                        |
-//! | `Singular`              | dense LU pivots (element matrices, interface system)     | GMRES rung (a shifted re-factor cannot help an exactly singular block)  |
+//! | `NotPositiveDefinite`   | supernodal Cholesky pivots (per shard in Schur)          | diagonal-shift regularized re-factor, then GMRES                        |
 //! | `DidNotConverge`        | CG/GMRES budget exhaustion, verified-residual enforcement| iterative refinement reusing the factor, then the next rung, then GMRES |
 //!
 //! The ladder records every recovery it performs as a `DegradationStep` in
@@ -42,11 +41,6 @@ pub enum LinalgError {
         row: usize,
         /// The offending pivot value.
         pivot: f64,
-    },
-    /// An LU factorization hit a (near-)zero pivot: the matrix is singular.
-    Singular {
-        /// Row/column at which elimination broke down.
-        row: usize,
     },
     /// An iterative solver exhausted its iteration budget without reaching
     /// the requested tolerance.
@@ -85,9 +79,6 @@ impl fmt::Display for LinalgError {
                 f,
                 "matrix is not positive definite (pivot {pivot:e} at row {row})"
             ),
-            LinalgError::Singular { row } => {
-                write!(f, "matrix is singular (zero pivot at row {row})")
-            }
             LinalgError::DidNotConverge {
                 iterations,
                 residual,

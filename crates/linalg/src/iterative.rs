@@ -18,16 +18,6 @@ pub trait Preconditioner {
     fn apply(&self, r: &[f64], z: &mut [f64]);
 }
 
-/// The identity preconditioner (no preconditioning).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IdentityPreconditioner;
-
-impl Preconditioner for IdentityPreconditioner {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        z.copy_from_slice(r);
-    }
-}
-
 /// Jacobi (diagonal) preconditioner.
 ///
 /// # Example
@@ -509,6 +499,15 @@ mod tests {
     use super::*;
     use crate::CooMatrix;
 
+    /// The identity preconditioner (no preconditioning).
+    struct IdentityPreconditioner;
+
+    impl Preconditioner for IdentityPreconditioner {
+        fn apply(&self, r: &[f64], z: &mut [f64]) {
+            z.copy_from_slice(r);
+        }
+    }
+
     fn spd_test_matrix(n: usize) -> CsrMatrix {
         let mut coo = CooMatrix::new(n, n);
         for i in 0..n {
@@ -681,7 +680,7 @@ mod tests {
 
     #[test]
     fn refinement_improves_a_perturbed_factor_solve() {
-        use crate::SparseCholesky;
+        use crate::SupernodalCholesky;
         let a = spd_test_matrix(50);
         let x_true: Vec<f64> = (0..50).map(|i| ((i * 7) % 5) as f64 - 2.0).collect();
         let b = a.spmv(&x_true);
@@ -691,7 +690,7 @@ mod tests {
         for i in 0..50 {
             shifted.add_at(i, i, 0.05);
         }
-        let factor = SparseCholesky::factor(&shifted).unwrap();
+        let factor = SupernodalCholesky::factor(&shifted).unwrap();
         let mut x = factor.solve(&b);
         let coarse = a.residual(&x, &b);
         let (sweeps, rn) = refine(

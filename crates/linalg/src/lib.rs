@@ -3,16 +3,10 @@
 //! The MORE-Stress paper implements its numerics on top of PETSc; this crate
 //! re-implements the subset actually needed by the algorithm, from scratch:
 //!
-//! * [`DenseMatrix`] — small dense matrices with LU solves (element matrices,
+//! * [`DenseMatrix`] — small dense matrices (element matrices,
 //!   Galerkin-projected reduced operators).
 //! * [`CooMatrix`] / [`CsrMatrix`] — sparse matrix assembly and kernels
-//!   (SpMV, sub-matrix extraction, transpose).
-//! * [`SparseCholesky`] — the scalar up-looking sparse Cholesky
-//!   factorization with elimination-tree symbolic analysis. No backend
-//!   runs it: it is the independent reference the differential tests pin
-//!   [`SupernodalCholesky`] against, with a symbolic route (permuted copy,
-//!   `etree`, per-row `ereach`) that shares nothing with the supernodal
-//!   analysis.
+//!   (SpMV, sub-matrix extraction, symmetric permutation).
 //! * [`DenseKernel`] / [`KernelChoice`] — the swappable dense microkernel
 //!   layer (`kernel.rs`) every flop-bearing loop routes through: the
 //!   supernodal rank-k updates, panel Cholesky, triangular sweeps, the
@@ -69,6 +63,11 @@
 //!   resident workers replaces the per-call scoped thread spawns the
 //!   stages used to pay for individually.
 //!
+//! The reference implementations the tests compare this crate against — a
+//! scalar up-looking sparse Cholesky with its own `etree`/`ereach`
+//! analysis, and a dense partial-pivot LU — live in the dev-only
+//! `morestress-oracle` crate, outside every product build.
+//!
 //! # Threading model
 //!
 //! All parallelism routes through [`WorkPool::current`]: the process-wide
@@ -88,7 +87,8 @@
 //! # Example
 //!
 //! ```
-//! use morestress_linalg::{CooMatrix, SparseCholesky};
+//! use std::sync::Arc;
+//! use morestress_linalg::{CooMatrix, DirectCholesky, SolverBackend};
 //!
 //! # fn main() -> Result<(), morestress_linalg::LinalgError> {
 //! // A small SPD system: 2x2 finite-difference Laplacian + identity.
@@ -96,9 +96,9 @@
 //! coo.push(0, 0, 3.0); coo.push(0, 1, -1.0);
 //! coo.push(1, 0, -1.0); coo.push(1, 1, 3.0); coo.push(1, 2, -1.0);
 //! coo.push(2, 1, -1.0); coo.push(2, 2, 3.0);
-//! let a = coo.to_csr();
-//! let chol = SparseCholesky::factor(&a)?;
-//! let x = chol.solve(&[1.0, 2.0, 3.0]);
+//! let a = Arc::new(coo.to_csr());
+//! let solver = DirectCholesky::default().prepare(Arc::clone(&a))?;
+//! let x = solver.solve(&[1.0, 2.0, 3.0])?.x;
 //! let r = a.residual(&x, &[1.0, 2.0, 3.0]);
 //! assert!(r < 1e-12);
 //! # Ok(())
@@ -109,7 +109,6 @@
 #![allow(clippy::needless_range_loop)] // indexed loops over parallel arrays are the FEM idiom
 
 mod backend;
-mod cholesky;
 mod dense;
 mod error;
 pub mod fault;
@@ -125,18 +124,17 @@ mod supernodal;
 mod vecops;
 
 pub use backend::{
-    default_solve_threads, matrix_fingerprint, Auto, BackendSolution, BatchSolution, Cg,
-    DegradationStep, DegradationTrail, DirectCholesky, FactorCache, Gmres, LinearSolver,
-    PrecondSpec, PreparedSolver, Resilient, Rung, SolveReport, SolverBackend, VerifyPolicy,
+    matrix_fingerprint, Auto, BackendSolution, BatchSolution, Cg, DegradationStep,
+    DegradationTrail, DirectCholesky, FactorCache, Gmres, LinearSolver, PrecondSpec,
+    PreparedSolver, Resilient, Rung, SolveReport, SolverBackend, VerifyPolicy,
     MAX_DEGRADATION_STEPS,
 };
-pub use cholesky::SparseCholesky;
-pub use dense::{DenseLu, DenseMatrix};
+pub use dense::DenseMatrix;
 pub use error::LinalgError;
 pub use fault::FaultPlan;
 pub use iterative::{
-    refine, solve_cg, solve_gmres, CgOptions, GmresOptions, IdentityPreconditioner,
-    IterativeSolution, JacobiPreconditioner, Preconditioner, RefineOptions, SsorPreconditioner,
+    refine, solve_cg, solve_gmres, CgOptions, GmresOptions, IterativeSolution,
+    JacobiPreconditioner, Preconditioner, RefineOptions, SsorPreconditioner,
 };
 pub use kernel::{BlockedKernel, DenseKernel, Isa, KernelChoice, ScalarKernel};
 pub use memory::MemoryFootprint;

@@ -151,9 +151,6 @@ pub enum FillOrdering {
     /// operator without a usable hint — the Schur interface, the full-FEM
     /// and chiplet references.
     Rcm,
-    /// The natural (identity) ordering: the unpermuted baseline the
-    /// factorization tests compare the fill-reducing orderings against.
-    Natural,
 }
 
 /// The hint [`FillOrdering::Geometric`] can order `a` by: attached, and
@@ -191,19 +188,17 @@ impl FillOrdering {
                 geometric_dissection(usable_hint(a).expect("resolve() found a usable hint"))
             }
             FillOrdering::Rcm => reverse_cuthill_mckee(a),
-            FillOrdering::Natural => Permutation::identity(a.nrows()),
             FillOrdering::Auto => unreachable!("resolve() returns a concrete ordering"),
         }
     }
 
-    /// Short stable name for reports (`"geometric"`, `"rcm"`, `"natural"`;
+    /// Short stable name for reports (`"geometric"`, `"rcm"`;
     /// `"auto"` only before [`resolve`](Self::resolve)).
     pub fn name(&self) -> &'static str {
         match self {
             FillOrdering::Auto => "auto",
             FillOrdering::Geometric => "geometric",
             FillOrdering::Rcm => "rcm",
-            FillOrdering::Natural => "natural",
         }
     }
 }

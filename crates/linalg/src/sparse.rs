@@ -173,7 +173,7 @@ pub struct CsrMatrix {
     row_ptr: Vec<usize>,
     col_idx: Vec<usize>,
     values: Vec<f64>,
-    /// Kept by `clone`; every derived matrix (`extract`, `transposed`,
+    /// Kept by `clone`; every derived matrix (`extract`,
     /// `permuted_symmetric`) starts without one, since its rows are no
     /// longer the rows the hint describes.
     hint: Option<Arc<PartitionHint>>,
@@ -424,40 +424,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Transposed copy.
-    pub fn transposed(&self) -> CsrMatrix {
-        let mut counts = vec![0usize; self.ncols + 1];
-        for &c in &self.col_idx {
-            counts[c + 1] += 1;
-        }
-        for i in 0..self.ncols {
-            counts[i + 1] += counts[i];
-        }
-        let row_ptr = counts.clone();
-        let mut col_idx = vec![0usize; self.nnz()];
-        let mut values = vec![0.0; self.nnz()];
-        let mut next = counts;
-        for r in 0..self.nrows {
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                let c = self.col_idx[k];
-                let slot = next[c];
-                next[c] += 1;
-                col_idx[slot] = r;
-                values[slot] = self.values[k];
-            }
-        }
-        // Rows of the transpose are produced in increasing source-row order,
-        // so columns are already sorted.
-        CsrMatrix {
-            nrows: self.ncols,
-            ncols: self.nrows,
-            row_ptr,
-            col_idx,
-            values,
-            hint: None,
-        }
-    }
-
     /// Extracts the sub-matrix `A[rows, cols]`.
     ///
     /// `col_map` must map every original column index either to
@@ -619,46 +585,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Maximum absolute asymmetry `max |A_ij - A_ji|` of a square matrix.
-    pub fn asymmetry(&self) -> f64 {
-        assert_eq!(self.nrows, self.ncols, "asymmetry: matrix must be square");
-        let t = self.transposed();
-        let mut worst = 0.0_f64;
-        for i in 0..self.nrows {
-            let (ca, va) = self.row(i);
-            let (cb, vb) = t.row(i);
-            // Merge the two sorted rows.
-            let (mut p, mut q) = (0, 0);
-            while p < ca.len() || q < cb.len() {
-                match (ca.get(p), cb.get(q)) {
-                    (Some(&a), Some(&b)) if a == b => {
-                        worst = worst.max((va[p] - vb[q]).abs());
-                        p += 1;
-                        q += 1;
-                    }
-                    (Some(&a), Some(&b)) if a < b => {
-                        worst = worst.max(va[p].abs());
-                        p += 1;
-                    }
-                    (Some(_), Some(_)) => {
-                        worst = worst.max(vb[q].abs());
-                        q += 1;
-                    }
-                    (Some(_), None) => {
-                        worst = worst.max(va[p].abs());
-                        p += 1;
-                    }
-                    (None, Some(_)) => {
-                        worst = worst.max(vb[q].abs());
-                        q += 1;
-                    }
-                    (None, None) => unreachable!(),
-                }
-            }
-        }
-        worst
-    }
-
     /// The diagonal of a square matrix as a vector (zeros for missing
     /// entries).
     pub fn diagonal(&self) -> Vec<f64> {
@@ -748,17 +674,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_involution() {
-        let mut coo = CooMatrix::new(3, 4);
-        coo.push(0, 3, 1.0);
-        coo.push(2, 1, -2.0);
-        coo.push(1, 1, 7.0);
-        let a = coo.to_csr();
-        let att = a.transposed().transposed();
-        assert_eq!(a, att);
-    }
-
-    #[test]
     fn extract_splits_blocks() {
         let a = laplacian_1d(4);
         // Keep rows {1,2}, columns {1,2} -> interior block.
@@ -789,16 +704,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn asymmetry_detects_nonsymmetric() {
-        let a = laplacian_1d(4);
-        assert_eq!(a.asymmetry(), 0.0);
-        let mut coo = CooMatrix::new(2, 2);
-        coo.push(0, 1, 1.0);
-        let b = coo.to_csr();
-        assert_eq!(b.asymmetry(), 1.0);
     }
 
     #[test]

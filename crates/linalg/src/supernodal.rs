@@ -1,8 +1,8 @@
 //! Supernodal blocked sparse Cholesky factorization `A = L Lᵀ`, with an
 //! elimination-tree-parallel numeric phase.
 //!
-//! A scalar up-looking factorization (the test reference in
-//! [`crate::cholesky`]) touches one nonzero at a time: every
+//! A scalar up-looking factorization (the test reference in the dev-only
+//! `morestress-oracle` crate) touches one nonzero at a time: every
 //! floating-point operation pays an index load, and every right-hand side
 //! re-streams the whole factor. This module builds the factorization
 //! around **supernodes** — runs of adjacent columns whose below-diagonal
@@ -23,8 +23,8 @@
 //! scalar scatter, and since PR 4 scheduled task-parallel over the
 //! elimination tree) and the per-right-hand-side triangular sweeps
 //! ([`SupernodalCholesky::solve_panel`] streams each panel once for a whole
-//! block of right-hand sides). This is the only factorization the backend
-//! layer runs; [`SparseCholesky`](crate::SparseCholesky) survives as the
+//! block of right-hand sides). This is the only factorization in the
+//! crate; the scalar factorization of `morestress-oracle` is the
 //! independent reference the differential tests pin it against (≤1e-12).
 //!
 //! # Algorithm
@@ -167,11 +167,6 @@ pub struct SupernodalOptions {
     /// padding budget is doubled (panel overhead dominates true flops
     /// there).
     pub small_width: usize,
-    /// Runs the numeric phase as an elimination-tree task DAG on the
-    /// current [`WorkPool`] (serial when the pool cap is 1). Results are
-    /// bitwise identical either way — see the module docs — so this is
-    /// purely a wall-clock knob.
-    pub parallel: bool,
     /// Minimum estimated-flop budget per update-chunk task of the parallel
     /// schedule (see the module docs; the effective budget also scales
     /// with the factorization size so chunk-accumulator overhead stays
@@ -196,7 +191,6 @@ impl Default for SupernodalOptions {
             max_width: 32,
             relax: 0.2,
             small_width: 8,
-            parallel: true,
             chunk_work: CHUNK_WORK_BUDGET,
             kernel: KernelChoice::default(),
         }
@@ -238,8 +232,8 @@ pub struct SupernodeStats {
     /// (`"blocked"`, or `"scalar"` for the test oracle).
     pub kernel: &'static str,
     /// The *resolved* fill ordering behind the factor
-    /// ([`FillOrdering::name`]: `"geometric"`, `"rcm"` or `"natural"` —
-    /// never `"auto"`), or `"supplied"` for a factor built
+    /// ([`FillOrdering::name`]: `"geometric"` or `"rcm"` — never
+    /// `"auto"`), or `"supplied"` for a factor built
     /// from a caller's own permutation
     /// ([`SupernodalCholesky::factor_with_permutation`]).
     pub ordering: &'static str,
@@ -1310,7 +1304,7 @@ impl SupernodalCholesky {
     /// default supernode relaxation.
     ///
     /// Only the lower triangle of `a` is read (the upper triangle is
-    /// assumed to mirror it), exactly like [`SparseCholesky`](crate::SparseCholesky).
+    /// assumed to mirror it).
     ///
     /// # Errors
     ///
@@ -1347,10 +1341,10 @@ impl SupernodalCholesky {
     /// supernode options: the [`factor_bordered`](Self::factor_bordered)
     /// case with an empty border.
     ///
-    /// With [`SupernodalOptions::parallel`] set (the default) the numeric
-    /// phase runs as an elimination-tree task DAG on the current
-    /// [`WorkPool`]; the factor is bitwise identical to the serial sweep at
-    /// every pool cap (see the module docs).
+    /// The numeric phase runs as an elimination-tree task DAG on the
+    /// current [`WorkPool`] — the serial sweep when the pool cap is 1 —
+    /// and the factor is bitwise identical at every pool cap (see the
+    /// module docs).
     ///
     /// # Errors
     ///
@@ -1428,8 +1422,7 @@ impl SupernodalCholesky {
         };
         let mut sym = Symbolic::analyze(pa, n_elim, opts);
         let mut values = vec![0.0f64; sym.val_ptr[sym.num_sn()]];
-        let factor_workers =
-            Self::factor_numeric(&sym, pa, &mut values, opts.parallel, opts.kernel.kernel())?;
+        let factor_workers = Self::factor_numeric(&sym, pa, &mut values, opts.kernel.kernel())?;
         drop((perm, inv));
         let border = sym.border_block(&values);
         if n_elim < n {
@@ -1465,7 +1458,6 @@ impl SupernodalCholesky {
         sym: &Symbolic,
         pa: Permuted<'_>,
         values: &mut [f64],
-        parallel: bool,
         kern: &dyn DenseKernel,
     ) -> Result<usize, LinalgError> {
         let num_sn = sym.num_sn();
@@ -1482,7 +1474,7 @@ impl SupernodalCholesky {
         // queue traffic for zero overlap. Fall back to the serial sweep;
         // results are bitwise identical either way, and the condition is
         // structural, so it is still pool-cap-invariant.
-        let parallel = parallel && sym.total_work >= sym.critical_path + sym.critical_path / 4;
+        let parallel = sym.total_work >= sym.critical_path + sym.critical_path / 4;
         if !parallel || pool.cap() == 1 || num_sn <= 1 {
             let mut scratch = PanelScratch::new(sym.n);
             for s in 0..num_sn {
@@ -1908,21 +1900,7 @@ mod tests {
     use super::*;
     use crate::ordering::geometric_dissection;
     use crate::test_operators::{hinted_grid, hinted_lattice, laplacian_2d};
-    use crate::{CooMatrix, SparseCholesky};
-
-    #[test]
-    fn agrees_with_scalar_kernel_on_laplacian() {
-        let a = laplacian_2d(9, 7);
-        let n = a.nrows();
-        let b: Vec<f64> = (0..n).map(|i| ((i * 13) % 11) as f64 - 5.0).collect();
-        let x_scalar = SparseCholesky::factor(&a).unwrap().solve(&b);
-        let x_super = SupernodalCholesky::factor(&a).unwrap().solve(&b);
-        let scale = x_scalar.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        for (p, q) in x_scalar.iter().zip(&x_super) {
-            assert!((p - q).abs() <= 1e-12 * scale.max(1.0), "{p} vs {q}");
-        }
-        assert!(a.residual(&x_super, &b) < 1e-12);
-    }
+    use crate::CooMatrix;
 
     /// `a` without the entries among its trailing rows and columns
     /// `n_elim..`: the bordered operator `[A_ii A_ib; A_bi 0]`.
@@ -1946,11 +1924,11 @@ mod tests {
         a.extract(&(0..n_elim).collect::<Vec<_>>(), &map, n_elim)
     }
 
-    /// The scalar oracle of the border block, `−A_bi A_ii⁻¹ A_ib` row-major:
-    /// one `SparseCholesky` solve per border column.
-    fn scalar_condensation(a: &CsrMatrix, n_elim: usize) -> Vec<f64> {
+    /// The border block `−A_bi A_ii⁻¹ A_ib` row-major, as `chol` (a factor
+    /// of `A_ii`) condenses it one border column at a time.
+    fn column_condensation(a: &CsrMatrix, chol: &SupernodalCholesky) -> Vec<f64> {
+        let n_elim = chol.dim();
         let w = a.nrows() - n_elim;
-        let chol = SparseCholesky::factor(&leading_block(a, n_elim)).unwrap();
         let mut s = vec![0.0; w * w];
         for j in 0..w {
             let col: Vec<f64> = (0..n_elim).map(|i| a.get(i, n_elim + j)).collect();
@@ -1969,23 +1947,28 @@ mod tests {
         s
     }
 
-    /// The bordered 17×11 Laplacian of the bitwise tests: its top line of
-    /// points is the border, the rest ordered by RCM.
-    fn bordered_laplacian() -> (CsrMatrix, Permutation) {
-        let a = zero_border(&laplacian_2d(17, 11), 17 * 10);
-        let lead = FillOrdering::Rcm.permutation(&leading_block(&a, 17 * 10));
-        (a, lead)
+    /// A hinted 4×3-block lattice whose top line of points is the border,
+    /// with no border–border entries, and the geometric dissection of the
+    /// blocks below it as the leading ordering.
+    fn bordered_lattice() -> (CsrMatrix, Permutation) {
+        let (a, hint) = hinted_grid(4, 3, 5);
+        let n_elim = a.nrows() - (4 * 5 + 1);
+        let lead = geometric_dissection(&hint.restricted(&(0..n_elim).collect::<Vec<_>>()));
+        (zero_border(&a, n_elim), lead)
     }
 
     #[test]
     fn parallel_factor_is_bitwise_equal_to_serial() {
-        let a = laplacian_2d(17, 11);
-        let perm = FillOrdering::Rcm.permutation(&a);
-        let (bordered, lead) = bordered_laplacian();
-        // A tiny chunk budget forces real update-chunk tasks (and their
+        let a = hinted_lattice(4, 3, 5);
+        let perm = FillOrdering::Geometric.permutation(&a);
+        let (bordered, lead) = bordered_lattice();
+        // The dissected lattices have bushy elimination trees, so the task
+        // DAG (not the chain fallback) runs at every cap above 1, and a
+        // tiny chunk budget forces real update-chunk tasks (and their
         // combine trees) even at this size, so all three task kinds of
         // the DAG are exercised — for every kernel this host resolves, on
-        // the full and on the bordered factorization.
+        // the full and on the bordered factorization. The reference is the
+        // serial sweep a cap-1 pool runs.
         for &kernel in KernelChoice::available() {
             for chunk_work in [SupernodalOptions::default().chunk_work, 64] {
                 let opts = SupernodalOptions {
@@ -1993,18 +1976,22 @@ mod tests {
                     kernel,
                     ..SupernodalOptions::default()
                 };
-                let serial_opts = SupernodalOptions {
-                    parallel: false,
-                    ..opts
-                };
-                let serial =
-                    SupernodalCholesky::factor_with_permutation(&a, perm.clone(), &serial_opts)
-                        .unwrap();
+                let (serial, (serial_lead, serial_border)) = WorkPool::new(1).install(|| {
+                    (
+                        SupernodalCholesky::factor_with_permutation(&a, perm.clone(), &opts)
+                            .unwrap(),
+                        SupernodalCholesky::factor_bordered(&bordered, lead.clone(), &opts)
+                            .unwrap(),
+                    )
+                });
                 assert_eq!(serial.factor_workers(), 1);
-                let (serial_lead, serial_border) =
-                    SupernodalCholesky::factor_bordered(&bordered, lead.clone(), &serial_opts)
-                        .unwrap();
-                for cap in [1usize, 2, 8] {
+                for stats in [serial.stats(), serial_lead.stats()] {
+                    assert!(
+                        stats.total_work >= stats.critical_path + stats.critical_path / 4,
+                        "a chain schedule would never run the DAG: {stats:?}"
+                    );
+                }
+                for cap in [2usize, 8] {
                     let (parallel, (parallel_lead, parallel_border)) =
                         WorkPool::new(cap).install(|| {
                             (
@@ -2040,14 +2027,8 @@ mod tests {
 
     #[test]
     fn bordered_factor_condenses_the_border() {
-        // A hinted lattice whose top line of points is the border, with no
-        // border–border entries; the leading block is dissected along the
-        // blocks below it.
-        let (a, hint) = hinted_grid(4, 3, 5);
-        let (n, w) = (a.nrows(), 4 * 5 + 1);
-        let n_elim = n - w;
-        let bordered = zero_border(&a, n_elim);
-        let lead = geometric_dissection(&hint.restricted(&(0..n_elim).collect::<Vec<_>>()));
+        let (bordered, lead) = bordered_lattice();
+        let n_elim = lead.len();
         for opts in [
             SupernodalOptions::default(),
             SupernodalOptions {
@@ -2059,7 +2040,10 @@ mod tests {
             let (factor, border) =
                 SupernodalCholesky::factor_bordered(&bordered, lead.clone(), &opts).unwrap();
             assert_eq!(factor.dim(), n_elim);
-            let reference = scalar_condensation(&bordered, n_elim);
+            // The border block is the condensation the leading factor's own
+            // solves give (the scalar oracle's is pinned in
+            // `crates/linalg/tests/proptests.rs`).
+            let reference = column_condensation(&bordered, &factor);
             assert_eq!(border.len(), reference.len());
             let scale = reference.iter().fold(0.0f64, |m, v| m.max(v.abs()));
             assert!(scale > 0.0);
@@ -2068,7 +2052,7 @@ mod tests {
             }
             // The leading factor solves A_ii on its own, from storage that
             // holds no border row and no slack.
-            let a_ii = leading_block(&a, n_elim);
+            let a_ii = leading_block(&bordered, n_elim);
             let b: Vec<f64> = (0..n_elim).map(|i| (i % 9) as f64 - 4.0).collect();
             assert!(a_ii.residual(&factor.solve(&b), &b) <= 1e-12);
             assert!(factor.rows.iter().all(|&r| r < n_elim));
@@ -2102,19 +2086,23 @@ mod tests {
             }
         }
         let a = coo.to_csr();
-        for parallel in [false, true] {
-            let opts = SupernodalOptions {
-                parallel,
-                ..SupernodalOptions::default()
-            };
-            assert!(matches!(
-                SupernodalCholesky::factor_with_permutation(&a, Permutation::identity(3), &opts),
-                Err(LinalgError::NotPositiveDefinite { .. })
-            ));
-            let (factor, border) =
-                SupernodalCholesky::factor_bordered(&a, Permutation::identity(2), &opts).unwrap();
-            assert_eq!(factor.dim(), 2);
-            assert!((border[0] + 15.0 / 11.0).abs() <= 1e-15, "{border:?}");
+        let opts = SupernodalOptions::default();
+        for cap in [1usize, 8] {
+            WorkPool::new(cap).install(|| {
+                assert!(matches!(
+                    SupernodalCholesky::factor_with_permutation(
+                        &a,
+                        Permutation::identity(3),
+                        &opts
+                    ),
+                    Err(LinalgError::NotPositiveDefinite { .. })
+                ));
+                let (factor, border) =
+                    SupernodalCholesky::factor_bordered(&a, Permutation::identity(2), &opts)
+                        .unwrap();
+                assert_eq!(factor.dim(), 2);
+                assert!((border[0] + 15.0 / 11.0).abs() <= 1e-15, "{border:?}");
+            });
         }
     }
 
@@ -2186,7 +2174,7 @@ mod tests {
         let chol = WorkPool::new(8).install(|| {
             SupernodalCholesky::factor_with_permutation(
                 &a,
-                FillOrdering::Natural.permutation(&a),
+                Permutation::identity(n),
                 &SupernodalOptions::default(),
             )
             .unwrap()
@@ -2245,39 +2233,6 @@ mod tests {
     }
 
     #[test]
-    fn all_orderings_agree() {
-        let a = hinted_lattice(3, 4, 7);
-        let n = a.nrows();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.23).cos()).collect();
-        let reference = SparseCholesky::factor(&a).unwrap().solve(&b);
-        for ordering in [
-            FillOrdering::Rcm,
-            FillOrdering::Geometric,
-            FillOrdering::Natural,
-            FillOrdering::Auto,
-        ] {
-            let chol = SupernodalCholesky::factor_with_permutation(
-                &a,
-                ordering.permutation(&a),
-                &SupernodalOptions::default(),
-            )
-            .unwrap();
-            if ordering == FillOrdering::Geometric {
-                let stats = chol.stats();
-                assert!(stats.critical_path * 2 <= stats.total_work, "{stats:?}");
-            }
-            let x = chol.solve(&b);
-            let scale = reference.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            for (p, q) in reference.iter().zip(&x) {
-                assert!(
-                    (p - q).abs() <= 1e-11 * scale.max(1.0),
-                    "{ordering:?}: {p} vs {q}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn supernodes_amalgamate_on_banded_operators() {
         let a = laplacian_2d(20, 20);
         let chol = SupernodalCholesky::factor(&a).unwrap();
@@ -2307,15 +2262,14 @@ mod tests {
         coo.push(1, 0, 3.0);
         coo.push(1, 1, 1.0);
         let a = coo.to_csr();
-        for parallel in [false, true] {
-            let result = SupernodalCholesky::factor_with_permutation(
-                &a,
-                FillOrdering::Natural.permutation(&a),
-                &SupernodalOptions {
-                    parallel,
-                    ..SupernodalOptions::default()
-                },
-            );
+        for cap in [1usize, 8] {
+            let result = WorkPool::new(cap).install(|| {
+                SupernodalCholesky::factor_with_permutation(
+                    &a,
+                    Permutation::identity(2),
+                    &SupernodalOptions::default(),
+                )
+            });
             assert!(matches!(
                 result,
                 Err(LinalgError::NotPositiveDefinite { .. })

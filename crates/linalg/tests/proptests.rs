@@ -12,8 +12,9 @@ use morestress_linalg::{
     Auto, BlockedKernel, CgOptions, CooMatrix, CsrMatrix, DenseKernel, DenseMatrix, DirectCholesky,
     FactorCache, FaultPlan, FillOrdering, GmresOptions, Isa, JacobiPreconditioner, KernelChoice,
     LinalgError, PartitionHint, Permutation, ScalarKernel, ShardPlan, Sharded, SolverBackend,
-    SparseCholesky, SupernodalCholesky, SupernodalOptions, SymbolicParts, TaskDag, WorkPool,
+    SupernodalCholesky, SupernodalOptions, SymbolicParts, TaskDag, WorkPool,
 };
+use morestress_oracle::{transposed, DenseLu, SparseCholesky};
 use proptest::prelude::*;
 
 /// Random sparse triplets on an n×n matrix.
@@ -46,6 +47,70 @@ fn spd_strategy(n: usize) -> impl Strategy<Value = CsrMatrix> {
         }
         coo.to_csr()
     })
+}
+
+/// Two independent random SPD blocks of `n` rows each (as
+/// [`spd_strategy`]), then one separator row coupled to every row of both:
+/// in natural order its elimination tree forks at the separator, so the
+/// numeric factorization schedules the two blocks as parallel subtrees.
+fn forked_spd_strategy(n: usize) -> impl Strategy<Value = CsrMatrix> {
+    (
+        spd_strategy(n),
+        spd_strategy(n),
+        prop::collection::vec(-1.0f64..1.0, 2 * n),
+    )
+        .prop_map(move |(first, second, c)| {
+            let dim = 2 * n + 1;
+            let mut coo = CooMatrix::new(dim, dim);
+            for (off, block) in [(0, &first), (n, &second)] {
+                for i in 0..n {
+                    let (cols, vals) = block.row(i);
+                    for (&j, &v) in cols.iter().zip(vals) {
+                        coo.push(off + i, off + j, v);
+                    }
+                }
+            }
+            // Strictly dominant separator row: SPD whatever the couplings.
+            let sep = 2 * n;
+            for (i, &v) in c.iter().enumerate() {
+                coo.push(sep, i, v);
+                coo.push(i, sep, v);
+            }
+            coo.push(sep, sep, dim as f64);
+            coo.to_csr()
+        })
+}
+
+/// A 2-D 5-point Laplacian with a +0.1-shifted diagonal: `nx · ny` DoFs.
+fn laplacian_2d(nx: usize, ny: usize) -> CsrMatrix {
+    let n = nx * ny;
+    let id = |i: usize, j: usize| j * nx + i;
+    let mut coo = CooMatrix::new(n, n);
+    for j in 0..ny {
+        for i in 0..nx {
+            let me = id(i, j);
+            coo.push(me, me, 4.1);
+            if i > 0 {
+                coo.push(me, id(i - 1, j), -1.0);
+            }
+            if i + 1 < nx {
+                coo.push(me, id(i + 1, j), -1.0);
+            }
+            if j > 0 {
+                coo.push(me, id(i, j - 1), -1.0);
+            }
+            if j + 1 < ny {
+                coo.push(me, id(i, j + 1), -1.0);
+            }
+        }
+    }
+    coo.to_csr()
+}
+
+/// True when the numeric factorization of a factor with these stats runs
+/// its task DAG at pool caps above 1 rather than the chain fallback.
+fn runs_the_dag(stats: &morestress_linalg::SupernodeStats) -> bool {
+    stats.total_work >= stats.critical_path + stats.critical_path / 4
 }
 
 /// A 5-point lattice of `bx × by` blocks with `m + 1` nodes per block edge
@@ -715,6 +780,82 @@ fn gram_panel_is_bitwise_dots_at_every_level() {
     }
 }
 
+#[test]
+fn agrees_with_scalar_kernel_on_laplacian() {
+    let a = laplacian_2d(9, 7);
+    let n = a.nrows();
+    let b: Vec<f64> = (0..n).map(|i| ((i * 13) % 11) as f64 - 5.0).collect();
+    let x_scalar = SparseCholesky::factor(&a).unwrap().solve(&b);
+    let x_super = SupernodalCholesky::factor(&a).unwrap().solve(&b);
+    let scale = x_scalar.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    for (p, q) in x_scalar.iter().zip(&x_super) {
+        assert!((p - q).abs() <= 1e-12 * scale.max(1.0), "{p} vs {q}");
+    }
+    assert!(a.residual(&x_super, &b) < 1e-12);
+}
+
+/// The bordered factorization of a hinted lattice (its top line of points
+/// the border, no border–border entries, the leading block dissected along
+/// the blocks below it) condenses the border as the scalar oracle does,
+/// for the default supernodes and for narrow, finely chunked ones.
+#[test]
+fn bordered_factor_condenses_like_the_scalar_oracle() {
+    let (a, _) = hinted_lattice(4, 3, 5);
+    let n_elim = a.nrows() - (4 * 5 + 1);
+    let bordered = zero_border(&a, n_elim);
+    let mut spans = lattice_spans(4, 3, 5);
+    spans.truncate(n_elim);
+    let lead = geometric_dissection(&PartitionHint::new([4, 3], spans));
+    for opts in [
+        SupernodalOptions::default(),
+        SupernodalOptions {
+            max_width: 3,
+            chunk_work: 64,
+            ..SupernodalOptions::default()
+        },
+    ] {
+        let (factor, border) =
+            SupernodalCholesky::factor_bordered(&bordered, lead.clone(), &opts).unwrap();
+        assert_eq!(factor.dim(), n_elim);
+        check_bordered(&bordered, &factor, &border);
+    }
+}
+
+#[test]
+fn all_orderings_agree() {
+    let (a, hint) = hinted_lattice(3, 4, 7);
+    let a = a.with_partition_hint(Arc::new(hint));
+    let n = a.nrows();
+    let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.23).cos()).collect();
+    let reference = SparseCholesky::factor(&a).unwrap().solve(&b);
+    let orderings = [
+        FillOrdering::Rcm,
+        FillOrdering::Geometric,
+        FillOrdering::Auto,
+    ];
+    let named = orderings
+        .iter()
+        .map(|o| (o.name(), o.permutation(&a)))
+        .chain([("natural", Permutation::identity(n))]);
+    for (name, perm) in named {
+        let chol =
+            SupernodalCholesky::factor_with_permutation(&a, perm, &SupernodalOptions::default())
+                .unwrap();
+        if name == "geometric" {
+            let stats = chol.stats();
+            assert!(stats.critical_path * 2 <= stats.total_work, "{stats:?}");
+        }
+        let x = chol.solve(&b);
+        let scale = reference.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for (p, q) in reference.iter().zip(&x) {
+            assert!(
+                (p - q).abs() <= 1e-11 * scale.max(1.0),
+                "{name}: {p} vs {q}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -736,7 +877,7 @@ proptest! {
             m
         };
         // Recompute via a second conversion path: transpose twice.
-        let tt = csr.transposed().transposed();
+        let tt = transposed(&transposed(&csr));
         prop_assert_eq!(&csr, &tt);
         for i in 0..8 {
             let (cols, vals) = csr.row(i);
@@ -834,7 +975,9 @@ proptest! {
     fn orderings_agree(a in spd_strategy(10),
                        b in prop::collection::vec(-2.0f64..2.0, 10)) {
         let x1 = SparseCholesky::factor(&a).unwrap().solve(&b);
-        let x2 = SparseCholesky::factor_natural(&a).unwrap().solve(&b);
+        let x2 = SparseCholesky::factor_with_permutation(&a, Permutation::identity(10))
+            .unwrap()
+            .solve(&b);
         for (p, q) in x1.iter().zip(&x2) {
             prop_assert!((p - q).abs() < 1e-9);
         }
@@ -893,7 +1036,7 @@ proptest! {
             m[(i, i)] += 8.0; // diagonally dominant => invertible
         }
         let b = m.matvec(&x);
-        let solved = m.lu().unwrap().solve(&b).unwrap();
+        let solved = DenseLu::factor(&m).unwrap().solve(&b).unwrap();
         for i in 0..4 {
             prop_assert!((solved[i] - x[i]).abs() < 1e-8);
         }
@@ -998,10 +1141,13 @@ proptest! {
                                         relax in 0.0f64..0.8) {
         let reference = SparseCholesky::factor(&a).expect("SPD").solve(&b);
         let scale = reference.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-        for ordering in [FillOrdering::Rcm, FillOrdering::Natural] {
+        for (ordering, perm) in [
+            ("rcm", FillOrdering::Rcm.permutation(&a)),
+            ("natural", Permutation::identity(12)),
+        ] {
             let chol = SupernodalCholesky::factor_with_permutation(
                 &a,
-                ordering.permutation(&a),
+                perm,
                 &SupernodalOptions { max_width, relax, small_width: 4, ..Default::default() },
             )
             .expect("SPD");
@@ -1009,7 +1155,7 @@ proptest! {
             for (p, q) in reference.iter().zip(&x) {
                 prop_assert!(
                     (p - q).abs() <= 1e-12 * scale,
-                    "{:?}: {} vs {}", ordering, p, q
+                    "{}: {} vs {}", ordering, p, q
                 );
             }
         }
@@ -1229,17 +1375,16 @@ proptest! {
     }
 
     /// The pool-distributed panel path of `solve_many` is bitwise equal to
-    /// per-RHS solves for every kernel × panel-width × thread mix.
+    /// per-RHS solves for every kernel × batch-size × thread mix: batches
+    /// below, at and across the 8-column panel, with tails of every width.
     #[test]
     fn panel_batched_backend_matches_individual(a in spd_strategy(9),
                                                 bs in prop::collection::vec(
                                                     prop::collection::vec(-2.0f64..2.0, 9), 1..21),
-                                                panel_width in 1usize..18,
                                                 threads in 1usize..6) {
         let a = Arc::new(a);
         for &kernel in KernelChoice::available() {
             let backend = DirectCholesky {
-                panel_width,
                 supernodal: SupernodalOptions { kernel, ..SupernodalOptions::default() },
                 ..DirectCholesky::default()
             };
@@ -1253,27 +1398,27 @@ proptest! {
     }
 
     /// The elimination-tree-parallel numeric factorization is bitwise
-    /// identical to the serial left-looking sweep on random SPD operators,
-    /// at every pool cap (serial, minimal, saturated, oversubscribed) — the
-    /// determinism contract of the parallel factorization.
+    /// identical to the serial left-looking sweep on random SPD operators
+    /// whose elimination tree forks, at every pool cap (minimal, saturated,
+    /// oversubscribed) — the determinism contract of the parallel
+    /// factorization. The reference is the serial sweep of a cap-1 pool.
     #[test]
-    fn parallel_factor_is_bitwise_equal_to_serial(a in spd_strategy(14),
-                                                  b in prop::collection::vec(-4.0f64..4.0, 14),
+    fn parallel_factor_is_bitwise_equal_to_serial(a in forked_spd_strategy(7),
+                                                  b in prop::collection::vec(-4.0f64..4.0, 15),
                                                   max_width in 1usize..6,
                                                   // Tiny budgets force update-chunk tasks even at
                                                   // this size, covering both DAG task kinds.
                                                   chunk_exp in 4usize..19) {
         let chunk_work = 1u64 << chunk_exp;
-        let perm = FillOrdering::Rcm.permutation(&a);
+        let perm = Permutation::identity(a.nrows());
         let opts = SupernodalOptions { max_width, chunk_work, ..Default::default() };
-        let serial = SupernodalCholesky::factor_with_permutation(
-            &a,
-            perm.clone(),
-            &SupernodalOptions { parallel: false, ..opts },
-        ).expect("SPD");
+        let serial = WorkPool::new(1).install(|| {
+            SupernodalCholesky::factor_with_permutation(&a, perm.clone(), &opts).expect("SPD")
+        });
         prop_assert_eq!(serial.factor_workers(), 1);
+        prop_assert!(runs_the_dag(&serial.stats()), "{:?}", serial.stats());
         let x_serial = serial.solve(&b);
-        for cap in [1usize, 2, 8, 33] {
+        for cap in [2usize, 8, 33] {
             let parallel = WorkPool::new(cap).install(|| {
                 SupernodalCholesky::factor_with_permutation(&a, perm.clone(), &opts)
                     .expect("SPD")
@@ -1313,14 +1458,12 @@ proptest! {
         let a = a.with_partition_hint(Arc::new(hint));
         let perm = FillOrdering::Geometric.permutation(&a);
         let opts = SupernodalOptions { chunk_work, ..Default::default() };
-        let serial = SupernodalCholesky::factor_with_permutation(
-            &a,
-            perm.clone(),
-            &SupernodalOptions { parallel: false, ..opts },
-        ).expect("SPD");
+        let serial = WorkPool::new(1).install(|| {
+            SupernodalCholesky::factor_with_permutation(&a, perm.clone(), &opts).expect("SPD")
+        });
         let stats = serial.stats();
         prop_assert!(stats.critical_path * 2 <= stats.total_work, "{:?}", stats);
-        for cap in [1usize, 2, 8, 33] {
+        for cap in [2usize, 8, 33] {
             let parallel = WorkPool::new(cap).install(|| {
                 SupernodalCholesky::factor_with_permutation(&a, perm.clone(), &opts)
                     .expect("SPD")
@@ -1373,14 +1516,13 @@ proptest! {
         spans.truncate(n_elim);
         let lead = geometric_dissection(&PartitionHint::new([bx, by], spans));
         let opts = SupernodalOptions { chunk_work: 1u64 << chunk_exp, ..Default::default() };
-        let (factor, border) = SupernodalCholesky::factor_bordered(
-            &bordered,
-            lead.clone(),
-            &SupernodalOptions { parallel: false, ..opts },
-        )
-        .expect("SPD leading block");
+        let (factor, border) = WorkPool::new(1).install(|| {
+            SupernodalCholesky::factor_bordered(&bordered, lead.clone(), &opts)
+                .expect("SPD leading block")
+        });
         check_bordered(&bordered, &factor, &border);
-        for cap in [1usize, 2, 8] {
+        prop_assert!(runs_the_dag(&factor.stats()), "{:?}", factor.stats());
+        for cap in [2usize, 8] {
             let (parallel, parallel_border) = WorkPool::new(cap).install(|| {
                 SupernodalCholesky::factor_bordered(&bordered, lead.clone(), &opts)
                     .expect("SPD leading block")

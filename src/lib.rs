@@ -10,7 +10,7 @@
 //! | [`rom`] | `morestress-core` | the MORE-Stress algorithm: one-shot local stage, global stage with batched multi-load solves (`solve_array_many`), sub-modeling, reconstruction |
 //! | [`fem`] | `morestress-fem` | the full-FEM reference solver ("ANSYS substitute"), materials, stress recovery, batched `solve_thermal_stress_many` |
 //! | [`mesh`] | `morestress-mesh` | graded structured hex meshes of unit blocks, arrays and chiplet stacks |
-//! | [`linalg`] | `morestress-linalg` | CSR, sparse Cholesky, CG, GMRES, RCM ordering, the unified `SolverBackend` layer with `FactorCache` and multi-RHS `solve_many`, the one `LinearSolver` selection every stage maps to a backend, and the shared `WorkPool` runtime every parallel stage runs on |
+//! | [`linalg`] | `morestress-linalg` | CSR, supernodal sparse Cholesky, CG, GMRES, geometric and RCM orderings, the unified `SolverBackend` layer with `FactorCache` and multi-RHS `solve_many`, the one `LinearSolver` selection every stage maps to a backend, and the shared `WorkPool` runtime every parallel stage runs on |
 //! | [`superpos`] | `morestress-superpos` | the linear-superposition baseline |
 //! | [`chiplet`] | `morestress-chiplet` | the coarse package model driving sub-modeling |
 //! | [`campaign`] | `morestress-campaign` | the campaign front door: YAML scenario specs, the concurrent `CampaignRunner` job scheduler, JSON results, and the `morestress` CLI |
