@@ -412,11 +412,13 @@ impl<'a> GlobalStage<'a> {
     /// A solve runs in three parts:
     ///
     /// 1. **Layout prelude** (cheap, always): lattice, per-block node maps,
-    ///    unit load, constraint set, the free set derived from it (once —
-    ///    hint, assembly and reduction all index by it), and the partition
-    ///    hint (the block-grid footprint of every free DoF), which the stage
-    ///    attaches to the operator it assembles — the direct solvers order
-    ///    by it, the sharded backend plans from it.
+    ///    unit load, constraint set, and the free set derived from it (once —
+    ///    assembly and reduction both index by it). Only what both routes of
+    ///    part 2 read: the partition hint (the block-grid footprint of every
+    ///    free DoF — the direct solvers order by it, the sharded backend
+    ///    plans from it) is built on the assembling route alone, which
+    ///    attaches it to the operator; a reused operator already carries
+    ///    its own.
     /// 2. **Operator**: runs only when the registered cache holds no entry
     ///    tagged with this solve's *provenance* (interpolation counts,
     ///    layout shape and block kinds, BC kind, ROM identities; see
@@ -427,14 +429,17 @@ impl<'a> GlobalStage<'a> {
     ///    same route for both boundary-condition kinds; clamped data merely
     ///    makes the lifting term exactly `+0.0`. No unreduced operator and
     ///    no extraction step exist. On a provenance hit the reduced
-    ///    operator is the cached solver's own `Arc`, the lifting term is
-    ///    zero (only the homogeneous [`GlobalBc::ClampedTopBottom`] carries
-    ///    a provenance — a [`GlobalBc::SubmodelBoundary`] closure cannot be
-    ///    compared and its lifting needs the elements, so it always
-    ///    assembles), and [`GlobalStats::operator_reused`] is set. On a miss
-    ///    the assembled operator goes through the cache's content-addressed
-    ///    lookup — two layouts that assemble to one operator still share
-    ///    one factor — and the entry is tagged.
+    ///    operator — hint included — is the cached solver's own `Arc`, the
+    ///    lifting term is zero (only the homogeneous
+    ///    [`GlobalBc::ClampedTopBottom`] carries a provenance — a
+    ///    [`GlobalBc::SubmodelBoundary`] closure cannot be compared and its
+    ///    lifting needs the elements, so it always assembles), and
+    ///    [`GlobalStats::operator_reused`] is set. On a miss the assembled
+    ///    operator goes through the cache's content-addressed lookup — two
+    ///    layouts that assemble to one operator still share one factor —
+    ///    and the entry is tagged. Either way the backend's
+    ///    [`set_partition_hint`](SolverBackend::set_partition_hint) receives
+    ///    the very `Arc` the operator carries.
     /// 3. **Solve and expand**, identical on both routes: the results are
     ///    bit for bit those of a from-scratch solve.
     ///
@@ -499,9 +504,6 @@ impl<'a> GlobalStage<'a> {
         }
         let backend = self.backend;
         let threads = WorkPool::current().cap();
-        // Solvers read the hint the operator carries (`assemble_reduced`
-        // attaches it); this call only lets a delegating backend record it.
-        backend.set_partition_hint(Some(Arc::clone(&prelude.hint)));
 
         // --- Operator: reused by provenance, else assembled -----------------
         let tagged_cache = self.cache.zip(self.provenance(layout, bc, &prelude.blocks));
@@ -514,12 +516,16 @@ impl<'a> GlobalStage<'a> {
             None => {
                 // The assembly scratch dies inside the call, before the
                 // factorization allocates.
-                let (reduced, scratch_bytes) = self.assemble_reduced(&prelude, free);
+                let (reduced, scratch_bytes) = self.assemble_reduced(layout, &prelude, free);
                 stats.peak_bytes += reduced.a_ff.heap_bytes() + scratch_bytes;
                 reduced
             }
         };
         drop(prelude.blocks);
+        // Solvers read the hint the operator carries — attached by the
+        // assembly, or cached with it; this call only lets a delegating
+        // backend record it.
+        backend.set_partition_hint(reduced.a_ff.partition_hint().cloned());
         let rhs_set = reduced.rhs_for_scaled_loads(&prelude.b_unit, delta_ts);
 
         // --- Solve through the unified backend layer -----------------------
@@ -602,7 +608,7 @@ impl<'a> GlobalStage<'a> {
         if free.dofs.is_empty() {
             return Err(FemError::FullyConstrained.into());
         }
-        Ok(self.assemble_reduced(&prelude, free).0)
+        Ok(self.assemble_reduced(layout, &prelude, free).0)
     }
 
     /// Part 1 of [`solve_many`](Self::solve_many): everything a solve needs
@@ -648,9 +654,10 @@ impl<'a> GlobalStage<'a> {
         }
         // Boundary conditions (lifting, Eq. 13). A node is fixed or free as
         // a whole — the constraint set and the free set are built side by
-        // side, node by node, so that holds by construction — and the free
-        // set is derived once: the hint is indexed by it, the assembly
-        // numbers its rows by it, the reduction maps back through it.
+        // side, node by node, so that holds by construction (and in DoF
+        // order, so every constraint is a push) — and the free set is
+        // derived once: the assembly numbers its rows (and indexes its hint)
+        // by it, the reduction maps back through it.
         let mut bcs = DirichletBcs::new();
         let mut free_nodes = Vec::new();
         for id in 0..lattice.num_nodes() {
@@ -670,27 +677,11 @@ impl<'a> GlobalStage<'a> {
             .flat_map(|&m| [3 * m, 3 * m + 1, 3 * m + 2])
             .collect();
         debug_assert_eq!(free, bcs.free_dofs(ndof));
-        // Geometry hint: each free DoF maps to the inclusive block-grid
-        // footprint of its lattice node, so the direct solvers can dissect
-        // (and the sharded backend cut) the reduced operator along block
-        // boundaries instead of searching its dense sparsity graph.
-        let grid = [layout.nx(), layout.ny()];
-        let spans = free
-            .iter()
-            .map(|&dof| {
-                let [cx, cy, _] = lattice.coords[dof / 3];
-                let sx = interp.block_span(0, cx, grid[0]);
-                let sy = interp.block_span(1, cy, grid[1]);
-                [sx[0], sx[1], sy[0], sy[1]]
-            })
-            .collect();
-        let hint = Arc::new(PartitionHint::new(grid, spans));
         Ok((
             Prelude {
                 lattice,
                 blocks,
                 b_unit,
-                hint,
             },
             FreeSet {
                 bcs,
@@ -738,15 +729,17 @@ impl<'a> GlobalStage<'a> {
     /// sum, in block order, that assembling it and extracting `A_ff` would
     /// have produced — bit for bit, explicit zeros included.
     ///
-    /// Returns the reduced system (`A_ff` carrying the prelude's hint, the
-    /// lifting term as `rhs`) and the heap bytes of the scratch that lived
-    /// beside it meanwhile.
-    fn assemble_reduced(&self, prelude: &Prelude<'_>, free: FreeSet) -> (ReducedSystem, usize) {
+    /// Returns the reduced system (`A_ff` carrying the partition hint of
+    /// `layout`, the lifting term as `rhs`) and the heap bytes of the
+    /// scratch that lived beside it meanwhile.
+    fn assemble_reduced(
+        &self,
+        layout: &BlockLayout,
+        prelude: &Prelude<'_>,
+        free: FreeSet,
+    ) -> (ReducedSystem, usize) {
         let Prelude {
-            lattice,
-            blocks,
-            hint,
-            ..
+            lattice, blocks, ..
         } = prelude;
         let FreeSet {
             bcs,
@@ -878,8 +871,24 @@ impl<'a> GlobalStage<'a> {
             + prescribed.heap_bytes()
             + nested_heap_bytes(&node_adj)
             + nested_heap_bytes(&node_contrib);
+        // Geometry hint: each free DoF maps to the inclusive block-grid
+        // footprint of its lattice node, so the direct solvers can dissect
+        // (and the sharded backend cut) the reduced operator along block
+        // boundaries instead of searching its dense sparsity graph.
+        let interp = self.rom_tsv.interpolation();
+        let grid = [layout.nx(), layout.ny()];
+        let spans = free
+            .iter()
+            .map(|&dof| {
+                let [cx, cy, _] = lattice.coords[dof / 3];
+                let sx = interp.block_span(0, cx, grid[0]);
+                let sy = interp.block_span(1, cy, grid[1]);
+                [sx[0], sx[1], sy[0], sy[1]]
+            })
+            .collect();
+        let hint = Arc::new(PartitionHint::new(grid, spans));
         let a_ff = CsrMatrix::from_raw_trusted(free.len(), free.len(), row_ptr, col_idx, values)
-            .with_partition_hint(Arc::clone(hint));
+            .with_partition_hint(hint);
         let reduced = ReducedSystem::from_parts(Arc::new(a_ff), lifting, free, ndof, bcs);
         (reduced, scratch_bytes)
     }
@@ -897,8 +906,6 @@ struct Prelude<'r> {
     blocks: Vec<BlockMap<'r>>,
     /// The ΔT = 1 load on all DoFs.
     b_unit: Vec<f64>,
-    /// Block-grid footprint of every free DoF.
-    hint: Arc<PartitionHint>,
 }
 
 /// The constraint side of a prelude, consumed by whichever arm builds the

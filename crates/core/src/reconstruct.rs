@@ -184,18 +184,31 @@ impl SamplingPlan {
                 .chunks_exact(self.cols)
                 .map(|row| dot_panel(row, coeffs)),
         );
-        let mut tiles = Vec::with_capacity(blocks * self.points.len());
-        for b in 0..blocks {
-            tiles.extend(self.points.iter().map(|point| {
-                let Some(point) = point else {
-                    return f64::NAN;
-                };
-                let sigma = std::array::from_fn(|i| {
-                    let dbu: f64 = (0..24).map(|k| point.db[i][k] * u[point.rows[k]][b]).sum();
-                    dbu - delta_t * point.thermal[i]
-                });
-                StressSample::from_tensor(sigma).von_mises
-            }));
+        let n = self.points.len();
+        let mut tiles = vec![f64::NAN; blocks * n];
+        for (p, point) in self.points.iter().enumerate() {
+            let Some(point) = point else {
+                continue;
+            };
+            // `D·B·u_e` of every lane at once, one row of `D·B` at a time
+            // over the point's 24 rows of `u` (L1-resident after the first
+            // row; one row keeps eight accumulators live, where all six
+            // would spill). Lane `b` is block `b`'s own chain — from `-0.0`,
+            // a rounded product then a rounded add per `k`, ascending —
+            // which is exactly the per-block `.sum()`.
+            let dbu: [[f64; GROUP]; 6] = std::array::from_fn(|i| {
+                let mut acc = [-0.0; GROUP];
+                for (&d, &row) in point.db[i].iter().zip(&point.rows) {
+                    for (a, &x) in acc.iter_mut().zip(&u[row]) {
+                        *a += d * x;
+                    }
+                }
+                acc
+            });
+            for (b, tile) in tiles.chunks_exact_mut(n).enumerate() {
+                let sigma = std::array::from_fn(|i| dbu[i][b] - delta_t * point.thermal[i]);
+                tile[p] = StressSample::from_tensor(sigma).von_mises;
+            }
         }
         tiles
     }

@@ -7,14 +7,17 @@
 //! (fresh cache, so it must assemble). Runs in the main CI test matrix
 //! (`MORESTRESS_THREADS ∈ {default, 1, 8}`).
 
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use morestress_core::{
     GlobalBc, GlobalSolution, GlobalStage, InterpolationGrid, LocalStage, LocalStageOptions,
     MoreStressSimulator, ReducedOrderModel, SimulatorBuilder,
 };
 use morestress_fem::{Material, MaterialSet};
-use morestress_linalg::{DirectCholesky, FactorCache, LinearSolver};
+use morestress_linalg::{
+    CsrMatrix, DirectCholesky, FactorCache, LinalgError, LinearSolver, PartitionHint,
+    PreparedSolver, SolverBackend,
+};
 use morestress_mesh::{BlockKind, BlockLayout, BlockResolution, TsvGeometry, MAT_SI};
 
 const BC: GlobalBc = GlobalBc::ClampedTopBottom;
@@ -119,8 +122,8 @@ fn with_dummy_at(bi: usize, bj: usize) -> BlockLayout {
 
 /// (a) + (b): five loads on one simulator are one preparation and four
 /// provenance hits, and each warm answer is the cold answer — on the
-/// monolithic direct backend and on the 4-shard one (whose configuration
-/// fingerprint folds in the partition hint the prelude sets first).
+/// monolithic direct backend and on the 4-shard one (which plans its
+/// shards from the partition hint the operator carries).
 #[test]
 fn repeated_loads_reuse_the_operator_and_match_fresh_solves() {
     for (name, configure) in [("direct", direct as fn(_) -> _), ("shards(4)", sharded)] {
@@ -344,4 +347,104 @@ fn shared_cache_never_crosses_between_different_roms() {
         );
     }
     assert_eq!((cache.misses(), cache.hits()), (2, 3));
+}
+
+/// The direct backend, recording every partition hint the stage hands
+/// down (as the benchmark's tracing shim does).
+#[derive(Debug, Default)]
+struct HintRecorder {
+    inner: DirectCholesky,
+    hints: Mutex<Vec<Option<Arc<PartitionHint>>>>,
+}
+
+impl HintRecorder {
+    /// The one hint handed down since the last call.
+    fn take_one(&self, label: &str) -> Arc<PartitionHint> {
+        let hints = std::mem::take(&mut *self.hints.lock().expect("hints poisoned"));
+        match <[_; 1]>::try_from(hints) {
+            Ok([Some(hint)]) => hint,
+            other => panic!("{label}: expected one hint, got {other:?}"),
+        }
+    }
+}
+
+impl SolverBackend for HintRecorder {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn prepare(&self, a: Arc<CsrMatrix>) -> Result<PreparedSolver, LinalgError> {
+        self.inner.prepare(a)
+    }
+
+    fn config_fingerprint(&self) -> u64 {
+        self.inner.config_fingerprint()
+    }
+
+    fn set_partition_hint(&self, hint: Option<Arc<PartitionHint>>) {
+        self.hints.lock().expect("hints poisoned").push(hint);
+    }
+}
+
+/// The hint a solve hands its backend is the one its operator carries:
+/// on the cold miss, the hint [`GlobalStage::assemble`] attaches; on every
+/// provenance hit, the cached operator's own `Arc` — nothing rebuilt.
+#[test]
+fn provenance_hits_hand_down_the_cached_operators_own_hint() {
+    let (tsv, dummy) = roms();
+    let cache = FactorCache::new();
+    let backend = HintRecorder::default();
+    let layout = with_dummy_at(3, 1);
+    let stage = || {
+        GlobalStage::new(tsv)
+            .with_dummy(dummy)
+            .expect("compatible ROMs")
+            .with_backend(&backend)
+    };
+
+    let cold = stage()
+        .with_cache(&cache)
+        .solve(&layout, LOADS[0], &BC)
+        .expect("cold solve");
+    assert!(!cold.stats.operator_reused);
+    let cold_hint = backend.take_one("cold");
+    let assembled = stage().assemble(&layout, &BC).expect("assembly");
+    assert_eq!(
+        Some(&*cold_hint),
+        assembled.a_ff.partition_hint().map(|hint| &**hint),
+        "the cold miss hands down the hint the assembly attaches"
+    );
+    let cached = cache
+        .prepare(&backend, &assembled.a_ff)
+        .expect("cached solver");
+    let cached_hint = cached
+        .matrix()
+        .partition_hint()
+        .expect("the cached operator carries its hint");
+    assert_eq!(cache.misses(), 1, "found by content, not prepared again");
+
+    for (i, &load) in LOADS.iter().enumerate().skip(1) {
+        let warm = stage()
+            .with_cache(&cache)
+            .solve(&layout, load, &BC)
+            .expect("warm solve");
+        assert!(warm.stats.operator_reused, "load {i}");
+        let hint = backend.take_one(&format!("load {i}"));
+        assert!(
+            Arc::ptr_eq(&hint, cached_hint),
+            "load {i}: the cached operator's own hint"
+        );
+        let uncached = GlobalStage::new(tsv)
+            .with_dummy(dummy)
+            .expect("compatible ROMs")
+            .with_backend(&DirectCholesky::default())
+            .solve(&layout, load, &BC)
+            .expect("uncached solve");
+        assert_bitwise(
+            &format!("load {i}"),
+            uncached.nodal_displacement(),
+            warm.nodal_displacement(),
+        );
+    }
+    assert_eq!(cache.misses(), 1);
 }

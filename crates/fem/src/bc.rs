@@ -7,7 +7,6 @@
 //! positive definiteness so sparse Cholesky and CG remain applicable. The
 //! two formulations produce identical free-DoF solutions.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use morestress_linalg::CsrMatrix;
@@ -16,6 +15,15 @@ use crate::FemError;
 
 /// A set of prescribed displacement values, keyed by global DoF index
 /// (`3·node + component`).
+///
+/// Stored flat: one `(dof, value)` list kept sorted by DoF, so every walk
+/// over the constraints (the reduction's lifting, [`ReducedSystem::expand`],
+/// the global stage's prescribed fill) reads one contiguous array. Callers
+/// that constrain DoFs in ascending order — every production caller does,
+/// node by node — pay one push per DoF. An out-of-order
+/// [`set_dof`](Self::set_dof) binary-searches its position and then
+/// overwrites in place or inserts, shifting the larger entries up: cheap
+/// for a handful of pins, quadratic for a long descending sequence.
 ///
 /// # Example
 ///
@@ -30,7 +38,8 @@ use crate::FemError;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DirichletBcs {
-    values: BTreeMap<usize, f64>,
+    /// `(dof, value)` pairs, strictly ascending by DoF.
+    values: Vec<(usize, f64)>,
 }
 
 impl DirichletBcs {
@@ -41,7 +50,15 @@ impl DirichletBcs {
 
     /// Prescribes a single DoF. Later calls overwrite earlier ones.
     pub fn set_dof(&mut self, dof: usize, value: f64) {
-        self.values.insert(dof, value);
+        match self.values.last() {
+            Some(&(last, _)) if last >= dof => {
+                match self.values.binary_search_by_key(&dof, |&(d, _)| d) {
+                    Ok(at) => self.values[at].1 = value,
+                    Err(at) => self.values.insert(at, (dof, value)),
+                }
+            }
+            _ => self.values.push((dof, value)),
+        }
     }
 
     /// Prescribes all three components of a node.
@@ -70,20 +87,23 @@ impl DirichletBcs {
 
     /// The prescribed value of `dof`, if constrained.
     pub fn value(&self, dof: usize) -> Option<f64> {
-        self.values.get(&dof).copied()
+        self.values
+            .binary_search_by_key(&dof, |&(d, _)| d)
+            .ok()
+            .map(|at| self.values[at].1)
     }
 
     /// Iterates over `(dof, value)` pairs in DoF order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.values.iter().map(|(&d, &v)| (d, v))
+        self.values.iter().copied()
     }
 
     /// The unconstrained DoFs of an `ndof`-DoF system, ascending — the
     /// free-index → full-index map of its reduction.
     pub fn free_dofs(&self, ndof: usize) -> Vec<usize> {
-        let mut fixed = self.values.keys().peekable();
+        let mut fixed = self.values.iter().map(|&(d, _)| d).peekable();
         (0..ndof)
-            .filter(|dof| fixed.next_if_eq(&dof).is_none())
+            .filter(|dof| fixed.next_if_eq(dof).is_none())
             .collect()
     }
 }
