@@ -413,12 +413,12 @@ impl<'a> GlobalStage<'a> {
     ///
     /// 1. **Layout prelude** (cheap, always): lattice, per-block node maps,
     ///    unit load, constraint set, and the free set derived from it (once —
-    ///    assembly and reduction both index by it). Only what both routes of
-    ///    part 2 read: the partition hint (the block-grid footprint of every
-    ///    free DoF — the direct solvers order by it, the sharded backend
-    ///    plans from it) is built on the assembling route alone, which
-    ///    attaches it to the operator; a reused operator already carries
-    ///    its own.
+    ///    assembly and reduction both index by it) — only what both routes
+    ///    of part 2 read. The partition hint (the block-grid footprint of
+    ///    every free DoF; the direct solvers order by it, the sharded
+    ///    backend plans from it) is built on the assembling route alone,
+    ///    which attaches it to the operator; a reused operator carries its
+    ///    own.
     /// 2. **Operator**: runs only when the registered cache holds no entry
     ///    tagged with this solve's *provenance* (interpolation counts,
     ///    layout shape and block kinds, BC kind, ROM identities; see

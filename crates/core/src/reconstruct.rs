@@ -32,10 +32,16 @@
 //! ([`dot_panel`](morestress_linalg::dot_panel)) per row of `T` gives the
 //! touched displacements `u_t` of every block of the group. Column `b` of
 //! that dot is bit for bit `dot(row, [U_b; ΔT])`, so a block samples to the
-//! same bits in any group. Per block, each point then takes the 6 × 24
-//! product and the von Mises formula. Groups are the tasks on the shared
-//! [`WorkPool`]; each returns its blocks' tiles, which are stitched in block
-//! order, so the field is bitwise identical for every pool size.
+//! same bits in any group. The point stage then loops **points outside
+//! blocks**: each non-void point reads its `PointMap` once per group and,
+//! one row of `D·B` at a time, accumulates the 6 × 24 product for all eight
+//! lanes over its 24 rows of `u_t` (each already an `[f64; 8]`), then takes
+//! the von Mises formula per block. Lane `b` is block `b`'s own chain —
+//! from `-0.0`, one rounded product and one rounded add per `k`, ascending
+//! — which is what a per-block `.sum()` computes, so the loop order moves no
+//! bit. Groups are the tasks on the shared [`WorkPool`]; each returns its
+//! blocks' tiles, which are stitched in block order, so the field is
+//! bitwise identical for every pool size.
 //!
 //! **Cost model** (`n` basis functions, `blocks` unit blocks): building a
 //! plan is ≈ `3·n_touched·n` copies plus `g²` element set-ups (locate,
@@ -51,19 +57,32 @@
 //! *latency*, not on bandwidth: `T` (≈ 0.5 MB per kind at `g = 4`) sits in
 //! L2, yet the per-block sweep ran at ≈ 2 GFMA/s. The 8-wide dot keeps 32
 //! independent chains in flight and loads each entry of `T` once per group
-//! instead of once per block. Median `sample_midplane` wall time of two
-//! processes per side, per-block → grouped (`medium` mesh, [4,4,4], one
-//! worker, 2-vCPU x86-64 guest with FMA; the field bits are identical):
+//! instead of once per block (24×24 blocks at `g = 4`: 17.3–17.6 →
+//! 5.6–5.7 ms).
 //!
-//! | layout                                      | per-block    | grouped      |
-//! |---------------------------------------------|--------------|--------------|
-//! | 24×24 blocks (400 TSV + 176 dummy), `g = 4` | 17.3–17.6 ms | 5.6–5.7 ms   |
-//! | 16×16 TSV blocks, `g = 4`                   | 7.4–8.2 ms   | 2.4 ms       |
-//! | 4×4 TSV blocks, `g = 20`                    | 4.6–5.3 ms   | 2.3 ms       |
-//! | 4×4 TSV blocks, `g = 100`                   | 33–37 ms     | 30–36 ms     |
+//! The point stage is ordered points-outside-blocks for the same reason one
+//! level down. Block-major, every block of a group re-read all `g²`
+//! `PointMap`s (1.4 kB each; 14 MB per kind at `g = 100`, far beyond L2)
+//! and ran one accumulator chain at a time; point-major reads each map once
+//! per group, and one `D·B` row keeps eight independent lane chains in
+//! registers — all six rows at once would spill on the baseline x86-64
+//! target. `sample_midplane` wall time, block-major → point-major: minimum
+//! and median of 60 calls, in each of two processes per side (`medium`
+//! mesh, [4,4,4], one worker, 2-vCPU x86-64 guest running 1.4–1.5× slower
+//! than the benchmark's reference speed; the field bits are identical):
 //!
-//! At the upstream tool's `g = 100` on few blocks, building the plan
-//! dominates and grouping leaves it as it was.
+//! | layout                                      | block-major min / median | point-major min / median |
+//! |---------------------------------------------|--------------------------|--------------------------|
+//! | 24×24 blocks (400 TSV + 176 dummy), `g = 4` | 7.9–8.3 / 9.0 ms         | 5.2–6.9 / 7.6–8.2 ms     |
+//! | 16×16 TSV blocks, `g = 4`                   | 3.7 / 4.3 ms             | 3.3–3.4 / 3.6–3.7 ms     |
+//! | 4×4 TSV blocks, `g = 20`                    | 4.0–4.1 / 4.2–4.6 ms     | 2.1–3.2 / 3.1–3.5 ms     |
+//! | 4×4 TSV blocks, `g = 100`                   | 65–66 / 72–73 ms         | 16–23 / 20–24 ms         |
+//!
+//! At `g = 4` the `T` dot is the larger share (≈ 5 ms of the 24×24 call,
+//! against ≈ 0.6 ms for the point stage, from ≈ 2.2 ms block-major). At the
+//! upstream tool's `g = 100` the point stage is nearly all of it: on the
+//! paper's 54×54 array one call fell from 8.1–9.2 s to 2.5–2.8 s, the point
+//! stage from 7.6–8.8 s to 2.1 s.
 //!
 //! The two factors are **not collapsed** into the dense map
 //! `S = D·B·T ∈ ℝ^{6g² × n}`: `S` costs `24·6·n` flops per point to form
