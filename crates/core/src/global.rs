@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 
 use morestress_fem::{DirichletBcs, FemError, ReducedSystem};
 use morestress_linalg::{
-    CsrMatrix, DegradationTrail, FactorCache, LinearSolver, MemoryFootprint, PartitionHint,
-    SolverBackend, VerifyPolicy, WorkPool,
+    huge_with_capacity, huge_zeroed, CsrMatrix, DegradationTrail, FactorCache, LinearSolver,
+    MemoryFootprint, PartitionHint, SolverBackend, VerifyPolicy, WorkPool,
 };
 use morestress_mesh::{BlockKind, BlockLayout};
 
@@ -787,11 +787,12 @@ impl<'a> GlobalStage<'a> {
         }
         // The three DoF rows of a node share one column structure, so the
         // CSR arrays are emitted directly (sorted by construction — no
-        // per-entry validation or intermediate Vec<Vec> needed).
+        // per-entry validation or intermediate Vec<Vec> needed). Both
+        // arrays are written in full, so they are huge-page advised.
         let nnz: usize = node_adj.iter().map(|l| 9 * l.len()).sum();
         let mut row_ptr = Vec::with_capacity(free.len() + 1);
         row_ptr.push(0usize);
-        let mut col_idx = Vec::with_capacity(nnz);
+        let mut col_idx = huge_with_capacity(nnz);
         for neighbors in &node_adj {
             for _ in 0..3 {
                 for &nb in neighbors {
@@ -800,7 +801,7 @@ impl<'a> GlobalStage<'a> {
                 row_ptr.push(col_idx.len());
             }
         }
-        let mut values = vec![0.0; nnz];
+        let mut values = huge_zeroed(nnz);
         let mut lifting = vec![0.0; free.len()];
 
         // Element → free DoF scatter, node-parallel on the shared pool:

@@ -137,7 +137,7 @@ pub use iterative::{
     JacobiPreconditioner, Preconditioner, RefineOptions, SsorPreconditioner,
 };
 pub use kernel::{BlockedKernel, DenseKernel, Isa, KernelChoice, ScalarKernel};
-pub use memory::MemoryFootprint;
+pub use memory::{huge_with_capacity, huge_zeroed, MemoryFootprint};
 pub use ordering::{geometric_dissection, reverse_cuthill_mckee, FillOrdering, Permutation};
 pub use pool::{TaskDag, WorkPool};
 pub use schur::Sharded;

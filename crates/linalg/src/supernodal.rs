@@ -9,9 +9,11 @@
 //! sparsity patterns coincide (exactly, or nearly, under *relaxed
 //! amalgamation*). Each supernode is stored as one dense column panel, so
 //! both the factorization and the triangular solves run as dense rank-k
-//! updates over contiguous `f64` slices (`dsyrk`/`dgemm`-shaped loops the
-//! compiler autovectorizes), with the sparse indices consulted once per
-//! panel instead of once per entry.
+//! updates over contiguous `f64` slices, with the sparse indices consulted
+//! once per panel instead of once per entry. The dense work goes through
+//! the crate's [`DenseKernel`]: register tiles and unrolled fused
+//! multiply-add loops compiled per instruction-set level (`kernel.rs`'s
+//! `Isa` ladder), bit for bit the same at every level.
 //!
 //! # Why this matters for MORE-Stress
 //!
@@ -50,14 +52,19 @@
 //!    supernode, the exact ordered list of descendant contributions the
 //!    serial left-looking sweep would apply (see *Determinism* below),
 //!    plus subtree weights of the supernodal etree for schedule balance.
-//! 2. **Numeric**: two task kinds cover the work.
+//! 2. **Numeric**: two task kinds cover the work. All panels share one
+//!    buffer, written in full; it is allocated huge-page advised
+//!    ([`huge_zeroed`]), so a 24×24-block array's 35 MB factor faults in
+//!    2 MiB at a time rather than 4 KiB.
 //!
 //!    * A **panel task** per supernode: assemble the panel from `A`
 //!      (column `c` from row `perm[c]`, the entries at or below the
 //!      diagonal after renaming; each slot is written once); if the
 //!      panel's whole descendant-update load fits the work budget,
-//!      stream the updates `C = G·G₁ᵀ` (contiguous axpy loops scattered
-//!      through precomputed relative indices) directly into the panel,
+//!      apply the updates `C = G·G₁ᵀ` directly to the panel — each one
+//!      [`DenseKernel::scatter_update`] call, whose register tile is
+//!      subtracted straight into the panel's slots through the
+//!      descendant's relative row map, with no update buffer in between —
 //!      otherwise subtract the finished update chunks (below)
 //!      element-wise in fixed chunk order; then factor the panel in place
 //!      by a dense blocked column Cholesky.
@@ -148,7 +155,7 @@ use std::sync::Mutex;
 use crate::kernel::{DenseKernel, KernelChoice};
 use crate::ordering::{tree_metrics, FillOrdering, Permutation, TreeMetrics};
 use crate::pool::TaskDag;
-use crate::{CsrMatrix, LinalgError, MemoryFootprint, WorkPool};
+use crate::{huge_zeroed, CsrMatrix, LinalgError, MemoryFootprint, WorkPool};
 
 const NONE: usize = usize::MAX;
 
@@ -693,7 +700,8 @@ fn bordered_permutation(lead: &Permutation, n: usize) -> (Cow<'_, [usize]>, Cow<
 /// the pattern, `col_rows[col_ptr[j]..col_ptr[j+1]]`, holds every row
 /// `k > j` whose strict lower part has an entry in column `j`, ascending
 /// (rows are visited in order). The etree is unique, so the order of the
-/// entries within a row does not matter to it either. Returns
+/// entries within a row does not matter to it either. `col_rows` is
+/// written in full, so it is allocated huge-page advised. Returns
 /// `(col_ptr, col_rows, parent)`, `parent[j] == NONE` marking a root.
 fn lower_pattern(pa: Permuted<'_>) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
     let n = pa.n();
@@ -706,7 +714,7 @@ fn lower_pattern(pa: Permuted<'_>) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
     for j in 0..n {
         col_ptr[j + 1] += col_ptr[j];
     }
-    let mut col_rows = vec![0usize; col_ptr[n]];
+    let mut col_rows = huge_zeroed(col_ptr[n]);
     let mut next = col_ptr[..n].to_vec();
     let mut parent = vec![NONE; n];
     // Liu's algorithm: `ancestor` path-compresses each visited path up to
@@ -1271,7 +1279,10 @@ pub struct SupernodalCholesky {
     row_ptr: Vec<usize>,
     rows: Vec<usize>,
     /// Dense panels, column-major with leading dimension = panel rows;
-    /// supernode `s` owns `values[val_ptr[s]..val_ptr[s+1]]`.
+    /// supernode `s` owns `values[val_ptr[s]..val_ptr[s+1]]`. One buffer
+    /// written in full by the panel tasks, allocated through
+    /// [`huge_zeroed`] so a large factor is huge-page advised and faults
+    /// in 2 MiB at a time.
     val_ptr: Vec<usize>,
     values: Vec<f64>,
     true_nnz: usize,
@@ -1421,7 +1432,7 @@ impl SupernodalCholesky {
             inv: &inv,
         };
         let mut sym = Symbolic::analyze(pa, n_elim, opts);
-        let mut values = vec![0.0f64; sym.val_ptr[sym.num_sn()]];
+        let mut values = huge_zeroed(sym.val_ptr[sym.num_sn()]);
         let factor_workers = Self::factor_numeric(&sym, pa, &mut values, opts.kernel.kernel())?;
         drop((perm, inv));
         let border = sym.border_block(&values);
