@@ -665,11 +665,12 @@ fn parse_material(node: &Node) -> Result<MaterialSpec, SpecError> {
     }
     let young_node = map.require("young_modulus")?;
     let young_modulus = number(young_node)?;
-    let poisson_ratio = number(map.require("poisson_ratio")?)?;
+    let poisson_node = map.require("poisson_ratio")?;
+    let poisson_ratio = number(poisson_node)?;
     let thermal_expansion_coefficient = number(map.require("thermal_expansion_coefficient")?)?;
     if young_modulus <= 0.0 {
         return Err(SpecError {
-            line: node.line,
+            line: young_node.line,
             kind: SpecErrorKind::BadValue(format!(
                 "young_modulus must be positive, got {young_modulus}"
             )),
@@ -686,7 +687,7 @@ fn parse_material(node: &Node) -> Result<MaterialSpec, SpecError> {
     }
     if poisson_ratio <= -1.0 || poisson_ratio >= 0.5 {
         return Err(SpecError {
-            line: node.line,
+            line: poisson_node.line,
             kind: SpecErrorKind::BadValue(format!(
                 "poisson_ratio must lie in (-1, 0.5), got {poisson_ratio}"
             )),
@@ -734,6 +735,21 @@ fn parse_array(node: &Node) -> Result<ArraySpec, SpecError> {
         return Err(SpecError {
             line: node.line,
             kind: SpecErrorKind::BadValue("tsv_num_x and tsv_num_y must be at least 1".to_string()),
+        });
+    }
+    // The padded sides and their block count must fit a `usize`, or
+    // `layout` would wrap around.
+    let side = |tsv: usize, dummy: usize| dummy.checked_mul(2)?.checked_add(tsv);
+    let blocks = side(array.tsv_num_x, array.dummy_tsv_num_x)
+        .zip(side(array.tsv_num_y, array.dummy_tsv_num_y))
+        .and_then(|(nx, ny)| nx.checked_mul(ny));
+    if blocks.is_none() {
+        return Err(SpecError {
+            line: node.line,
+            kind: SpecErrorKind::BadValue(
+                "the array with its dummy rings has more blocks than this machine can count"
+                    .to_string(),
+            ),
         });
     }
     Ok(array)

@@ -244,14 +244,18 @@ fn domain_violations_are_rejected() {
     let err = CampaignSpec::parse(&text).unwrap_err();
     assert!(matches!(err.kind, SpecErrorKind::BadValue(_)), "{err}");
 
-    // Physically impossible Poisson ratio must fail *here*, with a line,
-    // not panic later inside `Material::new`.
-    let text = format!(
-        "{MINIMAL}materials:\n  - name: Cu\n    young_modulus: 110000\n    \
-         poisson_ratio: 0.6\n    thermal_expansion_coefficient: 1.7e-5\n"
-    );
-    let err = CampaignSpec::parse(&text).unwrap_err();
-    assert!(matches!(err.kind, SpecErrorKind::BadValue(_)), "{err}");
+    // Physically impossible material constants must fail *here*, with the
+    // line of the offending key (not the material map's, 13), not panic
+    // later inside `Material::new`.
+    for (young, poisson, line) in [("110000", "0.6", 15), ("0", "0.35", 14), ("-5", "0.35", 14)] {
+        let text = format!(
+            "{MINIMAL}materials:\n  - name: Cu\n    young_modulus: {young}\n    \
+             poisson_ratio: {poisson}\n    thermal_expansion_coefficient: 1.7e-5\n"
+        );
+        let err = CampaignSpec::parse(&text).unwrap_err();
+        assert_eq!(err.line, line, "{young}, {poisson}: {err}");
+        assert!(matches!(err.kind, SpecErrorKind::BadValue(_)), "{err}");
+    }
 
     // Unknown material name.
     let text = format!(
@@ -266,6 +270,26 @@ fn domain_violations_are_rejected() {
     let text = MINIMAL.replace("tsv_num_x: 2", "tsv_num_x: 0");
     let err = CampaignSpec::parse(&text).unwrap_err();
     assert!(matches!(err.kind, SpecErrorKind::BadValue(_)), "{err}");
+
+    // Padded sizes that overflow: 1 + 2·2⁶³ wraps a 64-bit side, and
+    // (1 + 2·2³²)² the block count. Each is refused at the array's line
+    // (10) before `layout` computes it.
+    for (dx, dy) in [
+        ("9223372036854775808", "0"),
+        ("0", "9223372036854775808"),
+        ("4294967296", "4294967296"),
+    ] {
+        let text = MINIMAL.replace(
+            "  - tsv_num_x: 2\n    tsv_num_y: 2\n",
+            &format!(
+                "  - tsv_num_x: 1\n    tsv_num_y: 1\n    dummy_tsv_num_x: {dx}\n    \
+                 dummy_tsv_num_y: {dy}\n"
+            ),
+        );
+        let err = CampaignSpec::parse(&text).unwrap_err();
+        assert_eq!(err.line, 10, "rings {dx} × {dy}: {err}");
+        assert!(matches!(err.kind, SpecErrorKind::BadValue(_)), "{err}");
+    }
 }
 
 #[test]

@@ -216,10 +216,6 @@ pub struct GlobalStats {
     /// used (1 for iterative backends, serial factorization, warm-cache
     /// hits prepared serially, and fully-constrained solves).
     pub factor_workers: usize,
-    /// Dense-microkernel name behind the direct factorization
-    /// (`"blocked"` — the one production kernel); `None` for iterative
-    /// backends and fully-constrained solves.
-    pub kernel: Option<&'static str>,
     /// The fill ordering the direct factorization resolved to
     /// (`"geometric"` for every operator this stage reduces — it attaches
     /// the block-grid hint; `"rcm"` is the hint-less fallback).
@@ -470,7 +466,6 @@ impl<'a> GlobalStage<'a> {
             backend: "none",
             workers: 1,
             factor_workers: 1,
-            kernel: None,
             ordering: None,
             factor_nnz: None,
             shards: 1,
@@ -566,7 +561,6 @@ impl<'a> GlobalStage<'a> {
             backend: batch.report.backend,
             workers: batch.report.workers,
             factor_workers: batch.report.factor_workers,
-            kernel: batch.report.kernel,
             ordering: batch.report.ordering,
             factor_nnz: batch.report.factor_nnz,
             shards: batch.report.shards,

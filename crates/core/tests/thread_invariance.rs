@@ -20,9 +20,8 @@ use morestress_core::{
 };
 use morestress_fem::MaterialSet;
 use morestress_linalg::{
-    CooMatrix, DirectCholesky, FactorCache, FillOrdering, KernelChoice, LinearSolver,
-    PartitionHint, Sharded, SolverBackend, SupernodalCholesky, SupernodalOptions, VerifyPolicy,
-    WorkPool,
+    CooMatrix, DirectCholesky, FactorCache, FillOrdering, LinearSolver, PartitionHint, Sharded,
+    SolverBackend, SupernodalCholesky, SupernodalOptions, VerifyPolicy, WorkPool,
 };
 use morestress_mesh::{BlockKind, BlockLayout, BlockResolution, TsvGeometry};
 
@@ -151,8 +150,8 @@ fn panel_multi_rhs_solves_are_pool_size_invariant() {
     // panel partitioning depends only on the batch size, never on the
     // worker count, and per column the blocked sweeps execute the
     // single-RHS operation sequence — so the batch must be bitwise
-    // identical at every pool cap, for both dense kernels and for batch
-    // sizes that straddle panel boundaries.
+    // identical at every pool cap, for batch sizes that straddle panel
+    // boundaries.
     let n = 143; // deliberately not a multiple of the panel width
     let mut coo = CooMatrix::new(n, n);
     for i in 0..n {
@@ -176,38 +175,29 @@ fn panel_multi_rhs_solves_are_pool_size_invariant() {
                 .collect()
         })
         .collect();
-    for &kernel in KernelChoice::available() {
-        let backend = DirectCholesky {
-            supernodal: SupernodalOptions {
-                kernel,
-                ..SupernodalOptions::default()
-            },
-            ..DirectCholesky::default()
-        };
-        let solve = |cap: usize| {
-            WorkPool::new(cap).install(|| {
-                let prepared = backend.prepare(std::sync::Arc::clone(&a)).expect("SPD");
-                prepared.solve_many(&loads, 64).expect("batched solve").xs
-            })
-        };
-        let reference = solve(REFERENCE_CAP);
-        for cap in CAPS {
-            let xs = solve(cap);
-            for (r, c) in reference.iter().zip(&xs) {
-                assert_bitwise(&format!("{kernel:?}"), cap, r, c);
-            }
+    let backend = DirectCholesky::default();
+    let solve = |cap: usize| {
+        WorkPool::new(cap).install(|| {
+            let prepared = backend.prepare(std::sync::Arc::clone(&a)).expect("SPD");
+            prepared.solve_many(&loads, 64).expect("batched solve").xs
+        })
+    };
+    let reference = solve(REFERENCE_CAP);
+    for cap in CAPS {
+        let xs = solve(cap);
+        for (r, c) in reference.iter().zip(&xs) {
+            assert_bitwise("direct", cap, r, c);
         }
     }
 }
 
 #[test]
 fn supernodal_factor_is_pool_size_invariant_per_kernel() {
-    // The per-kernel determinism contract of the microkernel layer: for
-    // *each* kernel (scalar oracle, blocked mul_add tiles), the
-    // elimination-tree-parallel factorization must be bitwise
-    // identical to the serial sweep at every pool cap. Run at the default
-    // chunk budget and at a tiny one that forces update-chunk tasks plus
-    // their reduction-tree combines into the DAG.
+    // The determinism contract of the dense kernel: the
+    // elimination-tree-parallel factorization must be bitwise identical
+    // to the serial sweep at every pool cap. Run at the default chunk
+    // budget and at a tiny one that forces update-chunk tasks plus their
+    // reduction-tree combines into the DAG.
     //
     // A 25×25-point lattice over 4×4 blocks of 6×6 cells, carrying the
     // block footprint of every point, so `Geometric` dissects it into a
@@ -249,39 +239,31 @@ fn supernodal_factor_is_pool_size_invariant_per_kernel() {
     let a = coo.to_csr().with_partition_hint(std::sync::Arc::new(hint));
     let b: Vec<f64> = (0..n).map(|i| ((i * 5) % 11) as f64 - 5.0).collect();
     let perm = FillOrdering::Geometric.permutation(&a);
-    for &kernel in KernelChoice::available() {
-        for chunk_work in [SupernodalOptions::default().chunk_work, 512] {
-            let opts = SupernodalOptions {
-                kernel,
-                chunk_work,
-                ..SupernodalOptions::default()
-            };
-            let factor = |cap: usize| {
-                WorkPool::new(cap).install(|| {
-                    SupernodalCholesky::factor_with_permutation(&a, perm.clone(), &opts)
-                        .expect("SPD")
-                })
-            };
-            let reference = factor(REFERENCE_CAP);
-            assert_eq!(reference.kernel_name(), kernel.resolved_name());
-            let stats = reference.stats();
-            assert!(stats.critical_path * 2 <= stats.total_work, "{stats:?}");
-            let x_ref = reference.solve(&b);
-            for cap in CAPS {
-                let parallel = factor(cap);
-                assert!(parallel.factor_workers() <= cap);
-                let label = format!(
-                    "{} factor (chunk_work {chunk_work})",
-                    kernel.resolved_name()
-                );
-                assert_bitwise(
-                    &label,
-                    cap,
-                    reference.factor_values(),
-                    parallel.factor_values(),
-                );
-                assert_bitwise(&label, cap, &x_ref, &parallel.solve(&b));
-            }
+    for chunk_work in [SupernodalOptions::default().chunk_work, 512] {
+        let opts = SupernodalOptions {
+            chunk_work,
+            ..SupernodalOptions::default()
+        };
+        let factor = |cap: usize| {
+            WorkPool::new(cap).install(|| {
+                SupernodalCholesky::factor_with_permutation(&a, perm.clone(), &opts).expect("SPD")
+            })
+        };
+        let reference = factor(REFERENCE_CAP);
+        let stats = reference.stats();
+        assert!(stats.critical_path * 2 <= stats.total_work, "{stats:?}");
+        let x_ref = reference.solve(&b);
+        for cap in CAPS {
+            let parallel = factor(cap);
+            assert!(parallel.factor_workers() <= cap);
+            let label = format!("factor (chunk_work {chunk_work})");
+            assert_bitwise(
+                &label,
+                cap,
+                reference.factor_values(),
+                parallel.factor_values(),
+            );
+            assert_bitwise(&label, cap, &x_ref, &parallel.solve(&b));
         }
     }
 }

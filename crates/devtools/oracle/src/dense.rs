@@ -1,6 +1,6 @@
 //! Dense partial-pivot LU, and the symmetry measure of a dense matrix.
 
-use morestress_linalg::{BlockedKernel, DenseKernel, DenseMatrix};
+use morestress_linalg::{axpy, dot, DenseMatrix};
 
 /// Why [`DenseLu::factor`] or [`DenseLu::solve`] refused its input.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,7 +84,7 @@ impl DenseLu {
                     let (top, bottom) = lu.as_mut_slice().split_at_mut(i * n);
                     let krow = &top[k * n..k * n + n];
                     let irow = &mut bottom[..n];
-                    BlockedKernel.axpy(-m, &krow[(k + 1)..], &mut irow[(k + 1)..]);
+                    axpy(-m, &krow[(k + 1)..], &mut irow[(k + 1)..]);
                 }
             }
         }
@@ -105,14 +105,14 @@ impl DenseLu {
             });
         }
         // Apply the row permutation, then forward/backward substitution —
-        // each inner contraction one blocked-kernel dot over the stored row.
+        // each inner contraction one `dot` over the stored row.
         let mut x: Vec<f64> = self.piv.iter().map(|&p| b[p]).collect();
         for i in 1..n {
-            let s = BlockedKernel.dot(&self.lu.row(i)[..i], &x[..i]);
+            let s = dot(&self.lu.row(i)[..i], &x[..i]);
             x[i] -= s;
         }
         for i in (0..n).rev() {
-            let s = x[i] - BlockedKernel.dot(&self.lu.row(i)[(i + 1)..], &x[(i + 1)..]);
+            let s = x[i] - dot(&self.lu.row(i)[(i + 1)..], &x[(i + 1)..]);
             x[i] = s / self.lu[(i, i)];
         }
         Ok(x)

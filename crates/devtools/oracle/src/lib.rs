@@ -12,6 +12,9 @@
 //!   the factorization the solver backends run.
 //! * [`DenseLu`] — dense LU with partial pivoting, the reference for small
 //!   dense solves.
+//! * [`ScalarKernel`] — the plain slice loops of the dense microkernel,
+//!   the per-loop reference of
+//!   [`BlockedKernel`](morestress_linalg::BlockedKernel).
 //! * [`transposed`], [`asymmetry`] and [`dense_asymmetry`] — the symmetry
 //!   checks the assembly tests run on stiffness operators.
 //!
@@ -25,8 +28,10 @@
 
 mod cholesky;
 mod dense;
+mod kernel;
 mod sparse;
 
 pub use cholesky::SparseCholesky;
 pub use dense::{dense_asymmetry, DenseLu, LuError};
+pub use kernel::ScalarKernel;
 pub use sparse::{asymmetry, transposed};

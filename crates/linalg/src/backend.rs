@@ -263,12 +263,6 @@ pub struct SolveReport {
     /// ([`PreparedSolver::factor_nnz`]; summed over all blocks for the
     /// sharded engine). `None` for the iterative engines.
     pub factor_nnz: Option<usize>,
-    /// [`DenseKernel`](crate::DenseKernel) name (`"blocked"`, or
-    /// `"scalar"` for the test oracle) behind the supernodal factorization
-    /// this solve ran on. `None` for the iterative engines, which do not
-    /// factor; for the sharded engine, the kernel of the interior block
-    /// factors.
-    pub kernel: Option<&'static str>,
     /// Interior shards of the [`Sharded`](crate::Sharded) backend behind
     /// this solve (1 for every monolithic backend).
     pub shards: usize,
@@ -720,17 +714,6 @@ impl PreparedSolver {
         }
     }
 
-    /// Dense-microkernel name (`"blocked"`, or `"scalar"` for the test
-    /// oracle) behind the supernodal factorization. `None` for the
-    /// iterative engines; the interior-block kernel for the sharded engine.
-    pub fn kernel_name(&self) -> Option<&'static str> {
-        match &self.engine {
-            Engine::Direct(factor) => Some(factor.kernel_name()),
-            Engine::Sharded(schur) => schur.kernel_name(),
-            _ => None,
-        }
-    }
-
     /// Degraded blocks of the sharded engine behind this solver (0 for
     /// monolithic backends).
     fn shards_degraded(&self) -> usize {
@@ -879,7 +862,6 @@ impl PreparedSolver {
             supernode_stats,
             ordering: supernode_stats.map(|stats| stats.ordering),
             factor_nnz: self.factor_nnz(),
-            kernel: self.kernel_name(),
             shards,
             interface_dofs,
             shard_factor_bytes,
@@ -1143,7 +1125,7 @@ impl PreparedSolver {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DirectCholesky {
     /// Supernode detection and factorization tuning (width cap,
-    /// relaxed-amalgamation budget, update-chunk budget, dense kernel).
+    /// relaxed-amalgamation budget, update-chunk budget).
     pub supernodal: SupernodalOptions,
     /// Residual-verification policy for every solve through the prepared
     /// solver (default: [`VerifyPolicy::Off`]). Verification never mutates
@@ -1243,14 +1225,10 @@ impl SolverBackend for DirectCholesky {
     fn config_fingerprint(&self) -> u64 {
         // The supernode tuning shapes how the factor is grouped (and so its
         // low-order bits), so it stays in the cache key.
-        // The dense microkernel *is* part of the key: kernels differ in
-        // rounding (fused vs separate multiply-add), so two kernel configs
-        // produce different factor bits and must not share a cache entry.
         0x10 ^ (self.supernodal.max_width as u64).rotate_left(40)
             ^ self.supernodal.relax.to_bits().rotate_left(48)
             ^ (self.supernodal.small_width as u64).rotate_left(56)
             ^ self.supernodal.chunk_work.rotate_left(16)
-            ^ self.supernodal.kernel.fingerprint().rotate_left(4)
             ^ self.verify.fingerprint().rotate_left(36)
     }
 }
@@ -1388,7 +1366,7 @@ impl SolverBackend for Gmres {
 ///    residual misses `tol`;
 /// 3. **diagonal-shift regularized re-factor** (`A + δ·I`, escalating δ)
 ///    when factorization rejects the operator as not positive definite —
-///    the prepared solver then holds (and reports the kernel and supernode
+///    the prepared solver then holds (and reports the supernode
 ///    statistics of) the shifted factor, and its solves are verified and
 ///    refined against the *original* operator;
 /// 4. **GMRES** on the raw operator action.
@@ -2271,7 +2249,6 @@ mod tests {
             };
             assert_eq!(report, batch.report, "{name}: report");
             // And the report says what the solver's accessors say.
-            assert_eq!(report.kernel, prepared.kernel_name(), "{name}");
             assert_eq!(report.supernode_stats, prepared.supernode_stats(), "{name}");
             assert_eq!(report.factor_nnz, prepared.factor_nnz(), "{name}");
             assert_eq!(
@@ -2363,7 +2340,6 @@ mod tests {
         let single = prepared.solve(&b).unwrap().report;
         let batch = prepared.solve_many(&[b.clone(), b], 2).unwrap().report;
         for report in [single, batch] {
-            assert_eq!(report.kernel, reference.kernel_name());
             assert_eq!(report.supernode_stats, reference.supernode_stats());
             assert_eq!(report.factor_workers, prepared.factor_workers());
             assert!(report.verified_residual.unwrap() <= 1e-8);

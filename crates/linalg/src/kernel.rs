@@ -1,18 +1,14 @@
-//! Swappable dense microkernels for the supernodal flop core.
+//! The dense microkernel of the supernodal flop core.
 //!
 //! Every hot path in this crate — the supernodal rank-k panel updates, the
 //! dense diagonal-block Cholesky, the blocked triangular sweeps, the Schur
 //! clique condensation, and the Krylov dot/axpy primitives — funnels its
-//! floating-point work through the [`DenseKernel`] trait defined here.
-//! Two implementations are provided:
-//!
-//! * [`ScalarKernel`] — the original plain slice loops, extracted verbatim
-//!   from `supernodal.rs`. This is the differential oracle: the production
-//!   kernel is pinned against it to ≤1e-12 by proptests. No workload runs
-//!   it.
-//! * [`BlockedKernel`] — the one production kernel: register-tiled,
-//!   k-unrolled loops written around explicit [`f64::mul_add`] so LLVM
-//!   autovectorizes them, compiled per instruction-set level (below).
+//! floating-point work through [`BlockedKernel`]: register-tiled,
+//! k-unrolled loops written around explicit [`f64::mul_add`] so LLVM
+//! autovectorizes them, compiled per instruction-set level (below). The
+//! plain slice loops this crate shipped with are the tests' per-loop
+//! reference in the dev-only `morestress-oracle` crate; no workload runs
+//! them.
 //!
 //! # The instruction-set ladder
 //!
@@ -46,8 +42,8 @@
 //! # The rank-k update tile
 //!
 //! The supernodal factorization spends most of its flops in
-//! [`DenseKernel::scatter_update`], one call per (descendant, panel) pair.
-//! [`BlockedKernel`] runs it, and [`DenseKernel::rank_update`], on one
+//! [`BlockedKernel::scatter_update`], one call per (descendant, panel)
+//! pair. It runs, like [`BlockedKernel::rank_update`], on one
 //! register tile written once over a four-operation vector trait (splat,
 //! load, store, fused multiply-add) and instantiated per instruction-set
 //! level ([`Isa`]), the widest the host runs, picked at runtime:
@@ -85,7 +81,7 @@
 //! every column `y_k` of a `W`-wide interleaved panel — the Galerkin
 //! projection's `Fᵀ (A_local F)`, 16 columns at a time. Like
 //! [`dot_panel`](crate::dot_panel) it is a free function pinned to
-//! [`BlockedKernel`], not a [`DenseKernel`] method, and it runs on a
+//! [`BlockedKernel`], not one of its methods, and it runs on a
 //! second register tile over the same vector trait, per [`Isa`] level:
 //!
 //! | level             | tile `rows × columns` | lane sums         |
@@ -94,7 +90,7 @@
 //! | [`Isa::Avx2`]     | 3 × 4                 | 12 × 4-lane ymm   |
 //! | [`Isa::Portable`] | 3 × 4                 | 12 × `[f64; 4]`   |
 //!
-//! Each entry holds [`DenseKernel::dot`]'s four lane sums, so one load of
+//! Each entry holds [`dot`](crate::dot)'s four lane sums, so one load of
 //! a panel row's columns serves every row of the tile through a broadcast
 //! fused multiply-add. (On the projection's Gram blocks at `medium`, two
 //! rows of sixteen columns ran ≈ 15–25 % slower under AVX-512, and one
@@ -116,40 +112,67 @@
 //!
 //! # Determinism contract
 //!
-//! Each kernel is individually deterministic: for a fixed kernel choice
-//! the same inputs always produce the same bits, on any thread schedule
-//! and on any host CPU. This is what lets
-//! the parallel supernodal factorization stay bitwise pool-cap-invariant
-//! *per kernel*. Different kernels associate sums differently (and the
-//! fused multiply-add rounds differently from separate multiply/add), so
-//! **changing the kernel changes the result bits** — the kernel choice is
-//! therefore part of the [`FactorCache`](crate::FactorCache) config
-//! fingerprint, and cross-kernel agreement is pinned only to ≤1e-12.
+//! [`BlockedKernel`] is deterministic: the same inputs always produce the
+//! same bits, on any thread schedule and on any host CPU. This is what
+//! lets the parallel supernodal factorization stay bitwise
+//! pool-cap-invariant. Its loops associate sums differently from plain
+//! slice loops (and a fused multiply-add rounds differently from a
+//! separate multiply and add), so the per-loop reference the tests compare
+//! it against — the loops this crate shipped with, kept in the dev-only
+//! `morestress-oracle` crate — agrees with it only to ≤1e-12.
 
 pub(crate) use lanes::Lanes;
 use lanes::Portable;
 
-/// Dense panel microkernel: the flop-bearing inner loops of the
+/// The dense panel microkernel: the flop-bearing inner loops of the
 /// supernodal factorization and triangular sweeps, plus the dot/axpy
-/// primitives the Krylov solvers share.
+/// primitives the Krylov solvers share. The rank-k update runs on an
+/// explicit vector tile per instruction-set level ([`Isa`]), and the other
+/// loops are unrolled and written around [`f64::mul_add`] so LLVM turns
+/// them into packed FMA streams.
 ///
 /// All panels are column-major with leading dimension = panel height, the
-/// layout `supernodal.rs` stores. Implementations must be deterministic
-/// (fixed inputs → fixed bits); see the module-level docs in `kernel.rs`
-/// for the exact contract. [`BlockedKernel`] runs the rank-k update on a
-/// register tile whose shape follows the host's vector width (16 × 6
-/// under AVX-512, 8 × 4 under AVX2 or portable code); the module docs say
-/// why its bits cannot depend on that shape.
-pub trait DenseKernel: Send + Sync {
-    /// Stable identifier recorded in [`SolveReport`](crate::SolveReport)
-    /// (`"scalar"`, `"blocked"`).
-    fn name(&self) -> &'static str;
+/// layout `supernodal.rs` stores. See the module-level docs in `kernel.rs`
+/// for the tiles, the instruction-set ladder, and why the result bits are
+/// host-independent.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BlockedKernel;
 
-    /// Dot product `x · y`. Slices must have equal length.
-    fn dot(&self, x: &[f64], y: &[f64]) -> f64;
+/// The product's one dense kernel under the name the benchmark package
+/// reads it by (`KernelChoice::default().kernel()` and
+/// `resolved_name()`). No product code names it.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum KernelChoice {
+    /// [`BlockedKernel`].
+    #[default]
+    Blocked,
+}
 
-    /// `y ← y + alpha·x`. Slices must have equal length.
-    fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]);
+impl KernelChoice {
+    /// The kernel.
+    pub fn kernel(self) -> &'static BlockedKernel {
+        &BlockedKernel
+    }
+
+    /// The kernel's name, `"blocked"`.
+    pub fn resolved_name(self) -> &'static str {
+        "blocked"
+    }
+}
+
+impl BlockedKernel {
+    /// Dot product `x · y` (public as [`dot`](crate::dot)). Slices must
+    /// have equal length.
+    pub(crate) fn dot(&self, x: &[f64], y: &[f64]) -> f64 {
+        Isa::detected().run(Dot(x, y))
+    }
+
+    /// `y ← y + alpha·x` (public as [`axpy`](crate::axpy)). Slices must
+    /// have equal length.
+    pub(crate) fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]) {
+        Isa::detected().run(Axpy(alpha, x, y))
+    }
 
     /// Rank-`wd` symmetric update block of the supernodal left-looking
     /// sweep: with `g_k = panel[k·m + lo .. k·m + m]` (the tail of
@@ -164,7 +187,7 @@ pub trait DenseKernel: Send + Sync {
     /// `update` must hold `wj·mu` entries. This is the contiguous form of
     /// [`scatter_update`](Self::scatter_update), which the factorization
     /// calls.
-    fn rank_update(
+    pub fn rank_update(
         &self,
         update: &mut [f64],
         panel: &[f64],
@@ -172,7 +195,9 @@ pub trait DenseKernel: Send + Sync {
         lo: usize,
         wj: usize,
         wd: usize,
-    );
+    ) {
+        self.rank_update_at(Isa::detected(), update, panel, m, lo, wj, wd);
+    }
 
     /// One descendant's contribution to a panel, computed and scattered
     /// in one pass: with `g_k`, `mu` and the sums of
@@ -187,324 +212,10 @@ pub trait DenseKernel: Send + Sync {
     /// panel `dst` through the relative row map `relrows` (`mu` entries,
     /// each `< ldd`), whose first `wj` entries also name the target
     /// columns. Each sum runs from `+0.0` in ascending `k` before it meets
-    /// `dst`. The provided body is the unfused form — a zeroed buffer,
-    /// [`rank_update`](Self::rank_update), then the scatter — which
-    /// [`ScalarKernel`] keeps as the oracle.
+    /// `dst`, so the result is bit for bit the unfused form — a zeroed
+    /// buffer, [`rank_update`](Self::rank_update), then the scatter.
     #[allow(clippy::too_many_arguments)] // the update's source and target
-    fn scatter_update(
-        &self,
-        dst: &mut [f64],
-        ldd: usize,
-        relrows: &[usize],
-        panel: &[f64],
-        m: usize,
-        lo: usize,
-        wj: usize,
-        wd: usize,
-        subtract: bool,
-    ) {
-        let mu = m - lo;
-        let mut update = vec![0.0; mu * wj];
-        self.rank_update(&mut update, panel, m, lo, wj, wd);
-        for jj in 0..wj {
-            let lc = relrows[jj];
-            let dstcol = &mut dst[lc * ldd..(lc + 1) * ldd];
-            let src = &update[jj * mu..(jj + 1) * mu];
-            // Skip rows above the target column (upper triangle of the
-            // symmetric update block).
-            if subtract {
-                for i in jj..mu {
-                    dstcol[relrows[i]] -= src[i];
-                }
-            } else {
-                for i in jj..mu {
-                    dstcol[relrows[i]] += src[i];
-                }
-            }
-        }
-    }
-
-    /// Dense left-looking Cholesky of the leading `w × w` block of a
-    /// `w`-column panel of height `m`, updating the below-diagonal rows in
-    /// the same pass (exactly the in-panel factorization of
-    /// `supernodal.rs`). On a non-positive or non-finite pivot returns
-    /// `Err((j, pivot))` with the *panel-local* column index `j`.
-    ///
-    /// # Errors
-    ///
-    /// `Err((j, pivot))` when the pivot of local column `j` is not
-    /// strictly positive and finite.
-    fn factor_panel(&self, panel: &mut [f64], m: usize, w: usize) -> Result<(), (usize, f64)>;
-
-    /// Forward substitution on the dense `w × w` lower-triangular
-    /// diagonal block of a panel of height `m`, for `nrhs ≤ 8` right-hand
-    /// sides at once: solves `L₁₁ Y = X` in place. `x` is the supernode's
-    /// `w × nrhs` slice of an *interleaved* block — row `j` holds its
-    /// `nrhs` entries side by side at `x[j·nrhs..(j+1)·nrhs]` — so every
-    /// load of `L₁₁` serves the whole block. Each column runs exactly the
-    /// one-column operation chain, so its bits never depend on `nrhs` or
-    /// on its neighbours.
-    fn solve_lower(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64], nrhs: usize);
-
-    /// Below-diagonal product of the forward sweep for an interleaved
-    /// block of `nrhs ≤ 8` columns: overwrites `acc` (`(m - w) × nrhs`,
-    /// interleaved like `y`) with `L₂₁ · Y`, where `Y` is the `w × nrhs`
-    /// diagonal-block solution and `L₂₁` the rows `w..m` of the panel.
-    /// The caller scatters `acc` into the block's rows, one `nrhs`-wide
-    /// run per row. Per column the chain is the one-column product's.
-    fn below_accumulate(
-        &self,
-        panel: &[f64],
-        m: usize,
-        w: usize,
-        y: &[f64],
-        acc: &mut [f64],
-        nrhs: usize,
-    );
-
-    /// Backward substitution on the panel for an interleaved block of
-    /// `nrhs ≤ 8` columns: solves `L₁₁ᵀ X = X − L₂₁ᵀ X_b` in place, where
-    /// `x` is the `w × nrhs` diagonal-block slice and `xb` (`(m - w) ×
-    /// nrhs`, interleaved the same way) the already-solved entries
-    /// gathered from the rows below the block. Per column the chain is
-    /// the one-column solve's.
-    fn solve_lower_transpose(
-        &self,
-        panel: &[f64],
-        m: usize,
-        w: usize,
-        x: &mut [f64],
-        xb: &[f64],
-        nrhs: usize,
-    );
-}
-
-/// Which [`DenseKernel`] the factorization and solve sweeps run on.
-///
-/// The choice changes the result bits (see the module-level docs in
-/// `kernel.rs`), so
-/// it participates in the backend config fingerprint and is recorded in
-/// [`SolveReport`](crate::SolveReport) / [`SupernodeStats`](crate::SupernodeStats).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelChoice {
-    /// [`ScalarKernel`]: the original loops, kept as the differential
-    /// oracle.
-    Scalar,
-    /// [`BlockedKernel`]: an explicit vector tile for the rank-k update,
-    /// unrolled `mul_add` loops elsewhere — the default.
-    #[default]
-    Blocked,
-}
-
-impl KernelChoice {
-    /// The kernel instance behind the choice.
-    pub fn kernel(self) -> &'static dyn DenseKernel {
-        match self {
-            KernelChoice::Scalar => &ScalarKernel,
-            KernelChoice::Blocked => &BlockedKernel,
-        }
-    }
-
-    /// The name of the kernel behind the choice (`"scalar"` or
-    /// `"blocked"`).
-    pub fn resolved_name(self) -> &'static str {
-        self.kernel().name()
-    }
-
-    /// Fingerprint of the kernel, folded into backend config
-    /// fingerprints: the two kernels differ numerically, so they never
-    /// share a cache entry.
-    pub fn fingerprint(self) -> u64 {
-        match self {
-            KernelChoice::Blocked => 0xb10c_6ed0_4b8d_2f31,
-            KernelChoice::Scalar => 0x5ca1_a27b_e581_66f7,
-        }
-    }
-
-    /// Every kernel, oracle first — what the differential and invariance
-    /// tests iterate.
-    pub fn available() -> &'static [KernelChoice] {
-        &[KernelChoice::Scalar, KernelChoice::Blocked]
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ScalarKernel — the original loops, verbatim.
-// ---------------------------------------------------------------------------
-
-/// The plain slice loops this crate shipped with, extracted verbatim —
-/// the differential oracle every tuned kernel is tested against.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScalarKernel;
-
-impl DenseKernel for ScalarKernel {
-    fn name(&self) -> &'static str {
-        "scalar"
-    }
-
-    fn dot(&self, x: &[f64], y: &[f64]) -> f64 {
-        x.iter().zip(y).map(|(a, b)| a * b).sum()
-    }
-
-    fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]) {
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi += alpha * xi;
-        }
-    }
-
-    fn rank_update(
-        &self,
-        update: &mut [f64],
-        panel: &[f64],
-        m: usize,
-        lo: usize,
-        wj: usize,
-        wd: usize,
-    ) {
-        let mu = m - lo;
-        for k in 0..wd {
-            let gcol = &panel[k * m + lo..k * m + m];
-            for jj in 0..wj {
-                let coef = gcol[jj];
-                if coef == 0.0 {
-                    continue;
-                }
-                let dstcol = &mut update[jj * mu..(jj + 1) * mu];
-                for (di, &gi) in dstcol.iter_mut().zip(gcol) {
-                    *di += coef * gi;
-                }
-            }
-        }
-    }
-
-    fn factor_panel(&self, panel: &mut [f64], m: usize, w: usize) -> Result<(), (usize, f64)> {
-        for j in 0..w {
-            let (head, tail) = panel.split_at_mut(j * m);
-            let colj = &mut tail[..m];
-            for colk in head.chunks_exact(m) {
-                let coef = colk[j]; // L[j, k] in the diagonal block
-                if coef == 0.0 {
-                    continue;
-                }
-                for (x, &lk) in colj[j..].iter_mut().zip(&colk[j..]) {
-                    *x -= coef * lk;
-                }
-            }
-            let d = colj[j];
-            if d <= 0.0 || !d.is_finite() {
-                return Err((j, d));
-            }
-            let piv = d.sqrt();
-            colj[j] = piv;
-            let inv = 1.0 / piv;
-            for x in &mut colj[j + 1..] {
-                *x *= inv;
-            }
-        }
-        Ok(())
-    }
-
-    fn solve_lower(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64], nrhs: usize) {
-        for j in 0..w {
-            let col = &panel[j * m..(j + 1) * m];
-            for c in 0..nrhs {
-                let yj = x[j * nrhs + c] / col[j];
-                x[j * nrhs + c] = yj;
-                for i in (j + 1)..w {
-                    x[i * nrhs + c] -= col[i] * yj;
-                }
-            }
-        }
-    }
-
-    fn below_accumulate(
-        &self,
-        panel: &[f64],
-        m: usize,
-        w: usize,
-        y: &[f64],
-        acc: &mut [f64],
-        nrhs: usize,
-    ) {
-        acc.iter_mut().for_each(|v| *v = 0.0);
-        for j in 0..w {
-            let col = &panel[j * m + w..(j + 1) * m];
-            for c in 0..nrhs {
-                let coef = y[j * nrhs + c];
-                if coef == 0.0 {
-                    continue;
-                }
-                for (i, &l) in col.iter().enumerate() {
-                    acc[i * nrhs + c] += l * coef;
-                }
-            }
-        }
-    }
-
-    fn solve_lower_transpose(
-        &self,
-        panel: &[f64],
-        m: usize,
-        w: usize,
-        x: &mut [f64],
-        xb: &[f64],
-        nrhs: usize,
-    ) {
-        for j in (0..w).rev() {
-            let col = &panel[j * m..(j + 1) * m];
-            for c in 0..nrhs {
-                let mut acc = x[j * nrhs + c];
-                for (i, &l) in col[w..].iter().enumerate() {
-                    acc -= l * xb[i * nrhs + c];
-                }
-                for i in (j + 1)..w {
-                    acc -= col[i] * x[i * nrhs + c];
-                }
-                x[j * nrhs + c] = acc / col[j];
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// BlockedKernel — unrolled mul_add tiles, FMA-dispatched.
-// ---------------------------------------------------------------------------
-
-/// Register-tiled kernel: the rank-k update runs on an explicit vector
-/// tile per instruction-set level ([`Isa`]), and the other loops are
-/// unrolled and written around [`f64::mul_add`] so LLVM turns them into
-/// packed FMA streams. See the module-level docs in `kernel.rs` for the
-/// tile, the instruction-set ladder, and why the result bits are
-/// host-independent.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BlockedKernel;
-
-impl DenseKernel for BlockedKernel {
-    fn name(&self) -> &'static str {
-        "blocked"
-    }
-
-    fn dot(&self, x: &[f64], y: &[f64]) -> f64 {
-        Isa::detected().run(Dot(x, y))
-    }
-
-    fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]) {
-        Isa::detected().run(Axpy(alpha, x, y))
-    }
-
-    fn rank_update(
-        &self,
-        update: &mut [f64],
-        panel: &[f64],
-        m: usize,
-        lo: usize,
-        wj: usize,
-        wd: usize,
-    ) {
-        self.rank_update_at(Isa::detected(), update, panel, m, lo, wj, wd);
-    }
-
-    fn scatter_update(
+    pub fn scatter_update(
         &self,
         dst: &mut [f64],
         ldd: usize,
@@ -530,15 +241,39 @@ impl DenseKernel for BlockedKernel {
         );
     }
 
-    fn factor_panel(&self, panel: &mut [f64], m: usize, w: usize) -> Result<(), (usize, f64)> {
+    /// Dense left-looking Cholesky of the leading `w × w` block of a
+    /// `w`-column panel of height `m`, updating the below-diagonal rows in
+    /// the same pass (exactly the in-panel factorization of
+    /// `supernodal.rs`). On a non-positive or non-finite pivot returns
+    /// `Err((j, pivot))` with the *panel-local* column index `j`.
+    ///
+    /// # Errors
+    ///
+    /// `Err((j, pivot))` when the pivot of local column `j` is not
+    /// strictly positive and finite.
+    pub fn factor_panel(&self, panel: &mut [f64], m: usize, w: usize) -> Result<(), (usize, f64)> {
         Isa::detected().run(FactorPanel(panel, m, w))
     }
 
-    fn solve_lower(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64], nrhs: usize) {
+    /// Forward substitution on the dense `w × w` lower-triangular
+    /// diagonal block of a panel of height `m`, for `nrhs ≤ 8` right-hand
+    /// sides at once: solves `L₁₁ Y = X` in place. `x` is the supernode's
+    /// `w × nrhs` slice of an *interleaved* block — row `j` holds its
+    /// `nrhs` entries side by side at `x[j·nrhs..(j+1)·nrhs]` — so every
+    /// load of `L₁₁` serves the whole block. Each column runs exactly the
+    /// one-column operation chain, so its bits never depend on `nrhs` or
+    /// on its neighbours.
+    pub fn solve_lower(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64], nrhs: usize) {
         Isa::detected().run(SolveLower(panel, m, w, x, nrhs))
     }
 
-    fn below_accumulate(
+    /// Below-diagonal product of the forward sweep for an interleaved
+    /// block of `nrhs ≤ 8` columns: overwrites `acc` (`(m - w) × nrhs`,
+    /// interleaved like `y`) with `L₂₁ · Y`, where `Y` is the `w × nrhs`
+    /// diagonal-block solution and `L₂₁` the rows `w..m` of the panel.
+    /// The caller scatters `acc` into the block's rows, one `nrhs`-wide
+    /// run per row. Per column the chain is the one-column product's.
+    pub fn below_accumulate(
         &self,
         panel: &[f64],
         m: usize,
@@ -550,7 +285,13 @@ impl DenseKernel for BlockedKernel {
         Isa::detected().run(BelowAccumulate(panel, m, w, y, acc, nrhs))
     }
 
-    fn solve_lower_transpose(
+    /// Backward substitution on the panel for an interleaved block of
+    /// `nrhs ≤ 8` columns: solves `L₁₁ᵀ X = X − L₂₁ᵀ X_b` in place, where
+    /// `x` is the `w × nrhs` diagonal-block slice and `xb` (`(m - w) ×
+    /// nrhs`, interleaved the same way) the already-solved entries
+    /// gathered from the rows below the block. Per column the chain is
+    /// the one-column solve's.
+    pub fn solve_lower_transpose(
         &self,
         panel: &[f64],
         m: usize,
@@ -561,10 +302,8 @@ impl DenseKernel for BlockedKernel {
     ) {
         Isa::detected().run(SolveLowerTranspose(panel, m, w, x, xb, nrhs))
     }
-}
 
-impl BlockedKernel {
-    /// [`DenseKernel::dot`] of `x` against `NB` vectors in one pass over
+    /// [`dot`](Self::dot) of `x` against `NB` vectors in one pass over
     /// `x` (`ys[i][k]` is entry `i` of vector `k`), bit for bit `NB` `dot`
     /// calls. Slices must have equal length.
     pub(crate) fn dot_panel<const NB: usize>(&self, x: &[f64], ys: &[[f64; NB]]) -> [f64; NB] {
@@ -573,7 +312,7 @@ impl BlockedKernel {
 
     /// Entries per k-block of the Gram tile behind
     /// [`gram_panel`](crate::gram_panel): a multiple of four, so a block
-    /// never splits one of [`DenseKernel::dot`]'s quads.
+    /// never splits one of [`dot`](crate::dot)'s quads.
     pub const GRAM_K_BLOCK: usize = gram::K_BLOCK;
 
     /// [`gram_panel`](crate::gram_panel) on the tile of level `isa` rather
@@ -594,15 +333,15 @@ impl BlockedKernel {
         isa.run(gram::Gram { xs, ys, out });
     }
 
-    /// [`DenseKernel::rank_update`] on the tile of level `isa` rather than
-    /// the detected one. The bits are the same at every level; this exists
-    /// so tests can run each level the host has.
+    /// [`rank_update`](Self::rank_update) on the tile of level `isa` rather
+    /// than the detected one. The bits are the same at every level; this
+    /// exists so tests can run each level the host has.
     ///
     /// # Panics
     ///
     /// If this host cannot run `isa`, or the slices are shorter than the
     /// shape needs.
-    #[allow(clippy::too_many_arguments)] // the trait method's arguments plus the level
+    #[allow(clippy::too_many_arguments)] // `rank_update`'s arguments plus the level
     pub fn rank_update_at(
         &self,
         isa: Isa,
@@ -627,14 +366,15 @@ impl BlockedKernel {
         });
     }
 
-    /// [`DenseKernel::scatter_update`] on the tile of level `isa` rather
-    /// than the detected one, like [`rank_update_at`](Self::rank_update_at).
+    /// [`scatter_update`](Self::scatter_update) on the tile of level `isa`
+    /// rather than the detected one, like
+    /// [`rank_update_at`](Self::rank_update_at).
     ///
     /// # Panics
     ///
     /// If this host cannot run `isa`, or an index or slice falls outside
-    /// the shape (see [`DenseKernel::scatter_update`]).
-    #[allow(clippy::too_many_arguments)] // the trait method's arguments plus the level
+    /// the shape (see [`scatter_update`](Self::scatter_update)).
+    #[allow(clippy::too_many_arguments)] // `scatter_update`'s arguments plus the level
     pub fn scatter_update_at(
         &self,
         isa: Isa,
@@ -663,7 +403,7 @@ impl BlockedKernel {
 }
 
 // The unrolled loops as jobs of the ladder, each holding its arguments in
-// the order of the trait method it serves; their bodies are in `body`.
+// the order of the method it serves; their bodies are in `body`.
 struct Dot<'a>(&'a [f64], &'a [f64]);
 struct DotBlock<'a, const NB: usize>(&'a [f64], &'a [[f64; NB]]);
 struct Axpy<'a>(f64, &'a [f64], &'a mut [f64]);
@@ -1064,8 +804,8 @@ unsafe fn avx2<L: SimdLoop>(job: L) -> L::Output {
     unsafe { job.run::<lanes::x86::Avx2>() }
 }
 
-/// The register-tiled rank-k update behind [`DenseKernel::rank_update`]
-/// and [`DenseKernel::scatter_update`] of [`BlockedKernel`]: written once,
+/// The register-tiled rank-k update behind [`BlockedKernel::rank_update`]
+/// and [`BlockedKernel::scatter_update`]: written once,
 /// generic over the vector width through [`Lanes`](lanes::Lanes), and
 /// instantiated per [`Isa`].
 ///
@@ -1090,9 +830,9 @@ mod tile {
         pub(super) ldd: usize,
         /// `Some(relrows)`: the lower triangle lands at
         /// `dst[relrows[j]·ldd + relrows[i]]`
-        /// ([`DenseKernel::scatter_update`](super::DenseKernel::scatter_update));
+        /// ([`BlockedKernel::scatter_update`](super::BlockedKernel::scatter_update));
         /// `None`: the whole `mu × wj` rectangle at `dst[j·ldd + i]`
-        /// ([`DenseKernel::rank_update`](super::DenseKernel::rank_update)).
+        /// ([`BlockedKernel::rank_update`](super::BlockedKernel::rank_update)).
         pub(super) relrows: Option<&'a [usize]>,
         pub(super) panel: &'a [f64],
         pub(super) m: usize,
@@ -1747,99 +1487,10 @@ mod tests {
             .collect()
     }
 
-    fn all_kernels() -> Vec<&'static dyn DenseKernel> {
-        KernelChoice::available()
-            .iter()
-            .map(|c| c.kernel())
-            .collect()
-    }
-
-    fn assert_close(label: &str, a: f64, b: f64, scale: f64) {
-        assert!(
-            (a - b).abs() <= 1e-12 * scale.max(1.0),
-            "{label}: {a} vs {b}"
-        );
-    }
-
     #[test]
     fn default_choice_is_blocked() {
         assert_eq!(KernelChoice::default(), KernelChoice::Blocked);
         assert_eq!(KernelChoice::Blocked.resolved_name(), "blocked");
-        assert_eq!(KernelChoice::Scalar.resolved_name(), "scalar");
-    }
-
-    #[test]
-    fn fingerprints_follow_resolution() {
-        assert_ne!(
-            KernelChoice::Scalar.fingerprint(),
-            KernelChoice::Blocked.fingerprint()
-        );
-    }
-
-    #[test]
-    fn available_is_distinct_and_oracle_first() {
-        let avail = KernelChoice::available();
-        assert_eq!(avail[0], KernelChoice::Scalar);
-        assert!(avail.contains(&KernelChoice::Blocked));
-        let names: Vec<_> = avail.iter().map(|c| c.resolved_name()).collect();
-        let mut dedup = names.clone();
-        dedup.dedup();
-        assert_eq!(names, dedup, "available kernels must be distinct");
-    }
-
-    #[test]
-    fn dot_and_axpy_agree_across_kernels() {
-        for len in [0usize, 1, 3, 4, 7, 8, 31, 64, 129] {
-            let x = test_panel(len.max(1), 1, 11)[..len].to_vec();
-            let y = test_panel(len.max(1), 1, 23)[..len].to_vec();
-            let oracle = ScalarKernel.dot(&x, &y);
-            for kern in all_kernels() {
-                assert_close(
-                    &format!("dot len {len} ({})", kern.name()),
-                    kern.dot(&x, &y),
-                    oracle,
-                    len as f64,
-                );
-                let mut yo = y.clone();
-                let mut yk = y.clone();
-                ScalarKernel.axpy(0.37, &x, &mut yo);
-                kern.axpy(0.37, &x, &mut yk);
-                for (a, b) in yo.iter().zip(&yk) {
-                    assert_close(&format!("axpy len {len} ({})", kern.name()), *b, *a, 1.0);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn rank_update_agrees_across_kernels() {
-        // Widths that exercise the unroll remainders: 1, below a tile,
-        // non-multiples of the 4-wide k-unroll, and the width cap.
-        for (m, lo, wj, wd) in [
-            (1usize, 0usize, 1usize, 1usize),
-            (5, 0, 2, 1),
-            (9, 2, 3, 3),
-            (16, 4, 5, 4),
-            (23, 6, 7, 6),
-            (40, 8, 17, 32),
-        ] {
-            let panel = test_panel(m, wd, (m * 31 + wd) as u64);
-            let mu = m - lo;
-            let mut oracle = vec![0.1; wj * mu];
-            ScalarKernel.rank_update(&mut oracle, &panel, m, lo, wj, wd);
-            for kern in all_kernels() {
-                let mut update = vec![0.1; wj * mu];
-                kern.rank_update(&mut update, &panel, m, lo, wj, wd);
-                for (i, (a, b)) in oracle.iter().zip(&update).enumerate() {
-                    assert_close(
-                        &format!("rank_update m{m} wj{wj} wd{wd} [{i}] ({})", kern.name()),
-                        *b,
-                        *a,
-                        wd as f64,
-                    );
-                }
-            }
-        }
     }
 
     /// The first `w` columns of the SPD-ish `G·Gᵀ + (m+1)·I`, height `m`.
@@ -1859,58 +1510,6 @@ mod tests {
             }
         }
         base
-    }
-
-    #[test]
-    fn factor_and_solves_agree_across_kernels() {
-        for (m, w) in [(1usize, 1usize), (6, 3), (13, 5), (40, 32)] {
-            let base = spd_panel(m, w);
-            let mut oracle = base.clone();
-            ScalarKernel
-                .factor_panel(&mut oracle, m, w)
-                .expect("SPD panel");
-            for kern in all_kernels() {
-                let mut panel = base.clone();
-                kern.factor_panel(&mut panel, m, w).expect("SPD panel");
-                for (i, (a, b)) in oracle.iter().zip(&panel).enumerate() {
-                    assert_close(
-                        &format!("factor m{m} w{w} [{i}] ({})", kern.name()),
-                        *b,
-                        *a,
-                        m as f64,
-                    );
-                }
-                // Forward, below product, and backward on the same factor
-                // (use the oracle factor so only the sweep differs), for
-                // interleaved blocks of one, three and eight columns.
-                for nrhs in [1usize, 3, 8] {
-                    let label =
-                        |step: &str| format!("{step} m{m} w{w} nrhs{nrhs} ({})", kern.name());
-                    let mut xo = test_panel(w, nrhs, 97);
-                    let mut xk = xo.clone();
-                    ScalarKernel.solve_lower(&oracle, m, w, &mut xo, nrhs);
-                    kern.solve_lower(&oracle, m, w, &mut xk, nrhs);
-                    for (a, b) in xo.iter().zip(&xk) {
-                        assert_close(&label("solve_lower"), *b, *a, 1.0);
-                    }
-                    let mut ao = vec![0.0; (m - w) * nrhs];
-                    let mut ak = vec![1.0; (m - w) * nrhs]; // must be overwritten
-                    ScalarKernel.below_accumulate(&oracle, m, w, &xo, &mut ao, nrhs);
-                    kern.below_accumulate(&oracle, m, w, &xo, &mut ak, nrhs);
-                    for (a, b) in ao.iter().zip(&ak) {
-                        assert_close(&label("below_accumulate"), *b, *a, 1.0);
-                    }
-                    let xb = vec![0.25; (m - w) * nrhs];
-                    let mut bo = xo.clone();
-                    let mut bk = xo.clone();
-                    ScalarKernel.solve_lower_transpose(&oracle, m, w, &mut bo, &xb, nrhs);
-                    kern.solve_lower_transpose(&oracle, m, w, &mut bk, &xb, nrhs);
-                    for (a, b) in bo.iter().zip(&bk) {
-                        assert_close(&label("solve_lower_transpose"), *b, *a, 1.0);
-                    }
-                }
-            }
-        }
     }
 
     /// Asserts that `f` returns the same bits at every level this host runs
@@ -2059,10 +1658,9 @@ mod tests {
         panel[0] = 4.0;
         panel[4] = -1.0; // column 1 diagonal goes non-positive
         panel[8] = 1.0;
-        for kern in all_kernels() {
-            let mut p = panel.clone();
-            let err = kern.factor_panel(&mut p, 3, 3).expect_err("indefinite");
-            assert_eq!(err.0, 1, "local column index ({})", kern.name());
-        }
+        let err = BlockedKernel
+            .factor_panel(&mut panel, 3, 3)
+            .expect_err("indefinite");
+        assert_eq!(err.0, 1, "local column index");
     }
 }

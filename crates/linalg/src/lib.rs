@@ -7,24 +7,21 @@
 //!   Galerkin-projected reduced operators).
 //! * [`CooMatrix`] / [`CsrMatrix`] — sparse matrix assembly and kernels
 //!   (SpMV, sub-matrix extraction, symmetric permutation).
-//! * [`DenseKernel`] / [`KernelChoice`] — the swappable dense microkernel
-//!   layer (`kernel.rs`) every flop-bearing loop routes through: the
-//!   supernodal rank-k updates, panel Cholesky, triangular sweeps, the
-//!   contained shards' per-column clique condensation and the Krylov
-//!   dot/axpy primitives. Two
-//!   implementations: [`BlockedKernel`] (register tiles and unrolled
-//!   `mul_add` loops — the one production kernel) and [`ScalarKernel`]
-//!   (the original loops, the differential oracle). Every SIMD loop of
-//!   the crate, the panel SpMV included, runs at the widest
-//!   instruction-set level the host has ([`Isa`]), chosen in one place
-//!   and bit for bit the same at every level.
+//! * [`BlockedKernel`] — the one dense microkernel (`kernel.rs`) every
+//!   flop-bearing loop routes through: the supernodal rank-k updates,
+//!   panel Cholesky, triangular sweeps, the contained shards' per-column
+//!   clique condensation and the Krylov dot/axpy primitives, as register
+//!   tiles and unrolled `mul_add` loops. Every SIMD loop of the crate, the
+//!   panel SpMV included, runs at the widest instruction-set level the
+//!   host has ([`Isa`]), chosen in one place and bit for bit the same at
+//!   every level.
 //! * [`SupernodalCholesky`] — the supernodal blocked Cholesky the
 //!   `DirectCholesky` backend runs: dense column panels from
 //!   relaxed supernode amalgamation, rank-k panel updates, and
 //!   interleaved multi-RHS triangular sweeps (`solve_panel`), so the paper's
 //!   factor-once/solve-many economics (§4.2) run on dense contiguous
 //!   kernels. The numeric factorization runs as an elimination-tree task
-//!   DAG on the [`WorkPool`] ([`WorkPool::scope_dag`]), bitwise identical
+//!   DAG on the [`WorkPool`] ([`WorkPool::scope_dag_with`]), bitwise identical
 //!   to the serial sweep at every pool cap. Orderings: geometric
 //!   dissection of the block grid an operator's [`PartitionHint`]
 //!   describes, or RCM; [`FillOrdering::Auto`] (the default) picks the
@@ -136,7 +133,9 @@ pub use iterative::{
     refine, solve_cg, solve_gmres, CgOptions, GmresOptions, IterativeSolution,
     JacobiPreconditioner, Preconditioner, RefineOptions, SsorPreconditioner,
 };
-pub use kernel::{BlockedKernel, DenseKernel, Isa, KernelChoice, ScalarKernel};
+#[doc(hidden)]
+pub use kernel::KernelChoice;
+pub use kernel::{BlockedKernel, Isa};
 pub use memory::{huge_with_capacity, huge_zeroed, MemoryFootprint};
 pub use ordering::{geometric_dissection, reverse_cuthill_mckee, FillOrdering, Permutation};
 pub use pool::{TaskDag, WorkPool};

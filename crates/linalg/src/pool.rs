@@ -24,7 +24,7 @@
 //!   task closures may borrow from the caller's stack.
 //!   [`WorkPool::scope_collect`] is `scope_chunks` for tasks that return a
 //!   value: the results come back in index order.
-//! * [`WorkPool::scope_dag`] — dependency-counted task-graph execution for
+//! * [`WorkPool::scope_dag_with`] — dependency-counted task-graph execution for
 //!   stages whose tasks are *not* independent (the elimination-tree-parallel
 //!   supernodal factorization): a task becomes ready when all of its
 //!   prerequisites finished, ready tasks are claimed heaviest-priority
@@ -504,10 +504,10 @@ impl WorkPool {
         self.scope_collect_with(workers, num_tasks, || (), |(), i| task(i))
     }
 
-    /// Runs `task(i)` exactly once for every node of `dag`, never starting a
-    /// node before all of its prerequisites finished, on up to `workers`
-    /// worker slots (clamped to the pool cap and the node count). Returns
-    /// the number of slots that executed at least one task.
+    /// Runs `task(state, i)` exactly once for every node of `dag`, never
+    /// starting a node before all of its prerequisites finished, on up to
+    /// `workers` worker slots (clamped to the pool cap and the node count).
+    /// Returns the number of slots that executed at least one task.
     ///
     /// Ready nodes are claimed highest-[priority](TaskDag::set_priority)
     /// first (ties broken by node index), which lets callers schedule heavy
@@ -525,16 +525,13 @@ impl WorkPool {
     /// is re-thrown here after the scope quiesced (the pool stays usable).
     /// A `dag` whose remaining nodes are never all reachable — a dependency
     /// cycle — panics instead of deadlocking.
-    pub fn scope_dag(&self, workers: usize, dag: &TaskDag, task: impl Fn(usize) + Sync) -> usize {
-        self.scope_dag_with(workers, dag, || (), |(), i| task(i))
-    }
-
-    /// [`scope_dag`](Self::scope_dag) with per-worker state: `init` runs
-    /// once on every slot that claims at least one node, and the produced
-    /// state is threaded through all of that slot's `task` calls — how the
-    /// parallel factorization reuses one dense scratch per worker across
-    /// supernode tasks. Like [`scope_chunks_with`](Self::scope_chunks_with),
-    /// the state is for scratch, not for reductions.
+    ///
+    /// `init` runs once on every slot that claims at least one node, and
+    /// the produced state is threaded through all of that slot's `task`
+    /// calls — how the parallel factorization reuses one dense scratch per
+    /// worker across supernode tasks. Like
+    /// [`scope_chunks_with`](Self::scope_chunks_with), the state is for
+    /// scratch, not for reductions.
     pub fn scope_dag_with<S>(
         &self,
         workers: usize,
@@ -548,7 +545,7 @@ impl WorkPool {
         }
         assert!(
             dag.pending_edges.is_empty(),
-            "scope_dag: TaskDag has staged edges — call seal() after add_dependency"
+            "scope_dag_with: TaskDag has staged edges — call seal() after add_dependency"
         );
         struct DagState {
             /// Unfinished-prerequisite count per node.
@@ -589,7 +586,7 @@ impl WorkPool {
                         // done: the dependency graph has a cycle. Abort the
                         // scope instead of deadlocking on the condvar.
                         guard.abort = Some(Box::new(
-                            "scope_dag: dependency cycle (unfinished tasks, none ready)",
+                            "scope_dag_with: dependency cycle (unfinished tasks, none ready)",
                         ));
                         drop(guard);
                         ready_cv.notify_all();
@@ -654,13 +651,12 @@ impl WorkPool {
     }
 }
 
-/// A dependency graph of tasks for [`WorkPool::scope_dag`]: node `i` may
-/// only start once every node registered as its prerequisite finished.
+/// A dependency graph of tasks for [`WorkPool::scope_dag_with`]: node `i`
+/// may only start once every node registered as its prerequisite finished.
 ///
-/// Built once per schedule shape and reusable across `scope_dag` calls (the
-/// scope clones the dependency counters, never mutates the dag). For tree
-/// schedules — the elimination-tree case — [`TaskDag::from_parents`] builds
-/// the whole graph from a parent array in one pass.
+/// Built once per schedule shape and reusable across `scope_dag_with`
+/// calls (the scope clones the dependency counters, never mutates the
+/// dag).
 #[derive(Debug, Clone)]
 pub struct TaskDag {
     /// Prerequisite count per node.
@@ -687,21 +683,6 @@ impl TaskDag {
         }
     }
 
-    /// A tree (or forest) schedule from a parent array: node `i` must finish
-    /// before `parent[i]` may start; `parent[i] >= parent.len()` marks a
-    /// root. This is the children-complete-first discipline of the
-    /// supernodal elimination tree.
-    pub fn from_parents(parent: &[usize]) -> Self {
-        let mut dag = Self::new(parent.len());
-        for (child, &p) in parent.iter().enumerate() {
-            if p < parent.len() {
-                dag.add_dependency(child, p);
-            }
-        }
-        dag.seal();
-        dag
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.preds.len()
@@ -720,7 +701,7 @@ impl TaskDag {
     pub fn add_dependency(&mut self, before: usize, after: usize) {
         assert!(
             before < self.len() && after < self.len() && before != after,
-            "scope_dag: invalid dependency {before} -> {after} (nodes: {})",
+            "scope_dag_with: invalid dependency {before} -> {after} (nodes: {})",
             self.len()
         );
         self.preds[after] += 1;
@@ -736,8 +717,7 @@ impl TaskDag {
 
     /// Folds staged edges into the CSR successor lists. Must be called
     /// after the last [`add_dependency`](Self::add_dependency) and before
-    /// [`WorkPool::scope_dag`] (which asserts it);
-    /// [`from_parents`](Self::from_parents) seals for you.
+    /// [`WorkPool::scope_dag_with`] (which asserts it).
     pub fn seal(&mut self) {
         if self.pending_edges.is_empty() {
             return;
@@ -968,6 +948,20 @@ mod tests {
         );
     }
 
+    /// A tree (or forest) schedule from a parent array: node `i` must
+    /// finish before `parent[i]` may start; `parent[i] >= parent.len()`
+    /// marks a root.
+    fn tree_dag(parent: &[usize]) -> TaskDag {
+        let mut dag = TaskDag::new(parent.len());
+        for (child, &p) in parent.iter().enumerate() {
+            if p < parent.len() {
+                dag.add_dependency(child, p);
+            }
+        }
+        dag.seal();
+        dag
+    }
+
     #[test]
     fn scope_dag_respects_dependencies() {
         // A diamond over 6 nodes: 0 → {1, 2} → 3 → {4, 5}. Record the
@@ -980,9 +974,14 @@ mod tests {
         dag.seal();
         let clock = AtomicUsize::new(0);
         let seq: Vec<AtomicUsize> = (0..6).map(|_| AtomicUsize::new(usize::MAX)).collect();
-        let used = pool.scope_dag(4, &dag, |i| {
-            seq[i].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
-        });
+        let used = pool.scope_dag_with(
+            4,
+            &dag,
+            || (),
+            |(), i| {
+                seq[i].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
+            },
+        );
         assert!(0 < used && used <= 4);
         let at = |i: usize| seq[i].load(Ordering::SeqCst);
         assert!((0..6).all(|i| at(i) != usize::MAX), "every node ran");
@@ -1000,12 +999,17 @@ mod tests {
         // nodes must complete before their parents.
         let pool = WorkPool::new(3);
         let parent = vec![2usize, 3, 4, usize::MAX, usize::MAX];
-        let dag = TaskDag::from_parents(&parent);
+        let dag = tree_dag(&parent);
         let clock = AtomicUsize::new(0);
         let seq: Vec<AtomicUsize> = (0..5).map(|_| AtomicUsize::new(usize::MAX)).collect();
-        pool.scope_dag(3, &dag, |i| {
-            seq[i].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
-        });
+        pool.scope_dag_with(
+            3,
+            &dag,
+            || (),
+            |(), i| {
+                seq[i].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
+            },
+        );
         for (child, &p) in parent.iter().enumerate() {
             if p < parent.len() {
                 assert!(
@@ -1075,7 +1079,7 @@ mod tests {
         dag.add_dependency(2, 1); // 1 ⇄ 2 cycle
         dag.seal();
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.scope_dag(2, &dag, |_| {});
+            pool.scope_dag_with(2, &dag, || (), |(), _| {});
         }));
         assert!(result.is_err(), "a cyclic dag must abort, not hang");
         // The pool survives the aborted scope.
@@ -1089,13 +1093,18 @@ mod tests {
     #[test]
     fn scope_dag_propagates_task_panics() {
         let pool = WorkPool::new(4);
-        let dag = TaskDag::from_parents(&[1, 2, 3, usize::MAX]);
+        let dag = tree_dag(&[1, 2, 3, usize::MAX]);
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.scope_dag(4, &dag, |i| {
-                if i == 1 {
-                    panic!("task 1 exploded");
-                }
-            });
+            pool.scope_dag_with(
+                4,
+                &dag,
+                || (),
+                |(), i| {
+                    if i == 1 {
+                        panic!("task 1 exploded");
+                    }
+                },
+            );
         }));
         assert!(result.is_err());
         // Downstream nodes were abandoned, the pool still works.

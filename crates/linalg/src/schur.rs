@@ -55,8 +55,8 @@ use std::time::Instant;
 
 use crate::backend::matrix_fingerprint;
 use crate::{
-    CsrMatrix, DegradationTrail, DirectCholesky, LinalgError, MemoryFootprint, PreparedSolver,
-    Resilient, ShardPlan, ShardPlanStats, SolverBackend, VerifyPolicy, WorkPool,
+    BlockedKernel, CsrMatrix, DegradationTrail, DirectCholesky, LinalgError, MemoryFootprint,
+    PreparedSolver, Resilient, ShardPlan, ShardPlanStats, SolverBackend, VerifyPolicy, WorkPool,
 };
 
 /// Domain-decomposition backend: `K` interior shards factored through an
@@ -490,7 +490,7 @@ impl SchurSolver {
     /// factor and stored clique. Without a previous preparation every
     /// shard is dirty and there are no scatter maps to reuse — a fresh
     /// prepare is the all-dirty case of the same code, so the two agree bit
-    /// for bit by construction: plan, elimination orders, kernels and the
+    /// for bit by construction: plan, elimination orders and the
     /// serial shard-order accumulation of `S` are shared, and a clean
     /// shard's stored factor and clique were computed from bit-identical
     /// inputs by the code a fresh prepare runs. The interface system is
@@ -674,18 +674,6 @@ impl SchurSolver {
             total += s.factor_nnz()?;
         }
         Some(total)
-    }
-
-    /// Resolved dense-microkernel name of the interior block factors
-    /// (first block that reports one; they all share the inner backend
-    /// configuration, so they resolve identically).
-    pub(crate) fn kernel_name(&self) -> Option<&'static str> {
-        self.blocks
-            .iter()
-            .map(|b| b.solver.kernel_name())
-            .chain(self.interface_solver.iter().map(|s| s.kernel_name()))
-            .flatten()
-            .next()
     }
 
     /// Peak worker slots any block's numeric factorization used.
@@ -890,7 +878,7 @@ fn shard_prep_task(
         Err(LinalgError::NotPositiveDefinite { .. }) => {
             drop(bordered);
             let solver = Arc::new(ladder(inner).prepare(Arc::clone(interior))?);
-            let clique = condense_columns(&solver, inner, a_ks, a_sk, &cols)?;
+            let clique = condense_columns(&solver, a_ks, a_sk, &cols)?;
             Ok((solver, cols, clique, true))
         }
         Err(other) => Err(other),
@@ -944,7 +932,6 @@ fn bordered_operator(
 /// ladder instead.
 fn condense_columns(
     solver: &PreparedSolver,
-    inner: &DirectCholesky,
     a_ks: &CsrMatrix,
     a_sk: &CsrMatrix,
     cols: &[usize],
@@ -967,8 +954,7 @@ fn condense_columns(
     let e = solver.solve_many(&cols_rhs, WorkPool::current().cap())?;
     // Dense clique C[p][q] = (A_sk E)[cols[p], q], each entry a sparse·dense
     // dot: gather the coupled entries of e_q into a contiguous scratch and
-    // hand the contraction to the configured dense microkernel.
-    let kern = inner.supernodal.kernel.kernel();
+    // hand the contraction to the dense microkernel.
     let w = cols.len();
     let mut clique = vec![0.0f64; w * w];
     let mut eg: Vec<f64> = Vec::new();
@@ -979,7 +965,7 @@ fn condense_columns(
             for (j, &c) in cidx.iter().enumerate() {
                 eg[j] = e_q[c];
             }
-            clique[p * w + q] = kern.dot(vals, &eg);
+            clique[p * w + q] = BlockedKernel.dot(vals, &eg);
         }
     }
     Ok(clique)
@@ -1128,7 +1114,7 @@ mod tests {
             assert!(!block.cols.is_empty(), "shard {k} couples the interface");
             let separate = inner.prepare(Arc::clone(interior)).unwrap();
             let reference =
-                condense_columns(&separate, &inner, &block.a_ks, &block.a_sk, &block.cols).unwrap();
+                condense_columns(&separate, &block.a_ks, &block.a_sk, &block.cols).unwrap();
             let scale = reference.iter().fold(0.0f64, |m, v| m.max(v.abs()));
             assert!(scale > 0.0);
             for (p, q) in reference.iter().zip(block.clique.iter()) {

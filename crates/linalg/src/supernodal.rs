@@ -11,9 +11,9 @@
 //! both the factorization and the triangular solves run as dense rank-k
 //! updates over contiguous `f64` slices, with the sparse indices consulted
 //! once per panel instead of once per entry. The dense work goes through
-//! the crate's [`DenseKernel`]: register tiles and unrolled fused
-//! multiply-add loops compiled per instruction-set level (`kernel.rs`'s
-//! `Isa` ladder), bit for bit the same at every level.
+//! the crate's one dense kernel, [`BlockedKernel`]: register tiles and
+//! unrolled fused multiply-add loops compiled per instruction-set level
+//! (`kernel.rs`'s `Isa` ladder), bit for bit the same at every level.
 //!
 //! # Why this matters for MORE-Stress
 //!
@@ -62,7 +62,7 @@
 //!      diagonal after renaming; each slot is written once); if the
 //!      panel's whole descendant-update load fits the work budget,
 //!      apply the updates `C = G·G₁ᵀ` directly to the panel — each one
-//!      [`DenseKernel::scatter_update`] call, whose register tile is
+//!      [`BlockedKernel::scatter_update`] call, whose register tile is
 //!      subtracted straight into the panel's slots through the
 //!      descendant's relative row map, with no update buffer in between —
 //!      otherwise subtract the finished update chunks (below)
@@ -83,7 +83,7 @@
 //!    The serial path runs the tasks left-to-right (each panel's chunks,
 //!    then the panel); the parallel path runs the *same task bodies* as a
 //!    dependency DAG on the shared [`WorkPool`]
-//!    ([`WorkPool::scope_dag`]): a chunk is ready when the descendants it
+//!    ([`WorkPool::scope_dag_with`]): a chunk is ready when the descendants it
 //!    reads are factored, a panel when its chunks and streamed-prefix
 //!    descendants finished. Ready tasks are claimed heaviest-subtree
 //!    first, and every worker reuses one dense scratch across its tasks.
@@ -152,7 +152,7 @@ use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use crate::kernel::{DenseKernel, KernelChoice};
+use crate::kernel::BlockedKernel;
 use crate::ordering::{tree_metrics, FillOrdering, Permutation, TreeMetrics};
 use crate::pool::TaskDag;
 use crate::{huge_zeroed, CsrMatrix, LinalgError, MemoryFootprint, WorkPool};
@@ -183,13 +183,6 @@ pub struct SupernodalOptions {
     /// serial and parallel paths always share one partition. Mostly for
     /// tests, which shrink it to force chunking on small operators.
     pub chunk_work: u64,
-    /// Which [`DenseKernel`] runs the flop-bearing loops (rank-k updates,
-    /// panel Cholesky, triangular sweeps). Each kernel is individually
-    /// deterministic — serial and parallel factors stay bitwise identical
-    /// at every pool cap *per kernel* — but different kernels associate
-    /// sums differently, so like `chunk_work` the choice is part of the
-    /// structural configuration and of the cache fingerprint.
-    pub kernel: KernelChoice,
 }
 
 impl Default for SupernodalOptions {
@@ -199,7 +192,6 @@ impl Default for SupernodalOptions {
             relax: 0.2,
             small_width: 8,
             chunk_work: CHUNK_WORK_BUDGET,
-            kernel: KernelChoice::default(),
         }
     }
 }
@@ -235,9 +227,6 @@ pub struct SupernodeStats {
     /// Mean weight of the parallel units (see
     /// [`max_subtree_weight`](SupernodeStats::max_subtree_weight)).
     pub mean_subtree_weight: f64,
-    /// Name of the [`DenseKernel`] that ran the numeric phase
-    /// (`"blocked"`, or `"scalar"` for the test oracle).
-    pub kernel: &'static str,
     /// The *resolved* fill ordering behind the factor
     /// ([`FillOrdering::name`]: `"geometric"` or `"rcm"` — never
     /// `"auto"`), or `"supplied"` for a factor built
@@ -1008,7 +997,7 @@ struct SharedStorage {
 }
 
 // SAFETY: the raw pointer is only dereferenced inside the task bodies
-// under the scope_dag discipline documented there.
+// under the scope_dag_with discipline documented there.
 unsafe impl Send for SharedStorage {}
 unsafe impl Sync for SharedStorage {}
 
@@ -1067,7 +1056,7 @@ impl AccSlot {
 /// Computes one descendant contribution `C = G·G₁ᵀ` and scatters it into
 /// `dst` — the panel itself (subtracting, the streamed path) or a chunk
 /// accumulator (adding; the panel task later subtracts the whole
-/// accumulator) — in one [`DenseKernel::scatter_update`]. `scratch.relmap`
+/// accumulator) — in one [`BlockedKernel::scatter_update`]. `scratch.relmap`
 /// must already map this panel's rows to local indices; a row list opens
 /// with the panel's own columns, so the relative rows of the update's
 /// first `wj` rows are also its target columns.
@@ -1080,7 +1069,6 @@ impl AccSlot {
 #[allow(clippy::too_many_arguments)] // internal kernel, call sites are two
 unsafe fn apply_update(
     sym: &Symbolic,
-    kern: &dyn DenseKernel,
     values: *const f64,
     d: usize,
     p: usize,
@@ -1102,7 +1090,7 @@ unsafe fn apply_update(
     // The rows of a descendant's tail are a subset of this panel's rows.
     relrows.clear();
     relrows.extend(rows_d[p..].iter().map(|&r| relmap[r]));
-    kern.scatter_update(dst, m, relrows, panel_d, md, p, wj, wd, subtract);
+    BlockedKernel.scatter_update(dst, m, relrows, panel_d, md, p, wj, wd, subtract);
 }
 
 /// Accumulates update-chunk `t` into its private panel-shaped buffer — the
@@ -1115,10 +1103,9 @@ unsafe fn apply_update(
 /// caller must guarantee exclusive access to accumulator slice `t` and
 /// that every descendant read by the chunk is fully factored with its
 /// writes visible (serial: ascending task order; parallel:
-/// [`WorkPool::scope_dag`]'s dependency edges).
+/// [`WorkPool::scope_dag_with`]'s dependency edges).
 unsafe fn run_chunk_task(
     sym: &Symbolic,
-    kern: &dyn DenseKernel,
     values: *const f64,
     accs: &[AccSlot],
     t: usize,
@@ -1140,15 +1127,15 @@ unsafe fn run_chunk_task(
     let accbuf = unsafe { std::slice::from_raw_parts_mut(base.add(offset), wm) };
     for &(d, p) in &sym.upd[sym.chunk_lo[t]..sym.chunk_hi[t]] {
         // SAFETY: propagated contract.
-        unsafe { apply_update(sym, kern, values, d, p, c1, m, accbuf, scratch, false) };
+        unsafe { apply_update(sym, values, d, p, c1, m, accbuf, scratch, false) };
     }
 }
 
 /// Folds accumulator `cmb_src[u]` into `cmb_dst[u]` element-wise — one
 /// edge of a panel's chunk-reduction tree, shared verbatim by the serial
-/// sweep and the DAG. The fold is `dst += 1.0 · src`, which every kernel
-/// computes exactly (a fused multiply-add by 1.0 rounds like a plain
-/// add), so the factor bits do not depend on which kernel runs it.
+/// sweep and the DAG. The fold is `dst += 1.0 · src`, which
+/// [`BlockedKernel::axpy`] computes exactly (a fused multiply-add by 1.0
+/// rounds like a plain add).
 ///
 /// # Safety
 ///
@@ -1156,7 +1143,7 @@ unsafe fn run_chunk_task(
 /// must guarantee exclusive access to both accumulators of combine `u` and
 /// that their previous writers (the chunk tasks, and any earlier combines
 /// of the same tree) have run with their writes visible to this thread.
-unsafe fn run_combine_task(sym: &Symbolic, kern: &dyn DenseKernel, accs: &[AccSlot], u: usize) {
+unsafe fn run_combine_task(sym: &Symbolic, accs: &[AccSlot], u: usize) {
     let (dst_t, src_t) = (sym.cmb_dst[u], sym.cmb_src[u]);
     let (len, dst_off, wm) = sym.acc_slice(dst_t);
     let (_, src_off, _) = sym.acc_slice(src_t);
@@ -1166,7 +1153,7 @@ unsafe fn run_combine_task(sym: &Symbolic, kern: &dyn DenseKernel, accs: &[AccSl
     // grants exclusive access to both sides of this combine.
     let dst = unsafe { std::slice::from_raw_parts_mut(base.add(dst_off), wm) };
     let src = unsafe { std::slice::from_raw_parts(base.add(src_off), wm) };
-    kern.axpy(1.0, src, dst);
+    BlockedKernel.axpy(1.0, src, dst);
 }
 
 /// Assembles, updates and factors panel `s` in place (a border panel is
@@ -1185,11 +1172,10 @@ unsafe fn run_combine_task(sym: &Symbolic, kern: &dyn DenseKernel, accs: &[AccSl
 /// fully factored and (c) that every chunk and combine of `s` has run, all
 /// with their writes visible to this thread. The serial sweep satisfies
 /// this by running tasks one at a time in schedule order; the parallel
-/// path by [`WorkPool::scope_dag`]'s dependency edges and its mutex-backed
+/// path by [`WorkPool::scope_dag_with`]'s dependency edges and its mutex-backed
 /// happens-before edge.
 unsafe fn run_panel_task(
     sym: &Symbolic,
-    kern: &dyn DenseKernel,
     pa: Permuted<'_>,
     values: *mut f64,
     accs: &[AccSlot],
@@ -1220,13 +1206,12 @@ unsafe fn run_panel_task(
     // Streamed descendant updates, in the precomputed serial-sweep order.
     for &(d, p) in &sym.upd[sym.upd_ptr[s]..sym.stream_hi[s]] {
         // SAFETY: propagated contract (streamed descendants are factored).
-        unsafe { apply_update(sym, kern, values, d, p, c1, m, panel, scratch, true) };
+        unsafe { apply_update(sym, values, d, p, c1, m, panel, scratch, true) };
     }
 
     // The chunk accumulators were folded into the first chunk by the
     // panel's combine tree; subtract that root once, then free the
-    // panel's buffer. (`-1.0 · acc` is exact under every kernel, like the
-    // combine folds.)
+    // panel's buffer. (`-1.0 · acc` is exact, like the combine folds.)
     if sym.chk_ptr[s + 1] > sym.chk_ptr[s] {
         let acc = accs[sym.chk_ptr[s]]
             .take()
@@ -1235,7 +1220,7 @@ unsafe fn run_panel_task(
         // contract), so the root accumulator — the buffer's first `w·m`
         // entries — is final, and this task now owns the buffer.
         let accbuf = unsafe { std::slice::from_raw_parts(acc.ptr, w * m) };
-        kern.axpy(-1.0, accbuf, panel);
+        BlockedKernel.axpy(-1.0, accbuf, panel);
     }
 
     // Dense in-panel column Cholesky (left-looking within the panel). A
@@ -1244,7 +1229,8 @@ unsafe fn run_panel_task(
     if s >= sym.elim_sn {
         return Ok(());
     }
-    kern.factor_panel(panel, m, w)
+    BlockedKernel
+        .factor_panel(panel, m, w)
         .map_err(|(j, pivot)| (c0 + j, pivot))
 }
 
@@ -1297,9 +1283,6 @@ pub struct SupernodalCholesky {
     /// Worker slots the numeric phase actually used (1 for the serial
     /// sweep).
     factor_workers: usize,
-    /// The microkernel the numeric phase ran on; the solve sweeps reuse
-    /// it so factor and solve share one choice.
-    kernel: KernelChoice,
     /// See [`SupernodeStats::ordering`].
     ordering: &'static str,
 }
@@ -1433,7 +1416,7 @@ impl SupernodalCholesky {
         };
         let mut sym = Symbolic::analyze(pa, n_elim, opts);
         let mut values = huge_zeroed(sym.val_ptr[sym.num_sn()]);
-        let factor_workers = Self::factor_numeric(&sym, pa, &mut values, opts.kernel.kernel())?;
+        let factor_workers = Self::factor_numeric(&sym, pa, &mut values)?;
         drop((perm, inv));
         let border = sym.border_block(&values);
         if n_elim < n {
@@ -1456,7 +1439,6 @@ impl SupernodalCholesky {
             max_subtree_weight: sym.metrics.max_parallel_subtree,
             mean_subtree_weight: sym.metrics.mean_parallel_subtree,
             factor_workers,
-            kernel: opts.kernel,
             ordering: "supplied",
         };
         Ok((factor, border))
@@ -1469,7 +1451,6 @@ impl SupernodalCholesky {
         sym: &Symbolic,
         pa: Permuted<'_>,
         values: &mut [f64],
-        kern: &dyn DenseKernel,
     ) -> Result<usize, LinalgError> {
         let num_sn = sym.num_sn();
         let num_chunks = sym.chunk_panel.len();
@@ -1494,12 +1475,12 @@ impl SupernodalCholesky {
                 // its output slice.
                 unsafe {
                     for t in sym.chk_ptr[s]..sym.chk_ptr[s + 1] {
-                        run_chunk_task(sym, kern, values.as_ptr(), &accs, t, &mut scratch);
+                        run_chunk_task(sym, values.as_ptr(), &accs, t, &mut scratch);
                     }
                     for u in sym.cmb_ptr[s]..sym.cmb_ptr[s + 1] {
-                        run_combine_task(sym, kern, &accs, u);
+                        run_combine_task(sym, &accs, u);
                     }
-                    run_panel_task(sym, kern, pa, values.as_mut_ptr(), &accs, s, &mut scratch)
+                    run_panel_task(sym, pa, values.as_mut_ptr(), &accs, s, &mut scratch)
                         .map_err(|(row, pivot)| LinalgError::NotPositiveDefinite { row, pivot })?;
                 }
             }
@@ -1564,29 +1545,29 @@ impl SupernodalCholesky {
                     return;
                 }
                 if node >= num_sn + num_chunks {
-                    // SAFETY: scope_dag ordered the last writers of both
+                    // SAFETY: scope_dag_with ordered the last writers of both
                     // accumulators before this combine, with a
                     // happens-before edge; no other live task touches
                     // either slice.
                     unsafe {
-                        run_combine_task(sym, kern, accs, node - num_sn - num_chunks);
+                        run_combine_task(sym, accs, node - num_sn - num_chunks);
                     }
                     return;
                 }
                 if node >= num_sn {
-                    // SAFETY: scope_dag ordered every descendant this chunk
+                    // SAFETY: scope_dag_with ordered every descendant this chunk
                     // reads before it, with a happens-before edge; the
                     // accumulator slice is written by exactly this task.
                     unsafe {
-                        run_chunk_task(sym, kern, shared.values, accs, node - num_sn, scratch);
+                        run_chunk_task(sym, shared.values, accs, node - num_sn, scratch);
                     }
                     return;
                 }
-                // SAFETY: scope_dag ordered the streamed descendants and
+                // SAFETY: scope_dag_with ordered the streamed descendants and
                 // the combine-tree root of `node` before it, with a
                 // happens-before edge; tasks write disjoint panel ranges.
                 if let Err((row, pivot)) =
-                    unsafe { run_panel_task(sym, kern, pa, shared.values, accs, node, scratch) }
+                    unsafe { run_panel_task(sym, pa, shared.values, accs, node, scratch) }
                 {
                     failed.store(true, Ordering::Release);
                     let mut slot = first_error.lock().expect("factor error slot poisoned");
@@ -1643,12 +1624,6 @@ impl SupernodalCholesky {
         self.factor_workers
     }
 
-    /// Name of the microkernel the factorization and solve sweeps run on
-    /// (`"blocked"`, or `"scalar"` for the test oracle).
-    pub fn kernel_name(&self) -> &'static str {
-        self.kernel.resolved_name()
-    }
-
     /// Shape statistics of the factor.
     pub fn stats(&self) -> SupernodeStats {
         SupernodeStats {
@@ -1661,7 +1636,6 @@ impl SupernodalCholesky {
             total_work: self.total_work as usize,
             max_subtree_weight: self.max_subtree_weight as usize,
             mean_subtree_weight: self.mean_subtree_weight,
-            kernel: self.kernel_name(),
             ordering: self.ordering,
         }
     }
@@ -1757,7 +1731,6 @@ impl SupernodalCholesky {
     /// columns.
     fn sweep(&self, x: &mut [f64], nb: usize, gather: &mut [f64]) {
         let num_sn = self.sn_ptr.len() - 1;
-        let kern = self.kernel.kernel();
         let panel_of = |s: usize| {
             let c0 = self.sn_ptr[s];
             let w = self.sn_ptr[s + 1] - c0;
@@ -1771,7 +1744,7 @@ impl SupernodalCholesky {
             let (head, rest) = x.split_at_mut((c0 + w) * nb);
             let diag = &mut head[c0 * nb..];
             // Dense lower-triangular solve on the diagonal block.
-            kern.solve_lower(panel, m, w, diag, nb);
+            BlockedKernel.solve_lower(panel, m, w, diag, nb);
             if below.is_empty() {
                 continue;
             }
@@ -1779,7 +1752,7 @@ impl SupernodalCholesky {
             // scatter one nb-wide run per row (every row lies past the
             // diagonal block).
             let acc = &mut gather[..below.len() * nb];
-            kern.below_accumulate(panel, m, w, diag, acc, nb);
+            BlockedKernel.below_accumulate(panel, m, w, diag, acc, nb);
             for (&row, a) in below.iter().zip(acc.chunks_exact(nb)) {
                 let dst = &mut rest[(row - c0 - w) * nb..][..nb];
                 for (d, &v) in dst.iter_mut().zip(a) {
@@ -1796,7 +1769,14 @@ impl SupernodalCholesky {
             for (&row, g) in below.iter().zip(xb.chunks_exact_mut(nb)) {
                 g.copy_from_slice(&x[row * nb..(row + 1) * nb]);
             }
-            kern.solve_lower_transpose(panel, m, w, &mut x[c0 * nb..(c0 + w) * nb], xb, nb);
+            BlockedKernel.solve_lower_transpose(
+                panel,
+                m,
+                w,
+                &mut x[c0 * nb..(c0 + w) * nb],
+                xb,
+                nb,
+            );
         }
     }
 }
@@ -1977,59 +1957,47 @@ mod tests {
         // DAG (not the chain fallback) runs at every cap above 1, and a
         // tiny chunk budget forces real update-chunk tasks (and their
         // combine trees) even at this size, so all three task kinds of
-        // the DAG are exercised — for every kernel this host resolves, on
-        // the full and on the bordered factorization. The reference is the
-        // serial sweep a cap-1 pool runs.
-        for &kernel in KernelChoice::available() {
-            for chunk_work in [SupernodalOptions::default().chunk_work, 64] {
-                let opts = SupernodalOptions {
-                    chunk_work,
-                    kernel,
-                    ..SupernodalOptions::default()
-                };
-                let (serial, (serial_lead, serial_border)) = WorkPool::new(1).install(|| {
-                    (
-                        SupernodalCholesky::factor_with_permutation(&a, perm.clone(), &opts)
-                            .unwrap(),
-                        SupernodalCholesky::factor_bordered(&bordered, lead.clone(), &opts)
-                            .unwrap(),
-                    )
-                });
-                assert_eq!(serial.factor_workers(), 1);
-                for stats in [serial.stats(), serial_lead.stats()] {
-                    assert!(
-                        stats.total_work >= stats.critical_path + stats.critical_path / 4,
-                        "a chain schedule would never run the DAG: {stats:?}"
-                    );
-                }
-                for cap in [2usize, 8] {
-                    let (parallel, (parallel_lead, parallel_border)) =
-                        WorkPool::new(cap).install(|| {
-                            (
-                                SupernodalCholesky::factor_with_permutation(
-                                    &a,
-                                    perm.clone(),
-                                    &opts,
-                                )
+        // the DAG are exercised — on the full and on the bordered
+        // factorization. The reference is the serial sweep a cap-1 pool
+        // runs.
+        for chunk_work in [SupernodalOptions::default().chunk_work, 64] {
+            let opts = SupernodalOptions {
+                chunk_work,
+                ..SupernodalOptions::default()
+            };
+            let (serial, (serial_lead, serial_border)) = WorkPool::new(1).install(|| {
+                (
+                    SupernodalCholesky::factor_with_permutation(&a, perm.clone(), &opts).unwrap(),
+                    SupernodalCholesky::factor_bordered(&bordered, lead.clone(), &opts).unwrap(),
+                )
+            });
+            assert_eq!(serial.factor_workers(), 1);
+            for stats in [serial.stats(), serial_lead.stats()] {
+                assert!(
+                    stats.total_work >= stats.critical_path + stats.critical_path / 4,
+                    "a chain schedule would never run the DAG: {stats:?}"
+                );
+            }
+            for cap in [2usize, 8] {
+                let (parallel, (parallel_lead, parallel_border)) =
+                    WorkPool::new(cap).install(|| {
+                        (
+                            SupernodalCholesky::factor_with_permutation(&a, perm.clone(), &opts)
                                 .unwrap(),
-                                SupernodalCholesky::factor_bordered(&bordered, lead.clone(), &opts)
-                                    .unwrap(),
-                            )
-                        });
-                    assert!(parallel.factor_workers() <= cap.max(1));
-                    let what = format!(
-                        "cap {cap} (chunk_work {chunk_work}, kernel {})",
-                        kernel.resolved_name()
-                    );
-                    for (serial, parallel) in [
-                        (serial.factor_values(), parallel.factor_values()),
-                        (serial_lead.factor_values(), parallel_lead.factor_values()),
-                        (&serial_border[..], &parallel_border[..]),
-                    ] {
-                        assert_eq!(serial.len(), parallel.len());
-                        for (i, (p, q)) in serial.iter().zip(parallel).enumerate() {
-                            assert_eq!(p.to_bits(), q.to_bits(), "entry {i} at {what}");
-                        }
+                            SupernodalCholesky::factor_bordered(&bordered, lead.clone(), &opts)
+                                .unwrap(),
+                        )
+                    });
+                assert!(parallel.factor_workers() <= cap.max(1));
+                let what = format!("cap {cap} (chunk_work {chunk_work})");
+                for (serial, parallel) in [
+                    (serial.factor_values(), parallel.factor_values()),
+                    (serial_lead.factor_values(), parallel_lead.factor_values()),
+                    (&serial_border[..], &parallel_border[..]),
+                ] {
+                    assert_eq!(serial.len(), parallel.len());
+                    for (i, (p, q)) in serial.iter().zip(parallel).enumerate() {
+                        assert_eq!(p.to_bits(), q.to_bits(), "entry {i} at {what}");
                     }
                 }
             }
@@ -2114,53 +2082,6 @@ mod tests {
                 assert_eq!(factor.dim(), 2);
                 assert!((border[0] + 15.0 / 11.0).abs() <= 1e-15, "{border:?}");
             });
-        }
-    }
-
-    #[test]
-    fn kernels_agree_within_tolerance() {
-        // Every kernel must reproduce the scalar oracle's solution to
-        // ≤1e-12 (they associate sums differently, so bitwise equality is
-        // *not* expected — that's why the kernel is in the cache
-        // fingerprint). The dissected lattice gives a bushy elimination
-        // tree, so the DAG and its chunk tasks run.
-        let a = hinted_lattice(4, 4, 6);
-        let n = a.nrows();
-        let b: Vec<f64> = (0..n).map(|i| ((i * 17) % 23) as f64 - 11.0).collect();
-        let perm = FillOrdering::Geometric.permutation(&a);
-        let oracle = SupernodalCholesky::factor_with_permutation(
-            &a,
-            perm.clone(),
-            &SupernodalOptions {
-                kernel: KernelChoice::Scalar,
-                ..SupernodalOptions::default()
-            },
-        )
-        .unwrap();
-        let stats = oracle.stats();
-        assert!(stats.critical_path * 2 <= stats.total_work, "{stats:?}");
-        let reference = oracle.solve(&b);
-        let scale = reference.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-        for &kernel in KernelChoice::available() {
-            let chol = SupernodalCholesky::factor_with_permutation(
-                &a,
-                perm.clone(),
-                &SupernodalOptions {
-                    kernel,
-                    ..SupernodalOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(chol.kernel_name(), kernel.resolved_name());
-            assert_eq!(chol.stats().kernel, kernel.resolved_name());
-            let x = chol.solve(&b);
-            for (p, q) in reference.iter().zip(&x) {
-                assert!(
-                    (p - q).abs() <= 1e-12 * scale,
-                    "{}: {p} vs {q}",
-                    kernel.resolved_name()
-                );
-            }
         }
     }
 

@@ -5,13 +5,11 @@
 //! `dot`) delegate to [`BlockedKernel`] — the unrolled `mul_add`
 //! microkernels and the Gram tile of `kernel.rs`, run at the widest
 //! instruction-set level ([`Isa`]) the host has — so CG/GMRES inherit the
-//! same tuned loops the supernodal factorization runs on. `BlockedKernel` is
-//! pinned here (rather than following `KernelChoice`) so free-function
-//! results never depend on a per-solver configuration. The element-wise
+//! same tuned loops the supernodal factorization runs on. The element-wise
 //! helpers stay plain slice loops: they are memory-bound and the compiler
 //! already vectorizes them at `opt-level >= 2`.
 
-use crate::kernel::{BlockedKernel, DenseKernel, Isa};
+use crate::kernel::{BlockedKernel, Isa};
 
 /// Dot product `x · y`.
 ///

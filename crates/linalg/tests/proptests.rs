@@ -8,13 +8,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use morestress_linalg::{
-    dot, dot_panel, geometric_dissection, gram_panel, reverse_cuthill_mckee, solve_cg, solve_gmres,
-    Auto, BlockedKernel, CgOptions, CooMatrix, CsrMatrix, DenseKernel, DenseMatrix, DirectCholesky,
-    FactorCache, FaultPlan, FillOrdering, GmresOptions, Isa, JacobiPreconditioner, KernelChoice,
-    LinalgError, PartitionHint, Permutation, ScalarKernel, ShardPlan, Sharded, SolverBackend,
-    SupernodalCholesky, SupernodalOptions, SymbolicParts, TaskDag, WorkPool,
+    axpy, dot, dot_panel, geometric_dissection, gram_panel, reverse_cuthill_mckee, solve_cg,
+    solve_gmres, Auto, BlockedKernel, CgOptions, CooMatrix, CsrMatrix, DenseMatrix, DirectCholesky,
+    FactorCache, FaultPlan, FillOrdering, GmresOptions, Isa, JacobiPreconditioner, LinalgError,
+    PartitionHint, Permutation, ShardPlan, Sharded, SolverBackend, SupernodalCholesky,
+    SupernodalOptions, SymbolicParts, TaskDag, WorkPool,
 };
-use morestress_oracle::{transposed, DenseLu, SparseCholesky};
+use morestress_oracle::{transposed, DenseLu, ScalarKernel, SparseCholesky};
 use proptest::prelude::*;
 
 /// Random sparse triplets on an n×n matrix.
@@ -397,61 +397,11 @@ fn check_symbolic_oracle(a: &CsrMatrix, lead: &Permutation, opts: &SupernodalOpt
     prop_assert_eq!(bits(&border), bits(&copy_border));
 }
 
-/// The one-column bodies of the three sweep methods of [`DenseKernel`] as
-/// they were before the sweep carried interleaved blocks, kept verbatim:
-/// the oracle [`looped_panel_solve`] runs them one column at a time.
-trait ColumnSweep {
-    fn solve_lower(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64]);
-    fn below_accumulate(&self, panel: &[f64], m: usize, w: usize, y: &[f64], acc: &mut [f64]);
-    fn solve_lower_transpose(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64], xb: &[f64]);
-}
-
-/// [`ScalarKernel`]'s one-column bodies.
-struct ScalarColumns;
-
-impl ColumnSweep for ScalarColumns {
-    fn solve_lower(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64]) {
-        for j in 0..w {
-            let col = &panel[j * m..(j + 1) * m];
-            let yj = x[j] / col[j];
-            x[j] = yj;
-            for i in (j + 1)..w {
-                x[i] -= col[i] * yj;
-            }
-        }
-    }
-
-    fn below_accumulate(&self, panel: &[f64], m: usize, w: usize, y: &[f64], acc: &mut [f64]) {
-        acc.iter_mut().for_each(|v| *v = 0.0);
-        for (j, &coef) in y.iter().enumerate().take(w) {
-            if coef == 0.0 {
-                continue;
-            }
-            let col = &panel[j * m + w..(j + 1) * m];
-            for (a, &l) in acc.iter_mut().zip(col) {
-                *a += l * coef;
-            }
-        }
-    }
-
-    fn solve_lower_transpose(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64], xb: &[f64]) {
-        for j in (0..w).rev() {
-            let col = &panel[j * m..(j + 1) * m];
-            let mut acc = x[j];
-            for (&l, &xi) in col[w..].iter().zip(xb.iter()) {
-                acc -= l * xi;
-            }
-            for i in (j + 1)..w {
-                acc -= col[i] * x[i];
-            }
-            x[j] = acc / col[j];
-        }
-    }
-}
-
-/// [`BlockedKernel`](morestress_linalg::BlockedKernel)'s one-column
-/// bodies (its FMA dispatch only changes how `mul_add` is lowered, never
-/// the bits).
+/// The one-column bodies of [`BlockedKernel`]'s three sweep methods as
+/// they were before the sweep carried interleaved blocks, kept verbatim
+/// (its FMA dispatch only changes how `mul_add` is lowered, never the
+/// bits): the oracle [`looped_panel_solve`] runs them one column at a
+/// time.
 struct BlockedColumns;
 
 /// The blocked kernel's four-lane dot, verbatim.
@@ -473,7 +423,7 @@ fn blocked_dot(x: &[f64], y: &[f64]) -> f64 {
     ((s0 + s1) + (s2 + s3)) + tail
 }
 
-impl ColumnSweep for BlockedColumns {
+impl BlockedColumns {
     fn solve_lower(&self, panel: &[f64], m: usize, w: usize, x: &mut [f64]) {
         for j in 0..w {
             let col = &panel[j * m..(j + 1) * m];
@@ -524,24 +474,12 @@ impl ColumnSweep for BlockedColumns {
     }
 }
 
-/// The one-column bodies of `kernel`.
-fn column_sweep(kernel: KernelChoice) -> &'static dyn ColumnSweep {
-    match kernel {
-        KernelChoice::Scalar => &ScalarColumns,
-        KernelChoice::Blocked => &BlockedColumns,
-    }
-}
-
 /// `SupernodalCholesky::solve_panel_with` as it was before the sweep
 /// carried interleaved blocks, verbatim but for reading the factor through
 /// its [`PanelLayout`](morestress_linalg::PanelLayout): per supernode, one
 /// column at a time.
-fn looped_panel_solve(
-    factor: &SupernodalCholesky,
-    kern: &dyn ColumnSweep,
-    rhs: &mut [f64],
-    nrhs: usize,
-) {
+fn looped_panel_solve(factor: &SupernodalCholesky, rhs: &mut [f64], nrhs: usize) {
+    let kern = BlockedColumns;
     let n = factor.dim();
     assert_eq!(rhs.len(), n * nrhs, "supernodal panel solve: rhs size");
     if n == 0 {
@@ -617,21 +555,15 @@ fn looped_panel_solve(
     }
 }
 
-/// The block sweep of `factor` (factored under `kernel`) equals the
-/// one-column oracle bit for bit, column by column, on the first `nrhs`
-/// columns drawn from `values`.
-fn check_sweep_oracle(
-    factor: &SupernodalCholesky,
-    kernel: KernelChoice,
-    values: &[f64],
-    nrhs: usize,
-) {
+/// The block sweep of `factor` equals the one-column oracle bit for bit,
+/// column by column, on the first `nrhs` columns drawn from `values`.
+fn check_sweep_oracle(factor: &SupernodalCholesky, values: &[f64], nrhs: usize) {
     let n = factor.dim();
     let rhs: Vec<f64> = (0..n * nrhs)
         .map(|k| values[k % values.len()] * (1 + k / values.len()) as f64)
         .collect();
     let mut expected = rhs.clone();
-    looped_panel_solve(factor, column_sweep(kernel), &mut expected, nrhs);
+    looped_panel_solve(factor, &mut expected, nrhs);
     let mut panel = rhs;
     factor.solve_panel(&mut panel, nrhs);
     for c in 0..nrhs {
@@ -639,8 +571,7 @@ fn check_sweep_oracle(
             prop_assert_eq!(
                 panel[c * n + i].to_bits(),
                 expected[c * n + i].to_bits(),
-                "{:?} nrhs {}: column {} entry {}",
-                kernel,
+                "nrhs {}: column {} entry {}",
                 nrhs,
                 c,
                 i
@@ -776,6 +707,169 @@ fn gram_panel_is_bitwise_dots_at_every_level() {
             assert_gram_is_bitwise_dots::<4>(rows, n, &vals);
             assert_gram_is_bitwise_dots::<8>(rows, n, &vals);
             assert_gram_is_bitwise_dots::<16>(rows, n, &vals);
+        }
+    }
+}
+
+/// Deterministic pseudo-random panel: `wd` columns of height `m`,
+/// column-major, entries in `[-1, 1)`.
+fn test_panel(m: usize, wd: usize, seed: u64) -> Vec<f64> {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).max(1);
+    (0..m * wd)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % 2000) as f64 / 1000.0 - 1.0
+        })
+        .collect()
+}
+
+/// The first `w` columns of the SPD-ish `G·Gᵀ + (m+1)·I`, height `m`.
+fn spd_panel(m: usize, w: usize) -> Vec<f64> {
+    let g = test_panel(m, m, (m + w) as u64);
+    let mut base = vec![0.0f64; w * m];
+    for j in 0..w {
+        for i in 0..m {
+            let mut v = 0.0;
+            for k in 0..m {
+                v += g[k * m + i] * g[k * m + j];
+            }
+            if i == j {
+                v += (m + 1) as f64;
+            }
+            base[j * m + i] = v;
+        }
+    }
+    base
+}
+
+fn assert_close(label: &str, a: f64, b: f64, scale: f64) {
+    assert!(
+        (a - b).abs() <= 1e-12 * scale.max(1.0),
+        "{label}: {a} vs {b}"
+    );
+}
+
+/// `dot` and `axpy`, the public entry points to [`BlockedKernel`]'s two
+/// vector loops.
+#[test]
+fn dot_and_axpy_agree_across_kernels() {
+    for len in [0usize, 1, 3, 4, 7, 8, 31, 64, 129] {
+        let x = test_panel(len.max(1), 1, 11)[..len].to_vec();
+        let y = test_panel(len.max(1), 1, 23)[..len].to_vec();
+        let oracle = ScalarKernel.dot(&x, &y);
+        assert_close(&format!("dot len {len}"), dot(&x, &y), oracle, len as f64);
+        let mut yo = y.clone();
+        let mut yk = y.clone();
+        ScalarKernel.axpy(0.37, &x, &mut yo);
+        axpy(0.37, &x, &mut yk);
+        for (a, b) in yo.iter().zip(&yk) {
+            assert_close(&format!("axpy len {len}"), *b, *a, 1.0);
+        }
+    }
+}
+
+/// The rank-k update into a buffer that is not zero, and the scattered
+/// update into a panel through spaced relative rows, both signs.
+#[test]
+fn rank_update_agrees_across_kernels() {
+    // Widths that exercise the unroll remainders: 1, below a tile,
+    // non-multiples of the 4-wide k-unroll, and the width cap.
+    for (m, lo, wj, wd) in [
+        (1usize, 0usize, 1usize, 1usize),
+        (5, 0, 2, 1),
+        (9, 2, 3, 3),
+        (16, 4, 5, 4),
+        (23, 6, 7, 6),
+        (40, 8, 17, 32),
+    ] {
+        let panel = test_panel(m, wd, (m * 31 + wd) as u64);
+        let mu = m - lo;
+        let mut oracle = vec![0.1; wj * mu];
+        ScalarKernel.rank_update(&mut oracle, &panel, m, lo, wj, wd);
+        let mut update = vec![0.1; wj * mu];
+        BlockedKernel.rank_update(&mut update, &panel, m, lo, wj, wd);
+        for (i, (a, b)) in oracle.iter().zip(&update).enumerate() {
+            assert_close(
+                &format!("rank_update m{m} wj{wj} wd{wd} [{i}]"),
+                *b,
+                *a,
+                wd as f64,
+            );
+        }
+        // Runs of five consecutive target rows, then a gap.
+        let relrows: Vec<usize> = (0..mu).map(|i| i + i / 5).collect();
+        let ldd = mu + mu / 5;
+        for subtract in [false, true] {
+            let mut oracle = test_panel(ldd, ldd, 17);
+            let mut dst = oracle.clone();
+            ScalarKernel.scatter_update(
+                &mut oracle,
+                ldd,
+                &relrows,
+                &panel,
+                m,
+                lo,
+                wj,
+                wd,
+                subtract,
+            );
+            BlockedKernel.scatter_update(&mut dst, ldd, &relrows, &panel, m, lo, wj, wd, subtract);
+            for (i, (a, b)) in oracle.iter().zip(&dst).enumerate() {
+                assert_close(
+                    &format!("scatter_update m{m} wj{wj} wd{wd} subtract {subtract} [{i}]"),
+                    *b,
+                    *a,
+                    wd as f64,
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn factor_and_solves_agree_across_kernels() {
+    for (m, w) in [(1usize, 1usize), (6, 3), (13, 5), (40, 32)] {
+        let base = spd_panel(m, w);
+        let mut oracle = base.clone();
+        ScalarKernel
+            .factor_panel(&mut oracle, m, w)
+            .expect("SPD panel");
+        let mut panel = base.clone();
+        BlockedKernel
+            .factor_panel(&mut panel, m, w)
+            .expect("SPD panel");
+        for (i, (a, b)) in oracle.iter().zip(&panel).enumerate() {
+            assert_close(&format!("factor m{m} w{w} [{i}]"), *b, *a, m as f64);
+        }
+        // Forward, below product, and backward on the same factor (use the
+        // oracle factor so only the sweep differs), for interleaved blocks
+        // of one, three and eight columns.
+        for nrhs in [1usize, 3, 8] {
+            let label = |step: &str| format!("{step} m{m} w{w} nrhs{nrhs}");
+            let mut xo = test_panel(w, nrhs, 97);
+            let mut xk = xo.clone();
+            ScalarKernel.solve_lower(&oracle, m, w, &mut xo, nrhs);
+            BlockedKernel.solve_lower(&oracle, m, w, &mut xk, nrhs);
+            for (a, b) in xo.iter().zip(&xk) {
+                assert_close(&label("solve_lower"), *b, *a, 1.0);
+            }
+            let mut ao = vec![0.0; (m - w) * nrhs];
+            let mut ak = vec![1.0; (m - w) * nrhs]; // must be overwritten
+            ScalarKernel.below_accumulate(&oracle, m, w, &xo, &mut ao, nrhs);
+            BlockedKernel.below_accumulate(&oracle, m, w, &xo, &mut ak, nrhs);
+            for (a, b) in ao.iter().zip(&ak) {
+                assert_close(&label("below_accumulate"), *b, *a, 1.0);
+            }
+            let xb = vec![0.25; (m - w) * nrhs];
+            let mut bo = xo.clone();
+            let mut bk = xo.clone();
+            ScalarKernel.solve_lower_transpose(&oracle, m, w, &mut bo, &xb, nrhs);
+            BlockedKernel.solve_lower_transpose(&oracle, m, w, &mut bk, &xb, nrhs);
+            for (a, b) in bo.iter().zip(&bk) {
+                assert_close(&label("solve_lower_transpose"), *b, *a, 1.0);
+            }
         }
     }
 }
@@ -1162,11 +1256,13 @@ proptest! {
     }
 
     /// Same differential on structured lattice operators (the shape the
-    /// MORE-Stress stages actually factor), with jittered diagonals.
+    /// MORE-Stress stages actually factor), with jittered diagonals, at
+    /// every supernode width cap from 1 to 5 and the default.
     #[test]
     fn supernodal_matches_scalar_on_lattices(nx in 2usize..9,
                                              ny in 2usize..7,
-                                             jitter in prop::collection::vec(0.0f64..1.0, 63)) {
+                                             jitter in prop::collection::vec(0.0f64..1.0, 63),
+                                             max_width in 1usize..7) {
         let n = nx * ny;
         let id = |i: usize, j: usize| j * nx + i;
         let mut coo = CooMatrix::new(n, n);
@@ -1183,14 +1279,19 @@ proptest! {
         let a = coo.to_csr();
         let b: Vec<f64> = (0..n).map(|k| ((k * 5) % 11) as f64 - 5.0).collect();
         let x_scalar = SparseCholesky::factor(&a).expect("SPD").solve(&b);
-        let x_super = SupernodalCholesky::factor(&a).expect("SPD").solve(&b);
+        // Width 6 stands for the default cap.
+        let max_width = if max_width == 6 { 32 } else { max_width };
+        let opts = SupernodalOptions { max_width, ..Default::default() };
+        let x_super = SupernodalCholesky::factor_ordered(&a, FillOrdering::Rcm, &opts)
+            .expect("SPD")
+            .solve(&b);
         let scale = x_scalar.iter().fold(1.0f64, |m, v| m.max(v.abs()));
         for (p, q) in x_scalar.iter().zip(&x_super) {
-            prop_assert!((p - q).abs() <= 1e-12 * scale, "{} vs {}", p, q);
+            prop_assert!((p - q).abs() <= 1e-12 * scale, "width {}: {} vs {}", max_width, p, q);
         }
     }
 
-    /// Every resolved microkernel agrees with the `ScalarKernel` oracle to
+    /// [`BlockedKernel`] agrees with the [`ScalarKernel`] oracle to
     /// ≤1e-12 on random SPD panels, at the edge widths: 1, a non-multiple
     /// of the 4-wide unroll tiles, and the default supernode width cap.
     #[test]
@@ -1216,38 +1317,36 @@ proptest! {
             }
             let mut oracle = base.clone();
             ScalarKernel.factor_panel(&mut oracle, m, w).expect("SPD panel");
-            for choice in KernelChoice::available() {
-                let kern = choice.kernel();
-                let mut panel = base.clone();
-                kern.factor_panel(&mut panel, m, w).expect("SPD panel");
-                for (a, b) in oracle.iter().zip(&panel) {
-                    prop_assert!((a - b).abs() <= 1e-12 * (m as f64),
-                        "factor w{} ({}): {} vs {}", w, kern.name(), a, b);
-                }
-                // Triangular sweeps on the shared oracle factor, so only
-                // the kernel under test differs, over interleaved blocks
-                // of one, three and eight columns.
-                for nrhs in [1usize, 3, 8] {
-                    let mut xo = rhs[..w * nrhs].to_vec();
-                    let mut xk = xo.clone();
-                    ScalarKernel.solve_lower(&oracle, m, w, &mut xo, nrhs);
-                    kern.solve_lower(&oracle, m, w, &mut xk, nrhs);
-                    let mut ao = vec![0.0; (m - w) * nrhs];
-                    let mut ak = vec![1.0; (m - w) * nrhs]; // must be overwritten
-                    ScalarKernel.below_accumulate(&oracle, m, w, &xo, &mut ao, nrhs);
-                    kern.below_accumulate(&oracle, m, w, &xo, &mut ak, nrhs);
-                    let xb = &rhs[..(m - w) * nrhs];
-                    let mut bo = xo.clone();
-                    let mut bk = xo.clone();
-                    ScalarKernel.solve_lower_transpose(&oracle, m, w, &mut bo, xb, nrhs);
-                    kern.solve_lower_transpose(&oracle, m, w, &mut bk, xb, nrhs);
-                    for (pair, label) in [(xo.iter().zip(&xk), "solve_lower"),
-                                          (ao.iter().zip(&ak), "below_accumulate"),
-                                          (bo.iter().zip(&bk), "solve_lower_transpose")] {
-                        for (a, b) in pair {
-                            prop_assert!((a - b).abs() <= 1e-12 * a.abs().max(1.0),
-                                "{} w{} nrhs{} ({}): {} vs {}", label, w, nrhs, kern.name(), a, b);
-                        }
+            let kern = BlockedKernel;
+            let mut panel = base.clone();
+            kern.factor_panel(&mut panel, m, w).expect("SPD panel");
+            for (a, b) in oracle.iter().zip(&panel) {
+                prop_assert!((a - b).abs() <= 1e-12 * (m as f64),
+                    "factor w{}: {} vs {}", w, a, b);
+            }
+            // Triangular sweeps on the shared oracle factor, so only
+            // the kernel under test differs, over interleaved blocks
+            // of one, three and eight columns.
+            for nrhs in [1usize, 3, 8] {
+                let mut xo = rhs[..w * nrhs].to_vec();
+                let mut xk = xo.clone();
+                ScalarKernel.solve_lower(&oracle, m, w, &mut xo, nrhs);
+                kern.solve_lower(&oracle, m, w, &mut xk, nrhs);
+                let mut ao = vec![0.0; (m - w) * nrhs];
+                let mut ak = vec![1.0; (m - w) * nrhs]; // must be overwritten
+                ScalarKernel.below_accumulate(&oracle, m, w, &xo, &mut ao, nrhs);
+                kern.below_accumulate(&oracle, m, w, &xo, &mut ak, nrhs);
+                let xb = &rhs[..(m - w) * nrhs];
+                let mut bo = xo.clone();
+                let mut bk = xo.clone();
+                ScalarKernel.solve_lower_transpose(&oracle, m, w, &mut bo, xb, nrhs);
+                kern.solve_lower_transpose(&oracle, m, w, &mut bk, xb, nrhs);
+                for (pair, label) in [(xo.iter().zip(&xk), "solve_lower"),
+                                      (ao.iter().zip(&ak), "below_accumulate"),
+                                      (bo.iter().zip(&bk), "solve_lower_transpose")] {
+                    for (a, b) in pair {
+                        prop_assert!((a - b).abs() <= 1e-12 * a.abs().max(1.0),
+                            "{} w{} nrhs{}: {} vs {}", label, w, nrhs, a, b);
                     }
                 }
             }
@@ -1270,37 +1369,6 @@ proptest! {
         check_tile_update(mu, lo, wj.min(mu), wd, gaps, seed);
     }
 
-    /// The same ≤1e-12 kernel-vs-oracle contract end to end: a supernodal
-    /// factorization + solve under each available kernel stays within
-    /// tolerance of the `ScalarKernel` configuration on random SPD
-    /// operators.
-    #[test]
-    fn supernodal_kernels_match_scalar_kernel(a in spd_strategy(13),
-                                              b in prop::collection::vec(-4.0f64..4.0, 13),
-                                              max_width in 1usize..6) {
-        let perm = FillOrdering::Rcm.permutation(&a);
-        let opts = SupernodalOptions { max_width, ..Default::default() };
-        let reference = SupernodalCholesky::factor_with_permutation(
-            &a,
-            perm.clone(),
-            &SupernodalOptions { kernel: KernelChoice::Scalar, ..opts },
-        ).expect("SPD").solve(&b);
-        let scale = reference.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-        for &kernel in KernelChoice::available() {
-            let chol = SupernodalCholesky::factor_with_permutation(
-                &a,
-                perm.clone(),
-                &SupernodalOptions { kernel, ..opts },
-            ).expect("SPD");
-            prop_assert_eq!(chol.kernel_name(), kernel.resolved_name());
-            let x = chol.solve(&b);
-            for (p, q) in reference.iter().zip(&x) {
-                prop_assert!((p - q).abs() <= 1e-12 * scale,
-                    "{}: {} vs {}", kernel.resolved_name(), p, q);
-            }
-        }
-    }
-
     /// Panel sweeps are bitwise equal to looped single solves, for any
     /// panel shape: one or more 8-column blocks and a tail of any width.
     #[test]
@@ -1321,9 +1389,8 @@ proptest! {
     }
 
     /// The interleaved block sweep is bitwise the one-column oracle on
-    /// random SPD operators, full and bordered, under both kernels, for
-    /// every panel width from 1 to 20: whole 8-column blocks and tails of
-    /// every width.
+    /// random SPD operators, full and bordered, for every panel width
+    /// from 1 to 20: whole 8-column blocks and tails of every width.
     #[test]
     fn block_sweep_matches_the_column_oracle(a in spd_strategy(14),
                                              border in 0usize..5,
@@ -1331,21 +1398,19 @@ proptest! {
                                              nrhs in 1usize..21,
                                              values in prop::collection::vec(-3.0f64..3.0, 37)) {
         let n_elim = a.nrows() - border;
-        for &kernel in KernelChoice::available() {
-            let opts = SupernodalOptions { max_width, kernel, ..Default::default() };
-            let factor = if border == 0 {
-                SupernodalCholesky::factor_with_permutation(
-                    &a,
-                    FillOrdering::Rcm.permutation(&a),
-                    &opts,
-                ).expect("SPD")
-            } else {
-                let lead = FillOrdering::Rcm.permutation(&leading_block(&a, n_elim));
-                SupernodalCholesky::factor_bordered(&zero_border(&a, n_elim), lead, &opts)
-                    .expect("SPD leading block").0
-            };
-            check_sweep_oracle(&factor, kernel, &values, nrhs);
-        }
+        let opts = SupernodalOptions { max_width, ..Default::default() };
+        let factor = if border == 0 {
+            SupernodalCholesky::factor_with_permutation(
+                &a,
+                FillOrdering::Rcm.permutation(&a),
+                &opts,
+            ).expect("SPD")
+        } else {
+            let lead = FillOrdering::Rcm.permutation(&leading_block(&a, n_elim));
+            SupernodalCholesky::factor_bordered(&zero_border(&a, n_elim), lead, &opts)
+                .expect("SPD leading block").0
+        };
+        check_sweep_oracle(&factor, &values, nrhs);
     }
 
     /// The same on hinted lattices dissected along their blocks — wide
@@ -1362,38 +1427,30 @@ proptest! {
         let mut spans = lattice_spans(bx, by, m);
         spans.truncate(n_elim);
         let lead = geometric_dissection(&PartitionHint::new([bx, by], spans));
-        for &kernel in KernelChoice::available() {
-            let opts = SupernodalOptions { kernel, ..Default::default() };
-            let factor = if bordered == 1 {
-                SupernodalCholesky::factor_bordered(&zero_border(&a, n_elim), lead.clone(), &opts)
-                    .expect("SPD leading block").0
-            } else {
-                SupernodalCholesky::factor_with_permutation(&a, lead.clone(), &opts).expect("SPD")
-            };
-            check_sweep_oracle(&factor, kernel, &values, nrhs);
-        }
+        let opts = SupernodalOptions::default();
+        let factor = if bordered == 1 {
+            SupernodalCholesky::factor_bordered(&zero_border(&a, n_elim), lead.clone(), &opts)
+                .expect("SPD leading block").0
+        } else {
+            SupernodalCholesky::factor_with_permutation(&a, lead.clone(), &opts).expect("SPD")
+        };
+        check_sweep_oracle(&factor, &values, nrhs);
     }
 
     /// The pool-distributed panel path of `solve_many` is bitwise equal to
-    /// per-RHS solves for every kernel × batch-size × thread mix: batches
-    /// below, at and across the 8-column panel, with tails of every width.
+    /// per-RHS solves for every batch-size × thread mix: batches below,
+    /// at and across the 8-column panel, with tails of every width.
     #[test]
     fn panel_batched_backend_matches_individual(a in spd_strategy(9),
                                                 bs in prop::collection::vec(
                                                     prop::collection::vec(-2.0f64..2.0, 9), 1..21),
                                                 threads in 1usize..6) {
         let a = Arc::new(a);
-        for &kernel in KernelChoice::available() {
-            let backend = DirectCholesky {
-                supernodal: SupernodalOptions { kernel, ..SupernodalOptions::default() },
-                ..DirectCholesky::default()
-            };
-            let prepared = backend.prepare(Arc::clone(&a)).expect("SPD");
-            let batch = prepared.solve_many(&bs, threads).expect("direct solve");
-            prop_assert_eq!(batch.report.rhs_count, bs.len());
-            for (b, x) in bs.iter().zip(&batch.xs) {
-                prop_assert_eq!(&prepared.solve(b).expect("direct solve").x, x);
-            }
+        let prepared = DirectCholesky::default().prepare(Arc::clone(&a)).expect("SPD");
+        let batch = prepared.solve_many(&bs, threads).expect("direct solve");
+        prop_assert_eq!(batch.report.rhs_count, bs.len());
+        for (b, x) in bs.iter().zip(&batch.xs) {
+            prop_assert_eq!(&prepared.solve(b).expect("direct solve").x, x);
         }
     }
 
@@ -1539,7 +1596,7 @@ proptest! {
         }
     }
 
-    /// `scope_dag` runs every node exactly once and never starts a node
+    /// `scope_dag_with` runs every node exactly once and never starts a node
     /// before its tree children completed, for random forests and caps.
     #[test]
     fn scope_dag_runs_every_node_once_in_topo_order(cap in 1usize..9,
@@ -1555,12 +1612,18 @@ proptest! {
                 if p >= n { usize::MAX } else { p }
             })
             .collect();
-        let dag = TaskDag::from_parents(&parent);
+        let mut dag = TaskDag::new(n);
+        for (child, &p) in parent.iter().enumerate() {
+            if p != usize::MAX {
+                dag.add_dependency(child, p);
+            }
+        }
+        dag.seal();
         let clock = AtomicUsize::new(0);
         let seq: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(usize::MAX)).collect();
         let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         let pool = WorkPool::new(cap);
-        let used = pool.scope_dag(64, &dag, |i| {
+        let used = pool.scope_dag_with(64, &dag, || (), |(), i| {
             runs[i].fetch_add(1, Ordering::Relaxed);
             seq[i].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
         });
@@ -1736,9 +1799,8 @@ proptest! {
 
     /// The geometric ordering is one more elimination order of the same
     /// system: on hinted block lattices (1×N and single-block grids
-    /// included) its solution agrees ≤1e-10 relative with RCM's, with the
-    /// `ScalarKernel` factor under the same order, and with the scalar
-    /// `SparseCholesky` oracle.
+    /// included) its solution agrees ≤1e-10 relative with RCM's and with
+    /// the scalar `SparseCholesky` oracle.
     #[test]
     fn geometric_ordering_matches_rcm_and_the_scalar_oracles(
         bx in 1usize..6,
@@ -1752,20 +1814,15 @@ proptest! {
         let reference = SparseCholesky::factor(&a).expect("SPD").solve(&b);
         let scale = reference.iter().fold(1.0f64, |m, v| m.max(v.abs()));
         let opts = SupernodalOptions::default();
-        for (ordering, kernel, resolved) in [
-            (FillOrdering::Auto, KernelChoice::Blocked, "geometric"),
-            (FillOrdering::Auto, KernelChoice::Scalar, "geometric"),
-            (FillOrdering::Rcm, KernelChoice::Blocked, "rcm"),
+        for (ordering, resolved) in [
+            (FillOrdering::Auto, "geometric"),
+            (FillOrdering::Rcm, "rcm"),
         ] {
-            let chol = SupernodalCholesky::factor_ordered(
-                &a,
-                ordering,
-                &SupernodalOptions { kernel, ..opts },
-            ).expect("SPD");
+            let chol = SupernodalCholesky::factor_ordered(&a, ordering, &opts).expect("SPD");
             prop_assert_eq!(chol.stats().ordering, resolved);
             for (p, q) in reference.iter().zip(&chol.solve(&b)) {
                 prop_assert!((p - q).abs() <= 1e-10 * scale,
-                    "{} / {:?}: {} vs {}", resolved, kernel, p, q);
+                    "{}: {} vs {}", resolved, p, q);
             }
         }
     }
@@ -2047,9 +2104,9 @@ enum RowGaps {
 }
 
 /// Checks one fused-update shape at every tile level the host has against
-/// the streamed oracle, bit for bit: [`DenseKernel::scatter_update`] into a
-/// random panel through relative rows spaced by `gaps`, with both signs,
-/// and [`DenseKernel::rank_update`] into a random buffer (the contiguous
+/// the streamed oracle, bit for bit: [`BlockedKernel::scatter_update`] into
+/// a random panel through relative rows spaced by `gaps`, with both signs,
+/// and [`BlockedKernel::rank_update`] into a random buffer (the contiguous
 /// epilogue, which adds the `+0.0`-started sums).
 fn check_tile_update(mu: usize, lo: usize, wj: usize, wd: usize, gaps: RowGaps, seed: u64) {
     let m = mu + lo;
