@@ -133,9 +133,7 @@ pub use iterative::{
     refine, solve_cg, solve_gmres, CgOptions, GmresOptions, IterativeSolution,
     JacobiPreconditioner, Preconditioner, RefineOptions, SsorPreconditioner,
 };
-#[doc(hidden)]
-pub use kernel::KernelChoice;
-pub use kernel::{BlockedKernel, Isa};
+pub use kernel::{BlockedKernel, Isa, KernelChoice};
 pub use memory::{huge_with_capacity, huge_zeroed, MemoryFootprint};
 pub use ordering::{geometric_dissection, reverse_cuthill_mckee, FillOrdering, Permutation};
 pub use pool::{TaskDag, WorkPool};
