@@ -15,7 +15,7 @@
 //!   costs end to end.
 //!
 //! Records its medians into `BENCH_PR8.json` (section
-//! `ablation_resilience`) for the `check_bench_json` CI gate, and exits
+//! `ablation_resilience`) for `morestress check`, and exits
 //! non-zero when the record cannot be written.
 
 use std::sync::Arc;

@@ -1,11 +1,11 @@
 //! Shared harness for regenerating the MORE-Stress paper's experiments.
 //!
-//! The `repro` binary drives the scenario
-//! runners in this crate. Every experiment (Table 1, Table 2, Table 3 /
-//! Fig. 6) has a runner that produces the same rows/series the paper
-//! reports: wall time, peak memory and normalized MAE for the full-FEM
-//! reference ("ANSYS substitute"), the linear-superposition baseline and
-//! MORE-Stress.
+//! `morestress repro` calls [`repro`], which drives the scenario runners in
+//! this crate and prints their tables. Every experiment (Table 1, Table 2,
+//! Table 3 / Fig. 6) has a runner that produces the same rows/series the
+//! paper reports: wall time, peak memory and normalized MAE for the
+//! full-FEM reference ("ANSYS substitute"), the linear-superposition
+//! baseline and MORE-Stress.
 //!
 //! Absolute numbers differ from the paper (our substrate is a from-scratch
 //! Rust FEM on laptop-scale meshes, not ANSYS on a 330 GB server), but the
@@ -14,6 +14,9 @@
 //! full-FEM reference is capped by [`Scale::fem_limit`] (6×6 at
 //! [`Scale::small`], 10×10 at [`Scale::paper`]); above the cap the error
 //! columns print `-`.
+//!
+//! The crate also writes and validates the numeric bench records
+//! ([`record_bench_entries`], [`check_bench_files`]; `morestress check`).
 
 #![warn(missing_docs)]
 
@@ -413,6 +416,190 @@ pub fn table3_series(geom: &TsvGeometry, scale: &Scale) -> Result<Vec<Convergenc
     Ok(out)
 }
 
+/// The experiments [`repro`] regenerates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Experiment {
+    /// Table 1: standalone TSV arrays (scenario 1).
+    Table1,
+    /// Table 2: a sub-modeled array in a chiplet (scenario 2).
+    Table2,
+    /// Table 3: convergence in the interpolation count.
+    Table3,
+    /// Fig. 6: the Table 3 series as error and runtime against `n`.
+    Fig6,
+    /// All of the above, in that order.
+    All,
+}
+
+impl Experiment {
+    /// Parses a `morestress repro` experiment name.
+    pub fn from_name(name: &str) -> Option<Self> {
+        match name {
+            "table1" => Some(Self::Table1),
+            "table2" => Some(Self::Table2),
+            "table3" => Some(Self::Table3),
+            "fig6" => Some(Self::Fig6),
+            "all" => Some(Self::All),
+            _ => None,
+        }
+    }
+}
+
+/// Regenerates `which` at `scale` and prints its tables to stdout, then
+/// the process peak RSS.
+///
+/// # Errors
+///
+/// The first runner failure; the tables printed before it stay printed.
+pub fn repro(which: Experiment, scale: &Scale) -> Result<(), RomError> {
+    println!("MORE-Stress reproduction harness — scale '{}'", scale.name);
+    println!("(absolute numbers are laptop-scale; compare *shapes* to the paper)\n");
+    let runs = |e: Experiment| which == e || which == Experiment::All;
+    if runs(Experiment::Table1) {
+        print_table1(scale)?;
+    }
+    if runs(Experiment::Table2) {
+        print_table2(scale)?;
+    }
+    if runs(Experiment::Table3) {
+        print_table3(scale, false)?;
+    }
+    if runs(Experiment::Fig6) {
+        print_table3(scale, true)?;
+    }
+    if let Some(rss) = peak_rss_bytes() {
+        println!("\n[process peak RSS: {}]", fmt_bytes(rss));
+    }
+    Ok(())
+}
+
+fn print_rows(rows: &[Row]) {
+    let line = |group: &str, what: &str, cell: &dyn Fn(&Row) -> String| {
+        let cells: String = rows.iter().map(|r| format!("{:>12}", cell(r))).collect();
+        println!("{group:<22}{what:>9}{cells}");
+    };
+    let time = |d: Duration| format!("{d:.2?}");
+    line("", "", &|r| r.label.clone());
+    line("FEM (ours)", "time", &|r| {
+        r.fem.map_or("-".into(), |m| time(m.time))
+    });
+    line("", "memory", &|r| {
+        r.fem.map_or("-".into(), |m| fmt_bytes(m.bytes))
+    });
+    line("Linear superposition", "time", &|r| {
+        time(r.superposition.time)
+    });
+    line("", "memory", &|r| fmt_bytes(r.superposition.bytes));
+    line("", "error", &|r| fmt_err(r.superposition.error));
+    line("Ours (MORE-Stress)", "time", &|r| time(r.rom.time));
+    line("", "memory", &|r| fmt_bytes(r.rom.bytes));
+    line("", "error", &|r| fmt_err(r.rom.error));
+    // Improvement rows, as in the paper.
+    line("Improve. over FEM", "time", &|r| {
+        r.fem.map_or("-".into(), |m| {
+            let ratio = m.time.as_secs_f64() / r.rom.time.as_secs_f64().max(1e-9);
+            format!("{ratio:.0}x")
+        })
+    });
+    line("", "memory", &|r| {
+        r.fem.map_or("-".into(), |m| {
+            format!("{:.0}x", m.bytes as f64 / r.rom.bytes.max(1) as f64)
+        })
+    });
+    line(
+        "Improve. over LS",
+        "accuracy",
+        &|r| match (r.superposition.error, r.rom.error) {
+            (Some(ls), Some(rom)) if rom > 0.0 => format!("{:.1}x", ls / rom),
+            _ => "-".into(),
+        },
+    );
+}
+
+fn print_table1(scale: &Scale) -> Result<(), RomError> {
+    println!("== Table 1: standalone TSV arrays (scenario 1) ==");
+    for pitch in [15.0, 10.0] {
+        let geom = TsvGeometry::paper_defaults(pitch);
+        println!("\n-- p = {pitch} µm --");
+        let shot = one_shot(&geom, scale, false)?;
+        println!(
+            "one-shot local stage: {:.2?} (superposition kernel: {:.2?})",
+            shot.local_stage_time, shot.kernel_time
+        );
+        let rows = scale
+            .sizes
+            .iter()
+            .map(|&s| table1_row(&geom, scale, &shot, s))
+            .collect::<Result<Vec<_>, _>>()?;
+        print_rows(&rows);
+    }
+    Ok(())
+}
+
+fn print_table2(scale: &Scale) -> Result<(), RomError> {
+    println!("\n== Table 2: sub-modeled array in a chiplet (scenario 2) ==");
+    for pitch in [15.0, 10.0] {
+        let geom = TsvGeometry::paper_defaults(pitch);
+        println!("\n-- p = {pitch} µm --");
+        let shot = one_shot(&geom, scale, true)?;
+        let setup = table2_setup(&geom, scale)?;
+        println!(
+            "coarse chiplet solve: {:.2?}, warpage {:.2} µm; array {}x{} (+{} dummy rings)",
+            setup.chiplet.solve_time,
+            setup.chiplet.warpage(),
+            scale.table2_core,
+            scale.table2_core,
+            scale.table2_rings,
+        );
+        let rows = (0..5)
+            .map(|loc| table2_row(&geom, scale, &shot, &setup, loc))
+            .collect::<Result<Vec<_>, _>>()?;
+        print_rows(&rows);
+    }
+    Ok(())
+}
+
+fn print_table3(scale: &Scale, as_figure: bool) -> Result<(), RomError> {
+    let geom = TsvGeometry::paper_defaults(15.0);
+    let series = table3_series(&geom, scale)?;
+    if as_figure {
+        println!("\n== Fig. 6: error & runtime vs element DoFs n (log-scale error) ==");
+        println!(
+            "{:>6} {:>8} {:>12} {:>14}",
+            "n", "error%", "global", "(nx,ny,nz)"
+        );
+        for p in &series {
+            println!(
+                "{:>6} {:>8.3} {:>12.2?}   ({m},{m},{m})",
+                p.n,
+                p.error * 100.0,
+                p.global_time,
+                m = p.order
+            );
+        }
+        return Ok(());
+    }
+    println!(
+        "\n== Table 3: convergence on a {}x{} array, p = 15 µm ==",
+        scale.table3_size, scale.table3_size
+    );
+    println!(
+        "{:>10} {:>6} {:>14} {:>14} {:>9}",
+        "(nx,ny,nz)", "n", "local stage", "global stage", "error"
+    );
+    for p in &series {
+        println!(
+            "({m},{m},{m})    {:>6} {:>14.2?} {:>14.2?} {:>8.3}%",
+            p.n,
+            p.local_time,
+            p.global_time,
+            p.error * 100.0,
+            m = p.order
+        );
+    }
+    Ok(())
+}
+
 /// Formats a byte count like the paper's memory columns.
 pub fn fmt_bytes(bytes: usize) -> String {
     if bytes >= 1 << 30 {
@@ -524,7 +711,7 @@ pub fn git_commit_number() -> f64 {
 /// the section is overwritten and any others are left in place. Every
 /// written section is stamped with [`hardware_threads`] and
 /// [`git_commit_number`] (caller-provided values for those keys are
-/// replaced), which is what the `check_bench_json` CI gate verifies. The
+/// replaced), which is what `morestress check` verifies. The
 /// stored format is exactly what [`parse_bench_json`] reads back — no
 /// external JSON dependency.
 ///
@@ -601,8 +788,8 @@ pub fn parse_bench_json(text: &str) -> Option<Vec<BenchSection>> {
     Some(sections)
 }
 
-/// Validates one parsed bench record against the artifact schema the
-/// `check_bench_json` CI gate enforces: at least one section, every
+/// Validates one parsed bench record against the artifact schema
+/// `morestress check` enforces: at least one section, every
 /// section non-empty, every value finite, and the uniform
 /// [`record_bench_entries`] stamps present (`hardware_threads >= 1` and
 /// `git_commit`). Returns the violations found (empty means valid).
@@ -633,4 +820,34 @@ pub fn check_bench_sections(sections: &[BenchSection]) -> Vec<String> {
         }
     }
     problems
+}
+
+/// Validates each bench record file against the artifact schema
+/// ([`parse_bench_json`], then [`check_bench_sections`]): prints one `ok`
+/// line per valid file to stdout and one `FAIL` line per problem, naming
+/// the file, to stderr. Returns whether every file passed.
+pub fn check_bench_files(paths: &[impl AsRef<std::path::Path>]) -> bool {
+    let mut all_ok = true;
+    for path in paths {
+        let name = path.as_ref().display();
+        let problems = match std::fs::read_to_string(path) {
+            Err(e) => vec![format!("unreadable: {e}")],
+            Ok(text) => match parse_bench_json(&text) {
+                None => vec!["not in the {section: {key: number}} format".to_string()],
+                Some(sections) => {
+                    let problems = check_bench_sections(&sections);
+                    if problems.is_empty() {
+                        let keys: usize = sections.iter().map(|(_, kv)| kv.len()).sum();
+                        println!("ok   {name}: {} sections, {keys} keys", sections.len());
+                    }
+                    problems
+                }
+            },
+        };
+        for problem in &problems {
+            eprintln!("FAIL {name}: {problem}");
+        }
+        all_ok &= problems.is_empty();
+    }
+    all_ok
 }

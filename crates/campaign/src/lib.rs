@@ -18,8 +18,10 @@
 //!   campaign-canonical result ordering regardless of completion order.
 //! * [`results`] — the stable numeric results schema: the same
 //!   two-level `{section: {key: number}}` JSON as the bench record
-//!   (`BENCH_PR8.json`), accepted by the `check_bench_json` CI gate.
-//! * the `morestress` CLI binary — `morestress campaign run <spec.yml>`.
+//!   (`BENCH_PR8.json`), accepted by `morestress check`.
+//! * the `morestress` CLI binary, the workspace's one command line —
+//!   `morestress campaign run <spec.yml>`, `morestress repro` (the paper's
+//!   tables) and `morestress check <record.json>` (the results schema).
 //!
 //! ```
 //! use morestress_campaign::{CampaignRunner, CampaignSpec};

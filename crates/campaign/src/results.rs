@@ -1,6 +1,6 @@
 //! The stable results schema: campaign reports rendered as the same
 //! two-level `{section: {key: number}}` JSON the bench record
-//! (`BENCH_PR8.json`) uses, validated by the `check_bench_json` CI gate.
+//! (`BENCH_PR8.json`) uses, validated by `morestress check`.
 //!
 //! Layout: one summary section per campaign (job/solved/failed tallies,
 //! the shared-cache counters and where the local stage spent its time)

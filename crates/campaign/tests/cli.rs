@@ -1,42 +1,121 @@
-//! `morestress campaign run` argument handling: anything that looks like
-//! an option but is not `--out` is rejected with the usage line instead of
-//! being opened as a spec file.
+//! The `morestress` command-line contract, one binary for every command:
+//! a bad command line exits 2 with the usage on stderr, prints nothing on
+//! stdout and computes nothing (so those cases are instant); a failed run
+//! exits 1; nothing exits 101 (panic) or 134 (abort).
 
-use std::process::Command;
+use std::path::PathBuf;
+use std::process::{Command, Output};
 
-fn campaign_run(args: &[&str]) -> std::process::Output {
+fn morestress(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_morestress"))
-        .args(["campaign", "run"])
         .args(args)
         .output()
         .expect("the morestress binary runs")
 }
 
+/// A fresh scratch directory for this test process.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("morestress-cli-{}-{tag}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    dir
+}
+
 #[test]
-fn unknown_options_after_campaign_run_are_rejected_with_usage() {
+fn bad_command_lines_exit_2_with_usage() {
     for args in [
-        &["--help"][..],
-        &["--trace", "spec.yml"],
-        &["spec.yml", "--ot", "results.json"],
+        &[][..],
+        &["campaign"],
+        &["simulate", "spec.yml"],
+        &["campaign", "run"],
+        &["campaign", "run", "--help"],
+        &["campaign", "run", "--trace", "spec.yml"],
+        &["campaign", "run", "spec.yml", "--ot", "results.json"],
+        &["campaign", "run", "spec.yml", "--out"],
+        &["repro", "table1", "--scale"],
+        &["repro", "table1", "--scale", "huge"],
+        &["repro", "table9"],
+        &["check"],
+        &["check", "--all"],
     ] {
-        let output = campaign_run(args);
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(!output.status.success(), "{args:?} must fail");
+        let out = morestress(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(
-            stderr.contains("unknown option") && stderr.contains("usage: morestress campaign run"),
-            "{args:?}: stderr was {stderr:?}"
+            stderr.contains("usage: morestress campaign run")
+                && stderr.contains("morestress repro")
+                && stderr.contains("morestress check"),
+            "{args:?}: {stderr}"
         );
-        assert!(
-            !stderr.contains("spec.yml:"),
-            "{args:?}: no spec may be opened before the options are checked: {stderr:?}"
-        );
+        assert!(out.stdout.is_empty(), "{args:?} computed something");
+        // No spec is opened before the command line is checked.
+        assert!(!stderr.contains("spec.yml:"), "{args:?}: {stderr}");
     }
 }
 
 #[test]
-fn out_without_a_file_is_rejected_with_usage() {
-    let output = campaign_run(&["spec.yml", "--out"]);
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(!output.status.success());
-    assert!(stderr.contains("--out needs a file argument"), "{stderr:?}");
+fn check_passes_a_valid_record_and_names_a_malformed_one() {
+    let dir = scratch("check");
+    let valid = dir.join("valid.json");
+    let malformed = dir.join("malformed.json");
+    std::fs::write(
+        &valid,
+        "{\n  \"s\": {\n    \"x\": 1.5,\n    \"hardware_threads\": 2,\n    \"git_commit\": 0\n  }\n}\n",
+    )
+    .unwrap();
+    std::fs::write(&malformed, "{\n  \"s\": {\n    \"x\": 1.5\n  }\n}\n").unwrap();
+
+    let out = morestress(&["check", valid.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("ok "));
+
+    let out = morestress(&[
+        "check",
+        valid.to_str().unwrap(),
+        malformed.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("FAIL {}: ", malformed.display()))
+            && stderr.contains("missing hardware_threads"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("valid.json:"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A 1×1 TSV array padded by 100 000 × 2 dummy rings fits a `usize` but
+/// not a 1.5 GB address space: the global stage must refuse it as a failed
+/// job (exit 1) before it allocates, not abort (134) when an allocation
+/// fails.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_array_that_cannot_fit_in_memory_fails_the_job() {
+    let example = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/campaign.yml");
+    let text = std::fs::read_to_string(example).unwrap();
+    let arrays = &text[text.find("tsv_array:").unwrap()..text.find("solver:").unwrap()];
+    let text = text.replace(
+        arrays,
+        "tsv_array:\n  - tsv_num_x: 1\n    tsv_num_y: 1\n    dummy_tsv_num_x: 100000\n    \
+         dummy_tsv_num_y: 2\n\n",
+    );
+    let dir = scratch("memory");
+    let spec = dir.join("huge.yml");
+    std::fs::write(&spec, text).unwrap();
+    let out = Command::new("sh")
+        .args([
+            "-c",
+            "ulimit -v 1500000; exec \"$0\" campaign run \"$1\" --out \"$2\"",
+        ])
+        .arg(env!("CARGO_BIN_EXE_morestress"))
+        .arg(&spec)
+        .arg(dir.join("huge.json"))
+        .env("MORESTRESS_THREADS", "1")
+        .output()
+        .expect("sh runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stdout}\n{stderr}");
+    assert!(stdout.contains("FAILED: out of memory"), "{stdout}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -19,6 +19,11 @@ pub enum RomError {
     Io(std::io::Error),
     /// A serialized ROM file is malformed or of an unsupported version.
     Format(String),
+    /// The memory a solve needs could not be reserved.
+    OutOfMemory {
+        /// The bytes the reservation asked for.
+        bytes: usize,
+    },
 }
 
 impl fmt::Display for RomError {
@@ -29,6 +34,12 @@ impl fmt::Display for RomError {
             RomError::Mismatch(msg) => write!(f, "inconsistent ROM inputs: {msg}"),
             RomError::Io(e) => write!(f, "ROM i/o error: {e}"),
             RomError::Format(msg) => write!(f, "malformed ROM file: {msg}"),
+            RomError::OutOfMemory { bytes } => {
+                write!(
+                    f,
+                    "out of memory: cannot reserve {bytes} bytes for the solve"
+                )
+            }
         }
     }
 }

@@ -443,9 +443,18 @@ impl<'a> GlobalStage<'a> {
     /// [`WorkPool`] at its cap; [`WorkPool::install`] is the one way to
     /// narrow them.
     ///
+    /// Before the prelude allocates, the solve reserves what the prelude and
+    /// a cold assembly hold at once — counted in closed form from the layout
+    /// shape and the interpolation counts — and gives it straight back, so a
+    /// layout that cannot fit in memory fails as
+    /// [`RomError::OutOfMemory`] instead of aborting the process. The
+    /// reservation touches no page: where the system overcommits without
+    /// limit it always succeeds, and the check admits the solve.
+    ///
     /// # Errors
     ///
-    /// Same as [`GlobalStage::solve`].
+    /// Same as [`GlobalStage::solve`], and [`RomError::OutOfMemory`] when
+    /// the reservation fails.
     pub fn solve_many(
         &self,
         layout: &BlockLayout,
@@ -453,6 +462,7 @@ impl<'a> GlobalStage<'a> {
         bc: &GlobalBc,
     ) -> Result<Vec<GlobalSolution>, RomError> {
         let start = Instant::now();
+        Footprint::of(layout, self.rom_tsv.interpolation().counts(), bc).reserve()?;
         let (prelude, free) = self.prelude(layout, bc)?;
         let lattice = &prelude.lattice;
         let ndof = lattice.num_dofs();
@@ -894,6 +904,93 @@ fn nested_heap_bytes<T>(lists: &Vec<Vec<T>>) -> usize {
     lists.heap_bytes() + lists.iter().map(Vec::heap_bytes).sum::<usize>()
 }
 
+/// What the prelude and the cold assembly of a solve allocate, counted in
+/// closed form from the layout shape, the interpolation counts and the BC
+/// kind, before either runs.
+///
+/// Free nodes lie in the `nz − 2` interior layers, on the vertical block
+/// faces (under [`GlobalBc::SubmodelBoundary`] off the outer ones), and two
+/// free nodes are adjacent iff their face points share a block. So `A_ff`
+/// holds `9 (nz − 2)²` entries per ordered pair of free face points of the
+/// plane that share a block. The blocks two points share form a rectangle
+/// of at most 2×2 blocks, and a rectangle's blocks, minus its adjacent block
+/// pairs, plus its 2×2 squares number exactly 1. Hence the pair count is
+/// the sum of every block's squared free-point count, minus that of every
+/// shared block edge, plus one per shared interior corner.
+// The counts only reach the tests, which check them against the lattice.
+#[cfg_attr(not(test), allow(dead_code))]
+struct Footprint {
+    /// Active lattice nodes.
+    nodes: u128,
+    /// Unconstrained lattice nodes.
+    free_nodes: u128,
+    /// Stored entries of `A_ff`.
+    nnz: u128,
+    /// Bytes of the prelude's and the assembly's buffers together.
+    bytes: u128,
+}
+
+impl Footprint {
+    fn of(layout: &BlockLayout, counts: [usize; 3], bc: &GlobalBc) -> Self {
+        let [p, q, r] = counts.map(|c| c as u128);
+        let (l, m) = (layout.nx() as u128, layout.ny() as u128);
+        let clip = matches!(bc, GlobalBc::SubmodelBoundary(_));
+        let (ax, ay) = ((p - 1) * l + 1, (q - 1) * m + 1);
+        // Points of the plane off every vertical face, per block.
+        let inner = (p - 2) * (q - 2);
+        let face = ax * ay - l * m * inner;
+        let free_face = if clip { face + 4 - 2 * (ax + ay) } else { face };
+        let nodes = 2 * ax * ay + (r - 2) * face;
+        let free_nodes = (r - 2) * free_face;
+        // Σ w and Σ w² over the `n` blocks of one axis, `w` the free points
+        // of a block edge along it (`k` points, less those on the outer
+        // boundary when it is prescribed).
+        let edge_sums = |n: u128, k: u128| match (clip, n) {
+            (false, _) => (n * k, n * k * k),
+            (true, 1) => (k - 2, (k - 2) * (k - 2)),
+            (true, _) => (n * k - 2, (n - 2) * k * k + 2 * (k - 1) * (k - 1)),
+        };
+        let (sx, sxx) = edge_sums(l, p);
+        let (sy, syy) = edge_sums(m, q);
+        // A block's free face points number `w_x·w_y − inner`.
+        let contributions = (r - 2) * (sx * sy - l * m * inner);
+        let block_pairs = sxx * syy + inner * inner * l * m - 2 * inner * sx * sy;
+        let plane_pairs = block_pairs + (l - 1) * (m - 1) - (l - 1) * syy - (m - 1) * sxx;
+        let adjacency = (r - 2) * (r - 2) * plane_pairs;
+        let nnz = 9 * adjacency;
+        let surface = p * q * r - inner * (r - 2);
+        let words = ax * ay * r + 3 * nodes // lattice: node ids, coordinates
+            + l * m * (4 + surface) // per-block node maps
+            + 3 * nodes // unit load
+            + 6 * (nodes - free_nodes) // constraints: (DoF, value) pairs
+            + 4 * free_nodes // free nodes and free DoFs
+            + 4 * nodes // free-node numbering, prescribed values
+            + 6 * free_nodes + adjacency + contributions // adjacency, contributions
+            + 6 * free_nodes + 1 + 2 * nnz // A_ff: row pointers, columns, values; lifting
+            + 5 * free_nodes // the scatter's per-node row locks
+            + 12 * free_nodes; // partition hint
+        Footprint {
+            nodes,
+            free_nodes,
+            nnz,
+            bytes: 8 * words,
+        }
+    }
+
+    /// Reserves [`bytes`](Self::bytes) and gives them back.
+    fn reserve(&self) -> Result<(), RomError> {
+        let bytes = usize::try_from(self.bytes).unwrap_or(usize::MAX);
+        let mut probe = Vec::<u8>::new();
+        probe
+            .try_reserve_exact(bytes)
+            .map_err(|_| RomError::OutOfMemory { bytes })?;
+        // The allocation must really happen: one the optimizer could prove
+        // unused it may drop, and then assume it succeeded.
+        std::hint::black_box(&mut probe);
+        Ok(())
+    }
+}
+
 /// What the layout prelude of a solve produces and the solve borrows to
 /// its end.
 struct Prelude<'r> {
@@ -1047,6 +1144,74 @@ mod tests {
         for (p, q) in a.nodal_displacement().iter().zip(b.nodal_displacement()) {
             assert!((p - q).abs() < 1e-6 * peak.max(1e-30));
         }
+    }
+
+    /// The footprint's closed-form counts against a walk over the lattice:
+    /// a free node's neighbours are the free nodes of the blocks it is in.
+    #[test]
+    fn footprint_counts_match_the_lattice() {
+        use std::collections::BTreeSet;
+        let clamped = GlobalBc::ClampedTopBottom;
+        let submodel = GlobalBc::SubmodelBoundary(Arc::new(|_| [0.0; 3]));
+        for (nx, ny) in [(1, 1), (2, 1), (1, 3), (3, 2), (4, 4)] {
+            let layout = BlockLayout::uniform(nx, ny, BlockKind::Tsv);
+            for counts in [[2, 2, 2], [3, 3, 3], [4, 3, 5], [2, 4, 3]] {
+                let lattice = GlobalLattice::new(&layout, counts, [1.0; 3]);
+                for bc in [&clamped, &submodel] {
+                    let free = |id: usize| match bc {
+                        GlobalBc::ClampedTopBottom => !lattice.is_top_or_bottom(id),
+                        GlobalBc::SubmodelBoundary(_) => !lattice.is_outer_boundary(id),
+                    };
+                    let blocks: Vec<Vec<usize>> = (0..ny)
+                        .flat_map(|bj| (0..nx).map(move |bi| (bi, bj)))
+                        .map(|(bi, bj)| {
+                            let nodes = lattice.block_nodes(bi, bj);
+                            nodes.into_iter().filter(|&id| free(id)).collect()
+                        })
+                        .collect();
+                    let mut neighbours = vec![BTreeSet::new(); lattice.num_nodes()];
+                    for block in &blocks {
+                        for &f in block {
+                            neighbours[f].extend(block.iter().copied());
+                        }
+                    }
+                    let free_nodes = (0..lattice.num_nodes()).filter(|&id| free(id)).count();
+                    let nnz: usize = neighbours.iter().map(|n| 9 * n.len()).sum();
+                    let footprint = Footprint::of(&layout, counts, bc);
+                    let case = format!("{nx}x{ny} {counts:?} {bc:?}");
+                    assert_eq!(footprint.nodes, lattice.num_nodes() as u128, "{case}");
+                    assert_eq!(footprint.free_nodes, free_nodes as u128, "{case}");
+                    assert_eq!(footprint.nnz, nnz as u128, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn footprint_counts_match_the_assembly() {
+        let tsv = rom(BlockKind::Tsv);
+        let dummy = rom(BlockKind::Dummy);
+        let stage = GlobalStage::new(&tsv).with_dummy(&dummy).unwrap();
+        let layout = BlockLayout::uniform(3, 2, BlockKind::Tsv).padded(1);
+        let submodel = GlobalBc::SubmodelBoundary(Arc::new(|_| [0.0; 3]));
+        for bc in [GlobalBc::ClampedTopBottom, submodel] {
+            let reduced = stage.assemble(&layout, &bc).unwrap();
+            let footprint = Footprint::of(&layout, [3, 3, 3], &bc);
+            assert_eq!(footprint.free_nodes, reduced.num_free() as u128 / 3);
+            assert_eq!(footprint.nnz, reduced.a_ff.nnz() as u128);
+        }
+    }
+
+    #[test]
+    fn a_footprint_that_cannot_be_reserved_is_a_typed_error() {
+        let footprint = Footprint {
+            nodes: 0,
+            free_nodes: 0,
+            nnz: 0,
+            bytes: u128::MAX,
+        };
+        let err = footprint.reserve().unwrap_err();
+        assert!(matches!(err, RomError::OutOfMemory { bytes: usize::MAX }));
     }
 
     #[test]

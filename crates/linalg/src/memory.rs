@@ -4,7 +4,7 @@
 //! each simulator. We account for memory analytically: every major data
 //! structure knows the size of its heap allocations, and each pipeline
 //! stage reports the sum of the structures that are live simultaneously.
-//! This is deterministic and portable; the `repro` binary additionally
+//! This is deterministic and portable; `morestress repro` additionally
 //! reports the OS-level `VmHWM` on Linux for a sanity cross-check.
 //!
 //! **Huge-page-advised buffers.** A cold solve writes ≈ 90 MB of fresh

@@ -80,11 +80,12 @@
 //! # }
 //! ```
 //!
-//! Larger, slower walkthroughs (array scaling sweeps, the chiplet
-//! sub-modeling pipeline, convergence studies) are kept out of doctests and
-//! live in `examples/` — run them with `cargo run --release --example
-//! quickstart` etc.; the paper's tables regenerate with `cargo run -p
-//! morestress-bench --bin repro --release`.
+//! Larger, slower walkthroughs are kept out of doctests and live in
+//! `examples/` — run them with `cargo run --release --example quickstart`
+//! (or `placement_sweep`). The paper's tables — array scaling, the chiplet
+//! sub-modeling pipeline, the convergence study — regenerate with
+//! `morestress repro` (`cargo run --release -p morestress-campaign --
+//! repro all`).
 
 pub use morestress_campaign as campaign;
 pub use morestress_chiplet as chiplet;
