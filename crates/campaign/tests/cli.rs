@@ -20,6 +20,25 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+/// Asserts the bad-command-line contract for `args`: exit 2, the usage of
+/// every command on stderr, nothing on stdout, no spec opened. Returns the
+/// stderr for case-specific checks.
+fn rejected_with_usage(args: &[&str]) -> String {
+    let out = morestress(args);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(
+        stderr.contains("usage: morestress campaign run")
+            && stderr.contains("morestress repro")
+            && stderr.contains("morestress check"),
+        "{args:?}: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "{args:?} computed something");
+    // No spec is opened before the command line is checked.
+    assert!(!stderr.contains("spec.yml:"), "{args:?}: {stderr}");
+    stderr
+}
+
 #[test]
 fn bad_command_lines_exit_2_with_usage() {
     for args in [
@@ -27,29 +46,29 @@ fn bad_command_lines_exit_2_with_usage() {
         &["campaign"],
         &["simulate", "spec.yml"],
         &["campaign", "run"],
-        &["campaign", "run", "--help"],
-        &["campaign", "run", "--trace", "spec.yml"],
-        &["campaign", "run", "spec.yml", "--ot", "results.json"],
-        &["campaign", "run", "spec.yml", "--out"],
-        &["repro", "table1", "--scale"],
-        &["repro", "table1", "--scale", "huge"],
-        &["repro", "table9"],
         &["check"],
         &["check", "--all"],
     ] {
-        let out = morestress(args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(
-            stderr.contains("usage: morestress campaign run")
-                && stderr.contains("morestress repro")
-                && stderr.contains("morestress check"),
-            "{args:?}: {stderr}"
-        );
-        assert!(out.stdout.is_empty(), "{args:?} computed something");
-        // No spec is opened before the command line is checked.
-        assert!(!stderr.contains("spec.yml:"), "{args:?}: {stderr}");
+        rejected_with_usage(args);
     }
+}
+
+#[test]
+fn unknown_options_after_campaign_run_are_rejected_with_usage() {
+    for args in [
+        &["campaign", "run", "--help"][..],
+        &["campaign", "run", "--trace", "spec.yml"],
+        &["campaign", "run", "spec.yml", "--ot", "results.json"],
+    ] {
+        let stderr = rejected_with_usage(args);
+        assert!(stderr.contains("unknown option"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn out_without_a_file_is_rejected_with_usage() {
+    let stderr = rejected_with_usage(&["campaign", "run", "spec.yml", "--out"]);
+    assert!(stderr.contains("--out needs a file argument"), "{stderr}");
 }
 
 #[test]
