@@ -756,36 +756,79 @@ pub fn format_bench_sections(sections: &[BenchSection]) -> String {
     out
 }
 
-/// Parses the two-level `{section: {key: number}}` format written by
-/// [`record_bench_entries`]. Returns `None` on any shape surprise (the writer
-/// then starts a fresh file).
+/// Parses the two-level `{section: {key: number}}` JSON object that
+/// [`format_bench_sections`] writes, whatever its layout: tokens may be
+/// separated by any whitespace, on one line or many. Returns `None` on
+/// anything else — a third level, a value that is not a number, a string
+/// with escapes, trailing text (the writer then starts a fresh file).
+/// Values parse as Rust `f64` literals, so a non-finite one written as
+/// `NaN` or `inf` reads back for [`check_bench_sections`] to name.
 pub fn parse_bench_json(text: &str) -> Option<Vec<BenchSection>> {
-    let mut sections = Vec::new();
-    let mut current: Option<BenchSection> = None;
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if line == "{" || line.is_empty() {
-            continue;
+    let mut json = JsonCursor(text);
+    json.eat('{')?;
+    let sections = json.list('}', |json| {
+        let name = json.string()?;
+        json.eat(':')?;
+        json.eat('{')?;
+        let entries = json.list('}', |json| {
+            let key = json.string()?;
+            json.eat(':')?;
+            Some((key, json.number()?))
+        })?;
+        Some((name, entries))
+    })?;
+    json.0.trim_start().is_empty().then_some(sections)
+}
+
+/// The unread rest of a bench record's text.
+struct JsonCursor<'a>(&'a str);
+
+impl JsonCursor<'_> {
+    /// Skips whitespace, then consumes `c`; consumes nothing on a mismatch.
+    fn eat(&mut self, c: char) -> Option<()> {
+        self.0 = self.0.trim_start().strip_prefix(c)?;
+        Some(())
+    }
+
+    /// Comma-separated items up to and including `close`.
+    fn list<T>(
+        &mut self,
+        close: char,
+        mut item: impl FnMut(&mut Self) -> Option<T>,
+    ) -> Option<Vec<T>> {
+        let mut items = Vec::new();
+        if self.eat(close).is_some() {
+            return Some(items);
         }
-        if line == "}" {
-            // Closes the current section, or (with none open) the file.
-            if let Some(done) = current.take() {
-                sections.push(done);
+        loop {
+            items.push(item(self)?);
+            if self.eat(close).is_some() {
+                return Some(items);
             }
-        } else if let Some(name) = line.strip_suffix(": {") {
-            if current.is_some() {
-                return None; // nested deeper than sections — not our format
-            }
-            current = Some((name.trim().trim_matches('"').to_string(), Vec::new()));
-        } else if let Some((k, v)) = line.split_once(':') {
-            let key = k.trim().trim_matches('"').to_string();
-            let value: f64 = v.trim().parse().ok()?;
-            current.as_mut()?.1.push((key, value));
-        } else {
-            return None;
+            self.eat(',')?;
         }
     }
-    Some(sections)
+
+    /// A string without escapes.
+    fn string(&mut self) -> Option<String> {
+        self.eat('"')?;
+        let (s, rest) = self.0.split_once('"')?;
+        if s.contains('\\') {
+            return None;
+        }
+        self.0 = rest;
+        Some(s.to_string())
+    }
+
+    /// The text up to the next delimiter, as an `f64`.
+    fn number(&mut self) -> Option<f64> {
+        let rest = self.0.trim_start();
+        let end = rest
+            .find(|c: char| c == ',' || c == '}' || c.is_whitespace())
+            .unwrap_or(rest.len());
+        self.0 = &rest[end..];
+        rest[..end].parse().ok()
+    }
 }
 
 /// Validates one parsed bench record against the artifact schema

@@ -10,12 +10,12 @@
 //!   subset ([`yaml`]) with [`SpecError`]s that carry the offending
 //!   1-based line, and printed back canonically by
 //!   [`CampaignSpec::to_yaml`] (exact round-trip).
-//! * [`CampaignRunner`] — the concurrent job scheduler: many campaigns
-//!   admitted together, bounded in-flight jobs, round-robin fairness
-//!   across campaigns, one shared simulator (and
+//! * [`CampaignRunner`] — the campaign scheduler: many campaigns run
+//!   together, one task per array (all of its loads in one batched
+//!   solve), at most pool-cap arrays in flight, one shared simulator (and
 //!   [`FactorCache`](morestress_linalg::FactorCache)) per distinct
 //!   model, per-job panic/fault containment, and deterministic
-//!   campaign-canonical result ordering regardless of completion order.
+//!   campaign-canonical result ordering.
 //! * [`results`] — the stable numeric results schema: the same
 //!   two-level `{section: {key: number}}` JSON as the bench record
 //!   (`BENCH_PR8.json`), accepted by `morestress check`.

@@ -9,6 +9,11 @@
 //! same name cannot collide, and every section carries the uniform
 //! `hardware_threads`/`git_commit` stamps the gate requires.
 //!
+//! A job's solve is one column of its array's batched solve, so the
+//! per-job `wall_ms` and `iterations` are the batch aggregate — the
+//! array's shared wall time and summed iterations, repeated on each of
+//! its jobs — while `sample_ms` is the job's own.
+//!
 //! Everything emitted is a number. Exact values that do not fit an `f64`
 //! directly are split: the 64-bit job checksum is stored as
 //! `checksum_hi`/`checksum_lo` (two 32-bit halves, both exact).
@@ -33,8 +38,9 @@ pub fn campaign_sections(reports: &[CampaignReport]) -> Vec<BenchSection> {
         entries
     };
 
-    // Section names must survive the line-based bench-JSON reader:
-    // restrict the campaign-name portion to word characters.
+    // Section names are written unescaped, and the bench-JSON reader
+    // takes no escapes: restrict the campaign-name portion to word
+    // characters.
     let sanitize = |name: &str| -> String {
         name.chars()
             .map(|c| {

@@ -1,25 +1,31 @@
-//! `CampaignRunner`: the concurrent job scheduler that admits many
-//! campaigns against one shared simulator stack.
+//! `CampaignRunner`: the scheduler that runs many campaigns against one
+//! shared simulator stack.
 //!
-//! Every (campaign, array, load) triple becomes one *job*. Campaigns
-//! whose [`model_key`](CampaignSpec::model_key) agree share one
+//! Every (campaign, array, load) triple is one *job*, but the unit of
+//! work is the array: one task per (campaign, array) pair solves all of
+//! the array's loads in one batched call
+//! ([`solve_array_many`](MoreStressSimulator::solve_array_many) — one
+//! operator, one factorization, one multi-right-hand-side sweep), then
+//! samples each solution. Campaigns whose
+//! [`model_key`](CampaignSpec::model_key) agree share one
 //! [`MoreStressSimulator`] — and therefore one
 //! [`FactorCache`](morestress_linalg::FactorCache), so two campaigns over
-//! the same lattice pay one factorization between them. Jobs run on the
-//! process-wide [`WorkPool`] under bounded admission, and each job is
-//! isolated: a panic or a typed solver failure becomes that job's
-//! [`JobOutcome::Failed`] without sinking the campaign (the PR 8
-//! containment surface, extended to the scheduler).
+//! the same lattice pay one factorization between them. The tasks run on
+//! the process-wide [`WorkPool`], and each job is isolated: a panic or a
+//! typed solver failure becomes a [`JobOutcome::Failed`] without sinking
+//! the campaign. A failed batch fails each of its array's jobs with the
+//! same message.
 //!
 //! **Determinism**: job *results* are a pure function of the specs. The
-//! report order is canonical (campaign-major, array-major, load-minor)
-//! regardless of admission order or completion interleaving, and every
-//! solved job's checksum is bitwise identical across pool caps — only
-//! wall times and cache hit/miss tallies may vary with scheduling.
+//! canonical order (campaign-major, array-major, load-minor) is both the
+//! order tasks are claimed in and the report order, and every solved
+//! job's checksum is bitwise identical across pool caps — only wall times
+//! vary with scheduling. The cache tallies are exact too (one miss per
+//! distinct operator, no hit within an array's batch), unless two tasks
+//! of one simulator group — same-model campaigns, say — run the same
+//! array concurrently.
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use morestress_core::{GlobalBc, GlobalStats, MoreStressSimulator, RomError};
@@ -43,8 +49,9 @@ pub enum JobOutcome {
         /// warm job that `stats.wall_time`, the global stage alone, leaves
         /// out.
         sample_ms: f64,
-        /// Cost accounting of the global-stage solve (boxed: it is an
-        /// order of magnitude larger than the `Failed` variant).
+        /// Cost accounting of the global-stage solve: the batch aggregate
+        /// of the array's loads, shared by each of its jobs (boxed: it is
+        /// an order of magnitude larger than the `Failed` variant).
         stats: Box<GlobalStats>,
     },
     /// The job failed — typed solver error, invalid load, or a caught
@@ -86,13 +93,14 @@ pub struct CampaignReport {
     /// array-major, load-minor — independent of scheduling.
     pub jobs: Vec<JobReport>,
     /// Hits on the shared [`FactorCache`](morestress_linalg::FactorCache)
-    /// of this campaign's simulator group after the run. Campaigns with
-    /// equal model keys share the counter; at pool caps above 1 the
-    /// tally may exceed the single-threaded value, never undercount
-    /// sharing.
+    /// of this campaign's simulator group after the run: one per batched
+    /// solve that found its factor already prepared. An array's loads are
+    /// one batch, so a lone campaign with distinct arrays has none;
+    /// campaigns with equal model keys share the counter, and a repeated
+    /// array hits.
     pub cache_hits: usize,
     /// Misses on the shared cache after the run (= distinct operators
-    /// factored, at pool cap 1).
+    /// factored).
     pub cache_misses: usize,
     /// Where the one-shot local stage of this campaign's simulator group
     /// spent its time (shared, like the cache counters, by campaigns with
@@ -145,8 +153,9 @@ impl CampaignReport {
 
     /// Number of solved jobs that found their operator in the factor cache
     /// by provenance and skipped global assembly
-    /// ([`GlobalStats::operator_reused`]) — at pool cap 1, jobs minus
-    /// distinct arrays.
+    /// ([`GlobalStats::operator_reused`]). An array's loads share one
+    /// batch and its stats, so this counts every job of an array whose
+    /// operator an earlier same-model campaign already factored.
     pub fn operators_reused(&self) -> usize {
         self.jobs
             .iter()
@@ -157,23 +166,12 @@ impl CampaignReport {
     }
 }
 
-/// The concurrent campaign scheduler. See the [module docs](self).
+/// The campaign scheduler. See the [module docs](self).
 #[derive(Debug, Clone, Default)]
 pub struct CampaignRunner;
 
-/// One admitted job, resolved to indices.
-#[derive(Clone, Copy)]
-struct Job {
-    /// Position in the canonical report order (campaign-major).
-    slot: usize,
-    campaign: usize,
-    array: usize,
-    load: usize,
-}
-
 impl CampaignRunner {
-    /// A runner with round-robin fairness. At most [`WorkPool`]-cap jobs
-    /// are in flight at once.
+    /// A runner. At most [`WorkPool`]-cap arrays are in flight at once.
     pub fn new() -> Self {
         Self
     }
@@ -182,10 +180,10 @@ impl CampaignRunner {
     /// campaign, in input order.
     ///
     /// Simulators are built up-front, one per distinct
-    /// [`model_key`](CampaignSpec::model_key); jobs then drain through
-    /// the shared [`WorkPool`]. Individual job failures are contained in
-    /// their [`JobReport`]s — this method only fails when a *model*
-    /// cannot be built at all.
+    /// [`model_key`](CampaignSpec::model_key); the arrays then drain
+    /// through the shared [`WorkPool`], one task each. Individual job
+    /// failures are contained in their [`JobReport`]s — this method only
+    /// fails when a *model* cannot be built at all.
     ///
     /// # Errors
     ///
@@ -206,131 +204,126 @@ impl CampaignRunner {
             group_of.push(gi);
         }
 
-        // Canonical slots: campaign-major, array-major, load-minor.
-        let mut per_campaign: Vec<Vec<Job>> = Vec::with_capacity(specs.len());
-        let mut slot = 0;
-        for (ci, spec) in specs.iter().enumerate() {
-            let mut jobs = Vec::with_capacity(spec.arrays.len() * spec.loads.len());
-            for ai in 0..spec.arrays.len() {
-                for li in 0..spec.loads.len() {
-                    jobs.push(Job {
-                        slot,
-                        campaign: ci,
-                        array: ai,
-                        load: li,
-                    });
-                    slot += 1;
-                }
-            }
-            per_campaign.push(jobs);
-        }
-        let total = slot;
-
-        // Admission queue, the order jobs are *offered* to workers: round
-        // robin, one job from each campaign in turn, so a large campaign
-        // cannot starve a small one.
-        let rounds = per_campaign.iter().map(Vec::len).max().unwrap_or(0);
-        let mut queue: Vec<Job> = Vec::with_capacity(total);
-        for round in 0..rounds {
-            for jobs in &per_campaign {
-                if let Some(job) = jobs.get(round) {
-                    queue.push(*job);
-                }
-            }
-        }
-
+        // One task per (campaign, array), in canonical order.
+        let tasks: Vec<(usize, usize)> = specs
+            .iter()
+            .enumerate()
+            .flat_map(|(ci, spec)| (0..spec.arrays.len()).map(move |ai| (ci, ai)))
+            .collect();
         let pool = WorkPool::current();
-        let workers = pool.cap().min(total.max(1));
-
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<Option<JobReport>>> = Mutex::new(vec![None; total]);
-        pool.scope_workers(workers, |_worker| loop {
-            let idx = next.fetch_add(1, Ordering::Relaxed);
-            let Some(job) = queue.get(idx) else { break };
-            let spec = &specs[job.campaign];
-            let sim = &groups[group_of[job.campaign]].1;
-            let report = run_job(spec, sim, job);
-            results.lock().expect("results lock")[job.slot] = Some(report);
+        let (per_array, _) = pool.scope_collect(pool.cap(), tasks.len(), |t| {
+            let (ci, ai) = tasks[t];
+            run_array(&specs[ci], &groups[group_of[ci]].1, ai)
         });
 
-        let mut slots = results.into_inner().expect("results lock").into_iter();
-        let mut reports = Vec::with_capacity(specs.len());
-        for (ci, spec) in specs.iter().enumerate() {
-            let jobs: Vec<JobReport> = per_campaign[ci]
-                .iter()
-                .map(|_| slots.next().flatten().expect("every slot filled"))
-                .collect();
-            let sim = &groups[group_of[ci]].1;
-            let cache = sim.factor_cache();
-            reports.push(CampaignReport {
-                name: spec.name.clone(),
-                jobs,
-                cache_hits: cache.hits(),
-                cache_misses: cache.misses(),
-                local_stage: LocalStageCost::of(sim),
-            });
-        }
+        let mut per_array = per_array.into_iter();
+        let reports = specs
+            .iter()
+            .zip(&group_of)
+            .map(|(spec, &gi)| {
+                let sim = &groups[gi].1;
+                let cache = sim.factor_cache();
+                CampaignReport {
+                    name: spec.name.clone(),
+                    jobs: per_array
+                        .by_ref()
+                        .take(spec.arrays.len())
+                        .flatten()
+                        .collect(),
+                    cache_hits: cache.hits(),
+                    cache_misses: cache.misses(),
+                    local_stage: LocalStageCost::of(sim),
+                }
+            })
+            .collect();
         Ok(reports)
     }
 }
 
-/// Solves one job with full fault containment: typed errors and panics
-/// both land in [`JobOutcome::Failed`].
-fn run_job(spec: &CampaignSpec, sim: &MoreStressSimulator, job: &Job) -> JobReport {
-    let load = spec.loads[job.load];
-    let outcome = if !load.is_finite() {
-        JobOutcome::Failed {
-            error: format!("load {load} is not finite"),
-        }
-    } else {
-        match panic::catch_unwind(AssertUnwindSafe(|| solve_job(spec, sim, job, load))) {
-            Ok(Ok(outcome)) => outcome,
-            Ok(Err(e)) => JobOutcome::Failed {
-                error: e.to_string(),
-            },
+/// Runs the jobs of one array, load-minor. A non-finite load fails on its
+/// own; the finite loads share one batched solve with full fault
+/// containment — a typed error or a panic in it, or in the sampling,
+/// fails every one of them with the same message.
+fn run_array(spec: &CampaignSpec, sim: &MoreStressSimulator, array: usize) -> Vec<JobReport> {
+    let finite: Vec<f64> = spec
+        .loads
+        .iter()
+        .copied()
+        .filter(|l| l.is_finite())
+        .collect();
+    let mut solved =
+        match panic::catch_unwind(AssertUnwindSafe(|| solve_loads(spec, sim, array, &finite))) {
+            Ok(Ok(outcomes)) => Ok(outcomes.into_iter()),
+            Ok(Err(e)) => Err(e.to_string()),
             // `&*payload`, not `&payload`: coercing `&Box<dyn Any>` would
             // make the *box* the `Any` and every downcast miss.
-            Err(payload) => JobOutcome::Failed {
-                error: format!("panic: {}", panic_message(&*payload)),
-            },
-        }
-    };
-    JobReport {
-        campaign: spec.name.clone(),
-        array_index: job.array,
-        load_index: job.load,
-        load,
-        outcome,
-    }
+            Err(payload) => Err(format!("panic: {}", panic_message(&*payload))),
+        };
+    spec.loads
+        .iter()
+        .enumerate()
+        .map(|(li, &load)| {
+            let outcome = if !load.is_finite() {
+                JobOutcome::Failed {
+                    error: format!("load {load} is not finite"),
+                }
+            } else {
+                match &mut solved {
+                    Ok(outcomes) => outcomes.next().expect("one outcome per finite load"),
+                    Err(error) => JobOutcome::Failed {
+                        error: error.clone(),
+                    },
+                }
+            };
+            JobReport {
+                campaign: spec.name.clone(),
+                array_index: array,
+                load_index: li,
+                load,
+                outcome,
+            }
+        })
+        .collect()
 }
 
-fn solve_job(
+/// One batched solve of `loads` on array `array`, then each solution's
+/// midplane sampling and checksum, in load order.
+fn solve_loads(
     spec: &CampaignSpec,
     sim: &MoreStressSimulator,
-    job: &Job,
-    load: f64,
-) -> Result<JobOutcome, RomError> {
-    let layout = spec.arrays[job.array].layout();
-    let solution = sim.solve_array(&layout, load, &GlobalBc::ClampedTopBottom)?;
-    let sampling = Instant::now();
-    let field = sim.sample_midplane(&layout, &solution, load, 4)?;
-    let sample_ms = sampling.elapsed().as_secs_f64() * 1e3;
-    let mut checksum = Fnv1a::new();
-    let mut peak_displacement = 0.0f64;
-    for &u in solution.nodal_displacement() {
-        checksum.write_f64(u);
-        peak_displacement = peak_displacement.max(u.abs());
+    array: usize,
+    loads: &[f64],
+) -> Result<Vec<JobOutcome>, RomError> {
+    if loads.is_empty() {
+        return Ok(Vec::new());
     }
-    for &v in &field.values {
-        checksum.write_f64(v);
-    }
-    Ok(JobOutcome::Solved {
-        checksum: checksum.finish(),
-        peak_displacement,
-        peak_von_mises: field.max(),
-        sample_ms,
-        stats: Box::new(solution.stats),
-    })
+    let layout = spec.arrays[array].layout();
+    let solutions = sim.solve_array_many(&layout, loads, &GlobalBc::ClampedTopBottom)?;
+    loads
+        .iter()
+        .zip(solutions)
+        .map(|(&load, solution)| {
+            let sampling = Instant::now();
+            let field = sim.sample_midplane(&layout, &solution, load, 4)?;
+            let sample_ms = sampling.elapsed().as_secs_f64() * 1e3;
+            let mut checksum = Fnv1a::new();
+            let mut peak_displacement = 0.0f64;
+            for &u in solution.nodal_displacement() {
+                checksum.write_f64(u);
+                peak_displacement = peak_displacement.max(u.abs());
+            }
+            for &v in &field.values {
+                checksum.write_f64(v);
+            }
+            Ok(JobOutcome::Solved {
+                checksum: checksum.finish(),
+                peak_displacement,
+                peak_von_mises: field.max(),
+                sample_ms,
+                stats: Box::new(solution.stats),
+            })
+        })
+        .collect()
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {

@@ -157,6 +157,15 @@ impl ResolutionChoice {
             ResolutionChoice::Fine => BlockResolution::fine(),
         }
     }
+
+    /// The spec's name for this resolution.
+    fn name(self) -> &'static str {
+        match self {
+            ResolutionChoice::Coarse => "coarse",
+            ResolutionChoice::Medium => "medium",
+            ResolutionChoice::Fine => "fine",
+        }
+    }
 }
 
 impl Default for SolverSpec {
@@ -537,12 +546,10 @@ impl CampaignSpec {
         out.push_str(&format!("  interp_num_x: {}\n", self.solver.interp_num[0]));
         out.push_str(&format!("  interp_num_y: {}\n", self.solver.interp_num[1]));
         out.push_str(&format!("  interp_num_z: {}\n", self.solver.interp_num[2]));
-        let res = match self.solver.resolution {
-            ResolutionChoice::Coarse => "coarse",
-            ResolutionChoice::Medium => "medium",
-            ResolutionChoice::Fine => "fine",
-        };
-        out.push_str(&format!("  resolution: {res}\n"));
+        out.push_str(&format!(
+            "  resolution: {}\n",
+            self.solver.resolution.name()
+        ));
         let solver = match self.solver.global_solver {
             SolverChoice::Direct => "direct",
             SolverChoice::Gmres => "gmres",
@@ -802,6 +809,27 @@ fn parse_solver(node: &Node) -> Result<SolverSpec, SpecError> {
             }
         },
     };
+    // More interpolation nodes per block edge than the mesh has nodes
+    // along it make the face interpolation rank-deficient: the global
+    // operator is then singular, and every solve would fail.
+    let mesh = resolution.resolution();
+    let lateral = mesh.lateral_cells() + 1;
+    for ((key, count), nodes) in ["interp_num_x", "interp_num_y", "interp_num_z"]
+        .into_iter()
+        .zip(interp_num)
+        .zip([lateral, lateral, mesh.z_cells + 1])
+    {
+        if count > nodes {
+            return Err(SpecError {
+                line: map.get(key).map_or(node.line, |n| n.line),
+                kind: SpecErrorKind::BadValue(format!(
+                    "{key} is {count}, but a block edge of the `{}` mesh carries only {nodes} \
+                     nodes on that axis",
+                    resolution.name()
+                )),
+            });
+        }
+    }
     let global_solver = match map.get("global_solver") {
         None => defaults.global_solver,
         Some(n) => match scalar(n, "a solver name")? {

@@ -82,10 +82,36 @@ fn check_passes_a_valid_record_and_names_a_malformed_one() {
     )
     .unwrap();
     std::fs::write(&malformed, "{\n  \"s\": {\n    \"x\": 1.5\n  }\n}\n").unwrap();
+    // The same schema on one line is the same JSON; a third level is not
+    // the schema, however it is laid out.
+    let one_line = dir.join("one_line.json");
+    std::fs::write(
+        &one_line,
+        r#"{"a": {"x": 1, "hardware_threads": 2, "git_commit": 5}}"#,
+    )
+    .unwrap();
+    let too_deep = dir.join("too_deep.json");
+    std::fs::write(
+        &too_deep,
+        "{\n  \"a\": {\n    \"x\": {\n      \"y\": 1\n    },\n    \"hardware_threads\": 2,\n    \
+         \"git_commit\": 5\n  }\n}\n",
+    )
+    .unwrap();
 
-    let out = morestress(&["check", valid.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    assert!(String::from_utf8_lossy(&out.stdout).starts_with("ok "));
+    for record in [&valid, &one_line] {
+        let out = morestress(&["check", record.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        assert!(String::from_utf8_lossy(&out.stdout).starts_with("ok "));
+    }
+
+    let out = morestress(&["check", too_deep.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("FAIL {}: ", too_deep.display()))
+            && stderr.contains("not in the {section: {key: number}} format"),
+        "{stderr}"
+    );
 
     let out = morestress(&[
         "check",

@@ -1,6 +1,6 @@
-//! Scheduler contract: deterministic results regardless of pool cap,
-//! shared factor caches across same-model campaigns,
-//! and per-job fault containment (typed failures and panics alike).
+//! Scheduler contract: deterministic results and cache tallies regardless
+//! of pool cap, shared factor caches across same-model campaigns, and
+//! per-job fault containment (typed failures and panics alike).
 
 use std::time::Duration;
 
@@ -162,9 +162,11 @@ fn same_model_campaigns_share_one_factor_cache() {
     let mut second = base_spec("second");
     second.loads = vec![-150.0, 60.0]; // different loads, same model + lattices
 
-    // A cap-1 pool makes the cache tallies exact: the two campaigns, taken
-    // round robin, cover 2 distinct lattices x 4 solves each = 2 misses,
-    // 6 hits — *across* campaigns, provable only if they share one cache.
+    // A cap-1 pool runs the first campaign's arrays before the second's.
+    // Each array is one batched solve: the first campaign factors its 2
+    // distinct lattices (2 misses), and the second finds both factors
+    // (2 hits) — *across* campaigns, provable only if they share one
+    // cache.
     let reports = WorkPool::new(1).install(|| {
         CampaignRunner::new()
             .run(&[first, second])
@@ -174,12 +176,33 @@ fn same_model_campaigns_share_one_factor_cache() {
     assert_eq!(reports[1].solved(), 4);
     for report in &reports {
         assert_eq!(report.cache_misses, 2, "one miss per distinct lattice");
-        assert_eq!(report.cache_hits, 6, "every other solve reuses a factor");
+        assert_eq!(
+            report.cache_hits, 2,
+            "each second-campaign array reuses a factor"
+        );
     }
     // Each of those hits was found by provenance: the second campaign never
-    // assembles, because the aliases live in the shared cache.
-    assert_eq!(reports[0].operators_reused(), 2);
+    // assembles, because the aliases live in the shared cache. Within one
+    // array the loads share one batch, so none of the first campaign's jobs
+    // reuses an operator.
+    assert_eq!(reports[0].operators_reused(), 0);
     assert_eq!(reports[1].operators_reused(), 4);
+}
+
+/// With an array as the unit of work the tallies do not depend on the
+/// pool cap: at cap 8 every array still assembles and factors once, and
+/// no job of a lone campaign finds its operator in the cache.
+#[test]
+fn tallies_are_exact_at_pool_cap_8() {
+    let mut spec = base_spec("wide");
+    spec.loads = vec![-250.0, 85.0, 40.0];
+    let reports =
+        WorkPool::new(8).install(|| CampaignRunner::new().run(&[spec]).expect("campaign runs"));
+    let report = &reports[0];
+    assert_eq!(report.solved(), 6);
+    assert_eq!(report.cache_misses, 2, "one miss per array");
+    assert_eq!(report.cache_hits, 0, "no hit within an array's batch");
+    assert_eq!(report.operators_reused(), 0);
 }
 
 #[test]
@@ -238,10 +261,10 @@ fn poisoned_load_fails_one_job_not_the_campaign() {
 #[test]
 fn panicking_job_is_contained_with_its_message() {
     let mut spec = base_spec("panicky");
-    spec.loads = vec![-250.0];
     // An empty array: `BlockLayout::uniform(0, 0, ..)` asserts inside the
-    // job — the panic must become that job's Failed outcome, not sink
-    // the run (scope_workers would otherwise rethrow it).
+    // array's task — the panic must become the Failed outcome of each of
+    // its jobs, not sink the run (scope_collect would otherwise rethrow
+    // it).
     spec.arrays.push(ArraySpec {
         tsv_num_x: 0,
         tsv_num_y: 0,
@@ -255,21 +278,27 @@ fn panicking_job_is_contained_with_its_message() {
             .expect("campaign completes")
     });
     let report = &reports[0];
-    assert_eq!(report.solved(), 2);
-    assert_eq!(report.failed(), 1);
-    let failed = report
+    assert_eq!(report.solved(), 4);
+    assert_eq!(report.failed(), 2);
+    let errors: Vec<&str> = report
         .jobs
         .iter()
-        .find(|j| !j.outcome.is_solved())
-        .expect("the empty array fails");
-    assert_eq!(failed.array_index, 2);
-    match &failed.outcome {
-        JobOutcome::Failed { error } => {
-            assert!(
-                error.contains("panic") && error.contains("non-empty"),
-                "panic payload surfaced: {error}"
-            );
-        }
-        JobOutcome::Solved { .. } => unreachable!(),
-    }
+        .filter_map(|j| match &j.outcome {
+            JobOutcome::Failed { error } => {
+                assert_eq!(j.array_index, 2, "only the empty array fails");
+                Some(error.as_str())
+            }
+            JobOutcome::Solved { .. } => None,
+        })
+        .collect();
+    assert_eq!(errors.len(), 2);
+    assert!(
+        errors[0].contains("panic") && errors[0].contains("non-empty"),
+        "panic payload surfaced: {}",
+        errors[0]
+    );
+    assert_eq!(
+        errors[0], errors[1],
+        "both jobs of the array carry one message"
+    );
 }

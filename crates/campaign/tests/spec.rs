@@ -292,6 +292,39 @@ fn domain_violations_are_rejected() {
     }
 }
 
+/// More interpolation nodes per block edge than the mesh has nodes along
+/// it leave the global operator singular, so every solve would fail: the
+/// spec refuses such a count at its line, naming both numbers. The largest
+/// counts each mesh carries still parse.
+#[test]
+fn interpolation_counts_the_mesh_cannot_carry_are_rejected() {
+    for (solver, line, count, nodes) in [
+        ("  interp_num_z: 6\n", 13, 6, 5),
+        ("  interp_num_y: 12\n  resolution: coarse\n", 13, 12, 11),
+        ("  resolution: medium\n  interp_num_x: 20\n", 14, 20, 19),
+        ("  resolution: medium\n  interp_num_z: 10\n", 14, 10, 9),
+    ] {
+        let text = format!("{MINIMAL}solver:\n{solver}");
+        let err = CampaignSpec::parse(&text).unwrap_err();
+        assert_eq!(err.line, line, "{solver}: {err}");
+        let SpecErrorKind::BadValue(message) = &err.kind else {
+            panic!("{solver}: {err}");
+        };
+        assert!(
+            message.contains(&format!("is {count},"))
+                && message.contains(&format!("only {nodes} ")),
+            "{solver}: {message}"
+        );
+    }
+    for solver in [
+        "  interp_num_z: 5\n  interp_num_x: 11\n",
+        "  resolution: medium\n  interp_num_y: 19\n  interp_num_z: 9\n",
+    ] {
+        let text = format!("{MINIMAL}solver:\n{solver}");
+        CampaignSpec::parse(&text).unwrap_or_else(|e| panic!("{solver}: {e}"));
+    }
+}
+
 #[test]
 fn scalars_where_blocks_belong_are_rejected() {
     let text = MINIMAL.replace(
