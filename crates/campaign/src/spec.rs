@@ -809,9 +809,10 @@ fn parse_solver(node: &Node) -> Result<SolverSpec, SpecError> {
             }
         },
     };
-    // More interpolation nodes per block edge than the mesh has nodes
-    // along it make the face interpolation rank-deficient: the global
-    // operator is then singular, and every solve would fail.
+    // A count above the mesh nodes along a block edge on its axis leaves
+    // the global operator singular to round-off: count 6 in z at `coarse`
+    // (5 nodes) fails every direct solve on a non-positive pivot, while
+    // count 5 solves.
     let mesh = resolution.resolution();
     let lateral = mesh.lateral_cells() + 1;
     for ((key, count), nodes) in ["interp_num_x", "interp_num_y", "interp_num_z"]
