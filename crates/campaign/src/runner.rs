@@ -152,7 +152,7 @@ impl CampaignReport {
     }
 
     /// Number of solved jobs that found their operator in the factor cache
-    /// by provenance and skipped global assembly
+    /// by key and skipped global assembly
     /// ([`GlobalStats::operator_reused`]). An array's loads share one
     /// batch and its stats, so this counts every job of an array whose
     /// operator an earlier same-model campaign already factored.

@@ -181,8 +181,8 @@ fn same_model_campaigns_share_one_factor_cache() {
             "each second-campaign array reuses a factor"
         );
     }
-    // Each of those hits was found by provenance: the second campaign never
-    // assembles, because the aliases live in the shared cache. Within one
+    // Each of those hits was found by key: the second campaign never
+    // assembles, because the keys live in the shared cache. Within one
     // array the loads share one batch, so none of the first campaign's jobs
     // reuses an operator.
     assert_eq!(reports[0].operators_reused(), 0);

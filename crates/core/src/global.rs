@@ -265,11 +265,12 @@ pub struct GlobalStats {
     /// fraction, and whether the geometry-aware planner produced it.
     /// `None` for monolithic backends and fully-constrained solves.
     pub plan_stats: Option<morestress_linalg::ShardPlanStats>,
-    /// Whether the solve found its operator by provenance in the
-    /// [`FactorCache`] and skipped assembly and constraint reduction
-    /// altogether (see [`GlobalStage::solve_many`]). `false` for every
-    /// solve that assembled — including one whose assembled operator then
-    /// hit the cache by content — and for fully-constrained solves.
+    /// Whether the solve took its operator from the solver the
+    /// [`FactorCache`] holds under its key and skipped assembly and
+    /// constraint reduction altogether (see [`GlobalStage::solve_many`]).
+    /// `false` for every solve that assembled — including a
+    /// [`GlobalBc::SubmodelBoundary`] solve that then took the cached
+    /// factor — and for fully-constrained solves.
     pub operator_reused: bool,
 }
 
@@ -337,15 +338,14 @@ impl<'a> GlobalStage<'a> {
         }
     }
 
-    /// Registers a [`FactorCache`]: repeated solves over the same assembled
-    /// operator (same layout, interpolation and boundary-condition kind)
-    /// reuse one prepared factorization / preconditioner — and, under
-    /// [`GlobalBc::ClampedTopBottom`], the operator itself: the stage tags
-    /// each entry with the provenance of the solve that built it, so a
+    /// Registers a [`FactorCache`]: repeated solves with the same key
+    /// (interpolation counts, boundary-condition kind, layout shape and
+    /// block ROMs) reuse one prepared factorization / preconditioner — and,
+    /// under [`GlobalBc::ClampedTopBottom`], the operator itself, so a
     /// repeated layout skips assembly as well (see
-    /// [`solve_many`](Self::solve_many)). The tags live in the cache, so
-    /// stages that come and go around one cache (the simulator builds one
-    /// per call) share them; stages around different ROMs never do.
+    /// [`solve_many`](Self::solve_many)). Keys live in the cache, so stages
+    /// that come and go around one cache (the simulator builds one per
+    /// call) share them; stages around different ROMs never do.
     pub fn with_cache(mut self, cache: &'a FactorCache) -> Self {
         self.cache = Some(cache);
         self
@@ -415,25 +415,24 @@ impl<'a> GlobalStage<'a> {
     ///    backend plans from it) is built on the assembling route alone,
     ///    which attaches it to the operator; a reused operator carries its
     ///    own.
-    /// 2. **Operator**: runs only when the registered cache holds no entry
-    ///    tagged with this solve's *provenance* (interpolation counts,
-    ///    layout shape and block kinds, BC kind, ROM identities; see
-    ///    [`FactorCache`]). The stage then assembles the *reduced* system in
-    ///    one pass: free nodes are numbered, their adjacency gives `A_ff`'s
-    ///    CSR pattern, and every element scatters `K_e[free, free]` into
-    ///    `A_ff` and `−K_e[free, fixed]·u_b` into the lifting term — the
-    ///    same route for both boundary-condition kinds; clamped data merely
-    ///    makes the lifting term exactly `+0.0`. No unreduced operator and
-    ///    no extraction step exist. On a provenance hit the reduced
-    ///    operator — hint included — is the cached solver's own `Arc`, the
-    ///    lifting term is zero (only the homogeneous
-    ///    [`GlobalBc::ClampedTopBottom`] carries a provenance — a
-    ///    [`GlobalBc::SubmodelBoundary`] closure cannot be compared and its
-    ///    lifting needs the elements, so it always assembles), and
-    ///    [`GlobalStats::operator_reused`] is set. On a miss the assembled
-    ///    operator goes through the cache's content-addressed lookup — two
-    ///    layouts that assemble to one operator still share one factor —
-    ///    and the entry is tagged. Either way the backend's
+    /// 2. **Operator**: the stage looks its *key* up in the registered
+    ///    cache — the exact words that determine the reduced operator:
+    ///    interpolation counts, BC kind, layout shape and every block's ROM
+    ///    identity (see [`FactorCache`]). Under
+    ///    [`GlobalBc::ClampedTopBottom`] a hit hands over the cached
+    ///    solver's own operator `Arc`, hint included; the lifting term is
+    ///    zero, nothing is assembled, and [`GlobalStats::operator_reused`]
+    ///    is set. Otherwise — a miss, or a
+    ///    [`GlobalBc::SubmodelBoundary`] solve, whose lifting term needs the
+    ///    elements — the stage assembles the *reduced* system in one pass:
+    ///    free nodes are numbered, their adjacency gives `A_ff`'s CSR
+    ///    pattern, and every element scatters `K_e[free, free]` into `A_ff`
+    ///    and `−K_e[free, fixed]·u_b` into the lifting term — the same route
+    ///    for both boundary-condition kinds; clamped data merely makes the
+    ///    lifting term exactly `+0.0`. No unreduced operator and no
+    ///    extraction step exist. A sub-model hit then solves on the cached
+    ///    factor; a miss prepares the assembled operator and caches it under
+    ///    the key. Either way the backend's
     ///    [`set_partition_hint`](SolverBackend::set_partition_hint) receives
     ///    the very `Arc` the operator carries.
     /// 3. **Solve and expand**, identical on both routes: the results are
@@ -510,15 +509,15 @@ impl<'a> GlobalStage<'a> {
         let backend = self.backend;
         let threads = WorkPool::current().cap();
 
-        // --- Operator: reused by provenance, else assembled -----------------
-        let tagged_cache = self.cache.zip(self.provenance(layout, bc, &prelude.blocks));
-        let reused = tagged_cache
-            .as_ref()
-            .and_then(|(cache, provenance)| cache.operator_of(backend, provenance));
-        stats.operator_reused = reused.is_some();
-        let reduced = match reused {
-            Some(a_ff) => ReducedSystem::with_operator(a_ff, free.dofs, ndof, free.bcs),
-            None => {
+        // --- Operator: the cached solver's own, else assembled --------------
+        let key = self.key(layout, bc, &prelude.blocks);
+        let cached = self.cache.and_then(|cache| cache.get(backend, &key));
+        stats.operator_reused = cached.is_some() && matches!(bc, GlobalBc::ClampedTopBottom);
+        let reduced = match &cached {
+            Some(solver) if stats.operator_reused => {
+                ReducedSystem::with_operator(Arc::clone(solver.matrix()), free.dofs, ndof, free.bcs)
+            }
+            _ => {
                 // The assembly scratch dies inside the call, before the
                 // factorization allocates.
                 let (reduced, scratch_bytes) = self.assemble_reduced(layout, &prelude, free);
@@ -534,26 +533,24 @@ impl<'a> GlobalStage<'a> {
         let rhs_set = reduced.rhs_for_scaled_loads(&prelude.b_unit, delta_ts);
 
         // --- Solve through the unified backend layer -----------------------
-        let batch = match self.cache {
-            // The cache-backed path self-heals: a cached factor that fails
-            // its solve (or needs more ladder recovery than its own
-            // preparation did) is invalidated, re-prepared from scratch and
-            // retried once, with the rebuild recorded as a `Rung::Rebuilt`
-            // step in the report's degradation trail.
-            Some(cache) => {
+        let batch = match (self.cache, cached) {
+            // A cached factor self-heals: one that fails its solve (or needs
+            // more ladder recovery than its own preparation did) is
+            // re-prepared from scratch and retried once, with the rebuild
+            // recorded as a `Rung::Rebuilt` step in the report's
+            // degradation trail.
+            (Some(cache), Some(solver)) => {
                 cache
-                    .solve_many_healing(backend, &reduced.a_ff, &rhs_set, threads)?
+                    .solve_many_healing(backend, &key, &solver, &rhs_set, threads)?
                     .0
             }
-            None => backend
+            (Some(cache), None) => cache
+                .prepare(backend, &key, &reduced.a_ff)?
+                .solve_many(&rhs_set, threads)?,
+            (None, _) => backend
                 .prepare(Arc::clone(&reduced.a_ff))?
                 .solve_many(&rhs_set, threads)?,
         };
-        if !stats.operator_reused {
-            if let Some((cache, provenance)) = &tagged_cache {
-                cache.tag(backend, &reduced.a_ff, provenance);
-            }
-        }
 
         let stats = GlobalStats {
             wall_time: start.elapsed(),
@@ -696,30 +693,24 @@ impl<'a> GlobalStage<'a> {
     }
 
     /// The exact words that determine the reduced operator of a solve
-    /// through this stage — its [`FactorCache`] provenance: interpolation
-    /// counts, BC kind, layout shape, and the identity of every block's ROM
-    /// in assembly order (process-unique ids, never a hash — which also
-    /// says which blocks are dummies). `None` for a
-    /// [`GlobalBc::SubmodelBoundary`]: closures cannot be compared.
-    fn provenance(
-        &self,
-        layout: &BlockLayout,
-        bc: &GlobalBc,
-        blocks: &[BlockMap<'_>],
-    ) -> Option<Vec<u64>> {
+    /// through this stage — its [`FactorCache`] key: interpolation counts,
+    /// BC kind, layout shape, and the identity of every block's ROM in
+    /// assembly order (process-unique ids, never a hash — which also says
+    /// which blocks are dummies). A [`GlobalBc::SubmodelBoundary`]
+    /// operator depends only on which DoFs it fixes — the outer boundary —
+    /// never on the closure's values, so its kind word is all it adds.
+    fn key(&self, layout: &BlockLayout, bc: &GlobalBc, blocks: &[BlockMap<'_>]) -> Vec<u64> {
         let bc_kind = match bc {
             GlobalBc::ClampedTopBottom => 0,
-            GlobalBc::SubmodelBoundary(_) => return None,
+            GlobalBc::SubmodelBoundary(_) => 1,
         };
         let [nx, ny, nz] = self.rom_tsv.interpolation().counts();
         let header = [nx, ny, nz, bc_kind, layout.nx(), layout.ny()];
-        Some(
-            header
-                .into_iter()
-                .map(|word| word as u64)
-                .chain(blocks.iter().map(|block| block.rom.id))
-                .collect(),
-        )
+        header
+            .into_iter()
+            .map(|word| word as u64)
+            .chain(blocks.iter().map(|block| block.rom.id))
+            .collect()
     }
 
     /// The cold arm of [`solve_many`](Self::solve_many): assembles the

@@ -25,7 +25,7 @@ pub struct ReducedOrderModel {
     /// model's element matrices after construction, so equal ids mean equal
     /// `a_elem`/`b_elem` bit for bit — the collision-free "which ROM" word
     /// of the global stage's [`FactorCache`](morestress_linalg::FactorCache)
-    /// provenance.
+    /// key.
     pub(crate) id: u64,
     pub(crate) geom: TsvGeometry,
     pub(crate) res: BlockResolution,

@@ -200,8 +200,8 @@ fn assert_same_system(label: &str, oracle: &ReducedSystem, direct: &ReducedSyste
             "{label}: value {k} differs: {x:?} vs {y:?}"
         );
     }
-    // The stage attaches the block-grid hint, which the fingerprint covers;
-    // under the same hint the two operators are one cache key.
+    // The stage attaches the block-grid hint, which `==` and the
+    // fingerprint cover; under the same hint the two operators are one.
     let hint = b.partition_hint().expect("the stage attaches a hint");
     assert_eq!(hint.num_rows(), b.nrows(), "{label}: hint rows");
     let hinted = a.clone().with_partition_hint(Arc::clone(hint));

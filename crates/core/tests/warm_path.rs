@@ -1,8 +1,8 @@
-//! The warm path: a repeated layout finds its cached factor by *provenance*
+//! The warm path: a repeated layout finds its cached factor by its *key*
 //! (layout identity) and skips global assembly, and every answer it gives
 //! is bit for bit the answer of a solve that assembled.
 //!
-//! Each case pins one edge of the alias — repeat, swap and swap back,
+//! Each case pins one edge of the key — repeat, swap and swap back,
 //! eviction, foreign ROMs on a shared cache — against a fresh simulator
 //! (fresh cache, so it must assemble). Runs in the main CI test matrix
 //! (`MORESTRESS_THREADS ∈ {default, 1, 8}`).
@@ -121,7 +121,7 @@ fn with_dummy_at(bi: usize, bj: usize) -> BlockLayout {
 }
 
 /// (a) + (b): five loads on one simulator are one preparation and four
-/// provenance hits, and each warm answer is the cold answer — on the
+/// key hits, and each warm answer is the cold answer — on the
 /// monolithic direct backend and on the 4-shard one (which plans its
 /// shards from the partition hint the operator carries).
 #[test]
@@ -154,11 +154,11 @@ fn repeated_loads_reuse_the_operator_and_match_fresh_solves() {
     }
 }
 
-/// The three routes to one factor — cold (assemble + prepare), alias-warm
-/// (operator found by provenance) and content-warm (a rebuilt ROM is a new
-/// provenance that assembles the same operator, hint included, and hits by
-/// content) — give the same bits, and each reports the ordering the factor
-/// was built under: geometric, from the hint the stage attached.
+/// The routes to a factor — cold (assemble + prepare), warm (operator
+/// found by key) and rebuilt-ROM (a new ROM identity is a new key: it
+/// assembles the same operator, hint included, and prepares it again) —
+/// give the same bits, and each reports the ordering the factor was built
+/// under: geometric, from the hint the stage attached.
 #[test]
 fn cold_alias_warm_and_content_warm_solves_share_one_geometric_factor() {
     let (rom, _) = roms();
@@ -177,22 +177,22 @@ fn cold_alias_warm_and_content_warm_solves_share_one_geometric_factor() {
     let cold = solve(rom);
     assert!(!cold.stats.operator_reused);
     assert_eq!((cache.misses(), cache.hits()), (1, 0));
-    let alias_warm = solve(rom);
-    assert!(alias_warm.stats.operator_reused);
+    let warm = solve(rom);
+    assert!(warm.stats.operator_reused);
     assert_eq!((cache.misses(), cache.hits()), (1, 1));
-    let content_warm = solve(&rebuilt);
+    let rebuilt_cold = solve(&rebuilt);
     assert!(
-        !content_warm.stats.operator_reused,
+        !rebuilt_cold.stats.operator_reused,
         "a new ROM identity assembles"
     );
     assert_eq!(
         (cache.misses(), cache.hits()),
-        (1, 2),
-        "and finds the factor by content"
+        (2, 1),
+        "and prepares its own factor"
     );
 
     assert!(cold.stats.factor_nnz.is_some_and(|nnz| nnz > 0));
-    for (label, warm) in [("alias-warm", &alias_warm), ("content-warm", &content_warm)] {
+    for (label, warm) in [("warm", &warm), ("rebuilt ROM", &rebuilt_cold)] {
         assert_eq!(warm.stats.ordering, Some("geometric"), "{label}");
         assert_eq!(warm.stats.factor_nnz, cold.stats.factor_nnz, "{label}");
         assert_bitwise(label, cold.nodal_displacement(), warm.nodal_displacement());
@@ -223,7 +223,7 @@ fn warm_batches_match_cold_single_solves() {
     }
 }
 
-/// (c) A → B → A: one swapped block is a different provenance (miss, and
+/// (c) A → B → A: one swapped block is a different key (miss, and
 /// the answer of a fresh solve of B); swapping back finds A's entry again
 /// without assembling.
 #[test]
@@ -241,7 +241,7 @@ fn swapped_block_misses_and_swapping_back_hits_again() {
     assert_matches_fresh("B", direct, &sim, &b, -250.0, &swapped);
 
     let back = sim.resolve_perturbed(&a, -100.0, &BC).expect("A, warm");
-    assert!(back.stats.operator_reused, "A's entry is still tagged");
+    assert!(back.stats.operator_reused, "A's entry is still cached");
     assert_eq!((cache.misses(), cache.hits()), (2, 1));
     assert_matches_fresh("A again", direct, &sim, &a, -100.0, &back);
 
@@ -251,9 +251,8 @@ fn swapped_block_misses_and_swapping_back_hits_again() {
     assert_matches_fresh("B again", direct, &sim, &b, 85.0, &b_again);
 }
 
-/// (d) Five distinct layouts through the capacity-4 cache: the alias of
-/// the evicted entry left with it, so the first layout assembles and
-/// prepares again — and is still right — while a surviving one stays warm.
+/// (d) Five distinct layouts through the capacity-4 cache: the first
+/// layout's entry was evicted, so it assembles and prepares again — and is still right — while a surviving one stays warm.
 #[test]
 fn evicted_layout_reassembles_and_is_still_right() {
     let sim = simulator(direct);
@@ -266,7 +265,7 @@ fn evicted_layout_reassembles_and_is_still_right() {
     assert_eq!((cache.misses(), cache.hits(), cache.len()), (5, 0, 4));
 
     let evicted = sim.solve_array(&layouts[0], -250.0, &BC).expect("evicted");
-    assert!(!evicted.stats.operator_reused, "its alias was evicted too");
+    assert!(!evicted.stats.operator_reused, "its entry was evicted");
     assert_eq!((cache.misses(), cache.hits()), (6, 0), "a real re-prepare");
     assert_matches_fresh(
         "evicted layout",
@@ -388,7 +387,7 @@ impl SolverBackend for HintRecorder {
 
 /// The hint a solve hands its backend is the one its operator carries:
 /// on the cold miss, the hint [`GlobalStage::assemble`] attaches; on every
-/// provenance hit, the cached operator's own `Arc` — nothing rebuilt.
+/// key hit, the cached operator's own `Arc` — nothing rebuilt.
 #[test]
 fn provenance_hits_hand_down_the_cached_operators_own_hint() {
     let (tsv, dummy) = roms();
@@ -414,15 +413,8 @@ fn provenance_hits_hand_down_the_cached_operators_own_hint() {
         assembled.a_ff.partition_hint().map(|hint| &**hint),
         "the cold miss hands down the hint the assembly attaches"
     );
-    let cached = cache
-        .prepare(&backend, &assembled.a_ff)
-        .expect("cached solver");
-    let cached_hint = cached
-        .matrix()
-        .partition_hint()
-        .expect("the cached operator carries its hint");
-    assert_eq!(cache.misses(), 1, "found by content, not prepared again");
 
+    let mut cached_hint = None;
     for (i, &load) in LOADS.iter().enumerate().skip(1) {
         let warm = stage()
             .with_cache(&cache)
@@ -430,6 +422,7 @@ fn provenance_hits_hand_down_the_cached_operators_own_hint() {
             .expect("warm solve");
         assert!(warm.stats.operator_reused, "load {i}");
         let hint = backend.take_one(&format!("load {i}"));
+        let cached_hint = cached_hint.get_or_insert_with(|| Arc::clone(&hint));
         assert!(
             Arc::ptr_eq(&hint, cached_hint),
             "load {i}: the cached operator's own hint"

@@ -17,8 +17,9 @@
 //! decomposition needs to be performed only once and the intermediate
 //! results can be reused"*) promoted to an architectural boundary, so the
 //! global stage inherits it too: a [`FactorCache`] memoizes prepared solvers
-//! by matrix fingerprint, turning the paper's Table 1/2 workloads — one
-//! lattice, many thermal loads — into one factorization plus k cheap solves.
+//! by the words that build their operator, turning the paper's Table 1/2
+//! workloads — one lattice, many thermal loads — into one factorization
+//! plus k cheap solves.
 //!
 //! There is one solve route. [`PreparedSolver::solve_many`] validates the
 //! right-hand sides, runs the engine's batch (four engines: direct panels,
@@ -38,7 +39,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::schur::SchurSolver;
@@ -346,15 +347,16 @@ pub trait SolverBackend: fmt::Debug + Send + Sync {
     fn prepare(&self, a: Arc<CsrMatrix>) -> Result<PreparedSolver, LinalgError>;
 
     /// Fingerprint of the backend *configuration* (tolerances,
-    /// preconditioner, restart length, …), mixed into [`FactorCache`] keys
-    /// so differently-configured backends never share an entry.
+    /// preconditioner, restart length, …), matched beside every
+    /// [`FactorCache`] key so differently-configured backends never share
+    /// an entry.
     fn config_fingerprint(&self) -> u64;
 
     /// Whether a cached solver prepared under a *different* configuration
     /// is interchangeable with what `prepare(a)` would produce.
     ///
     /// Nothing in the workspace calls it: a [`FactorCache`] finds an entry
-    /// by backend configuration and operator and nothing else, and no
+    /// by backend configuration and key and nothing else, and no
     /// backend here overrides the default `false`. It stays declared only
     /// because the benchmark's delegating backend forwards it.
     fn accepts_cached(&self, _prepared: &PreparedSolver, _a: &CsrMatrix) -> bool {
@@ -1664,74 +1666,39 @@ impl LinearSolver {
 // FactorCache
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct CacheKey {
+#[derive(Debug)]
+struct CacheEntry {
+    /// The [`config_fingerprint`](SolverBackend::config_fingerprint) of
+    /// the backend that prepared the solver.
     backend_config: u64,
-    nrows: usize,
-    ncols: usize,
-    nnz: usize,
-    matrix_fingerprint: u64,
+    /// The caller's words for the operator.
+    key: Box<[u64]>,
+    solver: Arc<PreparedSolver>,
 }
 
-impl CacheKey {
-    /// The content address of `a` prepared under `backend`'s configuration.
-    fn of(backend: &dyn SolverBackend, a: &CsrMatrix) -> Self {
-        Self {
-            backend_config: backend.config_fingerprint(),
-            nrows: a.nrows(),
-            ncols: a.ncols(),
-            nnz: a.nnz(),
-            matrix_fingerprint: matrix_fingerprint(a),
-        }
+impl CacheEntry {
+    fn is(&self, backend_config: u64, key: &[u64]) -> bool {
+        self.backend_config == backend_config && *self.key == *key
     }
 }
 
-#[derive(Debug)]
-struct CacheEntry {
-    key: CacheKey,
-    solver: Arc<PreparedSolver>,
-    /// The provenance the operator was last [tagged](FactorCache::tag)
-    /// with, if any. It lives and dies with the entry.
-    alias: Option<Box<[u64]>>,
-}
-
-/// Moves entry `pos` to the front of the LRU list and returns its solver.
-fn promote(entries: &mut Vec<CacheEntry>, pos: usize) -> Arc<PreparedSolver> {
-    let entry = entries.remove(pos);
-    let solver = Arc::clone(&entry.solver);
-    entries.insert(0, entry);
-    solver
-}
-
-/// Inserts `entry` as the most recently used and drops whatever falls off
-/// the LRU tail (alias included).
-fn insert_front(entries: &mut Vec<CacheEntry>, capacity: usize, entry: CacheEntry) {
-    entries.insert(0, entry);
-    entries.truncate(capacity);
-}
-
-/// Content-addressed memo of [`PreparedSolver`]s.
+/// Memo of [`PreparedSolver`]s, keyed by what builds their operator.
 ///
-/// Keyed by a fingerprint of the matrix (dimensions, sparsity pattern and
-/// values) and of the backend configuration, so a simulator solving many
-/// layouts/loads over the same lattice reuses one symbolic + numeric
-/// factorization instead of re-factoring per call. A small LRU list (default
-/// capacity 4) keeps alternating layouts from thrashing a single slot.
+/// The caller names every operator by a key: exact `[u64]` words that
+/// determine it — for the global stage: interpolation counts,
+/// boundary-condition kind, layout shape and every block's ROM identity.
+/// A key is matched word for word under the backend's
+/// [configuration fingerprint](SolverBackend::config_fingerprint), so a
+/// lookup reads neither the operator nor a hash of it, and entries
+/// prepared under different configurations never answer for one another.
+/// The caller vouches that equal words mean an equal operator, which is
+/// why the words should name identities that cannot collide
+/// (process-unique ids, exact counts), never hashes.
 ///
-/// **Provenance aliases.** Finding an entry by content costs its caller
-/// the operator: it must be assembled, hashed and compared before the
-/// cache can say "already factored". A caller that knows *what determines*
-/// its operator can [`tag`](Self::tag) the entry with those words (an
-/// exact `[u64]` key — for the global stage: interpolation counts, layout
-/// shape and block kinds, boundary-condition kind, ROM identities) and ask
-/// [`operator_of`](Self::operator_of) first next time: a match returns the
-/// cached solver's own operator `Arc`, and a lookup with that `Arc` is
-/// answered by pointer identity — no assembly, no fingerprint, no compare.
-/// An alias is matched word for word under the backend's configuration
-/// fingerprint, is held by its entry (no second table, no extra capacity),
-/// and goes wherever the entry goes: evicted, [invalidated](Self::invalidate)
-/// and [injected-over](Self::inject) entries take theirs with them, a
-/// [healed](Self::solve_many_healing) entry hands its alias to the rebuild.
+/// A small LRU list (default capacity 4) keeps alternating layouts from
+/// thrashing a single slot; a simulator solving many loads on one layout
+/// reuses one symbolic + numeric factorization instead of re-factoring per
+/// call.
 #[derive(Debug)]
 pub struct FactorCache {
     capacity: usize,
@@ -1748,16 +1715,14 @@ impl Default for FactorCache {
 
 /// FNV-1a-style hash over the CSR arrays (structure and values) and the
 /// operator's partition hint, if it carries one, mixed one 64-bit word at a
-/// time. Word-wise mixing is ~8× cheaper than the
-/// byte-wise variant on the multi-million-entry operators the global stage
-/// assembles per call, and any lost avalanche quality is covered by the
-/// exact matrix comparison every cache hit performs anyway.
+/// time. Word-wise mixing is ~8× cheaper than the byte-wise variant on
+/// large operators; callers confirm equal fingerprints by exact comparison.
 ///
-/// Public as the content-address every block-level reuse decision shares:
-/// [`FactorCache`] keys, and the per-block dirty detection of the
-/// [`Sharded`](crate::Sharded) incremental re-preparation (a fingerprint
+/// Public as the content hash of the [`Sharded`](crate::Sharded)
+/// incremental re-preparation's per-block dirty detection (a fingerprint
 /// mismatch proves a block changed; equal fingerprints are confirmed by
-/// exact comparison before anything is reused).
+/// exact comparison before anything is reused). The [`FactorCache`] never
+/// hashes an operator.
 pub fn matrix_fingerprint(a: &CsrMatrix) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |v: u64| {
@@ -1777,7 +1742,10 @@ pub fn matrix_fingerprint(a: &CsrMatrix) -> u64 {
     // A hinted operator is ordered — and therefore rounded — by its hint:
     // equal arrays under different hints are different operators.
     if let Some(hint) = a.partition_hint() {
-        mix(hint.fingerprint());
+        let spans = hint.spans().iter().flatten();
+        for &v in hint.grid().iter().chain(spans) {
+            mix(v as u64);
+        }
     }
     h
 }
@@ -1798,8 +1766,58 @@ impl FactorCache {
         }
     }
 
-    /// Returns the cached prepared solver for `(backend, a)`, preparing and
-    /// inserting it on a miss.
+    fn entries(&self) -> MutexGuard<'_, Vec<CacheEntry>> {
+        self.entries.lock().expect("factor cache poisoned")
+    }
+
+    /// Moves the entry under `(backend_config, key)`, if any, to the front
+    /// of the LRU list and returns its solver, counting a hit.
+    fn hit(
+        &self,
+        entries: &mut Vec<CacheEntry>,
+        backend_config: u64,
+        key: &[u64],
+    ) -> Option<Arc<PreparedSolver>> {
+        let pos = entries.iter().position(|e| e.is(backend_config, key))?;
+        let entry = entries.remove(pos);
+        let solver = Arc::clone(&entry.solver);
+        entries.insert(0, entry);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(solver)
+    }
+
+    /// Inserts `solver` under `(backend_config, key)` as the most recently
+    /// used, replacing the entry the key held and dropping whatever falls
+    /// off the LRU tail.
+    fn insert(
+        &self,
+        entries: &mut Vec<CacheEntry>,
+        backend_config: u64,
+        key: &[u64],
+        solver: Arc<PreparedSolver>,
+    ) {
+        entries.retain(|e| !e.is(backend_config, key));
+        let entry = CacheEntry {
+            backend_config,
+            key: key.into(),
+            solver,
+        };
+        entries.insert(0, entry);
+        entries.truncate(self.capacity);
+    }
+
+    /// The solver cached under `key` for `backend`'s configuration, moved
+    /// to the front of the LRU list and counted as a hit; `None` (counting
+    /// nothing) when the key holds no entry.
+    pub fn get(&self, backend: &dyn SolverBackend, key: &[u64]) -> Option<Arc<PreparedSolver>> {
+        self.hit(&mut self.entries(), backend.config_fingerprint(), key)
+    }
+
+    /// [`get`](Self::get), or on a miss: prepares `a` (outside the lock —
+    /// factorization is the expensive part) and caches it under `key`,
+    /// counting a miss. A concurrent caller that prepared the same key
+    /// meanwhile wins: its entry is kept, the duplicate dropped, and the
+    /// call counts a hit.
     ///
     /// # Errors
     ///
@@ -1808,96 +1826,44 @@ impl FactorCache {
     pub fn prepare(
         &self,
         backend: &dyn SolverBackend,
+        key: &[u64],
         a: &Arc<CsrMatrix>,
     ) -> Result<Arc<PreparedSolver>, LinalgError> {
-        self.prepare_with_status(backend, a)
-            .map(|(solver, _)| solver)
-    }
-
-    /// Like [`Self::prepare`], additionally reporting whether the solver
-    /// was served from the cache (`true`) or freshly prepared (`false`).
-    /// The self-heal path uses the flag to decide whether a failing solve
-    /// can blame a stale cache entry.
-    pub fn prepare_with_status(
-        &self,
-        backend: &dyn SolverBackend,
-        a: &Arc<CsrMatrix>,
-    ) -> Result<(Arc<PreparedSolver>, bool), LinalgError> {
-        let backend_config = backend.config_fingerprint();
-        // An operator handed back by `operator_of` is the cached solver's
-        // own allocation: identity proves equality, so the warm path pays
-        // neither the O(nnz) fingerprint nor the O(nnz) compare.
-        {
-            let mut entries = self.entries.lock().expect("factor cache poisoned");
-            if let Some(pos) = entries.iter().position(|e| {
-                e.key.backend_config == backend_config && Arc::ptr_eq(e.solver.matrix(), a)
-            }) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((promote(&mut entries, pos), true));
-            }
+        if let Some(solver) = self.get(backend, key) {
+            return Ok(solver);
         }
-        let key = CacheKey::of(backend, a);
-        // A key match is only trusted after an exact comparison with the
-        // cached operator: the O(nnz) check costs no more than the hash we
-        // already computed and closes the fingerprint-collision hole. The
-        // key is the whole rule: an entry prepared under another
-        // configuration is never served.
-        let lookup = |entries: &mut Vec<CacheEntry>| -> Option<Arc<PreparedSolver>> {
-            let pos = entries
-                .iter()
-                .position(|e| e.key == key && e.solver.matrix().as_ref() == a.as_ref())?;
-            Some(promote(entries, pos))
-        };
-        {
-            let mut entries = self.entries.lock().expect("factor cache poisoned");
-            if let Some(solver) = lookup(&mut entries) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((solver, true));
-            }
-        }
-        // Prepare outside the lock: factorization is the expensive part.
         let solver = Arc::new(backend.prepare(Arc::clone(a))?);
-        let mut entries = self.entries.lock().expect("factor cache poisoned");
-        // Re-check: a concurrent caller may have prepared the same system
-        // while we did; keep one entry and drop the duplicate work.
-        if let Some(existing) = lookup(&mut entries) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((existing, true));
+        let backend_config = backend.config_fingerprint();
+        let mut entries = self.entries();
+        if let Some(existing) = self.hit(&mut entries, backend_config, key) {
+            return Ok(existing);
         }
-        let entry = CacheEntry {
-            key,
-            solver: Arc::clone(&solver),
-            alias: None,
-        };
-        insert_front(&mut entries, self.capacity, entry);
+        self.insert(&mut entries, backend_config, key, Arc::clone(&solver));
         self.misses.fetch_add(1, Ordering::Relaxed);
-        Ok((solver, false))
+        Ok(solver)
     }
 
-    /// Batched solve through the cache with a one-shot stale-entry
-    /// self-heal.
+    /// Batched solve on `solver`, a solver this cache served under `key`
+    /// ([`get`](Self::get)), with a one-shot stale-entry self-heal.
     ///
-    /// Prepares (or reuses) the solver for `(backend, a)` and runs the
-    /// batch. If a *cached* factor fails the solve — a typed error, or
+    /// If the cached factor fails the solve — a typed error, or
     /// degradation beyond what its own preparation recorded, i.e. a factor
     /// that was healthy when cached but no longer solves its operator —
-    /// the entry is invalidated, the operator re-prepared from scratch,
-    /// and the batch retried exactly once. The heal is recorded as a
-    /// [`Rung::Rebuilt`] step in the returned report's degradation trail,
-    /// and the boolean flag reports whether it happened. A fresh prepare
-    /// that fails is never retried (nothing stale to heal) and, as always,
-    /// never enters the cache. The rebuilt entry inherits the provenance
-    /// alias of the one it replaces (same operator, same configuration),
-    /// so a heal reached through [`operator_of`](Self::operator_of) leaves
-    /// the warm path warm.
+    /// the entry under `key` is dropped, the solver's operator re-prepared
+    /// from scratch, and the batch retried exactly once. The rebuild
+    /// replaces exactly that entry (other keys and other configurations
+    /// keep theirs), counts a miss, and is recorded as a [`Rung::Rebuilt`]
+    /// step in the returned report's degradation trail; the boolean flag
+    /// reports whether it happened. A rebuild that fails to prepare leaves
+    /// the key empty.
     pub fn solve_many_healing(
         &self,
         backend: &dyn SolverBackend,
-        a: &Arc<CsrMatrix>,
+        key: &[u64],
+        solver: &PreparedSolver,
         rhs: &[Vec<f64>],
         threads: usize,
     ) -> Result<(BatchSolution, bool), LinalgError> {
-        let (solver, hit) = self.prepare_with_status(backend, a)?;
         let first = solver.solve_many(rhs, threads);
         let cause = match &first {
             Err(err) => Some(*err),
@@ -1908,19 +1874,12 @@ impl FactorCache {
             }
             Ok(_) => None,
         };
-        let (Some(cause), true) = (cause, hit) else {
+        let Some(cause) = cause else {
             return first.map(|batch| (batch, false));
         };
         // Suspect cached entry: drop it, rebuild once, retry the batch.
-        let alias = {
-            let entries = self.entries.lock().expect("factor cache poisoned");
-            entries
-                .iter()
-                .find(|e| Arc::ptr_eq(&e.solver, &solver))
-                .and_then(|e| e.alias.clone())
-        };
-        self.invalidate(a);
-        let rebuilt = Arc::new(backend.prepare(Arc::clone(a))?);
+        self.invalidate(backend, key);
+        let rebuilt = Arc::new(backend.prepare(Arc::clone(solver.matrix()))?);
         let mut batch = rebuilt.solve_many(rhs, threads)?;
         let mut trail = DegradationTrail::new();
         trail.push(DegradationStep {
@@ -1931,106 +1890,33 @@ impl FactorCache {
             trail.push(*step);
         }
         batch.report.degradation = trail;
-        let entry = CacheEntry {
-            key: CacheKey::of(backend, a),
-            solver: rebuilt,
-            alias,
-        };
-        let mut entries = self.entries.lock().expect("factor cache poisoned");
-        insert_front(&mut entries, self.capacity, entry);
+        let mut entries = self.entries();
+        self.insert(&mut entries, backend.config_fingerprint(), key, rebuilt);
         self.misses.fetch_add(1, Ordering::Relaxed);
         Ok((batch, true))
     }
 
-    /// Test-support: inserts `solver` keyed as the prepared factor of
-    /// `(backend, a)`, bypassing preparation. The fault-injection harness
+    /// Test-support: caches `solver` under `(backend, key)`, replacing the
+    /// key's entry and bypassing preparation. The fault-injection harness
     /// uses this to plant a corrupted factor under a healthy operator's
     /// key; production code never calls it.
     #[doc(hidden)]
-    pub fn inject(
-        &self,
-        backend: &dyn SolverBackend,
-        a: &Arc<CsrMatrix>,
-        solver: Arc<PreparedSolver>,
-    ) {
-        let key = CacheKey::of(backend, a);
-        let entry = CacheEntry {
-            key,
-            solver,
-            alias: None,
-        };
-        let mut entries = self.entries.lock().expect("factor cache poisoned");
-        entries.retain(|e| e.key != key);
-        insert_front(&mut entries, self.capacity, entry);
+    pub fn inject(&self, backend: &dyn SolverBackend, key: &[u64], solver: Arc<PreparedSolver>) {
+        let mut entries = self.entries();
+        self.insert(&mut entries, backend.config_fingerprint(), key, solver);
     }
 
-    /// The operator of the entry [tagged](Self::tag) with exactly
-    /// `provenance` under `backend`'s configuration, if one is cached.
-    ///
-    /// The returned `Arc` is the cached solver's own
-    /// ([`PreparedSolver::matrix`]) — nothing is copied — and handing it
-    /// to [`prepare`](Self::prepare) /
-    /// [`solve_many_healing`](Self::solve_many_healing) is a hit by pointer
-    /// identity. The probe itself counts nothing and leaves the LRU order
-    /// alone: the lookup that follows does both.
-    pub fn operator_of(
-        &self,
-        backend: &dyn SolverBackend,
-        provenance: &[u64],
-    ) -> Option<Arc<CsrMatrix>> {
-        let backend_config = backend.config_fingerprint();
-        let entries = self.entries.lock().expect("factor cache poisoned");
-        entries
-            .iter()
-            .find(|e| {
-                e.key.backend_config == backend_config && e.alias.as_deref() == Some(provenance)
-            })
-            .map(|e| Arc::clone(e.solver.matrix()))
-    }
-
-    /// Records `provenance` as the alias of the entry that serves
-    /// `(backend, a)`; a no-op when no such entry is cached (any more).
-    ///
-    /// The caller vouches that `provenance` *determines* `a` — equal words
-    /// must mean an equal operator — which is why the words should name
-    /// identities that cannot collide (process-unique ids, exact counts),
-    /// never hashes. An entry holds one alias, the latest: two provenances
-    /// that assemble to one operator share its factor, and the one tagged
-    /// last skips assembly. The entry is found by pointer identity when it
-    /// was prepared from this very `a` (the usual case: tag right after a
-    /// miss), by exact comparison otherwise.
-    pub fn tag(&self, backend: &dyn SolverBackend, a: &Arc<CsrMatrix>, provenance: &[u64]) {
-        let backend_config = backend.config_fingerprint();
-        let mut entries = self.entries.lock().expect("factor cache poisoned");
-        // The entry just served `a`, so it sits at the front of the list
-        // and the identity test usually settles it before any value is read.
-        let entry = entries.iter_mut().find(|e| {
-            e.key.backend_config == backend_config
-                && (Arc::ptr_eq(e.solver.matrix(), a) || e.solver.matrix().as_ref() == a.as_ref())
-        });
-        if let Some(entry) = entry {
-            entry.alias = Some(provenance.into());
-        }
-    }
-
-    /// Drops every cached solver prepared for an operator value-identical
-    /// to `a` (any backend configuration), returning how many entries were
-    /// removed. Two callers: the stale-entry self-heal of
-    /// [`solve_many_healing`](Self::solve_many_healing), and the
-    /// fault-injection harness's
+    /// Drops the solver cached under `key` for `backend`'s configuration,
+    /// returning whether there was one. Two callers: the stale-entry
+    /// self-heal of [`solve_many_healing`](Self::solve_many_healing), and
+    /// the fault-injection harness's
     /// [`FaultPlan::evict_cache`](crate::FaultPlan::evict_cache).
-    pub fn invalidate(&self, a: &CsrMatrix) -> usize {
-        let fp = matrix_fingerprint(a);
-        let mut entries = self.entries.lock().expect("factor cache poisoned");
+    pub fn invalidate(&self, backend: &dyn SolverBackend, key: &[u64]) -> bool {
+        let backend_config = backend.config_fingerprint();
+        let mut entries = self.entries();
         let before = entries.len();
-        entries.retain(|e| {
-            e.key.matrix_fingerprint != fp
-                || e.key.nrows != a.nrows()
-                || e.key.ncols != a.ncols()
-                || e.key.nnz != a.nnz()
-                || e.solver.matrix().as_ref() != a
-        });
-        before - entries.len()
+        entries.retain(|e| !e.is(backend_config, key));
+        entries.len() < before
     }
 
     /// Number of cache hits so far.
@@ -2045,7 +1931,7 @@ impl FactorCache {
 
     /// Number of currently cached solvers.
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("factor cache poisoned").len()
+        self.entries().len()
     }
 
     /// Whether the cache is empty.
@@ -2055,7 +1941,7 @@ impl FactorCache {
 
     /// Drops every cached solver (counters are kept).
     pub fn clear(&self) {
-        self.entries.lock().expect("factor cache poisoned").clear();
+        self.entries().clear();
     }
 }
 
@@ -2487,11 +2373,25 @@ mod tests {
         let cache = FactorCache::new();
         let a = indefinite_2x2();
         let err = cache
-            .prepare(&DirectCholesky::default(), &a)
+            .prepare(&DirectCholesky::default(), &[2], &a)
             .expect_err("indefinite operator must fail the direct prepare");
         assert!(matches!(err, LinalgError::NotPositiveDefinite { .. }));
         assert!(cache.is_empty(), "failed prepares must never be cached");
         assert_eq!(cache.misses(), 0, "a failed prepare is not a cached miss");
+    }
+
+    /// Plants a factor of a *different* operator under `key` — a cached
+    /// entry that has silently gone bad.
+    fn plant_corrupt(
+        cache: &FactorCache,
+        backend: &dyn SolverBackend,
+        key: &[u64],
+        a: &Arc<CsrMatrix>,
+    ) {
+        let perturbed = Arc::new(shifted_copy(a, 10.0));
+        let mut corrupt = backend.prepare(perturbed).unwrap();
+        corrupt.matrix = Arc::clone(a);
+        cache.inject(backend, key, Arc::new(corrupt));
     }
 
     #[test]
@@ -2499,17 +2399,15 @@ mod tests {
         let cache = FactorCache::new();
         let backend = Resilient::default();
         let a = spd(24);
+        let key = [24];
         let loads: Vec<Vec<f64>> = vec![rhs(24)];
-
-        // Plant a factor of a *different* operator under `a`'s cache key —
-        // a cached entry that has silently gone bad.
-        let perturbed = Arc::new(shifted_copy(&a, 10.0));
-        let mut corrupt = backend.prepare(perturbed).unwrap();
-        corrupt.matrix = Arc::clone(&a);
-        cache.inject(&backend, &a, Arc::new(corrupt));
+        plant_corrupt(&cache, &backend, &key, &a);
         assert_eq!(cache.len(), 1);
 
-        let (batch, healed) = cache.solve_many_healing(&backend, &a, &loads, 2).unwrap();
+        let cached = cache.get(&backend, &key).unwrap();
+        let (batch, healed) = cache
+            .solve_many_healing(&backend, &key, &cached, &loads, 2)
+            .unwrap();
         assert!(healed, "a corrupted cached factor must trigger the heal");
         assert_eq!(
             batch.report.degradation.steps().next().unwrap().rung,
@@ -2519,21 +2417,53 @@ mod tests {
 
         // The rebuilt entry replaced the corrupted one: the next call is a
         // clean hit with no degradation.
-        let (batch, healed) = cache.solve_many_healing(&backend, &a, &loads, 2).unwrap();
+        let cached = cache.get(&backend, &key).unwrap();
+        let (batch, healed) = cache
+            .solve_many_healing(&backend, &key, &cached, &loads, 2)
+            .unwrap();
         assert!(!healed);
         assert!(batch.report.degradation.is_empty());
         assert_eq!(cache.len(), 1);
+        assert_eq!((cache.hits(), cache.misses()), (2, 1));
     }
 
     #[test]
-    fn prepare_with_status_reports_cache_provenance() {
+    fn a_heal_keeps_other_configurations_entries() {
+        let cache = FactorCache::new();
+        let (resilient, direct) = (Resilient::default(), DirectCholesky::default());
+        let a = spd(24);
+        let key = [24];
+        let loads: Vec<Vec<f64>> = vec![rhs(24)];
+        let healthy = cache.prepare(&direct, &key, &a).unwrap();
+        plant_corrupt(&cache, &resilient, &key, &a);
+        assert_eq!(cache.len(), 2);
+
+        let cached = cache.get(&resilient, &key).unwrap();
+        let (_, healed) = cache
+            .solve_many_healing(&resilient, &key, &cached, &loads, 2)
+            .unwrap();
+        assert!(healed);
+        assert_eq!(cache.len(), 2, "the heal replaces exactly its own entry");
+        let again = cache.get(&direct, &key).expect("the direct entry survives");
+        assert!(Arc::ptr_eq(&healthy, &again));
+    }
+
+    #[test]
+    fn prepare_counts_a_miss_then_hits() {
         let cache = FactorCache::new();
         let backend = DirectCholesky::default();
         let a = spd(12);
-        let (_, hit) = cache.prepare_with_status(&backend, &a).unwrap();
-        assert!(!hit);
-        let (_, hit) = cache.prepare_with_status(&backend, &a).unwrap();
-        assert!(hit);
+        assert!(cache.get(&backend, &[12]).is_none());
+        assert_eq!(
+            (cache.hits(), cache.misses()),
+            (0, 0),
+            "a lookup miss counts nothing"
+        );
+        let first = cache.prepare(&backend, &[12], &a).unwrap();
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        let again = cache.get(&backend, &[12]).unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 
     #[test]
@@ -2556,45 +2486,41 @@ mod tests {
         let backend = DirectCholesky::default();
         let a = spd(24);
         let b = rhs(24);
-        let first = cache.prepare(&backend, &a).unwrap();
+        let first = cache.prepare(&backend, &[1], &a).unwrap();
         let x1 = first.solve(&b).unwrap().x;
         for _ in 0..3 {
-            let again = cache.prepare(&backend, &a).unwrap();
+            let again = cache.prepare(&backend, &[1], &a).unwrap();
             assert!(Arc::ptr_eq(&first, &again), "same factor must be reused");
             assert_eq!(again.solve(&b).unwrap().x, x1);
         }
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 3);
 
-        // A matrix with identical pattern but different values must miss.
-        let mut coo = CooMatrix::new(24, 24);
-        for i in 0..24 {
-            coo.push(i, i, 5.0);
-            if i > 0 {
-                coo.push(i, i - 1, -1.0);
-            }
-            if i + 1 < 24 {
-                coo.push(i, i + 1, -1.0);
-            }
+        // Another key must miss, and is never answered by the first
+        // key's factor — word for word, a prefix is another key.
+        let a2 = tridiagonal(24, 5.0, -1.0);
+        for key in [&[2][..], &[1, 0]] {
+            let other = cache.prepare(&backend, key, &a2).unwrap();
+            assert!(!Arc::ptr_eq(&first, &other));
         }
-        let a2 = Arc::new(coo.to_csr());
-        let other = cache.prepare(&backend, &a2).unwrap();
-        assert!(!Arc::ptr_eq(&first, &other));
-        assert_eq!(cache.misses(), 2);
+        assert_eq!(cache.misses(), 3);
     }
 
     #[test]
     fn factor_cache_distinguishes_backend_configs() {
         let cache = FactorCache::new();
         let a = spd(16);
-        cache.prepare(&Cg::with_tol(1e-6), &a).unwrap();
-        cache.prepare(&Cg::with_tol(1e-12), &a).unwrap();
+        cache.prepare(&Cg::with_tol(1e-6), &[1], &a).unwrap();
+        cache.prepare(&Cg::with_tol(1e-12), &[1], &a).unwrap();
         assert_eq!(
             cache.misses(),
             2,
             "different tolerances must not share an entry"
         );
         assert_eq!(cache.len(), 2);
+        assert!(cache.invalidate(&Cg::with_tol(1e-6), &[1]));
+        assert!(!cache.invalidate(&Cg::with_tol(1e-6), &[1]), "already gone");
+        assert_eq!(cache.len(), 1, "the other configuration keeps its entry");
     }
 
     #[test]
@@ -2602,14 +2528,14 @@ mod tests {
         let cache = FactorCache::with_capacity(2);
         let backend = DirectCholesky::default();
         let (a, b, c) = (spd(4), spd(5), spd(6));
-        cache.prepare(&backend, &a).unwrap();
-        cache.prepare(&backend, &b).unwrap();
-        cache.prepare(&backend, &a).unwrap(); // refresh a
-        cache.prepare(&backend, &c).unwrap(); // evicts b
+        cache.prepare(&backend, &[4], &a).unwrap();
+        cache.prepare(&backend, &[5], &b).unwrap();
+        cache.prepare(&backend, &[4], &a).unwrap(); // refresh a
+        cache.prepare(&backend, &[6], &c).unwrap(); // evicts b
         assert_eq!(cache.len(), 2);
-        cache.prepare(&backend, &a).unwrap(); // still cached
+        cache.prepare(&backend, &[4], &a).unwrap(); // still cached
         assert_eq!(cache.hits(), 2);
-        cache.prepare(&backend, &b).unwrap(); // was evicted → miss
+        cache.prepare(&backend, &[5], &b).unwrap(); // was evicted → miss
         assert_eq!(cache.misses(), 4);
         cache.clear();
         assert!(cache.is_empty());

@@ -93,18 +93,24 @@ impl FaultPlan {
         shard
     }
 
-    /// Evicts every cached factor of `a` (any backend configuration),
-    /// returning how many entries were dropped. A well-behaved caller must
-    /// transparently re-prepare on the resulting miss.
-    pub fn evict_cache(&mut self, cache: &FactorCache, a: &CsrMatrix) -> usize {
-        cache.invalidate(a)
+    /// Evicts the factor cached under `(backend, key)`, returning whether
+    /// there was one. A well-behaved caller must transparently re-prepare
+    /// on the resulting miss.
+    pub fn evict_cache(
+        &mut self,
+        cache: &FactorCache,
+        backend: &dyn SolverBackend,
+        key: &[u64],
+    ) -> bool {
+        cache.invalidate(backend, key)
     }
 
-    /// Plants a corrupted factor under `(backend, a)`'s cache key: a
-    /// healthy-looking [`PreparedSolver`](crate::PreparedSolver) whose factor belongs to a
-    /// strongly diagonally-shifted copy of `a`, not to `a` itself. The
-    /// stale-cache self-heal ([`FactorCache::solve_many_healing`]) must
-    /// detect the mismatch, invalidate the entry and rebuild it once.
+    /// Plants a corrupted factor of `a` under `(backend, key)`: a
+    /// healthy-looking [`PreparedSolver`](crate::PreparedSolver) bound to
+    /// `a` whose factor belongs to a strongly diagonally-shifted copy of
+    /// `a`. The stale-cache self-heal
+    /// ([`FactorCache::solve_many_healing`]) must detect the mismatch and
+    /// rebuild exactly that entry once.
     ///
     /// # Errors
     ///
@@ -115,6 +121,7 @@ impl FaultPlan {
         &mut self,
         cache: &FactorCache,
         backend: &dyn SolverBackend,
+        key: &[u64],
         a: &Arc<CsrMatrix>,
     ) -> Result<(), LinalgError> {
         let max_diag = a
@@ -128,7 +135,7 @@ impl FaultPlan {
         let shift = (3 + self.pick(8)) as f64 * max_diag;
         let wrong = backend.prepare(Arc::new(shifted_copy(a, shift)))?;
         let solver = Arc::new(wrong.rebind_matrix(Arc::clone(a)));
-        cache.inject(backend, a, solver);
+        cache.inject(backend, key, solver);
         Ok(())
     }
 

@@ -41,11 +41,11 @@
 //!   [`LinearSolver::backend`] is the one mapping from a selection to a
 //!   backend, and [`Auto::default`] holds the one direct/iterative
 //!   threshold.
-//! * [`FactorCache`] — content-addressed memo of prepared solvers, so
-//!   repeated solves over the same operator (many thermal loads on one
-//!   lattice) pay for one factorization; entries can be tagged with an
-//!   exact provenance key, so a caller that knows what determines its
-//!   operator finds it without assembling it again.
+//! * [`FactorCache`] — memo of prepared solvers keyed by the exact words
+//!   that build their operator, so repeated solves over the same operator
+//!   (many thermal loads on one lattice) pay for one factorization, and a
+//!   caller that knows what determines its operator finds it without
+//!   assembling or hashing it.
 //! * [`ShardPlan`] / [`Sharded`] — domain-decomposition sharding of the
 //!   operator: a K-way interior/interface partition cut from the block grid
 //!   of the operator's [`PartitionHint`], and a Schur-complement backend

@@ -511,8 +511,7 @@ impl SchurSolver {
 
         // Dirty detection, per block: a fingerprint mismatch proves a
         // change; equal fingerprints are confirmed by exact comparison
-        // before reuse (the same collision guard the FactorCache applies
-        // to its hits).
+        // before reuse.
         let fingerprints: Vec<u64> = (0..num_shards)
             .map(|k| block_fingerprint(&interiors[k], &couplings[k].0, &couplings[k].1))
             .collect();
@@ -1311,9 +1310,9 @@ mod tests {
     fn degenerate_plans_share_one_cache_entry() {
         // Every requested shard count collapses to the same single-shard
         // plan on an operator below the 64-row floor (7×7) and on one
-        // without a hint (28×28). The cache keys by configuration and
-        // operator and nothing else, so the two counts prepare one entry
-        // each — and the two entries solve bit for bit alike.
+        // without a hint (28×28). The cache keys by configuration and key
+        // and nothing else, so the two counts prepare one entry each under
+        // one key — and the two entries solve bit for bit alike.
         for a in [laplacian_2d(7, 7), laplacian_2d(28, 28)] {
             let a = Arc::new(a);
             let rhs = loads(a.nrows(), 2);
@@ -1321,8 +1320,8 @@ mod tests {
             let four = Sharded::new(4);
             let eight = Sharded::new(8);
             assert_ne!(four.config_fingerprint(), eight.config_fingerprint());
-            let by_four = cache.prepare(&four, &a).unwrap();
-            let by_eight = cache.prepare(&eight, &a).unwrap();
+            let by_four = cache.prepare(&four, &[0], &a).unwrap();
+            let by_eight = cache.prepare(&eight, &[0], &a).unwrap();
             assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 2, 2));
             assert_eq!(by_four.shards(), 1);
             assert_eq!(by_eight.shards(), 1);
@@ -1337,8 +1336,8 @@ mod tests {
         // produce different plans, and two entries.
         let big = hinted(4, 4, 6);
         let cache = FactorCache::new();
-        cache.prepare(&Sharded::new(2), &big).unwrap();
-        cache.prepare(&Sharded::new(4), &big).unwrap();
+        cache.prepare(&Sharded::new(2), &[0], &big).unwrap();
+        cache.prepare(&Sharded::new(4), &[0], &big).unwrap();
         assert_eq!(cache.hits(), 0, "distinct plans must not alias");
         assert_eq!(cache.misses(), 2);
     }

@@ -72,9 +72,6 @@ pub struct PartitionHint {
     grid: [usize; 2],
     /// Per-row inclusive block-coordinate span `[bx_lo, bx_hi, by_lo, by_hi]`.
     spans: Vec<[usize; 4]>,
-    /// FNV-1a over grid and spans, hashed once at construction (the fields
-    /// are private and never change afterwards).
-    fingerprint: u64,
 }
 
 impl PartitionHint {
@@ -95,26 +92,7 @@ impl PartitionHint {
                 "partition hint: row {row} span {s:?} outside grid {grid:?}"
             );
         }
-        let mut fingerprint: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: usize| {
-            for byte in (v as u64).to_le_bytes() {
-                fingerprint ^= u64::from(byte);
-                fingerprint = fingerprint.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(grid[0]);
-        eat(grid[1]);
-        eat(spans.len());
-        for s in &spans {
-            for &v in s {
-                eat(v);
-            }
-        }
-        Self {
-            grid,
-            spans,
-            fingerprint,
-        }
+        Self { grid, spans }
     }
 
     /// Number of operator rows the hint describes. A hint is only usable
@@ -178,15 +156,6 @@ impl PartitionHint {
             weights[s[2] * nbx + s[0]] += 1;
         }
         weights
-    }
-
-    /// Content fingerprint (FNV-1a over grid and spans), folded into the
-    /// [`matrix_fingerprint`](crate::matrix_fingerprint) of an operator
-    /// carrying the hint, so cached factors keyed under one hint are never
-    /// served under another. Hashed once in [`new`](Self::new): every cache
-    /// call asks.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 }
 

@@ -165,7 +165,9 @@ impl MemoryFootprint for CooMatrix {
 /// [`PartitionHint`], see [`with_partition_hint`](Self::with_partition_hint)).
 /// The hint is part of the operator's identity: `==` and
 /// [`matrix_fingerprint`](crate::matrix_fingerprint) cover it, because the
-/// direct solvers order — and therefore round — differently under it.
+/// direct solvers order — and therefore round — differently under it. A
+/// [`FactorCache`](crate::FactorCache) key that names an operator must
+/// therefore name its hint too (the global stage's layout words do).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     nrows: usize,

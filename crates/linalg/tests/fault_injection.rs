@@ -132,7 +132,7 @@ fn poisoned_operator_is_rejected_everywhere() {
             }
             // The cache refuses to memoize the failure.
             let cache = FactorCache::new();
-            assert!(cache.prepare(backend.as_ref(), &a).is_err());
+            assert!(cache.prepare(backend.as_ref(), &[0], &a).is_err());
             assert_eq!(
                 cache.len(),
                 0,
@@ -283,21 +283,23 @@ fn corrupted_shard_is_contained_per_shard() {
 }
 
 /// A corrupted cache entry (a healthy-looking factor bound to the wrong
-/// operator) is detected by the verifying healing path, invalidated,
-/// rebuilt exactly once, and the rebuild is recorded as a `Rebuilt` rung.
+/// operator) is detected by the verifying healing path, rebuilt exactly
+/// once, and the rebuild is recorded as a `Rebuilt` rung.
 #[test]
 fn corrupted_cache_entry_self_heals() {
     let a = Arc::new(lattice(9, 8));
+    let key = [9, 8];
     let backend = Resilient::default();
     let cache = FactorCache::new();
     FaultPlan::new(17)
-        .corrupt_cache(&cache, &backend, &a)
+        .corrupt_cache(&cache, &backend, &key, &a)
         .expect("planting the corrupted factor");
     assert_eq!(cache.len(), 1);
 
     let rhs = rhs_set(a.nrows(), 2);
+    let cached = cache.get(&backend, &key).expect("planted entry");
     let (batch, healed) = cache
-        .solve_many_healing(&backend, &a, &rhs, 2)
+        .solve_many_healing(&backend, &key, &cached, &rhs, 2)
         .expect("healing solve");
     assert!(healed, "the corrupted entry must be detected and rebuilt");
     assert_eq!(
@@ -309,8 +311,9 @@ fn corrupted_cache_entry_self_heals() {
     }
 
     // The rebuilt entry is clean: the second call is a plain hit.
+    let cached = cache.get(&backend, &key).expect("rebuilt entry");
     let (batch2, healed2) = cache
-        .solve_many_healing(&backend, &a, &rhs, 2)
+        .solve_many_healing(&backend, &key, &cached, &rhs, 2)
         .expect("clean solve");
     assert!(!healed2);
     assert!(batch2.report.degradation.is_empty());
@@ -322,23 +325,27 @@ fn corrupted_cache_entry_self_heals() {
 #[test]
 fn evicted_cache_entry_reprepares_transparently() {
     let a = Arc::new(lattice(9, 7));
+    let key = [9, 7];
     let backend = DirectCholesky::default();
     let cache = FactorCache::new();
     let rhs = rhs_set(a.nrows(), 2);
+    let solve = || {
+        cache
+            .prepare(&backend, &key, &a)
+            .expect("prepare")
+            .solve_many(&rhs, 2)
+            .expect("solve")
+    };
 
-    let before = cache
-        .solve_many_healing(&backend, &a, &rhs, 2)
-        .expect("first solve")
-        .0;
-    let dropped = FaultPlan::new(29).evict_cache(&cache, &a);
-    assert!(dropped >= 1, "the entry must have been cached");
+    let before = solve();
+    assert!(
+        FaultPlan::new(29).evict_cache(&cache, &backend, &key),
+        "the entry must have been cached"
+    );
     assert_eq!(cache.len(), 0);
 
     let misses_before = cache.misses();
-    let after = cache
-        .solve_many_healing(&backend, &a, &rhs, 2)
-        .expect("post-eviction solve")
-        .0;
+    let after = solve();
     assert_eq!(
         cache.misses(),
         misses_before + 1,
@@ -351,11 +358,11 @@ fn evicted_cache_entry_reprepares_transparently() {
     }
 }
 
-/// A corrupted factor reached *through a provenance hit* — the caller
-/// never assembled an operator, it holds the cached solver's own — heals
+/// A corrupted factor reached *through a key hit* — the caller never
+/// assembled an operator, it solves on the cached solver's own — heals
 /// like any other: detected, rebuilt once (`Rung::Rebuilt`), and the
-/// retried batch is bitwise the clean one. The rebuilt entry inherits the
-/// alias, so the next provenance lookup still skips assembly.
+/// retried batch is bitwise the clean one. The rebuild stays under the
+/// key, so the next lookup still skips assembly.
 #[test]
 fn corrupted_factor_behind_a_provenance_hit_self_heals() {
     let a = Arc::new(lattice(10, 8));
@@ -366,39 +373,30 @@ fn corrupted_factor_behind_a_provenance_hit_self_heals() {
         .expect("clean prepare")
         .solve_many(&rhs, 2)
         .expect("clean solve");
-    let provenance = [10u64, 8, 0xA11A5];
+    let key = [10u64, 8, 0xA11A5];
 
     let cache = FactorCache::new();
-    cache
-        .solve_many_healing(&backend, &a, &rhs, 2)
-        .expect("cold solve");
-    cache.tag(&backend, &a, &provenance);
+    cache.prepare(&backend, &key, &a).expect("cold prepare");
     FaultPlan::new(23)
-        .corrupt_cache(&cache, &backend, &a)
+        .corrupt_cache(&cache, &backend, &key, &a)
         .expect("planting the corrupted factor");
-    assert!(
-        cache.operator_of(&backend, &provenance).is_none(),
-        "injecting over an entry drops its alias with it"
-    );
-    cache.tag(&backend, &a, &provenance);
+    assert_eq!(cache.len(), 1, "injecting over an entry replaces it");
 
-    // The warm route: ask by provenance, solve on what comes back.
-    let operator = cache
-        .operator_of(&backend, &provenance)
-        .expect("tagged entry");
+    // The warm route: ask by key, solve on what comes back.
+    let cached = cache.get(&backend, &key).expect("keyed entry");
     assert!(
-        Arc::ptr_eq(&operator, &a),
+        Arc::ptr_eq(cached.matrix(), &a),
         "the cached solver's own operator"
     );
     let (hits, misses) = (cache.hits(), cache.misses());
     let (batch, healed) = cache
-        .solve_many_healing(&backend, &operator, &rhs, 2)
+        .solve_many_healing(&backend, &key, &cached, &rhs, 2)
         .expect("healing solve");
     assert!(healed, "the corrupted entry must be detected and rebuilt");
     assert_eq!(
         (cache.hits(), cache.misses()),
-        (hits + 1, misses + 1),
-        "one identity hit on the bad factor, one rebuild"
+        (hits, misses + 1),
+        "the bad factor's hit was counted by the lookup; one rebuild"
     );
     assert_eq!(
         batch.report.degradation.steps().next().map(|s| s.rung),
@@ -414,58 +412,46 @@ fn corrupted_factor_behind_a_provenance_hit_self_heals() {
         }
     }
 
-    // Re-tagged by the heal: still one entry, still found, now clean.
+    // Rebuilt under the key: still one entry, still found, now clean.
     assert_eq!(cache.len(), 1);
-    let operator = cache
-        .operator_of(&backend, &provenance)
-        .expect("the rebuilt entry inherits the alias");
+    let cached = cache
+        .get(&backend, &key)
+        .expect("the rebuild stays under the key");
     let (again, healed_again) = cache
-        .solve_many_healing(&backend, &operator, &rhs, 2)
+        .solve_many_healing(&backend, &key, &cached, &rhs, 2)
         .expect("clean warm solve");
     assert!(!healed_again);
     assert!(again.report.degradation.is_empty());
     assert_eq!(again.xs, clean.xs);
 }
 
-/// An alias never outlives its entry, and never answers for another
-/// configuration: LRU truncation and `invalidate` take it along, and a
-/// backend with a different fingerprint does not see it.
+/// A key never outlives its entry, and never answers for another
+/// configuration: LRU truncation and `invalidate` take the entry along, a
+/// lookup matches word for word, and a backend with a different
+/// fingerprint does not see it.
 #[test]
 fn provenance_alias_leaves_with_its_entry() {
     let backend = DirectCholesky::default();
     let (a, b) = (Arc::new(lattice(7, 6)), Arc::new(lattice(6, 7)));
     let cache = FactorCache::with_capacity(1);
 
-    cache.prepare(&backend, &a).expect("prepare a");
-    cache.tag(&backend, &a, &[1, 2, 3]);
-    assert!(cache.operator_of(&backend, &[1, 2, 3]).is_some());
+    cache.prepare(&backend, &[1, 2, 3], &a).expect("prepare a");
+    assert!(cache.get(&backend, &[1, 2, 3]).is_some());
+    assert!(cache.get(&backend, &[1, 2]).is_none(), "word for word");
     assert!(
-        cache.operator_of(&backend, &[1, 2]).is_none(),
-        "word for word"
-    );
-    assert!(
-        cache
-            .operator_of(&Resilient::default(), &[1, 2, 3])
-            .is_none(),
+        cache.get(&Resilient::default(), &[1, 2, 3]).is_none(),
         "another configuration must prepare its own"
     );
 
-    cache.prepare(&backend, &b).expect("prepare b evicts a");
-    assert!(cache.operator_of(&backend, &[1, 2, 3]).is_none(), "evicted");
-    cache.tag(&backend, &a, &[1, 2, 3]);
-    assert!(
-        cache.operator_of(&backend, &[1, 2, 3]).is_none(),
-        "tagging an operator that is not cached is a no-op"
-    );
-
-    // Found by content when the caller's `Arc` is not the cached one.
-    cache.tag(&backend, &Arc::new(lattice(6, 7)), &[4]);
-    let cached = cache
-        .operator_of(&backend, &[4])
-        .expect("tagged by content");
-    assert!(Arc::ptr_eq(&cached, &b));
-    assert_eq!(cache.invalidate(&b), 1);
-    assert!(cache.operator_of(&backend, &[4]).is_none(), "invalidated");
+    cache
+        .prepare(&backend, &[4], &b)
+        .expect("prepare b evicts a");
+    assert!(cache.get(&backend, &[1, 2, 3]).is_none(), "evicted");
+    let cached = cache.get(&backend, &[4]).expect("b's entry");
+    assert!(Arc::ptr_eq(cached.matrix(), &b));
+    assert!(cache.invalidate(&backend, &[4]));
+    assert!(cache.get(&backend, &[4]).is_none(), "invalidated");
+    assert!(cache.is_empty());
 }
 
 /// The no-fault path is bitwise invariant: the resilient wrapping (and

@@ -1827,36 +1827,6 @@ proptest! {
         }
     }
 
-    /// The hint is part of an operator's identity in the `FactorCache`:
-    /// equal arrays under equal hints (separately allocated) share one
-    /// factor, under different hints — or one hinted, one not — never.
-    #[test]
-    fn factor_cache_keys_on_the_partition_hint(bx in 2usize..5, by in 2usize..5, m in 2usize..4) {
-        let (plain, hint) = hinted_lattice(bx, by, m);
-        let twin = PartitionHint::new(hint.grid(), (0..hint.num_rows())
-            .map(|_| [0, bx - 1, 0, by - 1])
-            .collect());
-        let (_, same) = hinted_lattice(bx, by, m);
-        let hinted = Arc::new(plain.clone().with_partition_hint(Arc::new(hint)));
-        let rehinted = Arc::new(plain.clone().with_partition_hint(Arc::new(same)));
-        let other = Arc::new(plain.clone().with_partition_hint(Arc::new(twin)));
-        let plain = Arc::new(plain);
-
-        let cache = FactorCache::with_capacity(8);
-        let backend = DirectCholesky::default();
-        let first = cache.prepare(&backend, &hinted).expect("SPD");
-        let again = cache.prepare(&backend, &rehinted).expect("SPD");
-        prop_assert!(Arc::ptr_eq(&first, &again), "equal hints must share the factor");
-        prop_assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        for stranger in [&other, &plain] {
-            let solver = cache.prepare(&backend, stranger).expect("SPD");
-            prop_assert!(!Arc::ptr_eq(&first, &solver),
-                "a factor ordered under one hint was served for another");
-        }
-        prop_assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 3, 3));
-        prop_assert_eq!(first.supernode_stats().map(|s| s.ordering), Some("geometric"));
-    }
-
     /// A `FactorCache` is usable from many pool workers concurrently: all
     /// callers end up sharing one prepared solver for the same system, the
     /// hit/miss counters stay consistent, and concurrent duplicate
@@ -1886,7 +1856,7 @@ proptest! {
             while arrived.load(Ordering::SeqCst) < 2 && t0.elapsed().as_millis() < 50 {
                 std::thread::yield_now();
             }
-            let prepared = cache.prepare(&backend, &a).expect("SPD by construction");
+            let prepared = cache.prepare(&backend, &[n as u64], &a).expect("SPD by construction");
             let b: Vec<f64> = (0..n).map(|i| i as f64 - 1.5).collect();
             let sol = prepared.solve(&b).expect("direct solve");
             assert!(a.residual(&sol.x, &b) < 1e-10);

@@ -21,8 +21,8 @@
 //! backends are *prepared* once per operator (factorization or
 //! preconditioner build) and then solve any number of right-hand sides,
 //! task-parallel for batches. A `FactorCache` memoizes prepared backends by
-//! operator fingerprint — and, for the global stage, by the layout that
-//! determines the operator — so re-solving the same array under new thermal
+//! the words that determine their operator — for the global stage, the
+//! layout and its ROMs — so re-solving the same array under new thermal
 //! loads costs two triangular sweeps: no new factorization, no re-assembly.
 //!
 //! All task parallelism — the n+1 local solves, batched multi-RHS solves,

@@ -226,11 +226,12 @@ fn dummy_padding_moves_boundary_error_away_from_the_core() {
 
 #[test]
 fn submodel_closures_on_one_layout_never_share_a_lifting_term() {
-    // A sub-model boundary closure cannot be compared, and its lifting term
-    // `−A_fb u_b` needs the unreduced operator: such solves carry no
-    // provenance alias and keep assembling, even on a simulator whose cache
-    // already holds their (identical) reduced operator. Two closures with
-    // different prescribed values must each get their own answer.
+    // A sub-model boundary closure's lifting term `−A_fb u_b` needs the
+    // elements, so such solves keep assembling even on a simulator whose
+    // cache already holds their reduced operator. That operator depends
+    // only on which DoFs are fixed, never on the closure's values, so they
+    // share one factor under one key. Two closures with different
+    // prescribed values must each get their own answer.
     let geom = TsvGeometry::paper_defaults(15.0);
     let build = || {
         MoreStressSimulator::builder(&geom)
@@ -250,7 +251,7 @@ fn submodel_closures_on_one_layout_never_share_a_lifting_term() {
         assert!(!sol.stats.operator_reused, "closure BCs always assemble");
         solved.push(sol);
     }
-    // One operator, found by content after assembly: one factorization.
+    // One key (layout, ROMs, sub-model kind): one factorization.
     assert_eq!(sim.factor_cache().misses(), 1);
     assert_eq!(sim.factor_cache().hits(), 2);
     assert_ne!(
