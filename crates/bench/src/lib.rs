@@ -461,11 +461,15 @@ pub fn repro(which: Experiment, scale: &Scale) -> Result<(), RomError> {
     if runs(Experiment::Table2) {
         print_table2(scale)?;
     }
-    if runs(Experiment::Table3) {
-        print_table3(scale, false)?;
-    }
-    if runs(Experiment::Fig6) {
-        print_table3(scale, true)?;
+    // Table 3 and Fig. 6 are two views of one series, computed once.
+    if runs(Experiment::Table3) || runs(Experiment::Fig6) {
+        let series = table3_series(&TsvGeometry::paper_defaults(15.0), scale)?;
+        if runs(Experiment::Table3) {
+            print_table3(scale, &series);
+        }
+        if runs(Experiment::Fig6) {
+            print_fig6(&series);
+        }
     }
     if let Some(rss) = peak_rss_bytes() {
         println!("\n[process peak RSS: {}]", fmt_bytes(rss));
@@ -559,26 +563,24 @@ fn print_table2(scale: &Scale) -> Result<(), RomError> {
     Ok(())
 }
 
-fn print_table3(scale: &Scale, as_figure: bool) -> Result<(), RomError> {
-    let geom = TsvGeometry::paper_defaults(15.0);
-    let series = table3_series(&geom, scale)?;
-    if as_figure {
-        println!("\n== Fig. 6: error & runtime vs element DoFs n (log-scale error) ==");
+fn print_fig6(series: &[ConvergencePoint]) {
+    println!("\n== Fig. 6: error & runtime vs element DoFs n (log-scale error) ==");
+    println!(
+        "{:>6} {:>8} {:>12} {:>14}",
+        "n", "error%", "global", "(nx,ny,nz)"
+    );
+    for p in series {
         println!(
-            "{:>6} {:>8} {:>12} {:>14}",
-            "n", "error%", "global", "(nx,ny,nz)"
+            "{:>6} {:>8.3} {:>12.2?}   ({m},{m},{m})",
+            p.n,
+            p.error * 100.0,
+            p.global_time,
+            m = p.order
         );
-        for p in &series {
-            println!(
-                "{:>6} {:>8.3} {:>12.2?}   ({m},{m},{m})",
-                p.n,
-                p.error * 100.0,
-                p.global_time,
-                m = p.order
-            );
-        }
-        return Ok(());
     }
+}
+
+fn print_table3(scale: &Scale, series: &[ConvergencePoint]) {
     println!(
         "\n== Table 3: convergence on a {}x{} array, p = 15 µm ==",
         scale.table3_size, scale.table3_size
@@ -587,7 +589,7 @@ fn print_table3(scale: &Scale, as_figure: bool) -> Result<(), RomError> {
         "{:>10} {:>6} {:>14} {:>14} {:>9}",
         "(nx,ny,nz)", "n", "local stage", "global stage", "error"
     );
-    for p in &series {
+    for p in series {
         println!(
             "({m},{m},{m})    {:>6} {:>14.2?} {:>14.2?} {:>8.3}%",
             p.n,
@@ -597,7 +599,6 @@ fn print_table3(scale: &Scale, as_figure: bool) -> Result<(), RomError> {
             m = p.order
         );
     }
-    Ok(())
 }
 
 /// Formats a byte count like the paper's memory columns.

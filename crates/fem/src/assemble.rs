@@ -46,8 +46,7 @@ pub fn assemble_system(
     let adjacency = mesh.node_adjacency();
     let mut rows: Vec<Vec<usize>> = Vec::with_capacity(ndof);
     for neighbors in &adjacency {
-        for comp in 0..3 {
-            let _ = comp;
+        for _ in 0..3 {
             let mut row = Vec::with_capacity(neighbors.len() * 3);
             for &m in neighbors {
                 row.extend_from_slice(&[3 * m, 3 * m + 1, 3 * m + 2]);

@@ -1718,11 +1718,10 @@ impl Default for FactorCache {
 /// time. Word-wise mixing is ~8× cheaper than the byte-wise variant on
 /// large operators; callers confirm equal fingerprints by exact comparison.
 ///
-/// Public as the content hash of the [`Sharded`](crate::Sharded)
-/// incremental re-preparation's per-block dirty detection (a fingerprint
-/// mismatch proves a block changed; equal fingerprints are confirmed by
-/// exact comparison before anything is reused). The [`FactorCache`] never
-/// hashes an operator.
+/// No product code hashes an operator: the [`FactorCache`] matches the
+/// caller's key and the [`Sharded`](crate::Sharded) re-preparation diffs
+/// values exactly. Public only for the benchmark's traced replay of the
+/// hash the cache once computed.
 pub fn matrix_fingerprint(a: &CsrMatrix) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |v: u64| {

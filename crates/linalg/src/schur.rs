@@ -27,14 +27,17 @@
 //!    [`PreparedSolver::solve_many`] panel sweep, so the factor-once /
 //!    solve-many economics survive sharding end to end.
 //!
-//! Preparation is one function, `SchurSolver::assemble`: extract every
-//! block, factor and condense the *dirty* shards, rebuild the interface.
+//! Preparation is one function, `SchurSolver::assemble`: find the *dirty*
+//! shards, extract, factor and condense only those, rebuild the interface.
 //! Given the backend's retained previous preparation (same configuration,
-//! hint and pattern, so the same plan), a shard whose blocks are unchanged
-//! reuses its factor and clique; a first prepare is the case where every
-//! shard is dirty. One code path is why a re-prepare after a value-only
-//! perturbation is bitwise a from-scratch one. The retained preparation is
-//! the only reuse: there is no per-shard factor cache.
+//! hint and pattern, so the same plan), the dirty set is one bitwise diff
+//! of the operator's values against the previous operator's: a changed
+//! entry dirties the shards owning its row and its column, and every other
+//! shard *is* its previous block, shared whole. A first prepare is the case
+//! where every shard is dirty. One code path is why a re-prepare after a
+//! value-only perturbation is bitwise a from-scratch one. The retained
+//! preparation is the only reuse: there is no per-shard factor cache and
+//! no content hash.
 //!
 //! A shard whose interior is not positive definite is contained: it falls
 //! down the [`Resilient`] ladder alone and condenses its clique by
@@ -53,7 +56,6 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::backend::matrix_fingerprint;
 use crate::{
     BlockedKernel, CsrMatrix, DegradationTrail, DirectCholesky, LinalgError, MemoryFootprint,
     PreparedSolver, Resilient, ShardPlan, ShardPlanStats, SolverBackend, VerifyPolicy, WorkPool,
@@ -69,8 +71,10 @@ use crate::{
 ///
 /// The struct is cheap declarative configuration like every other backend.
 /// Clones share only the retained previous preparation, so a re-prepare
-/// through any clone of one `Sharded` reuses the shards that did not
-/// change; no factor is cached beyond that.
+/// through any clone of one `Sharded` with the same inner configuration
+/// reuses the shards that did not change — found by a bitwise diff of the
+/// operator's values against the retained operator's; no factor is cached
+/// beyond that.
 #[derive(Debug, Clone)]
 pub struct Sharded {
     /// Requested interior shard count. The plan may produce fewer — never
@@ -83,25 +87,26 @@ pub struct Sharded {
     /// (interior blocks verify through their own ladder when contained).
     pub verify: VerifyPolicy,
     /// The most recent preparation, retained (shared across clones) as the
-    /// base of the next one: a later `prepare` over an operator
-    /// with the *same pattern* reuses every clean shard's factor and
-    /// stored clique and re-factors only what changed. Holding it keeps
-    /// one full prepared state alive beyond its `PreparedSolver` — the
-    /// memory price of O(changed shards) re-preparation in placement and
-    /// optimization loops.
+    /// base of the next one: a later `prepare` over an operator with the
+    /// *same pattern* diffs its values against the retained operator's bit
+    /// for bit, shares every clean shard's block whole and re-factors only
+    /// the shards the diff touched. Holding it keeps one full prepared
+    /// state alive beyond its `PreparedSolver` — the memory price of
+    /// O(changed shards) re-preparation in placement and optimization
+    /// loops.
     prev: Arc<Mutex<Option<PrevPrepared>>>,
 }
 
 /// The retained base of the next preparation: the previous operator (hint
-/// included) and its prepared Schur state, tagged with the configuration
-/// it was prepared under (after a config change nothing of it may be
-/// reused).
+/// included) — the other side of the next prepare's value diff — and its
+/// prepared Schur state, tagged with the exact configuration it was
+/// prepared under (after a config change nothing of it may be reused).
 #[derive(Debug, Clone)]
 struct PrevPrepared {
     matrix: Arc<CsrMatrix>,
     schur: Arc<SchurSolver>,
     shards_requested: usize,
-    inner_fingerprint: u64,
+    inner: DirectCholesky,
 }
 
 impl Sharded {
@@ -153,7 +158,7 @@ impl SolverBackend for Sharded {
             .clone()
             .filter(|p| {
                 p.shards_requested == self.shards
-                    && p.inner_fingerprint == self.inner.config_fingerprint()
+                    && p.inner == self.inner
                     && p.matrix.partition_hint() == a.partition_hint()
                     && p.matrix.same_pattern(&a)
             });
@@ -162,7 +167,7 @@ impl SolverBackend for Sharded {
             None => self.plan(&a),
         };
         let schur = SchurSolver::assemble(
-            prev.as_ref().map(|p| p.schur.as_ref()),
+            prev.as_ref().map(|p| (p.matrix.as_ref(), p.schur.as_ref())),
             &a,
             plan,
             &self.inner,
@@ -172,7 +177,7 @@ impl SolverBackend for Sharded {
             matrix: Arc::clone(&a),
             schur: Arc::clone(&schur),
             shards_requested: self.shards,
-            inner_fingerprint: self.inner.config_fingerprint(),
+            inner: self.inner,
         });
         Ok(PreparedSolver::from_sharded(
             a,
@@ -186,8 +191,8 @@ impl SolverBackend for Sharded {
         // The shard count changes the elimination order and therefore the
         // bits of the result, so it must split cache entries; the retained
         // preparation must not (clones share semantics). The hint needs
-        // no term: it is part of the operator, so it splits entries through
-        // the matrix fingerprint and the exact compare.
+        // no term: it is part of the operator, and a cache key that names
+        // an operator names its hint too.
         0x50 ^ (self.shards as u64).rotate_left(32)
             ^ self.inner.config_fingerprint().rotate_left(4)
             ^ self.verify.fingerprint().rotate_left(44)
@@ -196,41 +201,31 @@ impl SolverBackend for Sharded {
 
 /// One interior shard: its prepared factor, both coupling blocks, and the
 /// condensed Schur contribution kept for incremental re-assembly.
+///
+/// A block is a pure function of the operator values its shard owns (the
+/// rows and columns of its interior), so a re-preparation whose value diff
+/// leaves the shard clean shares the previous block whole.
 #[derive(Debug)]
 struct ShardBlock {
     /// Prepared factor of the interior block `A_kk`.
-    solver: Arc<PreparedSolver>,
+    solver: PreparedSolver,
     /// Interior × interface coupling `A_ks` (columns in interface-local
     /// indexing).
     a_ks: CsrMatrix,
     /// Interface × interior coupling `A_sk`.
     a_sk: CsrMatrix,
     /// Interface-local indices of the interface DoFs this shard couples
-    /// (the non-empty rows of `A_sk`), `Arc`-shared with reusing
-    /// preparations.
-    cols: Arc<[usize]>,
+    /// (the non-empty rows of `A_sk`).
+    cols: Vec<usize>,
     /// Stored dense clique `A_sk A_kk⁻¹ A_ks` over `cols` (row-major,
     /// `cols.len()²` entries, symmetric): the shard's Schur contribution,
     /// kept so an incremental re-preparation can re-accumulate `S` in shard
     /// order without re-condensing clean shards.
-    clique: Arc<[f64]>,
-    /// Content fingerprint over `(A_kk, A_ks, A_sk)` — the fast reject of
-    /// the per-block dirty detection (equal fingerprints are confirmed by
-    /// exact comparison before anything is reused).
-    fingerprint: u64,
+    clique: Vec<f64>,
     /// Whether this interior's bordered factorization broke down and the
     /// block was contained by falling down the resilience ladder
     /// (regularized re-factor or GMRES) instead of aborting the prepare.
     degraded: bool,
-}
-
-/// The per-block content fingerprint dirty detection compares: all three
-/// blocks a shard is extracted into, mixed with distinct rotations so
-/// moving a value between blocks cannot cancel out.
-fn block_fingerprint(interior: &CsrMatrix, a_ks: &CsrMatrix, a_sk: &CsrMatrix) -> u64 {
-    matrix_fingerprint(interior)
-        ^ matrix_fingerprint(a_ks).rotate_left(16)
-        ^ matrix_fingerprint(a_sk).rotate_left(32)
 }
 
 /// The prepared sharded solver: per-shard factors, couplings, and the
@@ -239,10 +234,12 @@ fn block_fingerprint(interior: &CsrMatrix, a_ks: &CsrMatrix, a_sk: &CsrMatrix) -
 #[derive(Debug)]
 pub(crate) struct SchurSolver {
     plan: ShardPlan,
-    blocks: Vec<ShardBlock>,
+    /// One block per shard, in shard order; a clean shard's block is the
+    /// previous preparation's, shared.
+    blocks: Vec<Arc<ShardBlock>>,
     /// Prepared factor of the Schur complement; `None` when the interface
     /// is empty (single shard, or fully disconnected shards).
-    interface_solver: Option<Arc<PreparedSolver>>,
+    interface_solver: Option<PreparedSolver>,
     /// Shards whose factor + clique this preparation computed: the dirty
     /// set — all of them when there was no previous preparation.
     shards_refactored: usize,
@@ -256,66 +253,72 @@ pub(crate) struct SchurSolver {
     iface_assembly: Option<Arc<InterfaceAssembly>>,
 }
 
-/// Per-shard extraction of one operator under a plan: the interface
-/// scatter map, every interior block and both coupling blocks.
-struct Extraction {
-    iface_map: Vec<Option<usize>>,
-    interiors: Vec<Arc<CsrMatrix>>,
-    couplings: Vec<(CsrMatrix, CsrMatrix)>,
+/// The shards a value-only change from `prev` to `a` (same pattern) touches,
+/// ascending: one bitwise pass over the values, where a changed entry
+/// `(i, j)` dirties the shards owning row `i` and column `j`. Every entry
+/// of a shard's three blocks `A_kk`, `A_ks`, `A_sk` has its row or its
+/// column in that shard, and no entry couples two interiors, so this is
+/// exactly the set of shards with a changed block; an entry whose row and
+/// column are both interface rows lives in `A_ss` only and dirties none.
+fn dirty_shards(prev: &CsrMatrix, a: &CsrMatrix, plan: &ShardPlan) -> Vec<usize> {
+    let mut dirty = vec![false; plan.num_shards()];
+    for i in 0..a.nrows() {
+        let (cols, vals) = a.row(i);
+        let (_, prev_vals) = prev.row(i);
+        for ((&j, v), p) in cols.iter().zip(vals).zip(prev_vals) {
+            if v.to_bits() != p.to_bits() {
+                for k in [plan.owner(i), plan.owner(j)].into_iter().flatten() {
+                    dirty[k] = true;
+                }
+            }
+        }
+    }
+    (0..dirty.len()).filter(|&k| dirty[k]).collect()
 }
 
-/// Serial extraction pass over all shards (each `extract` is internally
-/// pool-parallel and bitwise deterministic).
-fn extract_blocks(a: &Arc<CsrMatrix>, plan: &ShardPlan) -> Extraction {
-    let n = a.nrows();
-    let interface = plan.interface();
-    let n_s = interface.len();
-    let num_shards = plan.num_shards();
-    let hint = a
-        .partition_hint()
-        .filter(|hint| hint.num_rows() == n)
-        .map(Arc::as_ref);
-
-    let mut iface_map: Vec<Option<usize>> = vec![None; n];
-    for (p, &row) in interface.iter().enumerate() {
-        iface_map[row] = Some(p);
+/// Interface-local index of every interface row, `None` elsewhere.
+fn interface_map(plan: &ShardPlan) -> Vec<Option<usize>> {
+    let mut map = vec![None; plan.num_rows()];
+    for (p, &row) in plan.interface().iter().enumerate() {
+        map[row] = Some(p);
     }
+    map
+}
 
-    let mut interiors: Vec<Arc<CsrMatrix>> = Vec::with_capacity(num_shards);
-    let mut couplings: Vec<(CsrMatrix, CsrMatrix)> = Vec::with_capacity(num_shards);
+/// Shard `k`'s interior `A_kk` and its couplings `(A_ks, A_sk)` out of `a`
+/// (each `extract` is internally pool-parallel and bitwise deterministic).
+fn extract_shard(
+    a: &Arc<CsrMatrix>,
+    plan: &ShardPlan,
+    iface_map: &[Option<usize>],
+    k: usize,
+) -> (Arc<CsrMatrix>, CsrMatrix, CsrMatrix) {
+    let n = a.nrows();
+    let rows = plan.shard_rows(k);
     let mut own_map: Vec<Option<usize>> = vec![None; n];
-    for k in 0..num_shards {
-        let rows = plan.shard_rows(k);
-        for (local, &row) in rows.iter().enumerate() {
-            own_map[row] = Some(local);
-        }
-        // The one shard of a trivial plan *is* the operator: share it, hint
-        // and all, so a one-shard solve stays the monolithic one bit for
-        // bit whatever the inner backend orders by. Every other interior
-        // carries the operator's hint restricted to its own blocks, so it
-        // is dissected along them.
-        interiors.push(if rows.len() == n {
-            Arc::clone(a)
-        } else {
-            let interior = a.extract(rows, &own_map, rows.len());
-            Arc::new(match hint {
+    for (local, &row) in rows.iter().enumerate() {
+        own_map[row] = Some(local);
+    }
+    // The one shard of a trivial plan *is* the operator: share it, hint
+    // and all, so a one-shard solve stays the monolithic one bit for bit
+    // whatever the inner backend orders by. Every other interior carries
+    // the operator's hint restricted to its own blocks, so it is dissected
+    // along them.
+    let interior = if rows.len() == n {
+        Arc::clone(a)
+    } else {
+        let interior = a.extract(rows, &own_map, rows.len());
+        Arc::new(
+            match a.partition_hint().filter(|hint| hint.num_rows() == n) {
                 Some(hint) => interior.with_partition_hint(Arc::new(hint.restricted(rows))),
                 None => interior,
-            })
-        });
-        couplings.push((
-            a.extract(rows, &iface_map, n_s),
-            a.extract(interface, &own_map, rows.len()),
-        ));
-        for &row in rows {
-            own_map[row] = None;
-        }
-    }
-    Extraction {
-        iface_map,
-        interiors,
-        couplings,
-    }
+            },
+        )
+    };
+    let interface = plan.interface();
+    let a_ks = a.extract(rows, iface_map, interface.len());
+    let a_sk = a.extract(interface, &own_map, rows.len());
+    (interior, a_ks, a_sk)
 }
 
 /// Precomputed scatter maps of the serial interface accumulation
@@ -350,7 +353,7 @@ impl InterfaceAssembly {
     /// shard clique. Cost is one sort of the union pattern plus a binary
     /// search per source entry — paid once per *pattern*, not per
     /// assembly.
-    fn build(a_ss: &CsrMatrix, blocks: &[ShardBlock]) -> Self {
+    fn build(a_ss: &CsrMatrix, blocks: &[Arc<ShardBlock>]) -> Self {
         let n_s = a_ss.nrows();
         let mut per_row: Vec<Vec<usize>> = vec![Vec::new(); n_s];
         for i in 0..n_s {
@@ -405,7 +408,7 @@ impl InterfaceAssembly {
 
     /// Scatters `A_ss` and subtracts every clique into a fresh values
     /// array, in the canonical serial order.
-    fn assemble(&self, a_ss: &CsrMatrix, blocks: &[ShardBlock]) -> CsrMatrix {
+    fn assemble(&self, a_ss: &CsrMatrix, blocks: &[Arc<ShardBlock>]) -> CsrMatrix {
         let n_s = a_ss.nrows();
         let mut values = vec![0.0f64; self.col_idx.len()];
         let mut next = 0usize;
@@ -447,7 +450,7 @@ fn condense_interface(
     a: &CsrMatrix,
     plan: &ShardPlan,
     iface_map: &[Option<usize>],
-    blocks: &[ShardBlock],
+    blocks: &[Arc<ShardBlock>],
     inner: &DirectCholesky,
     reuse: Option<Arc<InterfaceAssembly>>,
 ) -> Result<CondensedInterface, LinalgError> {
@@ -465,111 +468,64 @@ fn condense_interface(
 
 /// `(interface factor, ladder-contained?, scatter maps)` of
 /// [`condense_interface`].
-type CondensedInterface = (
-    Option<Arc<PreparedSolver>>,
-    bool,
-    Option<Arc<InterfaceAssembly>>,
-);
-
-/// `(solver, interface-local coupled columns, dense clique contribution,
-/// ladder-contained?)` of one shard's concurrent preparation task.
-type ShardPrep = (Arc<PreparedSolver>, Vec<usize>, Vec<f64>, bool);
+type CondensedInterface = (Option<PreparedSolver>, bool, Option<Arc<InterfaceAssembly>>);
 
 /// `(solutions, summed iterations, worst residual, peak worker slots)` of
 /// one sharded batch solve.
 pub(crate) type ShardedBatch = (Vec<Vec<f64>>, Option<usize>, Option<f64>, usize);
 
 impl SchurSolver {
-    /// Extracts every block of `plan` over `a`, factors and condenses the
-    /// *dirty* shards, and rebuilds and factors the interface system.
+    /// Finds the *dirty* shards of `plan` over `a`, extracts, factors and
+    /// condenses only those, and rebuilds and factors the interface system.
     ///
-    /// `prev` is a previous preparation under the same plan over an
-    /// operator with the same pattern (the caller checks both; the plan is
-    /// a pure function of pattern, shard count and hint). Every shard whose
-    /// three blocks are unchanged since `prev` is *clean*: it reuses its
-    /// factor and stored clique. Without a previous preparation every
+    /// `prev` is the previous operator and its preparation under the same
+    /// plan, with the same pattern (the caller checks both; the plan is a
+    /// pure function of pattern, shard count and hint). The dirty set is
+    /// the bitwise value diff of `a` against that operator
+    /// ([`dirty_shards`]); every other shard is *clean* and its block is
+    /// the previous one, shared whole. Without a previous preparation every
     /// shard is dirty and there are no scatter maps to reuse — a fresh
     /// prepare is the all-dirty case of the same code, so the two agree bit
     /// for bit by construction: plan, elimination orders and the
     /// serial shard-order accumulation of `S` are shared, and a clean
-    /// shard's stored factor and clique were computed from bit-identical
-    /// inputs by the code a fresh prepare runs. The interface system is
-    /// always rebuilt from the fresh `A_ss` plus all cliques.
+    /// shard's block was computed from bit-identical inputs by the code a
+    /// fresh prepare runs. The interface system is always rebuilt from the
+    /// fresh `A_ss` plus all cliques.
     fn assemble(
-        prev: Option<&SchurSolver>,
+        prev: Option<(&CsrMatrix, &SchurSolver)>,
         a: &Arc<CsrMatrix>,
         plan: ShardPlan,
         inner: &DirectCholesky,
     ) -> Result<Self, LinalgError> {
-        let n_s = plan.interface().len();
         let num_shards = plan.num_shards();
-        let Extraction {
-            iface_map,
-            interiors,
-            couplings,
-        } = extract_blocks(a, &plan);
+        let dirty: Vec<usize> = match prev {
+            Some((prev_a, _)) => dirty_shards(prev_a, a, &plan),
+            None => (0..num_shards).collect(),
+        };
+        let iface_map = interface_map(&plan);
 
-        // Dirty detection, per block: a fingerprint mismatch proves a
-        // change; equal fingerprints are confirmed by exact comparison
-        // before reuse.
-        let fingerprints: Vec<u64> = (0..num_shards)
-            .map(|k| block_fingerprint(&interiors[k], &couplings[k].0, &couplings[k].1))
-            .collect();
-        let dirty: Vec<usize> = (0..num_shards)
-            .filter(|&k| {
-                prev.is_none_or(|prev| {
-                    let p = &prev.blocks[k];
-                    fingerprints[k] != p.fingerprint
-                        || interiors[k].as_ref() != p.solver.matrix().as_ref()
-                        || couplings[k].0 != p.a_ks
-                        || couplings[k].1 != p.a_sk
-                })
-            })
-            .collect();
-
-        // Factor every dirty interior and condense its Schur contribution,
-        // one task per shard on the shared pool. Like the monolithic
-        // parallel factorization, preparation runs at the pool cap
-        // (`prepare` has no threads override). Each task is internally
-        // deterministic (the bordered factor is bitwise cap-invariant), so
-        // only the serial accumulation order below matters for
-        // reproducibility.
+        // Extract, factor and condense every dirty shard, one task per
+        // shard on the shared pool. Like the monolithic parallel
+        // factorization, preparation runs at the pool cap (`prepare` has
+        // no threads override). Each task is internally deterministic (the
+        // bordered factor is bitwise cap-invariant), so only the serial
+        // accumulation order below matters for reproducibility.
         let pool = WorkPool::current();
         let (prepped, _) = pool.scope_collect(pool.cap(), dirty.len(), |i| {
-            shard_prep_task(inner, &interiors[dirty[i]], &couplings[dirty[i]], n_s)
+            prepare_shard(inner, a, &plan, &iface_map, dirty[i])
         });
-
-        let mut blocks: Vec<ShardBlock> = Vec::with_capacity(num_shards);
         let mut prepped = prepped.into_iter();
-        let mut next_dirty = dirty.iter().copied().peekable();
-        for (k, (a_ks, a_sk)) in couplings.into_iter().enumerate() {
-            if next_dirty.next_if_eq(&k).is_some() {
-                let (solver, cols, clique, degraded) =
-                    prepped.next().expect("one preparation per dirty shard")?;
-                blocks.push(ShardBlock {
-                    solver,
-                    a_ks,
-                    a_sk,
-                    cols: cols.into(),
-                    clique: clique.into(),
-                    fingerprint: fingerprints[k],
-                    degraded,
-                });
-            } else {
-                let p = &prev
-                    .expect("a clean shard has a previous preparation")
-                    .blocks[k];
-                blocks.push(ShardBlock {
-                    solver: Arc::clone(&p.solver),
-                    a_ks,
-                    a_sk,
-                    cols: Arc::clone(&p.cols),
-                    clique: Arc::clone(&p.clique),
-                    fingerprint: p.fingerprint,
-                    degraded: p.degraded,
-                });
-            }
-        }
+        let blocks = (0..num_shards)
+            .map(|k| match prev {
+                Some((_, prev)) if dirty.binary_search(&k).is_err() => {
+                    Ok(Arc::clone(&prev.blocks[k]))
+                }
+                _ => prepped
+                    .next()
+                    .expect("one preparation per dirty shard")
+                    .map(Arc::new),
+            })
+            .collect::<Result<Vec<_>, LinalgError>>()?;
 
         // The scatter maps are pure pattern data, so a previous
         // preparation's (same pattern, by `prev`'s contract) apply verbatim.
@@ -579,7 +535,7 @@ impl SchurSolver {
             &iface_map,
             &blocks,
             inner,
-            prev.and_then(|p| p.iface_assembly.clone()),
+            prev.and_then(|(_, p)| p.iface_assembly.clone()),
         )?;
 
         Ok(Self {
@@ -844,44 +800,57 @@ impl SchurSolver {
     }
 }
 
-/// One shard's preparation: the interior factor and the dense clique
-/// `A_sk A_kk⁻¹ A_ks` over the interface DoFs this shard touches, both from
-/// one partial factorization of the interior bordered by those DoFs. A
-/// shard coupling no interface DoF is just its interior, prepared plainly.
-/// A breakdown is contained: the interior falls down the ladder and its
-/// clique is condensed column by column through the ladder's solver.
-fn shard_prep_task(
+/// Shard `k`'s preparation: its blocks extracted from `a`, the interior
+/// factor and the dense clique `A_sk A_kk⁻¹ A_ks` over the interface DoFs
+/// this shard touches, both from one partial factorization of the interior
+/// bordered by those DoFs. A shard coupling no interface DoF is just its
+/// interior, prepared plainly. A breakdown is contained: the interior falls
+/// down the ladder and its clique is condensed column by column through
+/// the ladder's solver.
+fn prepare_shard(
     inner: &DirectCholesky,
-    interior: &Arc<CsrMatrix>,
-    coupling: &(CsrMatrix, CsrMatrix),
-    n_s: usize,
-) -> Result<ShardPrep, LinalgError> {
-    let (a_ks, a_sk) = coupling;
+    a: &Arc<CsrMatrix>,
+    plan: &ShardPlan,
+    iface_map: &[Option<usize>],
+    k: usize,
+) -> Result<ShardBlock, LinalgError> {
+    let (interior, a_ks, a_sk) = extract_shard(a, plan, iface_map, k);
     // Interface DoFs this shard couples: exactly the non-empty rows of
     // `A_sk` (equivalently, by symmetry, the non-empty columns of `A_ks`).
-    let cols: Vec<usize> = (0..n_s).filter(|&i| !a_sk.row(i).0.is_empty()).collect();
-    if cols.is_empty() {
-        let (solver, degraded) = prepare_contained(inner, interior)?;
-        return Ok((solver, cols, Vec::new(), degraded));
-    }
-    let bordered = bordered_operator(interior, a_ks, a_sk, &cols);
-    match inner.prepare_bordered(Arc::clone(interior), &bordered) {
-        Ok((solver, mut clique)) => {
-            // The border block is −A_sk A_kk⁻¹ A_ks: the bordered operator
-            // stores no interface–interface entries.
-            for v in &mut clique {
-                *v = -*v;
+    let cols: Vec<usize> = (0..a_sk.nrows())
+        .filter(|&i| !a_sk.row(i).0.is_empty())
+        .collect();
+    let (solver, clique, degraded) = if cols.is_empty() {
+        let (solver, degraded) = prepare_contained(inner, &interior)?;
+        (solver, Vec::new(), degraded)
+    } else {
+        let bordered = bordered_operator(&interior, &a_ks, &a_sk, &cols);
+        match inner.prepare_bordered(Arc::clone(&interior), &bordered) {
+            Ok((solver, mut clique)) => {
+                // The border block is −A_sk A_kk⁻¹ A_ks: the bordered
+                // operator stores no interface–interface entries.
+                for v in &mut clique {
+                    *v = -*v;
+                }
+                (solver, clique, false)
             }
-            Ok((Arc::new(solver), cols, clique, false))
+            Err(LinalgError::NotPositiveDefinite { .. }) => {
+                drop(bordered);
+                let solver = ladder(inner).prepare(interior)?;
+                let clique = condense_columns(&solver, &a_ks, &a_sk, &cols)?;
+                (solver, clique, true)
+            }
+            Err(other) => return Err(other),
         }
-        Err(LinalgError::NotPositiveDefinite { .. }) => {
-            drop(bordered);
-            let solver = Arc::new(ladder(inner).prepare(Arc::clone(interior))?);
-            let clique = condense_columns(&solver, a_ks, a_sk, &cols)?;
-            Ok((solver, cols, clique, true))
-        }
-        Err(other) => Err(other),
-    }
+    };
+    Ok(ShardBlock {
+        solver,
+        a_ks,
+        a_sk,
+        cols,
+        clique,
+        degraded,
+    })
 }
 
 /// The interior `A_kk` bordered by the `w = cols.len()` interface DoFs it
@@ -989,11 +958,11 @@ fn ladder(inner: &DirectCholesky) -> Resilient {
 fn prepare_contained(
     inner: &DirectCholesky,
     block: &Arc<CsrMatrix>,
-) -> Result<(Arc<PreparedSolver>, bool), LinalgError> {
+) -> Result<(PreparedSolver, bool), LinalgError> {
     match inner.prepare(Arc::clone(block)) {
-        Ok(solver) => Ok((Arc::new(solver), false)),
+        Ok(solver) => Ok((solver, false)),
         Err(LinalgError::NotPositiveDefinite { .. }) => {
-            Ok((Arc::new(ladder(inner).prepare(Arc::clone(block))?), true))
+            Ok((ladder(inner).prepare(Arc::clone(block))?, true))
         }
         Err(other) => Err(other),
     }
@@ -1128,17 +1097,34 @@ mod tests {
         }
     }
 
-    /// Bitwise-identity oracle of the incremental tests: the perturbed
-    /// operator solved through `backend` (incremental route) against a
-    /// *fresh* backend's from-scratch preparation of the same operator.
-    fn assert_bitwise_vs_scratch(backend: &Sharded, a: &Arc<CsrMatrix>, rhs: &[Vec<f64>]) {
-        let incremental = backend.prepare(Arc::clone(a)).unwrap();
-        let scratch = Sharded::new(backend.shards).prepare(Arc::clone(a)).unwrap();
+    /// Bitwise-identity oracle of the incremental tests: `incremental`, the
+    /// re-preparation of the perturbed operator `a` through a backend of
+    /// `shards` that had prepared the unperturbed one, solves bit for bit
+    /// like a *fresh* backend's from-scratch preparation of `a`.
+    fn assert_bitwise_vs_scratch(
+        incremental: &PreparedSolver,
+        shards: usize,
+        a: &Arc<CsrMatrix>,
+        rhs: &[Vec<f64>],
+    ) {
+        let scratch = Sharded::new(shards).prepare(Arc::clone(a)).unwrap();
         let xi = incremental.solve_many(rhs, 4).unwrap();
         let xs = scratch.solve_many(rhs, 4).unwrap();
         for (x, y) in xi.xs.iter().zip(&xs.xs) {
             assert_eq!(x, y, "incremental bits must match from-scratch bits");
         }
+    }
+
+    /// The per-block rule the value diff replaced, kept as the oracle of
+    /// the dirty set: shard `k` is dirty when its extracted `A_kk`, `A_ks`
+    /// or `A_sk` differs (`!=`) between the previous operator and `a`.
+    fn block_compare_dirty(prev: &Arc<CsrMatrix>, a: &Arc<CsrMatrix>, plan: &ShardPlan) -> usize {
+        let iface_map = interface_map(plan);
+        (0..plan.num_shards())
+            .filter(|&k| {
+                extract_shard(prev, plan, &iface_map, k) != extract_shard(a, plan, &iface_map, k)
+            })
+            .count()
     }
 
     #[test]
@@ -1163,10 +1149,11 @@ mod tests {
         let schur = second.schur().unwrap();
         assert_eq!(schur.shards_refactored(), 1, "one shard touched");
         assert_eq!(schur.shards_reused(), k - 1);
+        assert_eq!(block_compare_dirty(&a, &b, &schur.plan), 1);
         let batch = second.solve_many(&rhs, 4).unwrap();
         assert_eq!(batch.report.shards_refactored, 1);
         assert_eq!(batch.report.shards_reused, k - 1);
-        assert_bitwise_vs_scratch(&backend, &b, &rhs);
+        assert_bitwise_vs_scratch(&second, backend.shards, &b, &rhs);
     }
 
     #[test]
@@ -1189,7 +1176,8 @@ mod tests {
         let schur2 = second.schur().unwrap();
         assert_eq!(schur2.shards_refactored(), 0);
         assert_eq!(schur2.shards_reused(), k);
-        assert_bitwise_vs_scratch(&backend, &b, &rhs);
+        assert_eq!(block_compare_dirty(&a, &b, &schur2.plan), 0);
+        assert_bitwise_vs_scratch(&second, backend.shards, &b, &rhs);
         // And the perturbation genuinely changed the answer.
         let x1 = first.solve(&rhs[0]).unwrap().x;
         let x2 = second.solve(&rhs[0]).unwrap().x;
@@ -1229,7 +1217,8 @@ mod tests {
             "only shard {owner} holds the perturbed coupling"
         );
         assert_eq!(schur2.shards_reused(), k - 1);
-        assert_bitwise_vs_scratch(&backend, &b, &rhs);
+        assert_eq!(block_compare_dirty(&a, &b, &schur2.plan), 1);
+        assert_bitwise_vs_scratch(&second, backend.shards, &b, &rhs);
     }
 
     #[test]
@@ -1249,7 +1238,134 @@ mod tests {
         let schur = second.schur().unwrap();
         assert_eq!(schur.shards_refactored(), k, "every block changed");
         assert_eq!(schur.shards_reused(), 0);
-        assert_bitwise_vs_scratch(&backend, &b, &rhs);
+        assert_eq!(block_compare_dirty(&a, &b, &schur.plan), k);
+        assert_bitwise_vs_scratch(&second, backend.shards, &b, &rhs);
+    }
+
+    /// Adds the positive semidefinite `|δ|(e_i ± e_j)(e_i ± e_j)ᵀ` with
+    /// off-diagonal part `δ` (just `|δ|` on the diagonal when `i == j`), so
+    /// an SPD operator stays SPD and only entries `(i, j)`, `(j, i)`,
+    /// `(i, i)` and `(j, j)` change.
+    fn perturb_pair(b: &mut CsrMatrix, i: usize, j: usize, delta: f64) {
+        b.add_at(i, i, delta.abs());
+        if i != j {
+            b.add_at(j, j, delta.abs());
+            b.add_at(i, j, delta);
+            b.add_at(j, i, delta);
+        }
+    }
+
+    #[test]
+    fn value_diff_picks_the_block_compare_dirty_set() {
+        // Seeded value perturbations, chained through one backend per
+        // lattice: interior entries, coupling entries, interface-only
+        // (`A_ss`) entries, a mix of all three, no change and a global
+        // scaling. Each re-prepare refactors exactly the shards whose
+        // extracted blocks changed since the previous prepare, and solves
+        // bit for bit like a from-scratch prepare.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for (bx, by, m, shards) in [(5, 4, 6, 3), (5, 4, 6, 4), (4, 4, 4, 4), (5, 5, 5, 3)] {
+            let base = hinted(bx, by, m);
+            let rhs = loads(base.nrows(), 3);
+            let backend = Sharded::new(shards);
+            let first = backend.prepare(Arc::clone(&base)).unwrap();
+            let plan = first.schur().expect("sharded engine").plan.clone();
+            assert!(plan.num_shards() >= 2);
+            // Stored upper-triangle entries by class.
+            let (mut interior, mut coupling, mut interface) = (vec![], vec![], vec![]);
+            for i in 0..base.nrows() {
+                for &j in base.row(i).0.iter().filter(|&&j| j >= i) {
+                    match (plan.owner(i), plan.owner(j)) {
+                        (Some(_), Some(_)) => interior.push((i, j)),
+                        (None, None) => interface.push((i, j)),
+                        _ => coupling.push((i, j)),
+                    }
+                }
+            }
+            assert!(!interior.is_empty() && !coupling.is_empty() && !interface.is_empty());
+            let mixed: Vec<(usize, usize)> = [&interior, &coupling, &interface]
+                .into_iter()
+                .flatten()
+                .copied()
+                .collect();
+            let mut prev = base;
+            for round in 0..3 {
+                for class in [&interior, &coupling, &interface, &mixed] {
+                    let mut b = (*prev).clone();
+                    for _ in 0..1 + round {
+                        let (i, j) = class[next() as usize % class.len()];
+                        let delta = (next() % 1000) as f64 / 2000.0 - 0.25;
+                        perturb_pair(&mut b, i, j, if delta == 0.0 { 0.125 } else { delta });
+                    }
+                    prev = reprepare_against_the_oracle(&backend, &prev, b, &rhs);
+                }
+                let unchanged = (*prev).clone();
+                prev = reprepare_against_the_oracle(&backend, &prev, unchanged, &rhs);
+                let mut scaled = (*prev).clone();
+                for v in scaled.values_mut() {
+                    *v *= 1.25;
+                }
+                prev = reprepare_against_the_oracle(&backend, &prev, scaled, &rhs);
+            }
+        }
+    }
+
+    /// Re-prepares `b` through `backend`, whose last prepare was `prev`, and
+    /// checks the dirty set against [`block_compare_dirty`] and the bits
+    /// against a from-scratch prepare; returns `b` as the next `prev`.
+    fn reprepare_against_the_oracle(
+        backend: &Sharded,
+        prev: &Arc<CsrMatrix>,
+        b: CsrMatrix,
+        rhs: &[Vec<f64>],
+    ) -> Arc<CsrMatrix> {
+        let b = Arc::new(b);
+        let prepared = backend.prepare(Arc::clone(&b)).unwrap();
+        let schur = prepared.schur().unwrap();
+        let expected = block_compare_dirty(prev, &b, &schur.plan);
+        assert_eq!(schur.shards_refactored(), expected);
+        assert_eq!(schur.shards_reused(), schur.num_shards() - expected);
+        assert_bitwise_vs_scratch(&prepared, backend.shards, &b, rhs);
+        b
+    }
+
+    #[test]
+    fn a_changed_inner_configuration_reuses_nothing() {
+        // Two inner configurations whose `config_fingerprint`s collide (the
+        // rotated width and chunk-budget terms cancel): the retained
+        // preparation is matched by the exact configuration, so a clone
+        // switched to the other one reuses no shard.
+        let a = hinted(5, 4, 6);
+        let rhs = loads(a.nrows(), 3);
+        let backend = Sharded::new(4);
+        let first = backend.prepare(Arc::clone(&a)).unwrap();
+        let k = first.schur().expect("sharded engine").num_shards();
+        assert!(k >= 2);
+        let mut other = backend.clone();
+        other.inner.supernodal.max_width = 33;
+        other.inner.supernodal.chunk_work = (1 << 18) ^ (1 << 24);
+        assert_ne!(other.inner, backend.inner);
+        assert_eq!(
+            other.inner.config_fingerprint(),
+            backend.inner.config_fingerprint()
+        );
+        let second = other.prepare(Arc::clone(&a)).unwrap();
+        let schur = second.schur().unwrap();
+        assert_eq!(schur.shards_reused(), 0);
+        assert_eq!(schur.shards_refactored(), k);
+        let scratch = Sharded::with_inner(4, other.inner)
+            .prepare(Arc::clone(&a))
+            .unwrap();
+        assert_eq!(
+            second.solve_many(&rhs, 2).unwrap().xs,
+            scratch.solve_many(&rhs, 2).unwrap().xs
+        );
     }
 
     #[test]
@@ -1298,10 +1414,12 @@ mod tests {
         let k = first.schur().expect("sharded engine").num_shards();
         assert!(k >= 2);
         // Same values in a distinct allocation: the dirty set is empty.
-        let second = backend.prepare(Arc::new((*a).clone())).unwrap();
+        let copy = Arc::new((*a).clone());
+        let second = backend.prepare(Arc::clone(&copy)).unwrap();
         let schur = second.schur().unwrap();
         assert_eq!(schur.shards_refactored(), 0);
         assert_eq!(schur.shards_reused(), k);
+        assert_eq!(block_compare_dirty(&a, &copy, &schur.plan), 0);
         let b: Vec<f64> = (0..a.nrows()).map(|i| (i % 5) as f64).collect();
         assert_eq!(first.solve(&b).unwrap().x, second.solve(&b).unwrap().x);
     }
@@ -1410,6 +1528,7 @@ mod tests {
         assert_eq!(schur2.plan, schur.plan, "plan carries over");
         assert_eq!(schur2.shards_refactored(), 1);
         assert_eq!(schur2.shards_reused(), k - 1);
+        assert_eq!(block_compare_dirty(&a, &b, &schur2.plan), 1);
         // Bitwise oracle: a fresh backend, from scratch.
         let scratch = Sharded::new(4).prepare(Arc::clone(&b)).unwrap();
         let xi = second.solve_many(&rhs, 4).unwrap();

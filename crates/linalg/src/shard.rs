@@ -203,10 +203,9 @@ pub struct ShardPlanStats {
 ///
 /// Because the plan is canonical, `PartialEq` compares partitions
 /// semantically: two plans are equal exactly when they induce the same
-/// block structure — which is what the [`Sharded`](crate::Sharded) cache
-/// dedupe relies on when different requested shard counts degenerate to
-/// the same partition. The attached [`ShardPlanStats`] are derived data and
-/// do not participate in equality.
+/// block structure, whatever shard count was requested (several counts
+/// degenerate to the same partition). The attached [`ShardPlanStats`] are
+/// derived data and do not participate in equality.
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
     /// Sorted interior row indices, one list per shard (all non-empty).
