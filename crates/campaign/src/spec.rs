@@ -91,7 +91,7 @@ pub enum SolverChoice {
     /// default iterative choice).
     Gmres,
     /// Jacobi-preconditioned conjugate gradients at the spec's
-    /// `tolerance`.
+    /// `tolerance`, at most 50 000 iterations ([`LinearSolver::Cg`]).
     Cg,
     /// [`LinearSolver::Auto`]: direct up to 120 000 free rows, SSOR-CG
     /// above, verified at its own 1e-9 whatever the spec's `verify`.
@@ -599,7 +599,12 @@ impl CampaignSpec {
     /// the front door the runner (and any embedding) builds simulators
     /// through.
     pub fn simulator_builder(&self) -> SimulatorBuilder {
-        let mut builder = MoreStressSimulatorBuilder(self).base();
+        let mut builder = SimulatorBuilder::new(&self.geometry)
+            .resolution(self.solver.resolution.resolution())
+            .interpolation(self.solver.interp_num)
+            .materials(self.material_set())
+            .solver(self.solver.rom_solver())
+            .build_dummy(self.needs_dummy());
         if self.solver.shards > 0 {
             builder = builder.shards(self.solver.shards);
         }
@@ -635,20 +640,6 @@ impl CampaignSpec {
             key.push(m.cte.to_bits());
         }
         key
-    }
-}
-
-/// Internal newtype: keeps `simulator_builder` readable.
-struct MoreStressSimulatorBuilder<'s>(&'s CampaignSpec);
-
-impl MoreStressSimulatorBuilder<'_> {
-    fn base(&self) -> SimulatorBuilder {
-        SimulatorBuilder::new(&self.0.geometry)
-            .resolution(self.0.solver.resolution.resolution())
-            .interpolation(self.0.solver.interp_num)
-            .materials(self.0.material_set())
-            .solver(self.0.solver.rom_solver())
-            .build_dummy(self.0.needs_dummy())
     }
 }
 

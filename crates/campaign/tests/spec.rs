@@ -2,9 +2,12 @@
 //! round-trips exactly, and malformed documents are rejected with typed
 //! errors that point at the offending 1-based line.
 
+use std::collections::HashMap;
+
 use morestress_campaign::{
     CampaignSpec, ResolutionChoice, SolverChoice, SpecErrorKind, VerifyChoice, YamlErrorKind,
 };
+use morestress_linalg::LinearSolver;
 
 fn example_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/campaign.yml")
@@ -334,4 +337,43 @@ fn scalars_where_blocks_belong_are_rejected() {
     let err = CampaignSpec::parse(&text).unwrap_err();
     assert_eq!(err.line, 2);
     assert!(matches!(err.kind, SpecErrorKind::WrongShape(_)), "{err}");
+}
+
+/// Every backend configuration a spec can select, by
+/// `config_fingerprint`: two selections share a fingerprint only when they
+/// build the same configuration (equal `Debug` forms — every backend
+/// derives `Debug` over all of its fields). The fingerprint is still a
+/// lossy `u64`; this pins only the configurations a spec can reach.
+#[test]
+fn spec_selections_share_a_fingerprint_only_when_they_build_one_configuration() {
+    let mut configs: HashMap<u64, String> = HashMap::new();
+    for global_solver in ["direct", "gmres", "cg", "auto"] {
+        for verify in ["off", "report", "enforce"] {
+            for tolerance in ["1e-6", "1e-8", "1e-9", "1e-10", "1e-12"] {
+                for shards in [0, 1, 2, 4, 16] {
+                    let text = format!(
+                        "{MINIMAL}solver:\n  global_solver: {global_solver}\n  \
+                         verify: {verify}\n  tolerance: {tolerance}\n  shards: {shards}\n"
+                    );
+                    let spec = CampaignSpec::parse(&text).unwrap_or_else(|e| panic!("{e}"));
+                    // The simulator builder's rule: a nonzero `shards` wins
+                    // over `global_solver`.
+                    let selection = match spec.solver.shards {
+                        0 => spec.solver.rom_solver(),
+                        shards => LinearSolver::Sharded { shards },
+                    };
+                    let backend = selection.backend(spec.solver.verify_policy());
+                    let config = format!("{backend:?}");
+                    let fingerprint = backend.config_fingerprint();
+                    if let Some(other) = configs.insert(fingerprint, config.clone()) {
+                        assert_eq!(other, config, "fingerprint {fingerprint:#x}");
+                    }
+                }
+            }
+        }
+    }
+    // Unsharded: direct under off, report and five enforce tolerances;
+    // gmres and cg at five tolerances each; one auto. Each of the four
+    // shard counts: off, report and five enforce tolerances.
+    assert_eq!(configs.len(), 7 + 5 + 5 + 1 + 4 * 7);
 }

@@ -1025,7 +1025,7 @@ mod tests {
             &MaterialSet::tsv_defaults(),
             kind,
         )
-        .build(&LocalStageOptions { threads: 4 })
+        .build(&LocalStageOptions::default())
         .unwrap()
     }
 

@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 
 use morestress_fem::{assemble_system, MaterialSet};
 use morestress_linalg::{
-    dot, gram_panel, DenseMatrix, DirectCholesky, MemoryFootprint, PartitionHint, SolverBackend,
+    dot, gram_panel, DenseMatrix, LinearSolver, MemoryFootprint, PartitionHint, VerifyPolicy,
     WorkPool,
 };
 use morestress_mesh::{unit_block_mesh, BlockKind, BlockResolution, HexMesh, TsvGeometry};
@@ -51,29 +51,11 @@ use crate::{InterpolationGrid, ReducedOrderModel, RomError};
 /// one Gram block over the whole basis each.
 const PANEL: usize = 16;
 
-/// Options controlling the local-stage build.
-#[derive(Debug, Clone, Copy)]
-pub struct LocalStageOptions {
-    /// Worker-slot cap for the n+1 local solves (the paper uses 16).
-    ///
-    /// This is a *cap override* on the current [`WorkPool`], not a spawn
-    /// count: the build runs on the shared pool's resident workers and is
-    /// clamped to the pool's own cap, so nested stages can never multiply
-    /// thread counts.
-    pub threads: usize,
-}
-
-impl Default for LocalStageOptions {
-    fn default() -> Self {
-        // Derived from the shared pool (not an independent
-        // `available_parallelism` read) so that this default and every
-        // other stage's cap can never disagree and compound into cap²
-        // threads when stages nest.
-        Self {
-            threads: WorkPool::current().cap(),
-        }
-    }
-}
+/// Options controlling the local-stage build. It has none: the build runs
+/// at the cap of the current [`WorkPool`] (the paper uses 16 workers),
+/// which [`WorkPool::install`] narrows.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LocalStageOptions {}
 
 /// Cost accounting of one local-stage build. A model loaded from a `.rom`
 /// file ran no local stage: its stats are zero and its `ordering` empty.
@@ -144,7 +126,7 @@ impl LocalStage {
     ///
     /// Propagates assembly errors ([`RomError::Fem`]) and factorization
     /// failures ([`RomError::Linalg`]).
-    pub fn build(&self, opts: &LocalStageOptions) -> Result<ReducedOrderModel, RomError> {
+    pub fn build(&self, _opts: &LocalStageOptions) -> Result<ReducedOrderModel, RomError> {
         let start = Instant::now();
         let mesh = unit_block_mesh(&self.geom, &self.res, self.kind == BlockKind::Tsv);
         let system = assemble_system(&mesh, &self.materials)?;
@@ -198,7 +180,9 @@ impl LocalStage {
 
         // --- Factor once (the paper's key reuse) --------------------------
         let factor_start = Instant::now();
-        let chol = DirectCholesky::default().prepare(Arc::clone(&a_ff))?;
+        let chol = LinearSolver::DirectCholesky
+            .backend(VerifyPolicy::Off)
+            .prepare(Arc::clone(&a_ff))?;
         let factor_time = factor_start.elapsed();
 
         // --- n+1 local solves: build all right-hand sides, then one ------
@@ -206,7 +190,7 @@ impl LocalStage {
         let pool = WorkPool::current();
         let n = self.interp.num_dofs();
         let num_tasks = n + 1; // basis functions + thermal bubble
-        let threads = opts.threads.max(1).min(num_tasks);
+        let threads = pool.cap().min(num_tasks);
         let b_free: Vec<f64> = free_dofs.iter().map(|&d| system.thermal_load[d]).collect();
 
         // Boundary data of basis task `t`: component `t % 3` of surface
@@ -416,7 +400,7 @@ mod tests {
             kind,
         );
         stage
-            .build(&LocalStageOptions { threads: 4 })
+            .build(&LocalStageOptions::default())
             .expect("local stage builds")
     }
 
@@ -551,8 +535,10 @@ mod tests {
             &MaterialSet::tsv_defaults(),
             BlockKind::Tsv,
         );
-        let a = stage.build(&LocalStageOptions { threads: 1 }).unwrap();
-        let b = stage.build(&LocalStageOptions { threads: 8 }).unwrap();
+        let build = |cap| {
+            WorkPool::new(cap).install(|| stage.build(&LocalStageOptions::default()).unwrap())
+        };
+        let (a, b) = (build(1), build(8));
         let (pa, pb) = (a.element_stiffness(), b.element_stiffness());
         for i in 0..pa.rows() {
             for j in 0..pa.cols() {

@@ -89,7 +89,7 @@ fn local_stage_estimate_tracks_its_live_heap() {
     let baseline = LIVE.load(Ordering::Relaxed);
     LIVE_PEAK.store(baseline, Ordering::Relaxed);
     WINDOW_OPEN.store(true, Ordering::SeqCst);
-    let rom = pool.install(|| stage.build(&LocalStageOptions { threads: 1 }));
+    let rom = pool.install(|| stage.build(&LocalStageOptions::default()));
     WINDOW_OPEN.store(false, Ordering::SeqCst);
 
     let estimate = rom.expect("local stage builds").local_stats.peak_bytes;

@@ -37,9 +37,8 @@ fn build_rom(kind: BlockKind) -> ReducedOrderModel {
         &MaterialSet::tsv_defaults(),
         kind,
     )
-    // Request far more workers than any pool under test has: the pool cap,
-    // not the request, must bound (and determine) the parallelism.
-    .build(&LocalStageOptions { threads: 64 })
+    // The build runs at the cap of the pool it is installed on.
+    .build(&LocalStageOptions::default())
     .expect("local stage builds")
 }
 

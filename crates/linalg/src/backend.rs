@@ -50,43 +50,35 @@ use crate::{
 };
 
 // ---------------------------------------------------------------------------
-// Preconditioner selection
+// Preconditioners
 // ---------------------------------------------------------------------------
 
-/// Declarative preconditioner choice for the iterative backends.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PrecondSpec {
-    /// Diagonal (Jacobi) scaling.
+/// SSOR's relaxation factor on [`Auto`]'s iterative arm.
+const SSOR_OMEGA: f64 = 1.2;
+
+/// The preconditioner of an iterative engine: Jacobi for [`Cg`] and
+/// [`Gmres`], SSOR for [`Auto`]'s iterative arm.
+#[derive(Debug, Clone, Copy)]
+enum Precond {
     Jacobi,
-    /// Symmetric successive over-relaxation with relaxation factor `omega`.
-    Ssor {
-        /// Relaxation factor in `(0, 2)`.
-        omega: f64,
-    },
+    Ssor,
 }
 
-impl PrecondSpec {
+impl Precond {
     /// Builds the preconditioner for `a`, returning it with an analytic
     /// heap estimate of what the build allocated.
-    pub fn build(&self, a: &CsrMatrix) -> (Box<dyn Preconditioner + Send + Sync>, usize) {
+    fn build(self, a: &CsrMatrix) -> (Box<dyn Preconditioner + Send + Sync>, usize) {
         let n = a.nrows();
-        match *self {
-            PrecondSpec::Jacobi => (
+        match self {
+            Precond::Jacobi => (
                 Box::new(JacobiPreconditioner::new(a)),
                 n * std::mem::size_of::<f64>(),
             ),
-            PrecondSpec::Ssor { omega } => (
-                Box::new(SsorPreconditioner::new(a, omega)),
+            Precond::Ssor => (
+                Box::new(SsorPreconditioner::new(a, SSOR_OMEGA)),
                 // SSOR clones the operator and stores the diagonal.
                 a.heap_bytes() + n * std::mem::size_of::<f64>(),
             ),
-        }
-    }
-
-    fn fingerprint(&self) -> u64 {
-        match *self {
-            PrecondSpec::Jacobi => 2,
-            PrecondSpec::Ssor { omega } => 3 ^ omega.to_bits().rotate_left(8),
         }
     }
 }
@@ -346,8 +338,8 @@ pub trait SolverBackend: fmt::Debug + Send + Sync {
     /// indefinite operator; dimension errors for non-square input.
     fn prepare(&self, a: Arc<CsrMatrix>) -> Result<PreparedSolver, LinalgError>;
 
-    /// Fingerprint of the backend *configuration* (tolerances,
-    /// preconditioner, restart length, …), matched beside every
+    /// Fingerprint of the backend *configuration* (tolerance,
+    /// verification policy, shard count), matched beside every
     /// [`FactorCache`] key so differently-configured backends never share
     /// an entry.
     fn config_fingerprint(&self) -> u64;
@@ -474,24 +466,44 @@ impl fmt::Debug for PreparedSolver {
 /// that differs per solve. Everything else is read off the prepared state
 /// by [`PreparedSolver::report`].
 #[derive(Default)]
-struct EngineBatch {
+pub(crate) struct EngineBatch {
     /// Solutions, in right-hand-side order.
-    xs: Vec<Vec<f64>>,
+    pub(crate) xs: Vec<Vec<f64>>,
     /// Iterations, summed over the batch (`None` for direct solves).
-    iterations: Option<usize>,
+    pub(crate) iterations: Option<usize>,
     /// The engine's own residual estimate, worst over the batch.
-    residual: Option<f64>,
+    pub(crate) residual: Option<f64>,
     /// Worst true relative residual, when the engine verified itself (the
     /// ladder always does).
-    verified: Option<f64>,
+    pub(crate) verified: Option<f64>,
     /// Deepest solve-time degradation trail (empty without a ladder).
-    trail: DegradationTrail,
+    pub(crate) trail: DegradationTrail,
     /// Worker slots that solved at least one right-hand side.
-    workers: usize,
+    pub(crate) workers: usize,
     /// Per-solve workspaces held at once: one per worker, except for the
     /// sharded engine, whose staging vectors are held per right-hand side
     /// across the interface stage.
-    workspaces: usize,
+    pub(crate) workspaces: usize,
+}
+
+impl EngineBatch {
+    /// Folds one solve's numbers into the batch aggregate: iterations
+    /// summed, the worst residual by [`worse`] (a NaN counts as ∞), the
+    /// peak worker slots.
+    pub(crate) fn fold(
+        &mut self,
+        iterations: Option<usize>,
+        residual: Option<f64>,
+        workers: usize,
+    ) {
+        if let Some(it) = iterations {
+            self.iterations = Some(self.iterations.unwrap_or(0) + it);
+        }
+        if let Some(res) = residual {
+            self.residual = Some(worse(self.residual.unwrap_or(0.0), res));
+        }
+        self.workers = self.workers.max(workers);
+    }
 }
 
 /// One right-hand side through a per-RHS engine (the Krylov solvers, the
@@ -810,17 +822,7 @@ impl PreparedSolver {
             (Engine::Direct(factor), Some(ladder)) => {
                 self.ladder_batch(ladder, factor, rhs, threads)?
             }
-            (Engine::Sharded(schur), _) => {
-                let (xs, iterations, residual, workers) = schur.solve_many(rhs, threads)?;
-                EngineBatch {
-                    xs,
-                    iterations,
-                    residual,
-                    workers,
-                    workspaces: rhs.len().max(1),
-                    ..EngineBatch::default()
-                }
-            }
+            (Engine::Sharded(schur), _) => schur.solve_many(rhs, threads)?,
             (Engine::Cg { precond, opts }, _) => self.per_rhs_batch(rhs.len(), threads, |i| {
                 solve_cg(&self.matrix, &rhs[i], &**precond, *opts).map(RhsSolve::from)
             })?,
@@ -967,12 +969,7 @@ impl PreparedSolver {
         };
         for one in solved {
             let one = one?;
-            if let Some(it) = one.iterations {
-                batch.iterations = Some(batch.iterations.unwrap_or(0) + it);
-            }
-            if let Some(res) = one.residual {
-                batch.residual = Some(worse(batch.residual.unwrap_or(0.0), res));
-            }
+            batch.fold(one.iterations, one.residual, 1);
             if let Some(rr) = one.verified {
                 batch.verified = Some(worse(batch.verified.unwrap_or(0.0), rr));
             }
@@ -1123,25 +1120,14 @@ impl PreparedSolver {
 /// ([`SupernodalCholesky`]) under the per-operator [`FillOrdering::Auto`]
 /// ordering (geometric dissection along the block grid when the operator
 /// carries a [`PartitionHint`], RCM otherwise), factored as an
-/// elimination-tree task DAG on the current [`WorkPool`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// elimination-tree task DAG on the current [`WorkPool`], with the
+/// default [`SupernodalOptions`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DirectCholesky {
-    /// Supernode detection and factorization tuning (width cap,
-    /// relaxed-amalgamation budget, update-chunk budget).
-    pub supernodal: SupernodalOptions,
     /// Residual-verification policy for every solve through the prepared
     /// solver (default: [`VerifyPolicy::Off`]). Verification never mutates
     /// the solution, so `Report` is bitwise-free telemetry.
     pub verify: VerifyPolicy,
-}
-
-impl Default for DirectCholesky {
-    fn default() -> Self {
-        Self {
-            supernodal: SupernodalOptions::default(),
-            verify: VerifyPolicy::Off,
-        }
-    }
 }
 
 impl DirectCholesky {
@@ -1156,8 +1142,11 @@ impl DirectCholesky {
         t0: Instant,
     ) -> Result<PreparedSolver, LinalgError> {
         let factored = shifted.unwrap_or(&a);
-        let factor =
-            SupernodalCholesky::factor_ordered(factored, FillOrdering::Auto, &self.supernodal)?;
+        let factor = SupernodalCholesky::factor_ordered(
+            factored,
+            FillOrdering::Auto,
+            &SupernodalOptions::default(),
+        )?;
         Ok(self.wrap_factor(a, factor, t0))
     }
 
@@ -1179,7 +1168,7 @@ impl DirectCholesky {
         let (factor, border) = SupernodalCholesky::factor_bordered(
             bordered,
             ordering.permutation(&a),
-            &self.supernodal,
+            &SupernodalOptions::default(),
         )?;
         Ok((
             self.wrap_factor(a, factor.named(ordering.name()), t0),
@@ -1225,42 +1214,43 @@ impl SolverBackend for DirectCholesky {
     }
 
     fn config_fingerprint(&self) -> u64 {
-        // The supernode tuning shapes how the factor is grouped (and so its
-        // low-order bits), so it stays in the cache key.
-        0x10 ^ (self.supernodal.max_width as u64).rotate_left(40)
-            ^ self.supernodal.relax.to_bits().rotate_left(48)
-            ^ (self.supernodal.small_width as u64).rotate_left(56)
-            ^ self.supernodal.chunk_work.rotate_left(16)
-            ^ self.verify.fingerprint().rotate_left(36)
+        0x10 ^ self.verify.fingerprint().rotate_left(36)
     }
 }
 
-/// Preconditioned conjugate-gradient backend (SPD operators).
+/// Jacobi-preconditioned conjugate-gradient backend (SPD operators), at
+/// most 50 000 iterations — the configuration of [`LinearSolver::Cg`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cg {
-    /// Iteration options.
-    pub opts: CgOptions,
-    /// Preconditioner choice.
-    pub precond: PrecondSpec,
+    tol: f64,
 }
 
 impl Cg {
-    /// CG at tolerance `tol` with Jacobi preconditioning.
+    /// CG at relative-residual tolerance `tol`.
     pub fn with_tol(tol: f64) -> Self {
-        Self {
-            opts: CgOptions {
-                tol,
-                ..CgOptions::default()
-            },
-            precond: PrecondSpec::Jacobi,
-        }
+        Self { tol }
     }
 }
 
-impl Default for Cg {
-    fn default() -> Self {
-        Self::with_tol(CgOptions::default().tol)
-    }
+/// Prepares the CG engine for `a`: [`Cg`]'s Jacobi configuration, or
+/// [`Auto`]'s SSOR arm.
+fn prepare_cg(
+    a: Arc<CsrMatrix>,
+    opts: CgOptions,
+    precond: Precond,
+) -> Result<PreparedSolver, LinalgError> {
+    let t0 = Instant::now();
+    check_finite_matrix(&a)?;
+    let n = a.nrows();
+    let (precond, precond_bytes) = precond.build(&a);
+    Ok(PreparedSolver::new(
+        a,
+        Engine::Cg { precond, opts },
+        t0.elapsed(),
+        precond_bytes,
+        // The 5 CG work vectors, per concurrent solve.
+        5 * n * std::mem::size_of::<f64>(),
+    ))
 }
 
 impl SolverBackend for Cg {
@@ -1269,56 +1259,31 @@ impl SolverBackend for Cg {
     }
 
     fn prepare(&self, a: Arc<CsrMatrix>) -> Result<PreparedSolver, LinalgError> {
-        let t0 = Instant::now();
-        check_finite_matrix(&a)?;
-        let n = a.nrows();
-        let (precond, precond_bytes) = self.precond.build(&a);
-        Ok(PreparedSolver::new(
-            a,
-            Engine::Cg {
-                precond,
-                opts: self.opts,
-            },
-            t0.elapsed(),
-            precond_bytes,
-            // The 5 CG work vectors, per concurrent solve.
-            5 * n * std::mem::size_of::<f64>(),
-        ))
+        let opts = CgOptions {
+            tol: self.tol,
+            max_iter: 50_000,
+        };
+        prepare_cg(a, opts, Precond::Jacobi)
     }
 
     fn config_fingerprint(&self) -> u64 {
-        0x20 ^ self.opts.tol.to_bits()
-            ^ (self.opts.max_iter as u64).rotate_left(16)
-            ^ self.precond.fingerprint().rotate_left(32)
+        0x20 ^ self.tol.to_bits()
     }
 }
 
-/// Preconditioned restarted-GMRES backend (general operators; the paper's
-/// global-stage prescription).
+/// Jacobi-preconditioned restarted-GMRES backend (general operators; the
+/// paper's global-stage prescription), under the default
+/// [`GmresOptions`] restart schedule — the configuration of
+/// [`LinearSolver::Gmres`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Gmres {
-    /// Iteration options.
-    pub opts: GmresOptions,
-    /// Preconditioner choice.
-    pub precond: PrecondSpec,
+    tol: f64,
 }
 
 impl Gmres {
-    /// GMRES at tolerance `tol` with Jacobi preconditioning.
+    /// GMRES at relative-residual tolerance `tol`.
     pub fn with_tol(tol: f64) -> Self {
-        Self {
-            opts: GmresOptions {
-                tol,
-                ..GmresOptions::default()
-            },
-            precond: PrecondSpec::Jacobi,
-        }
-    }
-}
-
-impl Default for Gmres {
-    fn default() -> Self {
-        Self::with_tol(GmresOptions::default().tol)
+        Self { tol }
     }
 }
 
@@ -1331,25 +1296,23 @@ impl SolverBackend for Gmres {
         let t0 = Instant::now();
         check_finite_matrix(&a)?;
         let n = a.nrows();
-        let (precond, precond_bytes) = self.precond.build(&a);
+        let (precond, precond_bytes) = Precond::Jacobi.build(&a);
+        let opts = GmresOptions {
+            tol: self.tol,
+            ..GmresOptions::default()
+        };
         Ok(PreparedSolver::new(
             a,
-            Engine::Gmres {
-                precond,
-                opts: self.opts,
-            },
+            Engine::Gmres { precond, opts },
             t0.elapsed(),
             precond_bytes,
             // `restart + 1` Krylov vectors, per concurrent solve.
-            (self.opts.restart + 1) * n * std::mem::size_of::<f64>(),
+            (opts.restart + 1) * n * std::mem::size_of::<f64>(),
         ))
     }
 
     fn config_fingerprint(&self) -> u64 {
-        0x30 ^ self.opts.tol.to_bits()
-            ^ (self.opts.restart as u64).rotate_left(16)
-            ^ (self.opts.max_restarts as u64).rotate_left(24)
-            ^ self.precond.fingerprint().rotate_left(32)
+        0x30 ^ self.tol.to_bits()
     }
 }
 
@@ -1374,15 +1337,14 @@ impl SolverBackend for Gmres {
 /// 4. **GMRES** on the raw operator action.
 ///
 /// The refinement budget and the shift schedule are fixed constants of the
-/// ladder; `inner` and `tol` are its whole configuration.
+/// ladder, and its factors are the default [`DirectCholesky`]'s; `tol` is
+/// its whole configuration.
 ///
 /// A solve through this backend either meets `tol`, succeeds with the
 /// degradation recorded, or returns a typed [`LinalgError`] — it never
 /// panics on ill-conditioned, indefinite, singular or NaN-poisoned input.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Resilient {
-    /// Configuration of the direct first rung.
-    pub inner: DirectCholesky,
     /// Relative-residual tolerance the ladder enforces (and the iterative
     /// rungs target).
     pub tol: f64,
@@ -1397,10 +1359,7 @@ impl Default for Resilient {
 impl Resilient {
     /// The ladder at enforcement tolerance `tol`.
     pub fn with_tol(tol: f64) -> Self {
-        Self {
-            inner: DirectCholesky::default(),
-            tol,
-        }
+        Self { tol }
     }
 
     /// The regularization rung: factors `A + δ·I` with escalating δ until
@@ -1422,7 +1381,7 @@ impl Resilient {
         let mut shift = SHIFT_REL * max_diag;
         for _ in 0..SHIFT_ATTEMPTS {
             let shifted = shifted_copy(a, shift);
-            match self.inner.prepare_factor(Arc::clone(a), Some(&shifted), t0) {
+            match DirectCholesky::default().prepare_factor(Arc::clone(a), Some(&shifted), t0) {
                 Err(e @ LinalgError::NotPositiveDefinite { .. }) => {
                     breakdown = e;
                     shift *= SHIFT_GROWTH;
@@ -1467,7 +1426,8 @@ impl SolverBackend for Resilient {
         let t0 = Instant::now();
         check_finite_matrix(&a)?;
         let mut trail = DegradationTrail::new();
-        let mut prepared = match self.inner.prepare_factor(Arc::clone(&a), None, t0) {
+        let mut prepared = match DirectCholesky::default().prepare_factor(Arc::clone(&a), None, t0)
+        {
             Ok(prepared) => prepared,
             Err(err @ LinalgError::NotPositiveDefinite { .. }) => {
                 trail.push(DegradationStep {
@@ -1506,7 +1466,7 @@ impl SolverBackend for Resilient {
     }
 
     fn config_fingerprint(&self) -> u64 {
-        0x60 ^ self.inner.config_fingerprint().rotate_left(2) ^ self.tol.to_bits().rotate_left(16)
+        0x60 ^ self.tol.to_bits().rotate_left(16)
     }
 }
 
@@ -1547,20 +1507,13 @@ impl SolverBackend for Auto {
             // and when factorization rejects the operator the ladder records
             // the triggering Cholesky error as the first `DegradationStep`
             // instead of silently swapping in GMRES.
-            Resilient {
-                tol: self.tol,
-                ..Resilient::default()
-            }
-            .prepare(a)
+            Resilient::with_tol(self.tol).prepare(a)
         } else {
-            Cg {
-                opts: CgOptions {
-                    tol: self.tol,
-                    max_iter: 20_000,
-                },
-                precond: PrecondSpec::Ssor { omega: 1.2 },
-            }
-            .prepare(a)
+            let opts = CgOptions {
+                tol: self.tol,
+                max_iter: 20_000,
+            };
+            prepare_cg(a, opts, Precond::Ssor)
         }
     }
 
@@ -1638,19 +1591,10 @@ impl LinearSolver {
     /// preparation, so a caller that prepares repeatedly constructs once
     /// and keeps the backend.
     pub fn backend(self, verify: VerifyPolicy) -> Box<dyn SolverBackend> {
-        let direct = DirectCholesky {
-            verify,
-            ..DirectCholesky::default()
-        };
+        let direct = DirectCholesky { verify };
         match self {
             LinearSolver::DirectCholesky => Box::new(direct),
-            LinearSolver::Cg { tol } => Box::new(Cg {
-                opts: CgOptions {
-                    tol,
-                    max_iter: 50_000,
-                },
-                precond: PrecondSpec::Jacobi,
-            }),
+            LinearSolver::Cg { tol } => Box::new(Cg::with_tol(tol)),
             LinearSolver::Gmres { tol } => Box::new(Gmres::with_tol(tol)),
             LinearSolver::Auto => Box::new(Auto::default()),
             LinearSolver::Sharded { shards } => {
@@ -2022,10 +1966,7 @@ mod tests {
             VerifyPolicy::Report,
             VerifyPolicy::Enforce { tol: 1e-10 },
         ] {
-            let direct = DirectCholesky {
-                verify,
-                ..DirectCholesky::default()
-            };
+            let direct = DirectCholesky { verify };
             let sharded = |shards| {
                 let mut sharded = Sharded::with_inner(shards, direct);
                 sharded.verify = verify;
@@ -2037,16 +1978,7 @@ mod tests {
                     LinearSolver::Gmres { tol: 1e-7 },
                     Box::new(Gmres::with_tol(1e-7)),
                 ),
-                (
-                    LinearSolver::Cg { tol: 1e-7 },
-                    Box::new(Cg {
-                        opts: CgOptions {
-                            tol: 1e-7,
-                            max_iter: 50_000,
-                        },
-                        precond: PrecondSpec::Jacobi,
-                    }),
-                ),
+                (LinearSolver::Cg { tol: 1e-7 }, Box::new(Cg::with_tol(1e-7))),
                 (LinearSolver::Auto, Box::new(Auto::default())),
                 (LinearSolver::Sharded { shards: 4 }, Box::new(sharded(4))),
                 (LinearSolver::Sharded { shards: 0 }, Box::new(sharded(1))),
@@ -2091,6 +2023,29 @@ mod tests {
         assert!(batch.report.residual.unwrap() <= 1e-11);
         for (b, x) in loads.iter().zip(&batch.xs) {
             assert!(a.residual(x, b) < 1e-9);
+        }
+    }
+
+    /// The one batch fold of the per-RHS and sharded engines: a NaN
+    /// residual is the worst, wherever it falls in the batch.
+    #[test]
+    fn batch_fold_keeps_a_nan_residual_as_the_worst() {
+        for nan_at in 0..3 {
+            let mut batch = EngineBatch::default();
+            for (i, (iterations, workers)) in [(Some(3), 1), (None, 4), (Some(2), 2)]
+                .into_iter()
+                .enumerate()
+            {
+                let residual = if i == nan_at {
+                    f64::NAN
+                } else {
+                    1e-9 * (i + 1) as f64
+                };
+                batch.fold(iterations, Some(residual), workers);
+            }
+            assert_eq!(batch.iterations, Some(5));
+            assert_eq!(batch.residual, Some(f64::INFINITY), "NaN at {nan_at}");
+            assert_eq!(batch.workers, 4);
         }
     }
 

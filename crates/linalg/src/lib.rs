@@ -70,12 +70,11 @@
 //! All parallelism routes through [`WorkPool::current`]: the process-wide
 //! [`WorkPool::global`] pool by default (capped by the `MORESTRESS_THREADS`
 //! environment variable, else `available_parallelism` clamped to 16), or an
-//! explicitly-capped pool within a [`WorkPool::install`] scope. The
-//! `threads` knobs across the workspace (`solve_many`'s `threads`
-//! parameter, `LocalStageOptions::threads`) are *cap overrides*: they can
-//! narrow a call below the pool cap but never widen it, and they never
-//! spawn anything themselves; the global stage has no knob and runs at the
-//! installed cap. Nested stages share the one pool, so within one call
+//! explicitly-capped pool within a [`WorkPool::install`] scope. The one
+//! per-call `threads` knob ([`PreparedSolver::solve_many`]'s `threads`
+//! parameter) is a *cap override*: it can narrow a call below the pool cap
+//! but never widen it, and it never spawns anything itself; the local and
+//! global stages have no knob and run at the installed cap. Nested stages share the one pool, so within one call
 //! tree live threads never exceed the cap however stages compose (independent application threads calling
 //! in concurrently each add their own caller slot on top of the resident
 //! workers — see the [`WorkPool`] module docs); [`SolveReport::workers`]
@@ -122,9 +121,8 @@ mod vecops;
 
 pub use backend::{
     matrix_fingerprint, Auto, BackendSolution, BatchSolution, Cg, DegradationStep,
-    DegradationTrail, DirectCholesky, FactorCache, Gmres, LinearSolver, PrecondSpec,
-    PreparedSolver, Resilient, Rung, SolveReport, SolverBackend, VerifyPolicy,
-    MAX_DEGRADATION_STEPS,
+    DegradationTrail, DirectCholesky, FactorCache, Gmres, LinearSolver, PreparedSolver, Resilient,
+    Rung, SolveReport, SolverBackend, VerifyPolicy, MAX_DEGRADATION_STEPS,
 };
 pub use dense::DenseMatrix;
 pub use error::LinalgError;

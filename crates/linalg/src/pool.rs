@@ -36,8 +36,8 @@
 //! work concurrently: up to `cap − 1` resident workers plus the calling
 //! thread, which always participates. Per-call `workers` arguments
 //! ([`PreparedSolver::solve_many`](crate::PreparedSolver::solve_many)'s
-//! `threads`, `LocalStageOptions::threads`) are *requests* that are clamped
-//! to the cap — they can narrow a call below the cap but never widen it. Nested stages share the one pool: a task already running on a
+//! `threads`) are *requests* that are clamped to the cap — they can narrow
+//! a call below the cap but never widen it. Nested stages share the one pool: a task already running on a
 //! pool worker that opens a nested scope enqueues onto the same queue, and
 //! idle workers help out; no new threads appear. A worker waiting for its
 //! nested scope only waits on worker slots other threads have already

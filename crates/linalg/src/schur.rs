@@ -56,6 +56,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::backend::EngineBatch;
 use crate::{
     BlockedKernel, CsrMatrix, DegradationTrail, DirectCholesky, LinalgError, MemoryFootprint,
     PreparedSolver, Resilient, ShardPlan, ShardPlanStats, SolverBackend, VerifyPolicy, WorkPool,
@@ -470,10 +471,6 @@ fn condense_interface(
 /// [`condense_interface`].
 type CondensedInterface = (Option<PreparedSolver>, bool, Option<Arc<InterfaceAssembly>>);
 
-/// `(solutions, summed iterations, worst residual, peak worker slots)` of
-/// one sharded batch solve.
-pub(crate) type ShardedBatch = (Vec<Vec<f64>>, Option<usize>, Option<f64>, usize);
-
 impl SchurSolver {
     /// Finds the *dirty* shards of `plan` over `a`, extracts, factors and
     /// condenses only those, and rebuilds and factors the interface system.
@@ -679,31 +676,24 @@ impl SchurSolver {
     /// the report merge below runs serially in shard order, so results
     /// stay bitwise cap-invariant).
     ///
-    /// Returns `(solutions, iterations, residual, workers)` with the usual
-    /// batch-aggregate semantics (summed iterations, worst residual, peak
-    /// worker slots over the stages).
+    /// Every inner solve's report is folded into the batch's
+    /// ([`EngineBatch::fold`]), along with the fan-out of the per-shard
+    /// stages.
     pub(crate) fn solve_many(
         &self,
         rhs: &[Vec<f64>],
         threads: usize,
-    ) -> Result<ShardedBatch, LinalgError> {
+    ) -> Result<EngineBatch, LinalgError> {
         let interface = self.plan.interface();
         let n_s = interface.len();
         let mut xs: Vec<Vec<f64>> = rhs.iter().map(|b| vec![0.0; b.len()]).collect();
-        let mut iterations: Option<usize> = None;
-        let mut residual: Option<f64> = None;
-        let mut workers = 1usize;
-        // Fan-out slots of the per-shard stages, merged into `workers` at
-        // the end (kept separate: `merge` holds the mutable borrow).
-        let mut fanout = 1usize;
-        let mut merge = |report: &crate::SolveReport| {
-            if let Some(it) = report.iterations {
-                iterations = Some(iterations.unwrap_or(0) + it);
-            }
-            if let Some(res) = report.residual {
-                residual = Some(residual.map_or(res, |worst: f64| worst.max(res)));
-            }
-            workers = workers.max(report.workers);
+        let mut out = EngineBatch {
+            workers: 1,
+            workspaces: rhs.len().max(1),
+            ..EngineBatch::default()
+        };
+        let merge = |out: &mut EngineBatch, report: &crate::SolveReport| {
+            out.fold(report.iterations, report.residual, report.workers);
         };
 
         // Stage 1: interior pre-solves z_k = A_kk⁻¹ b_k, one task per
@@ -720,12 +710,12 @@ impl SchurSolver {
             let batch = self.blocks[k].solver.solve_many(&b_k, threads)?;
             Ok::<_, LinalgError>((b_k, batch))
         });
-        fanout = fanout.max(used1);
+        out.workers = out.workers.max(used1);
         let mut gathered: Vec<Vec<Vec<f64>>> = Vec::with_capacity(self.blocks.len());
         let mut pre: Vec<Vec<Vec<f64>>> = Vec::with_capacity(self.blocks.len());
         for shard in stage1 {
             let (b_k, batch) = shard?;
-            merge(&batch.report);
+            merge(&mut out, &batch.report);
             gathered.push(b_k);
             pre.push(batch.xs);
         }
@@ -740,7 +730,7 @@ impl SchurSolver {
                     }
                 }
             }
-            return Ok((xs, iterations, residual, workers.max(fanout)));
+            return Ok(EngineBatch { xs, ..out });
         };
 
         // Stage 2: interface reduction r_s = b_s − Σ_k A_sk z_k, shards
@@ -762,7 +752,7 @@ impl SchurSolver {
 
         // Stage 3: one batched interface solve.
         let s_batch = s_solver.solve_many(&r_s, threads)?;
-        merge(&s_batch.report);
+        merge(&mut out, &s_batch.report);
         for (x, x_s) in xs.iter_mut().zip(&s_batch.xs) {
             for (&r, &v) in interface.iter().zip(x_s) {
                 x[r] = v;
@@ -784,11 +774,11 @@ impl SchurSolver {
             }
             block.solver.solve_many(&b_k, threads)
         });
-        fanout = fanout.max(used4);
+        out.workers = out.workers.max(used4);
         for (k, batch) in stage4.into_iter().enumerate() {
             let batch = batch?;
             let rows = self.plan.shard_rows(k);
-            merge(&batch.report);
+            merge(&mut out, &batch.report);
             for (x, z) in xs.iter_mut().zip(&batch.xs) {
                 for (&r, &v) in rows.iter().zip(z) {
                     x[r] = v;
@@ -796,7 +786,7 @@ impl SchurSolver {
             }
         }
 
-        Ok((xs, iterations, residual, workers.max(fanout)))
+        Ok(EngineBatch { xs, ..out })
     }
 }
 
@@ -836,7 +826,7 @@ fn prepare_shard(
             }
             Err(LinalgError::NotPositiveDefinite { .. }) => {
                 drop(bordered);
-                let solver = ladder(inner).prepare(interior)?;
+                let solver = Resilient::default().prepare(interior)?;
                 let clique = condense_columns(&solver, &a_ks, &a_sk, &cols)?;
                 (solver, clique, true)
             }
@@ -939,15 +929,6 @@ fn condense_columns(
     Ok(clique)
 }
 
-/// The resilience ladder over `inner`: what a block whose direct
-/// factorization broke down is prepared with.
-fn ladder(inner: &DirectCholesky) -> Resilient {
-    Resilient {
-        inner: *inner,
-        ..Resilient::default()
-    }
-}
-
 /// Prepares one block, containing a factorization breakdown: a
 /// [`LinalgError::NotPositiveDefinite`] block (the interface system, or an
 /// interior that couples no interface DoF) falls down the resilience
@@ -962,7 +943,7 @@ fn prepare_contained(
     match inner.prepare(Arc::clone(block)) {
         Ok(solver) => Ok((solver, false)),
         Err(LinalgError::NotPositiveDefinite { .. }) => {
-            Ok((ladder(inner).prepare(Arc::clone(block))?, true))
+            Ok((Resilient::default().prepare(Arc::clone(block))?, true))
         }
         Err(other) => Err(other),
     }
@@ -1337,10 +1318,9 @@ mod tests {
 
     #[test]
     fn a_changed_inner_configuration_reuses_nothing() {
-        // Two inner configurations whose `config_fingerprint`s collide (the
-        // rotated width and chunk-budget terms cancel): the retained
-        // preparation is matched by the exact configuration, so a clone
-        // switched to the other one reuses no shard.
+        // The retained preparation is matched by the exact inner
+        // configuration — its one setting, `verify` — so a clone switched
+        // to another one reuses no shard.
         let a = hinted(5, 4, 6);
         let rhs = loads(a.nrows(), 3);
         let backend = Sharded::new(4);
@@ -1348,13 +1328,8 @@ mod tests {
         let k = first.schur().expect("sharded engine").num_shards();
         assert!(k >= 2);
         let mut other = backend.clone();
-        other.inner.supernodal.max_width = 33;
-        other.inner.supernodal.chunk_work = (1 << 18) ^ (1 << 24);
+        other.inner.verify = VerifyPolicy::Report;
         assert_ne!(other.inner, backend.inner);
-        assert_eq!(
-            other.inner.config_fingerprint(),
-            backend.inner.config_fingerprint()
-        );
         let second = other.prepare(Arc::clone(&a)).unwrap();
         let schur = second.schur().unwrap();
         assert_eq!(schur.shards_reused(), 0);
