@@ -70,7 +70,7 @@ fn main() -> std::io::Result<()> {
             let prepared = resilient
                 .prepare(Arc::clone(&broken))
                 .expect("the ladder never fails preparation on finite input");
-            assert!(!prepared.prep_degradation().is_empty());
+            assert!(!prepared.description().degradation.is_empty());
             // The recovered solve may still refuse (typed) on a hostile
             // operator; the bench times the attempt either way.
             let _ = prepared.solve(&rhs[0]);

@@ -8,8 +8,7 @@
 //!
 //! * [`CampaignSpec`] — the typed scenario model, parsed from a YAML
 //!   subset ([`yaml`]) with [`SpecError`]s that carry the offending
-//!   1-based line, and printed back canonically by
-//!   [`CampaignSpec::to_yaml`] (exact round-trip).
+//!   1-based line.
 //! * [`CampaignRunner`] — the campaign scheduler: many campaigns run
 //!   together, one task per array (all of its loads in one batched
 //!   solve), at most pool-cap arrays in flight, one shared simulator (and

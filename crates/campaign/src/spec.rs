@@ -5,9 +5,7 @@
 //! block).
 //!
 //! Specs parse from the YAML subset of [`crate::yaml`] with typed,
-//! line-carrying errors, and print back with [`CampaignSpec::to_yaml`] —
-//! `parse(to_yaml(spec)) == spec` round-trips exactly (floats are emitted
-//! with Rust's shortest-roundtrip formatting).
+//! line-carrying errors.
 //!
 //! **Units**: Young's moduli are in **MPa** (the workspace convention —
 //! lengths in µm, stresses in MPa), not the Pa of the reference config;
@@ -507,65 +505,6 @@ impl CampaignSpec {
             kind: SpecErrorKind::Io(format!("{}: {e}", path.display())),
         })?;
         Self::parse(&text)
-    }
-
-    /// Prints the spec in the canonical form [`parse`](Self::parse) reads
-    /// back — `parse(to_yaml()) == self` exactly.
-    pub fn to_yaml(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("name: {}\n", self.name));
-        if !self.materials.is_empty() {
-            out.push_str("materials:\n");
-            for m in &self.materials {
-                out.push_str(&format!("  - name: {}\n", m.name));
-                out.push_str(&format!("    young_modulus: {}\n", m.young_modulus));
-                out.push_str(&format!("    poisson_ratio: {}\n", m.poisson_ratio));
-                out.push_str(&format!(
-                    "    thermal_expansion_coefficient: {}\n",
-                    m.thermal_expansion_coefficient
-                ));
-            }
-        }
-        out.push_str("geometry:\n");
-        out.push_str(&format!("  height: {}\n", self.geometry.height));
-        out.push_str(&format!("  pitch: {}\n", self.geometry.pitch));
-        out.push_str(&format!("  diameter: {}\n", self.geometry.diameter));
-        out.push_str(&format!("  thickness: {}\n", self.geometry.liner));
-        out.push_str("loads:\n");
-        for load in &self.loads {
-            out.push_str(&format!("  - {load}\n"));
-        }
-        out.push_str("tsv_array:\n");
-        for a in &self.arrays {
-            out.push_str(&format!("  - tsv_num_x: {}\n", a.tsv_num_x));
-            out.push_str(&format!("    tsv_num_y: {}\n", a.tsv_num_y));
-            out.push_str(&format!("    dummy_tsv_num_x: {}\n", a.dummy_tsv_num_x));
-            out.push_str(&format!("    dummy_tsv_num_y: {}\n", a.dummy_tsv_num_y));
-        }
-        out.push_str("solver:\n");
-        out.push_str(&format!("  interp_num_x: {}\n", self.solver.interp_num[0]));
-        out.push_str(&format!("  interp_num_y: {}\n", self.solver.interp_num[1]));
-        out.push_str(&format!("  interp_num_z: {}\n", self.solver.interp_num[2]));
-        out.push_str(&format!(
-            "  resolution: {}\n",
-            self.solver.resolution.name()
-        ));
-        let solver = match self.solver.global_solver {
-            SolverChoice::Direct => "direct",
-            SolverChoice::Gmres => "gmres",
-            SolverChoice::Cg => "cg",
-            SolverChoice::Auto => "auto",
-        };
-        out.push_str(&format!("  global_solver: {solver}\n"));
-        out.push_str(&format!("  shards: {}\n", self.solver.shards));
-        let verify = match self.solver.verify {
-            VerifyChoice::Off => "off",
-            VerifyChoice::Report => "report",
-            VerifyChoice::Enforce => "enforce",
-        };
-        out.push_str(&format!("  verify: {verify}\n"));
-        out.push_str(&format!("  tolerance: {}\n", self.solver.tolerance));
-        out
     }
 
     /// The material registry of the campaign:

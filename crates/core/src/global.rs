@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use morestress_fem::{DirichletBcs, FemError, ReducedSystem};
 use morestress_linalg::{
     huge_with_capacity, huge_zeroed, CsrMatrix, DegradationTrail, FactorCache, LinearSolver,
-    MemoryFootprint, PartitionHint, SolverBackend, VerifyPolicy, WorkPool,
+    MemoryFootprint, PartitionHint, SolveReport, SolverBackend, VerifyPolicy, WorkPool,
 };
 use morestress_mesh::{BlockKind, BlockLayout};
 
@@ -206,8 +206,9 @@ pub struct GlobalStats {
     /// Iterations of the iterative solver (0 for direct solves; for a
     /// batched solve: summed over the batch).
     pub iterations: usize,
-    /// Name of the solver backend that ran ("cholesky", "cg", "gmres";
-    /// "none" when every DoF was prescribed).
+    /// Name of the solver backend that ran ([`SolveReport::backend`]:
+    /// "cholesky", "sharded", "cg", "gmres" or "resilient"; "none" when
+    /// every DoF was prescribed).
     pub backend: &'static str,
     /// Effective [`WorkPool`](morestress_linalg::WorkPool) worker slots the
     /// batched solve ran on (1 for serial and fully-constrained solves).
@@ -272,6 +273,44 @@ pub struct GlobalStats {
     /// [`GlobalBc::SubmodelBoundary`] solve that then took the cached
     /// factor — and for fully-constrained solves.
     pub operator_reused: bool,
+}
+
+impl GlobalStats {
+    /// The one literal: the stage's own figures beside what the solve's
+    /// report says ([`SolveReport::NONE`] when nothing was solved).
+    fn new(
+        report: &SolveReport,
+        wall_time: Duration,
+        peak_bytes: usize,
+        total_dofs: usize,
+        free_dofs: usize,
+        nnz: usize,
+        operator_reused: bool,
+    ) -> Self {
+        GlobalStats {
+            wall_time,
+            peak_bytes,
+            total_dofs,
+            free_dofs,
+            nnz,
+            iterations: report.iterations.unwrap_or(0),
+            backend: report.backend,
+            workers: report.workers,
+            factor_workers: report.factor_workers,
+            ordering: report.supernode_stats.map(|stats| stats.ordering),
+            factor_nnz: report.factor_nnz,
+            shards: report.shards,
+            interface_dofs: report.interface_dofs,
+            shard_factor_bytes: report.shard_factor_bytes,
+            shards_refactored: report.shards_refactored,
+            shards_reused: report.shards_reused,
+            shards_degraded: report.shards_degraded,
+            verified_residual: report.verified_residual,
+            degradation: report.degradation,
+            plan_stats: report.plan_stats,
+            operator_reused,
+        }
+    }
 }
 
 /// The solved global problem of one array.
@@ -465,29 +504,7 @@ impl<'a> GlobalStage<'a> {
         let (prelude, free) = self.prelude(layout, bc)?;
         let lattice = &prelude.lattice;
         let ndof = lattice.num_dofs();
-        let mut stats = GlobalStats {
-            wall_time: Duration::ZERO,
-            peak_bytes: prelude.b_unit.heap_bytes(),
-            total_dofs: ndof,
-            free_dofs: 0,
-            nnz: 0,
-            iterations: 0,
-            backend: "none",
-            workers: 1,
-            factor_workers: 1,
-            ordering: None,
-            factor_nnz: None,
-            shards: 1,
-            interface_dofs: 0,
-            shard_factor_bytes: 0,
-            shards_refactored: 0,
-            shards_reused: 0,
-            shards_degraded: 0,
-            verified_residual: None,
-            degradation: DegradationTrail::new(),
-            plan_stats: None,
-            operator_reused: false,
-        };
+        let mut peak_bytes = prelude.b_unit.heap_bytes();
         // A fully-constrained problem (e.g. a single block under sub-model
         // boundary conditions) has no free DoFs: the nodal solution is just
         // the prescribed data, identically for every thermal load.
@@ -496,7 +513,15 @@ impl<'a> GlobalStage<'a> {
             for (dof, v) in free.bcs.iter() {
                 nodal[dof] = v;
             }
-            stats.wall_time = start.elapsed();
+            let stats = GlobalStats::new(
+                &SolveReport::NONE,
+                start.elapsed(),
+                peak_bytes,
+                ndof,
+                0,
+                0,
+                false,
+            );
             return Ok(delta_ts
                 .iter()
                 .map(|_| GlobalSolution {
@@ -512,16 +537,16 @@ impl<'a> GlobalStage<'a> {
         // --- Operator: the cached solver's own, else assembled --------------
         let key = self.key(layout, bc, &prelude.blocks);
         let cached = self.cache.and_then(|cache| cache.get(backend, &key));
-        stats.operator_reused = cached.is_some() && matches!(bc, GlobalBc::ClampedTopBottom);
+        let operator_reused = cached.is_some() && matches!(bc, GlobalBc::ClampedTopBottom);
         let reduced = match &cached {
-            Some(solver) if stats.operator_reused => {
+            Some(solver) if operator_reused => {
                 ReducedSystem::with_operator(Arc::clone(solver.matrix()), free.dofs, ndof, free.bcs)
             }
             _ => {
                 // The assembly scratch dies inside the call, before the
                 // factorization allocates.
                 let (reduced, scratch_bytes) = self.assemble_reduced(layout, &prelude, free);
-                stats.peak_bytes += reduced.a_ff.heap_bytes() + scratch_bytes;
+                peak_bytes += reduced.a_ff.heap_bytes() + scratch_bytes;
                 reduced
             }
         };
@@ -552,35 +577,23 @@ impl<'a> GlobalStage<'a> {
                 .solve_many(&rhs_set, threads)?,
         };
 
-        let stats = GlobalStats {
-            wall_time: start.elapsed(),
-            peak_bytes: stats.peak_bytes
-                + rhs_set
-                    .iter()
-                    .map(MemoryFootprint::heap_bytes)
-                    .sum::<usize>()
-                + self.rom_tsv.heap_bytes()
-                + self.rom_dummy.map_or(0, MemoryFootprint::heap_bytes)
-                + batch.report.solver_bytes,
-            free_dofs: reduced.num_free(),
-            nnz: reduced.a_ff.nnz(),
-            iterations: batch.report.iterations.unwrap_or(0),
-            backend: batch.report.backend,
-            workers: batch.report.workers,
-            factor_workers: batch.report.factor_workers,
-            ordering: batch.report.ordering,
-            factor_nnz: batch.report.factor_nnz,
-            shards: batch.report.shards,
-            interface_dofs: batch.report.interface_dofs,
-            shard_factor_bytes: batch.report.shard_factor_bytes,
-            shards_refactored: batch.report.shards_refactored,
-            shards_reused: batch.report.shards_reused,
-            shards_degraded: batch.report.shards_degraded,
-            verified_residual: batch.report.verified_residual,
-            degradation: batch.report.degradation,
-            plan_stats: batch.report.plan_stats,
-            ..stats
-        };
+        let peak_bytes = peak_bytes
+            + rhs_set
+                .iter()
+                .map(MemoryFootprint::heap_bytes)
+                .sum::<usize>()
+            + self.rom_tsv.heap_bytes()
+            + self.rom_dummy.map_or(0, MemoryFootprint::heap_bytes)
+            + batch.report.solver_bytes;
+        let stats = GlobalStats::new(
+            &batch.report,
+            start.elapsed(),
+            peak_bytes,
+            ndof,
+            reduced.num_free(),
+            reduced.a_ff.nnz(),
+            operator_reused,
+        );
         Ok(batch
             .xs
             .into_iter()
@@ -1081,6 +1094,35 @@ mod tests {
         let ft = rom.thermal_basis();
         for (a, b) in u.iter().zip(ft) {
             assert!((a - b * -250.0).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn fully_constrained_solves_return_the_prescribed_data() {
+        // One block under sub-model boundary conditions prescribes every
+        // lattice node: each load's solution is the prescribed data, and
+        // the stats describe a solve that solved nothing.
+        let rom = rom(BlockKind::Tsv);
+        let layout = BlockLayout::uniform(1, 1, BlockKind::Tsv);
+        let field = |p: [f64; 3]| [1e-4 * p[0], -2e-4 * p[1], 5e-5 * (p[2] - 25.0)];
+        let bc = GlobalBc::SubmodelBoundary(Arc::new(field));
+        let loads = [-250.0, 0.0, 85.0];
+        let solutions = GlobalStage::new(&rom)
+            .solve_many(&layout, &loads, &bc)
+            .unwrap();
+        assert_eq!(solutions.len(), loads.len());
+        for sol in &solutions {
+            let lattice = sol.lattice();
+            let prescribed: Vec<f64> = (0..lattice.num_nodes())
+                .flat_map(|id| field(lattice.position(id)))
+                .collect();
+            assert_eq!(sol.nodal_displacement(), prescribed.as_slice());
+            let stats = &sol.stats;
+            assert_eq!(stats.backend, "none");
+            assert_eq!((stats.free_dofs, stats.nnz), (0, 0));
+            assert_eq!(stats.total_dofs, prescribed.len());
+            assert_eq!((stats.shards, stats.workers), (1, 1));
+            assert_eq!(stats.factor_nnz, None);
         }
     }
 

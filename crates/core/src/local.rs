@@ -238,8 +238,9 @@ impl LocalStage {
         // full side by side.
         let ordering = batch
             .report
-            .ordering
-            .expect("the direct backend reports its ordering");
+            .supernode_stats
+            .expect("the direct backend reports its factor")
+            .ordering;
         let xs = Mutex::new(batch.xs);
         let (mut solutions, _) = pool.scope_collect_with(
             threads,
@@ -331,7 +332,7 @@ impl LocalStage {
         let peak_bytes = stiffness.heap_bytes()
             + a_ff.heap_bytes()
             + a_fb.heap_bytes()
-            + chol.solver_bytes()
+            + chol.description().solver_bytes
             + weights.heap_bytes()
             + basis_bytes
             + basis_thermal.heap_bytes()
@@ -344,7 +345,10 @@ impl LocalStage {
             projection_time,
             fine_dofs: ndof,
             num_basis: n,
-            factor_nnz: chol.factor_nnz().expect("direct backend has a factor"),
+            factor_nnz: chol
+                .description()
+                .factor_nnz
+                .expect("direct backend has a factor"),
             ordering,
             peak_bytes,
             galerkin_orthogonality: worst_tfi / a_max,

@@ -24,10 +24,18 @@
 //! There is one solve route. [`PreparedSolver::solve_many`] validates the
 //! right-hand sides, runs the engine's batch (four engines: direct panels,
 //! sharded Schur, CG, GMRES), rejects non-finite solutions, applies the
-//! [`VerifyPolicy`] through one verifier and assembles the [`SolveReport`]
-//! in one place, from the per-solve numbers the engine returned plus what
-//! the prepared state says about itself; [`PreparedSolver::solve`] is a
-//! one-column batch. Resilience is not an engine: [`Resilient`] prepares
+//! [`VerifyPolicy`] through one verifier and builds the [`SolveReport`];
+//! [`PreparedSolver::solve`] is a one-column batch.
+//!
+//! Reports are built in two steps, both in this crate. Each engine's
+//! constructor describes the preparation once, when it is built (the
+//! sharded engine's in `SchurSolver::assemble`, the others here): the
+//! report of an empty batch, which [`PreparedSolver::description`]
+//! returns. `solve_many` then builds every report in one place, as that
+//! description with the batch's own numbers — solve time, iterations,
+//! residuals, solver bytes at the batch's concurrency, right-hand sides,
+//! workers, the verified residual and the solve-time trail. Nothing about
+//! the preparation is recomputed per solve. Resilience is not an engine: [`Resilient`] prepares
 //! the direct engine — around the factor of `A`, or of `A + δ·I` — and
 //! attaches the degradation ladder (verify → refine on the same factor →
 //! lazily built GMRES) as a policy, with residuals always taken against
@@ -214,13 +222,18 @@ pub(crate) fn check_finite_matrix(a: &CsrMatrix) -> Result<(), LinalgError> {
 /// Uniform cost/quality accounting of one (possibly batched) solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveReport {
-    /// Name of the backend that ran (`"cholesky"`, `"cg"`, `"gmres"`).
+    /// Name of the backend that prepared the solver: `"cholesky"`,
+    /// `"sharded"`, `"cg"`, `"gmres"`, or `"resilient"` for the direct
+    /// factor under the degradation ladder (a [`Resilient`] preparation
+    /// that fell to GMRES reports `"gmres"`). [`SolveReport::NONE`] says
+    /// `"none"`.
     pub backend: &'static str,
     /// Wall time of the one-time preparation (factorization or
     /// preconditioner build) behind this solve.
     pub setup_time: Duration,
-    /// Wall time of the solve itself (summed over the batch for
-    /// [`PreparedSolver::solve_many`]).
+    /// Wall time of the solve itself: for
+    /// [`PreparedSolver::solve_many`], the batch's wall time from
+    /// validation to verification.
     pub solve_time: Duration,
     /// Iterations performed (summed over the batch); `None` for direct
     /// solves.
@@ -245,16 +258,13 @@ pub struct SolveReport {
     pub factor_workers: usize,
     /// Shape statistics of the supernodal factor behind this solve —
     /// supernode count, etree height, weighted critical path, subtree
-    /// balance; `None` for iterative engines.
+    /// balance and the resolved fill ordering
+    /// ([`SupernodeStats::ordering`]); `None` for the iterative engines
+    /// and for the sharded engine, whose blocks each have their own.
     pub supernode_stats: Option<SupernodeStats>,
-    /// The resolved fill ordering of the direct factor behind this solve
-    /// ([`SupernodeStats::ordering`]: `"geometric"` or `"rcm"`). `None` for
-    /// the iterative engines and for the sharded engine, whose blocks each
-    /// resolve their own.
-    pub ordering: Option<&'static str>,
-    /// Stored entries of the direct factor behind this solve
-    /// ([`PreparedSolver::factor_nnz`]; summed over all blocks for the
-    /// sharded engine). `None` for the iterative engines.
+    /// Stored entries of the direct factor behind this solve (summed over
+    /// all blocks for the sharded engine). `None` for the iterative
+    /// engines.
     pub factor_nnz: Option<usize>,
     /// Interior shards of the [`Sharded`](crate::Sharded) backend behind
     /// this solve (1 for every monolithic backend).
@@ -297,6 +307,34 @@ pub struct SolveReport {
     /// ratio, interface fraction, and which planner route produced it.
     /// `None` for monolithic backends.
     pub plan_stats: Option<ShardPlanStats>,
+}
+
+impl SolveReport {
+    /// The report of a solve that had nothing to solve — every DoF
+    /// prescribed: backend `"none"`, one shard, one worker, no factor, no
+    /// time, no bytes. Every prepared solver's description starts from it.
+    pub const NONE: SolveReport = SolveReport {
+        backend: "none",
+        setup_time: Duration::ZERO,
+        solve_time: Duration::ZERO,
+        iterations: None,
+        residual: None,
+        solver_bytes: 0,
+        rhs_count: 0,
+        workers: 1,
+        factor_workers: 1,
+        supernode_stats: None,
+        factor_nnz: None,
+        shards: 1,
+        interface_dofs: 0,
+        shard_factor_bytes: 0,
+        shards_refactored: 0,
+        shards_reused: 0,
+        verified_residual: None,
+        degradation: DegradationTrail::new(),
+        shards_degraded: 0,
+        plan_stats: None,
+    };
 }
 
 /// One solved right-hand side with its report.
@@ -382,17 +420,6 @@ enum Engine {
     },
 }
 
-impl Engine {
-    fn label(&self) -> &'static str {
-        match self {
-            Engine::Direct(_) => "cholesky",
-            Engine::Sharded(_) => "sharded",
-            Engine::Cg { .. } => "cg",
-            Engine::Gmres { .. } => "gmres",
-        }
-    }
-}
-
 /// Sweeps the ladder's refinement rung may spend on one right-hand side.
 const MAX_REFINE_SWEEPS: usize = 8;
 /// First diagonal shift of the regularization rung, relative to the largest
@@ -431,7 +458,9 @@ const PANEL_WIDTH: usize = 8;
 pub struct PreparedSolver {
     matrix: Arc<CsrMatrix>,
     engine: Engine,
-    setup_time: Duration,
+    /// What the preparation says about itself, fixed when it was built
+    /// (see [`description`](Self::description)).
+    described: SolveReport,
     /// Bytes of the shared, reusable state (factor or preconditioner).
     shared_bytes: usize,
     /// Bytes of the per-solve workspace (work/Krylov vectors, or one panel
@@ -442,10 +471,6 @@ pub struct PreparedSolver {
     /// under (a ladder verifies itself at its own tolerance first; the
     /// policy then applies to the residual it measured).
     verify: VerifyPolicy,
-    /// Degradation steps recorded while *preparing* this solver (regularized
-    /// re-factor, prepare-time GMRES fallback) — the prefix of every
-    /// [`SolveReport::degradation`] trail it emits.
-    prep_trail: DegradationTrail,
     /// The resilience policy over the direct engine; `None` for every
     /// solver not prepared by [`Resilient`].
     ladder: Option<Ladder>,
@@ -454,17 +479,15 @@ pub struct PreparedSolver {
 impl fmt::Debug for PreparedSolver {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PreparedSolver")
-            .field("backend", &self.backend())
             .field("dim", &self.dim())
-            .field("setup_time", &self.setup_time)
-            .field("solver_bytes", &self.solver_bytes())
+            .field("described", &self.described)
             .finish()
     }
 }
 
 /// What one engine batch hands back: exactly the part of a [`SolveReport`]
-/// that differs per solve. Everything else is read off the prepared state
-/// by [`PreparedSolver::report`].
+/// that differs per solve. Everything else is the prepared solver's
+/// [`description`](PreparedSolver::description).
 #[derive(Default)]
 pub(crate) struct EngineBatch {
     /// Solutions, in right-hand-side order.
@@ -541,58 +564,64 @@ fn worse(a: f64, b: f64) -> f64 {
 }
 
 impl PreparedSolver {
-    /// A solver around `engine` with the defaults most backends want: one
-    /// right-hand side per panel, verification off, no preparation trail,
-    /// no ladder.
+    /// A solver around `engine`, described by `described` (whose
+    /// `solver_bytes` this fills in), with verification off and no ladder.
     fn new(
         matrix: Arc<CsrMatrix>,
         engine: Engine,
-        setup_time: Duration,
+        described: SolveReport,
         shared_bytes: usize,
         workspace_bytes: usize,
     ) -> Self {
         Self {
             matrix,
             engine,
-            setup_time,
+            described: SolveReport {
+                solver_bytes: shared_bytes + workspace_bytes,
+                ..described
+            },
             shared_bytes,
             workspace_bytes,
             verify: VerifyPolicy::Off,
-            prep_trail: DegradationTrail::new(),
             ladder: None,
         }
     }
 
-    /// Wraps an assembled [`SchurSolver`] — the constructor
-    /// `Sharded::prepare` uses.
+    /// Wraps an assembled [`SchurSolver`], which describes itself — the
+    /// constructor `Sharded::prepare` uses.
     pub(crate) fn from_sharded(
         matrix: Arc<CsrMatrix>,
         schur: Arc<SchurSolver>,
         setup_time: Duration,
         verify: VerifyPolicy,
     ) -> Self {
-        let shared_bytes = schur.shared_bytes();
-        let workspace_bytes = schur.workspace_bytes();
-        // A preparation that contained per-shard breakdowns carries the
-        // first contained shard's ladder trail as its own.
-        let prep_trail = schur.degradation_trail();
+        let described = SolveReport {
+            setup_time,
+            ..schur.described
+        };
+        let (shared_bytes, workspace_bytes) = (schur.shared_bytes, schur.workspace_bytes);
         Self {
             verify,
-            prep_trail,
             ..Self::new(
                 matrix,
                 Engine::Sharded(schur),
-                setup_time,
+                described,
                 shared_bytes,
                 workspace_bytes,
             )
         }
     }
 
-    /// Degradation steps recorded while preparing this solver (empty on the
-    /// clean path) — the prefix of every report trail it emits.
-    pub fn prep_degradation(&self) -> &DegradationTrail {
-        &self.prep_trail
+    /// What this preparation says about itself, fixed when `prepare`
+    /// returned: the report of an empty batch with verification off —
+    /// backend, setup time, the factor's size and shape, the shard split
+    /// and its reuse, the preparation's degradation trail, and the bytes
+    /// of the shared state plus one solve's workspace. Every solve's
+    /// [`SolveReport`] is this with the batch's own numbers: solve time,
+    /// iterations, residuals, bytes at the batch's concurrency, right-hand
+    /// sides, workers, and the solve-time steps appended to the trail.
+    pub fn description(&self) -> &SolveReport {
+        &self.described
     }
 
     /// The verification policy solves through this solver run under.
@@ -618,14 +647,6 @@ impl PreparedSolver {
         self
     }
 
-    /// Name of the backend that prepared this solver.
-    pub fn backend(&self) -> &'static str {
-        match self.ladder {
-            Some(_) => "resilient",
-            None => self.engine.label(),
-        }
-    }
-
     /// Dimension of the prepared operator.
     pub fn dim(&self) -> usize {
         self.matrix.nrows()
@@ -634,116 +655,6 @@ impl PreparedSolver {
     /// The prepared operator.
     pub fn matrix(&self) -> &Arc<CsrMatrix> {
         &self.matrix
-    }
-
-    /// Wall time the preparation took.
-    pub fn setup_time(&self) -> Duration {
-        self.setup_time
-    }
-
-    /// Analytic heap estimate (bytes) of factor/preconditioner plus one
-    /// solve's iteration workspace. A batched solve with `t` concurrent
-    /// workers holds `t` workspaces; [`SolveReport::solver_bytes`] accounts
-    /// for that.
-    pub fn solver_bytes(&self) -> usize {
-        self.shared_bytes + self.workspace_bytes
-    }
-
-    /// Stored nonzeros of the direct factor (`None` for iterative
-    /// engines; summed over all blocks for the sharded engine) — the fill
-    /// measure [`SolveReport::factor_nnz`] carries.
-    pub fn factor_nnz(&self) -> Option<usize> {
-        match &self.engine {
-            Engine::Direct(factor) => Some(factor.factor_nnz()),
-            Engine::Sharded(schur) => schur.factor_nnz(),
-            _ => None,
-        }
-    }
-
-    /// `(shards, interface DoFs, peak per-shard factor bytes)` of the
-    /// sharded engine; the monolithic identity `(1, 0, 0)` otherwise.
-    fn shard_info(&self) -> (usize, usize, usize) {
-        match &self.engine {
-            Engine::Sharded(schur) => (
-                schur.num_shards(),
-                schur.interface_dofs(),
-                schur.shard_factor_bytes(),
-            ),
-            _ => (1, 0, 0),
-        }
-    }
-
-    /// The sharded engine behind this solver, if any — the handle
-    /// `Sharded::prepare` retains as the base of the next incremental
-    /// re-preparation.
-    pub(crate) fn schur(&self) -> Option<&Arc<SchurSolver>> {
-        match &self.engine {
-            Engine::Sharded(schur) => Some(schur),
-            _ => None,
-        }
-    }
-
-    /// `(shards refactored, shards reused)` by the preparation behind this
-    /// solver; `(0, 0)` for monolithic backends.
-    fn reuse_info(&self) -> (usize, usize) {
-        match &self.engine {
-            Engine::Sharded(schur) => (schur.shards_refactored(), schur.shards_reused()),
-            _ => (0, 0),
-        }
-    }
-
-    /// Quality accounting of the sharded engine's partition — balance,
-    /// interface share, planner route; `None` for monolithic backends.
-    pub fn plan_stats(&self) -> Option<ShardPlanStats> {
-        self.schur().map(|schur| schur.plan_stats())
-    }
-
-    /// Interior shards behind this solver (1 for monolithic backends).
-    pub fn shards(&self) -> usize {
-        self.shard_info().0
-    }
-
-    /// Interface DoFs of the sharded engine (0 for monolithic backends).
-    pub fn interface_dofs(&self) -> usize {
-        self.shard_info().1
-    }
-
-    /// Supernode shape statistics of the direct factor (`None` for the
-    /// iterative and sharded engines).
-    pub fn supernode_stats(&self) -> Option<SupernodeStats> {
-        match &self.engine {
-            Engine::Direct(factor) => Some(factor.stats()),
-            _ => None,
-        }
-    }
-
-    /// Worker slots the one-time numeric factorization used (1 for serial
-    /// factorization and the iterative engines; the peak over all block
-    /// factorizations for the sharded engine).
-    pub fn factor_workers(&self) -> usize {
-        match &self.engine {
-            Engine::Direct(factor) => factor.factor_workers(),
-            Engine::Sharded(schur) => schur.factor_workers(),
-            _ => 1,
-        }
-    }
-
-    /// Degraded blocks of the sharded engine behind this solver (0 for
-    /// monolithic backends).
-    fn shards_degraded(&self) -> usize {
-        match &self.engine {
-            Engine::Sharded(schur) => schur.shards_degraded(),
-            _ => 0,
-        }
-    }
-
-    /// Merges the preparation trail with the deepest solve-time trail.
-    fn full_trail(&self, solve_trail: DegradationTrail) -> DegradationTrail {
-        let mut trail = self.prep_trail;
-        for step in solve_trail.steps() {
-            trail.push(*step);
-        }
-        trail
     }
 
     /// Solves `A x = b` for one right-hand side: a one-column
@@ -842,39 +753,28 @@ impl PreparedSolver {
         })
     }
 
-    /// The one report: the per-solve numbers of `batch` plus everything
-    /// the prepared state says about itself.
+    /// The one report: this solver's description with the per-solve
+    /// numbers of `batch`, its solve-time trail after the preparation's.
     fn report(
         &self,
         batch: &EngineBatch,
         solve_time: Duration,
         verified_residual: Option<f64>,
     ) -> SolveReport {
-        let (shards, interface_dofs, shard_factor_bytes) = self.shard_info();
-        let (shards_refactored, shards_reused) = self.reuse_info();
-        let supernode_stats = self.supernode_stats();
+        let mut degradation = self.described.degradation;
+        for step in batch.trail.steps() {
+            degradation.push(*step);
+        }
         SolveReport {
-            backend: self.backend(),
-            setup_time: self.setup_time,
             solve_time,
             iterations: batch.iterations,
             residual: batch.residual,
             solver_bytes: self.shared_bytes + batch.workspaces * self.workspace_bytes,
             rhs_count: batch.xs.len(),
             workers: batch.workers,
-            factor_workers: self.factor_workers(),
-            supernode_stats,
-            ordering: supernode_stats.map(|stats| stats.ordering),
-            factor_nnz: self.factor_nnz(),
-            shards,
-            interface_dofs,
-            shard_factor_bytes,
-            shards_refactored,
-            shards_reused,
             verified_residual,
-            degradation: self.full_trail(batch.trail),
-            shards_degraded: self.shards_degraded(),
-            plan_stats: self.plan_stats(),
+            degradation,
+            ..self.described
         }
     }
 
@@ -1189,12 +1089,20 @@ impl DirectCholesky {
         // concurrent worker.
         let workspace_bytes = (PANEL_WIDTH * a.nrows() + factor.scratch_len(PANEL_WIDTH))
             * std::mem::size_of::<f64>();
+        let described = SolveReport {
+            backend: "cholesky",
+            setup_time: t0.elapsed(),
+            factor_workers: factor.factor_workers(),
+            supernode_stats: Some(factor.stats()),
+            factor_nnz: Some(factor.factor_nnz()),
+            ..SolveReport::NONE
+        };
         PreparedSolver {
             verify: self.verify,
             ..PreparedSolver::new(
                 a,
                 Engine::Direct(Box::new(factor)),
-                t0.elapsed(),
+                described,
                 shared_bytes,
                 workspace_bytes,
             )
@@ -1246,7 +1154,11 @@ fn prepare_cg(
     Ok(PreparedSolver::new(
         a,
         Engine::Cg { precond, opts },
-        t0.elapsed(),
+        SolveReport {
+            backend: "cg",
+            setup_time: t0.elapsed(),
+            ..SolveReport::NONE
+        },
         precond_bytes,
         // The 5 CG work vectors, per concurrent solve.
         5 * n * std::mem::size_of::<f64>(),
@@ -1304,7 +1216,11 @@ impl SolverBackend for Gmres {
         Ok(PreparedSolver::new(
             a,
             Engine::Gmres { precond, opts },
-            t0.elapsed(),
+            SolveReport {
+                backend: "gmres",
+                setup_time: t0.elapsed(),
+                ..SolveReport::NONE
+            },
             precond_bytes,
             // `restart + 1` Krylov vectors, per concurrent solve.
             (opts.restart + 1) * n * std::mem::size_of::<f64>(),
@@ -1445,8 +1361,8 @@ impl SolverBackend for Resilient {
                             error: breakdown,
                         });
                         let mut prepared = Gmres::with_tol(self.tol).prepare(a)?;
-                        prepared.prep_trail = trail;
-                        prepared.setup_time = t0.elapsed();
+                        prepared.described.degradation = trail;
+                        prepared.described.setup_time = t0.elapsed();
                         return Ok(prepared);
                     }
                     Err(other) => return Err(other),
@@ -1460,8 +1376,9 @@ impl SolverBackend for Resilient {
         });
         // The ladder verifies every solve itself, at `tol`.
         prepared.verify = VerifyPolicy::Off;
-        prepared.prep_trail = trail;
-        prepared.setup_time = t0.elapsed();
+        prepared.described.backend = "resilient";
+        prepared.described.degradation = trail;
+        prepared.described.setup_time = t0.elapsed();
         Ok(prepared)
     }
 
@@ -1812,7 +1729,7 @@ impl FactorCache {
             Err(err) => Some(*err),
             // A cached factor that needs *more* recovery than its own
             // preparation recorded has gone bad since it was cached.
-            Ok(batch) if batch.report.degradation.len() > solver.prep_degradation().len() => {
+            Ok(batch) if batch.report.degradation.len() > solver.described.degradation.len() => {
                 batch.report.degradation.last().map(|step| step.error)
             }
             Ok(_) => None,
@@ -1885,6 +1802,18 @@ impl FactorCache {
     /// Drops every cached solver (counters are kept).
     pub fn clear(&self) {
         self.entries().clear();
+    }
+}
+
+#[cfg(test)]
+impl PreparedSolver {
+    /// The sharded engine behind this solver, if any: the tests' handle on
+    /// its plan and blocks.
+    pub(crate) fn schur(&self) -> Option<&Arc<SchurSolver>> {
+        match &self.engine {
+            Engine::Sharded(schur) => Some(schur),
+            _ => None,
+        }
     }
 }
 
@@ -2073,9 +2002,14 @@ mod tests {
         let (a, hint) = crate::test_operators::hinted_grid(4, 4, 6);
         let a = Arc::new(a.with_partition_hint(Arc::new(hint)));
         let b = rhs(a.nrows());
+        // Nine columns: two panels on the direct engines.
+        let nine: Vec<Vec<f64>> = (0..9)
+            .map(|k| b.iter().map(|v| v * (k + 1) as f64).collect())
+            .collect();
         for backend in every_backend() {
             let name = backend.name();
             let prepared = backend.prepare(Arc::clone(&a)).unwrap();
+            let described = *prepared.description();
             let single = prepared.solve(&b).unwrap();
             if name == "sharded" {
                 assert!(single.report.shards >= 2, "{name}: must split");
@@ -2088,14 +2022,23 @@ mod tests {
                 ..single.report
             };
             assert_eq!(report, batch.report, "{name}: report");
-            // And the report says what the solver's accessors say.
-            assert_eq!(report.supernode_stats, prepared.supernode_stats(), "{name}");
-            assert_eq!(report.factor_nnz, prepared.factor_nnz(), "{name}");
-            assert_eq!(
-                report.ordering,
-                prepared.supernode_stats().map(|stats| stats.ordering),
-                "{name}"
-            );
+            // Every report is the description with the batch's own
+            // numbers: mask those, and nothing else may differ.
+            let wide = prepared.solve_many(&nine, 2).unwrap().report;
+            assert_eq!((single.report.rhs_count, wide.rhs_count), (1, 9), "{name}");
+            for report in [single.report, wide] {
+                let masked = SolveReport {
+                    solve_time: described.solve_time,
+                    iterations: described.iterations,
+                    residual: described.residual,
+                    solver_bytes: described.solver_bytes,
+                    rhs_count: described.rhs_count,
+                    workers: described.workers,
+                    verified_residual: described.verified_residual,
+                    ..report
+                };
+                assert_eq!(masked, described, "{name}: {} columns", report.rhs_count);
+            }
         }
     }
 
@@ -2164,24 +2107,27 @@ mod tests {
         let a = Arc::new(broken);
         let prepared = Resilient::default().prepare(Arc::clone(&a)).unwrap();
         assert_eq!(
-            prepared.backend(),
+            prepared.description().backend,
             "resilient",
             "a shifted factor, not GMRES"
         );
         assert_eq!(
-            prepared.prep_degradation().last().map(|s| s.rung),
+            prepared.description().degradation.last().map(|s| s.rung),
             Some(Rung::Regularized)
         );
         // Supernode shape is a function of the pattern, which the shift
         // leaves alone: the clean lattice's direct factor has the same.
         let reference = DirectCholesky::default().prepare(Arc::new(clean)).unwrap();
-        assert!(reference.supernode_stats().is_some());
+        assert!(reference.description().supernode_stats.is_some());
         let b = rhs(a.nrows());
         let single = prepared.solve(&b).unwrap().report;
         let batch = prepared.solve_many(&[b.clone(), b], 2).unwrap().report;
         for report in [single, batch] {
-            assert_eq!(report.supernode_stats, reference.supernode_stats());
-            assert_eq!(report.factor_workers, prepared.factor_workers());
+            assert_eq!(
+                report.supernode_stats,
+                reference.description().supernode_stats
+            );
+            assert_eq!(report.factor_workers, prepared.description().factor_workers);
             assert!(report.verified_residual.unwrap() <= 1e-8);
         }
     }
@@ -2197,12 +2143,17 @@ mod tests {
         assert_eq!(shifted.partition_hint(), broken.partition_hint());
         let prepared = Resilient::default().prepare(Arc::new(broken)).unwrap();
         assert_eq!(
-            prepared.prep_degradation().last().map(|s| s.rung),
+            prepared.description().degradation.last().map(|s| s.rung),
             Some(Rung::Regularized)
         );
         let b = rhs(prepared.dim());
         assert_eq!(
-            prepared.solve(&b).unwrap().report.ordering,
+            prepared
+                .solve(&b)
+                .unwrap()
+                .report
+                .supernode_stats
+                .map(|stats| stats.ordering),
             Some("geometric")
         );
     }
@@ -2226,8 +2177,8 @@ mod tests {
         // recorded degradation step.
         let a = indefinite_2x2();
         let prepared = Auto::default().prepare(Arc::clone(&a)).unwrap();
-        assert_eq!(prepared.backend(), "gmres");
-        let trail = prepared.prep_degradation();
+        assert_eq!(prepared.description().backend, "gmres");
+        let trail = prepared.description().degradation;
         let first = trail.steps().next().expect("fallback must be recorded");
         assert_eq!(first.rung, Rung::Regularized);
         assert!(matches!(
@@ -2246,7 +2197,7 @@ mod tests {
         let a = spd(48);
         let direct = DirectCholesky::default().prepare(Arc::clone(&a)).unwrap();
         let res = Resilient::default().prepare(Arc::clone(&a)).unwrap();
-        assert_eq!(res.backend(), "resilient");
+        assert_eq!(res.description().backend, "resilient");
         let loads: Vec<Vec<f64>> = (0..5)
             .map(|k| (0..48).map(|i| ((i + 5 * k) % 9) as f64 - 4.0).collect())
             .collect();

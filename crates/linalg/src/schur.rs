@@ -58,8 +58,8 @@ use std::time::Instant;
 
 use crate::backend::EngineBatch;
 use crate::{
-    BlockedKernel, CsrMatrix, DegradationTrail, DirectCholesky, LinalgError, MemoryFootprint,
-    PreparedSolver, Resilient, ShardPlan, ShardPlanStats, SolverBackend, VerifyPolicy, WorkPool,
+    BlockedKernel, CsrMatrix, DirectCholesky, LinalgError, MemoryFootprint, PreparedSolver,
+    Resilient, ShardPlan, SolveReport, SolverBackend, VerifyPolicy, WorkPool,
 };
 
 /// Domain-decomposition backend: `K` interior shards factored through an
@@ -241,17 +241,25 @@ pub(crate) struct SchurSolver {
     /// Prepared factor of the Schur complement; `None` when the interface
     /// is empty (single shard, or fully disconnected shards).
     interface_solver: Option<PreparedSolver>,
-    /// Shards whose factor + clique this preparation computed: the dirty
-    /// set — all of them when there was no previous preparation.
-    shards_refactored: usize,
-    /// Shards reused intact from the previous preparation.
-    shards_reused: usize,
-    /// Whether the interface system itself needed the ladder.
-    interface_degraded: bool,
     /// Precomputed interface scatter maps (`None` for an empty interface),
     /// carried forward from one preparation to the next so interface-only
     /// perturbations skip the pattern-union rebuild.
     iface_assembly: Option<Arc<InterfaceAssembly>>,
+    /// What this preparation says about itself, computed once by
+    /// [`assemble`](Self::assemble): the sharded engine's description
+    /// less its setup time and solver bytes, which the wrapping
+    /// [`PreparedSolver`] adds.
+    pub(crate) described: SolveReport,
+    /// Bytes of the shared prepared state: every shard factor, the
+    /// interface factor, the coupling blocks, the stored cliques kept for
+    /// incremental re-assembly, the interface scatter maps and the plan.
+    pub(crate) shared_bytes: usize,
+    /// Per-right-hand-side workspace of a batched solve: the gathered
+    /// interior right-hand sides and pre-solve results (both held across
+    /// the interface stage) plus the interface staging vectors. Unlike the
+    /// monolithic engines, this scales with the *batch size*, not the
+    /// worker count — the report accounts for that.
+    pub(crate) workspace_bytes: usize,
 }
 
 /// The shards a value-only change from `prev` to `a` (same pattern) touches,
@@ -535,138 +543,69 @@ impl SchurSolver {
             prev.and_then(|(_, p)| p.iface_assembly.clone()),
         )?;
 
+        // The description, once. Every block, the interface solver
+        // included, is a prepared solver that describes itself; a contained
+        // breakdown makes the first contained block's trail the
+        // preparation's own.
+        let solvers = || {
+            blocks
+                .iter()
+                .map(|b| &b.solver)
+                .chain(interface_solver.as_ref())
+                .map(PreparedSolver::description)
+        };
+        let degraded = || {
+            let interface = interface_solver.as_ref().filter(|_| interface_degraded);
+            blocks
+                .iter()
+                .filter(|b| b.degraded)
+                .map(|b| &b.solver)
+                .chain(interface)
+                .map(PreparedSolver::description)
+        };
+        let interface_dofs = plan.interface().len();
+        let shared_bytes = solvers().map(|d| d.solver_bytes).sum::<usize>()
+            + blocks
+                .iter()
+                .map(|b| {
+                    b.a_ks.heap_bytes()
+                        + b.a_sk.heap_bytes()
+                        + b.cols.len() * std::mem::size_of::<usize>()
+                        + b.clique.len() * std::mem::size_of::<f64>()
+                })
+                .sum::<usize>()
+            + iface_assembly.as_ref().map_or(0, |m| m.heap_bytes())
+            + plan.heap_bytes();
+        let workspace_bytes =
+            (2 * plan.num_rows() + 2 * interface_dofs) * std::mem::size_of::<f64>();
+        let described = SolveReport {
+            backend: "sharded",
+            factor_workers: solvers().map(|d| d.factor_workers).max().unwrap_or(1),
+            factor_nnz: solvers().map(|d| d.factor_nnz).sum(),
+            shards: num_shards,
+            interface_dofs,
+            shard_factor_bytes: blocks
+                .iter()
+                .map(|b| b.solver.description().solver_bytes)
+                .max()
+                .unwrap_or(0),
+            shards_refactored: dirty.len(),
+            shards_reused: num_shards - dirty.len(),
+            degradation: degraded().map(|d| d.degradation).next().unwrap_or_default(),
+            shards_degraded: degraded().count(),
+            plan_stats: Some(plan.stats()),
+            ..SolveReport::NONE
+        };
+
         Ok(Self {
             plan,
             blocks,
             interface_solver,
-            shards_refactored: dirty.len(),
-            shards_reused: num_shards - dirty.len(),
-            interface_degraded,
             iface_assembly,
+            described,
+            shared_bytes,
+            workspace_bytes,
         })
-    }
-
-    /// Dimension of the full operator.
-    fn dim(&self) -> usize {
-        self.plan.num_rows()
-    }
-
-    /// Interior shard count of the prepared plan.
-    pub(crate) fn num_shards(&self) -> usize {
-        self.plan.num_shards()
-    }
-
-    /// Interface DoFs coupling the shards.
-    pub(crate) fn interface_dofs(&self) -> usize {
-        self.plan.interface().len()
-    }
-
-    /// Quality accounting of the prepared plan (balance, interface share)
-    /// — surfaced on `SolveReport::plan_stats`.
-    pub(crate) fn plan_stats(&self) -> ShardPlanStats {
-        self.plan.stats()
-    }
-
-    /// Shards whose factor + clique this preparation computed.
-    pub(crate) fn shards_refactored(&self) -> usize {
-        self.shards_refactored
-    }
-
-    /// Shards reused intact from the previous preparation.
-    pub(crate) fn shards_reused(&self) -> usize {
-        self.shards_reused
-    }
-
-    /// Blocks that needed the resilience ladder: interiors whose direct
-    /// factorization broke down and were contained, plus one more if the
-    /// interface system itself degraded.
-    pub(crate) fn shards_degraded(&self) -> usize {
-        self.blocks.iter().filter(|b| b.degraded).count() + usize::from(self.interface_degraded)
-    }
-
-    /// The ladder trail of the first contained block (empty when every
-    /// block kept its clean direct factor) — surfaced as the preparation
-    /// trail of the wrapping [`PreparedSolver`].
-    pub(crate) fn degradation_trail(&self) -> DegradationTrail {
-        self.blocks
-            .iter()
-            .filter(|b| b.degraded)
-            .map(|b| *b.solver.prep_degradation())
-            .chain(
-                self.interface_degraded
-                    .then(|| {
-                        self.interface_solver
-                            .as_ref()
-                            .map(|s| *s.prep_degradation())
-                    })
-                    .flatten(),
-            )
-            .next()
-            .unwrap_or_default()
-    }
-
-    /// Largest per-shard solver footprint — the peak factor memory a
-    /// distributed or out-of-core deployment would need to co-locate.
-    pub(crate) fn shard_factor_bytes(&self) -> usize {
-        self.blocks
-            .iter()
-            .map(|b| b.solver.solver_bytes())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Summed stored factor nonzeros over shards and interface (`None` if
-    /// any block was prepared with an iterative inner engine).
-    pub(crate) fn factor_nnz(&self) -> Option<usize> {
-        let mut total = 0usize;
-        for block in &self.blocks {
-            total += block.solver.factor_nnz()?;
-        }
-        if let Some(s) = &self.interface_solver {
-            total += s.factor_nnz()?;
-        }
-        Some(total)
-    }
-
-    /// Peak worker slots any block's numeric factorization used.
-    pub(crate) fn factor_workers(&self) -> usize {
-        self.blocks
-            .iter()
-            .map(|b| b.solver.factor_workers())
-            .chain(self.interface_solver.iter().map(|s| s.factor_workers()))
-            .max()
-            .unwrap_or(1)
-    }
-
-    /// Bytes of the shared prepared state: every shard factor, the
-    /// interface factor, the coupling blocks, the stored cliques kept for
-    /// incremental re-assembly, and the interface scatter maps.
-    pub(crate) fn shared_bytes(&self) -> usize {
-        self.blocks
-            .iter()
-            .map(|b| {
-                b.solver.solver_bytes()
-                    + b.a_ks.heap_bytes()
-                    + b.a_sk.heap_bytes()
-                    + b.cols.len() * std::mem::size_of::<usize>()
-                    + b.clique.len() * std::mem::size_of::<f64>()
-            })
-            .sum::<usize>()
-            + self
-                .interface_solver
-                .as_ref()
-                .map_or(0, |s| s.solver_bytes())
-            + self.iface_assembly.as_ref().map_or(0, |m| m.heap_bytes())
-            + self.plan.heap_bytes()
-    }
-
-    /// Per-right-hand-side workspace estimate of a batched solve: the
-    /// gathered interior right-hand sides and pre-solve results (both held
-    /// across the interface stage) plus the interface staging vectors.
-    /// Unlike the monolithic engines, this scales with the *batch size*,
-    /// not the worker count — the report accounts for that.
-    pub(crate) fn workspace_bytes(&self) -> usize {
-        (2 * self.dim() + 2 * self.interface_dofs()) * std::mem::size_of::<f64>()
     }
 
     /// Solves the full system for a batch of right-hand sides:
@@ -692,7 +631,7 @@ impl SchurSolver {
             workspaces: rhs.len().max(1),
             ..EngineBatch::default()
         };
-        let merge = |out: &mut EngineBatch, report: &crate::SolveReport| {
+        let merge = |out: &mut EngineBatch, report: &SolveReport| {
             out.fold(report.iterations, report.residual, report.workers);
         };
 
@@ -1053,11 +992,15 @@ mod tests {
         let a = hinted(5, 4, 6);
         let prepared = Sharded::new(4).prepare(Arc::clone(&a)).unwrap();
         let schur = prepared.schur().expect("sharded engine");
-        assert_eq!(schur.num_shards(), 4);
+        assert_eq!(schur.described.shards, 4);
         let inner = DirectCholesky::default();
         for (k, block) in schur.blocks.iter().enumerate() {
             let interior = block.solver.matrix();
-            let stats = block.solver.supernode_stats().expect("direct interior");
+            let stats = block
+                .solver
+                .description()
+                .supernode_stats
+                .expect("direct interior");
             assert_eq!(stats.ordering, "geometric", "shard {k}");
             assert!(!block.degraded);
             assert!(!block.cols.is_empty(), "shard {k} couples the interface");
@@ -1114,7 +1057,7 @@ mod tests {
         let rhs = loads(a.nrows(), 4);
         let backend = Sharded::new(4);
         let first = backend.prepare(Arc::clone(&a)).unwrap();
-        let k = first.schur().expect("sharded engine").num_shards();
+        let k = first.schur().expect("sharded engine").described.shards;
         assert!(k >= 2, "operator must split");
         // A first prepare is the all-dirty case of the one assembly route.
         let fresh = first.solve_many(&rhs, 4).unwrap().report;
@@ -1128,13 +1071,47 @@ mod tests {
         let b = Arc::new(b);
         let second = backend.prepare(Arc::clone(&b)).unwrap();
         let schur = second.schur().unwrap();
-        assert_eq!(schur.shards_refactored(), 1, "one shard touched");
-        assert_eq!(schur.shards_reused(), k - 1);
+        assert_eq!(schur.described.shards_refactored, 1, "one shard touched");
+        assert_eq!(schur.described.shards_reused, k - 1);
         assert_eq!(block_compare_dirty(&a, &b, &schur.plan), 1);
         let batch = second.solve_many(&rhs, 4).unwrap();
         assert_eq!(batch.report.shards_refactored, 1);
         assert_eq!(batch.report.shards_reused, k - 1);
         assert_bitwise_vs_scratch(&second, backend.shards, &b, &rhs);
+    }
+
+    #[test]
+    fn a_retained_solver_keeps_its_own_reuse_counters() {
+        // Each preparation describes itself once. After the next
+        // incremental prepare shares its clean blocks, the first solver
+        // still reports its own all-dirty counters, and a shared block
+        // describes only its own factor, never either preparation's split.
+        let a = hinted(5, 4, 6);
+        let rhs = loads(a.nrows(), 2);
+        let backend = Sharded::new(4);
+        let first = backend.prepare(Arc::clone(&a)).unwrap();
+        let k = first.description().shards;
+        assert!(k >= 2, "operator must split");
+        let row = first.schur().unwrap().plan.shard_rows(0)[0];
+        let mut b = (*a).clone();
+        b.add_at(row, row, 1.0);
+        let second = backend.prepare(Arc::new(b)).unwrap();
+        for (solver, refactored) in [(&second, 1), (&first, k)] {
+            let report = solver.solve_many(&rhs, 2).unwrap().report;
+            let counters = (report.shards_refactored, report.shards_reused);
+            assert_eq!(counters, (refactored, k - refactored));
+            assert_eq!(solver.description().shards_refactored, refactored);
+        }
+        let (old, new) = (first.schur().unwrap(), second.schur().unwrap());
+        let shared = (0..k)
+            .filter(|&s| Arc::ptr_eq(&old.blocks[s], &new.blocks[s]))
+            .count();
+        assert_eq!(shared, k - 1, "every clean block is shared");
+        for block in &new.blocks {
+            let d = block.solver.description();
+            let split = (d.backend, d.shards, d.shards_refactored, d.shards_reused);
+            assert_eq!(split, ("cholesky", 1, 0, 0));
+        }
     }
 
     #[test]
@@ -1144,7 +1121,7 @@ mod tests {
         let backend = Sharded::new(3);
         let first = backend.prepare(Arc::clone(&a)).unwrap();
         let schur = first.schur().expect("sharded engine");
-        let k = schur.num_shards();
+        let k = schur.described.shards;
         assert!(k >= 2);
         // Perturb an interface *diagonal* entry: no interior or coupling
         // block changes, so every shard is clean — but S must still be
@@ -1155,8 +1132,8 @@ mod tests {
         let b = Arc::new(b);
         let second = backend.prepare(Arc::clone(&b)).unwrap();
         let schur2 = second.schur().unwrap();
-        assert_eq!(schur2.shards_refactored(), 0);
-        assert_eq!(schur2.shards_reused(), k);
+        assert_eq!(schur2.described.shards_refactored, 0);
+        assert_eq!(schur2.described.shards_reused, k);
         assert_eq!(block_compare_dirty(&a, &b, &schur2.plan), 0);
         assert_bitwise_vs_scratch(&second, backend.shards, &b, &rhs);
         // And the perturbation genuinely changed the answer.
@@ -1172,7 +1149,7 @@ mod tests {
         let backend = Sharded::new(3);
         let first = backend.prepare(Arc::clone(&a)).unwrap();
         let schur = first.schur().expect("sharded engine");
-        let k = schur.num_shards();
+        let k = schur.described.shards;
         assert!(k >= 2);
         let plan = &schur.plan;
         // Find a stored interface↔interior entry: it lives in the coupling
@@ -1193,11 +1170,10 @@ mod tests {
         let second = backend.prepare(Arc::clone(&b)).unwrap();
         let schur2 = second.schur().unwrap();
         assert_eq!(
-            schur2.shards_refactored(),
-            1,
+            schur2.described.shards_refactored, 1,
             "only shard {owner} holds the perturbed coupling"
         );
-        assert_eq!(schur2.shards_reused(), k - 1);
+        assert_eq!(schur2.described.shards_reused, k - 1);
         assert_eq!(block_compare_dirty(&a, &b, &schur2.plan), 1);
         assert_bitwise_vs_scratch(&second, backend.shards, &b, &rhs);
     }
@@ -1208,7 +1184,7 @@ mod tests {
         let rhs = loads(a.nrows(), 3);
         let backend = Sharded::new(3);
         let first = backend.prepare(Arc::clone(&a)).unwrap();
-        let k = first.schur().expect("sharded engine").num_shards();
+        let k = first.schur().expect("sharded engine").described.shards;
         assert!(k >= 2);
         let mut b = (*a).clone();
         for v in b.values_mut() {
@@ -1217,8 +1193,8 @@ mod tests {
         let b = Arc::new(b);
         let second = backend.prepare(Arc::clone(&b)).unwrap();
         let schur = second.schur().unwrap();
-        assert_eq!(schur.shards_refactored(), k, "every block changed");
-        assert_eq!(schur.shards_reused(), 0);
+        assert_eq!(schur.described.shards_refactored, k, "every block changed");
+        assert_eq!(schur.described.shards_reused, 0);
         assert_eq!(block_compare_dirty(&a, &b, &schur.plan), k);
         assert_bitwise_vs_scratch(&second, backend.shards, &b, &rhs);
     }
@@ -1310,8 +1286,11 @@ mod tests {
         let prepared = backend.prepare(Arc::clone(&b)).unwrap();
         let schur = prepared.schur().unwrap();
         let expected = block_compare_dirty(prev, &b, &schur.plan);
-        assert_eq!(schur.shards_refactored(), expected);
-        assert_eq!(schur.shards_reused(), schur.num_shards() - expected);
+        assert_eq!(schur.described.shards_refactored, expected);
+        assert_eq!(
+            schur.described.shards_reused,
+            schur.described.shards - expected
+        );
         assert_bitwise_vs_scratch(&prepared, backend.shards, &b, rhs);
         b
     }
@@ -1325,15 +1304,15 @@ mod tests {
         let rhs = loads(a.nrows(), 3);
         let backend = Sharded::new(4);
         let first = backend.prepare(Arc::clone(&a)).unwrap();
-        let k = first.schur().expect("sharded engine").num_shards();
+        let k = first.schur().expect("sharded engine").described.shards;
         assert!(k >= 2);
         let mut other = backend.clone();
         other.inner.verify = VerifyPolicy::Report;
         assert_ne!(other.inner, backend.inner);
         let second = other.prepare(Arc::clone(&a)).unwrap();
         let schur = second.schur().unwrap();
-        assert_eq!(schur.shards_reused(), 0);
-        assert_eq!(schur.shards_refactored(), k);
+        assert_eq!(schur.described.shards_reused, 0);
+        assert_eq!(schur.described.shards_refactored, k);
         let scratch = Sharded::with_inner(4, other.inner)
             .prepare(Arc::clone(&a))
             .unwrap();
@@ -1349,9 +1328,9 @@ mod tests {
         let a = hinted(5, 4, 6);
         let first = backend.prepare(Arc::clone(&a)).unwrap();
         let schur = first.schur().expect("sharded engine");
-        let k = schur.num_shards();
+        let k = schur.described.shards;
         assert!(k >= 2);
-        assert_eq!(schur.shards_refactored(), k);
+        assert_eq!(schur.described.shards_refactored, k);
         // One new entry pair inside shard 0 (two rows of one block, so the
         // hint still holds and the plan is unchanged): a different pattern,
         // so no incremental reuse — everything refactored.
@@ -1371,9 +1350,9 @@ mod tests {
         let b = Arc::new(coo.to_csr().with_partition_hint(hint));
         let second = backend.prepare(Arc::clone(&b)).unwrap();
         let schur = second.schur().unwrap();
-        assert_eq!(schur.num_shards(), k);
-        assert_eq!(schur.shards_refactored(), k);
-        assert_eq!(schur.shards_reused(), 0);
+        assert_eq!(schur.described.shards, k);
+        assert_eq!(schur.described.shards_refactored, k);
+        assert_eq!(schur.described.shards_reused, 0);
         let rhs = loads(b.nrows(), 2);
         let batch = second.solve_many(&rhs, 2).unwrap();
         for (x, r) in batch.xs.iter().zip(&rhs) {
@@ -1386,14 +1365,14 @@ mod tests {
         let a = hinted(5, 5, 5);
         let backend = Sharded::new(3);
         let first = backend.prepare(Arc::clone(&a)).unwrap();
-        let k = first.schur().expect("sharded engine").num_shards();
+        let k = first.schur().expect("sharded engine").described.shards;
         assert!(k >= 2);
         // Same values in a distinct allocation: the dirty set is empty.
         let copy = Arc::new((*a).clone());
         let second = backend.prepare(Arc::clone(&copy)).unwrap();
         let schur = second.schur().unwrap();
-        assert_eq!(schur.shards_refactored(), 0);
-        assert_eq!(schur.shards_reused(), k);
+        assert_eq!(schur.described.shards_refactored, 0);
+        assert_eq!(schur.described.shards_reused, k);
         assert_eq!(block_compare_dirty(&a, &copy, &schur.plan), 0);
         let b: Vec<f64> = (0..a.nrows()).map(|i| (i % 5) as f64).collect();
         assert_eq!(first.solve(&b).unwrap().x, second.solve(&b).unwrap().x);
@@ -1416,8 +1395,8 @@ mod tests {
             let by_four = cache.prepare(&four, &[0], &a).unwrap();
             let by_eight = cache.prepare(&eight, &[0], &a).unwrap();
             assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 2, 2));
-            assert_eq!(by_four.shards(), 1);
-            assert_eq!(by_eight.shards(), 1);
+            assert_eq!(by_four.description().shards, 1);
+            assert_eq!(by_eight.description().shards, 1);
             assert_eq!(
                 by_four.solve_many(&rhs, 1).unwrap().xs,
                 by_eight.solve_many(&rhs, 1).unwrap().xs,
@@ -1463,7 +1442,7 @@ mod tests {
             .unwrap();
         let prepared = Sharded::new(4).prepare(Arc::clone(&a)).unwrap();
         let schur = prepared.schur().expect("sharded engine");
-        let stats = schur.plan_stats();
+        let stats = schur.plan.stats();
         assert_eq!(stats.shards, 4);
         assert!(stats.min_shard_rows >= ShardPlan::MIN_SHARD_ROWS);
         assert!(stats.balance_ratio <= 2.0);
@@ -1491,7 +1470,7 @@ mod tests {
         let backend = Sharded::new(4);
         let first = backend.prepare(Arc::clone(&a)).unwrap();
         let schur = first.schur().expect("sharded engine");
-        let k = schur.num_shards();
+        let k = schur.described.shards;
         assert!(k >= 2);
         // Perturb one interior diagonal: incremental route, one dirty shard.
         let row = schur.plan.shard_rows(0)[0];
@@ -1501,8 +1480,8 @@ mod tests {
         let second = backend.prepare(Arc::clone(&b)).unwrap();
         let schur2 = second.schur().unwrap();
         assert_eq!(schur2.plan, schur.plan, "plan carries over");
-        assert_eq!(schur2.shards_refactored(), 1);
-        assert_eq!(schur2.shards_reused(), k - 1);
+        assert_eq!(schur2.described.shards_refactored, 1);
+        assert_eq!(schur2.described.shards_reused, k - 1);
         assert_eq!(block_compare_dirty(&a, &b, &schur2.plan), 1);
         // Bitwise oracle: a fresh backend, from scratch.
         let scratch = Sharded::new(4).prepare(Arc::clone(&b)).unwrap();
@@ -1523,7 +1502,7 @@ mod tests {
         let first = backend
             .prepare(Arc::new(plain.clone().with_partition_hint(Arc::new(fine))))
             .unwrap();
-        assert!(first.schur().unwrap().num_shards() >= 2);
+        assert!(first.schur().unwrap().described.shards >= 2);
         // A hint change is an operator change: the retained plan is never
         // reused incrementally — the plan is rebuilt and every shard
         // refactored.
@@ -1531,9 +1510,9 @@ mod tests {
             .prepare(Arc::new(plain.with_partition_hint(Arc::new(coarse))))
             .unwrap();
         let schur = second.schur().unwrap();
-        assert!(schur.num_shards() >= 2);
-        assert_eq!(schur.shards_refactored(), schur.num_shards());
-        assert_eq!(schur.shards_reused(), 0);
+        assert!(schur.described.shards >= 2);
+        assert_eq!(schur.described.shards_refactored, schur.described.shards);
+        assert_eq!(schur.described.shards_reused, 0);
     }
 
     #[test]
@@ -1563,7 +1542,7 @@ mod tests {
         // Nor does a hint that would fit a hint-less operator make it shard.
         backend.set_partition_hint(Some(hint));
         let unhinted = backend.prepare(Arc::new(plain)).unwrap();
-        assert_eq!(unhinted.schur().unwrap().num_shards(), 1);
+        assert_eq!(unhinted.schur().unwrap().described.shards, 1);
     }
 
     #[test]
@@ -1595,17 +1574,17 @@ mod tests {
         let a = Arc::new(coo.to_csr().with_partition_hint(hint));
         let prepared = Sharded::new(2).prepare(Arc::clone(&a)).unwrap();
         let schur = prepared.schur().expect("sharded engine");
-        assert_eq!(schur.num_shards(), 2);
+        assert_eq!(schur.described.shards, 2);
         assert!(
-            schur.shards_degraded() >= 1,
+            schur.described.shards_degraded >= 1,
             "the non-SPD block must be recorded as degraded"
         );
         assert!(
-            schur.shards_degraded() < schur.num_shards() + 1,
+            schur.described.shards_degraded < schur.described.shards + 1,
             "containment must not drag every block down the ladder"
         );
         assert!(
-            !prepared.prep_degradation().is_empty(),
+            !prepared.description().degradation.is_empty(),
             "the contained breakdown must appear in the preparation trail"
         );
         // The full indefinite (but nonsingular) system still solves: static
@@ -1627,8 +1606,8 @@ mod tests {
         let clean = hinted(4, 3, 4);
         let prepared = Sharded::new(2).prepare(Arc::clone(&clean)).unwrap();
         let schur = prepared.schur().unwrap();
-        assert!(schur.num_shards() >= 2);
-        assert_eq!(schur.shards_degraded(), 0);
+        assert!(schur.described.shards >= 2);
+        assert_eq!(schur.described.shards_degraded, 0);
         let sol = prepared.solve(&loads(clean.nrows(), 1)[0]).unwrap();
         assert_eq!(sol.report.shards_degraded, 0);
         assert!(sol.report.degradation.is_empty());

@@ -1271,20 +1271,11 @@ pub struct SupernodalCholesky {
     /// in 2 MiB at a time.
     val_ptr: Vec<usize>,
     values: Vec<f64>,
-    true_nnz: usize,
-    max_width: usize,
-    /// Etree shape of the factorization (height, critical path, subtree
-    /// balance), frozen into the stats.
-    etree_height: usize,
-    critical_path: u64,
-    total_work: u64,
-    max_subtree_weight: u64,
-    mean_subtree_weight: f64,
+    /// Shape of the factor, taken once the factorization is done.
+    stats: SupernodeStats,
     /// Worker slots the numeric phase actually used (1 for the serial
     /// sweep).
     factor_workers: usize,
-    /// See [`SupernodeStats::ordering`].
-    ordering: &'static str,
 }
 
 /// Right-hand sides one triangular sweep carries at once: the interleaved
@@ -1327,7 +1318,7 @@ impl SupernodalCholesky {
     /// This factor reporting `ordering` as the ordering behind it (see
     /// [`SupernodeStats::ordering`]).
     pub(crate) fn named(mut self, ordering: &'static str) -> Self {
-        self.ordering = ordering;
+        self.stats.ordering = ordering;
         self
     }
 
@@ -1423,6 +1414,18 @@ impl SupernodalCholesky {
             sym.drop_border(&mut values);
         }
 
+        let stats = SupernodeStats {
+            supernodes: sym.sn_ptr.len() - 1,
+            max_width: sym.max_width,
+            stored_nnz: values.len(),
+            true_nnz: sym.true_nnz,
+            etree_height: sym.metrics.height,
+            critical_path: sym.critical_path as usize,
+            total_work: sym.total_work as usize,
+            max_subtree_weight: sym.metrics.max_parallel_subtree as usize,
+            mean_subtree_weight: sym.metrics.mean_parallel_subtree,
+            ordering: "supplied",
+        };
         let factor = Self {
             n: n_elim,
             perm: lead,
@@ -1431,15 +1434,8 @@ impl SupernodalCholesky {
             rows: sym.rows,
             val_ptr: sym.val_ptr,
             values,
-            true_nnz: sym.true_nnz,
-            max_width: sym.max_width,
-            etree_height: sym.metrics.height,
-            critical_path: sym.critical_path,
-            total_work: sym.total_work,
-            max_subtree_weight: sym.metrics.max_parallel_subtree,
-            mean_subtree_weight: sym.metrics.mean_parallel_subtree,
+            stats,
             factor_workers,
-            ordering: "supplied",
         };
         Ok((factor, border))
     }
@@ -1626,18 +1622,7 @@ impl SupernodalCholesky {
 
     /// Shape statistics of the factor.
     pub fn stats(&self) -> SupernodeStats {
-        SupernodeStats {
-            supernodes: self.sn_ptr.len() - 1,
-            max_width: self.max_width,
-            stored_nnz: self.values.len(),
-            true_nnz: self.true_nnz,
-            etree_height: self.etree_height,
-            critical_path: self.critical_path as usize,
-            total_work: self.total_work as usize,
-            max_subtree_weight: self.max_subtree_weight as usize,
-            mean_subtree_weight: self.mean_subtree_weight,
-            ordering: self.ordering,
-        }
+        self.stats
     }
 
     /// Length of the scratch slice [`solve_panel_with`] needs for

@@ -193,7 +193,7 @@ fn zeroed_pivot_walks_the_degradation_ladder() {
         let prepared = Resilient::default()
             .prepare(Arc::clone(&a))
             .expect("the ladder never fails preparation on finite input");
-        let trail = prepared.prep_degradation();
+        let trail = prepared.description().degradation;
         assert!(!trail.is_empty(), "escalation must be recorded");
         assert_eq!(
             trail.steps().next().map(|s| s.rung),
@@ -245,7 +245,7 @@ fn corrupted_shard_is_contained_per_shard() {
         let prepared = backend
             .prepare(Arc::clone(&a))
             .expect("containment must keep the prepare alive");
-        let degraded = prepared.prep_degradation();
+        let degraded = prepared.description().degradation;
         assert!(
             !degraded.is_empty(),
             "the contained shard's ladder trail must surface"
@@ -277,7 +277,7 @@ fn corrupted_shard_is_contained_per_shard() {
         let clean_prep = Sharded::new(shards)
             .prepare(Arc::new(clean))
             .expect("clean lattice");
-        assert!(clean_prep.prep_degradation().is_empty());
+        assert!(clean_prep.description().degradation.is_empty());
     });
     assert_pool_usable(&pool);
 }

@@ -1154,7 +1154,7 @@ proptest! {
         prop_assert!(
             a.residual(&sol.x, &b) < 1e-7,
             "auto picked {} with residual {}",
-            prepared.backend(),
+            prepared.description().backend,
             a.residual(&sol.x, &b)
         );
     }
