@@ -3,9 +3,10 @@
 //! Every linear solve in the MORE-Stress workspace — the full-FEM reference
 //! driver, the ROM global stage, the coarse chiplet model — routes through
 //! the [`SolverBackend`] trait defined here instead of hand-wiring
-//! [`SupernodalCholesky`], [`solve_cg`](crate::solve_cg) or
-//! [`solve_gmres`](crate::solve_gmres) calls. The layer separates the two
-//! phases every sparse solver has:
+//! [`SupernodalCholesky`] calls; the Krylov engines (preconditioned CG and
+//! restarted GMRES) are private to this crate and reached only through the
+//! [`Cg`], [`Gmres`], [`Auto`] and [`Resilient`] backends. The layer
+//! separates the two phases every sparse solver has:
 //!
 //! 1. **prepare** — the expensive, per-matrix work (symbolic + numeric
 //!    Cholesky factorization, or preconditioner construction), producing a
@@ -50,46 +51,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use crate::iterative::{refine, solve_cg, solve_gmres, Precond, GMRES_RESTART};
 use crate::schur::SchurSolver;
 use crate::{
-    solve_cg, solve_gmres, CgOptions, CsrMatrix, FillOrdering, GmresOptions, JacobiPreconditioner,
-    LinalgError, MemoryFootprint, PartitionHint, Preconditioner, ShardPlanStats, Sharded,
-    SsorPreconditioner, SupernodalCholesky, SupernodalOptions, SupernodeStats, WorkPool,
+    CsrMatrix, FillOrdering, LinalgError, MemoryFootprint, PartitionHint, ShardPlanStats, Sharded,
+    SupernodalCholesky, SupernodalOptions, SupernodeStats, WorkPool,
 };
-
-// ---------------------------------------------------------------------------
-// Preconditioners
-// ---------------------------------------------------------------------------
-
-/// SSOR's relaxation factor on [`Auto`]'s iterative arm.
-const SSOR_OMEGA: f64 = 1.2;
-
-/// The preconditioner of an iterative engine: Jacobi for [`Cg`] and
-/// [`Gmres`], SSOR for [`Auto`]'s iterative arm.
-#[derive(Debug, Clone, Copy)]
-enum Precond {
-    Jacobi,
-    Ssor,
-}
-
-impl Precond {
-    /// Builds the preconditioner for `a`, returning it with an analytic
-    /// heap estimate of what the build allocated.
-    fn build(self, a: &CsrMatrix) -> (Box<dyn Preconditioner + Send + Sync>, usize) {
-        let n = a.nrows();
-        match self {
-            Precond::Jacobi => (
-                Box::new(JacobiPreconditioner::new(a)),
-                n * std::mem::size_of::<f64>(),
-            ),
-            Precond::Ssor => (
-                Box::new(SsorPreconditioner::new(a, SSOR_OMEGA)),
-                // SSOR clones the operator and stores the diagonal.
-                a.heap_bytes() + n * std::mem::size_of::<f64>(),
-            ),
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Verification + degradation ladder types
@@ -410,14 +377,15 @@ enum Engine {
     /// complement. `Arc`-shared so the backend can retain the previous
     /// preparation as the base of the incremental re-factorization path.
     Sharded(Arc<SchurSolver>),
+    /// Preconditioned CG to relative residual `tol`, at most `max_iter`
+    /// iterations per right-hand side.
     Cg {
-        precond: Box<dyn Preconditioner + Send + Sync>,
-        opts: CgOptions,
+        precond: Precond,
+        tol: f64,
+        max_iter: usize,
     },
-    Gmres {
-        precond: Box<dyn Preconditioner + Send + Sync>,
-        opts: GmresOptions,
-    },
+    /// Preconditioned restarted GMRES to relative residual `tol`.
+    Gmres { precond: Precond, tol: f64 },
 }
 
 /// Sweeps the ladder's refinement rung may spend on one right-hand side.
@@ -532,24 +500,13 @@ impl EngineBatch {
 /// One right-hand side through a per-RHS engine (the Krylov solvers, the
 /// ladder's lower rungs), before [`PreparedSolver::per_rhs_batch`] folds
 /// the batch together.
-#[derive(Default)]
-struct RhsSolve {
-    x: Vec<f64>,
-    iterations: Option<usize>,
-    residual: Option<f64>,
-    verified: Option<f64>,
-    trail: DegradationTrail,
-}
-
-impl From<crate::IterativeSolution> for RhsSolve {
-    fn from(sol: crate::IterativeSolution) -> Self {
-        Self {
-            x: sol.x,
-            iterations: Some(sol.iterations),
-            residual: Some(sol.residual),
-            ..Self::default()
-        }
-    }
+#[derive(Debug, Default)]
+pub(crate) struct RhsSolve {
+    pub(crate) x: Vec<f64>,
+    pub(crate) iterations: Option<usize>,
+    pub(crate) residual: Option<f64>,
+    pub(crate) verified: Option<f64>,
+    pub(crate) trail: DegradationTrail,
 }
 
 /// The worse of two relative residuals. A NaN counts as ∞: `f64::max` would
@@ -622,11 +579,6 @@ impl PreparedSolver {
     /// sides, workers, and the solve-time steps appended to the trail.
     pub fn description(&self) -> &SolveReport {
         &self.described
-    }
-
-    /// The verification policy solves through this solver run under.
-    pub fn verify_policy(&self) -> VerifyPolicy {
-        self.verify
     }
 
     /// Test-support: rebinds the prepared engine to a different operator
@@ -734,14 +686,19 @@ impl PreparedSolver {
                 self.ladder_batch(ladder, factor, rhs, threads)?
             }
             (Engine::Sharded(schur), _) => schur.solve_many(rhs, threads)?,
-            (Engine::Cg { precond, opts }, _) => self.per_rhs_batch(rhs.len(), threads, |i| {
-                solve_cg(&self.matrix, &rhs[i], &**precond, *opts).map(RhsSolve::from)
+            (
+                Engine::Cg {
+                    precond,
+                    tol,
+                    max_iter,
+                },
+                _,
+            ) => self.per_rhs_batch(rhs.len(), threads, |i| {
+                solve_cg(&self.matrix, &rhs[i], precond, *tol, *max_iter)
             })?,
-            (Engine::Gmres { precond, opts }, _) => {
-                self.per_rhs_batch(rhs.len(), threads, |i| {
-                    solve_gmres(&self.matrix, &rhs[i], &**precond, *opts).map(RhsSolve::from)
-                })?
-            }
+            (Engine::Gmres { precond, tol }, _) => self.per_rhs_batch(rhs.len(), threads, |i| {
+                solve_gmres(&self.matrix, &rhs[i], precond, *tol)
+            })?,
         };
         for x in &batch.xs {
             check_finite(x, "solution")?;
@@ -947,15 +904,13 @@ impl PreparedSolver {
                 restarts: 0,
             },
         });
-        let (sweeps, refined) = crate::refine(
+        let (sweeps, refined) = refine(
             self.matrix.as_ref(),
             b,
             &mut x,
             |r| factor.solve(r),
-            crate::RefineOptions {
-                tol: ladder.tol,
-                max_sweeps: MAX_REFINE_SWEEPS,
-            },
+            ladder.tol,
+            MAX_REFINE_SWEEPS,
         );
         if refined <= ladder.tol {
             return Ok(RhsSolve {
@@ -1128,6 +1083,8 @@ impl SolverBackend for DirectCholesky {
 
 /// Jacobi-preconditioned conjugate-gradient backend (SPD operators), at
 /// most 50 000 iterations — the configuration of [`LinearSolver::Cg`].
+/// The Jacobi preconditioner scales by the inverse diagonal (a zero entry
+/// counts as 1) and holds one vector of `n` values.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cg {
     tol: f64,
@@ -1140,20 +1097,27 @@ impl Cg {
     }
 }
 
-/// Prepares the CG engine for `a`: [`Cg`]'s Jacobi configuration, or
-/// [`Auto`]'s SSOR arm.
+/// Prepares the CG engine for `a` at tolerance `tol` and iteration cap
+/// `max_iter`, preconditioned by what `build` makes of `a`: [`Cg`]'s
+/// Jacobi, or [`Auto`]'s SSOR arm.
 fn prepare_cg(
     a: Arc<CsrMatrix>,
-    opts: CgOptions,
-    precond: Precond,
+    tol: f64,
+    max_iter: usize,
+    build: impl FnOnce(&CsrMatrix) -> Result<Precond, LinalgError>,
 ) -> Result<PreparedSolver, LinalgError> {
     let t0 = Instant::now();
     check_finite_matrix(&a)?;
     let n = a.nrows();
-    let (precond, precond_bytes) = precond.build(&a);
+    let precond = build(&a)?;
+    let precond_bytes = precond.heap_bytes();
     Ok(PreparedSolver::new(
         a,
-        Engine::Cg { precond, opts },
+        Engine::Cg {
+            precond,
+            tol,
+            max_iter,
+        },
         SolveReport {
             backend: "cg",
             setup_time: t0.elapsed(),
@@ -1171,11 +1135,7 @@ impl SolverBackend for Cg {
     }
 
     fn prepare(&self, a: Arc<CsrMatrix>) -> Result<PreparedSolver, LinalgError> {
-        let opts = CgOptions {
-            tol: self.tol,
-            max_iter: 50_000,
-        };
-        prepare_cg(a, opts, Precond::Jacobi)
+        prepare_cg(a, self.tol, 50_000, |a| Ok(Precond::jacobi(a)))
     }
 
     fn config_fingerprint(&self) -> u64 {
@@ -1184,9 +1144,10 @@ impl SolverBackend for Cg {
 }
 
 /// Jacobi-preconditioned restarted-GMRES backend (general operators; the
-/// paper's global-stage prescription), under the default
-/// [`GmresOptions`] restart schedule — the configuration of
-/// [`LinearSolver::Gmres`].
+/// paper's global-stage prescription): cycles of 60 iterations, at most 200
+/// cycles — the configuration of [`LinearSolver::Gmres`]. The Jacobi
+/// preconditioner scales by the inverse diagonal (a zero entry counts as 1)
+/// and holds one vector of `n` values.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Gmres {
     tol: f64,
@@ -1208,14 +1169,14 @@ impl SolverBackend for Gmres {
         let t0 = Instant::now();
         check_finite_matrix(&a)?;
         let n = a.nrows();
-        let (precond, precond_bytes) = Precond::Jacobi.build(&a);
-        let opts = GmresOptions {
-            tol: self.tol,
-            ..GmresOptions::default()
-        };
+        let precond = Precond::jacobi(&a);
+        let precond_bytes = precond.heap_bytes();
         Ok(PreparedSolver::new(
             a,
-            Engine::Gmres { precond, opts },
+            Engine::Gmres {
+                precond,
+                tol: self.tol,
+            },
             SolveReport {
                 backend: "gmres",
                 setup_time: t0.elapsed(),
@@ -1223,7 +1184,7 @@ impl SolverBackend for Gmres {
             },
             precond_bytes,
             // `restart + 1` Krylov vectors, per concurrent solve.
-            (opts.restart + 1) * n * std::mem::size_of::<f64>(),
+            (GMRES_RESTART + 1) * n * std::mem::size_of::<f64>(),
         ))
     }
 
@@ -1390,6 +1351,12 @@ impl SolverBackend for Resilient {
 /// Policy backend: direct Cholesky below a size threshold, SSOR-CG above
 /// it, with a GMRES fallback when factorization rejects the operator.
 ///
+/// The iterative arm runs CG to `tol` in at most 20 000 iterations, under
+/// symmetric successive over-relaxation at ω = 1.2: one forward and one
+/// backward sweep over the prepared operator itself, holding only its
+/// diagonal. An operator with a zero diagonal entry fails that arm's
+/// preparation with [`LinalgError::NotPositiveDefinite`].
+///
 /// This mirrors common practice (and the paper's ANSYS setup, which
 /// switches to the iterative solver for large models) while staying robust:
 /// every SPD operator ends up with a converging backend.
@@ -1426,11 +1393,7 @@ impl SolverBackend for Auto {
             // instead of silently swapping in GMRES.
             Resilient::with_tol(self.tol).prepare(a)
         } else {
-            let opts = CgOptions {
-                tol: self.tol,
-                max_iter: 20_000,
-            };
-            prepare_cg(a, opts, Precond::Ssor)
+            prepare_cg(a, self.tol, 20_000, Precond::ssor)
         }
     }
 
@@ -1458,20 +1421,21 @@ pub enum LinearSolver {
     /// serves every thermal load, which flips the economics in favor of
     /// the direct solver.
     DirectCholesky,
-    /// Jacobi-preconditioned CG (the operators solved here are SPD).
+    /// Jacobi-preconditioned CG (the operators solved here are SPD): the
+    /// [`Cg`] backend.
     Cg {
         /// Relative residual tolerance.
         tol: f64,
     },
     /// Jacobi-preconditioned restarted GMRES (the paper's prescription for
-    /// its global stage).
+    /// its global stage): the [`Gmres`] backend.
     Gmres {
         /// Relative residual tolerance.
         tol: f64,
     },
     /// [`Auto::default`]: direct Cholesky up to its `direct_limit` rows,
-    /// SSOR-CG above — the paper's ANSYS setup, which switches to the
-    /// iterative solver for large models.
+    /// SSOR-preconditioned CG above — the paper's ANSYS setup, which
+    /// switches to the iterative solver for large models.
     Auto,
     /// Domain-decomposition sharding ([`Sharded`]): `shards` interior
     /// blocks, each factored by the direct Cholesky backend and coupled by
@@ -1882,6 +1846,58 @@ mod tests {
             assert_eq!(sol.report.rhs_count, 1);
             assert!(sol.report.solver_bytes > 0);
         }
+    }
+
+    /// The Krylov engines hold their preconditioner beside the prepared
+    /// operator and nothing else: Jacobi and SSOR each keep one `n`-vector
+    /// (SSOR keeps no copy of the operator), CG adds five work vectors and
+    /// GMRES `restart + 1 = 61` Krylov vectors per concurrent solve.
+    #[test]
+    fn krylov_descriptions_count_the_preconditioner_and_the_work_vectors() {
+        let a = spd(64);
+        let vector = 64 * std::mem::size_of::<f64>();
+        let auto = Auto {
+            direct_limit: 8, // force the SSOR-CG arm
+            tol: 1e-10,
+        };
+        let cases: [(&dyn SolverBackend, &str, usize); 3] = [
+            (&auto, "cg", (1 + 5) * vector),
+            (&Cg::with_tol(1e-10), "cg", (1 + 5) * vector),
+            (&Gmres::with_tol(1e-10), "gmres", (1 + 61) * vector),
+        ];
+        for (backend, name, bytes) in cases {
+            let described = *backend.prepare(Arc::clone(&a)).unwrap().description();
+            assert_eq!(described.backend, name);
+            assert_eq!(described.solver_bytes, bytes, "{}", backend.name());
+        }
+    }
+
+    /// SSOR divides by every diagonal entry: `Auto`'s iterative arm refuses
+    /// an operator with a zero one as a typed error naming the first.
+    #[test]
+    fn ssor_arm_refuses_a_zero_diagonal() {
+        let mut coo = CooMatrix::new(3, 3);
+        for (i, j, v) in [
+            (0, 0, 2.0),
+            (0, 1, -1.0),
+            (1, 0, -1.0),
+            (1, 1, 0.0),
+            (1, 2, -1.0),
+            (2, 1, -1.0),
+            (2, 2, 2.0),
+        ] {
+            coo.push(i, j, v);
+        }
+        let err = Auto {
+            direct_limit: 0,
+            tol: 1e-9,
+        }
+        .prepare(Arc::new(coo.to_csr()))
+        .unwrap_err();
+        assert!(
+            matches!(err, LinalgError::NotPositiveDefinite { row: 1, pivot } if pivot == 0.0),
+            "{err:?}"
+        );
     }
 
     /// The one mapping, pinned: every selection builds exactly the

@@ -26,8 +26,11 @@
 //!   dissection of the block grid an operator's [`PartitionHint`]
 //!   describes, or RCM; [`FillOrdering::Auto`] (the default) picks the
 //!   first when the operator is hinted and the second otherwise.
-//! * [`solve_cg`] / [`solve_gmres`] — preconditioned iterative solvers used
-//!   by the global stage (the paper solves the global system with GMRES).
+//! * [`Cg`] / [`Gmres`] — the Jacobi-preconditioned Krylov backends (the
+//!   paper solves the global system with GMRES); [`Auto`] runs
+//!   SSOR-preconditioned CG above its direct threshold. The Krylov engines
+//!   and their preconditioners are private to this crate: a backend is the
+//!   one way to reach them.
 //! * [`MemoryFootprint`] — analytic heap accounting used to report the memory
 //!   columns of Tables 1 and 2.
 //! * [`SolverBackend`] / [`PreparedSolver`] — the unified solver backend
@@ -127,10 +130,6 @@ pub use backend::{
 pub use dense::DenseMatrix;
 pub use error::LinalgError;
 pub use fault::FaultPlan;
-pub use iterative::{
-    refine, solve_cg, solve_gmres, CgOptions, GmresOptions, IterativeSolution,
-    JacobiPreconditioner, Preconditioner, RefineOptions, SsorPreconditioner,
-};
 pub use kernel::{BlockedKernel, Isa, KernelChoice};
 pub use memory::{huge_with_capacity, huge_zeroed, MemoryFootprint};
 pub use ordering::{geometric_dissection, reverse_cuthill_mckee, FillOrdering, Permutation};

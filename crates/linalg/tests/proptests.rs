@@ -8,11 +8,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use morestress_linalg::{
-    axpy, dot, dot_panel, geometric_dissection, gram_panel, reverse_cuthill_mckee, solve_cg,
-    solve_gmres, Auto, BlockedKernel, CgOptions, CooMatrix, CsrMatrix, DenseMatrix, DirectCholesky,
-    FactorCache, FaultPlan, FillOrdering, GmresOptions, Isa, JacobiPreconditioner, LinalgError,
-    PartitionHint, Permutation, ShardPlan, Sharded, SolverBackend, SupernodalCholesky,
-    SupernodalOptions, SymbolicParts, TaskDag, WorkPool,
+    axpy, dot, dot_panel, geometric_dissection, gram_panel, reverse_cuthill_mckee, Auto,
+    BlockedKernel, Cg, CooMatrix, CsrMatrix, DenseMatrix, DirectCholesky, FactorCache, FaultPlan,
+    FillOrdering, Gmres, Isa, LinalgError, PartitionHint, Permutation, ShardPlan, Sharded,
+    SolverBackend, SupernodalCholesky, SupernodalOptions, SymbolicParts, TaskDag, WorkPool,
 };
 use morestress_oracle::{transposed, DenseLu, ScalarKernel, SparseCholesky};
 use proptest::prelude::*;
@@ -1082,9 +1081,9 @@ proptest! {
     fn iterative_solvers_match_direct(a in spd_strategy(10),
                                       b in prop::collection::vec(-2.0f64..2.0, 10)) {
         let direct = SparseCholesky::factor(&a).unwrap().solve(&b);
-        let pre = JacobiPreconditioner::new(&a);
-        let cg = solve_cg(&a, &b, &pre, CgOptions { tol: 1e-12, max_iter: 1000 }).unwrap();
-        let gm = solve_gmres(&a, &b, &pre, GmresOptions { tol: 1e-12, ..Default::default() }).unwrap();
+        let a = Arc::new(a);
+        let cg = Cg::with_tol(1e-12).prepare(Arc::clone(&a)).unwrap().solve(&b).unwrap();
+        let gm = Gmres::with_tol(1e-12).prepare(a).unwrap().solve(&b).unwrap();
         let scale = direct.iter().fold(1e-30f64, |m, v| m.max(v.abs()));
         for i in 0..10 {
             prop_assert!((cg.x[i] - direct[i]).abs() < 1e-6 * scale);
@@ -1159,10 +1158,11 @@ proptest! {
         );
     }
 
-    /// The resilient `Auto` ladder never panics and always returns a typed
-    /// result — on random SPD, indefinite, singular-pivot and NaN-poisoned
-    /// operators alike, at serial and saturated pool caps. Successful
-    /// solves are finite; failures are typed `LinalgError`s.
+    /// `Auto` never panics and always returns a typed result — through its
+    /// resilient direct arm and its SSOR-CG arm, on random SPD, indefinite,
+    /// singular-pivot and NaN-poisoned operators alike, at serial and
+    /// saturated pool caps. Successful solves are finite; failures are
+    /// typed `LinalgError`s, and SSOR refuses a zeroed diagonal entry.
     #[test]
     fn resilient_auto_never_panics_on_hostile_operators(
         a in spd_strategy(10),
@@ -1186,23 +1186,36 @@ proptest! {
             _ => {} // clean SPD
         }
         let m = Arc::new(m);
-        for cap in [1usize, 8] {
-            let auto = Auto { direct_limit: 20_000, tol: 1e-8 };
-            let outcome = WorkPool::new(cap).install(|| {
-                auto.prepare(Arc::clone(&m)).and_then(|p| p.solve(&b))
-            });
-            match outcome {
-                Ok(sol) => {
-                    prop_assert!(sol.x.iter().all(|v| v.is_finite()),
-                        "fault {} cap {}: accepted solve must be finite", fault, cap);
-                }
-                Err(e) => {
-                    // Every failure is a typed error, and NaN poisoning in
-                    // particular is always rejected as NonFinite.
-                    if fault == 3 {
-                        prop_assert!(
-                            matches!(e, LinalgError::NonFinite { context: "operator", .. }),
-                            "fault 3 cap {}: got {:?}", cap, e);
+        // Direct arm (through the ladder), then the SSOR-CG arm.
+        for direct_limit in [20_000usize, 0] {
+            for cap in [1usize, 8] {
+                let auto = Auto { direct_limit, tol: 1e-8 };
+                let outcome = WorkPool::new(cap).install(|| {
+                    auto.prepare(Arc::clone(&m)).and_then(|p| p.solve(&b))
+                });
+                match outcome {
+                    Ok(sol) => {
+                        prop_assert!(sol.x.iter().all(|v| v.is_finite()),
+                            "fault {} limit {} cap {}: accepted solve must be finite",
+                            fault, direct_limit, cap);
+                        prop_assert!(fault != 2 || direct_limit != 0,
+                            "cap {}: SSOR accepted a zero diagonal", cap);
+                    }
+                    Err(e) => {
+                        // Every failure is a typed error, NaN poisoning in
+                        // particular is always rejected as NonFinite, and
+                        // SSOR names the zero diagonal it cannot divide by.
+                        if fault == 3 {
+                            prop_assert!(
+                                matches!(e, LinalgError::NonFinite { context: "operator", .. }),
+                                "fault 3 cap {}: got {:?}", cap, e);
+                        }
+                        if fault == 2 && direct_limit == 0 {
+                            prop_assert!(
+                                matches!(e, LinalgError::NotPositiveDefinite { pivot, .. }
+                                    if pivot == 0.0),
+                                "fault 2 SSOR cap {}: got {:?}", cap, e);
+                        }
                     }
                 }
             }
