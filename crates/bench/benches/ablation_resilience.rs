@@ -35,24 +35,23 @@ fn main() -> std::io::Result<()> {
         .collect();
     let pool = WorkPool::new(4);
 
-    let solve_with = |backend: &dyn SolverBackend, verify: VerifyPolicy| {
+    let solve_with = |backend: &dyn SolverBackend| {
         pool.install(|| {
             backend
                 .prepare(Arc::clone(&a))
                 .expect("clean SPD lattice")
-                .with_verify(verify)
                 .solve_many(&rhs, 4)
                 .expect("clean solve")
         })
     };
+    let direct = |verify| DirectCholesky { verify };
 
-    let direct = DirectCholesky::default();
-    let (direct_ms, base) = time3(|| solve_with(&direct, VerifyPolicy::Off));
-    let (report_ms, _) = time3(|| solve_with(&direct, VerifyPolicy::Report));
-    let (enforce_ms, _) = time3(|| solve_with(&direct, VerifyPolicy::Enforce { tol: 1e-8 }));
+    let (direct_ms, base) = time3(|| solve_with(&direct(VerifyPolicy::Off)));
+    let (report_ms, _) = time3(|| solve_with(&direct(VerifyPolicy::Report)));
+    let (enforce_ms, _) = time3(|| solve_with(&direct(VerifyPolicy::Enforce { tol: 1e-8 })));
 
     let resilient = Resilient::default();
-    let (resilient_ms, wrapped) = time3(|| solve_with(&resilient, VerifyPolicy::Off));
+    let (resilient_ms, wrapped) = time3(|| solve_with(&resilient));
     // The clean path's bitwise contract, asserted right in the emitter.
     for (x, y) in base.xs.iter().zip(&wrapped.xs) {
         for (p, q) in x.iter().zip(y) {

@@ -149,8 +149,10 @@ fn run(spec_paths: &[String], out: &str) -> Result<(), String> {
                 } => {
                     // Which factor served the job: a band where a
                     // dissection was expected shows here, not in a profile.
-                    let factor = match (stats.ordering, stats.factor_nnz) {
-                        (Some(ordering), Some(nnz)) => format!("  {ordering} factor, {nnz} nnz"),
+                    let factor = match (stats.supernode_stats, stats.factor_nnz) {
+                        (Some(factor), Some(nnz)) => {
+                            format!("  {} factor, {nnz} nnz", factor.ordering)
+                        }
                         (None, Some(nnz)) => format!("  sharded factor, {nnz} nnz"),
                         (_, None) => String::new(),
                     };

@@ -94,7 +94,10 @@ pub fn campaign_sections(reports: &[CampaignReport]) -> Vec<BenchSection> {
                     entries.push(("sample_ms".to_string(), *sample_ms));
                     entries.push(("total_dofs".to_string(), stats.total_dofs as f64));
                     entries.push(("free_dofs".to_string(), stats.free_dofs as f64));
-                    entries.push(("iterations".to_string(), stats.iterations as f64));
+                    entries.push((
+                        "iterations".to_string(),
+                        stats.iterations.unwrap_or(0) as f64,
+                    ));
                     // 0 for the iterative backends, which hold no factor.
                     entries.push((
                         "factor_nnz".to_string(),

@@ -15,13 +15,14 @@
 //! lifting term. The unreduced global operator is never formed.
 
 use std::fmt;
+use std::ops::Deref;
 use std::sync::{Arc, LazyLock, Mutex};
 use std::time::{Duration, Instant};
 
 use morestress_fem::{DirichletBcs, FemError, ReducedSystem};
 use morestress_linalg::{
-    huge_with_capacity, huge_zeroed, CsrMatrix, DegradationTrail, FactorCache, LinearSolver,
-    MemoryFootprint, PartitionHint, SolveReport, SolverBackend, VerifyPolicy, WorkPool,
+    huge_with_capacity, huge_zeroed, CsrMatrix, FactorCache, LinearSolver, MemoryFootprint,
+    PartitionHint, SolveReport, SolverBackend, VerifyPolicy, WorkPool,
 };
 use morestress_mesh::{BlockKind, BlockLayout};
 
@@ -182,7 +183,12 @@ impl GlobalLattice {
     }
 }
 
-/// Cost accounting of one global-stage solve.
+/// Cost accounting of one global-stage solve: the figures the stage
+/// measures itself, and — through `Deref` — the [`SolveReport`] of the
+/// batch that solved it ([`SolveReport::NONE`] when every DoF was
+/// prescribed). A warm [`FactorCache`] hit reports the description of the
+/// preparation that built the cached solver: its setup time, factor and
+/// shard counters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GlobalStats {
     /// Wall-clock time of prelude + assembly and constraint reduction (when
@@ -203,69 +209,6 @@ pub struct GlobalStats {
     pub free_dofs: usize,
     /// Stored nonzeros of the reduced global operator.
     pub nnz: usize,
-    /// Iterations of the iterative solver (0 for direct solves; for a
-    /// batched solve: summed over the batch).
-    pub iterations: usize,
-    /// Name of the solver backend that ran ([`SolveReport::backend`]:
-    /// "cholesky", "sharded", "cg", "gmres" or "resilient"; "none" when
-    /// every DoF was prescribed).
-    pub backend: &'static str,
-    /// Effective [`WorkPool`](morestress_linalg::WorkPool) worker slots the
-    /// batched solve ran on (1 for serial and fully-constrained solves).
-    pub workers: usize,
-    /// Worker slots the one-time numeric factorization behind this solve
-    /// used (1 for iterative backends, serial factorization, warm-cache
-    /// hits prepared serially, and fully-constrained solves).
-    pub factor_workers: usize,
-    /// The fill ordering the direct factorization resolved to
-    /// (`"geometric"` for every operator this stage reduces — it attaches
-    /// the block-grid hint; `"rcm"` is the hint-less fallback).
-    /// `None` for iterative and sharded backends and fully-constrained
-    /// solves.
-    pub ordering: Option<&'static str>,
-    /// Stored entries of the direct factor behind this solve (summed over
-    /// all blocks when sharded); `None` for iterative backends and
-    /// fully-constrained solves.
-    pub factor_nnz: Option<usize>,
-    /// Interior shards of the sharded global solve (1 for monolithic
-    /// backends and fully-constrained solves).
-    pub shards: usize,
-    /// Interface DoFs coupling the shards (0 unless sharded).
-    pub interface_dofs: usize,
-    /// Largest single-shard factor footprint in bytes (0 unless sharded) —
-    /// the peak factor memory sharding bounds.
-    pub shard_factor_bytes: usize,
-    /// Interior shards whose factor + clique were (re)computed by the
-    /// preparation behind this solve: all of them on a from-scratch
-    /// sharded prepare, only the perturbed ones on the incremental
-    /// re-preparation a pattern-matching
-    /// [`resolve_perturbed`](crate::MoreStressSimulator::resolve_perturbed)
-    /// takes. A warm [`FactorCache`] hit repeats the counters of the
-    /// preparation that built the cached solver. 0 for monolithic
-    /// backends and fully-constrained solves.
-    pub shards_refactored: usize,
-    /// Interior shards whose factor and stored clique the incremental
-    /// sharded re-preparation reused intact
-    /// (`shards_refactored + shards_reused == shards` for a sharded
-    /// prepare; 0 otherwise).
-    pub shards_reused: usize,
-    /// Interior shards (plus one for the interface system, if affected)
-    /// whose direct factorization broke down and were contained by the
-    /// resilience ladder instead of aborting the solve. 0 on every clean
-    /// solve.
-    pub shards_degraded: usize,
-    /// Verified relative residual of the solve (worst over the batch),
-    /// when the backend's verification policy — or the resilient ladder's
-    /// self-verification — computed one. `None` when verification is off.
-    pub verified_residual: Option<f64>,
-    /// Structured history of every recovery the solve performed (ladder
-    /// escalations, stale-cache rebuilds). Empty on the clean path.
-    pub degradation: DegradationTrail,
-    /// Quality accounting of the shard partition behind a sharded solve —
-    /// per-shard rows and estimated factor work, balance ratio, interface
-    /// fraction, and whether the geometry-aware planner produced it.
-    /// `None` for monolithic backends and fully-constrained solves.
-    pub plan_stats: Option<morestress_linalg::ShardPlanStats>,
     /// Whether the solve took its operator from the solver the
     /// [`FactorCache`] holds under its key and skipped assembly and
     /// constraint reduction altogether (see [`GlobalStage::solve_many`]).
@@ -273,13 +216,21 @@ pub struct GlobalStats {
     /// [`GlobalBc::SubmodelBoundary`] solve that then took the cached
     /// factor — and for fully-constrained solves.
     pub operator_reused: bool,
+    report: SolveReport,
+}
+
+impl Deref for GlobalStats {
+    type Target = SolveReport;
+
+    fn deref(&self) -> &Self::Target {
+        &self.report
+    }
 }
 
 impl GlobalStats {
-    /// The one literal: the stage's own figures beside what the solve's
-    /// report says ([`SolveReport::NONE`] when nothing was solved).
+    /// The one literal: the stage's own figures beside the solve's report.
     fn new(
-        report: &SolveReport,
+        report: SolveReport,
         wall_time: Duration,
         peak_bytes: usize,
         total_dofs: usize,
@@ -293,22 +244,8 @@ impl GlobalStats {
             total_dofs,
             free_dofs,
             nnz,
-            iterations: report.iterations.unwrap_or(0),
-            backend: report.backend,
-            workers: report.workers,
-            factor_workers: report.factor_workers,
-            ordering: report.supernode_stats.map(|stats| stats.ordering),
-            factor_nnz: report.factor_nnz,
-            shards: report.shards,
-            interface_dofs: report.interface_dofs,
-            shard_factor_bytes: report.shard_factor_bytes,
-            shards_refactored: report.shards_refactored,
-            shards_reused: report.shards_reused,
-            shards_degraded: report.shards_degraded,
-            verified_residual: report.verified_residual,
-            degradation: report.degradation,
-            plan_stats: report.plan_stats,
             operator_reused,
+            report,
         }
     }
 }
@@ -514,7 +451,7 @@ impl<'a> GlobalStage<'a> {
                 nodal[dof] = v;
             }
             let stats = GlobalStats::new(
-                &SolveReport::NONE,
+                SolveReport::NONE,
                 start.elapsed(),
                 peak_bytes,
                 ndof,
@@ -586,7 +523,7 @@ impl<'a> GlobalStage<'a> {
             + self.rom_dummy.map_or(0, MemoryFootprint::heap_bytes)
             + batch.report.solver_bytes;
         let stats = GlobalStats::new(
-            &batch.report,
+            batch.report,
             start.elapsed(),
             peak_bytes,
             ndof,
@@ -1133,7 +1070,7 @@ mod tests {
         let sol = GlobalStage::new(&rom)
             .solve(&layout, -250.0, &GlobalBc::ClampedTopBottom)
             .unwrap();
-        assert!(sol.stats.iterations > 0);
+        assert!(sol.stats.iterations.is_some_and(|n| n > 0));
         // 4-fold symmetry: the x-displacement at mirrored lattice positions
         // must be opposite.
         let lat = sol.lattice();

@@ -319,9 +319,11 @@ impl MoreStressSimulator {
     /// blocks changed, reuses every clean shard's factor and stored
     /// clique, and rebuilds only the small interface system. The result is
     /// **bitwise identical** to a from-scratch solve of the perturbed layout;
-    /// [`GlobalStats::shards_refactored`](crate::GlobalStats) /
-    /// [`shards_reused`](crate::GlobalStats::shards_reused) report the
-    /// split. With a monolithic solver the call is simply a fresh solve.
+    /// the report its [`GlobalStats`](crate::GlobalStats) carry shows the
+    /// split in
+    /// [`shards_refactored`](morestress_linalg::SolveReport::shards_refactored)
+    /// and [`shards_reused`](morestress_linalg::SolveReport::shards_reused).
+    /// With a monolithic solver the call is simply a fresh solve.
     ///
     /// # Errors
     ///

@@ -177,7 +177,7 @@ fn simulator_shards_knob_routes_and_caches() {
 /// reduced operator at K = 4 the planner must produce four non-singleton
 /// interior shards, keep the work balance within the 2× bound, and cut an
 /// interface no larger than the retired graph planner's 339-DoF record —
-/// all surfaced on `GlobalStats::plan_stats`.
+/// all surfaced on the stats' report (`SolveReport::plan_stats`).
 #[test]
 fn geometric_planner_is_the_default_route_on_6x6() {
     let rom = build_rom(BlockKind::Tsv);

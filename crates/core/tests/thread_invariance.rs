@@ -302,7 +302,10 @@ fn cold_factorization_pipeline_is_pool_size_invariant() {
             reference[0].stats.factor_workers, 1,
             "cap-1 pool must factor serially"
         );
-        assert_eq!(reference[0].stats.ordering, Some("geometric"));
+        assert_eq!(
+            reference[0].stats.supernode_stats.map(|s| s.ordering),
+            Some("geometric")
+        );
         for cap in CAPS {
             let batch = solve(cap);
             assert!(
@@ -310,7 +313,10 @@ fn cold_factorization_pipeline_is_pool_size_invariant() {
                 "{} factor workers exceed pool cap {cap}",
                 batch[0].stats.factor_workers
             );
-            assert_eq!(batch[0].stats.ordering, Some("geometric"));
+            assert_eq!(
+                batch[0].stats.supernode_stats.map(|s| s.ordering),
+                Some("geometric")
+            );
             assert_eq!(batch[0].stats.factor_nnz, reference[0].stats.factor_nnz);
             for (r, c) in reference.iter().zip(&batch) {
                 assert_bitwise(

@@ -193,25 +193,47 @@ fn cold_alias_warm_and_content_warm_solves_share_one_geometric_factor() {
 
     assert!(cold.stats.factor_nnz.is_some_and(|nnz| nnz > 0));
     for (label, warm) in [("warm", &warm), ("rebuilt ROM", &rebuilt_cold)] {
-        assert_eq!(warm.stats.ordering, Some("geometric"), "{label}");
+        assert_eq!(
+            warm.stats.supernode_stats.map(|s| s.ordering),
+            Some("geometric"),
+            "{label}"
+        );
         assert_eq!(warm.stats.factor_nnz, cold.stats.factor_nnz, "{label}");
         assert_bitwise(label, cold.nodal_displacement(), warm.nodal_displacement());
     }
-    assert_eq!(cold.stats.ordering, Some("geometric"));
+    assert_eq!(
+        cold.stats.supernode_stats.map(|s| s.ordering),
+        Some("geometric")
+    );
 }
 
 /// The batched door takes the same route: a warm 3-load batch reuses the
-/// operator and returns the bits of three cold single solves.
+/// operator and returns the bits of three cold single solves. Each
+/// solve's stats carry its batch's report: the cold batch's covers its
+/// two loads, and the warm batch repeats the cached solver's setup time.
 #[test]
 fn warm_batches_match_cold_single_solves() {
     let sim = simulator(direct);
     let layout = with_dummy_at(1, 3);
-    sim.solve_array(&layout, 20.0, &BC).expect("cold solve");
+    let cold = sim
+        .solve_array_many(&layout, &[20.0, 85.0], &BC)
+        .expect("cold batch");
+    for solution in &cold {
+        let stats = &solution.stats;
+        assert!(!stats.operator_reused);
+        assert_eq!(stats.rhs_count, 2);
+        assert!(stats.solve_time <= stats.wall_time);
+    }
     let batch = sim
         .solve_array_many(&layout, &LOADS[..3], &BC)
         .expect("warm batch");
     for (i, (solution, &load)) in batch.iter().zip(&LOADS).enumerate() {
         assert!(solution.stats.operator_reused, "batch entry {i}");
+        assert_eq!(solution.stats.rhs_count, 3, "batch entry {i}");
+        assert_eq!(
+            solution.stats.setup_time, cold[0].stats.setup_time,
+            "batch entry {i}: the cached solver's description"
+        );
         assert_matches_fresh(
             &format!("batch entry {i}"),
             direct,

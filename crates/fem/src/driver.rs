@@ -12,12 +12,13 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use morestress_linalg::{LinearSolver, MemoryFootprint, VerifyPolicy, WorkPool};
+use morestress_linalg::{LinearSolver, MemoryFootprint, SolveReport, VerifyPolicy, WorkPool};
 use morestress_mesh::HexMesh;
 
 use crate::{assemble_system, DirichletBcs, FemError, MaterialSet, ReducedSystem};
 
-/// Cost accounting of one solve.
+/// Cost accounting of one solve: the driver's own figures beside the
+/// [`SolveReport`] of the batch that solved it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveStats {
     /// Wall-clock time of assembly + reduction + solve.
@@ -32,12 +33,10 @@ pub struct SolveStats {
     pub free_dofs: usize,
     /// Stored nonzeros of the reduced operator.
     pub nnz: usize,
-    /// Iterations, if an iterative solver ran (for a batched solve: summed
-    /// over the batch).
-    pub iterations: Option<usize>,
-    /// Name of the solver backend that actually ran ("cholesky", "cg",
-    /// "gmres" — [`LinearSolver::Auto`] resolves to one of these).
-    pub backend: &'static str,
+    /// The batch's report: the backend that ran ([`LinearSolver::Auto`]
+    /// reports `"resilient"` on its direct arm), iterations summed over the
+    /// batch, setup and solve time.
+    pub report: SolveReport,
 }
 
 /// A full-FEM thermal stress solution.
@@ -139,8 +138,7 @@ pub fn solve_thermal_stress_many(
         total_dofs: 3 * mesh.num_nodes(),
         free_dofs: n_free,
         nnz: reduced.a_ff.nnz(),
-        iterations: batch.report.iterations,
-        backend: batch.report.backend,
+        report: batch.report,
     };
     Ok(displacements
         .into_iter()
@@ -223,7 +221,7 @@ mod tests {
         for (a, b) in direct.displacement.iter().zip(&gmres.displacement) {
             assert!((a - b).abs() < 1e-5 * max_u);
         }
-        assert!(cg.stats.iterations.unwrap() > 0);
+        assert!(cg.stats.report.iterations.unwrap() > 0);
     }
 
     #[test]
@@ -276,7 +274,12 @@ mod tests {
             solve_thermal_stress_many(&mesh, &mats, &loads, &bcs, LinearSolver::DirectCholesky)
                 .unwrap();
         assert_eq!(batch.len(), loads.len());
-        assert_eq!(batch[0].stats.backend, "cholesky");
+        for batched in &batch {
+            let stats = &batched.stats;
+            assert_eq!(stats.report.backend, "cholesky");
+            assert_eq!(stats.report.rhs_count, loads.len());
+            assert!(stats.report.solve_time <= stats.wall_time);
+        }
         for (&dt, batched) in loads.iter().zip(&batch) {
             let single =
                 solve_thermal_stress(&mesh, &mats, dt, &bcs, LinearSolver::DirectCholesky).unwrap();

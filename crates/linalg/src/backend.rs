@@ -177,8 +177,17 @@ pub(crate) fn check_finite(values: &[f64], context: &'static str) -> Result<(), 
     }
 }
 
-/// Scans the stored operator values for NaN/Inf (O(nnz)).
-pub(crate) fn check_finite_matrix(a: &CsrMatrix) -> Result<(), LinalgError> {
+/// The first check of every `prepare`: fails with
+/// [`LinalgError::DimensionMismatch`] unless the operator is square, then
+/// scans its stored values for NaN/Inf (O(nnz)).
+pub(crate) fn check_operator(a: &CsrMatrix) -> Result<(), LinalgError> {
+    if a.nrows() != a.ncols() {
+        return Err(LinalgError::DimensionMismatch {
+            context: "operator",
+            expected: a.nrows(),
+            found: a.ncols(),
+        });
+    }
     check_finite(a.values(), "operator")
 }
 
@@ -586,16 +595,6 @@ impl PreparedSolver {
     /// it claims to solve — the fault-injection cache corruption.
     pub(crate) fn rebind_matrix(mut self, matrix: Arc<CsrMatrix>) -> Self {
         self.matrix = matrix;
-        self
-    }
-
-    /// This solver with its verification policy replaced — the way to turn
-    /// residual verification on for backends whose configuration does not
-    /// expose it (the iterative engines), or to tighten/loosen it after
-    /// preparation. Verification never mutates the solution, so changing
-    /// the policy never changes solve results, only their checking.
-    pub fn with_verify(mut self, verify: VerifyPolicy) -> Self {
-        self.verify = verify;
         self
     }
 
@@ -1072,7 +1071,7 @@ impl SolverBackend for DirectCholesky {
 
     fn prepare(&self, a: Arc<CsrMatrix>) -> Result<PreparedSolver, LinalgError> {
         let t0 = Instant::now();
-        check_finite_matrix(&a)?;
+        check_operator(&a)?;
         self.prepare_factor(a, None, t0)
     }
 
@@ -1107,7 +1106,7 @@ fn prepare_cg(
     build: impl FnOnce(&CsrMatrix) -> Result<Precond, LinalgError>,
 ) -> Result<PreparedSolver, LinalgError> {
     let t0 = Instant::now();
-    check_finite_matrix(&a)?;
+    check_operator(&a)?;
     let n = a.nrows();
     let precond = build(&a)?;
     let precond_bytes = precond.heap_bytes();
@@ -1167,7 +1166,7 @@ impl SolverBackend for Gmres {
 
     fn prepare(&self, a: Arc<CsrMatrix>) -> Result<PreparedSolver, LinalgError> {
         let t0 = Instant::now();
-        check_finite_matrix(&a)?;
+        check_operator(&a)?;
         let n = a.nrows();
         let precond = Precond::jacobi(&a);
         let precond_bytes = precond.heap_bytes();
@@ -1301,7 +1300,7 @@ impl SolverBackend for Resilient {
 
     fn prepare(&self, a: Arc<CsrMatrix>) -> Result<PreparedSolver, LinalgError> {
         let t0 = Instant::now();
-        check_finite_matrix(&a)?;
+        check_operator(&a)?;
         let mut trail = DegradationTrail::new();
         let mut prepared = match DirectCholesky::default().prepare_factor(Arc::clone(&a), None, t0)
         {
@@ -2078,11 +2077,12 @@ mod tests {
                 // A healthy solver bound to an operator its solutions
                 // cannot be checked against.
                 let rebound = |verify| {
-                    backend
+                    let mut prepared = backend
                         .prepare(Arc::clone(&a))
                         .unwrap()
-                        .rebind_matrix(Arc::clone(&wild))
-                        .with_verify(verify)
+                        .rebind_matrix(Arc::clone(&wild));
+                    prepared.verify = verify;
+                    prepared
                 };
                 let enforced = rebound(VerifyPolicy::Enforce { tol: 1e-6 });
                 assert!(enforced.solve(&b).is_err(), "{name}: single solve");
@@ -2287,6 +2287,35 @@ mod tests {
                 index: 5
             }
         );
+    }
+
+    #[test]
+    fn non_square_operators_fail_every_prepare_with_a_typed_error() {
+        let mut coo = CooMatrix::new(3, 4);
+        for i in 0..3 {
+            coo.push(i, i, 4.0);
+        }
+        let a = Arc::new(coo.to_csr());
+        let mismatch = LinalgError::DimensionMismatch {
+            context: "operator",
+            expected: 3,
+            found: 4,
+        };
+        let mut backends = every_backend();
+        // `Auto`'s SSOR-CG arm at any size.
+        backends.push(Box::new(Auto {
+            direct_limit: 0,
+            tol: 1e-10,
+        }));
+        let cache = FactorCache::new();
+        for backend in &backends {
+            let name = backend.name();
+            let prepared = backend.prepare(Arc::clone(&a));
+            assert_eq!(prepared.map(|_| ()), Err(mismatch), "{name}");
+            let cached = cache.prepare(backend.as_ref(), &[3, 4], &a);
+            assert_eq!(cached.map(|_| ()), Err(mismatch), "{name}: cache");
+        }
+        assert!(cache.is_empty());
     }
 
     #[test]

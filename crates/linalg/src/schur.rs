@@ -141,10 +141,10 @@ impl SolverBackend for Sharded {
 
     fn prepare(&self, a: Arc<CsrMatrix>) -> Result<PreparedSolver, LinalgError> {
         let t0 = Instant::now();
-        // Scan the whole operator before any block extraction, so a
+        // Check the whole operator before any block extraction, so a
         // NonFinite error carries the *global* nnz index rather than a
         // block-local one.
-        crate::backend::check_finite_matrix(&a)?;
+        crate::backend::check_operator(&a)?;
         // The retained previous preparation is the base of this one when
         // it matches in configuration *and* pattern: the plan is a pure
         // function of (pattern, shard count, hint), so it — and with it

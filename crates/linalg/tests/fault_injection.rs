@@ -513,24 +513,26 @@ fn verification_reports_and_enforces_on_the_clean_path() {
     let a = Arc::new(lattice(10, 9));
     let rhs = rhs_set(a.nrows(), 2);
 
-    let reported = DirectCholesky::default()
-        .prepare(Arc::clone(&a))
-        .expect("clean SPD lattice")
-        .with_verify(VerifyPolicy::Report)
-        .solve_many(&rhs, 2)
-        .expect("verified solve");
+    let reported = DirectCholesky {
+        verify: VerifyPolicy::Report,
+    }
+    .prepare(Arc::clone(&a))
+    .expect("clean SPD lattice")
+    .solve_many(&rhs, 2)
+    .expect("verified solve");
     let rr = reported
         .report
         .verified_residual
         .expect("Report must record the residual");
     assert!(rr < 1e-10, "healthy direct solve, got {rr}");
 
-    let enforced = DirectCholesky::default()
-        .prepare(Arc::clone(&a))
-        .expect("clean SPD lattice")
-        .with_verify(VerifyPolicy::Enforce { tol: 1e-8 })
-        .solve_many(&rhs, 2)
-        .expect("a healthy solve must pass enforcement");
+    let enforced = DirectCholesky {
+        verify: VerifyPolicy::Enforce { tol: 1e-8 },
+    }
+    .prepare(Arc::clone(&a))
+    .expect("clean SPD lattice")
+    .solve_many(&rhs, 2)
+    .expect("a healthy solve must pass enforcement");
     assert!(enforced.report.verified_residual.unwrap() < 1e-8);
 
     let resilient = Resilient::default()

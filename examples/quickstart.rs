@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
              peak von Mises = {:.0} MPa",
             solution.stats.wall_time,
             solution.stats.total_dofs,
-            solution.stats.iterations,
+            solution.stats.iterations.unwrap_or(0),
             field.max()
         );
     }
