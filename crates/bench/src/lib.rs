@@ -14,9 +14,6 @@
 //! full-FEM reference is capped by [`Scale::fem_limit`] (6×6 at
 //! [`Scale::small`], 10×10 at [`Scale::paper`]); above the cap the error
 //! columns print `-`.
-//!
-//! The crate also writes and validates the numeric bench records
-//! ([`record_bench_entries`], [`check_bench_files`]; `morestress check`).
 
 #![warn(missing_docs)]
 
@@ -610,51 +607,6 @@ pub fn fmt_bytes(bytes: usize) -> String {
     }
 }
 
-/// A 2-D 5-point lattice with mildly jittered diagonal (`nx · ny` DoFs) —
-/// the test operator of the `ablation_resilience` emitter.
-pub fn jittered_lattice(nx: usize, ny: usize) -> morestress_linalg::CsrMatrix {
-    let n = nx * ny;
-    let id = |i: usize, j: usize| j * nx + i;
-    let mut coo = morestress_linalg::CooMatrix::new(n, n);
-    for j in 0..ny {
-        for i in 0..nx {
-            let me = id(i, j);
-            coo.push(me, me, 4.0 + 0.1 + 0.05 * ((me * 7) % 5) as f64);
-            let mut link = |other: usize| coo.push(me, other, -1.0);
-            if i > 0 {
-                link(id(i - 1, j));
-            }
-            if i + 1 < nx {
-                link(id(i + 1, j));
-            }
-            if j > 0 {
-                link(id(i, j - 1));
-            }
-            if j + 1 < ny {
-                link(id(i, j + 1));
-            }
-        }
-    }
-    coo.to_csr()
-}
-
-/// Times `f` three times and returns the median in milliseconds together
-/// with the last result.
-pub fn time3<R>(mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut out = None;
-    let mut samples = Vec::with_capacity(3);
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        out = Some(f());
-        samples.push(t0.elapsed());
-    }
-    samples.sort_unstable();
-    (
-        samples[1].as_secs_f64() * 1e3,
-        out.expect("ran at least once"),
-    )
-}
-
 /// Formats an optional error as a percentage.
 pub fn fmt_err(e: Option<f64>) -> String {
     e.map_or_else(|| "-".to_string(), |v| format!("{:.2}%", v * 100.0))
@@ -671,227 +623,4 @@ pub fn peak_rss_bytes() -> Option<usize> {
         }
     }
     None
-}
-
-/// Path of a machine-readable benchmark record at the workspace root
-/// (`BENCH_PR8.json`).
-pub fn bench_json_path_for(file: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(file)
-}
-
-/// One bench-record section: a name plus its key → number entries.
-pub type BenchSection = (String, Vec<(String, f64)>);
-
-/// `hardware_threads` of this machine, as recorded in every bench section.
-pub fn hardware_threads() -> f64 {
-    std::thread::available_parallelism().map_or(1, |p| p.get()) as f64
-}
-
-/// The current git commit as a number (the first 12 hex digits of `HEAD`,
-/// parsed base-16 — 48 bits, exact in an `f64`), or 0 when git is
-/// unavailable. The bench records are numbers-only JSON, so the hash is
-/// stored numerically; `format!("{:012x}", v as u64)` recovers the short
-/// hash.
-pub fn git_commit_number() -> f64 {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| u64::from_str_radix(String::from_utf8_lossy(&out.stdout).trim(), 16).ok())
-        .map_or(0.0, |v| v as f64)
-}
-
-/// Merges one section of benchmark numbers into the named record file at
-/// the workspace root.
-///
-/// The file is a flat two-level JSON object `{section: {key: number}}`;
-/// the section is overwritten and any others are left in place. Every
-/// written section is stamped with [`hardware_threads`] and
-/// [`git_commit_number`] (caller-provided values for those keys are
-/// replaced), which is what `morestress check` verifies. The
-/// stored format is exactly what [`parse_bench_json`] reads back — no
-/// external JSON dependency.
-///
-/// # Errors
-///
-/// Returns the I/O error when the record cannot be written.
-pub fn record_bench_entries(
-    file: &str,
-    section: &str,
-    mut entries: Vec<(String, f64)>,
-) -> std::io::Result<()> {
-    let path = bench_json_path_for(file);
-    let mut sections: Vec<BenchSection> = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|text| parse_bench_json(&text))
-        .unwrap_or_default();
-    sections.retain(|(name, _)| name != section);
-    entries.retain(|(k, _)| k != "hardware_threads" && k != "git_commit");
-    entries.push(("hardware_threads".to_string(), hardware_threads()));
-    entries.push(("git_commit".to_string(), git_commit_number()));
-    sections.push((section.to_string(), entries));
-    sections.sort_by(|a, b| a.0.cmp(&b.0));
-    std::fs::write(&path, format_bench_sections(&sections))
-}
-
-/// Serializes sections into the two-level `{section: {key: number}}` text
-/// that [`parse_bench_json`] reads back — shared by
-/// [`record_bench_entries`] and the campaign results writer. Section
-/// order is preserved as given.
-pub fn format_bench_sections(sections: &[BenchSection]) -> String {
-    let mut out = String::from("{\n");
-    for (si, (name, kvs)) in sections.iter().enumerate() {
-        out.push_str(&format!("  \"{name}\": {{\n"));
-        for (ki, (k, v)) in kvs.iter().enumerate() {
-            let comma = if ki + 1 < kvs.len() { "," } else { "" };
-            out.push_str(&format!("    \"{k}\": {v}{comma}\n"));
-        }
-        let comma = if si + 1 < sections.len() { "," } else { "" };
-        out.push_str(&format!("  }}{comma}\n"));
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Parses the two-level `{section: {key: number}}` JSON object that
-/// [`format_bench_sections`] writes, whatever its layout: tokens may be
-/// separated by any whitespace, on one line or many. Returns `None` on
-/// anything else — a third level, a value that is not a number, a string
-/// with escapes, trailing text (the writer then starts a fresh file).
-/// Values parse as Rust `f64` literals, so a non-finite one written as
-/// `NaN` or `inf` reads back for [`check_bench_sections`] to name.
-pub fn parse_bench_json(text: &str) -> Option<Vec<BenchSection>> {
-    let mut json = JsonCursor(text);
-    json.eat('{')?;
-    let sections = json.list('}', |json| {
-        let name = json.string()?;
-        json.eat(':')?;
-        json.eat('{')?;
-        let entries = json.list('}', |json| {
-            let key = json.string()?;
-            json.eat(':')?;
-            Some((key, json.number()?))
-        })?;
-        Some((name, entries))
-    })?;
-    json.0.trim_start().is_empty().then_some(sections)
-}
-
-/// The unread rest of a bench record's text.
-struct JsonCursor<'a>(&'a str);
-
-impl JsonCursor<'_> {
-    /// Skips whitespace, then consumes `c`; consumes nothing on a mismatch.
-    fn eat(&mut self, c: char) -> Option<()> {
-        self.0 = self.0.trim_start().strip_prefix(c)?;
-        Some(())
-    }
-
-    /// Comma-separated items up to and including `close`.
-    fn list<T>(
-        &mut self,
-        close: char,
-        mut item: impl FnMut(&mut Self) -> Option<T>,
-    ) -> Option<Vec<T>> {
-        let mut items = Vec::new();
-        if self.eat(close).is_some() {
-            return Some(items);
-        }
-        loop {
-            items.push(item(self)?);
-            if self.eat(close).is_some() {
-                return Some(items);
-            }
-            self.eat(',')?;
-        }
-    }
-
-    /// A string without escapes.
-    fn string(&mut self) -> Option<String> {
-        self.eat('"')?;
-        let (s, rest) = self.0.split_once('"')?;
-        if s.contains('\\') {
-            return None;
-        }
-        self.0 = rest;
-        Some(s.to_string())
-    }
-
-    /// The text up to the next delimiter, as an `f64`.
-    fn number(&mut self) -> Option<f64> {
-        let rest = self.0.trim_start();
-        let end = rest
-            .find(|c: char| c == ',' || c == '}' || c.is_whitespace())
-            .unwrap_or(rest.len());
-        self.0 = &rest[end..];
-        rest[..end].parse().ok()
-    }
-}
-
-/// Validates one parsed bench record against the artifact schema
-/// `morestress check` enforces: at least one section, every
-/// section non-empty, every value finite, and the uniform
-/// [`record_bench_entries`] stamps present (`hardware_threads >= 1` and
-/// `git_commit`). Returns the violations found (empty means valid).
-pub fn check_bench_sections(sections: &[BenchSection]) -> Vec<String> {
-    let mut problems = Vec::new();
-    if sections.is_empty() {
-        problems.push("record has no sections".to_string());
-    }
-    for (name, entries) in sections {
-        if entries.is_empty() {
-            problems.push(format!("section {name:?} is empty"));
-        }
-        for (key, value) in entries {
-            if !value.is_finite() {
-                problems.push(format!("section {name:?}: {key} = {value} is not finite"));
-            }
-        }
-        let get = |key: &str| entries.iter().find(|(k, _)| k == key).map(|(_, v)| *v);
-        match get("hardware_threads") {
-            None => problems.push(format!("section {name:?} is missing hardware_threads")),
-            Some(v) if v < 1.0 => {
-                problems.push(format!("section {name:?}: hardware_threads = {v} < 1"));
-            }
-            Some(_) => {}
-        }
-        if get("git_commit").is_none() {
-            problems.push(format!("section {name:?} is missing git_commit"));
-        }
-    }
-    problems
-}
-
-/// Validates each bench record file against the artifact schema
-/// ([`parse_bench_json`], then [`check_bench_sections`]): prints one `ok`
-/// line per valid file to stdout and one `FAIL` line per problem, naming
-/// the file, to stderr. Returns whether every file passed.
-pub fn check_bench_files(paths: &[impl AsRef<std::path::Path>]) -> bool {
-    let mut all_ok = true;
-    for path in paths {
-        let name = path.as_ref().display();
-        let problems = match std::fs::read_to_string(path) {
-            Err(e) => vec![format!("unreadable: {e}")],
-            Ok(text) => match parse_bench_json(&text) {
-                None => vec!["not in the {section: {key: number}} format".to_string()],
-                Some(sections) => {
-                    let problems = check_bench_sections(&sections);
-                    if problems.is_empty() {
-                        let keys: usize = sections.iter().map(|(_, kv)| kv.len()).sum();
-                        println!("ok   {name}: {} sections, {keys} keys", sections.len());
-                    }
-                    problems
-                }
-            },
-        };
-        for problem in &problems {
-            eprintln!("FAIL {name}: {problem}");
-        }
-        all_ok &= problems.is_empty();
-    }
-    all_ok
 }

@@ -11,8 +11,8 @@
 //!   factor cache), prints a per-job table, and writes the numeric results
 //!   record.
 //! * `repro` regenerates the paper's tables ([`morestress_bench::repro`]).
-//! * `check` validates results and bench records against their schema
-//!   ([`morestress_bench::check_bench_files`]).
+//! * `check` validates results records against their schema
+//!   ([`results::check_files`]).
 //!
 //! Exit status: 2 for a bad command line (the usage on stderr, nothing on
 //! stdout, nothing computed); 1 for a failed run — an invalid spec or
@@ -21,7 +21,7 @@
 
 use std::process::ExitCode;
 
-use morestress_bench::{check_bench_files, Experiment, Scale};
+use morestress_bench::{Experiment, Scale};
 use morestress_campaign::{results, CampaignRunner, CampaignSpec, JobOutcome};
 use morestress_linalg::WorkPool;
 
@@ -43,7 +43,7 @@ fn main() -> ExitCode {
             morestress_bench::repro(which, &scale).map_err(|e| format!("repro failed: {e}"))
         }),
         ["check", ..] => parse_check(&args[1..]).map(|paths| {
-            if check_bench_files(paths) {
+            if results::check_files(paths) {
                 Ok(())
             } else {
                 Err("check failed".to_string())

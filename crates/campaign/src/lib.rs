@@ -15,9 +15,9 @@
 //!   [`FactorCache`](morestress_linalg::FactorCache)) per distinct
 //!   model, per-job panic/fault containment, and deterministic
 //!   campaign-canonical result ordering.
-//! * [`results`] — the stable numeric results schema: the same
-//!   two-level `{section: {key: number}}` JSON as the bench record
-//!   (`BENCH_PR8.json`), accepted by `morestress check`.
+//! * [`results`] — the stable numeric results schema: a two-level
+//!   `{section: {key: number}}` JSON record, its writer, and the reader
+//!   and checker behind `morestress check`.
 //! * the `morestress` CLI binary, the workspace's one command line —
 //!   `morestress campaign run <spec.yml>`, `morestress repro` (the paper's
 //!   tables) and `morestress check <record.json>` (the results schema).

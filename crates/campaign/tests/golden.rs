@@ -182,6 +182,36 @@ fn example_campaign_reproduces_the_recorded_peaks() {
     }
     assert_eq!(sections_with_a_residual(&reports), GOLDEN.len());
 
+    // The results record round-trips: rendered and parsed back, every
+    // section, key and value returns bit for bit (the checksum halves
+    // included), and the record passes its own check.
+    let sections = results::campaign_sections(&reports);
+    let parsed = results::parse(&results::render(&sections)).expect("rendered record parses");
+    let bits = |sections: &[results::Section]| -> Vec<(String, Vec<(String, u64)>)> {
+        sections
+            .iter()
+            .map(|(name, entries)| {
+                let entries = entries.iter().map(|(k, v)| (k.clone(), v.to_bits()));
+                (name.clone(), entries.collect())
+            })
+            .collect()
+    };
+    assert_eq!(bits(&parsed), bits(&sections));
+    assert_eq!(
+        parsed.len(),
+        1 + checksums.len(),
+        "a summary, then the jobs"
+    );
+    for ((name, entries), checksum) in parsed[1..].iter().zip(&checksums) {
+        let half = |key: &str| {
+            let (_, v) = entries.iter().find(|(k, _)| k == key).expect(key);
+            *v as u64
+        };
+        let joined = (half("checksum_hi") << 32) | half("checksum_lo");
+        assert_eq!(joined, *checksum, "{name}: checksum halves");
+    }
+    assert_eq!(results::check(&parsed), Vec::<String>::new());
+
     // Every job is checked before anything fails, so one run reports every
     // moved checksum and the block that re-records them.
     let mismatches: Vec<String> = GOLDEN

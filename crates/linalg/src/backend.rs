@@ -2210,29 +2210,40 @@ mod tests {
 
     #[test]
     fn resilient_matches_direct_bitwise_on_clean_operators() {
-        let a = spd(48);
-        let direct = DirectCholesky::default().prepare(Arc::clone(&a)).unwrap();
-        let res = Resilient::default().prepare(Arc::clone(&a)).unwrap();
-        assert_eq!(res.description().backend, "resilient");
-        let loads: Vec<Vec<f64>> = (0..5)
-            .map(|k| (0..48).map(|i| ((i + 5 * k) % 9) as f64 - 4.0).collect())
-            .collect();
-        for b in &loads {
-            let xd = direct.solve(b).unwrap().x;
-            let sol = res.solve(b).unwrap();
-            let bits_d: Vec<u64> = xd.iter().map(|v| v.to_bits()).collect();
-            let bits_r: Vec<u64> = sol.x.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(bits_d, bits_r, "clean ladder solve must be bitwise direct");
-            assert!(sol.report.degradation.is_empty());
-            assert!(sol.report.verified_residual.unwrap() <= 1e-8);
+        // A tridiagonal operator and a 2-D 5-point lattice.
+        let lattice = Arc::new(crate::test_operators::laplacian_2d(12, 10));
+        for a in [spd(48), lattice] {
+            let n = a.nrows();
+            let direct = DirectCholesky::default().prepare(Arc::clone(&a)).unwrap();
+            let res = Resilient::default().prepare(Arc::clone(&a)).unwrap();
+            assert_eq!(res.description().backend, "resilient");
+            let loads: Vec<Vec<f64>> = (0..5)
+                .map(|k| (0..n).map(|i| ((i + 5 * k) % 9) as f64 - 4.0).collect())
+                .collect();
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+            for b in &loads {
+                let xd = direct.solve(b).unwrap().x;
+                let sol = res.solve(b).unwrap();
+                assert_eq!(
+                    bits(&xd),
+                    bits(&sol.x),
+                    "n = {n}: clean ladder solve must be bitwise direct"
+                );
+                assert!(sol.report.degradation.is_empty());
+                assert!(sol.report.verified_residual.unwrap() <= 1e-8);
+            }
+            let batch = res.solve_many(&loads, 4).unwrap();
+            let direct_batch = direct.solve_many(&loads, 4).unwrap();
+            for (x, xd) in batch.xs.iter().zip(&direct_batch.xs) {
+                assert_eq!(
+                    bits(x),
+                    bits(xd),
+                    "n = {n}: batched ladder solve must be bitwise the panel path"
+                );
+            }
+            assert!(batch.report.degradation.is_empty());
+            assert!(batch.report.verified_residual.is_some());
         }
-        let batch = res.solve_many(&loads, 4).unwrap();
-        let direct_batch = direct.solve_many(&loads, 4).unwrap();
-        for (x, xd) in batch.xs.iter().zip(&direct_batch.xs) {
-            assert_eq!(x, xd, "batched ladder solve must match the panel path");
-        }
-        assert!(batch.report.degradation.is_empty());
-        assert!(batch.report.verified_residual.is_some());
     }
 
     #[test]
