@@ -148,12 +148,14 @@ fn run(spec_paths: &[String], out: &str) -> Result<(), String> {
                     ..
                 } => {
                     // Which factor served the job: a band where a
-                    // dissection was expected shows here, not in a profile.
+                    // dissection was expected shows here, not in a profile,
+                    // and so does the mirror group it was folded by.
+                    let fold = stats.fold_order;
                     let factor = match (stats.supernode_stats, stats.factor_nnz) {
                         (Some(factor), Some(nnz)) => {
-                            format!("  {} factor, {nnz} nnz", factor.ordering)
+                            format!("  {} factor, {nnz} nnz, fold {fold}", factor.ordering)
                         }
-                        (None, Some(nnz)) => format!("  sharded factor, {nnz} nnz"),
+                        (None, Some(nnz)) => format!("  sharded factor, {nnz} nnz, fold {fold}"),
                         (_, None) => String::new(),
                     };
                     println!(

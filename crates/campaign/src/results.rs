@@ -127,6 +127,9 @@ pub fn campaign_sections(reports: &[CampaignReport]) -> Vec<Section> {
                         "factor_nnz".to_string(),
                         stats.factor_nnz.unwrap_or(0) as f64,
                     ));
+                    // The order of the mirror group that factor was folded
+                    // by: 1 when unfolded, and for the iterative backends.
+                    entries.push(("fold_order".to_string(), stats.fold_order as f64));
                     entries.push(("shards".to_string(), stats.shards as f64));
                     entries.push((
                         "shards_refactored".to_string(),

@@ -21,16 +21,34 @@ const GOLDEN: [(usize, usize, f64, f64); 6] = [
     (1, 2, 150.27983230911696, 0.012360507951065573),
 ];
 
-/// The jobs' checksums, in the same order (re-recorded when the local
-/// stage's `A_ff` began to be dissected along the unit block's cell grid).
+/// The jobs' checksums, in the same order (re-recorded when the direct
+/// factor began to solve each array in its mirror group's symmetric
+/// subspace).
 const CHECKSUMS: [u64; 6] = [
-    0x143a5d7fa1cc1ccd,
-    0xc50f6157c6497601,
-    0xa7f07e15363350cc,
-    0xe60e483165aa8255,
-    0xbac49a20a4b2fe9d,
-    0xf16f2fd1e893c844,
+    0xb6fa130a41dc8135,
+    0x31e5723b004101a0,
+    0x1220175bc9e7baaf,
+    0xa64fe14dca153eb9,
+    0x58d3947d035f99c6,
+    0x5968655836d41891,
 ];
+
+/// The order of the mirror group each array's direct factor folds by: the
+/// 3×3 array inside its dummy ring (5×5 blocks) keeps all of D4, the 4×2
+/// array both mirrors but not the diagonal.
+const FOLD_ORDERS: [usize; 2] = [8, 4];
+
+/// The `fold_order` key of every job section of the results record, in
+/// job order.
+fn recorded_fold_orders(reports: &[CampaignReport]) -> Vec<usize> {
+    results::campaign_sections(reports)
+        .iter()
+        .filter_map(|(_, entries)| {
+            let value = |key: &str| entries.iter().find(|(k, _)| k == key).map(|&(_, v)| v);
+            value("load_index").map(|_| value("fold_order").expect("fold_order") as usize)
+        })
+        .collect()
+}
 
 /// `examples/campaign.yml` with `from` replaced by `to` (the line must be
 /// there, so a reworded example cannot silently test the default leg).
@@ -60,34 +78,40 @@ fn sections_with_a_residual(reports: &[CampaignReport]) -> usize {
 /// near 8e-12).
 #[test]
 fn every_backend_reproduces_the_recorded_peaks() {
-    // (leg, spec, shards every job must report, iterative?)
+    // (leg, spec, shards every job must report, iterative?, fold orders
+    // per array). A one-shard plan's shard is the operator itself, so it
+    // folds; multi-shard interiors and the Krylov engines never do.
     let legs = [
         (
             "shards: 1",
             example_with("  shards: 0 ", "  shards: 1 "),
             1,
             false,
+            FOLD_ORDERS,
         ),
         (
             "shards: 4",
             example_with("  shards: 0 ", "  shards: 4 "),
             4,
             false,
+            [1, 1],
         ),
         (
             "gmres",
             example_with("global_solver: direct", "global_solver: gmres"),
             1,
             true,
+            [1, 1],
         ),
         (
             "cg",
             example_with("global_solver: direct", "global_solver: cg"),
             1,
             true,
+            [1, 1],
         ),
     ];
-    for (leg, spec, shards, iterative) in legs {
+    for (leg, spec, shards, iterative, fold_orders) in legs {
         let bound = if iterative {
             1e3 * spec.solver.tolerance
         } else {
@@ -104,6 +128,15 @@ fn every_backend_reproduces_the_recorded_peaks() {
             if iterative { 0 } else { GOLDEN.len() },
             "{leg}: job sections with a verified residual"
         );
+        let job_orders: Vec<usize> = GOLDEN
+            .iter()
+            .map(|&(array, ..)| fold_orders[array])
+            .collect();
+        assert_eq!(
+            recorded_fold_orders(&reports),
+            job_orders,
+            "{leg}: fold orders"
+        );
         assert_eq!(report.jobs.len(), GOLDEN.len(), "{leg}");
         for (job, &(array, load, von_mises, displacement)) in report.jobs.iter().zip(&GOLDEN) {
             assert_eq!((job.array_index, job.load_index), (array, load), "{leg}");
@@ -119,6 +152,10 @@ fn every_backend_reproduces_the_recorded_peaks() {
             assert_eq!(
                 stats.shards, shards,
                 "{leg}: array {array} must solve on {shards} shard(s)"
+            );
+            assert_eq!(
+                stats.fold_order, fold_orders[array],
+                "{leg}: array {array}: fold order"
             );
             for (what, got, want) in [
                 ("peak von Mises", *peak_von_mises, von_mises),
@@ -178,9 +215,18 @@ fn example_campaign_reproduces_the_recorded_peaks() {
             residual <= tolerance,
             "array {array} load {load}: residual {residual} above {tolerance}"
         );
+        assert_eq!(
+            stats.fold_order, FOLD_ORDERS[array],
+            "array {array} load {load}: fold order"
+        );
         checksums.push(*checksum);
     }
     assert_eq!(sections_with_a_residual(&reports), GOLDEN.len());
+    let job_orders: Vec<usize> = GOLDEN
+        .iter()
+        .map(|&(array, ..)| FOLD_ORDERS[array])
+        .collect();
+    assert_eq!(recorded_fold_orders(&reports), job_orders);
 
     // The results record round-trips: rendered and parsed back, every
     // section, key and value returns bit for bit (the checksum halves

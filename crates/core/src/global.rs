@@ -22,10 +22,11 @@ use std::time::{Duration, Instant};
 use morestress_fem::{DirichletBcs, FemError, ReducedSystem};
 use morestress_linalg::{
     huge_with_capacity, huge_zeroed, CsrMatrix, FactorCache, LinearSolver, MemoryFootprint,
-    PartitionHint, SolveReport, SolverBackend, VerifyPolicy, WorkPool,
+    PartitionHint, SolveReport, SolverBackend, SymmetryFold, VerifyPolicy, WorkPool,
 };
 use morestress_mesh::{BlockKind, BlockLayout};
 
+use crate::symmetry::{mirror_group, Mirror};
 use crate::{ReducedOrderModel, RomError};
 
 /// Boundary conditions of the global problem.
@@ -205,9 +206,13 @@ pub struct GlobalStats {
     pub peak_bytes: usize,
     /// Global DoFs before constraints.
     pub total_dofs: usize,
-    /// Free DoFs after constraints.
+    /// Free DoFs after constraints: the rows of the unfolded `A_ff`, also
+    /// when the direct factor solved in its mirror group's symmetric
+    /// subspace (the report's [`folded_dofs`](SolveReport::folded_dofs)
+    /// and [`factor_nnz`](SolveReport::factor_nnz) are the folded
+    /// factor's).
     pub free_dofs: usize,
-    /// Stored nonzeros of the reduced global operator.
+    /// Stored nonzeros of the reduced global operator (unfolded).
     pub nnz: usize,
     /// Whether the solve took its operator from the solver the
     /// [`FactorCache`] holds under its key and skipped assembly and
@@ -406,9 +411,22 @@ impl<'a> GlobalStage<'a> {
     ///    and `−K_e[free, fixed]·u_b` into the lifting term — the same route
     ///    for both boundary-condition kinds; clamped data merely makes the
     ///    lifting term exactly `+0.0`. No unreduced operator and no
-    ///    extraction step exist. A sub-model hit then solves on the cached
-    ///    factor; a miss prepares the assembled operator and caches it under
-    ///    the key. Either way the backend's
+    ///    extraction step exist. Beside the hint, the assembly attaches the
+    ///    layout's **mirror group** as a [`SymmetryFold`] (see
+    ///    [`CsrMatrix::with_fold`]): under [`GlobalBc::ClampedTopBottom`],
+    ///    the group generated by the x mirror, the y mirror and — on a square
+    ///    array of square-gridded blocks — the diagonal, each admitted when
+    ///    it maps every block's ROM onto the same ROM and every ROM's element
+    ///    stiffness and load are invariant under its block-local signed
+    ///    permutation (checked once per ROM). The group is found by
+    ///    structure, never by hashing, and is a pure function of the key's
+    ///    words, so the key gains none: the map rides the operator, and a
+    ///    cache hit gets it back with the operator `Arc`. A trivial group
+    ///    (asymmetric layouts, sub-model data) attaches nothing. The direct
+    ///    engine then factors `Vᵀ A_ff V` instead of `A_ff`; the Krylov
+    ///    engines and multi-shard interiors ignore the map. A sub-model hit
+    ///    then solves on the cached factor; a miss prepares the assembled
+    ///    operator and caches it under the key. Either way the backend's
     ///    [`set_partition_hint`](SolverBackend::set_partition_hint) receives
     ///    the very `Arc` the operator carries.
     /// 3. **Solve and expand**, identical on both routes: the results are
@@ -482,7 +500,7 @@ impl<'a> GlobalStage<'a> {
             _ => {
                 // The assembly scratch dies inside the call, before the
                 // factorization allocates.
-                let (reduced, scratch_bytes) = self.assemble_reduced(layout, &prelude, free);
+                let (reduced, scratch_bytes) = self.assemble_reduced(layout, bc, &prelude, free);
                 peak_bytes += reduced.a_ff.heap_bytes() + scratch_bytes;
                 reduced
             }
@@ -544,7 +562,9 @@ impl<'a> GlobalStage<'a> {
 
     /// Test seam, not supported API: the reduced system a cold
     /// [`solve_many`](Self::solve_many) assembles for `layout` under `bc` —
-    /// `A_ff` carrying its partition hint, the lifting term `−A_fb u_b` as
+    /// `A_ff` carrying its partition hint and, for a symmetric layout, its
+    /// fold map (`with_fold(None)` on a clone is the unfolded operator),
+    /// the lifting term `−A_fb u_b` as
     /// `rhs`, the free-DoF map — without consulting the cache and without
     /// solving. The same two calls as the cold arm, so the assembly and
     /// memory tests see exactly what production builds.
@@ -559,7 +579,7 @@ impl<'a> GlobalStage<'a> {
         if free.dofs.is_empty() {
             return Err(FemError::FullyConstrained.into());
         }
-        Ok(self.assemble_reduced(layout, &prelude, free).0)
+        Ok(self.assemble_reduced(layout, bc, &prelude, free).0)
     }
 
     /// Part 1 of [`solve_many`](Self::solve_many): everything a solve needs
@@ -675,11 +695,13 @@ impl<'a> GlobalStage<'a> {
     /// have produced — bit for bit, explicit zeros included.
     ///
     /// Returns the reduced system (`A_ff` carrying the partition hint of
-    /// `layout`, the lifting term as `rhs`) and the heap bytes of the
-    /// scratch that lived beside it meanwhile.
+    /// `layout` and the fold map of its mirror group, the lifting term as
+    /// `rhs`) and the heap bytes of the scratch that lived beside it
+    /// meanwhile, the map included.
     fn assemble_reduced(
         &self,
         layout: &BlockLayout,
+        bc: &GlobalBc,
         prelude: &Prelude<'_>,
         free: FreeSet,
     ) -> (ReducedSystem, usize) {
@@ -812,32 +834,119 @@ impl<'a> GlobalStage<'a> {
             },
         );
         drop(node_rows);
-        let scratch_bytes = free_nodes.heap_bytes()
-            + free_node.heap_bytes()
-            + prescribed.heap_bytes()
-            + nested_heap_bytes(&node_adj)
-            + nested_heap_bytes(&node_contrib);
         // Geometry hint: each free DoF maps to the inclusive block-grid
         // footprint of its lattice node, so the direct solvers can dissect
         // (and the sharded backend cut) the reduced operator along block
         // boundaries instead of searching its dense sparsity graph.
         let interp = self.rom_tsv.interpolation();
         let grid = [layout.nx(), layout.ny()];
-        let spans = free
-            .iter()
-            .map(|&dof| {
-                let [cx, cy, _] = lattice.coords[dof / 3];
-                let sx = interp.block_span(0, cx, grid[0]);
-                let sy = interp.block_span(1, cy, grid[1]);
-                [sx[0], sx[1], sy[0], sy[1]]
-            })
-            .collect();
+        let span = |node: usize, grid: [usize; 2]| {
+            let [cx, cy, _] = lattice.coords[node];
+            let sx = interp.block_span(0, cx, grid[0]);
+            let sy = interp.block_span(1, cy, grid[1]);
+            [sx[0], sx[1], sy[0], sy[1]]
+        };
+        let spans = free.iter().map(|&dof| span(dof / 3, grid)).collect();
         let hint = Arc::new(PartitionHint::new(grid, spans));
+        // The mirror group rides the operator as its fold map; only
+        // clamped data is fixed by every mirror.
+        let group = match bc {
+            GlobalBc::ClampedTopBottom => {
+                let roms: Vec<&ReducedOrderModel> = blocks.iter().map(|b| b.rom).collect();
+                mirror_group(grid, interp.counts(), &roms)
+            }
+            GlobalBc::SubmodelBoundary(_) => Vec::new(),
+        };
+        let fold = (group.len() > 1).then(|| {
+            fold_map(lattice, &free_nodes, &free_node, &group, |node, grid| {
+                span(node, grid)
+            })
+        });
+        let scratch_bytes = free_nodes.heap_bytes()
+            + free_node.heap_bytes()
+            + prescribed.heap_bytes()
+            + nested_heap_bytes(&node_adj)
+            + nested_heap_bytes(&node_contrib)
+            + fold.as_ref().map_or(0, |fold| fold.heap_bytes());
         let a_ff = CsrMatrix::from_raw_trusted(free.len(), free.len(), row_ptr, col_idx, values)
-            .with_partition_hint(hint);
+            .with_partition_hint(hint)
+            .with_fold(fold.map(Arc::new));
         let reduced = ReducedSystem::from_parts(Arc::new(a_ff), lifting, free, ndof, bcs);
         (reduced, scratch_bytes)
     }
+}
+
+/// The fold map of the free DoFs of `lattice` under the mirror group
+/// `group` (more than the identity): every DoF's orbit is the set of its
+/// images, signed by the mirrors' action on its component. The orbit's
+/// representative is its smallest free DoF — in the lower-left
+/// fundamental domain, since node ids grow with `b`, then `a` — and the
+/// columns are numbered by representative, ascending. A DoF some mirror
+/// maps to its own negative (`u_x` on the x-mirror plane) has no column.
+/// The folded operator's hint is the fundamental domain's block grid —
+/// halved along each mirrored axis — with the representatives' spans
+/// (`span(node, grid)`) clamped into it.
+fn fold_map(
+    lattice: &GlobalLattice,
+    free_nodes: &[usize],
+    free_node: &[usize],
+    group: &[Mirror],
+    span: impl Fn(usize, [usize; 2]) -> [usize; 4],
+) -> SymmetryFold {
+    let [ax, ay, _] = lattice.counts;
+    let image = |dof: usize, g: Mirror| {
+        let [a, b, c] = lattice.coords[free_nodes[dof / 3]];
+        let [a2, b2] = g.point([a, b], [ax - 1, ay - 1]);
+        let node = lattice
+            .node_at(a2, b2, c)
+            .expect("a mirror maps active nodes onto active nodes");
+        let (comp, negated) = g.component(dof % 3);
+        (3 * free_node[node] + comp, negated)
+    };
+    // Each DoF's representative and sign, `None` when annihilated.
+    let reps: Vec<Option<(usize, bool)>> = (0..3 * free_nodes.len())
+        .map(|dof| {
+            let images = group.iter().map(|&g| image(dof, g));
+            if images.clone().any(|(j, negated)| j == dof && negated) {
+                return None;
+            }
+            images.min_by_key(|&(j, _)| j)
+        })
+        .collect();
+    let mut column = vec![usize::MAX; reps.len()];
+    let mut rep_nodes = Vec::new();
+    for (dof, rep) in reps.iter().enumerate() {
+        if *rep == Some((dof, false)) {
+            column[dof] = rep_nodes.len();
+            rep_nodes.push(free_nodes[dof / 3]);
+        }
+    }
+    let entries: Vec<Option<(usize, bool)>> = reps
+        .iter()
+        .map(|rep| rep.map(|(j, negated)| (column[j], negated)))
+        .collect();
+    let halved = |mirror: Mirror, blocks: usize| {
+        if group.contains(&mirror) {
+            blocks.div_ceil(2)
+        } else {
+            blocks
+        }
+    };
+    let blocks = [0, 1].map(|k| (lattice.counts[k] - 1) / (lattice.interp_counts[k] - 1));
+    let grid = [halved(Mirror::X, blocks[0]), halved(Mirror::Y, blocks[1])];
+    let spans = rep_nodes
+        .iter()
+        .map(|&node| {
+            let [x0, x1, y0, y1] = span(node, grid);
+            let clamp = |v: usize, k: usize| v.min(grid[k] - 1);
+            [clamp(x0, 0), clamp(x1, 0), clamp(y0, 1), clamp(y1, 1)]
+        })
+        .collect();
+    SymmetryFold::new(
+        group.len(),
+        &entries,
+        Some(Arc::new(PartitionHint::new(grid, spans))),
+    )
 }
 
 /// Heap bytes of a list of lists: the outer slots plus every inner buffer.
@@ -909,7 +1018,8 @@ impl Footprint {
             + 6 * free_nodes + adjacency + contributions // adjacency, contributions
             + 6 * free_nodes + 1 + 2 * nnz // A_ff: row pointers, columns, values; lifting
             + 5 * free_nodes // the scatter's per-node row locks
-            + 12 * free_nodes; // partition hint
+            + 12 * free_nodes // partition hint
+            + 30 * free_nodes; // fold map and its scratch (symmetric layouts)
         Footprint {
             nodes,
             free_nodes,

@@ -59,6 +59,7 @@ mod local;
 mod model;
 mod reconstruct;
 mod simulator;
+mod symmetry;
 
 pub use error::RomError;
 pub use global::{GlobalBc, GlobalLattice, GlobalSolution, GlobalStage, GlobalStats};

@@ -367,6 +367,7 @@ impl LocalStage {
             a_elem,
             b_elem,
             local_stats: stats,
+            mirrors: std::sync::OnceLock::new(),
         })
     }
 }

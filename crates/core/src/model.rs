@@ -3,6 +3,7 @@
 use std::io::{Read, Seek, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use morestress_fem::MaterialSet;
 use morestress_linalg::{DenseMatrix, MemoryFootprint};
@@ -44,6 +45,10 @@ pub struct ReducedOrderModel {
     pub(crate) b_elem: Vec<f64>,
     /// Cost accounting of the one-shot local stage that built this model.
     pub local_stats: LocalStageStats,
+    /// Which mirrors `a_elem` and `b_elem` are invariant under, checked on
+    /// first use (see [`mirror_invariance`](Self::mirror_invariance)) and
+    /// never stored in the `.rom` file.
+    pub(crate) mirrors: OnceLock<u8>,
 }
 
 impl ReducedOrderModel {
@@ -91,6 +96,17 @@ impl ReducedOrderModel {
     /// The element load vector `b_elem` for ΔT = 1 (Eq. 19).
     pub fn element_load(&self) -> &[f64] {
         &self.b_elem
+    }
+
+    /// The bitmask of the mirrors — x, y, diagonal, in bit order — whose
+    /// block-local signed permutation of the element DoFs leaves the
+    /// element stiffness and load invariant to 1e-12 of their largest
+    /// entries: what the global stage's mirror group requires of every ROM
+    /// of an array. Checked once per model, on first use.
+    pub(crate) fn mirror_invariance(&self) -> u8 {
+        *self
+            .mirrors
+            .get_or_init(|| crate::symmetry::rom_mirrors(self))
     }
 
     /// The `i`-th local basis function as a fine-mesh displacement vector.
@@ -313,6 +329,7 @@ impl ReducedOrderModel {
             a_elem,
             b_elem,
             local_stats: LocalStageStats::default(),
+            mirrors: OnceLock::new(),
         })
     }
 

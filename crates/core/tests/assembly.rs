@@ -200,11 +200,15 @@ fn assert_same_system(label: &str, oracle: &ReducedSystem, direct: &ReducedSyste
             "{label}: value {k} differs: {x:?} vs {y:?}"
         );
     }
-    // The stage attaches the block-grid hint, which `==` and the
-    // fingerprint cover; under the same hint the two operators are one.
+    // The stage attaches the block-grid hint and, on a symmetric layout,
+    // the fold map of its mirror group, which `==` and the fingerprint
+    // cover; under the same hint and map the two operators are one.
     let hint = b.partition_hint().expect("the stage attaches a hint");
     assert_eq!(hint.num_rows(), b.nrows(), "{label}: hint rows");
-    let hinted = a.clone().with_partition_hint(Arc::clone(hint));
+    let hinted = a
+        .clone()
+        .with_partition_hint(Arc::clone(hint))
+        .with_fold(b.fold().cloned());
     assert_eq!(
         matrix_fingerprint(b),
         matrix_fingerprint(&hinted),

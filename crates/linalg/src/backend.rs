@@ -55,7 +55,7 @@ use crate::iterative::{refine, solve_cg, solve_gmres, Precond, GMRES_RESTART};
 use crate::schur::SchurSolver;
 use crate::{
     CsrMatrix, FillOrdering, LinalgError, MemoryFootprint, PartitionHint, ShardPlanStats, Sharded,
-    SupernodalCholesky, SupernodalOptions, SupernodeStats, WorkPool,
+    SupernodalCholesky, SupernodalOptions, SupernodeStats, SymmetryFold, WorkPool,
 };
 
 // ---------------------------------------------------------------------------
@@ -242,6 +242,16 @@ pub struct SolveReport {
     /// all blocks for the sharded engine). `None` for the iterative
     /// engines.
     pub factor_nnz: Option<usize>,
+    /// Order of the symmetry group the direct factor behind this solve was
+    /// folded by (the [`SymmetryFold`] its operator carries; the largest
+    /// over all blocks for the sharded engine): 1 when it factors the
+    /// operator itself, and for the iterative engines.
+    pub fold_order: usize,
+    /// Rows of the system the direct factor behind this solve factored:
+    /// the folded `Vᵀ A V`'s, or the operator's own when unfolded (summed
+    /// over all blocks for the sharded engine). `None` for the iterative
+    /// engines.
+    pub folded_dofs: Option<usize>,
     /// Interior shards of the [`Sharded`](crate::Sharded) backend behind
     /// this solve (1 for every monolithic backend).
     pub shards: usize,
@@ -301,6 +311,8 @@ impl SolveReport {
         factor_workers: 1,
         supernode_stats: None,
         factor_nnz: None,
+        fold_order: 1,
+        folded_dofs: None,
         shards: 1,
         interface_dofs: 0,
         shard_factor_bytes: 0,
@@ -379,8 +391,10 @@ pub trait SolverBackend: fmt::Debug + Send + Sync {
 
 enum Engine {
     /// Boxed: a supernodal factor is by far the largest variant, and
-    /// `PreparedSolver`s travel through caches and `Arc`s by value.
-    Direct(Box<SupernodalCholesky>),
+    /// `PreparedSolver`s travel through caches and `Arc`s by value. With a
+    /// [`SymmetryFold`], the factor is of `Vᵀ A V` and every solve runs in
+    /// the folded space.
+    Direct(Box<SupernodalCholesky>, Option<Arc<SymmetryFold>>),
     /// The domain-decomposition engine of the [`Sharded`](crate::Sharded)
     /// backend: per-shard interior factors + a factored interface Schur
     /// complement. `Arc`-shared so the backend can retain the previous
@@ -680,9 +694,11 @@ impl PreparedSolver {
         }
         let t0 = Instant::now();
         let batch = match (&self.engine, &self.ladder) {
-            (Engine::Direct(factor), None) => self.direct_batch(factor, rhs, threads),
-            (Engine::Direct(factor), Some(ladder)) => {
-                self.ladder_batch(ladder, factor, rhs, threads)?
+            (Engine::Direct(factor, fold), None) => {
+                self.direct_batch(factor, fold.as_deref(), rhs, threads)
+            }
+            (Engine::Direct(factor, fold), Some(ladder)) => {
+                self.ladder_batch(ladder, factor, fold.as_deref(), rhs, threads)?
             }
             (Engine::Sharded(schur), _) => schur.solve_many(rhs, threads)?,
             (
@@ -760,14 +776,17 @@ impl PreparedSolver {
     }
 
     /// The direct engine's batch: pool-distributed panels with per-worker
-    /// panel scratch (see [`solve_many`](Self::solve_many)).
+    /// panel scratch (see [`solve_many`](Self::solve_many)). A folded
+    /// factor's panels hold `Vᵀ b` and expand to `x = V y`; without a fold
+    /// they hold `b` itself.
     fn direct_batch(
         &self,
         factor: &SupernodalCholesky,
+        fold: Option<&SymmetryFold>,
         rhs: &[Vec<f64>],
         threads: usize,
     ) -> EngineBatch {
-        let n = self.dim();
+        let n = fold.map_or(self.dim(), SymmetryFold::dim);
         let k = rhs.len();
         // A batch narrower than a panel is one panel, with scratch sized
         // to the batch rather than to the panel width.
@@ -787,12 +806,16 @@ impl PreparedSolver {
                 let hi = (lo + width).min(k);
                 let nrhs = hi - lo;
                 let panel = &mut panel[..n * nrhs];
-                for (c, b) in rhs[lo..hi].iter().enumerate() {
-                    panel[c * n..(c + 1) * n].copy_from_slice(b);
+                for (b, col) in rhs[lo..hi].iter().zip(panel.chunks_exact_mut(n)) {
+                    match fold {
+                        Some(fold) => fold.gather_into(b, col),
+                        None => col.copy_from_slice(b),
+                    }
                 }
                 factor.solve_panel_with(panel, nrhs, tmp);
-                (0..nrhs)
-                    .map(|c| panel[c * n..(c + 1) * n].to_vec())
+                panel
+                    .chunks_exact(n)
+                    .map(|y| fold.map_or_else(|| y.to_vec(), |fold| fold.scatter(y)))
                     .collect::<Vec<_>>()
             },
         );
@@ -846,10 +869,11 @@ impl PreparedSolver {
         &self,
         ladder: &Ladder,
         factor: &SupernodalCholesky,
+        fold: Option<&SymmetryFold>,
         rhs: &[Vec<f64>],
         threads: usize,
     ) -> Result<EngineBatch, LinalgError> {
-        let mut batch = self.direct_batch(factor, rhs, threads);
+        let mut batch = self.direct_batch(factor, fold, rhs, threads);
         let checked: Vec<Result<f64, LinalgError>> = rhs
             .iter()
             .zip(&batch.xs)
@@ -864,17 +888,18 @@ impl PreparedSolver {
         }
         self.per_rhs_batch(rhs.len(), threads, |i| {
             let direct = checked[i].map(|rr| (batch.xs[i].clone(), rr));
-            self.lower_rungs(ladder, factor, &rhs[i], direct)
+            self.lower_rungs(ladder, factor, fold, &rhs[i], direct)
         })
     }
 
     /// Walks one right-hand side down from its direct solution `(x,
     /// residual)`: accept it at `tol`, else iterative refinement reusing
-    /// the (possibly shifted) factor, else GMRES.
+    /// the (possibly shifted, possibly folded) factor, else GMRES.
     fn lower_rungs(
         &self,
         ladder: &Ladder,
         factor: &SupernodalCholesky,
+        fold: Option<&SymmetryFold>,
         b: &[f64],
         direct: Result<(Vec<f64>, f64), LinalgError>,
     ) -> Result<RhsSolve, LinalgError> {
@@ -907,7 +932,14 @@ impl PreparedSolver {
             self.matrix.as_ref(),
             b,
             &mut x,
-            |r| factor.solve(r),
+            |r| match fold {
+                Some(fold) => {
+                    let mut y = vec![0.0; fold.dim()];
+                    fold.gather_into(r, &mut y);
+                    fold.scatter(&factor.solve(&y))
+                }
+                None => factor.solve(r),
+            },
             ladder.tol,
             MAX_REFINE_SWEEPS,
         );
@@ -976,6 +1008,15 @@ impl PreparedSolver {
 /// carries a [`PartitionHint`], RCM otherwise), factored as an
 /// elimination-tree task DAG on the current [`WorkPool`], with the
 /// default [`SupernodalOptions`].
+///
+/// An operator carrying a [`SymmetryFold`] `V` is solved in its symmetric
+/// subspace: the prepare factors `Vᵀ A V` (built in one pass, dropped once
+/// factored, ordered by the fold's own hint), and every batch gathers
+/// `Vᵀ b`, runs the same panel sweeps on the smaller factor and scatters
+/// `x = V y`. [`PreparedSolver::matrix`] stays `A` itself, so a
+/// [`VerifyPolicy`] residual measures `‖b − A·V y‖` — the fold is checked,
+/// not trusted. The report's [`fold_order`](SolveReport::fold_order) and
+/// [`folded_dofs`](SolveReport::folded_dofs) say what was factored.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DirectCholesky {
     /// Residual-verification policy for every solve through the prepared
@@ -989,6 +1030,11 @@ impl DirectCholesky {
     /// solver whose setup clock started at `t0` — shared by this backend's
     /// `prepare` and the [`Resilient`] ladder, which factors `shifted`
     /// (`A + δ·I`) in place of `a` on its regularization rung.
+    ///
+    /// When `a` carries a [`SymmetryFold`] `V`, what is factored is
+    /// `Vᵀ A V` (or `Vᵀ (A + δ·I) V`: the shift commutes with every signed
+    /// permutation), built in one pass and dropped once factored, and
+    /// ordered by the fold's own hint.
     fn prepare_factor(
         &self,
         a: Arc<CsrMatrix>,
@@ -996,12 +1042,15 @@ impl DirectCholesky {
         t0: Instant,
     ) -> Result<PreparedSolver, LinalgError> {
         let factored = shifted.unwrap_or(&a);
-        let factor = SupernodalCholesky::factor_ordered(
-            factored,
-            FillOrdering::Auto,
-            &SupernodalOptions::default(),
-        )?;
-        Ok(self.wrap_factor(a, factor, t0))
+        let factor_auto = |m: &CsrMatrix| {
+            SupernodalCholesky::factor_ordered(m, FillOrdering::Auto, &SupernodalOptions::default())
+        };
+        let fold = a.fold().cloned();
+        let factor = match &fold {
+            Some(fold) => factor_auto(&fold.fold(factored)),
+            None => factor_auto(factored),
+        }?;
+        Ok(self.wrap_factor(a, factor, fold, t0))
     }
 
     /// Factors `a` bordered by extra trailing rows: `bordered` is `a` in its
@@ -1025,37 +1074,41 @@ impl DirectCholesky {
             &SupernodalOptions::default(),
         )?;
         Ok((
-            self.wrap_factor(a, factor.named(ordering.name()), t0),
+            self.wrap_factor(a, factor.named(ordering.name()), None, t0),
             border,
         ))
     }
 
-    /// Wraps a factor of `a` as a prepared direct solver whose setup clock
-    /// started at `t0`.
+    /// Wraps a factor of `a` — of `Vᵀ A V` when `fold` is `V` — as a
+    /// prepared direct solver whose setup clock started at `t0`.
     fn wrap_factor(
         &self,
         a: Arc<CsrMatrix>,
         factor: SupernodalCholesky,
+        fold: Option<Arc<SymmetryFold>>,
         t0: Instant,
     ) -> PreparedSolver {
         let shared_bytes = factor.heap_bytes();
+        let dim = fold.as_ref().map_or(a.nrows(), |fold| fold.dim());
         // One panel plus the sweep's interleaved and gather blocks, per
         // concurrent worker.
-        let workspace_bytes = (PANEL_WIDTH * a.nrows() + factor.scratch_len(PANEL_WIDTH))
-            * std::mem::size_of::<f64>();
+        let workspace_bytes =
+            (PANEL_WIDTH * dim + factor.scratch_len(PANEL_WIDTH)) * std::mem::size_of::<f64>();
         let described = SolveReport {
             backend: "cholesky",
             setup_time: t0.elapsed(),
             factor_workers: factor.factor_workers(),
             supernode_stats: Some(factor.stats()),
             factor_nnz: Some(factor.factor_nnz()),
+            fold_order: fold.as_ref().map_or(1, |fold| fold.order()),
+            folded_dofs: Some(dim),
             ..SolveReport::NONE
         };
         PreparedSolver {
             verify: self.verify,
             ..PreparedSolver::new(
                 a,
-                Engine::Direct(Box::new(factor)),
+                Engine::Direct(Box::new(factor), fold),
                 described,
                 shared_bytes,
                 workspace_bytes,
@@ -1272,8 +1325,8 @@ impl Resilient {
 /// A value-copy of `a` with `shift` added to every diagonal entry
 /// (inserting diagonal entries absent from the pattern, so regularization
 /// never hits an off-pattern panic) — still the same rows, so it keeps
-/// `a`'s partition hint and the regularized factor is ordered like the
-/// clean one. Shared with the fault-injection machinery, which uses large
+/// `a`'s partition hint and fold, and the regularized factor is ordered
+/// (and folded) like the clean one. Shared with the fault-injection machinery, which uses large
 /// shifts to build deliberately-wrong factors.
 pub(crate) fn shifted_copy(a: &CsrMatrix, shift: f64) -> CsrMatrix {
     let mut coo = crate::CooMatrix::new(a.nrows(), a.ncols());
@@ -1286,7 +1339,7 @@ pub(crate) fn shifted_copy(a: &CsrMatrix, shift: f64) -> CsrMatrix {
     for i in 0..a.nrows().min(a.ncols()) {
         coo.push(i, i, shift);
     }
-    let shifted = coo.to_csr();
+    let shifted = coo.to_csr().with_fold(a.fold().cloned());
     match a.partition_hint() {
         Some(hint) => shifted.with_partition_hint(Arc::clone(hint)),
         None => shifted,
@@ -1538,9 +1591,10 @@ impl Default for FactorCache {
 }
 
 /// FNV-1a-style hash over the CSR arrays (structure and values) and the
-/// operator's partition hint, if it carries one, mixed one 64-bit word at a
-/// time. Word-wise mixing is ~8× cheaper than the byte-wise variant on
-/// large operators; callers confirm equal fingerprints by exact comparison.
+/// operator's partition hint and fold, if it carries them, mixed one 64-bit
+/// word at a time. Word-wise mixing is ~8× cheaper than the byte-wise
+/// variant on large operators; callers confirm equal fingerprints by exact
+/// comparison.
 ///
 /// No product code hashes an operator: the [`FactorCache`] matches the
 /// caller's key and the [`Sharded`](crate::Sharded) re-preparation diffs
@@ -1568,6 +1622,15 @@ pub fn matrix_fingerprint(a: &CsrMatrix) -> u64 {
         let spans = hint.spans().iter().flatten();
         for &v in hint.grid().iter().chain(spans) {
             mix(v as u64);
+        }
+    }
+    // So is a folded one, by its map.
+    if let Some(fold) = a.fold() {
+        mix(fold.order() as u64);
+        for i in 0..fold.rows() {
+            mix(fold
+                .column(i)
+                .map_or(u64::MAX, |(c, flip)| (c as u64) << 1 | flip as u64));
         }
     }
     h

@@ -26,6 +26,10 @@
 //!   dissection of the block grid an operator's [`PartitionHint`]
 //!   describes, or RCM; [`FillOrdering::Auto`] (the default) picks the
 //!   first when the operator is hinted and the second otherwise.
+//! * [`SymmetryFold`] — the signed column map `V` of a symmetry group an
+//!   operator commutes with, carried by the operator
+//!   ([`CsrMatrix::with_fold`]): the direct backend factors `Vᵀ A V` and
+//!   solves a symmetric array in its symmetric subspace.
 //! * [`Cg`] / [`Gmres`] — the Jacobi-preconditioned Krylov backends (the
 //!   paper solves the global system with GMRES); [`Auto`] runs
 //!   SSOR-preconditioned CG above its direct threshold. The Krylov engines
@@ -111,6 +115,7 @@ mod backend;
 mod dense;
 mod error;
 pub mod fault;
+mod fold;
 mod iterative;
 mod kernel;
 mod memory;
@@ -130,6 +135,7 @@ pub use backend::{
 pub use dense::DenseMatrix;
 pub use error::LinalgError;
 pub use fault::FaultPlan;
+pub use fold::SymmetryFold;
 pub use kernel::{BlockedKernel, Isa, KernelChoice};
 pub use memory::{huge_with_capacity, huge_zeroed, MemoryFootprint};
 pub use ordering::{geometric_dissection, reverse_cuthill_mckee, FillOrdering, Permutation};

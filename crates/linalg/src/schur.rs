@@ -582,6 +582,8 @@ impl SchurSolver {
             backend: "sharded",
             factor_workers: solvers().map(|d| d.factor_workers).max().unwrap_or(1),
             factor_nnz: solvers().map(|d| d.factor_nnz).sum(),
+            fold_order: solvers().map(|d| d.fold_order).max().unwrap_or(1),
+            folded_dofs: solvers().map(|d| d.folded_dofs).sum(),
             shards: num_shards,
             interface_dofs,
             shard_factor_bytes: blocks

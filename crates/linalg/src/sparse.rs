@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use crate::kernel::{Isa, Lanes, SimdLoop};
-use crate::{MemoryFootprint, PartitionHint};
+use crate::{MemoryFootprint, PartitionHint, SymmetryFold};
 
 /// Coordinate-format (triplet) sparse matrix used during assembly.
 ///
@@ -147,6 +147,7 @@ impl CooMatrix {
             col_idx: out_col,
             values: out_val,
             hint: None,
+            fold: None,
         }
     }
 }
@@ -168,6 +169,11 @@ impl MemoryFootprint for CooMatrix {
 /// direct solvers order — and therefore round — differently under it. A
 /// [`FactorCache`](crate::FactorCache) key that names an operator must
 /// therefore name its hint too (the global stage's layout words do).
+///
+/// It may likewise carry a [`SymmetryFold`] (see
+/// [`with_fold`](Self::with_fold)): the signed column map of a symmetry
+/// group it commutes with, which the direct factor solves in. The fold is
+/// part of the operator's identity for the same reason as the hint.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     nrows: usize,
@@ -179,6 +185,8 @@ pub struct CsrMatrix {
     /// `permuted_symmetric`) starts without one, since its rows are no
     /// longer the rows the hint describes.
     hint: Option<Arc<PartitionHint>>,
+    /// Kept by `clone` and dropped by every derived matrix, like the hint.
+    fold: Option<Arc<SymmetryFold>>,
 }
 
 impl CsrMatrix {
@@ -215,6 +223,7 @@ impl CsrMatrix {
             col_idx,
             values,
             hint: None,
+            fold: None,
         }
     }
 
@@ -243,6 +252,7 @@ impl CsrMatrix {
             col_idx,
             values,
             hint: None,
+            fold: None,
         }
     }
 
@@ -255,6 +265,7 @@ impl CsrMatrix {
             col_idx: (0..n).collect(),
             values: vec![1.0; n],
             hint: None,
+            fold: None,
         }
     }
 
@@ -317,6 +328,33 @@ impl CsrMatrix {
     /// The block-grid provenance this operator carries, if any.
     pub fn partition_hint(&self) -> Option<&Arc<PartitionHint>> {
         self.hint.as_ref()
+    }
+
+    /// This operator carrying `fold` — the signed column map `V` of a
+    /// symmetry group it commutes with — or, with `None`, carrying none.
+    /// Whoever assembles an operator from a symmetric structure knows its
+    /// group; attaching the map here is how the direct factor learns it:
+    /// [`DirectCholesky`](crate::DirectCholesky) then factors `Vᵀ A V`
+    /// and solves `A x = b` as `x = V (Vᵀ A V)⁻¹ Vᵀ b`. That is `A⁻¹ b`
+    /// exactly only for a `b` the group fixes, so the map is the
+    /// assembler's promise that every right-hand side solved against this
+    /// operator is symmetric too; the iterative engines ignore it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fold` maps a different number of rows than this
+    /// operator has.
+    pub fn with_fold(mut self, fold: Option<Arc<SymmetryFold>>) -> Self {
+        if let Some(fold) = &fold {
+            assert_eq!(fold.rows(), self.nrows, "fold row count");
+        }
+        self.fold = fold;
+        self
+    }
+
+    /// The symmetry fold this operator carries, if any.
+    pub fn fold(&self) -> Option<&Arc<SymmetryFold>> {
+        self.fold.as_ref()
     }
 
     /// Whether `other` has the same dimensions and sparsity pattern
@@ -508,6 +546,7 @@ impl CsrMatrix {
             col_idx,
             values,
             hint: None,
+            fold: None,
         }
     }
 
@@ -546,6 +585,7 @@ impl CsrMatrix {
                 col_idx,
                 values,
                 hint: None,
+                fold: None,
             }
         }
     }
@@ -584,6 +624,7 @@ impl CsrMatrix {
             col_idx,
             values,
             hint: None,
+            fold: None,
         }
     }
 
