@@ -1591,10 +1591,10 @@ impl Default for FactorCache {
 }
 
 /// FNV-1a-style hash over the CSR arrays (structure and values) and the
-/// operator's partition hint and fold, if it carries them, mixed one 64-bit
-/// word at a time. Word-wise mixing is ~8× cheaper than the byte-wise
-/// variant on large operators; callers confirm equal fingerprints by exact
-/// comparison.
+/// operator's partition hint, if it carries one, mixed one 64-bit word at a
+/// time. Word-wise mixing is ~8× cheaper than the byte-wise variant on
+/// large operators; callers confirm equal fingerprints by exact comparison
+/// (which also compares a [`SymmetryFold`]).
 ///
 /// No product code hashes an operator: the [`FactorCache`] matches the
 /// caller's key and the [`Sharded`](crate::Sharded) re-preparation diffs
@@ -1622,15 +1622,6 @@ pub fn matrix_fingerprint(a: &CsrMatrix) -> u64 {
         let spans = hint.spans().iter().flatten();
         for &v in hint.grid().iter().chain(spans) {
             mix(v as u64);
-        }
-    }
-    // So is a folded one, by its map.
-    if let Some(fold) = a.fold() {
-        mix(fold.order() as u64);
-        for i in 0..fold.rows() {
-            mix(fold
-                .column(i)
-                .map_or(u64::MAX, |(c, flip)| (c as u64) << 1 | flip as u64));
         }
     }
     h

@@ -21,11 +21,10 @@ const NONE: usize = usize::MAX;
 /// The signed column map `V` of a symmetry group, as an operator carries it
 /// ([`CsrMatrix::with_fold`]).
 ///
-/// Row `i` of `V` has one entry, `±1` in column [`column`](Self::column),
-/// or none. `V` is deliberately not normalised: expanding `x = V y` is then
-/// an exact copy or sign flip, so a folded solution is bitwise symmetric,
-/// and folding `Vᵀ A V` and `Vᵀ b` are plain signed sums, each in a fixed
-/// order.
+/// Row `i` of `V` has one entry, `±1`, or none. `V` is deliberately not
+/// normalised: expanding `x = V y` is then an exact copy or sign flip, so a
+/// folded solution is bitwise symmetric, and folding `Vᵀ A V` and `Vᵀ b`
+/// are plain signed sums, each in a fixed order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SymmetryFold {
     order: usize,
@@ -107,12 +106,6 @@ impl SymmetryFold {
     /// Columns of `V`: the dimension of the folded operator `Vᵀ A V`.
     pub fn dim(&self) -> usize {
         self.member_ptr.len() - 1
-    }
-
-    /// Row `i`'s entry of `V`: its folded column and whether the entry is
-    /// −1; `None` for a row the group maps to its own negative.
-    pub(crate) fn column(&self, i: usize) -> Option<(usize, bool)> {
-        (self.col[i] != NONE).then(|| (self.col[i], self.flip[i]))
     }
 
     /// `Vᵀ A V`, exactly symmetric, carrying the folded hint. Each entry of

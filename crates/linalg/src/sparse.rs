@@ -172,8 +172,8 @@ impl MemoryFootprint for CooMatrix {
 ///
 /// It may likewise carry a [`SymmetryFold`] (see
 /// [`with_fold`](Self::with_fold)): the signed column map of a symmetry
-/// group it commutes with, which the direct factor solves in. The fold is
-/// part of the operator's identity for the same reason as the hint.
+/// group it commutes with, which the direct factor solves in. `==` covers
+/// the fold for the same reason as the hint.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     nrows: usize,
