@@ -894,25 +894,33 @@ fn fold_map(
     span: impl Fn(usize, [usize; 2]) -> [usize; 4],
 ) -> SymmetryFold {
     let [ax, ay, _] = lattice.counts;
-    let image = |dof: usize, g: Mirror| {
-        let [a, b, c] = lattice.coords[free_nodes[dof / 3]];
-        let [a2, b2] = g.point([a, b], [ax - 1, ay - 1]);
-        let node = lattice
-            .node_at(a2, b2, c)
-            .expect("a mirror maps active nodes onto active nodes");
-        let (comp, negated) = g.component(dof % 3);
-        (3 * free_node[node] + comp, negated)
-    };
-    // Each DoF's representative and sign, `None` when annihilated.
-    let reps: Vec<Option<(usize, bool)>> = (0..3 * free_nodes.len())
-        .map(|dof| {
-            let images = group.iter().map(|&g| image(dof, g));
-            if images.clone().any(|(j, negated)| j == dof && negated) {
-                return None;
-            }
-            images.min_by_key(|&(j, _)| j)
-        })
-        .collect();
+    // Each DoF's representative and sign, `None` when annihilated; a free
+    // node's images are looked up once for its three components.
+    let mut reps: Vec<Option<(usize, bool)>> = Vec::with_capacity(3 * free_nodes.len());
+    let mut images = Vec::with_capacity(group.len());
+    for (f, &node) in free_nodes.iter().enumerate() {
+        let [a, b, c] = lattice.coords[node];
+        images.clear();
+        images.extend(group.iter().map(|&g| {
+            let [a2, b2] = g.point([a, b], [ax - 1, ay - 1]);
+            let image = lattice
+                .node_at(a2, b2, c)
+                .expect("a mirror maps active nodes onto active nodes");
+            (g, free_node[image])
+        }));
+        for comp in 0..3 {
+            let dof = 3 * f + comp;
+            let signed = images.iter().map(|&(g, f2)| {
+                let (comp2, negated) = g.component(comp);
+                (3 * f2 + comp2, negated)
+            });
+            reps.push(if signed.clone().any(|(j, negated)| j == dof && negated) {
+                None
+            } else {
+                signed.min_by_key(|&(j, _)| j)
+            });
+        }
+    }
     let mut column = vec![usize::MAX; reps.len()];
     let mut rep_nodes = Vec::new();
     for (dof, rep) in reps.iter().enumerate() {
