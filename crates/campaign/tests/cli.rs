@@ -129,6 +129,78 @@ fn check_passes_a_valid_record_and_names_a_malformed_one() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Whether `stderr` names a line of the spec (`line N`).
+fn names_a_line(stderr: &str) -> bool {
+    stderr
+        .match_indices("line ")
+        .any(|(at, m)| stderr[at + m.len()..].starts_with(|c: char| c.is_ascii_digit()))
+}
+
+/// Hostile spec files through the binary: a spec nested 64 blocks deep
+/// (past the parser's depth bound), the upstream config's modulus in Pa,
+/// an array whose dummy rings overflow its padded side, 6 interpolation
+/// nodes in z where the `coarse` mesh has 5, and 4 kB of seeded
+/// pseudo-random bytes (`random.Random(29).randbytes(4096)` in Python,
+/// committed as `tests/fixtures/noise.yml`). Each is refused with exit
+/// status 1 — never 101 (panic) or 134 (abort) — and all but the noise
+/// name the offending line.
+#[test]
+fn hostile_specs_are_refused_not_crashed() {
+    let example = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/campaign.yml");
+    let example = std::fs::read_to_string(example).unwrap();
+    let substituted = |from: &str, to: &str| {
+        assert!(
+            example.contains(from),
+            "examples/campaign.yml has no {from:?}"
+        );
+        example.replace(from, to).into_bytes()
+    };
+    let deep: String = (0..64)
+        .map(|level| format!("{}k{level}:\n", "  ".repeat(level)))
+        .collect();
+    let specs = [
+        ("deep", deep.into_bytes()),
+        (
+            "pascal",
+            substituted("young_modulus: 130000\n", "young_modulus: 130.0e+9\n"),
+        ),
+        (
+            "wrap",
+            substituted(
+                "  - tsv_num_x: 4\n    tsv_num_y: 2\n",
+                "  - tsv_num_x: 1\n    tsv_num_y: 1\n    dummy_tsv_num_x: 9223372036854775808\n",
+            ),
+        ),
+        (
+            "count6",
+            substituted("  interp_num_z: 3\n", "  interp_num_z: 6\n"),
+        ),
+        ("noise", include_bytes!("fixtures/noise.yml").to_vec()),
+    ];
+    let dir = scratch("hostile");
+    for (name, bytes) in specs {
+        let spec = dir.join(format!("{name}.yml"));
+        let results = dir.join(format!("{name}.json"));
+        std::fs::write(&spec, bytes).unwrap();
+        let out = morestress(&[
+            "campaign",
+            "run",
+            spec.to_str().unwrap(),
+            "--out",
+            results.to_str().unwrap(),
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}.yml: {stderr}");
+        if name != "noise" {
+            assert!(
+                names_a_line(&stderr),
+                "{name}.yml: the error names no line: {stderr}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A 1×1 TSV array padded by 100 000 × 2 dummy rings fits a `usize` but
 /// not a 1.5 GB address space: the global stage must refuse it as a failed
 /// job (exit 1) before it allocates, not abort (134) when an allocation

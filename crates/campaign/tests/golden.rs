@@ -9,6 +9,7 @@
 //! moved checksum and prints the `CHECKSUMS` block that re-records them.
 
 use morestress_campaign::{results, CampaignReport, CampaignRunner, CampaignSpec, JobOutcome};
+use morestress_linalg::WorkPool;
 
 /// `(array, load, peak von Mises [MPa], peak |u| [µm])` per job, in the
 /// runner's canonical order.
@@ -48,6 +49,12 @@ fn recorded_fold_orders(reports: &[CampaignReport]) -> Vec<usize> {
             value("load_index").map(|_| value("fold_order").expect("fold_order") as usize)
         })
         .collect()
+}
+
+/// `examples/campaign.yml` as checked in.
+fn example() -> CampaignSpec {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/campaign.yml");
+    CampaignSpec::from_file(path).expect("examples/campaign.yml parses")
 }
 
 /// `examples/campaign.yml` with `from` replaced by `to` (the line must be
@@ -174,8 +181,7 @@ fn every_backend_reproduces_the_recorded_peaks() {
 
 #[test]
 fn example_campaign_reproduces_the_recorded_peaks() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/campaign.yml");
-    let spec = CampaignSpec::from_file(path).expect("examples/campaign.yml parses");
+    let spec = example();
     let tolerance = spec.solver.tolerance;
     let reports = CampaignRunner::new().run(&[spec]).expect("model builds");
     let [report] = &reports[..] else {
@@ -281,4 +287,97 @@ fn example_campaign_reproduces_the_recorded_peaks() {
             .map(|c| format!("    {c:#018x},\n"))
             .collect::<String>()
     );
+}
+
+/// Every job's checksum, shard count and fold order, in job order.
+fn solved_jobs(reports: &[CampaignReport]) -> Vec<(u64, usize, usize)> {
+    let [report] = reports else {
+        panic!("one campaign in, {} reports out", reports.len());
+    };
+    report
+        .jobs
+        .iter()
+        .map(|job| match &job.outcome {
+            JobOutcome::Solved {
+                checksum, stats, ..
+            } => (*checksum, stats.shards, stats.fold_order),
+            JobOutcome::Failed { error } => panic!(
+                "array {} load {} failed: {error}",
+                job.array_index, job.load_index
+            ),
+        })
+        .collect()
+}
+
+/// What `solved_jobs` reads from the example's direct run: `CHECKSUMS`,
+/// one shard and `FOLD_ORDERS`.
+fn direct_jobs() -> Vec<(u64, usize, usize)> {
+    GOLDEN
+        .iter()
+        .zip(CHECKSUMS)
+        .map(|(&(array, ..), checksum)| (checksum, 1, FOLD_ORDERS[array]))
+        .collect()
+}
+
+/// `global_solver: auto` below its threshold (120 000 free rows) is the
+/// direct factor behind the resilient ladder: an `auto` copy of the example
+/// gives every job the direct run's checksum, bit for bit, and the direct
+/// family's fold orders.
+#[test]
+fn auto_below_its_threshold_reproduces_the_direct_checksums() {
+    let spec = example_with("  global_solver: direct ", "  global_solver: auto ");
+    let reports = CampaignRunner::new().run(&[spec]).expect("model builds");
+    assert_eq!(solved_jobs(&reports), direct_jobs());
+}
+
+/// Pool-cap invariance on the example and on a `shards: 4` copy of it: one
+/// worker and eight give every job the same checksum, bit for bit (the
+/// example's are `CHECKSUMS`, on one shard), and the copy solves every job
+/// on 4 shards.
+/// At either cap an array is the unit of work, so the example assembles
+/// and factors each of its 2 arrays once — 2 misses, no hit, no reused
+/// operator — and each cold job reports the factor it built.
+#[test]
+fn checksums_are_equal_at_one_and_eight_workers() {
+    let run = |spec: &CampaignSpec, workers: usize| {
+        WorkPool::new(workers).install(|| {
+            CampaignRunner::new()
+                .run(std::slice::from_ref(spec))
+                .expect("model builds")
+        })
+    };
+    for workers in [1, 8] {
+        let reports = run(&example(), workers);
+        let report = &reports[0];
+        assert_eq!(
+            (
+                report.cache_misses,
+                report.cache_hits,
+                report.operators_reused()
+            ),
+            (2, 0, 0),
+            "{workers} workers: misses, hits, reused operators"
+        );
+        for job in &report.jobs {
+            let JobOutcome::Solved { stats, .. } = &job.outcome else {
+                panic!("{workers} workers: array {} failed", job.array_index);
+            };
+            if !stats.operator_reused {
+                assert!(
+                    stats.factor_nnz.is_some_and(|nnz| nnz > 0),
+                    "{workers} workers: array {} reports no factor",
+                    job.array_index
+                );
+            }
+        }
+        assert_eq!(solved_jobs(&reports), direct_jobs(), "{workers} workers");
+    }
+
+    let sharded = example_with("  shards: 0 ", "  shards: 4 ");
+    let serial = solved_jobs(&run(&sharded, 1));
+    assert!(
+        serial.iter().all(|&(_, shards, _)| shards == 4),
+        "every job solves on 4 shards: {serial:?}"
+    );
+    assert_eq!(solved_jobs(&run(&sharded, 8)), serial, "8 workers vs 1");
 }
